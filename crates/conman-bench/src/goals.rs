@@ -10,8 +10,8 @@
 //!
 //! Two reconcile executors are measured: the **batched** pass (one staged +
 //! one committed round-trip per device per pass, relays coalesced) and the
-//! pre-batching **per-goal** baseline (one full two-phase transaction per
-//! goal).  Messages-per-goal and wall-time-per-goal are the headline
+//! **per-goal** baseline (one batch-of-one transaction per goal).
+//! Messages-per-goal and wall-time-per-goal are the headline
 //! numbers; `BENCH_goals.json` tracks them across PRs.
 
 use crate::diagnosis::chain_limits;
@@ -27,8 +27,8 @@ use std::time::Instant;
 pub enum ReconcileMode {
     /// One batched transaction per pass (`reconcile`).
     Batched,
-    /// One two-phase transaction per goal (`reconcile_per_goal`) — the
-    /// pre-batching baseline.
+    /// One batch-of-one transaction per goal (`reconcile_per_goal`) — the
+    /// baseline.
     PerGoal,
 }
 
@@ -94,9 +94,10 @@ pub struct MultiGoalReport {
     pub engine: PlannerEngine,
     /// Which wire codec the management payloads used.
     pub codec: WireCodec,
-    /// Bytes of batch-transaction wire encoding produced during the pass
-    /// (the `txn.encode_bytes` counter) — how the zero-copy codec's size
-    /// win is tracked.
+    /// Bytes of transaction wire encoding produced during the pass (the
+    /// `txn.encode_bytes` counter) — how the zero-copy codec's size win is
+    /// tracked.  Non-zero in both modes: the per-goal baseline speaks the
+    /// same protocol, one segment at a time.
     pub encode_bytes: u64,
     /// Goals `Active` after the reconcile pass.
     pub active: usize,
@@ -241,6 +242,10 @@ mod tests {
         let report = multi_goal_run_mode(3, 8, ReconcileMode::PerGoal);
         assert_converged(&report);
         assert_eq!(report.transactions, 8);
+        assert!(
+            report.encode_bytes > 0,
+            "per-goal transactions are counted on the wire like any batch"
+        );
     }
 
     #[test]

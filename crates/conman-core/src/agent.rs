@@ -12,6 +12,7 @@ use crate::primitives::{
     Announcement, ModuleActual, Primitive, PrimitiveResult, SegmentCommit, SegmentVerdict,
     WireMessage,
 };
+use crate::wire::MalformedSegment;
 use netsim::device::{Device, DeviceId, PortId};
 use std::collections::BTreeMap;
 
@@ -29,10 +30,8 @@ pub struct ManagementAgent {
     modules: BTreeMap<ModuleId, Box<dyn ProtocolModule>>,
     /// Per-device blackboard shared by the modules.
     blackboard: BTreeMap<String, String>,
-    /// Primitives staged under a transaction id, validated but not yet
-    /// applied to the data plane (two-phase configuration).
-    staged: BTreeMap<u64, Vec<Primitive>>,
-    /// Per-goal segments staged under a batched transaction id, keyed by
+    /// Per-goal segments staged under a transaction id — validated but not
+    /// yet applied to the data plane (two-phase configuration) — keyed by
     /// (txn, goal) so each goal can be committed or aborted independently.
     staged_batches: BTreeMap<u64, BTreeMap<u64, Vec<Primitive>>>,
     /// Flow tags (goal ids) the NM subscribed to with `SubscribeFlows`,
@@ -50,18 +49,12 @@ impl ManagementAgent {
             device_name: device_name.into(),
             modules: BTreeMap::new(),
             blackboard: BTreeMap::new(),
-            staged: BTreeMap::new(),
             staged_batches: BTreeMap::new(),
             watched_flows: BTreeMap::new(),
         }
     }
 
-    /// Number of transactions currently staged and awaiting commit/abort.
-    pub fn staged_count(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Number of goal segments held by staged batched transactions.
+    /// Number of goal segments staged and awaiting commit/abort.
     pub fn staged_segment_count(&self) -> usize {
         self.staged_batches.values().map(|g| g.len()).sum()
     }
@@ -188,79 +181,11 @@ impl ManagementAgent {
                 // current counters so only *changes* from here on push.
                 self.watched_flows = tags.iter().map(|t| (*t, device.stats.flow(*t))).collect();
             }
-            WireMessage::Stage { txn, primitives } => {
-                // Transactions are serial per NM and txn ids monotonic, so
-                // a newer Stage means any older held entry is dead — its
-                // Abort may have been lost while this device was down.
-                self.staged.retain(|held, _| *held >= *txn);
-                self.staged_batches.retain(|held, _| *held >= *txn);
-                // Phase one: validate everything, hold on success.  Nothing
-                // touches the data plane until the commit arrives.
-                let errors: Vec<String> = primitives
-                    .iter()
-                    .filter_map(|p| self.validate_primitive(p))
-                    .collect();
-                if errors.is_empty() {
-                    self.staged.insert(*txn, primitives.clone());
-                }
-                out.push(WireMessage::StageResult { txn: *txn, errors });
-            }
-            WireMessage::Commit { txn } => {
-                // Phase two: execute the held primitives exactly as a
-                // direct script would.
-                match self.staged.remove(txn) {
-                    Some(primitives) => {
-                        let mut results = Vec::with_capacity(primitives.len());
-                        let mut reaction = ModuleReaction::none();
-                        for p in &primitives {
-                            let (res, r) = self.run_primitive(device, p);
-                            results.push(res);
-                            reaction.extend(r);
-                        }
-                        reaction.extend(self.poll_until_quiescent(device));
-                        out.push(WireMessage::CommitResult { txn: *txn, results });
-                        Self::push_reaction(&mut out, reaction);
-                    }
-                    None => {
-                        out.push(WireMessage::CommitResult {
-                            txn: *txn,
-                            results: vec![Err(format!("transaction {txn} was never staged"))],
-                        });
-                    }
-                }
-            }
-            WireMessage::Abort { txn } => {
-                self.staged.remove(txn);
-                self.staged_batches.remove(txn);
-            }
             WireMessage::StageBatch { txn, segments } => {
-                // Same staleness rule as `Stage`: a newer transaction makes
-                // older held entries dead.
-                self.staged.retain(|held, _| *held >= *txn);
-                self.staged_batches.retain(|held, _| *held >= *txn);
-                // Validate each goal's segment independently; hold the valid
-                // ones.  Nothing touches the data plane until the commit.
-                let mut verdicts = Vec::with_capacity(segments.len());
-                let mut held = BTreeMap::new();
-                for seg in segments {
-                    let errors: Vec<String> = seg
-                        .primitives
-                        .iter()
-                        .filter_map(|p| self.validate_primitive(p))
-                        .collect();
-                    if errors.is_empty() {
-                        held.insert(seg.goal, seg.primitives.clone());
-                    }
-                    verdicts.push(SegmentVerdict {
-                        goal: seg.goal,
-                        errors,
-                    });
-                }
-                self.staged_batches.insert(*txn, held);
-                out.push(WireMessage::StageBatchResult {
-                    txn: *txn,
-                    verdicts,
-                });
+                let segments = segments
+                    .iter()
+                    .map(|seg| (seg.goal, seg.primitives.iter().cloned().map(Ok)));
+                out.push(self.stage_segments(*txn, segments));
             }
             WireMessage::CommitBatch { txn, goals } => {
                 // Execute the listed segments in order, then run one shared
@@ -336,8 +261,6 @@ impl ManagementAgent {
             | WireMessage::ScriptResult { .. }
             | WireMessage::CounterReport { .. }
             | WireMessage::FlowReport { .. }
-            | WireMessage::StageResult { .. }
-            | WireMessage::CommitResult { .. }
             | WireMessage::StageBatchResult { .. }
             | WireMessage::CommitBatchResult { .. } => {}
         }
@@ -349,27 +272,46 @@ impl ManagementAgent {
     /// length-prefixed segment slices out of the wire bytes, validating each
     /// primitive as it decodes, without materialising a [`WireMessage`]
     /// first.  Behaviourally identical to the `StageBatch` arm of
-    /// [`Self::handle`]; a segment whose encoding is corrupt fails its own
-    /// verdict instead of sinking the whole batch.  Returns `None` when the
-    /// payload is not a parseable binary `StageBatch` frame (the caller
-    /// falls back to the generic decoder, which drops it).
+    /// [`Self::handle`] — both feed the one staging routine.  Returns
+    /// `None` when the payload is not a parseable binary `StageBatch`
+    /// frame (the caller falls back to the generic decoder, which drops
+    /// it).
     pub fn handle_stage_batch_in_place(
         &mut self,
         device: &mut Device,
         payload: &[u8],
     ) -> Option<Vec<WireMessage>> {
         let view = crate::wire::StageBatchView::parse(payload)?;
-        let txn = view.txn;
-        // Same staleness rule as `Stage`: a newer transaction makes older
-        // held entries dead.
-        self.staged.retain(|held, _| *held >= txn);
+        let segments = view.segments().map(|seg| (seg.goal, seg.primitives()));
+        let mut out = vec![self.stage_segments(view.txn, segments)];
+        self.push_watched_flow_report(device, &mut out);
+        Some(out)
+    }
+
+    /// Phase one of the two-phase protocol, the only place segments are
+    /// validated: check each goal's segment independently against this
+    /// device's module set and hold the valid ones under `txn`.  Nothing
+    /// touches the data plane until the commit arrives.  A segment whose
+    /// encoding is corrupt fails its own verdict instead of sinking the
+    /// whole batch.
+    fn stage_segments<P>(
+        &mut self,
+        txn: u64,
+        segments: impl Iterator<Item = (u64, P)>,
+    ) -> WireMessage
+    where
+        P: Iterator<Item = Result<Primitive, MalformedSegment>>,
+    {
+        // Transactions are serial per NM and txn ids monotonic, so a newer
+        // stage means any older held entry is dead — its abort may have
+        // been lost while this device was down.
         self.staged_batches.retain(|held, _| *held >= txn);
-        let mut verdicts = Vec::with_capacity(view.segment_count());
+        let mut verdicts = Vec::with_capacity(segments.size_hint().0);
         let mut held = BTreeMap::new();
-        for seg in view.segments() {
+        for (goal, stream) in segments {
             let mut errors = Vec::new();
-            let mut primitives = Vec::new();
-            for p in seg.primitives() {
+            let mut primitives = Vec::with_capacity(stream.size_hint().0);
+            for p in stream {
                 match p {
                     Ok(p) => {
                         if let Some(e) = self.validate_primitive(&p) {
@@ -377,27 +319,21 @@ impl ManagementAgent {
                         }
                         primitives.push(p);
                     }
-                    Err(_) => {
+                    Err(MalformedSegment) => {
                         errors.push(format!(
-                            "goal {}: malformed primitive encoding in staged segment",
-                            seg.goal
+                            "goal {goal}: malformed primitive encoding in staged segment"
                         ));
                         break;
                     }
                 }
             }
             if errors.is_empty() {
-                held.insert(seg.goal, primitives);
+                held.insert(goal, primitives);
             }
-            verdicts.push(SegmentVerdict {
-                goal: seg.goal,
-                errors,
-            });
+            verdicts.push(SegmentVerdict { goal, errors });
         }
         self.staged_batches.insert(txn, held);
-        let mut out = vec![WireMessage::StageBatchResult { txn, verdicts }];
-        self.push_watched_flow_report(device, &mut out);
-        Some(out)
+        WireMessage::StageBatchResult { txn, verdicts }
     }
 
     /// Push-mode telemetry: if this exchange moved a watched flow's
@@ -717,6 +653,14 @@ mod tests {
         }
     }
 
+    /// A transaction for one goal: a `StageBatch` carrying one segment.
+    fn stage_one(txn: u64, goal: u64, primitives: Vec<Primitive>) -> WireMessage {
+        WireMessage::StageBatch {
+            txn,
+            segments: vec![crate::primitives::ScriptSegment { goal, primitives }],
+        }
+    }
+
     #[test]
     fn stage_validates_without_touching_state_and_commit_applies() {
         let (mut device, mut agent, upper, lower) = setup();
@@ -730,40 +674,44 @@ mod tests {
             initiate: false,
             resolved: BTreeMap::new(),
         };
-        let stage = WireMessage::Stage {
-            txn: 9,
-            primitives: vec![Primitive::CreatePipe(spec)],
-        };
+        let stage = stage_one(9, 1, vec![Primitive::CreatePipe(spec)]);
         let out = agent.handle(&mut device, &stage);
         assert!(matches!(
             &out[0],
-            WireMessage::StageResult { txn: 9, errors } if errors.is_empty()
+            WireMessage::StageBatchResult { txn: 9, verdicts }
+                if verdicts.len() == 1 && verdicts[0].goal == 1 && verdicts[0].errors.is_empty()
         ));
         // Nothing applied yet: the blackboard has no pipe attribute.
         assert!(!agent.blackboard().contains_key("pipe.5.seen-by"));
-        assert_eq!(agent.staged_count(), 1);
+        assert_eq!(agent.staged_segment_count(), 1);
 
-        let out = agent.handle(&mut device, &WireMessage::Commit { txn: 9 });
+        let commit = WireMessage::CommitBatch {
+            txn: 9,
+            goals: vec![1],
+        };
+        let out = agent.handle(&mut device, &commit);
         match &out[0] {
-            WireMessage::CommitResult { txn: 9, results } => {
+            WireMessage::CommitBatchResult { txn: 9, segments } => {
+                assert_eq!(segments.len(), 1);
                 assert!(matches!(
-                    results[0],
+                    segments[0].results[0],
                     Ok(PrimitiveResult::PipeCreated(PipeId(5)))
                 ));
             }
             other => panic!("unexpected {other:?}"),
         }
         assert!(agent.blackboard().contains_key("pipe.5.seen-by"));
-        assert_eq!(agent.staged_count(), 0);
+        assert_eq!(agent.staged_segment_count(), 0);
     }
 
     #[test]
     fn stage_rejects_unknown_modules_and_abort_discards() {
         let (mut device, mut agent, upper, _) = setup();
         let bogus = ModuleRef::new(ModuleKind::Gre, ModuleId(99), device.id);
-        let stage = WireMessage::Stage {
-            txn: 4,
-            primitives: vec![Primitive::CreatePipe(PipeSpec {
+        let stage = stage_one(
+            4,
+            1,
+            vec![Primitive::CreatePipe(PipeSpec {
                 pipe: PipeId(1),
                 upper: upper.clone(),
                 lower: bogus,
@@ -773,25 +721,32 @@ mod tests {
                 initiate: false,
                 resolved: BTreeMap::new(),
             })],
-        };
+        );
         let out = agent.handle(&mut device, &stage);
         assert!(matches!(
             &out[0],
-            WireMessage::StageResult { txn: 4, errors } if errors.len() == 1
+            WireMessage::StageBatchResult { txn: 4, verdicts } if verdicts[0].errors.len() == 1
         ));
-        assert_eq!(agent.staged_count(), 0);
+        assert_eq!(agent.staged_segment_count(), 0);
 
         // Stage something valid, then abort it: committing afterwards fails.
-        let ok = WireMessage::Stage {
+        agent.handle(&mut device, &stage_one(5, 1, vec![Primitive::ShowActual]));
+        assert_eq!(agent.staged_segment_count(), 1);
+        let abort = WireMessage::AbortBatch {
             txn: 5,
-            primitives: vec![Primitive::ShowActual],
+            goals: vec![1],
         };
-        agent.handle(&mut device, &ok);
-        agent.handle(&mut device, &WireMessage::Abort { txn: 5 });
-        assert_eq!(agent.staged_count(), 0);
-        let out = agent.handle(&mut device, &WireMessage::Commit { txn: 5 });
+        assert!(agent.handle(&mut device, &abort).is_empty());
+        assert_eq!(agent.staged_segment_count(), 0);
+        let commit = WireMessage::CommitBatch {
+            txn: 5,
+            goals: vec![1],
+        };
+        let out = agent.handle(&mut device, &commit);
         match &out[0] {
-            WireMessage::CommitResult { results, .. } => assert!(results[0].is_err()),
+            WireMessage::CommitBatchResult { segments, .. } => {
+                assert!(segments[0].results[0].is_err())
+            }
             other => panic!("unexpected {other:?}"),
         }
     }

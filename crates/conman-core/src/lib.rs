@@ -42,7 +42,7 @@ pub use nm::{
 };
 pub use primitives::{Primitive, WireMessage};
 pub use runtime::{
-    ConfigureOutcome, ControlLoop, GoalEndpoints, LoopConfig, ManagedNetwork, NmEvent,
-    ReconcileReport, TransactionOutcome, WithdrawOutcome,
+    ControlLoop, GoalEndpoints, LoopConfig, ManagedNetwork, NmEvent, ReconcileReport,
+    WithdrawOutcome,
 };
 pub use wire::WireCodec;

@@ -261,46 +261,12 @@ pub enum WireMessage {
         /// Per-module snapshots.
         snapshots: Vec<CounterSnapshot>,
     },
-    /// NM → device: phase one of a two-phase configuration transaction.
-    /// The agent *validates* the primitives (are the referenced modules
-    /// present?) and holds them without touching the data plane.
-    Stage {
-        /// Transaction identifier (shared by every device in the
-        /// transaction).
-        txn: u64,
-        /// The primitives to validate and hold.
-        primitives: Vec<Primitive>,
-    },
-    /// Device → NM: the staging verdict.  Empty `errors` means the device
-    /// is ready to commit.
-    StageResult {
-        /// Transaction this responds to.
-        txn: u64,
-        /// Validation failures (one per offending primitive).
-        errors: Vec<String>,
-    },
-    /// NM → device: phase two — execute the primitives staged under `txn`.
-    Commit {
-        /// Transaction to commit.
-        txn: u64,
-    },
-    /// Device → NM: per-primitive results of a committed transaction.
-    CommitResult {
-        /// Transaction this responds to.
-        txn: u64,
-        /// One result (or error string) per staged primitive.
-        results: Vec<Result<PrimitiveResult, String>>,
-    },
-    /// NM → device: discard the primitives staged under `txn` (the
-    /// transaction failed elsewhere).  No response is expected.
-    Abort {
-        /// Transaction to discard.
-        txn: u64,
-    },
-    /// NM → device: phase one of a *batched* two-phase transaction — every
-    /// goal the reconcile pass touches on this device, in one round trip.
-    /// The agent validates each segment independently and holds the valid
-    /// ones; per-goal atomicity is preserved inside the batch.
+    /// NM → device: phase one of a two-phase configuration transaction —
+    /// every goal the transaction touches on this device, in one round
+    /// trip (a single-goal transaction carries one segment).  The agent
+    /// *validates* each segment independently (are the referenced modules
+    /// present?) and holds the valid ones without touching the data plane;
+    /// per-goal atomicity is preserved inside the batch.
     StageBatch {
         /// Transaction identifier (shared by every device in the batch).
         txn: u64,
@@ -472,29 +438,6 @@ mod tests {
     fn primitive_classification() {
         assert!(Primitive::ShowPotential.is_read_only());
         assert!(!Primitive::Delete(ComponentRef::Pipe(PipeId(1))).is_read_only());
-    }
-
-    #[test]
-    fn wire_roundtrip_transaction_messages() {
-        for msg in [
-            WireMessage::Stage {
-                txn: 3,
-                primitives: vec![Primitive::ShowActual],
-            },
-            WireMessage::StageResult {
-                txn: 3,
-                errors: vec!["no module".into()],
-            },
-            WireMessage::Commit { txn: 3 },
-            WireMessage::CommitResult {
-                txn: 3,
-                results: vec![Ok(PrimitiveResult::Done)],
-            },
-            WireMessage::Abort { txn: 3 },
-        ] {
-            let back = WireMessage::decode(&msg.encode()).unwrap();
-            assert_eq!(back, msg);
-        }
     }
 
     #[test]

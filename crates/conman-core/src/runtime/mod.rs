@@ -33,10 +33,7 @@ pub use control_loop::{
 pub use event::{EventQueue, GoalEndpoints, NmEvent};
 pub use reconcile::{ReconcileAction, ReconcileOutcome, ReconcileReport, WithdrawOutcome};
 pub use txn::GoalTeardown;
-pub use txn::{BatchOutcome, TeardownBatchOutcome, TransactionOutcome, TxnEvent, TxnHook};
-
-/// Per-primitive results of one device's commit.
-pub(crate) type CommitResults = Vec<Result<PrimitiveResult, String>>;
+pub use txn::{BatchOutcome, TeardownBatchOutcome, TxnEvent, TxnHook};
 
 /// One device's flow report: `(device, request id, per-tag counters)`;
 /// request 0 marks a push-mode report.
@@ -45,17 +42,6 @@ pub type FlowReportEntry = (DeviceId, u64, Vec<(u64, netsim::stats::FlowCounters
 /// Upper bound on relay rounds per management operation; real exchanges
 /// converge in a handful of rounds.
 const MAX_ROUNDS: usize = 64;
-
-/// The outcome of mapping and executing a connectivity goal.
-#[derive(Debug, Clone, Default)]
-pub struct ConfigureOutcome {
-    /// Every path the path finder enumerated.
-    pub paths: Vec<ModulePath>,
-    /// The path the NM chose (None if no path satisfies the goal).
-    pub chosen: Option<ModulePath>,
-    /// The scripts generated and executed for the chosen path.
-    pub scripts: ScriptSet,
-}
 
 /// A network under CONMan management.
 pub struct ManagedNetwork<C: ManagementChannel> {
@@ -84,23 +70,18 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     pub flow_reports: Vec<FlowReportEntry>,
     /// The NM's declarative goal store (see [`reconcile`]).
     pub goals: GoalStore,
-    /// Staging verdicts received by the NM, indexed by (device, txn) so the
-    /// executor's drain is a map lookup rather than a linear scan (batch
-    /// replies arrive in bulk; scanning per response is quadratic).
-    pub(crate) stage_results: BTreeMap<(DeviceId, u64), Vec<String>>,
-    /// Commit results received by the NM, indexed by (device, txn).
-    pub(crate) commit_results: BTreeMap<(DeviceId, u64), CommitResults>,
-    /// Batched staging verdicts (one per goal segment), indexed by
-    /// (device, txn).
+    /// Staging verdicts (one per goal segment) received by the NM, indexed
+    /// by (device, txn) so the runner's drain is a map lookup rather than a
+    /// linear scan (batch replies arrive in bulk; scanning per response is
+    /// quadratic).
     pub(crate) stage_batch_results: BTreeMap<(DeviceId, u64), Vec<SegmentVerdict>>,
-    /// Batched commit results (one per goal segment), indexed by
-    /// (device, txn).
+    /// Commit results (one per goal segment), indexed by (device, txn).
     pub(crate) commit_batch_results: BTreeMap<(DeviceId, u64), Vec<SegmentCommit>>,
-    /// When set, module-to-module relays are coalesced into one
-    /// [`WireMessage::RelayBatch`] per (destination device, management
-    /// round) instead of one message per envelope.  Enabled by the batched
-    /// transaction executor; off by default so the per-message Table VI
-    /// parity counts stay intact.
+    /// Set while a transaction runner is on the stack: module-to-module
+    /// relays are coalesced into one [`WireMessage::RelayBatch`] per
+    /// (destination device, management round) instead of one message per
+    /// envelope.  Off outside transactions, so the fire-and-forget
+    /// [`Self::execute_path`] keeps the per-message Table VI counts.
     pub(crate) batch_relays: bool,
     /// Relays buffered for the current management round (relay batching).
     pending_relays: BTreeMap<DeviceId, Vec<ModuleEnvelope>>,
@@ -133,8 +114,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             counter_reports: Vec::new(),
             flow_reports: Vec::new(),
             goals: GoalStore::new(),
-            stage_results: BTreeMap::new(),
-            commit_results: BTreeMap::new(),
             stage_batch_results: BTreeMap::new(),
             commit_batch_results: BTreeMap::new(),
             batch_relays: false,
@@ -177,15 +156,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         match msg {
             WireMessage::Announce(_) => MessageCategory::Announcement,
             WireMessage::Script { .. }
-            | WireMessage::Stage { .. }
-            | WireMessage::Commit { .. }
-            | WireMessage::Abort { .. }
             | WireMessage::StageBatch { .. }
             | WireMessage::CommitBatch { .. }
             | WireMessage::AbortBatch { .. } => MessageCategory::Command,
             WireMessage::ScriptResult { .. }
-            | WireMessage::StageResult { .. }
-            | WireMessage::CommitResult { .. }
             | WireMessage::StageBatchResult { .. }
             | WireMessage::CommitBatchResult { .. } => MessageCategory::Response,
             WireMessage::Module(env) => match env.kind {
@@ -390,29 +364,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         pushed
     }
 
-    /// Map a goal to paths, choose one, and execute it — the original
-    /// one-shot imperative call, kept for Table VI parity experiments.  New
-    /// code should prefer the declarative flow ([`Self::submit`] +
-    /// [`Self::reconcile`]), which adds goal identity, dry-run planning,
-    /// two-phase atomicity and shared-module withdraw semantics on top.
-    pub fn configure(&mut self, goal: &ConnectivityGoal) -> ConfigureOutcome {
-        let paths = self.nm.find_paths(goal);
-        let chosen = self.nm.choose_path(&paths).cloned();
-        let scripts = match &chosen {
-            Some(p) => self.execute_path(p, goal),
-            None => ScriptSet::default(),
-        };
-        ConfigureOutcome {
-            paths,
-            chosen,
-            scripts,
-        }
-    }
-
     /// Send an ad-hoc primitive script to one device and pump the
-    /// management plane until quiescent.  Used by the diagnosis layer for
-    /// teardown scripts (`delete` primitives) during self-healing.
-    pub fn run_script(&mut self, device: DeviceId, primitives: Vec<Primitive>) {
+    /// management plane until quiescent.  Its only caller is the in-batch
+    /// rollback, which sends a failed goal's teardown mirror this way.
+    pub(crate) fn run_script(&mut self, device: DeviceId, primitives: Vec<Primitive>) {
         self.next_request += 1;
         let msg = WireMessage::Script {
             request: self.next_request,
@@ -422,8 +377,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.run_management();
     }
 
-    /// Execute a specific path (used by the experiments to force the GRE,
-    /// MPLS or VLAN variant regardless of the NM's preference).
+    /// Execute a specific path fire-and-forget: one `Script` per device, no
+    /// staging, no rollback.  Kept beside the transactional flow
+    /// ([`Self::submit`] + [`Self::reconcile`]) because it *is* the paper's
+    /// configuration flow — the one whose messages Table VI counts and the
+    /// benchmark's correctness check replays — and it lets the experiments
+    /// force the GRE, MPLS or VLAN variant regardless of the NM's
+    /// preference.
     pub fn execute_path(&mut self, path: &ModulePath, goal: &ConnectivityGoal) -> ScriptSet {
         let scripts = self.nm.generate_scripts(path, goal);
         for ds in &scripts.scripts {
@@ -466,9 +426,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             // the relay buffer are empty.
             let flushed = self.flush_pending_relays();
             if progressed == 0 && !flushed {
-                break;
+                return total;
             }
         }
+        // The round budget ran out with messages still moving (modules
+        // ping-ponging): give up, but never silently.
+        self.recorder.inc("mgmt.round_cap_hit", 1);
         total
     }
 
@@ -517,8 +480,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             | WireMessage::Notify(_)
             | WireMessage::CounterReport { .. }
             | WireMessage::FlowReport { .. }
-            | WireMessage::StageResult { .. }
-            | WireMessage::CommitResult { .. }
             | WireMessage::StageBatchResult { .. }
             | WireMessage::CommitBatchResult { .. } => true,
             WireMessage::Module(env) => env.to.device != at,
@@ -526,9 +487,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             | WireMessage::PollCounters { .. }
             | WireMessage::PollFlows { .. }
             | WireMessage::SubscribeFlows { .. }
-            | WireMessage::Stage { .. }
-            | WireMessage::Commit { .. }
-            | WireMessage::Abort { .. }
             | WireMessage::StageBatch { .. }
             | WireMessage::CommitBatch { .. }
             | WireMessage::AbortBatch { .. }
@@ -571,12 +529,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             WireMessage::FlowReport { request, flows } => {
                 self.flow_reports.push((from, request, flows));
             }
-            WireMessage::StageResult { txn, errors } => {
-                self.stage_results.insert((from, txn), errors);
-            }
-            WireMessage::CommitResult { txn, results } => {
-                self.commit_results.insert((from, txn), results);
-            }
             WireMessage::StageBatchResult { txn, verdicts } => {
                 self.stage_batch_results.insert((from, txn), verdicts);
             }
@@ -587,9 +539,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             | WireMessage::PollCounters { .. }
             | WireMessage::PollFlows { .. }
             | WireMessage::SubscribeFlows { .. }
-            | WireMessage::Stage { .. }
-            | WireMessage::Commit { .. }
-            | WireMessage::Abort { .. }
             | WireMessage::StageBatch { .. }
             | WireMessage::CommitBatch { .. }
             | WireMessage::AbortBatch { .. }
@@ -743,5 +692,67 @@ mod tests {
         assert_eq!(c.sent_by_category[&MessageCategory::Command], 1);
         assert_eq!(c.sent_by_category[&MessageCategory::ConveyMessage], 2);
         assert_eq!(c.received_by_category[&MessageCategory::ConveyMessage], 2);
+    }
+
+    /// A module that answers every envelope with another one, so a pair of
+    /// them never lets the management plane go quiet.
+    struct PingPong {
+        me: ModuleRef,
+    }
+
+    impl ProtocolModule for PingPong {
+        fn reference(&self) -> ModuleRef {
+            self.me.clone()
+        }
+        fn descriptor(&self) -> ModuleAbstraction {
+            ModuleAbstraction::empty(self.me.clone())
+        }
+        fn handle_envelope(
+            &mut self,
+            _ctx: &mut ModuleCtx,
+            env: &ModuleEnvelope,
+        ) -> Result<ModuleReaction, crate::module::ModuleError> {
+            Ok(ModuleReaction::envelope(ModuleEnvelope {
+                from: self.me.clone(),
+                to: env.from.clone(),
+                kind: EnvelopeKind::Convey,
+                body: env.body.clone(),
+            }))
+        }
+    }
+
+    #[test]
+    fn endless_relay_ping_pong_hits_the_round_cap_and_is_counted() {
+        let mut net = Network::new();
+        let d1 = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
+        let d2 = net.add_device(Device::new("RouterB", DeviceRole::Router, 1));
+        net.connect((d1, PortId(0)), (d2, PortId(0)), LinkProperties::lan())
+            .unwrap();
+        let m1 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1);
+        let m2 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d2);
+        let mut a1 = ManagementAgent::new(d1, "RouterA");
+        a1.register(Box::new(PingPong { me: m1.clone() }));
+        let mut a2 = ManagementAgent::new(d2, "RouterB");
+        a2.register(Box::new(PingPong { me: m2.clone() }));
+
+        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
+        mn.add_agent(a1);
+        mn.add_agent(a2);
+        let recorder = Recorder::new();
+        mn.set_recorder(recorder.clone());
+
+        // A quiescent call ends on its own and counts nothing.
+        mn.announce_all();
+        assert_eq!(recorder.counter("mgmt.round_cap_hit"), 0);
+
+        // One envelope starts the ping-pong; the call must still return.
+        mn.relay(ModuleEnvelope {
+            from: m1,
+            to: m2,
+            kind: EnvelopeKind::Convey,
+            body: serde_json::json!({"ping": true}),
+        });
+        assert!(mn.run_management() >= MAX_ROUNDS);
+        assert_eq!(recorder.counter("mgmt.round_cap_hit"), 1);
     }
 }

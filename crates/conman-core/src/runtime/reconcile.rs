@@ -7,15 +7,14 @@
 //! dry-run [`Plan`]s in disjoint pipe-id blocks), then executing them all
 //! as **one batched two-phase transaction** (each device staged once and
 //! committed once per pass, per-goal atomicity preserved inside the
-//! batch), and optionally verifying with per-goal probes.  It subsumes the
-//! old one-shot `configure` call and is what the self-healing layer
-//! drives: heal = mark the goal `Degraded` with the diagnosed suspects
-//! excluded, reconcile.
+//! batch), and optionally verifying with per-goal probes.  It is what the
+//! self-healing layer drives: heal = mark the goal `Degraded` with the
+//! diagnosed suspects excluded, reconcile.
 //!
-//! [`ManagedNetwork::reconcile_per_goal`] keeps the pre-batching executor
-//! (one full two-phase transaction per goal) as the message-count baseline
-//! the `goals` bench compares against, and as an equivalence oracle for
-//! the batched path.
+//! [`ManagedNetwork::reconcile_per_goal`] drives the same transaction
+//! runner one goal at a time (a batch of one per goal).  It stays as the
+//! reference implementation `tests/goals.rs` compares the batched pass
+//! against, and as the message-count baseline of the `goals` bench.
 //!
 //! Planning inside the batched pass runs **in parallel**: path search is a
 //! pure read of the goal store and the potential graph, and pipe-id blocks
@@ -27,9 +26,10 @@
 //! and reports are byte-identical to the sequential engine.
 //! [`ManagedNetwork::reconcile_sequential`] keeps that sequential engine
 //! (per-goal graph rebuild and fresh search state, exactly the pre-PR-10
-//! planning loop) as the equivalence oracle and bench baseline.
+//! planning loop) as the reference implementation `tests/raw_speed.rs`
+//! compares against, and as the bench baseline.
 
-use super::txn::{GoalTeardown, TransactionOutcome};
+use super::txn::GoalTeardown;
 use super::ManagedNetwork;
 use crate::ids::ModuleRef;
 use crate::nm::goal::{AppliedPlan, GoalId, GoalStatus, Plan, PlanError};
@@ -214,8 +214,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.goals.update(id, goal)
     }
 
-    /// Adopt configuration that was executed outside the store (the legacy
-    /// `configure`/`execute_path` flow): register `goal` as `Active` with
+    /// Adopt configuration that was executed outside the store (the
+    /// fire-and-forget `execute_path` flow): register `goal` as `Active` with
     /// `path` as its applied plan, so withdraw/heal can manage it.  If an
     /// identical desired goal is already stored, its id is returned instead
     /// of creating a duplicate.
@@ -313,52 +313,59 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         })
     }
 
-    /// Execute a plan as a two-phase transaction.  On commit the goal
-    /// becomes `Active` and the plan is recorded as applied (module
-    /// references included); on failure everything the transaction touched
-    /// has been rolled back and the goal keeps its previous applied state
-    /// (none) with `last_error` set.
-    pub fn execute_plan(&mut self, plan: Plan) -> TransactionOutcome {
+    /// Execute a plan as a two-phase transaction (a batch of one).  On
+    /// commit the goal becomes `Active` and the plan is recorded as applied
+    /// (module references included); on failure everything the transaction
+    /// touched has been rolled back, the goal keeps its previous applied
+    /// state (none) and the returned error is also its `last_error`.
+    pub fn execute_plan(&mut self, plan: Plan) -> Result<(), String> {
         let mut plan = plan;
+        let mut result = Ok(());
         // The block may have moved since the dry run (another goal executed
         // in between): renumber onto the current base.
         if plan.pipe_base != self.goals.peek_pipe_base() {
-            if let Err(e) = self.goals.check_pipe_block(script::slot_count(&plan.path)) {
+            match self.goals.check_pipe_block(script::slot_count(&plan.path)) {
                 // Renumbering would cross the derived-id cap: fail the
                 // execution cleanly instead of wrapping.
-                let outcome = TransactionOutcome {
-                    errors: vec![e.to_string()],
-                    ..Default::default()
-                };
-                if let Some(rec) = self.goals.get_mut(plan.goal) {
-                    rec.last_error = Some(e.to_string());
+                Err(e) => result = Err(e.to_string()),
+                Ok(()) => {
+                    let rec = self.goals.get(plan.goal).expect("goal exists");
+                    plan.pipe_base = self.goals.peek_pipe_base();
+                    plan.scripts = script::generate_with_base(
+                        &self.nm,
+                        &plan.path,
+                        &rec.desired,
+                        plan.pipe_base,
+                    );
                 }
-                return outcome;
             }
-            let rec = self.goals.get(plan.goal).expect("goal exists");
-            plan.pipe_base = self.goals.peek_pipe_base();
-            plan.scripts =
-                script::generate_with_base(&self.nm, &plan.path, &rec.desired, plan.pipe_base);
         }
-        let outcome = self.run_transaction(&plan.scripts);
-        if outcome.committed {
-            self.goals.take_pipe_block(script::slot_count(&plan.path));
-            self.goals.set_applied(
-                plan.goal,
-                Some(AppliedPlan {
-                    path: plan.path,
-                    scripts: plan.scripts,
-                    pipe_base: plan.pipe_base,
-                }),
-            );
+        if result.is_ok() {
+            let batch = self.run_batch(&[(plan.goal, &plan.scripts)]);
+            if let Some(error) = batch.error_for(plan.goal) {
+                result = Err(error.to_string());
+            }
+        }
+        if let Err(error) = &result {
             if let Some(rec) = self.goals.get_mut(plan.goal) {
-                rec.status = GoalStatus::Active;
-                rec.last_error = None;
+                rec.last_error = Some(error.clone());
             }
-        } else if let Some(rec) = self.goals.get_mut(plan.goal) {
-            rec.last_error = Some(outcome.summary());
+            return result;
         }
-        outcome
+        self.goals.take_pipe_block(script::slot_count(&plan.path));
+        self.goals.set_applied(
+            plan.goal,
+            Some(AppliedPlan {
+                path: plan.path,
+                scripts: plan.scripts,
+                pipe_base: plan.pipe_base,
+            }),
+        );
+        if let Some(rec) = self.goals.get_mut(plan.goal) {
+            rec.status = GoalStatus::Active;
+            rec.last_error = None;
+        }
+        Ok(())
     }
 
     /// Tear down a goal's applied configuration with a lenient transaction
@@ -374,9 +381,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 rec.status = GoalStatus::Pending;
             }
         }
-        let teardown = applied.scripts.teardown();
-        let outcome = self.run_teardown(&teardown, skip);
-        outcome.primitives
+        self.run_teardown_batch(&[(id, applied.scripts.teardown())], skip)
+            .primitives
     }
 
     /// Withdraw a goal: tear its configuration down (sharing-aware — the
@@ -656,7 +662,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // teardown mirrors, no plan crossing its goal's exclusions.
         // Commit-order conflicts are deliberately not asserted on —
         // they are advisory, and `run_batch` resolves them by demoting
-        // the goal to a strict fallback transaction.
+        // the goal to a batch of its own.
         #[cfg(debug_assertions)]
         {
             let batch = conman_analyze::BatchModel {
@@ -805,11 +811,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         results
     }
 
-    /// The pre-batching reconcile loop: one full two-phase transaction per
-    /// goal, without verification probes.  Kept as the message-count
-    /// baseline for the `goals` bench and as an equivalence oracle for the
-    /// batched pass — end state (statuses, module refcounts, data-plane
-    /// connectivity) is identical; only the message shape differs.
+    /// Reconcile one goal at a time: a batch-of-one transaction per goal,
+    /// without verification probes.  Kept as the reference implementation
+    /// `tests/goals.rs` compares the batched pass against and as the
+    /// message-count baseline for the `goals` bench — end state (statuses,
+    /// module refcounts, data-plane connectivity) is identical; only the
+    /// message shape differs.
     pub fn reconcile_per_goal(&mut self) -> ReconcileReport {
         self.reconcile_per_goal_with(|_, _| None)
     }
@@ -911,12 +918,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             self.teardown_goal(id, &[]);
             *transactions += 1;
         }
-        let txn = self.execute_plan(plan);
+        let executed = self.execute_plan(plan);
         *transactions += 1;
-        if !txn.committed {
-            return self.fail_goal_with_restore(id, txn.summary(), previous, transactions);
+        match executed {
+            Ok(()) => self.verify_applied_goal(id, had_applied, probe),
+            Err(error) => self.fail_goal_with_restore(id, error, previous, transactions),
         }
-        self.verify_applied_goal(id, had_applied, probe)
     }
 
     /// Shared post-commit bookkeeping: probe the freshly applied goal and
@@ -998,9 +1005,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         transactions: &mut usize,
     ) -> ReconcileOutcome {
         if let Some(prev) = previous {
-            let restore = self.run_transaction(&prev.scripts);
+            let restore = self.run_batch(&[(id, &prev.scripts)]);
             *transactions += 1;
-            if restore.committed {
+            if restore.committed.contains(&id) {
                 self.goals.set_applied(id, Some(prev));
             }
         }

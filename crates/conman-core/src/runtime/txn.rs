@@ -1,25 +1,31 @@
 //! Two-phase configuration transactions over the management channel.
 //!
 //! A goal's scripts touch several devices; executing them fire-and-forget
-//! (the original `configure` behaviour) can strand half-configured state
-//! when a mid-path device is missing a module or crashes mid-flight.  The
-//! transaction executor makes multi-device configuration atomic:
+//! (the paper's flow, [`ManagedNetwork::execute_path`]) can strand
+//! half-configured state when a mid-path device is missing a module or
+//! crashes mid-flight.  There is **one** transaction protocol —
+//! `StageBatch` / `CommitBatch` / `AbortBatch` carrying per-goal segments —
+//! and a transaction for a single goal is simply a batch of one:
 //!
-//! 1. **Stage** — every device in the script set validates its primitives
-//!    (are the referenced modules present?) and holds them without touching
-//!    the data plane.  Any rejection or silence (a crashed device) aborts
-//!    the transaction everywhere before anything is applied.
+//! 1. **Stage** — every device validates each goal's segment (are the
+//!    referenced modules present?) and holds it without touching the data
+//!    plane.  A goal rejected or unanswered (a crashed device) anywhere is
+//!    aborted everywhere before anything of it is applied.
 //! 2. **Commit** — devices commit one at a time in reverse path order (so
 //!    every peer-negotiation initiator finds its peers already configured).
-//!    A device that fails its commit (or never answers) triggers a
-//!    rollback: every already-committed device gets the teardown mirror of
-//!    its script (`delete` per `create`, reverse order), and still-staged
-//!    devices get an abort.
+//!    A goal whose segment fails its commit (or whose device never answers)
+//!    is rolled back: every device that already committed it gets the
+//!    teardown mirror of its script (`delete` per `create`, reverse order),
+//!    and its still-staged segments get an abort.
 //!
-//! Teardown transactions (withdraw, self-healing) run **lenient**: a device
+//! Two runners drive that protocol.  [`ManagedNetwork::run_batch`] is the
+//! strict one above.  [`ManagedNetwork::run_teardown_batch`] (withdraw,
+//! stale-configuration teardown, self-healing) is **lenient**: a device
 //! that does not answer is skipped rather than failing the transaction — it
 //! is either crashed (nothing to delete; a reboot clears state anyway) or
-//! will be cleaned up by a later reconcile.
+//! will be cleaned up by a later reconcile.  They stay two because the
+//! lenient runner commits every device in one quiesce and never rolls
+//! back; merging them would make the shared code branch on its caller.
 
 use super::ManagedNetwork;
 use crate::nm::goal::GoalId;
@@ -74,7 +80,7 @@ pub struct BatchOutcome {
     /// rolled back via its teardown mirror without disturbing siblings.
     pub failed: Vec<(GoalId, String)>,
     /// Goals whose reverse path order could not share the batch's single
-    /// commit order; each ran as its own strict transaction instead (their
+    /// commit order; each ran as its own batch of one instead (their
     /// verdicts still land in `committed`/`failed`).
     pub fallback: Vec<GoalId>,
     /// Devices that carried at least one segment of the batch proper
@@ -115,58 +121,8 @@ pub struct TeardownBatchOutcome {
     pub per_goal: BTreeMap<GoalId, usize>,
     /// Devices skipped leniently (listed in `skip`, silent, or crashed
     /// between the phases) — deletes are idempotent and a rebooted device
-    /// comes back with clean state, exactly as with
-    /// [`ManagedNetwork::run_teardown`].
+    /// comes back with clean state.
     pub skipped: Vec<DeviceId>,
-}
-
-/// What a transaction did.
-#[derive(Debug, Clone, Default)]
-pub struct TransactionOutcome {
-    /// The transaction id.
-    pub txn: u64,
-    /// Did every device commit successfully?
-    pub committed: bool,
-    /// Devices that staged successfully.
-    pub staged: Vec<DeviceId>,
-    /// Devices that committed successfully (in commit order).
-    pub committed_devices: Vec<DeviceId>,
-    /// The device whose staging or commit failed, if any.
-    pub failed_device: Option<DeviceId>,
-    /// Errors reported by the failed device (empty when it simply never
-    /// answered).
-    pub errors: Vec<String>,
-    /// Devices whose already-committed state was rolled back with the
-    /// teardown mirror of their scripts.
-    pub rolled_back: Vec<DeviceId>,
-    /// Devices skipped by a lenient transaction (they did not answer).
-    pub skipped: Vec<DeviceId>,
-    /// Total primitives committed (configuration) or issued (teardown).
-    pub primitives: usize,
-}
-
-impl TransactionOutcome {
-    /// A one-line summary for error reporting.
-    pub fn summary(&self) -> String {
-        if self.committed {
-            format!(
-                "txn {} committed on {} device(s)",
-                self.txn,
-                self.committed_devices.len()
-            )
-        } else {
-            format!(
-                "txn {} failed at {:?}: {} (rolled back {} device(s))",
-                self.txn,
-                self.failed_device,
-                self.errors
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| "no answer".into()),
-                self.rolled_back.len()
-            )
-        }
-    }
 }
 
 impl<C: ManagementChannel> ManagedNetwork<C> {
@@ -175,20 +131,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             hook(&event, &mut self.net);
             self.txn_hook = Some(hook);
         }
-    }
-
-    /// Drain the staging verdict for (`device`, `txn`), if one arrived.
-    fn take_stage_result(&mut self, device: DeviceId, txn: u64) -> Option<Vec<String>> {
-        self.stage_results.remove(&(device, txn))
-    }
-
-    /// Drain the commit result for (`device`, `txn`), if one arrived.
-    fn take_commit_result(
-        &mut self,
-        device: DeviceId,
-        txn: u64,
-    ) -> Option<Vec<Result<crate::primitives::PrimitiveResult, String>>> {
-        self.commit_results.remove(&(device, txn))
     }
 
     /// Drain the batched staging verdicts for (`device`, `txn`).
@@ -207,216 +149,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         txn: u64,
     ) -> Option<Vec<SegmentCommit>> {
         self.commit_batch_results.remove(&(device, txn))
-    }
-
-    /// Execute `scripts` as a strict two-phase transaction: stage on every
-    /// device, then commit device by device, rolling back on any failure.
-    /// On return either every device committed (`outcome.committed`) or no
-    /// device retains any of the transaction's configuration.
-    pub fn run_transaction(&mut self, scripts: &ScriptSet) -> TransactionOutcome {
-        let txn = self.goals.next_txn();
-        let mut outcome = TransactionOutcome {
-            txn,
-            ..Default::default()
-        };
-        if scripts.scripts.is_empty() {
-            outcome.committed = true;
-            return outcome;
-        }
-
-        // ---- Phase 1: stage everywhere. -------------------------------
-        for ds in &scripts.scripts {
-            let msg = WireMessage::Stage {
-                txn,
-                primitives: ds.primitives.clone(),
-            };
-            self.send(self.nm_host(), ds.device, &msg);
-        }
-        self.run_management();
-        for ds in &scripts.scripts {
-            let ok = match self.take_stage_result(ds.device, txn) {
-                Some(errors) if errors.is_empty() => {
-                    outcome.staged.push(ds.device);
-                    true
-                }
-                // First failure in path order wins, so the reported device
-                // and errors stay consistent when several devices fail.
-                Some(errors) => {
-                    if outcome.failed_device.is_none() {
-                        outcome.failed_device = Some(ds.device);
-                        outcome.errors = errors;
-                    }
-                    false
-                }
-                None => {
-                    // Silence: crashed or unreachable.
-                    if outcome.failed_device.is_none() {
-                        outcome.failed_device = Some(ds.device);
-                    }
-                    false
-                }
-            };
-            self.recorder.event(
-                self.net.now().as_nanos(),
-                TraceKind::StageDevice {
-                    txn,
-                    device: ds.device.as_u64(),
-                    segments: 1,
-                    ok,
-                },
-            );
-        }
-        if outcome.staged.len() < scripts.scripts.len() {
-            // Abort everything that staged; nothing was applied anywhere.
-            let staged = outcome.staged.clone();
-            for device in staged {
-                self.send(self.nm_host(), device, &WireMessage::Abort { txn });
-                self.recorder.event(
-                    self.net.now().as_nanos(),
-                    TraceKind::AbortDevice {
-                        txn,
-                        device: device.as_u64(),
-                    },
-                );
-            }
-            self.run_management();
-            return outcome;
-        }
-        self.fire_hook(TxnEvent::Staged { txn });
-
-        // ---- Phase 2: commit in *reverse* path order. -----------------
-        // Peer negotiations (field queries, GRE keys, MPLS labels) are
-        // always initiated by the earlier device of a peer pair, so
-        // committing back-to-front guarantees every initiator's peers are
-        // already configured and can answer within the initiator's own
-        // management round.
-        for i in (0..scripts.scripts.len()).rev() {
-            let ds = &scripts.scripts[i];
-            let device = ds.device;
-            self.fire_hook(TxnEvent::BeforeCommit { txn, device });
-            self.send(self.nm_host(), device, &WireMessage::Commit { txn });
-            self.run_management();
-            let ok = match self.take_commit_result(device, txn) {
-                Some(results) => {
-                    let errs: Vec<String> =
-                        results.iter().filter_map(|r| r.clone().err()).collect();
-                    outcome.primitives += results.len();
-                    if errs.is_empty() {
-                        true
-                    } else {
-                        outcome.errors = errs;
-                        false
-                    }
-                }
-                None => false,
-            };
-            self.recorder.event(
-                self.net.now().as_nanos(),
-                TraceKind::CommitDevice {
-                    txn,
-                    device: device.as_u64(),
-                    ok,
-                },
-            );
-            if ok {
-                outcome.committed_devices.push(device);
-                self.fire_hook(TxnEvent::Committed { txn, device });
-                continue;
-            }
-            // Commit failed here: roll back what already committed (and the
-            // failing device itself, whose partial creates may have landed),
-            // abort the rest.
-            outcome.failed_device = Some(device);
-            let mut to_rollback: Vec<&crate::nm::DeviceScript> =
-                scripts.scripts[i..].iter().collect();
-            // A silent device (crashed) cannot be rolled back; skip it.
-            to_rollback.retain(|d| self.net.device(d.device).map(|dev| dev.up).unwrap_or(false));
-            for ds in to_rollback {
-                let deletes = ScriptSet::teardown_of(ds);
-                if deletes.is_empty() {
-                    continue;
-                }
-                self.run_script(ds.device, deletes);
-                outcome.rolled_back.push(ds.device);
-            }
-            for ds in &scripts.scripts[..i] {
-                self.send(self.nm_host(), ds.device, &WireMessage::Abort { txn });
-                self.recorder.event(
-                    self.net.now().as_nanos(),
-                    TraceKind::AbortDevice {
-                        txn,
-                        device: ds.device.as_u64(),
-                    },
-                );
-            }
-            self.run_management();
-            return outcome;
-        }
-        outcome.committed = true;
-        outcome
-    }
-
-    /// Execute a teardown (all-`delete`) script set as a lenient
-    /// transaction: devices that fail to stage or commit are skipped, never
-    /// rolled back — deletes are idempotent and a crashed device loses the
-    /// state at reboot anyway.  `skip` lists devices known unresponsive
-    /// (e.g. from a fault report); they are not contacted at all.
-    pub fn run_teardown(
-        &mut self,
-        teardown: &[(DeviceId, Vec<Primitive>)],
-        skip: &[DeviceId],
-    ) -> TransactionOutcome {
-        let txn = self.goals.next_txn();
-        let mut outcome = TransactionOutcome {
-            txn,
-            ..Default::default()
-        };
-        let work: Vec<&(DeviceId, Vec<Primitive>)> = teardown
-            .iter()
-            .filter(|(d, prims)| !skip.contains(d) && !prims.is_empty())
-            .collect();
-        if work.is_empty() {
-            outcome.committed = true;
-            return outcome;
-        }
-        for (device, primitives) in &work {
-            let msg = WireMessage::Stage {
-                txn,
-                primitives: primitives.clone(),
-            };
-            self.send(self.nm_host(), *device, &msg);
-        }
-        self.run_management();
-        let mut committable = Vec::new();
-        for (device, _) in &work {
-            match self.take_stage_result(*device, txn) {
-                Some(errors) if errors.is_empty() => {
-                    outcome.staged.push(*device);
-                    committable.push(*device);
-                }
-                _ => outcome.skipped.push(*device),
-            }
-        }
-        for device in committable {
-            self.send(self.nm_host(), device, &WireMessage::Commit { txn });
-            self.run_management();
-            match self.take_commit_result(device, txn) {
-                Some(results) => {
-                    outcome.primitives += results.len();
-                    outcome.committed_devices.push(device);
-                }
-                None => {
-                    // Staged but silent (crashed between the phases): abort
-                    // so the agent does not hold the staged deletes forever
-                    // if it comes back.
-                    self.send(self.nm_host(), device, &WireMessage::Abort { txn });
-                    outcome.skipped.push(device);
-                }
-            }
-        }
-        self.run_management();
-        outcome.committed = true;
-        outcome
     }
 
     /// Execute many goals' teardown scripts (all-`delete`) as **one**
@@ -569,15 +301,16 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// every peer-negotiation initiator still finds its peers committed.
     /// A goal whose own reverse path order cannot be embedded in that
     /// single global order (e.g. two goals traversing shared devices in
-    /// opposite directions) is excluded from the batch and executed as its
-    /// own strict transaction afterwards — correctness first, batching
-    /// where it is sound (`BatchOutcome::fallback` records them).
+    /// opposite directions) is excluded from the batch and re-enters this
+    /// runner as a batch of one afterwards — correctness first, batching
+    /// where it is sound (`BatchOutcome::fallback` records them).  A
+    /// transaction for one goal is `run_batch(&[(goal, &scripts)])`.
     pub fn run_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> BatchOutcome {
         // Execution-time verification (debug builds): every script set
         // handed to the batch executor must carry an exact teardown mirror,
         // or the rollback/withdraw paths below would leak staged state.
         // (Commit-order conflicts are *not* asserted — the fixed-point
-        // partition below resolves them via the strict fallback.)
+        // partition below resolves them via the singleton fallback.)
         #[cfg(debug_assertions)]
         {
             let model = super::verify::scripts_model(items);
@@ -593,7 +326,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             ..Default::default()
         };
         // Partition into goals that can share one commit order and goals
-        // that must fall back to per-goal transactions.  Removing a
+        // that must fall back to a batch of their own.  Removing a
         // conflicting goal changes the aggregate order, so iterate to a
         // fixed point (immediate for same-direction goal sets, the common
         // case on every chain topology).
@@ -757,8 +490,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // ---- Phase 2: commit each device once, latest-position first. --
         // Peer negotiations are initiated by the earlier device of a peer
         // pair, so committing devices in reverse path position guarantees
-        // every initiator's peers are already configured (the same argument
-        // as the per-goal executor, lifted to the batch).
+        // every initiator's peers are already configured and can answer
+        // within the initiator's own management round.
         let mut order: Vec<DeviceId> = goals_by_device
             .keys()
             .copied()
@@ -842,17 +575,24 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
         self.run_management();
 
-        // ---- Fallback: conflicting goals run as their own strict
-        // transactions (correct commit order per goal, per-goal rollback as
-        // before batching existed). ------------------------------------
+        // ---- Fallback: each conflicting goal re-enters this runner as a
+        // batch of one.  A lone goal always embeds in its own commit order,
+        // so the recursion is one level deep. ---------------------------
+        debug_assert!(
+            fallback.is_empty() || items.len() > 1,
+            "a batch of one cannot conflict with itself"
+        );
         for (goal, scripts) in fallback {
             outcome.fallback.push(goal);
-            let t = self.run_transaction(scripts);
-            outcome.primitives += t.primitives;
-            if t.committed {
-                alive.insert(goal);
-            } else {
-                errors.insert(goal, t.summary());
+            let single = self.run_batch(&[(goal, scripts)]);
+            outcome.primitives += single.primitives;
+            match single.error_for(goal) {
+                None => {
+                    alive.insert(goal);
+                }
+                Some(error) => {
+                    errors.insert(goal, error.to_string());
+                }
             }
         }
 

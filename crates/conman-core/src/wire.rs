@@ -814,7 +814,7 @@ mod tests {
 
     #[test]
     fn non_batch_messages_stay_json_under_binary_codec() {
-        let msg = WireMessage::Commit { txn: 3 };
+        let msg = WireMessage::PollCounters { request: 3 };
         let bytes = msg.encode_with(WireCodec::Binary);
         assert!(!mgmt_channel::codec::is_binary(&bytes));
         assert_eq!(WireMessage::decode(&bytes).unwrap(), msg);

@@ -218,8 +218,7 @@ impl Healer {
                 // candidate cannot be numbered; try the next one.
                 continue;
             };
-            let txn = mn.execute_plan(plan);
-            if !txn.committed {
+            if mn.execute_plan(plan).is_err() {
                 // The transaction rolled itself back; try the next one.
                 continue;
             }
@@ -249,12 +248,11 @@ impl Healer {
         // Nothing verified: roll the original configuration back.  Under a
         // partial impairment (a lossy but live link) the old path still
         // carries some traffic, which beats leaving the goal unconfigured.
-        // A strict transaction cannot commit through an unresponsive device,
-        // so only report the restore when it actually happened.
-        let restored = match mn.plan_for_path(id, failed) {
-            Ok(plan) => mn.execute_plan(plan).committed,
-            Err(_) => false,
-        };
+        // A transaction cannot commit through an unresponsive device, so
+        // only report the restore when it actually happened.
+        let restored = mn
+            .plan_for_path(id, failed)
+            .is_ok_and(|plan| mn.execute_plan(plan).is_ok());
         // Park the goal as Failed: every suspect-avoiding candidate was
         // tried and carried no traffic, so a later probe-less reconcile()
         // must not tear the restored partial service down just to reinstall

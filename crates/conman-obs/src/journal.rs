@@ -132,15 +132,14 @@ pub enum TraceKind {
         /// Size of the goal's exclusion set at planning time.
         excluded: u64,
     },
-    /// One device's stage step of a transaction (batched segment or strict
-    /// per-goal stage).
+    /// One device's stage step of a transaction.
     StageDevice {
         /// Transaction id.
         txn: u64,
         /// The staged device.
         device: u64,
-        /// Per-goal script segments staged on the device (1 for strict
-        /// transactions).
+        /// Per-goal script segments staged on the device (1 for a
+        /// single-goal transaction).
         segments: u64,
         /// Did the device accept the stage?
         ok: bool,

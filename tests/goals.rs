@@ -9,6 +9,7 @@
 
 use conman::core::nm::{Exclusion, GoalStatus, PlanError};
 use conman::core::runtime::{ReconcileAction, ReconcileReport, TxnEvent};
+use conman::core::{ManagementAgent, WireCodec};
 use conman::modules::{managed_chain, managed_dual_chain};
 use mgmt_channel::OutOfBandChannel;
 
@@ -167,7 +168,7 @@ fn two_goals_share_one_edge_gre_module_and_withdraw_stays_isolated() {
             .expect("a GRE-IP path exists")
             .clone();
         let plan = t.mn.plan_for_path(id, &gre).expect("plan");
-        assert!(t.mn.execute_plan(plan).committed, "goal {id} commits");
+        assert!(t.mn.execute_plan(plan).is_ok(), "goal {id} commits");
     }
     assert!(t.probe(), "goal 1 carries traffic");
     assert!(t.probe2(), "goal 2 carries traffic");
@@ -449,9 +450,10 @@ fn report_message_counters_match_channel_deltas() {
 
 #[test]
 fn batched_and_per_goal_reconcile_are_equivalent_on_fresh_goals() {
-    let run = |batched: bool| {
+    let run = |batched: bool, codec: WireCodec| {
         let mut t = managed_dual_chain(3);
         t.discover();
+        t.mn.codec = codec;
         t.mn.submit(t.vpn_goal());
         t.mn.submit(t.vpn_goal2());
         let report = if batched {
@@ -463,35 +465,61 @@ fn batched_and_per_goal_reconcile_are_equivalent_on_fresh_goals() {
         let sent = report.nm_sent;
         (end_state(&mut t, &report, probes), sent)
     };
-    let (batched, batched_sent) = run(true);
-    let (per_goal, per_goal_sent) = run(false);
-    assert_eq!(batched, per_goal, "identical end state");
-    assert_eq!(batched.statuses, vec![GoalStatus::Active; 2]);
-    assert!(batched.probes.iter().all(|&p| p));
-    assert!(
-        batched_sent < per_goal_sent,
-        "batching sends fewer messages: {batched_sent} vs {per_goal_sent}"
-    );
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        let (batched, batched_sent) = run(true, codec);
+        let (per_goal, per_goal_sent) = run(false, codec);
+        assert_eq!(batched, per_goal, "identical end state ({codec:?})");
+        assert_eq!(batched.statuses, vec![GoalStatus::Active; 2]);
+        assert!(batched.probes.iter().all(|&p| p));
+        assert!(
+            batched_sent < per_goal_sent,
+            "batching sends fewer messages ({codec:?}): {batched_sent} vs {per_goal_sent}"
+        );
+    }
+}
+
+/// Where the middle router breaks a transaction in the crash-equivalence
+/// test below.
+#[derive(Debug, Clone, Copy)]
+enum MidRouterFault {
+    /// Its agent has lost every module: each staged segment is rejected.
+    StageRejected,
+    /// It is down before the pass starts: staging is never answered.
+    SilentAtStage,
+    /// It crashes after staging, right before its commit.
+    CrashBeforeCommit,
 }
 
 #[test]
 fn batched_and_per_goal_equivalent_under_mid_commit_crash() {
-    // Crash the middle router right before its commit: in both modes every
-    // affected goal rolls back cleanly and parks Pending, and no partial
-    // configuration survives anywhere that answers.
-    let run = |batched: bool| {
+    // Break the middle router at each point a transaction can fail, under
+    // each codec: in both modes every affected goal rolls back cleanly and
+    // parks Pending, and nothing of it survives anywhere that answers — no
+    // staged segment, no pipe or switch rule, no consumed pipe-id block.
+    let run = |batched: bool, codec: WireCodec, fault: MidRouterFault| {
+        let case = format!("batched={batched} {codec:?} {fault:?}");
         let mut t = managed_dual_chain(3);
         t.discover();
+        t.mn.codec = codec;
         t.mn.submit(t.vpn_goal());
         t.mn.submit(t.vpn_goal2());
         let b = t.core[1];
-        t.mn.txn_hook = Some(Box::new(move |event, net| {
-            if let TxnEvent::BeforeCommit { device, .. } = event {
-                if *device == b {
-                    net.set_device_up(b, false);
-                }
+        let mut real_agent = None;
+        match fault {
+            MidRouterFault::StageRejected => {
+                real_agent = t.mn.agents.insert(b, ManagementAgent::new(b, "B"));
             }
-        }));
+            MidRouterFault::SilentAtStage => t.mn.net.set_device_up(b, false),
+            MidRouterFault::CrashBeforeCommit => {
+                t.mn.txn_hook = Some(Box::new(move |event, net| {
+                    if let TxnEvent::BeforeCommit { device, .. } = event {
+                        if *device == b {
+                            net.set_device_up(b, false);
+                        }
+                    }
+                }));
+            }
+        }
         let pipe_base_before = t.mn.goals.peek_pipe_base();
         let report = if batched {
             t.mn.reconcile()
@@ -499,36 +527,61 @@ fn batched_and_per_goal_equivalent_under_mid_commit_crash() {
             t.mn.reconcile_per_goal()
         };
         t.mn.txn_hook = None;
+        if let Some(agent) = real_agent {
+            t.mn.agents.insert(b, agent);
+        }
         // Neither executor may leak pipe-id blocks for goals that failed to
         // commit (the batched pass releases blocks it allocated up front).
         assert_eq!(
             t.mn.goals.peek_pipe_base(),
             pipe_base_before,
-            "failed pass must not consume pipe-id space (batched={batched})"
+            "failed pass must not consume pipe-id space ({case})"
         );
-        for d in [t.core[0], t.core[2]] {
+        for d in t.core.clone() {
+            if !t.mn.net.device(d).unwrap().up {
+                continue;
+            }
+            assert_eq!(
+                t.mn.agents[&d].staged_segment_count(),
+                0,
+                "{d} still holds a staged segment ({case})"
+            );
             let actual = t.mn.show_actual(d).expect("device answers");
             for (name, module) in actual {
                 assert!(
                     module.pipes.is_empty() && module.switch_rules.is_empty(),
-                    "{name} kept state after rollback (batched={batched})"
+                    "{name} kept state after rollback ({case})"
                 );
             }
         }
         let probes = vec![t.probe(), t.probe2()];
         (end_state(&mut t, &report, probes), t)
     };
-    let (batched, _) = run(true);
-    let (per_goal, mut t) = run(false);
-    assert_eq!(batched, per_goal, "identical end state after the crash");
-    assert_eq!(batched.statuses, vec![GoalStatus::Pending; 2]);
-    assert!(batched.probes.iter().all(|&p| !p));
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        for fault in [
+            MidRouterFault::StageRejected,
+            MidRouterFault::SilentAtStage,
+            MidRouterFault::CrashBeforeCommit,
+        ] {
+            let (batched, _) = run(true, codec, fault);
+            let (per_goal, mut t) = run(false, codec, fault);
+            assert_eq!(
+                batched, per_goal,
+                "identical end state ({codec:?} {fault:?})"
+            );
+            assert_eq!(batched.statuses, vec![GoalStatus::Pending; 2]);
+            assert!(batched.probes.iter().all(|&p| !p));
 
-    // The crashed router reboots; the next batched pass converges both.
-    t.mn.net.set_device_up(t.core[1], true);
-    let report = t.mn.reconcile();
-    assert!(report.converged(), "{report:#?}");
-    assert!(t.probe() && t.probe2());
+            // The router is back (rebooted, or its modules restored); the
+            // next batched pass converges both goals and leaves nothing
+            // staged anywhere.
+            t.mn.net.set_device_up(t.core[1], true);
+            let report = t.mn.reconcile();
+            assert!(report.converged(), "{report:#?}");
+            assert!(t.probe() && t.probe2());
+            assert!(t.mn.agents.values().all(|a| a.staged_segment_count() == 0));
+        }
+    }
 }
 
 #[test]
