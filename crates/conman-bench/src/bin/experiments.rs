@@ -8,22 +8,19 @@
 
 use conman_bench::{
     closed_loop_run, configure_and_count, configure_vlan_and_count, discovered_chain,
-    discovered_vlan_chain, loop_run, loop_run_inband, mesh_loop_run, multi_goal_run_cfg,
-    path_labelled, DiagnosisScenario, LoopBenchReport, LoopScenario, MultiGoalConfig,
-    MultiGoalReport, PlannerEngine, ReconcileMode,
+    discovered_vlan_chain, loop_run, loop_run_inband, mesh_loop_run, path_labelled,
+    DiagnosisScenario, LoopBenchReport, LoopScenario,
 };
 use conman_core::ids::ModuleKind;
-use conman_core::WireCodec;
 use legacy_config::{
     classify_conman_script, gre_script_today, mpls_script_today, vlan_script_today, GreVpnParams,
 };
-use serde::Serialize;
 
 /// The names an artefact answers to on the command line, and its generator.
 type Artefact = (&'static [&'static str], fn());
 
 /// Every artefact, in the order `all` prints them.
-const ARTEFACTS: [Artefact; 11] = [
+const ARTEFACTS: [Artefact; 10] = [
     (&["table1"], table1),
     (&["table2", "table3"], table2_and_3),
     (&["table4", "figure4", "figure5"], table4_figure4_figure5),
@@ -35,7 +32,6 @@ const ARTEFACTS: [Artefact; 11] = [
     ),
     (&["table6"], table6),
     (&["diagnosis"], diagnosis),
-    (&["goals"], goals),
     (&["loop"], autonomic_loop),
     (&["obs"], obs),
 ];
@@ -305,202 +301,6 @@ fn diagnosis() {
     }
 }
 
-fn goals() {
-    heading(
-        "Multi-goal reconciliation — goal-count scaling on the 10-router chain (beyond the paper)",
-    );
-    println!("Each goal is a VPN for a distinct pair of site classes between the same edge");
-    println!("interfaces.  The batched pass plans every goal in a disjoint pipe-id block and");
-    println!("stages/commits each device once per pass; the per-goal baseline runs one");
-    println!("batch-of-one transaction per goal (same protocol, no sharing).  Batched rows run");
-    println!("twice: the sequential planner over JSON payloads (the pre-raw-speed engine)");
-    println!("and the parallel planner over the zero-copy binary codec.\n");
-    println!(
-        "{:>9} {:>11} {:>7} {:>6} {:>8} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "mode",
-        "engine",
-        "codec",
-        "goals",
-        "active",
-        "txns",
-        "reconcile",
-        "enc bytes",
-        "NM sent",
-        "NM recv",
-        "msg/goal",
-        "µs/goal"
-    );
-    let mut rows: Vec<MultiGoalReport> = Vec::new();
-    let print_row = |r: &MultiGoalReport| {
-        println!(
-            "{:>9} {:>11} {:>7} {:>6} {:>8} {:>6} {:>9} µs {:>12} {:>12} {:>12} {:>10.1} {:>10.1}",
-            r.mode.label(),
-            r.engine.label(),
-            r.codec.label(),
-            r.goals,
-            r.active,
-            r.transactions,
-            r.reconcile_wall_us,
-            r.encode_bytes,
-            r.nm_sent,
-            r.nm_received,
-            r.messages_per_goal(),
-            r.wall_us_per_goal()
-        );
-    };
-    let batched = |goals: usize, engine: PlannerEngine, codec: WireCodec| {
-        let r = multi_goal_run_cfg(MultiGoalConfig {
-            n: 10,
-            goals,
-            mode: ReconcileMode::Batched,
-            engine,
-            codec,
-        });
-        assert_eq!(
-            r.active, r.goals,
-            "every goal must converge in the batched pass"
-        );
-        r
-    };
-    for goals in [1usize, 8, 64, 256, 512] {
-        let r = batched(goals, PlannerEngine::Sequential, WireCodec::Json);
-        print_row(&r);
-        rows.push(r);
-        let r = batched(goals, PlannerEngine::Parallel, WireCodec::Binary);
-        print_row(&r);
-        rows.push(r);
-    }
-    // The tail of the scaling axis only runs under the raw-speed engine:
-    // at 4k/16k goals the sequential/JSON baseline's per-goal graph rebuild
-    // would dominate the whole harness run for a ratio already asserted at
-    // 512 goals, so the baselines are deliberately skipped here.
-    println!("(4096/16384-goal rows: sequential/JSON baseline skipped by design)");
-    for goals in [4096usize, 16384] {
-        let r = batched(goals, PlannerEngine::Parallel, WireCodec::Binary);
-        print_row(&r);
-        rows.push(r);
-    }
-    for goals in [1usize, 8, 64] {
-        let r = multi_goal_run_cfg(MultiGoalConfig {
-            n: 10,
-            goals,
-            mode: ReconcileMode::PerGoal,
-            engine: PlannerEngine::Parallel,
-            codec: WireCodec::Json,
-        });
-        // The baseline must converge too, or the message ratio below would
-        // be computed against a partially failed (cheaper) baseline.
-        assert_eq!(
-            r.active, r.goals,
-            "every goal must converge in the per-goal baseline"
-        );
-        // A per-goal transaction is a batch of one, so its bytes are
-        // counted and its relays coalesce per device-round exactly as in
-        // the batch: 39 NM messages per goal, the batched pass's total at
-        // 1 goal.  The <= 25% message gate and <= 50% wall gate below are
-        // unchanged.
-        assert!(
-            r.encode_bytes > 0,
-            "per-goal transaction bytes must be counted"
-        );
-        print_row(&r);
-        rows.push(r);
-    }
-    let find = |mode: ReconcileMode, engine: PlannerEngine, codec: WireCodec, goals: usize| {
-        rows.iter()
-            .find(|r| r.mode == mode && r.engine == engine && r.codec == codec && r.goals == goals)
-            .unwrap_or_else(|| panic!("missing {:?} {:?} {goals}-goal row", mode, engine))
-    };
-    // The headline ratio the acceptance criteria track: at 64 goals the
-    // batched pass must send at most 25% of the baseline's NM messages.
-    // Message counts are codec-independent, so the raw-speed row serves.
-    let batched64 = find(
-        ReconcileMode::Batched,
-        PlannerEngine::Parallel,
-        WireCodec::Binary,
-        64,
-    );
-    let per_goal64 = find(
-        ReconcileMode::PerGoal,
-        PlannerEngine::Parallel,
-        WireCodec::Json,
-        64,
-    );
-    let ratio = batched64.nm_sent as f64 / per_goal64.nm_sent as f64;
-    println!(
-        "\nNM sends at 64 goals: batched {} vs per-goal baseline {} ({:.1}% of baseline)",
-        batched64.nm_sent,
-        per_goal64.nm_sent,
-        100.0 * ratio
-    );
-    assert!(
-        ratio <= 0.25,
-        "batched reconcile must send <= 25% of the per-goal baseline's messages"
-    );
-    // The raw-speed gate: at 512 goals the parallel planner over the
-    // zero-copy binary codec must finish the pass in at most half the
-    // sequential/JSON engine's wall time.
-    let fast512 = find(
-        ReconcileMode::Batched,
-        PlannerEngine::Parallel,
-        WireCodec::Binary,
-        512,
-    );
-    let slow512 = find(
-        ReconcileMode::Batched,
-        PlannerEngine::Sequential,
-        WireCodec::Json,
-        512,
-    );
-    let wall_ratio = fast512.reconcile_wall_us as f64 / slow512.reconcile_wall_us.max(1) as f64;
-    println!(
-        "Reconcile wall at 512 goals: parallel+binary {} µs vs sequential+JSON {} µs ({:.1}% of baseline)",
-        fast512.reconcile_wall_us,
-        slow512.reconcile_wall_us,
-        100.0 * wall_ratio
-    );
-    assert!(
-        wall_ratio <= 0.50,
-        "parallel+zero-copy reconcile must finish in <= 50% of the sequential/JSON wall time at 512 goals"
-    );
-
-    // Machine-readable artefact so CI tracks the perf trajectory across PRs.
-    let series: Vec<serde_json::Value> = rows
-        .iter()
-        .map(|r| {
-            serde_json::json!({
-                "mode": r.mode.label(),
-                "engine": r.engine.label(),
-                "codec": r.codec.label(),
-                "goals": r.goals,
-                "active": r.active,
-                "transactions": r.transactions,
-                "wall_us": r.reconcile_wall_us as u64,
-                "encode_bytes": r.encode_bytes,
-                "nm_sent": r.nm_sent,
-                "nm_received": r.nm_received,
-                "shared_modules": r.shared_modules,
-                "messages_per_goal": r.messages_per_goal(),
-                "wall_us_per_goal": r.wall_us_per_goal(),
-            })
-        })
-        .collect();
-    let artefact = serde_json::json!({
-        "bench": "goals",
-        "chain_routers": 10,
-        "wall_ratio_512": wall_ratio,
-        "series": series,
-    });
-    let path = "BENCH_goals.json";
-    match std::fs::write(
-        path,
-        serde_json::to_string(&artefact).expect("artefact serializes"),
-    ) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
-}
-
 fn autonomic_loop() {
     heading("Autonomic control loop — ticks-to-detect / ticks-to-repair on the 10-router chain and the 2x3 multipath mesh (beyond the paper)");
     println!("Every goal is backed by a real customer host pair; the event-driven loop");
@@ -511,7 +311,7 @@ fn autonomic_loop() {
     println!("(no budget burn); a converged tick sends ZERO management messages.\n");
     let header = || {
         println!(
-            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>10}",
+            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10}",
             "scenario",
             "channel",
             "goals",
@@ -523,14 +323,13 @@ fn autonomic_loop() {
             "blamed",
             "passes",
             "failed",
-            "repair-NM",
-            "wall"
+            "repair-NM"
         );
     };
     header();
     let print_row = |r: &LoopBenchReport| {
         println!(
-            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>7} µs",
+            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10}",
             r.scenario.name(),
             r.channel,
             r.goals,
@@ -543,10 +342,8 @@ fn autonomic_loop() {
             r.repair_passes,
             r.failed_attempts,
             r.repair_nm_sent,
-            r.repair_wall_us,
         );
     };
-    let mut rows: Vec<LoopBenchReport> = Vec::new();
     for scenario in [LoopScenario::CoreStateLoss, LoopScenario::PerGoalTableFlush] {
         for goals in [8usize, 64, 256] {
             let r = loop_run(10, goals, scenario);
@@ -565,7 +362,6 @@ fn autonomic_loop() {
                     "the core fault hits the whole fleet"
                 );
             }
-            rows.push(r);
         }
     }
     // Mesh rows: a blamed core link has a genuine alternative, so the smoke
@@ -580,16 +376,14 @@ fn autonomic_loop() {
                 r.degraded_goals, r.goals,
                 "every goal crossed the dead link"
             );
-            rows.push(r);
         }
     }
     // The in-band message-budget row: the loop over the flooding channel
-    // must stay silent when quiescent, and the faulty ticks' flooded
-    // telemetry cost is recorded for trend tracking.
+    // must stay silent when quiescent, and the row shows what the faulty
+    // ticks' flooded telemetry cost.
     let r = loop_run_inband(10, 8, LoopScenario::CoreStateLoss);
     print_row(&r);
     conman_bench::assert_loop_healthy(&r, 3);
-    rows.push(r);
 
     // Recorded re-runs of one chain and one mesh scenario: the full-run
     // trace journals (setup convergence included) are linted against the
@@ -612,36 +406,15 @@ fn autonomic_loop() {
             Err(e) => println!("could not write {path}: {e}"),
         }
     }
-
-    // Machine-readable artefact so CI tracks the loop trajectory across
-    // PRs.  `LoopBenchReport` derives `Serialize`, so the artefact shares
-    // the same encoding path as the flight-recorder snapshot instead of a
-    // hand-assembled JSON object per row.
-    let series: Vec<serde_json::Value> = rows.iter().map(|r| r.serialize()).collect();
-    let artefact = serde_json::json!({
-        "bench": "loop",
-        "chain_routers": 10,
-        "mesh_stages": 3,
-        "tick_ms": 100,
-        "series": series,
-    });
-    let path = "BENCH_loop.json";
-    match std::fs::write(
-        path,
-        serde_json::to_string(&artefact).expect("artefact serializes"),
-    ) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
-    }
 }
 
 fn obs() {
-    heading("Flight recorder — journal determinism, post-mortem reconstruction and recorder overhead (beyond the paper)");
+    heading(
+        "Flight recorder — journal determinism and post-mortem reconstruction (beyond the paper)",
+    );
     println!("The recorder journals every loop span (tick → health probe → diagnosis →");
     println!("repair → stage/commit → verify) with simulated-time stamps only, so the same");
-    println!("seeded scenario always yields a byte-identical journal.  The overhead rows");
-    println!("drive the same converged fleet through quiescent ticks with the recorder");
-    println!("disabled vs enabled; the statistic is the minimum tick wall time.\n");
+    println!("seeded scenario always yields a byte-identical journal.\n");
 
     // ---- Recorded mesh link-cut: the journal must carry the whole story.
     let rec = conman_bench::recorded_mesh_link_cut(3, 8);
@@ -667,64 +440,6 @@ fn obs() {
     match std::fs::write("JOURNAL_obs.json", &rec.journal) {
         Ok(()) => println!("wrote JOURNAL_obs.json (conforms)"),
         Err(e) => println!("could not write JOURNAL_obs.json: {e}"),
-    }
-
-    // ---- Overhead rows; the 256-goal row is the CI smoke gate. ---------
-    println!(
-        "\n{:>6} {:>6} {:>14} {:>14} {:>10} {:>10}",
-        "n", "goals", "disabled-tick", "enabled-tick", "overhead", "events"
-    );
-    let mut rows = Vec::new();
-    for goals in [64usize, 256] {
-        let r = conman_bench::loop_overhead(10, goals);
-        println!(
-            "{:>6} {:>6} {:>11} µs {:>11} µs {:>9.1}% {:>10}",
-            r.n,
-            r.goals,
-            r.disabled_tick_ns / 1_000,
-            r.enabled_tick_ns / 1_000,
-            r.overhead_pct,
-            r.journal_events
-        );
-        rows.push(r);
-    }
-    let gate = rows
-        .iter()
-        .find(|r| r.goals == 256)
-        .expect("256-goal overhead row");
-    assert!(
-        gate.overhead_pct <= 105.0,
-        "recorder overhead on the 256-goal loop row must stay within 5% \
-         (enabled {} ns vs disabled {} ns = {:.1}%)",
-        gate.enabled_tick_ns,
-        gate.disabled_tick_ns,
-        gate.overhead_pct
-    );
-
-    // Machine-readable artefact: the overhead rows plus the recorded run's
-    // metrics snapshot, all through the derived serialisation path.
-    let artefact = serde_json::json!({
-        "bench": "obs",
-        "chain_routers": 10,
-        "mesh_stages": 3,
-        "overhead_ticks_measured": 8,
-        "overhead": rows.iter().map(|r| r.serialize()).collect::<Vec<_>>(),
-        "recorded_mesh_link_cut": {
-            "converged": rec.converged,
-            "cut_link": rec.cut_link,
-            "repair_passes": rec.repair_passes,
-            "journal_events": rec.snapshot.journal_events,
-            "postmortem_staged_devices": pm.staged_devices.len() as u64,
-            "snapshot": rec.snapshot.serialize(),
-        },
-    });
-    let path = "BENCH_obs.json";
-    match std::fs::write(
-        path,
-        serde_json::to_string(&artefact).expect("artefact serializes"),
-    ) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
     }
 }
 

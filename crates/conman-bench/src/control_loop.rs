@@ -24,8 +24,11 @@
 //!   express.
 //!
 //! The chain rows also run over the **in-band** management channel, whose
-//! flooded telemetry during faulty ticks gets its own message-budget row in
-//! `BENCH_loop.json`.
+//! flooded telemetry during faulty ticks gets its own message-budget row.
+//!
+//! Every reported number is a count or a tick on simulated time, so the
+//! tables repeat byte for byte; how long a repair takes on the wall clock is
+//! `loop.repair.*_ms` in `benchmark/`.
 
 use crate::diagnosis::chain_limits;
 use conman_core::nm::{script, GoalId, GoalStatus, PathFinderLimits};
@@ -41,8 +44,6 @@ use mgmt_channel::{InBandChannel, ManagementChannel, OutOfBandChannel};
 use netsim::device::DeviceId;
 use netsim::fault::{apply_fault, FaultKind, Misconfiguration};
 use netsim::route::RouteTableId;
-use serde::Serialize;
-use std::time::Instant;
 
 /// Which fault the loop run injects once the fleet is converged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,17 +84,9 @@ impl LoopScenario {
     }
 }
 
-impl Serialize for LoopScenario {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::String(self.name().to_string())
-    }
-}
-
 /// What one autonomic-loop run measured.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LoopBenchReport {
-    /// Topology family the run used (`chain` or `mesh`).
-    pub topology: &'static str,
     /// Management channel the run used (`oob` or `in-band`).
     pub channel: &'static str,
     /// Chain size (core routers) or mesh stages.
@@ -137,8 +130,6 @@ pub struct LoopBenchReport {
     /// Did the run end converged, with every goal's traffic verified
     /// end to end?
     pub converged: bool,
-    /// Wall-clock for the whole detect + repair run, microseconds.
-    pub repair_wall_us: u64,
 }
 
 /// Path-finder limits for the 2×k mesh (longer module paths than a chain of
@@ -330,9 +321,7 @@ fn chain_loop_run<C: ManagementChannel>(
     let fault_tick = cl.ticks();
 
     // ---- Detect + repair, autonomically. ------------------------------
-    let wall = Instant::now();
     let run = cl.run_until_converged(&mut t.mn, 12);
-    let repair_wall_us = wall.elapsed().as_micros() as u64;
     // The wire cost now comes from the tick reports themselves (each tick
     // carries its frame budget) instead of a hand-diffed network counter.
     let repair_frames = run.frames();
@@ -345,7 +334,6 @@ fn chain_loop_run<C: ManagementChannel>(
     let traffic_ok = (0..goals).all(|k| t.probe_pair(k));
 
     LoopBenchReport {
-        topology: "chain",
         channel,
         n,
         goals,
@@ -361,7 +349,6 @@ fn chain_loop_run<C: ManagementChannel>(
         repair_nm_sent: m.repair_nm_sent,
         repair_frames,
         converged: run.converged && all_active && traffic_ok,
-        repair_wall_us,
     }
 }
 
@@ -441,9 +428,7 @@ fn mesh_loop_run_with(
     }
     let fault_tick = cl.ticks();
 
-    let wall = Instant::now();
     let run = cl.run_until_converged(&mut t.mn, 12);
-    let repair_wall_us = wall.elapsed().as_micros() as u64;
     let repair_frames = run.frames();
     let m = run_metrics(&run);
     let detect_report = run.ticks.iter().find(|tk| tk.tick == m.detect);
@@ -477,7 +462,6 @@ fn mesh_loop_run_with(
     let traffic_ok = (0..goals).all(|g| t.probe_pair(g));
 
     LoopBenchReport {
-        topology: "mesh",
         channel: "oob",
         n: k,
         goals,
@@ -493,7 +477,6 @@ fn mesh_loop_run_with(
         repair_nm_sent: m.repair_nm_sent,
         repair_frames,
         converged: run.converged && all_active && rerouted && traffic_ok,
-        repair_wall_us,
     }
 }
 

@@ -1,15 +1,15 @@
 //! The closed-loop diagnosis experiment: configure a VPN on an `n`-router
 //! chain, inject a fault on the deterministic clock, detect it from the
 //! periodic telemetry loop, localise it with the `Diagnoser`, repair it with
-//! the `Healer`, and report time-to-detect / time-to-repair in both
-//! simulated time and wall-clock.
+//! the `Healer`, and report time-to-detect / time-to-repair in simulated
+//! time (the wall-clock cost of localisation is `diagnose.localise_us` in
+//! `benchmark/`).
 
 use conman_core::nm::PathFinderLimits;
 use conman_diagnose::{Diagnoser, FaultReport, HealOutcome, Healer, TelemetryCollector};
 use conman_modules::managed_chain;
 use netsim::clock::SimDuration;
 use netsim::fault::{FaultInjector, FaultKind, FaultPlan, Misconfiguration};
-use std::time::Instant;
 
 /// Which fault the closed loop injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,10 +54,6 @@ pub struct ClosedLoopReport {
     pub detect_sim: SimDuration,
     /// Simulated time from detection to verified repair (0 if unrepaired).
     pub repair_sim: SimDuration,
-    /// Wall-clock for the detection loop.
-    pub detect_wall_us: u128,
-    /// Wall-clock for diagnose + heal.
-    pub repair_wall_us: u128,
     /// The diagnosis verdict.
     pub report: FaultReport,
     /// The healing outcome.
@@ -75,15 +71,13 @@ impl ClosedLoopReport {
             .map(|s| format!("{:?} ({}%)", s.target, s.confidence_pct))
             .unwrap_or_else(|| "none".to_string());
         format!(
-            "n={:<3} {:<26} primary={:<16} detect={} ({} rounds, {}us wall)  repair={} ({}us wall)  healed={} via {:<18} suspect={}",
+            "n={:<3} {:<26} primary={:<16} detect={} ({} rounds)  repair={}  healed={} via {:<18} suspect={}",
             self.n,
             self.scenario.name(),
             self.primary_label,
             self.detect_sim,
             self.telemetry_rounds,
-            self.detect_wall_us,
             self.repair_sim,
-            self.repair_wall_us,
             self.heal.healed(),
             self.heal.replacement_label.as_deref().unwrap_or("-"),
             suspect,
@@ -158,7 +152,6 @@ pub fn closed_loop_run(n: usize, scenario: DiagnosisScenario) -> ClosedLoopRepor
     let mut collector = TelemetryCollector::new(path.devices(), period);
     collector.sample(&mut t.mn); // baseline round
     let mut probe = t.probe_fn();
-    let wall_detect = Instant::now();
     let mut rounds = 0usize;
     let detect_sim;
     loop {
@@ -172,16 +165,13 @@ pub fn closed_loop_run(n: usize, scenario: DiagnosisScenario) -> ClosedLoopRepor
         }
         assert!(rounds < 1000, "fault was never detected");
     }
-    let detect_wall_us = wall_detect.elapsed().as_micros();
     let detected_at = t.mn.net.now();
 
     // Localise and repair.
-    let wall_repair = Instant::now();
     let diagnoser = Diagnoser::default();
     let report = diagnoser.diagnose(&mut t.mn, &path, &mut probe);
     let healer = Healer::with_limits(limits);
     let heal = healer.heal(&mut t.mn, &goal, &path, &report, &mut probe);
-    let repair_wall_us = wall_repair.elapsed().as_micros();
     let repair_sim = if heal.healed() {
         t.mn.net.now().duration_since(detected_at)
     } else {
@@ -194,8 +184,6 @@ pub fn closed_loop_run(n: usize, scenario: DiagnosisScenario) -> ClosedLoopRepor
         primary_label,
         detect_sim,
         repair_sim,
-        detect_wall_us,
-        repair_wall_us,
         report,
         heal,
         telemetry_rounds: collector.rounds.len(),

@@ -1,12 +1,16 @@
-//! Shared helpers for the CONMan benchmarks and the table/figure
-//! reproduction harness (`src/bin/experiments.rs`), including the
-//! closed-loop diagnosis experiments (time-to-detect / time-to-repair).
+//! Shared helpers for the table/figure reproduction harness
+//! (`src/bin/experiments.rs`), including the closed-loop diagnosis
+//! experiments (time-to-detect / time-to-repair).
+//!
+//! Everything here is deterministic: counts, ticks and simulated time only,
+//! so two runs print byte-identical output.  Anything timed on the wall
+//! clock is measured by the stand-alone `benchmark/` package and read from
+//! it by metric name.
 
 #![forbid(unsafe_code)]
 
 pub mod control_loop;
 pub mod diagnosis;
-pub mod goals;
 pub mod obs;
 
 pub use control_loop::{
@@ -14,14 +18,7 @@ pub use control_loop::{
     recorded_loop_run, recorded_mesh_loop_run, LoopBenchReport, LoopScenario,
 };
 pub use diagnosis::{closed_loop_run, ClosedLoopReport, DiagnosisScenario};
-pub use goals::{
-    multi_goal_run, multi_goal_run_cfg, multi_goal_run_mode, synthetic_goal, MultiGoalConfig,
-    MultiGoalReport, PlannerEngine, ReconcileMode,
-};
-pub use obs::{
-    assert_journal_conforms, loop_overhead, recorded_mesh_link_cut, ObsOverheadReport,
-    RecordedMeshRun,
-};
+pub use obs::{assert_journal_conforms, recorded_mesh_link_cut, RecordedMeshRun};
 
 use conman_core::nm::ModulePath;
 use conman_core::runtime::ManagedNetwork;

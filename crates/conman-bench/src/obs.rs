@@ -1,35 +1,19 @@
-//! Flight-recorder experiments: what the recorder costs and what its
-//! journal can reconstruct.
+//! Flight-recorder experiment: what the recorder's journal can reconstruct.
+//! (What the recorder costs is `obs.tick_overhead_ratio` in `benchmark/`.)
 //!
-//! Two artefacts back the `obs` row of the reproduction harness:
-//!
-//! * **Overhead** — the same converged goal fleet is driven through
-//!   quiescent control-loop ticks twice, once with [`Recorder::disabled`]
-//!   (the default: a single `Option` branch per hook) and once with an
-//!   enabled recorder journalling every span.  The statistic is the
-//!   *minimum* tick wall time over a handful of ticks — minima are far
-//!   more stable than means under scheduler noise, which is what lets CI
-//!   hold the enabled/disabled ratio to a tight budget.
-//! * **Recorded mesh link-cut** — the link-suspect-aware reroute scenario
-//!   (`mesh_loop_run`'s cut) re-run with an enabled recorder, returning
-//!   both the live ground truth (which link was cut, where the fleet
-//!   landed) and the trace journal, so tests and the `flightrecorder`
-//!   example can prove the whole story is reconstructible from the dump
-//!   alone.
+//! **Recorded mesh link-cut** — the link-suspect-aware reroute scenario
+//! (`mesh_loop_run`'s cut) re-run with an enabled recorder, returning both
+//! the live ground truth (which link was cut, where the fleet landed) and
+//! the trace journal, so tests and the `flightrecorder` example can prove
+//! the whole story is reconstructible from the dump alone.
 
 use crate::control_loop::mesh_limits;
-use crate::diagnosis::chain_limits;
 use conman_core::nm::GoalStatus;
 use conman_core::runtime::{ControlLoop, GoalEndpoints, LoopConfig, LoopReport, ReconcileAction};
 use conman_diagnose::AutonomicClient;
-use conman_modules::{managed_fanout_chain, managed_mesh_fanout, ManagedMesh};
+use conman_modules::{managed_mesh_fanout, ManagedMesh};
 use conman_obs::{ObsSnapshot, Recorder};
 use mgmt_channel::OutOfBandChannel;
-use serde::Serialize;
-use std::time::Instant;
-
-/// Quiescent ticks measured per mode; the row reports the minimum.
-const OVERHEAD_TICKS: usize = 8;
 
 /// Parse a journal dump strictly and run the protocol conformance checker
 /// over it, panicking with the full violation list on failure.  The smoke
@@ -51,73 +35,6 @@ pub fn assert_journal_conforms(journal: &str, what: &str) {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-/// One recorder-overhead row: the minimum quiescent tick wall time with
-/// the recorder disabled vs enabled, on the same chain/goal-count shape.
-#[derive(Debug, Clone, Serialize)]
-pub struct ObsOverheadReport {
-    /// Chain size (core routers).
-    pub n: usize,
-    /// Live goals the loop health-probes per tick.
-    pub goals: usize,
-    /// Minimum quiescent tick wall time with `Recorder::disabled()`,
-    /// nanoseconds.
-    pub disabled_tick_ns: u64,
-    /// Minimum quiescent tick wall time with an enabled recorder,
-    /// nanoseconds.
-    pub enabled_tick_ns: u64,
-    /// `enabled / disabled`, in percent (100.0 = parity).
-    pub overhead_pct: f64,
-    /// Journal events the enabled run accumulated (setup + measured
-    /// ticks) — evidence the recorder was genuinely on.
-    pub journal_events: u64,
-}
-
-/// Converge `goals` goals on an `n`-router fan-out chain, then measure the
-/// minimum wall time of [`OVERHEAD_TICKS`] quiescent control-loop ticks.
-/// Returns `(min_tick_ns, journal_events)`.
-fn quiescent_tick_ns(n: usize, goals: usize, recorder: Recorder) -> (u64, u64) {
-    let mut t = managed_fanout_chain(n, goals);
-    t.discover();
-    t.mn.goals.limits = chain_limits(n);
-    t.mn.set_recorder(recorder);
-    let mut cl = ControlLoop::new(&t.mn, LoopConfig::default())
-        .with_client(Box::new(AutonomicClient::new(2)));
-    for k in 0..goals {
-        let (src, dst, dst_ip) = t.fanout_probe(k);
-        let id = t.mn.submit(t.fanout_goal(k));
-        cl.track(id, GoalEndpoints { src, dst, dst_ip });
-    }
-    let setup = cl.run_until_converged(&mut t.mn, 16);
-    assert!(
-        setup.converged,
-        "fleet must converge before measuring ticks"
-    );
-    let mut best = u64::MAX;
-    for _ in 0..OVERHEAD_TICKS {
-        let wall = Instant::now();
-        let tick = cl.tick(&mut t.mn);
-        best = best.min(wall.elapsed().as_nanos() as u64);
-        assert_eq!(tick.nm_sent, 0, "a converged loop tick must stay silent");
-    }
-    (best, t.mn.recorder.journal_len() as u64)
-}
-
-/// Measure recorder overhead on quiescent loop ticks: the same topology and
-/// fleet, once with the recorder disabled and once enabled.
-pub fn loop_overhead(n: usize, goals: usize) -> ObsOverheadReport {
-    let (disabled_tick_ns, _) = quiescent_tick_ns(n, goals, Recorder::disabled());
-    let (enabled_tick_ns, journal_events) = quiescent_tick_ns(n, goals, Recorder::new());
-    assert!(journal_events > 0, "the enabled run must journal events");
-    ObsOverheadReport {
-        n,
-        goals,
-        disabled_tick_ns,
-        enabled_tick_ns,
-        overhead_pct: 100.0 * enabled_tick_ns as f64 / disabled_tick_ns.max(1) as f64,
-        journal_events,
-    }
 }
 
 /// A recorded mesh link-cut run: the trace journal plus the live ground
@@ -143,7 +60,7 @@ pub struct RecordedMeshRun {
     pub converged: bool,
 }
 
-/// Re-run the `mesh-link-cut` scenario from the loop bench with an enabled
+/// Re-run the `mesh-link-cut` scenario of the loop experiment with an enabled
 /// recorder: converge `goals` goals on the 2×k mesh, clear the journal, cut
 /// a core link of the applied path, and let the loop detect, localise and
 /// reroute — everything it does landing in the trace journal.
@@ -234,12 +151,5 @@ mod tests {
         let pm = Postmortem::from_json(&rec.journal).expect("journal parses");
         assert!(pm.blamed_links.contains(&rec.cut_link));
         assert_journal_conforms(&rec.journal, "recorded mesh link-cut journal");
-    }
-
-    #[test]
-    fn overhead_row_measures_both_modes() {
-        let r = loop_overhead(4, 8);
-        assert!(r.disabled_tick_ns > 0 && r.enabled_tick_ns > 0);
-        assert!(r.journal_events > 0);
     }
 }

@@ -469,9 +469,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 }
             }
             // No agent or unparseable framing: fall through to the generic
-            // decoder, which drops it like any other malformed payload.
+            // decoder, which drops (and counts) it like any other malformed
+            // payload.
         }
         let Some(wire) = WireMessage::decode(&msg.payload) else {
+            self.recorder.inc("mgmt.decode_dropped", 1);
             return;
         };
         let nm_bound = match &wire {
@@ -754,5 +756,34 @@ mod tests {
         });
         assert!(mn.run_management() >= MAX_ROUNDS);
         assert_eq!(recorder.counter("mgmt.round_cap_hit"), 1);
+    }
+
+    #[test]
+    fn undecodable_payloads_are_dropped_and_counted() {
+        let mut net = Network::new();
+        let d1 = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
+        let d2 = net.add_device(Device::new("RouterB", DeviceRole::Router, 1));
+        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
+        mn.add_agent(ManagementAgent::new(d1, "RouterA"));
+        mn.add_agent(ManagementAgent::new(d2, "RouterB"));
+        let recorder = Recorder::new();
+        mn.set_recorder(recorder.clone());
+
+        // Well-formed traffic drops nothing.
+        mn.announce_all();
+        assert_eq!(recorder.counter("mgmt.decode_dropped"), 0);
+
+        // A binary StageBatch cut short inside its segment fails the
+        // agent's in-place framing check; plain text is not JSON at all.
+        let script: [Primitive; 1] = [Primitive::ShowPotential];
+        let mut truncated = wire::encode_stage_batch(7, &[(1, &script)]);
+        truncated.truncate(truncated.len() - 1);
+        assert!(wire::is_binary_stage_batch(&truncated));
+        for payload in [truncated, b"not a conman message".to_vec()] {
+            let m = MgmtMessage::new(d1, d2, MessageCategory::Command, payload);
+            mn.channel.send(&mut mn.net, m);
+        }
+        assert_eq!(mn.run_management(), 2, "both were delivered to the agent");
+        assert_eq!(recorder.counter("mgmt.decode_dropped"), 2);
     }
 }

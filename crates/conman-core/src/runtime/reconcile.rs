@@ -14,7 +14,7 @@
 //! [`ManagedNetwork::reconcile_per_goal`] drives the same transaction
 //! runner one goal at a time (a batch of one per goal).  It stays as the
 //! reference implementation `tests/goals.rs` compares the batched pass
-//! against, and as the message-count baseline of the `goals` bench.
+//! against.
 //!
 //! Planning inside the batched pass runs **in parallel**: path search is a
 //! pure read of the goal store and the potential graph, and pipe-id blocks
@@ -27,7 +27,7 @@
 //! [`ManagedNetwork::reconcile_sequential`] keeps that sequential engine
 //! (per-goal graph rebuild and fresh search state, exactly the pre-PR-10
 //! planning loop) as the reference implementation `tests/raw_speed.rs`
-//! compares against, and as the bench baseline.
+//! compares against.
 
 use super::txn::GoalTeardown;
 use super::ManagedNetwork;
@@ -478,8 +478,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// Batched reconcile with the planning loop forced sequential: one
     /// graph rebuild and fresh search state per goal, exactly the pre-
     /// parallel-planning engine.  Kept as the equivalence oracle for
-    /// [`Self::reconcile`] (which plans in parallel) and as the wall-time
-    /// baseline the `goals` bench measures the raw-speed work against.
+    /// [`Self::reconcile`] (which plans in parallel).
     pub fn reconcile_sequential(&mut self) -> ReconcileReport {
         self.reconcile_sequential_with(|_, _| None)
     }
@@ -813,10 +812,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
 
     /// Reconcile one goal at a time: a batch-of-one transaction per goal,
     /// without verification probes.  Kept as the reference implementation
-    /// `tests/goals.rs` compares the batched pass against and as the
-    /// message-count baseline for the `goals` bench — end state (statuses,
-    /// module refcounts, data-plane connectivity) is identical; only the
-    /// message shape differs.
+    /// `tests/goals.rs` compares the batched pass against — end state
+    /// (statuses, module refcounts, data-plane connectivity) is identical;
+    /// only the message shape differs.
     pub fn reconcile_per_goal(&mut self) -> ReconcileReport {
         self.reconcile_per_goal_with(|_, _| None)
     }

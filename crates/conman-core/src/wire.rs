@@ -44,16 +44,6 @@ pub enum WireCodec {
     Binary,
 }
 
-impl WireCodec {
-    /// Label for experiment output (`"json"` / `"binary"`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            WireCodec::Json => "json",
-            WireCodec::Binary => "binary",
-        }
-    }
-}
-
 /// Is this payload a binary-coded `StageBatch`?  The runtime's receive path
 /// uses this to route the payload to the agent's in-place validator without
 /// materialising a [`WireMessage`] first.

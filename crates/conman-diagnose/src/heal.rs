@@ -107,9 +107,11 @@ impl Healer {
 
     /// Attempt a repair of a goal configured outside the store: register it
     /// with the reconciler ([`ManagedNetwork::adopt_goal`]) and run
-    /// [`Self::repair`] against the stored record.  Kept for the operator
-    /// one-shot flow; the autonomic control loop calls [`Self::repair`] on
-    /// its stored goals directly.
+    /// [`Self::repair`] against the stored record.  `heal`/`repair` is the
+    /// operator one-shot flow (`tests/diagnosis.rs`, `examples/debugging.rs`,
+    /// `experiments diagnosis`).  The autonomic control loop uses neither:
+    /// [`AutonomicClient`](crate::AutonomicClient) calls only
+    /// [`Self::exclusions`], and the loop repairs through `reconcile_with`.
     pub fn heal<C, P>(
         &self,
         mn: &mut ManagedNetwork<C>,

@@ -14,18 +14,21 @@
 //! * [`diagnose`] — the [`Diagnoser`]: probe the goal end to end, pull
 //!   snapshots along the configured [`ModulePath`](conman_core::ModulePath),
 //!   compute deltas and localise the fault;
-//! * [`heal`] — the [`Healer`], a client of the NM's reconciler: mark the
-//!   goal degraded with the suspects excluded, tear the failed
-//!   configuration down through the transactional withdraw path, execute
-//!   candidate re-plans as two-phase transactions (e.g. the GRE-IP
-//!   fallback when the MPLS core dies) and verify the repair with
-//!   end-to-end probes;
-//! * [`autonomic`] — [`AutonomicClient`], which plugs the Diagnoser/Healer
-//!   pair into `conman-core`'s event-driven
+//! * [`heal`] — the [`Healer`], a client of the NM's reconciler and the
+//!   operator's one-shot repair flow (`tests/diagnosis.rs`,
+//!   `examples/debugging.rs`, `experiments diagnosis`): mark the goal
+//!   degraded with the suspects excluded, tear the failed configuration
+//!   down through the transactional withdraw path, execute candidate
+//!   re-plans as two-phase transactions (e.g. the GRE-IP fallback when the
+//!   MPLS core dies) and verify the repair with end-to-end probes;
+//! * [`autonomic`] — [`AutonomicClient`], which plugs the [`Diagnoser`] into
+//!   `conman-core`'s event-driven
 //!   [`ControlLoop`](conman_core::runtime::ControlLoop) as its diagnosis
 //!   stage: localisation runs on per-goal flow deltas *while the other
-//!   goals keep pushing traffic*, and the loop repairs everything that
-//!   needs work in one batched reconcile pass per tick.
+//!   goals keep pushing traffic*, suspects become plan exclusions through
+//!   [`Healer::exclusions`] (the only part of the Healer the loop calls),
+//!   and the loop itself repairs everything that needs work in one batched
+//!   `reconcile_with` pass per tick.
 //!
 //! The companion fault-injection machinery ([`netsim::fault`]) produces the
 //! failures this crate hunts: link cuts and flaps, loss spikes, device

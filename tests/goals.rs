@@ -11,6 +11,7 @@ use conman::core::nm::{Exclusion, GoalStatus, PlanError};
 use conman::core::runtime::{ReconcileAction, ReconcileReport, TxnEvent};
 use conman::core::{ManagementAgent, WireCodec};
 use conman::modules::{managed_chain, managed_dual_chain};
+use conman::obs::Recorder;
 use mgmt_channel::OutOfBandChannel;
 
 type Chain = conman::modules::ManagedChain<OutOfBandChannel>;
@@ -241,8 +242,7 @@ fn withdraw_heavy_pass_stages_each_device_once_for_the_whole_batch() {
 }
 
 /// A synthetic goal between the chain's edge interfaces for a distinct
-/// site-class pair (mirrors `conman-bench`'s generator without the crate
-/// dependency).
+/// site-class pair.
 fn conman_bench_goal(t: &Chain, k: usize) -> conman::core::nm::ConnectivityGoal {
     let mut goal = t.vpn_goal();
     let k = k + 1;
@@ -476,6 +476,44 @@ fn batched_and_per_goal_reconcile_are_equivalent_on_fresh_goals() {
             "batching sends fewer messages ({codec:?}): {batched_sent} vs {per_goal_sent}"
         );
     }
+}
+
+#[test]
+fn batched_pass_sends_a_quarter_of_the_per_goal_messages_at_64_goals() {
+    // 64 goals on the 10-router chain, each executor on a fresh network with
+    // a recorder attached after discovery so only the pass is counted.
+    let run = |batched: bool| {
+        let mut t = managed_chain(10);
+        t.discover();
+        t.mn.goals.limits = conman_bench::diagnosis::chain_limits(10);
+        let recorder = Recorder::new();
+        t.mn.set_recorder(recorder.clone());
+        for k in 0..64 {
+            t.mn.submit(conman_bench_goal(&t, k));
+        }
+        let report = if batched {
+            t.mn.reconcile()
+        } else {
+            t.mn.reconcile_per_goal()
+        };
+        assert_eq!(report.active(), 64, "every goal converges");
+        (report, recorder.counter("txn.encode_bytes"))
+    };
+    let (batched, batched_bytes) = run(true);
+    let (per_goal, per_goal_bytes) = run(false);
+    assert_eq!(batched.transactions, 1, "the fresh pass is one batch");
+    assert_eq!(per_goal.transactions, 64, "a batch of one per goal");
+    assert!(
+        batched.nm_sent * 4 <= per_goal.nm_sent,
+        "batched reconcile must send <= 25% of the per-goal messages: {} vs {}",
+        batched.nm_sent,
+        per_goal.nm_sent
+    );
+    assert!(batched_bytes > 0, "the batch's wire bytes are counted");
+    assert!(
+        per_goal_bytes > 0,
+        "per-goal transactions are counted on the wire like any batch"
+    );
 }
 
 /// Where the middle router breaks a transaction in the crash-equivalence

@@ -21,6 +21,7 @@ use conman::diagnose::AutonomicClient;
 use conman::modules::{managed_fanout_chain, managed_mesh_fanout, ManagedChain, ManagedMesh};
 use conman::netsim::fault::{apply_fault, FaultKind, Misconfiguration};
 use conman::netsim::route::RouteTableId;
+use conman_bench::control_loop::mesh_limits;
 use mgmt_channel::OutOfBandChannel;
 
 type Chain = ManagedChain<OutOfBandChannel>;
@@ -45,16 +46,6 @@ fn looped_chain(n: usize, goals: usize) -> (Chain, ControlLoop<OutOfBandChannel>
         ids.push(id);
     }
     (t, cl, ids)
-}
-
-/// Path-finder limits for a multipath core of `k` stages (k + 2 ISP
-/// routers on the longest row path, alternatives worth an enumeration
-/// budget beyond the chain's).
-fn mesh_limits(k: usize) -> PathFinderLimits {
-    PathFinderLimits {
-        max_steps: 3 * (k + 2) + 16,
-        max_paths: 64,
-    }
 }
 
 /// A discovered 2×k mesh with `goals` goals submitted and tracked by a

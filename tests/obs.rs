@@ -136,7 +136,7 @@ fn flow_push_reports_populate_the_history_store() {
 }
 
 /// A disabled recorder journals nothing and snapshots empty — the no-op
-/// hot path the overhead row in `BENCH_obs.json` measures.
+/// hot path.
 #[test]
 fn disabled_recorder_stays_empty_through_a_full_run() {
     let mut t: Chain = managed_fanout_chain(3, 1);
