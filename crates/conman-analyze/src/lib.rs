@@ -43,12 +43,3 @@ pub use violation::{Severity, Violation};
 pub fn has_fatal(violations: &[Violation]) -> bool {
     violations.iter().any(|v| v.severity() == Severity::Fatal)
 }
-
-/// The fatal subset of `violations`, cloned in order.
-pub fn fatal_only(violations: &[Violation]) -> Vec<Violation> {
-    violations
-        .iter()
-        .filter(|v| v.severity() == Severity::Fatal)
-        .cloned()
-        .collect()
-}

@@ -1,15 +1,17 @@
 //! The closed-loop diagnosis experiment: configure a VPN on an `n`-router
-//! chain, inject a fault on the deterministic clock, detect it from the
-//! periodic telemetry loop, localise it with the `Diagnoser`, repair it with
-//! the `Healer`, and report time-to-detect / time-to-repair in simulated
-//! time (the wall-clock cost of localisation is `diagnose.localise_us` in
+//! chain over a forced primary technology, inject a fault on the
+//! deterministic clock, and let the `ControlLoop` detect it (health round),
+//! localise it (`AutonomicClient`) and repair it (`reconcile_with`);
+//! reports time-to-detect / time-to-repair in simulated time (the
+//! wall-clock cost of localisation is `diagnose.localise_us` in
 //! `benchmark/`).
 
-use conman_core::nm::PathFinderLimits;
-use conman_diagnose::{Diagnoser, FaultReport, HealOutcome, Healer, TelemetryCollector};
+use conman_core::nm::{GoalStatus, PathFinderLimits};
+use conman_core::runtime::{ControlLoop, GoalEndpoints, LoopConfig, LoopDiagnosis};
+use conman_diagnose::AutonomicClient;
 use conman_modules::managed_chain;
 use netsim::clock::SimDuration;
-use netsim::fault::{FaultInjector, FaultKind, FaultPlan, Misconfiguration};
+use netsim::fault::{apply_fault, FaultKind, Misconfiguration};
 
 /// Which fault the closed loop injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,37 +52,40 @@ pub struct ClosedLoopReport {
     pub scenario: DiagnosisScenario,
     /// Technology of the primary (pre-fault) path.
     pub primary_label: String,
-    /// Simulated time from fault injection to failed probe.
+    /// Simulated time from fault injection to the tick boundary whose
+    /// health round degraded the goal.
     pub detect_sim: SimDuration,
-    /// Simulated time from detection to verified repair (0 if unrepaired).
+    /// Simulated time from that boundary to the end of the tick whose
+    /// repair pass verified (0 if unrepaired).
     pub repair_sim: SimDuration,
-    /// The diagnosis verdict.
-    pub report: FaultReport,
-    /// The healing outcome.
-    pub heal: HealOutcome,
-    /// Telemetry rounds taken before detection.
-    pub telemetry_rounds: usize,
+    /// The loop client's verdict on the detecting tick.
+    pub diagnosis: LoopDiagnosis,
+    /// Repair passes the loop ran until the goal settled.
+    pub repair_passes: u64,
+    /// Technology of the verified replacement path (`None` when the goal
+    /// parked `Failed`).
+    pub replacement_label: Option<String>,
 }
 
 impl ClosedLoopReport {
+    /// Did the loop end with the goal `Active` on a verified path?
+    pub fn healed(&self) -> bool {
+        self.replacement_label.is_some()
+    }
+
     /// One-line rendering for the experiments binary.
     pub fn render(&self) -> String {
-        let suspect = self
-            .report
-            .prime_suspect()
-            .map(|s| format!("{:?} ({}%)", s.target, s.confidence_pct))
-            .unwrap_or_else(|| "none".to_string());
         format!(
-            "n={:<3} {:<26} primary={:<16} detect={} ({} rounds)  repair={}  healed={} via {:<18} suspect={}",
+            "n={:<3} {:<26} primary={:<16} detect={}  repair={} ({} pass(es))  healed={} via {:<18} suspect={}",
             self.n,
             self.scenario.name(),
             self.primary_label,
             self.detect_sim,
-            self.telemetry_rounds,
             self.repair_sim,
-            self.heal.healed(),
-            self.heal.replacement_label.as_deref().unwrap_or("-"),
-            suspect,
+            self.repair_passes,
+            self.healed(),
+            self.replacement_label.as_deref().unwrap_or("-"),
+            self.diagnosis.summary,
         )
     }
 }
@@ -95,12 +100,16 @@ pub fn chain_limits(n: usize) -> PathFinderLimits {
     }
 }
 
-/// Run the closed loop once and measure it.
+/// Run the closed loop once and measure it: force the scenario's primary
+/// path the operator way (`submit` + `plan_for_path` + `execute_plan`),
+/// hand the goal to a [`ControlLoop`] with the [`AutonomicClient`], inject
+/// the fault half a tick in, and let the loop detect, diagnose and repair.
 pub fn closed_loop_run(n: usize, scenario: DiagnosisScenario) -> ClosedLoopReport {
     let mut t = managed_chain(n);
     t.discover();
     let goal = t.vpn_goal();
     let limits = chain_limits(n);
+    t.mn.goals.limits = limits;
 
     // Primary path: for the GRE scenario force GRE-IP (only enumerable on
     // short chains); otherwise take the NM's choice among the bounded
@@ -125,11 +134,22 @@ pub fn closed_loop_run(n: usize, scenario: DiagnosisScenario) -> ClosedLoopRepor
         }
     };
     let primary_label = path.technology_label();
-    t.mn.execute_path(&path, &goal);
+    let id = t.mn.submit(goal);
+    let plan = t.mn.plan_for_path(id, &path).expect("primary path plans");
+    t.mn.execute_plan(plan).expect("primary path commits");
     assert!(t.probe(), "primary path must carry traffic");
 
-    // Fault plan on the deterministic clock, due shortly after "now".
-    let fault_at = t.mn.net.now() + SimDuration::from_millis(50);
+    let mut cl = ControlLoop::new(&t.mn, LoopConfig::default())
+        .with_client(Box::new(AutonomicClient::default()));
+    cl.track(
+        id,
+        GoalEndpoints {
+            src: t.host1,
+            dst: t.host2,
+            dst_ip: "10.0.2.5".parse().expect("site-2 host address"),
+        },
+    );
+
     let kind = match scenario {
         DiagnosisScenario::MidRouterRoutingLoss => {
             FaultKind::Misconfigure(Misconfiguration::FlushPolicyRouting { device: t.core[1] })
@@ -144,49 +164,52 @@ pub fn closed_loop_run(n: usize, scenario: DiagnosisScenario) -> ClosedLoopRepor
             FaultKind::LinkCut(t.core_link(0).expect("first core link"))
         }
     };
-    let mut injector = FaultInjector::new(FaultPlan::new().at(fault_at, kind));
+    t.mn.net.run_for(SimDuration::from_millis(50));
+    let fault_at = t.mn.net.now();
+    apply_fault(&mut t.mn.net, kind);
 
-    // Detection loop: periodic telemetry sampling plus one watchdog probe
-    // per round.
-    let period = SimDuration::from_millis(100);
-    let mut collector = TelemetryCollector::new(path.devices(), period);
-    collector.sample(&mut t.mn); // baseline round
-    let mut probe = t.probe_fn();
-    let mut rounds = 0usize;
-    let detect_sim;
-    loop {
-        t.mn.net.run_for(period);
-        injector.apply_due(&mut t.mn.net);
-        collector.tick(&mut t.mn);
-        rounds += 1;
-        if !probe(&mut t.mn) {
-            detect_sim = t.mn.net.now().duration_since(fault_at);
-            break;
-        }
-        assert!(rounds < 1000, "fault was never detected");
+    // The next health round degrades the goal; the same tick diagnoses it
+    // and runs the first repair pass.  Keep ticking until the goal settles
+    // (`Active`, or `Failed` once the repair-attempt budget is spent).
+    let detected = cl.tick(&mut t.mn);
+    assert!(
+        detected.degraded.contains(&id),
+        "the first health round after the fault must degrade the goal"
+    );
+    let diagnosis = detected
+        .diagnosed
+        .first()
+        .expect("the loop client diagnosed the degraded goal")
+        .1
+        .clone();
+    let mut repair_passes = 1;
+    while t.mn.goals.status(id).is_some_and(|s| s.needs_work()) {
+        cl.tick(&mut t.mn);
+        repair_passes += 1;
     }
-    let detected_at = t.mn.net.now();
-
-    // Localise and repair.
-    let diagnoser = Diagnoser::default();
-    let report = diagnoser.diagnose(&mut t.mn, &path, &mut probe);
-    let healer = Healer::with_limits(limits);
-    let heal = healer.heal(&mut t.mn, &goal, &path, &report, &mut probe);
-    let repair_sim = if heal.healed() {
-        t.mn.net.now().duration_since(detected_at)
-    } else {
-        SimDuration::ZERO
-    };
+    let repaired_at = t.mn.net.now();
+    let replacement_label =
+        t.mn.goals
+            .get(id)
+            .filter(|r| r.status == GoalStatus::Active)
+            .and_then(|r| r.applied())
+            .map(|a| a.path.technology_label());
+    let healed = replacement_label.is_some();
+    assert!(!healed || t.probe(), "a healed goal must carry traffic");
 
     ClosedLoopReport {
         n,
         scenario,
         primary_label,
-        detect_sim,
-        repair_sim,
-        report,
-        heal,
-        telemetry_rounds: collector.rounds.len(),
+        detect_sim: detected.at.duration_since(fault_at),
+        repair_sim: if healed {
+            repaired_at.duration_since(detected.at)
+        } else {
+            SimDuration::ZERO
+        },
+        diagnosis,
+        repair_passes,
+        replacement_label,
     }
 }
 
@@ -199,11 +222,11 @@ mod tests {
     #[test]
     fn closed_loop_heals_routing_loss_on_a_short_chain() {
         let r = closed_loop_run(4, DiagnosisScenario::MidRouterRoutingLoss);
-        assert!(!r.report.healthy);
-        assert!(r.heal.healed(), "{:#?}", r.heal);
+        assert!(r.healed(), "{r:#?}");
+        assert!(r.diagnosis.blamed.is_some());
         assert!(r.detect_sim > SimDuration::ZERO);
         assert!(r.repair_sim > SimDuration::ZERO);
-        assert!(r.telemetry_rounds >= 2);
+        assert_eq!(r.repair_passes, 1);
     }
 
     /// The link-cut scenario localises precisely and reports honest
@@ -211,8 +234,12 @@ mod tests {
     #[test]
     fn closed_loop_localises_the_unrepairable_cut() {
         let r = closed_loop_run(3, DiagnosisScenario::CoreLinkCut);
-        assert!(!r.report.healthy);
-        assert!(!r.heal.healed());
-        assert!(r.report.prime_suspect().is_some());
+        assert!(!r.healed());
+        assert!(r.diagnosis.blamed_link.is_some(), "{r:#?}");
+        assert_eq!(
+            r.repair_passes,
+            u64::from(conman_core::nm::GoalStore::DEFAULT_MAX_REPAIR_ATTEMPTS),
+            "reinstall-through burns the whole repair budget"
+        );
     }
 }

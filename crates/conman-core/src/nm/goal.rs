@@ -489,12 +489,6 @@ impl GoalStore {
         base
     }
 
-    /// Ensure the allocator is past `end` (used when adopting externally
-    /// executed configuration numbered from pipe 0).
-    pub fn reserve_pipes_through(&mut self, end: u32) {
-        self.next_pipe = self.next_pipe.max(end);
-    }
-
     /// Roll the allocator back to `watermark` if it currently sits above
     /// it.  The batched reconcile pass allocates one block per planned goal
     /// up front and then releases the tail blocks of goals whose execution
@@ -620,7 +614,7 @@ mod tests {
         assert_eq!(store.take_pipe_block(10), 0);
         assert_eq!(store.peek_pipe_base(), 10);
         assert_eq!(store.take_pipe_block(5), 10);
-        store.reserve_pipes_through(100);
+        assert_eq!(store.take_pipe_block(85), 15);
         assert_eq!(store.take_pipe_block(1), 100);
     }
 
@@ -628,11 +622,11 @@ mod tests {
     fn pipe_space_exhaustion_is_a_clean_plan_error() {
         let mut store = GoalStore::new();
         // A 512-goal pass on a long chain stays far below the cap...
-        store.reserve_pipes_through(512 * 32);
+        store.take_pipe_block(512 * 32);
         assert!(store.check_pipe_block(32).is_ok());
         // ...but near the derived-id cap the allocator refuses cleanly
         // instead of letting route-table / priority ids wrap.
-        store.reserve_pipes_through(GoalStore::MAX_PIPE_ID - 5);
+        store.take_pipe_block(GoalStore::MAX_PIPE_ID - 5 - store.peek_pipe_base());
         assert!(store.check_pipe_block(5).is_ok());
         match store.check_pipe_block(13) {
             Err(PlanError::PipeSpaceExhausted { needed, remaining }) => {

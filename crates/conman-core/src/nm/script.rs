@@ -51,11 +51,6 @@ impl ScriptSet {
         out
     }
 
-    /// The script for a specific device, if it participates in the path.
-    pub fn for_device(&self, device: DeviceId) -> Option<&DeviceScript> {
-        self.scripts.iter().find(|s| s.device == device)
-    }
-
     /// Total number of primitives across devices.
     pub fn primitive_count(&self) -> usize {
         self.scripts.iter().map(|s| s.primitives.len()).sum()

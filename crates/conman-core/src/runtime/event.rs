@@ -3,15 +3,15 @@
 //! Everything that can make the autonomic control loop act is an
 //! [`NmEvent`] on one deterministic queue: telemetry rounds falling due on
 //! the simulated clock, push-mode counter reports from device agents,
-//! module notifications, and operator intent changes (submit / update /
-//! withdraw).  The loop drains the queue once per tick, in arrival order —
-//! there is no other control path, which is what makes a run replayable
-//! tick for tick.
+//! module notifications, and operator intent changes (submit / withdraw).
+//! The loop drains the queue once per tick, in arrival order — there is no
+//! other control path, which is what makes a run replayable tick for tick.
 
 use crate::nm::{ConnectivityGoal, GoalId};
 use crate::primitives::Notification;
 use netsim::clock::SimTime;
 use netsim::device::DeviceId;
+use netsim::network::Network;
 use netsim::stats::FlowCounters;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -29,6 +29,29 @@ pub struct GoalEndpoints {
     pub dst: DeviceId,
     /// Destination address the probes are sent to.
     pub dst_ip: Ipv4Addr,
+}
+
+/// Event budget for driving one probe (and its encapsulation chain) to
+/// quiescence.
+const PROBE_EVENT_BUDGET: u64 = 100_000;
+
+impl GoalEndpoints {
+    /// One end-to-end probe: `src` sends a UDP datagram carrying `payload`
+    /// to `dst_ip`, the network runs to quiescence, and the verdict is
+    /// whether `dst` received that payload.  Drains `dst`'s delivered
+    /// buffer, so repeated probing never grows it; callers that attribute
+    /// the traffic to a goal open the flow window around the call.
+    pub fn probe(&self, net: &mut Network, payload: &[u8]) -> bool {
+        if net
+            .send_udp(self.src, self.dst_ip, 40000, 7000, payload)
+            .is_err()
+        {
+            return false;
+        }
+        net.run_to_quiescence(PROBE_EVENT_BUDGET);
+        net.device_mut(self.dst)
+            .is_ok_and(|d| d.take_delivered().iter().any(|p| p.payload == payload))
+    }
 }
 
 /// One event on the NM's unified stream.
@@ -57,16 +80,9 @@ pub enum NmEvent {
     /// reconcile, with per-goal probing if endpoints are known).
     Submit {
         /// The desired connectivity.
-        goal: ConnectivityGoal,
+        goal: Box<ConnectivityGoal>,
         /// Probe endpoints, when the operator can name them.
         endpoints: Option<GoalEndpoints>,
-    },
-    /// Operator intent: replace a goal's desired state.
-    Update {
-        /// The goal to update.
-        id: GoalId,
-        /// The new desired connectivity.
-        goal: ConnectivityGoal,
     },
     /// Operator intent: withdraw a goal.  Withdrawals in one tick coalesce
     /// into a single batched teardown, and a withdrawal always wins over an

@@ -1,7 +1,7 @@
 //! The autonomic control loop: an event-driven NM runtime.
 //!
 //! Everything before this module was *call-driven*: an operator invoked
-//! `reconcile()` / the Healer, and the network converged exactly once.  The
+//! `reconcile()`, and the network converged exactly once.  The
 //! [`ControlLoop`] closes the loop the way CONMan's management plane is
 //! meant to run — push-style, continuously, with no operator in the path:
 //!
@@ -11,7 +11,7 @@
 //!    [`TelemetrySchedule`] converts due rounds into events.
 //! 2. **Events** — the loop drains one unified [`NmEvent`] stream:
 //!    telemetry ticks, push-mode counter deltas from subscribed agents,
-//!    module notifications, operator submissions / updates / withdrawals.
+//!    module notifications, operator submissions / withdrawals.
 //!    Withdrawals coalesce into a single batched teardown and always win
 //!    over an in-flight repair.
 //! 3. **Health** — every `Active` goal with known endpoints gets a short
@@ -22,8 +22,8 @@
 //!    configured threshold — *not* when device totals move, so one goal's
 //!    fault never degrades its healthy neighbours.
 //! 4. **Diagnose** — degraded goals are handed to the pluggable
-//!    [`LoopClient`] (the `conman-diagnose` Diagnoser/Healer pair in the
-//!    full system), which localises the fault from per-goal flow deltas
+//!    [`LoopClient`] (`conman-diagnose`'s `AutonomicClient` in the full
+//!    system), which localises the fault from per-goal flow deltas
 //!    under the other goals' live background traffic and reports the
 //!    modules the re-plan must avoid.
 //! 5. **Repair** — one **batched** `reconcile_with` pass re-plans and
@@ -48,10 +48,6 @@ use netsim::device::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
-
-/// Event budget for driving one probe (and its encapsulation chain) to
-/// quiescence; matches the testbeds' probe helpers.
-const PROBE_EVENT_BUDGET: u64 = 100_000;
 
 /// Tuning knobs of a [`ControlLoop`].
 #[derive(Debug, Clone, Copy)]
@@ -191,29 +187,6 @@ impl LoopReport {
             .map(|t| t.tick)
     }
 
-    /// The first tick (1-based ordinal) whose health phase degraded *this*
-    /// goal — its per-goal ticks-to-detect, relative to the run.
-    pub fn detection_tick(&self, id: GoalId) -> Option<u64> {
-        self.ticks
-            .iter()
-            .find(|t| t.degraded.contains(&id))
-            .map(|t| t.tick)
-    }
-
-    /// The first tick whose repair pass left *this* goal `Active` — its
-    /// per-goal ticks-to-repair, relative to the run.
-    pub fn repair_tick(&self, id: GoalId) -> Option<u64> {
-        self.ticks
-            .iter()
-            .find(|t| {
-                t.repair.as_ref().is_some_and(|r| {
-                    r.outcome(id)
-                        .is_some_and(|o| o.status == GoalStatus::Active)
-                })
-            })
-            .map(|t| t.tick)
-    }
-
     /// Link-level frames delivered across the whole run (sum of the ticks'
     /// frame budgets).
     pub fn frames(&self) -> u64 {
@@ -291,14 +264,12 @@ impl<C: ManagementChannel> ControlLoop<C> {
         self.epoch
     }
 
-    /// Queue a raw event.
-    pub fn enqueue(&mut self, event: NmEvent) {
-        self.events.push(event);
-    }
-
     /// Operator intent: declare a goal (applied on the next tick).
     pub fn submit(&mut self, goal: crate::nm::ConnectivityGoal, endpoints: Option<GoalEndpoints>) {
-        self.events.push(NmEvent::Submit { goal, endpoints });
+        self.events.push(NmEvent::Submit {
+            goal: Box::new(goal),
+            endpoints,
+        });
     }
 
     /// Operator intent: withdraw a goal (processed on the next tick, before
@@ -365,16 +336,13 @@ impl<C: ManagementChannel> ControlLoop<C> {
                 NmEvent::CounterDelta { .. } => report.counter_deltas += 1,
                 NmEvent::AgentNotification(_) => report.notifications += 1,
                 NmEvent::Submit { goal, endpoints } => {
-                    let id = mn.submit(goal);
+                    let id = mn.submit(*goal);
                     if let Some(ep) = endpoints {
                         self.endpoints.insert(id, ep);
                     }
                     mn.recorder
                         .event(now.as_nanos(), TraceKind::Submit { goal: id.0 });
                     report.submitted.push(id);
-                }
-                NmEvent::Update { id, goal } => {
-                    mn.update_goal(id, goal);
                 }
                 NmEvent::Withdraw(id) => withdraws.push(id),
             }
@@ -457,14 +425,10 @@ impl<C: ManagementChannel> ControlLoop<C> {
             self.probe_seq += 1;
             let payload = format!("loop-{}-{}", id.0, self.probe_seq).into_bytes();
             mn.net.begin_flow_window(id.0);
-            let _ = mn.net.send_udp(ep.src, ep.dst_ip, 40000, 7000, &payload);
-            mn.net.run_to_quiescence(PROBE_EVENT_BUDGET);
+            // The verdict comes from the counters, not the probe's own
+            // payload match.
+            ep.probe(&mut mn.net, &payload);
             mn.net.end_flow_window();
-        }
-        // Keep the sink host's delivered-packet buffer from growing without
-        // bound across a long run; the verdict comes from the counters.
-        if let Ok(d) = mn.net.device_mut(ep.dst) {
-            let _ = d.take_delivered();
         }
         let after = mn.net.flow_counters(ep.dst, id.0).local_delivered;
         (sent, after.saturating_sub(before))
@@ -582,16 +546,7 @@ impl<C: ManagementChannel> ControlLoop<C> {
             let ep = endpoints.get(&id)?;
             seq += 1;
             let payload = format!("verify-{}-{seq}", id.0).into_bytes();
-            mn.net
-                .send_udp(ep.src, ep.dst_ip, 40000, 7000, &payload)
-                .ok()?;
-            mn.net.run_to_quiescence(PROBE_EVENT_BUDGET);
-            let delivered = mn
-                .net
-                .device_mut(ep.dst)
-                .map(|d| d.take_delivered().iter().any(|p| p.payload == payload))
-                .unwrap_or(false);
-            Some(delivered)
+            Some(ep.probe(&mut mn.net, &payload))
         });
         self.probe_seq = seq;
         mn.recorder.inc("repair.passes", 1);

@@ -57,7 +57,9 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     next_request: u64,
     /// Notifications received by the NM.
     pub notifications: Vec<Notification>,
-    /// Script results received by the NM: (device, per-primitive results).
+    /// Script replies received by the NM and not yet taken by the call that
+    /// asked for them: (device, per-primitive results).  Empty between
+    /// calls — every requester drains what arrived on its behalf.
     pub script_results: Vec<(DeviceId, Vec<Result<PrimitiveResult, String>>)>,
     /// Counter reports received by the NM and not yet consumed:
     /// (device, request, snapshots).  Drained by [`Self::poll_counters`].
@@ -229,19 +231,35 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.run_management();
     }
 
+    /// Send one `Script` per `(device, primitives)` pair, pump the management
+    /// plane until quiescent and hand the replies that arrived to the
+    /// caller.  Every script requester goes through here, so
+    /// [`Self::script_results`] is empty again when the call returns.
+    fn run_scripts(
+        &mut self,
+        scripts: impl IntoIterator<Item = (DeviceId, Vec<Primitive>)>,
+    ) -> Vec<(DeviceId, Vec<Result<PrimitiveResult, String>>)> {
+        let mark = self.script_results.len();
+        for (device, primitives) in scripts {
+            self.next_request += 1;
+            let msg = WireMessage::Script {
+                request: self.next_request,
+                primitives,
+            };
+            self.send(self.nm_host, device, &msg);
+        }
+        self.run_management();
+        self.script_results.split_off(mark)
+    }
+
     /// The NM invokes `showPotential` at every managed device and records the
     /// returned module abstractions.
     pub fn discover(&mut self) {
         let ids: Vec<DeviceId> = self.agents.keys().copied().collect();
-        for id in ids {
-            self.next_request += 1;
-            let msg = WireMessage::Script {
-                request: self.next_request,
-                primitives: vec![Primitive::ShowPotential],
-            };
-            self.send(self.nm_host, id, &msg);
-        }
-        self.run_management();
+        self.run_scripts(
+            ids.into_iter()
+                .map(|id| (id, vec![Primitive::ShowPotential])),
+        );
     }
 
     /// The NM invokes `showActual` at one device and returns the per-module
@@ -250,23 +268,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         &mut self,
         device: DeviceId,
     ) -> Option<BTreeMap<String, crate::primitives::ModuleActual>> {
-        self.next_request += 1;
-        let req = self.next_request;
-        let msg = WireMessage::Script {
-            request: req,
-            primitives: vec![Primitive::ShowActual],
-        };
-        self.send(self.nm_host, device, &msg);
-        self.run_management();
-        self.script_results
-            .iter()
-            .rev()
-            .find(|(d, _)| *d == device)
-            .and_then(|(_, results)| {
-                results.iter().find_map(|r| match r {
-                    Ok(PrimitiveResult::Actual(map)) => Some(map.clone()),
-                    _ => None,
-                })
+        self.run_scripts([(device, vec![Primitive::ShowActual])])
+            .into_iter()
+            .filter(|(d, _)| *d == device)
+            .flat_map(|(_, results)| results)
+            .find_map(|r| match r {
+                Ok(PrimitiveResult::Actual(map)) => Some(map),
+                _ => None,
             })
     }
 
@@ -368,13 +376,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// management plane until quiescent.  Its only caller is the in-batch
     /// rollback, which sends a failed goal's teardown mirror this way.
     pub(crate) fn run_script(&mut self, device: DeviceId, primitives: Vec<Primitive>) {
-        self.next_request += 1;
-        let msg = WireMessage::Script {
-            request: self.next_request,
-            primitives,
-        };
-        self.send(self.nm_host, device, &msg);
-        self.run_management();
+        self.run_scripts([(device, primitives)]);
     }
 
     /// Execute a specific path fire-and-forget: one `Script` per device, no
@@ -386,15 +388,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// preference.
     pub fn execute_path(&mut self, path: &ModulePath, goal: &ConnectivityGoal) -> ScriptSet {
         let scripts = self.nm.generate_scripts(path, goal);
-        for ds in &scripts.scripts {
-            self.next_request += 1;
-            let msg = WireMessage::Script {
-                request: self.next_request,
-                primitives: ds.primitives.clone(),
-            };
-            self.send(self.nm_host, ds.device, &msg);
-        }
-        self.run_management();
+        self.run_scripts(
+            scripts
+                .scripts
+                .iter()
+                .map(|ds| (ds.device, ds.primitives.clone())),
+        );
         scripts
     }
 
@@ -694,6 +693,64 @@ mod tests {
         assert_eq!(c.sent_by_category[&MessageCategory::Command], 1);
         assert_eq!(c.sent_by_category[&MessageCategory::ConveyMessage], 2);
         assert_eq!(c.received_by_category[&MessageCategory::ConveyMessage], 2);
+    }
+
+    /// Regression: every script reply used to pile up in `script_results`
+    /// for the lifetime of the network.  Each requester — discovery,
+    /// `show_actual`, the in-batch rollback — now takes what arrived on its
+    /// behalf, so the buffer is as long after the calls as before them.
+    #[test]
+    fn script_replies_do_not_outlive_the_call_that_asked_for_them() {
+        use crate::nm::script::DeviceScript;
+        use crate::nm::GoalId;
+        use crate::primitives::FilterSpec;
+
+        let mut net = Network::new();
+        let d1 = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
+        let d2 = net.add_device(Device::new("RouterB", DeviceRole::Router, 1));
+        let m1 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1);
+        let m2 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d2);
+        let mut a1 = ManagementAgent::new(d1, "RouterA");
+        a1.register(Box::new(Chatty { me: m1.clone() }));
+        let mut a2 = ManagementAgent::new(d2, "RouterB");
+        a2.register(Box::new(Chatty { me: m2 }));
+        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
+        mn.add_agent(a1);
+        mn.add_agent(a2);
+        mn.announce_all();
+        let before = mn.script_results.len();
+
+        for _ in 0..3 {
+            mn.discover();
+        }
+        assert!(
+            mn.show_actual(d2).is_some(),
+            "the caller still gets its reply"
+        );
+
+        // A filter stages cleanly (the module exists) but `Chatty` cannot
+        // filter, so the commit fails on the only device and the batch
+        // rolls the goal back with an ad-hoc teardown script.
+        let filter = Primitive::CreateFilter(FilterSpec {
+            module: m1.clone(),
+            from: m1.clone(),
+            to: m1,
+            resolved: Default::default(),
+        });
+        let scripts = ScriptSet {
+            scripts: vec![DeviceScript {
+                device: d1,
+                device_alias: "A".into(),
+                primitives: vec![filter],
+                rendered: vec![],
+            }],
+            pipe_count: 0,
+        };
+        let batch = mn.run_batch(&[(GoalId(1), &scripts)]);
+        let error = batch.error_for(GoalId(1)).expect("the commit must fail");
+        assert!(error.contains("commit failed"), "{error}");
+
+        assert_eq!(mn.script_results.len(), before);
     }
 
     /// A module that answers every envelope with another one, so a pair of

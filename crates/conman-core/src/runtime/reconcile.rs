@@ -7,9 +7,14 @@
 //! dry-run [`Plan`]s in disjoint pipe-id blocks), then executing them all
 //! as **one batched two-phase transaction** (each device staged once and
 //! committed once per pass, per-goal atomicity preserved inside the
-//! batch), and optionally verifying with per-goal probes.  It is what the
-//! self-healing layer drives: heal = mark the goal `Degraded` with the
-//! diagnosed suspects excluded, reconcile.
+//! batch), and optionally verifying with per-goal probes.  It is also the
+//! system's **only repair engine**: a heal — an operator's or the control
+//! loop's — is `goals.mark_degraded(id, suspects)` followed by
+//! [`ManagedNetwork::reconcile_with`].  Candidate ranking
+//! (`NetworkManager::choose_path`), the reinstall-through fallback when
+//! nothing avoids the suspects, verification, exclusion ageing, the
+//! best-effort restore and the repair-attempt budget are decided here and
+//! nowhere else.
 //!
 //! [`ManagedNetwork::reconcile_per_goal`] drives the same transaction
 //! runner one goal at a time (a batch of one per goal).  It stays as the
@@ -38,7 +43,6 @@ use crate::nm::{
 };
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
-use netsim::device::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -214,39 +218,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.goals.update(id, goal)
     }
 
-    /// Adopt configuration that was executed outside the store (the
-    /// fire-and-forget `execute_path` flow): register `goal` as `Active` with
-    /// `path` as its applied plan, so withdraw/heal can manage it.  If an
-    /// identical desired goal is already stored, its id is returned instead
-    /// of creating a duplicate.
-    pub fn adopt_goal(&mut self, goal: &ConnectivityGoal, path: &ModulePath) -> GoalId {
-        let existing = self.goals.iter().find(|r| r.desired == *goal).map(|r| r.id);
-        // A store-managed record that already tracks applied configuration
-        // wins over the caller's view.
-        if let Some(id) = existing {
-            if self.goals.get(id).is_some_and(|r| r.applied().is_some()) {
-                return id;
-            }
-        }
-        let scripts = self.nm.generate_scripts(path, goal);
-        let id = existing.unwrap_or_else(|| self.goals.submit(goal.clone()));
-        // Legacy executions are numbered from pipe 0; keep future blocks
-        // clear of them.
-        self.goals.reserve_pipes_through(script::slot_count(path));
-        self.goals.set_applied(
-            id,
-            Some(AppliedPlan {
-                path: path.clone(),
-                scripts,
-                pipe_base: 0,
-            }),
-        );
-        if let Some(rec) = self.goals.get_mut(id) {
-            rec.status = GoalStatus::Active;
-        }
-        id
-    }
-
     /// Dry-run planning: choose the best path for the goal (avoiding its
     /// excluded modules) and generate — but do not send — its scripts.
     pub fn plan_goal(&self, id: GoalId) -> Result<Plan, PlanError> {
@@ -290,8 +261,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
     }
 
-    /// Dry-run planning for an explicit path (used by the self-healing
-    /// layer, which ranks its own candidate list).
+    /// Dry-run planning for an explicit path — how an operator forces a
+    /// technology (`submit` + `plan_for_path` + [`Self::execute_plan`])
+    /// instead of taking the NM's choice.
     ///
     /// The scripts are numbered from the store's next free pipe block; the
     /// block is only consumed when the plan is executed.  Fails cleanly
@@ -366,23 +338,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             rec.last_error = None;
         }
         Ok(())
-    }
-
-    /// Tear down a goal's applied configuration with a lenient transaction
-    /// (devices in `skip` or not answering are passed over).  The goal stays
-    /// stored, back in `Pending`.  Returns the number of delete primitives
-    /// committed.
-    pub fn teardown_goal(&mut self, id: GoalId, skip: &[DeviceId]) -> usize {
-        let Some(applied) = self.goals.take_applied(id) else {
-            return 0;
-        };
-        if let Some(rec) = self.goals.get_mut(id) {
-            if rec.status == GoalStatus::Active {
-                rec.status = GoalStatus::Pending;
-            }
-        }
-        self.run_teardown_batch(&[(id, applied.scripts.teardown())], skip)
-            .primitives
     }
 
     /// Withdraw a goal: tear its configuration down (sharing-aware — the
@@ -909,11 +864,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         if let Some(rec) = self.goals.get_mut(id) {
             rec.status = GoalStatus::Repairing;
         }
-        let previous = self.goals.get(id).and_then(|r| r.applied().cloned());
-        if had_applied {
-            // A replacement exists: tear the stale configuration down
-            // before applying it.
-            self.teardown_goal(id, &[]);
+        // A replacement exists: tear the stale configuration down before
+        // applying it.
+        let previous = self.goals.take_applied(id);
+        if let Some(prev) = &previous {
+            self.run_teardown_batch(&[(id, prev.scripts.teardown())], &[]);
             *transactions += 1;
         }
         let executed = self.execute_plan(plan);

@@ -35,27 +35,6 @@ impl AutonomicClient {
     }
 }
 
-/// One end-to-end datagram between a goal's endpoints; reports delivery by
-/// checking the sink host's receive buffer.
-fn probe_once<C: ManagementChannel>(
-    mn: &mut ManagedNetwork<C>,
-    ep: GoalEndpoints,
-    payload: Vec<u8>,
-) -> bool {
-    if mn
-        .net
-        .send_udp(ep.src, ep.dst_ip, 40000, 7000, &payload)
-        .is_err()
-    {
-        return false;
-    }
-    mn.net.run_to_quiescence(100_000);
-    mn.net
-        .device_mut(ep.dst)
-        .map(|d| d.take_delivered().iter().any(|p| p.payload == payload))
-        .unwrap_or(false)
-}
-
 impl<C: ManagementChannel> LoopClient<C> for AutonomicClient {
     fn localise(
         &mut self,
@@ -79,7 +58,7 @@ impl<C: ManagementChannel> LoopClient<C> for AutonomicClient {
         let mut seq = 0u64;
         let mut probe = |mn: &mut ManagedNetwork<C>| {
             seq += 1;
-            probe_once(mn, endpoints, format!("diag-{}-{seq}", goal.0).into_bytes())
+            endpoints.probe(&mut mn.net, format!("diag-{}-{seq}", goal.0).as_bytes())
         };
         // Between the diagnosed goal's probes, every other live goal pushes
         // one datagram inside its *own* flow window: the measurement window
@@ -91,7 +70,7 @@ impl<C: ManagementChannel> LoopClient<C> for AutonomicClient {
             for (g, ep) in &others {
                 bg_seq += 1;
                 mn.net.begin_flow_window(g.0);
-                let _ = probe_once(mn, *ep, format!("bg-{}-{bg_seq}", g.0).into_bytes());
+                ep.probe(&mut mn.net, format!("bg-{}-{bg_seq}", g.0).as_bytes());
                 mn.net.end_flow_window();
             }
         };

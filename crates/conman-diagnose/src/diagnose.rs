@@ -14,7 +14,6 @@
 //! drop deltas stay attributable even under load).
 
 use crate::report::{FaultReport, Suspect, SuspectTarget};
-use crate::telemetry::TelemetryRound;
 use conman_core::abstraction::CounterSnapshot;
 use conman_core::ids::ModuleRef;
 use conman_core::nm::ModulePath;
@@ -117,10 +116,7 @@ impl Diagnoser {
         let tag = self.flow_tag.unwrap_or(0);
         let devices = path.devices();
         let flows_before = mn.poll_flows(&devices, &[tag]);
-        let mods_before = TelemetryRound {
-            at: mn.net.now(),
-            snapshots: mn.poll_counters(&devices),
-        };
+        let mods_before = mn.poll_counters(&devices);
         let mut delivered = 0u32;
         for _ in 0..probes {
             // The goal's own probe runs inside its window; the background
@@ -134,10 +130,7 @@ impl Diagnoser {
             background(mn);
         }
         let flows_after = mn.poll_flows(&devices, &[tag]);
-        let mods_after = TelemetryRound {
-            at: mn.net.now(),
-            snapshots: mn.poll_counters(&devices),
-        };
+        let mods_after = mn.poll_counters(&devices);
         if delivered == probes {
             return FaultReport::healthy(probes);
         }
@@ -165,8 +158,8 @@ impl Diagnoser {
         tag: u64,
         flows_before: &BTreeMap<DeviceId, BTreeMap<u64, FlowCounters>>,
         flows_after: &BTreeMap<DeviceId, BTreeMap<u64, FlowCounters>>,
-        mods_before: &TelemetryRound,
-        mods_after: &TelemetryRound,
+        mods_before: &BTreeMap<DeviceId, Vec<CounterSnapshot>>,
+        mods_after: &BTreeMap<DeviceId, Vec<CounterSnapshot>>,
         delivered: u32,
     ) -> FaultReport {
         let mut suspects = Vec::new();
@@ -326,17 +319,20 @@ impl Diagnoser {
 }
 
 /// Counter deltas (`after - before`) for every module present in *both*
-/// rounds.  A module that missed the baseline poll contributes no delta at
+/// polls.  A module that missed the baseline poll contributes no delta at
 /// all — treating its lifetime counters as a probe-window delta would
 /// manufacture spurious suspects out of historical drops.
 fn module_deltas(
-    before: &TelemetryRound,
-    after: &TelemetryRound,
+    before: &BTreeMap<DeviceId, Vec<CounterSnapshot>>,
+    after: &BTreeMap<DeviceId, Vec<CounterSnapshot>>,
 ) -> BTreeMap<ModuleRef, CounterSnapshot> {
     let mut out = BTreeMap::new();
-    for snapshots in after.snapshots.values() {
+    for (device, snapshots) in after {
+        let Some(baseline) = before.get(device) else {
+            continue;
+        };
         for snap in snapshots {
-            if let Some(earlier) = before.module(&snap.module) {
+            if let Some(earlier) = baseline.iter().find(|s| s.module == snap.module) {
                 out.insert(snap.module.clone(), snap.delta_since(earlier));
             }
         }

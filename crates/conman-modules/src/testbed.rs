@@ -11,7 +11,7 @@ use crate::builder::{
 };
 use conman_core::ids::ModuleKind;
 use conman_core::nm::ConnectivityGoal;
-use conman_core::runtime::ManagedNetwork;
+use conman_core::runtime::{GoalEndpoints, ManagedNetwork};
 use mgmt_channel::{ManagementChannel, OutOfBandChannel};
 use netsim::device::{Device, DeviceId, DeviceRole, PortId};
 use netsim::link::LinkProperties;
@@ -183,24 +183,6 @@ fn fanout_classes(mut goal: ConnectivityGoal, k: usize) -> ConnectivityGoal {
     goal
 }
 
-/// One end-to-end datagram between a fan-out host pair; reports delivery.
-fn probe_host_pair<C: ManagementChannel>(
-    mn: &mut ManagedNetwork<C>,
-    src: DeviceId,
-    dst: DeviceId,
-    dst_ip: std::net::Ipv4Addr,
-    payload: Vec<u8>,
-) -> bool {
-    mn.net
-        .send_udp(src, dst_ip, 40000, 7000, &payload)
-        .expect("fan-out host exists");
-    mn.net.run_to_quiescence(100_000);
-    mn.net
-        .device_mut(dst)
-        .map(|d| d.take_delivered().iter().any(|p| p.payload == payload))
-        .unwrap_or(false)
-}
-
 impl<C: ManagementChannel> ManagedChain<C> {
     /// Run the announce + discovery phase.
     pub fn discover(&mut self) {
@@ -258,8 +240,8 @@ impl<C: ManagementChannel> ManagedChain<C> {
     pub fn probe_pair(&mut self, k: usize) -> bool {
         let (src, dst, dst_ip) = self.fanout_probe(k);
         self.probe_seq += 1;
-        let payload = format!("fan{k}-probe-{}", self.probe_seq).into_bytes();
-        probe_host_pair(&mut self.mn, src, dst, dst_ip, payload)
+        let payload = format!("fan{k}-probe-{}", self.probe_seq);
+        GoalEndpoints { src, dst, dst_ip }.probe(&mut self.mn.net, payload.as_bytes())
     }
 
     /// Send a customer datagram from site 1 to site 2 and report whether it
@@ -275,7 +257,7 @@ impl<C: ManagementChannel> ManagedChain<C> {
 
     /// One end-to-end diagnosis probe (site 1 → site 2) with a distinct
     /// payload; returns whether it was delivered.  This is the probe closure
-    /// the `conman-diagnose` Diagnoser/Healer drive.
+    /// the `conman-diagnose` Diagnoser drives.
     pub fn probe(&mut self) -> bool {
         self.probe_seq += 1;
         let payload = format!("diag-probe-{}", self.probe_seq).into_bytes();
@@ -286,24 +268,16 @@ impl<C: ManagementChannel> ManagedChain<C> {
     /// host 10.0.3.5 → 10.0.4.5.  Panics unless built with
     /// [`managed_dual_chain`].
     pub fn probe2(&mut self) -> bool {
-        let (host3, host4) = self.second_pair.expect("dual chain");
+        let (src, dst) = self.second_pair.expect("dual chain");
         self.probe_seq += 1;
-        let payload = format!("diag2-probe-{}", self.probe_seq).into_bytes();
-        self.mn
-            .net
-            .send_udp(host3, "10.0.4.5".parse().unwrap(), 40000, 7000, &payload)
-            .expect("second-pair host exists");
-        self.mn.net.run_to_quiescence(100_000);
-        self.mn
-            .net
-            .device_mut(host4)
-            .map(|d| d.take_delivered().iter().any(|p| p.payload == payload))
-            .unwrap_or(false)
+        let payload = format!("diag2-probe-{}", self.probe_seq);
+        let dst_ip = "10.0.4.5".parse().unwrap();
+        GoalEndpoints { src, dst, dst_ip }.probe(&mut self.mn.net, payload.as_bytes())
     }
 
     /// A self-contained probe closure for the diagnosis layer: captures the
     /// site hosts by id (not the testbed), so it can be handed to
-    /// `Diagnoser::diagnose` / `Healer::heal` alongside `&mut self.mn`.
+    /// `Diagnoser::diagnose` / `reconcile_with` alongside `&mut self.mn`.
     pub fn probe_fn(&self) -> impl FnMut(&mut ManagedNetwork<C>) -> bool {
         Self::probe_between(self.host1, self.host2, "10.0.2.5")
     }
@@ -319,19 +293,12 @@ impl<C: ManagementChannel> ManagedChain<C> {
         dst: DeviceId,
         dst_ip: &str,
     ) -> impl FnMut(&mut ManagedNetwork<C>) -> bool {
-        let dst_ip: std::net::Ipv4Addr = dst_ip.parse().unwrap();
+        let dst_ip = dst_ip.parse().unwrap();
+        let endpoints = GoalEndpoints { src, dst, dst_ip };
         let mut seq = 0u64;
         move |mn: &mut ManagedNetwork<C>| {
             seq += 1;
-            let payload = format!("diag-fn-{src}-{seq}").into_bytes();
-            mn.net
-                .send_udp(src, dst_ip, 40000, 7000, &payload)
-                .expect("site host exists");
-            mn.net.run_to_quiescence(100_000);
-            mn.net
-                .device_mut(dst)
-                .map(|d| d.take_delivered().iter().any(|p| p.payload == payload))
-                .unwrap_or(false)
+            endpoints.probe(&mut mn.net, format!("diag-fn-{src}-{seq}").as_bytes())
         }
     }
 
@@ -350,25 +317,17 @@ impl<C: ManagementChannel> ManagedChain<C> {
     }
 
     fn send_between(&mut self, from: DeviceId, dst: &str, payload: &[u8]) -> (bool, Vec<String>) {
-        let dst_host = if dst == "10.0.2.5" {
-            self.host2
-        } else {
-            self.host1
+        let endpoints = GoalEndpoints {
+            src: from,
+            dst: if dst == "10.0.2.5" {
+                self.host2
+            } else {
+                self.host1
+            },
+            dst_ip: dst.parse().unwrap(),
         };
         self.mn.net.clear_trace();
-        self.mn
-            .net
-            .send_udp(from, dst.parse().unwrap(), 40000, 7000, payload)
-            .expect("hosts exist");
-        self.mn.net.run_to_quiescence(100_000);
-        let delivered = self
-            .mn
-            .net
-            .device_mut(dst_host)
-            .unwrap()
-            .take_delivered()
-            .iter()
-            .any(|d| d.payload == payload);
+        let delivered = endpoints.probe(&mut self.mn.net, payload);
         let ingress = self.core[0];
         let paths = self.mn.net.protocol_paths_from(ingress);
         (delivered, paths)
@@ -376,7 +335,7 @@ impl<C: ManagementChannel> ManagedChain<C> {
 }
 
 /// A managed version of the multipath mesh / ring testbeds
-/// ([`netsim::topology::isp_mesh_fanout`] / [`isp_ring_fanout`]): the first
+/// ([`topology::isp_mesh_fanout`] / [`topology::isp_ring_fanout`]): the first
 /// topology family on which link-suspect-aware planning has a genuine
 /// alternative to reroute onto when diagnosis blames a core link.
 pub struct ManagedMesh<C: ManagementChannel> {
@@ -521,8 +480,8 @@ impl<C: ManagementChannel> ManagedMesh<C> {
     pub fn probe_pair(&mut self, k: usize) -> bool {
         let (src, dst, dst_ip) = self.fanout_probe(k);
         self.probe_seq += 1;
-        let payload = format!("mesh{k}-probe-{}", self.probe_seq).into_bytes();
-        probe_host_pair(&mut self.mn, src, dst, dst_ip, payload)
+        let payload = format!("mesh{k}-probe-{}", self.probe_seq);
+        GoalEndpoints { src, dst, dst_ip }.probe(&mut self.mn.net, payload.as_bytes())
     }
 
     /// All ISP routers (edges + core rows / ring), in the topology's order.

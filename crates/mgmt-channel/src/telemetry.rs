@@ -1,15 +1,12 @@
-//! Periodic counter-snapshot scheduling.
+//! Periodic telemetry scheduling.
 //!
-//! The diagnosis layer samples per-module pipe counters at a fixed period of
-//! *simulated* time.  [`TelemetrySchedule`] tracks when the next sample is
-//! due against the deterministic simulation clock, so telemetry collection —
-//! like everything else in the reproduction — replays identically from run
-//! to run, over either channel variant.
-//!
-//! Beyond the original pull-style `due_rounds` count, the schedule now acts
-//! as an **event source** for the autonomic control loop: [`take_due`]
-//! returns the due instants themselves, which the loop turns into telemetry
-//! events on its unified event stream instead of polling a counter.
+//! The autonomic control loop runs its health rounds at a fixed period of
+//! *simulated* time.  [`TelemetrySchedule`] tracks when the next round is
+//! due against the deterministic simulation clock, so the loop — like
+//! everything else in the reproduction — replays identically from run to
+//! run, over either channel variant.  It is an **event source**:
+//! [`take_due`] returns the due instants themselves, which the loop turns
+//! into telemetry events on its unified event stream.
 //!
 //! [`take_due`]: TelemetrySchedule::take_due
 
@@ -43,18 +40,10 @@ impl TelemetrySchedule {
         self.next
     }
 
-    /// How many rounds are due at time `now`, advancing the schedule past
-    /// them.  Callers typically collect one snapshot per due round (or one
-    /// snapshot total, treating a backlog as a missed-round gap).
-    pub fn due_rounds(&mut self, now: SimTime) -> u32 {
-        self.take_due(now).len() as u32
-    }
-
-    /// The due instants at time `now`, advancing the schedule past them —
-    /// the event-source form of [`Self::due_rounds`]: each returned instant
-    /// becomes one telemetry event on the control loop's event stream, so a
-    /// backlog after a long quiet stretch is visible as distinct (time
-    /// stamped) events rather than a bare count.
+    /// The due instants at time `now`, advancing the schedule past them:
+    /// each returned instant becomes one telemetry event on the control
+    /// loop's event stream, so a backlog after a long quiet stretch is
+    /// visible as distinct (time stamped) events rather than a bare count.
     pub fn take_due(&mut self, now: SimTime) -> Vec<SimTime> {
         let mut due = Vec::new();
         while self.next <= now {
@@ -81,11 +70,11 @@ mod tests {
         let mut s = TelemetrySchedule::new(SimDuration::from_millis(100));
         assert_eq!(s.period(), SimDuration::from_millis(100));
         // First round is due at t = 0.
-        assert_eq!(s.due_rounds(SimTime::ZERO), 1);
-        assert_eq!(s.due_rounds(SimTime::from_millis(50)), 0);
-        assert_eq!(s.due_rounds(SimTime::from_millis(100)), 1);
+        assert_eq!(s.take_due(SimTime::ZERO).len(), 1);
+        assert_eq!(s.take_due(SimTime::from_millis(50)).len(), 0);
+        assert_eq!(s.take_due(SimTime::from_millis(100)).len(), 1);
         // A long gap yields the backlog.
-        assert_eq!(s.due_rounds(SimTime::from_millis(450)), 3);
+        assert_eq!(s.take_due(SimTime::from_millis(450)).len(), 3);
         assert_eq!(s.next_due(), SimTime::from_millis(500));
     }
 

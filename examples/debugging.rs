@@ -1,12 +1,14 @@
 //! Debugging with CONMan (§III-C.2), now as a closed loop: configure the
 //! VPN, inject a fault, let the `Diagnoser` localise it from per-module
-//! counter deltas along the configured path, and let the `Healer`
-//! reconfigure an alternative path and verify the repair end to end.
+//! counter deltas along the configured path, then heal the way the control
+//! loop does — mark the goal degraded with the suspects excluded and let
+//! `reconcile_with` re-plan, execute and verify the repair end to end.
 //!
 //! ```text
 //! cargo run --example debugging
 //! ```
 
+use conman::core::nm::GoalStatus;
 use conman::diagnose::{Diagnoser, Healer};
 use conman::modules::managed_chain;
 use conman::netsim::fault::{apply_fault, FaultKind, Misconfiguration};
@@ -21,7 +23,11 @@ fn main() {
         .find(|p| p.technology_label() == "GRE-IP")
         .expect("GRE path exists")
         .clone();
-    testbed.mn.execute_path(&gre, &goal);
+    // Force the GRE variant (the NM would pick MPLS): store the goal, plan
+    // it over the chosen path, execute the plan as a transaction.
+    let id = testbed.mn.submit(goal);
+    let plan = testbed.mn.plan_for_path(id, &gre).expect("GRE path plans");
+    testbed.mn.execute_plan(plan).expect("GRE plan commits");
     println!(
         "configured: {} across {} routers",
         gre.technology_label(),
@@ -68,17 +74,27 @@ fn main() {
         "the egress GRE module should be blamed"
     );
 
-    // Self-healing: tear the GRE path down, re-plan with the suspect
-    // excluded, execute the alternative and verify it with probes.
-    let outcome = Healer::default().heal(&mut testbed.mn, &goal, &gre, &report, &mut probe);
+    // Self-healing: mark the goal degraded with the suspects excluded; the
+    // reconciler tears the GRE path down, re-plans around the suspect,
+    // executes the alternative and verifies it with the probe.
+    let excluded = Healer::exclusions(&testbed.mn, &report);
     println!(
-        "\nself-healing: {} candidate path(s); replacement = {}; {} delete primitive(s) issued",
-        outcome.candidates,
-        outcome.replacement_label.as_deref().unwrap_or("none"),
-        outcome.teardown_primitives,
+        "\nself-healing: re-planning around {} exclusion(s)",
+        excluded.len()
     );
-    assert!(
-        outcome.healed(),
+    testbed.mn.goals.mark_degraded(id, excluded);
+    let pass = testbed.mn.reconcile_with(|mn, _| Some(probe(mn)));
+    let outcome = pass.outcome(id).expect("the goal was reconciled");
+    let replacement = testbed.mn.goals.get(id).and_then(|r| r.applied());
+    println!(
+        "  {:?} in {} transaction(s); replacement = {}",
+        outcome.action,
+        pass.transactions,
+        replacement.map_or("none".into(), |a| a.path.technology_label()),
+    );
+    assert_eq!(
+        outcome.status,
+        GoalStatus::Active,
         "the NM must route around the corrupted module"
     );
 

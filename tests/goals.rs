@@ -734,12 +734,12 @@ fn pipe_space_exhaustion_fails_the_goal_cleanly() {
     let id = t.mn.submit(t.vpn_goal());
     // A 512-goal pass worth of blocks stays far below the cap...
     let per_goal_slots = 32u32;
-    t.mn.goals.reserve_pipes_through(512 * per_goal_slots);
+    t.mn.goals.take_pipe_block(512 * per_goal_slots);
     assert!(t.mn.goals.check_pipe_block(per_goal_slots).is_ok());
     // ...but a store near the derived-id cap refuses to plan: the goal
     // parks Failed with a clean error instead of wrapping route-table ids.
-    t.mn.goals
-        .reserve_pipes_through(conman::core::GoalStore::MAX_PIPE_ID - 2);
+    let to_cap = conman::core::GoalStore::MAX_PIPE_ID - 2 - t.mn.goals.peek_pipe_base();
+    t.mn.goals.take_pipe_block(to_cap);
     let err = t.mn.plan_goal(id).expect_err("planning must refuse");
     assert!(
         matches!(err, PlanError::PipeSpaceExhausted { .. }),

@@ -412,44 +412,26 @@ fn mesh_blamed_link_is_diagnosed_under_background_traffic() {
             .and_then(|r| r.applied())
             .map(|a| a.path.clone())
             .expect("applied path");
-    let endpoints: Vec<(
-        GoalId,
-        (conman::netsim::device::DeviceId, std::net::Ipv4Addr),
-    )> = ids
+    let endpoints: Vec<(GoalId, GoalEndpoints)> = ids
         .iter()
         .enumerate()
         .map(|(k, &id)| {
-            let (src, _, dst_ip) = t.fanout_probe(k);
-            (id, (src, dst_ip))
+            let (src, dst, dst_ip) = t.fanout_probe(k);
+            (id, GoalEndpoints { src, dst, dst_ip })
         })
         .collect();
-    let (probe_src, probe_dst, probe_ip) = t.fanout_probe(0);
+    let probed = endpoints[0].1;
     let mut seq = 0u64;
     let mut probe = |mn: &mut ManagedNetwork<OutOfBandChannel>| {
         seq += 1;
-        let payload = format!("mesh-diag-{seq}").into_bytes();
-        mn.net
-            .send_udp(probe_src, probe_ip, 40000, 7000, &payload)
-            .unwrap();
-        mn.net.run_to_quiescence(100_000);
-        mn.net
-            .device_mut(probe_dst)
-            .map(|d| d.take_delivered().iter().any(|p| p.payload == payload))
-            .unwrap_or(false)
+        probed.probe(&mut mn.net, format!("mesh-diag-{seq}").as_bytes())
     };
     let mut bg_seq = 0u64;
     let mut background = |mn: &mut ManagedNetwork<OutOfBandChannel>| {
-        for (g, (src, dst_ip)) in endpoints.iter().skip(1) {
+        for (g, ep) in endpoints.iter().skip(1) {
             bg_seq += 1;
             mn.net.begin_flow_window(g.0);
-            let _ = mn.net.send_udp(
-                *src,
-                *dst_ip,
-                40000,
-                7000,
-                format!("bg-{}-{bg_seq}", g.0).into_bytes().as_slice(),
-            );
-            mn.net.run_to_quiescence(100_000);
+            ep.probe(&mut mn.net, format!("bg-{}-{bg_seq}", g.0).as_bytes());
             mn.net.end_flow_window();
         }
     };

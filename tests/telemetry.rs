@@ -1,11 +1,8 @@
 //! Satellite coverage: `mgmt_channel::counters::CounterBoard` accounting
-//! (category breakdown, reset, zero-default `get`), `FaultPlan` determinism
-//! (same seed ⇒ identical fault timeline), and the periodic telemetry
-//! collector end to end.
+//! (category breakdown, reset, zero-default `get`) and `FaultPlan`
+//! determinism (same seed ⇒ identical fault timeline).
 
-use conman::diagnose::TelemetryCollector;
 use conman::mgmt_channel::{CounterBoard, MessageCategory};
-use conman::modules::managed_chain;
 use conman::netsim::clock::{SimDuration, SimTime};
 use conman::netsim::device::DeviceId;
 use conman::netsim::fault::{FaultKind, FaultPlan};
@@ -83,42 +80,4 @@ fn fault_plans_are_deterministic_functions_of_the_seed() {
         .filter(|e| matches!(e.kind, FaultKind::LinkCut(_)))
         .count();
     assert_eq!(cuts, 16);
-}
-
-#[test]
-fn periodic_collection_gathers_rounds_on_the_simulated_clock() {
-    let mut t = managed_chain(3);
-    t.discover();
-    let goal = t.vpn_goal();
-    let paths = t.mn.nm.find_paths(&goal);
-    let path = t.mn.nm.choose_path(&paths).unwrap().clone();
-    t.mn.execute_path(&path, &goal);
-
-    let period = SimDuration::from_millis(100);
-    let mut collector = TelemetryCollector::new(path.devices(), period).with_max_rounds(4);
-    assert!(collector.tick(&mut t.mn), "round 0 is due immediately");
-    assert!(
-        !collector.tick(&mut t.mn),
-        "not due again until the period passes"
-    );
-    for _ in 0..6 {
-        t.mn.net.run_for(period);
-        assert!(collector.tick(&mut t.mn));
-    }
-    assert_eq!(collector.rounds.len(), 4, "history is bounded");
-    let latest = collector.latest().unwrap();
-    let previous = collector.previous().unwrap();
-    assert!(
-        latest.at > previous.at,
-        "rounds advance with the simulated clock"
-    );
-    // Every managed device on the path answered with one snapshot per module.
-    for d in collector.devices() {
-        let snaps = &latest.snapshots[d];
-        assert!(!snaps.is_empty());
-    }
-    // Telemetry is accounted in its own category, leaving Table VI's
-    // configuration counts untouched.
-    let c = t.mn.nm_counters();
-    assert!(c.sent_by_category[&MessageCategory::Telemetry] > 0);
 }
