@@ -40,7 +40,7 @@
 use super::event::{EventQueue, GoalEndpoints, NmEvent};
 use super::reconcile::ReconcileReport;
 use super::ManagedNetwork;
-use crate::nm::goal::{Exclusion, GoalId, GoalStatus};
+use crate::nm::goal::{Exclusion, GoalId, GoalRecord, GoalStatus};
 use conman_obs::TraceKind;
 use mgmt_channel::{ManagementChannel, TelemetrySchedule};
 use netsim::clock::{SimDuration, SimTime, StepClock};
@@ -434,19 +434,24 @@ impl<C: ManagementChannel> ControlLoop<C> {
         (sent, after.saturating_sub(before))
     }
 
+    /// The stored goals `keep` selects that have probe endpoints, in id
+    /// order: one walk of the store.
+    fn tracked(
+        &self,
+        mn: &ManagedNetwork<C>,
+        keep: impl Fn(&GoalRecord) -> bool,
+    ) -> Vec<(GoalId, GoalEndpoints)> {
+        mn.goals
+            .iter()
+            .filter(|r| keep(r))
+            .filter_map(|r| Some((r.id, *self.endpoints.get(&r.id)?)))
+            .collect()
+    }
+
     /// Health: probe every `Active` goal with known endpoints; degrade the
     /// ones whose attributed delivery ratio fell below threshold.
     fn health_phase(&mut self, mn: &mut ManagedNetwork<C>, report: &mut TickReport) {
-        let active: Vec<GoalId> = mn
-            .goals
-            .ids()
-            .into_iter()
-            .filter(|id| mn.goals.status(*id) == Some(GoalStatus::Active))
-            .collect();
-        for id in active {
-            let Some(ep) = self.endpoints.get(&id).copied() else {
-                continue;
-            };
+        for (id, ep) in self.tracked(mn, |r| r.status == GoalStatus::Active) {
             let (sent, delivered) = self.burst(mn, id, ep);
             let healthy = delivered * 100 >= u64::from(self.config.degraded_below_pct) * sent;
             mn.recorder.event(
@@ -475,28 +480,18 @@ impl<C: ManagementChannel> ControlLoop<C> {
     /// the loop client, with the other live goals as background traffic;
     /// record the exclusions its re-plan must respect.
     fn diagnose_phase(&mut self, mn: &mut ManagedNetwork<C>, report: &mut TickReport) {
+        let work = self.tracked(mn, |r| r.status.needs_work() && r.applied().is_some());
+        if work.is_empty() {
+            return;
+        }
         let Some(mut client) = self.client.take() else {
             return;
         };
-        let work: Vec<GoalId> = mn
-            .goals
-            .ids()
-            .into_iter()
-            .filter(|id| mn.goals.status(*id).is_some_and(|s| s.needs_work()))
-            .collect();
-        for id in work {
-            if mn.goals.get(id).and_then(|r| r.applied()).is_none() {
-                continue;
-            }
-            let Some(ep) = self.endpoints.get(&id).copied() else {
-                continue;
-            };
-            let background: Vec<(GoalId, GoalEndpoints)> = self
-                .endpoints
-                .iter()
-                .filter(|(g, _)| **g != id && mn.goals.status(**g) == Some(GoalStatus::Active))
-                .map(|(g, e)| (*g, *e))
-                .collect();
+        // One list for the whole phase: a goal being diagnosed needs work, so
+        // it is never among the `Active` ones, and diagnosing leaves every
+        // other goal's status alone.
+        let background = self.tracked(mn, |r| r.status == GoalStatus::Active);
+        for (id, ep) in work {
             mn.recorder.enter(
                 mn.net.now().as_nanos(),
                 TraceKind::DiagnoseStart { goal: id.0 },

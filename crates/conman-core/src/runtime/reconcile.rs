@@ -397,6 +397,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         for (i, &id) in ids.iter().enumerate() {
             if outcomes[i].removed {
                 outcomes[i].removed = self.goals.remove(id).is_some();
+                // The goal's id was its flow tag; nothing will ask for its
+                // per-device counters again.
+                self.net.forget_flow(id.0);
             }
         }
         outcomes

@@ -11,7 +11,7 @@ use crate::mpls::MplsTables;
 use crate::route::Rib;
 use crate::vlan::VlanId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// Configuration of one GRE (or IP-IP) tunnel endpoint, mirroring the
@@ -186,8 +186,13 @@ impl FilterRule {
 pub struct DeviceConfig {
     /// Is IPv4 forwarding enabled (`echo 1 > /proc/sys/net/ipv4/ip_forward`)?
     pub ip_forwarding: bool,
-    /// IPv4 addresses assigned per port.
-    pub port_addresses: BTreeMap<u32, Vec<Ipv4Cidr>>,
+    /// IPv4 addresses assigned per port.  Private so that
+    /// [`Self::add_port_address`] is the only writer and
+    /// `port_address_set` cannot fall behind.
+    port_addresses: BTreeMap<u32, Vec<Ipv4Cidr>>,
+    /// Every address in `port_addresses`: a fan-out edge router holds one
+    /// per customer port and asks "is this mine?" for every packet.
+    port_address_set: BTreeSet<Ipv4Addr>,
     /// Routing information base (tables + policy rules).
     pub rib: Rib,
     /// Configured tunnels keyed by tunnel id.
@@ -214,6 +219,7 @@ impl DeviceConfig {
     /// Assign an address to a port.
     pub fn add_port_address(&mut self, port: u32, addr: Ipv4Cidr) {
         self.port_addresses.entry(port).or_default().push(addr);
+        self.port_address_set.insert(addr.addr);
     }
 
     /// Assign an address to a port and install the corresponding connected
@@ -226,25 +232,20 @@ impl DeviceConfig {
         });
     }
 
-    /// All addresses assigned to the device (ports and tunnels).
-    pub fn local_addresses(&self) -> Vec<Ipv4Addr> {
-        let mut out: Vec<Ipv4Addr> = self
-            .port_addresses
-            .values()
-            .flatten()
-            .map(|c| c.addr)
-            .collect();
-        out.extend(
-            self.tunnels
-                .values()
-                .filter_map(|t| t.address.map(|c| c.addr)),
-        );
-        out
+    /// All addresses assigned to the device (ports first, then tunnels).
+    pub fn local_addresses(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
+        let ports = self.port_addresses.values().flatten();
+        let tunnels = self.tunnels.values().filter_map(|t| t.address.as_ref());
+        ports.chain(tunnels).map(|c| c.addr)
     }
 
     /// Is `addr` one of this device's local addresses?
     pub fn is_local_address(&self, addr: Ipv4Addr) -> bool {
-        self.local_addresses().contains(&addr)
+        self.port_address_set.contains(&addr)
+            || self
+                .tunnels
+                .values()
+                .any(|t| t.address.is_some_and(|c| c.addr == addr))
     }
 
     /// The port (and its prefix) whose subnet contains `addr`, if any.

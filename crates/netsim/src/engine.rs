@@ -123,8 +123,7 @@ impl Device {
         }
         self.config
             .local_addresses()
-            .first()
-            .copied()
+            .next()
             .unwrap_or(Ipv4Addr::UNSPECIFIED)
     }
 
@@ -303,55 +302,55 @@ impl Device {
                 return;
             }
         };
-        let Some(tunnel) = self
+        let Some((id, icsum, iseq)) = self
             .config
             .tunnel_for_incoming(outer.src, outer.dst, gre.key, TunnelMode::Gre)
-            .cloned()
+            .map(|t| (t.id, t.icsum, t.iseq))
         else {
             self.stats.record_drop(DropReason::TunnelMismatch);
             return;
         };
-        if tunnel.icsum && !gre.checksum_present {
+        if icsum && !gre.checksum_present {
             self.stats.record_drop(DropReason::TunnelMismatch);
-            self.stats.tunnel(tunnel.id).drop_packet();
+            self.stats.tunnel(id).drop_packet();
             return;
         }
-        if tunnel.iseq {
+        if iseq {
             let Some(seq) = gre.sequence else {
                 self.stats.record_drop(DropReason::TunnelMismatch);
-                self.stats.tunnel(tunnel.id).drop_packet();
+                self.stats.tunnel(id).drop_packet();
                 return;
             };
-            let last = self.gre_rx_seq.entry(tunnel.id).or_insert(0);
+            let last = self.gre_rx_seq.entry(id).or_insert(0);
             if seq <= *last && *last != 0 {
                 // Out-of-order packet on an in-order tunnel: dropped, which is
                 // exactly the delay/jitter vs ordering trade-off Table III
                 // advertises.
                 self.stats.record_drop(DropReason::TunnelMismatch);
-                self.stats.tunnel(tunnel.id).drop_packet();
+                self.stats.tunnel(id).drop_packet();
                 return;
             }
             *last = seq;
         }
-        self.stats.tunnel(tunnel.id).rx(inner.len());
+        self.stats.tunnel(id).rx(inner.len());
         if gre.protocol != GRE_PROTO_IPV4 {
             self.stats.record_drop(DropReason::Malformed);
             return;
         }
-        self.ip_input(IncomingIf::Tunnel(tunnel.id), &inner, out);
+        self.ip_input(IncomingIf::Tunnel(id), &inner, out);
     }
 
     fn ipip_decap(&mut self, outer: Ipv4Header, payload: &[u8], out: &mut EngineOutput) {
-        let Some(tunnel) = self
+        let Some(id) = self
             .config
             .tunnel_for_incoming(outer.src, outer.dst, None, TunnelMode::IpIp)
-            .cloned()
+            .map(|t| t.id)
         else {
             self.stats.record_drop(DropReason::TunnelMismatch);
             return;
         };
-        self.stats.tunnel(tunnel.id).rx(payload.len());
-        self.ip_input(IncomingIf::Tunnel(tunnel.id), payload, out);
+        self.stats.tunnel(id).rx(payload.len());
+        self.ip_input(IncomingIf::Tunnel(id), payload, out);
     }
 
     /// Route and transmit an IPv4 packet (already TTL-adjusted).
@@ -414,7 +413,9 @@ impl Device {
         depth: u8,
         out: &mut EngineOutput,
     ) -> bool {
-        let Some(tunnel) = self.config.tunnels.get(&tunnel_id).cloned() else {
+        // This borrow of `self.config` lasts until the outer header is built;
+        // up to there only other fields (`gre_tx_seq`, `stats`) are written.
+        let Some(tunnel) = self.config.tunnels.get(&tunnel_id) else {
             self.stats.record_drop(DropReason::NoRoute);
             return false;
         };

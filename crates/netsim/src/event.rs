@@ -9,6 +9,7 @@ use crate::device::{DeviceId, PortId};
 use crate::link::LinkId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// An event scheduled for execution at a simulated time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,8 +22,9 @@ pub enum Event {
         port: PortId,
         /// Link the frame travelled over.
         link: LinkId,
-        /// Raw frame bytes (Ethernet frame).
-        frame: Vec<u8>,
+        /// Raw frame bytes (Ethernet frame), shared between the endpoints of
+        /// a broadcast segment and the packet trace.
+        frame: Arc<[u8]>,
     },
     /// A device timer fires (used for ARP retries, periodic self-tests, ...).
     Timer {

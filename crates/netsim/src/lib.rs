@@ -66,7 +66,7 @@ pub use link::{Link, LinkId, LinkProperties};
 pub use mac::MacAddr;
 pub use network::Network;
 pub use stats::{DeviceStats, DropReason, FlowCounters};
-pub use trace::{PacketSummary, TraceEntry};
+pub use trace::{PacketSummary, PacketTrace, TraceEntry};
 
 /// Errors produced while encoding or decoding wire formats.
 #[derive(Debug, Clone, PartialEq, Eq)]

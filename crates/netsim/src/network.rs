@@ -5,9 +5,11 @@ use crate::device::{Device, DeviceId, EngineOutput, PortId};
 use crate::ether::EthernetFrame;
 use crate::event::{Event, EventQueue};
 use crate::link::{Endpoint, Link, LinkId, LinkProperties};
-use crate::trace::{PacketSummary, TraceEntry};
+use crate::stats::{DeviceStats, FlowCounters};
+use crate::trace::{PacketTrace, TraceEntry};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Errors raised by network construction and operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,36 +44,35 @@ pub struct Network {
     names: BTreeMap<String, DeviceId>,
     links: Vec<Link>,
     queue: EventQueue,
-    trace: Vec<TraceEntry>,
+    trace: PacketTrace,
     /// Record a [`TraceEntry`] for every transmitted frame (on by default).
     pub trace_enabled: bool,
     frames_delivered: u64,
     frames_lost: u64,
     /// Monotonic counter feeding the deterministic per-link loss sampler.
     loss_sequence: u64,
-    /// Open flow-attribution window: the tag plus the per-device tallies at
-    /// the moment the window opened (see [`Network::begin_flow_window`]).
-    flow_window: Option<(u64, BTreeMap<DeviceId, FlowSample>)>,
+    /// Open flow-attribution window: the tag plus, for each device the
+    /// window's traffic has reached so far, its tallies just before the
+    /// first frame was handed to it (see [`Network::begin_flow_window`]).
+    flow_window: Option<(u64, BTreeMap<DeviceId, FlowCounters>)>,
 }
 
-/// Snapshot of the device tallies a flow window diffs against.
-#[derive(Debug, Clone, Copy, Default)]
-struct FlowSample {
-    originated: u64,
-    forwarded: u64,
-    local_delivered: u64,
-    drops: u64,
-}
-
-impl FlowSample {
-    fn of(stats: &crate::stats::DeviceStats) -> Self {
-        FlowSample {
-            originated: stats.originated,
-            forwarded: stats.forwarded,
-            local_delivered: stats.local_delivered,
-            drops: stats.total_drops(),
-        }
+/// The device-level tallies a flow window diffs, as one sample.
+fn tallies(stats: &DeviceStats) -> FlowCounters {
+    FlowCounters {
+        originated: stats.originated,
+        forwarded: stats.forwarded,
+        local_delivered: stats.local_delivered,
+        drops: stats.total_drops(),
     }
+}
+
+/// Deterministic loss decision: a splitmix64 hash of the per-network frame
+/// sequence and the link id, compared against the loss rate.
+fn sample_loss(sequence: &mut u64, link: LinkId, loss_ppm: u32) -> bool {
+    *sequence += 1;
+    let z = crate::clock::splitmix64(sequence.wrapping_add(u64::from(link.0) << 32));
+    (z % 1_000_000) < u64::from(loss_ppm)
 }
 
 impl Network {
@@ -271,6 +272,12 @@ impl Network {
     /// between now and the matching [`Self::end_flow_window`] is credited to
     /// `tag` in each device's [`stats.flows`](crate::stats::DeviceStats).
     ///
+    /// The window opens empty and costs nothing per device: a device's
+    /// tallies are sampled the first time the network hands it a frame
+    /// inside the window (an injection or an arrival), and closing diffs
+    /// only the devices so touched — the ones the traffic never reached have
+    /// nothing to credit.
+    ///
     /// The simulator is single-threaded and traffic bursts run to
     /// quiescence, so a window contains exactly the traffic injected inside
     /// it; the management layers use the owning goal id as the tag so probe
@@ -278,24 +285,19 @@ impl Network {
     /// window closes any window still open.
     pub fn begin_flow_window(&mut self, tag: u64) {
         self.end_flow_window();
-        let samples = self
-            .devices
-            .iter()
-            .map(|(id, d)| (*id, FlowSample::of(&d.stats)))
-            .collect();
-        self.flow_window = Some((tag, samples));
+        self.flow_window = Some((tag, BTreeMap::new()));
     }
 
     /// Close the open flow window (if any), crediting the per-device deltas
     /// to the window's tag.  Returns the tag that was closed.
     pub fn end_flow_window(&mut self) -> Option<u64> {
-        let (tag, samples) = self.flow_window.take()?;
-        for (id, before) in samples {
+        let (tag, touched) = self.flow_window.take()?;
+        for (id, before) in touched {
             let Some(device) = self.devices.get_mut(&id) else {
                 continue;
             };
-            let now = FlowSample::of(&device.stats);
-            let delta = crate::stats::FlowCounters {
+            let now = tallies(&device.stats);
+            let delta = FlowCounters {
                 originated: now.originated.saturating_sub(before.originated),
                 forwarded: now.forwarded.saturating_sub(before.forwarded),
                 local_delivered: now.local_delivered.saturating_sub(before.local_delivered),
@@ -308,9 +310,31 @@ impl Network {
         Some(tag)
     }
 
+    /// The device about to be handed a frame, its tallies sampled into the
+    /// open flow window first if this is the window's first contact with it.
+    fn touch(&mut self, id: DeviceId) -> Result<&mut Device, NetworkError> {
+        let device = self
+            .devices
+            .get_mut(&id)
+            .ok_or(NetworkError::UnknownDevice(id))?;
+        if let Some((_, touched)) = &mut self.flow_window {
+            touched.entry(id).or_insert_with(|| tallies(&device.stats));
+        }
+        Ok(device)
+    }
+
+    /// Drop every device's counters for flow `tag`.  The management layers
+    /// call this when the goal that owned the tag is withdrawn, so a
+    /// churning fleet's per-device flow maps stay as small as the live fleet.
+    pub fn forget_flow(&mut self, tag: u64) {
+        for device in self.devices.values_mut() {
+            device.stats.flows.remove(&tag);
+        }
+    }
+
     /// The counters attributed to `tag` on one device (zero counters when
     /// the flow never touched it).
-    pub fn flow_counters(&self, device: DeviceId, tag: u64) -> crate::stats::FlowCounters {
+    pub fn flow_counters(&self, device: DeviceId, tag: u64) -> FlowCounters {
         self.devices
             .get(&device)
             .map(|d| d.stats.flow(tag))
@@ -332,7 +356,7 @@ impl Network {
         payload: &[u8],
     ) -> Result<(), NetworkError> {
         let out = self
-            .device_mut(device)?
+            .touch(device)?
             .originate_udp(dst, src_port, dst_port, payload);
         self.dispatch(device, out);
         Ok(())
@@ -347,7 +371,7 @@ impl Network {
         sequence: u16,
     ) -> Result<(), NetworkError> {
         let out = self
-            .device_mut(device)?
+            .touch(device)?
             .originate_ping(dst, identifier, sequence);
         self.dispatch(device, out);
         Ok(())
@@ -360,7 +384,7 @@ impl Network {
         port: PortId,
         frame: &EthernetFrame,
     ) -> Result<(), NetworkError> {
-        let out = self.device_mut(device)?.originate_frame(port, frame);
+        let out = self.touch(device)?.originate_frame(port, frame);
         self.dispatch(device, out);
         Ok(())
     }
@@ -369,16 +393,11 @@ impl Network {
     /// link attached to its egress port and schedule arrival at the far end.
     pub fn dispatch(&mut self, from: DeviceId, output: EngineOutput) {
         let now = self.queue.now();
-        if !self.devices.get(&from).is_some_and(|d| d.up) {
+        let Some(device) = self.devices.get(&from).filter(|d| d.up) else {
             return; // crashed devices transmit nothing
-        }
+        };
         for (port, bytes) in output.transmissions {
-            let Some(link_id) = self
-                .devices
-                .get(&from)
-                .and_then(|d| d.port(port))
-                .and_then(|nic| nic.link)
-            else {
+            let Some(link_id) = device.port(port).and_then(|nic| nic.link) else {
                 continue;
             };
             let Some(link) = self.links.get(link_id.0 as usize) else {
@@ -388,21 +407,23 @@ impl Network {
                 continue;
             }
             let loss_ppm = link.properties.loss_ppm;
-            if loss_ppm > 0 && self.sample_loss(link_id, loss_ppm) {
+            if loss_ppm > 0 && sample_loss(&mut self.loss_sequence, link_id, loss_ppm) {
                 self.frames_lost += 1;
                 continue;
             }
-            let link = &self.links[link_id.0 as usize];
+            let arrival = now + link.transfer_time(bytes.len());
+            // One buffer per transmission, shared by the trace and by every
+            // endpoint the frame arrives at.
+            let frame: Arc<[u8]> = bytes.into();
             if self.trace_enabled {
-                self.trace.push(TraceEntry {
+                self.trace.record(TraceEntry {
                     time: now,
                     from_device: from,
                     from_port: port,
                     link: link_id,
-                    summary: PacketSummary::parse(&bytes),
+                    frame: Arc::clone(&frame),
                 });
             }
-            let arrival = now + link.transfer_time(bytes.len());
             let from_ep = Endpoint { device: from, port };
             for ep in link.other_endpoints(from_ep) {
                 self.queue.schedule(
@@ -411,7 +432,7 @@ impl Network {
                         device: ep.device,
                         port: ep.port,
                         link: link_id,
-                        frame: bytes.clone(),
+                        frame: Arc::clone(&frame),
                     },
                 );
             }
@@ -455,14 +476,6 @@ impl Network {
         self.run_until(deadline)
     }
 
-    /// Deterministic loss decision: a splitmix64 hash of the per-network
-    /// frame sequence and the link id, compared against the loss rate.
-    fn sample_loss(&mut self, link: LinkId, loss_ppm: u32) -> bool {
-        self.loss_sequence += 1;
-        let z = crate::clock::splitmix64(self.loss_sequence.wrapping_add(u64::from(link.0) << 32));
-        (z % 1_000_000) < u64::from(loss_ppm)
-    }
-
     fn handle_event(&mut self, event: Event) {
         match event {
             Event::FrameArrival {
@@ -472,7 +485,7 @@ impl Network {
                 ..
             } => {
                 self.frames_delivered += 1;
-                let Some(dev) = self.devices.get_mut(&device) else {
+                let Ok(dev) = self.touch(device) else {
                     return;
                 };
                 if !dev.up {
@@ -493,8 +506,11 @@ impl Network {
     // Trace access
     // ------------------------------------------------------------------
 
-    /// The packet trace collected so far.
-    pub fn trace(&self) -> &[TraceEntry] {
+    /// The packet trace: the most recent transmissions, raw (see
+    /// [`PacketTrace`]).  Its length saturates at
+    /// [`TRACE_CAPACITY`](crate::trace::TRACE_CAPACITY), so a network can run
+    /// for ever with tracing on.
+    pub fn trace(&self) -> &PacketTrace {
         &self.trace
     }
 
@@ -503,13 +519,13 @@ impl Network {
         self.trace.clear();
     }
 
-    /// Convenience: the protocol paths (e.g. `ETH/IP/GRE/IP/payload`) of all
-    /// frames transmitted by the named device.
+    /// Convenience: the protocol paths (e.g. `ETH/IP/GRE/IP/payload`) of the
+    /// traced frames the given device transmitted, parsed here on read.
     pub fn protocol_paths_from(&self, device: DeviceId) -> Vec<String> {
         self.trace
             .iter()
             .filter(|t| t.from_device == device)
-            .map(|t| t.summary.protocol_path())
+            .map(|t| t.summary().protocol_path())
             .collect()
     }
 }
@@ -553,6 +569,61 @@ mod tests {
         // ARP request + reply + data = at least 3 frames in the trace.
         assert!(net.trace().len() >= 3);
         assert!(net.now() > SimTime::ZERO);
+    }
+
+    /// The trace holds the most recent `TRACE_CAPACITY` transmissions: its
+    /// length saturates there and only `clear_trace` ever lowers it.
+    #[test]
+    fn trace_is_a_bounded_ring_of_the_latest_frames() {
+        use crate::trace::TRACE_CAPACITY;
+        let mut net = Network::new();
+        let mut h1 = Device::new("h1", DeviceRole::Host, 1);
+        h1.config.assign_address(0, cidr("10.0.0.1/24"));
+        let mut h2 = Device::new("h2", DeviceRole::Host, 1);
+        h2.config.assign_address(0, cidr("10.0.0.2/24"));
+        let h1 = net.add_device(h1);
+        let h2 = net.add_device(h2);
+        net.connect((h1, PortId(0)), (h2, PortId(0)), LinkProperties::lan())
+            .unwrap();
+
+        let mut last_len = 0;
+        for i in 0..TRACE_CAPACITY + 100 {
+            net.send_udp(h1, ip("10.0.0.2"), 1, 2, &[i as u8]).unwrap();
+            net.run_to_quiescence(1000);
+            let len = net.trace().len();
+            assert!(len >= last_len, "the trace never shrinks by itself");
+            assert!(len <= TRACE_CAPACITY);
+            last_len = len;
+        }
+        assert_eq!(net.trace().len(), TRACE_CAPACITY);
+        // Oldest first, and the newest entry is the last datagram sent.
+        let times: Vec<_> = net.trace().iter().map(|t| t.time).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        let newest = net.trace().iter().last().unwrap();
+        assert_eq!(newest.from_device, h1);
+        assert_eq!(
+            newest.frame.last(),
+            Some(&((TRACE_CAPACITY + 99) as u8)),
+            "the raw frame is kept"
+        );
+        assert!(newest.summary().protocol_path().starts_with("ETH/IP("));
+        assert_eq!(
+            net.protocol_paths_from(h2).len(),
+            0,
+            "h2's ARP reply aged out"
+        );
+
+        net.clear_trace();
+        assert!(net.trace().is_empty());
+        net.send_udp(h1, ip("10.0.0.2"), 1, 2, b"x").unwrap();
+        net.run_to_quiescence(1000);
+        assert_eq!(net.trace().len(), 1);
+
+        // With tracing off nothing is recorded.
+        net.trace_enabled = false;
+        net.send_udp(h1, ip("10.0.0.2"), 1, 2, b"y").unwrap();
+        net.run_to_quiescence(1000);
+        assert_eq!(net.trace().len(), 1);
     }
 
     /// A host pings a router one hop away through a forwarding router.

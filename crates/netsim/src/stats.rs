@@ -71,12 +71,14 @@ pub enum DropReason {
 /// tagged traffic flow (in the CONMan layers above, the flow tag is the
 /// owning goal's id).
 ///
-/// Flow attribution is window-based: the network snapshots the device
-/// tallies when a tagged window opens and accumulates the deltas here when
-/// it closes (see `Network::begin_flow_window`).  Because the simulator is
-/// single-threaded and probe bursts run to quiescence, a window contains
-/// exactly the tagged flow's traffic, so counter-delta localisation is not
-/// confounded when several goals are active.
+/// Flow attribution is window-based: while a tagged window is open the
+/// network samples a device's tallies just before it first hands that device
+/// a frame, and accumulates the deltas of the devices so touched here when
+/// the window closes (see `Network::begin_flow_window`).  Because the
+/// simulator is single-threaded and probe bursts run to quiescence, a window
+/// contains exactly the tagged flow's traffic, so counter-delta localisation
+/// is not confounded when several goals are active.  `Network::forget_flow`
+/// drops a tag's entries once its owner is gone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlowCounters {
     /// Packets this device originated during the flow's windows.
@@ -120,7 +122,8 @@ pub struct DeviceStats {
     /// Drop counts by reason.
     pub drops: BTreeMap<DropReason, u64>,
     /// Per-flow attribution, keyed by flow tag (a goal id in the management
-    /// layers).  Filled by the network's flow windows.
+    /// layers).  Filled by the network's flow windows, emptied per tag by
+    /// `Network::forget_flow`.
     pub flows: BTreeMap<u64, FlowCounters>,
 }
 

@@ -1,10 +1,13 @@
 //! Packet tracing.
 //!
-//! Every frame placed on a link is summarised and recorded.  Integration
-//! tests use the trace to assert that, for example, a customer packet really
-//! did cross the ISP core inside `ETH / IP / GRE / IP` after the NM
-//! configured the GRE path, mirroring the end-to-end checks the authors did
-//! on their testbed.
+//! Every frame placed on a link is recorded raw in a [`PacketTrace`]: a ring
+//! of the [`TRACE_CAPACITY`] most recent transmissions, each sharing its
+//! bytes with the in-flight frame.  Nothing is parsed while traffic flows; a
+//! reader asks an entry for its [`TraceEntry::summary`].  Integration tests
+//! clear the trace, send one probe and assert that, for example, the
+//! customer packet really did cross the ISP core inside `ETH / IP / GRE / IP`
+//! after the NM configured the GRE path, mirroring the end-to-end checks the
+//! authors did on their testbed.
 
 use crate::clock::SimTime;
 use crate::device::{DeviceId, PortId};
@@ -15,7 +18,9 @@ use crate::link::LinkId;
 use crate::mpls;
 use crate::vlan;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// One protocol layer observed in a frame.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -169,7 +174,7 @@ impl fmt::Display for PacketSummary {
 }
 
 /// One record in the network packet trace: a frame transmitted onto a link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceEntry {
     /// When the frame was transmitted.
     pub time: SimTime,
@@ -179,8 +184,58 @@ pub struct TraceEntry {
     pub from_port: PortId,
     /// Link the frame was placed on.
     pub link: LinkId,
-    /// Parsed summary of the frame.
-    pub summary: PacketSummary,
+    /// The raw Ethernet frame, shared with the arrival event(s) it caused.
+    pub frame: Arc<[u8]>,
+}
+
+impl TraceEntry {
+    /// Parse the recorded frame into its layer summary.
+    pub fn summary(&self) -> PacketSummary {
+        PacketSummary::parse(&self.frame)
+    }
+}
+
+/// How many transmissions a [`PacketTrace`] remembers.  One probe over the
+/// longest testbed chain is at most a few hundred frames; an always-on loop
+/// sends thousands per tick and must not grow with its uptime.
+pub const TRACE_CAPACITY: usize = 1024;
+
+/// The network's packet trace: the [`TRACE_CAPACITY`] most recent
+/// transmissions, oldest first.
+#[derive(Debug, Default)]
+pub struct PacketTrace {
+    ring: VecDeque<TraceEntry>,
+}
+
+impl PacketTrace {
+    /// Record a transmission, forgetting the oldest one once full.
+    pub(crate) fn record(&mut self, entry: TraceEntry) {
+        if self.ring.len() == TRACE_CAPACITY {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(entry);
+    }
+
+    /// Forget everything recorded so far.
+    pub(crate) fn clear(&mut self) {
+        self.ring.clear();
+    }
+
+    /// Entries held: grows to [`TRACE_CAPACITY`] and stays there until the
+    /// trace is cleared.
+    pub fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// Has nothing been transmitted since the last clear?
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    /// The held entries, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &TraceEntry> {
+        self.ring.iter()
+    }
 }
 
 #[cfg(test)]

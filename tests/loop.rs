@@ -572,3 +572,63 @@ fn ring_link_cut_heals_onto_the_other_arc() {
     }
     assert!((0..2).all(|g| t.probe_pair(g)));
 }
+
+#[test]
+fn a_long_quiet_run_keeps_the_packet_trace_bounded() {
+    use conman::netsim::trace::TRACE_CAPACITY;
+
+    let (mut t, mut cl, _ids) = looped_chain(4, 64);
+    assert!(cl.run_until_converged(&mut t.mn, 10).converged);
+    // Tracing stays on (the default) and the loop never clears the trace:
+    // the ring alone keeps an always-on loop's memory flat.
+    assert!(t.mn.net.trace_enabled);
+    let mut last_len = 0;
+    for _ in 0..300 {
+        let tick = cl.tick(&mut t.mn);
+        assert!(tick.quiescent(), "a quiet tick sends nothing: {tick:#?}");
+        assert!(tick.degraded.is_empty() && tick.repair.is_none());
+        assert!(tick.frames > 0, "the health probes did run");
+        let len = t.mn.net.trace().len();
+        assert!(last_len <= len && len <= TRACE_CAPACITY);
+        last_len = len;
+    }
+    assert_eq!(last_len, TRACE_CAPACITY);
+    assert!(t.mn.goals.iter().all(|r| r.status == GoalStatus::Active));
+}
+
+#[test]
+fn withdrawing_a_goal_forgets_its_flow_counters_on_every_device() {
+    let (mut t, mut cl, ids) = looped_chain(4, 2);
+    assert!(cl.run_until_converged(&mut t.mn, 10).converged);
+    cl.tick(&mut t.mn);
+    let devices_tagged = |mn: &ManagedNetwork<OutOfBandChannel>, id: GoalId| {
+        mn.net
+            .devices()
+            .filter(|d| d.stats.flows.contains_key(&id.0))
+            .count()
+    };
+    // Both hosts, both customer routers and the four core routers.
+    assert_eq!(devices_tagged(&t.mn, ids[0]), 8);
+
+    cl.withdraw(ids[0]);
+    let tick = cl.tick(&mut t.mn);
+    assert_eq!(tick.withdrawn, vec![ids[0]]);
+    assert_eq!(devices_tagged(&t.mn, ids[0]), 0, "no device remembers it");
+    assert_eq!(devices_tagged(&t.mn, ids[1]), 8, "the survivor is intact");
+
+    // A later goal between the same hosts counts only its own probes.
+    let (src, dst, dst_ip) = t.fanout_probe(0);
+    cl.submit(t.fanout_goal(0), Some(GoalEndpoints { src, dst, dst_ip }));
+    let run = cl.run_until_converged(&mut t.mn, 10);
+    assert!(run.converged, "{run:#?}");
+    let later = run.ticks.iter().flat_map(|t| &t.submitted).next();
+    let later = *later.expect("the submit was processed");
+    let sent = t.mn.net.flow_counters(src, later.0).originated;
+    assert!(sent > 0);
+    assert_eq!(t.mn.net.flow_counters(dst, later.0).local_delivered, sent);
+    assert_eq!(devices_tagged(&t.mn, later), 8);
+
+    // The operator's direct call forgets too.
+    assert!(t.mn.withdraw(ids[1]).removed);
+    assert_eq!(devices_tagged(&t.mn, ids[1]), 0);
+}

@@ -95,3 +95,55 @@ fn vlan_tunnel_carries_customer_frames() {
         "expected the provider tag on the trunk, saw: {trace:?}"
     );
 }
+
+/// The packet trace keeps raw frames and summarises them when read; what a
+/// reader sees after `clear_trace()` + one probe is, string for string, what
+/// the eager per-frame summary used to record.
+#[test]
+fn protocol_paths_read_back_exactly_after_one_probe() {
+    let (_, _, gre) = configure("GRE-IP");
+    assert_eq!(
+        gre,
+        [
+            "ETH/ARP",
+            "ETH/ARP",
+            "ETH/IP(204.9.168.1->204.9.169.1 GRE)/GRE(key=2859)/IP(10.0.1.5->10.0.2.5 UDP)/payload[20]",
+        ]
+    );
+    let (_, _, mpls) = configure("MPLS");
+    assert_eq!(
+        mpls,
+        [
+            "ETH/ARP",
+            "ETH/ARP",
+            "ETH/MPLS(10102)/IP(10.0.1.5->10.0.2.5 UDP)/payload[20]",
+        ]
+    );
+
+    let mut t = conman_modules::managed_vlan_chain(3);
+    t.discover();
+    let goal = t.vlan_goal();
+    let path =
+        t.mn.nm
+            .find_paths(&goal)
+            .into_iter()
+            .find(|p| p.technology_label().contains("VLAN"))
+            .expect("VLAN path");
+    t.mn.execute_path(&path, &goal);
+    let (_, vlan) = t.send_customer_frame(b"layer2 payload");
+    assert_eq!(
+        vlan,
+        [
+            "ETH/VLAN(22)/ARP",
+            "ETH/ARP",
+            "ETH/VLAN(22)/IP(10.0.0.1->10.0.0.2 UDP)/payload[22]",
+        ]
+    );
+    // A second probe finds the neighbours resolved: the trace was cleared,
+    // so only the data frame is in it.
+    let (_, again) = t.send_customer_frame(b"layer2 payload");
+    assert_eq!(
+        again,
+        ["ETH/VLAN(22)/IP(10.0.0.1->10.0.0.2 UDP)/payload[22]"]
+    );
+}
