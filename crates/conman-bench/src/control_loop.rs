@@ -280,6 +280,7 @@ fn chain_loop_run<C: ManagementChannel>(
     let mut quiescent_nm_sent = 0;
     for _ in 0..3 {
         let tick = cl.tick(&mut t.mn);
+        assert!(tick.frames > 0, "every quiet tick probes: {tick:?}");
         quiescent_nm_sent = quiescent_nm_sent.max(tick.nm_sent);
     }
 
@@ -407,6 +408,7 @@ fn mesh_loop_run_with(
     let mut quiescent_nm_sent = 0;
     for _ in 0..3 {
         let tick = cl.tick(&mut t.mn);
+        assert!(tick.frames > 0, "every quiet tick probes: {tick:?}");
         quiescent_nm_sent = quiescent_nm_sent.max(tick.nm_sent);
     }
 

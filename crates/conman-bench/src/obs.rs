@@ -46,7 +46,7 @@ pub struct RecordedMeshRun {
     /// The trace journal as JSON, cleared at fault-injection time so it
     /// contains exactly the fault story (detect, diagnose, repair, verify).
     pub journal: String,
-    /// The metrics/history snapshot at the end of the run.
+    /// The metrics snapshot at the end of the run.
     pub snapshot: ObsSnapshot,
     /// The cut core link, smaller raw device id first.
     pub cut_link: (u64, u64),

@@ -34,11 +34,6 @@ pub struct ManagementAgent {
     /// yet applied to the data plane (two-phase configuration) — keyed by
     /// (txn, goal) so each goal can be committed or aborted independently.
     staged_batches: BTreeMap<u64, BTreeMap<u64, Vec<Primitive>>>,
-    /// Flow tags (goal ids) the NM subscribed to with `SubscribeFlows`,
-    /// with the counters as of the last pushed (or initial) report.  After
-    /// any handled exchange that moved a watched tag's counters the agent
-    /// pushes an unsolicited `FlowReport` alongside its regular replies.
-    watched_flows: BTreeMap<u64, netsim::stats::FlowCounters>,
 }
 
 impl ManagementAgent {
@@ -50,7 +45,6 @@ impl ManagementAgent {
             modules: BTreeMap::new(),
             blackboard: BTreeMap::new(),
             staged_batches: BTreeMap::new(),
-            watched_flows: BTreeMap::new(),
         }
     }
 
@@ -176,11 +170,6 @@ impl ManagementAgent {
                     flows,
                 });
             }
-            WireMessage::SubscribeFlows { tags } => {
-                // (Re)build the watch set, baselining each tag at its
-                // current counters so only *changes* from here on push.
-                self.watched_flows = tags.iter().map(|t| (*t, device.stats.flow(*t))).collect();
-            }
             WireMessage::StageBatch { txn, segments } => {
                 let segments = segments
                     .iter()
@@ -264,7 +253,6 @@ impl ManagementAgent {
             | WireMessage::StageBatchResult { .. }
             | WireMessage::CommitBatchResult { .. } => {}
         }
-        self.push_watched_flow_report(device, &mut out);
         out
     }
 
@@ -275,17 +263,16 @@ impl ManagementAgent {
     /// [`Self::handle`] — both feed the one staging routine.  Returns
     /// `None` when the payload is not a parseable binary `StageBatch`
     /// frame (the caller falls back to the generic decoder, which drops
-    /// it).
+    /// it).  Staging never touches the data plane, so `_device` is unused;
+    /// the parameter stays because `benchmark/` calls this signature.
     pub fn handle_stage_batch_in_place(
         &mut self,
-        device: &mut Device,
+        _device: &mut Device,
         payload: &[u8],
     ) -> Option<Vec<WireMessage>> {
         let view = crate::wire::StageBatchView::parse(payload)?;
         let segments = view.segments().map(|seg| (seg.goal, seg.primitives()));
-        let mut out = vec![self.stage_segments(view.txn, segments)];
-        self.push_watched_flow_report(device, &mut out);
-        Some(out)
+        Some(vec![self.stage_segments(view.txn, segments)])
     }
 
     /// Phase one of the two-phase protocol, the only place segments are
@@ -334,29 +321,6 @@ impl ManagementAgent {
         }
         self.staged_batches.insert(txn, held);
         WireMessage::StageBatchResult { txn, verdicts }
-    }
-
-    /// Push-mode telemetry: if this exchange moved a watched flow's
-    /// counters, report the delta's new totals unsolicited (request 0)
-    /// alongside the regular replies.
-    fn push_watched_flow_report(&mut self, device: &Device, out: &mut Vec<WireMessage>) {
-        if self.watched_flows.is_empty() {
-            return;
-        }
-        let mut changed = Vec::new();
-        for (tag, last) in self.watched_flows.iter_mut() {
-            let now = device.stats.flow(*tag);
-            if now != *last {
-                *last = now;
-                changed.push((*tag, now));
-            }
-        }
-        if !changed.is_empty() {
-            out.push(WireMessage::FlowReport {
-                request: 0,
-                flows: changed,
-            });
-        }
     }
 
     fn push_reaction(out: &mut Vec<WireMessage>, reaction: ModuleReaction) {
@@ -838,11 +802,10 @@ mod tests {
     }
 
     #[test]
-    fn flow_polls_answer_and_subscriptions_push_on_change() {
+    fn flow_polls_answer_with_the_tags_counters() {
         let (mut device, mut agent, _, _) = setup();
         device.stats.flows.entry(7).or_default().forwarded = 2;
 
-        // Pull: a PollFlows is answered with the tag's counters.
         let out = agent.handle(
             &mut device,
             &WireMessage::PollFlows {
@@ -859,41 +822,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-
-        // Push: subscribing baselines the tag; only later changes push.
-        let out = agent.handle(&mut device, &WireMessage::SubscribeFlows { tags: vec![7] });
-        assert!(out.is_empty(), "subscribing alone pushes nothing");
-        let out = agent.handle(
-            &mut device,
-            &WireMessage::Script {
-                request: 1,
-                primitives: vec![],
-            },
-        );
-        assert_eq!(out.len(), 1, "no change, no push: {out:?}");
-        device.stats.flows.entry(7).or_default().forwarded = 5;
-        let out = agent.handle(
-            &mut device,
-            &WireMessage::Script {
-                request: 2,
-                primitives: vec![],
-            },
-        );
-        assert!(
-            out.iter().any(|m| matches!(m,
-                WireMessage::FlowReport { request: 0, flows }
-                    if flows == &vec![(7, device.stats.flow(7))])),
-            "a watched change pushes an unsolicited report: {out:?}"
-        );
-        // The push re-baselines: handling another message pushes nothing.
-        let out = agent.handle(
-            &mut device,
-            &WireMessage::Script {
-                request: 3,
-                primitives: vec![],
-            },
-        );
-        assert_eq!(out.len(), 1);
     }
 
     #[test]

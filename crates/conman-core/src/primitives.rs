@@ -324,21 +324,10 @@ pub enum WireMessage {
         /// Flow tags (goal ids) to report.
         tags: Vec<u64>,
     },
-    /// NM → device: watch the listed flow tags.  After any subsequent
-    /// management exchange that changed a watched tag's counters, the agent
-    /// *pushes* an unsolicited [`WireMessage::FlowReport`] (with
-    /// `request == 0`) alongside its regular replies — the push-mode
-    /// complement to pull-style `PollCounters`/`PollFlows`.  An empty tag
-    /// list cancels the subscription.  No response is expected.
-    SubscribeFlows {
-        /// Flow tags (goal ids) to watch.
-        tags: Vec<u64>,
-    },
     /// Device → NM: per-flow counter attribution.  `request` matches the
-    /// `PollFlows` that elicited it, or is `0` for a push-mode report from
-    /// a `SubscribeFlows` subscription.
+    /// `PollFlows` that elicited it.
     FlowReport {
-        /// Request identifier this responds to (0 = unsolicited push).
+        /// Request identifier this responds to.
         request: u64,
         /// `(flow tag, counters)` per reported tag, in tag order.
         flows: Vec<(u64, netsim::stats::FlowCounters)>,
@@ -401,10 +390,8 @@ mod tests {
             tags: vec![1, 2],
         };
         assert_eq!(WireMessage::decode(&poll.encode()).unwrap(), poll);
-        let sub = WireMessage::SubscribeFlows { tags: vec![7] };
-        assert_eq!(WireMessage::decode(&sub.encode()).unwrap(), sub);
         let report = WireMessage::FlowReport {
-            request: 0,
+            request: 3,
             flows: vec![(
                 7,
                 netsim::stats::FlowCounters {

@@ -1,19 +1,15 @@
-//! The NM's unified event stream.
+//! Operator intent queued for the control loop, and the goal probe.
 //!
-//! Everything that can make the autonomic control loop act is an
-//! [`NmEvent`] on one deterministic queue: telemetry rounds falling due on
-//! the simulated clock, push-mode counter reports from device agents,
-//! module notifications, and operator intent changes (submit / withdraw).
-//! The loop drains the queue once per tick, in arrival order — there is no
-//! other control path, which is what makes a run replayable tick for tick.
+//! An [`NmEvent`] is a change of operator intent — submit or withdraw — that
+//! the loop applies at the start of its next tick, in arrival order.
+//! Everything else a tick does (health, diagnose, repair) it decides from
+//! the goal store and its own probes, which is what makes a run replayable
+//! tick for tick.  [`GoalEndpoints::probe`] is the one end-to-end probe
+//! behind health rounds, repair verification and diagnosis.
 
 use crate::nm::{ConnectivityGoal, GoalId};
-use crate::primitives::Notification;
-use netsim::clock::SimTime;
 use netsim::device::DeviceId;
 use netsim::network::Network;
-use netsim::stats::FlowCounters;
-use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// The data-plane endpoints the loop probes a goal between: the customer
@@ -54,90 +50,19 @@ impl GoalEndpoints {
     }
 }
 
-/// One event on the NM's unified stream.
+/// One pending change of operator intent.
 #[derive(Debug, Clone)]
 pub enum NmEvent {
-    /// A telemetry round fell due at `at` (from
-    /// [`TelemetrySchedule::take_due`](mgmt_channel::TelemetrySchedule::take_due)).
-    /// The loop's health/diagnose/repair machinery only runs on ticks that
-    /// carry at least one of these.
-    TelemetryDue {
-        /// The instant the round was scheduled for.
-        at: SimTime,
-    },
-    /// A device pushed an unsolicited flow report (`SubscribeFlows`
-    /// subscription): the listed tags' counters moved since the last
-    /// report.
-    CounterDelta {
-        /// The reporting device.
-        device: DeviceId,
-        /// `(flow tag, new cumulative counters)` per changed tag.
-        flows: Vec<(u64, FlowCounters)>,
-    },
-    /// A module raised a notification through its agent.
-    AgentNotification(Notification),
-    /// Operator intent: declare a goal (applied by the next tick's
-    /// reconcile, with per-goal probing if endpoints are known).
+    /// Declare a goal (applied by the next tick's reconcile, with per-goal
+    /// probing if endpoints are known).
     Submit {
         /// The desired connectivity.
         goal: Box<ConnectivityGoal>,
         /// Probe endpoints, when the operator can name them.
         endpoints: Option<GoalEndpoints>,
     },
-    /// Operator intent: withdraw a goal.  Withdrawals in one tick coalesce
-    /// into a single batched teardown, and a withdrawal always wins over an
-    /// in-flight repair — the goal is simply gone.
+    /// Withdraw a goal.  Withdrawals in one tick coalesce into a single
+    /// batched teardown, and a withdrawal always wins over an in-flight
+    /// repair — the goal is simply gone.
     Withdraw(GoalId),
-}
-
-/// A FIFO of [`NmEvent`]s.  Deterministic: events are processed strictly in
-/// arrival order, once per loop tick.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    queue: VecDeque<NmEvent>,
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append an event.
-    pub fn push(&mut self, event: NmEvent) {
-        self.queue.push_back(event);
-    }
-
-    /// Drain every queued event, in arrival order.
-    pub fn drain(&mut self) -> Vec<NmEvent> {
-        self.queue.drain(..).collect()
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Is the queue empty?
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_drain_in_arrival_order() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(NmEvent::TelemetryDue { at: SimTime::ZERO });
-        q.push(NmEvent::Withdraw(GoalId(4)));
-        assert_eq!(q.len(), 2);
-        let drained = q.drain();
-        assert!(matches!(drained[0], NmEvent::TelemetryDue { .. }));
-        assert!(matches!(drained[1], NmEvent::Withdraw(GoalId(4))));
-        assert!(q.is_empty());
-    }
 }

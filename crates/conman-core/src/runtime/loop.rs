@@ -1,19 +1,19 @@
-//! The autonomic control loop: an event-driven NM runtime.
+//! The autonomic control loop: a tick-driven NM runtime.
 //!
 //! Everything before this module was *call-driven*: an operator invoked
 //! `reconcile()`, and the network converged exactly once.  The
 //! [`ControlLoop`] closes the loop the way CONMan's management plane is
-//! meant to run — push-style, continuously, with no operator in the path:
+//! meant to run — continuously, with no operator in the path:
 //!
 //! 1. **Tick** — a [`StepClock`] advances the simulated network by one
 //!    fixed-width tick (`Network::run_until` lands exactly on the
-//!    boundary, so runs replay tick for tick), and the shared
-//!    [`TelemetrySchedule`] converts due rounds into events.
-//! 2. **Events** — the loop drains one unified [`NmEvent`] stream:
-//!    telemetry ticks, push-mode counter deltas from subscribed agents,
-//!    module notifications, operator submissions / withdrawals.
-//!    Withdrawals coalesce into a single batched teardown and always win
-//!    over an in-flight repair.
+//!    boundary, so runs replay tick for tick).  It is the loop's only
+//!    clock: every tick is a health round, also when in-band management
+//!    traffic has pushed the network's time past the boundary.
+//! 2. **Operator intent** — the pending [`NmEvent`]s (submissions and
+//!    withdrawals) are applied in arrival order.  Withdrawals coalesce
+//!    into a single batched teardown and always win over an in-flight
+//!    repair.
 //! 3. **Health** — every `Active` goal with known endpoints gets a short
 //!    probe burst inside its own flow-attribution window; the goal is
 //!    marked `Degraded` when its **attributed delivery ratio** (delivered
@@ -37,12 +37,12 @@
 //! is judged from customer-side traffic, so the management plane is silent
 //! until something is actually wrong.
 
-use super::event::{EventQueue, GoalEndpoints, NmEvent};
+use super::event::{GoalEndpoints, NmEvent};
 use super::reconcile::ReconcileReport;
 use super::ManagedNetwork;
 use crate::nm::goal::{Exclusion, GoalId, GoalRecord, GoalStatus};
 use conman_obs::TraceKind;
-use mgmt_channel::{ManagementChannel, TelemetrySchedule};
+use mgmt_channel::ManagementChannel;
 use netsim::clock::{SimDuration, SimTime, StepClock};
 use netsim::device::DeviceId;
 use serde::{Deserialize, Serialize};
@@ -54,10 +54,7 @@ use std::time::Instant;
 pub struct LoopConfig {
     /// Width of one tick of simulated time.
     pub tick: SimDuration,
-    /// Telemetry period (health rounds fall due on this schedule; defaults
-    /// to one round per tick).
-    pub telemetry_period: SimDuration,
-    /// Probes sent per goal per health round.
+    /// Probes sent per goal per tick.
     pub probes_per_goal: u32,
     /// A goal is `Degraded` when its attributed delivery percentage falls
     /// *below* this threshold (100 = any loss degrades).
@@ -66,10 +63,8 @@ pub struct LoopConfig {
 
 impl Default for LoopConfig {
     fn default() -> Self {
-        let tick = SimDuration::from_millis(100);
         LoopConfig {
-            tick,
-            telemetry_period: tick,
+            tick: SimDuration::from_millis(100),
             probes_per_goal: 2,
             degraded_below_pct: 100,
         }
@@ -123,15 +118,12 @@ pub struct TickReport {
     pub at: SimTime,
     /// The repair epoch after the tick (increments once per repair pass).
     pub epoch: u64,
-    /// Events drained this tick.
+    /// Operator submits + withdraws applied this tick.
     pub events: usize,
-    /// Telemetry rounds that fell due.
+    /// Health rounds run this tick: always 1, every tick is one.  Kept only
+    /// because `benchmark/` reads it (ROADMAP item 2b un-pins it).
     pub telemetry_rounds: usize,
-    /// Push-mode counter-delta events received.
-    pub counter_deltas: usize,
-    /// Agent notifications received.
-    pub notifications: usize,
-    /// Goals submitted through the event stream this tick.
+    /// Goals submitted through [`ControlLoop::submit`] and applied this tick.
     pub submitted: Vec<GoalId>,
     /// Goals withdrawn this tick (their teardowns ran as one batch).
     pub withdrawn: Vec<GoalId>,
@@ -206,43 +198,32 @@ impl LoopReport {
     }
 }
 
-/// The autonomic control loop.  Owns the tick clock, the telemetry
-/// schedule, the event queue and the per-goal probe endpoints; drives a
+/// The autonomic control loop.  Owns the tick clock, the pending operator
+/// intent and the per-goal probe endpoints; drives a
 /// [`ManagedNetwork`]'s goal store to its desired state tick after tick
 /// with no operator in the path.
 pub struct ControlLoop<C: ManagementChannel> {
     /// Tuning knobs (tick width, probe burst size, degradation threshold).
     pub config: LoopConfig,
     clock: StepClock,
-    schedule: TelemetrySchedule,
-    events: EventQueue,
+    /// Submits and withdraws not yet applied, in arrival order.
+    pending: Vec<NmEvent>,
     client: Option<Box<dyn LoopClient<C>>>,
     endpoints: BTreeMap<GoalId, GoalEndpoints>,
-    /// Last pushed per-device subscription lists (so quiescent ticks never
-    /// re-send subscriptions).
-    subscriptions: BTreeMap<DeviceId, Vec<u64>>,
     probe_seq: u64,
     epoch: u64,
 }
 
 impl<C: ManagementChannel> ControlLoop<C> {
     /// A loop anchored at the network's current simulated time: tick
-    /// boundaries and telemetry rounds are laid out from "now", shared
-    /// between the [`StepClock`] and the [`TelemetrySchedule`].
+    /// boundaries are laid out from "now".
     pub fn new(mn: &ManagedNetwork<C>, config: LoopConfig) -> Self {
-        let now = mn.net.now();
-        let clock = StepClock::starting_at(now, config.tick);
-        let mut schedule = TelemetrySchedule::new(config.telemetry_period);
-        // First round due at the first tick boundary, not at time zero.
-        schedule.align_to(now + config.telemetry_period);
         ControlLoop {
             config,
-            clock,
-            schedule,
-            events: EventQueue::new(),
+            clock: StepClock::starting_at(mn.net.now(), config.tick),
+            pending: Vec::new(),
             client: None,
             endpoints: BTreeMap::new(),
-            subscriptions: BTreeMap::new(),
             probe_seq: 0,
             epoch: 0,
         }
@@ -266,7 +247,7 @@ impl<C: ManagementChannel> ControlLoop<C> {
 
     /// Operator intent: declare a goal (applied on the next tick).
     pub fn submit(&mut self, goal: crate::nm::ConnectivityGoal, endpoints: Option<GoalEndpoints>) {
-        self.events.push(NmEvent::Submit {
+        self.pending.push(NmEvent::Submit {
             goal: Box::new(goal),
             endpoints,
         });
@@ -275,7 +256,7 @@ impl<C: ManagementChannel> ControlLoop<C> {
     /// Operator intent: withdraw a goal (processed on the next tick, before
     /// any repair — a withdrawal cancels an in-flight repair cleanly).
     pub fn withdraw(&mut self, id: GoalId) {
-        self.events.push(NmEvent::Withdraw(id));
+        self.pending.push(NmEvent::Withdraw(id));
     }
 
     /// Adopt a goal that was submitted to the store directly, registering
@@ -284,9 +265,9 @@ impl<C: ManagementChannel> ControlLoop<C> {
         self.endpoints.insert(id, endpoints);
     }
 
-    /// Run one tick: advance the network to the tick boundary, drain the
-    /// event stream, and — when a telemetry round fell due — run the
-    /// health → diagnose → repair pipeline.
+    /// Run one tick: advance the network to the tick boundary, apply the
+    /// pending operator intent, then run the health → diagnose → repair
+    /// pipeline.
     pub fn tick(&mut self, mn: &mut ManagedNetwork<C>) -> TickReport {
         let before = mn.nm_counters();
         let frames_before = mn.net.frames_delivered();
@@ -297,6 +278,7 @@ impl<C: ManagementChannel> ControlLoop<C> {
             tick: self.clock.ticks(),
             at: now,
             epoch: self.epoch,
+            telemetry_rounds: 1,
             ..Default::default()
         };
         mn.recorder.enter(
@@ -308,33 +290,11 @@ impl<C: ManagementChannel> ControlLoop<C> {
         );
         mn.recorder.inc("loop.ticks", 1);
 
-        // ---- 1. Event-ify this tick's inputs. -------------------------
-        for at in self.schedule.take_due(now) {
-            self.events.push(NmEvent::TelemetryDue { at });
-        }
-        for n in mn.notifications.drain(..) {
-            self.events.push(NmEvent::AgentNotification(n));
-        }
-        for (device, flows) in mn.take_pushed_flow_reports() {
-            // The push report feeds the telemetry history store *and* the
-            // event stream: the loop reacts to the event, the flight
-            // recorder keeps the window queryable after the fact.
-            for (tag, counters) in &flows {
-                mn.recorder
-                    .record_flow(device.as_u64(), *tag, now.as_nanos(), *counters);
-            }
-            mn.recorder.inc("flow.push_reports", 1);
-            self.events.push(NmEvent::CounterDelta { device, flows });
-        }
-
-        // ---- 2. Drain the stream, in arrival order. -------------------
+        // ---- 1. Operator intent, in arrival order. --------------------
         let mut withdraws = Vec::new();
-        for event in self.events.drain() {
+        for event in std::mem::take(&mut self.pending) {
             report.events += 1;
             match event {
-                NmEvent::TelemetryDue { .. } => report.telemetry_rounds += 1,
-                NmEvent::CounterDelta { .. } => report.counter_deltas += 1,
-                NmEvent::AgentNotification(_) => report.notifications += 1,
                 NmEvent::Submit { goal, endpoints } => {
                     let id = mn.submit(*goal);
                     if let Some(ep) = endpoints {
@@ -348,7 +308,7 @@ impl<C: ManagementChannel> ControlLoop<C> {
             }
         }
 
-        // ---- 3. Withdrawals first: one batched teardown, and an
+        // ---- 2. Withdrawals first: one batched teardown, and an
         // in-flight repair of a withdrawn goal is simply dropped. --------
         if !withdraws.is_empty() {
             for id in &withdraws {
@@ -358,17 +318,11 @@ impl<C: ManagementChannel> ControlLoop<C> {
             }
             mn.withdraw_many(&withdraws);
             report.withdrawn = withdraws;
-            // The withdrawn goals' tags must stop being watched even if no
-            // repair pass runs this tick (the tick already carries teardown
-            // messages, so this costs no quiescent-tick silence).
-            self.refresh_subscriptions(mn);
         }
 
-        if report.telemetry_rounds > 0 {
-            self.health_phase(mn, &mut report);
-            self.diagnose_phase(mn, &mut report);
-            self.repair_phase(mn, &mut report);
-        }
+        self.health_phase(mn, &mut report);
+        self.diagnose_phase(mn, &mut report);
+        self.repair_phase(mn, &mut report);
 
         let after = mn.nm_counters();
         report.nm_sent = after.sent.saturating_sub(before.sent);
@@ -387,9 +341,9 @@ impl<C: ManagementChannel> ControlLoop<C> {
         report
     }
 
-    /// Tick until every stored goal is settled (`Active` or `Failed`), the
-    /// event queue is empty and the management plane went silent for a full
-    /// tick — or `max_ticks` ran out.
+    /// Tick until every stored goal is settled (`Active` or `Failed`), no
+    /// operator intent is pending and the management plane went silent for
+    /// a full tick — or `max_ticks` ran out.
     pub fn run_until_converged(
         &mut self,
         mn: &mut ManagedNetwork<C>,
@@ -398,14 +352,13 @@ impl<C: ManagementChannel> ControlLoop<C> {
         let mut report = LoopReport::default();
         for _ in 0..max_ticks {
             let tick = self.tick(mn);
-            let had_round = tick.telemetry_rounds > 0;
             let silent = tick.nm_sent == 0;
             report.ticks.push(tick);
             let settled = mn
                 .goals
                 .iter()
                 .all(|r| matches!(r.status, GoalStatus::Active | GoalStatus::Failed));
-            if had_round && silent && settled && self.events.is_empty() {
+            if silent && settled && self.pending.is_empty() {
                 report.converged = true;
                 return report;
             }
@@ -556,53 +509,6 @@ impl<C: ManagementChannel> ControlLoop<C> {
             },
         );
         mn.recorder.exit();
-        self.refresh_subscriptions(mn);
         report.repair = Some(outcome);
-    }
-
-    /// Subscribe every device on an active goal's path to push-mode flow
-    /// reports for the goals crossing it.  Only *changed* subscription
-    /// lists are re-sent, and only repair ticks call this — quiescent ticks
-    /// stay silent.
-    fn refresh_subscriptions(&mut self, mn: &mut ManagedNetwork<C>) {
-        let mut wanted: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
-        for rec in mn.goals.iter() {
-            if rec.status != GoalStatus::Active {
-                continue;
-            }
-            let Some(applied) = rec.applied() else {
-                continue;
-            };
-            for device in applied.path.devices() {
-                let tags = wanted.entry(device).or_default();
-                if !tags.contains(&rec.id.0) {
-                    tags.push(rec.id.0);
-                }
-            }
-        }
-        // Cancel before (re)subscribing: a device no active goal's path
-        // crosses any more gets the empty tag list, so its agent stops
-        // watching — otherwise goal churn would grow the watch sets (and
-        // this map) without bound and retired goal ids could keep pushing
-        // phantom reports.
-        let stale: Vec<DeviceId> = self
-            .subscriptions
-            .keys()
-            .filter(|d| !wanted.contains_key(d))
-            .copied()
-            .collect();
-        for device in stale {
-            mn.subscribe_flows(&[device], &[]);
-            self.subscriptions.remove(&device);
-        }
-        let changed: Vec<(DeviceId, Vec<u64>)> = wanted
-            .iter()
-            .filter(|(d, tags)| self.subscriptions.get(d) != Some(tags))
-            .map(|(d, tags)| (*d, tags.clone()))
-            .collect();
-        for (device, tags) in changed {
-            mn.subscribe_flows(&[device], &tags);
-            self.subscriptions.insert(device, tags);
-        }
     }
 }

@@ -17,8 +17,8 @@ use crate::abstraction::CounterSnapshot;
 use crate::agent::ManagementAgent;
 use crate::nm::{ConnectivityGoal, GoalStore, ModulePath, NetworkManager, ScriptSet};
 use crate::primitives::{
-    EnvelopeKind, ModuleEnvelope, Notification, Primitive, PrimitiveResult, ScriptSegment,
-    SegmentCommit, SegmentVerdict, WireMessage,
+    EnvelopeKind, ModuleEnvelope, Primitive, PrimitiveResult, ScriptSegment, SegmentCommit,
+    SegmentVerdict, WireMessage,
 };
 use crate::wire::{self, WireCodec};
 use conman_obs::Recorder;
@@ -30,13 +30,12 @@ use std::collections::BTreeMap;
 pub use control_loop::{
     ControlLoop, LoopClient, LoopConfig, LoopDiagnosis, LoopReport, TickReport,
 };
-pub use event::{EventQueue, GoalEndpoints, NmEvent};
+pub use event::{GoalEndpoints, NmEvent};
 pub use reconcile::{ReconcileAction, ReconcileOutcome, ReconcileReport, WithdrawOutcome};
 pub use txn::GoalTeardown;
 pub use txn::{BatchOutcome, TeardownBatchOutcome, TxnEvent, TxnHook};
 
-/// One device's flow report: `(device, request id, per-tag counters)`;
-/// request 0 marks a push-mode report.
+/// One device's flow report: `(device, request id, per-tag counters)`.
 pub type FlowReportEntry = (DeviceId, u64, Vec<(u64, netsim::stats::FlowCounters)>);
 
 /// Upper bound on relay rounds per management operation; real exchanges
@@ -55,8 +54,6 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     pub nm: NetworkManager,
     nm_host: DeviceId,
     next_request: u64,
-    /// Notifications received by the NM.
-    pub notifications: Vec<Notification>,
     /// Script replies received by the NM and not yet taken by the call that
     /// asked for them: (device, per-primitive results).  Empty between
     /// calls — every requester drains what arrived on its behalf.
@@ -65,10 +62,7 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     /// (device, request, snapshots).  Drained by [`Self::poll_counters`].
     pub counter_reports: Vec<(DeviceId, u64, Vec<CounterSnapshot>)>,
     /// Flow-attribution reports received by the NM and not yet consumed:
-    /// (device, request, per-tag counters).  Solicited reports are drained
-    /// by [`Self::poll_flows`]; push-mode reports (`request == 0`, from
-    /// `SubscribeFlows` subscriptions) accumulate here until the control
-    /// loop drains them into its event stream.
+    /// (device, request, per-tag counters).  Drained by [`Self::poll_flows`].
     pub flow_reports: Vec<FlowReportEntry>,
     /// The NM's declarative goal store (see [`reconcile`]).
     pub goals: GoalStore,
@@ -111,7 +105,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             nm: NetworkManager::new(nm_host),
             nm_host,
             next_request: 0,
-            notifications: Vec::new(),
             script_results: Vec::new(),
             counter_reports: Vec::new(),
             flow_reports: Vec::new(),
@@ -177,7 +170,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             WireMessage::PollCounters { .. }
             | WireMessage::CounterReport { .. }
             | WireMessage::PollFlows { .. }
-            | WireMessage::SubscribeFlows { .. }
             | WireMessage::FlowReport { .. } => MessageCategory::Telemetry,
         }
     }
@@ -326,50 +318,15 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             self.send(self.nm_host, *id, &msg);
         }
         self.run_management();
+        // Same drain as `poll_counters`: matched reports are the result,
+        // anything older is stale.
         let mut out = BTreeMap::new();
-        // Drain matched reports; push-mode reports (request 0) stay queued
-        // for the control loop's event stream.
-        let mut keep = Vec::new();
         for (device, request, flows) in self.flow_reports.drain(..) {
             if request >= first_request && request <= self.next_request {
                 out.insert(device, flows.into_iter().collect());
-            } else if request == 0 {
-                keep.push((device, request, flows));
             }
         }
-        self.flow_reports = keep;
         out
-    }
-
-    /// Subscribe every listed device to push-mode flow reports for the
-    /// given tags (see [`WireMessage::SubscribeFlows`]).  An empty tag list
-    /// cancels the devices' subscriptions.
-    pub fn subscribe_flows(&mut self, devices: &[DeviceId], tags: &[u64]) {
-        for id in devices {
-            let msg = WireMessage::SubscribeFlows {
-                tags: tags.to_vec(),
-            };
-            self.send(self.nm_host, *id, &msg);
-        }
-        self.run_management();
-    }
-
-    /// Drain the push-mode flow reports (`request == 0`) that have
-    /// accumulated since the last drain.
-    pub fn take_pushed_flow_reports(
-        &mut self,
-    ) -> Vec<(DeviceId, Vec<(u64, netsim::stats::FlowCounters)>)> {
-        let mut pushed = Vec::new();
-        let mut keep = Vec::new();
-        for entry in self.flow_reports.drain(..) {
-            if entry.1 == 0 {
-                pushed.push((entry.0, entry.2));
-            } else {
-                keep.push(entry);
-            }
-        }
-        self.flow_reports = keep;
-        pushed
     }
 
     /// Send an ad-hoc primitive script to one device and pump the
@@ -487,7 +444,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             WireMessage::Script { .. }
             | WireMessage::PollCounters { .. }
             | WireMessage::PollFlows { .. }
-            | WireMessage::SubscribeFlows { .. }
             | WireMessage::StageBatch { .. }
             | WireMessage::CommitBatch { .. }
             | WireMessage::AbortBatch { .. }
@@ -523,7 +479,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 self.script_results.push((from, results));
             }
             WireMessage::Module(env) => self.relay(env),
-            WireMessage::Notify(n) => self.notifications.push(n),
+            // A notification's content has no consumer in the NM; it is
+            // counted so that none arrives silently.
+            WireMessage::Notify(_) => self.recorder.inc("mgmt.notifications", 1),
             WireMessage::CounterReport { request, snapshots } => {
                 self.counter_reports.push((from, request, snapshots));
             }
@@ -539,7 +497,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             WireMessage::Script { .. }
             | WireMessage::PollCounters { .. }
             | WireMessage::PollFlows { .. }
-            | WireMessage::SubscribeFlows { .. }
             | WireMessage::StageBatch { .. }
             | WireMessage::CommitBatch { .. }
             | WireMessage::AbortBatch { .. }

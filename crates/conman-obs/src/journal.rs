@@ -51,7 +51,7 @@ pub enum TraceKind {
         /// Link-level frames the network delivered during the tick.
         frames: u64,
     },
-    /// A goal was submitted through the event stream.
+    /// A goal was submitted through the control loop.
     Submit {
         /// The new goal's id.
         goal: u64,

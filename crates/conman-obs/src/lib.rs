@@ -1,7 +1,7 @@
 //! # conman-obs — the NM's flight recorder
 //!
 //! CONMan's pitch is that the NM can *explain* the network; this crate
-//! makes the NM able to explain **itself**.  Three pillars, bundled behind
+//! makes the NM able to explain **itself**.  Two pillars, bundled behind
 //! one cheap handle ([`Recorder`]):
 //!
 //! * **Trace journal** ([`journal`]) — causally-linked span events (tick →
@@ -13,26 +13,22 @@
 //!   histograms (NM messages by wire category via the channel tap, repair
 //!   latency in ticks and wall time, path lengths, exclusion-set sizes,
 //!   frame budgets), exported as a serialisable [`ObsSnapshot`].
-//! * **Telemetry history** ([`history`]) — per-`(device, goal)` ring
-//!   buffers over `FlowCounters` deltas with slope/variance queries,
-//!   turning `SubscribeFlows` push reports into a queryable store.
 //!
-//! The crate sits *below* the management layers (it depends only on
-//! `netsim`), so the channels, the runtime and the diagnoser can all hold
-//! the same recorder.  [`Recorder::disabled`] is the default and reduces
-//! every instrumentation call to one branch.
+//! The crate sits *below* the management layers and the simulator (it
+//! depends only on the serde shims, so the offline checker `conman-analyze`
+//! builds without `netsim`), and the channels, the runtime and the
+//! diagnoser can all hold the same recorder.  [`Recorder::disabled`] is the
+//! default and reduces every instrumentation call to one branch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod history;
 pub mod journal;
 pub mod metrics;
 pub mod postmortem;
 pub mod recorder;
 
-pub use history::{FlowField, FlowSample, HistoryStore, Ring};
 pub use journal::{Journal, TraceEvent, TraceKind};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use postmortem::{DumpError, Postmortem, RepairPass};
-pub use recorder::{HistorySummary, MessageDirection, ObsSnapshot, Recorder};
+pub use recorder::{MessageDirection, ObsSnapshot, Recorder};

@@ -1,5 +1,5 @@
 //! The [`Recorder`]: one cheap, cloneable handle bundling the trace
-//! journal, the metrics registry and the telemetry history store.
+//! journal and the metrics registry.
 //!
 //! Instrumented code holds a `Recorder` and calls it unconditionally; a
 //! disabled recorder ([`Recorder::disabled`], also the `Default`) carries
@@ -8,10 +8,8 @@
 //! is how the NM runtime, the channels and the diagnoser all write into
 //! one flight recorder.
 
-use crate::history::{FlowField, HistoryStore};
 use crate::journal::{Journal, TraceEvent, TraceKind};
 use crate::metrics::MetricsRegistry;
-use netsim::stats::FlowCounters;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -38,7 +36,6 @@ impl MessageDirection {
 struct Inner {
     journal: Journal,
     metrics: MetricsRegistry,
-    history: HistoryStore,
 }
 
 /// Shared flight-recorder handle (see module docs).  Not `Send`: the
@@ -149,50 +146,16 @@ impl Recorder {
         }
     }
 
-    // ---- History ------------------------------------------------------
-
-    /// Record a cumulative per-goal flow-counter report into the history
-    /// store (deltas are computed inside the store).
-    pub fn record_flow(&self, device: u64, goal: u64, at_ns: u64, cumulative: FlowCounters) {
-        if let Some(inner) = &self.0 {
-            inner
-                .borrow_mut()
-                .history
-                .record(device, goal, at_ns, cumulative);
-        }
-    }
-
-    /// Run a read-only query against the history store (`None` when
-    /// disabled).  The closure must not call back into this recorder.
-    pub fn with_history<R>(&self, f: impl FnOnce(&HistoryStore) -> R) -> Option<R> {
-        self.0.as_ref().map(|i| f(&i.borrow().history))
-    }
-
     // ---- Export -------------------------------------------------------
 
-    /// A serialisable snapshot of the metrics and per-series history
-    /// summaries (empty when disabled).
+    /// A serialisable snapshot of the metrics (empty when disabled).
     pub fn snapshot(&self) -> ObsSnapshot {
         let Some(inner) = &self.0 else {
             return ObsSnapshot::default();
         };
         let inner = inner.borrow();
-        let history = inner
-            .history
-            .keys()
-            .map(|(device, goal)| HistorySummary {
-                device,
-                goal,
-                samples: inner.history.series(device, goal).map_or(0, |r| r.len()) as u64,
-                drops_mean: inner.history.mean(device, goal, FlowField::Drops),
-                drops_slope: inner.history.slope(device, goal, FlowField::Drops),
-                drops_variance: inner.history.variance(device, goal, FlowField::Drops),
-                forwarded_mean: inner.history.mean(device, goal, FlowField::Forwarded),
-            })
-            .collect();
         ObsSnapshot {
             metrics: inner.metrics.clone(),
-            history,
             journal_events: inner.journal.len() as u64,
         }
     }
@@ -203,40 +166,18 @@ impl Recorder {
             let mut inner = inner.borrow_mut();
             inner.journal.clear();
             inner.metrics.clear();
-            inner.history.clear();
         }
     }
 }
 
-/// Serialisable export of a recorder's metrics and history — what
+/// Serialisable export of a recorder's metrics — what
 /// `experiments` emits instead of hand-building JSON.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ObsSnapshot {
     /// The full metrics registry.
     pub metrics: MetricsRegistry,
-    /// Per-`(device, goal)` telemetry history summaries.
-    pub history: Vec<HistorySummary>,
     /// Journal size at snapshot time.
     pub journal_events: u64,
-}
-
-/// Trend summary of one `(device, goal)` history series.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct HistorySummary {
-    /// Device id (raw).
-    pub device: u64,
-    /// Goal id / flow tag (raw).
-    pub goal: u64,
-    /// Samples in the window.
-    pub samples: u64,
-    /// Mean per-report drop delta.
-    pub drops_mean: Option<f64>,
-    /// Least-squares slope of the drop deltas (per simulated second).
-    pub drops_slope: Option<f64>,
-    /// Population variance of the drop deltas.
-    pub drops_variance: Option<f64>,
-    /// Mean per-report forwarded delta.
-    pub forwarded_mean: Option<f64>,
 }
 
 #[cfg(test)]
@@ -252,11 +193,9 @@ mod tests {
         r.exit();
         r.inc("c", 5);
         r.observe("h", 1.0);
-        r.record_flow(1, 1, 1, FlowCounters::default());
         assert_eq!(r.journal_len(), 0);
         assert_eq!(r.journal_json(), "[]");
         assert_eq!(r.counter("c"), 0);
-        assert_eq!(r.with_history(|h| h.len()), None);
         assert_eq!(r.snapshot(), ObsSnapshot::default());
     }
 
@@ -277,31 +216,5 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.journal_events, 1);
         assert_eq!(snap.metrics.counter("msg.sent.Command"), 1);
-    }
-
-    #[test]
-    fn snapshot_serializes_and_summarises_history() {
-        let r = Recorder::new();
-        for i in 0..3u64 {
-            r.record_flow(
-                4,
-                2,
-                i * 1_000_000_000,
-                FlowCounters {
-                    originated: 0,
-                    forwarded: 10 * (i + 1),
-                    local_delivered: 0,
-                    drops: i,
-                },
-            );
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.history.len(), 1);
-        let s = &snap.history[0];
-        assert_eq!((s.device, s.goal, s.samples), (4, 2, 3));
-        assert!(s.drops_slope.is_some());
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: ObsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
     }
 }

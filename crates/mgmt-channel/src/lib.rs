@@ -23,13 +23,11 @@ pub mod counters;
 pub mod inband;
 pub mod message;
 pub mod oob;
-pub mod telemetry;
 
 pub use counters::{ChannelCounters, CounterBoard};
 pub use inband::InBandChannel;
 pub use message::{MessageCategory, MgmtMessage};
 pub use oob::OutOfBandChannel;
-pub use telemetry::TelemetrySchedule;
 
 use netsim::device::DeviceId;
 use netsim::network::Network;

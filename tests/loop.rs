@@ -18,11 +18,14 @@ use conman::core::runtime::{
     ControlLoop, GoalEndpoints, LoopConfig, ManagedNetwork, ReconcileAction,
 };
 use conman::diagnose::AutonomicClient;
-use conman::modules::{managed_fanout_chain, managed_mesh_fanout, ManagedChain, ManagedMesh};
+use conman::modules::{
+    managed_fanout_chain, managed_fanout_chain_with, managed_mesh_fanout, ManagedChain, ManagedMesh,
+};
 use conman::netsim::fault::{apply_fault, FaultKind, Misconfiguration};
 use conman::netsim::route::RouteTableId;
+use conman::obs::{Recorder, TraceKind};
 use conman_bench::control_loop::mesh_limits;
-use mgmt_channel::OutOfBandChannel;
+use mgmt_channel::{InBandChannel, ManagementChannel, MessageCategory, OutOfBandChannel};
 
 type Chain = ManagedChain<OutOfBandChannel>;
 type Mesh = ManagedMesh<OutOfBandChannel>;
@@ -30,7 +33,15 @@ type Mesh = ManagedMesh<OutOfBandChannel>;
 /// A discovered fan-out chain with `goals` goals submitted and tracked by a
 /// fresh control loop (not yet converged).
 fn looped_chain(n: usize, goals: usize) -> (Chain, ControlLoop<OutOfBandChannel>, Vec<GoalId>) {
-    let mut t = managed_fanout_chain(n, goals);
+    looped_chain_with(managed_fanout_chain(n, goals), n, goals)
+}
+
+/// [`looped_chain`] over whichever management channel `t` was built with.
+fn looped_chain_with<C: ManagementChannel>(
+    mut t: ManagedChain<C>,
+    n: usize,
+    goals: usize,
+) -> (ManagedChain<C>, ControlLoop<C>, Vec<GoalId>) {
     t.discover();
     t.mn.goals.limits = PathFinderLimits {
         max_steps: 3 * n + 16,
@@ -82,6 +93,11 @@ fn fault_after_tick_t_is_detected_and_repaired_within_two_ticks() {
     let setup = cl.run_until_converged(&mut t.mn, 10);
     assert!(setup.converged, "setup converges");
     let fault_tick = cl.ticks();
+    let telemetry_sent = |mn: &ManagedNetwork<OutOfBandChannel>| {
+        let sent = mn.nm_counters().sent_by_category;
+        sent.get(&MessageCategory::Telemetry).copied().unwrap_or(0)
+    };
+    let telemetry_before = telemetry_sent(&t.mn);
 
     // Core state loss on the mid-chain router, injected between ticks.
     apply_fault(
@@ -106,6 +122,15 @@ fn fault_after_tick_t_is_detected_and_repaired_within_two_ticks() {
         (0..2).all(|k| t.probe_pair(k)),
         "traffic verified end to end"
     );
+    // The only telemetry the NM sends is the Diagnoser's pull: flow and
+    // module counters of every path device, before and after its probes.
+    let diagnoses: usize = run.ticks.iter().map(|tk| tk.diagnosed.len()).sum();
+    assert_eq!(
+        telemetry_sent(&t.mn) - telemetry_before,
+        (diagnoses * 4 * t.core.len()) as u64
+    );
+    let after_repair = run.ticks.last().expect("the converged tick");
+    assert_eq!(after_repair.events, 0, "no operator intent, no events");
 }
 
 #[test]
@@ -269,33 +294,51 @@ fn repeated_repair_failure_parks_the_goal_failed_not_repairing() {
 }
 
 #[test]
-fn push_mode_flow_reports_surface_as_counter_delta_events() {
-    let (mut t, mut cl, _ids) = looped_chain(4, 2);
-    assert!(cl.run_until_converged(&mut t.mn, 10).converged);
+fn in_band_loop_probes_on_every_quiet_tick_and_detects_a_late_fault_at_once() {
+    // In-band discovery and setup push the network's clock well past the
+    // loop's tick boundaries, so `run_until(deadline)` is a no-op for many
+    // ticks.  Health must not depend on where simulated time happens to
+    // stand: every tick probes.
+    let t = managed_fanout_chain_with(4, 3, InBandChannel::new());
+    let (mut t, mut cl, ids) = looped_chain_with(t, 4, 3);
+    assert!(cl.run_until_converged(&mut t.mn, 16).converged);
 
-    // The repair tick subscribed the path devices to the goals' flow tags.
-    // A faulty tick's telemetry polls give the agents a chance to push:
-    // the watched counters moved (health probes), so unsolicited reports
-    // ride back alongside the poll replies...
-    apply_fault(
-        &mut t.mn.net,
-        FaultKind::Misconfigure(Misconfiguration::FlushPolicyRouting { device: t.core[1] }),
+    t.mn.set_recorder(Recorder::new());
+    for _ in 0..20 {
+        let tick = cl.tick(&mut t.mn);
+        assert_eq!(tick.nm_sent, 0, "a quiet tick sends nothing: {tick:#?}");
+        assert!(tick.frames > 0, "tick {} sent no probe", tick.tick);
+    }
+    let probed: Vec<u64> =
+        t.mn.recorder
+            .journal_events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::HealthProbe { goal, .. } => Some(goal),
+                _ => None,
+            })
+            .collect();
+    let each_tick: Vec<u64> = ids.iter().map(|id| id.0).collect();
+    assert_eq!(
+        probed,
+        each_tick.repeat(20),
+        "one health probe per goal per tick"
     );
-    apply_fault(
-        &mut t.mn.net,
-        FaultKind::Misconfigure(Misconfiguration::ClearMplsState { device: t.core[1] }),
-    );
-    let faulty = cl.tick(&mut t.mn);
-    assert!(!faulty.degraded.is_empty());
 
-    // ...and surface as CounterDelta events on the next tick's stream —
-    // which stays management-silent: the pushes were already on the wire.
-    let next = cl.tick(&mut t.mn);
-    assert!(
-        next.counter_deltas > 0,
-        "pushed flow reports become events: {next:#?}"
-    );
-    assert_eq!(next.nm_sent, 0, "draining pushed reports costs nothing");
+    for kind in [
+        Misconfiguration::ClearMplsState { device: t.core[1] },
+        Misconfiguration::FlushPolicyRouting { device: t.core[1] },
+    ] {
+        apply_fault(&mut t.mn.net, FaultKind::Misconfigure(kind));
+    }
+    let fault_tick = cl.ticks();
+    let run = cl.run_until_converged(&mut t.mn, 6);
+    assert!(run.converged, "the loop re-converges: {run:#?}");
+    assert_eq!(run.first_detection(), Some(fault_tick + 1));
+    assert_eq!(run.ticks[0].degraded, ids);
+    let repair = run.first_repair().expect("a repair pass converged");
+    assert!(repair <= fault_tick + 3, "repaired at tick {repair}");
+    assert!((0..3).all(|k| t.probe_pair(k)));
 }
 
 #[test]
