@@ -9,8 +9,8 @@
 use crate::ids::{ModuleId, ModuleRef};
 use crate::module::{ModuleCtx, ModuleReaction, ProtocolModule};
 use crate::primitives::{
-    Announcement, ModuleActual, Primitive, PrimitiveResult, SegmentCommit, SegmentVerdict,
-    WireMessage,
+    Announcement, ModuleActual, ModuleEnvelope, Primitive, PrimitiveResult, SegmentCommit,
+    SegmentVerdict, WireMessage,
 };
 use crate::wire::MalformedSegment;
 use netsim::device::{Device, DeviceId, PortId};
@@ -130,43 +130,18 @@ impl ManagementAgent {
                 Self::push_reaction(&mut out, reaction);
             }
             WireMessage::Module(env) => {
-                let mut reaction = ModuleReaction::none();
-                if let Some(module) = self.modules.get_mut(&env.to.module) {
-                    let mut ctx = Self::ctx(&mut self.blackboard, self.device, device);
-                    match module.handle_envelope(&mut ctx, env) {
-                        Ok(r) => reaction.extend(r),
-                        Err(e) => {
-                            out.push(WireMessage::Notify(crate::primitives::Notification {
-                                from: env.to.clone(),
-                                body: serde_json::json!({"error": e.to_string()}),
-                            }));
-                        }
-                    }
-                }
-                reaction.extend(self.poll_until_quiescent(device));
-                Self::push_reaction(&mut out, reaction);
+                self.deliver_envelopes(device, std::slice::from_ref(env), &mut out);
             }
-            WireMessage::PollCounters { request } => {
+            WireMessage::PollCounters { request, tags } => {
                 let mut snapshots = Vec::with_capacity(self.modules.len());
                 for m in self.modules.values() {
-                    let ctx = ModuleCtx {
-                        device: self.device,
-                        config: &mut device.config,
-                        ports: &device.ports,
-                        stats: &device.stats,
-                        blackboard: &mut self.blackboard,
-                    };
+                    let ctx = Self::ctx(&mut self.blackboard, self.device, device);
                     snapshots.push(m.counters(&ctx));
                 }
+                let flows = tags.iter().map(|t| (*t, device.stats.flow(*t))).collect();
                 out.push(WireMessage::CounterReport {
                     request: *request,
                     snapshots,
-                });
-            }
-            WireMessage::PollFlows { request, tags } => {
-                let flows = tags.iter().map(|t| (*t, device.stats.flow(*t))).collect();
-                out.push(WireMessage::FlowReport {
-                    request: *request,
                     flows,
                 });
             }
@@ -224,23 +199,7 @@ impl ManagementAgent {
                 }
             }
             WireMessage::RelayBatch { envelopes } => {
-                let mut reaction = ModuleReaction::none();
-                for env in envelopes {
-                    if let Some(module) = self.modules.get_mut(&env.to.module) {
-                        let mut ctx = Self::ctx(&mut self.blackboard, self.device, device);
-                        match module.handle_envelope(&mut ctx, env) {
-                            Ok(r) => reaction.extend(r),
-                            Err(e) => {
-                                out.push(WireMessage::Notify(crate::primitives::Notification {
-                                    from: env.to.clone(),
-                                    body: serde_json::json!({"error": e.to_string()}),
-                                }));
-                            }
-                        }
-                    }
-                }
-                reaction.extend(self.poll_until_quiescent(device));
-                Self::push_reaction(&mut out, reaction);
+                self.deliver_envelopes(device, envelopes, &mut out);
             }
             // Announcements, notifications, script results, counter reports
             // and transaction verdicts are NM-bound; an agent receiving one
@@ -249,7 +208,6 @@ impl ManagementAgent {
             | WireMessage::Notify(_)
             | WireMessage::ScriptResult { .. }
             | WireMessage::CounterReport { .. }
-            | WireMessage::FlowReport { .. }
             | WireMessage::StageBatchResult { .. }
             | WireMessage::CommitBatchResult { .. } => {}
         }
@@ -323,6 +281,34 @@ impl ManagementAgent {
         WireMessage::StageBatchResult { txn, verdicts }
     }
 
+    /// Hand relayed module-to-module envelopes to their destination modules
+    /// (a module's error goes to the NM as a `Notify`), then run one shared
+    /// quiescence pass for the lot.
+    fn deliver_envelopes(
+        &mut self,
+        device: &mut Device,
+        envelopes: &[ModuleEnvelope],
+        out: &mut Vec<WireMessage>,
+    ) {
+        let mut reaction = ModuleReaction::none();
+        for env in envelopes {
+            if let Some(module) = self.modules.get_mut(&env.to.module) {
+                let mut ctx = Self::ctx(&mut self.blackboard, self.device, device);
+                match module.handle_envelope(&mut ctx, env) {
+                    Ok(r) => reaction.extend(r),
+                    Err(e) => {
+                        out.push(WireMessage::Notify(crate::primitives::Notification {
+                            from: env.to.clone(),
+                            body: serde_json::json!({"error": e.to_string()}),
+                        }));
+                    }
+                }
+            }
+        }
+        reaction.extend(self.poll_until_quiescent(device));
+        Self::push_reaction(out, reaction);
+    }
+
     fn push_reaction(out: &mut Vec<WireMessage>, reaction: ModuleReaction) {
         for env in reaction.envelopes {
             out.push(WireMessage::Module(env));
@@ -371,13 +357,7 @@ impl ManagementAgent {
             Primitive::ShowActual => {
                 let mut map = BTreeMap::new();
                 for m in self.modules.values() {
-                    let ctx = ModuleCtx {
-                        device: self.device,
-                        config: &mut device.config,
-                        ports: &device.ports,
-                        stats: &device.stats,
-                        blackboard: &mut self.blackboard,
-                    };
+                    let ctx = Self::ctx(&mut self.blackboard, self.device, device);
                     let actual: ModuleActual = m.actual(&ctx);
                     map.insert(m.reference().to_string(), actual);
                 }
@@ -808,13 +788,18 @@ mod tests {
 
         let out = agent.handle(
             &mut device,
-            &WireMessage::PollFlows {
+            &WireMessage::PollCounters {
                 request: 9,
                 tags: vec![7, 8],
             },
         );
         match &out[0] {
-            WireMessage::FlowReport { request: 9, flows } => {
+            WireMessage::CounterReport {
+                request: 9,
+                snapshots,
+                flows,
+            } => {
+                assert_eq!(snapshots.len(), 2, "one snapshot per module");
                 assert_eq!(flows.len(), 2);
                 assert_eq!(flows[0].0, 7);
                 assert_eq!(flows[0].1.forwarded, 2);

@@ -249,17 +249,26 @@ pub enum WireMessage {
     Module(ModuleEnvelope),
     /// Module → NM notification.
     Notify(Notification),
-    /// NM → device: sample every module's counters (telemetry).
+    /// NM → device: the one telemetry pull — sample every module's counters
+    /// and the device's per-flow counter attribution for the listed flow
+    /// tags (each tag is an owning goal's id), so one message per device
+    /// covers any number of goals.
     PollCounters {
         /// Request identifier for matching reports.
         request: u64,
+        /// Flow tags (goal ids) to report.
+        tags: Vec<u64>,
     },
-    /// Device → NM: one counter snapshot per module (telemetry).
+    /// Device → NM: both halves of one snapshot — a counter snapshot per
+    /// module (device totals, for drop-reason refinement) and the per-flow
+    /// attribution the Diagnoser's frontier walk runs on.
     CounterReport {
         /// Request identifier this responds to.
         request: u64,
         /// Per-module snapshots.
         snapshots: Vec<CounterSnapshot>,
+        /// `(flow tag, counters)` per polled tag, in poll order.
+        flows: Vec<(u64, netsim::stats::FlowCounters)>,
     },
     /// NM → device: phase one of a two-phase configuration transaction —
     /// every goal the transaction touches on this device, in one round
@@ -314,24 +323,6 @@ pub enum WireMessage {
         /// The relayed envelopes, in relay order.
         envelopes: Vec<ModuleEnvelope>,
     },
-    /// NM → device: sample the device's per-flow counter attribution for
-    /// the listed flow tags (each tag is an owning goal's id).  The
-    /// flow-delta telemetry the autonomic loop's localisation runs on: one
-    /// message per device covers any number of goals.
-    PollFlows {
-        /// Request identifier for matching reports.
-        request: u64,
-        /// Flow tags (goal ids) to report.
-        tags: Vec<u64>,
-    },
-    /// Device → NM: per-flow counter attribution.  `request` matches the
-    /// `PollFlows` that elicited it.
-    FlowReport {
-        /// Request identifier this responds to.
-        request: u64,
-        /// `(flow tag, counters)` per reported tag, in tag order.
-        flows: Vec<(u64, netsim::stats::FlowCounters)>,
-    },
 }
 
 impl WireMessage {
@@ -385,13 +376,17 @@ mod tests {
 
     #[test]
     fn wire_roundtrip_flow_telemetry() {
-        let poll = WireMessage::PollFlows {
+        let poll = WireMessage::PollCounters {
             request: 3,
             tags: vec![1, 2],
         };
         assert_eq!(WireMessage::decode(&poll.encode()).unwrap(), poll);
-        let report = WireMessage::FlowReport {
+        let module = mref(ModuleKind::Ip, 1, 1);
+        let mut snapshot = CounterSnapshot::empty(module);
+        snapshot.totals.rx_packets = 5;
+        let report = WireMessage::CounterReport {
             request: 3,
+            snapshots: vec![snapshot],
             flows: vec![(
                 7,
                 netsim::stats::FlowCounters {

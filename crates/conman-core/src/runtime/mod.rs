@@ -25,6 +25,7 @@ use conman_obs::Recorder;
 use mgmt_channel::{ChannelCounters, ManagementChannel, MessageCategory, MgmtMessage};
 use netsim::device::DeviceId;
 use netsim::network::Network;
+use netsim::stats::FlowCounters;
 use std::collections::BTreeMap;
 
 pub use control_loop::{
@@ -35,8 +36,15 @@ pub use reconcile::{ReconcileAction, ReconcileOutcome, ReconcileReport, Withdraw
 pub use txn::GoalTeardown;
 pub use txn::{BatchOutcome, TeardownBatchOutcome, TxnEvent, TxnHook};
 
-/// One device's flow report: `(device, request id, per-tag counters)`.
-pub type FlowReportEntry = (DeviceId, u64, Vec<(u64, netsim::stats::FlowCounters)>);
+/// What one device answered to [`ManagedNetwork::poll_counters`]: both
+/// halves of one snapshot, from one round trip.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeviceTelemetry {
+    /// One counter snapshot per module (device totals).
+    pub snapshots: Vec<CounterSnapshot>,
+    /// The device's per-flow counter attribution, keyed by polled flow tag.
+    pub flows: BTreeMap<u64, FlowCounters>,
+}
 
 /// Upper bound on relay rounds per management operation; real exchanges
 /// converge in a handful of rounds.
@@ -57,13 +65,10 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     /// Script replies received by the NM and not yet taken by the call that
     /// asked for them: (device, per-primitive results).  Empty between
     /// calls — every requester drains what arrived on its behalf.
-    pub script_results: Vec<(DeviceId, Vec<Result<PrimitiveResult, String>>)>,
-    /// Counter reports received by the NM and not yet consumed:
-    /// (device, request, snapshots).  Drained by [`Self::poll_counters`].
-    pub counter_reports: Vec<(DeviceId, u64, Vec<CounterSnapshot>)>,
-    /// Flow-attribution reports received by the NM and not yet consumed:
-    /// (device, request, per-tag counters).  Drained by [`Self::poll_flows`].
-    pub flow_reports: Vec<FlowReportEntry>,
+    script_results: Vec<(DeviceId, Vec<Result<PrimitiveResult, String>>)>,
+    /// Telemetry reports received by the NM and not yet consumed:
+    /// (device, request, report).  Drained by [`Self::poll_counters`].
+    counter_reports: Vec<(DeviceId, u64, DeviceTelemetry)>,
     /// The NM's declarative goal store (see [`reconcile`]).
     pub goals: GoalStore,
     /// Staging verdicts (one per goal segment) received by the NM, indexed
@@ -107,7 +112,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             next_request: 0,
             script_results: Vec::new(),
             counter_reports: Vec::new(),
-            flow_reports: Vec::new(),
             goals: GoalStore::new(),
             stage_batch_results: BTreeMap::new(),
             commit_batch_results: BTreeMap::new(),
@@ -167,10 +171,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             // envelopes; it is counted once, under the convey category.
             WireMessage::RelayBatch { .. } => MessageCategory::ConveyMessage,
             WireMessage::Notify(_) => MessageCategory::Notification,
-            WireMessage::PollCounters { .. }
-            | WireMessage::CounterReport { .. }
-            | WireMessage::PollFlows { .. }
-            | WireMessage::FlowReport { .. } => MessageCategory::Telemetry,
+            WireMessage::PollCounters { .. } | WireMessage::CounterReport { .. } => {
+                MessageCategory::Telemetry
+            }
         }
     }
 
@@ -226,7 +229,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// Send one `Script` per `(device, primitives)` pair, pump the management
     /// plane until quiescent and hand the replies that arrived to the
     /// caller.  Every script requester goes through here, so
-    /// [`Self::script_results`] is empty again when the call returns.
+    /// `script_results` is empty again when the call returns.
     fn run_scripts(
         &mut self,
         scripts: impl IntoIterator<Item = (DeviceId, Vec<Primitive>)>,
@@ -270,19 +273,22 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             })
     }
 
-    /// Poll every listed device's module counters over the management
-    /// channel (one `PollCounters` each) and return the snapshots of the
-    /// devices that answered.  Crashed devices simply do not answer — their
-    /// absence from the result is itself diagnostic evidence.
+    /// The one telemetry pull: send every listed device one `PollCounters`
+    /// over the management channel and return, per device that answered,
+    /// its module snapshots and its per-flow counters for `tags`.  Crashed
+    /// devices simply do not answer — their absence from the result is
+    /// itself diagnostic evidence.
     pub fn poll_counters(
         &mut self,
         devices: &[DeviceId],
-    ) -> BTreeMap<DeviceId, Vec<CounterSnapshot>> {
+        tags: &[u64],
+    ) -> BTreeMap<DeviceId, DeviceTelemetry> {
         let first_request = self.next_request + 1;
         for id in devices {
             self.next_request += 1;
             let msg = WireMessage::PollCounters {
                 request: self.next_request,
+                tags: tags.to_vec(),
             };
             self.send(self.nm_host, *id, &msg);
         }
@@ -290,43 +296,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // Drain the report buffer: matched reports become this poll's
         // result, anything older is stale (its poller already returned) and
         // would otherwise accumulate for the lifetime of the network.
-        let mut out = BTreeMap::new();
-        for (device, request, snapshots) in self.counter_reports.drain(..) {
-            if request >= first_request && request <= self.next_request {
-                out.insert(device, snapshots);
-            }
-        }
-        out
-    }
-
-    /// Poll the per-flow counter attribution of every listed device for the
-    /// given flow tags (one `PollFlows` each) and return what the answering
-    /// devices reported.  Crashed devices do not answer — their absence is
-    /// itself diagnostic evidence, exactly as with [`Self::poll_counters`].
-    pub fn poll_flows(
-        &mut self,
-        devices: &[DeviceId],
-        tags: &[u64],
-    ) -> BTreeMap<DeviceId, BTreeMap<u64, netsim::stats::FlowCounters>> {
-        let first_request = self.next_request + 1;
-        for id in devices {
-            self.next_request += 1;
-            let msg = WireMessage::PollFlows {
-                request: self.next_request,
-                tags: tags.to_vec(),
-            };
-            self.send(self.nm_host, *id, &msg);
-        }
-        self.run_management();
-        // Same drain as `poll_counters`: matched reports are the result,
-        // anything older is stale.
-        let mut out = BTreeMap::new();
-        for (device, request, flows) in self.flow_reports.drain(..) {
-            if request >= first_request && request <= self.next_request {
-                out.insert(device, flows.into_iter().collect());
-            }
-        }
-        out
+        let requests = first_request..=self.next_request;
+        self.counter_reports
+            .drain(..)
+            .filter(|(_, request, _)| requests.contains(request))
+            .map(|(device, _, report)| (device, report))
+            .collect()
     }
 
     /// Send an ad-hoc primitive script to one device and pump the
@@ -437,13 +412,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             | WireMessage::ScriptResult { .. }
             | WireMessage::Notify(_)
             | WireMessage::CounterReport { .. }
-            | WireMessage::FlowReport { .. }
             | WireMessage::StageBatchResult { .. }
             | WireMessage::CommitBatchResult { .. } => true,
             WireMessage::Module(env) => env.to.device != at,
             WireMessage::Script { .. }
             | WireMessage::PollCounters { .. }
-            | WireMessage::PollFlows { .. }
             | WireMessage::StageBatch { .. }
             | WireMessage::CommitBatch { .. }
             | WireMessage::AbortBatch { .. }
@@ -482,11 +455,16 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             // A notification's content has no consumer in the NM; it is
             // counted so that none arrives silently.
             WireMessage::Notify(_) => self.recorder.inc("mgmt.notifications", 1),
-            WireMessage::CounterReport { request, snapshots } => {
-                self.counter_reports.push((from, request, snapshots));
-            }
-            WireMessage::FlowReport { request, flows } => {
-                self.flow_reports.push((from, request, flows));
+            WireMessage::CounterReport {
+                request,
+                snapshots,
+                flows,
+            } => {
+                let report = DeviceTelemetry {
+                    snapshots,
+                    flows: flows.into_iter().collect(),
+                };
+                self.counter_reports.push((from, request, report));
             }
             WireMessage::StageBatchResult { txn, verdicts } => {
                 self.stage_batch_results.insert((from, txn), verdicts);
@@ -496,7 +474,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             }
             WireMessage::Script { .. }
             | WireMessage::PollCounters { .. }
-            | WireMessage::PollFlows { .. }
             | WireMessage::StageBatch { .. }
             | WireMessage::CommitBatch { .. }
             | WireMessage::AbortBatch { .. }
@@ -710,6 +687,52 @@ mod tests {
         assert_eq!(mn.script_results.len(), before);
     }
 
+    /// The one telemetry pull: one request per polled device, one report
+    /// per live one carrying both halves of the snapshot, nothing left in
+    /// the NM's inbox afterwards.
+    #[test]
+    fn one_poll_round_trip_returns_snapshots_and_flow_counters_of_live_devices() {
+        let mut net = Network::new();
+        let nm_host = net.add_device(Device::new("NM", DeviceRole::Router, 1));
+        let mut mn = ManagedNetwork::new(net, nm_host, OutOfBandChannel::new());
+        mn.add_agent(ManagementAgent::new(nm_host, "NM"));
+        let polled: Vec<DeviceId> = ["RouterA", "RouterB", "RouterC"]
+            .into_iter()
+            .map(|name| {
+                let d = mn.net.add_device(Device::new(name, DeviceRole::Router, 1));
+                let mut agent = ManagementAgent::new(d, name);
+                let me = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d);
+                agent.register(Box::new(Chatty { me }));
+                mn.add_agent(agent);
+                d
+            })
+            .collect();
+        let (live, dead) = ([polled[0], polled[2]], polled[1]);
+        for d in live {
+            let stats = &mut mn.net.device_mut(d).unwrap().stats;
+            stats.flows.entry(7).or_default().forwarded = 3;
+        }
+        mn.net.device_mut(dead).unwrap().up = false;
+
+        let telemetry = |mn: &ManagedNetwork<OutOfBandChannel>| {
+            let c = mn.nm_counters();
+            let count = |by: &BTreeMap<MessageCategory, u64>| {
+                by.get(&MessageCategory::Telemetry).copied().unwrap_or(0)
+            };
+            (count(&c.sent_by_category), count(&c.received_by_category))
+        };
+        let (sent, received) = telemetry(&mn);
+        let reports = mn.poll_counters(&polled, &[7]);
+        assert_eq!(telemetry(&mn), (sent + 3, received + 2));
+
+        assert_eq!(reports.keys().copied().collect::<Vec<_>>(), live);
+        for report in reports.values() {
+            assert_eq!(report.snapshots.len(), 1, "one snapshot per module");
+            assert_eq!(report.flows[&7].forwarded, 3);
+        }
+        assert!(mn.counter_reports.is_empty());
+    }
+
     /// A module that answers every envelope with another one, so a pair of
     /// them never lets the management plane go quiet.
     struct PingPong {
@@ -788,16 +811,22 @@ mod tests {
         assert_eq!(recorder.counter("mgmt.decode_dropped"), 0);
 
         // A binary StageBatch cut short inside its segment fails the
-        // agent's in-place framing check; plain text is not JSON at all.
+        // agent's in-place framing check, and so does one whose segment
+        // count claims four billion segments in a 13-byte frame; plain text
+        // is not JSON at all.
         let script: [Primitive; 1] = [Primitive::ShowPotential];
         let mut truncated = wire::encode_stage_batch(7, &[(1, &script)]);
         truncated.truncate(truncated.len() - 1);
         assert!(wire::is_binary_stage_batch(&truncated));
-        for payload in [truncated, b"not a conman message".to_vec()] {
+        let mut lying_count = wire::encode_stage_batch(7, &[]);
+        let count_at = lying_count.len() - 4;
+        lying_count[count_at..].fill(0xFF);
+        assert_eq!(lying_count.len(), 13);
+        for payload in [truncated, lying_count, b"not a conman message".to_vec()] {
             let m = MgmtMessage::new(d1, d2, MessageCategory::Command, payload);
             mn.channel.send(&mut mn.net, m);
         }
-        assert_eq!(mn.run_management(), 2, "both were delivered to the agent");
-        assert_eq!(recorder.counter("mgmt.decode_dropped"), 2);
+        assert_eq!(mn.run_management(), 3, "all were delivered to the agent");
+        assert_eq!(recorder.counter("mgmt.decode_dropped"), 3);
     }
 }

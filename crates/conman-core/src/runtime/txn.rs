@@ -30,7 +30,7 @@
 use super::ManagedNetwork;
 use crate::nm::goal::GoalId;
 use crate::nm::ScriptSet;
-use crate::primitives::{Primitive, SegmentCommit, SegmentVerdict, WireMessage};
+use crate::primitives::{Primitive, WireMessage};
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use netsim::device::DeviceId;
@@ -133,24 +133,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
     }
 
-    /// Drain the batched staging verdicts for (`device`, `txn`).
-    fn take_stage_batch_result(
-        &mut self,
-        device: DeviceId,
-        txn: u64,
-    ) -> Option<Vec<SegmentVerdict>> {
-        self.stage_batch_results.remove(&(device, txn))
-    }
-
-    /// Drain the batched commit results for (`device`, `txn`).
-    fn take_commit_batch_result(
-        &mut self,
-        device: DeviceId,
-        txn: u64,
-    ) -> Option<Vec<SegmentCommit>> {
-        self.commit_batch_results.remove(&(device, txn))
-    }
-
     /// Execute many goals' teardown scripts (all-`delete`) as **one**
     /// batched lenient transaction: every touched device is staged once
     /// (all goals' delete segments in one `StageBatch`) and committed once,
@@ -208,7 +190,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // or is silent (lenient skip).
         let mut committable = Vec::new();
         for (device, goals) in &goals_by_device {
-            let ok = match self.take_stage_batch_result(*device, txn) {
+            let ok = match self.stage_batch_results.remove(&(*device, txn)) {
                 Some(_) => {
                     committable.push(*device);
                     true
@@ -242,7 +224,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
         self.run_management();
         for device in committable {
-            let ok = match self.take_commit_batch_result(device, txn) {
+            let ok = match self.commit_batch_results.remove(&(device, txn)) {
                 Some(segs) => {
                     for sc in segs {
                         outcome.primitives += sc.results.len();
@@ -410,7 +392,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
         let mut silent: BTreeSet<DeviceId> = BTreeSet::new();
         for (device, goals) in &goals_by_device {
-            let ok = match self.take_stage_batch_result(*device, txn) {
+            let ok = match self.stage_batch_results.remove(&(*device, txn)) {
                 Some(verdicts) => {
                     let mut clean = true;
                     for v in verdicts {
@@ -521,7 +503,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             );
             self.run_management();
             let mut newly_failed: Vec<GoalId> = Vec::new();
-            let commit_ok = match self.take_commit_batch_result(device, txn) {
+            let commit_ok = match self.commit_batch_results.remove(&(device, txn)) {
                 Some(segs) => {
                     let mut clean = true;
                     for sc in segs {

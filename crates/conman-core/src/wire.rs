@@ -187,11 +187,11 @@ pub fn decode(bytes: &[u8]) -> Option<WireMessage> {
         codec::TAG_STAGE_BATCH_RESULT => {
             let txn = r.u64()?;
             let n = r.u32()?;
-            let mut verdicts = Vec::with_capacity(n as usize);
+            let mut verdicts = Vec::with_capacity(presize(&r, n));
             for _ in 0..n {
                 let goal = r.u64()?;
                 let nerr = r.u32()?;
-                let mut errors = Vec::with_capacity(nerr as usize);
+                let mut errors = Vec::with_capacity(presize(&r, nerr));
                 for _ in 0..nerr {
                     errors.push(r.str()?.to_string());
                 }
@@ -206,11 +206,11 @@ pub fn decode(bytes: &[u8]) -> Option<WireMessage> {
         codec::TAG_COMMIT_BATCH_RESULT => {
             let txn = r.u64()?;
             let n = r.u32()?;
-            let mut segments = Vec::with_capacity(n as usize);
+            let mut segments = Vec::with_capacity(presize(&r, n));
             for _ in 0..n {
                 let goal = r.u64()?;
                 let nres = r.u32()?;
-                let mut results = Vec::with_capacity(nres as usize);
+                let mut results = Vec::with_capacity(presize(&r, nres));
                 for _ in 0..nres {
                     results.push(read_commit_result(&mut r)?);
                 }
@@ -224,7 +224,7 @@ pub fn decode(bytes: &[u8]) -> Option<WireMessage> {
         }
         codec::TAG_RELAY_BATCH => {
             let n = r.u32()?;
-            let mut envelopes = Vec::with_capacity(n as usize);
+            let mut envelopes = Vec::with_capacity(presize(&r, n));
             for _ in 0..n {
                 let from = read_module_ref(&mut r)?;
                 let to = read_module_ref(&mut r)?;
@@ -274,7 +274,7 @@ impl<'a> StageBatchView<'a> {
         }
         let txn = r.u64()?;
         let n = r.u32()?;
-        let mut segments = Vec::with_capacity(n as usize);
+        let mut segments = Vec::with_capacity(presize(&r, n));
         for _ in 0..n {
             let goal = r.u64()?;
             let block = r.bytes()?;
@@ -367,6 +367,14 @@ impl Iterator for PrimitiveStream<'_> {
 
 // ---- field-level encoders/decoders ------------------------------------
 
+/// How many elements to pre-size a `Vec` for when the payload claims `n`
+/// follow: never more than the bytes left to read, since every element
+/// occupies at least one.  A lying count then fails at the first short read
+/// instead of asking the allocator for gigabytes.
+fn presize(r: &Reader<'_>, n: u32) -> usize {
+    (n as usize).min(r.remaining())
+}
+
 fn encode_goal_list(tag: u8, txn: u64, goals: &[u64]) -> Vec<u8> {
     let mut w = Writer::with_tag(tag);
     w.put_u64(txn);
@@ -380,7 +388,7 @@ fn encode_goal_list(tag: u8, txn: u64, goals: &[u64]) -> Vec<u8> {
 fn read_goal_list(r: &mut Reader<'_>) -> Option<(u64, Vec<u64>)> {
     let txn = r.u64()?;
     let n = r.u32()?;
-    let mut goals = Vec::with_capacity(n as usize);
+    let mut goals = Vec::with_capacity(presize(r, n));
     for _ in 0..n {
         goals.push(r.u64()?);
     }
@@ -568,7 +576,7 @@ fn read_primitive(r: &mut Reader<'_>) -> Option<Primitive> {
             let peer_upper = read_opt_module_ref(r)?;
             let peer_lower = read_opt_module_ref(r)?;
             let n = r.u32()?;
-            let mut tradeoffs = Vec::with_capacity(n as usize);
+            let mut tradeoffs = Vec::with_capacity(presize(r, n));
             for _ in 0..n {
                 tradeoffs.push(read_tradeoff(r)?);
             }
@@ -804,7 +812,10 @@ mod tests {
 
     #[test]
     fn non_batch_messages_stay_json_under_binary_codec() {
-        let msg = WireMessage::PollCounters { request: 3 };
+        let msg = WireMessage::PollCounters {
+            request: 3,
+            tags: vec![7],
+        };
         let bytes = msg.encode_with(WireCodec::Binary);
         assert!(!mgmt_channel::codec::is_binary(&bytes));
         assert_eq!(WireMessage::decode(&bytes).unwrap(), msg);

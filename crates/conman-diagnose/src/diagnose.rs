@@ -7,9 +7,10 @@
 //! loop is *which* counters drive the walk: instead of device-total module
 //! tallies — which a second goal's traffic through the same devices
 //! pollutes — the walk runs on window-based [`FlowCounters`] deltas
-//! attributed to the diagnosed goal's flow tag (`PollFlows` over the
-//! management channel).  Device totals from the module snapshots are still
-//! polled, but only to *refine* a blamed device down to the module whose
+//! attributed to the diagnosed goal's flow tag.  One `PollCounters` per path
+//! device before the burst and one after bring back both halves of a
+//! snapshot: the per-tag flow counters, and the device-total module
+//! snapshots that only *refine* a blamed device down to the module whose
 //! drop-reason counters moved (healthy background traffic drops nothing, so
 //! drop deltas stay attributable even under load).
 
@@ -17,7 +18,7 @@ use crate::report::{FaultReport, Suspect, SuspectTarget};
 use conman_core::abstraction::CounterSnapshot;
 use conman_core::ids::ModuleRef;
 use conman_core::nm::ModulePath;
-use conman_core::runtime::ManagedNetwork;
+use conman_core::runtime::{DeviceTelemetry, ManagedNetwork};
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use netsim::device::DeviceId;
@@ -115,8 +116,7 @@ impl Diagnoser {
         let probes = self.probes.max(1);
         let tag = self.flow_tag.unwrap_or(0);
         let devices = path.devices();
-        let flows_before = mn.poll_flows(&devices, &[tag]);
-        let mods_before = mn.poll_counters(&devices);
+        let before = mn.poll_counters(&devices, &[tag]);
         let mut delivered = 0u32;
         for _ in 0..probes {
             // The goal's own probe runs inside its window; the background
@@ -129,46 +129,32 @@ impl Diagnoser {
             mn.net.end_flow_window();
             background(mn);
         }
-        let flows_after = mn.poll_flows(&devices, &[tag]);
-        let mods_after = mn.poll_counters(&devices);
+        let after = mn.poll_counters(&devices, &[tag]);
         if delivered == probes {
             return FaultReport::healthy(probes);
         }
-        self.localise(
-            mn,
-            path,
-            &devices,
-            tag,
-            &flows_before,
-            &flows_after,
-            &mods_before,
-            &mods_after,
-            delivered,
-        )
+        self.localise(mn, path, &devices, &before, &after, delivered)
     }
 
     /// The frontier walk over per-goal flow deltas, refined per device by
     /// module drop-reason deltas.
-    #[allow(clippy::too_many_arguments)]
     fn localise<C: ManagementChannel>(
         &self,
         mn: &ManagedNetwork<C>,
         path: &ModulePath,
         devices: &[DeviceId],
-        tag: u64,
-        flows_before: &BTreeMap<DeviceId, BTreeMap<u64, FlowCounters>>,
-        flows_after: &BTreeMap<DeviceId, BTreeMap<u64, FlowCounters>>,
-        mods_before: &BTreeMap<DeviceId, Vec<CounterSnapshot>>,
-        mods_after: &BTreeMap<DeviceId, Vec<CounterSnapshot>>,
+        before: &BTreeMap<DeviceId, DeviceTelemetry>,
+        after: &BTreeMap<DeviceId, DeviceTelemetry>,
         delivered: u32,
     ) -> FaultReport {
+        let tag = self.flow_tag.unwrap_or(0);
         let mut suspects = Vec::new();
 
-        // Devices that did not answer the flow poll at all.
+        // Devices that did not answer the closing poll at all.
         let unresponsive: Vec<DeviceId> = devices
             .iter()
             .copied()
-            .filter(|d| !flows_after.contains_key(d))
+            .filter(|d| !after.contains_key(d))
             .collect();
         for d in &unresponsive {
             suspects.push(Suspect {
@@ -182,12 +168,12 @@ impl Diagnoser {
         }
 
         let need = u64::from(self.probes.max(1));
-        let mod_deltas = module_deltas(mods_before, mods_after);
+        let mod_deltas = module_deltas(before, after);
         // Per-device per-goal deltas across the probe burst; a device that
         // missed the baseline poll contributes no delta at all.
         let delta = |d: DeviceId| -> Option<FlowCounters> {
-            let before = flows_before.get(&d)?.get(&tag).copied().unwrap_or_default();
-            let after = flows_after.get(&d)?.get(&tag).copied().unwrap_or_default();
+            let before = before.get(&d)?.flows.get(&tag).copied().unwrap_or_default();
+            let after = after.get(&d)?.flows.get(&tag).copied().unwrap_or_default();
             Some(FlowCounters {
                 originated: after.originated.saturating_sub(before.originated),
                 forwarded: after.forwarded.saturating_sub(before.forwarded),
@@ -222,7 +208,7 @@ impl Diagnoser {
             if let (Some(tx), true) = (moved_on(*device), i + 1 < devices.len()) {
                 let next = devices[i + 1];
                 if let (true, true, Some(rx)) =
-                    (tx >= need, flows_after.contains_key(&next), arrived(next))
+                    (tx >= need, after.contains_key(&next), arrived(next))
                 {
                     // Total blackhole (nothing arrived) is near-certain;
                     // partial loss still points at the link, with lower
@@ -249,7 +235,7 @@ impl Diagnoser {
 
             // Intra-device check: the goal's traffic entered but never left
             // — blame the path module whose drop counters moved.
-            if !flows_after.contains_key(device) {
+            if !after.contains_key(device) {
                 continue;
             }
             if let (Some(rx), Some(tx)) = (arrived(*device), moved_on(*device)) {
@@ -323,16 +309,17 @@ impl Diagnoser {
 /// all — treating its lifetime counters as a probe-window delta would
 /// manufacture spurious suspects out of historical drops.
 fn module_deltas(
-    before: &BTreeMap<DeviceId, Vec<CounterSnapshot>>,
-    after: &BTreeMap<DeviceId, Vec<CounterSnapshot>>,
+    before: &BTreeMap<DeviceId, DeviceTelemetry>,
+    after: &BTreeMap<DeviceId, DeviceTelemetry>,
 ) -> BTreeMap<ModuleRef, CounterSnapshot> {
     let mut out = BTreeMap::new();
-    for (device, snapshots) in after {
+    for (device, report) in after {
         let Some(baseline) = before.get(device) else {
             continue;
         };
-        for snap in snapshots {
-            if let Some(earlier) = baseline.iter().find(|s| s.module == snap.module) {
+        for snap in &report.snapshots {
+            let earlier = baseline.snapshots.iter().find(|s| s.module == snap.module);
+            if let Some(earlier) = earlier {
                 out.insert(snap.module.clone(), snap.delta_since(earlier));
             }
         }

@@ -47,6 +47,13 @@ fn applied_label<C: ManagementChannel>(t: &ManagedChain<C>, id: GoalId) -> Strin
     applied.expect("an applied plan").path.technology_label()
 }
 
+/// `Telemetry` messages the NM has sent so far.
+fn telemetry_sent<C: ManagementChannel>(t: &ManagedChain<C>) -> u64 {
+    let sent = t.mn.nm_counters().sent_by_category;
+    let telemetry = sent.get(&mgmt_channel::MessageCategory::Telemetry);
+    telemetry.copied().unwrap_or(0)
+}
+
 /// Scenario 1 — link cut.  A chain has no alternate physical route, so the
 /// NM must localise the cut precisely and admit it cannot re-plan around it.
 #[test]
@@ -177,9 +184,16 @@ fn device_crash_is_attributed_to_the_device() {
     apply_fault(&mut t.mn.net, FaultKind::DeviceCrash(t.core[1]));
 
     let mut probe = t.probe_fn();
+    let polls_before = telemetry_sent(&t);
     let report = Diagnoser::default().diagnose(&mut t.mn, &path, &mut probe);
     assert!(!report.healthy);
     assert_eq!(report.unresponsive, vec![t.core[1]]);
+    // One pull per path device before the probes and one after — the
+    // crashed router is polled like the rest, it just never answers.
+    assert_eq!(
+        telemetry_sent(&t) - polls_before,
+        2 * path.devices().len() as u64
+    );
     assert!(
         report.blames_device(t.core[1]),
         "the crashed router must be the prime suspect: {:#?}",
@@ -444,11 +458,8 @@ fn diagnosis_works_over_the_in_band_channel() {
         report.suspects
     );
     // Telemetry traffic is accounted in its own category on the channel.
-    let telemetry =
-        t.mn.nm_counters()
-            .sent_by_category
-            .get(&mgmt_channel::MessageCategory::Telemetry)
-            .copied()
-            .unwrap_or(0);
-    assert!(telemetry > 0, "telemetry polls are accounted as Telemetry");
+    assert!(
+        telemetry_sent(&t) > 0,
+        "telemetry polls are accounted as Telemetry"
+    );
 }

@@ -122,12 +122,13 @@ fn fault_after_tick_t_is_detected_and_repaired_within_two_ticks() {
         (0..2).all(|k| t.probe_pair(k)),
         "traffic verified end to end"
     );
-    // The only telemetry the NM sends is the Diagnoser's pull: flow and
-    // module counters of every path device, before and after its probes.
+    // The only telemetry the NM sends is the Diagnoser's pull: one
+    // `PollCounters` per path device before its probes and one after, each
+    // answered with the module snapshots and the goal's flow counters.
     let diagnoses: usize = run.ticks.iter().map(|tk| tk.diagnosed.len()).sum();
     assert_eq!(
         telemetry_sent(&t.mn) - telemetry_before,
-        (diagnoses * 4 * t.core.len()) as u64
+        (diagnoses * 2 * t.core.len()) as u64
     );
     let after_repair = run.ticks.last().expect("the converged tick");
     assert_eq!(after_repair.events, 0, "no operator intent, no events");

@@ -1,8 +1,10 @@
 //! Property-based tests on the substrate's core data structures and
 //! invariants: wire-format round-trips, checksum detection, longest-prefix
-//! match consistency, path-finder sanity — and the pre-flight verifier's
+//! match consistency, path-finder sanity — the pre-flight verifier's
 //! soundness on honestly-planned goal fleets (random fleet shapes on the
-//! fan-out chain and the multipath mesh must produce zero violations).
+//! fan-out chain and the multipath mesh must produce zero violations) — and
+//! the binary management codec's behaviour on hostile bytes (it returns,
+//! whatever a frame's counts and lengths claim).
 
 use conman::netsim::ether::{EtherType, EthernetFrame};
 use conman::netsim::gre::GreHeader;
@@ -193,5 +195,168 @@ proptest! {
         }
         let violations = t.mn.verify_plans(&plans);
         prop_assert!(violations.is_empty(), "mesh fleet must verify clean: {violations:?}");
+    }
+}
+
+/// Decode `bytes` every way the runtime does: the generic decoder, and the
+/// agent's in-place walk of a `StageBatch`'s segments and primitives.
+/// Returning at all is the property — no panic, no allocator abort.
+fn decode_every_way(bytes: &[u8]) -> Option<conman::core::WireMessage> {
+    if let Some(view) = conman::core::wire::StageBatchView::parse(bytes) {
+        for segment in view.segments() {
+            segment.primitives().for_each(drop);
+        }
+    }
+    conman::core::WireMessage::decode(bytes)
+}
+
+/// A 13-byte frame whose element count claims four billion entries used to
+/// pre-size a `Vec` for all of them and abort the process in the allocator
+/// (137 GB for `StageBatchResult`, 103 GB through the agent's in-place
+/// `StageBatch` path, 34 GB for `CommitBatch`).
+#[test]
+fn a_lying_element_count_is_rejected_not_allocated_for() {
+    for tag in [0x81u8, 0x82, 0x83] {
+        let mut frame = vec![tag];
+        frame.extend([0u8; 8]); // txn
+        frame.extend([0xFFu8; 4]); // element count
+        assert_eq!(decode_every_way(&frame), None, "tag {tag:#x}");
+    }
+}
+
+/// One valid binary frame per batch message, each checked to decode back to
+/// the message it was encoded from.
+fn valid_batch_frames() -> Vec<Vec<u8>> {
+    use conman::core::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
+    use conman::core::primitives::{
+        ComponentRef, EnvelopeKind, ModuleEnvelope, PipeSpec, Primitive, PrimitiveResult,
+        ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec, TradeoffChoice,
+    };
+    use conman::core::{WireCodec, WireMessage};
+    use conman::netsim::device::DeviceId;
+
+    let mref = |kind, m, d| ModuleRef::new(kind, ModuleId(m), DeviceId::from_raw(d));
+    let primitives = vec![
+        Primitive::CreatePipe(PipeSpec {
+            pipe: PipeId(41),
+            upper: mref(ModuleKind::Gre, 1, 1),
+            lower: mref(ModuleKind::App("HTTP".into()), 2, 1),
+            peer_upper: Some(mref(ModuleKind::Gre, 1, 3)),
+            peer_lower: None,
+            tradeoffs: vec![TradeoffChoice::InOrderDelivery, TradeoffChoice::LowDelay],
+            initiate: true,
+            resolved: [("C1-S2".to_string(), "10.0.2.0/24".to_string())].into(),
+        }),
+        Primitive::CreateSwitch(SwitchSpec {
+            module: mref(ModuleKind::Ip, 3, 1),
+            in_pipe: PipeId(41),
+            out_pipe: PipeId(42),
+            dst_class: Some("dst:C1-S2".into()),
+            gateway: None,
+            resolved: Default::default(),
+        }),
+        Primitive::Delete(ComponentRef::Pipe(PipeId(7))),
+    ];
+    let env = ModuleEnvelope {
+        from: mref(ModuleKind::Mpls, 3, 1),
+        to: mref(ModuleKind::Mpls, 3, 2),
+        kind: EnvelopeKind::FieldResponse,
+        body: serde_json::json!({"mpls": {"label": 10001}}),
+    };
+    let stage = WireMessage::StageBatch {
+        txn: 7,
+        segments: vec![
+            ScriptSegment {
+                goal: 1,
+                primitives: primitives.clone(),
+            },
+            ScriptSegment {
+                goal: 2,
+                primitives: vec![],
+            },
+        ],
+    };
+    let stage_frame = conman::core::wire::encode_stage_batch(7, &[(1, &primitives), (2, &[])]);
+    assert_eq!(WireMessage::decode(&stage_frame), Some(stage));
+
+    let mut frames = vec![stage_frame];
+    for msg in [
+        WireMessage::StageBatchResult {
+            txn: 7,
+            verdicts: vec![
+                SegmentVerdict {
+                    goal: 1,
+                    errors: vec![],
+                },
+                SegmentVerdict {
+                    goal: 2,
+                    errors: vec!["no module".into()],
+                },
+            ],
+        },
+        WireMessage::CommitBatch {
+            txn: 7,
+            goals: vec![1, 2],
+        },
+        WireMessage::CommitBatchResult {
+            txn: 7,
+            segments: vec![SegmentCommit {
+                goal: 1,
+                results: vec![
+                    Ok(PrimitiveResult::PipeCreated(PipeId(41))),
+                    Ok(PrimitiveResult::Actual(Default::default())),
+                    Err("boom".into()),
+                ],
+            }],
+        },
+        WireMessage::AbortBatch {
+            txn: 7,
+            goals: vec![2],
+        },
+        WireMessage::RelayBatch {
+            envelopes: vec![env.clone(), env],
+        },
+    ] {
+        let frame = msg.encode_with(WireCodec::Binary);
+        assert_eq!(WireMessage::decode(&frame), Some(msg));
+        frames.push(frame);
+    }
+    frames
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Arbitrary bytes, half of them sniffing as a binary batch frame.
+    #[test]
+    fn arbitrary_payloads_decode_without_panicking(
+        bytes in proptest::collection::vec(any::<u8>(), 1..96),
+        binary in any::<bool>(),
+        tag in 0x81u8..=0x86,
+    ) {
+        let mut bytes = bytes;
+        if binary {
+            bytes[0] = tag;
+        }
+        decode_every_way(&bytes);
+    }
+
+    /// Valid frames of all six batch messages, damaged the way a hostile
+    /// channel would: one to three bytes overwritten, then maybe cut short.
+    #[test]
+    fn damaged_batch_frames_decode_without_panicking(
+        which in 0usize..6,
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        cut in proptest::option::of(any::<usize>()),
+    ) {
+        let mut frame = valid_batch_frames().swap_remove(which);
+        for (at, byte) in edits {
+            let at = at % frame.len();
+            frame[at] = byte;
+        }
+        if let Some(cut) = cut {
+            frame.truncate(cut % (frame.len() + 1));
+        }
+        decode_every_way(&frame);
     }
 }
