@@ -5,12 +5,19 @@
 //! the NM's primitives by dispatching them to the right protocol modules,
 //! relays module-to-module envelopes to their destination module, and
 //! forwards module notifications to the NM.
+//!
+//! After every event the agent polls its modules until the device is
+//! quiescent ([`ManagementAgent::poll_until_quiescent`]).  What that costs
+//! is the modules' pending work: a round is over when no module reacted and
+//! the [`Blackboard`]'s change count did not move, so neither the agent nor
+//! (by the contract on [`ProtocolModule::poll`]) a module walks state that
+//! the event did not touch.
 
 use crate::ids::{ModuleId, ModuleRef};
-use crate::module::{ModuleCtx, ModuleReaction, ProtocolModule};
+use crate::module::{Blackboard, ModuleCtx, ModuleReaction, ProtocolModule};
 use crate::primitives::{
-    Announcement, ModuleActual, ModuleEnvelope, Primitive, PrimitiveResult, SegmentCommit,
-    SegmentVerdict, WireMessage,
+    Announcement, ComponentRef, ModuleActual, ModuleEnvelope, Notification, Primitive,
+    PrimitiveResult, SegmentCommit, SegmentVerdict, WireMessage,
 };
 use crate::wire::MalformedSegment;
 use netsim::device::{Device, DeviceId, PortId};
@@ -18,7 +25,8 @@ use std::collections::BTreeMap;
 
 /// How many times the agent re-polls its modules after an event before
 /// declaring the device quiescent.  Deferred work converges in one or two
-/// rounds; the bound only guards against buggy modules ping-ponging.
+/// rounds; the bound only guards against buggy modules ping-ponging, and an
+/// exit through it is reported to the NM as a `Notify`.
 const MAX_POLL_ROUNDS: usize = 8;
 
 /// The management agent of one device.
@@ -29,7 +37,7 @@ pub struct ManagementAgent {
     pub device_name: String,
     modules: BTreeMap<ModuleId, Box<dyn ProtocolModule>>,
     /// Per-device blackboard shared by the modules.
-    blackboard: BTreeMap<String, String>,
+    blackboard: Blackboard,
     /// Per-goal segments staged under a transaction id — validated but not
     /// yet applied to the data plane (two-phase configuration) — keyed by
     /// (txn, goal) so each goal can be committed or aborted independently.
@@ -43,7 +51,7 @@ impl ManagementAgent {
             device,
             device_name: device_name.into(),
             modules: BTreeMap::new(),
-            blackboard: BTreeMap::new(),
+            blackboard: Blackboard::new(),
             staged_batches: BTreeMap::new(),
         }
     }
@@ -91,7 +99,7 @@ impl ManagementAgent {
     }
 
     /// Read-only access to the blackboard (used by tests and debugging).
-    pub fn blackboard(&self) -> &BTreeMap<String, String> {
+    pub fn blackboard(&self) -> &Blackboard {
         &self.blackboard
     }
 
@@ -297,7 +305,7 @@ impl ManagementAgent {
                 match module.handle_envelope(&mut ctx, env) {
                     Ok(r) => reaction.extend(r),
                     Err(e) => {
-                        out.push(WireMessage::Notify(crate::primitives::Notification {
+                        out.push(WireMessage::Notify(Notification {
                             from: env.to.clone(),
                             body: serde_json::json!({"error": e.to_string()}),
                         }));
@@ -319,7 +327,7 @@ impl ManagementAgent {
     }
 
     fn ctx<'a>(
-        blackboard: &'a mut BTreeMap<String, String>,
+        blackboard: &'a mut Blackboard,
         id: DeviceId,
         device: &'a mut Device,
     ) -> ModuleCtx<'a> {
@@ -422,9 +430,8 @@ impl ManagementAgent {
                 // A deleted pipe's blackboard attributes (port, attach,
                 // addresses) must not leak into a later path that happens to
                 // reuse the same pipe identifier.
-                if let crate::primitives::ComponentRef::Pipe(pipe) = component {
-                    let prefix = format!("pipe.{}.", pipe.0);
-                    self.blackboard.retain(|k, _| !k.starts_with(&prefix));
+                if let ComponentRef::Pipe(pipe) = component {
+                    self.blackboard.remove_pipe(*pipe);
                 }
                 match last_err {
                     Some(e) => Err(e),
@@ -435,38 +442,31 @@ impl ManagementAgent {
         (result, reaction)
     }
 
-    /// A cheap content fingerprint of the blackboard, used to detect that a
-    /// poll round published new values without cloning the whole map (the
-    /// blackboard holds an entry per pipe attribute, so a clone per round
-    /// is O(goals) allocations on busy devices).
-    fn blackboard_fingerprint(&self) -> u64 {
-        use std::hash::{DefaultHasher, Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        self.blackboard.len().hash(&mut h);
-        for (k, v) in &self.blackboard {
-            k.hash(&mut h);
-            v.hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// Poll every module until none of them produces further output.
+    /// Poll every module until a round neither reacts nor changes the
+    /// blackboard.  Giving up after `MAX_POLL_ROUNDS` (8) rounds with the
+    /// device still busy is reported to the NM: one `Notify` from the
+    /// device's first module.
     pub fn poll_until_quiescent(&mut self, device: &mut Device) -> ModuleReaction {
         let mut total = ModuleReaction::none();
-        let mut before = self.blackboard_fingerprint();
+        let mut seen = self.blackboard.changes();
         for _ in 0..MAX_POLL_ROUNDS {
             let mut round = ModuleReaction::none();
             for module in self.modules.values_mut() {
                 let mut ctx = Self::ctx(&mut self.blackboard, self.device, device);
                 round.extend(module.poll(&mut ctx));
             }
-            let after = self.blackboard_fingerprint();
-            let changed = after != before;
-            before = after;
-            if round.is_empty() && !changed {
-                break;
+            let now = self.blackboard.changes();
+            if round.is_empty() && now == seen {
+                return total;
             }
+            seen = now;
             total.extend(round);
+        }
+        if let Some(first) = self.modules.values().next() {
+            total.notifications.push(Notification {
+                from: first.reference(),
+                body: serde_json::json!({"error": "poll round cap"}),
+            });
         }
         total
     }
@@ -807,6 +807,44 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A module that never settles: every `poll` relays a message to itself.
+    struct Restless(ModuleRef);
+
+    impl ProtocolModule for Restless {
+        fn reference(&self) -> ModuleRef {
+            self.0.clone()
+        }
+        fn descriptor(&self) -> ModuleAbstraction {
+            ModuleAbstraction::empty(self.0.clone())
+        }
+        fn poll(&mut self, _ctx: &mut ModuleCtx) -> ModuleReaction {
+            ModuleReaction::envelope(ModuleEnvelope {
+                from: self.0.clone(),
+                to: self.0.clone(),
+                kind: crate::primitives::EnvelopeKind::Convey,
+                body: serde_json::json!({}),
+            })
+        }
+    }
+
+    #[test]
+    fn hitting_the_poll_round_cap_is_notified_and_quiescing_is_not() {
+        let (mut device, mut agent, first, _) = setup();
+        let settled = agent.poll_until_quiescent(&mut device);
+        assert!(settled.is_empty(), "a quiescent device reports nothing");
+
+        let restless = ModuleRef::new(ModuleKind::Gre, ModuleId(9), device.id);
+        agent.register(Box::new(Restless(restless)));
+        let capped = agent.poll_until_quiescent(&mut device);
+        assert_eq!(capped.envelopes.len(), MAX_POLL_ROUNDS);
+        assert_eq!(capped.notifications.len(), 1);
+        assert_eq!(capped.notifications[0].from, first);
+        assert_eq!(
+            capped.notifications[0].body,
+            serde_json::json!({"error": "poll round cap"})
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod wire;
 pub use abstraction::{CounterSnapshot, ModuleAbstraction, PipeCounters, SwitchKind};
 pub use agent::ManagementAgent;
 pub use ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
-pub use module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
+pub use module::{Blackboard, ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 pub use nm::{
     ConnectivityGoal, GoalId, GoalStatus, GoalStore, ModulePath, NetworkManager, PathFinderLimits,
     Plan,

@@ -5,6 +5,13 @@
 //! generic module abstraction and reacts to the CONMan primitives.  All the
 //! protocol-specific intelligence — determining keys, addresses, labels,
 //! VLAN ids — lives behind this interface, exactly as the paper prescribes.
+//!
+//! The modules of one device share a [`Blackboard`]: a key/value map that
+//! counts its own content changes, which is how the management agent learns
+//! that a poll round published something without looking at the map.  The
+//! agent calls [`ProtocolModule::poll`] after every event on the device, so
+//! the cost contract of `poll` (work pending in the module, not state held
+//! by it) is what keeps a change on a busy device as cheap as the change.
 
 use crate::abstraction::{CounterSnapshot, ModuleAbstraction};
 use crate::ids::{ModuleRef, PipeId};
@@ -15,8 +22,10 @@ use netsim::config::DeviceConfig;
 use netsim::device::DeviceId;
 use netsim::nic::Nic;
 use netsim::stats::DeviceStats;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Bound, Deref};
 
 /// Errors a module can raise while executing a primitive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,6 +86,78 @@ impl ModuleReaction {
     }
 }
 
+/// The per-device key/value blackboard the modules of one device share
+/// resolved values through (underlying ports, learnt addresses, tunnel and
+/// LSP attachments).
+///
+/// Reads go through the map it dereferences to; writes only through
+/// [`Blackboard::set`] and [`Blackboard::remove_pipe`], which count every
+/// change of content.  The agent compares [`Blackboard::changes`] before and
+/// after a poll round instead of comparing the content itself.
+#[derive(Debug, Clone, Default)]
+pub struct Blackboard {
+    entries: BTreeMap<String, String>,
+    changes: u64,
+}
+
+impl Blackboard {
+    /// An empty blackboard.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Write a value.  Writing the value a key already holds is not a
+    /// change and is not counted.
+    pub fn set(&mut self, key: impl Into<String>, value: impl Into<String>) {
+        let value = value.into();
+        match self.entries.entry(key.into()) {
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+            }
+            Entry::Occupied(slot) if *slot.get() == value => return,
+            Entry::Occupied(mut slot) => {
+                slot.insert(value);
+            }
+        }
+        self.changes += 1;
+    }
+
+    /// Drop every attribute of `pipe` — the contiguous `"pipe.{n}."` key
+    /// range — so a later pipe reusing the identifier starts clean.
+    pub fn remove_pipe(&mut self, pipe: PipeId) {
+        // `'/'` is the successor of `'.'`: the range holds exactly the keys
+        // that start with `"pipe.{n}."`.
+        let (start, end) = (format!("pipe.{}.", pipe.0), format!("pipe.{}/", pipe.0));
+        let range = (
+            Bound::Included(start.as_str()),
+            Bound::Excluded(end.as_str()),
+        );
+        let keys: Vec<String> = self
+            .entries
+            .range::<str, _>(range)
+            .map(|(k, _)| k.clone())
+            .collect();
+        for key in &keys {
+            self.entries.remove(key);
+        }
+        self.changes += keys.len() as u64;
+    }
+
+    /// How many times the content has changed since the blackboard was
+    /// created.
+    pub fn changes(&self) -> u64 {
+        self.changes
+    }
+}
+
+impl Deref for Blackboard {
+    type Target = BTreeMap<String, String>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.entries
+    }
+}
+
 /// The context a module operates in: the device configuration it is allowed
 /// to write (this is "the protocol implementation" side of the wrapper), the
 /// device's ports, and a per-device blackboard that modules on the same
@@ -94,7 +175,7 @@ pub struct ModuleCtx<'a> {
     /// snapshots of the diagnosis layer.
     pub stats: &'a DeviceStats,
     /// Shared per-device key/value blackboard.
-    pub blackboard: &'a mut BTreeMap<String, String>,
+    pub blackboard: &'a mut Blackboard,
 }
 
 impl ModuleCtx<'_> {
@@ -105,7 +186,7 @@ impl ModuleCtx<'_> {
 
     /// Convenience: write a blackboard value.
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.blackboard.insert(key.into(), value.into());
+        self.blackboard.set(key, value);
     }
 
     /// Blackboard key for a per-pipe attribute.
@@ -120,8 +201,7 @@ impl ModuleCtx<'_> {
 
     /// Write a per-pipe attribute.
     pub fn set_pipe_attr(&mut self, pipe: PipeId, attr: &str, value: impl Into<String>) {
-        self.blackboard
-            .insert(Self::pipe_key(pipe, attr), value.into());
+        self.blackboard.set(Self::pipe_key(pipe, attr), value);
     }
 }
 
@@ -207,6 +287,14 @@ pub trait ProtocolModule: Send {
     /// a value another module on the same device has to produce).  The
     /// management agent calls `poll` after every event so modules can pick up
     /// newly available values from the blackboard and complete their work.
+    ///
+    /// The contract the agent relies on: `poll` is called after every event
+    /// on the device, and again for as long as a round reacts or changes the
+    /// blackboard.  It must cost O(work pending in this module) — a module
+    /// with nothing deferred returns at once however many pipes and rules it
+    /// holds — and it must report content changes through
+    /// [`ModuleCtx::set`] / [`ModuleCtx::set_pipe_attr`] only, because the
+    /// blackboard's change count is all the agent looks at.
     fn poll(&mut self, _ctx: &mut ModuleCtx) -> ModuleReaction {
         ModuleReaction::none()
     }
@@ -234,7 +322,7 @@ mod tests {
         let mut config = DeviceConfig::new();
         let ports: Vec<Nic> = Vec::new();
         let stats = DeviceStats::default();
-        let mut blackboard = BTreeMap::new();
+        let mut blackboard = Blackboard::new();
         let mut ctx = ModuleCtx {
             device: DeviceId::from_raw(1),
             config: &mut config,
@@ -258,7 +346,7 @@ mod tests {
         let mut config = DeviceConfig::new();
         let ports: Vec<Nic> = Vec::new();
         let stats = DeviceStats::default();
-        let mut blackboard = BTreeMap::new();
+        let mut blackboard = Blackboard::new();
         let mut ctx = ModuleCtx {
             device: DeviceId::from_raw(1),
             config: &mut config,
@@ -270,5 +358,49 @@ mod tests {
         assert_eq!(ctx.pipe_attr(PipeId(3), "port").unwrap(), "2");
         assert_eq!(ModuleCtx::pipe_key(PipeId(3), "port"), "pipe.3.port");
         assert!(ctx.get("nope").is_none());
+    }
+
+    #[test]
+    fn blackboard_counts_content_changes_only() {
+        let mut bb = Blackboard::new();
+        bb.set("a", "1");
+        assert_eq!(bb.changes(), 1);
+        bb.set("a", "1");
+        assert_eq!(bb.changes(), 1, "an equal value is not a change");
+        bb.set("a", "2");
+        assert_eq!(bb.changes(), 2);
+        assert_eq!(bb.get("a").unwrap(), "2");
+    }
+
+    #[test]
+    fn remove_pipe_drains_exactly_that_pipes_keys() {
+        let mut bb = Blackboard::new();
+        for key in [
+            "pipe.1.attach",
+            "pipe.1.port",
+            "pipe.1x",
+            "pipe.10.port",
+            "pipe.1",
+            "pipe.0.port",
+            "negotiated",
+        ] {
+            bb.set(key, "v");
+        }
+        let before = bb.changes();
+        bb.remove_pipe(PipeId(1));
+        let left: Vec<&str> = bb.keys().map(String::as_str).collect();
+        assert_eq!(
+            left,
+            [
+                "negotiated",
+                "pipe.0.port",
+                "pipe.1",
+                "pipe.10.port",
+                "pipe.1x"
+            ]
+        );
+        assert_eq!(bb.changes(), before + 2);
+        bb.remove_pipe(PipeId(1));
+        assert_eq!(bb.changes(), before + 2, "nothing left to remove");
     }
 }

@@ -9,11 +9,12 @@
 use conman_core::abstraction::{
     CounterSnapshot, ModuleAbstraction, PhysicalPipeInfo, PipeCounters, SwitchKind,
 };
-use conman_core::ids::{ModuleKind, ModuleRef};
+use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{ComponentRef, ModuleActual, PipeSpec, SwitchSpec};
 use netsim::device::PortId;
 use netsim::stats::DropReason;
+use std::collections::BTreeMap;
 
 /// The ETH protocol module.
 pub struct EthModule {
@@ -25,8 +26,15 @@ pub struct EthModule {
     up_kinds: Vec<ModuleKind>,
     /// Can this module switch frames between its physical pipes?
     phy_switching: bool,
-    pipes: Vec<(conman_core::ids::PipeId, ModuleRef)>,
-    switch_rules: Vec<String>,
+    /// Pipes this module is an end of, with the module at the other end.
+    pipes: BTreeMap<PipeId, ModuleRef>,
+    /// Switch rules `(in, out)` keyed by creation number, so `showActual`
+    /// lists them in creation order.
+    switch_rules: BTreeMap<u64, (PipeId, PipeId)>,
+    next_rule: u64,
+    /// For each pipe, the creation numbers of the rules naming it on either
+    /// side: deleting a pipe or a rule touches those rules only.
+    rules_of_pipe: BTreeMap<PipeId, Vec<u64>>,
 }
 
 impl EthModule {
@@ -37,8 +45,10 @@ impl EthModule {
             ports: vec![port],
             up_kinds,
             phy_switching: false,
-            pipes: Vec::new(),
-            switch_rules: Vec::new(),
+            pipes: BTreeMap::new(),
+            switch_rules: BTreeMap::new(),
+            next_rule: 0,
+            rules_of_pipe: BTreeMap::new(),
         }
     }
 
@@ -50,14 +60,33 @@ impl EthModule {
             ports,
             up_kinds: Vec::new(),
             phy_switching: true,
-            pipes: Vec::new(),
-            switch_rules: Vec::new(),
+            pipes: BTreeMap::new(),
+            switch_rules: BTreeMap::new(),
+            next_rule: 0,
+            rules_of_pipe: BTreeMap::new(),
         }
     }
 
     /// The primary port of this module.
     pub fn port(&self) -> PortId {
         self.ports[0]
+    }
+
+    /// Forget the listed rules and their entries in the per-pipe index.
+    fn forget_rules(&mut self, rules: &[u64]) {
+        for rule in rules {
+            let Some((in_pipe, out_pipe)) = self.switch_rules.remove(rule) else {
+                continue;
+            };
+            for pipe in [in_pipe, out_pipe] {
+                if let Some(named) = self.rules_of_pipe.get_mut(&pipe) {
+                    named.retain(|r| r != rule);
+                    if named.is_empty() {
+                        self.rules_of_pipe.remove(&pipe);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -90,8 +119,12 @@ impl ProtocolModule for EthModule {
 
     fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
         ModuleActual {
-            pipes: self.pipes.iter().map(|(p, _)| *p).collect(),
-            switch_rules: self.switch_rules.clone(),
+            pipes: self.pipes.keys().copied().collect(),
+            switch_rules: self
+                .switch_rules
+                .values()
+                .map(|(in_pipe, out_pipe)| format!("{in_pipe} => {out_pipe}"))
+                .collect(),
             ..Default::default()
         }
     }
@@ -132,9 +165,9 @@ impl ProtocolModule for EthModule {
         // abstract pipes into concrete interfaces.
         if spec.lower == self.me {
             ctx.set_pipe_attr(spec.pipe, "port", self.port().0.to_string());
-            self.pipes.push((spec.pipe, spec.upper.clone()));
+            self.pipes.insert(spec.pipe, spec.upper.clone());
         } else {
-            self.pipes.push((spec.pipe, spec.lower.clone()));
+            self.pipes.insert(spec.pipe, spec.lower.clone());
         }
         Ok(ModuleReaction::none())
     }
@@ -148,7 +181,14 @@ impl ProtocolModule for EthModule {
         // data-plane state in the simulator (transmission on the port is
         // already wired up); record it for showActual.
         self.switch_rules
-            .push(format!("{} => {}", spec.in_pipe, spec.out_pipe));
+            .insert(self.next_rule, (spec.in_pipe, spec.out_pipe));
+        for pipe in [spec.in_pipe, spec.out_pipe] {
+            let named = self.rules_of_pipe.entry(pipe).or_default();
+            if named.last() != Some(&self.next_rule) {
+                named.push(self.next_rule);
+            }
+        }
+        self.next_rule += 1;
         Ok(ModuleReaction::none())
     }
 
@@ -161,14 +201,21 @@ impl ProtocolModule for EthModule {
         // (transactional rollback asserts on this).
         match component {
             ComponentRef::Pipe(pipe) => {
-                self.pipes.retain(|(p, _)| p != pipe);
-                let label = format!("{pipe} ");
-                self.switch_rules
-                    .retain(|r| !r.starts_with(&label) && !r.ends_with(&pipe.to_string()));
+                self.pipes.remove(pipe);
+                let named = self.rules_of_pipe.remove(pipe).unwrap_or_default();
+                self.forget_rules(&named);
             }
             ComponentRef::SwitchRule(module, in_pipe, out_pipe) if *module == self.me => {
-                let rendered = format!("{in_pipe} => {out_pipe}");
-                self.switch_rules.retain(|r| *r != rendered);
+                let rule = (*in_pipe, *out_pipe);
+                let named: Vec<u64> = self
+                    .rules_of_pipe
+                    .get(in_pipe)
+                    .into_iter()
+                    .flatten()
+                    .copied()
+                    .filter(|r| self.switch_rules[r] == rule)
+                    .collect();
+                self.forget_rules(&named);
             }
             _ => {}
         }
@@ -179,51 +226,22 @@ impl ProtocolModule for EthModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conman_core::ids::{ModuleId, PipeId};
-    use netsim::config::DeviceConfig;
-    use netsim::device::DeviceId;
-    use std::collections::BTreeMap;
-
-    fn ctx<'a>(
-        config: &'a mut DeviceConfig,
-        stats: &'a netsim::stats::DeviceStats,
-        blackboard: &'a mut BTreeMap<String, String>,
-    ) -> ModuleCtx<'a> {
-        ModuleCtx {
-            device: DeviceId::from_raw(1),
-            config,
-            ports: &[],
-            stats,
-            blackboard,
-        }
-    }
+    use crate::rig::{module, pipe, switch, Rig};
+    use proptest::prelude::*;
 
     #[test]
     fn publishes_port_on_pipe_creation() {
-        let me = ModuleRef::new(ModuleKind::Eth, ModuleId(1), DeviceId::from_raw(1));
-        let ip = ModuleRef::new(ModuleKind::Ip, ModuleId(2), DeviceId::from_raw(1));
+        let me = module(ModuleKind::Eth, 1, 1);
         let mut m = EthModule::new(me.clone(), PortId(2), vec![ModuleKind::Ip]);
-        let mut config = DeviceConfig::new();
-        let stats = netsim::stats::DeviceStats::default();
-        let mut bb = BTreeMap::new();
-        let mut c = ctx(&mut config, &stats, &mut bb);
-        let spec = PipeSpec {
-            pipe: PipeId(3),
-            upper: ip,
-            lower: me,
-            peer_upper: None,
-            peer_lower: None,
-            tradeoffs: vec![],
-            initiate: false,
-            resolved: BTreeMap::new(),
-        };
-        m.create_pipe(&mut c, &spec).unwrap();
-        assert_eq!(bb.get("pipe.3.port").unwrap(), "2");
+        let mut rig = Rig::new();
+        let spec = pipe(3, &module(ModuleKind::Ip, 2, 1), &me);
+        m.create_pipe(&mut rig.ctx(), &spec).unwrap();
+        assert_eq!(rig.blackboard.get("pipe.3.port").unwrap(), "2");
     }
 
     #[test]
     fn descriptor_shapes() {
-        let me = ModuleRef::new(ModuleKind::Eth, ModuleId(1), DeviceId::from_raw(1));
+        let me = module(ModuleKind::Eth, 1, 1);
         let router_eth = EthModule::new(
             me.clone(),
             PortId(0),
@@ -238,5 +256,85 @@ mod tests {
         let d = sw.descriptor();
         assert!(d.can_switch(SwitchKind::PhyPhy));
         assert_eq!(d.physical_pipes.len(), 2);
+    }
+
+    #[test]
+    fn deleting_a_pipe_forgets_the_rules_naming_it_on_either_side() {
+        let me = module(ModuleKind::Eth, 1, 1);
+        let mut m = EthModule::new(me.clone(), PortId(0), vec![ModuleKind::Ip]);
+        let mut rig = Rig::new();
+        for (in_pipe, out_pipe) in [(1, 2), (2, 1), (1, 12), (3, 4)] {
+            m.create_switch(&mut rig.ctx(), &switch(&me, in_pipe, out_pipe))
+                .unwrap();
+        }
+        m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(2)))
+            .unwrap();
+        assert_eq!(
+            m.actual(&rig.ctx()).switch_rules,
+            ["P1 => P12", "P3 => P4"],
+            "P12 is not P2"
+        );
+        m.delete(
+            &mut rig.ctx(),
+            &ComponentRef::SwitchRule(me, PipeId(3), PipeId(4)),
+        )
+        .unwrap();
+        m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(12)))
+            .unwrap();
+        assert!(m.switch_rules.is_empty() && m.rules_of_pipe.is_empty());
+    }
+
+    proptest! {
+        /// The keyed tables list exactly what the rendered-string `Vec`s
+        /// they replaced would, rules in the same order.
+        #[test]
+        fn show_actual_matches_the_rendered_string_model(
+            ops in proptest::collection::vec((0u8..5, 0u32..4, 0u32..4), 0..48),
+        ) {
+            let me = module(ModuleKind::Eth, 1, 1);
+            let mut m = EthModule::new(me.clone(), PortId(0), vec![ModuleKind::Ip]);
+            let mut rig = Rig::new();
+            let mut pipes: Vec<PipeId> = Vec::new();
+            let mut rules: Vec<String> = Vec::new();
+            for (op, a, b) in ops {
+                // Pipe ids 1, 11, 21, 31: one is a textual suffix of another.
+                let (a, b) = (PipeId(1 + 10 * a), PipeId(1 + 10 * b));
+                match op {
+                    0 => {
+                        m.create_pipe(&mut rig.ctx(), &pipe(a.0, &module(ModuleKind::Ip, 2, 1), &me))
+                            .unwrap();
+                        pipes.push(a);
+                    }
+                    1 | 2 => {
+                        m.create_switch(&mut rig.ctx(), &switch(&me, a.0, b.0)).unwrap();
+                        rules.push(format!("{a} => {b}"));
+                    }
+                    3 => {
+                        m.delete(&mut rig.ctx(), &ComponentRef::Pipe(a)).unwrap();
+                        pipes.retain(|p| *p != a);
+                        let label = format!("{a} ");
+                        rules.retain(|r| !r.starts_with(&label) && !r.ends_with(&a.to_string()));
+                    }
+                    _ => {
+                        m.delete(&mut rig.ctx(), &ComponentRef::SwitchRule(me.clone(), a, b))
+                            .unwrap();
+                        let rendered = format!("{a} => {b}");
+                        rules.retain(|r| *r != rendered);
+                    }
+                }
+                let actual = m.actual(&rig.ctx());
+                prop_assert_eq!(&actual.switch_rules, &rules);
+                pipes.sort_unstable();
+                pipes.dedup();
+                prop_assert_eq!(&actual.pipes, &pipes);
+                let indexed: usize = m.rules_of_pipe.values().map(Vec::len).sum();
+                let sides: usize = m
+                    .switch_rules
+                    .values()
+                    .map(|(i, o)| if i == o { 1 } else { 2 })
+                    .sum();
+                prop_assert_eq!(indexed, sides, "the per-pipe index holds live rules only");
+            }
+        }
     }
 }

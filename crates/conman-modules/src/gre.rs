@@ -27,7 +27,7 @@ use conman_core::primitives::{
 };
 use netsim::config::TunnelConfig;
 use netsim::stats::DropReason;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// Negotiated GRE parameters.
@@ -70,19 +70,28 @@ impl TunnelSlot {
         }
     }
 
-    fn holds(&self, pipe: PipeId) -> bool {
-        self.up_pipe == Some(pipe) || self.down_pipe == Some(pipe)
+    /// Armed by a switch rule and not configured yet: work for `poll`.
+    fn awaits_tunnel(&self) -> bool {
+        self.pending_switch && self.configured_tunnel.is_none()
     }
 }
 
 /// The GRE protocol module.
 pub struct GreModule {
     me: ModuleRef,
-    /// Tunnel slots in creation order.  A goal's segment creates its up and
-    /// down pipes together (segments commit whole, never interleaved with a
-    /// sibling goal's), so "the slot still missing this side" is
-    /// unambiguous while a slot is being assembled.
-    slots: Vec<TunnelSlot>,
+    /// Tunnel slots keyed by creation number, so they iterate in creation
+    /// order.  A goal's segment creates its up and down pipes together
+    /// (segments commit whole, never interleaved with a sibling goal's), so
+    /// "the slot still missing this side" is unambiguous while a slot is
+    /// being assembled.
+    slots: BTreeMap<u64, TunnelSlot>,
+    next_slot: u64,
+    /// The slot each up or down pipe belongs to.
+    slot_of_pipe: BTreeMap<PipeId, u64>,
+    /// Slots a switch rule armed that have no tunnel yet (still waiting for
+    /// a side, the negotiated parameters or the endpoint addresses).  `poll`
+    /// visits these and nothing else.
+    armed: BTreeSet<u64>,
 }
 
 impl GreModule {
@@ -90,7 +99,10 @@ impl GreModule {
     pub fn new(me: ModuleRef) -> Self {
         GreModule {
             me,
-            slots: Vec::new(),
+            slots: BTreeMap::new(),
+            next_slot: 0,
+            slot_of_pipe: BTreeMap::new(),
+            armed: BTreeSet::new(),
         }
     }
 
@@ -106,9 +118,38 @@ impl GreModule {
         (a, b)
     }
 
-    /// The slot holding `pipe` (either side), if any.
-    fn slot_with_pipe(&mut self, pipe: PipeId) -> Option<&mut TunnelSlot> {
-        self.slots.iter_mut().find(|s| s.holds(pipe))
+    /// The slot `pipe` joins on the side `side` selects: the slot already
+    /// holding it there (re-creation of a known pipe is idempotent),
+    /// otherwise the oldest slot still missing that side (its other pipe
+    /// arrived first), otherwise a new tunnel slot.
+    fn slot_for(&mut self, pipe: PipeId, side: fn(&TunnelSlot) -> Option<PipeId>) -> u64 {
+        let key = self
+            .slot_of_pipe
+            .get(&pipe)
+            .copied()
+            .filter(|key| side(&self.slots[key]) == Some(pipe))
+            .or_else(|| {
+                self.slots
+                    .iter()
+                    .find(|(_, slot)| side(slot).is_none())
+                    .map(|(key, _)| *key)
+            })
+            .unwrap_or_else(|| {
+                self.next_slot += 1;
+                self.slots.insert(self.next_slot, TunnelSlot::new());
+                self.next_slot
+            });
+        self.slot_of_pipe.insert(pipe, key);
+        key
+    }
+
+    /// Arm a slot: its tunnel is configured as soon as it is complete.
+    fn arm(&mut self, key: u64) {
+        let slot = self.slots.get_mut(&key).expect("slot exists");
+        slot.pending_switch = true;
+        if slot.awaits_tunnel() {
+            self.armed.insert(key);
+        }
     }
 }
 
@@ -149,7 +190,7 @@ impl ProtocolModule for GreModule {
         let mut perf = BTreeMap::new();
         let mut switch_rules = Vec::new();
         let mut configured = 0u64;
-        for slot in &self.slots {
+        for slot in self.slots.values() {
             if let Some(id) = slot.configured_tunnel {
                 if let Some(t) = ctx.config.tunnels.get(&id) {
                     configured += 1;
@@ -164,7 +205,7 @@ impl ProtocolModule for GreModule {
         ModuleActual {
             pipes: self
                 .slots
-                .iter()
+                .values()
                 .flat_map(|s| s.up_pipe.iter().chain(s.down_pipe.iter()).copied())
                 .collect(),
             switch_rules,
@@ -179,7 +220,7 @@ impl ProtocolModule for GreModule {
         // and its down pipe the encapsulated ones (tunnel tx); totals sum
         // over every tunnel the module carries.
         let mut snap = CounterSnapshot::empty(self.me.clone());
-        for slot in &self.slots {
+        for slot in self.slots.values() {
             let Some(id) = slot.configured_tunnel else {
                 continue;
             };
@@ -224,9 +265,10 @@ impl ProtocolModule for GreModule {
         let ComponentRef::Pipe(pipe) = component else {
             return Ok(ModuleReaction::none());
         };
-        let Some(slot) = self.slot_with_pipe(*pipe) else {
+        let Some(key) = self.slot_of_pipe.remove(pipe) else {
             return Ok(ModuleReaction::none());
         };
+        let slot = self.slots.get_mut(&key).expect("indexed slot exists");
         // Losing either pipe tears that slot's tunnel down; sibling goals'
         // tunnels through this module are untouched.
         if let Some(id) = slot.configured_tunnel.take() {
@@ -239,8 +281,10 @@ impl ProtocolModule for GreModule {
         }
         slot.params = None;
         slot.pending_switch = false;
-        self.slots
-            .retain(|s| s.up_pipe.is_some() || s.down_pipe.is_some());
+        self.armed.remove(&key);
+        if slot.up_pipe.is_none() && slot.down_pipe.is_none() {
+            self.slots.remove(&key);
+        }
         Ok(ModuleReaction::none())
     }
 
@@ -256,20 +300,8 @@ impl ProtocolModule for GreModule {
                     "performance trade-offs must be specified for a GRE up pipe".to_string(),
                 ));
             }
-            // Find the slot this pipe belongs to: re-creation of a known
-            // pipe is idempotent, otherwise fill the slot still missing its
-            // up side (its down pipe arrived first), otherwise start a new
-            // tunnel slot.
-            let idx = self
-                .slots
-                .iter()
-                .position(|s| s.up_pipe == Some(spec.pipe))
-                .or_else(|| self.slots.iter().position(|s| s.up_pipe.is_none()))
-                .unwrap_or_else(|| {
-                    self.slots.push(TunnelSlot::new());
-                    self.slots.len() - 1
-                });
-            let slot = &mut self.slots[idx];
+            let key = self.slot_for(spec.pipe, |slot| slot.up_pipe);
+            let slot = self.slots.get_mut(&key).expect("slot exists");
             slot.up_pipe = Some(spec.pipe);
             slot.peer = spec.peer_lower.clone();
             slot.wants_sequencing = spec.tradeoffs.contains(&TradeoffChoice::InOrderDelivery);
@@ -277,12 +309,13 @@ impl ProtocolModule for GreModule {
             if spec.initiate {
                 if let Some(peer) = slot.peer.clone() {
                     let (ikey, okey) = self.propose_keys(&peer, spec.pipe);
-                    let slot = &mut self.slots[idx];
+                    let slot = self.slots.get_mut(&key).expect("slot exists");
+                    let (sequencing, checksums) = (slot.wants_sequencing, slot.wants_checksums);
                     slot.params = Some(GreParams {
                         ikey,
                         okey,
-                        sequencing: slot.wants_sequencing,
-                        checksums: slot.wants_checksums,
+                        sequencing,
+                        checksums,
                     });
                     return Ok(ModuleReaction::envelope(ModuleEnvelope {
                         from: self.me.clone(),
@@ -294,8 +327,8 @@ impl ProtocolModule for GreModule {
                                 "your_okey": ikey,
                                 // The key the responder should accept (proposer's okey)
                                 "your_ikey": okey,
-                                "sequencing": self.slots[idx].wants_sequencing,
-                                "checksums": self.slots[idx].wants_checksums,
+                                "sequencing": sequencing,
+                                "checksums": checksums,
                             }
                         }),
                     }));
@@ -303,16 +336,8 @@ impl ProtocolModule for GreModule {
             }
         } else if spec.upper == self.me {
             // Our down pipe: the delivery protocol below us.
-            let idx = self
-                .slots
-                .iter()
-                .position(|s| s.down_pipe == Some(spec.pipe))
-                .or_else(|| self.slots.iter().position(|s| s.down_pipe.is_none()))
-                .unwrap_or_else(|| {
-                    self.slots.push(TunnelSlot::new());
-                    self.slots.len() - 1
-                });
-            self.slots[idx].down_pipe = Some(spec.pipe);
+            let key = self.slot_for(spec.pipe, |slot| slot.down_pipe);
+            self.slots.get_mut(&key).expect("slot exists").down_pipe = Some(spec.pipe);
         }
         Ok(ModuleReaction::none())
     }
@@ -324,17 +349,17 @@ impl ProtocolModule for GreModule {
     ) -> Result<ModuleReaction, ModuleError> {
         // Arm the slot the switch's pipes belong to (falling back to every
         // unarmed slot for specs that predate multi-tunnel modules).
-        let mut armed = false;
-        for slot in &mut self.slots {
-            if slot.holds(spec.in_pipe) || slot.holds(spec.out_pipe) {
-                slot.pending_switch = true;
-                armed = true;
-            }
-        }
-        if !armed {
-            for slot in &mut self.slots {
-                slot.pending_switch = true;
-            }
+        let named: BTreeSet<u64> = [spec.in_pipe, spec.out_pipe]
+            .iter()
+            .filter_map(|pipe| self.slot_of_pipe.get(pipe).copied())
+            .collect();
+        let keys = if named.is_empty() {
+            self.slots.keys().copied().collect()
+        } else {
+            named
+        };
+        for key in keys {
+            self.arm(key);
         }
         Ok(ModuleReaction::none())
     }
@@ -359,7 +384,7 @@ impl ProtocolModule for GreModule {
             // this peer.  Both ends commit their goals in the same order
             // (batch segment order is global to the pass), so oldest-first
             // pairs the k-th proposal with the k-th slot.
-            let Some(slot) = self.slots.iter_mut().find(|s| {
+            let Some(slot) = self.slots.values_mut().find(|s| {
                 s.params.is_none() && s.peer.as_ref().is_none_or(|peer| *peer == env.from)
             }) else {
                 // No slot is waiting on a proposal (e.g. a stale retransmit
@@ -388,10 +413,10 @@ impl ProtocolModule for GreModule {
     }
 
     fn poll(&mut self, ctx: &mut ModuleCtx) -> ModuleReaction {
-        for slot in &mut self.slots {
-            if slot.configured_tunnel.is_some() || !slot.pending_switch {
-                continue;
-            }
+        // Armed slots, oldest first; one that is still incomplete stays armed.
+        let mut configured = Vec::new();
+        for &key in &self.armed {
+            let slot = self.slots.get_mut(&key).expect("armed slot exists");
             let (Some(up), Some(down), Some(params)) = (slot.up_pipe, slot.down_pipe, slot.params)
             else {
                 continue;
@@ -415,7 +440,199 @@ impl ProtocolModule for GreModule {
             ctx.config.tunnels.insert(id, t);
             ctx.set_pipe_attr(up, "attach", format!("tunnel:{id}"));
             slot.configured_tunnel = Some(id);
+            configured.push(key);
+        }
+        for key in configured {
+            self.armed.remove(&key);
         }
         ModuleReaction::none()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rig::{module, pipe, switch, Rig};
+    use proptest::prelude::*;
+
+    fn me() -> ModuleRef {
+        module(ModuleKind::Gre, 1, 1)
+    }
+
+    fn peer() -> ModuleRef {
+        module(ModuleKind::Gre, 1, 2)
+    }
+
+    /// The pipe to the customer IP module above, towards the peer GRE module.
+    fn up(id: u32, initiate: bool) -> PipeSpec {
+        let mut spec = pipe(id, &module(ModuleKind::Ip, 2, 1), &me());
+        spec.peer_lower = Some(peer());
+        spec.tradeoffs = vec![TradeoffChoice::InOrderDelivery];
+        spec.initiate = initiate;
+        spec
+    }
+
+    /// The pipe to the ISP IP module below.
+    fn down(id: u32) -> PipeSpec {
+        pipe(id, &me(), &module(ModuleKind::Ip, 3, 1))
+    }
+
+    /// What the IP module below publishes once it has learnt the far end.
+    fn publish_endpoints(rig: &mut Rig, down: u32) {
+        let mut ctx = rig.ctx();
+        ctx.set_pipe_attr(PipeId(down), "local_addr", "10.9.0.1");
+        ctx.set_pipe_attr(PipeId(down), "remote_addr", "10.9.0.2");
+    }
+
+    fn proposal() -> ModuleEnvelope {
+        ModuleEnvelope {
+            from: peer(),
+            to: me(),
+            kind: EnvelopeKind::Convey,
+            body: serde_json::json!({
+                "propose": {"your_okey": 1, "your_ikey": 2, "sequencing": true, "checksums": false}
+            }),
+        }
+    }
+
+    /// The full scan `poll` used to run: every slot a switch rule armed
+    /// that has no tunnel yet, whether or not it is complete.
+    fn scan(m: &GreModule) -> BTreeSet<u64> {
+        let mut waiting = BTreeSet::new();
+        for (key, slot) in &m.slots {
+            if slot.configured_tunnel.is_some() || !slot.pending_switch {
+                continue;
+            }
+            waiting.insert(*key);
+        }
+        waiting
+    }
+
+    /// The pipe index rebuilt from the slots themselves.
+    fn pipes_by_slot(m: &GreModule) -> BTreeMap<PipeId, u64> {
+        m.slots
+            .iter()
+            .flat_map(|(key, slot)| {
+                [slot.up_pipe, slot.down_pipe]
+                    .into_iter()
+                    .flatten()
+                    .map(|pipe| (pipe, *key))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_configured_tunnel_leaves_nothing_for_poll() {
+        let mut rig = Rig::new();
+        let mut m = GreModule::new(me());
+        let opening = m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
+        assert_eq!(opening.envelopes.len(), 1, "the initiator proposes keys");
+        m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
+        m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 2))
+            .unwrap();
+        publish_endpoints(&mut rig, 2);
+        m.poll(&mut rig.ctx());
+        assert_eq!(rig.config.tunnels.len(), 1);
+        assert!(m.armed.is_empty());
+
+        let (config, changes) = (rig.config_json(), rig.blackboard.changes());
+        assert!(m.poll(&mut rig.ctx()).is_empty());
+        assert_eq!(
+            rig.config_json(),
+            config,
+            "an idle poll leaves the data plane alone"
+        );
+        assert_eq!(rig.blackboard.changes(), changes);
+    }
+
+    #[test]
+    fn an_armed_slot_waits_for_the_endpoint_addresses() {
+        let mut rig = Rig::new();
+        let mut m = GreModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
+        m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
+        m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 2))
+            .unwrap();
+        m.poll(&mut rig.ctx());
+        assert!(rig.config.tunnels.is_empty(), "no addresses published yet");
+        assert_eq!(m.armed.len(), 1);
+        publish_endpoints(&mut rig, 2);
+        m.poll(&mut rig.ctx());
+        assert_eq!(rig.config.tunnels.len(), 1);
+        assert_eq!(rig.blackboard.get("pipe.1.attach").unwrap(), "tunnel:1");
+    }
+
+    #[test]
+    fn deleting_the_pipes_clears_every_index_and_recreated_pipes_negotiate_again() {
+        let mut rig = Rig::new();
+        let mut m = GreModule::new(me());
+        for round in 0..2 {
+            let opening = m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
+            assert_eq!(opening.envelopes.len(), 1, "round {round}");
+            m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
+            m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 2))
+                .unwrap();
+            publish_endpoints(&mut rig, 2);
+            m.poll(&mut rig.ctx());
+            assert_eq!(rig.config.tunnels.len(), 1, "round {round}");
+
+            m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(1)))
+                .unwrap();
+            assert!(
+                rig.config.tunnels.is_empty(),
+                "losing a side drops the tunnel"
+            );
+            assert_eq!(m.slot_of_pipe.keys().collect::<Vec<_>>(), [&PipeId(2)]);
+            m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(2)))
+                .unwrap();
+            assert!(m.slots.is_empty() && m.slot_of_pipe.is_empty() && m.armed.is_empty());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn armed_slots_equal_the_full_scan_and_the_pipe_index_matches_the_slots(
+            ops in proptest::collection::vec((0u8..7, 0u32..3, any::<u8>()), 0..48),
+        ) {
+            let mut rig = Rig::new();
+            let mut m = GreModule::new(me());
+            // Up pipes are 0..3, down pipes 10..13.
+            for (op, id, bits) in ops {
+                match op {
+                    0 => drop(m.create_pipe(&mut rig.ctx(), &up(id, bits & 1 == 1)).unwrap()),
+                    1 => drop(m.create_pipe(&mut rig.ctx(), &down(10 + id)).unwrap()),
+                    2 => {
+                        let rule = switch(&me(), id, 10 + u32::from(bits % 3));
+                        m.create_switch(&mut rig.ctx(), &rule).unwrap();
+                    }
+                    3 => drop(m.handle_envelope(&mut rig.ctx(), &proposal()).unwrap()),
+                    4 => publish_endpoints(&mut rig, 10 + id),
+                    5 => {
+                        let pipe = PipeId(if bits & 1 == 0 { id } else { 10 + id });
+                        m.delete(&mut rig.ctx(), &ComponentRef::Pipe(pipe)).unwrap();
+                        rig.blackboard.remove_pipe(pipe);
+                    }
+                    _ => {
+                        let due = scan(&m)
+                            .into_iter()
+                            .filter(|key| {
+                                let slot = &m.slots[key];
+                                slot.up_pipe.is_some()
+                                    && slot.params.is_some()
+                                    && slot.down_pipe.is_some_and(|down| {
+                                        rig.blackboard
+                                            .contains_key(&ModuleCtx::pipe_key(down, "remote_addr"))
+                                    })
+                            })
+                            .count();
+                        let before = rig.config.tunnels.len();
+                        m.poll(&mut rig.ctx());
+                        prop_assert_eq!(rig.config.tunnels.len() - before, due);
+                    }
+                }
+                prop_assert_eq!(&m.armed, &scan(&m));
+                prop_assert_eq!(&m.slot_of_pipe, &pipes_by_slot(&m));
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@ use netsim::ipv4::Ipv4Cidr;
 use netsim::mpls::NhlfeKey;
 use netsim::route::{PolicyRule, Route, RouteTableId, RouteTarget, RuleSelector};
 use netsim::stats::DropReason;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 /// Which end of a pipe this module is.
@@ -78,6 +78,9 @@ struct InstalledSwitch {
     tables: Vec<RouteTableId>,
     main_routes: Vec<Ipv4Cidr>,
     tunnels: Vec<u32>,
+    /// The rule as `showActual` renders it, with the module-wide sequence
+    /// number of its application (`showActual` lists rules in that order).
+    rendered: Vec<(u64, String)>,
 }
 
 /// The IPv4 protocol module.
@@ -100,9 +103,19 @@ pub struct IpModule {
     /// Adjacency pipes (upper end above an ETH module), so
     /// [`Self::path_address`] is O(1) instead of a per-call pipe scan.
     adjacency_pipes: BTreeSet<PipeId>,
+    /// Pipes whose peer exchange this module still has to start: `initiate`
+    /// pipes with an IP peer, endpoint or adjacency, and `query_sent` unset
+    /// (an adjacency whose port is not published yet waits here).  `poll`
+    /// visits these and nothing else.
+    pending_queries: BTreeSet<PipeId>,
     pending_switches: Vec<SwitchSpec>,
-    applied_switches: Vec<((PipeId, PipeId), String)>,
     installed: BTreeMap<(PipeId, PipeId), InstalledSwitch>,
+    /// How many installed switch rules registered each main-table route.
+    /// Concurrent goals tunnelling between the same endpoints share one /32
+    /// host route; it leaves the table with its last user.
+    main_route_users: HashMap<Ipv4Cidr, usize>,
+    /// Switch rules applied so far, the sequence number of the next one.
+    applied_count: u64,
     filters_installed: Vec<String>,
     next_filter_id: u32,
 }
@@ -118,20 +131,30 @@ impl IpModule {
             by_peer: BTreeMap::new(),
             unlearned_by_peer: BTreeMap::new(),
             adjacency_pipes: BTreeSet::new(),
+            pending_queries: BTreeSet::new(),
             pending_switches: Vec::new(),
-            applied_switches: Vec::new(),
             installed: BTreeMap::new(),
+            main_route_users: HashMap::new(),
+            applied_count: 0,
             filters_installed: Vec::new(),
             next_filter_id: 1,
         }
     }
 
     /// The peer of a pipe from this module's perspective.
-    fn peer_of(&self, rec: &PipeRec) -> Option<ModuleRef> {
+    fn peer_of(rec: &PipeRec) -> Option<&ModuleRef> {
         match rec.role {
-            Role::Upper => rec.spec.peer_upper.clone(),
-            Role::Lower => rec.spec.peer_lower.clone(),
+            Role::Upper => rec.spec.peer_upper.as_ref(),
+            Role::Lower => rec.spec.peer_lower.as_ref(),
         }
+    }
+
+    /// Does this module still owe the pipe's peer the opening query?
+    fn awaits_query(rec: &PipeRec) -> bool {
+        rec.spec.initiate
+            && !rec.query_sent
+            && Self::peer_of(rec).is_some_and(|peer| peer.kind == ModuleKind::Ip)
+            && (Self::is_endpoint_pipe(rec) || Self::is_adjacency_pipe(rec))
     }
 
     /// Is this pipe an "endpoint" pipe: this module is the lower end beneath
@@ -156,7 +179,7 @@ impl IpModule {
     /// MPLS LSP access point published by the MPLS module below.  Paths like
     /// `IP-IP over MPLS` hang tunnel endpoints and transit hops over LSPs
     /// instead of raw links, and healing routinely picks them.
-    fn attachment_of(&self, ctx: &ModuleCtx, rec: &PipeRec) -> Option<Attachment> {
+    fn attachment_of(ctx: &ModuleCtx, rec: &PipeRec) -> Option<Attachment> {
         if Self::is_adjacency_pipe(rec) {
             let port = Self::port_of(ctx, rec.spec.pipe)?;
             let nexthop = ctx
@@ -205,10 +228,7 @@ impl IpModule {
                 } else {
                     ctx.set_pipe_attr(pipe, "nexthop", their.to_string());
                 }
-                match rec.role {
-                    Role::Upper => rec.spec.peer_upper.clone(),
-                    Role::Lower => rec.spec.peer_lower.clone(),
-                }
+                Self::peer_of(rec).cloned()
             }
             None => None,
         };
@@ -222,19 +242,41 @@ impl IpModule {
         }
     }
 
-    /// Drop a pipe from the peer / adjacency indexes.
+    /// Drop a pipe from the peer / adjacency / pending indexes.
     fn unindex_pipe(&mut self, pipe: PipeId, rec: &PipeRec) {
         self.adjacency_pipes.remove(&pipe);
-        if let Some(peer) = self.peer_of(rec) {
+        self.pending_queries.remove(&pipe);
+        if let Some(peer) = Self::peer_of(rec) {
             for index in [&mut self.by_peer, &mut self.unlearned_by_peer] {
-                if let Some(set) = index.get_mut(&peer) {
+                if let Some(set) = index.get_mut(peer) {
                     set.remove(&pipe);
                     if set.is_empty() {
-                        index.remove(&peer);
+                        index.remove(peer);
                     }
                 }
             }
         }
+    }
+
+    /// Record that the switch rule `(in, out)` is applied, as `showActual`
+    /// renders it.
+    fn note_applied(&mut self, spec: &SwitchSpec, rendered: String) {
+        let installed = self
+            .installed
+            .entry((spec.in_pipe, spec.out_pipe))
+            .or_default();
+        installed.rendered.push((self.applied_count, rendered));
+        self.applied_count += 1;
+    }
+
+    /// Register `dest` as a main-table route of the switch rule `(in, out)`.
+    fn note_main_route(&mut self, spec: &SwitchSpec, dest: Ipv4Cidr) {
+        self.installed
+            .entry((spec.in_pipe, spec.out_pipe))
+            .or_default()
+            .main_routes
+            .push(dest);
+        *self.main_route_users.entry(dest).or_default() += 1;
     }
 
     /// Try to apply a pending switch rule; returns true when fully applied.
@@ -276,10 +318,10 @@ impl IpModule {
                 .or_default();
             installed.rules.push((priority, table));
             installed.tables.push(table);
-            self.applied_switches.push((
-                (spec.in_pipe, spec.out_pipe),
+            self.note_applied(
+                spec,
                 format!("[{} dst:{} => {}]", spec.in_pipe, class, spec.out_pipe),
-            ));
+            );
             return true;
         }
 
@@ -297,13 +339,9 @@ impl IpModule {
                 return false;
             };
             ctx.config.ip_forwarding = true;
-            let installed = self
-                .installed
-                .entry((spec.in_pipe, spec.out_pipe))
-                .or_default();
             // Traffic decapsulated from a tunnel attachment gets a dedicated
             // policy rule (mirroring `ip rule add iif greA` in Figure 7(a)).
-            if let Some(attach) = ctx.pipe_attr(spec.in_pipe, "attach").cloned() {
+            if let Some(attach) = ctx.pipe_attr(spec.in_pipe, "attach") {
                 if let Some(tunnel) = attach
                     .strip_prefix("tunnel:")
                     .and_then(|s| s.parse::<u32>().ok())
@@ -325,6 +363,10 @@ impl IpModule {
                         selector: RuleSelector::FromTunnel(tunnel),
                         table,
                     });
+                    let installed = self
+                        .installed
+                        .entry((spec.in_pipe, spec.out_pipe))
+                        .or_default();
                     installed.rules.push((priority, table));
                     installed.tables.push(table);
                 }
@@ -344,23 +386,23 @@ impl IpModule {
                         via: Some(gw),
                     },
                 });
-                installed.main_routes.push(prefix);
+                self.note_main_route(spec, prefix);
             }
-            self.applied_switches.push((
-                (spec.in_pipe, spec.out_pipe),
+            self.note_applied(
+                spec,
                 format!("[{} => {}, {}]", spec.in_pipe, spec.out_pipe, gateway),
-            ));
+            );
             return true;
         }
 
         // Unclassified rule between two of this module's pipes.
         let (Some(in_rec), Some(out_rec)) = (
-            self.pipes.get(&spec.in_pipe).cloned(),
-            self.pipes.get(&spec.out_pipe).cloned(),
+            self.pipes.get(&spec.in_pipe),
+            self.pipes.get(&spec.out_pipe),
         ) else {
             return false;
         };
-        let endpoint = [&in_rec, &out_rec]
+        let endpoint = [in_rec, out_rec]
             .into_iter()
             .find(|r| Self::is_endpoint_pipe(r));
         match endpoint {
@@ -369,17 +411,18 @@ impl IpModule {
             // an Ethernet adjacency or, on `... over MPLS` paths, an LSP.
             Some(ep) => {
                 let other = if ep.spec.pipe == in_rec.spec.pipe {
-                    &out_rec
+                    out_rec
                 } else {
-                    &in_rec
+                    in_rec
                 };
+                let (ep_pipe, ipip) = (ep.spec.pipe, ep.spec.upper.kind == ModuleKind::Ip);
                 let Some(remote) = ctx
-                    .pipe_attr(ep.spec.pipe, "remote_addr")
+                    .pipe_attr(ep_pipe, "remote_addr")
                     .and_then(|s| s.parse::<Ipv4Addr>().ok())
                 else {
                     return false;
                 };
-                let Some(attachment) = self.attachment_of(ctx, other) else {
+                let Some(attachment) = Self::attachment_of(ctx, other) else {
                     return false;
                 };
                 ctx.config.ip_forwarding = true;
@@ -387,37 +430,27 @@ impl IpModule {
                     dest: Ipv4Cidr::new(remote, 32),
                     target: attachment.target(),
                 });
-                let installed = self
-                    .installed
-                    .entry((spec.in_pipe, spec.out_pipe))
-                    .or_default();
-                installed.main_routes.push(Ipv4Cidr::new(remote, 32));
+                self.note_main_route(spec, Ipv4Cidr::new(remote, 32));
                 // For an IP-IP path this module is itself the tunnelling
                 // protocol: create the IP-IP tunnel and expose the attachment
                 // to the customer IP module above.
-                if ep.spec.upper.kind == ModuleKind::Ip
-                    && ctx.pipe_attr(ep.spec.pipe, "attach").is_none()
-                {
+                if ipip && ctx.pipe_attr(ep_pipe, "attach").is_none() {
                     let local = ctx
-                        .pipe_attr(ep.spec.pipe, "local_addr")
+                        .pipe_attr(ep_pipe, "local_addr")
                         .and_then(|s| s.parse::<Ipv4Addr>().ok())
                         .unwrap_or(self.primary);
                     let id = ctx.config.tunnels.keys().max().copied().unwrap_or(0) + 1;
-                    let mut t =
-                        TunnelConfig::ipip(id, format!("ipip-{}", ep.spec.pipe), local, remote);
+                    let mut t = TunnelConfig::ipip(id, format!("ipip-{ep_pipe}"), local, remote);
                     t.ttl = 64;
                     ctx.config.tunnels.insert(id, t);
-                    ctx.set_pipe_attr(ep.spec.pipe, "attach", format!("tunnel:{id}"));
+                    ctx.set_pipe_attr(ep_pipe, "attach", format!("tunnel:{id}"));
                     self.installed
                         .entry((spec.in_pipe, spec.out_pipe))
                         .or_default()
                         .tunnels
                         .push(id);
                 }
-                self.applied_switches.push((
-                    (spec.in_pipe, spec.out_pipe),
-                    format!("[{} <=> {}]", spec.in_pipe, spec.out_pipe),
-                ));
+                self.note_applied(spec, format!("[{} <=> {}]", spec.in_pipe, spec.out_pipe));
                 true
             }
             // Transit switch between two attachments (the core router's IP
@@ -427,8 +460,8 @@ impl IpModule {
             // segment).
             None => {
                 let (Some(att_in), Some(att_out)) = (
-                    self.attachment_of(ctx, &in_rec),
-                    self.attachment_of(ctx, &out_rec),
+                    Self::attachment_of(ctx, in_rec),
+                    Self::attachment_of(ctx, out_rec),
                 ) else {
                     return false;
                 };
@@ -463,10 +496,7 @@ impl IpModule {
                     installed.rules.push((priority, table));
                     installed.tables.push(table);
                 }
-                self.applied_switches.push((
-                    (spec.in_pipe, spec.out_pipe),
-                    format!("[{} <=> {}]", spec.in_pipe, spec.out_pipe),
-                ));
+                self.note_applied(spec, format!("[{} <=> {}]", spec.in_pipe, spec.out_pipe));
                 true
             }
         }
@@ -570,11 +600,9 @@ impl ProtocolModule for IpModule {
         );
         ModuleActual {
             pipes: self.pipes.keys().copied().collect(),
-            switch_rules: self
-                .applied_switches
-                .iter()
-                .map(|(_, s)| s.clone())
-                .collect(),
+            switch_rules: crate::in_applied_order(
+                self.installed.values().flat_map(|switch| &switch.rendered),
+            ),
             filters: self.filters_installed.clone(),
             perf_report: perf,
         }
@@ -620,11 +648,13 @@ impl ProtocolModule for IpModule {
                         // goals tunnelling between the same endpoints each
                         // register the same /32 host route.  Only drop it
                         // once no surviving switch still needs it.
-                        let still_needed = self
-                            .installed
-                            .values()
-                            .any(|other| other.main_routes.contains(dest));
-                        if !still_needed {
+                        let users = self
+                            .main_route_users
+                            .get_mut(dest)
+                            .expect("every registered main route is counted");
+                        *users -= 1;
+                        if *users == 0 {
+                            self.main_route_users.remove(dest);
                             ctx.config.rib.table_mut(RouteTableId::MAIN).remove(*dest);
                         }
                     }
@@ -632,8 +662,6 @@ impl ProtocolModule for IpModule {
                         ctx.config.tunnels.remove(tunnel);
                     }
                 }
-                self.applied_switches
-                    .retain(|(key, _)| *key != (*in_pipe, *out_pipe));
                 self.pending_switches
                     .retain(|s| !(s.in_pipe == *in_pipe && s.out_pipe == *out_pipe));
             }
@@ -665,18 +693,25 @@ impl ProtocolModule for IpModule {
             learned: None,
             query_sent: false,
         };
-        if let Some(peer) = self.peer_of(&rec) {
+        // Re-creating a known pipe replaces it: index the new record only.
+        if let Some(old) = self.pipes.remove(&spec.pipe) {
+            self.unindex_pipe(spec.pipe, &old);
+        }
+        if let Some(peer) = Self::peer_of(&rec) {
             self.by_peer
                 .entry(peer.clone())
                 .or_default()
                 .insert(spec.pipe);
             self.unlearned_by_peer
-                .entry(peer)
+                .entry(peer.clone())
                 .or_default()
                 .insert(spec.pipe);
         }
         if Self::is_adjacency_pipe(&rec) {
             self.adjacency_pipes.insert(spec.pipe);
+        }
+        if Self::awaits_query(&rec) {
+            self.pending_queries.insert(spec.pipe);
         }
         self.pipes.insert(spec.pipe, rec);
         Ok(ModuleReaction::none())
@@ -793,25 +828,12 @@ impl ProtocolModule for IpModule {
     fn poll(&mut self, ctx: &mut ModuleCtx) -> ModuleReaction {
         let mut reaction = ModuleReaction::none();
 
-        // 1. Initiate pending peer exchanges once the underlying port (and
-        //    therefore our address) is known.
-        let pipe_ids: Vec<PipeId> = self.pipes.keys().copied().collect();
-        for id in pipe_ids {
-            let rec = self.pipes[&id].clone();
-            if rec.query_sent || !rec.spec.initiate {
-                continue;
-            }
-            let Some(peer) = self.peer_of(&rec) else {
-                continue;
-            };
-            if peer.kind != ModuleKind::Ip {
-                continue;
-            }
-            let needs_exchange = Self::is_endpoint_pipe(&rec) || Self::is_adjacency_pipe(&rec);
-            if !needs_exchange {
-                continue;
-            }
-            let ours = if Self::is_adjacency_pipe(&rec) {
+        // 1. Initiate pending peer exchanges, in ascending pipe order, once
+        //    the underlying port (and therefore our address) is known.
+        let mut sent = Vec::new();
+        for &id in &self.pending_queries {
+            let rec = &self.pipes[&id];
+            let ours = if Self::is_adjacency_pipe(rec) {
                 if Self::port_of(ctx, id).is_none() {
                     continue; // ETH module has not published the port yet
                 }
@@ -819,13 +841,19 @@ impl ProtocolModule for IpModule {
             } else {
                 self.path_address(ctx)
             };
-            self.pipes.get_mut(&id).expect("pipe exists").query_sent = true;
             reaction.envelopes.push(ModuleEnvelope {
                 from: self.me.clone(),
-                to: peer,
+                to: Self::peer_of(rec)
+                    .expect("a pending pipe has a peer")
+                    .clone(),
                 kind: EnvelopeKind::FieldQuery,
                 body: serde_json::json!({"query": "address", "address": ours.to_string()}),
             });
+            sent.push(id);
+        }
+        for id in sent {
+            self.pending_queries.remove(&id);
+            self.pipes.get_mut(&id).expect("pipe exists").query_sent = true;
         }
 
         // 2. Retry pending switch rules.
@@ -836,5 +864,200 @@ impl ProtocolModule for IpModule {
             }
         }
         reaction
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rig::{module, pipe, Rig};
+    use proptest::prelude::*;
+
+    fn me() -> ModuleRef {
+        module(ModuleKind::Ip, 1, 1)
+    }
+
+    /// An initiating adjacency pipe over the local ETH module towards the
+    /// IP module of device `peer`.
+    fn adjacency(id: u32, peer: u64) -> PipeSpec {
+        let mut spec = pipe(id, &me(), &module(ModuleKind::Eth, 2, 1));
+        spec.peer_upper = Some(module(ModuleKind::Ip, 1, peer));
+        spec.initiate = true;
+        spec
+    }
+
+    fn address_reply(from: u64, kind: EnvelopeKind) -> ModuleEnvelope {
+        ModuleEnvelope {
+            from: module(ModuleKind::Ip, 1, from),
+            to: me(),
+            kind,
+            body: serde_json::json!({"address": format!("10.9.0.{from}")}),
+        }
+    }
+
+    /// The full scan `poll` used to run: every pipe still owed its opening
+    /// query, whether or not it can fire yet.
+    fn scan(m: &IpModule) -> BTreeSet<PipeId> {
+        let mut owed = BTreeSet::new();
+        for (id, rec) in &m.pipes {
+            if rec.query_sent || !rec.spec.initiate {
+                continue;
+            }
+            let peer = match rec.role {
+                Role::Upper => &rec.spec.peer_upper,
+                Role::Lower => &rec.spec.peer_lower,
+            };
+            if peer.as_ref().is_none_or(|p| p.kind != ModuleKind::Ip) {
+                continue;
+            }
+            let endpoint = rec.role == Role::Lower
+                && matches!(rec.spec.upper.kind, ModuleKind::Gre | ModuleKind::Ip);
+            let adjacency = rec.role == Role::Upper && rec.spec.lower.kind == ModuleKind::Eth;
+            if endpoint || adjacency {
+                owed.insert(*id);
+            }
+        }
+        owed
+    }
+
+    #[test]
+    fn a_completed_exchange_leaves_nothing_for_poll() {
+        let mut rig = Rig::new();
+        let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+        m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
+        rig.publish_port(3, 0);
+        let query = m.poll(&mut rig.ctx());
+        assert_eq!(query.envelopes.len(), 1);
+        assert_eq!(query.envelopes[0].kind, EnvelopeKind::FieldQuery);
+        assert!(m.pending_queries.is_empty());
+        m.handle_envelope(
+            &mut rig.ctx(),
+            &address_reply(2, EnvelopeKind::FieldResponse),
+        )
+        .unwrap();
+        assert!(m.unlearned_by_peer.is_empty());
+
+        let (config, changes) = (rig.config_json(), rig.blackboard.changes());
+        assert!(m.poll(&mut rig.ctx()).is_empty());
+        assert_eq!(
+            rig.config_json(),
+            config,
+            "an idle poll leaves the data plane alone"
+        );
+        assert_eq!(rig.blackboard.changes(), changes);
+    }
+
+    #[test]
+    fn an_adjacency_waits_for_its_port_and_fires_once_it_appears() {
+        let mut rig = Rig::new();
+        let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+        m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
+        assert!(m.poll(&mut rig.ctx()).is_empty(), "no port published yet");
+        assert_eq!(m.pending_queries, BTreeSet::from([PipeId(3)]));
+        rig.publish_port(3, 0);
+        assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1);
+        assert!(m.pending_queries.is_empty());
+        assert!(m.poll(&mut rig.ctx()).is_empty(), "the query goes out once");
+    }
+
+    #[test]
+    fn deleting_a_pipe_clears_every_index_and_a_recreated_pipe_initiates_again() {
+        let mut rig = Rig::new();
+        let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+        for round in 0..2 {
+            m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
+            rig.publish_port(3, 0);
+            assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1, "round {round}");
+            m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(3)))
+                .unwrap();
+            assert!(m.pipes.is_empty());
+            assert!(m.by_peer.is_empty());
+            assert!(m.unlearned_by_peer.is_empty());
+            assert!(m.adjacency_pipes.is_empty());
+            assert!(m.pending_queries.is_empty());
+        }
+        // Deleted while still waiting for its port: nothing fires later.
+        m.create_pipe(&mut rig.ctx(), &adjacency(4, 2)).unwrap();
+        m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(4)))
+            .unwrap();
+        rig.publish_port(4, 0);
+        assert!(m.poll(&mut rig.ctx()).is_empty());
+    }
+
+    proptest! {
+        #[test]
+        fn pending_queries_equal_the_full_scan(
+            ops in proptest::collection::vec((0u8..6, 0u32..5, any::<u8>()), 0..48),
+        ) {
+            let mut rig = Rig::new();
+            let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+            for (op, id, bits) in ops {
+                let peer = 2 + u64::from(bits & 1);
+                match op {
+                    // Create: adjacency, tunnel endpoint, or a pipe that needs
+                    // no exchange; initiating or not; IP peer, other or none.
+                    0 | 1 => {
+                        let mut spec = match bits >> 1 & 3 {
+                            0 | 1 => adjacency(id, peer),
+                            2 => {
+                                let mut spec = pipe(id, &module(ModuleKind::Gre, 3, 1), &me());
+                                spec.peer_lower = Some(module(ModuleKind::Ip, 1, peer));
+                                spec
+                            }
+                            _ => {
+                                let mut spec = pipe(id, &me(), &module(ModuleKind::Mpls, 4, 1));
+                                spec.peer_upper = Some(module(ModuleKind::Ip, 1, peer));
+                                spec
+                            }
+                        };
+                        spec.initiate = bits >> 3 & 1 == 1;
+                        match bits >> 4 & 3 {
+                            0 => (spec.peer_upper, spec.peer_lower) = (None, None),
+                            1 => {
+                                let other = Some(module(ModuleKind::Mpls, 4, peer));
+                                if spec.peer_upper.is_some() {
+                                    spec.peer_upper = other;
+                                } else {
+                                    spec.peer_lower = other;
+                                }
+                            }
+                            _ => {}
+                        }
+                        m.create_pipe(&mut rig.ctx(), &spec).unwrap();
+                    }
+                    2 => rig.publish_port(id, id),
+                    3 => {
+                        let kind = if bits & 2 == 0 {
+                            EnvelopeKind::FieldQuery
+                        } else {
+                            EnvelopeKind::FieldResponse
+                        };
+                        m.handle_envelope(&mut rig.ctx(), &address_reply(peer, kind))
+                            .unwrap();
+                    }
+                    4 => {
+                        m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(id)))
+                            .unwrap();
+                        // The agent drops the pipe's blackboard keys with it.
+                        rig.blackboard.remove_pipe(PipeId(id));
+                    }
+                    _ => {
+                        let due: Vec<ModuleRef> = scan(&m)
+                            .into_iter()
+                            .filter(|id| {
+                                !m.adjacency_pipes.contains(id)
+                                    || rig.blackboard.contains_key(&ModuleCtx::pipe_key(*id, "port"))
+                            })
+                            .map(|id| IpModule::peer_of(&m.pipes[&id]).unwrap().clone())
+                            .collect();
+                        let fired = m.poll(&mut rig.ctx());
+                        let to: Vec<ModuleRef> =
+                            fired.envelopes.into_iter().map(|env| env.to).collect();
+                        prop_assert_eq!(to, due, "poll fires what the scan would, in pipe order");
+                    }
+                }
+                prop_assert_eq!(&m.pending_queries, &scan(&m));
+            }
+        }
     }
 }

@@ -24,6 +24,8 @@ pub mod eth;
 pub mod gre;
 pub mod ip;
 pub mod mpls;
+#[cfg(test)]
+mod rig;
 pub mod testbed;
 pub mod vlan;
 
@@ -42,3 +44,12 @@ pub use testbed::{
     ManagedVlanChain,
 };
 pub use vlan::VlanModule;
+
+/// The `showActual` listing of a module that keeps each applied switch
+/// rule's rendering, tagged with its application number, beside the state
+/// the rule installed: the renderings in application order.
+fn in_applied_order<'a>(rendered: impl Iterator<Item = &'a (u64, String)>) -> Vec<String> {
+    let mut rules: Vec<_> = rendered.collect();
+    rules.sort_unstable_by_key(|(applied, _)| *applied);
+    rules.into_iter().map(|(_, rule)| rule.clone()).collect()
+}

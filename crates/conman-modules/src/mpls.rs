@@ -47,6 +47,9 @@ enum PipeKind {
 struct InstalledLsp {
     nhlfe: Vec<NhlfeKey>,
     xc: Vec<(u16, u32)>,
+    /// The rule as `showActual` renders it, with the module-wide sequence
+    /// number of its application (`showActual` lists rules in that order).
+    rendered: Vec<(u64, String)>,
 }
 
 /// The MPLS protocol module.
@@ -60,10 +63,14 @@ pub struct MplsModule {
     by_peer: BTreeMap<ModuleRef, BTreeSet<PipeId>>,
     /// The subset of [`Self::by_peer`] still missing its peer label.
     unfilled_by_peer: BTreeMap<ModuleRef, BTreeSet<PipeId>>,
-    access_pipes: Vec<PipeId>,
+    /// Adjacencies whose label exchange this module still has to start:
+    /// `initiate`, a known peer and `sent` unset (one whose port is not
+    /// published yet waits here).  `poll` visits these and nothing else.
+    pending_exchanges: BTreeSet<PipeId>,
     pending_switches: Vec<SwitchSpec>,
-    applied: Vec<String>,
     installed: BTreeMap<(PipeId, PipeId), InstalledLsp>,
+    /// Switch rules applied so far, the sequence number of the next one.
+    applied_count: u64,
     next_label: u32,
     notified: bool,
 }
@@ -79,10 +86,10 @@ impl MplsModule {
             adjacencies: BTreeMap::new(),
             by_peer: BTreeMap::new(),
             unfilled_by_peer: BTreeMap::new(),
-            access_pipes: Vec::new(),
+            pending_exchanges: BTreeSet::new(),
             pending_switches: Vec::new(),
-            applied: Vec::new(),
             installed: BTreeMap::new(),
+            applied_count: 0,
             next_label,
             notified: false,
         }
@@ -101,6 +108,33 @@ impl MplsModule {
         serde_json::json!({
             "mpls": {"label": label, "address": addr.to_string(), "reply": reply}
         })
+    }
+
+    /// Drop a pipe's adjacency state and its entries in the peer and pending
+    /// indexes.
+    fn forget_adjacency(&mut self, pipe: PipeId) {
+        self.pending_exchanges.remove(&pipe);
+        let Some(peer) = self.adjacencies.remove(&pipe).and_then(|adj| adj.peer) else {
+            return;
+        };
+        for index in [&mut self.by_peer, &mut self.unfilled_by_peer] {
+            if let Some(set) = index.get_mut(&peer) {
+                set.remove(&pipe);
+                if set.is_empty() {
+                    index.remove(&peer);
+                }
+            }
+        }
+    }
+
+    /// Record one rendered line of the applied switch rule `(in, out)`.
+    fn note_applied(&mut self, spec: &SwitchSpec, rendered: String) {
+        let installed = self
+            .installed
+            .entry((spec.in_pipe, spec.out_pipe))
+            .or_default();
+        installed.rendered.push((self.applied_count, rendered));
+        self.applied_count += 1;
     }
 
     /// Apply a pending switch rule once the necessary label bindings exist.
@@ -123,12 +157,13 @@ impl MplsModule {
                 } else {
                     (spec.out_pipe, spec.in_pipe)
                 };
-                let adj = self.adjacencies.get(&adjacency)?.clone();
+                let adj = self.adjacencies.get(&adjacency)?;
                 let (Some(in_label), Some(out_label), Some(peer_addr)) =
                     (adj.in_label, adj.out_label, adj.peer_addr)
                 else {
                     return None;
                 };
+                let initiate = adj.initiate;
                 let port = Self::port_of(ctx, adjacency)?;
                 let installed = self
                     .installed
@@ -164,13 +199,15 @@ impl MplsModule {
                 );
                 installed.nhlfe.extend([push_key, pop_key]);
                 installed.xc.push((0, in_label));
-                self.applied.push(format!(
-                    "endpoint: push {} towards {}, pop {} locally",
-                    out_label, peer_addr, in_label
-                ));
+                self.note_applied(
+                    spec,
+                    format!(
+                        "endpoint: push {out_label} towards {peer_addr}, pop {in_label} locally"
+                    ),
+                );
                 // The egress end of the LSP (the endpoint that did not start
                 // the label exchange) notifies the NM that the LSP is up.
-                if !adj.initiate && !self.notified {
+                if !initiate && !self.notified {
                     self.notified = true;
                     notifications.push(Notification {
                         from: self.me.clone(),
@@ -181,12 +218,11 @@ impl MplsModule {
             }
             // Transit: two adjacency pipes; swap labels in both directions.
             (Some(PipeKind::Adjacency), Some(PipeKind::Adjacency)) => {
-                let a = self.adjacencies.get(&spec.in_pipe)?.clone();
-                let b = self.adjacencies.get(&spec.out_pipe)?.clone();
-                for (from, to, from_pipe, to_pipe) in [
-                    (&a, &b, spec.in_pipe, spec.out_pipe),
-                    (&b, &a, spec.out_pipe, spec.in_pipe),
-                ] {
+                for (from_pipe, to_pipe) in
+                    [(spec.in_pipe, spec.out_pipe), (spec.out_pipe, spec.in_pipe)]
+                {
+                    let from = self.adjacencies.get(&from_pipe)?;
+                    let to = self.adjacencies.get(&to_pipe)?;
                     let (Some(in_label), Some(out_label), Some(next)) =
                         (from.in_label, to.out_label, to.peer_addr)
                     else {
@@ -216,8 +252,7 @@ impl MplsModule {
                         .or_default();
                     installed.nhlfe.push(key);
                     installed.xc.push((0, in_label));
-                    self.applied
-                        .push(format!("transit: {} -> swap {}", in_label, out_label));
+                    self.note_applied(spec, format!("transit: {in_label} -> swap {out_label}"));
                 }
                 Some(notifications)
             }
@@ -257,7 +292,9 @@ impl ProtocolModule for MplsModule {
         );
         ModuleActual {
             pipes: self.pipes.keys().copied().collect(),
-            switch_rules: self.applied.clone(),
+            switch_rules: crate::in_applied_order(
+                self.installed.values().flat_map(|lsp| &lsp.rendered),
+            ),
             filters: Vec::new(),
             perf_report: perf,
         }
@@ -303,19 +340,7 @@ impl ProtocolModule for MplsModule {
             }
             ComponentRef::Pipe(pipe) => {
                 self.pipes.remove(pipe);
-                if let Some(adj) = self.adjacencies.remove(pipe) {
-                    if let Some(peer) = &adj.peer {
-                        for index in [&mut self.by_peer, &mut self.unfilled_by_peer] {
-                            if let Some(set) = index.get_mut(peer) {
-                                set.remove(pipe);
-                                if set.is_empty() {
-                                    index.remove(peer);
-                                }
-                            }
-                        }
-                    }
-                }
-                self.access_pipes.retain(|p| p != pipe);
+                self.forget_adjacency(*pipe);
                 self.pending_switches
                     .retain(|s| s.in_pipe != *pipe && s.out_pipe != *pipe);
                 self.notified = false;
@@ -330,10 +355,11 @@ impl ProtocolModule for MplsModule {
         _ctx: &mut ModuleCtx,
         spec: &PipeSpec,
     ) -> Result<ModuleReaction, ModuleError> {
+        // Re-creating a known pipe replaces it: index the new record only.
+        self.forget_adjacency(spec.pipe);
         if spec.lower == self.me {
             // Pipe to the IP module above: the LSP access point.
             self.pipes.insert(spec.pipe, PipeKind::Access);
-            self.access_pipes.push(spec.pipe);
         } else {
             // Pipe over an ETH module towards the adjacent MPLS module.
             self.pipes.insert(spec.pipe, PipeKind::Adjacency);
@@ -346,6 +372,9 @@ impl ProtocolModule for MplsModule {
                     .entry(peer)
                     .or_default()
                     .insert(spec.pipe);
+            }
+            if spec.initiate && spec.peer_upper.is_some() {
+                self.pending_exchanges.insert(spec.pipe);
             }
             self.adjacencies.insert(
                 spec.pipe,
@@ -438,6 +467,7 @@ impl ProtocolModule for MplsModule {
             let body = self.exchange_body(our_label, our_addr, true);
             let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
             adj.sent = true;
+            self.pending_exchanges.remove(&pipe);
             return Ok(ModuleReaction::envelope(ModuleEnvelope {
                 from: self.me.clone(),
                 to: env.from.clone(),
@@ -450,37 +480,28 @@ impl ProtocolModule for MplsModule {
 
     fn poll(&mut self, ctx: &mut ModuleCtx) -> ModuleReaction {
         let mut reaction = ModuleReaction::none();
-        // Initiate label exchanges once the underlying port is known.
-        let pipes: Vec<PipeId> = self.adjacencies.keys().copied().collect();
-        for pipe in pipes {
-            let adj = self
-                .adjacencies
-                .get(&pipe)
-                .expect("adjacency exists")
-                .clone();
-            if adj.sent || !adj.initiate {
-                continue;
-            }
-            let Some(peer) = adj.peer.clone() else {
-                continue;
-            };
-            let Some(port) = Self::port_of(ctx, pipe) else {
-                continue;
-            };
+        // Initiate pending label exchanges, in ascending pipe order, once
+        // the underlying port is known.
+        let ready: Vec<(PipeId, u32)> = self
+            .pending_exchanges
+            .iter()
+            .filter_map(|&pipe| Some((pipe, Self::port_of(ctx, pipe)?)))
+            .collect();
+        for (pipe, port) in ready {
             let our_addr = ctx
                 .config
                 .address_on_port(port)
                 .map(|c| c.addr)
                 .unwrap_or(Ipv4Addr::UNSPECIFIED);
-            let label = match adj.in_label {
+            let label = match self.adjacencies[&pipe].in_label {
                 Some(l) => l,
                 None => self.alloc_label(),
             };
-            {
-                let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
-                adj.in_label = Some(label);
-                adj.sent = true;
-            }
+            let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
+            adj.in_label = Some(label);
+            adj.sent = true;
+            let peer = adj.peer.clone().expect("a pending adjacency has a peer");
+            self.pending_exchanges.remove(&pipe);
             reaction.envelopes.push(ModuleEnvelope {
                 from: self.me.clone(),
                 to: peer,
@@ -497,5 +518,187 @@ impl ProtocolModule for MplsModule {
             }
         }
         reaction
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rig::{module, pipe, switch, Rig};
+    use proptest::prelude::*;
+
+    fn me() -> ModuleRef {
+        module(ModuleKind::Mpls, 1, 1)
+    }
+
+    /// An adjacency pipe over the local ETH module towards the MPLS module
+    /// of device `peer`.
+    fn adjacency(id: u32, peer: Option<u64>, initiate: bool) -> PipeSpec {
+        let mut spec = pipe(id, &me(), &module(ModuleKind::Eth, 2, 1));
+        spec.peer_upper = peer.map(|d| module(ModuleKind::Mpls, 1, d));
+        spec.initiate = initiate;
+        spec
+    }
+
+    fn label_message(from: u64, label: u32, reply: bool) -> ModuleEnvelope {
+        ModuleEnvelope {
+            from: module(ModuleKind::Mpls, 1, from),
+            to: me(),
+            kind: EnvelopeKind::Convey,
+            body: serde_json::json!({
+                "mpls": {"label": label, "address": format!("10.9.0.{from}"), "reply": reply}
+            }),
+        }
+    }
+
+    /// The full scan `poll` used to run: every adjacency still owed the
+    /// opening half of its label exchange, whether or not it can fire yet.
+    fn scan(m: &MplsModule) -> BTreeSet<PipeId> {
+        let mut owed = BTreeSet::new();
+        for (pipe, adj) in &m.adjacencies {
+            if adj.sent || !adj.initiate {
+                continue;
+            }
+            if adj.peer.is_none() {
+                continue;
+            }
+            owed.insert(*pipe);
+        }
+        owed
+    }
+
+    #[test]
+    fn a_completed_exchange_leaves_nothing_for_poll() {
+        let mut rig = Rig::new();
+        let mut m = MplsModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &adjacency(3, Some(2), true))
+            .unwrap();
+        rig.publish_port(3, 0);
+        assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1);
+        assert!(m.pending_exchanges.is_empty());
+        m.handle_envelope(&mut rig.ctx(), &label_message(2, 777, true))
+            .unwrap();
+        assert!(m.unfilled_by_peer.is_empty());
+
+        let (config, changes) = (rig.config_json(), rig.blackboard.changes());
+        assert!(m.poll(&mut rig.ctx()).is_empty());
+        assert_eq!(
+            rig.config_json(),
+            config,
+            "an idle poll leaves the data plane alone"
+        );
+        assert_eq!(rig.blackboard.changes(), changes);
+    }
+
+    #[test]
+    fn an_adjacency_waits_for_its_port_and_an_answered_one_never_initiates() {
+        let mut rig = Rig::new();
+        let mut m = MplsModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &adjacency(3, Some(2), true))
+            .unwrap();
+        assert!(m.poll(&mut rig.ctx()).is_empty(), "no port published yet");
+        assert_eq!(m.pending_exchanges, BTreeSet::from([PipeId(3)]));
+        rig.publish_port(3, 0);
+        assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1);
+        assert!(m.poll(&mut rig.ctx()).is_empty(), "the exchange opens once");
+
+        // The peer's opening message arrives first: answering it is our half.
+        m.create_pipe(&mut rig.ctx(), &adjacency(4, Some(5), true))
+            .unwrap();
+        let answer = m
+            .handle_envelope(&mut rig.ctx(), &label_message(5, 888, false))
+            .unwrap();
+        assert_eq!(answer.envelopes.len(), 1);
+        assert!(m.pending_exchanges.is_empty());
+        rig.publish_port(4, 1);
+        assert!(m.poll(&mut rig.ctx()).is_empty());
+    }
+
+    #[test]
+    fn deleting_a_pipe_clears_every_index_and_a_recreated_pipe_initiates_again() {
+        let mut rig = Rig::new();
+        let mut m = MplsModule::new(me());
+        for round in 0..2 {
+            m.create_pipe(&mut rig.ctx(), &adjacency(3, Some(2), true))
+                .unwrap();
+            rig.publish_port(3, 0);
+            assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1, "round {round}");
+            m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(3)))
+                .unwrap();
+            assert!(m.pipes.is_empty() && m.adjacencies.is_empty());
+            assert!(m.by_peer.is_empty() && m.unfilled_by_peer.is_empty());
+            assert!(m.pending_exchanges.is_empty());
+        }
+    }
+
+    #[test]
+    fn deleting_a_switch_rule_removes_it_from_show_actual() {
+        let mut rig = Rig::new();
+        let mut m = MplsModule::new(me());
+        let access = pipe(1, &module(ModuleKind::Ip, 3, 1), &me());
+        m.create_pipe(&mut rig.ctx(), &access).unwrap();
+        m.create_pipe(&mut rig.ctx(), &adjacency(2, Some(2), true))
+            .unwrap();
+        rig.publish_port(2, 0);
+        m.poll(&mut rig.ctx());
+        m.handle_envelope(&mut rig.ctx(), &label_message(2, 777, true))
+            .unwrap();
+        let rule = switch(&me(), 1, 2);
+        m.create_switch(&mut rig.ctx(), &rule).unwrap();
+        assert_eq!(m.actual(&rig.ctx()).switch_rules.len(), 1);
+        assert_eq!(rig.config.mpls.nhlfe.len(), 2);
+
+        m.delete(
+            &mut rig.ctx(),
+            &ComponentRef::SwitchRule(me(), PipeId(1), PipeId(2)),
+        )
+        .unwrap();
+        assert!(m.actual(&rig.ctx()).switch_rules.is_empty());
+        assert!(rig.config.mpls.nhlfe.is_empty());
+        assert!(m.installed.is_empty());
+    }
+
+    proptest! {
+        #[test]
+        fn pending_exchanges_equal_the_full_scan(
+            ops in proptest::collection::vec((0u8..6, 0u32..5, any::<u8>()), 0..48),
+        ) {
+            let mut rig = Rig::new();
+            let mut m = MplsModule::new(me());
+            for (op, id, bits) in ops {
+                let peer = 2 + u64::from(bits & 1);
+                match op {
+                    0 | 1 => {
+                        let spec = if bits >> 1 & 3 == 0 {
+                            pipe(id, &module(ModuleKind::Ip, 3, 1), &me())
+                        } else {
+                            adjacency(id, (bits >> 3 & 3 != 0).then_some(peer), bits >> 5 & 1 == 1)
+                        };
+                        m.create_pipe(&mut rig.ctx(), &spec).unwrap();
+                    }
+                    2 => rig.publish_port(id, id),
+                    3 => {
+                        m.handle_envelope(&mut rig.ctx(), &label_message(peer, 500 + id, bits & 2 == 0))
+                            .unwrap();
+                    }
+                    4 => {
+                        m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(id))).unwrap();
+                        rig.blackboard.remove_pipe(PipeId(id));
+                    }
+                    _ => {
+                        let due: Vec<ModuleRef> = scan(&m)
+                            .into_iter()
+                            .filter(|id| rig.blackboard.contains_key(&ModuleCtx::pipe_key(*id, "port")))
+                            .map(|id| m.adjacencies[&id].peer.clone().unwrap())
+                            .collect();
+                        let fired = m.poll(&mut rig.ctx());
+                        let to: Vec<ModuleRef> =
+                            fired.envelopes.into_iter().map(|env| env.to).collect();
+                        prop_assert_eq!(to, due, "poll fires what the scan would, in pipe order");
+                    }
+                }
+                prop_assert_eq!(&m.pending_exchanges, &scan(&m));
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@ use conman_core::primitives::{
 };
 use netsim::config::{BridgeConfig, SwitchPortMode};
 use netsim::vlan::VlanId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Default VLAN id proposed by the edge module when the goal does not pin
 /// one; 22 mirrors the paper's example.
@@ -40,6 +40,9 @@ pub struct VlanModule {
     me: ModuleRef,
     pipes: BTreeMap<PipeId, PipeKind>,
     trunks: BTreeMap<PipeId, TrunkState>,
+    /// Trunks whose VLAN exchange this module still has to start
+    /// (`initiate` and `sent` unset).  `poll` visits these and nothing else.
+    pending_trunks: BTreeSet<PipeId>,
     vlan_id: Option<u16>,
     vlan_name: String,
     pending_switches: Vec<SwitchSpec>,
@@ -54,6 +57,7 @@ impl VlanModule {
             me,
             pipes: BTreeMap::new(),
             trunks: BTreeMap::new(),
+            pending_trunks: BTreeSet::new(),
             vlan_id: None,
             vlan_name: "C1".to_string(),
             pending_switches: Vec::new(),
@@ -178,6 +182,11 @@ impl ProtocolModule for VlanModule {
         }
         if spec.peer_upper.is_some() {
             self.pipes.insert(spec.pipe, PipeKind::Trunk);
+            if spec.initiate {
+                self.pending_trunks.insert(spec.pipe);
+            } else {
+                self.pending_trunks.remove(&spec.pipe);
+            }
             self.trunks.insert(
                 spec.pipe,
                 TrunkState {
@@ -213,6 +222,7 @@ impl ProtocolModule for VlanModule {
         if let conman_core::primitives::ComponentRef::Pipe(pipe) = component {
             self.pipes.remove(pipe);
             self.trunks.remove(pipe);
+            self.pending_trunks.remove(pipe);
             self.pending_switches
                 .retain(|s| s.in_pipe != *pipe && s.out_pipe != *pipe);
             if self.pipes.is_empty() {
@@ -249,6 +259,7 @@ impl ProtocolModule for VlanModule {
             t.agreed = true;
             if !is_reply {
                 t.sent = true;
+                self.pending_trunks.remove(&pipe);
                 return Ok(ModuleReaction::envelope(ModuleEnvelope {
                     from: self.me.clone(),
                     to: env.from.clone(),
@@ -262,22 +273,20 @@ impl ProtocolModule for VlanModule {
 
     fn poll(&mut self, ctx: &mut ModuleCtx) -> ModuleReaction {
         let mut reaction = ModuleReaction::none();
-        // An edge module that initiates a trunk exchange picks the VLAN id.
-        if self.vlan_id.is_none() && self.is_edge() && self.trunks.values().any(|t| t.initiate) {
+        // An edge module that initiates a trunk exchange picks the VLAN id
+        // (no trunk has sent while the id is unknown, so an initiating trunk
+        // is a pending one).
+        if self.vlan_id.is_none() && !self.pending_trunks.is_empty() && self.is_edge() {
             self.vlan_id = Some(DEFAULT_VLAN);
         }
         if let Some(vid) = self.vlan_id {
-            let pipes: Vec<PipeId> = self.trunks.keys().copied().collect();
-            for pipe in pipes {
-                let t = self.trunks.get(&pipe).expect("trunk exists").clone();
-                if t.sent || !t.initiate {
-                    continue;
-                }
-                let Some(peer) = t.peer.clone() else { continue };
-                self.trunks.get_mut(&pipe).expect("trunk exists").sent = true;
+            // Every pending trunk fires, in ascending pipe order.
+            for pipe in std::mem::take(&mut self.pending_trunks) {
+                let t = self.trunks.get_mut(&pipe).expect("trunk exists");
+                t.sent = true;
                 reaction.envelopes.push(ModuleEnvelope {
                     from: self.me.clone(),
-                    to: peer,
+                    to: t.peer.clone().expect("a trunk has a peer"),
                     kind: EnvelopeKind::Convey,
                     body: serde_json::json!({"vlan": {"id": vid, "name": self.vlan_name, "reply": false}}),
                 });
@@ -291,5 +300,157 @@ impl ProtocolModule for VlanModule {
             }
         }
         reaction
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rig::{module, pipe, Rig};
+    use conman_core::primitives::ComponentRef;
+    use proptest::prelude::*;
+
+    fn me() -> ModuleRef {
+        module(ModuleKind::Vlan, 1, 1)
+    }
+
+    /// A trunk pipe towards the VLAN module of switch `peer`.
+    fn trunk(id: u32, peer: u64, initiate: bool) -> PipeSpec {
+        let mut spec = pipe(id, &me(), &module(ModuleKind::Eth, 2, 1));
+        spec.peer_upper = Some(module(ModuleKind::Vlan, 1, peer));
+        spec.initiate = initiate;
+        spec
+    }
+
+    fn customer(id: u32) -> PipeSpec {
+        pipe(id, &me(), &module(ModuleKind::Eth, 3, 1))
+    }
+
+    fn vlan_message(from: u64, reply: bool) -> ModuleEnvelope {
+        ModuleEnvelope {
+            from: module(ModuleKind::Vlan, 1, from),
+            to: me(),
+            kind: EnvelopeKind::Convey,
+            body: serde_json::json!({"vlan": {"id": 22, "name": "C1", "reply": reply}}),
+        }
+    }
+
+    /// The full scan `poll` used to run once the VLAN id is known: every
+    /// trunk still owed the opening half of its exchange.
+    fn scan(m: &VlanModule) -> BTreeSet<PipeId> {
+        let mut owed = BTreeSet::new();
+        for (pipe, t) in &m.trunks {
+            if t.sent || !t.initiate {
+                continue;
+            }
+            if t.peer.is_none() {
+                continue;
+            }
+            owed.insert(*pipe);
+        }
+        owed
+    }
+
+    #[test]
+    fn a_completed_exchange_leaves_nothing_for_poll() {
+        let mut rig = Rig::new();
+        let mut m = VlanModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &customer(1)).unwrap();
+        m.create_pipe(&mut rig.ctx(), &trunk(2, 2, true)).unwrap();
+        assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1);
+        assert!(m.pending_trunks.is_empty());
+        m.handle_envelope(&mut rig.ctx(), &vlan_message(2, true))
+            .unwrap();
+
+        let (config, changes) = (rig.config_json(), rig.blackboard.changes());
+        assert!(m.poll(&mut rig.ctx()).is_empty());
+        assert_eq!(
+            rig.config_json(),
+            config,
+            "an idle poll leaves the data plane alone"
+        );
+        assert_eq!(rig.blackboard.changes(), changes);
+    }
+
+    #[test]
+    fn a_transit_trunk_waits_for_the_vlan_id_and_fires_once_it_is_known() {
+        let mut rig = Rig::new();
+        let mut m = VlanModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &trunk(1, 2, false)).unwrap();
+        m.create_pipe(&mut rig.ctx(), &trunk(2, 3, true)).unwrap();
+        assert!(m.poll(&mut rig.ctx()).is_empty(), "no VLAN id agreed yet");
+        assert_eq!(m.pending_trunks, BTreeSet::from([PipeId(2)]));
+        let answer = m
+            .handle_envelope(&mut rig.ctx(), &vlan_message(2, false))
+            .unwrap();
+        assert_eq!(
+            answer.envelopes.len(),
+            1,
+            "the upstream proposal is answered"
+        );
+        let onward = m.poll(&mut rig.ctx());
+        assert_eq!(onward.envelopes.len(), 1);
+        assert_eq!(onward.envelopes[0].to, module(ModuleKind::Vlan, 1, 3));
+        assert!(m.pending_trunks.is_empty());
+        assert!(m.poll(&mut rig.ctx()).is_empty(), "the exchange opens once");
+    }
+
+    #[test]
+    fn deleting_a_trunk_clears_every_index_and_a_recreated_trunk_initiates_again() {
+        let mut rig = Rig::new();
+        let mut m = VlanModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &customer(1)).unwrap();
+        for round in 0..2 {
+            m.create_pipe(&mut rig.ctx(), &trunk(2, 2, true)).unwrap();
+            assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1, "round {round}");
+            m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(2)))
+                .unwrap();
+            assert!(m.trunks.is_empty() && m.pending_trunks.is_empty());
+            assert_eq!(m.pipes.len(), 1);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn pending_trunks_equal_the_full_scan(
+            ops in proptest::collection::vec((0u8..5, 0u32..5, any::<u8>()), 0..48),
+        ) {
+            let mut rig = Rig::new();
+            let mut m = VlanModule::new(me());
+            for (op, id, bits) in ops {
+                let peer = 2 + u64::from(bits & 1);
+                match op {
+                    0 | 1 => {
+                        let spec = if bits >> 1 & 3 == 0 {
+                            customer(id)
+                        } else {
+                            trunk(id, peer, bits >> 3 & 1 == 1)
+                        };
+                        m.create_pipe(&mut rig.ctx(), &spec).unwrap();
+                    }
+                    2 => {
+                        m.handle_envelope(&mut rig.ctx(), &vlan_message(peer, bits & 2 == 0))
+                            .unwrap();
+                    }
+                    3 => {
+                        m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(id))).unwrap();
+                    }
+                    _ => {
+                        let id_known = m.vlan_id.is_some()
+                            || (m.is_edge() && m.trunks.values().any(|t| t.initiate));
+                        let due: Vec<ModuleRef> = scan(&m)
+                            .into_iter()
+                            .filter(|_| id_known)
+                            .map(|id| m.trunks[&id].peer.clone().unwrap())
+                            .collect();
+                        let fired = m.poll(&mut rig.ctx());
+                        let to: Vec<ModuleRef> =
+                            fired.envelopes.into_iter().map(|env| env.to).collect();
+                        prop_assert_eq!(to, due, "poll fires what the scan would, in pipe order");
+                    }
+                }
+                prop_assert_eq!(&m.pending_trunks, &scan(&m));
+            }
+        }
     }
 }

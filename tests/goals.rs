@@ -8,11 +8,15 @@
 //! is idempotent on a converged network.
 
 use conman::core::nm::{Exclusion, GoalStatus, PlanError};
-use conman::core::runtime::{ReconcileAction, ReconcileReport, TxnEvent};
+use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent};
 use conman::core::{ManagementAgent, WireCodec};
-use conman::modules::{managed_chain, managed_dual_chain};
+use conman::modules::{
+    managed_chain, managed_dual_chain, managed_fanout_chain, managed_mesh_fanout,
+};
+use conman::netsim::device::DeviceId;
 use conman::obs::Recorder;
 use mgmt_channel::OutOfBandChannel;
+use std::collections::BTreeMap;
 
 type Chain = conman::modules::ManagedChain<OutOfBandChannel>;
 
@@ -756,4 +760,171 @@ fn pipe_space_exhaustion_fails_the_goal_cleanly() {
         .contains("pipe-id space exhausted"));
     // Nothing was sent for the unplannable goal.
     assert_eq!(report.transactions, 0);
+}
+
+/// What a router's data plane holds that a goal can add to.
+type DataPlane = (
+    conman::netsim::route::Rib,
+    BTreeMap<u32, conman::netsim::config::TunnelConfig>,
+    usize,
+    usize,
+);
+
+fn data_plane(mn: &ManagedNetwork<OutOfBandChannel>, routers: &[DeviceId]) -> Vec<DataPlane> {
+    routers
+        .iter()
+        .map(|d| {
+            let config = &mn.net.device(*d).expect("router exists").config;
+            (
+                config.rib.clone(),
+                config.tunnels.clone(),
+                config.mpls.nhlfe.len(),
+                config.mpls.xc.len(),
+            )
+        })
+        .collect()
+}
+
+/// Submit `goals`, converge, withdraw them all, and hold the no-residue
+/// invariant on every router: nothing of a withdrawn goal is left in any
+/// module's `showActual`, on any agent's blackboard or staging table, or in
+/// the data plane.
+fn assert_withdraw_leaves_nothing(
+    mn: &mut ManagedNetwork<OutOfBandChannel>,
+    routers: &[DeviceId],
+    goals: Vec<conman::core::nm::ConnectivityGoal>,
+) {
+    let before = data_plane(mn, routers);
+    let ids: Vec<_> = goals.into_iter().map(|g| mn.submit(g)).collect();
+    let report = mn.reconcile();
+    assert_eq!(report.active(), ids.len(), "every goal converges");
+    assert_ne!(
+        data_plane(mn, routers),
+        before,
+        "the goals configured something"
+    );
+
+    assert!(mn.withdraw_many(&ids).iter().all(|w| w.removed));
+    for d in routers {
+        for (name, module) in mn.show_actual(*d).expect("router answers") {
+            assert!(module.pipes.is_empty(), "{name} kept {:?}", module.pipes);
+            assert!(
+                module.switch_rules.is_empty(),
+                "{name} kept {:?}",
+                module.switch_rules
+            );
+            assert!(
+                module.filters.is_empty(),
+                "{name} kept {:?}",
+                module.filters
+            );
+        }
+        let agent = &mn.agents[d];
+        let pipe_keys: Vec<_> = agent
+            .blackboard()
+            .keys()
+            .filter(|k| k.starts_with("pipe."))
+            .collect();
+        assert!(pipe_keys.is_empty(), "blackboard kept {pipe_keys:?}");
+        assert_eq!(agent.staged_segment_count(), 0);
+    }
+    assert_eq!(
+        data_plane(mn, routers),
+        before,
+        "data plane is back to baseline"
+    );
+}
+
+#[test]
+fn withdrawing_every_goal_leaves_no_module_state_behind() {
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        let mut t = managed_fanout_chain(4, 6);
+        t.discover();
+        t.mn.codec = codec;
+        t.mn.goals.limits = conman_bench::diagnosis::chain_limits(4);
+        let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
+        let routers = t.core.clone();
+        assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals);
+
+        let mut t = managed_mesh_fanout(3, 6);
+        t.discover();
+        t.mn.codec = codec;
+        t.mn.goals.limits = conman_bench::control_loop::mesh_limits(3);
+        let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
+        let routers = t.routers().to_vec();
+        assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals);
+    }
+}
+
+/// NM messages sent and received, module relays the NM received and
+/// forwarded, and notifications, over one churn operation.
+type OpFlow = (u64, u64, u64, u64, u64);
+
+#[test]
+fn churned_fleet_keeps_every_survivor_up_and_its_message_flow_to_the_envelope() {
+    const FLEET: usize = 48;
+    const CHURN: usize = 4;
+    const OPS: usize = 20;
+    /// What every operation cost at the commit before the modules' pending
+    /// sets and keyed deletes: they may not move the flow by one envelope.
+    const EXPECTED: OpFlow = (35, 72, 59, 59, 0);
+
+    let mut t = managed_fanout_chain(6, FLEET + OPS * CHURN);
+    t.discover();
+    t.mn.codec = WireCodec::Binary;
+    t.mn.goals.limits = conman_bench::diagnosis::chain_limits(6);
+    let recorder = Recorder::new();
+    t.mn.set_recorder(recorder.clone());
+    // Live goals with the fan-out pair that probes each.
+    let mut live: Vec<_> = (0..FLEET)
+        .map(|k| (t.mn.submit(t.fanout_goal(k)), k))
+        .collect();
+    assert_eq!(t.mn.reconcile().active(), FLEET);
+
+    let relays = |dir: &str| {
+        recorder.counter(&format!("msg.{dir}.ConveyMessage"))
+            + recorder.counter(&format!("msg.{dir}.FieldQuery"))
+    };
+    let flow = |t: &Chain| -> OpFlow {
+        let nm = t.mn.nm_counters();
+        (
+            nm.sent,
+            nm.received,
+            relays("received"),
+            relays("sent"),
+            recorder.counter("mgmt.notifications"),
+        )
+    };
+    let mut victims = proptest::TestRng::deterministic("churned fleet");
+    for op in 0..OPS {
+        let before = flow(&t);
+        let gone: Vec<_> = (0..CHURN)
+            .map(|_| live.swap_remove(victims.below(live.len() as u64) as usize))
+            .collect();
+        let ids: Vec<_> = gone.iter().map(|(id, _)| *id).collect();
+        assert!(t.mn.withdraw_many(&ids).iter().all(|w| w.removed));
+        for k in FLEET + op * CHURN..FLEET + (op + 1) * CHURN {
+            live.push((t.mn.submit(t.fanout_goal(k)), k));
+        }
+        assert_eq!(t.mn.reconcile().active(), FLEET, "op {op} converges");
+        let after = flow(&t);
+        let spent = (
+            after.0 - before.0,
+            after.1 - before.1,
+            after.2 - before.2,
+            after.3 - before.3,
+            after.4 - before.4,
+        );
+        assert_eq!(spent, EXPECTED, "op {op}: message flow moved");
+
+        let idle = t.mn.reconcile();
+        assert_eq!((idle.nm_sent, idle.transactions), (0, 0), "op {op}: idle");
+        for (_, k) in &live {
+            assert!(t.probe_pair(*k), "op {op}: survivor {k} lost its VPN");
+        }
+        for (_, k) in &gone {
+            assert!(!t.probe_pair(*k), "op {op}: victim {k} still connected");
+        }
+    }
+    assert_eq!(recorder.counter("mgmt.round_cap_hit"), 0);
 }
