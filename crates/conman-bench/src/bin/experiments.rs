@@ -196,7 +196,7 @@ fn figure2_3() {
     let gre = path_labelled(&paths, "GRE-IP");
     let scripts = t.mn.nm.generate_scripts(&gre, &goal);
     println!("\nCONMan script generated by the NM (cf. the six commands of §III-B):");
-    print!("{}", scripts.render());
+    print!("{}", scripts.render(&t.mn.nm));
     t.mn.reset_counters();
     t.mn.execute_path(&gre, &goal);
     let c = t.mn.nm_counters();
@@ -228,17 +228,17 @@ fn figures7_8_9_table5() {
     ] {
         let path = path_labelled(&paths, label);
         let scripts = t.mn.nm.generate_scripts(&path, &goal);
-        let router_a = &scripts.scripts[0];
+        let router_a = scripts.scripts[0].render(&t.mn.nm);
         println!("\n--- {} : configuration today (router A) ---", label);
         println!("{}", today.text());
         println!(
             "--- {} : CONMan configuration (router A, generated by the NM) ---",
             label
         );
-        for l in &router_a.rendered {
+        for l in &router_a {
             println!("{l}");
         }
-        let conman = classify_conman_script(&router_a.rendered);
+        let conman = classify_conman_script(&router_a);
         rows.push((label.to_string(), today.counts(), conman.counts()));
     }
 
@@ -252,13 +252,14 @@ fn figures7_8_9_table5() {
     println!("\n--- VLAN : configuration today (CatOS, switch A) ---");
     println!("{}", today.text());
     println!("--- VLAN : CONMan configuration (switch A, generated by the NM) ---");
-    for l in &scripts.scripts[0].rendered {
+    let switch_a = scripts.scripts[0].render(&v.mn.nm);
+    for l in &switch_a {
         println!("{l}");
     }
     rows.push((
         "VLAN".to_string(),
         today.counts(),
-        classify_conman_script(&scripts.scripts[0].rendered).counts(),
+        classify_conman_script(&switch_a).counts(),
     ));
 
     println!("\nTable V — commands and state variables, Today (T) vs CONMan (C):");

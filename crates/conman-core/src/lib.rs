@@ -15,7 +15,8 @@
 //!   concrete modules in the `conman-modules` crate,
 //! * the **Network Manager** ([`nm`]): topology map, potential-connectivity
 //!   graph, encapsulation-aware path finder, path selection and script
-//!   generation,
+//!   generation (a script is its primitives; the paper-style text is a view
+//!   rendered on demand, [`nm::render_primitive`]),
 //! * the **runtime** ([`runtime`]): the orchestration loop that drives a
 //!   managed network over a management channel, relaying module-to-module
 //!   messages through the NM and accounting for every message (Table VI).

@@ -5,46 +5,107 @@
 //! The NM generates these scripts algorithmically, with no protocol-specific
 //! knowledge beyond the address prefixes and gateways the human manager's
 //! high-level goal names (which the paper explicitly allows).
+//!
+//! A script *is* its primitives: [`generate_with_base`] formats nothing, and
+//! the text the paper prints in those figures is a view rendered on demand by
+//! [`render_primitive`]; nothing stores its output.
 
 use super::pathfinder::{Entry, ModulePath};
 use super::{ConnectivityGoal, NetworkManager};
 use crate::abstraction::SwitchKind;
 use crate::ids::{ModuleKind, ModuleRef, PipeId};
-use crate::primitives::{PipeSpec, Primitive, SwitchSpec, TradeoffChoice};
+use crate::primitives::{ComponentRef, PipeSpec, Primitive, SwitchSpec, TradeoffChoice};
 use netsim::device::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// The CONMan primitives for one device, plus a human-readable rendering.
+/// The CONMan primitives for one device — what it executes.  The paper-style
+/// text is a view of them ([`DeviceScript::render`]), not a second copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceScript {
     /// The device the script configures.
     pub device: DeviceId,
-    /// Device alias used in the rendering ("A", "B", ...).
-    pub device_alias: String,
     /// The primitives in execution order.
     pub primitives: Vec<Primitive>,
-    /// Paper-style textual rendering of each primitive.
-    pub rendered: Vec<String>,
 }
 
-/// The scripts for every device along a path.
+impl DeviceScript {
+    /// One [`render_primitive`] line per primitive, in primitive order.
+    pub fn render(&self, nm: &NetworkManager) -> Vec<String> {
+        self.primitives
+            .iter()
+            .map(|p| render_primitive(nm, p))
+            .collect()
+    }
+}
+
+/// The scripts for every device along a path: what a plan carries.  The text
+/// of Figures 7(b)/8(b)/9(b) is rendered on demand ([`ScriptSet::render`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ScriptSet {
     /// Per-device scripts, in path order.
     pub scripts: Vec<DeviceScript>,
-    /// Total number of up-down pipes created.
-    pub pipe_count: usize,
+}
+
+/// The paper-style text of one primitive (Table I; Figures 7(b), 8(b), 9(b)):
+/// a pure function of the primitive, device aliases ("A", "B", ...) looked up
+/// in `nm`.  The text is a view; a plan carries what devices execute.
+pub fn render_primitive(nm: &NetworkManager, primitive: &Primitive) -> String {
+    let module = |m: &ModuleRef| m.display_with(&nm.device_alias(m.device), &m.module.to_string());
+    let peer = |m: &Option<ModuleRef>| m.as_ref().map_or_else(|| "None".to_string(), &module);
+    let filter = |verb: &str, m: &ModuleRef, from: &ModuleRef, to: &ModuleRef| {
+        let (m, from, to) = (module(m), module(from), module(to));
+        format!("{verb} (filter, {m}, {from}, {to})")
+    };
+    match primitive {
+        Primitive::ShowPotential => "showPotential ()".to_string(),
+        Primitive::ShowActual => "showActual ()".to_string(),
+        Primitive::CreatePipe(spec) => {
+            let mut args = vec![
+                module(&spec.upper),
+                module(&spec.lower),
+                peer(&spec.peer_upper),
+                peer(&spec.peer_lower),
+            ];
+            if spec.tradeoffs.is_empty() {
+                args.push("None".into());
+            }
+            args.extend(spec.tradeoffs.iter().map(|t| {
+                match t {
+                    TradeoffChoice::InOrderDelivery => "trade-off: in-order delivery",
+                    TradeoffChoice::LowErrorRate => "trade-off: error-rate",
+                    TradeoffChoice::LowDelay => "trade-off: low-delay",
+                }
+                .to_string()
+            }));
+            format!("{} = create (pipe, {})", spec.pipe, args.join(", "))
+        }
+        Primitive::CreateSwitch(spec) => {
+            let (m, i, o) = (module(&spec.module), spec.in_pipe, spec.out_pipe);
+            match (&spec.dst_class, &spec.gateway) {
+                (Some(class), _) => format!("create (switch, {m}, [{i}, dst:{class} => {o}])"),
+                (None, Some(gateway)) => format!("create (switch, {m}, [{i} => {o}, {gateway}])"),
+                (None, None) => format!("create (switch, {m}, {i}, {o})"),
+            }
+        }
+        Primitive::CreateFilter(spec) => filter("create", &spec.module, &spec.from, &spec.to),
+        Primitive::Delete(ComponentRef::Pipe(pipe)) => format!("delete (pipe, {pipe})"),
+        Primitive::Delete(ComponentRef::SwitchRule(m, i, o)) => {
+            format!("delete (switch, {}, {i}, {o})", module(m))
+        }
+        Primitive::Delete(ComponentRef::Filter(m, from, to)) => filter("delete", m, from, to),
+    }
 }
 
 impl ScriptSet {
-    /// All rendered lines, concatenated with per-device headers.
-    pub fn render(&self) -> String {
+    /// The paper-style text of every script, each under a per-device header.
+    pub fn render(&self, nm: &NetworkManager) -> String {
         let mut out = String::new();
         for s in &self.scripts {
-            out.push_str(&format!("# ---- Router {} ----\n", s.device_alias));
-            for line in &s.rendered {
-                out.push_str(line);
+            let alias = nm.device_alias(s.device);
+            out.push_str(&format!("# ---- Router {alias} ----\n"));
+            for line in s.render(nm) {
+                out.push_str(&line);
                 out.push('\n');
             }
         }
@@ -72,7 +133,6 @@ impl ScriptSet {
 
     /// The delete primitives undoing one device's script.
     pub fn teardown_of(ds: &DeviceScript) -> Vec<Primitive> {
-        use crate::primitives::ComponentRef;
         let mut deletes = Vec::new();
         for p in ds.primitives.iter().rev() {
             match p {
@@ -180,7 +240,6 @@ pub fn generate_with_base(
         slot.id = PipeId(next_id);
         next_id += 1;
     }
-    let pipe_count = slots.iter().filter(|s| !s.physical).count();
 
     // ------------------------------------------------------------------
     // 2. Helpers for peer determination.
@@ -263,17 +322,9 @@ pub fn generate_with_base(
         .iter()
         .map(|d| DeviceScript {
             device: *d,
-            device_alias: nm.device_alias(*d),
             primitives: Vec::new(),
-            rendered: Vec::new(),
         })
         .collect();
-    let script_index: BTreeMap<DeviceId, usize> =
-        devices.iter().enumerate().map(|(i, d)| (*d, i)).collect();
-
-    let render_module = |m: &ModuleRef| -> String {
-        format!("<{},{},{}>", m.kind, nm.device_alias(m.device), m.module)
-    };
 
     // 3a. CreatePipe primitives (slot order).
     for slot in slots.iter().filter(|s| !s.physical) {
@@ -313,41 +364,17 @@ pub fn generate_with_base(
 
         let spec = PipeSpec {
             pipe: slot.id,
-            upper: upper.clone(),
-            lower: lower.clone(),
-            peer_upper: peer_upper.clone(),
-            peer_lower: peer_lower.clone(),
-            tradeoffs: tradeoffs.clone(),
+            upper,
+            lower,
+            peer_upper,
+            peer_lower,
+            tradeoffs,
             initiate,
             resolved: goal.resolved.clone(),
         };
-        let mut args = vec![
-            render_module(&upper),
-            render_module(&lower),
-            peer_upper
-                .as_ref()
-                .map(&render_module)
-                .unwrap_or_else(|| "None".into()),
-            peer_lower
-                .as_ref()
-                .map(&render_module)
-                .unwrap_or_else(|| "None".into()),
-        ];
-        if tradeoffs.is_empty() {
-            args.push("None".into());
-        } else {
-            for t in &tradeoffs {
-                args.push(match t {
-                    TradeoffChoice::InOrderDelivery => "trade-off: in-order delivery".into(),
-                    TradeoffChoice::LowErrorRate => "trade-off: error-rate".into(),
-                    TradeoffChoice::LowDelay => "trade-off: low-delay".into(),
-                });
-            }
-        }
-        let line = format!("{} = create (pipe, {})", slot.id, args.join(", "));
-        let idx = script_index[&device];
-        scripts[idx].primitives.push(Primitive::CreatePipe(spec));
-        scripts[idx].rendered.push(line);
+        scripts[device_pos[&device]]
+            .primitives
+            .push(Primitive::CreatePipe(spec));
     }
 
     // 3b. CreateSwitch primitives (step order).
@@ -355,7 +382,7 @@ pub fn generate_with_base(
         let in_slot = &slots[i];
         let out_slot = &slots[i + 1];
         let device = step.module.device;
-        let idx = script_index[&device];
+        let idx = device_pos[&device];
         // The edge ETH modules facing the (unmanaged) customer need no switch
         // rule, matching Figure 7(b).
         let touches_unmanaged_phys = i == 0 || i + 1 == steps.len();
@@ -395,7 +422,7 @@ pub fn generate_with_base(
                 module: step.module.clone(),
                 in_pipe: customer_pipe.id,
                 out_pipe: core_pipe.id,
-                dst_class: Some(dst_class.clone()),
+                dst_class: Some(dst_class),
                 gateway: None,
                 resolved: goal.resolved.clone(),
             };
@@ -404,23 +431,9 @@ pub fn generate_with_base(
                 in_pipe: core_pipe.id,
                 out_pipe: customer_pipe.id,
                 dst_class: None,
-                gateway: Some(gateway.clone()),
+                gateway: Some(gateway),
                 resolved: rev_resolved,
             };
-            scripts[idx].rendered.push(format!(
-                "create (switch, {}, [{}, dst:{} => {}])",
-                render_module(&step.module),
-                customer_pipe.id,
-                dst_class,
-                core_pipe.id
-            ));
-            scripts[idx].rendered.push(format!(
-                "create (switch, {}, [{} => {}, {}])",
-                render_module(&step.module),
-                core_pipe.id,
-                customer_pipe.id,
-                gateway
-            ));
             scripts[idx].primitives.push(Primitive::CreateSwitch(fwd));
             scripts[idx].primitives.push(Primitive::CreateSwitch(rev));
         } else {
@@ -432,66 +445,52 @@ pub fn generate_with_base(
                 gateway: None,
                 resolved: goal.resolved.clone(),
             };
-            scripts[idx].rendered.push(format!(
-                "create (switch, {}, {}, {})",
-                render_module(&step.module),
-                in_slot.id,
-                out_slot.id
-            ));
             scripts[idx].primitives.push(Primitive::CreateSwitch(spec));
         }
     }
 
-    ScriptSet {
-        scripts,
-        pipe_count,
-    }
+    ScriptSet { scripts }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::ModuleId;
     use crate::nm::pathfinder::PathStep;
+    use crate::primitives::FilterSpec;
+
+    fn module(kind: ModuleKind, id: u32, device: u64) -> ModuleRef {
+        ModuleRef::new(kind, ModuleId(id), DeviceId::from_raw(device))
+    }
 
     /// A hand-built two-step path exercises the degenerate cases (no peers,
     /// single device).
     #[test]
     fn empty_and_tiny_paths_do_not_panic() {
         let nm = NetworkManager::new(DeviceId::from_raw(1));
-        let goal = ConnectivityGoal::vpn(
-            ModuleRef::new(
-                ModuleKind::Eth,
-                crate::ids::ModuleId(1),
-                DeviceId::from_raw(1),
-            ),
-            ModuleRef::new(
-                ModuleKind::Eth,
-                crate::ids::ModuleId(2),
-                DeviceId::from_raw(2),
-            ),
-        );
+        let goal =
+            ConnectivityGoal::vpn(module(ModuleKind::Eth, 1, 1), module(ModuleKind::Eth, 2, 2));
         let empty = ModulePath { steps: vec![] };
         assert_eq!(generate(&nm, &empty, &goal).scripts.len(), 0);
 
-        let d = DeviceId::from_raw(1);
         let path = ModulePath {
             steps: vec![
                 PathStep {
-                    module: ModuleRef::new(ModuleKind::Eth, crate::ids::ModuleId(1), d),
+                    module: module(ModuleKind::Eth, 1, 1),
                     switch: SwitchKind::PhyUp,
                     entered: Entry::Phys,
                     header: 1,
                     depth: 2,
                 },
                 PathStep {
-                    module: ModuleRef::new(ModuleKind::Ip, crate::ids::ModuleId(3), d),
+                    module: module(ModuleKind::Ip, 3, 1),
                     switch: SwitchKind::DownDown,
                     entered: Entry::Below,
                     header: 0,
                     depth: 1,
                 },
                 PathStep {
-                    module: ModuleRef::new(ModuleKind::Eth, crate::ids::ModuleId(2), d),
+                    module: module(ModuleKind::Eth, 2, 1),
                     switch: SwitchKind::UpPhy,
                     entered: Entry::Above,
                     header: 2,
@@ -501,15 +500,131 @@ mod tests {
         };
         let set = generate(&nm, &path, &goal);
         assert_eq!(set.scripts.len(), 1);
-        assert_eq!(set.pipe_count, 2);
-        // The edge IP module gets the two classified switch rules; the edge
-        // ETH modules get none.
+        // Two up-down pipes; the edge IP module gets the two classified
+        // switch rules; the edge ETH modules get none.
         let prims = &set.scripts[0].primitives;
-        let switches = prims
+        let count = |f: fn(&Primitive) -> bool| prims.iter().filter(|p| f(p)).count();
+        assert_eq!(count(|p| matches!(p, Primitive::CreatePipe(_))), 2);
+        assert_eq!(count(|p| matches!(p, Primitive::CreateSwitch(_))), 2);
+
+        // The view: one line per primitive in primitive order, under one
+        // header per device.  The device never announced, so its alias is
+        // its id.
+        let lines = set.scripts[0].render(&nm);
+        assert_eq!(lines.len(), prims.len());
+        for (line, p) in lines.iter().zip(prims) {
+            assert_eq!(line, &render_primitive(&nm, p));
+        }
+        let text = set.render(&nm);
+        assert_eq!(text.lines().count(), 1 + prims.len());
+        assert!(text.starts_with("# ---- Router dev:"), "{text}");
+        assert!(text.contains("dst:C1-S2"));
+    }
+
+    /// All six `Primitive` variants render — the three switch forms and the
+    /// three `delete` targets included — in the notation of Table I and
+    /// Figure 7(b).
+    #[test]
+    fn every_primitive_variant_renders() {
+        let mut nm = NetworkManager::new(DeviceId::from_raw(9));
+        for (raw, name) in [(1, "RouterA"), (2, "RouterB")] {
+            nm.device_names.insert(DeviceId::from_raw(raw), name.into());
+        }
+        let (ip, gre) = (module(ModuleKind::Ip, 3, 1), module(ModuleKind::Gre, 5, 1));
+        let (peer_ip, peer_gre) = (module(ModuleKind::Ip, 3, 2), module(ModuleKind::Gre, 5, 2));
+        let switch = |dst_class: Option<&str>, gateway: Option<&str>| {
+            Primitive::CreateSwitch(SwitchSpec {
+                module: ip.clone(),
+                in_pipe: PipeId(0),
+                out_pipe: PipeId(1),
+                dst_class: dst_class.map(str::to_string),
+                gateway: gateway.map(str::to_string),
+                resolved: BTreeMap::new(),
+            })
+        };
+        let pipe = |peers: bool, tradeoffs: Vec<TradeoffChoice>| {
+            Primitive::CreatePipe(PipeSpec {
+                pipe: PipeId(1),
+                upper: ip.clone(),
+                lower: gre.clone(),
+                peer_upper: peers.then(|| peer_ip.clone()),
+                peer_lower: peers.then(|| peer_gre.clone()),
+                tradeoffs,
+                initiate: true,
+                resolved: BTreeMap::new(),
+            })
+        };
+        let cases = [
+            (Primitive::ShowPotential, "showPotential ()"),
+            (Primitive::ShowActual, "showActual ()"),
+            (
+                pipe(false, vec![]),
+                "P1 = create (pipe, <IP,A,m3>, <GRE,A,m5>, None, None, None)",
+            ),
+            (
+                pipe(
+                    true,
+                    vec![
+                        TradeoffChoice::InOrderDelivery,
+                        TradeoffChoice::LowErrorRate,
+                        TradeoffChoice::LowDelay,
+                    ],
+                ),
+                "P1 = create (pipe, <IP,A,m3>, <GRE,A,m5>, <IP,B,m3>, <GRE,B,m5>, \
+                 trade-off: in-order delivery, trade-off: error-rate, trade-off: low-delay)",
+            ),
+            (
+                switch(Some("C1-S2"), None),
+                "create (switch, <IP,A,m3>, [P0, dst:C1-S2 => P1])",
+            ),
+            (
+                switch(None, Some("S1-gateway")),
+                "create (switch, <IP,A,m3>, [P0 => P1, S1-gateway])",
+            ),
+            (switch(None, None), "create (switch, <IP,A,m3>, P0, P1)"),
+            (
+                Primitive::CreateFilter(FilterSpec {
+                    module: ip.clone(),
+                    from: gre.clone(),
+                    to: peer_gre.clone(),
+                    resolved: BTreeMap::new(),
+                }),
+                "create (filter, <IP,A,m3>, <GRE,A,m5>, <GRE,B,m5>)",
+            ),
+            (
+                Primitive::Delete(ComponentRef::Pipe(PipeId(7))),
+                "delete (pipe, P7)",
+            ),
+            (
+                Primitive::Delete(ComponentRef::SwitchRule(ip.clone(), PipeId(0), PipeId(1))),
+                "delete (switch, <IP,A,m3>, P0, P1)",
+            ),
+            (
+                Primitive::Delete(ComponentRef::Filter(
+                    ip.clone(),
+                    gre.clone(),
+                    peer_gre.clone(),
+                )),
+                "delete (filter, <IP,A,m3>, <GRE,A,m5>, <GRE,B,m5>)",
+            ),
+        ];
+        for (primitive, expected) in &cases {
+            assert_eq!(&render_primitive(&nm, primitive), expected);
+        }
+
+        // A teardown mirror renders like any other script.
+        let script = DeviceScript {
+            device: DeviceId::from_raw(1),
+            primitives: cases.iter().map(|(p, _)| p.clone()).collect(),
+        };
+        let teardown = DeviceScript {
+            device: script.device,
+            primitives: ScriptSet::teardown_of(&script),
+        };
+        assert_eq!(teardown.render(&nm).len(), teardown.primitives.len());
+        assert!(teardown
+            .render(&nm)
             .iter()
-            .filter(|p| matches!(p, Primitive::CreateSwitch(_)))
-            .count();
-        assert_eq!(switches, 2);
-        assert!(set.render().contains("dst:C1-S2"));
+            .all(|l| l.starts_with("delete (")));
     }
 }

@@ -47,7 +47,6 @@ use netsim::clock::{SimDuration, SimTime, StepClock};
 use netsim::device::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 /// Tuning knobs of a [`ControlLoop`].
 #[derive(Debug, Clone, Copy)]
@@ -487,7 +486,6 @@ impl<C: ManagementChannel> ControlLoop<C> {
                 goals: needing as u64,
             },
         );
-        let wall = Instant::now();
         let endpoints = self.endpoints.clone();
         let mut seq = self.probe_seq;
         let outcome = mn.reconcile_with(|mn, id| {
@@ -498,8 +496,6 @@ impl<C: ManagementChannel> ControlLoop<C> {
         });
         self.probe_seq = seq;
         mn.recorder.inc("repair.passes", 1);
-        mn.recorder
-            .observe("repair.wall_us", wall.elapsed().as_micros() as f64);
         mn.recorder.observe("repair.pass.goals", needing as f64);
         mn.recorder.event(
             mn.net.now().as_nanos(),

@@ -674,11 +674,8 @@ mod tests {
         let scripts = ScriptSet {
             scripts: vec![DeviceScript {
                 device: d1,
-                device_alias: "A".into(),
                 primitives: vec![filter],
-                rendered: vec![],
             }],
-            pipe_count: 0,
         };
         let batch = mn.run_batch(&[(GoalId(1), &scripts)]);
         let error = batch.error_for(GoalId(1)).expect("the commit must fail");

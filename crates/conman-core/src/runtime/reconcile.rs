@@ -715,14 +715,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// them in `work` order — nothing about thread scheduling can leak
     /// into the outputs.
     fn plan_paths_parallel(&self, work: &[GoalId]) -> Vec<PathChoice> {
-        let started = std::time::Instant::now();
         let graph = self.nm.build_graph();
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .min(8)
             .min(work.len().max(1));
-        self.recorder.gauge("plan.parallel_workers", workers as f64);
         let mut results: Vec<PathChoice> = Vec::with_capacity(work.len());
         results.resize_with(work.len(), || Err(PlanError::NoPath));
         if workers <= 1 {
@@ -763,8 +761,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 }
             });
         }
-        self.recorder
-            .observe("plan.wall_us", started.elapsed().as_micros() as f64);
         results
     }
 

@@ -9,7 +9,7 @@ use conman_core::abstraction::{CounterSnapshot, ModuleAbstraction, PipeCounters,
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{
-    EnvelopeKind, ModuleActual, ModuleEnvelope, Notification, PipeSpec, SwitchSpec,
+    ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, Notification, PipeSpec, SwitchSpec,
 };
 use netsim::config::{BridgeConfig, SwitchPortMode};
 use netsim::vlan::VlanId;
@@ -35,6 +35,27 @@ struct TrunkState {
     agreed: bool,
 }
 
+/// What one applied switch rule wrote into the bridge: the record `delete`
+/// undoes and `showActual` renders.
+#[derive(Debug, Clone)]
+struct InstalledRule {
+    vid: u16,
+    in_port: u32,
+    out_port: u32,
+    /// Module-wide sequence number of its application (`showActual` lists
+    /// rules in that order).
+    applied: u64,
+}
+
+/// A bridge port this module reconfigured: the mode it had before the first
+/// rule touched it (`None`: unconfigured) and how many installed rules use
+/// it.  The last of them to go puts the old mode back.
+#[derive(Debug, Clone)]
+struct PortClaim {
+    replaced: Option<SwitchPortMode>,
+    rules: usize,
+}
+
 /// The VLAN protocol module.
 pub struct VlanModule {
     me: ModuleRef,
@@ -46,7 +67,13 @@ pub struct VlanModule {
     vlan_id: Option<u16>,
     vlan_name: String,
     pending_switches: Vec<SwitchSpec>,
-    applied: Vec<String>,
+    /// Applied switch rules keyed by `(in_pipe, out_pipe)`.
+    installed: BTreeMap<(PipeId, PipeId), InstalledRule>,
+    applied_count: u64,
+    claimed_ports: BTreeMap<u32, PortClaim>,
+    /// Installed rules per VLAN id this module declared; the declaration
+    /// goes with the last of them.
+    declared: BTreeMap<u16, usize>,
     notified: bool,
 }
 
@@ -61,7 +88,10 @@ impl VlanModule {
             vlan_id: None,
             vlan_name: "C1".to_string(),
             pending_switches: Vec::new(),
-            applied: Vec::new(),
+            installed: BTreeMap::new(),
+            applied_count: 0,
+            claimed_ports: BTreeMap::new(),
+            declared: BTreeMap::new(),
             notified: false,
         }
     }
@@ -85,18 +115,32 @@ impl VlanModule {
         let out_kind = self.pipes.get(&spec.out_pipe).copied()?;
         let in_port = Self::port_of(ctx, spec.in_pipe)?;
         let out_port = Self::port_of(ctx, spec.out_pipe)?;
+        // Re-applying a rule replaces it.
+        self.uninstall(ctx, (spec.in_pipe, spec.out_pipe));
         let bridge = ctx.config.bridge.get_or_insert_with(BridgeConfig::default);
         bridge.declare_vlan(vid, self.vlan_name.clone(), 1504);
+        *self.declared.entry(vid_raw).or_default() += 1;
         for (kind, port) in [(in_kind, in_port), (out_kind, out_port)] {
-            match kind {
-                PipeKind::Customer => bridge.set_port(port, SwitchPortMode::Dot1qTunnel(vid)),
-                PipeKind::Trunk => bridge.set_port(port, SwitchPortMode::Trunk(vec![vid])),
-            }
+            let mode = match kind {
+                PipeKind::Customer => SwitchPortMode::Dot1qTunnel(vid),
+                PipeKind::Trunk => SwitchPortMode::Trunk(vec![vid]),
+            };
+            let replaced = bridge.ports.insert(port, mode);
+            self.claimed_ports
+                .entry(port)
+                .or_insert(PortClaim { replaced, rules: 0 })
+                .rules += 1;
         }
-        self.applied.push(format!(
-            "vlan {} between port {} and port {}",
-            vid_raw, in_port, out_port
-        ));
+        self.installed.insert(
+            (spec.in_pipe, spec.out_pipe),
+            InstalledRule {
+                vid: vid_raw,
+                in_port,
+                out_port,
+                applied: self.applied_count,
+            },
+        );
+        self.applied_count += 1;
         let mut notifications = Vec::new();
         // The far-edge switch (an edge module that did not initiate the
         // trunk exchange) confirms the layer-2 tunnel to the NM.
@@ -110,6 +154,32 @@ impl VlanModule {
             });
         }
         Some(notifications)
+    }
+
+    /// Undo what the applied rule `key` wrote into the bridge: each port no
+    /// other installed rule uses gets the mode it had before, and the VLAN
+    /// declaration goes with its last rule.
+    fn uninstall(&mut self, ctx: &mut ModuleCtx, key: (PipeId, PipeId)) {
+        let Some(rule) = self.installed.remove(&key) else {
+            return;
+        };
+        let bridge = ctx.config.bridge.get_or_insert_with(BridgeConfig::default);
+        for port in [rule.in_port, rule.out_port] {
+            let claim = self.claimed_ports.get_mut(&port).expect("a rule's port");
+            claim.rules -= 1;
+            if claim.rules == 0 {
+                match self.claimed_ports.remove(&port).and_then(|c| c.replaced) {
+                    Some(mode) => bridge.set_port(port, mode),
+                    None => drop(bridge.ports.remove(&port)),
+                }
+            }
+        }
+        let rules = self.declared.get_mut(&rule.vid).expect("a rule's VLAN");
+        *rules -= 1;
+        if *rules == 0 {
+            self.declared.remove(&rule.vid);
+            bridge.vlans.remove(&rule.vid);
+        }
     }
 }
 
@@ -133,9 +203,19 @@ impl ProtocolModule for VlanModule {
         if let Some(v) = self.vlan_id {
             perf.insert("vlan-id".to_string(), v as u64);
         }
+        let mut rules: Vec<&InstalledRule> = self.installed.values().collect();
+        rules.sort_unstable_by_key(|rule| rule.applied);
         ModuleActual {
             pipes: self.pipes.keys().copied().collect(),
-            switch_rules: self.applied.clone(),
+            switch_rules: rules
+                .into_iter()
+                .map(|r| {
+                    format!(
+                        "vlan {} between port {} and port {}",
+                        r.vid, r.in_port, r.out_port
+                    )
+                })
+                .collect(),
             filters: Vec::new(),
             perf_report: perf,
         }
@@ -216,18 +296,27 @@ impl ProtocolModule for VlanModule {
 
     fn delete(
         &mut self,
-        _ctx: &mut ModuleCtx,
-        component: &conman_core::primitives::ComponentRef,
+        ctx: &mut ModuleCtx,
+        component: &ComponentRef,
     ) -> Result<ModuleReaction, ModuleError> {
-        if let conman_core::primitives::ComponentRef::Pipe(pipe) = component {
-            self.pipes.remove(pipe);
-            self.trunks.remove(pipe);
-            self.pending_trunks.remove(pipe);
-            self.pending_switches
-                .retain(|s| s.in_pipe != *pipe && s.out_pipe != *pipe);
-            if self.pipes.is_empty() {
-                self.notified = false;
+        match component {
+            ComponentRef::SwitchRule(module, in_pipe, out_pipe) if *module == self.me => {
+                self.uninstall(ctx, (*in_pipe, *out_pipe));
+                self.pending_switches
+                    .retain(|s| !(s.in_pipe == *in_pipe && s.out_pipe == *out_pipe));
             }
+            ComponentRef::Pipe(pipe) => {
+                self.pipes.remove(pipe);
+                self.trunks.remove(pipe);
+                self.pending_trunks.remove(pipe);
+                self.pending_switches
+                    .retain(|s| s.in_pipe != *pipe && s.out_pipe != *pipe);
+                if self.pipes.is_empty() {
+                    self.notified = false;
+                    self.vlan_id = None;
+                }
+            }
+            _ => {}
         }
         Ok(ModuleReaction::none())
     }
@@ -306,8 +395,7 @@ impl ProtocolModule for VlanModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::{module, pipe, Rig};
-    use conman_core::primitives::ComponentRef;
+    use crate::rig::{module, pipe, switch, Rig};
     use proptest::prelude::*;
 
     fn me() -> ModuleRef {
@@ -408,6 +496,72 @@ mod tests {
             assert!(m.trunks.is_empty() && m.pending_trunks.is_empty());
             assert_eq!(m.pipes.len(), 1);
         }
+    }
+
+    /// A switch as the testbeds build it: every port an access port of the
+    /// default VLAN.
+    fn fresh_switch() -> Rig {
+        let mut rig = Rig::new();
+        let default_vlan = VlanId::new(1).unwrap();
+        let mut bridge = BridgeConfig::default();
+        bridge.declare_vlan(default_vlan, "default", 1504);
+        for port in 0..3 {
+            bridge.set_port(port, SwitchPortMode::Access(default_vlan));
+        }
+        rig.config.bridge = Some(bridge);
+        rig
+    }
+
+    #[test]
+    fn deleting_a_switch_rule_restores_the_bridge_and_drops_its_show_actual_line() {
+        let mut rig = fresh_switch();
+        let before = rig.config_json();
+        let mut m = VlanModule::new(me());
+        // Two goals share the customer port and the trunk port.
+        for (customer_pipe, trunk_pipe) in [(1, 2), (3, 4)] {
+            m.create_pipe(&mut rig.ctx(), &customer(customer_pipe))
+                .unwrap();
+            m.create_pipe(&mut rig.ctx(), &trunk(trunk_pipe, 2, true))
+                .unwrap();
+            rig.publish_port(customer_pipe, 0);
+            rig.publish_port(trunk_pipe, 2);
+            m.create_switch(&mut rig.ctx(), &switch(&me(), customer_pipe, trunk_pipe))
+                .unwrap();
+        }
+        // The edge picks the VLAN id in `poll`, which applies both rules.
+        m.poll(&mut rig.ctx());
+        let line = "vlan 22 between port 0 and port 2".to_string();
+        assert_eq!(
+            m.actual(&rig.ctx()).switch_rules,
+            [line.clone(), line.clone()]
+        );
+        let tunnel = rig.config_json();
+        assert_ne!(tunnel, before, "the rules configured the bridge");
+
+        // The first goal leaves: the ports it shares stay as the second
+        // goal needs them.
+        let rule = |i, o| ComponentRef::SwitchRule(me(), PipeId(i), PipeId(o));
+        m.delete(&mut rig.ctx(), &rule(1, 2)).unwrap();
+        assert_eq!(m.actual(&rig.ctx()).switch_rules, [line]);
+        assert_eq!(rig.config_json(), tunnel);
+
+        // A rule of another module, or one never applied, undoes nothing.
+        let other = ComponentRef::SwitchRule(module(ModuleKind::Eth, 2, 1), PipeId(3), PipeId(4));
+        m.delete(&mut rig.ctx(), &other).unwrap();
+        m.delete(&mut rig.ctx(), &rule(1, 2)).unwrap();
+        assert_eq!(rig.config_json(), tunnel);
+
+        // The last rule takes the port modes and the VLAN declaration along.
+        m.delete(&mut rig.ctx(), &rule(3, 4)).unwrap();
+        assert!(m.actual(&rig.ctx()).switch_rules.is_empty());
+        assert_eq!(rig.config_json(), before, "the bridge is as it was found");
+        assert!(m.claimed_ports.is_empty() && m.declared.is_empty());
+
+        for pipe in 1..=4 {
+            m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(pipe)))
+                .unwrap();
+        }
+        assert!(m.actual(&rig.ctx()).perf_report.is_empty());
     }
 
     proptest! {

@@ -9,9 +9,9 @@
 //!   stage/commit → verify), timestamped in simulated time only, so the
 //!   same seeded scenario yields a **byte-identical** journal and a failed
 //!   run can be post-mortemed from its dump alone ([`postmortem`]).
-//! * **Metrics registry** ([`metrics`]) — counters, gauges and log2
+//! * **Metrics registry** ([`metrics`]) — counters and log2
 //!   histograms (NM messages by wire category via the channel tap, repair
-//!   latency in ticks and wall time, path lengths, exclusion-set sizes,
+//!   latency in ticks, path lengths, exclusion-set sizes,
 //!   frame budgets), exported as a serialisable [`ObsSnapshot`].
 //!
 //! The crate sits *below* the management layers and the simulator (it

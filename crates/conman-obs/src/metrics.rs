@@ -1,10 +1,10 @@
-//! The metrics registry: named counters, gauges and histograms.
+//! The metrics registry: named counters and histograms.
 //!
 //! Names are flat dotted strings (`msg.sent.Command`,
-//! `repair.wall_us`...), kept in `BTreeMap`s so snapshots serialize in a
-//! stable order.  Unlike the journal, metrics may legitimately contain
-//! wall-clock measurements — only the journal carries the byte-identical
-//! determinism guarantee.
+//! `repair.pass.goals`...), kept in `BTreeMap`s so snapshots serialize in a
+//! stable order.  The runtime reads no wall clock, so what it records here
+//! repeats across seeded runs like the journal does; wall time is measured
+//! from outside, by `benchmark/`.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -56,13 +56,11 @@ impl Histogram {
     }
 }
 
-/// Named counters, gauges and histograms.
+/// Named counters and histograms.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsRegistry {
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<String, f64>,
     /// Sample distributions.
     pub histograms: BTreeMap<String, Histogram>,
 }
@@ -75,11 +73,6 @@ impl MetricsRegistry {
         } else {
             self.counters.insert(name.to_string(), n);
         }
-    }
-
-    /// Set the gauge `name` to `v`.
-    pub fn gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
     }
 
     /// Record a sample into the histogram `name` (creating it empty).
@@ -98,11 +91,6 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// A histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -111,7 +99,6 @@ impl MetricsRegistry {
     /// Drop every metric.
     pub fn clear(&mut self) {
         self.counters.clear();
-        self.gauges.clear();
         self.histograms.clear();
     }
 }
@@ -121,18 +108,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_histograms() {
+    fn counters_and_histograms() {
         let mut m = MetricsRegistry::default();
         m.inc("msg.sent.Command", 2);
         m.inc("msg.sent.Command", 3);
-        m.gauge("fleet.goals", 256.0);
         for v in [1.0, 2.0, 4.0, 1000.0] {
-            m.observe("repair.wall_us", v);
+            m.observe("repair.pass.goals", v);
         }
         assert_eq!(m.counter("msg.sent.Command"), 5);
         assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.gauge_value("fleet.goals"), Some(256.0));
-        let h = m.histogram("repair.wall_us").unwrap();
+        let h = m.histogram("repair.pass.goals").unwrap();
         assert_eq!(h.count, 4);
         assert_eq!(h.min, 1.0);
         assert_eq!(h.max, 1000.0);
@@ -158,7 +143,6 @@ mod tests {
     fn registry_roundtrips_through_json() {
         let mut m = MetricsRegistry::default();
         m.inc("a", 1);
-        m.gauge("b", 2.5);
         m.observe("c", 7.0);
         let s = serde_json::to_string(&m).unwrap();
         let back: MetricsRegistry = serde_json::from_str(&s).unwrap();

@@ -114,13 +114,6 @@ impl Recorder {
         }
     }
 
-    /// Set a gauge.
-    pub fn gauge(&self, name: &str, v: f64) {
-        if let Some(inner) = &self.0 {
-            inner.borrow_mut().metrics.gauge(name, v);
-        }
-    }
-
     /// Record a histogram sample.
     pub fn observe(&self, name: &str, v: f64) {
         if let Some(inner) = &self.0 {

@@ -45,8 +45,6 @@ pub struct Network {
     links: Vec<Link>,
     queue: EventQueue,
     trace: PacketTrace,
-    /// Record a [`TraceEntry`] for every transmitted frame (on by default).
-    pub trace_enabled: bool,
     frames_delivered: u64,
     frames_lost: u64,
     /// Monotonic counter feeding the deterministic per-link loss sampler.
@@ -78,10 +76,7 @@ fn sample_loss(sequence: &mut u64, link: LinkId, loss_ppm: u32) -> bool {
 impl Network {
     /// Create an empty network.
     pub fn new() -> Self {
-        Network {
-            trace_enabled: true,
-            ..Default::default()
-        }
+        Network::default()
     }
 
     /// Current simulated time.
@@ -415,15 +410,13 @@ impl Network {
             // One buffer per transmission, shared by the trace and by every
             // endpoint the frame arrives at.
             let frame: Arc<[u8]> = bytes.into();
-            if self.trace_enabled {
-                self.trace.record(TraceEntry {
-                    time: now,
-                    from_device: from,
-                    from_port: port,
-                    link: link_id,
-                    frame: Arc::clone(&frame),
-                });
-            }
+            self.trace.record(TraceEntry {
+                time: now,
+                from_device: from,
+                from_port: port,
+                link: link_id,
+                frame: Arc::clone(&frame),
+            });
             let from_ep = Endpoint { device: from, port };
             for ep in link.other_endpoints(from_ep) {
                 self.queue.schedule(
@@ -509,7 +502,7 @@ impl Network {
     /// The packet trace: the most recent transmissions, raw (see
     /// [`PacketTrace`]).  Its length saturates at
     /// [`TRACE_CAPACITY`](crate::trace::TRACE_CAPACITY), so a network can run
-    /// for ever with tracing on.
+    /// for ever.
     pub fn trace(&self) -> &PacketTrace {
         &self.trace
     }
@@ -616,12 +609,6 @@ mod tests {
         net.clear_trace();
         assert!(net.trace().is_empty());
         net.send_udp(h1, ip("10.0.0.2"), 1, 2, b"x").unwrap();
-        net.run_to_quiescence(1000);
-        assert_eq!(net.trace().len(), 1);
-
-        // With tracing off nothing is recorded.
-        net.trace_enabled = false;
-        net.send_udp(h1, ip("10.0.0.2"), 1, 2, b"y").unwrap();
         net.run_to_quiescence(1000);
         assert_eq!(net.trace().len(), 1);
     }

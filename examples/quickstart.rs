@@ -41,7 +41,7 @@ fn main() {
         plan.scripts.scripts.len(),
         plan.modules_created.len()
     );
-    println!("scripts:\n{}", plan.scripts.render());
+    println!("scripts:\n{}", plan.scripts.render(&testbed.mn.nm));
 
     // 5. Reconcile: every stored goal is driven to its desired state.  The
     //    scripts execute as a two-phase transaction (stage everywhere,

@@ -12,6 +12,7 @@ use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, Tx
 use conman::core::{ManagementAgent, WireCodec};
 use conman::modules::{
     managed_chain, managed_dual_chain, managed_fanout_chain, managed_mesh_fanout,
+    managed_vlan_chain,
 };
 use conman::netsim::device::DeviceId;
 use conman::obs::Recorder;
@@ -659,11 +660,8 @@ fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
     let bad = ScriptSet {
         scripts: vec![DeviceScript {
             device: egress,
-            device_alias: "C".into(),
             primitives: vec![Primitive::CreatePipe(bad_spec)],
-            rendered: vec!["create (pipe, <GRE,C,?>, ...)".into()],
         }],
-        pipe_count: 1,
     };
 
     let outcome = t.mn.run_batch(&[(g1, &plan1.scripts), (g2, &bad)]);
@@ -703,19 +701,15 @@ fn opposite_direction_goals_fall_back_to_per_goal_transactions() {
     let g1 = t.mn.submit(t.vpn_goal());
     let g2 = t.mn.submit(t.vpn_goal());
     let (a, c) = (t.core[0], t.core[2]);
-    let seg = |device, alias: &str| DeviceScript {
+    let seg = |device| DeviceScript {
         device,
-        device_alias: alias.into(),
         primitives: vec![Primitive::ShowActual],
-        rendered: vec!["showActual ()".into()],
     };
     let fwd = ScriptSet {
-        scripts: vec![seg(a, "A"), seg(c, "C")],
-        pipe_count: 0,
+        scripts: vec![seg(a), seg(c)],
     };
     let rev = ScriptSet {
-        scripts: vec![seg(c, "C"), seg(a, "A")],
-        pipe_count: 0,
+        scripts: vec![seg(c), seg(a)],
     };
     let outcome = t.mn.run_batch(&[(g1, &fwd), (g2, &rev)]);
     assert_eq!(outcome.committed, vec![g1, g2], "both goals commit");
@@ -762,12 +756,13 @@ fn pipe_space_exhaustion_fails_the_goal_cleanly() {
     assert_eq!(report.transactions, 0);
 }
 
-/// What a router's data plane holds that a goal can add to.
+/// What a device's data plane holds that a goal can add to.
 type DataPlane = (
     conman::netsim::route::Rib,
     BTreeMap<u32, conman::netsim::config::TunnelConfig>,
     usize,
     usize,
+    Option<conman::netsim::config::BridgeConfig>,
 );
 
 fn data_plane(mn: &ManagedNetwork<OutOfBandChannel>, routers: &[DeviceId]) -> Vec<DataPlane> {
@@ -780,6 +775,7 @@ fn data_plane(mn: &ManagedNetwork<OutOfBandChannel>, routers: &[DeviceId]) -> Ve
                 config.tunnels.clone(),
                 config.mpls.nhlfe.len(),
                 config.mpls.xc.len(),
+                config.bridge.clone(),
             )
         })
         .collect()
@@ -853,6 +849,30 @@ fn withdrawing_every_goal_leaves_no_module_state_behind() {
         let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
         let routers = t.routers().to_vec();
         assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals);
+
+        // The VLAN chain: a fresh switch floods the customer frame untagged
+        // through the default VLAN, a configured one tunnels it in VLAN 22,
+        // and a withdrawn goal leaves the bridge — and so the frame's
+        // encapsulation on the first trunk — as it was found.
+        let mut t = managed_vlan_chain(3);
+        t.discover();
+        t.mn.codec = codec;
+        let untouched = t.send_customer_frame(b"before the goal");
+        assert!(!untouched.1.iter().any(|p| p.contains("VLAN(22)")));
+        let goal = t.vlan_goal();
+        let switches = t.switches.clone();
+        assert_withdraw_leaves_nothing(&mut t.mn, &switches, vec![goal]);
+        let (delivered, trace) = t.send_customer_frame(b"after the withdraw");
+        assert_eq!(delivered, untouched.0);
+        assert!(
+            !trace.iter().any(|p| p.contains("VLAN(22)")),
+            "a withdrawn VLAN goal still tunnels: {trace:?}"
+        );
+        // And the switches take the goal again.
+        t.mn.submit(t.vlan_goal());
+        assert_eq!(t.mn.reconcile().active(), 1);
+        let (delivered, trace) = t.send_customer_frame(b"tunnelled again");
+        assert!(delivered && trace.iter().any(|p| p.contains("VLAN(22)")));
     }
 }
 

@@ -623,9 +623,8 @@ fn a_long_quiet_run_keeps_the_packet_trace_bounded() {
 
     let (mut t, mut cl, _ids) = looped_chain(4, 64);
     assert!(cl.run_until_converged(&mut t.mn, 10).converged);
-    // Tracing stays on (the default) and the loop never clears the trace:
-    // the ring alone keeps an always-on loop's memory flat.
-    assert!(t.mn.net.trace_enabled);
+    // The loop never clears the trace: the ring alone keeps an always-on
+    // loop's memory flat.
     let mut last_len = 0;
     for _ in 0..300 {
         let tick = cl.tick(&mut t.mn);

@@ -25,6 +25,9 @@ fn same_seeded_scenario_yields_byte_identical_journals() {
         first.journal, second.journal,
         "the trace journal must be deterministic across identical runs"
     );
+    // The runtime reads no wall clock, so the metrics repeat too.
+    assert!(!first.snapshot.metrics.histograms.is_empty());
+    assert_eq!(first.snapshot, second.snapshot);
     assert_journal_conforms(&first.journal, "recorded mesh link-cut journal");
 }
 
