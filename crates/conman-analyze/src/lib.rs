@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod conformance;
 pub mod plan;
@@ -36,10 +37,3 @@ pub mod violation;
 pub use conformance::check_journal;
 pub use plan::{verify_batch, BatchModel, DeviceOps, GoalModel};
 pub use violation::{Severity, Violation};
-
-/// Do any of the violations break an invariant (severity
-/// [`Severity::Fatal`]), as opposed to merely predicting a runtime
-/// fallback?
-pub fn has_fatal(violations: &[Violation]) -> bool {
-    violations.iter().any(|v| v.severity() == Severity::Fatal)
-}

@@ -105,7 +105,7 @@ impl ManagementAgent {
 
     /// Build the physical-connectivity announcement this device sends to the
     /// NM when it boots.
-    pub fn announcement(&self, neighbors: Vec<(PortId, DeviceId, PortId)>) -> WireMessage {
+    pub(crate) fn announcement(&self, neighbors: Vec<(PortId, DeviceId, PortId)>) -> WireMessage {
         WireMessage::Announce(Announcement {
             device: self.device,
             device_name: self.device_name.clone(),

@@ -47,11 +47,6 @@ impl ModuleKind {
             ModuleKind::Control(n) => format!("ctl:{n}"),
         }
     }
-
-    /// Is this a data-plane module (as opposed to a control module)?
-    pub fn is_data(&self) -> bool {
-        !matches!(self, ModuleKind::Control(_))
-    }
 }
 
 impl fmt::Display for ModuleKind {
@@ -96,7 +91,7 @@ impl ModuleRef {
 
     /// Render with a human-readable device alias, approximating the paper's
     /// `<GRE,A,b>` notation.
-    pub fn display_with(&self, device_alias: &str, module_alias: &str) -> String {
+    pub(crate) fn display_with(&self, device_alias: &str, module_alias: &str) -> String {
         format!("<{},{},{}>", self.kind, device_alias, module_alias)
     }
 }
@@ -131,12 +126,6 @@ mod tests {
         assert_eq!(r.display_with("A", "b"), "<GRE,A,b>");
         assert_eq!(PipeId(1).to_string(), "P1");
         assert_eq!(ModuleKind::App("HTTP-client".into()).name(), "HTTP-client");
-    }
-
-    #[test]
-    fn data_vs_control() {
-        assert!(ModuleKind::Ip.is_data());
-        assert!(!ModuleKind::Control("IKE".into()).is_data());
     }
 
     #[test]

@@ -331,7 +331,11 @@ impl GoalStore {
     /// Replace a goal's applied plan, keeping the module-usage index in
     /// sync.  Returns the previous applied plan.  This is the **only** way
     /// applied plans should change (see [`GoalRecord::applied`]).
-    pub fn set_applied(&mut self, id: GoalId, applied: Option<AppliedPlan>) -> Option<AppliedPlan> {
+    pub(crate) fn set_applied(
+        &mut self,
+        id: GoalId,
+        applied: Option<AppliedPlan>,
+    ) -> Option<AppliedPlan> {
         let rec = self.goals.get_mut(&id)?;
         let previous = rec.applied.take();
         rec.applied = applied;
@@ -436,7 +440,7 @@ impl GoalStore {
     /// Charge one failed repair attempt against `id`'s budget.  Returns
     /// `true` when the budget is exhausted — the caller must park the goal
     /// `Failed` instead of re-queueing it for another pass.
-    pub fn charge_repair_attempt(&mut self, id: GoalId) -> bool {
+    pub(crate) fn charge_repair_attempt(&mut self, id: GoalId) -> bool {
         let budget = self.max_repair_attempts;
         match self.goals.get_mut(&id) {
             Some(rec) => {
@@ -448,7 +452,7 @@ impl GoalStore {
     }
 
     /// Allocate a fresh transaction id.
-    pub fn next_txn(&mut self) -> u64 {
+    pub(crate) fn next_txn(&mut self) -> u64 {
         self.next_txn += 1;
         self.next_txn
     }
@@ -496,7 +500,7 @@ impl GoalStore {
     /// on commit) — otherwise a repeatedly failing goal would march the
     /// allocator toward [`Self::MAX_PIPE_ID`].  Callers must pass a
     /// watermark at or above every block still in use.
-    pub fn release_pipes_to(&mut self, watermark: u32) {
+    pub(crate) fn release_pipes_to(&mut self, watermark: u32) {
         self.next_pipe = self.next_pipe.min(watermark);
     }
 
@@ -516,7 +520,7 @@ impl GoalStore {
     /// Split `path`'s modules into (first-use, shared) relative to every
     /// *other* goal's applied plan — the "will be created vs. reused"
     /// report of a dry-run [`Plan`].
-    pub fn classify_modules(
+    pub(crate) fn classify_modules(
         &self,
         id: GoalId,
         path: &ModulePath,

@@ -2,7 +2,7 @@
 //! up-down pipes and discovered physical pipes are edges.
 
 use crate::abstraction::ModuleAbstraction;
-use crate::ids::{ModuleKind, ModuleRef};
+use crate::ids::ModuleRef;
 use netsim::device::{DeviceId, PortId};
 use std::collections::BTreeMap;
 
@@ -103,26 +103,18 @@ impl PotentialGraph {
     }
 
     /// Modules that could sit below `m` (down-pipe candidates).
-    pub fn downs(&self, m: &ModuleRef) -> &[ModuleRef] {
+    pub(crate) fn downs(&self, m: &ModuleRef) -> &[ModuleRef] {
         self.down_neighbors.get(m).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Modules reachable from `m` over a physical pipe.
-    pub fn phys(&self, m: &ModuleRef) -> &[ModuleRef] {
+    pub(crate) fn phys(&self, m: &ModuleRef) -> &[ModuleRef] {
         self.phys_neighbors.get(m).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Total number of module nodes.
     pub fn module_count(&self) -> usize {
         self.modules.len()
-    }
-
-    /// Total number of potential pipe edges (up-down plus physical).
-    pub fn edge_count(&self) -> usize {
-        // up/down edges are stored twice (once per direction); physical are
-        // stored once per endpoint.
-        self.up_neighbors.values().map(Vec::len).sum::<usize>()
-            + self.phys_neighbors.values().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Render the per-device sub-graph (Figure 5) as text lines:
@@ -164,22 +156,13 @@ impl PotentialGraph {
         out.sort();
         out
     }
-
-    /// Modules of a given kind on a device.
-    pub fn modules_of_kind(&self, device: DeviceId, kind: &ModuleKind) -> Vec<ModuleRef> {
-        self.modules
-            .keys()
-            .filter(|m| m.device == device && m.kind == *kind)
-            .cloned()
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::abstraction::{SwitchKind, SwitchStateSource};
-    use crate::ids::ModuleId;
+    use crate::ids::{ModuleId, ModuleKind};
 
     fn module(
         kind: ModuleKind,
@@ -240,7 +223,6 @@ mod tests {
         assert_eq!(g.downs(&ip1), std::slice::from_ref(&eth1));
         assert_eq!(g.phys(&eth1), &[eth2]);
         assert!(!g.render_device_subgraph(d1).is_empty());
-        assert_eq!(g.modules_of_kind(d1, &ModuleKind::Ip), vec![ip1]);
     }
 
     #[test]
@@ -265,6 +247,6 @@ mod tests {
         let g = PotentialGraph::build(&abstractions, &BTreeMap::new());
         let eth = ModuleRef::new(ModuleKind::Eth, ModuleId(1), d1);
         assert!(g.ups(&eth).is_empty());
-        assert_eq!(g.edge_count(), 0);
+        assert!(g.phys(&eth).is_empty());
     }
 }

@@ -110,18 +110,18 @@ impl NetworkManager {
     }
 
     /// Record a device announcement.
-    pub fn record_announcement(&mut self, a: &Announcement) {
+    pub(crate) fn record_announcement(&mut self, a: &Announcement) {
         self.device_names.insert(a.device, a.device_name.clone());
         self.adjacency.insert(a.device, a.neighbors.clone());
     }
 
     /// Record the showPotential answer of a device.
-    pub fn record_potential(&mut self, device: DeviceId, modules: Vec<ModuleAbstraction>) {
+    pub(crate) fn record_potential(&mut self, device: DeviceId, modules: Vec<ModuleAbstraction>) {
         self.abstractions.insert(device, modules);
     }
 
     /// Record a resolved field value (dependency tracking).
-    pub fn record_resolved(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub(crate) fn record_resolved(&mut self, name: impl Into<String>, value: impl Into<String>) {
         self.resolved_fields.insert(name.into(), value.into());
     }
 
@@ -200,7 +200,7 @@ impl NetworkManager {
     /// component").  Excluded *modules* are never entered and excluded
     /// *links* are never crossed, so a diagnosis that blames a physical link
     /// reroutes onto a genuine alternative where the topology offers one.
-    pub fn find_paths_avoiding(
+    pub(crate) fn find_paths_avoiding(
         &self,
         goal: &ConnectivityGoal,
         excluded: &std::collections::BTreeSet<goal::Exclusion>,
@@ -216,7 +216,7 @@ impl NetworkManager {
         )
     }
 
-    /// Like [`NetworkManager::find_paths_avoiding`], but searching a
+    /// Like `NetworkManager::find_paths_avoiding`, but searching a
     /// caller-built [`PotentialGraph`] with caller-owned scratch buffers.
     /// This is the planner's hot path: one graph build and one scratch per
     /// planning worker amortised over every goal in a reconcile pass,

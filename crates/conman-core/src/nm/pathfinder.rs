@@ -107,12 +107,6 @@ impl ModulePath {
         }
         parts.join(" ")
     }
-
-    /// Module-id sequence for compact display (mirrors the paper's
-    /// "a, g, h, b, c, i, d, e, j, k, f" notation).
-    pub fn module_sequence(&self) -> Vec<ModuleRef> {
-        self.steps.iter().map(|s| s.module.clone()).collect()
-    }
 }
 
 /// Limits guarding the exhaustive traversal.
@@ -163,7 +157,7 @@ impl<'a> PathFinder<'a> {
     }
 
     /// Override the traversal limits.
-    pub fn with_limits(mut self, limits: PathFinderLimits) -> Self {
+    pub(crate) fn with_limits(mut self, limits: PathFinderLimits) -> Self {
         self.limits = limits;
         self
     }
@@ -183,7 +177,7 @@ impl<'a> PathFinder<'a> {
     /// loss) prunes the traversal at the physical hop itself, so on a
     /// multipath topology the search only ever enumerates genuine
     /// alternatives instead of filtering complete paths afterwards.
-    pub fn excluding_links(
+    pub(crate) fn excluding_links(
         mut self,
         links: impl IntoIterator<Item = (DeviceId, DeviceId)>,
     ) -> Self {
@@ -217,7 +211,7 @@ impl<'a> PathFinder<'a> {
     /// threading one [`SearchScratch`] through keeps the visited set, the
     /// step buffer and the header stack warm instead of re-allocating them
     /// for every goal.
-    pub fn find_with(
+    pub(crate) fn find_with(
         &self,
         scratch: &mut SearchScratch,
         goal: &ConnectivityGoal,
@@ -419,7 +413,7 @@ impl<'a> PathFinder<'a> {
 
 /// Reusable buffers for the depth-first traversal: the step buffer, the
 /// simulated header stack and the visited set.  One scratch serves any
-/// number of consecutive [`PathFinder::find_with`] calls — the planner
+/// number of consecutive `PathFinder::find_with` calls — the planner
 /// allocates one per planning worker and reuses it across goals instead of
 /// re-allocating per goal.
 #[derive(Debug, Default)]
@@ -584,13 +578,12 @@ mod tests {
     }
 
     #[test]
-    fn technology_labels_and_sequences() {
+    fn technology_labels() {
         let (graph, from, to) = two_router_world();
         let goal = ConnectivityGoal::vpn(from, to);
         let paths = PathFinder::new(&graph).find(&goal);
         for p in &paths {
             assert!(["IP", "IP-IP"].contains(&p.technology_label().as_str()));
-            assert_eq!(p.module_sequence().len(), p.steps.len());
         }
     }
 }

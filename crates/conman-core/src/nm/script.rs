@@ -132,7 +132,7 @@ impl ScriptSet {
     }
 
     /// The delete primitives undoing one device's script.
-    pub fn teardown_of(ds: &DeviceScript) -> Vec<Primitive> {
+    pub(crate) fn teardown_of(ds: &DeviceScript) -> Vec<Primitive> {
         let mut deletes = Vec::new();
         for p in ds.primitives.iter().rev() {
             match p {

@@ -113,13 +113,6 @@ pub enum Primitive {
     Delete(ComponentRef),
 }
 
-impl Primitive {
-    /// Is this a read-only primitive?
-    pub fn is_read_only(&self) -> bool {
-        matches!(self, Primitive::ShowPotential | Primitive::ShowActual)
-    }
-}
-
 /// The kind of module-to-module message being relayed through the NM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EnvelopeKind {
@@ -414,12 +407,6 @@ mod tests {
             WireMessage::Module(e) => assert_eq!(e, env),
             _ => panic!("wrong variant"),
         }
-    }
-
-    #[test]
-    fn primitive_classification() {
-        assert!(Primitive::ShowPotential.is_read_only());
-        assert!(!Primitive::Delete(ComponentRef::Pipe(PipeId(1))).is_read_only());
     }
 
     #[test]

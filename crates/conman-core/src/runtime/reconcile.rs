@@ -443,7 +443,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
 
     /// [`Self::reconcile_sequential`] with per-goal verification probes
     /// (see [`Self::reconcile_with`]).
-    pub fn reconcile_sequential_with<P>(&mut self, probe: P) -> ReconcileReport
+    pub(crate) fn reconcile_sequential_with<P>(&mut self, probe: P) -> ReconcileReport
     where
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {
@@ -775,7 +775,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
 
     /// Per-goal-transaction reconcile with verification probes (see
     /// [`Self::reconcile_per_goal`]).
-    pub fn reconcile_per_goal_with<P>(&mut self, mut probe: P) -> ReconcileReport
+    pub(crate) fn reconcile_per_goal_with<P>(&mut self, mut probe: P) -> ReconcileReport
     where
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {

@@ -92,7 +92,7 @@ pub struct BatchOutcome {
 
 impl BatchOutcome {
     /// The recorded error for a failed goal.
-    pub fn error_for(&self, goal: GoalId) -> Option<&str> {
+    pub(crate) fn error_for(&self, goal: GoalId) -> Option<&str> {
         self.failed
             .iter()
             .find(|(g, _)| *g == goal)

@@ -10,7 +10,7 @@
 //! verification run of every plan the runtime produces.
 
 use super::ManagedNetwork;
-use crate::nm::{script, Exclusion, GoalId, GoalStore, Plan, ScriptSet};
+use crate::nm::{script, Exclusion, GoalStore, Plan, ScriptSet};
 use crate::primitives::{ComponentRef, Primitive};
 use conman_analyze::{BatchModel, DeviceOps, GoalModel, Violation};
 use mgmt_channel::ManagementChannel;
@@ -78,7 +78,7 @@ fn link_key(a: u64, b: u64) -> (u64, u64) {
 }
 
 /// The neutral model of one plan, in the context of its goal's record.
-pub fn plan_model(goals: &GoalStore, plan: &Plan) -> GoalModel {
+pub(crate) fn plan_model(goals: &GoalStore, plan: &Plan) -> GoalModel {
     let (scripts, teardown_devices) = script_ops(&plan.scripts);
     let mut path_modules = BTreeSet::new();
     for step in &plan.path.steps {
@@ -121,7 +121,7 @@ pub fn plan_model(goals: &GoalStore, plan: &Plan) -> GoalModel {
 }
 
 /// The store's module → goal index in the analyzer's vocabulary.
-pub fn module_users_model(goals: &GoalStore) -> BTreeMap<String, BTreeSet<u64>> {
+pub(crate) fn module_users_model(goals: &GoalStore) -> BTreeMap<String, BTreeSet<u64>> {
     goals
         .module_users()
         .iter()
@@ -131,7 +131,7 @@ pub fn module_users_model(goals: &GoalStore) -> BTreeMap<String, BTreeSet<u64>> 
 
 /// The neutral model of a whole planned batch against the store's current
 /// index.
-pub fn batch_model(goals: &GoalStore, plans: &[Plan]) -> BatchModel {
+pub(crate) fn batch_model(goals: &GoalStore, plans: &[Plan]) -> BatchModel {
     BatchModel {
         max_pipe_id: GoalStore::MAX_PIPE_ID,
         goals: plans.iter().map(|p| plan_model(goals, p)).collect(),
@@ -142,7 +142,8 @@ pub fn batch_model(goals: &GoalStore, plans: &[Plan]) -> BatchModel {
 /// A scripts-only model for execution-time checks (`run_batch` sees
 /// script sets, not plans): carries the teardown-mirror and commit-order
 /// facts, leaves pipe/refcount/exclusion fields empty.
-pub fn scripts_model(items: &[(GoalId, &ScriptSet)]) -> BatchModel {
+#[cfg(debug_assertions)]
+pub(crate) fn scripts_model(items: &[(crate::nm::GoalId, &ScriptSet)]) -> BatchModel {
     BatchModel {
         max_pipe_id: GoalStore::MAX_PIPE_ID,
         goals: items

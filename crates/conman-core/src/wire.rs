@@ -47,13 +47,13 @@ pub enum WireCodec {
 /// Is this payload a binary-coded `StageBatch`?  The runtime's receive path
 /// uses this to route the payload to the agent's in-place validator without
 /// materialising a [`WireMessage`] first.
-pub fn is_binary_stage_batch(payload: &[u8]) -> bool {
+pub(crate) fn is_binary_stage_batch(payload: &[u8]) -> bool {
     payload.first() == Some(&codec::TAG_STAGE_BATCH)
 }
 
 /// Is this message one of the batched-transaction messages whose encoded
 /// size the `txn.encode_bytes` counter accounts?
-pub fn is_batch_txn_message(msg: &WireMessage) -> bool {
+pub(crate) fn is_batch_txn_message(msg: &WireMessage) -> bool {
     matches!(
         msg,
         WireMessage::StageBatch { .. }
@@ -284,11 +284,6 @@ impl<'a> StageBatchView<'a> {
             return None;
         }
         Some(StageBatchView { txn, segments })
-    }
-
-    /// Number of segments in the batch.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
     }
 
     /// Iterate the segments as borrowed views.
@@ -844,8 +839,8 @@ mod tests {
 
         let view = StageBatchView::parse(&bytes).expect("framing parses");
         assert_eq!(view.txn, 99);
-        assert_eq!(view.segment_count(), 2);
         let segs: Vec<_> = view.segments().collect();
+        assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].goal, 5);
         let decoded: Result<Vec<_>, _> = segs[0].primitives().collect();
         assert_eq!(decoded.unwrap(), seg.primitives);

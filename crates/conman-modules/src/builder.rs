@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 
 /// Plan for an ISP router's module set (Figure 4(b)).
 #[derive(Debug, Clone)]
-pub struct RouterPlan {
+pub(crate) struct RouterPlan {
     /// Customer-facing port, if this is an edge router.
     pub customer_port: Option<u32>,
     /// Core-facing ports.
@@ -29,7 +29,7 @@ pub struct RouterPlan {
 
 impl RouterPlan {
     /// An edge router (Routers A and C in the paper).
-    pub fn edge(customer_port: u32, core_ports: Vec<u32>) -> Self {
+    pub(crate) fn edge(customer_port: u32, core_ports: Vec<u32>) -> Self {
         RouterPlan {
             customer_port: Some(customer_port),
             core_ports,
@@ -40,7 +40,7 @@ impl RouterPlan {
     }
 
     /// A core router (Router B in the paper): no customer VRF, no GRE.
-    pub fn core(core_ports: Vec<u32>) -> Self {
+    pub(crate) fn core(core_ports: Vec<u32>) -> Self {
         RouterPlan {
             customer_port: None,
             core_ports,
@@ -64,7 +64,7 @@ fn addr_on(device: &Device, port: u32) -> Ipv4Addr {
 /// Module-id assignment is sequential; the customer-facing IP module (the
 /// "virtual router" connected to the customer site) is created first so the
 /// module map mirrors Figure 4(b).
-pub fn build_router_agent(device: &Device, plan: &RouterPlan) -> ManagementAgent {
+pub(crate) fn build_router_agent(device: &Device, plan: &RouterPlan) -> ManagementAgent {
     let mut agent = ManagementAgent::new(device.id, device.name.clone());
     let mut next = 1u32;
     let mut next_id = || {
@@ -116,7 +116,7 @@ pub fn build_router_agent(device: &Device, plan: &RouterPlan) -> ManagementAgent
 /// Build the agent of a provider VLAN switch (Figure 9): one ETH module per
 /// port (all of which can carry a VLAN module above them) plus one VLAN
 /// module.
-pub fn build_vlan_switch_agent(device: &Device, ports: &[u32]) -> ManagementAgent {
+pub(crate) fn build_vlan_switch_agent(device: &Device, ports: &[u32]) -> ManagementAgent {
     let mut agent = ManagementAgent::new(device.id, device.name.clone());
     let mut next = 1u32;
     for p in ports {
@@ -135,7 +135,7 @@ pub fn build_vlan_switch_agent(device: &Device, ports: &[u32]) -> ManagementAgen
 
 /// Build the agent of a plain layer-2 switch (device C of Figure 2): a single
 /// ETH module spanning every port, capable of `[phy => phy]` switching.
-pub fn build_l2_switch_agent(device: &Device) -> ManagementAgent {
+pub(crate) fn build_l2_switch_agent(device: &Device) -> ManagementAgent {
     let mut agent = ManagementAgent::new(device.id, device.name.clone());
     let ports: Vec<PortId> = device.ports.iter().map(|p| PortId(p.index)).collect();
     let r = ModuleRef::new(ModuleKind::Eth, ModuleId(1), device.id);
@@ -146,7 +146,7 @@ pub fn build_l2_switch_agent(device: &Device) -> ManagementAgent {
 /// Build the agent of an end host participating in a GRE tunnel (devices A
 /// and B of Figure 2): an overlay IP module, a GRE module, an underlay IP
 /// module and an ETH module.
-pub fn build_tunnel_host_agent(
+pub(crate) fn build_tunnel_host_agent(
     device: &Device,
     port: u32,
     overlay_domain: &str,
@@ -177,7 +177,7 @@ pub fn build_tunnel_host_agent(
 
 /// Build the agent of the Figure 2 router D: two ETH modules and one ISP IP
 /// module.
-pub fn build_plain_router_agent(device: &Device, ports: &[u32]) -> ManagementAgent {
+pub(crate) fn build_plain_router_agent(device: &Device, ports: &[u32]) -> ManagementAgent {
     let mut agent = ManagementAgent::new(device.id, device.name.clone());
     let mut next = 1u32;
     for p in ports {

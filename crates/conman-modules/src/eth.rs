@@ -17,7 +17,7 @@ use netsim::stats::DropReason;
 use std::collections::BTreeMap;
 
 /// The ETH protocol module.
-pub struct EthModule {
+pub(crate) struct EthModule {
     me: ModuleRef,
     /// Ports this module is bound to (routers: one; a plain layer-2 switch
     /// models all its ports as one ETH module with `[phy => phy]` switching).
@@ -39,7 +39,7 @@ pub struct EthModule {
 
 impl EthModule {
     /// An ETH module on a router or host, bound to a single port.
-    pub fn new(me: ModuleRef, port: PortId, up_kinds: Vec<ModuleKind>) -> Self {
+    pub(crate) fn new(me: ModuleRef, port: PortId, up_kinds: Vec<ModuleKind>) -> Self {
         EthModule {
             me,
             ports: vec![port],
@@ -54,7 +54,7 @@ impl EthModule {
 
     /// An ETH module modelling a plain layer-2 switch: all ports, with
     /// `[phy => phy]` switching and nothing above it.
-    pub fn layer2_switch(me: ModuleRef, ports: Vec<PortId>) -> Self {
+    pub(crate) fn layer2_switch(me: ModuleRef, ports: Vec<PortId>) -> Self {
         EthModule {
             me,
             ports,
@@ -68,7 +68,7 @@ impl EthModule {
     }
 
     /// The primary port of this module.
-    pub fn port(&self) -> PortId {
+    pub(crate) fn port(&self) -> PortId {
         self.ports[0]
     }
 

@@ -77,7 +77,7 @@ impl TunnelSlot {
 }
 
 /// The GRE protocol module.
-pub struct GreModule {
+pub(crate) struct GreModule {
     me: ModuleRef,
     /// Tunnel slots keyed by creation number, so they iterate in creation
     /// order.  A goal's segment creates its up and down pipes together
@@ -96,7 +96,7 @@ pub struct GreModule {
 
 impl GreModule {
     /// Create a GRE module.
-    pub fn new(me: ModuleRef) -> Self {
+    pub(crate) fn new(me: ModuleRef) -> Self {
         GreModule {
             me,
             slots: BTreeMap::new(),
@@ -192,7 +192,7 @@ impl ProtocolModule for GreModule {
         let mut configured = 0u64;
         for slot in self.slots.values() {
             if let Some(id) = slot.configured_tunnel {
-                if let Some(t) = ctx.config.tunnels.get(&id) {
+                if let Some(t) = ctx.config.tunnel(id) {
                     configured += 1;
                     perf.insert(format!("okey:{id}"), t.okey.unwrap_or(0) as u64);
                 }
@@ -224,7 +224,7 @@ impl ProtocolModule for GreModule {
             let Some(id) = slot.configured_tunnel else {
                 continue;
             };
-            let c = ctx.stats.tunnels.get(&id).copied().unwrap_or_default();
+            let c = ctx.config.tunnel_counters(id).unwrap_or_default();
             if let Some(up) = slot.up_pipe {
                 snap.pipes.insert(
                     format!("up:{up}"),
@@ -272,7 +272,7 @@ impl ProtocolModule for GreModule {
         // Losing either pipe tears that slot's tunnel down; sibling goals'
         // tunnels through this module are untouched.
         if let Some(id) = slot.configured_tunnel.take() {
-            ctx.config.tunnels.remove(&id);
+            ctx.config.remove_tunnel(id);
         }
         if slot.up_pipe == Some(*pipe) {
             slot.up_pipe = None;
@@ -429,15 +429,14 @@ impl ProtocolModule for GreModule {
             ) else {
                 continue;
             };
-            let id = ctx.config.tunnels.keys().max().copied().unwrap_or(0) + 1;
-            let mut t = TunnelConfig::gre(id, format!("gre-{}-{}", up, down), local, remote);
+            let mut t = TunnelConfig::gre(format!("gre-{}-{}", up, down), local, remote);
             t.ikey = Some(params.ikey);
             t.okey = Some(params.okey);
             t.iseq = params.sequencing;
             t.oseq = params.sequencing;
             t.icsum = params.checksums;
             t.ocsum = params.checksums;
-            ctx.config.tunnels.insert(id, t);
+            let id = ctx.config.add_tunnel(t);
             ctx.set_pipe_attr(up, "attach", format!("tunnel:{id}"));
             slot.configured_tunnel = Some(id);
             configured.push(key);
@@ -532,7 +531,7 @@ mod tests {
             .unwrap();
         publish_endpoints(&mut rig, 2);
         m.poll(&mut rig.ctx());
-        assert_eq!(rig.config.tunnels.len(), 1);
+        assert_eq!(rig.config.tunnels().count(), 1);
         assert!(m.armed.is_empty());
 
         let (config, changes) = (rig.config_json(), rig.blackboard.changes());
@@ -554,11 +553,14 @@ mod tests {
         m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 2))
             .unwrap();
         m.poll(&mut rig.ctx());
-        assert!(rig.config.tunnels.is_empty(), "no addresses published yet");
+        assert!(
+            rig.config.tunnels().next().is_none(),
+            "no addresses published yet"
+        );
         assert_eq!(m.armed.len(), 1);
         publish_endpoints(&mut rig, 2);
         m.poll(&mut rig.ctx());
-        assert_eq!(rig.config.tunnels.len(), 1);
+        assert_eq!(rig.config.tunnels().count(), 1);
         assert_eq!(rig.blackboard.get("pipe.1.attach").unwrap(), "tunnel:1");
     }
 
@@ -574,12 +576,12 @@ mod tests {
                 .unwrap();
             publish_endpoints(&mut rig, 2);
             m.poll(&mut rig.ctx());
-            assert_eq!(rig.config.tunnels.len(), 1, "round {round}");
+            assert_eq!(rig.config.tunnels().count(), 1, "round {round}");
 
             m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(1)))
                 .unwrap();
             assert!(
-                rig.config.tunnels.is_empty(),
+                rig.config.tunnels().next().is_none(),
                 "losing a side drops the tunnel"
             );
             assert_eq!(m.slot_of_pipe.keys().collect::<Vec<_>>(), [&PipeId(2)]);
@@ -625,9 +627,9 @@ mod tests {
                                     })
                             })
                             .count();
-                        let before = rig.config.tunnels.len();
+                        let before = rig.config.tunnels().count();
                         m.poll(&mut rig.ctx());
-                        prop_assert_eq!(rig.config.tunnels.len() - before, due);
+                        prop_assert_eq!(rig.config.tunnels().count() - before, due);
                     }
                 }
                 prop_assert_eq!(&m.armed, &scan(&m));

@@ -84,7 +84,7 @@ struct InstalledSwitch {
 }
 
 /// The IPv4 protocol module.
-pub struct IpModule {
+pub(crate) struct IpModule {
     me: ModuleRef,
     /// The address domain this module belongs to (customer VRF or ISP core).
     pub domain: String,
@@ -122,7 +122,7 @@ pub struct IpModule {
 
 impl IpModule {
     /// Create an IP module.
-    pub fn new(me: ModuleRef, domain: impl Into<String>, primary: Ipv4Addr) -> Self {
+    pub(crate) fn new(me: ModuleRef, domain: impl Into<String>, primary: Ipv4Addr) -> Self {
         IpModule {
             me,
             domain: domain.into(),
@@ -439,10 +439,11 @@ impl IpModule {
                         .pipe_attr(ep_pipe, "local_addr")
                         .and_then(|s| s.parse::<Ipv4Addr>().ok())
                         .unwrap_or(self.primary);
-                    let id = ctx.config.tunnels.keys().max().copied().unwrap_or(0) + 1;
-                    let mut t = TunnelConfig::ipip(id, format!("ipip-{ep_pipe}"), local, remote);
-                    t.ttl = 64;
-                    ctx.config.tunnels.insert(id, t);
+                    let id = ctx.config.add_tunnel(TunnelConfig::ipip(
+                        format!("ipip-{ep_pipe}"),
+                        local,
+                        remote,
+                    ));
                     ctx.set_pipe_attr(ep_pipe, "attach", format!("tunnel:{id}"));
                     self.installed
                         .entry((spec.in_pipe, spec.out_pipe))
@@ -659,7 +660,7 @@ impl ProtocolModule for IpModule {
                         }
                     }
                     for tunnel in &installed.tunnels {
-                        ctx.config.tunnels.remove(tunnel);
+                        ctx.config.remove_tunnel(*tunnel);
                     }
                 }
                 self.pending_switches

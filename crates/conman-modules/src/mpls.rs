@@ -53,7 +53,7 @@ struct InstalledLsp {
 }
 
 /// The MPLS protocol module.
-pub struct MplsModule {
+pub(crate) struct MplsModule {
     me: ModuleRef,
     pipes: BTreeMap<PipeId, PipeKind>,
     adjacencies: BTreeMap<PipeId, Adjacency>,
@@ -78,7 +78,7 @@ pub struct MplsModule {
 impl MplsModule {
     /// Create an MPLS module.  Label allocation is seeded from the device id
     /// so labels are stable and distinct across devices.
-    pub fn new(me: ModuleRef) -> Self {
+    pub(crate) fn new(me: ModuleRef) -> Self {
         let next_label = 10_000 + (me.device.as_u64() % 89) as u32 * 100;
         MplsModule {
             me,

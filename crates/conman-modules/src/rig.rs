@@ -17,7 +17,7 @@ pub(crate) struct Rig {
 }
 
 impl Rig {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Rig {
             config: DeviceConfig::new(),
             stats: DeviceStats::default(),
@@ -25,7 +25,7 @@ impl Rig {
         }
     }
 
-    pub fn ctx(&mut self) -> ModuleCtx<'_> {
+    pub(crate) fn ctx(&mut self) -> ModuleCtx<'_> {
         ModuleCtx {
             device: DeviceId::from_raw(1),
             config: &mut self.config,
@@ -36,13 +36,13 @@ impl Rig {
     }
 
     /// What the ETH module does when a pipe lands on it.
-    pub fn publish_port(&mut self, pipe: u32, port: u32) {
+    pub(crate) fn publish_port(&mut self, pipe: u32, port: u32) {
         self.blackboard
             .set(ModuleCtx::pipe_key(PipeId(pipe), "port"), port.to_string());
     }
 
     /// The data-plane configuration, rendered for before/after comparison.
-    pub fn config_json(&self) -> String {
+    pub(crate) fn config_json(&self) -> String {
         serde_json::to_string(&self.config).expect("a device configuration serialises")
     }
 }

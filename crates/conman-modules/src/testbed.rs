@@ -373,16 +373,7 @@ pub struct ManagedMesh<C: ManagementChannel> {
 /// Build a managed 2×k mesh with `pairs` fan-out customer host pairs over
 /// the out-of-band management channel.
 pub fn managed_mesh_fanout(k: usize, pairs: usize) -> ManagedMesh<OutOfBandChannel> {
-    managed_mesh_fanout_with(k, pairs, OutOfBandChannel::new())
-}
-
-/// [`managed_mesh_fanout`] over an arbitrary management channel.
-pub fn managed_mesh_fanout_with<C: ManagementChannel>(
-    k: usize,
-    pairs: usize,
-    channel: C,
-) -> ManagedMesh<C> {
-    managed_from_mesh(topology::isp_mesh_fanout(k, pairs), channel)
+    managed_from_mesh(topology::isp_mesh_fanout(k, pairs), OutOfBandChannel::new())
 }
 
 /// Build a managed core ring (edges attached on opposite arcs) with `pairs`
@@ -660,32 +651,5 @@ impl<C: ManagementChannel> ManagedFigure2<C> {
     pub fn discover(&mut self) {
         self.mn.announce_all();
         self.mn.discover();
-    }
-
-    /// The Figure 2 goal: a tunnel between the overlay IP modules of A and B,
-    /// expressed as connectivity between their ETH modules for overlay
-    /// traffic.
-    pub fn tunnel_goal(&self) -> ConnectivityGoal {
-        let from = self
-            .mn
-            .nm
-            .find_module(self.a, &ModuleKind::Eth)
-            .expect("ETH module on A");
-        let to = self
-            .mn
-            .nm
-            .find_module(self.b, &ModuleKind::Eth)
-            .expect("ETH module on B");
-        let mut goal = ConnectivityGoal::vpn(from, to);
-        goal.traffic_domain = "overlayA".to_string();
-        goal.resolved
-            .insert("C1-S1".into(), "192.168.3.1/32".into());
-        goal.resolved
-            .insert("C1-S2".into(), "192.168.3.2/32".into());
-        goal.resolved
-            .insert("S1-gateway".into(), "192.168.3.1".into());
-        goal.resolved
-            .insert("S2-gateway".into(), "192.168.3.2".into());
-        goal
     }
 }

@@ -57,7 +57,7 @@ struct PortClaim {
 }
 
 /// The VLAN protocol module.
-pub struct VlanModule {
+pub(crate) struct VlanModule {
     me: ModuleRef,
     pipes: BTreeMap<PipeId, PipeKind>,
     trunks: BTreeMap<PipeId, TrunkState>,
@@ -79,7 +79,7 @@ pub struct VlanModule {
 
 impl VlanModule {
     /// Create a VLAN module.
-    pub fn new(me: ModuleRef) -> Self {
+    pub(crate) fn new(me: ModuleRef) -> Self {
         VlanModule {
             me,
             pipes: BTreeMap::new(),

@@ -243,7 +243,7 @@ impl Journal {
     /// Render the journal as a JSON array of events — the dump format the
     /// post-mortem tooling consumes.  Purely a function of the recorded
     /// events, so identical runs dump identical bytes.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         serde_json::to_string(&self.events).expect("trace events always serialize")
     }
 

@@ -91,11 +91,6 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// A histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Drop every metric.
     pub fn clear(&mut self) {
         self.counters.clear();
@@ -117,7 +112,7 @@ mod tests {
         }
         assert_eq!(m.counter("msg.sent.Command"), 5);
         assert_eq!(m.counter("missing"), 0);
-        let h = m.histogram("repair.pass.goals").unwrap();
+        let h = &m.histograms["repair.pass.goals"];
         assert_eq!(h.count, 4);
         assert_eq!(h.min, 1.0);
         assert_eq!(h.max, 1000.0);

@@ -129,7 +129,7 @@ impl Postmortem {
     }
 
     /// Reconstruct from an in-memory event list.
-    pub fn from_events(events: &[TraceEvent]) -> Self {
+    pub(crate) fn from_events(events: &[TraceEvent]) -> Self {
         let mut pm = Postmortem::default();
         let mut pass: Option<RepairPass> = None;
         for e in events {

@@ -170,18 +170,19 @@ pub fn gre_script_today(p: &GreVpnParams) -> ClassifiedScript {
 }
 
 /// Apply the Figure 7(a) configuration directly to a simulated edge router —
-/// what "today's" management plane ultimately does to the device.
+/// what "today's" management plane ultimately does to the device.  No caller
+/// outside this crate yet: used by ROADMAP item 1's differential clause
+/// (CONMan-configured router A equals this one).
 pub fn apply_gre_today(device: &mut Device, p: &GreVpnParams) {
     device.config.ip_forwarding = true;
-    let tunnel_id = device.next_tunnel_id();
-    let mut t = TunnelConfig::gre(tunnel_id, "greA", p.local, p.remote);
+    let mut t = TunnelConfig::gre("greA", p.local, p.remote);
     t.ikey = Some(p.ikey);
     t.okey = Some(p.okey);
     t.icsum = true;
     t.ocsum = true;
     t.iseq = true;
     t.oseq = true;
-    device.config.tunnels.insert(tunnel_id, t);
+    let tunnel_id = device.config.add_tunnel(t);
 
     let t12 = RouteTableId(202);
     let t21 = RouteTableId(203);
@@ -332,8 +333,8 @@ mod tests {
             .assign_address(2, "204.9.168.1/24".parse().unwrap());
         apply_gre_today(&mut d, &GreVpnParams::figure7_router_a());
         assert!(d.config.ip_forwarding);
-        assert_eq!(d.config.tunnels.len(), 1);
-        let t = d.config.tunnels.values().next().unwrap();
+        assert_eq!(d.config.tunnels().count(), 1);
+        let t = d.config.tunnels().next().unwrap();
         assert_eq!(t.okey, Some(2001));
         assert_eq!(t.remote, "204.9.169.1".parse::<Ipv4Addr>().unwrap());
         assert!(d.config.rib.rules().len() >= 2);

@@ -24,18 +24,18 @@ pub struct ChannelCounters {
 
 /// Counters for every device on a channel.
 #[derive(Debug, Clone, Default)]
-pub struct CounterBoard {
+pub(crate) struct CounterBoard {
     per_device: BTreeMap<DeviceId, ChannelCounters>,
 }
 
 impl CounterBoard {
-    /// Create an empty board.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record a send.
-    pub fn record_sent(&mut self, device: DeviceId, category: MessageCategory, bytes: usize) {
+    pub(crate) fn record_sent(
+        &mut self,
+        device: DeviceId,
+        category: MessageCategory,
+        bytes: usize,
+    ) {
         let c = self.per_device.entry(device).or_default();
         c.sent += 1;
         c.bytes_sent += bytes as u64;
@@ -43,7 +43,12 @@ impl CounterBoard {
     }
 
     /// Record a delivery.
-    pub fn record_received(&mut self, device: DeviceId, category: MessageCategory, bytes: usize) {
+    pub(crate) fn record_received(
+        &mut self,
+        device: DeviceId,
+        category: MessageCategory,
+        bytes: usize,
+    ) {
         let c = self.per_device.entry(device).or_default();
         c.received += 1;
         c.bytes_received += bytes as u64;
@@ -51,23 +56,13 @@ impl CounterBoard {
     }
 
     /// Counters for a device (zeroes if it never used the channel).
-    pub fn get(&self, device: DeviceId) -> ChannelCounters {
+    pub(crate) fn get(&self, device: DeviceId) -> ChannelCounters {
         self.per_device.get(&device).cloned().unwrap_or_default()
     }
 
     /// Reset everything.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.per_device.clear();
-    }
-
-    /// Total messages sent across all devices.
-    pub fn total_sent(&self) -> u64 {
-        self.per_device.values().map(|c| c.sent).sum()
-    }
-
-    /// Total messages received across all devices.
-    pub fn total_received(&self) -> u64 {
-        self.per_device.values().map(|c| c.received).sum()
     }
 }
 
@@ -76,22 +71,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accounting() {
-        let mut b = CounterBoard::new();
+    fn counter_board_breaks_down_by_category() {
+        let mut board = CounterBoard::default();
         let nm = DeviceId::from_raw(1);
         let dev = DeviceId::from_raw(2);
-        b.record_sent(nm, MessageCategory::Command, 10);
-        b.record_sent(nm, MessageCategory::ConveyMessage, 20);
-        b.record_received(dev, MessageCategory::Command, 10);
-        let c = b.get(nm);
-        assert_eq!(c.sent, 2);
-        assert_eq!(c.bytes_sent, 30);
+        board.record_sent(nm, MessageCategory::Command, 100);
+        board.record_sent(nm, MessageCategory::Telemetry, 50);
+        board.record_sent(nm, MessageCategory::Telemetry, 50);
+        board.record_received(dev, MessageCategory::Telemetry, 50);
+        board.record_received(nm, MessageCategory::Response, 80);
+
+        let c = board.get(nm);
+        assert_eq!(c.sent, 3);
+        assert_eq!(c.bytes_sent, 200);
         assert_eq!(c.sent_by_category[&MessageCategory::Command], 1);
-        assert_eq!(b.get(dev).received, 1);
-        assert_eq!(b.get(DeviceId::from_raw(99)), ChannelCounters::default());
-        assert_eq!(b.total_sent(), 2);
-        assert_eq!(b.total_received(), 1);
-        b.reset();
-        assert_eq!(b.total_sent(), 0);
+        assert_eq!(c.sent_by_category[&MessageCategory::Telemetry], 2);
+        assert!(!c
+            .sent_by_category
+            .contains_key(&MessageCategory::ConveyMessage));
+        assert_eq!(c.received_by_category[&MessageCategory::Response], 1);
+        assert_eq!(
+            board.get(dev).received_by_category[&MessageCategory::Telemetry],
+            1
+        );
+    }
+
+    #[test]
+    fn counter_board_get_defaults_to_zero_and_reset_clears() {
+        let mut board = CounterBoard::default();
+        // A device that never used the channel reads as all-zero.
+        let stranger = DeviceId::from_raw(99);
+        assert_eq!(board.get(stranger), ChannelCounters::default());
+
+        board.record_sent(stranger, MessageCategory::Announcement, 10);
+        assert_eq!(board.get(stranger).sent, 1);
+        board.reset();
+        assert_eq!(board.get(stranger), ChannelCounters::default());
     }
 }

@@ -228,6 +228,7 @@ mod tests {
     use netsim::device::{Device, DeviceRole};
     use netsim::link::LinkProperties;
     use netsim::topology;
+    use netsim::trace::Layer;
 
     /// Build a small ring so flooding has redundant paths (duplicates must
     /// be suppressed and the flood must still terminate).
@@ -288,11 +289,10 @@ mod tests {
             let got = ch.recv(&mut t.net, target);
             assert_eq!(got.len(), 1, "device should receive exactly one command");
         }
-        // Data-plane state was not needed nor created: no ARP entries were
-        // added anywhere by the management flood.
-        for id in t.net.device_ids() {
-            assert!(t.net.device(id).unwrap().arp.is_empty());
-        }
+        // The data plane was not needed nor touched: the flood put nothing
+        // but management frames on the wire — not one ARP request.
+        let mgmt = [Layer::Ethernet, Layer::Management];
+        assert!(t.net.trace().iter().all(|e| e.summary().layers == mgmt));
     }
 
     fn net_ref(t: &mut topology::ChainTopology) -> &mut Network {

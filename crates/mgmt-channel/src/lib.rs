@@ -17,6 +17,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod codec;
 pub mod counters;
@@ -24,7 +25,7 @@ pub mod inband;
 pub mod message;
 pub mod oob;
 
-pub use counters::{ChannelCounters, CounterBoard};
+pub use counters::ChannelCounters;
 pub use inband::InBandChannel;
 pub use message::{MessageCategory, MgmtMessage};
 pub use oob::OutOfBandChannel;

@@ -74,7 +74,7 @@ impl MgmtMessage {
     }
 
     /// Encoded size of the payload in bytes (for overhead reporting).
-    pub fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         self.payload.len()
     }
 }

@@ -13,11 +13,11 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Length of an ARP packet for Ethernet/IPv4.
-pub const ARP_LEN: usize = 28;
+pub(crate) const ARP_LEN: usize = 28;
 
 /// ARP operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ArpOp {
+pub(crate) enum ArpOp {
     /// Who-has request.
     Request,
     /// Is-at reply.
@@ -26,22 +26,22 @@ pub enum ArpOp {
 
 /// An ARP packet for IPv4 over Ethernet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ArpPacket {
+pub(crate) struct ArpPacket {
     /// Operation (request or reply).
-    pub op: ArpOp,
+    pub(crate) op: ArpOp,
     /// Sender hardware address.
-    pub sender_mac: MacAddr,
+    pub(crate) sender_mac: MacAddr,
     /// Sender protocol address.
-    pub sender_ip: Ipv4Addr,
+    pub(crate) sender_ip: Ipv4Addr,
     /// Target hardware address (zero in requests).
-    pub target_mac: MacAddr,
+    pub(crate) target_mac: MacAddr,
     /// Target protocol address.
-    pub target_ip: Ipv4Addr,
+    pub(crate) target_ip: Ipv4Addr,
 }
 
 impl ArpPacket {
     /// Build a who-has request for `target_ip`.
-    pub fn request(sender_mac: MacAddr, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> Self {
+    pub(crate) fn request(sender_mac: MacAddr, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> Self {
         ArpPacket {
             op: ArpOp::Request,
             sender_mac,
@@ -52,7 +52,7 @@ impl ArpPacket {
     }
 
     /// Build a reply answering `request`.
-    pub fn reply_to(&self, our_mac: MacAddr) -> Self {
+    pub(crate) fn reply_to(&self, our_mac: MacAddr) -> Self {
         ArpPacket {
             op: ArpOp::Reply,
             sender_mac: our_mac,
@@ -63,7 +63,7 @@ impl ArpPacket {
     }
 
     /// Encode to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(ARP_LEN);
         out.extend_from_slice(&1u16.to_be_bytes()); // htype ethernet
         out.extend_from_slice(&0x0800u16.to_be_bytes()); // ptype ipv4
@@ -82,7 +82,7 @@ impl ArpPacket {
     }
 
     /// Decode from wire bytes.
-    pub fn decode(bytes: &[u8]) -> CodecResult<Self> {
+    pub(crate) fn decode(bytes: &[u8]) -> CodecResult<Self> {
         if bytes.len() < ARP_LEN {
             return Err(CodecError::Truncated {
                 what: "arp",
@@ -119,7 +119,7 @@ impl ArpPacket {
 
 /// A simple ARP cache with a pending-packet queue per unresolved address.
 #[derive(Debug, Default)]
-pub struct ArpCache {
+pub(crate) struct ArpCache {
     entries: HashMap<Ipv4Addr, MacAddr>,
     /// Packets (already IPv4-encoded) waiting for address resolution,
     /// together with the port they should leave from.
@@ -128,54 +128,39 @@ pub struct ArpCache {
 
 /// A packet parked while ARP resolution completes.
 #[derive(Debug, Clone)]
-pub struct PendingPacket {
+pub(crate) struct PendingPacket {
     /// Egress port index on the device.
-    pub port: u32,
+    pub(crate) port: u32,
     /// The IPv4 packet (or MPLS payload) bytes to send once resolved.
-    pub bytes: Vec<u8>,
+    pub(crate) bytes: Vec<u8>,
     /// EtherType to use when finally transmitting.
-    pub ethertype: u16,
+    pub(crate) ethertype: u16,
 }
 
 impl ArpCache {
     /// Create an empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Look up a resolved MAC address.
-    pub fn lookup(&self, ip: Ipv4Addr) -> Option<MacAddr> {
+    pub(crate) fn lookup(&self, ip: Ipv4Addr) -> Option<MacAddr> {
         self.entries.get(&ip).copied()
     }
 
     /// Insert or refresh an entry, returning any packets that were waiting
     /// for this resolution.
-    pub fn insert(&mut self, ip: Ipv4Addr, mac: MacAddr) -> Vec<PendingPacket> {
+    pub(crate) fn insert(&mut self, ip: Ipv4Addr, mac: MacAddr) -> Vec<PendingPacket> {
         self.entries.insert(ip, mac);
         self.pending.remove(&ip).unwrap_or_default()
     }
 
     /// Park a packet until `ip` resolves. Returns `true` if an ARP request
     /// should be emitted (i.e. this is the first packet waiting).
-    pub fn park(&mut self, ip: Ipv4Addr, packet: PendingPacket) -> bool {
+    pub(crate) fn park(&mut self, ip: Ipv4Addr, packet: PendingPacket) -> bool {
         let queue = self.pending.entry(ip).or_default();
         queue.push(packet);
         queue.len() == 1
-    }
-
-    /// Number of resolved entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterate over resolved entries (for showActual-style reporting).
-    pub fn entries(&self) -> impl Iterator<Item = (Ipv4Addr, MacAddr)> + '_ {
-        self.entries.iter().map(|(ip, mac)| (*ip, *mac))
     }
 }
 

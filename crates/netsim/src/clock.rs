@@ -40,24 +40,9 @@ impl SimTime {
     /// Largest representable time; used as an "infinite" horizon.
     pub const MAX: SimTime = SimTime(u64::MAX);
 
-    /// Construct from nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimTime(ns)
-    }
-
-    /// Construct from microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
-
     /// Construct from milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * 1_000_000)
-    }
-
-    /// Construct from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
     }
 
     /// Nanoseconds since simulation start.
@@ -86,13 +71,8 @@ impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// Construct from nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimDuration(ns)
-    }
-
     /// Construct from microseconds.
-    pub const fn from_micros(us: u64) -> Self {
+    pub(crate) const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
@@ -101,19 +81,9 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Construct from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
-    }
-
     /// Nanoseconds in this duration.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Seconds as a float (for reporting only).
@@ -122,7 +92,7 @@ impl SimDuration {
     }
 
     /// Duration needed to serialize `bytes` at `bits_per_sec` onto a link.
-    pub fn serialization(bytes: usize, bits_per_sec: u64) -> SimDuration {
+    pub(crate) fn serialization(bytes: usize, bits_per_sec: u64) -> SimDuration {
         if bits_per_sec == 0 {
             return SimDuration::ZERO;
         }
@@ -132,7 +102,7 @@ impl SimDuration {
     }
 
     /// Multiply by an integer factor (saturating).
-    pub fn saturating_mul(self, factor: u64) -> SimDuration {
+    pub(crate) fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
     }
 }
@@ -170,19 +140,9 @@ impl StepClock {
         }
     }
 
-    /// The tick width.
-    pub fn tick_width(&self) -> SimDuration {
-        self.tick
-    }
-
     /// Ticks completed so far.
     pub fn ticks(&self) -> u64 {
         self.ticks
-    }
-
-    /// The deadline of the *next* tick (where the network should be run to).
-    pub fn next_deadline(&self) -> SimTime {
-        self.start + self.tick.saturating_mul(self.ticks + 1)
     }
 
     /// Complete one tick, returning its deadline.
@@ -245,10 +205,9 @@ mod tests {
 
     #[test]
     fn conversions_are_consistent() {
-        assert_eq!(SimTime::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(SimTime::from_micros(7).as_nanos(), 7_000);
-        assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
+        assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
+        assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
     }
 
     #[test]
@@ -267,7 +226,7 @@ mod tests {
     fn serialization_delay() {
         // 1500 bytes at 1 Gbps = 12 microseconds.
         let d = SimDuration::serialization(1500, 1_000_000_000);
-        assert_eq!(d.as_micros(), 12);
+        assert_eq!(d, SimDuration::from_micros(12));
         assert_eq!(SimDuration::serialization(1500, 0), SimDuration::ZERO);
     }
 
@@ -275,12 +234,9 @@ mod tests {
     fn step_clock_ticks_are_fixed_width_from_the_start_instant() {
         let mut c = StepClock::starting_at(SimTime::from_millis(30), SimDuration::from_millis(100));
         assert_eq!(c.ticks(), 0);
-        assert_eq!(c.next_deadline(), SimTime::from_millis(130));
         assert_eq!(c.advance(), SimTime::from_millis(130));
         assert_eq!(c.advance(), SimTime::from_millis(230));
         assert_eq!(c.ticks(), 2);
-        assert_eq!(c.next_deadline(), SimTime::from_millis(330));
-        assert_eq!(c.tick_width(), SimDuration::from_millis(100));
     }
 
     #[test]
@@ -291,8 +247,8 @@ mod tests {
 
     #[test]
     fn ordering_and_display() {
-        assert!(SimTime::from_secs(1) < SimTime::from_secs(2));
+        assert!(SimTime::from_millis(1) < SimTime::from_millis(2));
         assert_eq!(format!("{}", SimDuration::from_micros(12)), "12.000us");
-        assert_eq!(format!("{}", SimDuration::from_nanos(999)), "999ns");
+        assert_eq!(format!("{}", SimDuration(999)), "999ns");
     }
 }

@@ -5,10 +5,19 @@
 //! [`DeviceConfig`].  Both the CONMan modules (via the NM primitives) and the
 //! legacy "today" script interpreters write into this structure; the
 //! forwarding engine reads it.
+//!
+//! The tunnel table has one door: [`DeviceConfig::add_tunnel`] is its only
+//! writer of ids and [`DeviceConfig::remove_tunnel`] its only delete.  What
+//! the door guarantees is that **a tunnel's runtime state does not outlive
+//! it and is never inherited by a later tunnel** — GRE sequence numbers and
+//! interface counters are kept in the tunnel's own table entry, so removing
+//! the tunnel removes them and a tunnel added later under the same id starts
+//! from nothing.
 
 use crate::ipv4::{Ipv4Cidr, Ipv4Proto};
 use crate::mpls::MplsTables;
 use crate::route::Rib;
+use crate::stats::IfaceCounters;
 use crate::vlan::VlanId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -18,7 +27,8 @@ use std::net::Ipv4Addr;
 /// arguments of `ip tunnel add` in Figure 7(a).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TunnelConfig {
-    /// Device-local tunnel identifier.
+    /// Device-local tunnel identifier, assigned by
+    /// [`DeviceConfig::add_tunnel`] (0 until then).
     pub id: u32,
     /// Interface name shown in generated scripts (e.g. `greA`, `gre-P1-P2`).
     pub name: String,
@@ -58,9 +68,9 @@ pub enum TunnelMode {
 impl TunnelConfig {
     /// A plain GRE tunnel with no options, the starting point the CONMan GRE
     /// module then refines through peer negotiation.
-    pub fn gre(id: u32, name: impl Into<String>, local: Ipv4Addr, remote: Ipv4Addr) -> Self {
+    pub fn gre(name: impl Into<String>, local: Ipv4Addr, remote: Ipv4Addr) -> Self {
         TunnelConfig {
-            id,
+            id: 0,
             name: name.into(),
             mode: TunnelMode::Gre,
             local,
@@ -77,11 +87,51 @@ impl TunnelConfig {
     }
 
     /// A plain IP-IP tunnel.
-    pub fn ipip(id: u32, name: impl Into<String>, local: Ipv4Addr, remote: Ipv4Addr) -> Self {
+    pub fn ipip(name: impl Into<String>, local: Ipv4Addr, remote: Ipv4Addr) -> Self {
         TunnelConfig {
             mode: TunnelMode::IpIp,
-            ..TunnelConfig::gre(id, name, local, remote)
+            ..TunnelConfig::gre(name, local, remote)
         }
+    }
+}
+
+/// One row of the tunnel table: a tunnel's configuration together with the
+/// runtime state that exists only because the tunnel does.  The runtime
+/// half is neither serialised nor handed out with the configuration, so
+/// configuration snapshots compare equal whatever traffic has flowed.
+#[derive(Debug, Clone)]
+pub(crate) struct TunnelEntry {
+    pub(crate) config: TunnelConfig,
+    /// Last GRE sequence number stamped on a transmitted packet (`oseq`).
+    pub(crate) tx_seq: u32,
+    /// Highest GRE sequence number accepted on receive (`iseq`); 0 before
+    /// the first packet.
+    pub(crate) rx_seq: u32,
+    /// Packets through the tunnel interface.
+    pub(crate) counters: IfaceCounters,
+}
+
+impl TunnelEntry {
+    /// A tunnel nothing has crossed yet.
+    fn new(config: TunnelConfig) -> Self {
+        TunnelEntry {
+            config,
+            tx_seq: 0,
+            rx_seq: 0,
+            counters: IfaceCounters::default(),
+        }
+    }
+}
+
+impl Serialize for TunnelEntry {
+    fn serialize(&self) -> serde::Value {
+        self.config.serialize()
+    }
+}
+
+impl Deserialize for TunnelEntry {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        TunnelConfig::deserialize(v).map(TunnelEntry::new)
     }
 }
 
@@ -195,8 +245,9 @@ pub struct DeviceConfig {
     port_address_set: BTreeSet<Ipv4Addr>,
     /// Routing information base (tables + policy rules).
     pub rib: Rib,
-    /// Configured tunnels keyed by tunnel id.
-    pub tunnels: BTreeMap<u32, TunnelConfig>,
+    /// Configured tunnels keyed by tunnel id.  Private: see the module
+    /// documentation for the invariant its methods keep.
+    tunnels: BTreeMap<u32, TunnelEntry>,
     /// MPLS label-switching state.
     pub mpls: MplsTables,
     /// Layer-2 bridge configuration (switches only).
@@ -217,7 +268,7 @@ impl DeviceConfig {
     }
 
     /// Assign an address to a port.
-    pub fn add_port_address(&mut self, port: u32, addr: Ipv4Cidr) {
+    pub(crate) fn add_port_address(&mut self, port: u32, addr: Ipv4Cidr) {
         self.port_addresses.entry(port).or_default().push(addr);
         self.port_address_set.insert(addr.addr);
     }
@@ -233,23 +284,24 @@ impl DeviceConfig {
     }
 
     /// All addresses assigned to the device (ports first, then tunnels).
-    pub fn local_addresses(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
+    pub(crate) fn local_addresses(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
         let ports = self.port_addresses.values().flatten();
-        let tunnels = self.tunnels.values().filter_map(|t| t.address.as_ref());
+        let tunnels = self.tunnels().filter_map(|t| t.address.as_ref());
         ports.chain(tunnels).map(|c| c.addr)
     }
 
-    /// Is `addr` one of this device's local addresses?
+    /// Is `addr` one of this device's local addresses?  No caller outside
+    /// netsim yet: used by ROADMAP item 4c's `netsim.edge_lookup_us` row,
+    /// which a `[benchmark]` PR must add without editing this crate.
     pub fn is_local_address(&self, addr: Ipv4Addr) -> bool {
         self.port_address_set.contains(&addr)
             || self
-                .tunnels
-                .values()
+                .tunnels()
                 .any(|t| t.address.is_some_and(|c| c.addr == addr))
     }
 
     /// The port (and its prefix) whose subnet contains `addr`, if any.
-    pub fn port_for_subnet(&self, addr: Ipv4Addr) -> Option<(u32, Ipv4Cidr)> {
+    pub(crate) fn port_for_subnet(&self, addr: Ipv4Addr) -> Option<(u32, Ipv4Cidr)> {
         for (port, cidrs) in &self.port_addresses {
             for c in cidrs {
                 if c.contains(addr) {
@@ -270,7 +322,7 @@ impl DeviceConfig {
     }
 
     /// Evaluate filters: `true` means the packet may proceed.
-    pub fn filters_allow(
+    pub(crate) fn filters_allow(
         &self,
         src: Ipv4Addr,
         dst: Ipv4Addr,
@@ -288,19 +340,76 @@ impl DeviceConfig {
         true
     }
 
-    /// Find a tunnel whose outer addresses match a received, decapsulatable
+    /// Add a tunnel, giving it the device's next free id (one more than the
+    /// highest id in use), which is written into `tunnel.id` and returned.
+    /// The new tunnel starts with no sequence state and zero counters even
+    /// when an earlier tunnel held the same id.
+    pub fn add_tunnel(&mut self, mut tunnel: TunnelConfig) -> u32 {
+        let id = self.tunnels.last_key_value().map_or(1, |(max, _)| max + 1);
+        tunnel.id = id;
+        self.tunnels.insert(id, TunnelEntry::new(tunnel));
+        id
+    }
+
+    /// Remove a tunnel and, with it, its sequence state and counters.
+    pub fn remove_tunnel(&mut self, id: u32) -> Option<TunnelConfig> {
+        self.tunnels.remove(&id).map(|e| e.config)
+    }
+
+    /// The configuration of one tunnel.
+    pub fn tunnel(&self, id: u32) -> Option<&TunnelConfig> {
+        self.tunnels.get(&id).map(|e| &e.config)
+    }
+
+    /// Every configured tunnel, in id order.
+    pub fn tunnels(&self) -> impl Iterator<Item = &TunnelConfig> {
+        self.tunnels.values().map(|e| &e.config)
+    }
+
+    /// Every configured tunnel, mutably (fault injection rewrites keys in
+    /// place).  The table is keyed by the id `add_tunnel` assigned; changing
+    /// a `TunnelConfig::id` here does not move the tunnel.
+    pub(crate) fn tunnels_mut(&mut self) -> impl Iterator<Item = &mut TunnelConfig> {
+        self.tunnels.values_mut().map(|e| &mut e.config)
+    }
+
+    /// Packets received, transmitted and dropped on one tunnel since it was
+    /// added; `None` once the tunnel is gone.
+    pub fn tunnel_counters(&self, id: u32) -> Option<IfaceCounters> {
+        self.tunnels.get(&id).map(|e| e.counters)
+    }
+
+    /// One tunnel's table entry, runtime state included (the engine's
+    /// encapsulation path).
+    pub(crate) fn tunnel_entry_mut(&mut self, id: u32) -> Option<&mut TunnelEntry> {
+        self.tunnels.get_mut(&id)
+    }
+
+    /// Find the tunnel whose outer addresses match a received, decapsulatable
     /// packet (remote is the packet's source, local is its destination), and
     /// whose key expectation matches.
-    pub fn tunnel_for_incoming(
-        &self,
+    pub(crate) fn tunnel_for_incoming(
+        &mut self,
         outer_src: Ipv4Addr,
         outer_dst: Ipv4Addr,
         key: Option<u32>,
         mode: TunnelMode,
-    ) -> Option<&TunnelConfig> {
-        self.tunnels.values().find(|t| {
-            t.mode == mode && t.remote == outer_src && t.local == outer_dst && t.ikey == key
-        })
+    ) -> Option<(u32, &mut TunnelEntry)> {
+        self.tunnels
+            .iter_mut()
+            .find(|(_, e)| {
+                let t = &e.config;
+                t.mode == mode && t.remote == outer_src && t.local == outer_dst && t.ikey == key
+            })
+            .map(|(id, e)| (*id, e))
+    }
+
+    /// Forget every tunnel's sequence state, as a reboot does.
+    pub(crate) fn reset_tunnel_sequences(&mut self) {
+        for e in self.tunnels.values_mut() {
+            e.tx_seq = 0;
+            e.rx_seq = 0;
+        }
     }
 }
 
@@ -317,13 +426,12 @@ mod tests {
         let mut cfg = DeviceConfig::new();
         cfg.add_port_address(0, cidr("10.0.1.1/24"));
         let mut t = TunnelConfig::gre(
-            1,
             "greA",
             "204.9.168.1".parse().unwrap(),
             "204.9.169.1".parse().unwrap(),
         );
         t.address = Some(cidr("192.168.3.1/24"));
-        cfg.tunnels.insert(1, t);
+        cfg.add_tunnel(t);
         assert!(cfg.is_local_address("10.0.1.1".parse().unwrap()));
         assert!(cfg.is_local_address("192.168.3.1".parse().unwrap()));
         assert!(!cfg.is_local_address("10.0.1.2".parse().unwrap()));
@@ -331,6 +439,29 @@ mod tests {
             cfg.port_for_subnet("10.0.1.200".parse().unwrap()),
             Some((0, cidr("10.0.1.1/24")))
         );
+    }
+
+    #[test]
+    fn tunnel_ids_are_one_past_the_highest_in_use() {
+        let tun = || TunnelConfig::gre("t", Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
+        let mut cfg = DeviceConfig::new();
+        assert_eq!(cfg.add_tunnel(tun()), 1);
+        assert_eq!(cfg.add_tunnel(tun()), 2);
+        assert_eq!(cfg.tunnel(2).map(|t| t.id), Some(2));
+        assert!(cfg.remove_tunnel(1).is_some());
+        assert_eq!(
+            cfg.add_tunnel(tun()),
+            3,
+            "a hole below the top is not refilled"
+        );
+        assert!(cfg.remove_tunnel(3).is_some());
+        assert_eq!(
+            cfg.add_tunnel(tun()),
+            3,
+            "the top id is reused once it is free"
+        );
+        assert_eq!(cfg.tunnels().map(|t| t.id).collect::<Vec<_>>(), [2, 3]);
+        assert!(cfg.remove_tunnel(7).is_none());
     }
 
     #[test]
@@ -409,13 +540,12 @@ mod tests {
     fn tunnel_matching_checks_keys() {
         let mut cfg = DeviceConfig::new();
         let mut t = TunnelConfig::gre(
-            1,
             "greA",
             "204.9.169.1".parse().unwrap(),
             "204.9.168.1".parse().unwrap(),
         );
         t.ikey = Some(1001);
-        cfg.tunnels.insert(1, t);
+        cfg.add_tunnel(t);
         // Incoming packet: outer src = remote end, outer dst = our local.
         assert!(cfg
             .tunnel_for_incoming(

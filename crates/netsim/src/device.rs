@@ -1,8 +1,9 @@
 //! Devices: hosts, routers and layer-2 switches.
 //!
 //! A device owns its ports, its configuration and its runtime state (ARP
-//! cache, MAC learning table, tunnel sequence counters, statistics).  The
-//! forwarding logic itself lives in [`crate::engine`].
+//! cache, MAC learning table, statistics; a tunnel's sequence state and
+//! counters live with its entry in the [`DeviceConfig`]).  The forwarding
+//! logic itself is the crate-private `engine` module.
 
 use crate::arp::ArpCache;
 use crate::config::DeviceConfig;
@@ -25,7 +26,7 @@ pub struct DeviceId(u64);
 
 impl DeviceId {
     /// Derive a device-id from a name (stand-in for hashing a public key).
-    pub fn from_name(name: &str) -> Self {
+    pub(crate) fn from_name(name: &str) -> Self {
         // FNV-1a, good enough for a stable non-cryptographic identifier.
         let mut h: u64 = 0xcbf29ce484222325;
         for b in name.as_bytes() {
@@ -103,16 +104,9 @@ pub struct MgmtFrame {
 
 /// Frames a device wants to transmit as the result of processing input.
 #[derive(Debug, Clone, Default)]
-pub struct EngineOutput {
+pub(crate) struct EngineOutput {
     /// `(egress port, raw Ethernet frame)` pairs.
     pub transmissions: Vec<(PortId, Vec<u8>)>,
-}
-
-impl EngineOutput {
-    /// Merge another output into this one.
-    pub fn extend(&mut self, other: EngineOutput) {
-        self.transmissions.extend(other.transmissions);
-    }
 }
 
 /// A simulated device.
@@ -132,19 +126,15 @@ pub struct Device {
     /// Configuration (written by CONMan modules or legacy scripts).
     pub config: DeviceConfig,
     /// ARP cache + pending queue.
-    pub arp: ArpCache,
+    pub(crate) arp: ArpCache,
     /// MAC learning table: (vlan, mac) -> port.
-    pub mac_table: HashMap<(u16, MacAddr), u32>,
-    /// GRE transmit sequence number per tunnel.
-    pub gre_tx_seq: HashMap<u32, u32>,
-    /// Highest GRE receive sequence number seen per tunnel.
-    pub gre_rx_seq: HashMap<u32, u32>,
+    pub(crate) mac_table: HashMap<(u16, MacAddr), u32>,
     /// Statistics.
     pub stats: DeviceStats,
     /// Packets delivered locally, in arrival order.
-    pub delivered: Vec<Delivered>,
+    pub(crate) delivered: Vec<Delivered>,
     /// Received management-channel frames awaiting the management agent.
-    pub mgmt_rx: VecDeque<MgmtFrame>,
+    pub(crate) mgmt_rx: VecDeque<MgmtFrame>,
 }
 
 impl Device {
@@ -164,8 +154,6 @@ impl Device {
             config: DeviceConfig::new(),
             arp: ArpCache::new(),
             mac_table: HashMap::new(),
-            gre_tx_seq: HashMap::new(),
-            gre_rx_seq: HashMap::new(),
             stats: DeviceStats::default(),
             delivered: Vec::new(),
             mgmt_rx: VecDeque::new(),
@@ -178,12 +166,13 @@ impl Device {
     }
 
     /// Access a port mutably.
-    pub fn port_mut(&mut self, port: PortId) -> Option<&mut Nic> {
+    pub(crate) fn port_mut(&mut self, port: PortId) -> Option<&mut Nic> {
         self.ports.get_mut(port.0 as usize)
     }
 
     /// The MAC address of a port (panics if the port does not exist; port
-    /// indices are assigned by the topology builder and never dangle).
+    /// indices are assigned by the topology builder and never dangle).  Used
+    /// by the in-band channel as the source of its flood frames.
     pub fn port_mac(&self, port: PortId) -> MacAddr {
         self.ports[port.0 as usize].mac
     }
@@ -193,14 +182,9 @@ impl Device {
         std::mem::take(&mut self.delivered)
     }
 
-    /// Drain pending management frames.
+    /// Drain pending management frames.  Used by the in-band channel.
     pub fn take_mgmt_frames(&mut self) -> Vec<MgmtFrame> {
         self.mgmt_rx.drain(..).collect()
-    }
-
-    /// Allocate the next free tunnel id on this device.
-    pub fn next_tunnel_id(&self) -> u32 {
-        self.config.tunnels.keys().max().copied().unwrap_or(0) + 1
     }
 }
 
@@ -228,22 +212,6 @@ mod tests {
         assert_ne!(d.ports[0].mac, d.ports[1].mac);
         assert_eq!(d.port(PortId(1)).unwrap().index, 1);
         assert!(d.port(PortId(9)).is_none());
-    }
-
-    #[test]
-    fn tunnel_id_allocation() {
-        let mut d = Device::new("RouterA", DeviceRole::Router, 1);
-        assert_eq!(d.next_tunnel_id(), 1);
-        d.config.tunnels.insert(
-            5,
-            crate::config::TunnelConfig::gre(
-                5,
-                "gre5",
-                Ipv4Addr::UNSPECIFIED,
-                Ipv4Addr::UNSPECIFIED,
-            ),
-        );
-        assert_eq!(d.next_tunnel_id(), 6);
     }
 
     #[test]

@@ -8,15 +8,13 @@
 //! * GRE and IP-IP tunnel encapsulation/decapsulation (keys, sequence
 //!   numbers, checksums),
 //! * MPLS label push/swap/pop via ILM/NHLFE/XC tables,
-//! * 802.1Q VLAN bridging with access, trunk and dot1q-tunnel (Q-in-Q) ports,
-//! * ICMP echo so CONMan module self-tests can ping across a configured path.
+//! * 802.1Q VLAN bridging with access, trunk and dot1q-tunnel (Q-in-Q) ports.
 
 use crate::arp::{ArpCache, ArpOp, ArpPacket, PendingPacket};
 use crate::config::{SwitchPortMode, TunnelMode};
 use crate::device::{Delivered, Device, DeviceRole, EngineOutput, MgmtFrame, PortId};
 use crate::ether::{EtherType, EthernetFrame};
 use crate::gre::{GreHeader, GRE_PROTO_IPV4};
-use crate::icmp::{IcmpKind, IcmpMessage};
 use crate::ipv4::{Ipv4Header, Ipv4Proto};
 use crate::mac::MacAddr;
 use crate::mpls::{self, LabelOp, LabelStackEntry};
@@ -33,7 +31,7 @@ const MAX_ENCAP_DEPTH: u8 = 8;
 impl Device {
     /// Process a frame received on `port` and return the frames to transmit
     /// in response.
-    pub fn handle_frame(&mut self, port: PortId, bytes: &[u8]) -> EngineOutput {
+    pub(crate) fn handle_frame(&mut self, port: PortId, bytes: &[u8]) -> EngineOutput {
         let mut out = EngineOutput::default();
         let frame = match EthernetFrame::decode(bytes) {
             Ok(f) => f,
@@ -70,7 +68,7 @@ impl Device {
     /// Originate an IPv4 packet from this device (application traffic,
     /// self-tests).  The source address is chosen from the egress interface
     /// unless `src` is given.
-    pub fn originate_ip(
+    pub(crate) fn originate_ip(
         &mut self,
         src: Option<Ipv4Addr>,
         dst: Ipv4Addr,
@@ -86,7 +84,7 @@ impl Device {
     }
 
     /// Originate a UDP datagram.
-    pub fn originate_udp(
+    pub(crate) fn originate_udp(
         &mut self,
         dst: Ipv4Addr,
         src_port: u16,
@@ -97,21 +95,10 @@ impl Device {
         self.originate_ip(None, dst, Ipv4Proto::Udp, datagram)
     }
 
-    /// Originate an ICMP echo request (the self-test primitive).
-    pub fn originate_ping(
-        &mut self,
-        dst: Ipv4Addr,
-        identifier: u16,
-        sequence: u16,
-    ) -> EngineOutput {
-        let msg = IcmpMessage::echo_request(identifier, sequence, b"conman-self-test".to_vec());
-        self.originate_ip(None, dst, Ipv4Proto::Icmp, msg.encode())
-    }
-
     /// Transmit a raw frame out of a specific port (used by the in-band
     /// management channel, which floods frames without consulting the data
     /// plane).
-    pub fn originate_frame(&mut self, port: PortId, frame: &EthernetFrame) -> EngineOutput {
+    pub(crate) fn originate_frame(&mut self, port: PortId, frame: &EthernetFrame) -> EngineOutput {
         let mut out = EngineOutput::default();
         self.transmit(port, frame.encode(), &mut out);
         out
@@ -241,7 +228,6 @@ impl Device {
         match header.protocol {
             Ipv4Proto::Gre => self.gre_decap(header, &payload, out),
             Ipv4Proto::IpIp => self.ipip_decap(header, &payload, out),
-            Ipv4Proto::Icmp => self.icmp_input(header, &payload, out),
             Ipv4Proto::Udp => {
                 match UdpHeader::decode_datagram(&payload) {
                     Ok((udp, data)) => {
@@ -271,29 +257,6 @@ impl Device {
         }
     }
 
-    fn icmp_input(&mut self, header: Ipv4Header, payload: &[u8], out: &mut EngineOutput) {
-        match IcmpMessage::decode(payload) {
-            Ok(msg) => match msg.kind {
-                IcmpKind::EchoRequest => {
-                    let reply = msg.reply();
-                    let reply_header = Ipv4Header::new(header.dst, header.src, Ipv4Proto::Icmp);
-                    self.ip_output(IncomingIf::Local, reply_header, reply.encode(), 0, out);
-                }
-                IcmpKind::EchoReply | IcmpKind::Unreachable(_) => {
-                    self.stats.local_delivered += 1;
-                    self.delivered.push(Delivered {
-                        src: header.src,
-                        dst: header.dst,
-                        proto: Ipv4Proto::Icmp,
-                        dst_port: None,
-                        payload: msg.encode(),
-                    });
-                }
-            },
-            Err(_) => self.stats.record_drop(DropReason::Malformed),
-        }
-    }
-
     fn gre_decap(&mut self, outer: Ipv4Header, payload: &[u8], out: &mut EngineOutput) {
         let (gre, inner) = match GreHeader::decode_packet(payload) {
             Ok(v) => v,
@@ -302,37 +265,33 @@ impl Device {
                 return;
             }
         };
-        let Some((id, icsum, iseq)) = self
-            .config
-            .tunnel_for_incoming(outer.src, outer.dst, gre.key, TunnelMode::Gre)
-            .map(|t| (t.id, t.icsum, t.iseq))
+        // `entry` borrows `self.config`; until the inner packet is handed
+        // on only `self.stats` is written beside it.
+        let Some((id, entry)) =
+            self.config
+                .tunnel_for_incoming(outer.src, outer.dst, gre.key, TunnelMode::Gre)
         else {
             self.stats.record_drop(DropReason::TunnelMismatch);
             return;
         };
-        if icsum && !gre.checksum_present {
+        if entry.config.icsum && !gre.checksum_present {
             self.stats.record_drop(DropReason::TunnelMismatch);
-            self.stats.tunnel(id).drop_packet();
+            entry.counters.drop_packet();
             return;
         }
-        if iseq {
-            let Some(seq) = gre.sequence else {
+        if entry.config.iseq {
+            // No sequence number, or an out-of-order packet on an in-order
+            // tunnel: dropped, which is exactly the delay/jitter vs ordering
+            // trade-off Table III advertises.
+            let in_order = |seq: &u32| entry.rx_seq == 0 || *seq > entry.rx_seq;
+            let Some(seq) = gre.sequence.filter(in_order) else {
                 self.stats.record_drop(DropReason::TunnelMismatch);
-                self.stats.tunnel(id).drop_packet();
+                entry.counters.drop_packet();
                 return;
             };
-            let last = self.gre_rx_seq.entry(id).or_insert(0);
-            if seq <= *last && *last != 0 {
-                // Out-of-order packet on an in-order tunnel: dropped, which is
-                // exactly the delay/jitter vs ordering trade-off Table III
-                // advertises.
-                self.stats.record_drop(DropReason::TunnelMismatch);
-                self.stats.tunnel(id).drop_packet();
-                return;
-            }
-            *last = seq;
+            entry.rx_seq = seq;
         }
-        self.stats.tunnel(id).rx(inner.len());
+        entry.counters.rx(inner.len());
         if gre.protocol != GRE_PROTO_IPV4 {
             self.stats.record_drop(DropReason::Malformed);
             return;
@@ -341,15 +300,14 @@ impl Device {
     }
 
     fn ipip_decap(&mut self, outer: Ipv4Header, payload: &[u8], out: &mut EngineOutput) {
-        let Some(id) = self
-            .config
-            .tunnel_for_incoming(outer.src, outer.dst, None, TunnelMode::IpIp)
-            .map(|t| t.id)
+        let Some((id, entry)) =
+            self.config
+                .tunnel_for_incoming(outer.src, outer.dst, None, TunnelMode::IpIp)
         else {
             self.stats.record_drop(DropReason::TunnelMismatch);
             return;
         };
-        self.stats.tunnel(id).rx(payload.len());
+        entry.counters.rx(payload.len());
         self.ip_input(IncomingIf::Tunnel(id), payload, out);
     }
 
@@ -413,22 +371,20 @@ impl Device {
         depth: u8,
         out: &mut EngineOutput,
     ) -> bool {
-        // This borrow of `self.config` lasts until the outer header is built;
-        // up to there only other fields (`gre_tx_seq`, `stats`) are written.
-        let Some(tunnel) = self.config.tunnels.get(&tunnel_id) else {
+        // `entry` borrows `self.config` until the outer header is built; up
+        // to there only `self.stats` is written beside it.
+        let Some(entry) = self.config.tunnel_entry_mut(tunnel_id) else {
             self.stats.record_drop(DropReason::NoRoute);
             return false;
         };
+        let tunnel = &entry.config;
         let inner_packet = inner_header.encode_packet(&inner_payload);
         let (outer_payload, proto) = match tunnel.mode {
             TunnelMode::Gre => {
-                let sequence = if tunnel.oseq {
-                    let seq = self.gre_tx_seq.entry(tunnel_id).or_insert(0);
-                    *seq += 1;
-                    Some(*seq)
-                } else {
-                    None
-                };
+                let sequence = tunnel.oseq.then(|| {
+                    entry.tx_seq += 1;
+                    entry.tx_seq
+                });
                 let gre = GreHeader {
                     protocol: GRE_PROTO_IPV4,
                     key: tunnel.okey,
@@ -439,7 +395,7 @@ impl Device {
             }
             TunnelMode::IpIp => (inner_packet, Ipv4Proto::IpIp),
         };
-        self.stats.tunnel(tunnel_id).tx(outer_payload.len());
+        entry.counters.tx(outer_payload.len());
         let mut outer_header = Ipv4Header::new(tunnel.local, tunnel.remote, proto);
         outer_header.ttl = tunnel.ttl;
         // The outer packet is routed like locally-originated traffic.
@@ -686,13 +642,12 @@ impl Device {
         }
     }
 
-    /// Reset runtime state that depends on configuration (ARP cache, MAC
-    /// table, sequence counters).  Used by tests that reconfigure devices.
-    pub fn flush_runtime_state(&mut self) {
+    /// Reset the runtime state a reboot loses (ARP cache, MAC table, tunnel
+    /// sequence counters).
+    pub(crate) fn flush_runtime_state(&mut self) {
         self.arp = ArpCache::new();
         self.mac_table.clear();
-        self.gre_tx_seq.clear();
-        self.gre_rx_seq.clear();
+        self.config.reset_tunnel_sequences();
     }
 }
 
@@ -850,14 +805,14 @@ mod tests {
     fn gre_encap_and_decap_roundtrip_with_keys() {
         // Encapsulating router.
         let mut a = router();
-        let mut tun = TunnelConfig::gre(1, "greA", ip("204.9.168.1"), ip("204.9.169.1"));
+        let mut tun = TunnelConfig::gre("greA", ip("204.9.168.1"), ip("204.9.169.1"));
         tun.okey = Some(2001);
         tun.ikey = Some(1001);
         tun.oseq = true;
         tun.iseq = true;
         tun.ocsum = true;
         tun.icsum = true;
-        a.config.tunnels.insert(1, tun);
+        assert_eq!(a.config.add_tunnel(tun), 1);
         let t = RouteTableId(202);
         a.config.rib.table_mut(t).add(Route {
             dest: Ipv4Cidr::DEFAULT,
@@ -889,10 +844,9 @@ mod tests {
         let encap = EthernetFrame::decode(&out.transmissions[0].1).unwrap();
         let summary = crate::trace::PacketSummary::parse(&out.transmissions[0].1);
         assert_eq!(
-            summary.layer_names(),
-            vec!["ETH", "IP", "GRE", "IP", "PAYLOAD"]
+            summary.protocol_path(),
+            "ETH/IP(204.9.168.1->204.9.169.1 GRE)/GRE(key=2001)/IP(10.0.1.5->10.0.2.5 UDP)/payload[15]"
         );
-        assert!(summary.protocol_path().contains("key=2001"));
 
         // Decapsulating router: its ikey must equal the sender's okey.
         let mut c = Device::new("C", DeviceRole::Router, 2);
@@ -901,12 +855,12 @@ mod tests {
         c.config.ip_forwarding = true;
         c.config.add_port_address(1, cidr("204.9.169.1/24"));
         c.config.add_port_address(0, cidr("10.0.2.1/24"));
-        let mut tun = TunnelConfig::gre(1, "greC", ip("204.9.169.1"), ip("204.9.168.1"));
+        let mut tun = TunnelConfig::gre("greC", ip("204.9.169.1"), ip("204.9.168.1"));
         tun.ikey = Some(2001);
         tun.okey = Some(1001);
         tun.iseq = true;
         tun.icsum = true;
-        c.config.tunnels.insert(1, tun);
+        assert_eq!(c.config.add_tunnel(tun), 1);
         let t21 = RouteTableId(203);
         c.config.rib.table_mut(t21).add(Route {
             dest: Ipv4Cidr::DEFAULT,
@@ -930,7 +884,7 @@ mod tests {
         let final_frame = EthernetFrame::decode(&out.transmissions[0].1).unwrap();
         let (h, _) = Ipv4Header::decode_packet(&final_frame.payload).unwrap();
         assert_eq!(h.dst, ip("10.0.2.5"));
-        assert_eq!(c.stats.tunnels[&1].rx_packets, 1);
+        assert_eq!(c.config.tunnel_counters(1).unwrap().rx_packets, 1);
     }
 
     #[test]
@@ -938,9 +892,9 @@ mod tests {
         let mut c = Device::new("C", DeviceRole::Router, 1);
         c.ports[0].link = Some(LinkId(0));
         c.config.add_port_address(0, cidr("204.9.169.1/24"));
-        let mut tun = TunnelConfig::gre(1, "greC", ip("204.9.169.1"), ip("204.9.168.1"));
+        let mut tun = TunnelConfig::gre("greC", ip("204.9.169.1"), ip("204.9.168.1"));
         tun.ikey = Some(7777); // expects a different key
-        c.config.tunnels.insert(1, tun);
+        c.config.add_tunnel(tun);
 
         let inner = udp_packet("10.0.1.5", "10.0.2.5", 592);
         let gre = GreHeader::ipv4(Some(2001), None, false).encode_packet(&inner);
@@ -955,6 +909,63 @@ mod tests {
         c.handle_frame(PortId(0), &frame.encode());
         assert_eq!(c.stats.drops[&DropReason::TunnelMismatch], 1);
         assert!(c.take_delivered().is_empty());
+    }
+
+    /// The tunnel door's invariant at the engine: sequence state and counters
+    /// die with their tunnel, so a tunnel added later under the same id
+    /// accepts a peer that starts counting from 1 again.
+    #[test]
+    fn a_new_tunnel_does_not_inherit_a_removed_tunnels_sequence_state() {
+        let mut c = Device::new("C", DeviceRole::Router, 1);
+        c.ports[0].link = Some(LinkId(0));
+        c.config.add_port_address(0, cidr("204.9.169.1/24"));
+        let sequenced = || {
+            let mut tun = TunnelConfig::gre("greC", ip("204.9.169.1"), ip("204.9.168.1"));
+            tun.iseq = true;
+            tun
+        };
+        let arrive = |c: &mut Device, seq: u32| {
+            let inner = udp_packet("10.0.1.5", "204.9.169.1", 592);
+            let gre = GreHeader::ipv4(None, Some(seq), false).encode_packet(&inner);
+            let outer = Ipv4Header::new(ip("204.9.168.1"), ip("204.9.169.1"), Ipv4Proto::Gre)
+                .encode_packet(&gre);
+            let frame = EthernetFrame::new(
+                c.port_mac(PortId(0)),
+                MacAddr::for_port(9, 9),
+                EtherType::Ipv4,
+                outer,
+            );
+            c.handle_frame(PortId(0), &frame.encode());
+            c.take_delivered().len()
+        };
+
+        assert_eq!(c.config.add_tunnel(sequenced()), 1);
+        for seq in 1..=5 {
+            assert_eq!(arrive(&mut c, seq), 1, "in-order packet {seq}");
+        }
+        assert_eq!(
+            arrive(&mut c, 1),
+            0,
+            "a replayed sequence number is dropped"
+        );
+        let counters = c.config.tunnel_counters(1).unwrap();
+        assert_eq!((counters.rx_packets, counters.drops), (5, 1));
+
+        assert!(c.config.remove_tunnel(1).is_some());
+        assert_eq!(
+            c.config.tunnel_counters(1),
+            None,
+            "the counters went with it"
+        );
+        assert_eq!(c.config.add_tunnel(sequenced()), 1, "the id is reused");
+        assert_eq!(arrive(&mut c, 1), 1, "the new tunnel's first packet");
+        let counters = c.config.tunnel_counters(1).unwrap();
+        assert_eq!((counters.rx_packets, counters.drops), (1, 0));
+
+        // A reboot forgets sequence state but not the tunnel.
+        assert_eq!(arrive(&mut c, 1), 0);
+        c.flush_runtime_state();
+        assert_eq!(arrive(&mut c, 1), 1);
     }
 
     #[test]
@@ -977,29 +988,6 @@ mod tests {
         d.handle_frame(PortId(0), &frame.encode());
         assert!(d.take_delivered().is_empty());
         assert_eq!(d.stats.drops[&DropReason::Filtered], 1);
-    }
-
-    #[test]
-    fn icmp_echo_is_answered() {
-        let mut d = router();
-        d.arp.insert(ip("10.0.1.5"), MacAddr::for_port(9, 9));
-        let ping = IcmpMessage::echo_request(42, 1, vec![0u8; 8]).encode();
-        let pkt =
-            Ipv4Header::new(ip("10.0.1.5"), ip("10.0.1.1"), Ipv4Proto::Icmp).encode_packet(&ping);
-        let frame = EthernetFrame::new(
-            d.port_mac(PortId(0)),
-            MacAddr::for_port(9, 9),
-            EtherType::Ipv4,
-            pkt,
-        );
-        let out = d.handle_frame(PortId(0), &frame.encode());
-        assert_eq!(out.transmissions.len(), 1);
-        let reply = EthernetFrame::decode(&out.transmissions[0].1).unwrap();
-        let (h, icmp_bytes) = Ipv4Header::decode_packet(&reply.payload).unwrap();
-        assert_eq!(h.dst, ip("10.0.1.5"));
-        let msg = IcmpMessage::decode(&icmp_bytes).unwrap();
-        assert_eq!(msg.kind, IcmpKind::EchoReply);
-        assert_eq!(msg.identifier, 42);
     }
 
     #[test]
@@ -1029,7 +1017,10 @@ mod tests {
         let out = a.handle_frame(PortId(0), &frame.encode());
         assert_eq!(out.transmissions.len(), 1);
         let s = crate::trace::PacketSummary::parse(&out.transmissions[0].1);
-        assert_eq!(s.layer_names(), vec!["ETH", "MPLS", "IP", "PAYLOAD"]);
+        assert_eq!(
+            s.protocol_path(),
+            "ETH/MPLS(2001)/IP(10.0.1.5->10.0.2.5 UDP)/payload[15]"
+        );
 
         // Transit: swap 2001 -> 3001.
         let mut b = Device::new("B", DeviceRole::Router, 2);
@@ -1102,7 +1093,10 @@ mod tests {
         let out_c = c.handle_frame(PortId(0), &arriving.encode());
         assert_eq!(out_c.transmissions.len(), 1);
         let s = crate::trace::PacketSummary::parse(&out_c.transmissions[0].1);
-        assert_eq!(s.layer_names(), vec!["ETH", "IP", "PAYLOAD"]);
+        assert_eq!(
+            s.protocol_path(),
+            "ETH/IP(10.0.1.5->10.0.2.5 UDP)/payload[15]"
+        );
     }
 
     #[test]
@@ -1178,21 +1172,5 @@ mod tests {
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].payload, vec![1, 2, 3]);
         assert_eq!(frames[0].port, Some(PortId(0)));
-    }
-
-    #[test]
-    fn ping_originates_via_routing() {
-        let mut d = router();
-        d.config.rib.add_main(Route {
-            dest: cidr("204.9.169.0/24"),
-            target: crate::route::RouteTarget::Port {
-                port: 1,
-                via: Some(ip("204.9.168.2")),
-            },
-        });
-        d.arp.insert(ip("204.9.168.2"), MacAddr::for_port(7, 7));
-        let out = d.originate_ping(ip("204.9.169.1"), 1, 1);
-        assert_eq!(out.transmissions.len(), 1);
-        assert_eq!(d.stats.originated, 1);
     }
 }

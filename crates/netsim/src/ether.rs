@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Length of an Ethernet II header (no 802.1Q tag).
-pub const ETHERNET_HEADER_LEN: usize = 14;
+pub(crate) const ETHERNET_HEADER_LEN: usize = 14;
 
 /// EtherType values understood by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -28,7 +28,7 @@ pub enum EtherType {
 
 impl EtherType {
     /// The numeric EtherType.
-    pub fn as_u16(self) -> u16 {
+    pub(crate) fn as_u16(self) -> u16 {
         match self {
             EtherType::Ipv4 => 0x0800,
             EtherType::Arp => 0x0806,
@@ -122,7 +122,7 @@ impl EthernetFrame {
     }
 
     /// Total encoded length in bytes.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         ETHERNET_HEADER_LEN + self.payload.len()
     }
 }

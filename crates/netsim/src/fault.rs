@@ -96,7 +96,7 @@ pub enum FaultKind {
 
 /// A fault scheduled at a point in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultEvent {
+pub(crate) struct FaultEvent {
     /// When the fault fires.
     pub at: SimTime,
     /// What happens.
@@ -115,15 +115,9 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Schedule an event (builder style).  Events are kept sorted by time;
-    /// ties preserve insertion order.
-    pub fn at(mut self, at: SimTime, kind: FaultKind) -> Self {
-        self.push(at, kind);
-        self
-    }
-
-    /// Schedule an event in place.
-    pub fn push(&mut self, at: SimTime, kind: FaultKind) {
+    /// Schedule an event.  Events are kept sorted by time; ties preserve
+    /// insertion order.
+    fn push(&mut self, at: SimTime, kind: FaultKind) {
         let pos = self.events.partition_point(|e| e.at <= at);
         self.events.insert(pos, FaultEvent { at, kind });
     }
@@ -148,54 +142,6 @@ impl FaultPlan {
         }
         self
     }
-
-    /// Generate a pseudo-random flap schedule over `links`.  The schedule is
-    /// a pure function of `seed`: the same seed always yields the identical
-    /// timeline (splitmix64, no global RNG), so experiments replay exactly.
-    pub fn random_flaps(
-        seed: u64,
-        links: &[LinkId],
-        start: SimTime,
-        horizon: crate::clock::SimDuration,
-        count: u32,
-    ) -> Self {
-        let mut plan = FaultPlan::new();
-        if links.is_empty() || horizon.as_nanos() == 0 {
-            return plan;
-        }
-        let mut counter = seed;
-        let mut next = move || -> u64 {
-            counter = counter.wrapping_add(1);
-            crate::clock::splitmix64(counter)
-        };
-        for _ in 0..count {
-            let link = links[(next() % links.len() as u64) as usize];
-            let offset = next() % horizon.as_nanos();
-            let down = 1 + next() % (horizon.as_nanos() / 4).max(1);
-            let cut_at = start + crate::clock::SimDuration::from_nanos(offset);
-            plan.push(cut_at, FaultKind::LinkCut(link));
-            plan.push(
-                cut_at + crate::clock::SimDuration::from_nanos(down),
-                FaultKind::LinkRestore(link),
-            );
-        }
-        plan
-    }
-
-    /// The scheduled events in time order.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Is the plan empty?
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 /// Applies a [`FaultPlan`] to a network as simulated time advances.
@@ -203,18 +149,12 @@ impl FaultPlan {
 pub struct FaultInjector {
     plan: FaultPlan,
     cursor: usize,
-    /// Events applied so far, in application order.
-    pub applied: Vec<FaultEvent>,
 }
 
 impl FaultInjector {
     /// Create an injector over a plan.
     pub fn new(plan: FaultPlan) -> Self {
-        FaultInjector {
-            plan,
-            cursor: 0,
-            applied: Vec::new(),
-        }
+        FaultInjector { plan, cursor: 0 }
     }
 
     /// Events not yet applied.
@@ -232,7 +172,6 @@ impl FaultInjector {
                 break;
             }
             apply_fault(net, event.kind);
-            self.applied.push(*event);
             self.cursor += 1;
             applied += 1;
         }
@@ -258,7 +197,7 @@ fn apply_misconfiguration(net: &mut Network, m: Misconfiguration) {
     };
     match m {
         Misconfiguration::CorruptGreKey { delta, .. } => {
-            for tunnel in device.config.tunnels.values_mut() {
+            for tunnel in device.config.tunnels_mut() {
                 if let Some(ikey) = tunnel.ikey.as_mut() {
                     *ikey = ikey.wrapping_add(delta);
                 }
@@ -317,32 +256,21 @@ mod tests {
 
     #[test]
     fn plans_stay_sorted_and_flaps_expand() {
-        let plan = FaultPlan::new()
-            .at(SimTime::from_millis(50), FaultKind::LinkCut(LinkId(1)))
-            .at(SimTime::from_millis(10), FaultKind::LinkCut(LinkId(0)))
-            .flap(
-                LinkId(2),
-                SimTime::from_millis(20),
-                SimDuration::from_millis(5),
-                SimDuration::from_millis(5),
-                2,
-            );
-        let times: Vec<u64> = plan.events().iter().map(|e| e.at.as_nanos()).collect();
+        let mut plan = FaultPlan::new();
+        plan.push(SimTime::from_millis(50), FaultKind::LinkCut(LinkId(1)));
+        plan.push(SimTime::from_millis(10), FaultKind::LinkCut(LinkId(0)));
+        let plan = plan.flap(
+            LinkId(2),
+            SimTime::from_millis(20),
+            SimDuration::from_millis(5),
+            SimDuration::from_millis(5),
+            2,
+        );
+        let times: Vec<u64> = plan.events.iter().map(|e| e.at.as_nanos()).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
         assert_eq!(times, sorted);
-        assert_eq!(plan.len(), 6); // 2 cuts + 2 flap cycles x 2 events
-    }
-
-    #[test]
-    fn random_flaps_are_deterministic() {
-        let links = [LinkId(0), LinkId(1), LinkId(2)];
-        let a = FaultPlan::random_flaps(42, &links, SimTime::ZERO, SimDuration::from_secs(1), 8);
-        let b = FaultPlan::random_flaps(42, &links, SimTime::ZERO, SimDuration::from_secs(1), 8);
-        assert_eq!(a, b, "same seed must give the identical timeline");
-        let c = FaultPlan::random_flaps(43, &links, SimTime::ZERO, SimDuration::from_secs(1), 8);
-        assert_ne!(a, c, "different seeds should diverge");
-        assert_eq!(a.len(), 16);
+        assert_eq!(times.len(), 6); // 2 cuts + 2 flap cycles x 2 events
     }
 
     #[test]
@@ -358,7 +286,8 @@ mod tests {
             .connect((h1, PortId(0)), (h2, PortId(0)), LinkProperties::lan())
             .unwrap();
 
-        let plan = FaultPlan::new().at(SimTime::from_millis(1), FaultKind::LinkCut(link));
+        let mut plan = FaultPlan::new();
+        plan.push(SimTime::from_millis(1), FaultKind::LinkCut(link));
         let mut injector = FaultInjector::new(plan);
         assert_eq!(injector.apply_due(&mut net), 0, "not due yet");
 
@@ -381,13 +310,12 @@ mod tests {
         let mut net = Network::new();
         let mut r = Device::new("r", DeviceRole::Router, 1);
         let mut tun = TunnelConfig::gre(
-            1,
             "gre1",
             "1.1.1.1".parse().unwrap(),
             "2.2.2.2".parse().unwrap(),
         );
         tun.ikey = Some(1001);
-        r.config.tunnels.insert(1, tun);
+        r.config.add_tunnel(tun);
         r.config.rib.add_rule(crate::route::PolicyRule {
             priority: 100,
             selector: crate::route::RuleSelector::All,
@@ -402,7 +330,10 @@ mod tests {
                 delta: 7,
             }),
         );
-        assert_eq!(net.device(r).unwrap().config.tunnels[&1].ikey, Some(1008));
+        assert_eq!(
+            net.device(r).unwrap().config.tunnel(1).unwrap().ikey,
+            Some(1008)
+        );
 
         apply_fault(
             &mut net,

@@ -7,7 +7,7 @@ use crate::{CodecError, CodecResult};
 use serde::{Deserialize, Serialize};
 
 /// Protocol type carried in GRE for IPv4 payloads.
-pub const GRE_PROTO_IPV4: u16 = 0x0800;
+pub(crate) const GRE_PROTO_IPV4: u16 = 0x0800;
 
 /// A decoded GRE header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

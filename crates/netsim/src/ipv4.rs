@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// Minimum IPv4 header length (no options).
-pub const IPV4_HEADER_LEN: usize = 20;
+pub(crate) const IPV4_HEADER_LEN: usize = 20;
 
 /// IP protocol numbers used by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -26,7 +26,7 @@ pub enum Ipv4Proto {
 
 impl Ipv4Proto {
     /// Numeric protocol value.
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             Ipv4Proto::Icmp => 1,
             Ipv4Proto::IpIp => 4,

@@ -3,7 +3,7 @@
 //! This crate is the data-plane substrate for the CONMan reproduction.  The
 //! original paper ran its protocol modules as user-level wrappers around the
 //! Linux 2.6.14 networking stack on a five-machine testbed; here the same
-//! protocols (Ethernet, ARP, IPv4, GRE, MPLS, 802.1Q VLAN, UDP, ICMP) are
+//! protocols (Ethernet, ARP, IPv4, GRE, MPLS, 802.1Q VLAN, UDP) are
 //! implemented as byte-accurate codecs and a configurable forwarding engine
 //! driven by a discrete-event scheduler.
 //!
@@ -14,35 +14,49 @@
 //!
 //! ## Layout
 //!
-//! * [`clock`] / [`event`] — simulated time and the event queue.
-//! * [`mac`], [`ether`], [`vlan`], [`arp`], [`ipv4`], [`gre`], [`mpls`],
-//!   [`udp`], [`icmp`] — wire-format codecs.
+//! A module is public because something outside this crate names it; the
+//! interface is the `pub mod` / `pub use` list below, and
+//! `#![warn(unreachable_pub)]` (an error under CI's `clippy -D warnings`)
+//! keeps a `pub` that nothing can reach from compiling.
+//!
+//! * [`clock`] — simulated time ([`SimTime`], [`SimDuration`]) and the
+//!   control loop's [`clock::StepClock`].
+//! * [`mac`], [`ether`], [`vlan`], [`ipv4`], [`gre`], [`mpls`], [`udp`] —
+//!   wire-format codecs (the property tests round-trip them).  ICMP is a
+//!   protocol number ([`Ipv4Proto::Icmp`]) and nothing more: no device
+//!   answers echo requests, because nothing in the reproduction pings.
 //! * [`route`] — longest-prefix-match routing tables and policy rules
 //!   (the iproute2 `rule`/`table` model used by the paper's scripts).
 //! * [`config`] — the device configuration written by CONMan modules or by
-//!   the legacy ("today") scripts.
-//! * [`engine`] — the forwarding engine (host / router / layer-2 switch).
-//! * [`device`], [`nic`], [`link`], [`network`] — devices, ports, links and
-//!   the network event loop.
+//!   the legacy ("today") scripts.  Its tunnel table has one door
+//!   ([`DeviceConfig::add_tunnel`] / [`DeviceConfig::remove_tunnel`]), which
+//!   is where a tunnel's runtime state is born and dies.
+//! * [`device`], [`nic`], [`link`], [`network`] — devices, ports,
+//!   point-to-point links and the network event loop.
 //! * [`topology`] — canned topologies, including the paper's Figure 4 testbed.
 //! * [`trace`], [`stats`] — packet traces and counters used by the tests and
 //!   the experiment harness.
 //! * [`fault`] — deterministic fault injection (link cuts/flaps, loss
 //!   spikes, device crashes, misconfigurations) for the diagnosis layer.
+//!
+//! Private, because only [`Network`] and [`Device`] drive them: `arp` (packet
+//! codec, cache and pending queue), `event` (the frame-arrival queue) and
+//! `engine` (the forwarding engine — host / router / layer-2 switch — as
+//! `impl Device`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod arp;
+mod arp;
 pub mod clock;
 pub mod config;
 pub mod device;
-pub mod engine;
+mod engine;
 pub mod ether;
-pub mod event;
+mod event;
 pub mod fault;
 pub mod gre;
-pub mod icmp;
 pub mod ipv4;
 pub mod link;
 pub mod mac;
@@ -60,7 +74,7 @@ pub use clock::{SimDuration, SimTime};
 pub use config::DeviceConfig;
 pub use device::{Device, DeviceId, DeviceRole, PortId};
 pub use ether::{EtherType, EthernetFrame};
-pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, Misconfiguration};
+pub use fault::{FaultInjector, FaultKind, FaultPlan, Misconfiguration};
 pub use ipv4::{Ipv4Cidr, Ipv4Header, Ipv4Proto};
 pub use link::{Link, LinkId, LinkProperties};
 pub use mac::MacAddr;

@@ -1,8 +1,8 @@
 //! Physical links.
 //!
 //! CONMan models real network links as *physical pipes* which the NM can
-//! discover and enable but not create (§II-C.1).  Links can be point-to-point
-//! or broadcast; the latter models a shared Ethernet segment.
+//! discover and enable but not create (§II-C.1).  Every link is a
+//! point-to-point cable between two ports.
 
 use crate::clock::SimDuration;
 use crate::device::{DeviceId, PortId};
@@ -45,7 +45,7 @@ impl LinkProperties {
     }
 
     /// A WAN-like link: 100 Mbps, 5 ms.
-    pub fn wan() -> Self {
+    pub(crate) fn wan() -> Self {
         LinkProperties {
             latency: SimDuration::from_millis(5),
             bandwidth_bps: 100_000_000,
@@ -63,45 +63,33 @@ pub struct Endpoint {
     pub port: PortId,
 }
 
-/// A physical link connecting two or more endpoints.
+/// A physical link: a point-to-point cable between two endpoints.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Link {
     /// Link identifier.
     pub id: LinkId,
-    /// Attached endpoints.  Two endpoints model a point-to-point cable; more
-    /// model a broadcast segment.
-    pub endpoints: Vec<Endpoint>,
+    /// The two attached endpoints.
+    pub endpoints: [Endpoint; 2],
     /// Performance properties.
     pub properties: LinkProperties,
 }
 
 impl Link {
-    /// Create a point-to-point link.
-    pub fn point_to_point(
-        id: LinkId,
-        a: Endpoint,
-        b: Endpoint,
-        properties: LinkProperties,
-    ) -> Self {
-        Link {
-            id,
-            endpoints: vec![a, b],
-            properties,
+    /// The endpoint at the other end from `from` (the receiver of a
+    /// transmission), if `from` is attached to this link.
+    pub(crate) fn peer_of(&self, from: Endpoint) -> Option<Endpoint> {
+        let [a, b] = self.endpoints;
+        if from == a {
+            Some(b)
+        } else if from == b {
+            Some(a)
+        } else {
+            None
         }
     }
 
-    /// All endpoints other than `from` (the receivers of a transmission).
-    pub fn other_endpoints(&self, from: Endpoint) -> impl Iterator<Item = Endpoint> + '_ {
-        self.endpoints.iter().copied().filter(move |e| *e != from)
-    }
-
-    /// Is this a broadcast (more than two endpoints) segment?
-    pub fn is_broadcast(&self) -> bool {
-        self.endpoints.len() > 2
-    }
-
-    /// Time for `bytes` to fully arrive at the far end(s).
-    pub fn transfer_time(&self, bytes: usize) -> SimDuration {
+    /// Time for `bytes` to fully arrive at the far end.
+    pub(crate) fn transfer_time(&self, bytes: usize) -> SimDuration {
         self.properties.latency + SimDuration::serialization(bytes, self.properties.bandwidth_bps)
     }
 }
@@ -118,31 +106,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn point_to_point_other_endpoint() {
-        let l = Link::point_to_point(LinkId(0), ep(1, 0), ep(2, 1), LinkProperties::lan());
-        let others: Vec<_> = l.other_endpoints(ep(1, 0)).collect();
-        assert_eq!(others, vec![ep(2, 1)]);
-        assert!(!l.is_broadcast());
+    fn link(properties: LinkProperties) -> Link {
+        Link {
+            id: LinkId(0),
+            endpoints: [ep(1, 0), ep(2, 1)],
+            properties,
+        }
     }
 
     #[test]
-    fn broadcast_segment() {
-        let l = Link {
-            id: LinkId(1),
-            endpoints: vec![ep(1, 0), ep(2, 0), ep(3, 0)],
-            properties: LinkProperties::lan(),
-        };
-        assert!(l.is_broadcast());
-        assert_eq!(l.other_endpoints(ep(2, 0)).count(), 2);
+    fn each_endpoint_is_the_others_peer() {
+        let l = link(LinkProperties::lan());
+        assert_eq!(l.peer_of(ep(1, 0)), Some(ep(2, 1)));
+        assert_eq!(l.peer_of(ep(2, 1)), Some(ep(1, 0)));
+        assert_eq!(l.peer_of(ep(3, 0)), None);
     }
 
     #[test]
     fn transfer_time_includes_serialization() {
-        let l = Link::point_to_point(LinkId(0), ep(1, 0), ep(2, 0), LinkProperties::lan());
-        let t = l.transfer_time(1500);
-        assert_eq!(t.as_micros(), 50 + 12);
-        let wan = Link::point_to_point(LinkId(0), ep(1, 0), ep(2, 0), LinkProperties::wan());
-        assert!(wan.transfer_time(1500) > t);
+        let t = link(LinkProperties::lan()).transfer_time(1500);
+        assert_eq!(t, SimDuration::from_micros(50 + 12));
+        assert!(link(LinkProperties::wan()).transfer_time(1500) > t);
     }
 }

@@ -23,7 +23,7 @@ impl MacAddr {
     /// Deterministically derive a locally-administered unicast MAC address
     /// from a device index and port index.  Used by the topology builders so
     /// that addresses are stable across runs.
-    pub fn for_port(device_index: u32, port_index: u32) -> Self {
+    pub(crate) fn for_port(device_index: u32, port_index: u32) -> Self {
         let d = device_index.to_be_bytes();
         let p = (port_index as u16).to_be_bytes();
         // 0x02 = locally administered, unicast.
@@ -31,23 +31,13 @@ impl MacAddr {
     }
 
     /// Raw octets.
-    pub const fn octets(&self) -> [u8; 6] {
+    pub(crate) const fn octets(&self) -> [u8; 6] {
         self.0
     }
 
     /// Is this the broadcast address?
-    pub fn is_broadcast(&self) -> bool {
+    pub(crate) fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
-    }
-
-    /// Is this a multicast (group) address?
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// Is this a unicast address?
-    pub fn is_unicast(&self) -> bool {
-        !self.is_multicast()
     }
 }
 
@@ -111,10 +101,7 @@ mod tests {
     #[test]
     fn classification() {
         assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        let m = MacAddr::for_port(1, 2);
-        assert!(m.is_unicast());
-        assert!(!m.is_broadcast());
+        assert!(!MacAddr::for_port(1, 2).is_broadcast());
     }
 
     #[test]

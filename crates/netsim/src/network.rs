@@ -3,7 +3,7 @@
 use crate::clock::{SimDuration, SimTime};
 use crate::device::{Device, DeviceId, EngineOutput, PortId};
 use crate::ether::EthernetFrame;
-use crate::event::{Event, EventQueue};
+use crate::event::{EventQueue, FrameArrival};
 use crate::link::{Endpoint, Link, LinkId, LinkProperties};
 use crate::stats::{DeviceStats, FlowCounters};
 use crate::trace::{PacketTrace, TraceEntry};
@@ -16,8 +16,6 @@ use std::sync::Arc;
 pub enum NetworkError {
     /// Referenced device does not exist.
     UnknownDevice(DeviceId),
-    /// Referenced device name does not exist.
-    UnknownDeviceName(String),
     /// Referenced port does not exist on the device.
     UnknownPort(DeviceId, PortId),
     /// The port is already attached to a link.
@@ -28,7 +26,6 @@ impl std::fmt::Display for NetworkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             NetworkError::UnknownDevice(d) => write!(f, "unknown device {d}"),
-            NetworkError::UnknownDeviceName(n) => write!(f, "unknown device name {n}"),
             NetworkError::UnknownPort(d, p) => write!(f, "unknown port {p} on {d}"),
             NetworkError::PortInUse(d, p) => write!(f, "port {p} on {d} already attached"),
         }
@@ -41,7 +38,6 @@ impl std::error::Error for NetworkError {}
 #[derive(Debug, Default)]
 pub struct Network {
     devices: BTreeMap<DeviceId, Device>,
-    names: BTreeMap<String, DeviceId>,
     links: Vec<Link>,
     queue: EventQueue,
     trace: PacketTrace,
@@ -97,17 +93,8 @@ impl Network {
     /// Add a device, returning its id.
     pub fn add_device(&mut self, device: Device) -> DeviceId {
         let id = device.id;
-        self.names.insert(device.name.clone(), id);
         self.devices.insert(id, device);
         id
-    }
-
-    /// Look up a device id by name.
-    pub fn device_id(&self, name: &str) -> Result<DeviceId, NetworkError> {
-        self.names
-            .get(name)
-            .copied()
-            .ok_or_else(|| NetworkError::UnknownDeviceName(name.to_string()))
     }
 
     /// Access a device.
@@ -122,18 +109,8 @@ impl Network {
             .ok_or(NetworkError::UnknownDevice(id))
     }
 
-    /// Access a device by name.
-    pub fn device_by_name(&self, name: &str) -> Result<&Device, NetworkError> {
-        self.device(self.device_id(name)?)
-    }
-
-    /// Access a device by name, mutably.
-    pub fn device_by_name_mut(&mut self, name: &str) -> Result<&mut Device, NetworkError> {
-        let id = self.device_id(name)?;
-        self.device_mut(id)
-    }
-
-    /// All device ids.
+    /// All device ids.  Used by the in-band channel, which pumps every
+    /// device's management queue.
     pub fn device_ids(&self) -> Vec<DeviceId> {
         self.devices.keys().copied().collect()
     }
@@ -160,42 +137,26 @@ impl Network {
         b: (DeviceId, PortId),
         properties: LinkProperties,
     ) -> Result<LinkId, NetworkError> {
-        self.connect_many(&[a, b], properties)
-    }
-
-    /// Connect several ports to one (broadcast) link segment.
-    pub fn connect_many(
-        &mut self,
-        endpoints: &[(DeviceId, PortId)],
-        properties: LinkProperties,
-    ) -> Result<LinkId, NetworkError> {
         let id = LinkId(self.links.len() as u32);
-        // Validate and attach every port first.
-        for (dev, port) in endpoints {
+        // Validate and attach both ports first.
+        for (dev, port) in [a, b] {
             let device = self
                 .devices
-                .get_mut(dev)
-                .ok_or(NetworkError::UnknownDevice(*dev))?;
+                .get_mut(&dev)
+                .ok_or(NetworkError::UnknownDevice(dev))?;
             let nic = device
-                .port_mut(*port)
-                .ok_or(NetworkError::UnknownPort(*dev, *port))?;
+                .port_mut(port)
+                .ok_or(NetworkError::UnknownPort(dev, port))?;
             if nic.link.is_some() {
-                return Err(NetworkError::PortInUse(*dev, *port));
+                return Err(NetworkError::PortInUse(dev, port));
             }
             nic.link = Some(id);
         }
-        let link = Link {
+        self.links.push(Link {
             id,
-            endpoints: endpoints
-                .iter()
-                .map(|(d, p)| Endpoint {
-                    device: *d,
-                    port: *p,
-                })
-                .collect(),
+            endpoints: [a, b].map(|(device, port)| Endpoint { device, port }),
             properties,
-        };
-        self.links.push(link);
+        });
         Ok(id)
     }
 
@@ -210,7 +171,7 @@ impl Network {
     /// Set a link's loss rate in parts per million.  Losses are sampled
     /// deterministically (a hash of a per-network sequence number), so runs
     /// replay exactly.
-    pub fn set_link_loss(&mut self, id: LinkId, loss_ppm: u32) {
+    pub(crate) fn set_link_loss(&mut self, id: LinkId, loss_ppm: u32) {
         if let Some(link) = self.links.get_mut(id.0 as usize) {
             link.properties.loss_ppm = loss_ppm;
         }
@@ -246,9 +207,9 @@ impl Network {
     pub fn physical_neighbors(&self, id: DeviceId) -> Vec<(PortId, DeviceId, PortId)> {
         let mut out = Vec::new();
         for link in &self.links {
-            for ep in &link.endpoints {
+            for ep in link.endpoints {
                 if ep.device == id {
-                    for other in link.other_endpoints(*ep) {
+                    if let Some(other) = link.peer_of(ep) {
                         out.push((ep.port, other.device, other.port));
                     }
                 }
@@ -357,22 +318,8 @@ impl Network {
         Ok(())
     }
 
-    /// Have `device` originate an ICMP echo request.
-    pub fn send_ping(
-        &mut self,
-        device: DeviceId,
-        dst: Ipv4Addr,
-        identifier: u16,
-        sequence: u16,
-    ) -> Result<(), NetworkError> {
-        let out = self
-            .touch(device)?
-            .originate_ping(dst, identifier, sequence);
-        self.dispatch(device, out);
-        Ok(())
-    }
-
-    /// Have `device` transmit a raw frame out of `port` (management channel).
+    /// Have `device` transmit a raw frame out of `port`.  Used by the in-band
+    /// channel to flood management frames.
     pub fn send_raw_frame(
         &mut self,
         device: DeviceId,
@@ -386,7 +333,7 @@ impl Network {
 
     /// Dispatch the transmissions a device produced: place each frame on the
     /// link attached to its egress port and schedule arrival at the far end.
-    pub fn dispatch(&mut self, from: DeviceId, output: EngineOutput) {
+    pub(crate) fn dispatch(&mut self, from: DeviceId, output: EngineOutput) {
         let now = self.queue.now();
         let Some(device) = self.devices.get(&from).filter(|d| d.up) else {
             return; // crashed devices transmit nothing
@@ -407,8 +354,11 @@ impl Network {
                 continue;
             }
             let arrival = now + link.transfer_time(bytes.len());
-            // One buffer per transmission, shared by the trace and by every
-            // endpoint the frame arrives at.
+            let Some(to) = link.peer_of(Endpoint { device: from, port }) else {
+                continue;
+            };
+            // One buffer per transmission, shared by the trace and the
+            // arrival event.
             let frame: Arc<[u8]> = bytes.into();
             self.trace.record(TraceEntry {
                 time: now,
@@ -417,18 +367,14 @@ impl Network {
                 link: link_id,
                 frame: Arc::clone(&frame),
             });
-            let from_ep = Endpoint { device: from, port };
-            for ep in link.other_endpoints(from_ep) {
-                self.queue.schedule(
-                    arrival,
-                    Event::FrameArrival {
-                        device: ep.device,
-                        port: ep.port,
-                        link: link_id,
-                        frame: Arc::clone(&frame),
-                    },
-                );
-            }
+            self.queue.schedule(
+                arrival,
+                FrameArrival {
+                    device: to.device,
+                    port: to.port,
+                    frame,
+                },
+            );
         }
     }
 
@@ -441,10 +387,10 @@ impl Network {
     pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         let mut handled = 0;
         while handled < max_events {
-            let Some((_, event)) = self.queue.pop() else {
+            let Some(arrival) = self.queue.pop() else {
                 break;
             };
-            self.handle_event(event);
+            self.handle_arrival(arrival);
             handled += 1;
         }
         handled
@@ -455,8 +401,8 @@ impl Network {
     /// were pending — "run for 10ms" really advances 10ms of simulated time.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut handled = 0;
-        while let Some((_, event)) = self.queue.pop_before(deadline) {
-            self.handle_event(event);
+        while let Some(arrival) = self.queue.pop_before(deadline) {
+            self.handle_arrival(arrival);
             handled += 1;
         }
         self.queue.advance_to(deadline);
@@ -469,30 +415,21 @@ impl Network {
         self.run_until(deadline)
     }
 
-    fn handle_event(&mut self, event: Event) {
-        match event {
-            Event::FrameArrival {
-                device,
-                port,
-                frame,
-                ..
-            } => {
-                self.frames_delivered += 1;
-                let Ok(dev) = self.touch(device) else {
-                    return;
-                };
-                if !dev.up {
-                    return; // crashed devices drop everything on the floor
-                }
-                let out = dev.handle_frame(port, &frame);
-                self.dispatch(device, out);
-            }
-            Event::Timer { .. } => {
-                // No device timers are used by the current engine; the event
-                // variant exists for extensions (ARP timeouts, periodic
-                // self-tests).
-            }
+    fn handle_arrival(&mut self, arrival: FrameArrival) {
+        let FrameArrival {
+            device,
+            port,
+            frame,
+        } = arrival;
+        self.frames_delivered += 1;
+        let Ok(dev) = self.touch(device) else {
+            return;
+        };
+        if !dev.up {
+            return; // crashed devices drop everything on the floor
         }
+        let out = dev.handle_frame(port, &frame);
+        self.dispatch(device, out);
     }
 
     // ------------------------------------------------------------------
@@ -613,9 +550,9 @@ mod tests {
         assert_eq!(net.trace().len(), 1);
     }
 
-    /// A host pings a router one hop away through a forwarding router.
+    /// A host reaches a host on another subnet through a forwarding router.
     #[test]
-    fn ping_through_a_router() {
+    fn udp_through_a_router() {
         let mut net = Network::new();
         let mut h1 = Device::new("h1", DeviceRole::Host, 1);
         h1.config.assign_address(0, cidr("10.0.1.5/24"));
@@ -647,11 +584,12 @@ mod tests {
         net.connect((h2, PortId(0)), (r, PortId(1)), LinkProperties::lan())
             .unwrap();
 
-        net.send_ping(h1, ip("10.0.2.5"), 99, 1).unwrap();
+        net.send_udp(h1, ip("10.0.2.5"), 99, 1, b"via r").unwrap();
         net.run_to_quiescence(1000);
-        let delivered = net.device_mut(h1).unwrap().take_delivered();
-        assert_eq!(delivered.len(), 1, "h1 should receive the echo reply");
-        assert_eq!(delivered[0].proto, crate::ipv4::Ipv4Proto::Icmp);
+        let delivered = net.device_mut(h2).unwrap().take_delivered();
+        assert_eq!(delivered.len(), 1, "h2 should receive the datagram");
+        assert_eq!(delivered[0].src, ip("10.0.1.5"));
+        assert_eq!(net.device(r).unwrap().stats.forwarded, 1);
     }
 
     #[test]
@@ -704,7 +642,5 @@ mod tests {
             net.connect((a, PortId(0)), (b, PortId(0)), LinkProperties::lan()),
             Err(NetworkError::PortInUse(..))
         ));
-        assert!(net.device_by_name("a").is_ok());
-        assert!(net.device_by_name("zzz").is_err());
     }
 }

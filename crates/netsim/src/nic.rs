@@ -42,7 +42,8 @@ impl Nic {
         }
     }
 
-    /// Is the port attached to a link and administratively up?
+    /// Is the port attached to a link and administratively up?  Used by the
+    /// in-band channel to pick the ports it floods from.
     pub fn is_usable(&self) -> bool {
         self.up && self.link.is_some()
     }

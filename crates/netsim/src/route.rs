@@ -216,7 +216,11 @@ impl Rib {
     }
 
     /// Route a packet: evaluate policy rules in priority order, falling back
-    /// to the main table.
+    /// to the main table.  No caller outside netsim yet: used by ROADMAP item
+    /// 4c's `netsim.edge_lookup_us` row, as [`DeviceConfig::is_local_address`]
+    /// is.
+    ///
+    /// [`DeviceConfig::is_local_address`]: crate::config::DeviceConfig::is_local_address
     pub fn lookup(&self, dst: Ipv4Addr, src: Ipv4Addr, iif: IncomingIf) -> Option<&Route> {
         for rule in &self.rules {
             let matches = match rule.selector {

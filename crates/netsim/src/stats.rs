@@ -36,7 +36,7 @@ impl IfaceCounters {
     }
 
     /// Record a drop.
-    pub fn drop_packet(&mut self) {
+    pub(crate) fn drop_packet(&mut self) {
         self.drops += 1;
     }
 }
@@ -111,8 +111,6 @@ impl FlowCounters {
 pub struct DeviceStats {
     /// Counters per physical port index.
     pub ports: BTreeMap<u32, IfaceCounters>,
-    /// Counters per tunnel id.
-    pub tunnels: BTreeMap<u32, IfaceCounters>,
     /// Packets delivered to a local sink (applications, self-tests).
     pub local_delivered: u64,
     /// Packets this device originated.
@@ -133,13 +131,8 @@ impl DeviceStats {
         self.ports.entry(port).or_default()
     }
 
-    /// Counters for a tunnel, creating them on first use.
-    pub fn tunnel(&mut self, tunnel: u32) -> &mut IfaceCounters {
-        self.tunnels.entry(tunnel).or_default()
-    }
-
     /// Record a drop with its reason.
-    pub fn record_drop(&mut self, reason: DropReason) {
+    pub(crate) fn record_drop(&mut self, reason: DropReason) {
         *self.drops.entry(reason).or_insert(0) += 1;
     }
 
@@ -165,14 +158,12 @@ mod tests {
         s.port(0).rx(100);
         s.port(0).rx(200);
         s.port(1).tx(50);
-        s.tunnel(1).tx(42);
         s.record_drop(DropReason::NoRoute);
         s.record_drop(DropReason::NoRoute);
         s.record_drop(DropReason::Filtered);
         assert_eq!(s.ports[&0].rx_packets, 2);
         assert_eq!(s.ports[&0].rx_bytes, 300);
         assert_eq!(s.ports[&1].tx_packets, 1);
-        assert_eq!(s.tunnels[&1].tx_bytes, 42);
         assert_eq!(s.drops[&DropReason::NoRoute], 2);
         assert_eq!(s.total_drops(), 3);
     }

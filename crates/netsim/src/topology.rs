@@ -23,7 +23,7 @@ fn ip(s: &str) -> Ipv4Addr {
 
 /// A layer-2 switch whose ports all start in VLAN 1 access mode (an
 /// unconfigured switch that floods everything, like a fresh device).
-pub fn basic_switch(name: &str, num_ports: u32) -> Device {
+pub(crate) fn basic_switch(name: &str, num_ports: u32) -> Device {
     let mut d = Device::new(name, DeviceRole::Switch, num_ports);
     let mut bridge = BridgeConfig::default();
     bridge.declare_vlan(VlanId::new(1).unwrap(), "default", 1504);
@@ -96,35 +96,6 @@ pub fn fanout_pair_hosts(k: usize) -> (Ipv4Addr, Ipv4Addr) {
         Ipv4Addr::from(base + 5)
     };
     (host(s1), host(s2))
-}
-
-impl ChainTopology {
-    /// Address of the first core router on its customer-facing port.
-    pub fn ingress_customer_facing(&self) -> Ipv4Addr {
-        ip("192.168.0.2")
-    }
-
-    /// Address of the last core router on its customer-facing port.
-    pub fn egress_customer_facing(&self) -> Ipv4Addr {
-        ip("192.168.2.2")
-    }
-
-    /// The "tunnel endpoint" addresses the paper uses: the ingress router's
-    /// address on its first core link and the egress router's address on its
-    /// last core link.
-    pub fn tunnel_endpoints(&self) -> (Ipv4Addr, Ipv4Addr) {
-        let ingress = self
-            .core_link_addresses
-            .first()
-            .expect("at least one core link")
-            .0;
-        let egress = self
-            .core_link_addresses
-            .last()
-            .expect("at least one core link")
-            .1;
-        (ingress, egress)
-    }
 }
 
 /// Build the ISP chain with `n >= 2` core routers.  Core routers are named
@@ -503,15 +474,6 @@ impl MeshTopology {
         out.push(self.egress);
         out
     }
-
-    /// The core routers only (no edges).
-    pub fn core_routers(&self) -> Vec<DeviceId> {
-        let mut out = Vec::new();
-        out.extend(&self.upper);
-        out.extend(&self.lower);
-        out.extend(&self.ring);
-        out
-    }
 }
 
 /// Assign a fresh /24 (204.9.`(168 + link_no)`.0/24) to both ends of a core
@@ -880,7 +842,10 @@ mod tests {
         assert!(b.config.is_local_address(ip("204.9.169.2")));
         let c = t.net.device(t.core[2]).unwrap();
         assert!(c.config.is_local_address(ip("204.9.169.1")));
-        assert_eq!(t.tunnel_endpoints(), (ip("204.9.168.1"), ip("204.9.169.1")));
+        assert_eq!(
+            (t.core_link_addresses[0].0, t.core_link_addresses[1].1),
+            (ip("204.9.168.1"), ip("204.9.169.1"))
+        );
         // 7 devices, 6 links.
         assert_eq!(t.net.device_ids().len(), 7);
         assert_eq!(t.net.links().len(), 6);
@@ -902,17 +867,21 @@ mod tests {
     #[test]
     fn figure2_hosts_reach_the_router_but_not_each_other_without_tunnel_routes() {
         let mut t = figure2();
-        // A can ping its gateway D across the switch.
-        t.net.send_ping(t.a, ip("204.9.168.2"), 7, 1).unwrap();
+        // A reaches its gateway D across the switch.
+        t.net
+            .send_udp(t.a, ip("204.9.168.2"), 7, 1, b"to D")
+            .unwrap();
         t.net.run_to_quiescence(10_000);
-        let got = t.net.device_mut(t.a).unwrap().take_delivered();
-        assert_eq!(got.len(), 1, "A should receive an echo reply from D");
+        let got = t.net.device_mut(t.d).unwrap().take_delivered();
+        assert_eq!(got.len(), 1, "D should receive A's datagram");
         // And A can even reach B directly because D forwards between its
         // connected subnets — the tunnel the NM builds later adds ordering,
         // keys and isolation on top of this raw reachability.
-        t.net.send_ping(t.a, ip("204.9.169.1"), 7, 2).unwrap();
+        t.net
+            .send_udp(t.a, ip("204.9.169.1"), 7, 2, b"to B")
+            .unwrap();
         t.net.run_to_quiescence(10_000);
-        let got = t.net.device_mut(t.a).unwrap().take_delivered();
+        let got = t.net.device_mut(t.b).unwrap().take_delivered();
         assert_eq!(got.len(), 1);
     }
 
@@ -988,9 +957,10 @@ mod tests {
         }
         // A fan-out host reaches its own gateway...
         let mut t = t;
-        t.net.send_ping(h1, ip("10.1.0.1"), 1, 1).unwrap();
+        t.net.send_udp(h1, ip("10.1.0.1"), 1, 1, b"hello").unwrap();
         t.net.run_to_quiescence(10_000);
-        assert_eq!(t.net.device_mut(h1).unwrap().take_delivered().len(), 1);
+        let gateway = t.net.device_mut(t.customer1).unwrap();
+        assert_eq!(gateway.take_delivered().len(), 1);
         // ...but not its peer before any VPN is configured.
         let (src, dst) = t.fanout_pairs[1];
         let (_, dst_ip) = fanout_pair_hosts(1);
@@ -1035,7 +1005,7 @@ mod tests {
         assert!(t.net.link_between(t.upper[1], t.egress).is_some());
         assert!(t.net.link_between(t.lower[1], t.egress).is_some());
         assert_eq!(t.routers().len(), 6);
-        assert_eq!(t.core_routers().len(), 4);
+        assert_eq!(t.upper.len() + t.lower.len(), 4);
     }
 
     #[test]
@@ -1044,9 +1014,10 @@ mod tests {
         let (src, dst) = t.fanout_pairs[0];
         let (_, dst_ip) = fanout_pair_hosts(0);
         // A fan-out host reaches its own gateway...
-        t.net.send_ping(src, ip("10.1.0.1"), 1, 1).unwrap();
+        t.net.send_udp(src, ip("10.1.0.1"), 1, 1, b"hello").unwrap();
         t.net.run_to_quiescence(10_000);
-        assert_eq!(t.net.device_mut(src).unwrap().take_delivered().len(), 1);
+        let gateway = t.net.device_mut(t.customer1).unwrap();
+        assert_eq!(gateway.take_delivered().len(), 1);
         // ...but not its peer: the ISP mesh has no customer routes yet.
         t.net.send_udp(src, dst_ip, 1, 2, b"before-vpn").unwrap();
         t.net.run_to_quiescence(10_000);

@@ -128,7 +128,7 @@ impl PacketSummary {
     }
 
     /// Short textual form such as `ETH/IP(204.9.168.1->204.9.169.1 GRE)/GRE(key=2001)/IP(10.0.1.5->10.0.2.5 UDP)`.
-    pub fn protocol_path(&self) -> String {
+    pub(crate) fn protocol_path(&self) -> String {
         self.layers
             .iter()
             .map(|l| match l {
@@ -146,24 +146,6 @@ impl PacketSummary {
             })
             .collect::<Vec<_>>()
             .join("/")
-    }
-
-    /// Names of the protocol layers only (no addresses), e.g.
-    /// `["ETH", "IP", "GRE", "IP"]`.
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                Layer::Ethernet => "ETH",
-                Layer::Vlan(_) => "VLAN",
-                Layer::Mpls(_) => "MPLS",
-                Layer::Ipv4 { .. } => "IP",
-                Layer::Gre { .. } => "GRE",
-                Layer::Arp => "ARP",
-                Layer::Management => "MGMT",
-                Layer::Payload(_) => "PAYLOAD",
-            })
-            .collect()
     }
 }
 
@@ -267,10 +249,9 @@ mod tests {
         );
         let summary = PacketSummary::parse(&frame.encode());
         assert_eq!(
-            summary.layer_names(),
-            vec!["ETH", "IP", "GRE", "IP", "PAYLOAD"]
+            summary.protocol_path(),
+            "ETH/IP(204.9.168.1->204.9.169.1 GRE)/GRE(key=2001)/IP(10.0.1.5->10.0.2.5 UDP)/payload[8]"
         );
-        assert!(summary.protocol_path().contains("key=2001"));
     }
 
     #[test]
@@ -295,7 +276,10 @@ mod tests {
             mpls_payload,
         );
         let s = PacketSummary::parse(&frame.encode());
-        assert_eq!(s.layer_names(), vec!["ETH", "MPLS", "IP", "PAYLOAD"]);
+        assert_eq!(
+            s.protocol_path(),
+            "ETH/MPLS(10001)/IP(10.0.1.1->10.0.2.1 ICMP)/payload[0]"
+        );
 
         let tagged = vlan::push_tag(crate::vlan::VlanId::new(22).unwrap(), EtherType::Ipv4, &ip);
         let frame = EthernetFrame::new(
@@ -305,12 +289,15 @@ mod tests {
             tagged,
         );
         let s = PacketSummary::parse(&frame.encode());
-        assert_eq!(s.layer_names(), vec!["ETH", "VLAN", "IP", "PAYLOAD"]);
+        assert_eq!(
+            s.protocol_path(),
+            "ETH/VLAN(22)/IP(10.0.1.1->10.0.2.1 ICMP)/payload[0]"
+        );
     }
 
     #[test]
     fn garbage_is_payload() {
         let s = PacketSummary::parse(&[1, 2, 3]);
-        assert_eq!(s.layer_names(), vec!["PAYLOAD"]);
+        assert_eq!(s.protocol_path(), "payload[3]");
     }
 }

@@ -7,7 +7,7 @@ use crate::{CodecError, CodecResult};
 use serde::{Deserialize, Serialize};
 
 /// UDP header length.
-pub const UDP_HEADER_LEN: usize = 8;
+pub(crate) const UDP_HEADER_LEN: usize = 8;
 
 /// A decoded UDP datagram header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -7,7 +7,7 @@ use crate::{CodecError, CodecResult};
 use serde::{Deserialize, Serialize};
 
 /// Length of an 802.1Q tag: TCI (2 bytes) + inner EtherType (2 bytes).
-pub const VLAN_TAG_LEN: usize = 4;
+pub(crate) const VLAN_TAG_LEN: usize = 4;
 
 /// A VLAN identifier (12 bits, 1..=4094 usable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -37,20 +37,20 @@ impl std::fmt::Display for VlanId {
 
 /// A decoded 802.1Q tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VlanTag {
+pub(crate) struct VlanTag {
     /// Priority code point (0..=7).
-    pub pcp: u8,
+    pub(crate) pcp: u8,
     /// Drop eligible indicator.
-    pub dei: bool,
+    pub(crate) dei: bool,
     /// VLAN identifier.
-    pub vid: VlanId,
+    pub(crate) vid: VlanId,
     /// EtherType of the encapsulated payload.
-    pub inner_ethertype: EtherType,
+    pub(crate) inner_ethertype: EtherType,
 }
 
 impl VlanTag {
     /// Build a tag with default priority.
-    pub fn new(vid: VlanId, inner_ethertype: EtherType) -> Self {
+    pub(crate) fn new(vid: VlanId, inner_ethertype: EtherType) -> Self {
         VlanTag {
             pcp: 0,
             dei: false,
@@ -60,7 +60,7 @@ impl VlanTag {
     }
 
     /// Encode the 4-byte tag (TCI + inner EtherType).
-    pub fn encode(&self) -> [u8; VLAN_TAG_LEN] {
+    pub(crate) fn encode(&self) -> [u8; VLAN_TAG_LEN] {
         let tci: u16 =
             ((self.pcp as u16) << 13) | ((self.dei as u16) << 12) | (self.vid.value() & 0x0fff);
         let et = self.inner_ethertype.as_u16();
@@ -73,7 +73,7 @@ impl VlanTag {
     }
 
     /// Decode a tag from the first 4 bytes of `bytes`.
-    pub fn decode(bytes: &[u8]) -> CodecResult<Self> {
+    pub(crate) fn decode(bytes: &[u8]) -> CodecResult<Self> {
         if bytes.len() < VLAN_TAG_LEN {
             return Err(CodecError::Truncated {
                 what: "802.1Q",
@@ -101,7 +101,7 @@ impl VlanTag {
 ///
 /// `inner_ethertype` is the EtherType the untagged frame carried, and
 /// `payload` its payload.
-pub fn push_tag(vid: VlanId, inner_ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn push_tag(vid: VlanId, inner_ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
     let tag = VlanTag::new(vid, inner_ethertype);
     let mut out = Vec::with_capacity(VLAN_TAG_LEN + payload.len());
     out.extend_from_slice(&tag.encode());
@@ -111,7 +111,7 @@ pub fn push_tag(vid: VlanId, inner_ethertype: EtherType, payload: &[u8]) -> Vec<
 
 /// Pop a VLAN tag from the payload of a frame whose EtherType was
 /// [`EtherType::Vlan`]: returns the tag and the inner payload.
-pub fn pop_tag(payload: &[u8]) -> CodecResult<(VlanTag, Vec<u8>)> {
+pub(crate) fn pop_tag(payload: &[u8]) -> CodecResult<(VlanTag, Vec<u8>)> {
     let tag = VlanTag::decode(payload)?;
     Ok((tag, payload[VLAN_TAG_LEN..].to_vec()))
 }

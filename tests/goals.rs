@@ -7,7 +7,7 @@
 //! back cleanly leaving no partially-configured modules; and `reconcile()`
 //! is idempotent on a converged network.
 
-use conman::core::nm::{Exclusion, GoalStatus, PlanError};
+use conman::core::nm::{Exclusion, GoalId, GoalStatus, PlanError};
 use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent};
 use conman::core::{ManagementAgent, WireCodec};
 use conman::modules::{
@@ -17,7 +17,6 @@ use conman::modules::{
 use conman::netsim::device::DeviceId;
 use conman::obs::Recorder;
 use mgmt_channel::OutOfBandChannel;
-use std::collections::BTreeMap;
 
 type Chain = conman::modules::ManagedChain<OutOfBandChannel>;
 
@@ -50,6 +49,20 @@ fn end_state(t: &mut Chain, report: &ReconcileReport, probes: Vec<bool>) -> EndS
         shared_modules,
         probes,
     }
+}
+
+/// Install goal `id` on its `technology` path (e.g. `GRE-IP`) rather than
+/// the one `reconcile()` would prefer.
+fn install_on(mn: &mut ManagedNetwork<OutOfBandChannel>, id: GoalId, technology: &str) {
+    let desired = mn.goals.get(id).expect("goal exists").desired.clone();
+    let path = mn
+        .nm
+        .find_paths(&desired)
+        .into_iter()
+        .find(|p| p.technology_label() == technology)
+        .unwrap_or_else(|| panic!("no {technology} path for goal {id}"));
+    let plan = mn.plan_for_path(id, &path).expect("plan");
+    assert!(mn.execute_plan(plan).is_ok(), "goal {id} commits");
 }
 
 #[test]
@@ -166,15 +179,7 @@ fn two_goals_share_one_edge_gre_module_and_withdraw_stays_isolated() {
     let g1 = t.mn.submit(t.vpn_goal());
     let g2 = t.mn.submit(t.vpn_goal2());
     for id in [g1, g2] {
-        let desired = t.mn.goals.get(id).unwrap().desired.clone();
-        let paths = t.mn.nm.find_paths(&desired);
-        let gre = paths
-            .iter()
-            .find(|p| p.technology_label() == "GRE-IP")
-            .expect("a GRE-IP path exists")
-            .clone();
-        let plan = t.mn.plan_for_path(id, &gre).expect("plan");
-        assert!(t.mn.execute_plan(plan).is_ok(), "goal {id} commits");
+        install_on(&mut t.mn, id, "GRE-IP");
     }
     assert!(t.probe(), "goal 1 carries traffic");
     assert!(t.probe2(), "goal 2 carries traffic");
@@ -190,13 +195,9 @@ fn two_goals_share_one_edge_gre_module_and_withdraw_stays_isolated() {
     }
     // Two distinct tunnels (distinct keys) are configured on each edge.
     let ingress = t.mn.net.device(t.core[0]).unwrap();
-    assert_eq!(ingress.config.tunnels.len(), 2);
-    let keys: std::collections::BTreeSet<_> = ingress
-        .config
-        .tunnels
-        .values()
-        .map(|tun| tun.okey)
-        .collect();
+    assert_eq!(ingress.config.tunnels().count(), 2);
+    let keys: std::collections::BTreeSet<_> =
+        ingress.config.tunnels().map(|tun| tun.okey).collect();
     assert_eq!(keys.len(), 2, "concurrent tunnels use distinct keys");
 
     // Withdrawing one goal tears down only its own tunnel: the sibling
@@ -207,7 +208,7 @@ fn two_goals_share_one_edge_gre_module_and_withdraw_stays_isolated() {
     assert!(t.probe2(), "goal 2 survives goal 1's withdraw");
     assert!(!t.probe(), "goal 1's VPN is gone");
     let ingress = t.mn.net.device(t.core[0]).unwrap();
-    assert_eq!(ingress.config.tunnels.len(), 1, "one tunnel survives");
+    assert_eq!(ingress.config.tunnels().count(), 1, "one tunnel survives");
     let gre = t.mn.nm.find_module(t.core[0], &ModuleKind::Gre).unwrap();
     assert_eq!(t.mn.goals.module_refcount(&gre), 1);
 }
@@ -282,6 +283,37 @@ fn update_heavy_pass_coalesces_stale_teardowns_into_one_batch() {
     assert_eq!(
         report.transactions, 2,
         "one coalesced teardown batch + one configuration batch"
+    );
+}
+
+/// The fifth residue bug (ISSUE 21): GRE sequence counters were kept in
+/// per-device maps keyed by tunnel id that nothing emptied when a tunnel was
+/// removed, and tunnel ids are reused.  After the ingress reboots (its
+/// transmit counter restarts at 1) a withdrawn-and-reinstalled goal got
+/// tunnel id 1 again, the egress still remembered "last sequence 5" for id
+/// 1, and the *repaired* goal black-holed every packet as out of order.
+#[test]
+fn reinstalled_gre_goal_does_not_inherit_a_dead_tunnels_sequence_state() {
+    use conman::netsim::fault::{apply_fault, FaultKind};
+
+    let mut t = managed_chain(3);
+    t.discover();
+    let id = t.mn.submit(t.vpn_goal());
+    install_on(&mut t.mn, id, "GRE-IP");
+    for n in 1..=5 {
+        assert!(t.probe(), "probe {n} over the first tunnel");
+    }
+
+    let ingress = t.core[0];
+    apply_fault(&mut t.mn.net, FaultKind::DeviceCrash(ingress));
+    apply_fault(&mut t.mn.net, FaultKind::DeviceRestore(ingress));
+    assert!(t.mn.withdraw(id).removed);
+
+    let id = t.mn.submit(t.vpn_goal());
+    install_on(&mut t.mn, id, "GRE-IP");
+    assert!(
+        t.probe(),
+        "the reinstalled goal's first packet is sequence 1 of a new tunnel"
     );
 }
 
@@ -759,7 +791,7 @@ fn pipe_space_exhaustion_fails_the_goal_cleanly() {
 /// What a device's data plane holds that a goal can add to.
 type DataPlane = (
     conman::netsim::route::Rib,
-    BTreeMap<u32, conman::netsim::config::TunnelConfig>,
+    Vec<conman::netsim::config::TunnelConfig>,
     usize,
     usize,
     Option<conman::netsim::config::BridgeConfig>,
@@ -772,7 +804,7 @@ fn data_plane(mn: &ManagedNetwork<OutOfBandChannel>, routers: &[DeviceId]) -> Ve
             let config = &mn.net.device(*d).expect("router exists").config;
             (
                 config.rib.clone(),
-                config.tunnels.clone(),
+                config.tunnels().cloned().collect(),
                 config.mpls.nhlfe.len(),
                 config.mpls.xc.len(),
                 config.bridge.clone(),
@@ -781,26 +813,48 @@ fn data_plane(mn: &ManagedNetwork<OutOfBandChannel>, routers: &[DeviceId]) -> Ve
         .collect()
 }
 
-/// Submit `goals`, converge, withdraw them all, and hold the no-residue
-/// invariant on every router: nothing of a withdrawn goal is left in any
-/// module's `showActual`, on any agent's blackboard or staging table, or in
-/// the data plane.
+/// Submit `goals`, converge (on the paths `reconcile()` prefers, or on
+/// every goal's `technology` path when one is named), withdraw them all, and
+/// hold the no-residue invariant on every router: nothing of a withdrawn
+/// goal is left in any module's `showActual`, on any agent's blackboard or
+/// staging table, in the data plane, or in the runtime state kept for a
+/// tunnel.
 fn assert_withdraw_leaves_nothing(
     mn: &mut ManagedNetwork<OutOfBandChannel>,
     routers: &[DeviceId],
     goals: Vec<conman::core::nm::ConnectivityGoal>,
+    technology: Option<&str>,
 ) {
     let before = data_plane(mn, routers);
     let ids: Vec<_> = goals.into_iter().map(|g| mn.submit(g)).collect();
-    let report = mn.reconcile();
-    assert_eq!(report.active(), ids.len(), "every goal converges");
+    match technology {
+        None => assert_eq!(mn.reconcile().active(), ids.len(), "every goal converges"),
+        Some(technology) => ids.iter().for_each(|id| install_on(mn, *id, technology)),
+    }
     assert_ne!(
         data_plane(mn, routers),
         before,
         "the goals configured something"
     );
+    // Every tunnel the goals brought up holds runtime state (counters,
+    // sequence numbers) under its id for as long as it exists.
+    let tunnels: Vec<(DeviceId, u32)> = routers
+        .iter()
+        .flat_map(|d| {
+            let config = &mn.net.device(*d).expect("router exists").config;
+            config.tunnels().map(move |t| (*d, t.id))
+        })
+        .collect();
+    assert!(technology.is_none() || !tunnels.is_empty());
 
     assert!(mn.withdraw_many(&ids).iter().all(|w| w.removed));
+    for (d, id) in tunnels {
+        assert_eq!(
+            mn.net.device(d).unwrap().config.tunnel_counters(id),
+            None,
+            "{d} kept runtime state for withdrawn tunnel {id}"
+        );
+    }
     for d in routers {
         for (name, module) in mn.show_actual(*d).expect("router answers") {
             assert!(module.pipes.is_empty(), "{name} kept {:?}", module.pipes);
@@ -838,17 +892,21 @@ fn withdrawing_every_goal_leaves_no_module_state_behind() {
         t.discover();
         t.mn.codec = codec;
         t.mn.goals.limits = conman_bench::diagnosis::chain_limits(4);
-        let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
         let routers = t.core.clone();
-        assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals);
+        for technology in [None, Some("GRE-IP")] {
+            let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
+            assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals, technology);
+        }
 
         let mut t = managed_mesh_fanout(3, 6);
         t.discover();
         t.mn.codec = codec;
         t.mn.goals.limits = conman_bench::control_loop::mesh_limits(3);
-        let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
         let routers = t.routers().to_vec();
-        assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals);
+        for technology in [None, Some("GRE-IP")] {
+            let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
+            assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals, technology);
+        }
 
         // The VLAN chain: a fresh switch floods the customer frame untagged
         // through the default VLAN, a configured one tunnels it in VLAN 22,
@@ -861,7 +919,7 @@ fn withdrawing_every_goal_leaves_no_module_state_behind() {
         assert!(!untouched.1.iter().any(|p| p.contains("VLAN(22)")));
         let goal = t.vlan_goal();
         let switches = t.switches.clone();
-        assert_withdraw_leaves_nothing(&mut t.mn, &switches, vec![goal]);
+        assert_withdraw_leaves_nothing(&mut t.mn, &switches, vec![goal], None);
         let (delivered, trace) = t.send_customer_frame(b"after the withdraw");
         assert_eq!(delivered, untouched.0);
         assert!(
