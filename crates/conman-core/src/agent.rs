@@ -542,7 +542,6 @@ mod tests {
                     peer_lower: None,
                     tradeoffs: vec![],
                     initiate: false,
-                    resolved: BTreeMap::new(),
                 }),
                 Primitive::ShowActual,
             ],
@@ -587,7 +586,6 @@ mod tests {
                 peer_lower: None,
                 tradeoffs: vec![],
                 initiate: false,
-                resolved: BTreeMap::new(),
             })],
         };
         let out = agent.handle(&mut device, &script);
@@ -616,7 +614,6 @@ mod tests {
             peer_lower: None,
             tradeoffs: vec![],
             initiate: false,
-            resolved: BTreeMap::new(),
         };
         let stage = stage_one(9, 1, vec![Primitive::CreatePipe(spec)]);
         let out = agent.handle(&mut device, &stage);
@@ -663,7 +660,6 @@ mod tests {
                 peer_lower: None,
                 tradeoffs: vec![],
                 initiate: false,
-                resolved: BTreeMap::new(),
             })],
         );
         let out = agent.handle(&mut device, &stage);
@@ -707,7 +703,6 @@ mod tests {
             peer_lower: None,
             tradeoffs: vec![],
             initiate: false,
-            resolved: BTreeMap::new(),
         };
         let bogus = ModuleRef::new(ModuleKind::Gre, ModuleId(99), device.id);
         let stage = WireMessage::StageBatch {

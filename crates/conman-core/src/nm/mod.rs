@@ -50,7 +50,9 @@ pub struct ConnectivityGoal {
     /// Mapping from the high-level names above to concrete values (prefixes,
     /// gateway addresses).  This is the one place the NM holds
     /// protocol-specific values, which the paper explicitly allows for IP
-    /// addresses (§III-C).
+    /// addresses (§III-C).  It stays on the NM: a script carries a value
+    /// only beside the name an edge-IP switch rule names
+    /// ([`crate::primitives::ResolvedName`]).
     pub resolved: BTreeMap<String, String>,
     /// Performance trade-offs requested by the human manager.
     pub tradeoffs: Vec<TradeoffChoice>,
@@ -95,9 +97,6 @@ pub struct NetworkManager {
     pub adjacency: BTreeMap<DeviceId, Vec<(PortId, DeviceId, PortId)>>,
     /// Module abstractions per device (from showPotential).
     pub abstractions: BTreeMap<DeviceId, Vec<ModuleAbstraction>>,
-    /// Resolved identifier → low-level value dependencies the NM tracks
-    /// (§II-E: dependency maintenance).
-    pub resolved_fields: BTreeMap<String, String>,
 }
 
 impl NetworkManager {
@@ -118,11 +117,6 @@ impl NetworkManager {
     /// Record the showPotential answer of a device.
     pub(crate) fn record_potential(&mut self, device: DeviceId, modules: Vec<ModuleAbstraction>) {
         self.abstractions.insert(device, modules);
-    }
-
-    /// Record a resolved field value (dependency tracking).
-    pub(crate) fn record_resolved(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.resolved_fields.insert(name.into(), value.into());
     }
 
     /// Number of managed devices (devices that have announced).

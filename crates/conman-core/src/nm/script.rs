@@ -14,7 +14,9 @@ use super::pathfinder::{Entry, ModulePath};
 use super::{ConnectivityGoal, NetworkManager};
 use crate::abstraction::SwitchKind;
 use crate::ids::{ModuleKind, ModuleRef, PipeId};
-use crate::primitives::{ComponentRef, PipeSpec, Primitive, SwitchSpec, TradeoffChoice};
+use crate::primitives::{
+    ComponentRef, PipeSpec, Primitive, ResolvedName, SwitchSpec, TradeoffChoice,
+};
 use netsim::device::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -83,8 +85,12 @@ pub fn render_primitive(nm: &NetworkManager, primitive: &Primitive) -> String {
         Primitive::CreateSwitch(spec) => {
             let (m, i, o) = (module(&spec.module), spec.in_pipe, spec.out_pipe);
             match (&spec.dst_class, &spec.gateway) {
-                (Some(class), _) => format!("create (switch, {m}, [{i}, dst:{class} => {o}])"),
-                (None, Some(gateway)) => format!("create (switch, {m}, [{i} => {o}, {gateway}])"),
+                (Some(class), _) => {
+                    format!("create (switch, {m}, [{i}, dst:{} => {o}])", class.name)
+                }
+                (None, Some(gateway)) => {
+                    format!("create (switch, {m}, [{i} => {o}, {}])", gateway.name)
+                }
                 (None, None) => format!("create (switch, {m}, {i}, {o})"),
             }
         }
@@ -370,7 +376,6 @@ pub fn generate_with_base(
             peer_lower,
             tradeoffs,
             initiate,
-            resolved: goal.resolved.clone(),
         };
         scripts[device_pos[&device]]
             .primitives
@@ -399,40 +404,34 @@ pub fn generate_with_base(
                 (out_slot, in_slot)
             };
             let (dst_class, gateway, local_class) = if is_first_device {
-                (
-                    goal.dst_class.clone(),
-                    goal.src_gateway.clone(),
-                    goal.src_class.clone(),
-                )
+                (&goal.dst_class, &goal.src_gateway, &goal.src_class)
             } else {
-                (
-                    goal.src_class.clone(),
-                    goal.dst_gateway.clone(),
-                    goal.dst_class.clone(),
-                )
+                (&goal.src_class, &goal.dst_gateway, &goal.dst_class)
             };
-            // The reverse rule needs the local site's prefix so the module can
-            // install the return route towards the customer gateway; the NM
-            // already tracks this resolution (dependency maintenance).
-            let mut rev_resolved = goal.resolved.clone();
-            if let Some(prefix) = goal.resolved.get(&local_class) {
-                rev_resolved.insert("gateway-prefix".to_string(), prefix.clone());
-            }
+            // Each name travels with the value the goal resolves it to (the
+            // one protocol-specific thing the NM holds, §III-C); these two
+            // rules are the only primitives that carry any of it.
+            let resolved = |name: &String| ResolvedName {
+                name: name.clone(),
+                value: goal.resolved.get(name).cloned().unwrap_or_default(),
+            };
             let fwd = SwitchSpec {
                 module: step.module.clone(),
                 in_pipe: customer_pipe.id,
                 out_pipe: core_pipe.id,
-                dst_class: Some(dst_class),
+                dst_class: Some(resolved(dst_class)),
                 gateway: None,
-                resolved: goal.resolved.clone(),
+                local_prefix: None,
             };
+            // The reverse rule needs the local site's prefix so the module can
+            // install the return route towards the customer gateway.
             let rev = SwitchSpec {
                 module: step.module.clone(),
                 in_pipe: core_pipe.id,
                 out_pipe: customer_pipe.id,
                 dst_class: None,
-                gateway: Some(gateway),
-                resolved: rev_resolved,
+                gateway: Some(resolved(gateway)),
+                local_prefix: goal.resolved.get(local_class).cloned(),
             };
             scripts[idx].primitives.push(Primitive::CreateSwitch(fwd));
             scripts[idx].primitives.push(Primitive::CreateSwitch(rev));
@@ -443,7 +442,7 @@ pub fn generate_with_base(
                 out_pipe: out_slot.id,
                 dst_class: None,
                 gateway: None,
-                resolved: goal.resolved.clone(),
+                local_prefix: None,
             };
             scripts[idx].primitives.push(Primitive::CreateSwitch(spec));
         }
@@ -532,14 +531,19 @@ mod tests {
         }
         let (ip, gre) = (module(ModuleKind::Ip, 3, 1), module(ModuleKind::Gre, 5, 1));
         let (peer_ip, peer_gre) = (module(ModuleKind::Ip, 3, 2), module(ModuleKind::Gre, 5, 2));
+        // The text shows names, never values (Figure 7(b)).
+        let named = |name: &str| ResolvedName {
+            name: name.to_string(),
+            value: "192.0.2.1".to_string(),
+        };
         let switch = |dst_class: Option<&str>, gateway: Option<&str>| {
             Primitive::CreateSwitch(SwitchSpec {
                 module: ip.clone(),
                 in_pipe: PipeId(0),
                 out_pipe: PipeId(1),
-                dst_class: dst_class.map(str::to_string),
-                gateway: gateway.map(str::to_string),
-                resolved: BTreeMap::new(),
+                dst_class: dst_class.map(named),
+                gateway: gateway.map(named),
+                local_prefix: None,
             })
         };
         let pipe = |peers: bool, tradeoffs: Vec<TradeoffChoice>| {
@@ -551,7 +555,6 @@ mod tests {
                 peer_lower: peers.then(|| peer_gre.clone()),
                 tradeoffs,
                 initiate: true,
-                resolved: BTreeMap::new(),
             })
         };
         let cases = [

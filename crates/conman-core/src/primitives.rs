@@ -26,7 +26,21 @@ pub enum TradeoffChoice {
     LowDelay,
 }
 
+/// A high-level name from the human manager's goal (`C1-S2`, `S2-gateway`)
+/// together with the value the NM resolved it to (a prefix, an address).  A
+/// spec field that names something is of this type, so the name cannot travel
+/// without the value its module reads.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ResolvedName {
+    /// The name as the goal and the Figure 7(b) scripts spell it.
+    pub name: String,
+    /// What the NM resolved it to; empty when the goal does not say.
+    pub value: String,
+}
+
 /// Specification of a pipe to create between two modules in the same device.
+/// It names modules and carries nothing protocol-specific: a pipe's low-level
+/// fields are worked out by the modules themselves (§II-D).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipeSpec {
     /// NM-assigned pipe identifier (the `P1` in the paper's scripts).
@@ -45,13 +59,12 @@ pub struct PipeSpec {
     /// negotiation (exactly one side of a peer pair initiates, so each
     /// exchange costs two relayed messages as in Table VI).
     pub initiate: bool,
-    /// Field values the NM has already resolved and is passing along opaquely
-    /// (high-level names such as `C1-S2` or `S2-gateway` mapped to values).
-    pub resolved: BTreeMap<String, String>,
 }
 
 /// Specification of a switch rule: packets from `in_pipe` are switched to
-/// `out_pipe`, optionally restricted to a named traffic class.
+/// `out_pipe`, optionally restricted to a named traffic class.  Only the two
+/// edge rules of a goal (Figure 7(b) commands 3 and 4) name anything, and each
+/// name carries its own value; a transit rule is three ids.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SwitchSpec {
     /// The module whose switch is configured.
@@ -61,13 +74,14 @@ pub struct SwitchSpec {
     /// Outgoing pipe.
     pub out_pipe: PipeId,
     /// Only traffic destined to this named class takes the rule
-    /// (e.g. `dst:C1-S2` in Figure 7(b)).
-    pub dst_class: Option<String>,
-    /// Gateway name used when switching towards a customer-facing pipe
-    /// (e.g. `S2-gateway` in Figure 7(b)).
-    pub gateway: Option<String>,
-    /// Resolved field values for the named class / gateway.
-    pub resolved: BTreeMap<String, String>,
+    /// (e.g. `dst:C1-S2` in Figure 7(b)), resolved to its prefix.
+    pub dst_class: Option<ResolvedName>,
+    /// Gateway used when switching towards a customer-facing pipe
+    /// (e.g. `S2-gateway` in Figure 7(b)), resolved to its address.
+    pub gateway: Option<ResolvedName>,
+    /// On a gateway rule, the local site's prefix: the module routes it
+    /// through the gateway so return traffic reaches the customer.
+    pub local_prefix: Option<String>,
 }
 
 /// Specification of a filter: drop traffic from one module to another
@@ -355,7 +369,6 @@ mod tests {
                 TradeoffChoice::LowErrorRate,
             ],
             initiate: true,
-            resolved: BTreeMap::new(),
         };
         let msg = WireMessage::Script {
             request: 7,

@@ -481,21 +481,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
     }
 
-    /// Relay a module-to-module envelope to its destination device, tracking
-    /// any field values it resolves (dependency maintenance, §II-E).  With
-    /// relay batching on, the envelope is buffered and flushed at the end of
-    /// the management round as part of one `RelayBatch` per destination.
+    /// Relay a module-to-module envelope to its destination device; the NM
+    /// never looks inside (§II-D.1 d).  With relay batching on, the envelope
+    /// is buffered and flushed at the end of the management round as part of
+    /// one `RelayBatch` per destination.
     fn relay(&mut self, env: ModuleEnvelope) {
-        if env.kind == EnvelopeKind::FieldResponse {
-            if let Some(obj) = env.body.as_object() {
-                for (k, v) in obj {
-                    if let Some(s) = v.as_str() {
-                        self.nm
-                            .record_resolved(format!("{}:{}", env.from, k), s.to_string());
-                    }
-                }
-            }
-        }
         let to_device = env.to.device;
         if self.batch_relays {
             self.pending_relays.entry(to_device).or_default().push(env);
@@ -602,7 +592,6 @@ mod tests {
             peer_lower: Some(m2.clone()),
             tradeoffs: vec![],
             initiate: true,
-            resolved: Default::default(),
         };
         mn.next_request += 1;
         let msg = WireMessage::Script {

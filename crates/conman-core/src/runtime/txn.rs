@@ -503,7 +503,14 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             );
             self.run_management();
             let mut newly_failed: Vec<GoalId> = Vec::new();
-            let commit_ok = match self.commit_batch_results.remove(&(device, txn)) {
+            let answer = self.commit_batch_results.remove(&(device, txn));
+            // A device whose commit went unanswered cannot be rolled back, so
+            // a failed goal's teardown mirrors go to the devices before it.
+            let to_undo = match answer {
+                Some(_) => &order[..=idx],
+                None => &order[..idx],
+            };
+            let commit_ok = match answer {
                 Some(segs) => {
                     let mut clean = true;
                     for sc in segs {
@@ -552,7 +559,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 },
             );
             for goal in newly_failed {
-                self.rollback_goal_in_batch(txn, goal, items, &order[..=idx], &order[idx + 1..]);
+                self.rollback_goal_in_batch(txn, goal, items, to_undo, &order[idx + 1..]);
             }
         }
         self.run_management();
@@ -589,8 +596,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     }
 
     /// Undo one failed goal inside a batch: teardown-mirror its segments on
-    /// devices that already (possibly partially) committed, abort its
-    /// still-staged segments on devices yet to commit.  Sibling goals are
+    /// devices that answered their commit (possibly with an error), abort
+    /// its still-staged segments on devices yet to commit.  Sibling goals are
     /// untouched — their segments live in disjoint pipe-id blocks.
     fn rollback_goal_in_batch(
         &mut self,
@@ -605,15 +612,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         };
         for ds in &scripts.scripts {
             if !committed_devices.contains(&ds.device) {
-                continue;
-            }
-            // A silent device (crashed) cannot be rolled back; skip it.
-            if !self
-                .net
-                .device(ds.device)
-                .map(|dev| dev.up)
-                .unwrap_or(false)
-            {
                 continue;
             }
             let deletes = ScriptSet::teardown_of(ds);

@@ -17,13 +17,33 @@
 //! so the receiving agent can walk borrowed segment slices and validate
 //! primitives *as they decode* ([`StageBatchView`]) instead of
 //! materialising the whole message first.
+//!
+//! A primitive inside a segment block is a tag byte and its fields in
+//! declaration order (`opt X` is a presence byte, then `X` when it is 1;
+//! `str` is a `u32` length and UTF-8 bytes; a module ref is a kind byte, an
+//! `App`/`Control` name where the kind has one, `u32` module, `u64` device):
+//!
+//! ```text
+//! 0 showPotential   1 showActual
+//! 2 create pipe     u32 pipe, upper, lower, opt peer_upper, opt peer_lower,
+//!                   u32 n + n tradeoff bytes, u8 initiate
+//! 3 create switch   module, u32 in_pipe, u32 out_pipe,
+//!                   opt (str name, str value) dst_class,
+//!                   opt (str name, str value) gateway, opt str local_prefix
+//! 4 create filter   module, from, to, u32 n + n (str key, str value)
+//! 5 delete          0 + u32 pipe | 1 + module, u32 in, u32 out | 2 + module, from, to
+//! ```
+//!
+//! A pipe carries no names at all and a transit switch rule three absent
+//! options: the only strings in a generated segment are the class, gateway
+//! and local prefix of a goal's two edge-IP rules.
 
 use crate::abstraction::ModuleAbstraction;
 use crate::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
 use crate::primitives::{
     ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, PipeSpec, Primitive,
-    PrimitiveResult, ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec, TradeoffChoice,
-    WireMessage,
+    PrimitiveResult, ResolvedName, ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec,
+    TradeoffChoice, WireMessage,
 };
 use mgmt_channel::codec::{self, Reader, Writer};
 use netsim::device::DeviceId;
@@ -430,42 +450,37 @@ fn read_module_ref(r: &mut Reader<'_>) -> Option<ModuleRef> {
     Some(ModuleRef::new(kind, module, device))
 }
 
-fn put_opt_module_ref(w: &mut Writer, m: &Option<ModuleRef>) {
-    match m {
-        Some(m) => {
-            w.put_u8(1);
-            put_module_ref(w, m);
-        }
-        None => w.put_u8(0),
+/// `opt X` of the frame layout: a presence byte, then `X` when it is 1.
+fn put_opt<T>(w: &mut Writer, v: &Option<T>, put: impl FnOnce(&mut Writer, &T)) {
+    w.put_u8(u8::from(v.is_some()));
+    if let Some(v) = v {
+        put(w, v);
     }
 }
 
-fn read_opt_module_ref(r: &mut Reader<'_>) -> Option<Option<ModuleRef>> {
+fn read_opt<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Option<T>,
+) -> Option<Option<T>> {
     match r.u8()? {
         0 => Some(None),
-        1 => Some(Some(read_module_ref(r)?)),
+        1 => Some(Some(read(r)?)),
         _ => None,
     }
 }
 
-fn put_opt_str(w: &mut Writer, s: &Option<String>) {
-    match s {
-        Some(s) => {
-            w.put_u8(1);
-            w.put_str(s);
-        }
-        None => w.put_u8(0),
-    }
+fn put_resolved_name(w: &mut Writer, n: &ResolvedName) {
+    w.put_str(&n.name);
+    w.put_str(&n.value);
 }
 
-fn read_opt_str(r: &mut Reader<'_>) -> Option<Option<String>> {
-    match r.u8()? {
-        0 => Some(None),
-        1 => Some(Some(r.str()?.to_string())),
-        _ => None,
-    }
+fn read_resolved_name(r: &mut Reader<'_>) -> Option<ResolvedName> {
+    let name = r.str()?.to_string();
+    let value = r.str()?.to_string();
+    Some(ResolvedName { name, value })
 }
 
+/// A `FilterSpec`'s caller-supplied field map.
 fn put_resolved(w: &mut Writer, resolved: &BTreeMap<String, String>) {
     w.put_u32(resolved.len() as u32);
     for (k, v) in resolved {
@@ -511,23 +526,22 @@ fn put_primitive(w: &mut Writer, p: &Primitive) {
             w.put_u32(spec.pipe.0);
             put_module_ref(w, &spec.upper);
             put_module_ref(w, &spec.lower);
-            put_opt_module_ref(w, &spec.peer_upper);
-            put_opt_module_ref(w, &spec.peer_lower);
+            put_opt(w, &spec.peer_upper, put_module_ref);
+            put_opt(w, &spec.peer_lower, put_module_ref);
             w.put_u32(spec.tradeoffs.len() as u32);
             for t in &spec.tradeoffs {
                 w.put_u8(tradeoff_tag(*t));
             }
             w.put_u8(u8::from(spec.initiate));
-            put_resolved(w, &spec.resolved);
         }
         Primitive::CreateSwitch(spec) => {
             w.put_u8(3);
             put_module_ref(w, &spec.module);
             w.put_u32(spec.in_pipe.0);
             w.put_u32(spec.out_pipe.0);
-            put_opt_str(w, &spec.dst_class);
-            put_opt_str(w, &spec.gateway);
-            put_resolved(w, &spec.resolved);
+            put_opt(w, &spec.dst_class, put_resolved_name);
+            put_opt(w, &spec.gateway, put_resolved_name);
+            put_opt(w, &spec.local_prefix, |w, s| w.put_str(s));
         }
         Primitive::CreateFilter(spec) => {
             w.put_u8(4);
@@ -568,8 +582,8 @@ fn read_primitive(r: &mut Reader<'_>) -> Option<Primitive> {
             let pipe = PipeId(r.u32()?);
             let upper = read_module_ref(r)?;
             let lower = read_module_ref(r)?;
-            let peer_upper = read_opt_module_ref(r)?;
-            let peer_lower = read_opt_module_ref(r)?;
+            let peer_upper = read_opt(r, read_module_ref)?;
+            let peer_lower = read_opt(r, read_module_ref)?;
             let n = r.u32()?;
             let mut tradeoffs = Vec::with_capacity(presize(r, n));
             for _ in 0..n {
@@ -580,7 +594,6 @@ fn read_primitive(r: &mut Reader<'_>) -> Option<Primitive> {
                 1 => true,
                 _ => return None,
             };
-            let resolved = read_resolved(r)?;
             Primitive::CreatePipe(PipeSpec {
                 pipe,
                 upper,
@@ -589,23 +602,22 @@ fn read_primitive(r: &mut Reader<'_>) -> Option<Primitive> {
                 peer_lower,
                 tradeoffs,
                 initiate,
-                resolved,
             })
         }
         3 => {
             let module = read_module_ref(r)?;
             let in_pipe = PipeId(r.u32()?);
             let out_pipe = PipeId(r.u32()?);
-            let dst_class = read_opt_str(r)?;
-            let gateway = read_opt_str(r)?;
-            let resolved = read_resolved(r)?;
+            let dst_class = read_opt(r, read_resolved_name)?;
+            let gateway = read_opt(r, read_resolved_name)?;
+            let local_prefix = read_opt(r, |r| r.str().map(str::to_string))?;
             Primitive::CreateSwitch(SwitchSpec {
                 module,
                 in_pipe,
                 out_pipe,
                 dst_class,
                 gateway,
-                resolved,
+                local_prefix,
             })
         }
         4 => {
@@ -712,21 +724,34 @@ mod tests {
                     peer_lower: None,
                     tradeoffs: vec![TradeoffChoice::InOrderDelivery, TradeoffChoice::LowDelay],
                     initiate: true,
-                    resolved: [("C1-S2".to_string(), "10.0.2.0/24".to_string())].into(),
                 }),
                 Primitive::CreateSwitch(SwitchSpec {
                     module: mref(ModuleKind::Ip, 3, 1),
                     in_pipe: PipeId(41),
                     out_pipe: PipeId(42),
-                    dst_class: Some("dst:C1-S2".into()),
+                    dst_class: Some(ResolvedName {
+                        name: "C1-S2".into(),
+                        value: "10.0.2.0/24".into(),
+                    }),
                     gateway: None,
-                    resolved: BTreeMap::new(),
+                    local_prefix: None,
+                }),
+                Primitive::CreateSwitch(SwitchSpec {
+                    module: mref(ModuleKind::Ip, 3, 1),
+                    in_pipe: PipeId(42),
+                    out_pipe: PipeId(41),
+                    dst_class: None,
+                    gateway: Some(ResolvedName {
+                        name: "S1-gateway".into(),
+                        value: "192.168.0.1".into(),
+                    }),
+                    local_prefix: Some("10.0.1.0/24".into()),
                 }),
                 Primitive::CreateFilter(FilterSpec {
                     module: mref(ModuleKind::Control("IKE".into()), 4, 1),
                     from: mref(ModuleKind::Eth, 5, 1),
                     to: mref(ModuleKind::Eth, 6, 2),
-                    resolved: BTreeMap::new(),
+                    resolved: [("to-port".to_string(), "80".to_string())].into(),
                 }),
                 Primitive::Delete(ComponentRef::SwitchRule(
                     mref(ModuleKind::Mpls, 7, 1),

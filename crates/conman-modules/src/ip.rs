@@ -286,11 +286,7 @@ impl IpModule {
             let Some(attach) = ctx.pipe_attr(spec.out_pipe, "attach").cloned() else {
                 return false;
             };
-            let Some(prefix) = spec
-                .resolved
-                .get(class)
-                .and_then(|s| s.parse::<Ipv4Cidr>().ok())
-            else {
+            let Ok(prefix) = class.value.parse::<Ipv4Cidr>() else {
                 return false;
             };
             let table = table_for(spec.out_pipe, ROLE_CLASS);
@@ -320,7 +316,7 @@ impl IpModule {
             installed.tables.push(table);
             self.note_applied(
                 spec,
-                format!("[{} dst:{} => {}]", spec.in_pipe, class, spec.out_pipe),
+                format!("[{} dst:{} => {}]", spec.in_pipe, class.name, spec.out_pipe),
             );
             return true;
         }
@@ -331,11 +327,7 @@ impl IpModule {
             let Some(port) = Self::port_of(ctx, spec.out_pipe) else {
                 return false;
             };
-            let Some(gw) = spec
-                .resolved
-                .get(gateway)
-                .and_then(|s| s.parse::<Ipv4Addr>().ok())
-            else {
+            let Ok(gw) = gateway.value.parse::<Ipv4Addr>() else {
                 return false;
             };
             ctx.config.ip_forwarding = true;
@@ -375,8 +367,8 @@ impl IpModule {
             // customer gateway so reverse traffic (including MPLS-decapped
             // packets) is delivered.
             if let Some(prefix) = spec
-                .resolved
-                .get("gateway-prefix")
+                .local_prefix
+                .as_ref()
                 .and_then(|s| s.parse::<Ipv4Cidr>().ok())
             {
                 ctx.config.rib.add_main(Route {
@@ -390,7 +382,7 @@ impl IpModule {
             }
             self.note_applied(
                 spec,
-                format!("[{} => {}, {}]", spec.in_pipe, spec.out_pipe, gateway),
+                format!("[{} => {}, {}]", spec.in_pipe, spec.out_pipe, gateway.name),
             );
             return true;
         }

@@ -7,7 +7,6 @@ use conman_core::primitives::{PipeSpec, SwitchSpec};
 use netsim::config::DeviceConfig;
 use netsim::device::DeviceId;
 use netsim::stats::DeviceStats;
-use std::collections::BTreeMap;
 
 /// The device a module under test lives on.
 pub(crate) struct Rig {
@@ -62,7 +61,6 @@ pub(crate) fn pipe(id: u32, upper: &ModuleRef, lower: &ModuleRef) -> PipeSpec {
         peer_lower: None,
         tradeoffs: vec![],
         initiate: false,
-        resolved: BTreeMap::new(),
     }
 }
 
@@ -74,6 +72,6 @@ pub(crate) fn switch(module: &ModuleRef, in_pipe: u32, out_pipe: u32) -> SwitchS
         out_pipe: PipeId(out_pipe),
         dst_class: None,
         gateway: None,
-        resolved: BTreeMap::new(),
+        local_prefix: None,
     }
 }

@@ -573,7 +573,7 @@ impl<C: ManagementChannel> ManagedVlanChain<C> {
             .nm
             .find_eth_on_port(*self.switches.last().unwrap(), PortId(0))
             .expect("egress customer port ETH module");
-        let mut goal = ConnectivityGoal::vpn(from, to).resolve("vlan-name", "C1");
+        let mut goal = ConnectivityGoal::vpn(from, to);
         goal.l2_only = true;
         goal
     }

@@ -257,9 +257,6 @@ impl ProtocolModule for VlanModule {
         if spec.upper != self.me {
             return Ok(ModuleReaction::none());
         }
-        if let Some(name) = spec.resolved.get("vlan-name") {
-            self.vlan_name = name.clone();
-        }
         if spec.peer_upper.is_some() {
             self.pipes.insert(spec.pipe, PipeKind::Trunk);
             if spec.initiate {

@@ -687,7 +687,6 @@ fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
         peer_lower: None,
         tradeoffs: vec![],
         initiate: false,
-        resolved: Default::default(),
     };
     let bad = ScriptSet {
         scripts: vec![DeviceScript {

@@ -224,13 +224,15 @@ fn a_lying_element_count_is_rejected_not_allocated_for() {
     }
 }
 
-/// One valid binary frame per batch message, each checked to decode back to
-/// the message it was encoded from.
+/// One valid binary frame per batch message plus the `StageBatch` once more
+/// as JSON, each checked to decode back to the message it was encoded from.
+/// The staged segment holds a classified and a gateway rule, so every field
+/// that carries a resolved value crosses both codecs.
 fn valid_batch_frames() -> Vec<Vec<u8>> {
     use conman::core::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
     use conman::core::primitives::{
         ComponentRef, EnvelopeKind, ModuleEnvelope, PipeSpec, Primitive, PrimitiveResult,
-        ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec, TradeoffChoice,
+        ResolvedName, ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec, TradeoffChoice,
     };
     use conman::core::{WireCodec, WireMessage};
     use conman::netsim::device::DeviceId;
@@ -245,15 +247,28 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
             peer_lower: None,
             tradeoffs: vec![TradeoffChoice::InOrderDelivery, TradeoffChoice::LowDelay],
             initiate: true,
-            resolved: [("C1-S2".to_string(), "10.0.2.0/24".to_string())].into(),
         }),
         Primitive::CreateSwitch(SwitchSpec {
             module: mref(ModuleKind::Ip, 3, 1),
             in_pipe: PipeId(41),
             out_pipe: PipeId(42),
-            dst_class: Some("dst:C1-S2".into()),
+            dst_class: Some(ResolvedName {
+                name: "C1-S2".into(),
+                value: "10.0.2.0/24".into(),
+            }),
             gateway: None,
-            resolved: Default::default(),
+            local_prefix: None,
+        }),
+        Primitive::CreateSwitch(SwitchSpec {
+            module: mref(ModuleKind::Ip, 3, 1),
+            in_pipe: PipeId(42),
+            out_pipe: PipeId(41),
+            dst_class: None,
+            gateway: Some(ResolvedName {
+                name: "S1-gateway".into(),
+                value: "192.168.0.1".into(),
+            }),
+            local_prefix: Some("10.0.1.0/24".into()),
         }),
         Primitive::Delete(ComponentRef::Pipe(PipeId(7))),
     ];
@@ -277,9 +292,12 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
         ],
     };
     let stage_frame = conman::core::wire::encode_stage_batch(7, &[(1, &primitives), (2, &[])]);
-    assert_eq!(WireMessage::decode(&stage_frame), Some(stage));
+    let stage_json = stage.encode();
+    for frame in [&stage_frame, &stage_json] {
+        assert_eq!(WireMessage::decode(frame).as_ref(), Some(&stage));
+    }
 
-    let mut frames = vec![stage_frame];
+    let mut frames = vec![stage_frame, stage_json];
     for msg in [
         WireMessage::StageBatchResult {
             txn: 7,
@@ -341,11 +359,12 @@ proptest! {
         decode_every_way(&bytes);
     }
 
-    /// Valid frames of all six batch messages, damaged the way a hostile
-    /// channel would: one to three bytes overwritten, then maybe cut short.
+    /// Valid frames of all six batch messages (the `StageBatch` in both
+    /// codecs), damaged the way a hostile channel would: one to three bytes
+    /// overwritten, then maybe cut short.
     #[test]
     fn damaged_batch_frames_decode_without_panicking(
-        which in 0usize..6,
+        which in 0usize..7,
         edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
         cut in proptest::option::of(any::<usize>()),
     ) {

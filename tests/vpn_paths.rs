@@ -126,3 +126,130 @@ fn figure4_scripts_render_one_line_per_primitive() {
     let paths = v.mn.nm.find_paths(&goal);
     check(&v.mn.nm, &v.mn.nm.generate_scripts(&paths[0], &goal));
 }
+
+/// A spec carries what its module reads.  On the Figure 4 chain and the
+/// 10-router fan-out chain, over the IP-IP, GRE-IP and MPLS paths, exactly
+/// the four edge-IP rules (a classified and a gateway rule on each edge
+/// router) carry a resolved value, each the goal's own; a pipe names modules
+/// only, and no core router's encoded segment — binary or JSON — contains a
+/// customer prefix, a gateway address or one of their names.  A VLAN goal's
+/// script carries no value anywhere.
+#[test]
+fn only_the_four_edge_ip_rules_carry_a_resolved_value() {
+    use conman::core::nm::{ConnectivityGoal, ScriptSet};
+    use conman::core::primitives::{Primitive, ResolvedName, SwitchSpec};
+    use conman::core::wire::encode_stage_batch;
+    use conman::core::WireMessage;
+    use conman_modules::{managed_fanout_chain, managed_vlan_chain};
+
+    fn valued_rules(scripts: &ScriptSet, at: usize) -> Vec<&SwitchSpec> {
+        scripts.scripts[at]
+            .primitives
+            .iter()
+            .filter_map(|p| match p {
+                Primitive::CreateSwitch(s)
+                    if s.dst_class.is_some() || s.gateway.is_some() || s.local_prefix.is_some() =>
+                {
+                    Some(s)
+                }
+                _ => None,
+            })
+            .collect()
+    }
+    let named = |goal: &ConnectivityGoal, name: &String| {
+        Some(ResolvedName {
+            name: name.clone(),
+            value: goal.resolved[name].clone(),
+        })
+    };
+    let check_l3 = |scripts: &ScriptSet, goal: &ConnectivityGoal| {
+        let last = scripts.scripts.len() - 1;
+        for (at, dst, gateway, local) in [
+            (0, &goal.dst_class, &goal.src_gateway, &goal.src_class),
+            (last, &goal.src_class, &goal.dst_gateway, &goal.dst_class),
+        ] {
+            let rules = valued_rules(scripts, at);
+            assert_eq!(rules.len(), 2, "a classified and a gateway rule per edge");
+            assert_eq!(rules[0].dst_class, named(goal, dst));
+            assert_eq!((&rules[0].gateway, &rules[0].local_prefix), (&None, &None));
+            assert_eq!(rules[1].dst_class, None);
+            assert_eq!(rules[1].gateway, named(goal, gateway));
+            assert_eq!(rules[1].local_prefix.as_ref(), goal.resolved.get(local));
+        }
+        // Everything the goal names or resolves, as it would sit in a frame.
+        let customer: Vec<&String> = goal.resolved.iter().flat_map(|(k, v)| [k, v]).collect();
+        for (at, ds) in scripts.scripts.iter().enumerate().take(last).skip(1) {
+            assert!(valued_rules(scripts, at).is_empty());
+            let json = WireMessage::Script {
+                request: 1,
+                primitives: ds.primitives.clone(),
+            }
+            .encode();
+            for frame in [encode_stage_batch(1, &[(1, &ds.primitives)]), json] {
+                let frame = String::from_utf8_lossy(&frame);
+                for s in &customer {
+                    assert!(!frame.contains(*s), "core segment {at} carries {s}");
+                }
+            }
+        }
+    };
+
+    let mut figure4 = managed_chain(3);
+    figure4.discover();
+    let mut chain10 = managed_fanout_chain(10, 1);
+    chain10.discover();
+    for (t, goal) in [
+        (&figure4, figure4.vpn_goal()),
+        (&chain10, chain10.fanout_goal(0)),
+    ] {
+        let paths = t.mn.nm.find_paths(&goal);
+        for label in ["IP-IP", "GRE-IP", "MPLS"] {
+            let path = paths
+                .iter()
+                .find(|p| p.technology_label() == label)
+                .unwrap_or_else(|| panic!("path {label} exists"));
+            let scripts = t.mn.nm.generate_scripts(path, &goal);
+            assert_eq!(scripts.scripts.len(), t.core.len());
+            check_l3(&scripts, &goal);
+        }
+    }
+
+    for n in [3, 10] {
+        let mut v = managed_vlan_chain(n);
+        v.discover();
+        let goal = v.vlan_goal();
+        let scripts =
+            v.mn.nm
+                .generate_scripts(&v.mn.nm.find_paths(&goal)[0], &goal);
+        assert!(scripts.primitive_count() > 0);
+        for at in 0..scripts.scripts.len() {
+            assert!(valued_rules(&scripts, at).is_empty());
+        }
+    }
+}
+
+/// The size the typed specs buy, pinned: the 10-router IP-IP goal is 54
+/// primitives and stages, one binary `StageBatch` per device, in under
+/// 3 000 B (8 466 B while every primitive carried the goal's name map).
+#[test]
+fn ten_router_ipip_goal_stages_in_under_3000_bytes() {
+    use conman::core::wire::encode_stage_batch;
+    use conman_modules::managed_fanout_chain;
+
+    let mut t = managed_fanout_chain(10, 1);
+    t.discover();
+    let goal = t.fanout_goal(0);
+    let paths = t.mn.nm.find_paths(&goal);
+    let ipip = paths
+        .iter()
+        .find(|p| p.technology_label() == "IP-IP")
+        .expect("an IP-IP path");
+    let scripts = t.mn.nm.generate_scripts(ipip, &goal);
+    assert_eq!(scripts.primitive_count(), 54);
+    let staged: usize = scripts
+        .scripts
+        .iter()
+        .map(|ds| encode_stage_batch(1, &[(1, &ds.primitives)]).len())
+        .sum();
+    assert!(staged <= 3_000, "{staged} B staged for one goal");
+}
