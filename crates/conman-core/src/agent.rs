@@ -16,8 +16,8 @@
 use crate::ids::{ModuleId, ModuleRef};
 use crate::module::{Blackboard, ModuleCtx, ModuleReaction, ProtocolModule};
 use crate::primitives::{
-    Announcement, ComponentRef, ModuleActual, ModuleEnvelope, Notification, Primitive,
-    PrimitiveResult, SegmentCommit, SegmentVerdict, WireMessage,
+    Announcement, ComponentRef, ModuleEnvelope, Notification, Primitive, PrimitiveResult,
+    SegmentCommit, SegmentVerdict, WireMessage,
 };
 use crate::wire::MalformedSegment;
 use netsim::device::{Device, DeviceId, PortId};
@@ -366,8 +366,7 @@ impl ManagementAgent {
                 let mut map = BTreeMap::new();
                 for m in self.modules.values() {
                     let ctx = Self::ctx(&mut self.blackboard, self.device, device);
-                    let actual: ModuleActual = m.actual(&ctx);
-                    map.insert(m.reference().to_string(), actual);
+                    map.insert(m.reference(), m.actual(&ctx));
                 }
                 Ok(PrimitiveResult::Actual(map))
             }
@@ -477,7 +476,7 @@ mod tests {
     use super::*;
     use crate::abstraction::ModuleAbstraction;
     use crate::ids::{ModuleKind, PipeId};
-    use crate::primitives::PipeSpec;
+    use crate::primitives::{ModuleActual, PipeSpec};
     use netsim::device::DeviceRole;
 
     /// A module that records pipe creations and publishes a value the test

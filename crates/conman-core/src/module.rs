@@ -217,6 +217,12 @@ pub trait ProtocolModule: Send {
     fn descriptor(&self) -> ModuleAbstraction;
 
     /// The module's actual configured state (the `showActual` answer).
+    ///
+    /// Lists exactly the components whose [`Self::delete`] would change this
+    /// module's state, answered from the keyed tables `delete` removes from:
+    /// a component is listed from the moment it is applied until it is
+    /// deleted.  Pending rules (accepted, not yet applied) are not listed —
+    /// refusing or surfacing those is ROADMAP item 3's.
     fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
         ModuleActual::default()
     }

@@ -19,7 +19,7 @@ use crate::primitives::{
 };
 use netsim::device::DeviceId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The CONMan primitives for one device — what it executes.  The paper-style
 /// text is a view of them ([`DeviceScript::render`]), not a second copy.
@@ -139,22 +139,26 @@ impl ScriptSet {
 
     /// The delete primitives undoing one device's script.
     pub(crate) fn teardown_of(ds: &DeviceScript) -> Vec<Primitive> {
-        let mut deletes = Vec::new();
-        for p in ds.primitives.iter().rev() {
-            match p {
-                Primitive::CreateSwitch(spec) => deletes.push(Primitive::Delete(
-                    ComponentRef::SwitchRule(spec.module.clone(), spec.in_pipe, spec.out_pipe),
-                )),
-                Primitive::CreatePipe(spec) => {
-                    deletes.push(Primitive::Delete(ComponentRef::Pipe(spec.pipe)));
-                }
-                Primitive::CreateFilter(spec) => deletes.push(Primitive::Delete(
-                    ComponentRef::Filter(spec.module.clone(), spec.from.clone(), spec.to.clone()),
-                )),
-                _ => {}
-            }
-        }
-        deletes
+        Self::created(ds).rev().map(Primitive::Delete).collect()
+    }
+
+    /// The components one device's script creates, in script order.
+    pub(crate) fn created(ds: &DeviceScript) -> impl DoubleEndedIterator<Item = ComponentRef> + '_ {
+        ds.primitives
+            .iter()
+            .filter(|p| !matches!(p, Primitive::Delete(_)))
+            .filter_map(Primitive::component)
+    }
+
+    /// Every component this set creates, with the device it is created on:
+    /// what a goal whose applied plan carries these scripts claims of the
+    /// network, in the names [`ModuleActual`](crate::primitives::ModuleActual)
+    /// lists and `delete` takes.
+    pub fn components(&self) -> BTreeSet<(DeviceId, ComponentRef)> {
+        self.scripts
+            .iter()
+            .flat_map(|ds| Self::created(ds).map(|c| (ds.device, c)))
+            .collect()
     }
 }
 
@@ -629,5 +633,20 @@ mod tests {
             .render(&nm)
             .iter()
             .all(|l| l.starts_with("delete (")));
+
+        // One name per component: what the set claims is what its teardown
+        // deletes — the pipe, the switch rule and the filter, each once; the
+        // reads and the script's own deletes claim nothing.
+        let deleted: BTreeSet<_> = teardown
+            .primitives
+            .iter()
+            .filter_map(Primitive::component)
+            .map(|c| (teardown.device, c))
+            .collect();
+        let set = ScriptSet {
+            scripts: vec![script],
+        };
+        assert_eq!(set.components(), deleted);
+        assert_eq!(deleted.len(), 3);
     }
 }

@@ -99,8 +99,9 @@ pub struct FilterSpec {
     pub resolved: BTreeMap<String, String>,
 }
 
-/// A component reference for `delete ()`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The one name of a component: what `create` makes, `delete ()` takes and
+/// `showActual` lists.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ComponentRef {
     /// A pipe by id.
     Pipe(PipeId),
@@ -125,6 +126,29 @@ pub enum Primitive {
     CreateFilter(FilterSpec),
     /// `delete (...)`.
     Delete(ComponentRef),
+}
+
+impl Primitive {
+    /// The component a `create` makes or a `delete` removes; `None` for the
+    /// two reads.  Teardown mirrors, a plan's claims and the verifier's keys
+    /// all spell a component through here.
+    pub fn component(&self) -> Option<ComponentRef> {
+        match self {
+            Primitive::ShowPotential | Primitive::ShowActual => None,
+            Primitive::CreatePipe(spec) => Some(ComponentRef::Pipe(spec.pipe)),
+            Primitive::CreateSwitch(spec) => Some(ComponentRef::SwitchRule(
+                spec.module.clone(),
+                spec.in_pipe,
+                spec.out_pipe,
+            )),
+            Primitive::CreateFilter(spec) => Some(ComponentRef::Filter(
+                spec.module.clone(),
+                spec.from.clone(),
+                spec.to.clone(),
+            )),
+            Primitive::Delete(component) => Some(component.clone()),
+        }
+    }
 }
 
 /// The kind of module-to-module message being relayed through the NM.
@@ -164,17 +188,18 @@ pub struct Notification {
     pub body: serde_json::Value,
 }
 
-/// The actual (configured) state of a module, returned by `showActual`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+/// The actual (configured) state of a module, returned by `showActual`: the
+/// three kinds of component `delete` accepts, by the ids `delete` takes
+/// (with the answering module they spell a [`ComponentRef`]).  There is no
+/// field a label, a key, a VLAN id or an address could travel in.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct ModuleActual {
-    /// Pipes currently configured on the module.
+    /// Pipes the module is an end of.
     pub pipes: Vec<PipeId>,
-    /// Switch rules as human-readable strings.
-    pub switch_rules: Vec<String>,
-    /// Filter rules as human-readable strings.
-    pub filters: Vec<String>,
-    /// Performance report (protocol-independent counters).
-    pub perf_report: BTreeMap<String, u64>,
+    /// Applied switch rules as `(in pipe, out pipe)`.
+    pub switch_rules: Vec<(PipeId, PipeId)>,
+    /// Installed filters as `(from, to)`.
+    pub filters: Vec<(ModuleRef, ModuleRef)>,
 }
 
 /// Result of executing one primitive.
@@ -183,7 +208,7 @@ pub enum PrimitiveResult {
     /// showPotential: the device's modules and their abstractions.
     Potential(Vec<ModuleAbstraction>),
     /// showActual: per-module actual state.
-    Actual(BTreeMap<String, ModuleActual>),
+    Actual(BTreeMap<ModuleRef, ModuleActual>),
     /// A pipe was created.
     PipeCreated(PipeId),
     /// The primitive completed (possibly with deferred low-level work still

@@ -15,10 +15,11 @@ pub mod verify;
 
 use crate::abstraction::CounterSnapshot;
 use crate::agent::ManagementAgent;
+use crate::ids::ModuleRef;
 use crate::nm::{ConnectivityGoal, GoalStore, ModulePath, NetworkManager, ScriptSet};
 use crate::primitives::{
-    EnvelopeKind, ModuleEnvelope, Primitive, PrimitiveResult, ScriptSegment, SegmentCommit,
-    SegmentVerdict, WireMessage,
+    EnvelopeKind, ModuleActual, ModuleEnvelope, Primitive, PrimitiveResult, ScriptSegment,
+    SegmentCommit, SegmentVerdict, WireMessage,
 };
 use crate::wire::{self, WireCodec};
 use conman_obs::Recorder;
@@ -257,12 +258,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         );
     }
 
-    /// The NM invokes `showActual` at one device and returns the per-module
-    /// state (used for debugging / Fig. reproduction).
-    pub fn show_actual(
-        &mut self,
-        device: DeviceId,
-    ) -> Option<BTreeMap<String, crate::primitives::ModuleActual>> {
+    /// The NM invokes `showActual` at one device and returns what each of its
+    /// modules lists: the components the device really holds, by the names
+    /// `delete` takes (`None`: the device did not answer).  Nothing in the
+    /// runtime calls it; the tests' residue checks do.
+    pub fn show_actual(&mut self, device: DeviceId) -> Option<BTreeMap<ModuleRef, ModuleActual>> {
         self.run_scripts([(device, vec![Primitive::ShowActual])])
             .into_iter()
             .filter(|(d, _)| *d == device)
@@ -500,7 +500,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
 mod tests {
     use super::*;
     use crate::abstraction::ModuleAbstraction;
-    use crate::ids::{ModuleId, ModuleKind, ModuleRef};
+    use crate::ids::{ModuleId, ModuleKind};
     use crate::module::{ModuleCtx, ModuleReaction, ProtocolModule};
     use crate::primitives::PipeSpec;
     use mgmt_channel::OutOfBandChannel;

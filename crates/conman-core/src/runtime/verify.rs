@@ -16,31 +16,16 @@ use conman_analyze::{BatchModel, DeviceOps, GoalModel, Violation};
 use mgmt_channel::ManagementChannel;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Stable key for a created component — the same key its mirroring delete
-/// must produce.
-fn create_key(p: &Primitive) -> Option<String> {
-    match p {
-        Primitive::CreatePipe(s) => Some(format!("pipe:{}", s.pipe)),
-        Primitive::CreateSwitch(s) => {
-            Some(format!("switch:{}:{}:{}", s.module, s.in_pipe, s.out_pipe))
-        }
-        Primitive::CreateFilter(s) => Some(format!("filter:{}:{}:{}", s.module, s.from, s.to)),
-        _ => None,
-    }
-}
-
-/// Stable key for a delete primitive's target.
-fn delete_key(p: &Primitive) -> Option<String> {
-    let Primitive::Delete(target) = p else {
-        return None;
-    };
-    Some(match target {
+/// The analyzer's key for a component: a create and its mirroring delete
+/// name the same [`ComponentRef`], so they produce the same key.
+fn key(component: ComponentRef) -> String {
+    match component {
         ComponentRef::Pipe(pipe) => format!("pipe:{pipe}"),
         ComponentRef::SwitchRule(module, in_pipe, out_pipe) => {
             format!("switch:{module}:{in_pipe}:{out_pipe}")
         }
         ComponentRef::Filter(module, from, to) => format!("filter:{module}:{from}:{to}"),
-    })
+    }
 }
 
 /// Per-device create/delete footprints of one script set, in configure
@@ -55,13 +40,14 @@ fn script_ops(scripts: &ScriptSet) -> (Vec<DeviceOps>, Vec<u64>) {
         .enumerate()
         .map(|(i, ds)| DeviceOps {
             device: ds.device.as_u64(),
-            creates: ds.primitives.iter().filter_map(create_key).collect(),
+            creates: ScriptSet::created(ds).map(key).collect(),
             // `teardown` lists devices in reverse script order, so device
             // `i`'s deletes sit at the mirrored index.
             deletes: teardown[n - 1 - i]
                 .1
                 .iter()
-                .filter_map(delete_key)
+                .filter_map(Primitive::component)
+                .map(key)
                 .collect(),
         })
         .collect();

@@ -692,7 +692,7 @@ fn read_commit_result(r: &mut Reader<'_>) -> Option<Result<PrimitiveResult, Stri
                 PrimitiveResult::Potential(mods)
             }
             3 => {
-                let map: BTreeMap<String, ModuleActual> =
+                let map: BTreeMap<ModuleRef, ModuleActual> =
                     serde_json::from_slice(r.bytes()?).ok()?;
                 PrimitiveResult::Actual(map)
             }
@@ -763,6 +763,16 @@ mod tests {
         }
     }
 
+    /// A `showActual` answer with one of each kind of component.
+    fn rich_actual() -> PrimitiveResult {
+        let actual = ModuleActual {
+            pipes: vec![PipeId(41)],
+            switch_rules: vec![(PipeId(41), PipeId(42))],
+            filters: vec![(mref(ModuleKind::Eth, 5, 1), mref(ModuleKind::Eth, 6, 2))],
+        };
+        PrimitiveResult::Actual([(mref(ModuleKind::Ip, 3, 1), actual)].into())
+    }
+
     #[test]
     fn binary_roundtrip_every_batch_message() {
         let env = ModuleEnvelope {
@@ -806,6 +816,7 @@ mod tests {
                     results: vec![
                         Ok(PrimitiveResult::PipeCreated(PipeId(41))),
                         Ok(PrimitiveResult::Done),
+                        Ok(rich_actual()),
                         Err("boom".into()),
                     ],
                 }],
@@ -836,9 +847,15 @@ mod tests {
             request: 3,
             tags: vec![7],
         };
-        let bytes = msg.encode_with(WireCodec::Binary);
-        assert!(!mgmt_channel::codec::is_binary(&bytes));
-        assert_eq!(WireMessage::decode(&bytes).unwrap(), msg);
+        let answer = WireMessage::ScriptResult {
+            request: 3,
+            results: vec![Ok(rich_actual())],
+        };
+        for msg in [msg, answer] {
+            let bytes = msg.encode_with(WireCodec::Binary);
+            assert!(!mgmt_channel::codec::is_binary(&bytes));
+            assert_eq!(WireMessage::decode(&bytes).unwrap(), msg);
+        }
     }
 
     #[test]

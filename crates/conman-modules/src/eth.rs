@@ -120,12 +120,8 @@ impl ProtocolModule for EthModule {
     fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
         ModuleActual {
             pipes: self.pipes.keys().copied().collect(),
-            switch_rules: self
-                .switch_rules
-                .values()
-                .map(|(in_pipe, out_pipe)| format!("{in_pipe} => {out_pipe}"))
-                .collect(),
-            ..Default::default()
+            switch_rules: self.switch_rules.values().copied().collect(),
+            filters: Vec::new(),
         }
     }
 
@@ -271,7 +267,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             m.actual(&rig.ctx()).switch_rules,
-            ["P1 => P12", "P3 => P4"],
+            [(PipeId(1), PipeId(12)), (PipeId(3), PipeId(4))],
             "P12 is not P2"
         );
         m.delete(
@@ -285,19 +281,18 @@ mod tests {
     }
 
     proptest! {
-        /// The keyed tables list exactly what the rendered-string `Vec`s
-        /// they replaced would, rules in the same order.
+        /// The keyed tables list exactly what a plain `Vec` of pairs would,
+        /// rules in creation order.
         #[test]
-        fn show_actual_matches_the_rendered_string_model(
+        fn show_actual_matches_a_model_of_pairs(
             ops in proptest::collection::vec((0u8..5, 0u32..4, 0u32..4), 0..48),
         ) {
             let me = module(ModuleKind::Eth, 1, 1);
             let mut m = EthModule::new(me.clone(), PortId(0), vec![ModuleKind::Ip]);
             let mut rig = Rig::new();
             let mut pipes: Vec<PipeId> = Vec::new();
-            let mut rules: Vec<String> = Vec::new();
+            let mut rules: Vec<(PipeId, PipeId)> = Vec::new();
             for (op, a, b) in ops {
-                // Pipe ids 1, 11, 21, 31: one is a textual suffix of another.
                 let (a, b) = (PipeId(1 + 10 * a), PipeId(1 + 10 * b));
                 match op {
                     0 => {
@@ -307,19 +302,17 @@ mod tests {
                     }
                     1 | 2 => {
                         m.create_switch(&mut rig.ctx(), &switch(&me, a.0, b.0)).unwrap();
-                        rules.push(format!("{a} => {b}"));
+                        rules.push((a, b));
                     }
                     3 => {
                         m.delete(&mut rig.ctx(), &ComponentRef::Pipe(a)).unwrap();
                         pipes.retain(|p| *p != a);
-                        let label = format!("{a} ");
-                        rules.retain(|r| !r.starts_with(&label) && !r.ends_with(&a.to_string()));
+                        rules.retain(|(i, o)| *i != a && *o != a);
                     }
                     _ => {
                         m.delete(&mut rig.ctx(), &ComponentRef::SwitchRule(me.clone(), a, b))
                             .unwrap();
-                        let rendered = format!("{a} => {b}");
-                        rules.retain(|r| *r != rendered);
+                        rules.retain(|r| *r != (a, b));
                     }
                 }
                 let actual = m.actual(&rig.ctx());

@@ -1,9 +1,10 @@
 //! The GRE protocol module (§III-B, Table III).
 //!
 //! The module keeps every GRE-specific detail — key values, sequence
-//! numbers, checksums, the tunnel endpoints — away from the NM.  The NM only
-//! ever says "create a pipe with in-order delivery and low error-rate"; the
-//! GRE module negotiates keys and options with its peer GRE module through
+//! numbers, checksums, the tunnel endpoints — away from the NM (`showActual`
+//! lists the module's pipes and nothing else).  The NM only ever says
+//! "create a pipe with in-order delivery and low error-rate"; the GRE module
+//! negotiates keys and options with its peer GRE module through
 //! `conveyMessage` and eventually writes the tunnel into the device
 //! configuration (the equivalent of the `ip tunnel add ... ikey 1001 okey
 //! 2001 icsum ocsum iseq oseq` line of Figure 7(a)).
@@ -186,31 +187,12 @@ impl ProtocolModule for GreModule {
         a
     }
 
-    fn actual(&self, ctx: &ModuleCtx) -> ModuleActual {
-        let mut perf = BTreeMap::new();
-        let mut switch_rules = Vec::new();
-        let mut configured = 0u64;
-        for slot in self.slots.values() {
-            if let Some(id) = slot.configured_tunnel {
-                if let Some(t) = ctx.config.tunnel(id) {
-                    configured += 1;
-                    perf.insert(format!("okey:{id}"), t.okey.unwrap_or(0) as u64);
-                }
-                switch_rules.push(format!("{:?} <=> {:?}", slot.up_pipe, slot.down_pipe));
-            }
-        }
-        if configured > 0 {
-            perf.insert("tunnels-configured".to_string(), configured);
-        }
+    fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
+        // No rule is listed: `delete (switch)` changes nothing here, a
+        // slot's tunnel goes with either of its pipes.
         ModuleActual {
-            pipes: self
-                .slots
-                .values()
-                .flat_map(|s| s.up_pipe.iter().chain(s.down_pipe.iter()).copied())
-                .collect(),
-            switch_rules,
-            filters: Vec::new(),
-            perf_report: perf,
+            pipes: self.slot_of_pipe.keys().copied().collect(),
+            ..Default::default()
         }
     }
 

@@ -78,9 +78,6 @@ struct InstalledSwitch {
     tables: Vec<RouteTableId>,
     main_routes: Vec<Ipv4Cidr>,
     tunnels: Vec<u32>,
-    /// The rule as `showActual` renders it, with the module-wide sequence
-    /// number of its application (`showActual` lists rules in that order).
-    rendered: Vec<(u64, String)>,
 }
 
 /// The IPv4 protocol module.
@@ -109,15 +106,16 @@ pub(crate) struct IpModule {
     /// visits these and nothing else.
     pending_queries: BTreeSet<PipeId>,
     pending_switches: Vec<SwitchSpec>,
+    /// Applied switch rules keyed `(in, out)`: what `showActual` lists and
+    /// `delete` removes.
     installed: BTreeMap<(PipeId, PipeId), InstalledSwitch>,
     /// How many installed switch rules registered each main-table route.
     /// Concurrent goals tunnelling between the same endpoints share one /32
     /// host route; it leaves the table with its last user.
     main_route_users: HashMap<Ipv4Cidr, usize>,
-    /// Switch rules applied so far, the sequence number of the next one.
-    applied_count: u64,
-    filters_installed: Vec<String>,
-    next_filter_id: u32,
+    /// Installed filters keyed `(from, to)`, each with the id of its
+    /// [`FilterRule`]: what `showActual` lists and `delete` removes.
+    filters: BTreeMap<(ModuleRef, ModuleRef), u32>,
 }
 
 impl IpModule {
@@ -135,9 +133,7 @@ impl IpModule {
             pending_switches: Vec::new(),
             installed: BTreeMap::new(),
             main_route_users: HashMap::new(),
-            applied_count: 0,
-            filters_installed: Vec::new(),
-            next_filter_id: 1,
+            filters: BTreeMap::new(),
         }
     }
 
@@ -258,17 +254,6 @@ impl IpModule {
         }
     }
 
-    /// Record that the switch rule `(in, out)` is applied, as `showActual`
-    /// renders it.
-    fn note_applied(&mut self, spec: &SwitchSpec, rendered: String) {
-        let installed = self
-            .installed
-            .entry((spec.in_pipe, spec.out_pipe))
-            .or_default();
-        installed.rendered.push((self.applied_count, rendered));
-        self.applied_count += 1;
-    }
-
     /// Register `dest` as a main-table route of the switch rule `(in, out)`.
     fn note_main_route(&mut self, spec: &SwitchSpec, dest: Ipv4Cidr) {
         self.installed
@@ -314,10 +299,6 @@ impl IpModule {
                 .or_default();
             installed.rules.push((priority, table));
             installed.tables.push(table);
-            self.note_applied(
-                spec,
-                format!("[{} dst:{} => {}]", spec.in_pipe, class.name, spec.out_pipe),
-            );
             return true;
         }
 
@@ -331,6 +312,11 @@ impl IpModule {
                 return false;
             };
             ctx.config.ip_forwarding = true;
+            // The rule is applied from here on, and listed and deletable
+            // even when it installs nothing below.
+            self.installed
+                .entry((spec.in_pipe, spec.out_pipe))
+                .or_default();
             // Traffic decapsulated from a tunnel attachment gets a dedicated
             // policy rule (mirroring `ip rule add iif greA` in Figure 7(a)).
             if let Some(attach) = ctx.pipe_attr(spec.in_pipe, "attach") {
@@ -380,10 +366,6 @@ impl IpModule {
                 });
                 self.note_main_route(spec, prefix);
             }
-            self.note_applied(
-                spec,
-                format!("[{} => {}, {}]", spec.in_pipe, spec.out_pipe, gateway.name),
-            );
             return true;
         }
 
@@ -443,7 +425,6 @@ impl IpModule {
                         .tunnels
                         .push(id);
                 }
-                self.note_applied(spec, format!("[{} <=> {}]", spec.in_pipe, spec.out_pipe));
                 true
             }
             // Transit switch between two attachments (the core router's IP
@@ -489,7 +470,6 @@ impl IpModule {
                     installed.rules.push((priority, table));
                     installed.tables.push(table);
                 }
-                self.note_applied(spec, format!("[{} <=> {}]", spec.in_pipe, spec.out_pipe));
                 true
             }
         }
@@ -581,23 +561,11 @@ impl ProtocolModule for IpModule {
         a
     }
 
-    fn actual(&self, ctx: &ModuleCtx) -> ModuleActual {
-        let mut perf = BTreeMap::new();
-        perf.insert(
-            "routes".to_string(),
-            ctx.config
-                .rib
-                .tables()
-                .map(|(_, t)| t.len() as u64)
-                .sum::<u64>(),
-        );
+    fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
         ModuleActual {
             pipes: self.pipes.keys().copied().collect(),
-            switch_rules: crate::in_applied_order(
-                self.installed.values().flat_map(|switch| &switch.rendered),
-            ),
-            filters: self.filters_installed.clone(),
-            perf_report: perf,
+            switch_rules: self.installed.keys().copied().collect(),
+            filters: self.filters.keys().cloned().collect(),
         }
     }
 
@@ -664,6 +632,11 @@ impl ProtocolModule for IpModule {
                 }
                 self.pending_switches
                     .retain(|s| s.in_pipe != *pipe && s.out_pipe != *pipe);
+            }
+            ComponentRef::Filter(module, from, to) if *module == self.me => {
+                if let Some(id) = self.filters.remove(&(from.clone(), to.clone())) {
+                    ctx.config.filters.retain(|rule| rule.id != id);
+                }
             }
             _ => {}
         }
@@ -750,8 +723,15 @@ impl ProtocolModule for IpModule {
                 body: serde_json::json!({"query": "fields-for-filter"}),
             }));
         }
-        let id = self.next_filter_id;
-        self.next_filter_id += 1;
+        // Re-creating a known filter replaces it.
+        let key = (spec.from.clone(), spec.to.clone());
+        if let Some(old) = self.filters.remove(&key) {
+            ctx.config.filters.retain(|rule| rule.id != old);
+        }
+        // One past the highest id on the device: another IP module's rules
+        // share the table, and `delete` removes by id.
+        let id = 1 + ctx.config.filters.iter().map(|r| r.id).max().unwrap_or(0);
+        self.filters.insert(key, id);
         ctx.config.filters.push(FilterRule {
             id,
             action: FilterAction::Drop,
@@ -760,8 +740,6 @@ impl ProtocolModule for IpModule {
             proto: None,
             dst_port,
         });
-        self.filters_installed
-            .push(format!("drop {} -> {}", spec.from, spec.to));
         Ok(ModuleReaction::none())
     }
 
@@ -863,7 +841,8 @@ impl ProtocolModule for IpModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::{module, pipe, Rig};
+    use crate::rig::{module, pipe, switch, Rig};
+    use conman_core::primitives::ResolvedName;
     use proptest::prelude::*;
 
     fn me() -> ModuleRef {
@@ -975,6 +954,73 @@ mod tests {
             .unwrap();
         rig.publish_port(4, 0);
         assert!(m.poll(&mut rig.ctx()).is_empty());
+    }
+
+    fn drop_towards(module: ModuleRef, from: &ModuleRef, to: &ModuleRef) -> FilterSpec {
+        FilterSpec {
+            module,
+            from: from.clone(),
+            to: to.clone(),
+            resolved: [("to-address".to_string(), "10.0.2.0/24".to_string())].into(),
+        }
+    }
+
+    /// Regression: `delete (filter)` fell through `_ => {}` — the rule kept
+    /// dropping traffic and `showActual` kept listing it — though every
+    /// teardown mirrors a `create (filter)` with exactly that delete.
+    #[test]
+    fn deleting_a_filter_removes_its_rule_and_its_show_actual_entry() {
+        let mut rig = Rig::new();
+        let baseline = rig.config_json();
+        let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+        let (from, to) = (module(ModuleKind::Ip, 1, 2), module(ModuleKind::Ip, 1, 3));
+        let spec = drop_towards(me(), &from, &to);
+        let filter = ComponentRef::Filter(me(), from.clone(), to.clone());
+        m.create_filter(&mut rig.ctx(), &spec).unwrap();
+        m.create_filter(&mut rig.ctx(), &spec).unwrap();
+        assert_eq!(rig.config.filters.len(), 1, "re-creating replaces");
+        assert_eq!(m.actual(&rig.ctx()).filters, [(from.clone(), to.clone())]);
+        m.delete(&mut rig.ctx(), &filter).unwrap();
+        assert!(m.actual(&rig.ctx()).filters.is_empty());
+        assert_eq!(rig.config_json(), baseline);
+
+        // The device's other IP module shares the filter table: a delete
+        // takes this module's rule and leaves theirs.
+        let vrf = module(ModuleKind::Ip, 5, 1);
+        let mut other = IpModule::new(vrf.clone(), "customer", "10.0.1.1".parse().unwrap());
+        m.create_filter(&mut rig.ctx(), &spec).unwrap();
+        other
+            .create_filter(&mut rig.ctx(), &drop_towards(vrf, &from, &to))
+            .unwrap();
+        let theirs = rig.config.filters[1].clone();
+        m.delete(&mut rig.ctx(), &filter).unwrap();
+        m.delete(&mut rig.ctx(), &filter).unwrap();
+        assert_eq!(rig.config.filters, [theirs]);
+    }
+
+    /// A gateway rule with neither a tunnel behind it nor a local prefix
+    /// installs nothing but is applied all the same.
+    #[test]
+    fn a_rule_that_installs_nothing_is_still_listed_and_deletable() {
+        let mut rig = Rig::new();
+        let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+        let mut rule = switch(&me(), 1, 2);
+        rule.gateway = Some(ResolvedName {
+            name: "S1-gateway".into(),
+            value: "192.168.0.1".into(),
+        });
+        m.create_switch(&mut rig.ctx(), &rule).unwrap();
+        assert!(m.actual(&rig.ctx()).switch_rules.is_empty(), "pending");
+        rig.publish_port(2, 0);
+        m.poll(&mut rig.ctx());
+        assert_eq!(m.actual(&rig.ctx()).switch_rules, [(PipeId(1), PipeId(2))]);
+        m.delete(
+            &mut rig.ctx(),
+            &ComponentRef::SwitchRule(me(), PipeId(1), PipeId(2)),
+        )
+        .unwrap();
+        assert!(m.actual(&rig.ctx()).switch_rules.is_empty());
+        assert!(m.installed.is_empty() && m.pending_switches.is_empty());
     }
 
     proptest! {

@@ -39,12 +39,3 @@ pub use testbed::{
     managed_fanout_chain_with, managed_figure2, managed_mesh_fanout, managed_ring_fanout,
     managed_vlan_chain, ManagedChain, ManagedFigure2, ManagedMesh, ManagedVlanChain,
 };
-
-/// The `showActual` listing of a module that keeps each applied switch
-/// rule's rendering, tagged with its application number, beside the state
-/// the rule installed: the renderings in application order.
-fn in_applied_order<'a>(rendered: impl Iterator<Item = &'a (u64, String)>) -> Vec<String> {
-    let mut rules: Vec<_> = rendered.collect();
-    rules.sort_unstable_by_key(|(applied, _)| *applied);
-    rules.into_iter().map(|(_, rule)| rule.clone()).collect()
-}

@@ -1,9 +1,10 @@
 //! The MPLS protocol module.
 //!
 //! Labels are allocated and distributed between adjacent MPLS modules via
-//! `conveyMessage`; the NM never sees a label.  The module then installs the
-//! ILM / NHLFE / cross-connect entries that the Figure 8(a) script created by
-//! hand (`mpls nhlfe add`, `mpls ilm add`, `mpls xc add`).
+//! `conveyMessage`; the NM never sees a label — `showActual` lists an LSP's
+//! rule by its two pipe ids and has no field for one.  The module then
+//! installs the ILM / NHLFE / cross-connect entries that the Figure 8(a)
+//! script created by hand (`mpls nhlfe add`, `mpls ilm add`, `mpls xc add`).
 
 use conman_core::abstraction::{CounterSnapshot, ModuleAbstraction, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
@@ -47,9 +48,6 @@ enum PipeKind {
 struct InstalledLsp {
     nhlfe: Vec<NhlfeKey>,
     xc: Vec<(u16, u32)>,
-    /// The rule as `showActual` renders it, with the module-wide sequence
-    /// number of its application (`showActual` lists rules in that order).
-    rendered: Vec<(u64, String)>,
 }
 
 /// The MPLS protocol module.
@@ -68,9 +66,9 @@ pub(crate) struct MplsModule {
     /// published yet waits here).  `poll` visits these and nothing else.
     pending_exchanges: BTreeSet<PipeId>,
     pending_switches: Vec<SwitchSpec>,
+    /// Applied switch rules keyed `(in, out)`: what `showActual` lists and
+    /// `delete` removes.
     installed: BTreeMap<(PipeId, PipeId), InstalledLsp>,
-    /// Switch rules applied so far, the sequence number of the next one.
-    applied_count: u64,
     next_label: u32,
     notified: bool,
 }
@@ -89,7 +87,6 @@ impl MplsModule {
             pending_exchanges: BTreeSet::new(),
             pending_switches: Vec::new(),
             installed: BTreeMap::new(),
-            applied_count: 0,
             next_label,
             notified: false,
         }
@@ -125,16 +122,6 @@ impl MplsModule {
                 }
             }
         }
-    }
-
-    /// Record one rendered line of the applied switch rule `(in, out)`.
-    fn note_applied(&mut self, spec: &SwitchSpec, rendered: String) {
-        let installed = self
-            .installed
-            .entry((spec.in_pipe, spec.out_pipe))
-            .or_default();
-        installed.rendered.push((self.applied_count, rendered));
-        self.applied_count += 1;
     }
 
     /// Apply a pending switch rule once the necessary label bindings exist.
@@ -199,12 +186,6 @@ impl MplsModule {
                 );
                 installed.nhlfe.extend([push_key, pop_key]);
                 installed.xc.push((0, in_label));
-                self.note_applied(
-                    spec,
-                    format!(
-                        "endpoint: push {out_label} towards {peer_addr}, pop {in_label} locally"
-                    ),
-                );
                 // The egress end of the LSP (the endpoint that did not start
                 // the label exchange) notifies the NM that the LSP is up.
                 if !initiate && !self.notified {
@@ -252,7 +233,6 @@ impl MplsModule {
                         .or_default();
                     installed.nhlfe.push(key);
                     installed.xc.push((0, in_label));
-                    self.note_applied(spec, format!("transit: {in_label} -> swap {out_label}"));
                 }
                 Some(notifications)
             }
@@ -280,23 +260,11 @@ impl ProtocolModule for MplsModule {
         a
     }
 
-    fn actual(&self, ctx: &ModuleCtx) -> ModuleActual {
-        let mut perf = BTreeMap::new();
-        perf.insert(
-            "nhlfe-entries".to_string(),
-            ctx.config.mpls.nhlfe.len() as u64,
-        );
-        perf.insert(
-            "cross-connects".to_string(),
-            ctx.config.mpls.xc.len() as u64,
-        );
+    fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
         ModuleActual {
             pipes: self.pipes.keys().copied().collect(),
-            switch_rules: crate::in_applied_order(
-                self.installed.values().flat_map(|lsp| &lsp.rendered),
-            ),
+            switch_rules: self.installed.keys().copied().collect(),
             filters: Vec::new(),
-            perf_report: perf,
         }
     }
 
@@ -645,7 +613,11 @@ mod tests {
             .unwrap();
         let rule = switch(&me(), 1, 2);
         m.create_switch(&mut rig.ctx(), &rule).unwrap();
-        assert_eq!(m.actual(&rig.ctx()).switch_rules.len(), 1);
+        assert_eq!(
+            m.actual(&rig.ctx()).switch_rules,
+            [(PipeId(1), PipeId(2))],
+            "listed by the ids `delete` takes"
+        );
         assert_eq!(rig.config.mpls.nhlfe.len(), 2);
 
         m.delete(

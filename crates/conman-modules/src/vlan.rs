@@ -1,7 +1,8 @@
 //! The 802.1Q VLAN protocol module on provider switches (Figure 9).
 //!
 //! The VLAN identifier is agreed between adjacent VLAN modules through
-//! `conveyMessage` (the NM never handles a VLAN id), and the module then
+//! `conveyMessage` (the NM never handles a VLAN id, nor sees one in
+//! `showActual`), and the module then
 //! writes the dot1q-tunnel / trunk port configuration into the simulated
 //! switch — the CONMan equivalent of the CatOS script in Figure 9(a).
 
@@ -36,15 +37,12 @@ struct TrunkState {
 }
 
 /// What one applied switch rule wrote into the bridge: the record `delete`
-/// undoes and `showActual` renders.
+/// undoes.
 #[derive(Debug, Clone)]
 struct InstalledRule {
     vid: u16,
     in_port: u32,
     out_port: u32,
-    /// Module-wide sequence number of its application (`showActual` lists
-    /// rules in that order).
-    applied: u64,
 }
 
 /// A bridge port this module reconfigured: the mode it had before the first
@@ -67,9 +65,9 @@ pub(crate) struct VlanModule {
     vlan_id: Option<u16>,
     vlan_name: String,
     pending_switches: Vec<SwitchSpec>,
-    /// Applied switch rules keyed by `(in_pipe, out_pipe)`.
+    /// Applied switch rules keyed by `(in_pipe, out_pipe)`: what
+    /// `showActual` lists and `delete` removes.
     installed: BTreeMap<(PipeId, PipeId), InstalledRule>,
-    applied_count: u64,
     claimed_ports: BTreeMap<u32, PortClaim>,
     /// Installed rules per VLAN id this module declared; the declaration
     /// goes with the last of them.
@@ -89,7 +87,6 @@ impl VlanModule {
             vlan_name: "C1".to_string(),
             pending_switches: Vec::new(),
             installed: BTreeMap::new(),
-            applied_count: 0,
             claimed_ports: BTreeMap::new(),
             declared: BTreeMap::new(),
             notified: false,
@@ -137,10 +134,8 @@ impl VlanModule {
                 vid: vid_raw,
                 in_port,
                 out_port,
-                applied: self.applied_count,
             },
         );
-        self.applied_count += 1;
         let mut notifications = Vec::new();
         // The far-edge switch (an edge module that did not initiate the
         // trunk exchange) confirms the layer-2 tunnel to the NM.
@@ -199,25 +194,10 @@ impl ProtocolModule for VlanModule {
     }
 
     fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
-        let mut perf = BTreeMap::new();
-        if let Some(v) = self.vlan_id {
-            perf.insert("vlan-id".to_string(), v as u64);
-        }
-        let mut rules: Vec<&InstalledRule> = self.installed.values().collect();
-        rules.sort_unstable_by_key(|rule| rule.applied);
         ModuleActual {
             pipes: self.pipes.keys().copied().collect(),
-            switch_rules: rules
-                .into_iter()
-                .map(|r| {
-                    format!(
-                        "vlan {} between port {} and port {}",
-                        r.vid, r.in_port, r.out_port
-                    )
-                })
-                .collect(),
+            switch_rules: self.installed.keys().copied().collect(),
             filters: Vec::new(),
-            perf_report: perf,
         }
     }
 
@@ -510,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn deleting_a_switch_rule_restores_the_bridge_and_drops_its_show_actual_line() {
+    fn deleting_a_switch_rule_restores_the_bridge_and_drops_its_show_actual_entry() {
         let mut rig = fresh_switch();
         let before = rig.config_json();
         let mut m = VlanModule::new(me());
@@ -527,11 +507,9 @@ mod tests {
         }
         // The edge picks the VLAN id in `poll`, which applies both rules.
         m.poll(&mut rig.ctx());
-        let line = "vlan 22 between port 0 and port 2".to_string();
-        assert_eq!(
-            m.actual(&rig.ctx()).switch_rules,
-            [line.clone(), line.clone()]
-        );
+        let (first, second) = ((PipeId(1), PipeId(2)), (PipeId(3), PipeId(4)));
+        assert_eq!(m.actual(&rig.ctx()).switch_rules, [first, second]);
+        assert!(m.installed.values().all(|r| r.vid == 22));
         let tunnel = rig.config_json();
         assert_ne!(tunnel, before, "the rules configured the bridge");
 
@@ -539,7 +517,7 @@ mod tests {
         // goal needs them.
         let rule = |i, o| ComponentRef::SwitchRule(me(), PipeId(i), PipeId(o));
         m.delete(&mut rig.ctx(), &rule(1, 2)).unwrap();
-        assert_eq!(m.actual(&rig.ctx()).switch_rules, [line]);
+        assert_eq!(m.actual(&rig.ctx()).switch_rules, [second]);
         assert_eq!(rig.config_json(), tunnel);
 
         // A rule of another module, or one never applied, undoes nothing.
@@ -558,7 +536,8 @@ mod tests {
             m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(pipe)))
                 .unwrap();
         }
-        assert!(m.actual(&rig.ctx()).perf_report.is_empty());
+        assert_eq!(m.actual(&rig.ctx()), ModuleActual::default());
+        assert_eq!(m.vlan_id, None, "the agreed id goes with the last pipe");
     }
 
     proptest! {

@@ -225,14 +225,17 @@ fn a_lying_element_count_is_rejected_not_allocated_for() {
 }
 
 /// One valid binary frame per batch message plus the `StageBatch` once more
-/// as JSON, each checked to decode back to the message it was encoded from.
-/// The staged segment holds a classified and a gateway rule, so every field
-/// that carries a resolved value crosses both codecs.
+/// as JSON and a JSON `ScriptResult`, each checked to decode back to the
+/// message it was encoded from.  The staged segment holds a classified and a
+/// gateway rule, so every field that carries a resolved value crosses both
+/// codecs; both results carry a `showActual` answer with one of each kind of
+/// component (JSON, and JSON inside the binary commit result).
 fn valid_batch_frames() -> Vec<Vec<u8>> {
     use conman::core::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
     use conman::core::primitives::{
-        ComponentRef, EnvelopeKind, ModuleEnvelope, PipeSpec, Primitive, PrimitiveResult,
-        ResolvedName, ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec, TradeoffChoice,
+        ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, PipeSpec, Primitive,
+        PrimitiveResult, ResolvedName, ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec,
+        TradeoffChoice,
     };
     use conman::core::{WireCodec, WireMessage};
     use conman::netsim::device::DeviceId;
@@ -297,7 +300,20 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
         assert_eq!(WireMessage::decode(frame).as_ref(), Some(&stage));
     }
 
-    let mut frames = vec![stage_frame, stage_json];
+    let actual = ModuleActual {
+        pipes: vec![PipeId(41)],
+        switch_rules: vec![(PipeId(41), PipeId(42))],
+        filters: vec![(mref(ModuleKind::Eth, 5, 1), mref(ModuleKind::Eth, 6, 2))],
+    };
+    let actual = PrimitiveResult::Actual([(mref(ModuleKind::Ip, 3, 1), actual)].into());
+    let answer = WireMessage::ScriptResult {
+        request: 7,
+        results: vec![Ok(actual.clone())],
+    };
+    let answer_json = answer.encode();
+    assert_eq!(WireMessage::decode(&answer_json), Some(answer));
+
+    let mut frames = vec![stage_frame, stage_json, answer_json];
     for msg in [
         WireMessage::StageBatchResult {
             txn: 7,
@@ -322,7 +338,7 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
                 goal: 1,
                 results: vec![
                     Ok(PrimitiveResult::PipeCreated(PipeId(41))),
-                    Ok(PrimitiveResult::Actual(Default::default())),
+                    Ok(actual),
                     Err("boom".into()),
                 ],
             }],
@@ -360,11 +376,11 @@ proptest! {
     }
 
     /// Valid frames of all six batch messages (the `StageBatch` in both
-    /// codecs), damaged the way a hostile channel would: one to three bytes
-    /// overwritten, then maybe cut short.
+    /// codecs) and a `ScriptResult`, damaged the way a hostile channel
+    /// would: one to three bytes overwritten, then maybe cut short.
     #[test]
     fn damaged_batch_frames_decode_without_panicking(
-        which in 0usize..7,
+        which in 0usize..8,
         edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
         cut in proptest::option::of(any::<usize>()),
     ) {
