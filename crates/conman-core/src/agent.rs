@@ -143,7 +143,7 @@ impl ManagementAgent {
             WireMessage::PollCounters { request, tags } => {
                 let mut snapshots = Vec::with_capacity(self.modules.len());
                 for m in self.modules.values() {
-                    let ctx = Self::ctx(&mut self.blackboard, self.device, device);
+                    let ctx = Self::ctx(&mut self.blackboard, device);
                     snapshots.push(m.counters(&ctx));
                 }
                 let flows = tags.iter().map(|t| (*t, device.stats.flow(*t))).collect();
@@ -301,7 +301,7 @@ impl ManagementAgent {
         let mut reaction = ModuleReaction::none();
         for env in envelopes {
             if let Some(module) = self.modules.get_mut(&env.to.module) {
-                let mut ctx = Self::ctx(&mut self.blackboard, self.device, device);
+                let mut ctx = Self::ctx(&mut self.blackboard, device);
                 match module.handle_envelope(&mut ctx, env) {
                     Ok(r) => reaction.extend(r),
                     Err(e) => {
@@ -326,15 +326,9 @@ impl ManagementAgent {
         }
     }
 
-    fn ctx<'a>(
-        blackboard: &'a mut Blackboard,
-        id: DeviceId,
-        device: &'a mut Device,
-    ) -> ModuleCtx<'a> {
+    fn ctx<'a>(blackboard: &'a mut Blackboard, device: &'a mut Device) -> ModuleCtx<'a> {
         ModuleCtx {
-            device: id,
             config: &mut device.config,
-            ports: &device.ports,
             stats: &device.stats,
             blackboard,
         }
@@ -365,7 +359,7 @@ impl ManagementAgent {
             Primitive::ShowActual => {
                 let mut map = BTreeMap::new();
                 for m in self.modules.values() {
-                    let ctx = Self::ctx(&mut self.blackboard, self.device, device);
+                    let ctx = Self::ctx(&mut self.blackboard, device);
                     map.insert(m.reference(), m.actual(&ctx));
                 }
                 Ok(PrimitiveResult::Actual(map))
@@ -378,7 +372,7 @@ impl ManagementAgent {
                 let mut err = None;
                 for id in order {
                     if let Some(module) = self.modules.get_mut(&id) {
-                        let mut ctx = Self::ctx(&mut self.blackboard, self.device, device);
+                        let mut ctx = Self::ctx(&mut self.blackboard, device);
                         match module.create_pipe(&mut ctx, spec) {
                             Ok(r) => reaction.extend(r),
                             Err(e) => err = Some(e.to_string()),
@@ -394,7 +388,7 @@ impl ManagementAgent {
             }
             Primitive::CreateSwitch(spec) => match self.modules.get_mut(&spec.module.module) {
                 Some(module) => {
-                    let mut ctx = Self::ctx(&mut self.blackboard, self.device, device);
+                    let mut ctx = Self::ctx(&mut self.blackboard, device);
                     match module.create_switch(&mut ctx, spec) {
                         Ok(r) => {
                             reaction.extend(r);
@@ -407,7 +401,7 @@ impl ManagementAgent {
             },
             Primitive::CreateFilter(spec) => match self.modules.get_mut(&spec.module.module) {
                 Some(module) => {
-                    let mut ctx = Self::ctx(&mut self.blackboard, self.device, device);
+                    let mut ctx = Self::ctx(&mut self.blackboard, device);
                     match module.create_filter(&mut ctx, spec) {
                         Ok(r) => {
                             reaction.extend(r);
@@ -421,14 +415,13 @@ impl ManagementAgent {
             Primitive::Delete(component) => {
                 let mut last_err = None;
                 for module in self.modules.values_mut() {
-                    let mut ctx = Self::ctx(&mut self.blackboard, self.device, device);
+                    let mut ctx = Self::ctx(&mut self.blackboard, device);
                     if let Err(e) = module.delete(&mut ctx, component) {
                         last_err = Some(e.to_string());
                     }
                 }
-                // A deleted pipe's blackboard attributes (port, attach,
-                // addresses) must not leak into a later path that happens to
-                // reuse the same pipe identifier.
+                // A deleted pipe's facts must not leak into a later path that
+                // happens to reuse the same pipe identifier.
                 if let ComponentRef::Pipe(pipe) = component {
                     self.blackboard.remove_pipe(*pipe);
                 }
@@ -451,7 +444,7 @@ impl ManagementAgent {
         for _ in 0..MAX_POLL_ROUNDS {
             let mut round = ModuleReaction::none();
             for module in self.modules.values_mut() {
-                let mut ctx = Self::ctx(&mut self.blackboard, self.device, device);
+                let mut ctx = Self::ctx(&mut self.blackboard, device);
                 round.extend(module.poll(&mut ctx));
             }
             let now = self.blackboard.changes();
@@ -479,7 +472,7 @@ mod tests {
     use crate::primitives::{ModuleActual, PipeSpec};
     use netsim::device::DeviceRole;
 
-    /// A module that records pipe creations and publishes a value the test
+    /// A module that records pipe creations and publishes a fact the test
     /// can observe.
     struct Recorder {
         me: ModuleRef,
@@ -499,7 +492,8 @@ mod tests {
             spec: &PipeSpec,
         ) -> Result<ModuleReaction, crate::module::ModuleError> {
             self.pipes.push(spec.pipe);
-            ctx.set_pipe_attr(spec.pipe, "seen-by", self.me.to_string());
+            ctx.blackboard
+                .publish(spec.pipe, |facts| facts.port = Some(0));
             Ok(ModuleReaction::none())
         }
         fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
@@ -567,8 +561,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Both modules saw the pipe; the blackboard has the attribute.
-        assert!(agent.blackboard().contains_key("pipe.1.seen-by"));
+        // The modules saw the pipe; the blackboard has the fact.
+        assert!(agent.blackboard().pipe(PipeId(1)).port.is_some());
     }
 
     #[test]
@@ -621,8 +615,8 @@ mod tests {
             WireMessage::StageBatchResult { txn: 9, verdicts }
                 if verdicts.len() == 1 && verdicts[0].goal == 1 && verdicts[0].errors.is_empty()
         ));
-        // Nothing applied yet: the blackboard has no pipe attribute.
-        assert!(!agent.blackboard().contains_key("pipe.5.seen-by"));
+        // Nothing applied yet: the blackboard has no fact for the pipe.
+        assert!(agent.blackboard().pipe(PipeId(5)).port.is_none());
         assert_eq!(agent.staged_segment_count(), 1);
 
         let commit = WireMessage::CommitBatch {
@@ -640,7 +634,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(agent.blackboard().contains_key("pipe.5.seen-by"));
+        assert!(agent.blackboard().pipe(PipeId(5)).port.is_some());
         assert_eq!(agent.staged_segment_count(), 0);
     }
 
@@ -737,7 +731,7 @@ mod tests {
         }
         // Only the valid segments are held; nothing touched the data plane.
         assert_eq!(agent.staged_segment_count(), 2);
-        assert!(!agent.blackboard().contains_key("pipe.10.seen-by"));
+        assert!(agent.blackboard().pipe(PipeId(10)).port.is_none());
 
         // Abort goal 3 (it failed staging elsewhere), commit the rest.
         agent.handle(
@@ -770,8 +764,8 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(agent.blackboard().contains_key("pipe.10.seen-by"));
-        assert!(!agent.blackboard().contains_key("pipe.30.seen-by"));
+        assert!(agent.blackboard().pipe(PipeId(10)).port.is_some());
+        assert!(agent.blackboard().pipe(PipeId(30)).port.is_none());
         assert_eq!(agent.staged_segment_count(), 0);
     }
 

@@ -37,7 +37,7 @@ pub mod wire;
 pub use abstraction::{CounterSnapshot, ModuleAbstraction, PipeCounters, SwitchKind};
 pub use agent::ManagementAgent;
 pub use ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
-pub use module::{Blackboard, ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
+pub use module::{Blackboard, ModuleCtx, ModuleError, ModuleReaction, PipeFacts, ProtocolModule};
 pub use nm::{
     ConnectivityGoal, GoalId, GoalStatus, GoalStore, ModulePath, NetworkManager, PathFinderLimits,
     Plan,

@@ -6,12 +6,13 @@
 //! protocol-specific intelligence — determining keys, addresses, labels,
 //! VLAN ids — lives behind this interface, exactly as the paper prescribes.
 //!
-//! The modules of one device share a [`Blackboard`]: a key/value map that
-//! counts its own content changes, which is how the management agent learns
-//! that a poll round published something without looking at the map.  The
-//! agent calls [`ProtocolModule::poll`] after every event on the device, so
-//! the cost contract of `poll` (work pending in the module, not state held
-//! by it) is what keeps a change on a busy device as cheap as the change.
+//! The modules of one device share a [`Blackboard`]: per pipe, the five
+//! typed [`PipeFacts`] one module resolves and another needs.  It counts its
+//! own content changes, which is how the management agent learns that a poll
+//! round published something without looking at the facts.  The agent calls
+//! [`ProtocolModule::poll`] after every event on the device, so the cost
+//! contract of `poll` (work pending in the module, not state held by it) is
+//! what keeps a change on a busy device as cheap as the change.
 
 use crate::abstraction::{CounterSnapshot, ModuleAbstraction};
 use crate::ids::{ModuleRef, PipeId};
@@ -19,13 +20,11 @@ use crate::primitives::{
     ComponentRef, FilterSpec, ModuleActual, ModuleEnvelope, Notification, PipeSpec, SwitchSpec,
 };
 use netsim::config::DeviceConfig;
-use netsim::device::DeviceId;
-use netsim::nic::Nic;
+use netsim::route::RouteTarget;
 use netsim::stats::DeviceStats;
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::{Bound, Deref};
+use std::net::Ipv4Addr;
 
 /// Errors a module can raise while executing a primitive.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,17 +85,44 @@ impl ModuleReaction {
     }
 }
 
-/// The per-device key/value blackboard the modules of one device share
-/// resolved values through (underlying ports, learnt addresses, tunnel and
-/// LSP attachments).
+/// What the modules of one device tell each other about one pipe.  A fact
+/// is `None` until its publisher has resolved it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PipeFacts {
+    /// The physical port under the pipe.  Published by the ETH module at the
+    /// pipe's lower end; read by IP, MPLS and VLAN to turn the pipe into an
+    /// interface.
+    pub port: Option<u32>,
+    /// The peer's address on an adjacency pipe.  Published by the IP module
+    /// that learnt it, which is also its reader (routes via the next hop).
+    pub nexthop: Option<Ipv4Addr>,
+    /// This device's end of a tunnel-endpoint pipe.  Published by the IP
+    /// module below the tunnel; read by GRE and by IP-IP tunnel creation.
+    pub local_addr: Option<Ipv4Addr>,
+    /// The far end of a tunnel-endpoint pipe.  Published and read like
+    /// [`Self::local_addr`].
+    pub remote_addr: Option<Ipv4Addr>,
+    /// What traffic entering the pipe from above is routed into: the tunnel
+    /// GRE or IP-IP configured ([`RouteTarget::Tunnel`]) or the push NHLFE
+    /// of the LSP MPLS installed ([`RouteTarget::Mpls`]).  Read by the IP
+    /// module above, which uses it as a route target as it stands.
+    pub attach: Option<RouteTarget>,
+}
+
+/// The per-device blackboard: [`PipeFacts`] by pipe, for the pipes some
+/// module has published a fact about.
 ///
-/// Reads go through the map it dereferences to; writes only through
-/// [`Blackboard::set`] and [`Blackboard::remove_pipe`], which count every
+/// Lifetime: a fact about the pipe itself (`port`, the addresses, `nexthop`)
+/// dies with the pipe — the agent calls [`Blackboard::remove_pipe`] on
+/// `delete (pipe)`.  `attach` names something its publisher made, so the
+/// publisher retracts it where it removes that thing.
+///
+/// [`Blackboard::publish`] and [`Blackboard::remove_pipe`] count every
 /// change of content.  The agent compares [`Blackboard::changes`] before and
 /// after a poll round instead of comparing the content itself.
 #[derive(Debug, Clone, Default)]
 pub struct Blackboard {
-    entries: BTreeMap<String, String>,
+    facts: BTreeMap<PipeId, PipeFacts>,
     changes: u64,
 }
 
@@ -106,41 +132,39 @@ impl Blackboard {
         Self::default()
     }
 
-    /// Write a value.  Writing the value a key already holds is not a
-    /// change and is not counted.
-    pub fn set(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        let value = value.into();
-        match self.entries.entry(key.into()) {
-            Entry::Vacant(slot) => {
-                slot.insert(value);
-            }
-            Entry::Occupied(slot) if *slot.get() == value => return,
-            Entry::Occupied(mut slot) => {
-                slot.insert(value);
-            }
+    /// The facts published about `pipe` (all `None` when there are none).
+    pub fn pipe(&self, pipe: PipeId) -> PipeFacts {
+        self.facts.get(&pipe).copied().unwrap_or_default()
+    }
+
+    /// Let `write` edit the facts of `pipe`.  Leaving them as they were is
+    /// not a change and is not counted; a pipe left with no fact is dropped.
+    pub fn publish(&mut self, pipe: PipeId, write: impl FnOnce(&mut PipeFacts)) {
+        let before = self.pipe(pipe);
+        let mut after = before;
+        write(&mut after);
+        if after == before {
+            return;
+        }
+        if after == PipeFacts::default() {
+            self.facts.remove(&pipe);
+        } else {
+            self.facts.insert(pipe, after);
         }
         self.changes += 1;
     }
 
-    /// Drop every attribute of `pipe` — the contiguous `"pipe.{n}."` key
-    /// range — so a later pipe reusing the identifier starts clean.
+    /// Drop every fact about `pipe`, so a later pipe reusing the identifier
+    /// starts clean.
     pub fn remove_pipe(&mut self, pipe: PipeId) {
-        // `'/'` is the successor of `'.'`: the range holds exactly the keys
-        // that start with `"pipe.{n}."`.
-        let (start, end) = (format!("pipe.{}.", pipe.0), format!("pipe.{}/", pipe.0));
-        let range = (
-            Bound::Included(start.as_str()),
-            Bound::Excluded(end.as_str()),
-        );
-        let keys: Vec<String> = self
-            .entries
-            .range::<str, _>(range)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in &keys {
-            self.entries.remove(key);
+        if self.facts.remove(&pipe).is_some() {
+            self.changes += 1;
         }
-        self.changes += keys.len() as u64;
+    }
+
+    /// The pipes some fact is published about, ascending.
+    pub fn pipes(&self) -> impl Iterator<Item = PipeId> + '_ {
+        self.facts.keys().copied()
     }
 
     /// How many times the content has changed since the blackboard was
@@ -150,59 +174,20 @@ impl Blackboard {
     }
 }
 
-impl Deref for Blackboard {
-    type Target = BTreeMap<String, String>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.entries
-    }
-}
-
 /// The context a module operates in: the device configuration it is allowed
 /// to write (this is "the protocol implementation" side of the wrapper), the
-/// device's ports, and a per-device blackboard that modules on the same
+/// device's counters, and the per-device blackboard that modules on the same
 /// device use to share resolved values (intra-device module interaction is an
 /// implementation detail the architecture does not constrain).
 pub struct ModuleCtx<'a> {
-    /// The device this module lives on.
-    pub device: DeviceId,
     /// The device's data-plane configuration.
     pub config: &'a mut DeviceConfig,
-    /// The device's ports (read-only).
-    pub ports: &'a [Nic],
     /// The device's packet counters (read-only), the substrate for the
     /// per-module performance reporting of Table III and the telemetry
     /// snapshots of the diagnosis layer.
     pub stats: &'a DeviceStats,
-    /// Shared per-device key/value blackboard.
+    /// The facts the device's modules share, by pipe.
     pub blackboard: &'a mut Blackboard,
-}
-
-impl ModuleCtx<'_> {
-    /// Convenience: read a blackboard value.
-    pub fn get(&self, key: &str) -> Option<&String> {
-        self.blackboard.get(key)
-    }
-
-    /// Convenience: write a blackboard value.
-    pub fn set(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.blackboard.set(key, value);
-    }
-
-    /// Blackboard key for a per-pipe attribute.
-    pub fn pipe_key(pipe: PipeId, attr: &str) -> String {
-        format!("pipe.{}.{}", pipe.0, attr)
-    }
-
-    /// Read a per-pipe attribute.
-    pub fn pipe_attr(&self, pipe: PipeId, attr: &str) -> Option<&String> {
-        self.blackboard.get(&Self::pipe_key(pipe, attr))
-    }
-
-    /// Write a per-pipe attribute.
-    pub fn set_pipe_attr(&mut self, pipe: PipeId, attr: &str, value: impl Into<String>) {
-        self.blackboard.set(Self::pipe_key(pipe, attr), value);
-    }
 }
 
 /// A CONMan protocol module.
@@ -298,9 +283,9 @@ pub trait ProtocolModule: Send {
     /// on the device, and again for as long as a round reacts or changes the
     /// blackboard.  It must cost O(work pending in this module) — a module
     /// with nothing deferred returns at once however many pipes and rules it
-    /// holds — and it must report content changes through
-    /// [`ModuleCtx::set`] / [`ModuleCtx::set_pipe_attr`] only, because the
-    /// blackboard's change count is all the agent looks at.
+    /// holds — and it must report what it resolved through
+    /// [`Blackboard::publish`] only, because the blackboard's change count
+    /// is all the agent looks at.
     fn poll(&mut self, _ctx: &mut ModuleCtx) -> ModuleReaction {
         ModuleReaction::none()
     }
@@ -310,6 +295,7 @@ pub trait ProtocolModule: Send {
 mod tests {
     use super::*;
     use crate::ids::{ModuleId, ModuleKind};
+    use netsim::device::DeviceId;
 
     struct Dummy(ModuleRef);
     impl ProtocolModule for Dummy {
@@ -326,13 +312,10 @@ mod tests {
         let r = ModuleRef::new(ModuleKind::Ip, ModuleId(1), DeviceId::from_raw(1));
         let mut m = Dummy(r.clone());
         let mut config = DeviceConfig::new();
-        let ports: Vec<Nic> = Vec::new();
         let stats = DeviceStats::default();
         let mut blackboard = Blackboard::new();
         let mut ctx = ModuleCtx {
-            device: DeviceId::from_raw(1),
             config: &mut config,
-            ports: &ports,
             stats: &stats,
             blackboard: &mut blackboard,
         };
@@ -348,65 +331,28 @@ mod tests {
     }
 
     #[test]
-    fn ctx_blackboard_helpers() {
-        let mut config = DeviceConfig::new();
-        let ports: Vec<Nic> = Vec::new();
-        let stats = DeviceStats::default();
-        let mut blackboard = Blackboard::new();
-        let mut ctx = ModuleCtx {
-            device: DeviceId::from_raw(1),
-            config: &mut config,
-            ports: &ports,
-            stats: &stats,
-            blackboard: &mut blackboard,
-        };
-        ctx.set_pipe_attr(PipeId(3), "port", "2");
-        assert_eq!(ctx.pipe_attr(PipeId(3), "port").unwrap(), "2");
-        assert_eq!(ModuleCtx::pipe_key(PipeId(3), "port"), "pipe.3.port");
-        assert!(ctx.get("nope").is_none());
-    }
-
-    #[test]
     fn blackboard_counts_content_changes_only() {
         let mut bb = Blackboard::new();
-        bb.set("a", "1");
+        bb.publish(PipeId(3), |facts| facts.port = Some(1));
         assert_eq!(bb.changes(), 1);
-        bb.set("a", "1");
+        bb.publish(PipeId(3), |facts| facts.port = Some(1));
         assert_eq!(bb.changes(), 1, "an equal value is not a change");
-        bb.set("a", "2");
+        bb.publish(PipeId(3), |facts| facts.port = Some(2));
         assert_eq!(bb.changes(), 2);
-        assert_eq!(bb.get("a").unwrap(), "2");
+        assert_eq!(bb.pipe(PipeId(3)).port, Some(2));
     }
 
     #[test]
     fn remove_pipe_drains_exactly_that_pipes_keys() {
         let mut bb = Blackboard::new();
-        for key in [
-            "pipe.1.attach",
-            "pipe.1.port",
-            "pipe.1x",
-            "pipe.10.port",
-            "pipe.1",
-            "pipe.0.port",
-            "negotiated",
-        ] {
-            bb.set(key, "v");
+        for pipe in [0, 1, 10] {
+            bb.publish(PipeId(pipe), |facts| facts.port = Some(pipe));
         }
         let before = bb.changes();
         bb.remove_pipe(PipeId(1));
-        let left: Vec<&str> = bb.keys().map(String::as_str).collect();
-        assert_eq!(
-            left,
-            [
-                "negotiated",
-                "pipe.0.port",
-                "pipe.1",
-                "pipe.10.port",
-                "pipe.1x"
-            ]
-        );
-        assert_eq!(bb.changes(), before + 2);
+        assert_eq!(bb.pipes().collect::<Vec<_>>(), [PipeId(0), PipeId(10)]);
+        assert_eq!(bb.changes(), before + 1);
         bb.remove_pipe(PipeId(1));
-        assert_eq!(bb.changes(), before + 2, "nothing left to remove");
+        assert_eq!(bb.changes(), before + 1, "nothing left to remove");
     }
 }

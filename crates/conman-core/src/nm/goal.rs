@@ -133,7 +133,7 @@ pub struct AppliedPlan {
     pub scripts: ScriptSet,
     /// First pipe id of the block allocated to this execution (every goal
     /// gets a disjoint block so concurrent goals never collide on pipe ids,
-    /// blackboard keys or derived table ids).
+    /// blackboard facts or derived table ids).
     pub pipe_base: u32,
 }
 

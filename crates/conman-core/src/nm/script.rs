@@ -191,7 +191,7 @@ pub fn generate(nm: &NetworkManager, path: &ModulePath, goal: &ConnectivityGoal)
 
 /// Generate the scripts realising `path` for `goal`, numbering pipes from
 /// `pipe_base`.  Concurrent goals must execute in disjoint pipe-id blocks:
-/// pipe ids key per-device blackboard attributes, module pipe state and
+/// pipe ids key per-device blackboard facts, module pipe state and
 /// derived route-table ids, so two goals sharing a device must never reuse
 /// an id.  The goal store reserves one block per execution (see
 /// [`slot_count`]).

@@ -506,12 +506,24 @@ mod tests {
     use mgmt_channel::OutOfBandChannel;
     use netsim::device::{Device, DeviceRole, PortId};
     use netsim::link::LinkProperties;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     /// A module that, when a pipe with `initiate` is created, sends a Convey
-    /// to its peer; the peer replies; both record completion on the
-    /// blackboard.  This exercises the full relay round trip.
+    /// to its peer; the peer replies; both record completion in a flag the
+    /// test holds.  This exercises the full relay round trip.
     struct Chatty {
         me: ModuleRef,
+        negotiated: Arc<AtomicBool>,
+    }
+
+    impl Chatty {
+        fn new(me: ModuleRef) -> Self {
+            Chatty {
+                me,
+                negotiated: Arc::default(),
+            }
+        }
     }
 
     impl ProtocolModule for Chatty {
@@ -542,11 +554,11 @@ mod tests {
         }
         fn handle_envelope(
             &mut self,
-            ctx: &mut ModuleCtx,
+            _ctx: &mut ModuleCtx,
             env: &ModuleEnvelope,
         ) -> Result<ModuleReaction, crate::module::ModuleError> {
+            self.negotiated.store(true, Ordering::Relaxed);
             if env.body.get("hello").is_some() {
-                ctx.set("negotiated", "true");
                 return Ok(ModuleReaction::envelope(ModuleEnvelope {
                     from: self.me.clone(),
                     to: env.from.clone(),
@@ -554,7 +566,6 @@ mod tests {
                     body: serde_json::json!({"ack": true}),
                 }));
             }
-            ctx.set("negotiated", "true");
             Ok(ModuleReaction::none())
         }
     }
@@ -570,11 +581,13 @@ mod tests {
         let m1 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1);
         let low1 = ModuleRef::new(ModuleKind::Eth, ModuleId(2), d1);
         let m2 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d2);
+        let (c1, c2) = (Chatty::new(m1.clone()), Chatty::new(m2.clone()));
+        let negotiated = [c1.negotiated.clone(), c2.negotiated.clone()];
         let mut a1 = ManagementAgent::new(d1, "RouterA");
-        a1.register(Box::new(Chatty { me: m1.clone() }));
-        a1.register(Box::new(Chatty { me: low1.clone() }));
+        a1.register(Box::new(c1));
+        a1.register(Box::new(Chatty::new(low1.clone())));
         let mut a2 = ManagementAgent::new(d2, "RouterB");
-        a2.register(Box::new(Chatty { me: m2.clone() }));
+        a2.register(Box::new(c2));
 
         let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
         mn.add_agent(a1);
@@ -602,14 +615,7 @@ mod tests {
         mn.run_management();
 
         // Both sides should have negotiated.
-        assert_eq!(
-            mn.agents[&d2].blackboard().get("negotiated"),
-            Some(&"true".to_string())
-        );
-        assert_eq!(
-            mn.agents[&d1].blackboard().get("negotiated"),
-            Some(&"true".to_string())
-        );
+        assert!(negotiated.iter().all(|side| side.load(Ordering::Relaxed)));
         // NM accounting: 1 command sent + 2 relayed convey messages sent;
         // 2 convey messages received (plus the script result).
         let c = mn.nm_counters();
@@ -634,9 +640,9 @@ mod tests {
         let m1 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1);
         let m2 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d2);
         let mut a1 = ManagementAgent::new(d1, "RouterA");
-        a1.register(Box::new(Chatty { me: m1.clone() }));
+        a1.register(Box::new(Chatty::new(m1.clone())));
         let mut a2 = ManagementAgent::new(d2, "RouterB");
-        a2.register(Box::new(Chatty { me: m2 }));
+        a2.register(Box::new(Chatty::new(m2)));
         let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
         mn.add_agent(a1);
         mn.add_agent(a2);
@@ -688,7 +694,7 @@ mod tests {
                 let d = mn.net.add_device(Device::new(name, DeviceRole::Router, 1));
                 let mut agent = ManagementAgent::new(d, name);
                 let me = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d);
-                agent.register(Box::new(Chatty { me }));
+                agent.register(Box::new(Chatty::new(me)));
                 mn.add_agent(agent);
                 d
             })

@@ -160,7 +160,8 @@ impl ProtocolModule for EthModule {
         // publishes the underlying port so the modules above can translate
         // abstract pipes into concrete interfaces.
         if spec.lower == self.me {
-            ctx.set_pipe_attr(spec.pipe, "port", self.port().0.to_string());
+            ctx.blackboard
+                .publish(spec.pipe, |facts| facts.port = Some(self.port().0));
             self.pipes.insert(spec.pipe, spec.upper.clone());
         } else {
             self.pipes.insert(spec.pipe, spec.lower.clone());
@@ -232,7 +233,7 @@ mod tests {
         let mut rig = Rig::new();
         let spec = pipe(3, &module(ModuleKind::Ip, 2, 1), &me);
         m.create_pipe(&mut rig.ctx(), &spec).unwrap();
-        assert_eq!(rig.blackboard.get("pipe.3.port").unwrap(), "2");
+        assert_eq!(rig.blackboard.pipe(PipeId(3)).port, Some(2));
     }
 
     #[test]

@@ -27,9 +27,9 @@ use conman_core::primitives::{
     ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, PipeSpec, SwitchSpec, TradeoffChoice,
 };
 use netsim::config::TunnelConfig;
+use netsim::route::RouteTarget;
 use netsim::stats::DropReason;
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::Ipv4Addr;
 
 /// Negotiated GRE parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,10 +251,14 @@ impl ProtocolModule for GreModule {
             return Ok(ModuleReaction::none());
         };
         let slot = self.slots.get_mut(&key).expect("indexed slot exists");
-        // Losing either pipe tears that slot's tunnel down; sibling goals'
-        // tunnels through this module are untouched.
+        // Losing either pipe tears that slot's tunnel down, and with it the
+        // attachment published on the up pipe; sibling goals' tunnels through
+        // this module are untouched.
         if let Some(id) = slot.configured_tunnel.take() {
             ctx.config.remove_tunnel(id);
+            if let Some(up) = slot.up_pipe {
+                ctx.blackboard.publish(up, |facts| facts.attach = None);
+            }
         }
         if slot.up_pipe == Some(*pipe) {
             slot.up_pipe = None;
@@ -403,12 +407,8 @@ impl ProtocolModule for GreModule {
             else {
                 continue;
             };
-            let (Some(local), Some(remote)) = (
-                ctx.pipe_attr(down, "local_addr")
-                    .and_then(|s| s.parse::<Ipv4Addr>().ok()),
-                ctx.pipe_attr(down, "remote_addr")
-                    .and_then(|s| s.parse::<Ipv4Addr>().ok()),
-            ) else {
+            let endpoints = ctx.blackboard.pipe(down);
+            let (Some(local), Some(remote)) = (endpoints.local_addr, endpoints.remote_addr) else {
                 continue;
             };
             let mut t = TunnelConfig::gre(format!("gre-{}-{}", up, down), local, remote);
@@ -419,7 +419,9 @@ impl ProtocolModule for GreModule {
             t.icsum = params.checksums;
             t.ocsum = params.checksums;
             let id = ctx.config.add_tunnel(t);
-            ctx.set_pipe_attr(up, "attach", format!("tunnel:{id}"));
+            ctx.blackboard.publish(up, |facts| {
+                facts.attach = Some(RouteTarget::Tunnel { tunnel: id })
+            });
             slot.configured_tunnel = Some(id);
             configured.push(key);
         }
@@ -435,6 +437,7 @@ mod tests {
     use super::*;
     use crate::rig::{module, pipe, switch, Rig};
     use proptest::prelude::*;
+    use std::net::Ipv4Addr;
 
     fn me() -> ModuleRef {
         module(ModuleKind::Gre, 1, 1)
@@ -460,9 +463,10 @@ mod tests {
 
     /// What the IP module below publishes once it has learnt the far end.
     fn publish_endpoints(rig: &mut Rig, down: u32) {
-        let mut ctx = rig.ctx();
-        ctx.set_pipe_attr(PipeId(down), "local_addr", "10.9.0.1");
-        ctx.set_pipe_attr(PipeId(down), "remote_addr", "10.9.0.2");
+        rig.blackboard.publish(PipeId(down), |facts| {
+            facts.local_addr = Some(Ipv4Addr::new(10, 9, 0, 1));
+            facts.remote_addr = Some(Ipv4Addr::new(10, 9, 0, 2));
+        });
     }
 
     fn proposal() -> ModuleEnvelope {
@@ -543,7 +547,10 @@ mod tests {
         publish_endpoints(&mut rig, 2);
         m.poll(&mut rig.ctx());
         assert_eq!(rig.config.tunnels().count(), 1);
-        assert_eq!(rig.blackboard.get("pipe.1.attach").unwrap(), "tunnel:1");
+        assert_eq!(
+            rig.blackboard.pipe(PipeId(1)).attach,
+            Some(RouteTarget::Tunnel { tunnel: 1 })
+        );
     }
 
     #[test]
@@ -570,6 +577,39 @@ mod tests {
             m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(2)))
                 .unwrap();
             assert!(m.slots.is_empty() && m.slot_of_pipe.is_empty() && m.armed.is_empty());
+        }
+    }
+
+    /// `attach` names the tunnel, so it goes where the tunnel goes: it used
+    /// to outlive it on the surviving up pipe, while tunnel ids are reused.
+    #[test]
+    fn losing_the_down_pipe_retracts_the_attachment_and_a_new_tunnel_publishes_a_fresh_one() {
+        let mut rig = Rig::new();
+        let baseline = rig.config_json();
+        let mut m = GreModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
+        let attach = |rig: &Rig| rig.blackboard.pipe(PipeId(1)).attach;
+        for round in 0..2 {
+            m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
+            m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 2))
+                .unwrap();
+            publish_endpoints(&mut rig, 2);
+            m.poll(&mut rig.ctx());
+            let tunnel = rig.config.tunnels().next().expect("configured").id;
+            assert_eq!(
+                attach(&rig),
+                Some(RouteTarget::Tunnel { tunnel }),
+                "round {round}"
+            );
+
+            m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(2)))
+                .unwrap();
+            rig.blackboard.remove_pipe(PipeId(2));
+            assert_eq!(attach(&rig), None, "round {round}");
+            assert_eq!(rig.blackboard.pipes().count(), 0, "no fact, no entry");
+            assert_eq!(rig.config_json(), baseline);
+            // The surviving up pipe negotiates afresh.
+            m.handle_envelope(&mut rig.ctx(), &proposal()).unwrap();
         }
     }
 
@@ -604,8 +644,7 @@ mod tests {
                                 slot.up_pipe.is_some()
                                     && slot.params.is_some()
                                     && slot.down_pipe.is_some_and(|down| {
-                                        rig.blackboard
-                                            .contains_key(&ModuleCtx::pipe_key(down, "remote_addr"))
+                                        rig.blackboard.pipe(down).remote_addr.is_some()
                                     })
                             })
                             .count();

@@ -77,7 +77,8 @@ struct InstalledSwitch {
     rules: Vec<(u32, RouteTableId)>,
     tables: Vec<RouteTableId>,
     main_routes: Vec<Ipv4Cidr>,
-    tunnels: Vec<u32>,
+    /// IP-IP tunnels, each with the endpoint pipe it is published on.
+    tunnels: Vec<(PipeId, u32)>,
 }
 
 /// The IPv4 protocol module.
@@ -165,34 +166,31 @@ impl IpModule {
         rec.role == Role::Upper && rec.spec.lower.kind == ModuleKind::Eth
     }
 
-    /// The port underlying an adjacency pipe (published by its ETH module).
-    fn port_of(ctx: &ModuleCtx, pipe: PipeId) -> Option<u32> {
-        ctx.pipe_attr(pipe, "port").and_then(|s| s.parse().ok())
-    }
-
     /// How this module can reach the far side through one of its pipes:
     /// either a plain Ethernet adjacency (port + learnt next hop) or an
     /// MPLS LSP access point published by the MPLS module below.  Paths like
     /// `IP-IP over MPLS` hang tunnel endpoints and transit hops over LSPs
     /// instead of raw links, and healing routinely picks them.
     fn attachment_of(ctx: &ModuleCtx, rec: &PipeRec) -> Option<Attachment> {
+        let facts = ctx.blackboard.pipe(rec.spec.pipe);
         if Self::is_adjacency_pipe(rec) {
-            let port = Self::port_of(ctx, rec.spec.pipe)?;
-            let nexthop = ctx
-                .pipe_attr(rec.spec.pipe, "nexthop")?
-                .parse::<Ipv4Addr>()
-                .ok()?;
-            return Some(Attachment::Adjacency { port, nexthop });
+            return Some(Attachment::Adjacency {
+                port: facts.port?,
+                nexthop: facts.nexthop?,
+            });
         }
-        let attach = ctx.pipe_attr(rec.spec.pipe, "attach")?;
-        let key = NhlfeKey(attach.strip_prefix("mpls:")?.parse().ok()?);
+        let RouteTarget::Mpls { nhlfe: key } = facts.attach? else {
+            return None;
+        };
         let port = ctx.config.mpls.nhlfe_by_key(key)?.out_port;
         Some(Attachment::Mpls { key, port })
     }
 
     /// The address this module uses on a given adjacency pipe.
     fn address_on_pipe(&self, ctx: &ModuleCtx, pipe: PipeId) -> Ipv4Addr {
-        Self::port_of(ctx, pipe)
+        ctx.blackboard
+            .pipe(pipe)
+            .port
             .and_then(|p| ctx.config.address_on_port(p))
             .map(|c| c.addr)
             .unwrap_or(self.primary)
@@ -218,12 +216,15 @@ impl IpModule {
         let peer = match self.pipes.get_mut(&pipe) {
             Some(rec) => {
                 rec.learned = Some(their);
-                if Self::is_endpoint_pipe(rec) {
-                    ctx.set_pipe_attr(pipe, "remote_addr", their.to_string());
-                    ctx.set_pipe_attr(pipe, "local_addr", ours.to_string());
-                } else {
-                    ctx.set_pipe_attr(pipe, "nexthop", their.to_string());
-                }
+                let endpoint = Self::is_endpoint_pipe(rec);
+                ctx.blackboard.publish(pipe, |facts| {
+                    if endpoint {
+                        facts.remote_addr = Some(their);
+                        facts.local_addr = Some(ours);
+                    } else {
+                        facts.nexthop = Some(their);
+                    }
+                });
                 Self::peer_of(rec).cloned()
             }
             None => None,
@@ -268,17 +269,13 @@ impl IpModule {
     fn try_apply_switch(&mut self, ctx: &mut ModuleCtx, spec: &SwitchSpec) -> bool {
         // Classified rule: customer traffic into the core-side attachment.
         if let Some(class) = &spec.dst_class {
-            let Some(attach) = ctx.pipe_attr(spec.out_pipe, "attach").cloned() else {
+            let Some(target) = ctx.blackboard.pipe(spec.out_pipe).attach else {
                 return false;
             };
             let Ok(prefix) = class.value.parse::<Ipv4Cidr>() else {
                 return false;
             };
             let table = table_for(spec.out_pipe, ROLE_CLASS);
-            let target = match parse_attach(&attach) {
-                Some(t) => t,
-                None => return false,
-            };
             ctx.config.ip_forwarding = true;
             ctx.config
                 .rib
@@ -305,7 +302,7 @@ impl IpModule {
         // Gateway rule: traffic coming back from the core towards the
         // customer-facing pipe.
         if let Some(gateway) = &spec.gateway {
-            let Some(port) = Self::port_of(ctx, spec.out_pipe) else {
+            let Some(port) = ctx.blackboard.pipe(spec.out_pipe).port else {
                 return false;
             };
             let Ok(gw) = gateway.value.parse::<Ipv4Addr>() else {
@@ -317,41 +314,9 @@ impl IpModule {
             self.installed
                 .entry((spec.in_pipe, spec.out_pipe))
                 .or_default();
-            // Traffic decapsulated from a tunnel attachment gets a dedicated
-            // policy rule (mirroring `ip rule add iif greA` in Figure 7(a)).
-            if let Some(attach) = ctx.pipe_attr(spec.in_pipe, "attach") {
-                if let Some(tunnel) = attach
-                    .strip_prefix("tunnel:")
-                    .and_then(|s| s.parse::<u32>().ok())
-                {
-                    let table = table_for(spec.in_pipe, ROLE_REVERSE);
-                    ctx.config
-                        .rib
-                        .name_table(table, format!("conman-rev-{}", spec.in_pipe));
-                    ctx.config.rib.table_mut(table).add(Route {
-                        dest: Ipv4Cidr::DEFAULT,
-                        target: RouteTarget::Port {
-                            port,
-                            via: Some(gw),
-                        },
-                    });
-                    let priority = priority_for(spec.in_pipe, ROLE_REVERSE);
-                    ctx.config.rib.add_rule(PolicyRule {
-                        priority,
-                        selector: RuleSelector::FromTunnel(tunnel),
-                        table,
-                    });
-                    let installed = self
-                        .installed
-                        .entry((spec.in_pipe, spec.out_pipe))
-                        .or_default();
-                    installed.rules.push((priority, table));
-                    installed.tables.push(table);
-                }
-            }
-            // In every case, make the local site prefix reachable through the
-            // customer gateway so reverse traffic (including MPLS-decapped
-            // packets) is delivered.
+            // Make the local site prefix reachable through the customer
+            // gateway so reverse traffic (tunnel- or MPLS-decapped packets
+            // alike) is delivered.
             if let Some(prefix) = spec
                 .local_prefix
                 .as_ref()
@@ -390,10 +355,8 @@ impl IpModule {
                     in_rec
                 };
                 let (ep_pipe, ipip) = (ep.spec.pipe, ep.spec.upper.kind == ModuleKind::Ip);
-                let Some(remote) = ctx
-                    .pipe_attr(ep_pipe, "remote_addr")
-                    .and_then(|s| s.parse::<Ipv4Addr>().ok())
-                else {
+                let ep_facts = ctx.blackboard.pipe(ep_pipe);
+                let Some(remote) = ep_facts.remote_addr else {
                     return false;
                 };
                 let Some(attachment) = Self::attachment_of(ctx, other) else {
@@ -408,22 +371,20 @@ impl IpModule {
                 // For an IP-IP path this module is itself the tunnelling
                 // protocol: create the IP-IP tunnel and expose the attachment
                 // to the customer IP module above.
-                if ipip && ctx.pipe_attr(ep_pipe, "attach").is_none() {
-                    let local = ctx
-                        .pipe_attr(ep_pipe, "local_addr")
-                        .and_then(|s| s.parse::<Ipv4Addr>().ok())
-                        .unwrap_or(self.primary);
+                if ipip && ep_facts.attach.is_none() {
                     let id = ctx.config.add_tunnel(TunnelConfig::ipip(
                         format!("ipip-{ep_pipe}"),
-                        local,
+                        ep_facts.local_addr.unwrap_or(self.primary),
                         remote,
                     ));
-                    ctx.set_pipe_attr(ep_pipe, "attach", format!("tunnel:{id}"));
+                    ctx.blackboard.publish(ep_pipe, |facts| {
+                        facts.attach = Some(RouteTarget::Tunnel { tunnel: id })
+                    });
                     self.installed
                         .entry((spec.in_pipe, spec.out_pipe))
                         .or_default()
                         .tunnels
-                        .push(id);
+                        .push((ep_pipe, id));
                 }
                 true
             }
@@ -479,7 +440,7 @@ impl IpModule {
 /// Role of a derived route table / policy rule, used to keep identifiers
 /// unique per (pipe, role) pair.
 const ROLE_CLASS: u32 = 0; // classified forward rule, keyed by the out pipe
-const ROLE_REVERSE: u32 = 1; // reverse gateway rule, keyed by the in pipe
+                           // Role 1 is unassigned; `derived_table_range` still spans four roles, so no table id moves.
 const ROLE_TRANSIT_FWD: u32 = 2; // transit direction 1, keyed by the in pipe
 const ROLE_TRANSIT_REV: u32 = 3; // transit direction 2, keyed by the in pipe
 
@@ -507,20 +468,6 @@ pub fn derived_table_range(pipe_base: u32, slots: u32) -> (RouteTableId, RouteTa
         table_for(PipeId(pipe_base), 0),
         table_for(PipeId(pipe_base + slots.saturating_sub(1)), 3),
     )
-}
-
-fn parse_attach(attach: &str) -> Option<RouteTarget> {
-    if let Some(id) = attach.strip_prefix("tunnel:") {
-        return Some(RouteTarget::Tunnel {
-            tunnel: id.parse().ok()?,
-        });
-    }
-    if let Some(key) = attach.strip_prefix("mpls:") {
-        return Some(RouteTarget::Mpls {
-            nhlfe: netsim::mpls::NhlfeKey(key.parse().ok()?),
-        });
-    }
-    None
 }
 
 impl ProtocolModule for IpModule {
@@ -619,8 +566,10 @@ impl ProtocolModule for IpModule {
                             ctx.config.rib.table_mut(RouteTableId::MAIN).remove(*dest);
                         }
                     }
-                    for tunnel in &installed.tunnels {
+                    for (endpoint, tunnel) in &installed.tunnels {
                         ctx.config.remove_tunnel(*tunnel);
+                        ctx.blackboard
+                            .publish(*endpoint, |facts| facts.attach = None);
                     }
                 }
                 self.pending_switches
@@ -805,7 +754,7 @@ impl ProtocolModule for IpModule {
         for &id in &self.pending_queries {
             let rec = &self.pipes[&id];
             let ours = if Self::is_adjacency_pipe(rec) {
-                if Self::port_of(ctx, id).is_none() {
+                if ctx.blackboard.pipe(id).port.is_none() {
                     continue; // ETH module has not published the port yet
                 }
                 self.address_on_pipe(ctx, id)
@@ -998,8 +947,8 @@ mod tests {
         assert_eq!(rig.config.filters, [theirs]);
     }
 
-    /// A gateway rule with neither a tunnel behind it nor a local prefix
-    /// installs nothing but is applied all the same.
+    /// A gateway rule without a local prefix installs nothing but is applied
+    /// all the same.
     #[test]
     fn a_rule_that_installs_nothing_is_still_listed_and_deletable() {
         let mut rig = Rig::new();
@@ -1021,6 +970,48 @@ mod tests {
         .unwrap();
         assert!(m.actual(&rig.ctx()).switch_rules.is_empty());
         assert!(m.installed.is_empty() && m.pending_switches.is_empty());
+    }
+
+    /// `attach` names the IP-IP tunnel, so it goes where the tunnel goes: it
+    /// used to outlive it, and a re-created rule then skipped `add_tunnel`.
+    #[test]
+    fn deleting_an_ipip_rule_retracts_the_attachment_and_a_recreated_rule_makes_a_fresh_tunnel() {
+        let mut rig = Rig::new();
+        rig.config.ip_forwarding = true; // a rule leaves forwarding on
+        let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+        // The endpoint pipe under the customer's IP module, towards the far
+        // edge router (device 3), and the adjacency it is reached through.
+        let mut endpoint = pipe(1, &module(ModuleKind::Ip, 5, 1), &me());
+        endpoint.peer_lower = Some(module(ModuleKind::Ip, 1, 3));
+        m.create_pipe(&mut rig.ctx(), &endpoint).unwrap();
+        m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
+        rig.publish_port(3, 0);
+        for peer in [3, 2] {
+            m.handle_envelope(
+                &mut rig.ctx(),
+                &address_reply(peer, EnvelopeKind::FieldResponse),
+            )
+            .unwrap();
+        }
+        let baseline = rig.config_json();
+        let attach = |rig: &Rig| rig.blackboard.pipe(PipeId(1)).attach;
+        for round in 0..2 {
+            m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 3))
+                .unwrap();
+            let tunnel = rig.config.tunnels().next().expect("configured").id;
+            assert_eq!(
+                attach(&rig),
+                Some(RouteTarget::Tunnel { tunnel }),
+                "round {round}"
+            );
+            m.delete(
+                &mut rig.ctx(),
+                &ComponentRef::SwitchRule(me(), PipeId(1), PipeId(3)),
+            )
+            .unwrap();
+            assert_eq!(attach(&rig), None, "round {round}");
+            assert_eq!(rig.config_json(), baseline);
+        }
     }
 
     proptest! {
@@ -1077,7 +1068,7 @@ mod tests {
                     4 => {
                         m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(id)))
                             .unwrap();
-                        // The agent drops the pipe's blackboard keys with it.
+                        // The agent drops the pipe's facts with it.
                         rig.blackboard.remove_pipe(PipeId(id));
                     }
                     _ => {
@@ -1085,7 +1076,7 @@ mod tests {
                             .into_iter()
                             .filter(|id| {
                                 !m.adjacency_pipes.contains(id)
-                                    || rig.blackboard.contains_key(&ModuleCtx::pipe_key(*id, "port"))
+                                    || rig.blackboard.pipe(*id).port.is_some()
                             })
                             .map(|id| IpModule::peer_of(&m.pipes[&id]).unwrap().clone())
                             .collect();

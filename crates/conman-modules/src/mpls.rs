@@ -13,6 +13,7 @@ use conman_core::primitives::{
     ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, Notification, PipeSpec, SwitchSpec,
 };
 use netsim::mpls::{IlmEntry, Label, LabelOp, Nhlfe, NhlfeKey};
+use netsim::route::RouteTarget;
 use netsim::stats::DropReason;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -48,6 +49,8 @@ enum PipeKind {
 struct InstalledLsp {
     nhlfe: Vec<NhlfeKey>,
     xc: Vec<(u16, u32)>,
+    /// The access pipe an endpoint rule published its push NHLFE on.
+    access: Option<PipeId>,
 }
 
 /// The MPLS protocol module.
@@ -95,10 +98,6 @@ impl MplsModule {
     fn alloc_label(&mut self) -> u32 {
         self.next_label += 1;
         self.next_label
-    }
-
-    fn port_of(ctx: &ModuleCtx, pipe: PipeId) -> Option<u32> {
-        ctx.pipe_attr(pipe, "port").and_then(|s| s.parse().ok())
     }
 
     fn exchange_body(&self, label: u32, addr: Ipv4Addr, reply: bool) -> serde_json::Value {
@@ -151,7 +150,7 @@ impl MplsModule {
                     return None;
                 };
                 let initiate = adj.initiate;
-                let port = Self::port_of(ctx, adjacency)?;
+                let port = ctx.blackboard.pipe(adjacency).port?;
                 let installed = self
                     .installed
                     .entry((spec.in_pipe, spec.out_pipe))
@@ -165,7 +164,10 @@ impl MplsModule {
                     out_port: port,
                     mtu: 1500,
                 });
-                ctx.set_pipe_attr(access, "attach", format!("mpls:{}", push_key.0));
+                ctx.blackboard.publish(access, |facts| {
+                    facts.attach = Some(RouteTarget::Mpls { nhlfe: push_key })
+                });
+                installed.access = Some(access);
                 // Incoming direction: pop our label and hand the packet to
                 // the local IP module for routing towards the customer.
                 let pop_key = ctx.config.mpls.alloc_key();
@@ -209,8 +211,8 @@ impl MplsModule {
                     else {
                         return None;
                     };
-                    let in_port = Self::port_of(ctx, from_pipe)?;
-                    let out_port = Self::port_of(ctx, to_pipe)?;
+                    let in_port = ctx.blackboard.pipe(from_pipe).port?;
+                    let out_port = ctx.blackboard.pipe(to_pipe).port?;
                     let key = ctx.config.mpls.alloc_key();
                     ctx.config.mpls.add_nhlfe(Nhlfe {
                         key,
@@ -293,6 +295,9 @@ impl ProtocolModule for MplsModule {
                 if let Some(installed) = self.installed.remove(&(*in_pipe, *out_pipe)) {
                     for key in &installed.nhlfe {
                         ctx.config.mpls.remove_nhlfe(*key);
+                    }
+                    if let Some(access) = installed.access {
+                        ctx.blackboard.publish(access, |facts| facts.attach = None);
                     }
                     for (labelspace, label) in &installed.xc {
                         if let Some(label) = Label::new(*label) {
@@ -411,7 +416,7 @@ impl ProtocolModule for MplsModule {
             Some(l) => l,
             None => self.alloc_label(),
         };
-        let port = Self::port_of(ctx, pipe);
+        let port = ctx.blackboard.pipe(pipe).port;
         let our_addr = port
             .and_then(|p| ctx.config.address_on_port(p))
             .map(|c| c.addr)
@@ -453,7 +458,7 @@ impl ProtocolModule for MplsModule {
         let ready: Vec<(PipeId, u32)> = self
             .pending_exchanges
             .iter()
-            .filter_map(|&pipe| Some((pipe, Self::port_of(ctx, pipe)?)))
+            .filter_map(|&pipe| Some((pipe, ctx.blackboard.pipe(pipe).port?)))
             .collect();
         for (pipe, port) in ready {
             let our_addr = ctx
@@ -599,6 +604,8 @@ mod tests {
         }
     }
 
+    /// The rule goes and so does the `attach` it published on the access
+    /// pipe, which used to go on naming the removed push NHLFE.
     #[test]
     fn deleting_a_switch_rule_removes_it_from_show_actual() {
         let mut rig = Rig::new();
@@ -612,22 +619,32 @@ mod tests {
         m.handle_envelope(&mut rig.ctx(), &label_message(2, 777, true))
             .unwrap();
         let rule = switch(&me(), 1, 2);
-        m.create_switch(&mut rig.ctx(), &rule).unwrap();
-        assert_eq!(
-            m.actual(&rig.ctx()).switch_rules,
-            [(PipeId(1), PipeId(2))],
-            "listed by the ids `delete` takes"
-        );
-        assert_eq!(rig.config.mpls.nhlfe.len(), 2);
+        let mut pushed = Vec::new();
+        for round in 0..2 {
+            m.create_switch(&mut rig.ctx(), &rule).unwrap();
+            assert_eq!(
+                m.actual(&rig.ctx()).switch_rules,
+                [(PipeId(1), PipeId(2))],
+                "listed by the ids `delete` takes"
+            );
+            assert_eq!(rig.config.mpls.nhlfe.len(), 2);
+            let Some(RouteTarget::Mpls { nhlfe }) = rig.blackboard.pipe(PipeId(1)).attach else {
+                panic!("round {round}: the access pipe names no push NHLFE");
+            };
+            assert!(rig.config.mpls.nhlfe_by_key(nhlfe).is_some());
+            pushed.push(nhlfe);
 
-        m.delete(
-            &mut rig.ctx(),
-            &ComponentRef::SwitchRule(me(), PipeId(1), PipeId(2)),
-        )
-        .unwrap();
-        assert!(m.actual(&rig.ctx()).switch_rules.is_empty());
-        assert!(rig.config.mpls.nhlfe.is_empty());
-        assert!(m.installed.is_empty());
+            m.delete(
+                &mut rig.ctx(),
+                &ComponentRef::SwitchRule(me(), PipeId(1), PipeId(2)),
+            )
+            .unwrap();
+            assert!(m.actual(&rig.ctx()).switch_rules.is_empty());
+            assert!(rig.config.mpls.nhlfe.is_empty() && rig.config.mpls.xc.is_empty());
+            assert!(m.installed.is_empty());
+            assert_eq!(rig.blackboard.pipe(PipeId(1)).attach, None);
+        }
+        assert_ne!(pushed[0], pushed[1], "a re-created rule gets a fresh NHLFE");
     }
 
     proptest! {
@@ -660,7 +677,7 @@ mod tests {
                     _ => {
                         let due: Vec<ModuleRef> = scan(&m)
                             .into_iter()
-                            .filter(|id| rig.blackboard.contains_key(&ModuleCtx::pipe_key(*id, "port")))
+                            .filter(|id| rig.blackboard.pipe(*id).port.is_some())
                             .map(|id| m.adjacencies[&id].peer.clone().unwrap())
                             .collect();
                         let fired = m.poll(&mut rig.ctx());

@@ -26,9 +26,7 @@ impl Rig {
 
     pub(crate) fn ctx(&mut self) -> ModuleCtx<'_> {
         ModuleCtx {
-            device: DeviceId::from_raw(1),
             config: &mut self.config,
-            ports: &[],
             stats: &self.stats,
             blackboard: &mut self.blackboard,
         }
@@ -37,7 +35,7 @@ impl Rig {
     /// What the ETH module does when a pipe lands on it.
     pub(crate) fn publish_port(&mut self, pipe: u32, port: u32) {
         self.blackboard
-            .set(ModuleCtx::pipe_key(PipeId(pipe), "port"), port.to_string());
+            .publish(PipeId(pipe), |facts| facts.port = Some(port));
     }
 
     /// The data-plane configuration, rendered for before/after comparison.

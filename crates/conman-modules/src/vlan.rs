@@ -97,10 +97,6 @@ impl VlanModule {
         self.pipes.values().any(|k| *k == PipeKind::Customer)
     }
 
-    fn port_of(ctx: &ModuleCtx, pipe: PipeId) -> Option<u32> {
-        ctx.pipe_attr(pipe, "port").and_then(|s| s.parse().ok())
-    }
-
     fn try_apply_switch(
         &mut self,
         ctx: &mut ModuleCtx,
@@ -110,8 +106,8 @@ impl VlanModule {
         let vid = VlanId::new(vid_raw)?;
         let in_kind = self.pipes.get(&spec.in_pipe).copied()?;
         let out_kind = self.pipes.get(&spec.out_pipe).copied()?;
-        let in_port = Self::port_of(ctx, spec.in_pipe)?;
-        let out_port = Self::port_of(ctx, spec.out_pipe)?;
+        let in_port = ctx.blackboard.pipe(spec.in_pipe).port?;
+        let out_port = ctx.blackboard.pipe(spec.out_pipe).port?;
         // Re-applying a rule replaces it.
         self.uninstall(ctx, (spec.in_pipe, spec.out_pipe));
         let bridge = ctx.config.bridge.get_or_insert_with(BridgeConfig::default);
@@ -207,7 +203,7 @@ impl ProtocolModule for VlanModule {
         // MTU violations).
         let mut snap = CounterSnapshot::empty(self.me.clone());
         for pipe in self.pipes.keys() {
-            if let Some(port) = Self::port_of(ctx, *pipe) {
+            if let Some(port) = ctx.blackboard.pipe(*pipe).port {
                 let c = ctx.stats.ports.get(&port).copied().unwrap_or_default();
                 let counters = PipeCounters {
                     rx_packets: c.rx_packets,

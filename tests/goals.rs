@@ -93,7 +93,8 @@ fn claimed(mn: &ManagedNetwork<OutOfBandChannel>) -> BTreeSet<(DeviceId, Compone
 }
 
 /// The residue check: every component a live device of `devices` lists is in
-/// `claims`, and no agent holds a staged segment.
+/// `claims`, its blackboard holds facts for claimed pipes only, and no agent
+/// holds a staged segment.
 fn assert_lists_only(
     mn: &mut ManagedNetwork<OutOfBandChannel>,
     devices: &[DeviceId],
@@ -111,6 +112,12 @@ fn assert_lists_only(
             orphans.is_empty(),
             "{d} holds what no goal claims: {orphans:?}"
         );
+        let stale: Vec<_> = mn.agents[d]
+            .blackboard()
+            .pipes()
+            .filter(|p| !claims.contains(&(*d, ComponentRef::Pipe(*p))))
+            .collect();
+        assert!(stale.is_empty(), "{d} holds facts for released {stale:?}");
         assert_eq!(mn.agents[d].staged_segment_count(), 0, "{d} holds a stage");
     }
 }
@@ -879,14 +886,6 @@ fn assert_withdraw_leaves_nothing(
         );
     }
     assert_no_orphans(mn, routers);
-    for d in routers {
-        let pipe_keys: Vec<_> = mn.agents[d]
-            .blackboard()
-            .keys()
-            .filter(|k| k.starts_with("pipe."))
-            .collect();
-        assert!(pipe_keys.is_empty(), "blackboard kept {pipe_keys:?}");
-    }
     assert_eq!(
         data_plane(mn, routers),
         before,
