@@ -1,91 +1,18 @@
-//! The typed findings both analysis passes return.
+//! The typed findings the journal checker returns.
 //!
-//! Every variant carries enough provenance (goal / device / pipe /
-//! sequence number) to point at the offending artefact without re-running
-//! anything.  [`Violation::severity`] separates hard invariant breaks from
-//! advisories that merely predict a runtime fallback.
+//! Every variant carries enough provenance (sequence number, transaction,
+//! device, goal) to point at the offending event without re-running
+//! anything.
 
 use std::fmt;
 
-/// How serious a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Legal but costly: the runtime will handle it by falling back to a
-    /// slower path (today: demoting a goal from the batched transaction to
-    /// a strict per-goal one).
-    Advisory,
-    /// Breaks an invariant the runtime relies on; executing or accepting
-    /// the artefact as-is is a bug.
-    Fatal,
-}
-
-/// One finding of the plan verifier or the journal conformance checker.
+/// One finding of the journal conformance checker.
 ///
 /// Goal and device identifiers are raw integers (`GoalId.0`,
-/// `DeviceId::as_u64()`), module keys are display strings — the same
-/// neutral vocabulary the trace journal uses, so findings are meaningful
-/// without the management layers loaded.
+/// `DeviceId::as_u64()`) — the journal's own vocabulary, so findings are
+/// meaningful without the management layers loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
-    // ---- pre-flight plan/batch verifier -----------------------------
-    /// Two goals' pipe-id blocks overlap: their derived identifiers
-    /// (route tables, policy priorities) would collide on shared devices.
-    PipeOverlap {
-        /// First goal of the overlapping pair.
-        goal_a: u64,
-        /// Second goal of the overlapping pair.
-        goal_b: u64,
-    },
-    /// A goal's pipe block crosses the derived-identifier cap: the u32
-    /// spaces derived from pipe ids would wrap.
-    PipeSpaceExceeded {
-        /// The goal whose block crosses the cap.
-        goal: u64,
-        /// Largest pipe id the block would use.
-        last_pipe: u32,
-        /// The cap (`GoalStore::MAX_PIPE_ID`).
-        max: u32,
-    },
-    /// A script's teardown is not the exact reverse-order mirror of its
-    /// creates: withdrawing the goal would leak or mis-delete state.
-    TeardownMismatch {
-        /// The goal whose script is unbalanced.
-        goal: u64,
-        /// The device whose create/delete footprints disagree (0 when the
-        /// mismatch is in the device order itself).
-        device: u64,
-        /// What disagrees.
-        detail: String,
-    },
-    /// The goal's script visits devices in an order incompatible with the
-    /// batch's single per-device commit sequence (the opposite-direction
-    /// paths case).  Advisory: the batch executor detects this too and
-    /// demotes the goal to a strict per-goal transaction.
-    CommitOrderConflict {
-        /// The goal the batch executor would demote.
-        goal: u64,
-    },
-    /// A plan's created/reused module classification disagrees with the
-    /// module → goal index: refcount bookkeeping would corrupt on
-    /// apply or withdraw.
-    RefcountMismatch {
-        /// The goal whose classification is wrong.
-        goal: u64,
-        /// The module key (its display string).
-        module: String,
-        /// What disagrees.
-        detail: String,
-    },
-    /// A plan traverses a module or link its own goal excluded: the
-    /// re-planner routed straight through the component diagnosis blamed.
-    ExclusionCrossed {
-        /// The goal whose exclusion is crossed.
-        goal: u64,
-        /// The excluded component the path traverses.
-        target: String,
-    },
-
-    // ---- journal conformance checker --------------------------------
     /// An event's sequence number breaks the 1-based dense numbering.
     BadSequence {
         /// Zero-based position of the event in the dump.
@@ -176,57 +103,9 @@ pub enum Violation {
     },
 }
 
-impl Violation {
-    /// How serious the finding is.  Only [`Violation::CommitOrderConflict`]
-    /// is advisory — the batch executor legitimately resolves it at runtime
-    /// by demoting the goal to a strict transaction; everything else breaks
-    /// an invariant.
-    pub fn severity(&self) -> Severity {
-        match self {
-            Violation::CommitOrderConflict { .. } => Severity::Advisory,
-            _ => Severity::Fatal,
-        }
-    }
-}
-
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::PipeOverlap { goal_a, goal_b } => {
-                write!(f, "pipe blocks of goals {goal_a} and {goal_b} overlap")
-            }
-            Violation::PipeSpaceExceeded {
-                goal,
-                last_pipe,
-                max,
-            } => write!(
-                f,
-                "goal {goal}'s pipe block reaches id {last_pipe}, past the cap {max}"
-            ),
-            Violation::TeardownMismatch {
-                goal,
-                device,
-                detail,
-            } => write!(
-                f,
-                "goal {goal}'s teardown does not mirror its script on device {device}: {detail}"
-            ),
-            Violation::CommitOrderConflict { goal } => write!(
-                f,
-                "goal {goal}'s device order conflicts with the batch commit order \
-                 (the executor will fall back to a strict transaction)"
-            ),
-            Violation::RefcountMismatch {
-                goal,
-                module,
-                detail,
-            } => write!(
-                f,
-                "goal {goal}'s classification of module {module} is inconsistent: {detail}"
-            ),
-            Violation::ExclusionCrossed { goal, target } => {
-                write!(f, "goal {goal}'s plan crosses its own exclusion {target}")
-            }
             Violation::BadSequence { index, seq } => write!(
                 f,
                 "event at position {index} carries seq {seq} (expected {})",

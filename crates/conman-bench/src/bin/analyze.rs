@@ -51,7 +51,7 @@ fn main() {
                 events.len()
             );
             for v in &violations {
-                println!("  [{:?}] {v}", v.severity());
+                println!("  {v}");
             }
             clean = false;
         }

@@ -457,9 +457,10 @@ impl GoalStore {
         self.next_txn
     }
 
-    /// Largest pipe id the NM will ever allocate.  Derived identifier
-    /// schemes are injective in (pipe, role) with role < 4 — route tables
-    /// are `1000 + 4·pipe + role` and policy-rule priorities
+    /// The first pipe id no block reaches: a block ends at or below it, so
+    /// the last id the NM ever allocates is `MAX_PIPE_ID - 1`.  Derived
+    /// identifier schemes are injective in (pipe, role) with role < 4 —
+    /// route tables are `1000 + 4·pipe + role` and policy-rule priorities
     /// `100 + 4·pipe + role` (see the IP module) — so pipe ids must stay
     /// below this cap for those u32 spaces not to wrap.
     pub const MAX_PIPE_ID: u32 = (u32::MAX - 1000) / 4 - 1;
@@ -470,7 +471,14 @@ impl GoalStore {
     /// [`PlanError::PipeSpaceExhausted`] instead of wrapped derived ids
     /// silently colliding with live goals.
     pub fn check_pipe_block(&self, slots: u32) -> Result<(), PlanError> {
-        let remaining = Self::MAX_PIPE_ID.saturating_sub(self.next_pipe);
+        Self::check_block(self.next_pipe, slots)
+    }
+
+    /// Does the block of `slots` pipe ids from `base` stay below
+    /// [`Self::MAX_PIPE_ID`]?  The one definition of "in budget", shared
+    /// by the allocator and the plan checks.
+    pub(crate) fn check_block(base: u32, slots: u32) -> Result<(), PlanError> {
+        let remaining = Self::MAX_PIPE_ID.saturating_sub(base);
         if slots > remaining {
             return Err(PlanError::PipeSpaceExhausted {
                 needed: slots,
@@ -639,6 +647,9 @@ mod tests {
             }
             other => panic!("expected exhaustion, got {other:?}"),
         }
+        // The boundary: the five slots admitted above end the block at
+        // MAX − 1; a sixth would reach the cap itself.
+        assert!(store.check_pipe_block(6).is_err());
         // The derived route-table scheme (1000 + 4·pipe + role, role < 4)
         // cannot wrap below the cap.
         assert!(1000u64 + 4 * GoalStore::MAX_PIPE_ID as u64 + 3 <= u32::MAX as u64);

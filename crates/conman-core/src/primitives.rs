@@ -130,8 +130,8 @@ pub enum Primitive {
 
 impl Primitive {
     /// The component a `create` makes or a `delete` removes; `None` for the
-    /// two reads.  Teardown mirrors, a plan's claims and the verifier's keys
-    /// all spell a component through here.
+    /// two reads.  Teardown mirrors and a plan's claims both spell a
+    /// component through here.
     pub fn component(&self) -> Option<ComponentRef> {
         match self {
             Primitive::ShowPotential | Primitive::ShowActual => None,

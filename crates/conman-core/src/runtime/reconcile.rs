@@ -515,13 +515,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         let pipe_floor = self.goals.peek_pipe_base();
         let mut items: Vec<(GoalId, bool, Option<AppliedPlan>, Plan)> = Vec::new();
         let mut stale: Vec<GoalTeardown> = Vec::new();
-        // Pre-flight verification (debug builds): every plan the pass
-        // produces is modelled for the static analyzer; refcount claims are
-        // checked per goal here, while the index still reflects
-        // classification time, and the batch-level invariants below once
-        // all blocks are taken.
-        #[cfg(debug_assertions)]
-        let mut preflight: Vec<conman_analyze::GoalModel> = Vec::new();
         // Path selection: the read-only half of planning.  The parallel arm
         // fans the searches out over the worker pool *before* the merge
         // loop; the sequential arm resolves each goal inline, per-goal
@@ -576,20 +569,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 }
             };
             self.goals.take_pipe_block(script::slot_count(&plan.path));
-            #[cfg(debug_assertions)]
-            {
-                let model = super::verify::plan_model(&self.goals, &plan);
-                let refcounts = conman_analyze::plan::check_goal_refcounts(
-                    &model,
-                    &super::verify::module_users_model(&self.goals),
-                );
-                debug_assert!(
-                    refcounts.is_empty(),
-                    "pre-flight: goal {} fails refcount verification: {refcounts:?}",
-                    id.0
-                );
-                preflight.push(model);
-            }
             let excluded = self.goals.get(id).map_or(0, |r| r.excluded.len());
             self.recorder.event(
                 self.net.now().as_nanos(),
@@ -615,21 +594,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             }
             items.push((id, had_applied, previous, plan));
         }
-        // Batch-level pre-flight: disjoint pipe blocks under the cap,
-        // teardown mirrors, no plan crossing its goal's exclusions.
-        // Commit-order conflicts are deliberately not asserted on —
-        // they are advisory, and `run_batch` resolves them by demoting
-        // the goal to a batch of its own.
+        // Pre-flight (debug builds): the pass's pipe blocks are within
+        // budget and disjoint, and no plan crosses its goal's exclusions.
         #[cfg(debug_assertions)]
         {
-            let batch = conman_analyze::BatchModel {
-                max_pipe_id: crate::nm::GoalStore::MAX_PIPE_ID,
-                goals: preflight,
-                module_users: Default::default(),
-            };
-            let mut violations = conman_analyze::plan::check_pipes(&batch);
-            violations.extend(conman_analyze::plan::check_teardowns(&batch));
-            violations.extend(conman_analyze::plan::check_exclusions(&batch));
+            let violations = super::verify::check_batch(&self.goals, items.iter().map(|i| &i.3));
             debug_assert!(
                 violations.is_empty(),
                 "pre-flight: planned batch fails verification: {violations:?}"

@@ -288,20 +288,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// where it is sound (`BatchOutcome::fallback` records them).  A
     /// transaction for one goal is `run_batch(&[(goal, &scripts)])`.
     pub fn run_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> BatchOutcome {
-        // Execution-time verification (debug builds): every script set
-        // handed to the batch executor must carry an exact teardown mirror,
-        // or the rollback/withdraw paths below would leak staged state.
-        // (Commit-order conflicts are *not* asserted — the fixed-point
-        // partition below resolves them via the singleton fallback.)
-        #[cfg(debug_assertions)]
-        {
-            let model = super::verify::scripts_model(items);
-            let violations = conman_analyze::plan::check_teardowns(&model);
-            debug_assert!(
-                violations.is_empty(),
-                "batch scripts fail teardown-mirror verification: {violations:?}"
-            );
-        }
         let txn = self.goals.next_txn();
         let mut outcome = BatchOutcome {
             txn,

@@ -8,8 +8,8 @@
 //! StageBatch/CommitBatch value trees — once per device, every pass.  The
 //! [`WireCodec::Binary`] codec replaces exactly those six batch messages
 //! with a length-prefixed binary layout (see `mgmt_channel::codec`) behind
-//! the existing [`WireMessage`] enum: the channels, the channel tap and the
-//! `conman-analyze` models never see the difference, and
+//! the existing [`WireMessage`] enum: the channels and the channel tap
+//! never see the difference, and
 //! [`WireMessage::decode`] auto-detects the codec from the first payload
 //! byte (binary tags are `>= 0x80`; JSON starts with `{`).
 //!

@@ -333,19 +333,12 @@ impl ProtocolModule for GreModule {
         _ctx: &mut ModuleCtx,
         spec: &SwitchSpec,
     ) -> Result<ModuleReaction, ModuleError> {
-        // Arm the slot the switch's pipes belong to (falling back to every
-        // unarmed slot for specs that predate multi-tunnel modules).
-        let named: BTreeSet<u64> = [spec.in_pipe, spec.out_pipe]
-            .iter()
-            .filter_map(|pipe| self.slot_of_pipe.get(pipe).copied())
-            .collect();
-        let keys = if named.is_empty() {
-            self.slots.keys().copied().collect()
-        } else {
-            named
-        };
-        for key in keys {
-            self.arm(key);
+        // Arm the slot the switch's pipes belong to; a rule naming none of
+        // this module's pipes arms nothing.
+        for pipe in [spec.in_pipe, spec.out_pipe] {
+            if let Some(key) = self.slot_of_pipe.get(&pipe).copied() {
+                self.arm(key);
+            }
         }
         Ok(ModuleReaction::none())
     }
@@ -551,6 +544,23 @@ mod tests {
             rig.blackboard.pipe(PipeId(1)).attach,
             Some(RouteTarget::Tunnel { tunnel: 1 })
         );
+    }
+
+    /// A rule arms the slot its pipes belong to and no other, so a rule
+    /// naming none of this module's pipes arms nothing.
+    #[test]
+    fn a_rule_naming_unknown_pipes_arms_no_slot() {
+        let mut rig = Rig::new();
+        let mut m = GreModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
+        m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
+        publish_endpoints(&mut rig, 2);
+        m.create_switch(&mut rig.ctx(), &switch(&me(), 7, 8))
+            .unwrap();
+        assert!(m.armed.is_empty());
+        assert!(m.slots.values().all(|slot| !slot.pending_switch));
+        m.poll(&mut rig.ctx());
+        assert!(rig.config.tunnels().next().is_none());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests on the substrate's core data structures and
 //! invariants: wire-format round-trips, checksum detection, longest-prefix
-//! match consistency, path-finder sanity — the pre-flight verifier's
-//! soundness on honestly-planned goal fleets (random fleet shapes on the
-//! fan-out chain and the multipath mesh must produce zero violations) — and
+//! match consistency, path-finder sanity — the plan checks' soundness on
+//! honestly-planned goal fleets (random fleet shapes on the fan-out chain
+//! and the multipath mesh must produce zero violations) — and
 //! the binary management codec's behaviour on hostile bytes (it returns,
 //! whatever a frame's counts and lengths claim).
 
@@ -151,12 +151,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Soundness of the pre-flight batch verifier: a fleet planned the way
-    /// the batched reconcile pass plans it — each goal's pipe block
-    /// consumed before the next goal plans — produces **zero** violations,
-    /// for any fleet size on any small fan-out chain.  (The verifier's
-    /// completeness — that every violation variant actually fires on bad
-    /// input — is covered by conman-analyze's unit tests.)
+    /// Soundness of the plan checks: a fleet planned the way the batched
+    /// reconcile pass plans it — each goal's pipe block consumed before the
+    /// next goal plans — produces **zero** violations, for any fleet size
+    /// on any small fan-out chain.  (Their completeness — that every
+    /// `PlanViolation` variant actually fires on bad input — is covered by
+    /// `runtime::verify`'s unit tests.)
     #[test]
     fn planned_chain_fleets_pass_the_preflight_verifier(n in 3usize..6, goals in 1usize..5) {
         use conman::core::nm::script;

@@ -8,8 +8,7 @@
 //! fallback transaction.  The zero-copy binary codec must preserve the
 //! same equivalence between same-codec twins, and message *counts* across
 //! codecs.  Random fleets are covered by proptests that also feed the
-//! planned batch through the static pre-flight verifier
-//! (`verify_plans`, i.e. `conman-analyze`'s `verify_batch`).
+//! planned batch through the plan checks (`verify_plans`).
 //!
 //! Every scenario runs twin testbeds built identically, so any divergence
 //! between the engines shows up as a journal or report diff.
@@ -235,7 +234,7 @@ proptest! {
     /// Random fan-out chain fleets: the parallel engine is byte-identical
     /// to the sequential oracle, the journal conforms, and the fleet's
     /// plans (identical under both engines, as the journal equality
-    /// proves) pass the `verify_batch` pre-flight with zero violations.
+    /// proves) pass `verify_plans` with zero violations.
     #[test]
     fn random_chain_fleets_plan_identically_and_verify_clean(n in 3usize..6, goals in 1usize..5) {
         let mut a = chain_twin(n, goals, WireCodec::Binary);

@@ -66,6 +66,7 @@ fn nm_prefers_the_mpls_path() {
 #[test]
 fn figure4_scripts_render_one_line_per_primitive() {
     use conman::core::nm::{render_primitive, NetworkManager, ScriptSet};
+    use conman::core::Primitive;
     use conman_modules::managed_vlan_chain;
 
     fn check(nm: &NetworkManager, scripts: &ScriptSet) {
@@ -76,6 +77,21 @@ fn figure4_scripts_render_one_line_per_primitive() {
             for (line, p) in lines.iter().zip(&ds.primitives) {
                 assert_eq!(line, &render_primitive(nm, p));
             }
+        }
+        // The teardown visits the devices in reverse path order, and each
+        // device's deletes are its creates reversed.
+        let teardown = scripts.teardown();
+        assert_eq!(teardown.len(), scripts.scripts.len());
+        for ((device, deletes), ds) in teardown.iter().zip(scripts.scripts.iter().rev()) {
+            assert_eq!(*device, ds.device);
+            let undone: Vec<Primitive> = ds
+                .primitives
+                .iter()
+                .rev()
+                .filter_map(Primitive::component)
+                .map(Primitive::Delete)
+                .collect();
+            assert_eq!(deletes, &undone);
         }
         let text = scripts.render(nm);
         assert_eq!(
