@@ -322,7 +322,7 @@ fn autonomic_loop() {
     println!("(no budget burn); a converged tick sends ZERO management messages.\n");
     let header = || {
         println!(
-            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10}",
+            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14}",
             "scenario",
             "channel",
             "goals",
@@ -334,13 +334,14 @@ fn autonomic_loop() {
             "blamed",
             "passes",
             "failed",
-            "repair-NM"
+            "repair-NM",
+            "repair-NM-recv"
         );
     };
     header();
     let print_row = |r: &LoopBenchReport| {
         println!(
-            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10}",
+            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14}",
             r.scenario.name(),
             r.channel,
             r.goals,
@@ -353,6 +354,7 @@ fn autonomic_loop() {
             r.repair_passes,
             r.failed_attempts,
             r.repair_nm_sent,
+            r.repair_nm_received,
         );
     };
     for scenario in [LoopScenario::CoreStateLoss, LoopScenario::PerGoalTableFlush] {

@@ -121,6 +121,8 @@ pub struct LoopBenchReport {
     pub failed_attempts: u64,
     /// NM messages sent across the detection-to-repair ticks.
     pub repair_nm_sent: u64,
+    /// NM messages received across the detection-to-repair ticks.
+    pub repair_nm_received: u64,
     /// Link-level frames delivered across the detection-to-repair ticks —
     /// the wire cost.  Out-of-band runs only carry data-plane (probe)
     /// frames here; the in-band rows additionally pay for every flooded
@@ -165,6 +167,7 @@ struct RunMetrics {
     repair_passes: u64,
     failed_attempts: u64,
     repair_nm_sent: u64,
+    repair_nm_received: u64,
 }
 
 fn run_metrics(run: &LoopReport) -> RunMetrics {
@@ -208,6 +211,7 @@ fn run_metrics(run: &LoopReport) -> RunMetrics {
         repair_passes,
         failed_attempts,
         repair_nm_sent: run.ticks.iter().map(|tk| tk.nm_sent).sum(),
+        repair_nm_received: run.ticks.iter().map(|tk| tk.nm_received).sum(),
     }
 }
 
@@ -348,6 +352,7 @@ fn chain_loop_run<C: ManagementChannel>(
         repair_passes: m.repair_passes,
         failed_attempts: m.failed_attempts,
         repair_nm_sent: m.repair_nm_sent,
+        repair_nm_received: m.repair_nm_received,
         repair_frames,
         converged: run.converged && all_active && traffic_ok,
     }
@@ -477,6 +482,7 @@ fn mesh_loop_run_with(
         repair_passes: m.repair_passes,
         failed_attempts: m.failed_attempts,
         repair_nm_sent: m.repair_nm_sent,
+        repair_nm_received: m.repair_nm_received,
         repair_frames,
         converged: run.converged && all_active && rerouted && traffic_ok,
     }

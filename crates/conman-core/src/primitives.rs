@@ -277,7 +277,9 @@ pub enum WireMessage {
         /// One result (or error string) per primitive.
         results: Vec<Result<PrimitiveResult, String>>,
     },
-    /// Module → module (relayed by the NM in both directions).
+    /// Module → module, one envelope per message (relayed by the NM in both
+    /// directions).  Batched transaction runners send [`Self::RelayBatch`]
+    /// instead.
     Module(ModuleEnvelope),
     /// Module → NM notification.
     Notify(Notification),
@@ -346,11 +348,13 @@ pub enum WireMessage {
         /// The goals whose segments to discard.
         goals: Vec<u64>,
     },
-    /// NM → device: a round's worth of module-to-module envelopes bound for
-    /// this device, relayed as one message.  Batched reconcile passes
-    /// coalesce relays per (device, round) so peer negotiations of many
-    /// concurrent goals do not dominate the NM's message budget; envelope
-    /// order within the batch is preserved.
+    /// Device ↔ NM: a round's worth of module-to-module envelopes as one
+    /// message.  Device → NM it carries everything one device's modules
+    /// emitted in one management round; NM → device, everything the NM
+    /// relays to that device in one round.  Batched transaction runners
+    /// coalesce relays per (device, round) in both directions so peer
+    /// negotiations of many concurrent goals do not dominate the NM's
+    /// message budget; envelope order within the batch is preserved.
     RelayBatch {
         /// The relayed envelopes, in relay order.
         envelopes: Vec<ModuleEnvelope>,

@@ -80,10 +80,13 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     /// Commit results (one per goal segment), indexed by (device, txn).
     pub(crate) commit_batch_results: BTreeMap<(DeviceId, u64), Vec<SegmentCommit>>,
     /// Set while a transaction runner is on the stack: module-to-module
-    /// relays are coalesced into one [`WireMessage::RelayBatch`] per
-    /// (destination device, management round) instead of one message per
-    /// envelope.  Off outside transactions, so the fire-and-forget
-    /// [`Self::execute_path`] keeps the per-message Table VI counts.
+    /// envelopes travel as one [`WireMessage::RelayBatch`] per (device,
+    /// management round) in both directions — a device sends the NM
+    /// everything its modules emitted in a round as one message, and the
+    /// NM relays them onward as one message per destination — instead of
+    /// one message per envelope.  Off outside transactions, so the
+    /// fire-and-forget [`Self::execute_path`] keeps the per-message
+    /// Table VI counts.
     pub(crate) batch_relays: bool,
     /// Relays buffered for the current management round (relay batching).
     pending_relays: BTreeMap<DeviceId, Vec<ModuleEnvelope>>,
@@ -331,6 +334,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
 
     /// Deliver queued management messages until the plane is quiescent.
     /// Returns the number of messages processed.
+    ///
+    /// With relay batching on, a device answers the NM once per round: the
+    /// module envelopes it emits while its inbox drains go up as one
+    /// `RelayBatch`, sent right after that drain.  A lost or undecodable
+    /// upward batch therefore loses that device's whole round of
+    /// envelopes, not one of them.
     pub fn run_management(&mut self) -> usize {
         let mut total = 0;
         for _ in 0..MAX_ROUNDS {
@@ -345,9 +354,14 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             };
             for id in ids {
                 let messages = self.channel.recv(&mut self.net, id);
+                let mut upward = Vec::new();
                 for m in messages {
                     progressed += 1;
-                    self.route_message(id, m);
+                    self.route_message(id, m, &mut upward);
+                }
+                if !upward.is_empty() {
+                    let batch = WireMessage::RelayBatch { envelopes: upward };
+                    self.send(id, self.nm_host, &batch);
                 }
             }
             total += progressed;
@@ -380,8 +394,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     }
 
     /// Route a received management message either to the NM (if this device
-    /// hosts it and the message is NM-bound) or to the device's agent.
-    fn route_message(&mut self, at: DeviceId, msg: MgmtMessage) {
+    /// hosts it and the message is NM-bound) or to the device's agent.  The
+    /// agent's module envelopes are collected into `upward` while relays
+    /// are batched; everything else it answers is sent at once.
+    fn route_message(&mut self, at: DeviceId, msg: MgmtMessage, upward: &mut Vec<ModuleEnvelope>) {
         // A crashed device consumes nothing: whatever the channel delivered
         // is lost, exactly as with a powered-off box.
         if !self.net.device(at).map(|d| d.up).unwrap_or(false) {
@@ -393,9 +409,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         if wire::is_binary_stage_batch(&msg.payload) {
             if let (Some(agent), Ok(device)) = (self.agents.get_mut(&at), self.net.device_mut(at)) {
                 if let Some(outputs) = agent.handle_stage_batch_in_place(device, &msg.payload) {
-                    for out in outputs {
-                        self.send(at, self.nm_host, &out);
-                    }
+                    self.answer(at, outputs, upward);
                     return;
                 }
             }
@@ -406,6 +420,24 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         let Some(wire) = WireMessage::decode(&msg.payload) else {
             self.recorder.inc("mgmt.decode_dropped", 1);
             return;
+        };
+        // A relay batch reaching the NM host is split envelope by envelope
+        // by the same rule as a lone `Module`: the NM relays what is bound
+        // for other devices, and the host's own agent (when the host is
+        // itself managed) gets the rest.
+        let wire = match wire {
+            WireMessage::RelayBatch { envelopes } if at == self.nm_host => {
+                let (local, relayed): (Vec<_>, Vec<_>) =
+                    envelopes.into_iter().partition(|env| env.to.device == at);
+                if !relayed.is_empty() {
+                    self.nm_handle(msg.from, WireMessage::RelayBatch { envelopes: relayed });
+                }
+                if local.is_empty() {
+                    return;
+                }
+                WireMessage::RelayBatch { envelopes: local }
+            }
+            wire => wire,
         };
         let nm_bound = match &wire {
             WireMessage::Announce(_)
@@ -434,8 +466,22 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             return;
         };
         let outputs = agent.handle(device, &wire);
+        self.answer(at, outputs, upward);
+    }
+
+    /// Send an agent's answers to the NM, holding its module envelopes back
+    /// in `upward` while relays are batched.
+    fn answer(
+        &mut self,
+        at: DeviceId,
+        outputs: Vec<WireMessage>,
+        upward: &mut Vec<ModuleEnvelope>,
+    ) {
         for out in outputs {
-            self.send(at, self.nm_host, &out);
+            match out {
+                WireMessage::Module(env) if self.batch_relays => upward.push(env),
+                out => self.send(at, self.nm_host, &out),
+            }
         }
     }
 
@@ -452,6 +498,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 self.script_results.push((from, results));
             }
             WireMessage::Module(env) => self.relay(env),
+            WireMessage::RelayBatch { envelopes } => {
+                for env in envelopes {
+                    self.relay(env);
+                }
+            }
             // A notification's content has no consumer in the NM; it is
             // counted so that none arrives silently.
             WireMessage::Notify(_) => self.recorder.inc("mgmt.notifications", 1),
@@ -476,15 +527,15 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             | WireMessage::PollCounters { .. }
             | WireMessage::StageBatch { .. }
             | WireMessage::CommitBatch { .. }
-            | WireMessage::AbortBatch { .. }
-            | WireMessage::RelayBatch { .. } => {}
+            | WireMessage::AbortBatch { .. } => {}
         }
     }
 
     /// Relay a module-to-module envelope to its destination device; the NM
-    /// never looks inside (§II-D.1 d).  With relay batching on, the envelope
-    /// is buffered and flushed at the end of the management round as part of
-    /// one `RelayBatch` per destination.
+    /// never looks inside (§II-D.1 d).  It arrives alone in a `Module` or
+    /// with the rest of its sender's round in a `RelayBatch`.  With relay
+    /// batching on, the envelope is buffered and flushed at the end of the
+    /// management round as part of one `RelayBatch` per destination.
     fn relay(&mut self, env: ModuleEnvelope) {
         let to_device = env.to.device;
         if self.batch_relays {
@@ -511,7 +562,9 @@ mod tests {
 
     /// A module that, when a pipe with `initiate` is created, sends a Convey
     /// to its peer; the peer replies; both record completion in a flag the
-    /// test holds.  This exercises the full relay round trip.
+    /// test holds.  This exercises the full relay round trip.  An agent
+    /// finds modules by `ModuleId` alone, so a module refuses, loudly, an
+    /// envelope addressed to its namesake on another device.
     struct Chatty {
         me: ModuleRef,
         negotiated: Arc<AtomicBool>,
@@ -557,6 +610,7 @@ mod tests {
             _ctx: &mut ModuleCtx,
             env: &ModuleEnvelope,
         ) -> Result<ModuleReaction, crate::module::ModuleError> {
+            assert_eq!(env.to, self.me, "an envelope reached the wrong device");
             self.negotiated.store(true, Ordering::Relaxed);
             if env.body.get("hello").is_some() {
                 return Ok(ModuleReaction::envelope(ModuleEnvelope {
@@ -622,6 +676,67 @@ mod tests {
         assert_eq!(c.sent_by_category[&MessageCategory::Command], 1);
         assert_eq!(c.sent_by_category[&MessageCategory::ConveyMessage], 2);
         assert_eq!(c.received_by_category[&MessageCategory::ConveyMessage], 2);
+    }
+
+    /// The NM host is itself a managed device, so one batch its agent sends
+    /// up mixes envelopes for its own modules with envelopes for another
+    /// device.  Each goes where its own address says: a batch routed by its
+    /// first envelope would hand `a`'s hello for `c` to `a`, `c`'s namesake.
+    #[test]
+    fn batched_relays_route_each_envelope_when_the_nm_host_is_managed() {
+        use crate::nm::script::DeviceScript;
+        use crate::nm::GoalId;
+
+        let mut net = Network::new();
+        let d1 = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
+        let d2 = net.add_device(Device::new("RouterB", DeviceRole::Router, 1));
+        let on = |id, device| ModuleRef::new(ModuleKind::Gre, ModuleId(id), device);
+        let [a, b, low, c, d] = [on(1, d1), on(2, d1), on(9, d1), on(1, d2), on(2, d2)];
+        let pipe = |n, upper: &ModuleRef, lower: &ModuleRef, peer: &ModuleRef| {
+            Primitive::CreatePipe(PipeSpec {
+                pipe: crate::ids::PipeId(n),
+                upper: upper.clone(),
+                lower: lower.clone(),
+                peer_upper: Some(peer.clone()),
+                peer_lower: None,
+                tradeoffs: vec![],
+                initiate: true,
+            })
+        };
+        let chatty = [&a, &b, &c, &d].map(|m| Chatty::new(m.clone()));
+        let negotiated = chatty.each_ref().map(|m| m.negotiated.clone());
+        let mut a1 = ManagementAgent::new(d1, "RouterA");
+        let mut a2 = ManagementAgent::new(d2, "RouterB");
+        a1.register(Box::new(Chatty::new(low.clone())));
+        for m in chatty {
+            let agent = if m.me.device == d1 { &mut a1 } else { &mut a2 };
+            agent.register(Box::new(m));
+        }
+        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
+        mn.add_agent(a1);
+        mn.add_agent(a2);
+        mn.announce_all();
+
+        // `d2` commits first: `d` greets `b` on the NM host.  Then `d1`'s
+        // one round emits `b`'s hello for `a` (its own) before `a`'s hello
+        // for `c` (on `d2`).
+        let scripts = ScriptSet {
+            scripts: vec![
+                DeviceScript {
+                    device: d1,
+                    primitives: vec![pipe(1, &b, &low, &a), pipe(2, &a, &low, &c)],
+                },
+                DeviceScript {
+                    device: d2,
+                    primitives: vec![pipe(3, &d, &c, &b)],
+                },
+            ],
+        };
+        let batch = mn.run_batch(&[(GoalId(1), &scripts)]);
+        assert_eq!(batch.committed, [GoalId(1)], "{:?}", batch.failed);
+        for (side, flag) in ["a", "b", "c", "d"].iter().zip(&negotiated) {
+            assert!(flag.load(Ordering::Relaxed), "{side} never heard its peer");
+        }
     }
 
     /// Regression: every script reply used to pile up in `script_results`
@@ -820,5 +935,36 @@ mod tests {
         }
         assert_eq!(mn.run_management(), 3, "all were delivered to the agent");
         assert_eq!(recorder.counter("mgmt.decode_dropped"), 3);
+
+        // Upward relay batches: one cut short inside its envelope's body,
+        // one whose envelope count claims 2^32 - 1 in a 5-byte frame.  Each
+        // is one dropped message (the device's whole round of envelopes),
+        // and the NM relays nothing.
+        let envelope = ModuleEnvelope {
+            from: ModuleRef::new(ModuleKind::Gre, ModuleId(1), d2),
+            to: ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1),
+            kind: EnvelopeKind::Convey,
+            body: serde_json::json!({"hello": true}),
+        };
+        let batch = WireMessage::RelayBatch {
+            envelopes: vec![envelope],
+        };
+        let mut cut_body = batch.encode_with(WireCodec::Binary);
+        cut_body.truncate(cut_body.len() - 1);
+        let lying_count = vec![mgmt_channel::codec::TAG_RELAY_BATCH, 0xFF, 0xFF, 0xFF, 0xFF];
+        for payload in [cut_body, lying_count] {
+            assert_eq!(payload[0], 0x86);
+            let m = MgmtMessage::new(d2, d1, MessageCategory::ConveyMessage, payload);
+            mn.channel.send(&mut mn.net, m);
+        }
+        mn.batch_relays = true;
+        assert_eq!(mn.run_management(), 2, "both reached the NM");
+        assert_eq!(recorder.counter("mgmt.decode_dropped"), 5);
+        let sent = mn.nm_counters().sent_by_category;
+        assert!(
+            !sent.contains_key(&MessageCategory::ConveyMessage),
+            "{sent:?}"
+        );
+        assert!(!sent.contains_key(&MessageCategory::FieldQuery), "{sent:?}");
     }
 }

@@ -273,7 +273,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// one `StageBatch`) and committed once (one `CommitBatch`), so the
     /// NM's command count per pass is proportional to the number of devices
     /// touched, not `goals × devices`.  Relays are coalesced per
-    /// (device, round) for the duration of the batch.
+    /// (device, round) in both directions for the duration of the batch:
+    /// a device sends its round's envelopes up as one `RelayBatch` and the
+    /// NM relays them down as one per destination, so the NM's relay
+    /// messages follow the relay rounds, not the number of goals.
     ///
     /// Per-goal atomicity is preserved inside the batch: a goal whose
     /// segment fails staging or commit on any device is rolled back via its

@@ -1146,9 +1146,10 @@ fn churned_fleet_keeps_every_survivor_up_and_its_message_flow_to_the_envelope() 
     const FLEET: usize = 48;
     const CHURN: usize = 4;
     const OPS: usize = 20;
-    /// What every operation cost at the commit before the modules' pending
-    /// sets and keyed deletes: they may not move the flow by one envelope.
-    const EXPECTED: OpFlow = (35, 72, 59, 59, 0);
+    /// What every operation costs once a device answers the NM once per
+    /// round: the NM receives exactly as many relay messages as it sends,
+    /// and nothing may move the flow by one message.
+    const EXPECTED: OpFlow = (35, 35, 22, 22, 0);
 
     let mut t = managed_fanout_chain(6, FLEET + OPS * CHURN);
     t.discover();
