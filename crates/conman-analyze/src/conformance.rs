@@ -16,7 +16,9 @@
 //! * every accepted `StageDevice` resolved by at least one `CommitDevice`
 //!   or `AbortDevice` before its repair pass ends (or the journal does),
 //!   with at most one commit per `(txn, device)`,
-//! * no `Verify` probe before its pass committed anything.
+//! * no `Verify` probe before its pass committed anything,
+//! * inside a tick, every `FrontierHop` and `Suspect` recorded within the
+//!   `DiagnoseStart` span of its own goal ([`Violation::StrayWalkEvent`]).
 //!
 //! A standalone `Diagnosed` (no opening `DiagnoseStart`) is legal: the
 //! runtime records one when a diagnosis concludes without a frontier walk,
@@ -301,6 +303,17 @@ pub fn check_journal(events: &[TraceEvent]) -> Vec<Violation> {
                     device: *device,
                 }),
             },
+            TraceKind::FrontierHop { goal, .. } | TraceKind::Suspect { goal, .. } => {
+                // After the unwind above, the stack is the event's ancestors.
+                let in_tick = stack.iter().any(|f| f.kind == FrameKind::Tick);
+                let own = FrameKind::Diagnose { goal: *goal };
+                if in_tick && !stack.iter().any(|f| f.kind == own) {
+                    out.push(Violation::StrayWalkEvent {
+                        seq: e.seq,
+                        goal: *goal,
+                    });
+                }
+            }
             TraceKind::Verify { goal, .. } => {
                 // Scope: the enclosing repair pass if any, else the
                 // enclosing tick, else the whole journal so far.
@@ -344,8 +357,37 @@ mod tests {
     use super::*;
     use conman_obs::Journal;
 
-    /// A minimal well-formed journal: one tick with a diagnosis and a
-    /// repair pass that stages, commits, verifies and closes.
+    fn hop(goal: u64) -> TraceKind {
+        TraceKind::FrontierHop {
+            goal,
+            device: 2,
+            arrived: 2,
+            moved_on: 0,
+            dropped: 2,
+        }
+    }
+
+    fn suspect(goal: u64) -> TraceKind {
+        TraceKind::Suspect {
+            goal,
+            target: "device 2".into(),
+            confidence: "60%".into(),
+        }
+    }
+
+    fn diagnosed(goal: u64) -> TraceKind {
+        TraceKind::Diagnosed {
+            goal,
+            blamed_device: Some(2),
+            blamed_link: None,
+            exclusions: 1,
+            summary: "device 2".into(),
+        }
+    }
+
+    /// A minimal well-formed journal: one tick with a diagnosis (its walk
+    /// inside its span) and a repair pass that stages, commits, verifies
+    /// and closes.
     fn clean_journal() -> Journal {
         let mut j = Journal::default();
         j.enter(10, TraceKind::TickStart { tick: 1, epoch: 0 });
@@ -359,16 +401,9 @@ mod tests {
             },
         );
         j.enter(11, TraceKind::DiagnoseStart { goal: 5 });
-        j.record(
-            11,
-            TraceKind::Diagnosed {
-                goal: 5,
-                blamed_device: Some(2),
-                blamed_link: None,
-                exclusions: 1,
-                summary: "device 2".into(),
-            },
-        );
+        j.record(11, hop(5));
+        j.record(11, suspect(5));
+        j.record(11, diagnosed(5));
         j.exit();
         j.enter(12, TraceKind::RepairStart { epoch: 1, goals: 1 });
         j.record(
@@ -687,6 +722,76 @@ mod tests {
             )),
             "expected an UnbalancedSpan for the late event, got {vs:?}"
         );
+    }
+
+    /// A tick that measured two goals together and then walked both before
+    /// opening either goal's span: every walk event escapes to the tick.
+    #[test]
+    fn a_walk_recorded_before_its_diagnose_span_fires_stray_walk_event() {
+        let mut j = Journal::default();
+        j.enter(10, TraceKind::TickStart { tick: 1, epoch: 0 });
+        for goal in [5, 6] {
+            j.record(11, hop(goal));
+            j.record(11, suspect(goal));
+        }
+        for goal in [5, 6] {
+            j.enter(11, TraceKind::DiagnoseStart { goal });
+            j.record(11, diagnosed(goal));
+            j.exit();
+        }
+        j.record(
+            12,
+            TraceKind::TickEnd {
+                events: 0,
+                nm_sent: 20,
+                nm_received: 20,
+                frames: 8,
+            },
+        );
+        j.exit();
+        let stray: Vec<(u64, u64)> = check_journal(j.events())
+            .into_iter()
+            .map(|v| match v {
+                Violation::StrayWalkEvent { seq, goal } => (seq, goal),
+                other => panic!("only stray walk events expected, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(stray, vec![(2, 5), (3, 5), (4, 6), (5, 6)]);
+    }
+
+    #[test]
+    fn a_walk_inside_another_goals_span_fires_stray_walk_event() {
+        let mut j = clean_journal();
+        j.enter(20, TraceKind::TickStart { tick: 2, epoch: 1 });
+        j.enter(20, TraceKind::DiagnoseStart { goal: 5 });
+        j.record(20, hop(6));
+        j.record(20, diagnosed(5));
+        j.exit();
+        j.record(
+            21,
+            TraceKind::TickEnd {
+                events: 0,
+                nm_sent: 0,
+                nm_received: 0,
+                frames: 0,
+            },
+        );
+        j.exit();
+        let vs = check_journal(j.events());
+        assert!(
+            matches!(vs[..], [Violation::StrayWalkEvent { goal: 6, .. }]),
+            "expected one StrayWalkEvent, got {vs:?}"
+        );
+    }
+
+    /// A diagnosis called directly, outside any tick, records its walk at
+    /// top level; that is not a loop journal and conforms.
+    #[test]
+    fn a_walk_outside_any_tick_conforms() {
+        let mut j = Journal::default();
+        j.record(5, hop(1));
+        j.record(5, suspect(1));
+        assert_eq!(check_journal(j.events()), vec![]);
     }
 
     /// Journals recorded outside the loop (direct `reconcile` calls) have

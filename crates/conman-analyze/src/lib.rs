@@ -3,7 +3,8 @@
 //! A flight-recorder dump should be checkable with no live state and no
 //! simulator: this crate replays one through [`check_journal`], a protocol
 //! state machine over `conman-obs` trace events — spans properly nested and
-//! closed, every accepted stage resolved by a commit or abort in its pass,
+//! closed, every frontier walk inside its own goal's diagnose span, every
+//! accepted stage resolved by a commit or abort in its pass,
 //! no verification probe before its pass committed anything, simulated
 //! timestamps monotone, repair epochs strictly increasing.
 //!

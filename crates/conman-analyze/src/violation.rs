@@ -101,6 +101,15 @@ pub enum Violation {
         /// The goal it probed.
         goal: u64,
     },
+    /// A `FrontierHop` or `Suspect` was recorded inside a tick but outside
+    /// the `DiagnoseStart` span of its own goal: the walk cannot be tied to
+    /// the diagnosis it explains.
+    StrayWalkEvent {
+        /// The stray event.
+        seq: u64,
+        /// The goal whose walk it belongs to.
+        goal: u64,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -147,6 +156,10 @@ impl fmt::Display for Violation {
             Violation::VerifyBeforeCommit { seq, goal } => write!(
                 f,
                 "goal {goal} verified at event {seq} before its pass committed anything"
+            ),
+            Violation::StrayWalkEvent { seq, goal } => write!(
+                f,
+                "event {seq} of goal {goal}'s frontier walk sits outside that goal's diagnose span"
             ),
         }
     }

@@ -9,7 +9,8 @@
 //! smokes).  Every dump is parsed **strictly** (unknown or malformed events
 //! reject the whole file, see `conman_obs::DumpError`) and then replayed
 //! through the protocol state machine of `conman_analyze::check_journal`:
-//! spans balanced, stages resolved exactly once within their epoch, no
+//! spans balanced, every frontier walk inside its own goal's diagnose span,
+//! stages resolved exactly once within their epoch, no
 //! verify before its pass's commits, timestamps monotone, epochs strictly
 //! increasing.  Any violation — or any unreadable/unparseable dump — makes
 //! the process exit non-zero, failing the CI step.

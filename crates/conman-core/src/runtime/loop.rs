@@ -21,11 +21,13 @@
 //!    [`FlowCounters`](netsim::stats::FlowCounters)) drops below the
 //!    configured threshold — *not* when device totals move, so one goal's
 //!    fault never degrades its healthy neighbours.
-//! 4. **Diagnose** — degraded goals are handed to the pluggable
-//!    [`LoopClient`] (`conman-diagnose`'s `AutonomicClient` in the full
-//!    system), which localises the fault from per-goal flow deltas
-//!    under the other goals' live background traffic and reports the
-//!    modules the re-plan must avoid.
+//! 4. **Diagnose** — the tick's degraded goals are handed, all in one
+//!    call, to the pluggable [`LoopClient`] (`conman-diagnose`'s
+//!    `AutonomicClient` in the full system).  It measures them together —
+//!    one counter poll of their path devices before every goal's probe
+//!    burst and one after, under the other goals' live background traffic
+//!    — then localises each goal's fault from its own flow deltas and
+//!    reports the modules that goal's re-plan must avoid.
 //! 5. **Repair** — one **batched** `reconcile_with` pass re-plans and
 //!    re-executes everything that needs work (each device staged once and
 //!    committed once), verifies each repair with an end-to-end probe, and
@@ -94,18 +96,39 @@ pub struct LoopDiagnosis {
 /// (suspects → excluded modules) — the two become *clients of the loop*
 /// rather than operator entry points.  Without a client the loop still
 /// repairs by re-planning blind (good enough for transient faults).
+///
+/// The loop hands a tick's whole degraded set to [`Self::localise_all`]
+/// once, so a tick pays for one measurement however many goals degraded.
+/// The client journals each goal's conclusion as a `DiagnoseStart …
+/// Diagnosed` span around that goal's own analysis.
 pub trait LoopClient<C: ManagementChannel> {
-    /// Localise why `goal` is not carrying traffic.  `endpoints` names the
-    /// goal's probe endpoints; `background` lists the *other* live goals so
+    /// Localise why each of `goals` is not carrying traffic, from one
+    /// shared measurement; one verdict per goal, in `goals` order (a client
+    /// may skip a goal it has nothing to measure, such as one without an
+    /// applied plan).  Each entry names a goal and its probe endpoints;
+    /// `background` lists the live goals that are *not* being diagnosed, so
     /// the client can keep their traffic flowing during the measurement —
     /// localisation must stay correct under load.
+    fn localise_all(
+        &mut self,
+        mn: &mut ManagedNetwork<C>,
+        goals: &[(GoalId, GoalEndpoints)],
+        background: &[(GoalId, GoalEndpoints)],
+    ) -> Vec<(GoalId, LoopDiagnosis)>;
+
+    /// [`Self::localise_all`] for one goal.
     fn localise(
         &mut self,
         mn: &mut ManagedNetwork<C>,
         goal: GoalId,
         endpoints: GoalEndpoints,
         background: &[(GoalId, GoalEndpoints)],
-    ) -> LoopDiagnosis;
+    ) -> LoopDiagnosis {
+        self.localise_all(mn, &[(goal, endpoints)], background)
+            .pop()
+            .map(|(_, diagnosis)| diagnosis)
+            .unwrap_or_default()
+    }
 }
 
 /// What one tick did.
@@ -120,7 +143,7 @@ pub struct TickReport {
     /// Operator submits + withdraws applied this tick.
     pub events: usize,
     /// Health rounds run this tick: always 1, every tick is one.  Kept only
-    /// because `benchmark/` reads it (ROADMAP item 2b un-pins it).
+    /// because `benchmark/` reads it (ROADMAP item 6b un-pins it).
     pub telemetry_rounds: usize,
     /// Goals submitted through [`ControlLoop::submit`] and applied this tick.
     pub submitted: Vec<GoalId>,
@@ -429,43 +452,25 @@ impl<C: ManagementChannel> ControlLoop<C> {
     }
 
     /// Diagnose: hand every degraded goal that still has an applied plan to
-    /// the loop client, with the other live goals as background traffic;
-    /// record the exclusions its re-plan must respect.
+    /// the loop client in one call, with the other live goals as background
+    /// traffic; record the exclusions each re-plan must respect.
     fn diagnose_phase(&mut self, mn: &mut ManagedNetwork<C>, report: &mut TickReport) {
         let work = self.tracked(mn, |r| r.status.needs_work() && r.applied().is_some());
         if work.is_empty() {
             return;
         }
-        let Some(mut client) = self.client.take() else {
+        // A goal being diagnosed needs work, so it is never among the
+        // `Active` ones.
+        let background = self.tracked(mn, |r| r.status == GoalStatus::Active);
+        let Some(client) = self.client.as_mut() else {
             return;
         };
-        // One list for the whole phase: a goal being diagnosed needs work, so
-        // it is never among the `Active` ones, and diagnosing leaves every
-        // other goal's status alone.
-        let background = self.tracked(mn, |r| r.status == GoalStatus::Active);
-        for (id, ep) in work {
-            mn.recorder.enter(
-                mn.net.now().as_nanos(),
-                TraceKind::DiagnoseStart { goal: id.0 },
-            );
-            let diagnosis = client.localise(mn, id, ep, &background);
-            mn.recorder.event(
-                mn.net.now().as_nanos(),
-                TraceKind::Diagnosed {
-                    goal: id.0,
-                    blamed_device: diagnosis.blamed.map(|d| d.as_u64()),
-                    blamed_link: diagnosis.blamed_link.map(|(a, b)| (a.as_u64(), b.as_u64())),
-                    exclusions: diagnosis.excluded.len() as u64,
-                    summary: diagnosis.summary.clone(),
-                },
-            );
-            mn.recorder.exit();
+        report.diagnosed = client.localise_all(mn, &work, &background);
+        for (id, diagnosis) in &report.diagnosed {
             mn.recorder
                 .observe("diagnose.exclusions", diagnosis.excluded.len() as f64);
-            mn.goals.mark_degraded(id, diagnosis.excluded.clone());
-            report.diagnosed.push((id, diagnosis));
+            mn.goals.mark_degraded(*id, diagnosis.excluded.clone());
         }
-        self.client = Some(client);
     }
 
     /// Repair: one batched reconcile pass over everything that needs work,

@@ -7,12 +7,13 @@
 //! loop is *which* counters drive the walk: instead of device-total module
 //! tallies — which a second goal's traffic through the same devices
 //! pollutes — the walk runs on window-based [`FlowCounters`] deltas
-//! attributed to the diagnosed goal's flow tag.  One `PollCounters` per path
-//! device before the burst and one after bring back both halves of a
-//! snapshot: the per-tag flow counters, and the device-total module
-//! snapshots that only *refine* a blamed device down to the module whose
-//! drop-reason counters moved (healthy background traffic drops nothing, so
-//! drop deltas stay attributable even under load).
+//! attributed to the diagnosed goal's flow tag.  One measurement serves
+//! every goal diagnosed together: one `PollCounters` per device on the union
+//! of their paths before the bursts and one after bring back both halves of
+//! a snapshot — the flow counters of every measured goal's tag, and the
+//! device-total module snapshots that only *refine* a blamed device down to
+//! the module whose drop-reason counters moved (healthy background traffic
+//! drops nothing, so drop deltas stay attributable even under load).
 
 use crate::report::{FaultReport, Suspect, SuspectTarget};
 use conman_core::abstraction::CounterSnapshot;
@@ -23,7 +24,7 @@ use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use netsim::device::DeviceId;
 use netsim::stats::FlowCounters;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Localises faults on a configured path by comparing per-goal flow deltas
 /// taken before and after a burst of end-to-end probes.
@@ -36,6 +37,14 @@ use std::collections::BTreeMap;
 /// the same devices, as long as that background traffic runs *outside* the
 /// goal's window (which [`Diagnoser::diagnose_with_background`] arranges
 /// when the control loop diagnoses under load).
+///
+/// The control loop measures all of a tick's degraded goals at once: one
+/// poll before, every goal's burst in its own window, one poll after, then
+/// each goal's walk over its own tag.  The flow deltas stay per goal, but
+/// module counters are device totals, so another degraded goal's drops are
+/// visible inside the shared window.  The drop-reason refinement still
+/// stays per goal: it runs only on a device the goal's own flow deltas
+/// already blamed, and it only ranks the goal's *own* path modules there.
 #[derive(Debug, Clone, Copy)]
 pub struct Diagnoser {
     /// End-to-end probes sent per diagnosis pass (values below 1 are
@@ -98,7 +107,8 @@ impl Diagnoser {
     /// cross-traffic and the per-goal attribution — not probe dominance —
     /// is what keeps the frontier walk correct.  This is how the autonomic
     /// control loop diagnoses one degraded goal while the rest of the fleet
-    /// keeps carrying traffic.
+    /// keeps carrying traffic.  It is the one-goal case of the shared
+    /// measurement the control loop runs per tick.
     pub fn diagnose_with_background<C, P, B>(
         &self,
         mn: &mut ManagedNetwork<C>,
@@ -111,43 +121,83 @@ impl Diagnoser {
         P: FnMut(&mut ManagedNetwork<C>) -> bool,
         B: FnMut(&mut ManagedNetwork<C>),
     {
+        let goals = [(self.flow_tag.unwrap_or(0), path)];
+        let measured = self.measure(mn, &goals, &mut |mn, _| probe(mn), background);
+        self.walk(mn, &measured, 0)
+    }
+
+    /// One measurement of several goals: one poll over the union of their
+    /// path devices for all their tags, `probes` rounds in which each goal
+    /// sends one probe (`probe(mn, i)` for `goals[i]`) inside its own flow
+    /// window and then `background` runs once, and one closing poll.
+    pub(crate) fn measure<'a, C, P, B>(
+        &self,
+        mn: &mut ManagedNetwork<C>,
+        goals: &'a [(u64, &'a ModulePath)],
+        probe: &mut P,
+        background: &mut B,
+    ) -> Measurement<'a>
+    where
+        C: ManagementChannel,
+        P: FnMut(&mut ManagedNetwork<C>, usize) -> bool,
+        B: FnMut(&mut ManagedNetwork<C>),
+    {
+        let mut seen = BTreeSet::new();
+        let devices: Vec<DeviceId> = goals
+            .iter()
+            .flat_map(|(_, path)| path.devices())
+            .filter(|d| seen.insert(*d))
+            .collect();
+        let tags: Vec<u64> = goals.iter().map(|(tag, _)| *tag).collect();
+        let before = mn.poll_counters(&devices, &tags);
+        let mut delivered = vec![0u32; goals.len()];
+        for _ in 0..self.probes.max(1) {
+            // Each goal's probe runs inside its own window; the background
+            // traffic runs outside them (in other goals' windows), so the
+            // per-tag deltas stay attributable.
+            for (i, (tag, _)) in goals.iter().enumerate() {
+                mn.net.begin_flow_window(*tag);
+                if probe(mn, i) {
+                    delivered[i] += 1;
+                }
+                mn.net.end_flow_window();
+            }
+            background(mn);
+        }
+        let after = mn.poll_counters(&devices, &tags);
+        Measurement {
+            goals,
+            modules: module_deltas(&before, &after),
+            before,
+            after,
+            delivered,
+        }
+    }
+
+    /// The report for `measured.goals[i]`: healthy when every probe
+    /// arrived, else the frontier walk over its tag's flow deltas, refined
+    /// per device by module drop-reason deltas.
+    pub(crate) fn walk<C: ManagementChannel>(
+        &self,
+        mn: &ManagedNetwork<C>,
+        measured: &Measurement<'_>,
+        i: usize,
+    ) -> FaultReport {
         // Clamp: `probes` is a public field, and zero probes would make
         // `delivered == probes` vacuously true for a dead path.
         let probes = self.probes.max(1);
-        let tag = self.flow_tag.unwrap_or(0);
-        let devices = path.devices();
-        let before = mn.poll_counters(&devices, &[tag]);
-        let mut delivered = 0u32;
-        for _ in 0..probes {
-            // The goal's own probe runs inside its window; the background
-            // traffic runs outside it (in other goals' windows), so the
-            // per-tag deltas stay attributable.
-            mn.net.begin_flow_window(tag);
-            if probe(mn) {
-                delivered += 1;
-            }
-            mn.net.end_flow_window();
-            background(mn);
-        }
-        let after = mn.poll_counters(&devices, &[tag]);
+        let delivered = measured.delivered[i];
         if delivered == probes {
             return FaultReport::healthy(probes);
         }
-        self.localise(mn, path, &devices, &before, &after, delivered)
-    }
-
-    /// The frontier walk over per-goal flow deltas, refined per device by
-    /// module drop-reason deltas.
-    fn localise<C: ManagementChannel>(
-        &self,
-        mn: &ManagedNetwork<C>,
-        path: &ModulePath,
-        devices: &[DeviceId],
-        before: &BTreeMap<DeviceId, DeviceTelemetry>,
-        after: &BTreeMap<DeviceId, DeviceTelemetry>,
-        delivered: u32,
-    ) -> FaultReport {
-        let tag = self.flow_tag.unwrap_or(0);
+        let (tag, path) = measured.goals[i];
+        let Measurement {
+            before,
+            after,
+            modules,
+            ..
+        } = measured;
+        let devices = path.devices();
         let mut suspects = Vec::new();
 
         // Devices that did not answer the closing poll at all.
@@ -167,8 +217,7 @@ impl Diagnoser {
             });
         }
 
-        let need = u64::from(self.probes.max(1));
-        let mod_deltas = module_deltas(before, after);
+        let need = u64::from(probes);
         // Per-device per-goal deltas across the probe burst; a device that
         // missed the baseline poll contributes no delta at all.
         let delta = |d: DeviceId| -> Option<FlowCounters> {
@@ -240,7 +289,7 @@ impl Diagnoser {
             }
             if let (Some(rx), Some(tx)) = (arrived(*device), moved_on(*device)) {
                 if rx >= need && tx < need {
-                    if let Some((module, reasons)) = biggest_dropper(path, *device, &mod_deltas) {
+                    if let Some((module, reasons)) = biggest_dropper(path, *device, modules) {
                         suspects.push(Suspect {
                             target: SuspectTarget::Module(module.clone()),
                             confidence_pct: 85,
@@ -295,13 +344,25 @@ impl Diagnoser {
             .observe("diagnose.suspects", suspects.len() as f64);
 
         FaultReport {
-            probes_sent: self.probes.max(1),
+            probes_sent: probes,
             probes_delivered: delivered,
             healthy: false,
             suspects,
             unresponsive,
         }
     }
+}
+
+/// What one shared measurement brought back (see [`Diagnoser::measure`]).
+pub(crate) struct Measurement<'a> {
+    /// The measured goals' flow tags and paths, in measurement order.
+    goals: &'a [(u64, &'a ModulePath)],
+    before: BTreeMap<DeviceId, DeviceTelemetry>,
+    after: BTreeMap<DeviceId, DeviceTelemetry>,
+    /// Device-total module counter deltas across the whole measurement.
+    modules: BTreeMap<ModuleRef, CounterSnapshot>,
+    /// Probes delivered per goal, in the same order.
+    delivered: Vec<u32>,
 }
 
 /// Counter deltas (`after - before`) for every module present in *both*

@@ -12,7 +12,9 @@
 //! * [`diagnose`] — the [`Diagnoser`]: probe the goal end to end, pull
 //!   counter snapshots along the configured
 //!   [`ModulePath`](conman_core::ModulePath) over the management channel
-//!   (either variant), compute deltas and localise the fault;
+//!   (either variant), compute deltas and localise the fault.  One such
+//!   measurement can serve many goals: one poll before and one after all
+//!   their bursts, then one walk per goal over its own flow tag;
 //! * [`heal`] — [`Healer::exclusions`], the one mapping from a report's
 //!   suspects to the modules and links a re-plan must avoid.  Repair itself
 //!   is the NM's reconciler: an operator heals with
@@ -22,8 +24,9 @@
 //! * [`autonomic`] — [`AutonomicClient`], which plugs the [`Diagnoser`] into
 //!   `conman-core`'s event-driven
 //!   [`ControlLoop`](conman_core::runtime::ControlLoop) as its diagnosis
-//!   stage: localisation runs on per-goal flow deltas *while the other
-//!   goals keep pushing traffic*, suspects become plan exclusions through
+//!   stage: a tick's degraded goals share one measurement, each is
+//!   localised from its own flow deltas *while the other goals keep
+//!   pushing traffic*, suspects become plan exclusions through
 //!   [`Healer::exclusions`], and the loop itself repairs everything that
 //!   needs work in one batched `reconcile_with` pass per tick.
 //!

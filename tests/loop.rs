@@ -15,17 +15,19 @@
 
 use conman::core::nm::{GoalId, GoalStatus, PathFinderLimits};
 use conman::core::runtime::{
-    ControlLoop, GoalEndpoints, LoopConfig, ManagedNetwork, ReconcileAction,
+    ControlLoop, GoalEndpoints, LoopClient, LoopConfig, ManagedNetwork, ReconcileAction,
 };
 use conman::diagnose::AutonomicClient;
 use conman::modules::{
     managed_fanout_chain, managed_fanout_chain_with, managed_mesh_fanout, ManagedChain, ManagedMesh,
 };
+use conman::netsim::device::DeviceId;
 use conman::netsim::fault::{apply_fault, FaultKind, Misconfiguration};
 use conman::netsim::route::RouteTableId;
 use conman::obs::{Recorder, TraceKind};
 use conman_bench::control_loop::mesh_limits;
 use mgmt_channel::{InBandChannel, ManagementChannel, MessageCategory, OutOfBandChannel};
+use std::collections::BTreeMap;
 
 type Chain = ManagedChain<OutOfBandChannel>;
 type Mesh = ManagedMesh<OutOfBandChannel>;
@@ -93,21 +95,10 @@ fn fault_after_tick_t_is_detected_and_repaired_within_two_ticks() {
     let setup = cl.run_until_converged(&mut t.mn, 10);
     assert!(setup.converged, "setup converges");
     let fault_tick = cl.ticks();
-    let telemetry_sent = |mn: &ManagedNetwork<OutOfBandChannel>| {
-        let sent = mn.nm_counters().sent_by_category;
-        sent.get(&MessageCategory::Telemetry).copied().unwrap_or(0)
-    };
-    let telemetry_before = telemetry_sent(&t.mn);
+    let (telemetry_before, _) = telemetry(&t.mn);
 
     // Core state loss on the mid-chain router, injected between ticks.
-    apply_fault(
-        &mut t.mn.net,
-        FaultKind::Misconfigure(Misconfiguration::ClearMplsState { device: t.core[1] }),
-    );
-    apply_fault(
-        &mut t.mn.net,
-        FaultKind::Misconfigure(Misconfiguration::FlushPolicyRouting { device: t.core[1] }),
-    );
+    lose_core_state(&mut t.mn, t.core[1]);
 
     let run = cl.run_until_converged(&mut t.mn, 6);
     assert!(run.converged, "the loop re-converges: {run:#?}");
@@ -122,16 +113,177 @@ fn fault_after_tick_t_is_detected_and_repaired_within_two_ticks() {
         (0..2).all(|k| t.probe_pair(k)),
         "traffic verified end to end"
     );
-    // The only telemetry the NM sends is the Diagnoser's pull: one
-    // `PollCounters` per path device before its probes and one after, each
-    // answered with the module snapshots and the goal's flow counters.
-    let diagnoses: usize = run.ticks.iter().map(|tk| tk.diagnosed.len()).sum();
+    // The only telemetry the NM sends is the diagnosis pull: once per tick
+    // that diagnosed, one `PollCounters` per path device before every
+    // degraded goal's probes and one after, each answered with the module
+    // snapshots and the flow counters of every degraded goal.
+    let diagnosing_ticks = run
+        .ticks
+        .iter()
+        .filter(|tk| !tk.diagnosed.is_empty())
+        .count();
     assert_eq!(
-        telemetry_sent(&t.mn) - telemetry_before,
-        (diagnoses * 2 * t.core.len()) as u64
+        telemetry(&t.mn).0 - telemetry_before,
+        (diagnosing_ticks * 2 * t.core.len()) as u64
     );
     let after_repair = run.ticks.last().expect("the converged tick");
     assert_eq!(after_repair.events, 0, "no operator intent, no events");
+}
+
+/// `Telemetry` messages the NM has sent and received so far.
+fn telemetry(mn: &ManagedNetwork<OutOfBandChannel>) -> (u64, u64) {
+    let counters = mn.nm_counters();
+    let of = |by: &BTreeMap<MessageCategory, u64>| {
+        by.get(&MessageCategory::Telemetry).copied().unwrap_or(0)
+    };
+    (
+        of(&counters.sent_by_category),
+        of(&counters.received_by_category),
+    )
+}
+
+/// Core state loss on `device`: its label maps and policy tables are gone.
+fn lose_core_state<C: ManagementChannel>(mn: &mut ManagedNetwork<C>, device: DeviceId) {
+    for kind in [
+        Misconfiguration::ClearMplsState { device },
+        Misconfiguration::FlushPolicyRouting { device },
+    ] {
+        apply_fault(&mut mn.net, FaultKind::Misconfigure(kind));
+    }
+}
+
+#[test]
+fn a_diagnosing_tick_polls_each_path_device_twice_for_any_number_of_degraded_goals() {
+    for n in [2, 8, 32] {
+        let (mut t, mut cl, ids) = looped_chain(4, n);
+        assert!(cl.run_until_converged(&mut t.mn, 10).converged);
+        lose_core_state(&mut t.mn, t.core[1]);
+        let (goals, _) = split_by(&ids, |k| t.fanout_probe(k), |_| true);
+
+        // One goal diagnosed on its own, on the faulted fleet, still polls
+        // each of its path devices before and after its probes.
+        let path_devices = t.mn.goals.get(ids[0]).and_then(|r| r.applied());
+        let path_devices = path_devices.expect("applied").path.devices().len() as u64;
+        let before = telemetry(&t.mn);
+        let (goal, endpoints) = goals[0];
+        let alone = AutonomicClient::new(2).localise(&mut t.mn, goal, endpoints, &goals[1..]);
+        let after = telemetry(&t.mn);
+        assert_eq!(alone.blamed, Some(t.core[1]), "n = {n}: {}", alone.summary);
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (2 * path_devices, 2 * path_devices),
+            "n = {n}: one goal's diagnosis"
+        );
+
+        // The loop diagnoses all n degraded goals from one measurement.
+        let before = telemetry(&t.mn);
+        let tick = cl.tick(&mut t.mn);
+        let after = telemetry(&t.mn);
+        assert_eq!(tick.degraded, ids, "n = {n}: every goal crosses core[1]");
+        assert_eq!(tick.diagnosed.len(), n);
+        let want = (2 * t.core.len()) as u64;
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (want, want),
+            "n = {n}: the diagnosing tick's telemetry"
+        );
+        for (goal, d) in &tick.diagnosed {
+            let summary = &d.summary;
+            assert_eq!(d.blamed, Some(t.core[1]), "n = {n}, goal {goal}: {summary}");
+        }
+    }
+}
+
+/// Goals with their probe endpoints.
+type Tracked = Vec<(GoalId, GoalEndpoints)>;
+
+/// A faulted fleet, ready to diagnose: the network, the goals that degrade
+/// and the goals that keep carrying traffic.
+type Faulted = (ManagedNetwork<OutOfBandChannel>, Tracked, Tracked);
+
+/// Build the same faulted fleet twice; diagnose the degraded goals all at
+/// once through `localise_all` on one, one `localise` call per goal on the
+/// other.  Every goal's verdict must be the same both ways.
+fn assert_batch_matches_singletons(scenario: &str, build: impl Fn() -> Faulted) {
+    let (mut batched, degraded, background) = build();
+    let (mut single, ..) = build();
+    let verdicts = AutonomicClient::new(2).localise_all(&mut batched, &degraded, &background);
+    assert_eq!(verdicts.len(), degraded.len(), "{scenario}");
+    for ((goal, together), &(id, ep)) in verdicts.iter().zip(&degraded) {
+        assert_eq!(*goal, id, "{scenario}");
+        let alone = AutonomicClient::new(2).localise(&mut single, id, ep, &background);
+        assert!(
+            together.blamed.is_some(),
+            "{scenario}: goal {id} blamed nothing"
+        );
+        assert_eq!(
+            (together.blamed, together.blamed_link, &together.excluded),
+            (alone.blamed, alone.blamed_link, &alone.excluded),
+            "{scenario}: goal {id}: {} vs {}",
+            together.summary,
+            alone.summary
+        );
+    }
+}
+
+/// Split `ids` into (faulted, healthy), each with its probe endpoints.
+fn split_by(
+    ids: &[GoalId],
+    probe: impl Fn(usize) -> (DeviceId, DeviceId, std::net::Ipv4Addr),
+    faulted: impl Fn(GoalId) -> bool,
+) -> (Tracked, Tracked) {
+    ids.iter()
+        .enumerate()
+        .map(|(k, &id)| {
+            let (src, dst, dst_ip) = probe(k);
+            (id, GoalEndpoints { src, dst, dst_ip })
+        })
+        .partition(|(id, _)| faulted(*id))
+}
+
+#[test]
+fn one_shared_measurement_blames_what_one_measurement_per_goal_blames() {
+    assert_batch_matches_singletons("chain core state loss", || {
+        let (mut t, mut cl, ids) = looped_chain(4, 4);
+        assert!(cl.run_until_converged(&mut t.mn, 10).converged);
+        lose_core_state(&mut t.mn, t.core[1]);
+        let (degraded, background) = split_by(&ids, |k| t.fanout_probe(k), |_| true);
+        (t.mn, degraded, background)
+    });
+    assert_batch_matches_singletons("two-goal ingress table flush", || {
+        let (mut t, mut cl, ids) = looped_chain(4, 3);
+        assert!(cl.run_until_converged(&mut t.mn, 10).converged);
+        for &id in &ids[..2] {
+            let (first, last) = goal_tables(&t.mn, id);
+            apply_fault(
+                &mut t.mn.net,
+                FaultKind::Misconfigure(Misconfiguration::FlushRouteTables {
+                    device: t.core[0],
+                    first,
+                    last,
+                }),
+            );
+        }
+        let (degraded, background) =
+            split_by(&ids, |k| t.fanout_probe(k), |id| ids[..2].contains(&id));
+        (t.mn, degraded, background)
+    });
+    assert_batch_matches_singletons("mesh link cut", || {
+        let (mut t, mut cl, ids) = looped_mesh(2, 3);
+        assert!(cl.run_until_converged(&mut t.mn, 10).converged);
+        let hop = t.applied_core_hop(ids[0]).expect("core hop");
+        let link = t.link(hop.0, hop.1).expect("link");
+        apply_fault(&mut t.mn.net, FaultKind::LinkCut(link));
+        let crosses = |id: GoalId| {
+            let devices = t.mn.goals.get(id).and_then(|r| r.applied());
+            let devices = devices.expect("applied").path.devices();
+            devices
+                .windows(2)
+                .any(|w| (w[0], w[1]) == hop || (w[1], w[0]) == hop)
+        };
+        let (degraded, background) = split_by(&ids, |k| t.fanout_probe(k), crosses);
+        (t.mn, degraded, background)
+    });
 }
 
 #[test]
@@ -326,12 +478,7 @@ fn in_band_loop_probes_on_every_quiet_tick_and_detects_a_late_fault_at_once() {
         "one health probe per goal per tick"
     );
 
-    for kind in [
-        Misconfiguration::ClearMplsState { device: t.core[1] },
-        Misconfiguration::FlushPolicyRouting { device: t.core[1] },
-    ] {
-        apply_fault(&mut t.mn.net, FaultKind::Misconfigure(kind));
-    }
+    lose_core_state(&mut t.mn, t.core[1]);
     let fault_tick = cl.ticks();
     let run = cl.run_until_converged(&mut t.mn, 6);
     assert!(run.converged, "the loop re-converges: {run:#?}");
