@@ -16,7 +16,7 @@
 use crate::ids::{ModuleId, ModuleRef};
 use crate::module::{Blackboard, ModuleCtx, ModuleReaction, ProtocolModule};
 use crate::primitives::{
-    Announcement, ComponentRef, ModuleEnvelope, Notification, Primitive, PrimitiveResult,
+    Announcement, ComponentRef, ModuleEnvelope, Notice, Notification, Primitive, PrimitiveResult,
     SegmentCommit, SegmentVerdict, WireMessage,
 };
 use crate::wire::MalformedSegment;
@@ -290,8 +290,8 @@ impl ManagementAgent {
     }
 
     /// Hand relayed module-to-module envelopes to their destination modules
-    /// (a module's error goes to the NM as a `Notify`), then run one shared
-    /// quiescence pass for the lot.
+    /// (a module's refusal goes to the NM as a `Notify` carrying
+    /// [`Notice::Error`]), then run one shared quiescence pass for the lot.
     fn deliver_envelopes(
         &mut self,
         device: &mut Device,
@@ -307,7 +307,7 @@ impl ManagementAgent {
                     Err(e) => {
                         out.push(WireMessage::Notify(Notification {
                             from: env.to.clone(),
-                            body: serde_json::json!({"error": e.to_string()}),
+                            body: Notice::Error(e),
                         }));
                     }
                 }
@@ -457,7 +457,7 @@ impl ManagementAgent {
         if let Some(first) = self.modules.values().next() {
             total.notifications.push(Notification {
                 from: first.reference(),
-                body: serde_json::json!({"error": "poll round cap"}),
+                body: Notice::PollRoundCap,
             });
         }
         total
@@ -797,7 +797,8 @@ mod tests {
         }
     }
 
-    /// A module that never settles: every `poll` relays a message to itself.
+    /// A module that never settles: every `poll` relays a message to itself,
+    /// a body no module could decode.
     struct Restless(ModuleRef);
 
     impl ProtocolModule for Restless {
@@ -812,7 +813,7 @@ mod tests {
                 from: self.0.clone(),
                 to: self.0.clone(),
                 kind: crate::primitives::EnvelopeKind::Convey,
-                body: serde_json::json!({}),
+                body: vec![0xFF],
             })
         }
     }
@@ -829,9 +830,50 @@ mod tests {
         assert_eq!(capped.envelopes.len(), MAX_POLL_ROUNDS);
         assert_eq!(capped.notifications.len(), 1);
         assert_eq!(capped.notifications[0].from, first);
+        assert_eq!(capped.notifications[0].body, Notice::PollRoundCap);
+    }
+
+    /// A module that refuses every envelope, as a module refuses a body it
+    /// cannot decode.
+    struct Refuser(ModuleRef);
+
+    impl ProtocolModule for Refuser {
+        fn reference(&self) -> ModuleRef {
+            self.0.clone()
+        }
+        fn descriptor(&self) -> ModuleAbstraction {
+            ModuleAbstraction::empty(self.0.clone())
+        }
+        fn handle_envelope(
+            &mut self,
+            _ctx: &mut ModuleCtx,
+            env: &ModuleEnvelope,
+        ) -> Result<ModuleReaction, crate::module::ModuleError> {
+            Err(crate::module::ModuleError::BadSpec(format!(
+                "{}-byte body",
+                env.body.len()
+            )))
+        }
+    }
+
+    #[test]
+    fn a_refused_envelope_reaches_the_nm_as_a_typed_error_notice() {
+        let (mut device, mut agent, _, _) = setup();
+        let refuser = ModuleRef::new(ModuleKind::Gre, ModuleId(9), device.id);
+        agent.register(Box::new(Refuser(refuser.clone())));
+        let env = ModuleEnvelope {
+            from: ModuleRef::new(ModuleKind::Gre, ModuleId(9), DeviceId::from_raw(77)),
+            to: refuser.clone(),
+            kind: crate::primitives::EnvelopeKind::Convey,
+            body: vec![0x7B, 0x00],
+        };
+        let out = agent.handle(&mut device, &WireMessage::Module(env));
         assert_eq!(
-            capped.notifications[0].body,
-            serde_json::json!({"error": "poll round cap"})
+            out,
+            [WireMessage::Notify(Notification {
+                from: refuser,
+                body: Notice::Error(crate::module::ModuleError::BadSpec("2-byte body".into())),
+            })]
         );
     }
 

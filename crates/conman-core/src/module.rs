@@ -22,12 +22,15 @@ use crate::primitives::{
 use netsim::config::DeviceConfig;
 use netsim::route::RouteTarget;
 use netsim::stats::DeviceStats;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-/// Errors a module can raise while executing a primitive.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Errors a module can raise while executing a primitive or handling a
+/// relayed envelope.  Serialisable because the agent sends a refused
+/// envelope's error to the NM as a [`Notice::Error`](crate::primitives::Notice::Error).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ModuleError {
     /// The module does not support the requested operation.
     Unsupported(String),
@@ -262,7 +265,10 @@ pub trait ProtocolModule: Send {
         Ok(ModuleReaction::none())
     }
 
-    /// Handle a message from a peer module (relayed by the NM).
+    /// Handle a message from a peer module (relayed by the NM).  The body is
+    /// in this module's own dialect: one that does not decode is refused
+    /// with `Err`, the module's state left as it was, and never read with a
+    /// default in place of a missing field.
     fn handle_envelope(
         &mut self,
         _ctx: &mut ModuleCtx,

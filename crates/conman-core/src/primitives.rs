@@ -4,10 +4,13 @@
 //! The NM interacts with devices using only these protocol-independent
 //! primitives; everything protocol-specific is worked out by the modules
 //! themselves via `conveyMessage` / `listFieldsAndValues` exchanges relayed
-//! through the NM.
+//! through the NM.  Those exchanges travel as [`ModuleEnvelope`]s whose body
+//! is bytes only the two modules read; what the NM itself is told is a
+//! [`Notice`].
 
 use crate::abstraction::{CounterSnapshot, ModuleAbstraction};
 use crate::ids::{ModuleRef, PipeId};
+use crate::module::ModuleError;
 use netsim::device::{DeviceId, PortId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -165,27 +168,57 @@ pub enum EnvelopeKind {
 }
 
 /// A module-to-module message.  The management channel only connects devices
-/// to the NM, so these are always relayed by the NM (§II-D.1 d).
+/// to the NM, so these are always relayed by the NM (§II-D.1 d), which reads
+/// the two addresses and the kind and never the body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModuleEnvelope {
     /// Originating module.
     pub from: ModuleRef,
     /// Destination module.
     pub to: ModuleRef,
-    /// What kind of exchange this is (for NM accounting).
+    /// What kind of exchange this is, for the NM's accounting (Table VI).
+    /// The sending module derives it from the message it encoded.
     pub kind: EnvelopeKind,
-    /// Opaque, protocol-specific body.  The NM never interprets it.
-    pub body: serde_json::Value,
+    /// The message in the sending module's own dialect: a tag byte and its
+    /// fields, written with `mgmt_channel::codec`.  Opaque bytes to the NM
+    /// and the codecs, which carry them as they are; the receiving module
+    /// decodes them and refuses a body that does not decode.
+    pub body: Vec<u8>,
 }
 
-/// An unsolicited module-to-NM notification (completion notices, dependency
-/// triggers installed by the NM, self-test results).
+/// An unsolicited module-to-NM notification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Notification {
     /// Originating module.
     pub from: ModuleRef,
     /// What happened.
-    pub body: serde_json::Value,
+    pub body: Notice,
+}
+
+/// What a module (or its agent) tells the NM.  Unlike an envelope body this
+/// is the NM's own vocabulary, so it is one closed type here.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Notice {
+    /// The far end of a negotiated tunnel is in place.
+    Established(Established),
+    /// A module refused a relayed envelope.  The stand-in for a typed
+    /// refusal until ROADMAP item 2 gives a failure its own type
+    /// (`Refused(Refusal)`).
+    Error(ModuleError),
+    /// The agent gave up polling its modules with the device still busy.
+    PollRoundCap,
+}
+
+/// What a [`Notice::Established`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Established {
+    /// The egress end of an MPLS LSP installed its label bindings.
+    MplsLsp,
+    /// The far-edge switch of a provider VLAN tunnel configured its ports.
+    VlanTunnel {
+        /// The agreed VLAN id.
+        vlan: u16,
+    },
 }
 
 /// The actual (configured) state of a module, returned by `showActual`: the
@@ -441,7 +474,7 @@ mod tests {
             from: mref(ModuleKind::Gre, 2, 1),
             to: mref(ModuleKind::Gre, 2, 3),
             kind: EnvelopeKind::Convey,
-            body: serde_json::json!({"ikey": 1001, "okey": 2001, "seq": true}),
+            body: vec![0x00, 0x7B, 0xE9, 0x03, 0xFF],
         };
         let msg = WireMessage::Module(env.clone());
         let back = WireMessage::decode(&msg.encode()).unwrap();
@@ -452,12 +485,28 @@ mod tests {
     }
 
     #[test]
+    fn wire_roundtrip_notices() {
+        for body in [
+            Notice::Established(Established::MplsLsp),
+            Notice::Established(Established::VlanTunnel { vlan: 22 }),
+            Notice::Error(ModuleError::BadSpec("undecodable".into())),
+            Notice::PollRoundCap,
+        ] {
+            let msg = WireMessage::Notify(Notification {
+                from: mref(ModuleKind::Mpls, 3, 1),
+                body,
+            });
+            assert_eq!(WireMessage::decode(&msg.encode()), Some(msg));
+        }
+    }
+
+    #[test]
     fn wire_roundtrip_batch_messages() {
         let env = ModuleEnvelope {
             from: mref(ModuleKind::Mpls, 3, 1),
             to: mref(ModuleKind::Mpls, 3, 2),
             kind: EnvelopeKind::Convey,
-            body: serde_json::json!({"mpls": {"label": 10001}}),
+            body: vec![0x00, 0x11, 0x27, 0x00, 0x00],
         };
         for msg in [
             WireMessage::StageBatch {

@@ -560,6 +560,10 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
+    /// Chatty's opening message and its answer.
+    const HELLO: u8 = 0;
+    const ACK: u8 = 1;
+
     /// A module that, when a pipe with `initiate` is created, sends a Convey
     /// to its peer; the peer replies; both record completion in a flag the
     /// test holds.  This exercises the full relay round trip.  An agent
@@ -599,7 +603,7 @@ mod tests {
                         from: self.me.clone(),
                         to: peer,
                         kind: EnvelopeKind::Convey,
-                        body: serde_json::json!({"hello": true}),
+                        body: vec![HELLO],
                     }));
                 }
             }
@@ -612,12 +616,12 @@ mod tests {
         ) -> Result<ModuleReaction, crate::module::ModuleError> {
             assert_eq!(env.to, self.me, "an envelope reached the wrong device");
             self.negotiated.store(true, Ordering::Relaxed);
-            if env.body.get("hello").is_some() {
+            if env.body == [HELLO] {
                 return Ok(ModuleReaction::envelope(ModuleEnvelope {
                     from: self.me.clone(),
                     to: env.from.clone(),
                     kind: EnvelopeKind::Convey,
-                    body: serde_json::json!({"ack": true}),
+                    body: vec![ACK],
                 }));
             }
             Ok(ModuleReaction::none())
@@ -896,7 +900,7 @@ mod tests {
             from: m1,
             to: m2,
             kind: EnvelopeKind::Convey,
-            body: serde_json::json!({"ping": true}),
+            body: vec![0x7B, 0x00, 0xFF],
         });
         assert!(mn.run_management() >= MAX_ROUNDS);
         assert_eq!(recorder.counter("mgmt.round_cap_hit"), 1);
@@ -936,15 +940,16 @@ mod tests {
         assert_eq!(mn.run_management(), 3, "all were delivered to the agent");
         assert_eq!(recorder.counter("mgmt.decode_dropped"), 3);
 
-        // Upward relay batches: one cut short inside its envelope's body,
-        // one whose envelope count claims 2^32 - 1 in a 5-byte frame.  Each
-        // is one dropped message (the device's whole round of envelopes),
-        // and the NM relays nothing.
+        // Upward relay batches: one cut short inside its envelope's body, so
+        // the body's length prefix claims a byte the frame does not have,
+        // and one whose envelope count claims 2^32 - 1 in a 5-byte frame.
+        // Each is one dropped message (the device's whole round of
+        // envelopes), and the NM relays nothing.
         let envelope = ModuleEnvelope {
             from: ModuleRef::new(ModuleKind::Gre, ModuleId(1), d2),
             to: ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1),
             kind: EnvelopeKind::Convey,
-            body: serde_json::json!({"hello": true}),
+            body: vec![HELLO],
         };
         let batch = WireMessage::RelayBatch {
             envelopes: vec![envelope],

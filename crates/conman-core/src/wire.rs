@@ -1,5 +1,7 @@
 //! Wire codecs for the management channel: vendored JSON everywhere, plus a
-//! compact binary framing for the batched-transaction hot path.
+//! compact binary framing for the batched-transaction hot path.  Neither
+//! codec interprets a module-to-module envelope's body: it is bytes the
+//! sending module encoded and only the receiving module decodes.
 //!
 //! The paper's Table VI parity experiments (and every diagnostic tool that
 //! reads payloads) keep the self-describing JSON encoding, which stays the
@@ -37,6 +39,13 @@
 //! A pipe carries no names at all and a transit switch rule three absent
 //! options: the only strings in a generated segment are the class, gateway
 //! and local prefix of a goal's two edge-IP rules.
+//!
+//! A `RelayBatch` is a `u32` envelope count, then per envelope `from`, `to`,
+//! a kind byte (`0` convey, `1` field query, `2` field response) and the
+//! body as `u32`-length-prefixed bytes.  The body is already bytes — each
+//! protocol module encodes its own messages — so the codec copies it and
+//! never parses it; under [`WireCodec::Json`] the same body travels as a
+//! JSON array of numbers.
 
 use crate::abstraction::ModuleAbstraction;
 use crate::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
@@ -143,10 +152,9 @@ impl WireMessage {
                         EnvelopeKind::FieldQuery => 1,
                         EnvelopeKind::FieldResponse => 2,
                     });
-                    // The body is opaque, protocol-specific JSON by design
-                    // (§II-D) — embed it as bytes rather than inventing a
-                    // schema for something the NM never interprets.
-                    w.put_bytes(&serde_json::to_vec(&env.body).expect("json values serialize"));
+                    // The body is the sending module's own encoding, opaque
+                    // to the NM (§II-D): it is copied as it is.
+                    w.put_bytes(&env.body);
                 }
                 w.finish()
             }
@@ -254,7 +262,7 @@ pub fn decode(bytes: &[u8]) -> Option<WireMessage> {
                     2 => EnvelopeKind::FieldResponse,
                     _ => return None,
                 };
-                let body = serde_json::from_slice(r.bytes()?).ok()?;
+                let body = r.bytes()?.to_vec();
                 envelopes.push(ModuleEnvelope {
                     from,
                     to,
@@ -532,7 +540,7 @@ fn put_primitive(w: &mut Writer, p: &Primitive) {
             for t in &spec.tradeoffs {
                 w.put_u8(tradeoff_tag(*t));
             }
-            w.put_u8(u8::from(spec.initiate));
+            w.put_bool(spec.initiate);
         }
         Primitive::CreateSwitch(spec) => {
             w.put_u8(3);
@@ -589,11 +597,7 @@ fn read_primitive(r: &mut Reader<'_>) -> Option<Primitive> {
             for _ in 0..n {
                 tradeoffs.push(read_tradeoff(r)?);
             }
-            let initiate = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
+            let initiate = r.bool()?;
             Primitive::CreatePipe(PipeSpec {
                 pipe,
                 upper,
@@ -779,7 +783,11 @@ mod tests {
             from: mref(ModuleKind::Mpls, 3, 1),
             to: mref(ModuleKind::Mpls, 3, 2),
             kind: EnvelopeKind::FieldResponse,
-            body: serde_json::json!({"mpls": {"label": 10001}}),
+            body: (0x00..=0xFF).collect(),
+        };
+        let empty = ModuleEnvelope {
+            body: Vec::new(),
+            ..env.clone()
         };
         for msg in [
             WireMessage::StageBatch {
@@ -826,7 +834,7 @@ mod tests {
                 goals: vec![2],
             },
             WireMessage::RelayBatch {
-                envelopes: vec![env.clone(), env],
+                envelopes: vec![env.clone(), empty, env],
             },
         ] {
             let bytes = msg.encode_with(WireCodec::Binary);

@@ -17,6 +17,7 @@
 //! same way they share IP and MPLS modules, instead of the second goal
 //! failing its transaction.
 
+use crate::dialect::{self, Dialect};
 use conman_core::abstraction::{
     CounterSnapshot, Dependency, ModuleAbstraction, PerfTradeoff, PerformanceMetric, PipeCounters,
     SwitchKind,
@@ -26,10 +27,69 @@ use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule
 use conman_core::primitives::{
     ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, PipeSpec, SwitchSpec, TradeoffChoice,
 };
+use mgmt_channel::codec::{Reader, Writer};
 use netsim::config::TunnelConfig;
 use netsim::route::RouteTarget;
 use netsim::stats::DropReason;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// What GRE modules convey to each other (`conveyMessage`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GreMsg {
+    /// Tag 0, then `ikey` and `okey` (`u32` each) and the two option bytes:
+    /// the tunnel parameters the *receiver* is to configure.  Its `ikey` is
+    /// the key the proposer sends with and its `okey` the one the proposer
+    /// accepts.
+    Propose {
+        ikey: u32,
+        okey: u32,
+        sequencing: bool,
+        checksums: bool,
+    },
+    /// Tag 1: the proposal is agreed.
+    Accept,
+}
+
+impl Dialect for GreMsg {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
+        match *self {
+            GreMsg::Propose {
+                ikey,
+                okey,
+                sequencing,
+                checksums,
+            } => {
+                w.put_u8(0);
+                w.put_u32(ikey);
+                w.put_u32(okey);
+                w.put_bool(sequencing);
+                w.put_bool(checksums);
+            }
+            GreMsg::Accept => w.put_u8(1),
+        }
+        w.finish()
+    }
+
+    fn decode(body: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(body);
+        let msg = match r.u8()? {
+            0 => GreMsg::Propose {
+                ikey: r.u32()?,
+                okey: r.u32()?,
+                sequencing: r.bool()?,
+                checksums: r.bool()?,
+            },
+            1 => GreMsg::Accept,
+            _ => return None,
+        };
+        dialect::whole(&r, msg)
+    }
+
+    fn kind(&self) -> EnvelopeKind {
+        EnvelopeKind::Convey
+    }
+}
 
 /// Negotiated GRE parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,8 +174,8 @@ impl GreModule {
     /// demultiplex them.
     fn propose_keys(&self, peer: &ModuleRef, up_pipe: PipeId) -> (u32, u32) {
         let salt = 7 * up_pipe.0;
-        let a = 1000 + (self.me.device.as_u64() % 997) as u32 + 1 + salt;
-        let b = 2000 + (peer.device.as_u64() % 997) as u32 + 1 + salt;
+        let a = 1000 + (u64::from(self.me.device) % 997) as u32 + 1 + salt;
+        let b = 2000 + (u64::from(peer.device) % 997) as u32 + 1 + salt;
         (a, b)
     }
 
@@ -303,21 +363,15 @@ impl ProtocolModule for GreModule {
                         sequencing,
                         checksums,
                     });
-                    return Ok(ModuleReaction::envelope(ModuleEnvelope {
-                        from: self.me.clone(),
-                        to: peer,
-                        kind: EnvelopeKind::Convey,
-                        body: serde_json::json!({
-                            "propose": {
-                                // The key the proposer will accept (peer's okey)
-                                "your_okey": ikey,
-                                // The key the responder should accept (proposer's okey)
-                                "your_ikey": okey,
-                                "sequencing": sequencing,
-                                "checksums": checksums,
-                            }
-                        }),
-                    }));
+                    // The peer's view: it accepts what we send and sends
+                    // what we accept.
+                    let proposal = GreMsg::Propose {
+                        ikey: okey,
+                        okey: ikey,
+                        sequencing,
+                        checksums,
+                    };
+                    return Ok(ModuleReaction::envelope(proposal.envelope(&self.me, peer)));
                 }
             }
         } else if spec.upper == self.me {
@@ -348,47 +402,42 @@ impl ProtocolModule for GreModule {
         _ctx: &mut ModuleCtx,
         env: &ModuleEnvelope,
     ) -> Result<ModuleReaction, ModuleError> {
-        if let Some(p) = env.body.get("propose") {
-            let ikey = p.get("your_ikey").and_then(|v| v.as_u64()).unwrap_or(0) as u32;
-            let okey = p.get("your_okey").and_then(|v| v.as_u64()).unwrap_or(0) as u32;
-            let sequencing = p
-                .get("sequencing")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false);
-            let checksums = p
-                .get("checksums")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false);
-            // Match the proposal to the oldest slot still negotiating with
-            // this peer.  Both ends commit their goals in the same order
-            // (batch segment order is global to the pass), so oldest-first
-            // pairs the k-th proposal with the k-th slot.
-            let Some(slot) = self.slots.values_mut().find(|s| {
-                s.params.is_none() && s.peer.as_ref().is_none_or(|peer| *peer == env.from)
-            }) else {
-                // No slot is waiting on a proposal (e.g. a stale retransmit
-                // after teardown): acknowledge without state.
-                return Ok(ModuleReaction::none());
-            };
-            slot.params = Some(GreParams {
-                ikey,
-                okey,
-                sequencing,
-                checksums,
-            });
-            slot.wants_sequencing = sequencing;
-            slot.wants_checksums = checksums;
-            slot.peer.get_or_insert_with(|| env.from.clone());
-            return Ok(ModuleReaction::envelope(ModuleEnvelope {
-                from: self.me.clone(),
-                to: env.from.clone(),
-                kind: EnvelopeKind::Convey,
-                body: serde_json::json!({"accept": true}),
-            }));
-        }
-        // "accept": nothing further to do, the proposal already holds our
-        // parameters.
-        Ok(ModuleReaction::none())
+        let GreMsg::Propose {
+            ikey,
+            okey,
+            sequencing,
+            checksums,
+        } = GreMsg::read(&self.me, env)?
+        else {
+            // An acceptance: nothing further to do, the proposal already
+            // holds our parameters.
+            return Ok(ModuleReaction::none());
+        };
+        // Match the proposal to the oldest slot still negotiating with this
+        // peer.  Both ends commit their goals in the same order (batch
+        // segment order is global to the pass), so oldest-first pairs the
+        // k-th proposal with the k-th slot.
+        let Some(slot) = self
+            .slots
+            .values_mut()
+            .find(|s| s.params.is_none() && s.peer.as_ref().is_none_or(|peer| *peer == env.from))
+        else {
+            // No slot is waiting on a proposal (e.g. a stale retransmit
+            // after teardown): acknowledge without state.
+            return Ok(ModuleReaction::none());
+        };
+        slot.params = Some(GreParams {
+            ikey,
+            okey,
+            sequencing,
+            checksums,
+        });
+        slot.wants_sequencing = sequencing;
+        slot.wants_checksums = checksums;
+        slot.peer.get_or_insert_with(|| env.from.clone());
+        Ok(ModuleReaction::envelope(
+            GreMsg::Accept.envelope(&self.me, env.from.clone()),
+        ))
     }
 
     fn poll(&mut self, ctx: &mut ModuleCtx) -> ModuleReaction {
@@ -428,7 +477,7 @@ impl ProtocolModule for GreModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::{module, pipe, switch, Rig};
+    use crate::rig::{mangle, module, pipe, switch, Rig};
     use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
@@ -463,14 +512,13 @@ mod tests {
     }
 
     fn proposal() -> ModuleEnvelope {
-        ModuleEnvelope {
-            from: peer(),
-            to: me(),
-            kind: EnvelopeKind::Convey,
-            body: serde_json::json!({
-                "propose": {"your_okey": 1, "your_ikey": 2, "sequencing": true, "checksums": false}
-            }),
+        GreMsg::Propose {
+            ikey: 2,
+            okey: 1,
+            sequencing: true,
+            checksums: false,
         }
+        .envelope(&peer(), me())
     }
 
     /// The full scan `poll` used to run: every slot a switch rule armed
@@ -667,5 +715,65 @@ mod tests {
                 prop_assert_eq!(&m.slot_of_pipe, &pipes_by_slot(&m));
             }
         }
+
+        #[test]
+        fn every_message_round_trips(
+            propose in any::<bool>(),
+            keys in (any::<u32>(), any::<u32>()),
+            options in (any::<bool>(), any::<bool>()),
+        ) {
+            let msg = if propose {
+                GreMsg::Propose {
+                    ikey: keys.0,
+                    okey: keys.1,
+                    sequencing: options.0,
+                    checksums: options.1,
+                }
+            } else {
+                GreMsg::Accept
+            };
+            prop_assert_eq!(GreMsg::decode(&msg.encode()), Some(msg));
+        }
+
+        #[test]
+        fn a_mangled_body_is_refused_or_is_exactly_a_message(
+            propose in any::<bool>(),
+            how in any::<u8>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let mut rig = Rig::new();
+            let mut m = GreModule::new(me());
+            m.create_pipe(&mut rig.ctx(), &up(1, false)).unwrap();
+            m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
+            let mut env = if propose {
+                proposal()
+            } else {
+                GreMsg::Accept.envelope(&peer(), me())
+            };
+            env.body = mangle(&env.body, how, at, byte);
+            rig.deliver::<GreMsg>(&mut m, &env);
+        }
+    }
+
+    /// A proposal cut off after its tag used to agree on key 0 for both
+    /// directions; it is refused and the slot keeps waiting for its keys.
+    #[test]
+    fn a_proposal_without_its_keys_is_refused() {
+        let mut rig = Rig::new();
+        let mut m = GreModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &up(1, false)).unwrap();
+        let mut env = proposal();
+        env.body.truncate(1);
+        let refused = m.handle_envelope(&mut rig.ctx(), &env);
+        assert!(
+            matches!(refused, Err(ModuleError::BadSpec(_))),
+            "{refused:?}"
+        );
+        assert!(m.slots.values().all(|slot| slot.params.is_none()));
+        let agreed = m.handle_envelope(&mut rig.ctx(), &proposal()).unwrap();
+        assert_eq!(agreed.envelopes[0].body, GreMsg::Accept.encode());
+        let params = m.slots.values().find_map(|slot| slot.params);
+        assert_eq!(params.map(|p| (p.ikey, p.okey)), Some((2, 1)));
     }
 }

@@ -8,6 +8,7 @@
 //! turns the NM's abstract pipe/switch primitives into routes, policy rules
 //! and (for IP-IP paths) tunnel state in the simulated data plane.
 
+use crate::dialect::{self, Dialect};
 use conman_core::abstraction::{
     CounterSnapshot, Dependency, FilterCapability, FilterClassifier, ModuleAbstraction, SwitchKind,
 };
@@ -16,6 +17,7 @@ use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule
 use conman_core::primitives::{
     ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, PipeSpec, SwitchSpec,
 };
+use mgmt_channel::codec::{Reader, Writer};
 use netsim::config::{FilterAction, FilterRule, TunnelConfig};
 use netsim::ipv4::Ipv4Cidr;
 use netsim::mpls::NhlfeKey;
@@ -23,6 +25,55 @@ use netsim::route::{PolicyRule, Route, RouteTableId, RouteTarget, RuleSelector};
 use netsim::stats::DropReason;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
+
+/// What IP modules ask each other with `listFieldsAndValues`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IpMsg {
+    /// Tag 0, then an address: "what is your address on this pipe?",
+    /// carrying ours.
+    Query(Ipv4Addr),
+    /// Tag 1, then an address: the answer to a [`IpMsg::Query`].
+    Address(Ipv4Addr),
+    /// Tag 2: "which fields identify you to a filter?".  No module answers
+    /// it yet.
+    FieldsForFilter,
+}
+
+impl Dialect for IpMsg {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
+        match *self {
+            IpMsg::Query(addr) => {
+                w.put_u8(0);
+                dialect::put_addr(&mut w, addr);
+            }
+            IpMsg::Address(addr) => {
+                w.put_u8(1);
+                dialect::put_addr(&mut w, addr);
+            }
+            IpMsg::FieldsForFilter => w.put_u8(2),
+        }
+        w.finish()
+    }
+
+    fn decode(body: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(body);
+        let msg = match r.u8()? {
+            0 => IpMsg::Query(dialect::addr(&mut r)?),
+            1 => IpMsg::Address(dialect::addr(&mut r)?),
+            2 => IpMsg::FieldsForFilter,
+            _ => return None,
+        };
+        dialect::whole(&r, msg)
+    }
+
+    fn kind(&self) -> EnvelopeKind {
+        match self {
+            IpMsg::Query(_) | IpMsg::FieldsForFilter => EnvelopeKind::FieldQuery,
+            IpMsg::Address(_) => EnvelopeKind::FieldResponse,
+        }
+    }
+}
 
 /// Which end of a pipe this module is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -665,12 +716,9 @@ impl ProtocolModule for IpModule {
             .get("to-port")
             .and_then(|s| s.parse::<u16>().ok());
         if src.is_none() && dst.is_none() {
-            return Ok(ModuleReaction::envelope(ModuleEnvelope {
-                from: self.me.clone(),
-                to: spec.to.clone(),
-                kind: EnvelopeKind::FieldQuery,
-                body: serde_json::json!({"query": "fields-for-filter"}),
-            }));
+            return Ok(ModuleReaction::envelope(
+                IpMsg::FieldsForFilter.envelope(&self.me, spec.to.clone()),
+            ));
         }
         // Re-creating a known filter replaces it.
         let key = (spec.from.clone(), spec.to.clone());
@@ -697,13 +745,11 @@ impl ProtocolModule for IpModule {
         ctx: &mut ModuleCtx,
         env: &ModuleEnvelope,
     ) -> Result<ModuleReaction, ModuleError> {
-        let Some(their) = env
-            .body
-            .get("address")
-            .and_then(|v| v.as_str())
-            .and_then(|s| s.parse::<Ipv4Addr>().ok())
-        else {
-            return Ok(ModuleReaction::none());
+        let (their, query) = match IpMsg::read(&self.me, env)? {
+            IpMsg::Query(their) => (their, true),
+            IpMsg::Address(their) => (their, false),
+            // No module resolves filter fields for a peer yet.
+            IpMsg::FieldsForFilter => return Ok(ModuleReaction::none()),
         };
         // Find the pipe whose peer sent this message.  Concurrent goals can
         // each run a pipe to the *same* peer module; the exchange in flight
@@ -733,14 +779,11 @@ impl ProtocolModule for IpModule {
             }
         };
         self.record_learned(ctx, pipe, their, ours);
-        if env.kind == EnvelopeKind::FieldQuery {
+        if query {
             // Answer with our address for this pipe.
-            return Ok(ModuleReaction::envelope(ModuleEnvelope {
-                from: self.me.clone(),
-                to: env.from.clone(),
-                kind: EnvelopeKind::FieldResponse,
-                body: serde_json::json!({"address": ours.to_string()}),
-            }));
+            return Ok(ModuleReaction::envelope(
+                IpMsg::Address(ours).envelope(&self.me, env.from.clone()),
+            ));
         }
         Ok(ModuleReaction::none())
     }
@@ -761,14 +804,10 @@ impl ProtocolModule for IpModule {
             } else {
                 self.path_address(ctx)
             };
-            reaction.envelopes.push(ModuleEnvelope {
-                from: self.me.clone(),
-                to: Self::peer_of(rec)
-                    .expect("a pending pipe has a peer")
-                    .clone(),
-                kind: EnvelopeKind::FieldQuery,
-                body: serde_json::json!({"query": "address", "address": ours.to_string()}),
-            });
+            let peer = Self::peer_of(rec).expect("a pending pipe has a peer");
+            reaction
+                .envelopes
+                .push(IpMsg::Query(ours).envelope(&self.me, peer.clone()));
             sent.push(id);
         }
         for id in sent {
@@ -790,7 +829,7 @@ impl ProtocolModule for IpModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::{module, pipe, switch, Rig};
+    use crate::rig::{mangle, module, pipe, switch, Rig};
     use conman_core::primitives::ResolvedName;
     use proptest::prelude::*;
 
@@ -807,13 +846,16 @@ mod tests {
         spec
     }
 
-    fn address_reply(from: u64, kind: EnvelopeKind) -> ModuleEnvelope {
-        ModuleEnvelope {
-            from: module(ModuleKind::Ip, 1, from),
-            to: me(),
-            kind,
-            body: serde_json::json!({"address": format!("10.9.0.{from}")}),
-        }
+    /// The IP module of device `from` tells us its address, asking for ours
+    /// when `query` is set.
+    fn address_message(from: u64, query: bool) -> ModuleEnvelope {
+        let addr = Ipv4Addr::new(10, 9, 0, from as u8);
+        let msg = if query {
+            IpMsg::Query(addr)
+        } else {
+            IpMsg::Address(addr)
+        };
+        msg.envelope(&module(ModuleKind::Ip, 1, from), me())
     }
 
     /// The full scan `poll` used to run: every pipe still owed its opening
@@ -851,11 +893,8 @@ mod tests {
         assert_eq!(query.envelopes.len(), 1);
         assert_eq!(query.envelopes[0].kind, EnvelopeKind::FieldQuery);
         assert!(m.pending_queries.is_empty());
-        m.handle_envelope(
-            &mut rig.ctx(),
-            &address_reply(2, EnvelopeKind::FieldResponse),
-        )
-        .unwrap();
+        m.handle_envelope(&mut rig.ctx(), &address_message(2, false))
+            .unwrap();
         assert!(m.unlearned_by_peer.is_empty());
 
         let (config, changes) = (rig.config_json(), rig.blackboard.changes());
@@ -987,11 +1026,8 @@ mod tests {
         m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
         rig.publish_port(3, 0);
         for peer in [3, 2] {
-            m.handle_envelope(
-                &mut rig.ctx(),
-                &address_reply(peer, EnvelopeKind::FieldResponse),
-            )
-            .unwrap();
+            m.handle_envelope(&mut rig.ctx(), &address_message(peer, false))
+                .unwrap();
         }
         let baseline = rig.config_json();
         let attach = |rig: &Rig| rig.blackboard.pipe(PipeId(1)).attach;
@@ -1057,12 +1093,7 @@ mod tests {
                     }
                     2 => rig.publish_port(id, id),
                     3 => {
-                        let kind = if bits & 2 == 0 {
-                            EnvelopeKind::FieldQuery
-                        } else {
-                            EnvelopeKind::FieldResponse
-                        };
-                        m.handle_envelope(&mut rig.ctx(), &address_reply(peer, kind))
+                        m.handle_envelope(&mut rig.ctx(), &address_message(peer, bits & 2 == 0))
                             .unwrap();
                     }
                     4 => {
@@ -1089,5 +1120,51 @@ mod tests {
                 prop_assert_eq!(&m.pending_queries, &scan(&m));
             }
         }
+
+        #[test]
+        fn every_message_round_trips(tag in 0u8..3, addr in any::<u32>()) {
+            let addr = Ipv4Addr::from(addr);
+            let msg = [IpMsg::Query(addr), IpMsg::Address(addr), IpMsg::FieldsForFilter]
+                [usize::from(tag)];
+            prop_assert_eq!(IpMsg::decode(&msg.encode()), Some(msg));
+        }
+
+        #[test]
+        fn a_mangled_body_is_refused_or_is_exactly_a_message(
+            tag in 0u8..3,
+            how in any::<u8>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let mut rig = Rig::new();
+            let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+            m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
+            rig.publish_port(3, 0);
+            m.poll(&mut rig.ctx());
+            let addr = Ipv4Addr::new(10, 9, 0, 2);
+            let valid = [IpMsg::Query(addr), IpMsg::Address(addr), IpMsg::FieldsForFilter]
+                [usize::from(tag)];
+            let mut env = valid.envelope(&module(ModuleKind::Ip, 1, 2), me());
+            env.body = mangle(&env.body, how, at, byte);
+            rig.deliver::<IpMsg>(&mut m, &env);
+        }
+    }
+
+    /// An answer whose address is cut off used to be dropped as if it had
+    /// never been sent, leaving the adjacency waiting for good.
+    #[test]
+    fn a_response_without_its_address_is_refused() {
+        let mut rig = Rig::new();
+        let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+        m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
+        let mut env = address_message(2, false);
+        env.body.truncate(3);
+        let refused = m.handle_envelope(&mut rig.ctx(), &env);
+        assert!(
+            matches!(refused, Err(ModuleError::BadSpec(_))),
+            "{refused:?}"
+        );
+        assert_eq!(rig.blackboard.pipe(PipeId(3)).nexthop, None);
+        assert_eq!(m.unlearned_by_peer.len(), 1, "still waiting for its peer");
     }
 }

@@ -13,17 +13,23 @@
 //! * `vlan::VlanModule` — provider VLAN (Q-in-Q) tunnelling,
 //!
 //! plus the `builder` functions that assemble the per-device management
-//! agents of Figures 2, 4 and 9.  All of that is private: what the crate
-//! offers is [`testbed`], the complete managed networks the examples, tests,
-//! experiments and the benchmark drive, and [`derived_table_range`]; the
-//! modules are reached the way the NM reaches them, through a device's
-//! agent.  (`#![warn(unreachable_pub)]` keeps it so.)
+//! agents of Figures 2, 4 and 9.  What the IP, GRE, MPLS and VLAN modules
+//! negotiate with their peers is each module's own closed message type,
+//! encoded to the bytes the NM relays unread (`dialect`); a body that does
+//! not decode is refused, never read with defaults.
+//!
+//! All of that is private: what the crate offers is [`testbed`], the
+//! complete managed networks the examples, tests, experiments and the
+//! benchmark drive, and [`derived_table_range`]; the modules are reached the
+//! way the NM reaches them, through a device's agent.
+//! (`#![warn(unreachable_pub)]` keeps it so.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
 mod builder;
+mod dialect;
 mod eth;
 mod gre;
 mod ip;

@@ -6,17 +6,62 @@
 //! installs the ILM / NHLFE / cross-connect entries that the Figure 8(a)
 //! script created by hand (`mpls nhlfe add`, `mpls ilm add`, `mpls xc add`).
 
+use crate::dialect::{self, Dialect};
 use conman_core::abstraction::{CounterSnapshot, ModuleAbstraction, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{
-    ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, Notification, PipeSpec, SwitchSpec,
+    ComponentRef, EnvelopeKind, Established, ModuleActual, ModuleEnvelope, Notice, Notification,
+    PipeSpec, SwitchSpec,
 };
+use mgmt_channel::codec::{Reader, Writer};
 use netsim::mpls::{IlmEntry, Label, LabelOp, Nhlfe, NhlfeKey};
 use netsim::route::RouteTarget;
 use netsim::stats::DropReason;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+
+/// What MPLS modules convey to each other: one half of a label exchange.
+/// Tag 0, then the fields in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MplsMsg {
+    /// The label the sender allocated for traffic it receives from the
+    /// peer; a body carrying more than 20 bits does not decode.
+    label: u32,
+    /// The sender's address on the shared link (the peer's NHLFE next hop).
+    address: Ipv4Addr,
+    /// Whether this answers the peer's half rather than opening one.
+    reply: bool,
+}
+
+impl Dialect for MplsMsg {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.put_u8(0);
+        w.put_u32(self.label);
+        dialect::put_addr(&mut w, self.address);
+        w.put_bool(self.reply);
+        w.finish()
+    }
+
+    fn decode(body: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(body);
+        if r.u8()? != 0 {
+            return None;
+        }
+        let label = Label::new(r.u32()?)?.value();
+        let msg = MplsMsg {
+            label,
+            address: dialect::addr(&mut r)?,
+            reply: r.bool()?,
+        };
+        dialect::whole(&r, msg)
+    }
+
+    fn kind(&self) -> EnvelopeKind {
+        EnvelopeKind::Convey
+    }
+}
 
 /// Per-adjacency label state.
 #[derive(Debug, Clone, Default)]
@@ -80,7 +125,7 @@ impl MplsModule {
     /// Create an MPLS module.  Label allocation is seeded from the device id
     /// so labels are stable and distinct across devices.
     pub(crate) fn new(me: ModuleRef) -> Self {
-        let next_label = 10_000 + (me.device.as_u64() % 89) as u32 * 100;
+        let next_label = 10_000 + (u64::from(me.device) % 89) as u32 * 100;
         MplsModule {
             me,
             pipes: BTreeMap::new(),
@@ -98,12 +143,6 @@ impl MplsModule {
     fn alloc_label(&mut self) -> u32 {
         self.next_label += 1;
         self.next_label
-    }
-
-    fn exchange_body(&self, label: u32, addr: Ipv4Addr, reply: bool) -> serde_json::Value {
-        serde_json::json!({
-            "mpls": {"label": label, "address": addr.to_string(), "reply": reply}
-        })
     }
 
     /// Drop a pipe's adjacency state and its entries in the peer and pending
@@ -194,7 +233,7 @@ impl MplsModule {
                     self.notified = true;
                     notifications.push(Notification {
                         from: self.me.clone(),
-                        body: serde_json::json!({"established": "mpls-lsp"}),
+                        body: Notice::Established(Established::MplsLsp),
                     });
                 }
                 Some(notifications)
@@ -379,15 +418,11 @@ impl ProtocolModule for MplsModule {
         ctx: &mut ModuleCtx,
         env: &ModuleEnvelope,
     ) -> Result<ModuleReaction, ModuleError> {
-        let Some(m) = env.body.get("mpls") else {
-            return Ok(ModuleReaction::none());
-        };
-        let label = m.get("label").and_then(|v| v.as_u64()).unwrap_or(0) as u32;
-        let addr = m
-            .get("address")
-            .and_then(|v| v.as_str())
-            .and_then(|s| s.parse::<Ipv4Addr>().ok());
-        let is_reply = m.get("reply").and_then(|v| v.as_bool()).unwrap_or(false);
+        let MplsMsg {
+            label,
+            address,
+            reply,
+        } = MplsMsg::read(&self.me, env)?;
         // Find the adjacency whose peer sent this.  Concurrent goals run
         // separate LSPs over the same physical adjacency, so several of our
         // adjacency pipes can share a peer module: the exchange in flight
@@ -425,7 +460,7 @@ impl ProtocolModule for MplsModule {
             let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
             adj.in_label = Some(our_label);
             adj.out_label = Some(label);
-            adj.peer_addr = addr;
+            adj.peer_addr = Some(address);
             adj.peer.clone()
         };
         if let Some(peer) = peer {
@@ -436,17 +471,18 @@ impl ProtocolModule for MplsModule {
                 }
             }
         }
-        if !is_reply {
-            let body = self.exchange_body(our_label, our_addr, true);
+        if !reply {
             let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
             adj.sent = true;
             self.pending_exchanges.remove(&pipe);
-            return Ok(ModuleReaction::envelope(ModuleEnvelope {
-                from: self.me.clone(),
-                to: env.from.clone(),
-                kind: EnvelopeKind::Convey,
-                body,
-            }));
+            let answer = MplsMsg {
+                label: our_label,
+                address: our_addr,
+                reply: true,
+            };
+            return Ok(ModuleReaction::envelope(
+                answer.envelope(&self.me, env.from.clone()),
+            ));
         }
         Ok(ModuleReaction::none())
     }
@@ -475,12 +511,12 @@ impl ProtocolModule for MplsModule {
             adj.sent = true;
             let peer = adj.peer.clone().expect("a pending adjacency has a peer");
             self.pending_exchanges.remove(&pipe);
-            reaction.envelopes.push(ModuleEnvelope {
-                from: self.me.clone(),
-                to: peer,
-                kind: EnvelopeKind::Convey,
-                body: self.exchange_body(label, our_addr, false),
-            });
+            let opening = MplsMsg {
+                label,
+                address: our_addr,
+                reply: false,
+            };
+            reaction.envelopes.push(opening.envelope(&self.me, peer));
         }
         // Retry pending switch rules.
         let pending = std::mem::take(&mut self.pending_switches);
@@ -497,7 +533,7 @@ impl ProtocolModule for MplsModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::{module, pipe, switch, Rig};
+    use crate::rig::{mangle, module, pipe, switch, Rig};
     use proptest::prelude::*;
 
     fn me() -> ModuleRef {
@@ -514,14 +550,12 @@ mod tests {
     }
 
     fn label_message(from: u64, label: u32, reply: bool) -> ModuleEnvelope {
-        ModuleEnvelope {
-            from: module(ModuleKind::Mpls, 1, from),
-            to: me(),
-            kind: EnvelopeKind::Convey,
-            body: serde_json::json!({
-                "mpls": {"label": label, "address": format!("10.9.0.{from}"), "reply": reply}
-            }),
-        }
+        let msg = MplsMsg {
+            label,
+            address: Ipv4Addr::new(10, 9, 0, from as u8),
+            reply,
+        };
+        msg.envelope(&module(ModuleKind::Mpls, 1, from), me())
     }
 
     /// The full scan `poll` used to run: every adjacency still owed the
@@ -688,6 +722,64 @@ mod tests {
                 }
                 prop_assert_eq!(&m.pending_exchanges, &scan(&m));
             }
+        }
+
+        #[test]
+        fn every_message_round_trips(
+            label in 0u32..=Label::MAX,
+            address in any::<u32>(),
+            reply in any::<bool>(),
+        ) {
+            let msg = MplsMsg {
+                label,
+                address: Ipv4Addr::from(address),
+                reply,
+            };
+            prop_assert_eq!(MplsMsg::decode(&msg.encode()), Some(msg));
+        }
+
+        #[test]
+        fn a_mangled_body_is_refused_or_is_exactly_a_message(
+            reply in any::<bool>(),
+            how in any::<u8>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let mut rig = Rig::new();
+            let mut m = MplsModule::new(me());
+            m.create_pipe(&mut rig.ctx(), &adjacency(3, Some(2), true))
+                .unwrap();
+            rig.publish_port(3, 0);
+            m.poll(&mut rig.ctx());
+            let mut env = label_message(2, 777, reply);
+            env.body = mangle(&env.body, how, at, byte);
+            rig.deliver::<MplsMsg>(&mut m, &env);
+        }
+    }
+
+    /// A label cut off used to be agreed as label 0, and one wider than 20
+    /// bits was agreed too and panicked the switch rule that pushed it.
+    /// Both are refused, the adjacency still waiting for its peer's label.
+    #[test]
+    fn a_missing_or_oversized_label_is_refused() {
+        let mut rig = Rig::new();
+        let mut m = MplsModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &adjacency(3, Some(2), false))
+            .unwrap();
+        let mut cut = label_message(2, 777, false);
+        cut.body.truncate(3);
+        let mut wide = label_message(2, 777, false);
+        wide.body[1..5].copy_from_slice(&(Label::MAX + 1).to_le_bytes());
+        for env in [cut, wide] {
+            let refused = m.handle_envelope(&mut rig.ctx(), &env);
+            assert!(
+                matches!(refused, Err(ModuleError::BadSpec(_))),
+                "{refused:?}"
+            );
+            assert_eq!(m.adjacencies[&PipeId(3)].out_label, None);
+            assert!(m
+                .unfilled_by_peer
+                .contains_key(&module(ModuleKind::Mpls, 1, 2)));
         }
     }
 }

@@ -1,9 +1,11 @@
-//! What a module's unit tests need around it: one device's worth of context
-//! and short-hands for the specs the NM would send.
+//! What a module's unit tests need around it: one device's worth of context,
+//! short-hands for the specs the NM would send, and the hostile-body checks
+//! every module's dialect is held to.
 
+use crate::dialect::Dialect;
 use conman_core::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
-use conman_core::module::{Blackboard, ModuleCtx};
-use conman_core::primitives::{PipeSpec, SwitchSpec};
+use conman_core::module::{Blackboard, ModuleCtx, ModuleError, ProtocolModule};
+use conman_core::primitives::{ModuleActual, ModuleEnvelope, PipeSpec, SwitchSpec};
 use netsim::config::DeviceConfig;
 use netsim::device::DeviceId;
 use netsim::stats::DeviceStats;
@@ -42,6 +44,49 @@ impl Rig {
     pub(crate) fn config_json(&self) -> String {
         serde_json::to_string(&self.config).expect("a device configuration serialises")
     }
+
+    /// Everything a refused envelope must leave as it was: the data plane,
+    /// the blackboard's change count and what `m` lists.
+    fn snapshot(&mut self, m: &dyn ProtocolModule) -> (String, u64, ModuleActual) {
+        let actual = m.actual(&self.ctx());
+        (self.config_json(), self.blackboard.changes(), actual)
+    }
+
+    /// Hand `env` to `m`, whose dialect is `D`.  A body `D` does not decode
+    /// must be refused with `BadSpec` and change nothing; one it does decode
+    /// must be accepted and be exactly that message's encoding, so no byte
+    /// of it was skipped or stood in for by a default.
+    pub(crate) fn deliver<D: Dialect>(&mut self, m: &mut dyn ProtocolModule, env: &ModuleEnvelope) {
+        let before = self.snapshot(m);
+        let result = m.handle_envelope(&mut self.ctx(), env);
+        match D::decode(&env.body) {
+            None => {
+                assert!(
+                    matches!(result, Err(ModuleError::BadSpec(_))),
+                    "{:?} was not refused: {result:?}",
+                    env.body
+                );
+                assert_eq!(self.snapshot(m), before, "a refusal changed state");
+            }
+            Some(msg) => {
+                assert_eq!(msg.encode(), env.body, "accepted bytes are one message");
+                assert!(result.is_ok(), "{:?} was refused: {result:?}", env.body);
+            }
+        }
+    }
+}
+
+/// A valid body made hostile, by `how`: cut short at `at`, grown by `byte`,
+/// the bit `at` flipped, or the tag replaced by `byte`.
+pub(crate) fn mangle(valid: &[u8], how: u8, at: usize, byte: u8) -> Vec<u8> {
+    let mut body = valid.to_vec();
+    match how % 4 {
+        0 => body.truncate(at % valid.len()),
+        1 => body.push(byte),
+        2 => body[at / 8 % valid.len()] ^= 1 << (at % 8),
+        _ => body[0] = byte,
+    }
+    body
 }
 
 /// Module `id` of `kind` on device `device`.

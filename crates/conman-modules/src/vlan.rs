@@ -6,15 +6,58 @@
 //! writes the dot1q-tunnel / trunk port configuration into the simulated
 //! switch — the CONMan equivalent of the CatOS script in Figure 9(a).
 
+use crate::dialect::{self, Dialect};
 use conman_core::abstraction::{CounterSnapshot, ModuleAbstraction, PipeCounters, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{
-    ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, Notification, PipeSpec, SwitchSpec,
+    ComponentRef, EnvelopeKind, Established, ModuleActual, ModuleEnvelope, Notice, Notification,
+    PipeSpec, SwitchSpec,
 };
+use mgmt_channel::codec::{Reader, Writer};
 use netsim::config::{BridgeConfig, SwitchPortMode};
 use netsim::vlan::VlanId;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// What VLAN modules convey to each other: the VLAN a provider tunnel runs
+/// on, passed switch to switch.  Tag 0, then the fields in order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct VlanMsg {
+    /// The VLAN id; a body naming one outside 1..=4094 does not decode.
+    id: u16,
+    /// The VLAN's name, declared with it on every switch.
+    name: String,
+    /// Whether this answers the peer's proposal rather than making one.
+    reply: bool,
+}
+
+impl Dialect for VlanMsg {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.put_u8(0);
+        w.put_u16(self.id);
+        w.put_str(&self.name);
+        w.put_bool(self.reply);
+        w.finish()
+    }
+
+    fn decode(body: &[u8]) -> Option<Self> {
+        let mut r = Reader::new(body);
+        if r.u8()? != 0 {
+            return None;
+        }
+        let msg = VlanMsg {
+            id: VlanId::new(r.u16()?)?.value(),
+            name: r.str()?.to_string(),
+            reply: r.bool()?,
+        };
+        dialect::whole(&r, msg)
+    }
+
+    fn kind(&self) -> EnvelopeKind {
+        EnvelopeKind::Convey
+    }
+}
 
 /// Default VLAN id proposed by the edge module when the goal does not pin
 /// one; 22 mirrors the paper's example.
@@ -141,7 +184,7 @@ impl VlanModule {
             self.notified = true;
             notifications.push(Notification {
                 from: self.me.clone(),
-                body: serde_json::json!({"established": "vlan-tunnel", "vlan": vid_raw}),
+                body: Notice::Established(Established::VlanTunnel { vlan: vid_raw }),
             });
         }
         Some(notifications)
@@ -299,18 +342,9 @@ impl ProtocolModule for VlanModule {
         _ctx: &mut ModuleCtx,
         env: &ModuleEnvelope,
     ) -> Result<ModuleReaction, ModuleError> {
-        let Some(v) = env.body.get("vlan") else {
-            return Ok(ModuleReaction::none());
-        };
-        let vid = v.get("id").and_then(|x| x.as_u64()).unwrap_or(0) as u16;
-        let name = v
-            .get("name")
-            .and_then(|x| x.as_str())
-            .unwrap_or("C1")
-            .to_string();
-        let is_reply = v.get("reply").and_then(|x| x.as_bool()).unwrap_or(false);
-        self.vlan_id = Some(vid);
-        self.vlan_name = name.clone();
+        let VlanMsg { id, name, reply } = VlanMsg::read(&self.me, env)?;
+        self.vlan_id = Some(id);
+        self.vlan_name = name;
         let pipe = self
             .trunks
             .iter()
@@ -319,15 +353,17 @@ impl ProtocolModule for VlanModule {
         if let Some(pipe) = pipe {
             let t = self.trunks.get_mut(&pipe).expect("trunk exists");
             t.agreed = true;
-            if !is_reply {
+            if !reply {
                 t.sent = true;
                 self.pending_trunks.remove(&pipe);
-                return Ok(ModuleReaction::envelope(ModuleEnvelope {
-                    from: self.me.clone(),
-                    to: env.from.clone(),
-                    kind: EnvelopeKind::Convey,
-                    body: serde_json::json!({"vlan": {"id": vid, "name": name, "reply": true}}),
-                }));
+                let answer = VlanMsg {
+                    id,
+                    name: self.vlan_name.clone(),
+                    reply: true,
+                };
+                return Ok(ModuleReaction::envelope(
+                    answer.envelope(&self.me, env.from.clone()),
+                ));
             }
         }
         Ok(ModuleReaction::none())
@@ -346,12 +382,13 @@ impl ProtocolModule for VlanModule {
             for pipe in std::mem::take(&mut self.pending_trunks) {
                 let t = self.trunks.get_mut(&pipe).expect("trunk exists");
                 t.sent = true;
-                reaction.envelopes.push(ModuleEnvelope {
-                    from: self.me.clone(),
-                    to: t.peer.clone().expect("a trunk has a peer"),
-                    kind: EnvelopeKind::Convey,
-                    body: serde_json::json!({"vlan": {"id": vid, "name": self.vlan_name, "reply": false}}),
-                });
+                let proposal = VlanMsg {
+                    id: vid,
+                    name: self.vlan_name.clone(),
+                    reply: false,
+                };
+                let peer = t.peer.clone().expect("a trunk has a peer");
+                reaction.envelopes.push(proposal.envelope(&self.me, peer));
             }
         }
         let pending = std::mem::take(&mut self.pending_switches);
@@ -368,7 +405,7 @@ impl ProtocolModule for VlanModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::{module, pipe, switch, Rig};
+    use crate::rig::{mangle, module, pipe, switch, Rig};
     use proptest::prelude::*;
 
     fn me() -> ModuleRef {
@@ -388,12 +425,12 @@ mod tests {
     }
 
     fn vlan_message(from: u64, reply: bool) -> ModuleEnvelope {
-        ModuleEnvelope {
-            from: module(ModuleKind::Vlan, 1, from),
-            to: me(),
-            kind: EnvelopeKind::Convey,
-            body: serde_json::json!({"vlan": {"id": 22, "name": "C1", "reply": reply}}),
-        }
+        let msg = VlanMsg {
+            id: 22,
+            name: "C1".into(),
+            reply,
+        };
+        msg.envelope(&module(ModuleKind::Vlan, 1, from), me())
     }
 
     /// The full scan `poll` used to run once the VLAN id is known: every
@@ -577,6 +614,66 @@ mod tests {
                 }
                 prop_assert_eq!(&m.pending_trunks, &scan(&m));
             }
+        }
+
+        #[test]
+        fn every_message_round_trips(
+            id in 1u16..4095,
+            name in proptest::collection::vec(0x20u32..0x3000, 0..8),
+            reply in any::<bool>(),
+        ) {
+            let msg = VlanMsg {
+                id,
+                name: name.into_iter().filter_map(char::from_u32).collect(),
+                reply,
+            };
+            prop_assert_eq!(VlanMsg::decode(&msg.encode()), Some(msg));
+        }
+
+        #[test]
+        fn a_mangled_body_is_refused_or_is_exactly_a_message(
+            reply in any::<bool>(),
+            how in any::<u8>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let mut rig = Rig::new();
+            let mut m = VlanModule::new(me());
+            m.create_pipe(&mut rig.ctx(), &customer(1)).unwrap();
+            m.create_pipe(&mut rig.ctx(), &trunk(2, 2, false)).unwrap();
+            rig.publish_port(1, 0);
+            rig.publish_port(2, 1);
+            m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 2)).unwrap();
+            let mut env = vlan_message(2, reply);
+            env.body = mangle(&env.body, how, at, byte);
+            let vlan = m.vlan_id;
+            rig.deliver::<VlanMsg>(&mut m, &env);
+            if VlanMsg::decode(&env.body).is_none() {
+                prop_assert_eq!(m.vlan_id, vlan);
+            }
+        }
+    }
+
+    /// A proposal whose name was cut off used to be agreed under the name
+    /// "C1", and one naming VLAN 0 was agreed too and left its switch rules
+    /// pending for good.  Both are refused and no VLAN is agreed.
+    #[test]
+    fn a_proposal_without_its_name_or_with_an_unusable_id_is_refused() {
+        let mut rig = Rig::new();
+        let mut m = VlanModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &trunk(2, 2, false)).unwrap();
+        let mut cut = vlan_message(2, false);
+        cut.body.truncate(5);
+        let mut zero = vlan_message(2, false);
+        zero.body[1..3].copy_from_slice(&0u16.to_le_bytes());
+        for env in [cut, zero] {
+            let refused = m.handle_envelope(&mut rig.ctx(), &env);
+            assert!(
+                matches!(refused, Err(ModuleError::BadSpec(_))),
+                "{refused:?}"
+            );
+            assert_eq!(m.vlan_id, None);
+            assert!(!m.trunks[&PipeId(2)].agreed);
         }
     }
 }

@@ -15,6 +15,10 @@
 //! by `conman-core`'s `wire` module; this module only fixes their values so
 //! the channel layer can recognise (and count) binary frames without
 //! depending on the message schema.
+//!
+//! The same primitives encode what protocol modules say to each other: each
+//! module writes its own messages (a tag byte of its own, then the fields)
+//! into the opaque body the NM relays unread.
 
 /// Magic first byte of a binary `StageBatch` payload.
 pub const TAG_STAGE_BATCH: u8 = 0x81;
@@ -53,6 +57,16 @@ impl Writer {
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
+    }
+
+    /// Append a boolean as one byte, `0` or `1`.
+    pub fn put_bool(&mut self, v: bool) {
+        self.buf.push(u8::from(v));
+    }
+
+    /// Append a little-endian `u16`.
+    pub fn put_u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u32`.
@@ -130,6 +144,22 @@ impl<'a> Reader<'a> {
         Some(v)
     }
 
+    /// Read a boolean byte; anything but `0` or `1` is malformed.
+    pub fn bool(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    /// Read a little-endian `u16`.
+    pub fn u16(&mut self) -> Option<u16> {
+        let bytes = self.buf.get(self.pos..self.pos + 2)?;
+        self.pos += 2;
+        Some(u16::from_le_bytes(bytes.try_into().ok()?))
+    }
+
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Option<u32> {
         let bytes = self.buf.get(self.pos..self.pos + 4)?;
@@ -166,6 +196,8 @@ mod tests {
     fn roundtrip_scalars_and_slices() {
         let mut w = Writer::with_tag(TAG_STAGE_BATCH);
         w.put_u8(7);
+        w.put_bool(true);
+        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_str("hello");
@@ -176,6 +208,8 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8(), Some(TAG_STAGE_BATCH));
         assert_eq!(r.u8(), Some(7));
+        assert_eq!(r.bool(), Some(true));
+        assert_eq!(r.u16(), Some(0xBEEF));
         assert_eq!(r.u32(), Some(0xDEAD_BEEF));
         assert_eq!(r.u64(), Some(u64::MAX - 1));
         assert_eq!(r.str(), Some("hello"));
@@ -191,6 +225,8 @@ mod tests {
         let buf = w.finish();
         let mut r = Reader::new(&buf[..buf.len() - 1]);
         assert_eq!(r.str(), None);
+        assert_eq!(Reader::new(&[2]).bool(), None, "a boolean is 0 or 1");
+        assert_eq!(Reader::new(&[1]).u16(), None);
     }
 
     #[test]

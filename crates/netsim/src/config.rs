@@ -291,7 +291,7 @@ impl DeviceConfig {
     }
 
     /// Is `addr` one of this device's local addresses?  No caller outside
-    /// netsim yet: used by ROADMAP item 4c's `netsim.edge_lookup_us` row,
+    /// netsim yet: used by ROADMAP item 6c's `netsim.edge_lookup_us` row,
     /// which a `[benchmark]` PR must add without editing this crate.
     pub fn is_local_address(&self, addr: Ipv4Addr) -> bool {
         self.port_address_set.contains(&addr)

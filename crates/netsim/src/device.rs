@@ -47,6 +47,12 @@ impl DeviceId {
     }
 }
 
+impl From<DeviceId> for u64 {
+    fn from(id: DeviceId) -> u64 {
+        id.0
+    }
+}
+
 impl fmt::Display for DeviceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "dev:{:016x}", self.0)

@@ -181,10 +181,13 @@ impl Rib {
         self.tables.entry(id).or_default();
     }
 
-    /// Add a policy rule.
+    /// Add a policy rule, after every rule of lower or equal priority: rules
+    /// stay in priority order, equal priorities in insertion order.  A core
+    /// router holds thousands of rules, so the rule goes in place rather
+    /// than the list being re-sorted.
     pub fn add_rule(&mut self, rule: PolicyRule) {
-        self.rules.push(rule);
-        self.rules.sort_by_key(|r| r.priority);
+        let at = self.rules.partition_point(|r| r.priority <= rule.priority);
+        self.rules.insert(at, rule);
     }
 
     /// Remove every policy rule pointing at `table` with the given priority
@@ -217,7 +220,7 @@ impl Rib {
 
     /// Route a packet: evaluate policy rules in priority order, falling back
     /// to the main table.  No caller outside netsim yet: used by ROADMAP item
-    /// 4c's `netsim.edge_lookup_us` row, as [`DeviceConfig::is_local_address`]
+    /// 6c's `netsim.edge_lookup_us` row, as [`DeviceConfig::is_local_address`]
     /// is.
     ///
     /// [`DeviceConfig::is_local_address`]: crate::config::DeviceConfig::is_local_address
@@ -386,5 +389,27 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(r.target, RouteTarget::Port { port: 1, .. }));
+    }
+
+    #[test]
+    fn rules_stay_in_priority_order_and_equal_priorities_in_insertion_order() {
+        let mut rib = Rib::new();
+        let rule = |priority, table| PolicyRule {
+            priority,
+            selector: RuleSelector::All,
+            table: RouteTableId(table),
+        };
+        for (priority, table) in [(200, 1), (100, 2), (200, 3), (50, 4), (100, 5), (200, 6)] {
+            rib.add_rule(rule(priority, table));
+        }
+        let order: Vec<(u32, u32)> = rib
+            .rules()
+            .iter()
+            .map(|r| (r.priority, r.table.0))
+            .collect();
+        assert_eq!(
+            order,
+            [(50, 4), (100, 2), (100, 5), (200, 1), (200, 3), (200, 6)]
+        );
     }
 }

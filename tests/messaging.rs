@@ -10,9 +10,14 @@
 //! counts relayed messages plus module notifications (script results /
 //! responses are excluded, as in the paper).
 
-use conman_core::WireCodec;
-use conman_modules::{managed_chain, managed_fanout_chain, managed_vlan_chain};
-use mgmt_channel::MessageCategory;
+use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
+use conman_core::primitives::{EnvelopeKind, ModuleEnvelope};
+use conman_core::{ModuleAbstraction, ModuleId, ModuleKind, ModuleRef, WireCodec};
+use conman_modules::{managed_chain, managed_fanout_chain, managed_vlan_chain, ManagedChain};
+use mgmt_channel::MessageCategory::{self, Command, ConveyMessage, Notification, Response};
+use mgmt_channel::OutOfBandChannel;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 fn nm_config_counts<C: mgmt_channel::ManagementChannel>(
     mn: &conman_core::runtime::ManagedNetwork<C>,
@@ -141,6 +146,163 @@ fn a_batched_pass_costs_the_nm_the_same_messages_for_any_number_of_goals() {
     t.mn.execute_path(&path, &goal);
     // The goal's twelve envelopes, each a message up and a message down.
     assert_eq!(relay_counts(&t.mn), (12, 12), "(received, sent)");
+}
+
+/// A test-only module that says arbitrary bytes.  On its first poll it sends
+/// each of `says` to `peer`, with a kind that cycles through the three; it
+/// keeps every body it hears, and an echoing one sends each back.
+struct Babbler {
+    me: ModuleRef,
+    peer: ModuleRef,
+    says: Vec<Vec<u8>>,
+    echo: bool,
+    heard: Heard,
+}
+
+impl ProtocolModule for Babbler {
+    fn reference(&self) -> ModuleRef {
+        self.me.clone()
+    }
+    fn descriptor(&self) -> ModuleAbstraction {
+        ModuleAbstraction::empty(self.me.clone())
+    }
+    fn handle_envelope(
+        &mut self,
+        _ctx: &mut ModuleCtx,
+        env: &ModuleEnvelope,
+    ) -> Result<ModuleReaction, ModuleError> {
+        self.heard.lock().unwrap().push(env.body.clone());
+        if !self.echo {
+            return Ok(ModuleReaction::none());
+        }
+        Ok(ModuleReaction::envelope(ModuleEnvelope {
+            from: self.me.clone(),
+            to: env.from.clone(),
+            kind: env.kind,
+            body: env.body.clone(),
+        }))
+    }
+    fn poll(&mut self, _ctx: &mut ModuleCtx) -> ModuleReaction {
+        let kinds = [
+            EnvelopeKind::Convey,
+            EnvelopeKind::FieldQuery,
+            EnvelopeKind::FieldResponse,
+        ];
+        ModuleReaction {
+            envelopes: std::mem::take(&mut self.says)
+                .into_iter()
+                .zip(kinds.into_iter().cycle())
+                .map(|(body, kind)| ModuleEnvelope {
+                    from: self.me.clone(),
+                    to: self.peer.clone(),
+                    kind,
+                    body,
+                })
+                .collect(),
+            notifications: Vec::new(),
+        }
+    }
+}
+
+/// Bodies no JSON codec would carry as they are: empty, NUL, a lone `{`,
+/// text that is JSON, a prefix that looks like a binary `RelayBatch` frame,
+/// and every byte value.
+fn hostile_bodies() -> Vec<Vec<u8>> {
+    vec![
+        vec![],
+        vec![0x00],
+        vec![0x7B],
+        b"{\"hello\":true}".to_vec(),
+        vec![0x86, 0xFF, 0xFF, 0xFF, 0xFF],
+        (0x80..=0xFF).collect(),
+        (0x00..=0xFF).rev().collect(),
+    ]
+}
+
+/// The bodies one babbler heard, in arrival order.
+type Heard = Arc<Mutex<Vec<Vec<u8>>>>;
+
+/// The Figure 4 chain, discovered, with a babbler on the first core router
+/// that says `hostile_bodies()` to an echoing one on the last.  Returns what
+/// each of the two heard.
+fn babbling_chain() -> (ManagedChain<OutOfBandChannel>, [Heard; 2]) {
+    let mut t = managed_chain(3);
+    t.discover();
+    let (first, last) = (t.core[0], t.core[2]);
+    let kind = ModuleKind::App("babble".into());
+    let babbler = |device| ModuleRef::new(kind.clone(), ModuleId(900), device);
+    let heard: [Heard; 2] = Default::default();
+    for (device, peer, says, echo, heard) in [
+        (first, last, hostile_bodies(), false, &heard[0]),
+        (last, first, Vec::new(), true, &heard[1]),
+    ] {
+        let module = Babbler {
+            me: babbler(device),
+            peer: babbler(peer),
+            says,
+            echo,
+            heard: Arc::clone(heard),
+        };
+        t.mn.agents
+            .get_mut(&device)
+            .unwrap()
+            .register(Box::new(module));
+    }
+    (t, heard)
+}
+
+fn heard(side: &Heard) -> Vec<Vec<u8>> {
+    side.lock().unwrap().clone()
+}
+
+/// The NM relays a module's body without reading it: arbitrary bytes arrive
+/// byte for byte, in order, and both ways — alone in a `Module` message
+/// through `execute_path`, and inside `RelayBatch`es through a batched pass
+/// under either codec — and the NM counts the messages by their kind alone.
+#[test]
+fn the_nm_relays_any_body_byte_for_byte_and_counts_it_by_kind_alone() {
+    let says = hostile_bodies();
+    let n = says.len() as u64;
+
+    let (mut t, [echoed, heard_back]) = babbling_chain();
+    let goal = t.vpn_goal();
+    let path =
+        t.mn.nm
+            .find_paths(&goal)
+            .into_iter()
+            .find(|p| p.technology_label() == "GRE-IP")
+            .expect("GRE path");
+    t.mn.reset_counters();
+    t.mn.execute_path(&path, &goal);
+    assert_eq!(heard(&echoed), says);
+    assert_eq!(heard(&heard_back), says);
+    // Table VI for the goal at n = 3, plus every body up to the NM and down
+    // again, both ways.
+    assert_eq!(nm_config_counts(&t.mn), (11 + 2 * n, 8 + 2 * n));
+
+    for codec in [WireCodec::Json, WireCodec::Binary] {
+        let (mut t, [echoed, heard_back]) = babbling_chain();
+        t.mn.codec = codec;
+        t.mn.submit(t.vpn_goal());
+        t.mn.reset_counters();
+        assert_eq!(t.mn.reconcile().active(), 1, "{codec:?}");
+        assert_eq!(heard(&echoed), says, "{codec:?}");
+        assert_eq!(heard(&heard_back), says, "{codec:?}");
+        // What the same pass (an MPLS goal) cost the NM when bodies were
+        // JSON values: the babble rides one relay batch more each way than
+        // the goal's own four, and the LSP's egress notifies.
+        let c = t.mn.nm_counters();
+        assert_eq!(
+            c.received_by_category,
+            BTreeMap::from([(Response, 6), (ConveyMessage, 5), (Notification, 1)]),
+            "{codec:?}: received"
+        );
+        assert_eq!(
+            c.sent_by_category,
+            BTreeMap::from([(Command, 6), (ConveyMessage, 5)]),
+            "{codec:?}: sent"
+        );
+    }
 }
 
 #[test]

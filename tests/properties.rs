@@ -279,7 +279,7 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
         from: mref(ModuleKind::Mpls, 3, 1),
         to: mref(ModuleKind::Mpls, 3, 2),
         kind: EnvelopeKind::FieldResponse,
-        body: serde_json::json!({"mpls": {"label": 10001}}),
+        body: vec![0x00, 0x7B, 0x80, 0xFF],
     };
     let stage = WireMessage::StageBatch {
         txn: 7,
