@@ -14,10 +14,10 @@
 //! the event did not touch.
 
 use crate::ids::{ModuleId, ModuleRef};
-use crate::module::{Blackboard, ModuleCtx, ModuleReaction, ProtocolModule};
+use crate::module::{Blackboard, ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use crate::primitives::{
-    Announcement, ComponentRef, ModuleEnvelope, Notice, Notification, Primitive, PrimitiveResult,
-    SegmentCommit, SegmentVerdict, WireMessage,
+    Announcement, ComponentRef, ModuleEnvelope, Notice, Notification, Primitive, PrimitiveOutcome,
+    PrimitiveResult, Refusal, RefusalCause, SegmentCommit, SegmentVerdict, WireMessage,
 };
 use crate::wire::MalformedSegment;
 use netsim::device::{Device, DeviceId, PortId};
@@ -63,22 +63,26 @@ impl ManagementAgent {
 
     /// Validate one primitive against this device's module set without
     /// touching the data plane — the staging check of the two-phase
-    /// protocol.  Returns the reason the primitive cannot execute, if any.
-    fn validate_primitive(&self, primitive: &Primitive) -> Option<String> {
-        let missing = |m: &ModuleRef| -> Option<String> {
-            if self.modules.contains_key(&m.module) {
-                None
-            } else {
-                Some(format!("no module {m} on device"))
-            }
-        };
-        match primitive {
+    /// protocol.  Returns the refusal of a primitive that cannot execute.
+    fn validate_primitive(&self, primitive: &Primitive) -> Option<Refusal> {
+        let missing = |m: &ModuleRef| (!self.modules.contains_key(&m.module)).then(|| m.clone());
+        let unknown = match primitive {
             Primitive::CreatePipe(spec) => missing(&spec.upper).or_else(|| missing(&spec.lower)),
             Primitive::CreateSwitch(spec) => missing(&spec.module),
             Primitive::CreateFilter(spec) => missing(&spec.module),
             // Reads and deletes are always admissible: a delete of something
             // absent is a no-op by design (idempotent teardown).
             Primitive::ShowPotential | Primitive::ShowActual | Primitive::Delete(_) => None,
+        }?;
+        Some(self.refusal(primitive.component(), RefusalCause::UnknownModule(unknown)))
+    }
+
+    /// This device's refusal, concerning `component`.
+    fn refusal(&self, component: Option<ComponentRef>, cause: RefusalCause) -> Refusal {
+        Refusal {
+            device: self.device,
+            component,
+            cause,
         }
     }
 
@@ -183,8 +187,8 @@ impl ManagementAgent {
                         }
                         None => segments.push(SegmentCommit {
                             goal: *goal,
-                            results: vec![Err(format!(
-                                "goal {goal} was never staged under transaction {txn}"
+                            results: vec![Err(Box::new(
+                                self.refusal(None, RefusalCause::NeverStaged),
                             ))],
                         }),
                     }
@@ -273,9 +277,7 @@ impl ManagementAgent {
                         primitives.push(p);
                     }
                     Err(MalformedSegment) => {
-                        errors.push(format!(
-                            "goal {goal}: malformed primitive encoding in staged segment"
-                        ));
+                        errors.push(self.refusal(None, RefusalCause::MalformedSegment));
                         break;
                     }
                 }
@@ -291,7 +293,7 @@ impl ManagementAgent {
 
     /// Hand relayed module-to-module envelopes to their destination modules
     /// (a module's refusal goes to the NM as a `Notify` carrying
-    /// [`Notice::Error`]), then run one shared quiescence pass for the lot.
+    /// [`Notice::Refused`]), then run one shared quiescence pass for the lot.
     fn deliver_envelopes(
         &mut self,
         device: &mut Device,
@@ -304,12 +306,12 @@ impl ManagementAgent {
                 let mut ctx = Self::ctx(&mut self.blackboard, device);
                 match module.handle_envelope(&mut ctx, env) {
                     Ok(r) => reaction.extend(r),
-                    Err(e) => {
-                        out.push(WireMessage::Notify(Notification {
-                            from: env.to.clone(),
-                            body: Notice::Error(e),
-                        }));
-                    }
+                    Err(e) => out.push(WireMessage::Notify(Notification {
+                        from: env.to.clone(),
+                        body: Notice::Refused(Box::new(
+                            self.refusal(None, RefusalCause::Module(e)),
+                        )),
+                    })),
                 }
             }
         }
@@ -334,11 +336,29 @@ impl ManagementAgent {
         }
     }
 
+    /// Hand module `m` its part of a primitive, collecting its reaction.
+    fn dispatch(
+        &mut self,
+        device: &mut Device,
+        m: &ModuleRef,
+        reaction: &mut ModuleReaction,
+        call: impl FnOnce(
+            &mut dyn ProtocolModule,
+            &mut ModuleCtx,
+        ) -> Result<ModuleReaction, ModuleError>,
+    ) -> Result<(), RefusalCause> {
+        let unknown = || RefusalCause::UnknownModule(m.clone());
+        let module = self.modules.get_mut(&m.module).ok_or_else(unknown)?;
+        let mut ctx = Self::ctx(&mut self.blackboard, device);
+        reaction.extend(call(module.as_mut(), &mut ctx).map_err(RefusalCause::Module)?);
+        Ok(())
+    }
+
     fn run_primitive(
         &mut self,
         device: &mut Device,
         primitive: &Primitive,
-    ) -> (Result<PrimitiveResult, String>, ModuleReaction) {
+    ) -> (PrimitiveOutcome, ModuleReaction) {
         let mut reaction = ModuleReaction::none();
         let result = match primitive {
             Primitive::ShowPotential => {
@@ -368,56 +388,33 @@ impl ManagementAgent {
                 // Both endpoints of the pipe live on this device; dispatch to
                 // the lower module first (it typically publishes values —
                 // e.g. the underlying port — that the upper module reads).
-                let order = [spec.lower.module, spec.upper.module];
-                let mut err = None;
-                for id in order {
-                    if let Some(module) = self.modules.get_mut(&id) {
-                        let mut ctx = Self::ctx(&mut self.blackboard, device);
-                        match module.create_pipe(&mut ctx, spec) {
-                            Ok(r) => reaction.extend(r),
-                            Err(e) => err = Some(e.to_string()),
-                        }
-                    } else {
-                        err = Some(format!("no module {id} on device"));
+                let mut result = Ok(PrimitiveResult::PipeCreated(spec.pipe));
+                for m in [&spec.lower, &spec.upper] {
+                    let create = |module: &mut dyn ProtocolModule, ctx: &mut ModuleCtx| {
+                        module.create_pipe(ctx, spec)
+                    };
+                    if let Err(e) = self.dispatch(device, m, &mut reaction, create) {
+                        result = Err(e);
                     }
                 }
-                match err {
-                    Some(e) => Err(e),
-                    None => Ok(PrimitiveResult::PipeCreated(spec.pipe)),
-                }
+                result
             }
-            Primitive::CreateSwitch(spec) => match self.modules.get_mut(&spec.module.module) {
-                Some(module) => {
-                    let mut ctx = Self::ctx(&mut self.blackboard, device);
-                    match module.create_switch(&mut ctx, spec) {
-                        Ok(r) => {
-                            reaction.extend(r);
-                            Ok(PrimitiveResult::Done)
-                        }
-                        Err(e) => Err(e.to_string()),
-                    }
-                }
-                None => Err(format!("no module {} on device", spec.module)),
-            },
-            Primitive::CreateFilter(spec) => match self.modules.get_mut(&spec.module.module) {
-                Some(module) => {
-                    let mut ctx = Self::ctx(&mut self.blackboard, device);
-                    match module.create_filter(&mut ctx, spec) {
-                        Ok(r) => {
-                            reaction.extend(r);
-                            Ok(PrimitiveResult::Done)
-                        }
-                        Err(e) => Err(e.to_string()),
-                    }
-                }
-                None => Err(format!("no module {} on device", spec.module)),
-            },
+            Primitive::CreateSwitch(spec) => self
+                .dispatch(device, &spec.module, &mut reaction, |module, ctx| {
+                    module.create_switch(ctx, spec)
+                })
+                .map(|()| PrimitiveResult::Done),
+            Primitive::CreateFilter(spec) => self
+                .dispatch(device, &spec.module, &mut reaction, |module, ctx| {
+                    module.create_filter(ctx, spec)
+                })
+                .map(|()| PrimitiveResult::Done),
             Primitive::Delete(component) => {
                 let mut last_err = None;
                 for module in self.modules.values_mut() {
                     let mut ctx = Self::ctx(&mut self.blackboard, device);
                     if let Err(e) = module.delete(&mut ctx, component) {
-                        last_err = Some(e.to_string());
+                        last_err = Some(RefusalCause::Module(e));
                     }
                 }
                 // A deleted pipe's facts must not leak into a later path that
@@ -431,6 +428,7 @@ impl ManagementAgent {
                 }
             }
         };
+        let result = result.map_err(|cause| Box::new(self.refusal(primitive.component(), cause)));
         (result, reaction)
     }
 
@@ -490,7 +488,7 @@ mod tests {
             &mut self,
             ctx: &mut ModuleCtx,
             spec: &PipeSpec,
-        ) -> Result<ModuleReaction, crate::module::ModuleError> {
+        ) -> Result<ModuleReaction, ModuleError> {
             self.pipes.push(spec.pipe);
             ctx.blackboard
                 .publish(spec.pipe, |facts| facts.port = Some(0));
@@ -574,7 +572,7 @@ mod tests {
             primitives: vec![Primitive::CreatePipe(PipeSpec {
                 pipe: PipeId(1),
                 upper,
-                lower: bogus,
+                lower: bogus.clone(),
                 peer_upper: None,
                 peer_lower: None,
                 tradeoffs: vec![],
@@ -583,7 +581,14 @@ mod tests {
         };
         let out = agent.handle(&mut device, &script);
         match &out[0] {
-            WireMessage::ScriptResult { results, .. } => assert!(results[0].is_err()),
+            WireMessage::ScriptResult { results, .. } => assert_eq!(
+                results[0],
+                Err(Box::new(Refusal {
+                    device: device.id,
+                    component: Some(ComponentRef::Pipe(PipeId(1))),
+                    cause: RefusalCause::UnknownModule(bogus),
+                }))
+            ),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -677,9 +682,10 @@ mod tests {
         };
         let out = agent.handle(&mut device, &commit);
         match &out[0] {
-            WireMessage::CommitBatchResult { segments, .. } => {
-                assert!(segments[0].results[0].is_err())
-            }
+            WireMessage::CommitBatchResult { segments, .. } => assert!(matches!(
+                &segments[0].results[0],
+                Err(refusal) if refusal.cause == RefusalCause::NeverStaged
+            )),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -848,11 +854,11 @@ mod tests {
             &mut self,
             _ctx: &mut ModuleCtx,
             env: &ModuleEnvelope,
-        ) -> Result<ModuleReaction, crate::module::ModuleError> {
-            Err(crate::module::ModuleError::BadSpec(format!(
-                "{}-byte body",
-                env.body.len()
-            )))
+        ) -> Result<ModuleReaction, ModuleError> {
+            Err(ModuleError::UndecodableBody {
+                from: env.from.clone(),
+                len: env.body.len(),
+            })
         }
     }
 
@@ -861,8 +867,9 @@ mod tests {
         let (mut device, mut agent, _, _) = setup();
         let refuser = ModuleRef::new(ModuleKind::Gre, ModuleId(9), device.id);
         agent.register(Box::new(Refuser(refuser.clone())));
+        let sender = ModuleRef::new(ModuleKind::Gre, ModuleId(9), DeviceId::from_raw(77));
         let env = ModuleEnvelope {
-            from: ModuleRef::new(ModuleKind::Gre, ModuleId(9), DeviceId::from_raw(77)),
+            from: sender.clone(),
             to: refuser.clone(),
             kind: crate::primitives::EnvelopeKind::Convey,
             body: vec![0x7B, 0x00],
@@ -872,7 +879,14 @@ mod tests {
             out,
             [WireMessage::Notify(Notification {
                 from: refuser,
-                body: Notice::Error(crate::module::ModuleError::BadSpec("2-byte body".into())),
+                body: Notice::Refused(Box::new(Refusal {
+                    device: device.id,
+                    component: None,
+                    cause: RefusalCause::Module(ModuleError::UndecodableBody {
+                        from: sender,
+                        len: 2
+                    }),
+                })),
             })]
         );
     }

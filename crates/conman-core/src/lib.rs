@@ -39,10 +39,10 @@ pub use agent::ManagementAgent;
 pub use ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
 pub use module::{Blackboard, ModuleCtx, ModuleError, ModuleReaction, PipeFacts, ProtocolModule};
 pub use nm::{
-    ConnectivityGoal, GoalId, GoalStatus, GoalStore, ModulePath, NetworkManager, PathFinderLimits,
-    Plan,
+    ConnectivityGoal, GoalFailure, GoalId, GoalStatus, GoalStore, ModulePath, NetworkManager,
+    PathFinderLimits, Plan,
 };
-pub use primitives::{Primitive, WireMessage};
+pub use primitives::{Primitive, Refusal, RefusalCause, WireMessage};
 pub use runtime::{
     ControlLoop, GoalEndpoints, LoopConfig, ManagedNetwork, NmEvent, ReconcileReport,
     WithdrawOutcome,

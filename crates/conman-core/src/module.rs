@@ -24,33 +24,41 @@ use netsim::route::RouteTarget;
 use netsim::stats::DeviceStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::net::Ipv4Addr;
 
-/// Errors a module can raise while executing a primitive or handling a
-/// relayed envelope.  Serialisable because the agent sends a refused
-/// envelope's error to the NM as a [`Notice::Error`](crate::primitives::Notice::Error).
+/// Why a module refused a primitive or a relayed envelope: the module's own
+/// cause, which the agent wraps in a [`Refusal`](crate::primitives::Refusal).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ModuleError {
-    /// The module does not support the requested operation.
-    Unsupported(String),
-    /// A dependency declared in the abstraction was not satisfied.
-    MissingDependency(String),
-    /// The specification referenced unknown components.
-    BadSpec(String),
+    /// `create (filter)` on a module that cannot filter.
+    CannotFilter,
+    /// A GRE up pipe without the performance trade-offs its dependency
+    /// (Table III row iii) asks for.
+    MissingTradeoffs,
+    /// A relayed envelope's body is not a message of the receiving module's
+    /// dialect.
+    UndecodableBody {
+        /// The sending module.
+        from: ModuleRef,
+        /// The body's length in bytes.
+        len: usize,
+    },
+    /// A filter naming neither a source nor a destination address.
+    FilterWithoutAddress,
+    /// A filter field that is present but does not parse.
+    BadFilterField(FilterField),
 }
 
-impl fmt::Display for ModuleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModuleError::Unsupported(s) => write!(f, "unsupported operation: {s}"),
-            ModuleError::MissingDependency(s) => write!(f, "missing dependency: {s}"),
-            ModuleError::BadSpec(s) => write!(f, "bad specification: {s}"),
-        }
-    }
+/// A field of a [`FilterSpec::resolved`] map the IP module reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum FilterField {
+    /// `from-address`, a prefix.
+    FromAddress,
+    /// `to-address`, a prefix.
+    ToAddress,
+    /// `to-port`, a port number.
+    ToPort,
 }
-
-impl std::error::Error for ModuleError {}
 
 /// What a module wants to happen after handling an event: messages to peer
 /// modules (relayed via the NM) and notifications to the NM.
@@ -246,14 +254,9 @@ pub trait ProtocolModule: Send {
     fn create_filter(
         &mut self,
         _ctx: &mut ModuleCtx,
-        spec: &FilterSpec,
+        _spec: &FilterSpec,
     ) -> Result<ModuleReaction, ModuleError> {
-        Err(ModuleError::Unsupported(format!(
-            "{} cannot filter (asked to drop {} -> {})",
-            self.reference(),
-            spec.from,
-            spec.to
-        )))
+        Err(ModuleError::CannotFilter)
     }
 
     /// Delete a previously created component.
@@ -333,7 +336,10 @@ mod tests {
             to: r.clone(),
             resolved: BTreeMap::new(),
         };
-        assert!(m.create_filter(&mut ctx, &filter).is_err());
+        assert_eq!(
+            m.create_filter(&mut ctx, &filter).err(),
+            Some(ModuleError::CannotFilter)
+        );
     }
 
     #[test]

@@ -22,6 +22,7 @@ use super::pathfinder::PathFinderLimits;
 use super::script::ScriptSet;
 use super::{ConnectivityGoal, ModulePath};
 use crate::ids::ModuleRef;
+use crate::primitives::Refusal;
 use netsim::device::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -66,15 +67,6 @@ impl Exclusion {
             Exclusion::Link(a, b)
         } else {
             Exclusion::Link(b, a)
-        }
-    }
-}
-
-impl fmt::Display for Exclusion {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Exclusion::Module(m) => write!(f, "module {m}"),
-            Exclusion::Link(a, b) => write!(f, "link {a}--{b}"),
         }
     }
 }
@@ -155,8 +147,8 @@ pub struct GoalRecord {
     /// suspects).  Cleared once a repair verifies, so a transiently blamed
     /// component is not avoided forever.
     pub excluded: BTreeSet<Exclusion>,
-    /// Last planning/execution error, for the manager's eyes.
-    pub last_error: Option<String>,
+    /// Why the goal last failed, until it converges again.
+    pub last_error: Option<GoalFailure>,
     /// Consecutive repair attempts that failed (execution rolled back or
     /// the verification probe found no traffic) since the goal last
     /// converged.  Reset to zero when the goal becomes `Active`, on
@@ -197,7 +189,7 @@ pub struct Plan {
 }
 
 /// Why planning failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlanError {
     /// The goal id is not in the store.
     UnknownGoal(GoalId),
@@ -216,21 +208,24 @@ pub enum PlanError {
     },
 }
 
-impl fmt::Display for PlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanError::UnknownGoal(id) => write!(f, "unknown goal {id}"),
-            PlanError::NoPath => write!(f, "no module path satisfies the goal"),
-            PlanError::PipeSpaceExhausted { needed, remaining } => write!(
-                f,
-                "pipe-id space exhausted: plan needs {needed} slot(s), {remaining} remain \
-                 below the derived-id cap"
-            ),
-        }
-    }
+/// Why a goal is not `Active`.  Whether it gave up is its status, and after
+/// how many attempts its [`GoalRecord::repair_attempts`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum GoalFailure {
+    /// A device refused the goal's transaction, or did not answer it.
+    Refused(Box<Refusal>),
+    /// Planning failed.
+    Plan(PlanError),
+    /// The transaction committed but the verification probe failed.
+    ProbeFailed,
+    /// A health round delivered too few of the goal's probes.
+    Unhealthy {
+        /// Probes sent.
+        sent: u64,
+        /// Probes the destination received.
+        delivered: u64,
+    },
 }
-
-impl std::error::Error for PlanError {}
 
 /// The NM's desired-state store: every declared goal, its status, and the
 /// shared-module bookkeeping.
@@ -437,18 +432,22 @@ impl GoalStore {
         }
     }
 
-    /// Charge one failed repair attempt against `id`'s budget.  Returns
-    /// `true` when the budget is exhausted — the caller must park the goal
-    /// `Failed` instead of re-queueing it for another pass.
-    pub(crate) fn charge_repair_attempt(&mut self, id: GoalId) -> bool {
+    /// Charge one failed repair attempt, for `failure`, against `id`'s
+    /// budget: the goal goes back to `retry` for another pass, or parks
+    /// `Failed` once the budget is exhausted.  Returns the status it took.
+    pub(crate) fn charge_repair_attempt(
+        &mut self,
+        id: GoalId,
+        failure: GoalFailure,
+        retry: GoalStatus,
+    ) -> GoalStatus {
         let budget = self.max_repair_attempts;
-        match self.goals.get_mut(&id) {
-            Some(rec) => {
-                rec.repair_attempts += 1;
-                budget > 0 && rec.repair_attempts >= budget
-            }
-            None => false,
-        }
+        let rec = self.goals.get_mut(&id).expect("a charged goal is stored");
+        rec.repair_attempts += 1;
+        let exhausted = budget > 0 && rec.repair_attempts >= budget;
+        rec.status = if exhausted { GoalStatus::Failed } else { retry };
+        rec.last_error = Some(failure);
+        rec.status
     }
 
     /// Allocate a fresh transaction id.

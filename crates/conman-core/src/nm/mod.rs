@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 pub use goal::{
-    AppliedPlan, Exclusion, GoalId, GoalRecord, GoalStatus, GoalStore, Plan, PlanError,
+    AppliedPlan, Exclusion, GoalFailure, GoalId, GoalRecord, GoalStatus, GoalStore, Plan, PlanError,
 };
 pub use graph::PotentialGraph;
 pub use pathfinder::{Entry, ModulePath, PathFinder, PathFinderLimits, PathStep, SearchScratch};

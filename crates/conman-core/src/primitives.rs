@@ -201,10 +201,8 @@ pub struct Notification {
 pub enum Notice {
     /// The far end of a negotiated tunnel is in place.
     Established(Established),
-    /// A module refused a relayed envelope.  The stand-in for a typed
-    /// refusal until ROADMAP item 2 gives a failure its own type
-    /// (`Refused(Refusal)`).
-    Error(ModuleError),
+    /// A module refused a relayed envelope.
+    Refused(Box<Refusal>),
     /// The agent gave up polling its modules with the device still busy.
     PollRoundCap,
 }
@@ -219,6 +217,35 @@ pub enum Established {
         /// The agreed VLAN id.
         vlan: u16,
     },
+}
+
+/// The one failure type from module to operator: the module gives its
+/// [`ModuleError`], the agent the device and component, the NM a silence.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Refusal {
+    /// The device that refused, or did not answer.
+    pub device: DeviceId,
+    /// The component the refused primitive makes or deletes, if any.
+    pub component: Option<ComponentRef>,
+    /// Why.
+    pub cause: RefusalCause,
+}
+
+/// What a [`Refusal`] is about.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RefusalCause {
+    /// A primitive names a module the device does not have.
+    UnknownModule(ModuleRef),
+    /// The module refused a primitive or a relayed envelope.
+    Module(ModuleError),
+    /// A staged segment's primitive block does not decode (stage).
+    MalformedSegment,
+    /// A commit names a goal not staged under its transaction, or aborted.
+    NeverStaged,
+    /// The device did not answer the stage.
+    UnansweredStage,
+    /// The device did not answer the commit.
+    UnansweredCommit,
 }
 
 /// The actual (configured) state of a module, returned by `showActual`: the
@@ -249,6 +276,10 @@ pub enum PrimitiveResult {
     Done,
 }
 
+/// What a device answers for one primitive.  The refusal is boxed: it is
+/// rare, and several times the size of a result.
+pub type PrimitiveOutcome = Result<PrimitiveResult, Box<Refusal>>;
+
 /// A device-level announcement: physical connectivity reported to the NM so
 /// it can build the topology (§II-D).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -278,7 +309,7 @@ pub struct SegmentVerdict {
     /// The owning goal (`GoalId.0`).
     pub goal: u64,
     /// Validation failures (empty = the segment is held, ready to commit).
-    pub errors: Vec<String>,
+    pub errors: Vec<Refusal>,
 }
 
 /// The commit results for one segment of a batched transaction.
@@ -286,8 +317,8 @@ pub struct SegmentVerdict {
 pub struct SegmentCommit {
     /// The owning goal (`GoalId.0`).
     pub goal: u64,
-    /// One result (or error string) per staged primitive of the segment.
-    pub results: Vec<Result<PrimitiveResult, String>>,
+    /// One result (or refusal) per staged primitive of the segment.
+    pub results: Vec<PrimitiveOutcome>,
 }
 
 /// Everything that can travel over the management channel.
@@ -307,8 +338,8 @@ pub enum WireMessage {
     ScriptResult {
         /// Request identifier this responds to.
         request: u64,
-        /// One result (or error string) per primitive.
-        results: Vec<Result<PrimitiveResult, String>>,
+        /// One result (or refusal) per primitive.
+        results: Vec<PrimitiveOutcome>,
     },
     /// Module → module, one envelope per message (relayed by the NM in both
     /// directions).  Batched transaction runners send [`Self::RelayBatch`]
@@ -489,7 +520,14 @@ mod tests {
         for body in [
             Notice::Established(Established::MplsLsp),
             Notice::Established(Established::VlanTunnel { vlan: 22 }),
-            Notice::Error(ModuleError::BadSpec("undecodable".into())),
+            Notice::Refused(Box::new(Refusal {
+                device: DeviceId::from_raw(1),
+                component: None,
+                cause: RefusalCause::Module(ModuleError::UndecodableBody {
+                    from: mref(ModuleKind::Mpls, 3, 2),
+                    len: 2,
+                }),
+            })),
             Notice::PollRoundCap,
         ] {
             let msg = WireMessage::Notify(Notification {
@@ -531,7 +569,11 @@ mod tests {
                     },
                     SegmentVerdict {
                         goal: 2,
-                        errors: vec!["no module".into()],
+                        errors: vec![Refusal {
+                            device: DeviceId::from_raw(1),
+                            component: Some(ComponentRef::Pipe(PipeId(3))),
+                            cause: RefusalCause::UnknownModule(mref(ModuleKind::Gre, 9, 1)),
+                        }],
                     },
                 ],
             },

@@ -42,7 +42,7 @@
 use super::event::{GoalEndpoints, NmEvent};
 use super::reconcile::ReconcileReport;
 use super::ManagedNetwork;
-use crate::nm::goal::{Exclusion, GoalId, GoalRecord, GoalStatus};
+use crate::nm::goal::{Exclusion, GoalFailure, GoalId, GoalRecord, GoalStatus};
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use netsim::clock::{SimDuration, SimTime, StepClock};
@@ -441,9 +441,7 @@ impl<C: ManagementChannel> ControlLoop<C> {
             if !healthy {
                 if let Some(rec) = mn.goals.get_mut(id) {
                     rec.status = GoalStatus::Degraded;
-                    rec.last_error = Some(format!(
-                        "health round: {delivered}/{sent} probe(s) delivered for this goal"
-                    ));
+                    rec.last_error = Some(GoalFailure::Unhealthy { sent, delivered });
                 }
                 mn.recorder.inc("health.degraded", 1);
                 report.degraded.push(id);

@@ -18,8 +18,8 @@ use crate::agent::ManagementAgent;
 use crate::ids::ModuleRef;
 use crate::nm::{ConnectivityGoal, GoalStore, ModulePath, NetworkManager, ScriptSet};
 use crate::primitives::{
-    EnvelopeKind, ModuleActual, ModuleEnvelope, Primitive, PrimitiveResult, ScriptSegment,
-    SegmentCommit, SegmentVerdict, WireMessage,
+    EnvelopeKind, ModuleActual, ModuleEnvelope, Primitive, PrimitiveOutcome, PrimitiveResult,
+    ScriptSegment, SegmentCommit, SegmentVerdict, WireMessage,
 };
 use crate::wire::{self, WireCodec};
 use conman_obs::Recorder;
@@ -66,7 +66,7 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     /// Script replies received by the NM and not yet taken by the call that
     /// asked for them: (device, per-primitive results).  Empty between
     /// calls — every requester drains what arrived on its behalf.
-    script_results: Vec<(DeviceId, Vec<Result<PrimitiveResult, String>>)>,
+    script_results: Vec<(DeviceId, Vec<PrimitiveOutcome>)>,
     /// Telemetry reports received by the NM and not yet consumed:
     /// (device, request, report).  Drained by [`Self::poll_counters`].
     counter_reports: Vec<(DeviceId, u64, DeviceTelemetry)>,
@@ -237,7 +237,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     fn run_scripts(
         &mut self,
         scripts: impl IntoIterator<Item = (DeviceId, Vec<Primitive>)>,
-    ) -> Vec<(DeviceId, Vec<Result<PrimitiveResult, String>>)> {
+    ) -> Vec<(DeviceId, Vec<PrimitiveOutcome>)> {
         let mark = self.script_results.len();
         for (device, primitives) in scripts {
             self.next_request += 1;
@@ -793,7 +793,10 @@ mod tests {
         };
         let batch = mn.run_batch(&[(GoalId(1), &scripts)]);
         let error = batch.error_for(GoalId(1)).expect("the commit must fail");
-        assert!(error.contains("commit failed"), "{error}");
+        assert_eq!(
+            error.cause,
+            crate::primitives::RefusalCause::Module(crate::module::ModuleError::CannotFilter)
+        );
 
         assert_eq!(mn.script_results.len(), before);
     }

@@ -37,7 +37,7 @@
 use super::txn::GoalTeardown;
 use super::ManagedNetwork;
 use crate::ids::ModuleRef;
-use crate::nm::goal::{AppliedPlan, GoalId, GoalStatus, Plan, PlanError};
+use crate::nm::goal::{AppliedPlan, GoalFailure, GoalId, GoalStatus, Plan, PlanError};
 use crate::nm::{
     script, ConnectivityGoal, GoalStore, ModulePath, NetworkManager, PotentialGraph, SearchScratch,
 };
@@ -73,8 +73,8 @@ pub struct ReconcileOutcome {
     pub action: ReconcileAction,
     /// The goal's status after the pass.
     pub status: GoalStatus,
-    /// Error detail for the failed actions.
-    pub error: Option<String>,
+    /// Why, for the failed actions and a goal left `Failed`.
+    pub error: Option<GoalFailure>,
 }
 
 /// The result of one reconcile pass.
@@ -290,8 +290,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// (module references included); on failure everything the transaction
     /// touched has been rolled back, the goal keeps its previous applied
     /// state (none) and the returned error is also its `last_error`.
-    pub fn execute_plan(&mut self, plan: Plan) -> Result<(), String> {
-        let mut plan = plan;
+    pub fn execute_plan(&mut self, mut plan: Plan) -> Result<(), GoalFailure> {
         let mut result = Ok(());
         // The block may have moved since the dry run (another goal executed
         // in between): renumber onto the current base.
@@ -299,7 +298,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             match self.goals.check_pipe_block(script::slot_count(&plan.path)) {
                 // Renumbering would cross the derived-id cap: fail the
                 // execution cleanly instead of wrapping.
-                Err(e) => result = Err(e.to_string()),
+                Err(e) => result = Err(GoalFailure::Plan(e)),
                 Ok(()) => {
                     let rec = self.goals.get(plan.goal).expect("goal exists");
                     plan.pipe_base = self.goals.peek_pipe_base();
@@ -314,8 +313,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
         if result.is_ok() {
             let batch = self.run_batch(&[(plan.goal, &plan.scripts)]);
-            if let Some(error) = batch.error_for(plan.goal) {
-                result = Err(error.to_string());
+            if let Some(refusal) = batch.error_for(plan.goal) {
+                result = Err(GoalFailure::Refused(Box::new(refusal.clone())));
             }
         }
         if let Err(error) = &result {
@@ -553,18 +552,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             let plan = match planned {
                 Ok(plan) => plan,
                 Err(e) => {
-                    let rec = self.goals.get_mut(id).expect("goal exists");
-                    rec.status = GoalStatus::Failed;
-                    rec.last_error = Some(e.to_string());
-                    outcomes.insert(
-                        id,
-                        ReconcileOutcome {
-                            goal: id,
-                            action: ReconcileAction::PlanFailed,
-                            status: GoalStatus::Failed,
-                            error: Some(e.to_string()),
-                        },
-                    );
+                    outcomes.insert(id, self.fail_planning(id, e));
                     continue;
                 }
             };
@@ -631,7 +619,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 .unwrap_or(pipe_floor);
             self.goals.release_pipes_to(watermark);
             for (id, had_applied, previous, plan) in items {
-                let outcome = if batch.committed.contains(&id) {
+                // Every goal of the batch either committed or failed with a
+                // refusal.
+                let outcome = if let Some(refusal) = batch.error_for(id) {
+                    let error = GoalFailure::Refused(Box::new(refusal.clone()));
+                    self.fail_goal_with_restore(id, error, previous, &mut report.transactions)
+                } else {
                     self.goals.set_applied(
                         id,
                         Some(AppliedPlan {
@@ -645,12 +638,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                         rec.last_error = None;
                     }
                     self.verify_applied_goal(id, had_applied, &mut probe)
-                } else {
-                    let error = batch
-                        .error_for(id)
-                        .unwrap_or("batched transaction failed")
-                        .to_string();
-                    self.fail_goal_with_restore(id, error, previous, &mut report.transactions)
                 };
                 outcomes.insert(id, outcome);
             }
@@ -817,17 +804,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // degraded path carrying some traffic beats no path at all).
         let plan = match self.plan_goal_or_reinstall(id) {
             Ok(plan) => plan,
-            Err(e) => {
-                let rec = self.goals.get_mut(id).expect("goal exists");
-                rec.status = GoalStatus::Failed;
-                rec.last_error = Some(e.to_string());
-                return ReconcileOutcome {
-                    goal: id,
-                    action: ReconcileAction::PlanFailed,
-                    status: GoalStatus::Failed,
-                    error: Some(e.to_string()),
-                };
-            }
+            Err(e) => return self.fail_planning(id, e),
         };
         if let Some(rec) = self.goals.get_mut(id) {
             rec.status = GoalStatus::Repairing;
@@ -844,6 +821,20 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         match executed {
             Ok(()) => self.verify_applied_goal(id, had_applied, probe),
             Err(error) => self.fail_goal_with_restore(id, error, previous, transactions),
+        }
+    }
+
+    /// Shared planning-failure bookkeeping: the goal parks `Failed` and its
+    /// stale configuration, if any, stays standing.  Used by both executors.
+    fn fail_planning(&mut self, id: GoalId, error: PlanError) -> ReconcileOutcome {
+        let rec = self.goals.get_mut(id).expect("goal exists");
+        rec.status = GoalStatus::Failed;
+        rec.last_error = Some(GoalFailure::Plan(error));
+        ReconcileOutcome {
+            goal: id,
+            action: ReconcileAction::PlanFailed,
+            status: GoalStatus::Failed,
+            error: rec.last_error.clone(),
         }
     }
 
@@ -872,24 +863,15 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 // A committed plan that carries no traffic burns one repair
                 // attempt; past the budget the goal parks `Failed` instead
                 // of cycling Degraded → Repairing forever.
-                let exhausted = self.goals.charge_repair_attempt(id);
-                let rec = self.goals.get_mut(id).expect("goal exists");
-                let status = if exhausted {
-                    rec.last_error = Some(format!(
-                        "verification probe failed; giving up after {} repair attempt(s)",
-                        rec.repair_attempts
-                    ));
-                    GoalStatus::Failed
-                } else {
-                    rec.last_error = Some("verification probe failed".into());
-                    GoalStatus::Degraded
-                };
-                rec.status = status;
+                let failure = GoalFailure::ProbeFailed;
+                let status = self
+                    .goals
+                    .charge_repair_attempt(id, failure, GoalStatus::Degraded);
                 ReconcileOutcome {
                     goal: id,
                     action: ReconcileAction::ProbeFailed,
                     status,
-                    error: rec.last_error.clone(),
+                    error: Some(GoalFailure::ProbeFailed),
                 }
             }
             _ => {
@@ -921,7 +903,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     fn fail_goal_with_restore(
         &mut self,
         id: GoalId,
-        error: String,
+        error: GoalFailure,
         previous: Option<AppliedPlan>,
         transactions: &mut usize,
     ) -> ReconcileOutcome {
@@ -936,21 +918,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // the goal parks `Failed` instead of re-entering the work list on
         // every pass (the pipe block it would have used is released with
         // the pass).
-        let exhausted = self.goals.charge_repair_attempt(id);
-        let rec = self.goals.get_mut(id).expect("goal exists");
-        let (status, error) = if exhausted {
-            (
-                GoalStatus::Failed,
-                format!(
-                    "{error}; giving up after {} repair attempt(s)",
-                    rec.repair_attempts
-                ),
-            )
-        } else {
-            (GoalStatus::Pending, error)
-        };
-        rec.status = status;
-        rec.last_error = Some(error.clone());
+        let status = self
+            .goals
+            .charge_repair_attempt(id, error.clone(), GoalStatus::Pending);
         ReconcileOutcome {
             goal: id,
             action: ReconcileAction::ExecuteFailed,

@@ -30,7 +30,7 @@
 use super::ManagedNetwork;
 use crate::nm::goal::GoalId;
 use crate::nm::ScriptSet;
-use crate::primitives::{Primitive, WireMessage};
+use crate::primitives::{Primitive, Refusal, RefusalCause, WireMessage};
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use netsim::device::DeviceId;
@@ -76,9 +76,9 @@ pub struct BatchOutcome {
     pub txn: u64,
     /// Goals whose every segment committed.
     pub committed: Vec<GoalId>,
-    /// Goals that failed staging or commit (with the first error), each
+    /// Goals that failed staging or commit (with the first refusal), each
     /// rolled back via its teardown mirror without disturbing siblings.
-    pub failed: Vec<(GoalId, String)>,
+    pub failed: Vec<(GoalId, Refusal)>,
     /// Goals whose reverse path order could not share the batch's single
     /// commit order; each ran as its own batch of one instead (their
     /// verdicts still land in `committed`/`failed`).
@@ -91,12 +91,18 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// The recorded error for a failed goal.
-    pub(crate) fn error_for(&self, goal: GoalId) -> Option<&str> {
-        self.failed
-            .iter()
-            .find(|(g, _)| *g == goal)
-            .map(|(_, e)| e.as_str())
+    /// The refusal a failed goal failed with.
+    pub(crate) fn error_for(&self, goal: GoalId) -> Option<&Refusal> {
+        self.failed.iter().find(|(g, _)| *g == goal).map(|(_, e)| e)
+    }
+}
+
+/// The NM's refusal on behalf of a device that did not answer.
+fn unanswered(device: DeviceId, cause: RefusalCause) -> Refusal {
+    Refusal {
+        device,
+        component: None,
+        cause,
     }
 }
 
@@ -290,6 +296,15 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// runner as a batch of one afterwards — correctness first, batching
     /// where it is sound (`BatchOutcome::fallback` records them).  A
     /// transaction for one goal is `run_batch(&[(goal, &scripts)])`.
+    ///
+    /// A failed goal's [`Refusal`] in `BatchOutcome::failed` is the first
+    /// one its segments met.  Its cause is one of:
+    /// - at stage: [`RefusalCause::UnknownModule`],
+    ///   [`RefusalCause::MalformedSegment`] or
+    ///   [`RefusalCause::UnansweredStage`];
+    /// - only at commit: [`RefusalCause::Module`] (every `ModuleError` a
+    ///   create or delete raises), [`RefusalCause::NeverStaged`] and
+    ///   [`RefusalCause::UnansweredCommit`].
     pub fn run_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> BatchOutcome {
         let txn = self.goals.next_txn();
         let mut outcome = BatchOutcome {
@@ -357,7 +372,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             }
         }
         let mut alive: BTreeSet<GoalId> = batchable.iter().map(|(g, _)| *g).collect();
-        let mut errors: BTreeMap<GoalId, String> = BTreeMap::new();
+        let mut errors: BTreeMap<GoalId, Refusal> = BTreeMap::new();
         outcome.devices_contacted = goals_by_device.len();
         self.recorder.inc("txn.batches", 1);
         self.recorder
@@ -385,16 +400,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 Some(verdicts) => {
                     let mut clean = true;
                     for v in verdicts {
-                        if v.errors.is_empty() {
+                        let Some(refusal) = v.errors.into_iter().next() else {
                             continue;
-                        }
+                        };
                         clean = false;
                         let goal = GoalId(v.goal);
                         if alive.remove(&goal) {
-                            errors.insert(
-                                goal,
-                                format!("txn {txn}: staging failed on {device}: {}", v.errors[0]),
-                            );
+                            errors.insert(goal, refusal);
                         }
                     }
                     clean
@@ -403,12 +415,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     // Silence: crashed or unreachable — every segment it
                     // holds is lost.
                     silent.insert(*device);
+                    let silence = unanswered(*device, RefusalCause::UnansweredStage);
                     for goal in goals.iter().map(|g| GoalId(*g)) {
                         if alive.remove(&goal) {
-                            errors.insert(
-                                goal,
-                                format!("txn {txn}: {device} did not answer staging"),
-                            );
+                            errors.insert(goal, silence.clone());
                         }
                     }
                     false
@@ -505,19 +515,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     for sc in segs {
                         let goal = GoalId(sc.goal);
                         outcome.primitives += sc.results.len();
-                        let first_err = sc.results.iter().find_map(|r| r.clone().err());
-                        match first_err {
-                            None => {}
-                            Some(e) => {
-                                clean = false;
-                                if alive.remove(&goal) {
-                                    errors.insert(
-                                        goal,
-                                        format!("txn {txn}: commit failed on {device}: {e}"),
-                                    );
-                                    newly_failed.push(goal);
-                                }
-                            }
+                        let Some(refusal) = sc.results.into_iter().find_map(Result::err) else {
+                            continue;
+                        };
+                        clean = false;
+                        if alive.remove(&goal) {
+                            errors.insert(goal, *refusal);
+                            newly_failed.push(goal);
                         }
                     }
                     if clean {
@@ -529,10 +533,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     // The whole device went silent mid-commit: every goal it
                     // was asked to commit fails (its partial creates are
                     // unreachable anyway — a reboot clears them).
+                    let silence = unanswered(device, RefusalCause::UnansweredCommit);
                     for goal in goals_here.iter().map(|g| GoalId(*g)) {
                         if alive.remove(&goal) {
-                            errors
-                                .insert(goal, format!("txn {txn}: {device} did not answer commit"));
+                            errors.insert(goal, silence.clone());
                             newly_failed.push(goal);
                         }
                     }
@@ -564,12 +568,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             outcome.fallback.push(goal);
             let single = self.run_batch(&[(goal, scripts)]);
             outcome.primitives += single.primitives;
-            match single.error_for(goal) {
+            match single.failed.into_iter().next() {
                 None => {
                     alive.insert(goal);
                 }
-                Some(error) => {
-                    errors.insert(goal, error.to_string());
+                Some((_, refusal)) => {
+                    errors.insert(goal, refusal);
                 }
             }
         }

@@ -38,7 +38,8 @@
 //!
 //! A pipe carries no names at all and a transit switch rule three absent
 //! options: the only strings in a generated segment are the class, gateway
-//! and local prefix of a goal's two edge-IP rules.
+//! and local prefix of a goal's two edge-IP rules.  A refusal in a verdict
+//! or a commit result travels as its `u32`-length-prefixed JSON.
 //!
 //! A `RelayBatch` is a `u32` envelope count, then per envelope `from`, `to`,
 //! a kind byte (`0` convey, `1` field query, `2` field response) and the
@@ -47,10 +48,9 @@
 //! never parses it; under [`WireCodec::Json`] the same body travels as a
 //! JSON array of numbers.
 
-use crate::abstraction::ModuleAbstraction;
 use crate::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
 use crate::primitives::{
-    ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, PipeSpec, Primitive,
+    ComponentRef, EnvelopeKind, FilterSpec, ModuleEnvelope, PipeSpec, Primitive, PrimitiveOutcome,
     PrimitiveResult, ResolvedName, ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec,
     TradeoffChoice, WireMessage,
 };
@@ -117,7 +117,7 @@ impl WireMessage {
                     w.put_u64(v.goal);
                     w.put_u32(v.errors.len() as u32);
                     for e in &v.errors {
-                        w.put_str(e);
+                        put_json(&mut w, e);
                     }
                 }
                 w.finish()
@@ -221,7 +221,7 @@ pub fn decode(bytes: &[u8]) -> Option<WireMessage> {
                 let nerr = r.u32()?;
                 let mut errors = Vec::with_capacity(presize(&r, nerr));
                 for _ in 0..nerr {
-                    errors.push(r.str()?.to_string());
+                    errors.push(read_json(&mut r)?);
                 }
                 verdicts.push(SegmentVerdict { goal, errors });
             }
@@ -656,7 +656,18 @@ fn read_primitive(r: &mut Reader<'_>) -> Option<Primitive> {
     })
 }
 
-fn put_commit_result(w: &mut Writer, r: &Result<PrimitiveResult, String>) {
+/// A value rare in batch traffic and deeply structured (an abstraction tree,
+/// a `showActual` answer, a refusal), embedded as its JSON bytes rather than
+/// schema'd into the binary layout.
+fn put_json<T: Serialize>(w: &mut Writer, v: &T) {
+    w.put_bytes(&serde_json::to_vec(v).expect("wire values serialize"));
+}
+
+fn read_json<T: Deserialize>(r: &mut Reader<'_>) -> Option<T> {
+    serde_json::from_slice(r.bytes()?).ok()
+}
+
+fn put_commit_result(w: &mut Writer, r: &PrimitiveOutcome) {
     match r {
         Ok(res) => {
             w.put_u8(0);
@@ -666,43 +677,33 @@ fn put_commit_result(w: &mut Writer, r: &Result<PrimitiveResult, String>) {
                     w.put_u8(1);
                     w.put_u32(p.0);
                 }
-                // Rare in batch traffic and deeply structured: embed the
-                // payload as JSON bytes rather than schema-ing the whole
-                // abstraction tree into the binary layout.
                 PrimitiveResult::Potential(mods) => {
                     w.put_u8(2);
-                    w.put_bytes(&serde_json::to_vec(mods).expect("abstractions serialize"));
+                    put_json(w, mods);
                 }
                 PrimitiveResult::Actual(map) => {
                     w.put_u8(3);
-                    w.put_bytes(&serde_json::to_vec(map).expect("actuals serialize"));
+                    put_json(w, map);
                 }
             }
         }
-        Err(e) => {
+        Err(refusal) => {
             w.put_u8(1);
-            w.put_str(e);
+            put_json(w, refusal);
         }
     }
 }
 
-fn read_commit_result(r: &mut Reader<'_>) -> Option<Result<PrimitiveResult, String>> {
+fn read_commit_result(r: &mut Reader<'_>) -> Option<PrimitiveOutcome> {
     match r.u8()? {
         0 => Some(Ok(match r.u8()? {
             0 => PrimitiveResult::Done,
             1 => PrimitiveResult::PipeCreated(PipeId(r.u32()?)),
-            2 => {
-                let mods: Vec<ModuleAbstraction> = serde_json::from_slice(r.bytes()?).ok()?;
-                PrimitiveResult::Potential(mods)
-            }
-            3 => {
-                let map: BTreeMap<ModuleRef, ModuleActual> =
-                    serde_json::from_slice(r.bytes()?).ok()?;
-                PrimitiveResult::Actual(map)
-            }
+            2 => PrimitiveResult::Potential(read_json(r)?),
+            3 => PrimitiveResult::Actual(read_json(r)?),
             _ => return None,
         })),
-        1 => Some(Err(r.str()?.to_string())),
+        1 => Some(Err(read_json(r)?)),
         _ => None,
     }
 }
@@ -710,7 +711,8 @@ fn read_commit_result(r: &mut Reader<'_>) -> Option<Result<PrimitiveResult, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ModuleId;
+    use crate::module::{FilterField, ModuleError};
+    use crate::primitives::{ModuleActual, Notice, Notification, Refusal, RefusalCause};
 
     fn mref(kind: ModuleKind, m: u32, d: u64) -> ModuleRef {
         ModuleRef::new(kind, ModuleId(m), DeviceId::from_raw(d))
@@ -809,7 +811,7 @@ mod tests {
                     },
                     SegmentVerdict {
                         goal: 2,
-                        errors: vec!["no module".into()],
+                        errors: every_refusal()[..1].to_vec(),
                     },
                 ],
             },
@@ -825,7 +827,7 @@ mod tests {
                         Ok(PrimitiveResult::PipeCreated(PipeId(41))),
                         Ok(PrimitiveResult::Done),
                         Ok(rich_actual()),
-                        Err("boom".into()),
+                        Err(Box::new(every_refusal()[1].clone())),
                     ],
                 }],
             },
@@ -846,6 +848,98 @@ mod tests {
             assert_eq!(back, msg);
             // And the JSON encoding of the same message still round-trips.
             assert_eq!(WireMessage::decode(&msg.encode()).unwrap(), msg);
+        }
+    }
+
+    /// One refusal per cause, with and without a component, and one per
+    /// `ModuleError`.
+    fn every_refusal() -> Vec<Refusal> {
+        let gre = mref(ModuleKind::Gre, 9, 1);
+        let module_errors = [
+            ModuleError::CannotFilter,
+            ModuleError::MissingTradeoffs,
+            ModuleError::UndecodableBody {
+                from: mref(ModuleKind::Ip, 1, 2),
+                len: 3,
+            },
+            ModuleError::FilterWithoutAddress,
+            ModuleError::BadFilterField(FilterField::ToPort),
+        ];
+        let causes = [
+            RefusalCause::UnknownModule(gre.clone()),
+            RefusalCause::MalformedSegment,
+            RefusalCause::NeverStaged,
+            RefusalCause::UnansweredStage,
+            RefusalCause::UnansweredCommit,
+        ];
+        let component = Some(ComponentRef::SwitchRule(gre, PipeId(1), PipeId(2)));
+        causes
+            .into_iter()
+            .chain(module_errors.map(RefusalCause::Module))
+            .enumerate()
+            .map(|(i, cause)| Refusal {
+                device: DeviceId::from_raw(1),
+                component: if i % 2 == 0 { component.clone() } else { None },
+                cause,
+            })
+            .collect()
+    }
+
+    /// Every refusal crosses both codecs inside each message that carries
+    /// one.
+    #[test]
+    fn every_refusal_round_trips_in_every_message_that_carries_one() {
+        for refusal in every_refusal() {
+            for msg in [
+                WireMessage::StageBatchResult {
+                    txn: 3,
+                    verdicts: vec![SegmentVerdict {
+                        goal: 1,
+                        errors: vec![refusal.clone(), refusal.clone()],
+                    }],
+                },
+                WireMessage::CommitBatchResult {
+                    txn: 3,
+                    segments: vec![SegmentCommit {
+                        goal: 1,
+                        results: vec![Ok(PrimitiveResult::Done), Err(Box::new(refusal.clone()))],
+                    }],
+                },
+                WireMessage::ScriptResult {
+                    request: 3,
+                    results: vec![Err(Box::new(refusal.clone()))],
+                },
+                WireMessage::Notify(Notification {
+                    from: mref(ModuleKind::Ip, 1, 1),
+                    body: Notice::Refused(Box::new(refusal.clone())),
+                }),
+            ] {
+                for codec in [WireCodec::Json, WireCodec::Binary] {
+                    let bytes = msg.encode_with(codec);
+                    assert_eq!(
+                        WireMessage::decode(&bytes).as_ref(),
+                        Some(&msg),
+                        "{codec:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A binary commit result whose refusal is cut short anywhere decodes to
+    /// nothing, like any other truncated frame.
+    #[test]
+    fn a_truncated_binary_refusal_is_rejected() {
+        let msg = WireMessage::CommitBatchResult {
+            txn: 1,
+            segments: vec![SegmentCommit {
+                goal: 1,
+                results: vec![Err(Box::new(every_refusal()[0].clone()))],
+            }],
+        };
+        let bytes = msg.encode_with(WireCodec::Binary);
+        for cut in 1..bytes.len() {
+            assert!(WireMessage::decode(&bytes[..cut]).is_none(), "cut at {cut}");
         }
     }
 

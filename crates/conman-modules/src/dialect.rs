@@ -6,7 +6,8 @@
 //! private to its module's file — and encodes it with `mgmt_channel::codec`:
 //! a tag byte, then the fields.  A body that does not decode (an unknown tag,
 //! a short read, trailing bytes, a field outside its protocol's range) is
-//! refused with [`ModuleError::BadSpec`]; nothing is read with a default.
+//! refused with [`ModuleError::UndecodableBody`]; nothing is read with a
+//! default.
 
 use conman_core::ids::ModuleRef;
 use conman_core::module::ModuleError;
@@ -37,15 +38,12 @@ pub(crate) trait Dialect: Sized {
         }
     }
 
-    /// The message `env` carries to `me`, or the refusal of a body that does
-    /// not decode.
-    fn read(me: &ModuleRef, env: &ModuleEnvelope) -> Result<Self, ModuleError> {
-        Self::decode(&env.body).ok_or_else(|| {
-            ModuleError::BadSpec(format!(
-                "{me}: undecodable {}-byte body from {}",
-                env.body.len(),
-                env.from
-            ))
+    /// The message `env` carries, or the refusal of a body that does not
+    /// decode.
+    fn read(env: &ModuleEnvelope) -> Result<Self, ModuleError> {
+        Self::decode(&env.body).ok_or_else(|| ModuleError::UndecodableBody {
+            from: env.from.clone(),
+            len: env.body.len(),
         })
     }
 }

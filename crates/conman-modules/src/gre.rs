@@ -342,9 +342,7 @@ impl ProtocolModule for GreModule {
         if spec.lower == self.me {
             // Our up pipe: the module above us is the payload protocol.
             if spec.tradeoffs.is_empty() {
-                return Err(ModuleError::MissingDependency(
-                    "performance trade-offs must be specified for a GRE up pipe".to_string(),
-                ));
+                return Err(ModuleError::MissingTradeoffs);
             }
             let key = self.slot_for(spec.pipe, |slot| slot.up_pipe);
             let slot = self.slots.get_mut(&key).expect("slot exists");
@@ -407,7 +405,7 @@ impl ProtocolModule for GreModule {
             okey,
             sequencing,
             checksums,
-        } = GreMsg::read(&self.me, env)?
+        } = GreMsg::read(env)?
         else {
             // An acceptance: nothing further to do, the proposal already
             // holds our parameters.
@@ -767,7 +765,7 @@ mod tests {
         env.body.truncate(1);
         let refused = m.handle_envelope(&mut rig.ctx(), &env);
         assert!(
-            matches!(refused, Err(ModuleError::BadSpec(_))),
+            matches!(refused, Err(ModuleError::UndecodableBody { .. })),
             "{refused:?}"
         );
         assert!(m.slots.values().all(|slot| slot.params.is_none()));

@@ -13,7 +13,7 @@ use conman_core::abstraction::{
     CounterSnapshot, Dependency, FilterCapability, FilterClassifier, ModuleAbstraction, SwitchKind,
 };
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
-use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
+use conman_core::module::{FilterField, ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{
     ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, PipeSpec, SwitchSpec,
 };
@@ -25,6 +25,7 @@ use netsim::route::{PolicyRule, Route, RouteTableId, RouteTarget, RuleSelector};
 use netsim::stats::DropReason;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
+use std::str::FromStr;
 
 /// What IP modules ask each other with `listFieldsAndValues`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,9 +35,6 @@ enum IpMsg {
     Query(Ipv4Addr),
     /// Tag 1, then an address: the answer to a [`IpMsg::Query`].
     Address(Ipv4Addr),
-    /// Tag 2: "which fields identify you to a filter?".  No module answers
-    /// it yet.
-    FieldsForFilter,
 }
 
 impl Dialect for IpMsg {
@@ -51,7 +49,6 @@ impl Dialect for IpMsg {
                 w.put_u8(1);
                 dialect::put_addr(&mut w, addr);
             }
-            IpMsg::FieldsForFilter => w.put_u8(2),
         }
         w.finish()
     }
@@ -61,7 +58,6 @@ impl Dialect for IpMsg {
         let msg = match r.u8()? {
             0 => IpMsg::Query(dialect::addr(&mut r)?),
             1 => IpMsg::Address(dialect::addr(&mut r)?),
-            2 => IpMsg::FieldsForFilter,
             _ => return None,
         };
         dialect::whole(&r, msg)
@@ -69,7 +65,7 @@ impl Dialect for IpMsg {
 
     fn kind(&self) -> EnvelopeKind {
         match self {
-            IpMsg::Query(_) | IpMsg::FieldsForFilter => EnvelopeKind::FieldQuery,
+            IpMsg::Query(_) => EnvelopeKind::FieldQuery,
             IpMsg::Address(_) => EnvelopeKind::FieldResponse,
         }
     }
@@ -508,6 +504,23 @@ fn priority_for(pipe: PipeId, role: u32) -> u32 {
     100 + pipe.0 * 4 + role
 }
 
+/// A filter's `field`, if the NM resolved it.  A value that does not parse
+/// is refused: dropping it would silently widen the rule.
+fn filter_field<T: FromStr>(
+    spec: &FilterSpec,
+    field: FilterField,
+) -> Result<Option<T>, ModuleError> {
+    let key = match field {
+        FilterField::FromAddress => "from-address",
+        FilterField::ToAddress => "to-address",
+        FilterField::ToPort => "to-port",
+    };
+    spec.resolved
+        .get(key)
+        .map(|v| v.parse().map_err(|_| ModuleError::BadFilterField(field)))
+        .transpose()
+}
+
 /// The inclusive range of derived route-table ids a goal's pipe block can
 /// produce (`slots` pipe ids from `pipe_base`, every role).  This is the
 /// *authoritative* mapping — per-goal fault injection
@@ -699,26 +712,15 @@ impl ProtocolModule for IpModule {
         ctx: &mut ModuleCtx,
         spec: &FilterSpec,
     ) -> Result<ModuleReaction, ModuleError> {
-        // The NM speaks in terms of modules; the IP module resolves them to
-        // protocol fields.  The resolved map carries any field values the NM
-        // already tracked; otherwise the module would query the target
-        // modules with listFieldsAndValues.
-        let src = spec
-            .resolved
-            .get("from-address")
-            .and_then(|s| s.parse::<Ipv4Cidr>().ok());
-        let dst = spec
-            .resolved
-            .get("to-address")
-            .and_then(|s| s.parse::<Ipv4Cidr>().ok());
-        let dst_port = spec
-            .resolved
-            .get("to-port")
-            .and_then(|s| s.parse::<u16>().ok());
+        // The NM speaks in terms of modules; the IP module reads their
+        // protocol fields from the values the NM resolved.  A rule with no
+        // address would match every source and destination, so it is
+        // refused before any state changes, like a field that does not parse.
+        let src = filter_field(spec, FilterField::FromAddress)?;
+        let dst = filter_field(spec, FilterField::ToAddress)?;
+        let dst_port = filter_field(spec, FilterField::ToPort)?;
         if src.is_none() && dst.is_none() {
-            return Ok(ModuleReaction::envelope(
-                IpMsg::FieldsForFilter.envelope(&self.me, spec.to.clone()),
-            ));
+            return Err(ModuleError::FilterWithoutAddress);
         }
         // Re-creating a known filter replaces it.
         let key = (spec.from.clone(), spec.to.clone());
@@ -745,11 +747,9 @@ impl ProtocolModule for IpModule {
         ctx: &mut ModuleCtx,
         env: &ModuleEnvelope,
     ) -> Result<ModuleReaction, ModuleError> {
-        let (their, query) = match IpMsg::read(&self.me, env)? {
+        let (their, query) = match IpMsg::read(env)? {
             IpMsg::Query(their) => (their, true),
             IpMsg::Address(their) => (their, false),
-            // No module resolves filter fields for a peer yet.
-            IpMsg::FieldsForFilter => return Ok(ModuleReaction::none()),
         };
         // Find the pipe whose peer sent this message.  Concurrent goals can
         // each run a pipe to the *same* peer module; the exchange in flight
@@ -1122,16 +1122,15 @@ mod tests {
         }
 
         #[test]
-        fn every_message_round_trips(tag in 0u8..3, addr in any::<u32>()) {
+        fn every_message_round_trips(tag in 0u8..2, addr in any::<u32>()) {
             let addr = Ipv4Addr::from(addr);
-            let msg = [IpMsg::Query(addr), IpMsg::Address(addr), IpMsg::FieldsForFilter]
-                [usize::from(tag)];
+            let msg = [IpMsg::Query(addr), IpMsg::Address(addr)][usize::from(tag)];
             prop_assert_eq!(IpMsg::decode(&msg.encode()), Some(msg));
         }
 
         #[test]
         fn a_mangled_body_is_refused_or_is_exactly_a_message(
-            tag in 0u8..3,
+            tag in 0u8..2,
             how in any::<u8>(),
             at in any::<usize>(),
             byte in any::<u8>(),
@@ -1142,8 +1141,7 @@ mod tests {
             rig.publish_port(3, 0);
             m.poll(&mut rig.ctx());
             let addr = Ipv4Addr::new(10, 9, 0, 2);
-            let valid = [IpMsg::Query(addr), IpMsg::Address(addr), IpMsg::FieldsForFilter]
-                [usize::from(tag)];
+            let valid = [IpMsg::Query(addr), IpMsg::Address(addr)][usize::from(tag)];
             let mut env = valid.envelope(&module(ModuleKind::Ip, 1, 2), me());
             env.body = mangle(&env.body, how, at, byte);
             rig.deliver::<IpMsg>(&mut m, &env);
@@ -1161,7 +1159,7 @@ mod tests {
         env.body.truncate(3);
         let refused = m.handle_envelope(&mut rig.ctx(), &env);
         assert!(
-            matches!(refused, Err(ModuleError::BadSpec(_))),
+            matches!(refused, Err(ModuleError::UndecodableBody { .. })),
             "{refused:?}"
         );
         assert_eq!(rig.blackboard.pipe(PipeId(3)).nexthop, None);

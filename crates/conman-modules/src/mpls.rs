@@ -422,7 +422,7 @@ impl ProtocolModule for MplsModule {
             label,
             address,
             reply,
-        } = MplsMsg::read(&self.me, env)?;
+        } = MplsMsg::read(env)?;
         // Find the adjacency whose peer sent this.  Concurrent goals run
         // separate LSPs over the same physical adjacency, so several of our
         // adjacency pipes can share a peer module: the exchange in flight
@@ -773,7 +773,7 @@ mod tests {
         for env in [cut, wide] {
             let refused = m.handle_envelope(&mut rig.ctx(), &env);
             assert!(
-                matches!(refused, Err(ModuleError::BadSpec(_))),
+                matches!(refused, Err(ModuleError::UndecodableBody { .. })),
                 "{refused:?}"
             );
             assert_eq!(m.adjacencies[&PipeId(3)].out_label, None);

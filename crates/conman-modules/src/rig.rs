@@ -4,7 +4,7 @@
 
 use crate::dialect::Dialect;
 use conman_core::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
-use conman_core::module::{Blackboard, ModuleCtx, ModuleError, ProtocolModule};
+use conman_core::module::{Blackboard, ModuleCtx, ProtocolModule};
 use conman_core::primitives::{ModuleActual, ModuleEnvelope, PipeSpec, SwitchSpec};
 use netsim::config::DeviceConfig;
 use netsim::device::DeviceId;
@@ -53,19 +53,16 @@ impl Rig {
     }
 
     /// Hand `env` to `m`, whose dialect is `D`.  A body `D` does not decode
-    /// must be refused with `BadSpec` and change nothing; one it does decode
-    /// must be accepted and be exactly that message's encoding, so no byte
-    /// of it was skipped or stood in for by a default.
+    /// must be refused as `D::read` refuses it and change nothing; one it
+    /// does decode must be accepted and be exactly that message's encoding,
+    /// so no byte of it was skipped or stood in for by a default.
     pub(crate) fn deliver<D: Dialect>(&mut self, m: &mut dyn ProtocolModule, env: &ModuleEnvelope) {
         let before = self.snapshot(m);
         let result = m.handle_envelope(&mut self.ctx(), env);
         match D::decode(&env.body) {
             None => {
-                assert!(
-                    matches!(result, Err(ModuleError::BadSpec(_))),
-                    "{:?} was not refused: {result:?}",
-                    env.body
-                );
+                let refusal = D::read(env).err();
+                assert_eq!(result.err(), refusal, "{:?} was not refused", env.body);
                 assert_eq!(self.snapshot(m), before, "a refusal changed state");
             }
             Some(msg) => {

@@ -342,7 +342,7 @@ impl ProtocolModule for VlanModule {
         _ctx: &mut ModuleCtx,
         env: &ModuleEnvelope,
     ) -> Result<ModuleReaction, ModuleError> {
-        let VlanMsg { id, name, reply } = VlanMsg::read(&self.me, env)?;
+        let VlanMsg { id, name, reply } = VlanMsg::read(env)?;
         self.vlan_id = Some(id);
         self.vlan_name = name;
         let pipe = self
@@ -669,7 +669,7 @@ mod tests {
         for env in [cut, zero] {
             let refused = m.handle_envelope(&mut rig.ctx(), &env);
             assert!(
-                matches!(refused, Err(ModuleError::BadSpec(_))),
+                matches!(refused, Err(ModuleError::UndecodableBody { .. })),
                 "{refused:?}"
             );
             assert_eq!(m.vlan_id, None);

@@ -53,11 +53,11 @@ impl fmt::Display for MacAddr {
 
 /// Error parsing a textual MAC address.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MacParseError(String);
+pub struct MacParseError;
 
 impl fmt::Display for MacParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid MAC address: {}", self.0)
+        f.write_str("invalid MAC address")
     }
 }
 
@@ -69,11 +69,11 @@ impl FromStr for MacAddr {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let parts: Vec<&str> = s.split(':').collect();
         if parts.len() != 6 {
-            return Err(MacParseError(s.to_string()));
+            return Err(MacParseError);
         }
         let mut octets = [0u8; 6];
         for (i, p) in parts.iter().enumerate() {
-            octets[i] = u8::from_str_radix(p, 16).map_err(|_| MacParseError(s.to_string()))?;
+            octets[i] = u8::from_str_radix(p, 16).map_err(|_| MacParseError)?;
         }
         Ok(MacAddr(octets))
     }

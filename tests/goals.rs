@@ -7,8 +7,9 @@
 //! back cleanly leaving no partially-configured modules; and `reconcile()`
 //! is idempotent on a converged network.
 
-use conman::core::nm::{ConnectivityGoal, Exclusion, GoalId, GoalStatus, PlanError};
-use conman::core::primitives::ComponentRef;
+use conman::core::module::{FilterField, ModuleError};
+use conman::core::nm::{ConnectivityGoal, Exclusion, GoalFailure, GoalId, GoalStatus, PlanError};
+use conman::core::primitives::{ComponentRef, Refusal, RefusalCause};
 use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent};
 use conman::core::{ManagementAgent, WireCodec};
 use conman::modules::{
@@ -735,10 +736,14 @@ fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
     assert_eq!(outcome.committed, vec![g1], "the sibling goal commits");
     assert_eq!(outcome.failed.len(), 1);
     assert_eq!(outcome.failed[0].0, g2);
-    assert!(
-        outcome.failed[0].1.contains("commit failed"),
-        "g2 failed at commit: {}",
-        outcome.failed[0].1
+    assert_eq!(
+        outcome.failed[0].1,
+        Refusal {
+            device: egress,
+            component: Some(ComponentRef::Pipe(PipeId(5000))),
+            cause: RefusalCause::Module(ModuleError::MissingTradeoffs),
+        },
+        "g2 failed at commit"
     );
 
     // g1's configuration is live end to end; g2's partial creates (the ETH
@@ -803,17 +808,19 @@ fn pipe_space_exhaustion_fails_the_goal_cleanly() {
     let err = t.mn.plan_goal(id).expect_err("planning must refuse");
     assert!(
         matches!(err, PlanError::PipeSpaceExhausted { .. }),
-        "unexpected error: {err}"
+        "unexpected error: {err:?}"
     );
     let report = t.mn.reconcile();
     let outcome = report.outcome(id).expect("goal reconciled");
     assert_eq!(outcome.action, ReconcileAction::PlanFailed);
     assert_eq!(t.mn.goals.status(id), Some(GoalStatus::Failed));
-    assert!(outcome
-        .error
-        .as_deref()
-        .unwrap_or_default()
-        .contains("pipe-id space exhausted"));
+    assert!(
+        matches!(
+            outcome.error,
+            Some(GoalFailure::Plan(PlanError::PipeSpaceExhausted { .. }))
+        ),
+        "{outcome:?}"
+    );
     // Nothing was sent for the unplannable goal.
     assert_eq!(report.transactions, 0);
 }
@@ -992,6 +999,71 @@ fn a_filter_script_round_trips_through_run_batch_and_its_teardown() {
     assert!(torn.skipped.is_empty());
     assert_eq!(config_json(&t), before, "the teardown removed the filter");
     assert_lists_only(&mut t.mn, &[ingress], &BTreeSet::new());
+}
+
+/// Regression: an IP filter naming no address committed `Ok` and installed
+/// nothing, and a field that did not parse was dropped, widening the rule —
+/// a bad `to-address` beside a good `from-address` dropped everything from
+/// the source.  Each now fails its goal at commit with its own
+/// `ModuleError`, and the device is left as it was.
+#[test]
+fn an_ip_filter_without_an_address_or_with_a_garbage_field_fails_its_goal() {
+    use conman::core::ids::ModuleKind;
+    use conman::core::nm::{DeviceScript, ScriptSet};
+    use conman::core::primitives::{FilterSpec, Primitive};
+
+    let mut t = managed_chain(3);
+    t.discover();
+    let (ingress, egress) = (t.core[0], t.core[2]);
+    let config_json = |t: &Chain| {
+        serde_json::to_string(&t.mn.net.device(ingress).expect("ingress").config)
+            .expect("a device configuration serialises")
+    };
+    let before = config_json(&t);
+    let ip = |d| {
+        t.mn.nm
+            .find_module(d, &ModuleKind::Ip)
+            .expect("an IP module")
+    };
+    let (module, from, to) = (ip(ingress), ip(ingress), ip(egress));
+    let cases = [
+        (vec![("to-port", "80")], ModuleError::FilterWithoutAddress),
+        (
+            vec![
+                ("from-address", "10.0.1.0/24"),
+                ("to-address", "10.0.2.0/33"),
+            ],
+            ModuleError::BadFilterField(FilterField::ToAddress),
+        ),
+    ];
+    for (goal, (fields, error)) in cases.into_iter().enumerate() {
+        let goal = GoalId(goal as u64 + 1);
+        let resolved = fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        let scripts = ScriptSet {
+            scripts: vec![DeviceScript {
+                device: ingress,
+                primitives: vec![Primitive::CreateFilter(FilterSpec {
+                    module: module.clone(),
+                    from: from.clone(),
+                    to: to.clone(),
+                    resolved,
+                })],
+            }],
+        };
+        let outcome = t.mn.run_batch(&[(goal, &scripts)]);
+        let component = ComponentRef::Filter(module.clone(), from.clone(), to.clone());
+        let refusal = Refusal {
+            device: ingress,
+            component: Some(component),
+            cause: RefusalCause::Module(error),
+        };
+        assert_eq!(outcome.failed, [(goal, refusal)]);
+        assert_eq!(config_json(&t), before, "{goal}: the device is unchanged");
+        assert_lists_only(&mut t.mn, &[ingress], &BTreeSet::new());
+    }
 }
 
 /// A testbed three concurrent goals fit on, as the scenario below sees it.

@@ -13,7 +13,7 @@
 //! which has no alternative — falls back to reinstall-through instead of
 //! parking the goal `Failed`.
 
-use conman::core::nm::{GoalId, GoalStatus, PathFinderLimits};
+use conman::core::nm::{GoalFailure, GoalId, GoalStatus, PathFinderLimits};
 use conman::core::runtime::{
     ControlLoop, GoalEndpoints, LoopClient, LoopConfig, ManagedNetwork, ReconcileAction,
 };
@@ -420,11 +420,8 @@ fn repeated_repair_failure_parks_the_goal_failed_not_repairing() {
     assert!(run.converged, "the loop settles even though repair failed");
     let rec = t.mn.goals.get(ids[0]).expect("still stored");
     assert_eq!(rec.status, GoalStatus::Failed, "budget exhausted => Failed");
-    assert!(rec
-        .last_error
-        .as_deref()
-        .unwrap_or_default()
-        .contains("giving up"));
+    assert_eq!(rec.repair_attempts, budget);
+    assert_eq!(rec.last_error, Some(GoalFailure::ProbeFailed));
 
     // Failed goals are left alone: the pipe allocator stops moving and the
     // management plane goes silent again.

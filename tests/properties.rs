@@ -234,13 +234,18 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
     use conman::core::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
     use conman::core::primitives::{
         ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, PipeSpec, Primitive,
-        PrimitiveResult, ResolvedName, ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec,
-        TradeoffChoice,
+        PrimitiveResult, Refusal, RefusalCause, ResolvedName, ScriptSegment, SegmentCommit,
+        SegmentVerdict, SwitchSpec, TradeoffChoice,
     };
     use conman::core::{WireCodec, WireMessage};
     use conman::netsim::device::DeviceId;
 
     let mref = |kind, m, d| ModuleRef::new(kind, ModuleId(m), DeviceId::from_raw(d));
+    let refusal = |cause| Refusal {
+        device: DeviceId::from_raw(1),
+        component: Some(ComponentRef::Pipe(PipeId(41))),
+        cause,
+    };
     let primitives = vec![
         Primitive::CreatePipe(PipeSpec {
             pipe: PipeId(41),
@@ -324,7 +329,11 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
                 },
                 SegmentVerdict {
                     goal: 2,
-                    errors: vec!["no module".into()],
+                    errors: vec![refusal(RefusalCause::UnknownModule(mref(
+                        ModuleKind::Gre,
+                        9,
+                        1,
+                    )))],
                 },
             ],
         },
@@ -339,7 +348,7 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
                 results: vec![
                     Ok(PrimitiveResult::PipeCreated(PipeId(41))),
                     Ok(actual),
-                    Err("boom".into()),
+                    Err(Box::new(refusal(RefusalCause::NeverStaged))),
                 ],
             }],
         },
