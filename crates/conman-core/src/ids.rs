@@ -21,15 +21,9 @@ pub enum ModuleKind {
     Mpls,
     /// An 802.1Q VLAN module on a layer-2 switch.
     Vlan,
-    /// A UDP transport module.
-    Udp,
-    /// A TCP transport module.
-    Tcp,
-    /// An application endpoint, named by a URI-like string.
+    /// Any other module, named by a URI-like string.  The NM treats every
+    /// name alike, so a module it has never heard of plans like one it has.
     App(String),
-    /// A control-plane module (IKE, LCP, routing) — advertised but not part
-    /// of the data-module abstraction (§II-F).
-    Control(String),
 }
 
 impl ModuleKind {
@@ -41,10 +35,7 @@ impl ModuleKind {
             ModuleKind::Gre => "GRE".to_string(),
             ModuleKind::Mpls => "MPLS".to_string(),
             ModuleKind::Vlan => "VLAN".to_string(),
-            ModuleKind::Udp => "UDP".to_string(),
-            ModuleKind::Tcp => "TCP".to_string(),
             ModuleKind::App(n) => n.clone(),
-            ModuleKind::Control(n) => format!("ctl:{n}"),
         }
     }
 }

@@ -16,7 +16,8 @@
 //! * the **Network Manager** ([`nm`]): topology map, potential-connectivity
 //!   graph, encapsulation-aware path finder, path selection and script
 //!   generation (a script is its primitives; the paper-style text is a view
-//!   rendered on demand, [`nm::render_primitive`]),
+//!   rendered on demand, [`nm::render_primitive`]).  It plans from what the
+//!   modules advertise and branches on no protocol name,
 //! * the **runtime** ([`runtime`]): the orchestration loop that drives a
 //!   managed network over a management channel, relaying module-to-module
 //!   messages through the NM and accounting for every message (Table VI).
@@ -32,6 +33,7 @@ pub mod module;
 pub mod nm;
 pub mod primitives;
 pub mod runtime;
+mod views;
 pub mod wire;
 
 pub use abstraction::{CounterSnapshot, ModuleAbstraction, PipeCounters, SwitchKind};

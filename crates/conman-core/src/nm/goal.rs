@@ -206,6 +206,10 @@ pub enum PlanError {
         /// Slots left below the cap.
         remaining: u32,
     },
+    /// The chosen path needs a class or gateway the goal names but never
+    /// resolves to a value (a missing entry of
+    /// [`ConnectivityGoal::resolved`](crate::nm::ConnectivityGoal::resolved)).
+    Unresolved(String),
 }
 
 /// Why a goal is not `Active`.  Whether it gave up is its status, and after

@@ -16,9 +16,20 @@ pub struct PotentialGraph {
     pub up_neighbors: BTreeMap<ModuleRef, Vec<ModuleRef>>,
     /// Possible down pipes: for module M, the modules that could sit below it.
     pub down_neighbors: BTreeMap<ModuleRef, Vec<ModuleRef>>,
-    /// Physical pipes: for an ETH-like module, the ETH-like modules on
-    /// adjacent devices reachable over a physical link.
+    /// Physical pipes: for a module bound to a port, the modules bound to the
+    /// far ends of that port's links.
     pub phys_neighbors: BTreeMap<ModuleRef, Vec<ModuleRef>>,
+}
+
+/// The module of `device` that has a physical pipe on `port`.
+pub(crate) fn module_on_port(
+    abstractions: &BTreeMap<DeviceId, Vec<ModuleAbstraction>>,
+    device: DeviceId,
+    port: PortId,
+) -> Option<ModuleRef> {
+    let mut modules = abstractions.get(&device)?.iter();
+    let m = modules.find(|m| m.physical_pipes.iter().any(|p| p.port == port))?;
+    Some(m.name.clone())
 }
 
 impl PotentialGraph {
@@ -60,33 +71,28 @@ impl PotentialGraph {
         }
 
         // Physical pipes: match (device, port) adjacency with the ports the
-        // ETH-like modules advertise.
-        let module_on_port = |device: DeviceId, port: PortId| -> Option<ModuleRef> {
-            abstractions.get(&device).and_then(|mods| {
-                mods.iter()
-                    .find(|m| m.physical_pipes.iter().any(|p| p.port == port))
-                    .map(|m| m.name.clone())
-            })
-        };
+        // modules advertise.
         for (device, neighbors) in adjacency {
             for (port, peer_device, peer_port) in neighbors {
                 let (Some(local), Some(remote)) = (
-                    module_on_port(*device, *port),
-                    module_on_port(*peer_device, *peer_port),
+                    module_on_port(abstractions, *device, *port),
+                    module_on_port(abstractions, *peer_device, *peer_port),
                 ) else {
                     continue;
                 };
                 graph.phys_neighbors.entry(local).or_default().push(remote);
             }
         }
-        // Deduplicate and sort for determinism.
+        // Deduplicate and sort for determinism, by module id and device,
+        // never by name: the search order (so the `max_paths` cut, the
+        // tie-break and the header ids) must not depend on module names.
         for v in graph
             .up_neighbors
             .values_mut()
             .chain(graph.down_neighbors.values_mut())
             .chain(graph.phys_neighbors.values_mut())
         {
-            v.sort();
+            v.sort_by_key(|m| (m.module, m.device));
             v.dedup();
         }
         graph

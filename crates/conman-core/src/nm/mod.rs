@@ -155,15 +155,10 @@ impl NetworkManager {
             .find(|r| r.kind == *kind)
     }
 
-    /// Find the ETH module bound to a given port of a device.
-    pub fn find_eth_on_port(&self, device: DeviceId, port: PortId) -> Option<ModuleRef> {
-        self.abstractions.get(&device)?.iter().find_map(|a| {
-            if a.name.kind == ModuleKind::Eth && a.physical_pipes.iter().any(|p| p.port == port) {
-                Some(a.name.clone())
-            } else {
-                None
-            }
-        })
+    /// The module of a device that has a physical pipe on `port`: the
+    /// customer-facing end of a goal.
+    pub fn module_on_port(&self, device: DeviceId, port: PortId) -> Option<ModuleRef> {
+        graph::module_on_port(&self.abstractions, device, port)
     }
 
     /// Build the potential connectivity graph from everything learnt so far.
@@ -194,27 +189,12 @@ impl NetworkManager {
     /// component").  Excluded *modules* are never entered and excluded
     /// *links* are never crossed, so a diagnosis that blames a physical link
     /// reroutes onto a genuine alternative where the topology offers one.
-    pub(crate) fn find_paths_avoiding(
-        &self,
-        goal: &ConnectivityGoal,
-        excluded: &std::collections::BTreeSet<goal::Exclusion>,
-        limits: pathfinder::PathFinderLimits,
-    ) -> Vec<ModulePath> {
-        let graph = self.build_graph();
-        self.find_paths_avoiding_in(
-            &graph,
-            goal,
-            excluded,
-            limits,
-            &mut pathfinder::SearchScratch::default(),
-        )
-    }
-
-    /// Like `NetworkManager::find_paths_avoiding`, but searching a
-    /// caller-built [`PotentialGraph`] with caller-owned scratch buffers.
-    /// This is the planner's hot path: one graph build and one scratch per
-    /// planning worker amortised over every goal in a reconcile pass,
-    /// instead of a graph rebuild and fresh buffers per goal.
+    ///
+    /// The search runs over a caller-built [`PotentialGraph`] with
+    /// caller-owned scratch buffers.  This is the planner's hot path: one
+    /// graph build and one scratch per planning worker amortised over every
+    /// goal in a reconcile pass, instead of a graph rebuild and fresh
+    /// buffers per goal.
     pub fn find_paths_avoiding_in(
         &self,
         graph: &PotentialGraph,
@@ -263,9 +243,11 @@ impl NetworkManager {
         })
     }
 
-    /// Generate the per-device CONMan scripts realising `path` for `goal`.
+    /// Generate the per-device CONMan scripts realising `path` for `goal`,
+    /// numbering pipes from 0 (the paper's numbering — correct when only one
+    /// goal exists).
     pub fn generate_scripts(&self, path: &ModulePath, goal: &ConnectivityGoal) -> ScriptSet {
-        script::generate(self, path, goal)
+        script::generate_with_base(self, path, goal, 0)
     }
 }
 

@@ -6,10 +6,15 @@
 //! that uses address-domain information to rule out invalid peerings
 //! (Figure 6(b)).  On the paper's Figure 4 testbed this enumerates exactly
 //! the nine paths the authors report.
+//!
+//! The search knows no protocol.  A header is named by the kind of the
+//! module that pushes it and handled by modules of that kind; the rest
+//! comes from what modules advertise: their switchings, their address
+//! domain and whether their `[down ⇒ down]` leaves the stack as it is.
 
 use super::graph::PotentialGraph;
 use super::ConnectivityGoal;
-use crate::abstraction::SwitchKind;
+use crate::abstraction::{ModuleAbstraction, SwitchKind};
 use crate::ids::{ModuleKind, ModuleRef};
 use netsim::device::DeviceId;
 use serde::{Deserialize, Serialize};
@@ -72,41 +77,6 @@ impl ModulePath {
         }
         out
     }
-
-    /// A compact label of the technologies used, e.g. `GRE-IP`,
-    /// `MPLS`, `IP-IP over MPLS`, used to compare against the paper's list.
-    pub fn technology_label(&self) -> String {
-        let has = |k: &ModuleKind| self.steps.iter().any(|s| s.module.kind == *k);
-        let gre = has(&ModuleKind::Gre);
-        let mpls = has(&ModuleKind::Mpls);
-        let vlan = has(&ModuleKind::Vlan);
-        // Count encapsulating IP modules (UpDown switching) to distinguish
-        // plain forwarding from IP-IP tunnelling.
-        let ipip = self
-            .steps
-            .iter()
-            .any(|s| s.module.kind == ModuleKind::Ip && s.switch == SwitchKind::UpDown);
-        let mut parts = Vec::new();
-        if vlan {
-            parts.push("VLAN".to_string());
-        }
-        if gre {
-            parts.push("GRE-IP".to_string());
-        } else if ipip {
-            parts.push("IP-IP".to_string());
-        }
-        if mpls {
-            if parts.is_empty() {
-                parts.push("MPLS".to_string());
-            } else {
-                parts.push("over MPLS".to_string());
-            }
-        }
-        if parts.is_empty() {
-            parts.push("IP".to_string());
-        }
-        parts.join(" ")
-    }
 }
 
 /// Limits guarding the exhaustive traversal.
@@ -128,11 +98,18 @@ impl Default for PathFinderLimits {
 }
 
 /// One header on the simulated packet during traversal.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct HeaderInst {
     id: usize,
     kind: ModuleKind,
     domain: Option<String>,
+}
+
+impl HeaderInst {
+    /// What the customer sees of the header: not which step pushed it.
+    fn seen(&self) -> (&ModuleKind, &Option<String>) {
+        (&self.kind, &self.domain)
+    }
 }
 
 /// The path finder.
@@ -217,30 +194,32 @@ impl<'a> PathFinder<'a> {
         goal: &ConnectivityGoal,
     ) -> Vec<ModulePath> {
         scratch.clear();
+        // The customer traffic entering the ingress physical pipe: the
+        // ingress module's own header around the goal's payload.  A layer-2
+        // goal's payload is the customer's frame, of the ingress module's
+        // kind; otherwise it is the header of the module above the ingress
+        // that declares the goal's address domain.
+        let in_domain = |m: &&ModuleRef| {
+            let abs = self.graph.abstraction(m);
+            abs.and_then(|a| a.address_domain.as_ref()) == Some(&goal.traffic_domain)
+        };
+        let payload = if goal.l2_only {
+            Some(&goal.from)
+        } else {
+            self.graph.ups(&goal.from).iter().find(in_domain)
+        };
+        let Some(payload) = payload else {
+            return Vec::new();
+        };
         let mut state = SearchState {
             scratch,
             results: Vec::new(),
         };
-        // The customer traffic entering the ingress physical pipe: an
-        // Ethernet frame, carrying an IP packet in the customer's address
-        // domain unless this is a pure layer-2 goal.  The stack is ordered
-        // innermost-first, so the outermost header (Ethernet) is pushed last
-        // and sits on top.
-        if goal.l2_only {
-            // Layer-2 goal: the customer's Ethernet frame is the payload that
-            // must be carried intact across the provider.
-            state.push_header(ModuleKind::Eth, Some(goal.traffic_domain.clone()));
-        } else {
-            state.push_header(ModuleKind::Ip, Some(goal.traffic_domain.clone()));
-        }
-        state.push_header(ModuleKind::Eth, None);
-        let expected_final: Vec<(ModuleKind, Option<String>)> = state
-            .scratch
-            .stack
-            .iter()
-            .map(|h| (h.kind.clone(), h.domain.clone()))
-            .collect();
-
+        // The stack is innermost-first, so the outer header is pushed last
+        // and sits on top.  The payload is header 0.
+        state.push_header(payload.kind.clone(), Some(goal.traffic_domain.clone()));
+        state.push_header(goal.from.kind.clone(), None);
+        let expected_final = state.scratch.stack.clone();
         self.explore(goal, &mut state, &goal.from, Entry::Phys, &expected_final);
         state.results
     }
@@ -252,7 +231,7 @@ impl<'a> PathFinder<'a> {
         state: &mut SearchState<'_>,
         module: &ModuleRef,
         entered: Entry,
-        expected_final: &[(ModuleKind, Option<String>)],
+        expected_final: &[HeaderInst],
     ) {
         if state.results.len() >= self.limits.max_paths
             || state.scratch.steps.len() >= self.limits.max_steps
@@ -276,16 +255,10 @@ impl<'a> PathFinder<'a> {
                 // Option 1: decapsulate and move up.
                 if abs.can_switch(decap_kind) {
                     if let Some(top) = state.scratch.stack.last().cloned() {
-                        if top.kind == module.kind && self.domain_ok(abs, &top) {
+                        if top.kind == module.kind && domain_ok(abs, &top) {
                             let depth = state.scratch.stack.len();
                             state.scratch.stack.pop();
-                            state.scratch.steps.push(PathStep {
-                                module: module.clone(),
-                                switch: decap_kind,
-                                entered,
-                                header: top.id,
-                                depth,
-                            });
+                            state.push_step(module, decap_kind, entered, top.id, depth);
                             for next in self.graph.ups(module) {
                                 self.explore(goal, state, next, Entry::Below, expected_final);
                             }
@@ -300,13 +273,7 @@ impl<'a> PathFinder<'a> {
                     if abs.can_switch(SwitchKind::PhyPhy) {
                         if let Some(top) = state.scratch.stack.last().cloned() {
                             let depth = state.scratch.stack.len();
-                            state.scratch.steps.push(PathStep {
-                                module: module.clone(),
-                                switch: SwitchKind::PhyPhy,
-                                entered,
-                                header: top.id,
-                                depth,
-                            });
+                            state.push_step(module, SwitchKind::PhyPhy, entered, top.id, depth);
                             for next in self.graph.phys(module) {
                                 if self.link_excluded(module, next) {
                                     continue;
@@ -317,18 +284,15 @@ impl<'a> PathFinder<'a> {
                         }
                     }
                 } else if abs.can_switch(SwitchKind::DownDown) {
-                    // [down => down]: process the header and forward downwards.
+                    // [down => down]: process the header and forward downwards,
+                    // or carry whatever is on top when the module's
+                    // [down => down] leaves the stack as it is.
                     if let Some(top) = state.scratch.stack.last().cloned() {
-                        let transparent = module.kind == ModuleKind::Vlan;
-                        if (top.kind == module.kind && self.domain_ok(abs, &top)) || transparent {
+                        if abs.switch.transparent_down_down
+                            || (top.kind == module.kind && domain_ok(abs, &top))
+                        {
                             let depth = state.scratch.stack.len();
-                            state.scratch.steps.push(PathStep {
-                                module: module.clone(),
-                                switch: SwitchKind::DownDown,
-                                entered,
-                                header: top.id,
-                                depth,
-                            });
+                            state.push_step(module, SwitchKind::DownDown, entered, top.id, depth);
                             for next in self.graph.downs(module) {
                                 self.explore(goal, state, next, Entry::Above, expected_final);
                             }
@@ -342,13 +306,7 @@ impl<'a> PathFinder<'a> {
                 if abs.can_switch(SwitchKind::UpDown) {
                     let depth = state.scratch.stack.len();
                     let id = state.push_header(module.kind.clone(), abs.address_domain.clone());
-                    state.scratch.steps.push(PathStep {
-                        module: module.clone(),
-                        switch: SwitchKind::UpDown,
-                        entered,
-                        header: id,
-                        depth,
-                    });
+                    state.push_step(module, SwitchKind::UpDown, entered, id, depth);
                     for next in self.graph.downs(module) {
                         self.explore(goal, state, next, Entry::Above, expected_final);
                     }
@@ -358,25 +316,14 @@ impl<'a> PathFinder<'a> {
                 // Option 2: encapsulate onto a physical pipe.
                 if abs.can_switch(SwitchKind::UpPhy) {
                     let depth = state.scratch.stack.len();
-                    let id = state.push_header(ModuleKind::Eth, None);
-                    state.scratch.steps.push(PathStep {
-                        module: module.clone(),
-                        switch: SwitchKind::UpPhy,
-                        entered,
-                        header: id,
-                        depth,
-                    });
+                    let id = state.push_header(module.kind.clone(), None);
+                    state.push_step(module, SwitchKind::UpPhy, entered, id, depth);
                     if *module == goal.to {
                         // Reached the egress interface: the path is valid only
                         // if every header the ISP added has been removed again
                         // (the customer sees the same packet it sent).
-                        let final_stack: Vec<(ModuleKind, Option<String>)> = state
-                            .scratch
-                            .stack
-                            .iter()
-                            .map(|h| (h.kind.clone(), h.domain.clone()))
-                            .collect();
-                        if final_stack == expected_final
+                        let stack = state.scratch.stack.iter().map(HeaderInst::seen);
+                        if stack.eq(expected_final.iter().map(HeaderInst::seen))
                             && state.results.len() < self.limits.max_paths
                         {
                             state.results.push(ModulePath {
@@ -399,15 +346,14 @@ impl<'a> PathFinder<'a> {
 
         state.scratch.visited.remove(module);
     }
+}
 
-    fn domain_ok(&self, abs: &crate::abstraction::ModuleAbstraction, header: &HeaderInst) -> bool {
-        if abs.name.kind != ModuleKind::Ip {
-            return true;
-        }
-        match (&abs.address_domain, &header.domain) {
-            (Some(a), Some(b)) => a == b,
-            _ => true,
-        }
+/// A module that declares an address domain handles only headers of that
+/// domain (Figure 6(b)).
+fn domain_ok(abs: &ModuleAbstraction, header: &HeaderInst) -> bool {
+    match (&abs.address_domain, &header.domain) {
+        (Some(a), Some(b)) => a == b,
+        _ => true,
     }
 }
 
@@ -444,6 +390,25 @@ impl SearchState<'_> {
         self.scratch.next_header += 1;
         self.scratch.stack.push(HeaderInst { id, kind, domain });
         id
+    }
+
+    /// Record `module`'s step, `depth` being the stack depth before the
+    /// step's own push or pop.
+    fn push_step(
+        &mut self,
+        module: &ModuleRef,
+        switch: SwitchKind,
+        entered: Entry,
+        header: usize,
+        depth: usize,
+    ) {
+        self.scratch.steps.push(PathStep {
+            module: module.clone(),
+            switch,
+            entered,
+            header,
+            depth,
+        });
     }
 }
 

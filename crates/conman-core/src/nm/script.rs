@@ -10,10 +10,10 @@
 //! the text the paper prints in those figures is a view rendered on demand by
 //! [`render_primitive`]; nothing stores its output.
 
-use super::pathfinder::{Entry, ModulePath};
+use super::pathfinder::{Entry, ModulePath, PathStep};
 use super::{ConnectivityGoal, NetworkManager};
 use crate::abstraction::SwitchKind;
-use crate::ids::{ModuleKind, ModuleRef, PipeId};
+use crate::ids::{ModuleRef, PipeId};
 use crate::primitives::{
     ComponentRef, PipeSpec, Primitive, ResolvedName, SwitchSpec, TradeoffChoice,
 };
@@ -162,7 +162,7 @@ impl ScriptSet {
     }
 }
 
-/// Number of pipe-id slots `generate` assigns for `path`: one per step
+/// Number of pipe-id slots [`generate_with_base`] assigns for `path`: one per step
 /// boundary (up-down *and* physical pipes both consume an id).  Used by the
 /// goal store to reserve disjoint pipe-id blocks per goal.
 pub fn slot_count(path: &ModulePath) -> u32 {
@@ -181,12 +181,6 @@ struct PipeSlot {
     upper: Option<usize>,
     /// Index of the lower step, if this is an up-down pipe.
     lower: Option<usize>,
-}
-
-/// Generate the scripts realising `path` for `goal`, numbering pipes from 0
-/// (the paper's numbering — correct when only one goal exists).
-pub fn generate(nm: &NetworkManager, path: &ModulePath, goal: &ConnectivityGoal) -> ScriptSet {
-    generate_with_base(nm, path, goal, 0)
 }
 
 /// Generate the scripts realising `path` for `goal`, numbering pipes from
@@ -318,14 +312,16 @@ pub fn generate_with_base(
     // ------------------------------------------------------------------
     // 3. Build per-device primitives.
     // ------------------------------------------------------------------
-    // Two initial headers either way: customer ETH + customer IP for L3
-    // goals, customer ETH + the provider's own ETH hand-off for L2 goals.
-    let num_initial_headers = 2;
-    let is_edge_ip = |idx: usize| -> bool {
-        !goal.l2_only
-            && steps[idx].module.kind == ModuleKind::Ip
-            && steps[idx].header < num_initial_headers
-            && steps[idx].switch == SwitchKind::DownDown
+    // The edge rule: a step that processes the goal's payload (header 0, the
+    // first header the path finder seeds) in place, with a `[down ⇒ down]`
+    // that reads it rather than leaving the stack as it is.  Only such a
+    // step can classify the customer's traffic.
+    let is_edge_rule = |step: &PathStep| -> bool {
+        step.header == 0
+            && step.switch == SwitchKind::DownDown
+            && nm
+                .abstraction_of(&step.module)
+                .is_none_or(|a| !a.switch.transparent_down_down)
     };
 
     let mut scripts: Vec<DeviceScript> = devices
@@ -392,14 +388,14 @@ pub fn generate_with_base(
         let out_slot = &slots[i + 1];
         let device = step.module.device;
         let idx = device_pos[&device];
-        // The edge ETH modules facing the (unmanaged) customer need no switch
-        // rule, matching Figure 7(b).
-        let touches_unmanaged_phys = i == 0 || i + 1 == steps.len();
-        if step.module.kind == ModuleKind::Eth && touches_unmanaged_phys {
+        // The first and last steps are the goal's own end modules, facing
+        // the (unmanaged) customer (every path starts at `goal.from` and ends
+        // at `goal.to`): they need no switch rule, matching Figure 7(b).
+        if i == 0 || i + 1 == steps.len() {
             continue;
         }
         let is_first_device = device == devices[0];
-        if is_edge_ip(i) {
+        if is_edge_rule(step) {
             // Forward and reverse rules with the traffic class and gateway
             // (Figure 7(b) commands 3 and 4).
             let (customer_pipe, core_pipe) = if is_first_device {
@@ -458,8 +454,7 @@ pub fn generate_with_base(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ModuleId;
-    use crate::nm::pathfinder::PathStep;
+    use crate::ids::{ModuleId, ModuleKind};
     use crate::primitives::FilterSpec;
 
     fn module(kind: ModuleKind, id: u32, device: u64) -> ModuleRef {
@@ -474,7 +469,7 @@ mod tests {
         let goal =
             ConnectivityGoal::vpn(module(ModuleKind::Eth, 1, 1), module(ModuleKind::Eth, 2, 2));
         let empty = ModulePath { steps: vec![] };
-        assert_eq!(generate(&nm, &empty, &goal).scripts.len(), 0);
+        assert_eq!(nm.generate_scripts(&empty, &goal).scripts.len(), 0);
 
         let path = ModulePath {
             steps: vec![
@@ -501,7 +496,7 @@ mod tests {
                 },
             ],
         };
-        let set = generate(&nm, &path, &goal);
+        let set = nm.generate_scripts(&path, &goal);
         assert_eq!(set.scripts.len(), 1);
         // Two up-down pipes; the edge IP module gets the two classified
         // switch rules; the edge ETH modules get none.

@@ -199,24 +199,13 @@ pub struct Notification {
 /// is the NM's own vocabulary, so it is one closed type here.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Notice {
-    /// The far end of a negotiated tunnel is in place.
-    Established(Established),
+    /// The far end of a negotiated tunnel is in place.  Table VI counts the
+    /// message; it says nothing about which protocol built the tunnel.
+    Established,
     /// A module refused a relayed envelope.
     Refused(Box<Refusal>),
     /// The agent gave up polling its modules with the device still busy.
     PollRoundCap,
-}
-
-/// What a [`Notice::Established`] reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Established {
-    /// The egress end of an MPLS LSP installed its label bindings.
-    MplsLsp,
-    /// The far-edge switch of a provider VLAN tunnel configured its ports.
-    VlanTunnel {
-        /// The agreed VLAN id.
-        vlan: u16,
-    },
 }
 
 /// The one failure type from module to operator: the module gives its
@@ -518,8 +507,7 @@ mod tests {
     #[test]
     fn wire_roundtrip_notices() {
         for body in [
-            Notice::Established(Established::MplsLsp),
-            Notice::Established(Established::VlanTunnel { vlan: 22 }),
+            Notice::Established,
             Notice::Refused(Box::new(Refusal {
                 device: DeviceId::from_raw(1),
                 component: None,

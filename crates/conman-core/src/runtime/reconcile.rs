@@ -41,6 +41,7 @@ use crate::nm::goal::{AppliedPlan, GoalFailure, GoalId, GoalStatus, Plan, PlanEr
 use crate::nm::{
     script, ConnectivityGoal, GoalStore, ModulePath, NetworkManager, PotentialGraph, SearchScratch,
 };
+use crate::primitives::Primitive;
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use serde::{Deserialize, Serialize};
@@ -222,9 +223,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// excluded modules) and generate — but do not send — its scripts.
     pub fn plan_goal(&self, id: GoalId) -> Result<Plan, PlanError> {
         let rec = self.goals.get(id).ok_or(PlanError::UnknownGoal(id))?;
+        let graph = self.nm.build_graph();
+        let mut scratch = SearchScratch::default();
+        let (goal, excluded, limits) = (&rec.desired, &rec.excluded, self.goals.limits);
         let paths = self
             .nm
-            .find_paths_avoiding(&rec.desired, &rec.excluded, self.goals.limits);
+            .find_paths_avoiding_in(&graph, goal, excluded, limits, &mut scratch);
         let path = self
             .nm
             .choose_path(&paths)
@@ -268,12 +272,24 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// The scripts are numbered from the store's next free pipe block; the
     /// block is only consumed when the plan is executed.  Fails cleanly
     /// with [`PlanError::PipeSpaceExhausted`] when the block would cross
-    /// the derived-identifier cap.
+    /// the derived-identifier cap, and with [`PlanError::Unresolved`] when a
+    /// switch rule names a class or gateway the goal does not resolve.
     pub fn plan_for_path(&self, id: GoalId, path: &ModulePath) -> Result<Plan, PlanError> {
         let rec = self.goals.get(id).ok_or(PlanError::UnknownGoal(id))?;
         self.goals.check_pipe_block(script::slot_count(path))?;
         let pipe_base = self.goals.peek_pipe_base();
         let scripts = script::generate_with_base(&self.nm, path, &rec.desired, pipe_base);
+        let mut primitives = scripts.scripts.iter().flat_map(|s| &s.primitives);
+        let unresolved = primitives.find_map(|p| match p {
+            Primitive::CreateSwitch(s) => [&s.dst_class, &s.gateway]
+                .into_iter()
+                .flatten()
+                .find(|n| !rec.desired.resolved.contains_key(&n.name)),
+            _ => None,
+        });
+        if let Some(n) = unresolved {
+            return Err(PlanError::Unresolved(n.name.clone()));
+        }
         let (modules_created, modules_reused) = self.goals.classify_modules(id, path);
         Ok(Plan {
             goal: id,

@@ -22,8 +22,9 @@
 //!
 //! A primitive inside a segment block is a tag byte and its fields in
 //! declaration order (`opt X` is a presence byte, then `X` when it is 1;
-//! `str` is a `u32` length and UTF-8 bytes; a module ref is a kind byte, an
-//! `App`/`Control` name where the kind has one, `u32` module, `u64` device):
+//! `str` is a `u32` length and UTF-8 bytes; a module ref is a kind byte
+//! (`0`–`4` ETH, IP, GRE, MPLS, VLAN; `7` an `App`, then its name), `u32`
+//! module, `u64` device):
 //!
 //! ```text
 //! 0 showPotential   1 showActual
@@ -425,14 +426,8 @@ fn put_module_ref(w: &mut Writer, m: &ModuleRef) {
         ModuleKind::Gre => w.put_u8(2),
         ModuleKind::Mpls => w.put_u8(3),
         ModuleKind::Vlan => w.put_u8(4),
-        ModuleKind::Udp => w.put_u8(5),
-        ModuleKind::Tcp => w.put_u8(6),
         ModuleKind::App(name) => {
             w.put_u8(7);
-            w.put_str(name);
-        }
-        ModuleKind::Control(name) => {
-            w.put_u8(8);
             w.put_str(name);
         }
     }
@@ -447,10 +442,7 @@ fn read_module_ref(r: &mut Reader<'_>) -> Option<ModuleRef> {
         2 => ModuleKind::Gre,
         3 => ModuleKind::Mpls,
         4 => ModuleKind::Vlan,
-        5 => ModuleKind::Udp,
-        6 => ModuleKind::Tcp,
         7 => ModuleKind::App(r.str()?.to_string()),
-        8 => ModuleKind::Control(r.str()?.to_string()),
         _ => return None,
     };
     let module = ModuleId(r.u32()?);
@@ -754,7 +746,7 @@ mod tests {
                     local_prefix: Some("10.0.1.0/24".into()),
                 }),
                 Primitive::CreateFilter(FilterSpec {
-                    module: mref(ModuleKind::Control("IKE".into()), 4, 1),
+                    module: mref(ModuleKind::App("IKE".into()), 4, 1),
                     from: mref(ModuleKind::Eth, 5, 1),
                     to: mref(ModuleKind::Eth, 6, 2),
                     resolved: [("to-port".to_string(), "80".to_string())].into(),

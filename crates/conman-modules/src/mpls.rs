@@ -11,8 +11,8 @@ use conman_core::abstraction::{CounterSnapshot, ModuleAbstraction, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{
-    ComponentRef, EnvelopeKind, Established, ModuleActual, ModuleEnvelope, Notice, Notification,
-    PipeSpec, SwitchSpec,
+    ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, Notice, Notification, PipeSpec,
+    SwitchSpec,
 };
 use mgmt_channel::codec::{Reader, Writer};
 use netsim::mpls::{IlmEntry, Label, LabelOp, Nhlfe, NhlfeKey};
@@ -233,7 +233,7 @@ impl MplsModule {
                     self.notified = true;
                     notifications.push(Notification {
                         from: self.me.clone(),
-                        body: Notice::Established(Established::MplsLsp),
+                        body: Notice::Established,
                     });
                 }
                 Some(notifications)

@@ -158,11 +158,11 @@ fn vpn_goal_between<C: ManagementChannel>(
 ) -> ConnectivityGoal {
     let from = mn
         .nm
-        .find_eth_on_port(ingress, PortId(0))
+        .module_on_port(ingress, PortId(0))
         .expect("ingress customer-facing ETH module (run discover() first)");
     let to = mn
         .nm
-        .find_eth_on_port(egress, PortId(0))
+        .module_on_port(egress, PortId(0))
         .expect("egress customer-facing ETH module (run discover() first)");
     ConnectivityGoal::vpn(from, to)
         .resolve("C1-S1", "10.0.1.0/24")
@@ -566,12 +566,12 @@ impl<C: ManagementChannel> ManagedVlanChain<C> {
         let from = self
             .mn
             .nm
-            .find_eth_on_port(self.switches[0], PortId(0))
+            .module_on_port(self.switches[0], PortId(0))
             .expect("ingress customer port ETH module (run discover() first)");
         let to = self
             .mn
             .nm
-            .find_eth_on_port(*self.switches.last().unwrap(), PortId(0))
+            .module_on_port(*self.switches.last().unwrap(), PortId(0))
             .expect("egress customer port ETH module");
         let mut goal = ConnectivityGoal::vpn(from, to);
         goal.l2_only = true;

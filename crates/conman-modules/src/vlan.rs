@@ -11,8 +11,8 @@ use conman_core::abstraction::{CounterSnapshot, ModuleAbstraction, PipeCounters,
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{
-    ComponentRef, EnvelopeKind, Established, ModuleActual, ModuleEnvelope, Notice, Notification,
-    PipeSpec, SwitchSpec,
+    ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, Notice, Notification, PipeSpec,
+    SwitchSpec,
 };
 use mgmt_channel::codec::{Reader, Writer};
 use netsim::config::{BridgeConfig, SwitchPortMode};
@@ -184,7 +184,7 @@ impl VlanModule {
             self.notified = true;
             notifications.push(Notification {
                 from: self.me.clone(),
-                body: Notice::Established(Established::VlanTunnel { vlan: vid_raw }),
+                body: Notice::Established,
             });
         }
         Some(notifications)
@@ -227,6 +227,9 @@ impl ProtocolModule for VlanModule {
         a.down_connectable = vec![ModuleKind::Eth];
         a.peerable = vec![ModuleKind::Vlan];
         a.switch.kinds = vec![SwitchKind::DownDown, SwitchKind::DownUp, SwitchKind::UpDown];
+        // The module bridges the customer's frame between its ports without
+        // reading a header of its own.
+        a.switch.transparent_down_down = true;
         a.perf_reporting = vec!["frames tagged and untagged per VLAN".to_string()];
         a.fast_forwarding = true;
         a

@@ -825,6 +825,53 @@ fn pipe_space_exhaustion_fails_the_goal_cleanly() {
     assert_eq!(report.transactions, 0);
 }
 
+/// A goal that names a class it never resolved is refused at planning, by
+/// both executors, before any device hears of it.  It used to plan, ship
+/// the class as `value: ""` (which the IP module cannot parse, so the rule
+/// waited forever) and commit `Active`.
+#[test]
+fn a_goal_naming_an_unresolved_class_is_refused_at_planning() {
+    let mut t = managed_chain(3);
+    t.discover();
+    let mut goal = t.vpn_goal();
+    goal.resolved.remove("C1-S2");
+    let id = t.mn.submit(goal);
+    let configs = |t: &Chain| -> Vec<String> {
+        t.core
+            .iter()
+            .map(|d| {
+                serde_json::to_string(&t.mn.net.device(*d).expect("router").config)
+                    .expect("a device configuration serialises")
+            })
+            .collect()
+    };
+    let before = configs(&t);
+    t.mn.reset_counters();
+    let unresolved = PlanError::Unresolved("C1-S2".to_string());
+
+    // The operator way: every technology's plan is refused.
+    let desired = t.mn.goals.get(id).expect("goal exists").desired.clone();
+    let paths = t.mn.nm.find_paths(&desired);
+    assert_eq!(paths.len(), 9);
+    for path in &paths {
+        assert_eq!(t.mn.plan_for_path(id, path).err(), Some(unresolved.clone()));
+    }
+    // The reconciler's way.
+    let report = t.mn.reconcile();
+    let outcome = report.outcome(id).expect("goal reconciled");
+    assert_eq!(outcome.action, ReconcileAction::PlanFailed);
+    assert_eq!(outcome.error, Some(GoalFailure::Plan(unresolved)));
+    assert_eq!(report.transactions, 0);
+
+    let nm = t.mn.nm_counters();
+    assert_eq!(
+        (nm.sent, nm.received),
+        (0, 0),
+        "no device hears of the goal"
+    );
+    assert_eq!(configs(&t), before);
+}
+
 /// What a device's data plane holds that a goal can add to.
 type DataPlane = (
     conman::netsim::route::Rib,

@@ -198,6 +198,170 @@ proptest! {
     }
 }
 
+/// What the NM learnt of one testbed, the goal it plans on it and the
+/// search limits it plans under.
+struct Learnt {
+    nm: conman::core::NetworkManager,
+    goal: conman::core::ConnectivityGoal,
+    limits: conman::core::PathFinderLimits,
+}
+
+/// The renaming property's testbeds, discovered once: the Figure 4 chain
+/// under default limits, a 10-router chain whose `max_paths` cut bites, the
+/// 2×3 fan-out mesh and a 4-switch VLAN chain.
+fn learnt_testbeds() -> &'static [Learnt] {
+    static TESTBEDS: std::sync::OnceLock<Vec<Learnt>> = std::sync::OnceLock::new();
+    TESTBEDS.get_or_init(|| {
+        let learnt = |mn: &mut conman::core::ManagedNetwork<mgmt_channel::OutOfBandChannel>,
+                      goal,
+                      limits| Learnt {
+            nm: std::mem::take(&mut mn.nm),
+            goal,
+            limits,
+        };
+        let mut out = Vec::new();
+        for (n, limits) in [
+            (3, Default::default()),
+            (10, conman_bench::diagnosis::chain_limits(10)),
+        ] {
+            let mut t = conman::modules::managed_chain(n);
+            t.discover();
+            let goal = t.vpn_goal();
+            out.push(learnt(&mut t.mn, goal, limits));
+        }
+        let mut t = conman::modules::managed_mesh_fanout(3, 1);
+        t.discover();
+        let goal = t.fanout_goal(0);
+        out.push(learnt(
+            &mut t.mn,
+            goal,
+            conman_bench::control_loop::mesh_limits(3),
+        ));
+        let mut t = conman::modules::managed_vlan_chain(4);
+        t.discover();
+        let goal = t.vlan_goal();
+        out.push(learnt(&mut t.mn, goal, Default::default()));
+        out
+    })
+}
+
+/// A bijection from the five protocol kinds to `App` names, drawn from the
+/// Lehmer code `perm` (< 5!), so the renamed kinds sort in a shuffled order.
+struct Renaming([String; 5]);
+
+impl Renaming {
+    fn new(mut perm: usize, salt: u16) -> Self {
+        let mut pool: Vec<usize> = (0..5).collect();
+        Renaming(std::array::from_fn(|i| {
+            let pick = pool.remove(perm % (5 - i));
+            perm /= 5 - i;
+            format!("k{pick}-{salt}")
+        }))
+    }
+
+    fn kind(&self, kind: &conman::core::ModuleKind) -> conman::core::ModuleKind {
+        use conman::core::ModuleKind;
+        let i = match kind {
+            ModuleKind::Eth => 0,
+            ModuleKind::Ip => 1,
+            ModuleKind::Gre => 2,
+            ModuleKind::Mpls => 3,
+            ModuleKind::Vlan => 4,
+            ModuleKind::App(_) => return kind.clone(),
+        };
+        ModuleKind::App(self.0[i].clone())
+    }
+
+    fn kinds(&self, kinds: &[conman::core::ModuleKind]) -> Vec<conman::core::ModuleKind> {
+        kinds.iter().map(|k| self.kind(k)).collect()
+    }
+
+    fn module(&self, m: &conman::core::ModuleRef) -> conman::core::ModuleRef {
+        conman::core::ModuleRef::new(self.kind(&m.kind), m.module, m.device)
+    }
+
+    fn path(&self, path: &conman::core::ModulePath) -> conman::core::ModulePath {
+        let mut path = path.clone();
+        for step in &mut path.steps {
+            step.module = self.module(&step.module);
+        }
+        path
+    }
+
+    fn primitive(&self, p: &conman::core::Primitive) -> conman::core::Primitive {
+        use conman::core::Primitive;
+        let mut p = p.clone();
+        match &mut p {
+            Primitive::CreatePipe(spec) => {
+                for m in [&mut spec.upper, &mut spec.lower] {
+                    *m = self.module(m);
+                }
+                for m in [&mut spec.peer_upper, &mut spec.peer_lower]
+                    .into_iter()
+                    .flatten()
+                {
+                    *m = self.module(m);
+                }
+            }
+            Primitive::CreateSwitch(spec) => spec.module = self.module(&spec.module),
+            other => panic!("script generation emits creates only: {other:?}"),
+        }
+        p
+    }
+
+    /// Everything the NM learnt, under the new names: each abstraction's
+    /// name and the kinds it can connect and peer with.
+    fn nm(&self, nm: &conman::core::NetworkManager) -> conman::core::NetworkManager {
+        let mut abstractions = nm.abstractions.clone();
+        for a in abstractions.values_mut().flatten() {
+            a.name = self.module(&a.name);
+            a.up_connectable = self.kinds(&a.up_connectable);
+            a.down_connectable = self.kinds(&a.down_connectable);
+            a.peerable = self.kinds(&a.peerable);
+        }
+        conman::core::NetworkManager {
+            host: nm.host,
+            device_names: nm.device_names.clone(),
+            adjacency: nm.adjacency.clone(),
+            abstractions,
+        }
+    }
+}
+
+proptest! {
+    /// The NM knows no protocol: rename every module kind by a random
+    /// bijection in everything the NM learnt (abstractions and goals), and
+    /// it finds the renamed paths in the same order, chooses the renamed
+    /// path and generates the renamed scripts, primitive by primitive.
+    #[test]
+    fn planning_is_blind_to_module_names(perm in 0usize..120, salt in any::<u16>()) {
+        let renaming = Renaming::new(perm, salt);
+        for t in learnt_testbeds() {
+            let paths = t.nm.find_paths_with(&t.goal, t.limits);
+            let chosen = t.nm.choose_path(&paths).expect("every testbed has a path");
+            let scripts = t.nm.generate_scripts(chosen, &t.goal);
+
+            let nm = renaming.nm(&t.nm);
+            let mut goal = t.goal.clone();
+            goal.from = renaming.module(&goal.from);
+            goal.to = renaming.module(&goal.to);
+            let renamed = nm.find_paths_with(&goal, t.limits);
+            let expected: Vec<_> = paths.iter().map(|p| renaming.path(p)).collect();
+            prop_assert_eq!(renamed.len(), expected.len(), "paths under {:?}", renaming.0);
+            prop_assert_eq!(&renamed, &expected, "paths under {:?}", renaming.0);
+            let renamed_choice = nm.choose_path(&renamed).expect("the renamed paths");
+            prop_assert_eq!(renamed_choice, &renaming.path(chosen));
+            let renamed_scripts = nm.generate_scripts(renamed_choice, &goal);
+            prop_assert_eq!(renamed_scripts.scripts.len(), scripts.scripts.len());
+            for (got, want) in renamed_scripts.scripts.iter().zip(&scripts.scripts) {
+                prop_assert_eq!(got.device, want.device);
+                let want: Vec<_> = want.primitives.iter().map(|p| renaming.primitive(p)).collect();
+                prop_assert_eq!(&got.primitives, &want);
+            }
+        }
+    }
+}
+
 /// Decode `bytes` every way the runtime does: the generic decoder, and the
 /// agent's in-place walk of a `StageBatch`'s segments and primitives.
 /// Returning at all is the property — no panic, no allocator abort.
