@@ -355,7 +355,7 @@ pub fn check_journal(events: &[TraceEvent]) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conman_obs::Journal;
+    use conman_obs::{Blame, GoalStatus, Journal, ReconcileAction};
 
     fn hop(goal: u64) -> TraceKind {
         TraceKind::FrontierHop {
@@ -370,8 +370,8 @@ mod tests {
     fn suspect(goal: u64) -> TraceKind {
         TraceKind::Suspect {
             goal,
-            target: "device 2".into(),
-            confidence: "60%".into(),
+            target: Blame::Device { device: 2 },
+            confidence_pct: 60,
         }
     }
 
@@ -381,7 +381,6 @@ mod tests {
             blamed_device: Some(2),
             blamed_link: None,
             exclusions: 1,
-            summary: "device 2".into(),
         }
     }
 
@@ -829,8 +828,8 @@ mod tests {
             6,
             TraceKind::GoalOutcome {
                 goal: 1,
-                action: "Applied".into(),
-                status: "Active".into(),
+                action: ReconcileAction::Applied,
+                status: GoalStatus::Active,
             },
         );
         assert_eq!(check_journal(j.events()), vec![]);

@@ -10,6 +10,7 @@ use conman_core::nm::{GoalStatus, PathFinderLimits};
 use conman_core::runtime::{ControlLoop, GoalEndpoints, LoopConfig, LoopDiagnosis};
 use conman_diagnose::AutonomicClient;
 use conman_modules::managed_chain;
+use conman_obs::Blame;
 use netsim::clock::SimDuration;
 use netsim::fault::{apply_fault, FaultKind, Misconfiguration};
 
@@ -75,6 +76,15 @@ impl ClosedLoopReport {
 
     /// One-line rendering for the experiments binary.
     pub fn render(&self) -> String {
+        let suspect = match self.diagnosis.prime {
+            Some((Blame::Module { device, module }, pct)) => {
+                format!("module m{module} on dev {device} ({pct}%)")
+            }
+            Some((Blame::Link { a, b }, pct)) => format!("link dev {a} - dev {b} ({pct}%)"),
+            Some((Blame::Device { device }, pct)) => format!("dev {device} ({pct}%)"),
+            Some((Blame::Unlocated, pct)) => format!("unlocated ({pct}%)"),
+            None => "none".to_string(),
+        };
         format!(
             "n={:<3} {:<26} primary={:<16} detect={}  repair={} ({} pass(es))  healed={} via {:<18} suspect={}",
             self.n,
@@ -85,7 +95,7 @@ impl ClosedLoopReport {
             self.repair_passes,
             self.healed(),
             self.replacement_label.as_deref().unwrap_or("-"),
-            self.diagnosis.summary,
+            suspect,
         )
     }
 }

@@ -4,7 +4,9 @@
 use crate::ids::{ModuleKind, ModuleRef};
 use netsim::device::PortId;
 use netsim::link::LinkId;
+use netsim::stats::DropReason;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// The switching configurations a module can support between its up, down
 /// and physical pipes (§II-C.2).
@@ -162,86 +164,32 @@ pub struct SecurityCapability {
     pub external_state: Option<Dependency>,
 }
 
-/// Packet counters for one pipe of a module, the "number of received and
-/// transmitted packets on each up and down pipe" reporting of Table III.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipeCounters {
-    /// Packets the module received on this pipe.
-    pub rx_packets: u64,
-    /// Packets the module transmitted on this pipe.
-    pub tx_packets: u64,
-    /// Packets the module dropped at this pipe.
-    pub drops: u64,
-}
-
-impl PipeCounters {
-    /// Element-wise saturating difference (`self - earlier`): the counter
-    /// delta between two telemetry rounds.
-    pub fn delta_since(&self, earlier: &PipeCounters) -> PipeCounters {
-        PipeCounters {
-            rx_packets: self.rx_packets.saturating_sub(earlier.rx_packets),
-            tx_packets: self.tx_packets.saturating_sub(earlier.tx_packets),
-            drops: self.drops.saturating_sub(earlier.drops),
-        }
-    }
-
-    /// Merge another counter set into this one.
-    pub fn absorb(&mut self, other: &PipeCounters) {
-        self.rx_packets += other.rx_packets;
-        self.tx_packets += other.tx_packets;
-        self.drops += other.drops;
-    }
-}
-
-/// A snapshot of one module's protocol-independent counters, returned by
-/// the telemetry `pollCounters` exchange.  Pipes are keyed by stable,
-/// human-readable labels (`"phy:port0"`, `"up:P1"`, ...); the NM treats
-/// the labels as opaque and only compares snapshots of the same module
-/// between rounds.
+/// One module's answer to the telemetry `pollCounters` exchange: the
+/// device's drop counts for the reasons in the module's fault domain
+/// ([`ProtocolModule::fault_domain`](crate::module::ProtocolModule::fault_domain)).
+/// It is all diagnosis reads of a module: the frontier walk runs on per-goal
+/// flow deltas, and a module's drop-reason delta only refines a device the
+/// walk already blamed down to the module.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
     /// The reporting module.
     pub module: ModuleRef,
-    /// Per-pipe counters.
-    pub pipes: std::collections::BTreeMap<String, PipeCounters>,
-    /// Aggregate over all pipes plus module-level processing.
-    pub totals: PipeCounters,
-    /// Drop counts by reason name (`"NoRoute"`, `"TunnelMismatch"`, ...),
-    /// restricted to the reasons this module is responsible for.
-    pub drop_breakdown: std::collections::BTreeMap<String, u64>,
+    /// Drop counts by reason; a reason the device never recorded is absent.
+    pub drop_breakdown: BTreeMap<DropReason, u64>,
 }
 
 impl CounterSnapshot {
-    /// An empty snapshot for `module`.
-    pub fn empty(module: ModuleRef) -> Self {
-        CounterSnapshot {
-            module,
-            pipes: Default::default(),
-            totals: Default::default(),
-            drop_breakdown: Default::default(),
-        }
-    }
-
-    /// The counter delta `self - earlier`, pipe by pipe.
+    /// The counter delta `self - earlier`, reason by reason.
     pub fn delta_since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        let mut out = CounterSnapshot::empty(self.module.clone());
-        for (label, counters) in &self.pipes {
-            let before = earlier.pipes.get(label).copied().unwrap_or_default();
-            out.pipes
-                .insert(label.clone(), counters.delta_since(&before));
+        let before = |reason: &DropReason| earlier.drop_breakdown.get(reason).copied().unwrap_or(0);
+        CounterSnapshot {
+            module: self.module.clone(),
+            drop_breakdown: self
+                .drop_breakdown
+                .iter()
+                .map(|(reason, count)| (*reason, count.saturating_sub(before(reason))))
+                .collect(),
         }
-        out.totals = self.totals.delta_since(&earlier.totals);
-        for (reason, count) in &self.drop_breakdown {
-            let before = earlier.drop_breakdown.get(reason).copied().unwrap_or(0);
-            out.drop_breakdown
-                .insert(reason.clone(), count.saturating_sub(before));
-        }
-        out
-    }
-
-    /// Total drops recorded in the breakdown.
-    pub fn dropped(&self) -> u64 {
-        self.totals.drops + self.drop_breakdown.values().sum::<u64>()
     }
 }
 

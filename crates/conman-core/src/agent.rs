@@ -13,6 +13,7 @@
 //! (by the contract on [`ProtocolModule::poll`]) a module walks state that
 //! the event did not touch.
 
+use crate::abstraction::CounterSnapshot;
 use crate::ids::{ModuleId, ModuleRef};
 use crate::module::{Blackboard, ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use crate::primitives::{
@@ -145,11 +146,19 @@ impl ManagementAgent {
                 self.deliver_envelopes(device, std::slice::from_ref(env), &mut out);
             }
             WireMessage::PollCounters { request, tags } => {
-                let mut snapshots = Vec::with_capacity(self.modules.len());
-                for m in self.modules.values() {
-                    let ctx = Self::ctx(&mut self.blackboard, device);
-                    snapshots.push(m.counters(&ctx));
-                }
+                let drops = &device.stats.drops;
+                let snapshots = self
+                    .modules
+                    .values()
+                    .map(|m| CounterSnapshot {
+                        module: m.reference(),
+                        drop_breakdown: m
+                            .fault_domain()
+                            .iter()
+                            .filter_map(|reason| Some((*reason, *drops.get(reason)?)))
+                            .collect(),
+                    })
+                    .collect();
                 let flows = tags.iter().map(|t| (*t, device.stats.flow(*t))).collect();
                 out.push(WireMessage::CounterReport {
                     request: *request,
@@ -331,7 +340,6 @@ impl ManagementAgent {
     fn ctx<'a>(blackboard: &'a mut Blackboard, device: &'a mut Device) -> ModuleCtx<'a> {
         ModuleCtx {
             config: &mut device.config,
-            stats: &device.stats,
             blackboard,
         }
     }

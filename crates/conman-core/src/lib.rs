@@ -36,7 +36,7 @@ pub mod runtime;
 mod views;
 pub mod wire;
 
-pub use abstraction::{CounterSnapshot, ModuleAbstraction, PipeCounters, SwitchKind};
+pub use abstraction::{CounterSnapshot, ModuleAbstraction, SwitchKind};
 pub use agent::ManagementAgent;
 pub use ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
 pub use module::{Blackboard, ModuleCtx, ModuleError, ModuleReaction, PipeFacts, ProtocolModule};

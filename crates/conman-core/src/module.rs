@@ -14,14 +14,14 @@
 //! contract of `poll` (work pending in the module, not state held by it) is
 //! what keeps a change on a busy device as cheap as the change.
 
-use crate::abstraction::{CounterSnapshot, ModuleAbstraction};
+use crate::abstraction::ModuleAbstraction;
 use crate::ids::{ModuleRef, PipeId};
 use crate::primitives::{
     ComponentRef, FilterSpec, ModuleActual, ModuleEnvelope, Notification, PipeSpec, SwitchSpec,
 };
 use netsim::config::DeviceConfig;
 use netsim::route::RouteTarget;
-use netsim::stats::DeviceStats;
+use netsim::stats::DropReason;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -186,17 +186,13 @@ impl Blackboard {
 }
 
 /// The context a module operates in: the device configuration it is allowed
-/// to write (this is "the protocol implementation" side of the wrapper), the
-/// device's counters, and the per-device blackboard that modules on the same
-/// device use to share resolved values (intra-device module interaction is an
-/// implementation detail the architecture does not constrain).
+/// to write (this is "the protocol implementation" side of the wrapper) and
+/// the per-device blackboard that modules on the same device use to share
+/// resolved values (intra-device module interaction is an implementation
+/// detail the architecture does not constrain).
 pub struct ModuleCtx<'a> {
     /// The device's data-plane configuration.
     pub config: &'a mut DeviceConfig,
-    /// The device's packet counters (read-only), the substrate for the
-    /// per-module performance reporting of Table III and the telemetry
-    /// snapshots of the diagnosis layer.
-    pub stats: &'a DeviceStats,
     /// The facts the device's modules share, by pipe.
     pub blackboard: &'a mut Blackboard,
 }
@@ -223,13 +219,14 @@ pub trait ProtocolModule: Send {
         ModuleActual::default()
     }
 
-    /// The module's current counter snapshot (the `pollCounters` answer).
-    ///
-    /// The default reports nothing, which is a valid (if unhelpful) answer
-    /// for modules with no performance reporting; concrete modules translate
-    /// the device stats into per-pipe counters here.
-    fn counters(&self, _ctx: &ModuleCtx) -> CounterSnapshot {
-        CounterSnapshot::empty(self.reference())
+    /// The module's fault domain: the drop reasons the device records that
+    /// this module is responsible for.  The agent answers `pollCounters`
+    /// with the device's counts for these reasons as the module's
+    /// [`CounterSnapshot`](crate::abstraction::CounterSnapshot), and
+    /// diagnosis blames the module whose counts moved.  The default claims
+    /// nothing.
+    fn fault_domain(&self) -> &'static [DropReason] {
+        &[]
     }
 
     /// Create a pipe this module participates in (as upper or lower end).
@@ -321,15 +318,14 @@ mod tests {
         let r = ModuleRef::new(ModuleKind::Ip, ModuleId(1), DeviceId::from_raw(1));
         let mut m = Dummy(r.clone());
         let mut config = DeviceConfig::new();
-        let stats = DeviceStats::default();
         let mut blackboard = Blackboard::new();
         let mut ctx = ModuleCtx {
             config: &mut config,
-            stats: &stats,
             blackboard: &mut blackboard,
         };
         assert!(m.poll(&mut ctx).is_empty());
         assert_eq!(m.actual(&ctx), ModuleActual::default());
+        assert!(m.fault_domain().is_empty());
         let filter = FilterSpec {
             module: r.clone(),
             from: r.clone(),

@@ -71,48 +71,9 @@ impl Exclusion {
     }
 }
 
-/// Where a goal is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GoalStatus {
-    /// Declared (or updated) but not yet applied to the network; the next
-    /// `reconcile()` will plan and execute it.
-    Pending,
-    /// The applied configuration matches the desired goal as far as the NM
-    /// knows.
-    Active,
-    /// The goal is configured but probes or diagnosis say it is not carrying
-    /// traffic; `reconcile()` will re-plan it (avoiding any recorded
-    /// suspects).
-    Degraded,
-    /// A repair attempt is in flight.
-    Repairing,
-    /// Planning or execution gave up (e.g. no path avoids the suspects);
-    /// the goal is left alone until it is updated or its failure cleared.
-    Failed,
-}
-
-impl GoalStatus {
-    /// Does this status ask `reconcile()` to (re)apply the goal?
-    pub fn needs_work(self) -> bool {
-        matches!(
-            self,
-            GoalStatus::Pending | GoalStatus::Degraded | GoalStatus::Repairing
-        )
-    }
-}
-
-impl fmt::Display for GoalStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            GoalStatus::Pending => "pending",
-            GoalStatus::Active => "active",
-            GoalStatus::Degraded => "degraded",
-            GoalStatus::Repairing => "repairing",
-            GoalStatus::Failed => "failed",
-        };
-        f.write_str(s)
-    }
-}
+/// Where a goal is in its lifecycle; defined beside the journal that
+/// records it.
+pub use conman_obs::GoalStatus;
 
 /// The configuration a goal currently has on the network: the executed
 /// path, the scripts that realised it (the teardown mirror is derived from

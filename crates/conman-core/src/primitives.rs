@@ -469,9 +469,10 @@ mod tests {
             tags: vec![1, 2],
         };
         assert_eq!(WireMessage::decode(&poll.encode()).unwrap(), poll);
-        let module = mref(ModuleKind::Ip, 1, 1);
-        let mut snapshot = CounterSnapshot::empty(module);
-        snapshot.totals.rx_packets = 5;
+        let snapshot = CounterSnapshot {
+            module: mref(ModuleKind::Ip, 1, 1),
+            drop_breakdown: [(netsim::stats::DropReason::NoRoute, 5)].into(),
+        };
         let report = WireMessage::CounterReport {
             request: 3,
             snapshots: vec![snapshot],

@@ -43,7 +43,7 @@ use super::event::{GoalEndpoints, NmEvent};
 use super::reconcile::ReconcileReport;
 use super::ManagedNetwork;
 use crate::nm::goal::{Exclusion, GoalFailure, GoalId, GoalRecord, GoalStatus};
-use conman_obs::TraceKind;
+use conman_obs::{Blame, TraceKind};
 use mgmt_channel::ManagementChannel;
 use netsim::clock::{SimDuration, SimTime, StepClock};
 use netsim::device::DeviceId;
@@ -87,8 +87,9 @@ pub struct LoopDiagnosis {
     /// The physical link a suspect pins the fault to, if any (normalised
     /// with the smaller device id first).
     pub blamed_link: Option<(DeviceId, DeviceId)>,
-    /// One-line human-readable verdict.
-    pub summary: String,
+    /// The prime suspect as the journal spells it, with its confidence
+    /// (0–100); `None` when the goal's probes all arrived.
+    pub prime: Option<(Blame, u8)>,
 }
 
 /// The loop's pluggable diagnosis stage.  `conman-diagnose` implements

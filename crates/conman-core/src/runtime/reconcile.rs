@@ -47,23 +47,9 @@ use mgmt_channel::ManagementChannel;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// What `reconcile()` did for one goal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReconcileAction {
-    /// The goal was already converged; nothing was sent.
-    Unchanged,
-    /// The goal was planned and its transaction committed.
-    Applied,
-    /// Stale configuration was torn down before re-applying.
-    Reapplied,
-    /// Planning found no path (goal is now `Failed`).
-    PlanFailed,
-    /// The transaction failed and was rolled back (goal stays `Pending`).
-    ExecuteFailed,
-    /// The transaction committed but the verification probe failed (goal is
-    /// now `Degraded`).
-    ProbeFailed,
-}
+/// What `reconcile()` did for one goal; defined beside the journal that
+/// records it.
+pub use conman_obs::ReconcileAction;
 
 /// Per-goal reconcile result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -665,8 +651,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     self.net.now().as_nanos(),
                     TraceKind::GoalOutcome {
                         goal: o.goal.0,
-                        action: format!("{:?}", o.action),
-                        status: format!("{:?}", o.status),
+                        action: o.action,
+                        status: o.status,
                     },
                 );
             }

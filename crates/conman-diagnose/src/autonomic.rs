@@ -98,7 +98,6 @@ impl<C: ManagementChannel> LoopClient<C> for AutonomicClient {
                         blamed_device: diagnosis.blamed.map(|d| d.as_u64()),
                         blamed_link: diagnosis.blamed_link.map(|(a, b)| (a.as_u64(), b.as_u64())),
                         exclusions: diagnosis.excluded.len() as u64,
-                        summary: diagnosis.summary.clone(),
                     },
                 );
                 mn.recorder.exit();
@@ -121,18 +120,16 @@ fn verdict<C: ManagementChannel>(mn: &ManagedNetwork<C>, report: &FaultReport) -
         SuspectTarget::Unlocated => None,
     });
     let blamed_link = report.suspects.iter().find_map(|s| match &s.target {
-        SuspectTarget::Link { a, b, .. } => Some(if a <= b { (*a, *b) } else { (*b, *a) }),
+        SuspectTarget::Link { a, b } => Some(if a <= b { (*a, *b) } else { (*b, *a) }),
         _ => None,
     });
-    let summary = report
-        .prime_suspect()
-        .map(|s| format!("{:?} ({}%)", s.target, s.confidence_pct))
-        .unwrap_or_else(|| "healthy".to_string());
     LoopDiagnosis {
         excluded,
         unresponsive: report.unresponsive.clone(),
         blamed,
         blamed_link,
-        summary,
+        prime: report
+            .prime_suspect()
+            .map(|s| (s.target.blame(), s.confidence_pct)),
     }
 }

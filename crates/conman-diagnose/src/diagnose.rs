@@ -23,7 +23,7 @@ use conman_core::runtime::{DeviceTelemetry, ManagedNetwork};
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use netsim::device::DeviceId;
-use netsim::stats::FlowCounters;
+use netsim::stats::{DropReason, FlowCounters};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Localises faults on a configured path by comparing per-goal flow deltas
@@ -210,10 +210,7 @@ impl Diagnoser {
             suspects.push(Suspect {
                 target: SuspectTarget::Device(*d),
                 confidence_pct: 95,
-                evidence: vec![format!(
-                    "device {} did not answer the telemetry poll",
-                    mn.nm.device_alias(*d)
-                )],
+                evidence: Vec::new(),
             });
         }
 
@@ -267,16 +264,9 @@ impl Diagnoser {
                             target: SuspectTarget::Link {
                                 a: *device,
                                 b: next,
-                                link: mn.net.link_between(*device, next),
                             },
                             confidence_pct: if rx == 0 { 90 } else { 70 },
-                            evidence: vec![format!(
-                                "{} forwarded {} of the goal's frame(s) towards {} but only {} arrived there",
-                                mn.nm.device_alias(*device),
-                                tx,
-                                mn.nm.device_alias(next),
-                                rx,
-                            )],
+                            evidence: Vec::new(),
                         });
                     }
                 }
@@ -289,43 +279,29 @@ impl Diagnoser {
             }
             if let (Some(rx), Some(tx)) = (arrived(*device), moved_on(*device)) {
                 if rx >= need && tx < need {
-                    if let Some((module, reasons)) = biggest_dropper(path, *device, modules) {
-                        suspects.push(Suspect {
+                    suspects.push(match biggest_dropper(path, *device, modules) {
+                        Some((module, evidence)) => Suspect {
                             target: SuspectTarget::Module(module.clone()),
                             confidence_pct: 85,
-                            evidence: vec![format!(
-                                "the goal's traffic entered {} ({} frame(s) in, {} forwarded on) and {}'s drop counters moved: {}",
-                                mn.nm.device_alias(*device),
-                                rx,
-                                tx,
-                                module,
-                                reasons,
-                            )],
-                        });
-                    } else {
-                        suspects.push(Suspect {
+                            evidence,
+                        },
+                        None => Suspect {
                             target: SuspectTarget::Device(*device),
                             confidence_pct: 60,
-                            evidence: vec![format!(
-                                "the goal's traffic entered {} ({} frame(s)) but never left ({}), with no attributable drop counter",
-                                mn.nm.device_alias(*device),
-                                rx,
-                                tx,
-                            )],
-                        });
-                    }
+                            evidence: Vec::new(),
+                        },
+                    });
                 }
             }
         }
 
         if suspects.is_empty() {
+            // Every managed device forwarded the goal's probes: the loss is
+            // outside the managed path.
             suspects.push(Suspect {
                 target: SuspectTarget::Unlocated,
                 confidence_pct: 30,
-                evidence: vec![
-                    "every managed device forwarded the goal's probes; the loss is outside the managed path"
-                        .to_string(),
-                ],
+                evidence: Vec::new(),
             });
         }
         suspects.sort_by_key(|s| std::cmp::Reverse(s.confidence_pct));
@@ -334,8 +310,8 @@ impl Diagnoser {
                 mn.net.now().as_nanos(),
                 TraceKind::Suspect {
                     goal: tag,
-                    target: s.target.describe(),
-                    confidence: format!("{}%", s.confidence_pct),
+                    target: s.target.blame(),
+                    confidence_pct: s.confidence_pct,
                 },
             );
         }
@@ -389,15 +365,17 @@ fn module_deltas(
 }
 
 /// The module on `device` (anywhere on the path) whose drop counters grew
-/// the most, with a rendered reason list.  Healthy concurrent goals drop
-/// nothing, so the drop-reason deltas stay attributable to the diagnosed
-/// goal even though module counters are device totals.
+/// the most, with the reasons that moved and by how much.  Healthy
+/// concurrent goals drop nothing, so the drop-reason deltas stay
+/// attributable to the diagnosed goal even though module counters are
+/// device totals.
 fn biggest_dropper<'a>(
     path: &'a ModulePath,
     device: DeviceId,
     deltas: &BTreeMap<ModuleRef, CounterSnapshot>,
-) -> Option<(&'a ModuleRef, String)> {
-    let mut best: Option<(&ModuleRef, u64, String)> = None;
+) -> Option<(&'a ModuleRef, Vec<(DropReason, u64)>)> {
+    let total = |moved: &[(DropReason, u64)]| moved.iter().map(|(_, n)| n).sum::<u64>();
+    let mut best: Option<(&ModuleRef, Vec<(DropReason, u64)>)> = None;
     for step in &path.steps {
         if step.module.device != device {
             continue;
@@ -405,20 +383,15 @@ fn biggest_dropper<'a>(
         let Some(delta) = deltas.get(&step.module) else {
             continue;
         };
-        let dropped: u64 = delta.drop_breakdown.values().sum();
-        if dropped == 0 {
-            continue;
-        }
-        let reasons = delta
+        let moved: Vec<(DropReason, u64)> = delta
             .drop_breakdown
             .iter()
             .filter(|(_, n)| **n > 0)
-            .map(|(r, n)| format!("{r} +{n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        if best.as_ref().is_none_or(|(_, d, _)| dropped > *d) {
-            best = Some((&step.module, dropped, reasons));
+            .map(|(r, n)| (*r, *n))
+            .collect();
+        if total(&moved) > best.as_ref().map_or(0, |(_, b)| total(b)) {
+            best = Some((&step.module, moved));
         }
     }
-    best.map(|(m, _, r)| (m, r))
+    best
 }

@@ -41,7 +41,7 @@ impl Healer {
                         excluded.extend(mods.iter().map(|a| Exclusion::Module(a.name.clone())));
                     }
                 }
-                SuspectTarget::Link { a, b, .. } => {
+                SuspectTarget::Link { a, b } => {
                     excluded.insert(Exclusion::link(*a, *b));
                 }
                 SuspectTarget::Unlocated => {}

@@ -2,13 +2,18 @@
 //!
 //! CONMan's §III-C argues that the module abstraction is enough not only to
 //! *configure* a network but to *diagnose* it: the NM knows the exact module
-//! path it configured for a goal, every module reports generic per-pipe
-//! counters, and comparing counter deltas along the path localises where
-//! traffic is being lost without the NM understanding a single protocol
-//! field.  This crate turns that sketch into a subsystem:
+//! path it configured for a goal, and comparing counter deltas along that
+//! path localises where traffic is being lost without the NM understanding a
+//! single protocol field.  The walk reads two counters, both typed: each
+//! path device's per-goal flow deltas (what reached the device and what it
+//! moved on) find the device or link where the goal's traffic stops, and on
+//! a device that ate it, the drop-reason deltas of each module's fault
+//! domain (`CounterSnapshot::drop_breakdown`) name the module.  This crate
+//! turns that sketch into a subsystem:
 //!
 //! * [`report`] — the [`FaultReport`] produced by diagnosis: ranked
-//!   suspects (module, link or device) with evidence and confidence;
+//!   suspects (module, link or device) with confidence, a module suspect
+//!   with the drop reasons that moved;
 //! * [`diagnose`] — the [`Diagnoser`]: probe the goal end to end, pull
 //!   counter snapshots along the configured
 //!   [`ModulePath`](conman_core::ModulePath) over the management channel

@@ -1,8 +1,9 @@
 //! Diagnosis results: ranked suspects with evidence.
 
 use conman_core::ids::ModuleRef;
+use conman_obs::Blame;
 use netsim::device::DeviceId;
-use netsim::link::LinkId;
+use netsim::stats::DropReason;
 use serde::{Deserialize, Serialize};
 
 /// What the diagnoser believes is at fault.
@@ -16,9 +17,6 @@ pub enum SuspectTarget {
         a: DeviceId,
         /// Device on the far side.
         b: DeviceId,
-        /// The concrete simulator link, when the NM's topology map names
-        /// one.
-        link: Option<LinkId>,
     },
     /// A whole device (crashed or silently dropping everything).
     Device(DeviceId),
@@ -28,13 +26,19 @@ pub enum SuspectTarget {
 }
 
 impl SuspectTarget {
-    /// A compact human-readable rendering for trace events and logs.
-    pub fn describe(&self) -> String {
+    /// The target as the journal spells it: raw ids only.
+    pub fn blame(&self) -> Blame {
         match self {
-            SuspectTarget::Module(m) => format!("module {m}"),
-            SuspectTarget::Link { a, b, .. } => format!("link {a}-{b}"),
-            SuspectTarget::Device(d) => format!("device {d}"),
-            SuspectTarget::Unlocated => "unlocated".to_string(),
+            SuspectTarget::Module(m) => Blame::Module {
+                device: m.device.as_u64(),
+                module: m.module.0,
+            },
+            SuspectTarget::Link { a, b } => Blame::Link {
+                a: a.as_u64(),
+                b: b.as_u64(),
+            },
+            SuspectTarget::Device(d) => Blame::Device { device: d.as_u64() },
+            SuspectTarget::Unlocated => Blame::Unlocated,
         }
     }
 }
@@ -47,8 +51,10 @@ pub struct Suspect {
     /// Confidence, 0–100.  Purely ordinal: used to rank hypotheses, not as
     /// a calibrated probability.
     pub confidence_pct: u8,
-    /// Human-readable counter evidence backing the hypothesis.
-    pub evidence: Vec<String>,
+    /// A module suspect's drop reasons whose counts moved during the
+    /// measurement, with the counts they moved by.  Empty for the other
+    /// targets, whose counts are in the goal's `FrontierHop` events.
+    pub evidence: Vec<(DropReason, u64)>,
 }
 
 /// The outcome of one diagnosis pass over a configured path.
@@ -95,7 +101,7 @@ impl FaultReport {
     /// direction)?
     pub fn blames_link(&self, x: DeviceId, y: DeviceId) -> bool {
         self.suspects.iter().any(|s| {
-            matches!(&s.target, SuspectTarget::Link { a, b, .. }
+            matches!(&s.target, SuspectTarget::Link { a, b }
                 if (*a == x && *b == y) || (*a == y && *b == x))
         })
     }
@@ -126,14 +132,10 @@ mod tests {
                 Suspect {
                     target: SuspectTarget::Module(m.clone()),
                     confidence_pct: 85,
-                    evidence: vec!["TunnelMismatch +4".into()],
+                    evidence: vec![(DropReason::TunnelMismatch, 4)],
                 },
                 Suspect {
-                    target: SuspectTarget::Link {
-                        a: d1,
-                        b: d2,
-                        link: None,
-                    },
+                    target: SuspectTarget::Link { a: d1, b: d2 },
                     confidence_pct: 40,
                     evidence: vec![],
                 },
@@ -147,6 +149,11 @@ mod tests {
         );
         assert!(!report.blames_device(d1));
         assert_eq!(report.prime_suspect().unwrap().confidence_pct, 85);
+        assert_eq!(
+            report.suspects[1].target.blame(),
+            Blame::Link { a: 1, b: 2 },
+            "the journal spells a link by its path-order device ids"
+        );
         assert!(FaultReport::healthy(3).suspects.is_empty());
     }
 }

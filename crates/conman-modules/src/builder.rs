@@ -244,4 +244,52 @@ mod tests {
         let agent = build_l2_switch_agent(&d);
         assert_eq!(agent.module_count(), 1);
     }
+
+    /// A drop the engine records is attributable to a module: every
+    /// `DropReason` lies in some module's fault domain, so the frontier
+    /// walk can refine any dropping device down to a module.
+    #[test]
+    fn every_drop_reason_has_an_owning_module() {
+        use conman_core::module::ProtocolModule;
+        use netsim::stats::DropReason::{self, *};
+        let at = |kind| ModuleRef::new(kind, ModuleId(1), netsim::device::DeviceId::from_raw(1));
+        let modules: [Box<dyn ProtocolModule>; 5] = [
+            Box::new(EthModule::new(at(ModuleKind::Eth), PortId(0), vec![])),
+            Box::new(IpModule::new(
+                at(ModuleKind::Ip),
+                "isp",
+                Ipv4Addr::LOCALHOST,
+            )),
+            Box::new(GreModule::new(at(ModuleKind::Gre))),
+            Box::new(MplsModule::new(at(ModuleKind::Mpls))),
+            Box::new(VlanModule::new(at(ModuleKind::Vlan))),
+        ];
+        let claimed: Vec<DropReason> = modules
+            .iter()
+            .flat_map(|m| m.fault_domain().iter().copied())
+            .collect();
+        // No wildcard arm: a reason netsim adds does not compile here until
+        // it is listed, and then it needs an owner.
+        let listed = |reason: DropReason| match reason {
+            NoRoute | TtlExpired | Filtered | Malformed | TunnelMismatch | NoLabel | NotForUs
+            | PortDown | ForwardingDisabled | MtuExceeded => reason,
+        };
+        for reason in [
+            NoRoute,
+            TtlExpired,
+            Filtered,
+            Malformed,
+            TunnelMismatch,
+            NoLabel,
+            NotForUs,
+            PortDown,
+            ForwardingDisabled,
+            MtuExceeded,
+        ] {
+            assert!(
+                claimed.contains(&listed(reason)),
+                "{reason:?} is in no module's fault domain"
+            );
+        }
+    }
 }

@@ -6,9 +6,7 @@
 //! (via the blackboard) which port underlies that pipe — the equivalent of
 //! `dev eth2` showing up in the Linux commands of Figure 7(a).
 
-use conman_core::abstraction::{
-    CounterSnapshot, ModuleAbstraction, PhysicalPipeInfo, PipeCounters, SwitchKind,
-};
+use conman_core::abstraction::{ModuleAbstraction, PhysicalPipeInfo, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{ComponentRef, ModuleActual, PipeSpec, SwitchSpec};
@@ -125,30 +123,12 @@ impl ProtocolModule for EthModule {
         }
     }
 
-    fn counters(&self, ctx: &ModuleCtx) -> CounterSnapshot {
-        // "Frames received and transmitted per physical pipe": the device's
-        // per-port counters, one pipe label per bound port.
-        let mut snap = CounterSnapshot::empty(self.me.clone());
-        for p in &self.ports {
-            let c = ctx.stats.ports.get(&p.0).copied().unwrap_or_default();
-            let pipe = PipeCounters {
-                rx_packets: c.rx_packets,
-                tx_packets: c.tx_packets,
-                drops: c.drops,
-            };
-            snap.totals.absorb(&pipe);
-            snap.pipes.insert(format!("phy:{p}"), pipe);
-        }
-        for reason in [
+    fn fault_domain(&self) -> &'static [DropReason] {
+        &[
             DropReason::PortDown,
             DropReason::NotForUs,
             DropReason::Malformed,
-        ] {
-            if let Some(n) = ctx.stats.drops.get(&reason) {
-                snap.drop_breakdown.insert(format!("{reason:?}"), *n);
-            }
-        }
-        snap
+        ]
     }
 
     fn create_pipe(

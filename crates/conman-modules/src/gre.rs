@@ -19,8 +19,7 @@
 
 use crate::dialect::{self, Dialect};
 use conman_core::abstraction::{
-    CounterSnapshot, Dependency, ModuleAbstraction, PerfTradeoff, PerformanceMetric, PipeCounters,
-    SwitchKind,
+    Dependency, ModuleAbstraction, PerfTradeoff, PerformanceMetric, SwitchKind,
 };
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
@@ -256,47 +255,9 @@ impl ProtocolModule for GreModule {
         }
     }
 
-    fn counters(&self, ctx: &ModuleCtx) -> CounterSnapshot {
-        // Table III row x: packets received and transmitted per pipe.  Each
-        // slot's up pipe carries decapsulated customer packets (tunnel rx)
-        // and its down pipe the encapsulated ones (tunnel tx); totals sum
-        // over every tunnel the module carries.
-        let mut snap = CounterSnapshot::empty(self.me.clone());
-        for slot in self.slots.values() {
-            let Some(id) = slot.configured_tunnel else {
-                continue;
-            };
-            let c = ctx.config.tunnel_counters(id).unwrap_or_default();
-            if let Some(up) = slot.up_pipe {
-                snap.pipes.insert(
-                    format!("up:{up}"),
-                    PipeCounters {
-                        rx_packets: c.tx_packets, // handed down by the payload protocol
-                        tx_packets: c.rx_packets, // handed up after decapsulation
-                        drops: 0,
-                    },
-                );
-            }
-            if let Some(down) = slot.down_pipe {
-                snap.pipes.insert(
-                    format!("down:{down}"),
-                    PipeCounters {
-                        rx_packets: c.rx_packets,
-                        tx_packets: c.tx_packets,
-                        drops: c.drops,
-                    },
-                );
-            }
-            snap.totals.rx_packets += c.rx_packets;
-            snap.totals.tx_packets += c.tx_packets;
-            snap.totals.drops += c.drops;
-        }
-        // Key/sequencing/checksum mismatches are this module's fault domain.
-        if let Some(n) = ctx.stats.drops.get(&DropReason::TunnelMismatch) {
-            snap.drop_breakdown
-                .insert(format!("{:?}", DropReason::TunnelMismatch), *n);
-        }
-        snap
+    fn fault_domain(&self) -> &'static [DropReason] {
+        // Key, sequencing and checksum mismatches.
+        &[DropReason::TunnelMismatch]
     }
 
     fn delete(

@@ -10,7 +10,7 @@
 
 use crate::dialect::{self, Dialect};
 use conman_core::abstraction::{
-    CounterSnapshot, Dependency, FilterCapability, FilterClassifier, ModuleAbstraction, SwitchKind,
+    Dependency, FilterCapability, FilterClassifier, ModuleAbstraction, SwitchKind,
 };
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{FilterField, ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
@@ -580,25 +580,13 @@ impl ProtocolModule for IpModule {
         }
     }
 
-    fn counters(&self, ctx: &ModuleCtx) -> CounterSnapshot {
-        // Packets forwarded, delivered and dropped — the engine does not
-        // attribute IP processing to individual pipes, so the module reports
-        // totals plus the drop reasons in its fault domain.
-        let mut snap = CounterSnapshot::empty(self.me.clone());
-        snap.totals.rx_packets = ctx.stats.forwarded + ctx.stats.local_delivered;
-        snap.totals.tx_packets = ctx.stats.forwarded + ctx.stats.originated;
-        for reason in [
+    fn fault_domain(&self) -> &'static [DropReason] {
+        &[
             DropReason::NoRoute,
             DropReason::TtlExpired,
             DropReason::Filtered,
             DropReason::ForwardingDisabled,
-        ] {
-            if let Some(n) = ctx.stats.drops.get(&reason) {
-                snap.totals.drops += *n;
-                snap.drop_breakdown.insert(format!("{reason:?}"), *n);
-            }
-        }
-        snap
+        ]
     }
 
     fn delete(

@@ -7,7 +7,7 @@
 //! script created by hand (`mpls nhlfe add`, `mpls ilm add`, `mpls xc add`).
 
 use crate::dialect::{self, Dialect};
-use conman_core::abstraction::{CounterSnapshot, ModuleAbstraction, SwitchKind};
+use conman_core::abstraction::{ModuleAbstraction, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{
@@ -309,19 +309,9 @@ impl ProtocolModule for MplsModule {
         }
     }
 
-    fn counters(&self, ctx: &ModuleCtx) -> CounterSnapshot {
-        // Labelled packets forwarded per cross-connect: the engine counts
-        // label forwarding in the device-wide `forwarded` tally; unmatched
-        // labels are this module's fault domain.
-        let mut snap = CounterSnapshot::empty(self.me.clone());
-        snap.totals.rx_packets = ctx.stats.forwarded;
-        snap.totals.tx_packets = ctx.stats.forwarded;
-        if let Some(n) = ctx.stats.drops.get(&DropReason::NoLabel) {
-            snap.totals.drops += *n;
-            snap.drop_breakdown
-                .insert(format!("{:?}", DropReason::NoLabel), *n);
-        }
-        snap
+    fn fault_domain(&self) -> &'static [DropReason] {
+        // Labels no cross-connect matches.
+        &[DropReason::NoLabel]
     }
 
     fn delete(

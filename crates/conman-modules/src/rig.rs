@@ -8,12 +8,10 @@ use conman_core::module::{Blackboard, ModuleCtx, ProtocolModule};
 use conman_core::primitives::{ModuleActual, ModuleEnvelope, PipeSpec, SwitchSpec};
 use netsim::config::DeviceConfig;
 use netsim::device::DeviceId;
-use netsim::stats::DeviceStats;
 
 /// The device a module under test lives on.
 pub(crate) struct Rig {
     pub config: DeviceConfig,
-    pub stats: DeviceStats,
     pub blackboard: Blackboard,
 }
 
@@ -21,7 +19,6 @@ impl Rig {
     pub(crate) fn new() -> Self {
         Rig {
             config: DeviceConfig::new(),
-            stats: DeviceStats::default(),
             blackboard: Blackboard::new(),
         }
     }
@@ -29,7 +26,6 @@ impl Rig {
     pub(crate) fn ctx(&mut self) -> ModuleCtx<'_> {
         ModuleCtx {
             config: &mut self.config,
-            stats: &self.stats,
             blackboard: &mut self.blackboard,
         }
     }

@@ -7,7 +7,7 @@
 //! switch — the CONMan equivalent of the CatOS script in Figure 9(a).
 
 use crate::dialect::{self, Dialect};
-use conman_core::abstraction::{CounterSnapshot, ModuleAbstraction, PipeCounters, SwitchKind};
+use conman_core::abstraction::{ModuleAbstraction, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{
@@ -16,6 +16,7 @@ use conman_core::primitives::{
 };
 use mgmt_channel::codec::{Reader, Writer};
 use netsim::config::{BridgeConfig, SwitchPortMode};
+use netsim::stats::DropReason;
 use netsim::vlan::VlanId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -243,32 +244,9 @@ impl ProtocolModule for VlanModule {
         }
     }
 
-    fn counters(&self, ctx: &ModuleCtx) -> CounterSnapshot {
-        // Frames in and out of the ports this module's pipes are bound to,
-        // plus the drop reasons of its fault domain (tag filtering, Q-in-Q
-        // MTU violations).
-        let mut snap = CounterSnapshot::empty(self.me.clone());
-        for pipe in self.pipes.keys() {
-            if let Some(port) = ctx.blackboard.pipe(*pipe).port {
-                let c = ctx.stats.ports.get(&port).copied().unwrap_or_default();
-                let counters = PipeCounters {
-                    rx_packets: c.rx_packets,
-                    tx_packets: c.tx_packets,
-                    drops: c.drops,
-                };
-                snap.totals.absorb(&counters);
-                snap.pipes.insert(format!("port{port}:{pipe}"), counters);
-            }
-        }
-        for reason in [
-            netsim::stats::DropReason::Filtered,
-            netsim::stats::DropReason::MtuExceeded,
-        ] {
-            if let Some(n) = ctx.stats.drops.get(&reason) {
-                snap.drop_breakdown.insert(format!("{reason:?}"), *n);
-            }
-        }
-        snap
+    fn fault_domain(&self) -> &'static [DropReason] {
+        // Tag filtering and Q-in-Q MTU violations.
+        &[DropReason::Filtered, DropReason::MtuExceeded]
     }
 
     fn create_pipe(

@@ -14,6 +14,7 @@
 //! [`crate::postmortem`]) without re-running the simulation.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One journal entry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,14 +94,15 @@ pub enum TraceKind {
         /// Packets the device dropped during the window.
         dropped: u64,
     },
-    /// One suspect the frontier walk produced.
+    /// One suspect the frontier walk produced.  The goal's first `Suspect`
+    /// is its prime suspect.
     Suspect {
         /// The diagnosed goal.
         goal: u64,
-        /// Human-readable suspect target (device / link / module / ...).
-        target: String,
-        /// Suspicion strength, as reported by the diagnoser.
-        confidence: String,
+        /// What the suspect blames.
+        target: Blame,
+        /// Suspicion strength, 0–100 (ordinal, not a probability).
+        confidence_pct: u8,
     },
     /// Diagnosis of one goal concluded.
     Diagnosed {
@@ -112,8 +114,6 @@ pub enum TraceKind {
         blamed_link: Option<(u64, u64)>,
         /// Exclusions handed to the re-planner.
         exclusions: u64,
-        /// One-line verdict.
-        summary: String,
     },
     /// A batched repair pass began (span: plan/stage/commit/verify events
     /// nest under it).
@@ -171,10 +171,10 @@ pub enum TraceKind {
     GoalOutcome {
         /// The goal.
         goal: u64,
-        /// Reconcile action name (`Applied`, `Unchanged`, `PlanFailed`...).
-        action: String,
+        /// What the pass did for the goal.
+        action: ReconcileAction,
         /// Goal lifecycle status after the pass.
-        status: String,
+        status: GoalStatus,
     },
     /// A batched repair pass finished (recorded inside the pass's span).
     RepairEnd {
@@ -188,6 +188,95 @@ pub enum TraceKind {
         /// The annotation.
         text: String,
     },
+}
+
+/// What a diagnosis suspect blames, spelled in the journal's raw ids: the
+/// device ids are the ones `FrontierHop`, `Diagnosed` and `StageDevice`
+/// carry, so a suspect joins its goal's hops from the dump alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Blame {
+    /// One module of one device.
+    Module {
+        /// The module's device.
+        device: u64,
+        /// The module's id on that device (`ModuleId.0`).
+        module: u32,
+    },
+    /// The physical pipe between two adjacent devices, in path order.
+    Link {
+        /// Device on the near side.
+        a: u64,
+        /// Device on the far side.
+        b: u64,
+    },
+    /// A whole device.
+    Device {
+        /// The device.
+        device: u64,
+    },
+    /// The loss is outside the managed path.
+    Unlocated,
+}
+
+/// Where a goal is in its lifecycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum GoalStatus {
+    /// Declared (or updated) but not yet applied to the network; the next
+    /// `reconcile()` will plan and execute it.
+    Pending,
+    /// The applied configuration matches the desired goal as far as the NM
+    /// knows.
+    Active,
+    /// The goal is configured but probes or diagnosis say it is not carrying
+    /// traffic; `reconcile()` will re-plan it (avoiding any recorded
+    /// suspects).
+    Degraded,
+    /// A repair attempt is in flight.
+    Repairing,
+    /// Planning or execution gave up (e.g. no path avoids the suspects);
+    /// the goal is left alone until it is updated or its failure cleared.
+    Failed,
+}
+
+impl GoalStatus {
+    /// Does this status ask `reconcile()` to (re)apply the goal?
+    pub fn needs_work(self) -> bool {
+        matches!(
+            self,
+            GoalStatus::Pending | GoalStatus::Degraded | GoalStatus::Repairing
+        )
+    }
+}
+
+impl fmt::Display for GoalStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            GoalStatus::Pending => "pending",
+            GoalStatus::Active => "active",
+            GoalStatus::Degraded => "degraded",
+            GoalStatus::Repairing => "repairing",
+            GoalStatus::Failed => "failed",
+        };
+        f.write_str(s)
+    }
+}
+
+/// What `reconcile()` did for one goal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ReconcileAction {
+    /// The goal was already converged; nothing was sent.
+    Unchanged,
+    /// The goal was planned and its transaction committed.
+    Applied,
+    /// Stale configuration was torn down before re-applying.
+    Reapplied,
+    /// Planning found no path (goal is now `Failed`).
+    PlanFailed,
+    /// The transaction failed and was rolled back (goal stays `Pending`).
+    ExecuteFailed,
+    /// The transaction committed but the verification probe failed (goal is
+    /// now `Degraded`).
+    ProbeFailed,
 }
 
 /// The event log plus the currently open span stack.
@@ -323,7 +412,25 @@ mod tests {
                 blamed_device: Some(4),
                 blamed_link: Some((4, 5)),
                 exclusions: 2,
-                summary: "link (4,5) dropped the flow".into(),
+            },
+        );
+        j.record(
+            6,
+            TraceKind::Suspect {
+                goal: 1,
+                target: Blame::Module {
+                    device: u64::MAX,
+                    module: 3,
+                },
+                confidence_pct: 85,
+            },
+        );
+        j.record(
+            7,
+            TraceKind::GoalOutcome {
+                goal: 1,
+                action: ReconcileAction::Reapplied,
+                status: GoalStatus::Active,
             },
         );
         j.exit();

@@ -29,7 +29,7 @@ pub mod metrics;
 pub mod postmortem;
 pub mod recorder;
 
-pub use journal::{Journal, TraceEvent, TraceKind};
+pub use journal::{Blame, GoalStatus, Journal, ReconcileAction, TraceEvent, TraceKind};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use postmortem::{DumpError, Postmortem, RepairPass};
 pub use recorder::{MessageDirection, ObsSnapshot, Recorder};

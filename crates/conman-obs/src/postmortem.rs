@@ -7,7 +7,7 @@
 //! This is the acceptance check for the journal's purpose: a failed
 //! scenario must be explainable from its dump.
 
-use crate::journal::{TraceEvent, TraceKind};
+use crate::journal::{GoalStatus, ReconcileAction, TraceEvent, TraceKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -52,7 +52,7 @@ pub struct RepairPass {
     /// Devices whose staged state the pass aborted.
     pub aborted: BTreeSet<u64>,
     /// Per-goal `(goal, action, status)` outcomes of the pass, in order.
-    pub outcomes: Vec<(u64, String, String)>,
+    pub outcomes: Vec<(u64, ReconcileAction, GoalStatus)>,
 }
 
 impl RepairPass {
@@ -60,7 +60,7 @@ impl RepairPass {
     pub fn touched(&self) -> bool {
         self.outcomes
             .iter()
-            .any(|(_, action, _)| action != "Unchanged")
+            .any(|(_, action, _)| *action != ReconcileAction::Unchanged)
     }
 }
 
@@ -181,7 +181,7 @@ impl Postmortem {
                     status,
                 } => {
                     if let Some(p) = pass.as_mut() {
-                        p.outcomes.push((*goal, action.clone(), status.clone()));
+                        p.outcomes.push((*goal, *action, *status));
                     }
                 }
                 TraceKind::Verify { goal, ok } if *ok => {
@@ -232,7 +232,6 @@ mod tests {
                 blamed_device: None,
                 blamed_link: Some((10, 11)),
                 exclusions: 1,
-                summary: "link (10,11)".into(),
             },
         );
         j.enter(2, TraceKind::RepairStart { epoch: 1, goals: 1 });
@@ -262,8 +261,8 @@ mod tests {
             2,
             TraceKind::GoalOutcome {
                 goal: 5,
-                action: "Applied".into(),
-                status: "Active".into(),
+                action: ReconcileAction::Applied,
+                status: GoalStatus::Active,
             },
         );
         j.record(
@@ -285,6 +284,10 @@ mod tests {
         assert_eq!(pm.effective_passes(), 1);
         assert_eq!(pm.staged_devices, BTreeSet::from([10, 12, 13]));
         assert_eq!(pm.repair_passes[0].committed, BTreeSet::from([10, 12, 13]));
+        assert_eq!(
+            pm.repair_passes[0].outcomes,
+            [(5, ReconcileAction::Applied, GoalStatus::Active)]
+        );
         assert_eq!(pm.verified_goals, BTreeSet::from([5]));
     }
 
@@ -293,6 +296,14 @@ mod tests {
         let mut j = Journal::default();
         j.enter(1, TraceKind::TickStart { tick: 1, epoch: 0 });
         j.record(2, TraceKind::Submit { goal: 3 });
+        j.record(
+            2,
+            TraceKind::GoalOutcome {
+                goal: 3,
+                action: ReconcileAction::Applied,
+                status: GoalStatus::Active,
+            },
+        );
         j.record(
             2,
             TraceKind::TickEnd {
@@ -321,6 +332,16 @@ mod tests {
         assert_ne!(corrupted, valid_dump(), "the corruption must have landed");
         let err = Postmortem::from_json(&corrupted).expect_err("malformed fields must not parse");
         assert_eq!(err.event, Some(1));
+    }
+
+    #[test]
+    fn an_outcome_naming_an_unknown_action_or_status_rejects_the_dump() {
+        for (field, name) in [("Applied", "Healed"), ("Active", "Fine")] {
+            let corrupted = valid_dump().replace(&format!("\"{field}\""), &format!("\"{name}\""));
+            assert_ne!(corrupted, valid_dump(), "the corruption must have landed");
+            let err = Postmortem::from_json(&corrupted).expect_err("only the closed enums parse");
+            assert_eq!(err.event, Some(2), "the outcome is at position 2");
+        }
     }
 
     #[test]

@@ -292,7 +292,7 @@ mod tests {
         // The data plane was not needed nor touched: the flood put nothing
         // but management frames on the wire — not one ARP request.
         let mgmt = [Layer::Ethernet, Layer::Management];
-        assert!(t.net.trace().iter().all(|e| e.summary().layers == mgmt));
+        assert!(t.net.trace().iter().all(|e| e.packet().layers == mgmt));
     }
 
     fn net_ref(t: &mut topology::ChainTopology) -> &mut Network {

@@ -455,7 +455,7 @@ impl Network {
         self.trace
             .iter()
             .filter(|t| t.from_device == device)
-            .map(|t| t.summary().protocol_path())
+            .map(|t| t.packet().protocol_path())
             .collect()
     }
 }
@@ -536,7 +536,7 @@ mod tests {
             Some(&((TRACE_CAPACITY + 99) as u8)),
             "the raw frame is kept"
         );
-        assert!(newest.summary().protocol_path().starts_with("ETH/IP("));
+        assert!(newest.packet().protocol_path().starts_with("ETH/IP("));
         assert_eq!(
             net.protocol_paths_from(h2).len(),
             0,

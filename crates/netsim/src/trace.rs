@@ -3,7 +3,7 @@
 //! Every frame placed on a link is recorded raw in a [`PacketTrace`]: a ring
 //! of the [`TRACE_CAPACITY`] most recent transmissions, each sharing its
 //! bytes with the in-flight frame.  Nothing is parsed while traffic flows; a
-//! reader asks an entry for its [`TraceEntry::summary`].  Integration tests
+//! reader asks an entry for its [`TraceEntry::packet`].  Integration tests
 //! clear the trace, send one probe and assert that, for example, the
 //! customer packet really did cross the ISP core inside `ETH / IP / GRE / IP`
 //! after the NM configured the GRE path, mirroring the end-to-end checks the
@@ -172,7 +172,7 @@ pub struct TraceEntry {
 
 impl TraceEntry {
     /// Parse the recorded frame into its layer summary.
-    pub fn summary(&self) -> PacketSummary {
+    pub fn packet(&self) -> PacketSummary {
         PacketSummary::parse(&self.frame)
     }
 }

@@ -12,7 +12,9 @@ use conman::core::nm::PathFinderLimits;
 use conman::core::runtime::{ControlLoop, GoalEndpoints, LoopConfig};
 use conman::diagnose::AutonomicClient;
 use conman::modules::managed_fanout_chain;
+use conman::netsim::device::DeviceId;
 use conman::netsim::fault::{apply_fault, FaultKind, Misconfiguration};
+use conman::obs::Blame;
 
 fn main() {
     // A 6-router ISP chain with four customer pairs, each backed by real
@@ -97,7 +99,19 @@ fn main() {
             tick.tick, tick.degraded, tick.epoch
         );
         for (goal, diagnosis) in &tick.diagnosed {
-            println!("          {goal} diagnosis: {}", diagnosis.summary);
+            let alias = |device| t.mn.nm.device_alias(DeviceId::from_raw(device));
+            let suspect = match diagnosis.prime {
+                Some((Blame::Module { device, module }, pct)) => {
+                    format!("module m{module} on {} ({pct}%)", alias(device))
+                }
+                Some((Blame::Link { a, b }, pct)) => {
+                    format!("link {}-{} ({pct}%)", alias(a), alias(b))
+                }
+                Some((Blame::Device { device }, pct)) => format!("{} ({pct}%)", alias(device)),
+                Some((Blame::Unlocated, pct)) => format!("outside the managed path ({pct}%)"),
+                None => "no suspect".to_string(),
+            };
+            println!("          {goal} diagnosis: {suspect}");
         }
         if let Some(repair) = &tick.repair {
             println!(

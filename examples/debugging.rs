@@ -1,7 +1,7 @@
 //! Debugging with CONMan (§III-C.2), now as a closed loop: configure the
-//! VPN, inject a fault, let the `Diagnoser` localise it from per-module
-//! counter deltas along the configured path, then heal the way the control
-//! loop does — mark the goal degraded with the suspects excluded and let
+//! VPN, inject a fault, let the `Diagnoser` localise it from counter deltas
+//! along the configured path, then heal the way the control loop does —
+//! mark the goal degraded with the suspects excluded and let
 //! `reconcile_with` re-plan, execute and verify the repair end to end.
 //!
 //! ```text
@@ -54,8 +54,9 @@ fn main() {
         testbed.mn.nm.device_alias(egress)
     );
 
-    // Diagnosis: probe end to end, snapshot per-module counters along the
-    // configured module path, and localise from the deltas.
+    // Diagnosis: probe end to end, snapshot the goal's flow counters and
+    // each module's drop-reason counts along the configured module path,
+    // and localise from the deltas.
     let mut probe = testbed.probe_fn();
     let report = Diagnoser::default().diagnose(&mut testbed.mn, &gre, &mut probe);
     println!(
@@ -64,8 +65,8 @@ fn main() {
     );
     for s in &report.suspects {
         println!("  suspect ({:>3}%): {:?}", s.confidence_pct, s.target);
-        for e in &s.evidence {
-            println!("           {e}");
+        for (reason, count) in &s.evidence {
+            println!("           {reason:?} drops +{count}");
         }
     }
     let prime = report.prime_suspect().expect("a suspect was found");

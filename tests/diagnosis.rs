@@ -72,7 +72,7 @@ fn link_cut_is_localised_and_correctly_declared_unrepairable() {
         report.suspects
     );
     match &report.prime_suspect().unwrap().target {
-        SuspectTarget::Link { link: found, .. } => assert_eq!(*found, Some(link)),
+        &SuspectTarget::Link { a, b } => assert_eq!((a, b), (t.core[0], t.core[1])),
         other => panic!("expected a link suspect, got {other:?}"),
     }
 

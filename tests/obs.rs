@@ -69,6 +69,57 @@ fn postmortem_reconstructs_the_link_cut_story_from_the_dump_alone() {
     assert!(!pm.verified_goals.is_empty());
 }
 
+/// The journal spells a device one way: every `Suspect`'s device ids are
+/// among the `FrontierHop` devices of its own goal's diagnose span, so a
+/// blamed module or link joins the hops that located it from the dump
+/// alone.
+#[test]
+fn every_suspect_names_devices_its_own_walk_visited() {
+    use conman_bench::LoopScenario;
+    use conman_obs::{Blame, TraceKind};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let (_, chain) = conman_bench::recorded_loop_run(4, 2, LoopScenario::CoreStateLoss);
+    let (_, mesh) = conman_bench::recorded_mesh_loop_run(2, 3, LoopScenario::MeshLinkCut);
+    let module: fn(&Blame) -> bool = |t| matches!(t, Blame::Module { .. });
+    let link: fn(&Blame) -> bool = |t| matches!(t, Blame::Link { .. });
+    for (what, journal, expected) in [("chain", chain, module), ("mesh", mesh, link)] {
+        let events = Postmortem::events_from_json(&journal).expect("dump parses");
+        // (diagnose span, goal) → the devices its walk visited.
+        let mut visited: BTreeMap<(u64, u64), BTreeSet<u64>> = BTreeMap::new();
+        let mut suspects = Vec::new();
+        for e in &events {
+            match e.kind {
+                TraceKind::FrontierHop { goal, device, .. } => {
+                    visited.entry((e.parent, goal)).or_default().insert(device);
+                }
+                TraceKind::Suspect { goal, target, .. } => {
+                    suspects.push(((e.parent, goal), target))
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            suspects.iter().any(|(_, t)| expected(t)),
+            "{what}: the fault's kind of suspect is missing: {suspects:?}"
+        );
+        for (span, target) in &suspects {
+            let devices = match *target {
+                Blame::Module { device, .. } | Blame::Device { device } => vec![device],
+                Blame::Link { a, b } => vec![a, b],
+                Blame::Unlocated => vec![],
+            };
+            let hops = visited.get(span).cloned().unwrap_or_default();
+            for d in devices {
+                assert!(
+                    hops.contains(&d),
+                    "{what}: {target:?} names device {d}, not among its walk's hops {hops:?}"
+                );
+            }
+        }
+    }
+}
+
 /// A recorded chain run — setup, fault, diagnosis polls, repair
 /// transactions — leaves a conforming journal and a channel tap that
 /// counted the NM's messages by wire category.
