@@ -1,7 +1,7 @@
 //! Declarative goal management: the NM's desired-state store.
 //!
 //! The original CONMan interface was a one-shot imperative call — map a
-//! [`ConnectivityGoal`](super::ConnectivityGoal) to a path and fire scripts.
+//! [`ConnectivityGoal`] to a path and fire scripts.
 //! This module gives goals *identity and a lifecycle* instead: a
 //! [`GoalStore`] holds every goal the human manager has declared, each with a
 //! [`GoalId`] and a [`GoalStatus`], and the runtime's `reconcile()` entry

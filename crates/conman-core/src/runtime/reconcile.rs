@@ -16,32 +16,38 @@
 //! best-effort restore and the repair-attempt budget are decided here and
 //! nowhere else.
 //!
-//! [`ManagedNetwork::reconcile_per_goal`] drives the same transaction
-//! runner one goal at a time (a batch of one per goal).  It stays as the
-//! reference implementation `tests/goals.rs` compares the batched pass
-//! against.
+//! Every way of putting a plan on the network shares one skeleton: one
+//! status triage, one path choice (the suspect-fallback is defined once, in
+//! `choose_goal_path`) and one replace step — tear the goal's applied
+//! configuration down, run the new scripts, then adopt them or restore the
+//! previous ones and charge the repair budget.  The batched pass coalesces
+//! the teardowns and the runs of all its goals;
+//! [`ManagedNetwork::execute_plan`] and [`ManagedNetwork::reconcile_per_goal`]
+//! run them one goal at a time.
 //!
-//! Planning inside the batched pass runs **in parallel**: path search is a
-//! pure read of the goal store and the potential graph, and pipe-id blocks
-//! are disjoint by construction, so the per-goal searches fan out across a
-//! small `std::thread::scope` worker pool and the chosen paths are merged
-//! back into the batch in deterministic goal-id order.  Everything with a
-//! side effect — pipe-block allocation, journal events, store mutation —
-//! happens in the merge, on the calling thread, so journals, transcripts
-//! and reports are byte-identical to the sequential engine.
-//! [`ManagedNetwork::reconcile_sequential`] keeps that sequential engine
-//! (per-goal graph rebuild and fresh search state, exactly the pre-PR-10
-//! planning loop) as the reference implementation `tests/raw_speed.rs`
-//! compares against.
+//! Path search inside the batched pass runs on a small `std::thread::scope`
+//! worker pool: search is a pure read of the goal store and one hoisted
+//! potential graph, and each worker memoises its searches.  The chosen
+//! paths are merged back on the calling thread in goal-id order, and the
+//! merge performs every side effect — pipe-block allocation, journal
+//! events, store mutation — so journals, transcripts and reports do not
+//! depend on the number of workers.  [`ManagedNetwork::reconcile_sequential`]
+//! is the one-worker run of the same engine, the byte-equivalence oracle
+//! `tests/raw_speed.rs` compares the pool against.
+//! [`ManagedNetwork::reconcile_per_goal`] is the memo-free oracle: a batch
+//! of one per goal, each planned over a freshly built graph without the
+//! search memo; `tests/goals.rs` and `tests/raw_speed.rs` compare the
+//! batched pass against it.
 
 use super::txn::GoalTeardown;
 use super::ManagedNetwork;
 use crate::ids::ModuleRef;
-use crate::nm::goal::{AppliedPlan, GoalFailure, GoalId, GoalStatus, Plan, PlanError};
+use crate::nm::goal::{AppliedPlan, Exclusion, GoalFailure, GoalId, GoalStatus, Plan, PlanError};
 use crate::nm::{
-    script, ConnectivityGoal, GoalStore, ModulePath, NetworkManager, PotentialGraph, SearchScratch,
+    script, ConnectivityGoal, GoalStore, ModulePath, NetworkManager, PathFinderLimits,
+    PotentialGraph, SearchScratch,
 };
-use crate::primitives::Primitive;
+use crate::primitives::{Primitive, Refusal};
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use serde::{Deserialize, Serialize};
@@ -116,10 +122,9 @@ pub struct WithdrawOutcome {
     pub released: Vec<ModuleRef>,
 }
 
-/// A planning worker's verdict for one goal: the chosen path plus whether
-/// the suspect-fallback (re-search with the exclusions dropped) produced
-/// it — the merge must clear the goal's exclusions in that case, exactly
-/// like the sequential `plan_goal_or_reinstall`.
+/// A path search's verdict for one goal: the chosen path, and whether the
+/// suspect-fallback chose it — the merge then clears the goal's exclusions
+/// (`ManagedNetwork::plan_choice`).
 type PathChoice = Result<(ModulePath, bool), PlanError>;
 
 /// Everything the path search reads from a goal record: the endpoint
@@ -128,13 +133,7 @@ type PathChoice = Result<(ModulePath, bool), PlanError>;
 /// results, so each planning worker memoises its searches under this key —
 /// a fleet of same-shaped goals (the common case: many VPNs between the
 /// same edge interfaces) costs one traversal instead of one per goal.
-type SearchKey = (
-    ModuleRef,
-    ModuleRef,
-    bool,
-    String,
-    BTreeSet<crate::nm::goal::Exclusion>,
-);
+type SearchKey = (ModuleRef, ModuleRef, bool, String, BTreeSet<Exclusion>);
 
 /// [`choose_goal_path`] behind a per-worker memo.  Correct because the
 /// search is a pure function of the key (see [`SearchKey`]), the hoisted
@@ -165,11 +164,36 @@ fn choose_goal_path_memo(
     choice
 }
 
-/// The read-only half of planning one goal: enumerate paths avoiding the
-/// goal's exclusions, fall back to a search straight through the suspects
-/// when nothing avoids them, and pick the best candidate.  Runs on the
-/// planning workers, so it touches nothing mutable — the store-side
-/// effects of a fallback happen later, in the merge, in goal-id order.
+/// The NM's pick among the paths that satisfy `goal` without entering
+/// `excluded`.
+fn best_path(
+    nm: &NetworkManager,
+    graph: &PotentialGraph,
+    goal: &ConnectivityGoal,
+    excluded: &BTreeSet<Exclusion>,
+    limits: PathFinderLimits,
+    scratch: &mut SearchScratch,
+) -> Option<ModulePath> {
+    let paths = nm.find_paths_avoiding_in(graph, goal, excluded, limits, scratch);
+    nm.choose_path(&paths).cloned()
+}
+
+/// The read-only half of planning a goal that needs work: the best path
+/// avoiding the goal's exclusions or, when nothing avoids them, the best
+/// path straight through them.  This is the **suspect-fallback**, defined
+/// here and nowhere else.  Nothing avoids the suspects when diagnosis blamed
+/// an *edge* module every path must traverse or (on a chain) a *link* with
+/// no physical alternative; both are reinstalled through rather than failed
+/// with an instant `PlanFailed`.  Lost configuration state (flushed tables,
+/// wiped label maps) is repaired by *reconfiguring* the blamed module, and a
+/// transient link fault heals on a later pass once the link returns.  If the
+/// component is genuinely dead, the verification probe fails the reinstall
+/// and the repair-attempt budget parks the goal `Failed` instead of
+/// thrashing.
+///
+/// Touches nothing mutable, so it runs on the planning workers; the
+/// exclusions a fallback went through are cleared later, by the merge, in
+/// goal-id order.
 fn choose_goal_path(
     nm: &NetworkManager,
     goals: &GoalStore,
@@ -178,19 +202,16 @@ fn choose_goal_path(
     scratch: &mut SearchScratch,
 ) -> PathChoice {
     let rec = goals.get(id).ok_or(PlanError::UnknownGoal(id))?;
-    let paths =
-        nm.find_paths_avoiding_in(graph, &rec.desired, &rec.excluded, goals.limits, scratch);
-    if let Some(path) = nm.choose_path(&paths) {
-        return Ok((path.clone(), false));
+    let (goal, limits) = (&rec.desired, goals.limits);
+    if let Some(path) = best_path(nm, graph, goal, &rec.excluded, limits, scratch) {
+        return Ok((path, false));
     }
-    if !rec.excluded.is_empty() {
-        let paths =
-            nm.find_paths_avoiding_in(graph, &rec.desired, &BTreeSet::new(), goals.limits, scratch);
-        if let Some(path) = nm.choose_path(&paths) {
-            return Ok((path.clone(), true));
-        }
+    if rec.excluded.is_empty() {
+        return Err(PlanError::NoPath);
     }
-    Err(PlanError::NoPath)
+    best_path(nm, graph, goal, &BTreeSet::new(), limits, scratch)
+        .map(|path| (path, true))
+        .ok_or(PlanError::NoPath)
 }
 
 impl<C: ManagementChannel> ManagedNetwork<C> {
@@ -212,43 +233,20 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         let graph = self.nm.build_graph();
         let mut scratch = SearchScratch::default();
         let (goal, excluded, limits) = (&rec.desired, &rec.excluded, self.goals.limits);
-        let paths = self
-            .nm
-            .find_paths_avoiding_in(&graph, goal, excluded, limits, &mut scratch);
-        let path = self
-            .nm
-            .choose_path(&paths)
-            .cloned()
+        let path = best_path(&self.nm, &graph, goal, excluded, limits, &mut scratch)
             .ok_or(PlanError::NoPath)?;
         self.plan_for_path(id, &path)
     }
 
-    /// [`Self::plan_goal`], with the reconciler's suspect-fallback: when no
-    /// path avoids the goal's exclusions — diagnosis blamed an *edge*
-    /// module every path must traverse, or (on a chain) a *link* with no
-    /// physical alternative — the exclusions are dropped and the goal
-    /// re-planned straight through the suspects.  Lost configuration state
-    /// (flushed tables, wiped label maps) is repaired by *reconfiguring*
-    /// the blamed module; a transient link fault heals on a later pass once
-    /// the link returns.  If the component is genuinely dead the
-    /// verification probe fails the reinstall and the repair-attempt budget
-    /// parks the goal `Failed` instead of thrashing.  Blamed links and
-    /// blamed edge modules are handled symmetrically: both fall back to
-    /// reinstall-through rather than an instant `PlanFailed`.
-    fn plan_goal_or_reinstall(&mut self, id: GoalId) -> Result<Plan, PlanError> {
-        match self.plan_goal(id) {
-            Err(PlanError::NoPath)
-                if self.goals.get(id).is_some_and(|r| !r.excluded.is_empty()) =>
-            {
-                self.goals
-                    .get_mut(id)
-                    .expect("goal exists")
-                    .excluded
-                    .clear();
-                self.plan_goal(id)
-            }
-            other => other,
+    /// The merge step both executors turn a path choice into a plan with:
+    /// a path the suspect-fallback chose clears the goal's exclusions first.
+    fn plan_choice(&mut self, id: GoalId, choice: PathChoice) -> Result<Plan, PlanError> {
+        let (path, through_suspects) = choice?;
+        if through_suspects {
+            let rec = self.goals.get_mut(id).expect("a planned goal is stored");
+            rec.excluded.clear();
         }
+        self.plan_for_path(id, &path)
     }
 
     /// Dry-run planning for an explicit path — how an operator forces a
@@ -287,58 +285,89 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         })
     }
 
-    /// Execute a plan as a two-phase transaction (a batch of one).  On
-    /// commit the goal becomes `Active` and the plan is recorded as applied
-    /// (module references included); on failure everything the transaction
-    /// touched has been rolled back, the goal keeps its previous applied
-    /// state (none) and the returned error is also its `last_error`.
+    /// Put a plan on the network in place of whatever its goal has applied —
+    /// how an operator forces a technology.  This is the single-goal replace
+    /// step [`Self::reconcile_per_goal`] runs too: the goal's applied
+    /// configuration is torn down, the plan executes as a two-phase
+    /// transaction (a batch of one), and on commit the goal becomes `Active`
+    /// with the plan recorded as applied (module references included).
+    ///
+    /// A failed forced execute leaves what a failed reconcile pass leaves:
+    /// everything the transaction touched is rolled back, the previous
+    /// configuration is restored best-effort (its scripts re-executed
+    /// verbatim; if that fails too the goal has nothing applied), and the
+    /// failure charges one repair attempt and is returned and recorded as
+    /// the goal's `last_error`.  A plan whose goal is gone, or whose pipe
+    /// block cannot be renumbered onto the store's current base, fails before
+    /// anything is sent and changes nothing but `last_error`.
     pub fn execute_plan(&mut self, mut plan: Plan) -> Result<(), GoalFailure> {
-        let mut result = Ok(());
+        let id = plan.goal;
         // The block may have moved since the dry run (another goal executed
-        // in between): renumber onto the current base.
-        if plan.pipe_base != self.goals.peek_pipe_base() {
-            match self.goals.check_pipe_block(script::slot_count(&plan.path)) {
-                // Renumbering would cross the derived-id cap: fail the
-                // execution cleanly instead of wrapping.
-                Err(e) => result = Err(GoalFailure::Plan(e)),
-                Ok(()) => {
-                    let rec = self.goals.get(plan.goal).expect("goal exists");
-                    plan.pipe_base = self.goals.peek_pipe_base();
-                    plan.scripts = script::generate_with_base(
-                        &self.nm,
-                        &plan.path,
-                        &rec.desired,
-                        plan.pipe_base,
-                    );
+        // in between), or the goal may be gone: re-plan the same path onto
+        // the current base, which refuses an unknown goal and a full space.
+        if plan.pipe_base != self.goals.peek_pipe_base() || self.goals.get(id).is_none() {
+            match self.plan_for_path(id, &plan.path) {
+                Ok(renumbered) => plan = renumbered,
+                Err(e) => {
+                    let error = GoalFailure::Plan(e);
+                    if let Some(rec) = self.goals.get_mut(id) {
+                        rec.last_error = Some(error.clone());
+                    }
+                    return Err(error);
                 }
             }
         }
-        if result.is_ok() {
-            let batch = self.run_batch(&[(plan.goal, &plan.scripts)]);
-            if let Some(refusal) = batch.error_for(plan.goal) {
-                result = Err(GoalFailure::Refused(Box::new(refusal.clone())));
-            }
+        self.replace_goal(plan, &mut 0)
+            .map_err(|failed| failed.error.expect("a failed execution names its failure"))
+    }
+
+    /// The single-goal replace step behind [`Self::execute_plan`] and the
+    /// per-goal executor: tear the goal's applied configuration down, run
+    /// `plan` as a batch of one, then adopt it — or restore the previous
+    /// configuration and charge a repair attempt, returning the
+    /// `ExecuteFailed` outcome.  Counts the transactions it runs into
+    /// `transactions`.
+    fn replace_goal(
+        &mut self,
+        plan: Plan,
+        transactions: &mut usize,
+    ) -> Result<(), ReconcileOutcome> {
+        let id = plan.goal;
+        if let Some(rec) = self.goals.get_mut(id) {
+            rec.status = GoalStatus::Repairing;
         }
-        if let Err(error) = &result {
-            if let Some(rec) = self.goals.get_mut(plan.goal) {
-                rec.last_error = Some(error.clone());
-            }
-            return result;
+        let previous = self.goals.take_applied(id);
+        if let Some(prev) = &previous {
+            self.run_teardown_batch(&[(id, prev.scripts.teardown())], &[]);
+            *transactions += 1;
+        }
+        let batch = self.run_batch(&[(id, &plan.scripts)]);
+        *transactions += 1;
+        if let Some(refusal) = batch.error_for(id) {
+            return Err(self.fail_goal_with_restore(id, refusal, previous, transactions));
         }
         self.goals.take_pipe_block(script::slot_count(&plan.path));
-        self.goals.set_applied(
-            plan.goal,
-            Some(AppliedPlan {
-                path: plan.path,
-                scripts: plan.scripts,
-                pipe_base: plan.pipe_base,
-            }),
-        );
-        if let Some(rec) = self.goals.get_mut(plan.goal) {
+        self.adopt(plan);
+        Ok(())
+    }
+
+    /// Record a committed plan as its goal's applied configuration: the goal
+    /// is `Active` and its `last_error` cleared.  The configuration it
+    /// replaces must already be torn down — one still applied here would be
+    /// left on the devices with no goal claiming it.
+    fn adopt(&mut self, plan: Plan) {
+        let id = plan.goal;
+        let applied = AppliedPlan {
+            path: plan.path,
+            scripts: plan.scripts,
+            pipe_base: plan.pipe_base,
+        };
+        let replaced = self.goals.set_applied(id, Some(applied));
+        debug_assert!(replaced.is_none(), "goal {id} adopted over an applied plan");
+        if let Some(rec) = self.goals.get_mut(id) {
             rec.status = GoalStatus::Active;
             rec.last_error = None;
         }
-        Ok(())
     }
 
     /// Withdraw a goal: tear its configuration down (sharing-aware — the
@@ -426,86 +455,37 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// tear down stale configurations, execute all plans as one batched
     /// two-phase transaction (per-goal atomicity inside the batch — a goal
     /// whose segment fails anywhere is rolled back via its teardown mirror
-    /// without disturbing siblings), then verify each committed goal.
+    /// without disturbing siblings), then verify each committed goal.  Path
+    /// search runs on up to `min(available_parallelism, 8)` workers.
     pub fn reconcile_with<P>(&mut self, probe: P) -> ReconcileReport
     where
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {
-        self.reconcile_engine(probe, true)
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.reconcile_engine(probe, cores.min(8))
     }
 
-    /// Batched reconcile with the planning loop forced sequential: one
-    /// graph rebuild and fresh search state per goal, exactly the pre-
-    /// parallel-planning engine.  Kept as the equivalence oracle for
-    /// [`Self::reconcile`] (which plans in parallel).
+    /// [`Self::reconcile`] with path search on one worker, the calling
+    /// thread: the same engine, hoisted graph and search memo, with no
+    /// thread spawned.  Kept as the equivalence oracle for the worker pool:
+    /// reports, journals and NM message counts must match byte for byte.
     pub fn reconcile_sequential(&mut self) -> ReconcileReport {
-        self.reconcile_sequential_with(|_, _| None)
+        self.reconcile_engine(|_, _| None, 1)
     }
 
-    /// [`Self::reconcile_sequential`] with per-goal verification probes
-    /// (see [`Self::reconcile_with`]).
-    pub(crate) fn reconcile_sequential_with<P>(&mut self, probe: P) -> ReconcileReport
-    where
-        P: FnMut(&mut Self, GoalId) -> Option<bool>,
-    {
-        self.reconcile_engine(probe, false)
-    }
-
-    /// The batched reconcile engine behind both entry points.  `parallel`
-    /// selects how the pass chooses paths: fanned out across a scoped
-    /// worker pool over a single hoisted potential graph, or goal-by-goal
-    /// with a per-goal graph rebuild (the historical cost profile).  Both
-    /// arms feed the same sequential merge, which performs every side
-    /// effect in goal-id order, so all observable outputs are identical.
-    fn reconcile_engine<P>(&mut self, mut probe: P, parallel: bool) -> ReconcileReport
+    /// The batched reconcile engine behind both entry points.  Path search
+    /// fans out over at most `workers` threads (never more than there are
+    /// goals needing work) and feeds a sequential merge that performs every
+    /// side effect in goal-id order, so all observable outputs are
+    /// independent of `workers`.
+    fn reconcile_engine<P>(&mut self, mut probe: P, workers: usize) -> ReconcileReport
     where
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {
         let before = self.nm_counters();
         let mut report = ReconcileReport::default();
-        let ids = self.goals.ids();
-        let mut outcomes: BTreeMap<GoalId, ReconcileOutcome> = BTreeMap::new();
-        let mut work: Vec<GoalId> = Vec::new();
-        for &id in &ids {
-            let Some(status) = self.goals.status(id) else {
-                continue;
-            };
-            match status {
-                GoalStatus::Failed => {
-                    outcomes.insert(
-                        id,
-                        ReconcileOutcome {
-                            goal: id,
-                            action: ReconcileAction::Unchanged,
-                            status,
-                            error: self.goals.get(id).and_then(|r| r.last_error.clone()),
-                        },
-                    );
-                }
-                GoalStatus::Active => match self.probe_goal(id, &mut probe) {
-                    Some(false) => {
-                        // The goal looked converged but is not carrying
-                        // traffic: degrade and repair in this same pass.
-                        self.goals.get_mut(id).expect("goal exists").status = GoalStatus::Degraded;
-                        work.push(id);
-                    }
-                    _ => {
-                        outcomes.insert(
-                            id,
-                            ReconcileOutcome {
-                                goal: id,
-                                action: ReconcileAction::Unchanged,
-                                status,
-                                error: None,
-                            },
-                        );
-                    }
-                },
-                GoalStatus::Pending | GoalStatus::Degraded | GoalStatus::Repairing => {
-                    work.push(id);
-                }
-            }
-        }
+        let mut outcomes = BTreeMap::new();
+        let work = self.triage(&mut probe, &mut outcomes);
 
         // Plan first — planning is a pure dry run, and a goal whose
         // planning fails must leave its stale-but-possibly-working
@@ -514,44 +494,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // disjoint block; blocks of goals that end up not committing are
         // released again below, so failed passes do not leak id space.
         let pipe_floor = self.goals.peek_pipe_base();
-        let mut items: Vec<(GoalId, bool, Option<AppliedPlan>, Plan)> = Vec::new();
+        let mut items: Vec<(Option<AppliedPlan>, Plan)> = Vec::new();
         let mut stale: Vec<GoalTeardown> = Vec::new();
-        // Path selection: the read-only half of planning.  The parallel arm
-        // fans the searches out over the worker pool *before* the merge
-        // loop; the sequential arm resolves each goal inline, per-goal
-        // graph rebuild included.  Either way the merge below runs on this
-        // thread, in goal-id order (`work` comes from the sorted store).
-        let mut choices = if parallel {
-            Some(self.plan_paths_parallel(&work).into_iter())
-        } else {
-            None
-        };
-        let mut last_merged: Option<GoalId> = None;
-        for &id in &work {
-            if let Some(prev) = last_merged {
-                debug_assert!(prev < id, "merged plans must arrive in goal-id order");
-            }
-            last_merged = Some(id);
-            let planned = match choices.as_mut() {
-                Some(it) => match it.next().expect("one path choice per goal") {
-                    Ok((path, used_fallback)) => {
-                        if used_fallback {
-                            // The suspect-fallback chose a path straight
-                            // through the exclusions; clear them exactly as
-                            // `plan_goal_or_reinstall` does before re-planning.
-                            self.goals
-                                .get_mut(id)
-                                .expect("goal exists")
-                                .excluded
-                                .clear();
-                        }
-                        self.plan_for_path(id, &path)
-                    }
-                    Err(e) => Err(e),
-                },
-                None => self.plan_goal_or_reinstall(id),
-            };
-            let plan = match planned {
+        let choices = self.plan_paths(&work, workers);
+        for (&id, choice) in work.iter().zip(choices) {
+            let plan = match self.plan_choice(id, choice) {
                 Ok(plan) => plan,
                 Err(e) => {
                     outcomes.insert(id, self.fail_planning(id, e));
@@ -578,17 +525,17 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             // teardown; all of the pass's teardowns run below as one
             // batched lenient transaction.
             let previous = self.goals.take_applied(id);
-            let had_applied = previous.is_some();
             if let Some(prev) = &previous {
                 stale.push((id, prev.scripts.teardown()));
             }
-            items.push((id, had_applied, previous, plan));
+            items.push((previous, plan));
         }
         // Pre-flight (debug builds): the pass's pipe blocks are within
         // budget and disjoint, and no plan crosses its goal's exclusions.
         #[cfg(debug_assertions)]
         {
-            let violations = super::verify::check_batch(&self.goals, items.iter().map(|i| &i.3));
+            let plans = items.iter().map(|(_, plan)| plan);
+            let violations = super::verify::check_batch(&self.goals, plans);
             debug_assert!(
                 violations.is_empty(),
                 "pre-flight: planned batch fails verification: {violations:?}"
@@ -605,7 +552,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         if !items.is_empty() {
             let batch_items: Vec<(GoalId, &crate::nm::ScriptSet)> = items
                 .iter()
-                .map(|(id, _, _, plan)| (*id, &plan.scripts))
+                .map(|(_, plan)| (plan.goal, &plan.scripts))
                 .collect();
             let batch = self.run_batch(&batch_items);
             report.transactions += 1;
@@ -615,36 +562,25 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             // monotonic, holes cannot be returned individually.
             let watermark = items
                 .iter()
-                .filter(|(id, _, _, _)| batch.committed.contains(id))
-                .map(|(_, _, _, plan)| plan.pipe_base + script::slot_count(&plan.path))
+                .filter(|(_, plan)| batch.committed.contains(&plan.goal))
+                .map(|(_, plan)| plan.pipe_base + script::slot_count(&plan.path))
                 .max()
                 .unwrap_or(pipe_floor);
             self.goals.release_pipes_to(watermark);
-            for (id, had_applied, previous, plan) in items {
+            for (previous, plan) in items {
+                let id = plan.goal;
                 // Every goal of the batch either committed or failed with a
                 // refusal.
                 let outcome = if let Some(refusal) = batch.error_for(id) {
-                    let error = GoalFailure::Refused(Box::new(refusal.clone()));
-                    self.fail_goal_with_restore(id, error, previous, &mut report.transactions)
+                    self.fail_goal_with_restore(id, refusal, previous, &mut report.transactions)
                 } else {
-                    self.goals.set_applied(
-                        id,
-                        Some(AppliedPlan {
-                            path: plan.path,
-                            scripts: plan.scripts,
-                            pipe_base: plan.pipe_base,
-                        }),
-                    );
-                    if let Some(rec) = self.goals.get_mut(id) {
-                        rec.status = GoalStatus::Active;
-                        rec.last_error = None;
-                    }
-                    self.verify_applied_goal(id, had_applied, &mut probe)
+                    self.adopt(plan);
+                    self.verify_applied_goal(id, previous.is_some(), &mut probe)
                 };
                 outcomes.insert(id, outcome);
             }
         }
-        report.outcomes = ids.iter().filter_map(|id| outcomes.remove(id)).collect();
+        report.outcomes = outcomes.into_values().collect();
         for o in &report.outcomes {
             if o.action != ReconcileAction::Unchanged {
                 self.recorder.event(
@@ -663,116 +599,123 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         report
     }
 
-    /// Choose a path (with the suspect-fallback re-search) for every goal
-    /// in `work`, fanning the searches out across a `std::thread::scope`
-    /// worker pool.  Path search is a pure read of the goal store, the NM
-    /// and one hoisted potential graph, so workers share them immutably;
-    /// each worker reuses one [`SearchScratch`] across its goals and
-    /// memoises searches by [`SearchKey`], so same-shaped goals cost one
-    /// traversal.  Results come back positionally, so the caller merges
-    /// them in `work` order — nothing about thread scheduling can leak
-    /// into the outputs.
-    fn plan_paths_parallel(&self, work: &[GoalId]) -> Vec<PathChoice> {
-        let graph = self.nm.build_graph();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-            .min(work.len().max(1));
-        let mut results: Vec<PathChoice> = Vec::with_capacity(work.len());
-        results.resize_with(work.len(), || Err(PlanError::NoPath));
-        if workers <= 1 {
-            // Degenerate pool (single-core host or single goal): search
-            // inline, still with the hoisted graph, reused scratch and
-            // search memo.
-            let mut scratch = SearchScratch::default();
-            let mut memo = BTreeMap::new();
-            for (slot, &id) in results.iter_mut().zip(work) {
-                *slot = choose_goal_path_memo(
-                    &self.nm,
-                    &self.goals,
-                    &graph,
-                    id,
-                    &mut scratch,
-                    &mut memo,
-                );
-            }
-        } else {
-            let chunk = work.len().div_ceil(workers);
-            let (nm, goals, graph) = (&self.nm, &self.goals, &graph);
-            std::thread::scope(|s| {
-                for (ids, slots) in work.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                    s.spawn(move || {
-                        let mut scratch = SearchScratch::default();
-                        let mut memo = BTreeMap::new();
-                        for (slot, &id) in slots.iter_mut().zip(ids) {
-                            *slot = choose_goal_path_memo(
-                                nm,
-                                goals,
-                                graph,
-                                id,
-                                &mut scratch,
-                                &mut memo,
-                            );
-                        }
-                    });
-                }
-            });
-        }
-        results
-    }
-
-    /// Reconcile one goal at a time: a batch-of-one transaction per goal,
-    /// without verification probes.  Kept as the reference implementation
-    /// `tests/goals.rs` compares the batched pass against — end state
-    /// (statuses, module refcounts, data-plane connectivity) is identical;
-    /// only the message shape differs.
-    pub fn reconcile_per_goal(&mut self) -> ReconcileReport {
-        self.reconcile_per_goal_with(|_, _| None)
-    }
-
-    /// Per-goal-transaction reconcile with verification probes (see
-    /// [`Self::reconcile_per_goal`]).
-    pub(crate) fn reconcile_per_goal_with<P>(&mut self, mut probe: P) -> ReconcileReport
+    /// The status triage both executors open a pass with, over every stored
+    /// goal in id order.  A `Failed` goal is left `Unchanged` with its
+    /// `last_error`; an `Active` goal is probed and, if the probe fails,
+    /// degraded to be repaired in this same pass; anything else needs work.
+    /// Settled goals get their outcome in `outcomes`; the goals that need
+    /// work are returned, in id order.
+    fn triage<P>(
+        &mut self,
+        probe: &mut P,
+        outcomes: &mut BTreeMap<GoalId, ReconcileOutcome>,
+    ) -> Vec<GoalId>
     where
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {
-        let before = self.nm_counters();
-        let mut report = ReconcileReport::default();
+        let mut work = Vec::new();
         for id in self.goals.ids() {
             let Some(status) = self.goals.status(id) else {
                 continue;
             };
-            let outcome = match status {
-                GoalStatus::Failed => ReconcileOutcome {
-                    goal: id,
-                    action: ReconcileAction::Unchanged,
-                    status,
-                    error: self.goals.get(id).and_then(|r| r.last_error.clone()),
-                },
+            let error = match status {
+                GoalStatus::Failed => self.goals.get(id).and_then(|r| r.last_error.clone()),
+                GoalStatus::Active if self.probe_goal(id, probe) != Some(false) => None,
                 GoalStatus::Active => {
-                    match self.probe_goal(id, &mut probe) {
-                        Some(false) => {
-                            // The goal looked converged but is not carrying
-                            // traffic: degrade and repair in this same pass.
-                            self.goals.get_mut(id).expect("goal exists").status =
-                                GoalStatus::Degraded;
-                            self.apply_goal(id, &mut probe, &mut report.transactions)
-                        }
-                        _ => ReconcileOutcome {
-                            goal: id,
-                            action: ReconcileAction::Unchanged,
-                            status,
-                            error: None,
-                        },
-                    }
+                    // The goal looked converged but is not carrying
+                    // traffic: degrade and repair in this same pass.
+                    self.goals.get_mut(id).expect("goal exists").status = GoalStatus::Degraded;
+                    work.push(id);
+                    continue;
                 }
                 GoalStatus::Pending | GoalStatus::Degraded | GoalStatus::Repairing => {
-                    self.apply_goal(id, &mut probe, &mut report.transactions)
+                    work.push(id);
+                    continue;
                 }
             };
-            report.outcomes.push(outcome);
+            let outcome = ReconcileOutcome {
+                goal: id,
+                action: ReconcileAction::Unchanged,
+                status,
+                error,
+            };
+            outcomes.insert(id, outcome);
         }
+        work
+    }
+
+    /// Choose a path for every goal in `work`, positionally (see
+    /// [`choose_goal_path`]).  `work` is cut into at most `workers` chunks;
+    /// each chunk after the first is searched on a scoped thread of its own
+    /// while the calling thread searches the first, so one worker spawns
+    /// nothing.  Path search is a pure read of the goal store, the NM and one
+    /// hoisted potential graph, so workers share them immutably; each worker
+    /// reuses one [`SearchScratch`] across its goals and memoises searches by
+    /// [`SearchKey`], so same-shaped goals cost one traversal.  Results come
+    /// back in `work` order — nothing about thread scheduling can leak into
+    /// the outputs.
+    fn plan_paths(&self, work: &[GoalId], workers: usize) -> Vec<PathChoice> {
+        let graph = self.nm.build_graph();
+        let chunk = work.len().div_ceil(workers.max(1)).max(1);
+        let mut results: Vec<PathChoice> = Vec::with_capacity(work.len());
+        results.resize_with(work.len(), || Err(PlanError::NoPath));
+        let (nm, goals, graph) = (&self.nm, &self.goals, &graph);
+        let search = move |ids: &[GoalId], slots: &mut [PathChoice]| {
+            let mut scratch = SearchScratch::default();
+            let mut memo = BTreeMap::new();
+            for (slot, &id) in slots.iter_mut().zip(ids) {
+                *slot = choose_goal_path_memo(nm, goals, graph, id, &mut scratch, &mut memo);
+            }
+        };
+        std::thread::scope(|s| {
+            let mut chunks = work.chunks(chunk).zip(results.chunks_mut(chunk));
+            let first = chunks.next();
+            for (ids, slots) in chunks {
+                s.spawn(move || search(ids, slots));
+            }
+            if let Some((ids, slots)) = first {
+                search(ids, slots);
+            }
+        });
+        results
+    }
+
+    /// Reconcile one goal at a time, without verification probes: after the
+    /// shared triage, each goal that needs work is planned over a freshly
+    /// built potential graph without the search memo, then put on the
+    /// network by the single-goal replace step [`Self::execute_plan`] runs —
+    /// a batch of one per goal, with its own teardown and restore.  Kept as
+    /// the memo-free reference implementation `tests/goals.rs` and
+    /// `tests/raw_speed.rs` compare the batched pass against — end state
+    /// (statuses, applied paths, module refcounts, data-plane connectivity)
+    /// is identical; only the message shape differs.
+    pub fn reconcile_per_goal(&mut self) -> ReconcileReport {
+        let before = self.nm_counters();
+        let mut report = ReconcileReport::default();
+        let mut probe = |_: &mut Self, _: GoalId| None;
+        let mut outcomes = BTreeMap::new();
+        for id in self.triage(&mut probe, &mut outcomes) {
+            let had_applied = self.goals.get(id).is_some_and(|r| r.applied().is_some());
+            let graph = self.nm.build_graph();
+            let choice = choose_goal_path(
+                &self.nm,
+                &self.goals,
+                &graph,
+                id,
+                &mut SearchScratch::default(),
+            );
+            let outcome = match self.plan_choice(id, choice) {
+                // Planning failed: the stale-but-possibly-working
+                // configuration is left standing.
+                Err(e) => self.fail_planning(id, e),
+                Ok(plan) => match self.replace_goal(plan, &mut report.transactions) {
+                    Ok(()) => self.verify_applied_goal(id, had_applied, &mut probe),
+                    Err(failed) => failed,
+                },
+            };
+            outcomes.insert(id, outcome);
+        }
+        report.outcomes = outcomes.into_values().collect();
         let after = self.nm_counters();
         report.nm_sent = after.sent.saturating_sub(before.sent);
         report.nm_received = after.received.saturating_sub(before.received);
@@ -788,42 +731,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         let verdict = probe(self, id);
         self.net.end_flow_window();
         verdict
-    }
-
-    /// Plan + execute + verify one goal that needs work.
-    fn apply_goal<P>(
-        &mut self,
-        id: GoalId,
-        probe: &mut P,
-        transactions: &mut usize,
-    ) -> ReconcileOutcome
-    where
-        P: FnMut(&mut Self, GoalId) -> Option<bool>,
-    {
-        let had_applied = self.goals.get(id).is_some_and(|r| r.applied().is_some());
-        // Plan first — it is a pure dry run, and if no path exists the
-        // stale-but-possibly-working configuration must be left standing (a
-        // degraded path carrying some traffic beats no path at all).
-        let plan = match self.plan_goal_or_reinstall(id) {
-            Ok(plan) => plan,
-            Err(e) => return self.fail_planning(id, e),
-        };
-        if let Some(rec) = self.goals.get_mut(id) {
-            rec.status = GoalStatus::Repairing;
-        }
-        // A replacement exists: tear the stale configuration down before
-        // applying it.
-        let previous = self.goals.take_applied(id);
-        if let Some(prev) = &previous {
-            self.run_teardown_batch(&[(id, prev.scripts.teardown())], &[]);
-            *transactions += 1;
-        }
-        let executed = self.execute_plan(plan);
-        *transactions += 1;
-        match executed {
-            Ok(()) => self.verify_applied_goal(id, had_applied, probe),
-            Err(error) => self.fail_goal_with_restore(id, error, previous, transactions),
-        }
     }
 
     /// Shared planning-failure bookkeeping: the goal parks `Failed` and its
@@ -901,11 +808,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// Shared execution-failure bookkeeping: best-effort restore of the
     /// previous configuration (its scripts re-execute verbatim — the
     /// teardown freed their blackboard state) and park the goal `Pending`
-    /// with the error recorded.  Used by both executors.
+    /// with the refusal recorded.  Used by both executors.
     fn fail_goal_with_restore(
         &mut self,
         id: GoalId,
-        error: GoalFailure,
+        refusal: &Refusal,
         previous: Option<AppliedPlan>,
         transactions: &mut usize,
     ) -> ReconcileOutcome {
@@ -920,6 +827,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // the goal parks `Failed` instead of re-entering the work list on
         // every pass (the pipe block it would have used is released with
         // the pass).
+        let error = GoalFailure::Refused(Box::new(refusal.clone()));
         let status = self
             .goals
             .charge_repair_attempt(id, error.clone(), GoalStatus::Pending);

@@ -369,6 +369,57 @@ fn reinstalled_gre_goal_does_not_inherit_a_dead_tunnels_sequence_state() {
     );
 }
 
+/// Forcing another technology over an applied goal replaces its
+/// configuration.  `execute_plan` used to drop the replaced plan without
+/// tearing it down: the reconciled MPLS path's pipes and switch rules stayed
+/// listed on the core routers, claimed by no goal, and no later withdraw
+/// could remove them.
+#[test]
+fn execute_plan_over_an_applied_goal_tears_the_replaced_path_down() {
+    let mut t = managed_chain(3);
+    t.discover();
+    let id = t.mn.submit(t.vpn_goal());
+    assert!(t.mn.reconcile().converged());
+    let applied = |t: &Chain| {
+        let rec = t.mn.goals.get(id).expect("goal exists");
+        rec.applied()
+            .expect("an applied plan")
+            .path
+            .technology_label()
+    };
+    assert_eq!(applied(&t), "MPLS");
+
+    install_on(&mut t.mn, id, "GRE-IP");
+    assert_eq!(applied(&t), "GRE-IP");
+    assert_eq!(t.mn.goals.status(id), Some(GoalStatus::Active));
+    assert!(t.probe(), "the forced path carries traffic");
+    let routers = t.core.clone();
+    assert_no_orphans(&mut t.mn, &routers);
+
+    assert!(t.mn.withdraw(id).removed);
+    assert_no_orphans(&mut t.mn, &routers);
+}
+
+/// A plan whose goal was withdrawn after its dry run is refused before any
+/// device hears of it.  It used to commit, leaving a configuration on the
+/// routers that no goal claims.
+#[test]
+fn execute_plan_for_a_withdrawn_goal_sends_nothing() {
+    let mut t = managed_chain(3);
+    t.discover();
+    let id = t.mn.submit(t.vpn_goal());
+    let plan = t.mn.plan_goal(id).expect("a path exists");
+    assert!(t.mn.withdraw(id).removed);
+    t.mn.reset_counters();
+    assert_eq!(
+        t.mn.execute_plan(plan),
+        Err(GoalFailure::Plan(PlanError::UnknownGoal(id)))
+    );
+    assert_eq!(t.mn.nm_counters().sent, 0, "no device hears of the plan");
+    let routers = t.core.clone();
+    assert_no_orphans(&mut t.mn, &routers);
+}
+
 #[test]
 fn reconcile_is_idempotent_on_a_converged_network() {
     let mut t = managed_dual_chain(3);

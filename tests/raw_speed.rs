@@ -1,20 +1,23 @@
 //! Equivalence suite for the raw-speed reconcile engine.
 //!
-//! The parallel planner (`reconcile`) and the sequential oracle
-//! (`reconcile_sequential`) must be *observably identical*: same
-//! `ReconcileReport`s, byte-identical trace journals, same NM wire-message
-//! counts — on fresh chain and mesh fleets, under a mid-batch device
-//! crash, and when commit-order conflicts demote a goal to the strict
-//! fallback transaction.  The zero-copy binary codec must preserve the
-//! same equivalence between same-codec twins, and message *counts* across
+//! The worker pool (`reconcile`) and the one-worker run of the same engine
+//! (`reconcile_sequential`, which spawns no thread) must be *observably
+//! identical*: same `ReconcileReport`s, byte-identical trace journals, same
+//! NM wire-message counts — on fresh chain and mesh fleets, under a
+//! mid-batch device crash, when commit-order conflicts demote a goal to the
+//! strict fallback transaction, and when every goal's exclusions force the
+//! suspect-fallback.  The zero-copy binary codec must preserve the same
+//! equivalence between same-codec twins, and message *counts* across
 //! codecs.  Random fleets are covered by proptests that also feed the
-//! planned batch through the plan checks (`verify_plans`).
+//! planned batch through the plan checks (`verify_plans`) and compare each
+//! goal's applied path and status against `reconcile_per_goal`, the
+//! memo-free oracle that rebuilds the potential graph for every goal.
 //!
 //! Every scenario runs twin testbeds built identically, so any divergence
 //! between the engines shows up as a journal or report diff.
 
-use conman::core::nm::{script, ConnectivityGoal};
-use conman::core::runtime::{ReconcileReport, TxnEvent};
+use conman::core::nm::{script, ConnectivityGoal, Exclusion, GoalStatus, ModulePath};
+use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent};
 use conman::core::WireCodec;
 use conman::modules::{
     managed_chain, managed_fanout_chain, managed_mesh_fanout, ManagedChain, ManagedMesh,
@@ -25,6 +28,7 @@ use conman_bench::diagnosis::chain_limits;
 use conman_obs::Recorder;
 use mgmt_channel::OutOfBandChannel;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 type Chain = ManagedChain<OutOfBandChannel>;
 type Mesh = ManagedMesh<OutOfBandChannel>;
@@ -91,6 +95,20 @@ fn assert_twins_equal(par: &Observed, seq: &Observed, what: &str) {
         "{what}: NM wire-message counts must match"
     );
     assert_journal_conforms(&par.journal, what);
+}
+
+/// Each goal's status and applied path, in id order: what the per-goal
+/// oracle must reproduce, though its message shape differs from a batch's.
+fn applied_paths(mn: &ManagedNetwork<OutOfBandChannel>) -> Vec<(GoalStatus, Option<ModulePath>)> {
+    mn.goals
+        .iter()
+        .map(|rec| {
+            (
+                rec.status,
+                rec.applied().map(|applied| applied.path.clone()),
+            )
+        })
+        .collect()
 }
 
 #[test]
@@ -205,6 +223,53 @@ fn parallel_equals_sequential_when_commit_order_falls_back() {
     assert_twins_equal(&par, &seq, "commit-order fallback");
 }
 
+/// A converged fleet whose every goal blames the whole middle router: no
+/// path avoids it, so each goal takes the suspect-fallback — reinstalled
+/// straight through the router, its exclusions cleared.
+fn fleet_blaming_the_middle_router() -> Chain {
+    let mut t = chain_twin(4, 3, WireCodec::Binary);
+    assert!(t.mn.reconcile().converged(), "the fleet converges first");
+    let excluded: BTreeSet<Exclusion> = t.mn.nm.abstractions[&t.core[1]]
+        .iter()
+        .map(|a| Exclusion::Module(a.name.clone()))
+        .collect();
+    for id in t.mn.goals.ids() {
+        assert!(t.mn.goals.mark_degraded(id, excluded.clone()));
+    }
+    t
+}
+
+#[test]
+fn parallel_equals_sequential_through_the_suspect_fallback() {
+    let mut a = fleet_blaming_the_middle_router();
+    let mut b = fleet_blaming_the_middle_router();
+    let mut c = fleet_blaming_the_middle_router();
+    let ra = a.mn.reconcile();
+    let rb = b.mn.reconcile_sequential();
+    let rc = c.mn.reconcile_per_goal();
+    for (report, t) in [(&ra, &a), (&rb, &b), (&rc, &c)] {
+        assert!(
+            report
+                .outcomes
+                .iter()
+                .all(|o| o.action == ReconcileAction::Reapplied),
+            "every goal is reinstalled through the suspects: {report:#?}"
+        );
+        assert!(
+            t.mn.goals.iter().all(|rec| rec.excluded.is_empty()),
+            "the fallback cleared every goal's exclusions"
+        );
+    }
+    let par = observe(&ra, a.mn.recorder.journal_json());
+    let seq = observe(&rb, b.mn.recorder.journal_json());
+    assert_twins_equal(&par, &seq, "suspect-fallback");
+    assert_eq!(
+        applied_paths(&a.mn),
+        applied_paths(&c.mn),
+        "the per-goal oracle applies the same path per goal"
+    );
+}
+
 #[test]
 fn binary_codec_matches_json_counts_and_end_state() {
     let mut json = chain_twin(4, 3, WireCodec::Json);
@@ -232,9 +297,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random fan-out chain fleets: the parallel engine is byte-identical
-    /// to the sequential oracle, the journal conforms, and the fleet's
-    /// plans (identical under both engines, as the journal equality
-    /// proves) pass `verify_plans` with zero violations.
+    /// to the sequential oracle, the journal conforms, the per-goal oracle
+    /// applies the same path per goal, and the fleet's plans (identical
+    /// under both engines, as the journal equality proves) pass
+    /// `verify_plans` with zero violations.
     #[test]
     fn random_chain_fleets_plan_identically_and_verify_clean(n in 3usize..6, goals in 1usize..5) {
         let mut a = chain_twin(n, goals, WireCodec::Binary);
@@ -247,6 +313,10 @@ proptest! {
         prop_assert_eq!(&par.report, &seq.report, "reports diverged");
         prop_assert_eq!(&par.journal, &seq.journal, "journals diverged");
         assert_journal_conforms(&par.journal, "random chain fleet");
+        let mut d = chain_twin(n, goals, WireCodec::Binary);
+        let rd = d.mn.reconcile_per_goal();
+        prop_assert!(rd.converged(), "per-goal pass converges: {rd:#?}");
+        prop_assert_eq!(applied_paths(&a.mn), applied_paths(&d.mn), "the per-goal oracle diverged");
         // The same fleet, planned the way the pass plans it, verifies clean.
         let mut c = chain_twin(n, goals, WireCodec::Binary);
         let mut plans = Vec::new();
@@ -272,6 +342,10 @@ proptest! {
         prop_assert_eq!(&par.report, &seq.report, "reports diverged");
         prop_assert_eq!(&par.journal, &seq.journal, "journals diverged");
         assert_journal_conforms(&par.journal, "random mesh fleet");
+        let mut d = mesh_twin(k, goals, WireCodec::Binary);
+        let rd = d.mn.reconcile_per_goal();
+        prop_assert!(rd.converged(), "per-goal pass converges: {rd:#?}");
+        prop_assert_eq!(applied_paths(&a.mn), applied_paths(&d.mn), "the per-goal oracle diverged");
         let mut c = mesh_twin(k, goals, WireCodec::Binary);
         let mut plans = Vec::new();
         for id in c.mn.goals.ids() {
