@@ -56,7 +56,7 @@ impl SwitchKind {
 /// Where switching state comes from (§II-C.2 / §II-F): generated by the
 /// module itself through peer interaction, or provided externally (a control
 /// module or the NM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchStateSource {
     /// The module determines its own switching state by talking to peers.
     GeneratedLocally,
@@ -65,7 +65,7 @@ pub enum SwitchStateSource {
 }
 
 /// Switch capability advertisement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchCapability {
     /// Supported switching configurations.
     pub kinds: Vec<SwitchKind>,
@@ -80,7 +80,7 @@ pub struct SwitchCapability {
 
 /// A dependency that must be satisfied before a pipe can be created
 /// (Table III row iii: "Performance Trade-offs to be specified").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dependency {
     /// Short identifier of the dependency.
     pub id: String,
@@ -99,7 +99,7 @@ impl Dependency {
 }
 
 /// The six generic performance metrics of §II-C.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PerformanceMetric {
     /// One-way delay.
     Delay,
@@ -117,7 +117,7 @@ pub enum PerformanceMetric {
 
 /// A performance trade-off a module can enforce on a traffic class
 /// (e.g. Table III row xi: `{[Jitter, Delay] vs [In-order delivery] | Up-pipe}`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PerfTradeoff {
     /// Metrics that get worse when the trade-off is enabled.
     pub costs: Vec<PerformanceMetric>,
@@ -129,7 +129,7 @@ pub struct PerfTradeoff {
 
 /// What a module can classify on when filtering (§II-C.3).  Filters are
 /// expressed in terms of abstract components, never protocol fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterClassifier {
     /// Filter on the source module of the traffic.
     SourceModule,
@@ -144,14 +144,14 @@ pub enum FilterClassifier {
 }
 
 /// Filter capability advertisement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FilterCapability {
     /// What the module can classify on.
     pub classifiers: Vec<FilterClassifier>,
 }
 
 /// Security capability advertisement (§II-C.5).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SecurityCapability {
     /// Can the module guarantee integrity?
     pub integrity: bool,
@@ -170,7 +170,7 @@ pub struct SecurityCapability {
 /// It is all diagnosis reads of a module: the frontier walk runs on per-goal
 /// flow deltas, and a module's drop-reason delta only refines a device the
 /// walk already blamed down to the module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// The reporting module.
     pub module: ModuleRef,
@@ -194,7 +194,7 @@ impl CounterSnapshot {
 }
 
 /// A physical pipe attached to a module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysicalPipeInfo {
     /// The port this module is bound to.
     pub port: PortId,
@@ -206,7 +206,7 @@ pub struct PhysicalPipeInfo {
 }
 
 /// The full module abstraction advertised through `showPotential` (Table II).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleAbstraction {
     /// `<name, module-id, device-id>`.
     pub name: ModuleRef,
@@ -450,13 +450,5 @@ mod tests {
         assert_eq!(table.len(), 13, "Table III has 13 rows");
         assert_eq!(table[1].1, "IP");
         assert_eq!(table[7].1, "Nil"); // filter
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = gre_abstraction();
-        let json = serde_json::to_string(&a).unwrap();
-        let back: ModuleAbstraction = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, a);
     }
 }

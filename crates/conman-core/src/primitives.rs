@@ -155,7 +155,7 @@ impl Primitive {
 }
 
 /// The kind of module-to-module message being relayed through the NM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnvelopeKind {
     /// `conveyMessage ()` — opaque module-to-module coordination
     /// (e.g. GRE key / sequence-number negotiation).
@@ -170,7 +170,7 @@ pub enum EnvelopeKind {
 /// A module-to-module message.  The management channel only connects devices
 /// to the NM, so these are always relayed by the NM (§II-D.1 d), which reads
 /// the two addresses and the kind and never the body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleEnvelope {
     /// Originating module.
     pub from: ModuleRef,
@@ -181,13 +181,13 @@ pub struct ModuleEnvelope {
     pub kind: EnvelopeKind,
     /// The message in the sending module's own dialect: a tag byte and its
     /// fields, written with `mgmt_channel::codec`.  Opaque bytes to the NM
-    /// and the codecs, which carry them as they are; the receiving module
+    /// and the wire codec, which carry them as they are; the receiving module
     /// decodes them and refuses a body that does not decode.
     pub body: Vec<u8>,
 }
 
 /// An unsolicited module-to-NM notification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Notification {
     /// Originating module.
     pub from: ModuleRef,
@@ -197,7 +197,7 @@ pub struct Notification {
 
 /// What a module (or its agent) tells the NM.  Unlike an envelope body this
 /// is the NM's own vocabulary, so it is one closed type here.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Notice {
     /// The far end of a negotiated tunnel is in place.  Table VI counts the
     /// message; it says nothing about which protocol built the tunnel.
@@ -241,7 +241,7 @@ pub enum RefusalCause {
 /// three kinds of component `delete` accepts, by the ids `delete` takes
 /// (with the answering module they spell a [`ComponentRef`]).  There is no
 /// field a label, a key, a VLAN id or an address could travel in.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ModuleActual {
     /// Pipes the module is an end of.
     pub pipes: Vec<PipeId>,
@@ -252,7 +252,7 @@ pub struct ModuleActual {
 }
 
 /// Result of executing one primitive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PrimitiveResult {
     /// showPotential: the device's modules and their abstractions.
     Potential(Vec<ModuleAbstraction>),
@@ -271,7 +271,7 @@ pub type PrimitiveOutcome = Result<PrimitiveResult, Box<Refusal>>;
 
 /// A device-level announcement: physical connectivity reported to the NM so
 /// it can build the topology (§II-D).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Announcement {
     /// Announcing device.
     pub device: DeviceId,
@@ -284,7 +284,7 @@ pub struct Announcement {
 /// One goal's slice of a batched transaction on one device: the primitives
 /// realising that goal on that device, tagged with the owning goal id so the
 /// agent can validate, commit and roll back each goal independently.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScriptSegment {
     /// The owning goal (`GoalId.0`).
     pub goal: u64,
@@ -293,7 +293,7 @@ pub struct ScriptSegment {
 }
 
 /// The staging verdict for one segment of a batched transaction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentVerdict {
     /// The owning goal (`GoalId.0`).
     pub goal: u64,
@@ -302,7 +302,7 @@ pub struct SegmentVerdict {
 }
 
 /// The commit results for one segment of a batched transaction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentCommit {
     /// The owning goal (`GoalId.0`).
     pub goal: u64,
@@ -311,7 +311,7 @@ pub struct SegmentCommit {
 }
 
 /// Everything that can travel over the management channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireMessage {
     /// Device → NM: physical connectivity announcement.
     Announce(Announcement),
@@ -412,181 +412,4 @@ pub enum WireMessage {
         /// The relayed envelopes, in relay order.
         envelopes: Vec<ModuleEnvelope>,
     },
-}
-
-impl WireMessage {
-    /// Serialize for the management channel payload.
-    pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("wire messages always serialize")
-    }
-
-    /// Deserialize from a management channel payload.  The codec is
-    /// auto-detected from the first byte: binary batch frames (tags
-    /// `0x81..=0x86`) dispatch to [`crate::wire`], everything else parses
-    /// as vendored JSON.
-    pub fn decode(bytes: &[u8]) -> Option<WireMessage> {
-        crate::wire::decode(bytes)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ids::{ModuleId, ModuleKind};
-
-    fn mref(kind: ModuleKind, m: u32, d: u64) -> ModuleRef {
-        ModuleRef::new(kind, ModuleId(m), DeviceId::from_raw(d))
-    }
-
-    #[test]
-    fn wire_roundtrip_script() {
-        let spec = PipeSpec {
-            pipe: PipeId(1),
-            upper: mref(ModuleKind::Ip, 1, 1),
-            lower: mref(ModuleKind::Gre, 2, 1),
-            peer_upper: Some(mref(ModuleKind::Ip, 1, 3)),
-            peer_lower: Some(mref(ModuleKind::Gre, 2, 3)),
-            tradeoffs: vec![
-                TradeoffChoice::InOrderDelivery,
-                TradeoffChoice::LowErrorRate,
-            ],
-            initiate: true,
-        };
-        let msg = WireMessage::Script {
-            request: 7,
-            primitives: vec![Primitive::CreatePipe(spec), Primitive::ShowActual],
-        };
-        let bytes = msg.encode();
-        let back = WireMessage::decode(&bytes).unwrap();
-        assert_eq!(back, msg);
-        assert!(WireMessage::decode(b"not json").is_none());
-    }
-
-    #[test]
-    fn wire_roundtrip_flow_telemetry() {
-        let poll = WireMessage::PollCounters {
-            request: 3,
-            tags: vec![1, 2],
-        };
-        assert_eq!(WireMessage::decode(&poll.encode()).unwrap(), poll);
-        let snapshot = CounterSnapshot {
-            module: mref(ModuleKind::Ip, 1, 1),
-            drop_breakdown: [(netsim::stats::DropReason::NoRoute, 5)].into(),
-        };
-        let report = WireMessage::CounterReport {
-            request: 3,
-            snapshots: vec![snapshot],
-            flows: vec![(
-                7,
-                netsim::stats::FlowCounters {
-                    originated: 1,
-                    forwarded: 2,
-                    local_delivered: 3,
-                    drops: 4,
-                },
-            )],
-        };
-        assert_eq!(WireMessage::decode(&report.encode()).unwrap(), report);
-    }
-
-    #[test]
-    fn wire_roundtrip_module_envelope() {
-        let env = ModuleEnvelope {
-            from: mref(ModuleKind::Gre, 2, 1),
-            to: mref(ModuleKind::Gre, 2, 3),
-            kind: EnvelopeKind::Convey,
-            body: vec![0x00, 0x7B, 0xE9, 0x03, 0xFF],
-        };
-        let msg = WireMessage::Module(env.clone());
-        let back = WireMessage::decode(&msg.encode()).unwrap();
-        match back {
-            WireMessage::Module(e) => assert_eq!(e, env),
-            _ => panic!("wrong variant"),
-        }
-    }
-
-    #[test]
-    fn wire_roundtrip_notices() {
-        for body in [
-            Notice::Established,
-            Notice::Refused(Box::new(Refusal {
-                device: DeviceId::from_raw(1),
-                component: None,
-                cause: RefusalCause::Module(ModuleError::UndecodableBody {
-                    from: mref(ModuleKind::Mpls, 3, 2),
-                    len: 2,
-                }),
-            })),
-            Notice::PollRoundCap,
-        ] {
-            let msg = WireMessage::Notify(Notification {
-                from: mref(ModuleKind::Mpls, 3, 1),
-                body,
-            });
-            assert_eq!(WireMessage::decode(&msg.encode()), Some(msg));
-        }
-    }
-
-    #[test]
-    fn wire_roundtrip_batch_messages() {
-        let env = ModuleEnvelope {
-            from: mref(ModuleKind::Mpls, 3, 1),
-            to: mref(ModuleKind::Mpls, 3, 2),
-            kind: EnvelopeKind::Convey,
-            body: vec![0x00, 0x11, 0x27, 0x00, 0x00],
-        };
-        for msg in [
-            WireMessage::StageBatch {
-                txn: 7,
-                segments: vec![
-                    ScriptSegment {
-                        goal: 1,
-                        primitives: vec![Primitive::ShowActual],
-                    },
-                    ScriptSegment {
-                        goal: 2,
-                        primitives: vec![],
-                    },
-                ],
-            },
-            WireMessage::StageBatchResult {
-                txn: 7,
-                verdicts: vec![
-                    SegmentVerdict {
-                        goal: 1,
-                        errors: vec![],
-                    },
-                    SegmentVerdict {
-                        goal: 2,
-                        errors: vec![Refusal {
-                            device: DeviceId::from_raw(1),
-                            component: Some(ComponentRef::Pipe(PipeId(3))),
-                            cause: RefusalCause::UnknownModule(mref(ModuleKind::Gre, 9, 1)),
-                        }],
-                    },
-                ],
-            },
-            WireMessage::CommitBatch {
-                txn: 7,
-                goals: vec![1],
-            },
-            WireMessage::CommitBatchResult {
-                txn: 7,
-                segments: vec![SegmentCommit {
-                    goal: 1,
-                    results: vec![Ok(PrimitiveResult::Done)],
-                }],
-            },
-            WireMessage::AbortBatch {
-                txn: 7,
-                goals: vec![2],
-            },
-            WireMessage::RelayBatch {
-                envelopes: vec![env.clone(), env],
-            },
-        ] {
-            let back = WireMessage::decode(&msg.encode()).unwrap();
-            assert_eq!(back, msg);
-        }
-    }
 }

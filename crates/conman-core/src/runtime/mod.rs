@@ -19,7 +19,7 @@ use crate::ids::ModuleRef;
 use crate::nm::{ConnectivityGoal, GoalStore, ModulePath, NetworkManager, ScriptSet};
 use crate::primitives::{
     EnvelopeKind, ModuleActual, ModuleEnvelope, Primitive, PrimitiveOutcome, PrimitiveResult,
-    ScriptSegment, SegmentCommit, SegmentVerdict, WireMessage,
+    SegmentCommit, SegmentVerdict, WireMessage,
 };
 use crate::wire::{self, WireCodec};
 use conman_obs::Recorder;
@@ -97,10 +97,9 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     /// Flight recorder every management layer writes into (disabled by
     /// default — attach an enabled one with [`Self::set_recorder`]).
     pub recorder: Recorder,
-    /// Wire codec for management payloads.  Defaults to vendored JSON
-    /// (paper parity); switch to [`WireCodec::Binary`] to put the batch
-    /// messages on the zero-copy binary framing.  Decoding always
-    /// auto-detects, so the codec can be flipped at any time.
+    /// Nothing reads this field: every message travels in the one binary
+    /// codec of [`crate::wire`].  It is kept only so that `benchmark/`,
+    /// which sets it, still compiles, and goes with [`WireCodec`].
     pub codec: WireCodec,
 }
 
@@ -182,7 +181,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     }
 
     fn send(&mut self, from: DeviceId, to: DeviceId, msg: &WireMessage) {
-        let payload = msg.encode_with(self.codec);
+        let payload = msg.encode();
         if wire::is_batch_txn_message(msg) {
             self.recorder.inc("txn.encode_bytes", payload.len() as u64);
         }
@@ -191,29 +190,14 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     }
 
     /// Send a `StageBatch` straight from borrowed per-goal primitive
-    /// slices.  Under the binary codec this is the zero-copy hot path — no
-    /// owned [`ScriptSegment`]s, no JSON value tree; under JSON the
-    /// segments are materialised once, here, and nowhere else.
+    /// slices: the zero-copy hot path, with no owned `ScriptSegment`s.
     pub(crate) fn send_stage_batch(
         &mut self,
         to: DeviceId,
         txn: u64,
         segments: &[(u64, &[Primitive])],
     ) {
-        let payload = match self.codec {
-            WireCodec::Binary => wire::encode_stage_batch(txn, segments),
-            WireCodec::Json => WireMessage::StageBatch {
-                txn,
-                segments: segments
-                    .iter()
-                    .map(|(goal, primitives)| ScriptSegment {
-                        goal: *goal,
-                        primitives: primitives.to_vec(),
-                    })
-                    .collect(),
-            }
-            .encode(),
-        };
+        let payload = wire::encode_stage_batch(txn, segments);
         self.recorder.inc("txn.encode_bytes", payload.len() as u64);
         let m = MgmtMessage::new(self.nm_host, to, MessageCategory::Command, payload);
         self.channel.send(&mut self.net, m);
@@ -403,10 +387,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         if !self.net.device(at).map(|d| d.up).unwrap_or(false) {
             return;
         }
-        // Zero-copy fast path: a binary StageBatch is always agent-bound,
-        // so hand the raw payload to the agent for in-place validation
-        // instead of materialising a message tree first.
-        if wire::is_binary_stage_batch(&msg.payload) {
+        // Zero-copy fast path: a StageBatch is always agent-bound, so hand
+        // the raw payload to the agent for in-place validation instead of
+        // materialising a message tree first.
+        if wire::is_stage_batch(&msg.payload) {
             if let (Some(agent), Ok(device)) = (self.agents.get_mut(&at), self.net.device_mut(at)) {
                 if let Some(outputs) = agent.handle_stage_batch_in_place(device, &msg.payload) {
                     self.answer(at, outputs, upward);
@@ -927,11 +911,11 @@ mod tests {
         // A binary StageBatch cut short inside its segment fails the
         // agent's in-place framing check, and so does one whose segment
         // count claims four billion segments in a 13-byte frame; plain text
-        // is not JSON at all.
+        // opens with no frame's tag.
         let script: [Primitive; 1] = [Primitive::ShowPotential];
         let mut truncated = wire::encode_stage_batch(7, &[(1, &script)]);
         truncated.truncate(truncated.len() - 1);
-        assert!(wire::is_binary_stage_batch(&truncated));
+        assert!(wire::is_stage_batch(&truncated));
         let mut lying_count = wire::encode_stage_batch(7, &[]);
         let count_at = lying_count.len() - 4;
         lying_count[count_at..].fill(0xFF);
@@ -957,7 +941,7 @@ mod tests {
         let batch = WireMessage::RelayBatch {
             envelopes: vec![envelope],
         };
-        let mut cut_body = batch.encode_with(WireCodec::Binary);
+        let mut cut_body = batch.encode();
         cut_body.truncate(cut_body.len() - 1);
         let lying_count = vec![mgmt_channel::codec::TAG_RELAY_BATCH, 0xFF, 0xFF, 0xFF, 0xFF];
         for payload in [cut_body, lying_count] {
@@ -974,5 +958,50 @@ mod tests {
             "{sent:?}"
         );
         assert!(!sent.contains_key(&MessageCategory::FieldQuery), "{sent:?}");
+    }
+
+    /// Before the one binary codec, every message could travel as JSON and
+    /// the decoder sniffed for its `{`.  Now `{` is no frame's tag: an
+    /// old-style JSON `CommitBatch` reaches the agent and a JSON `Notify`
+    /// the NM, and each is dropped and counted without being acted on.
+    #[test]
+    fn an_old_style_json_payload_is_dropped_and_counted_not_decoded() {
+        let mut net = Network::new();
+        let d1 = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
+        let d2 = net.add_device(Device::new("RouterB", DeviceRole::Router, 1));
+        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
+        mn.add_agent(ManagementAgent::new(d1, "RouterA"));
+        mn.add_agent(ManagementAgent::new(d2, "RouterB"));
+        let recorder = Recorder::new();
+        mn.set_recorder(recorder.clone());
+        mn.announce_all();
+        mn.reset_counters();
+
+        // What the JSON codec put on the channel for these two messages.
+        let commit = serde_json::json!({"CommitBatch": {"goals": [1], "txn": 7}});
+        let notify = serde_json::json!({"Notify": {
+            "body": "Established",
+            "from": {"device": d2.as_u64(), "kind": "Ip", "module": 1},
+        }});
+        let sends = [
+            (d1, d2, MessageCategory::Command, commit),
+            (d2, d1, MessageCategory::Notification, notify),
+        ];
+        for (dropped, (from, to, category, json)) in (1..).zip(sends) {
+            let payload = serde_json::to_vec(&json).unwrap();
+            assert_eq!(payload[0], b'{');
+            mn.channel
+                .send(&mut mn.net, MgmtMessage::new(from, to, category, payload));
+            assert_eq!(mn.run_management(), 1, "delivered, and nothing answered");
+            assert_eq!(recorder.counter("mgmt.decode_dropped"), dropped);
+        }
+        // The agent sent no commit result up; the NM heard no notification.
+        let received = mn.nm_counters().received_by_category;
+        assert!(
+            !received.contains_key(&MessageCategory::Response),
+            "{received:?}"
+        );
+        assert!(mn.commit_batch_results.is_empty());
+        assert_eq!(recorder.counter("mgmt.notifications"), 0);
     }
 }

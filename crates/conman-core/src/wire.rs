@@ -1,84 +1,123 @@
-//! Wire codecs for the management channel: vendored JSON everywhere, plus a
-//! compact binary framing for the batched-transaction hot path.  Neither
-//! codec interprets a module-to-module envelope's body: it is bytes the
-//! sending module encoded and only the receiving module decodes.
+//! The management channel's one wire codec: every [`WireMessage`] is a
+//! binary frame, a tag byte (`mgmt_channel::codec::TAG_*`) followed by the
+//! message's fields.  There is no second codec and nothing sniffs: a payload
+//! whose first byte is not one of the thirteen tags (a JSON document starts
+//! with `{`) does not decode, and the runtime drops it and counts it under
+//! `mgmt.decode_dropped`.  Neither does a frame with bytes left over.  The
+//! codec never interprets a module-to-module envelope's body: it is bytes
+//! the sending module encoded and only the receiving module decodes.
 //!
-//! The paper's Table VI parity experiments (and every diagnostic tool that
-//! reads payloads) keep the self-describing JSON encoding, which stays the
-//! default.  Reconcile passes at scale, however, spend a startling share of
-//! their wall time serialising, re-parsing and re-validating the
-//! StageBatch/CommitBatch value trees — once per device, every pass.  The
-//! [`WireCodec::Binary`] codec replaces exactly those six batch messages
-//! with a length-prefixed binary layout (see `mgmt_channel::codec`) behind
-//! the existing [`WireMessage`] enum: the channels and the channel tap
-//! never see the difference, and
-//! [`WireMessage::decode`] auto-detects the codec from the first payload
-//! byte (binary tags are `>= 0x80`; JSON starts with `{`).
-//!
-//! The `StageBatch` layout additionally length-prefixes every goal segment,
-//! so the receiving agent can walk borrowed segment slices and validate
-//! primitives *as they decode* ([`StageBatchView`]) instead of
-//! materialising the whole message first.
-//!
-//! A primitive inside a segment block is a tag byte and its fields in
-//! declaration order (`opt X` is a presence byte, then `X` when it is 1;
-//! `str` is a `u32` length and UTF-8 bytes; a module ref is a kind byte
-//! (`0`–`4` ETH, IP, GRE, MPLS, VLAN; `7` an `App`, then its name), `u32`
-//! module, `u64` device):
+//! A field has one layout wherever it appears:
 //!
 //! ```text
-//! 0 showPotential   1 showActual
-//! 2 create pipe     u32 pipe, upper, lower, opt peer_upper, opt peer_lower,
-//!                   u32 n + n tradeoff bytes, u8 initiate
-//! 3 create switch   module, u32 in_pipe, u32 out_pipe,
-//!                   opt (str name, str value) dst_class,
-//!                   opt (str name, str value) gateway, opt str local_prefix
-//! 4 create filter   module, from, to, u32 n + n (str key, str value)
-//! 5 delete          0 + u32 pipe | 1 + module, u32 in, u32 out | 2 + module, from, to
+//! u32, u64     little-endian (a length in a ModuleError travels as u64)
+//! bool         one byte, 0 or 1
+//! str, bytes   u32 length, then the UTF-8 / raw bytes
+//! list X       u32 count, then each X; a map is a list of (key, value)
+//! opt X        presence byte 0 | 1, then X when it is 1
+//! (A, B)       A then B; a struct is its fields in declaration order
+//! enum         variant byte (its declaration index), then its fields
+//! ids          pipe, module, port and link u32; device u64
+//! module       kind (0-4 ETH IP GRE MPLS VLAN | 5 App + str), u32 module, u64 device
 //! ```
 //!
-//! A pipe carries no names at all and a transit switch rule three absent
-//! options: the only strings in a generated segment are the class, gateway
-//! and local prefix of a goal's two edge-IP rules.  A refusal in a verdict
-//! or a commit result travels as its `u32`-length-prefixed JSON.
+//! The thirteen frames, after the tag:
 //!
-//! A `RelayBatch` is a `u32` envelope count, then per envelope `from`, `to`,
-//! a kind byte (`0` convey, `1` field query, `2` field response) and the
-//! body as `u32`-length-prefixed bytes.  The body is already bytes — each
-//! protocol module encodes its own messages — so the codec copies it and
-//! never parses it; under [`WireCodec::Json`] the same body travels as a
-//! JSON array of numbers.
+//! ```text
+//! 0x81 StageBatch        u64 txn, list (u64 goal, bytes block); block = list primitive
+//! 0x82 StageBatchResult  u64 txn, list (u64 goal, list refusal)
+//! 0x83 CommitBatch       u64 txn, list u64 goal
+//! 0x84 CommitBatchResult u64 txn, list (u64 goal, list outcome)
+//! 0x85 AbortBatch        u64 txn, list u64 goal
+//! 0x86 RelayBatch        list envelope
+//! 0x87 Announce          u64 device, str name, list (u32 port, u64 device, u32 port)
+//! 0x88 Script            u64 request, list primitive
+//! 0x89 ScriptResult      u64 request, list outcome
+//! 0x8A Module            envelope
+//! 0x8B Notify            module, notice
+//! 0x8C PollCounters      u64 request, list u64 tag
+//! 0x8D CounterReport     u64 request, list (module, list (drop reason, u64)),
+//!                        list (u64 tag, u64 originated, forwarded, local_delivered, drops)
+//! ```
+//!
+//! and what they carry:
+//!
+//! ```text
+//! primitive   0 showPotential | 1 showActual
+//!             | 2 create pipe: u32 pipe, module upper, lower, opt peer_upper,
+//!                 opt peer_lower, list tradeoff, bool initiate
+//!             | 3 create switch: module, u32 in, u32 out, opt (str name, str value)
+//!                 dst_class, opt (str name, str value) gateway, opt str local_prefix
+//!             | 4 create filter: module, from, to, list (str key, str value)
+//!             | 5 delete: component
+//! component   0 u32 pipe | 1 module, u32 in, u32 out | 2 module, from, to
+//! envelope    module from, to, kind (0 convey | 1 field query | 2 field response), bytes body
+//! outcome     0 result | 1 refusal
+//! result      0 list abstraction | 1 list (module, actual) | 2 u32 pipe created | 3 done
+//! actual      list u32 pipe, list (u32, u32) switch rule, list (module, module) filter
+//! refusal     u64 device, opt component, cause
+//! cause       0 unknown module: module | 1 module error | 2 malformed segment
+//!             | 3 never staged | 4 unanswered stage | 5 unanswered commit
+//! module err  0 cannot filter | 1 missing tradeoffs | 2 undecodable body: module, u64 len
+//!             | 3 filter without address | 4 bad filter field: field byte
+//! notice      0 established | 1 refused: refusal | 2 poll round cap
+//! abstraction module name, list kind up_connectable, list dependency, list kind
+//!             down_connectable, list dependency, list (u32 port, opt u32 link, bool
+//!             broadcast), list kind peerable, list classifier, (list switch kind, bool
+//!             multicast, state source, bool transparent_down_down), list str
+//!             perf_reporting, list (list metric costs, list metric improves, str
+//!             applies_to), list str perf_enforcement, (bool integrity, authenticity,
+//!             confidentiality, opt dependency), opt str address_domain, bool
+//!             fast_forwarding
+//! dependency  str id, str description
+//! ```
+//!
+//! The `StageBatch` frame length-prefixes every goal segment, so the
+//! receiving agent can walk borrowed segment slices and validate primitives
+//! *as they decode* ([`StageBatchView`]) instead of materialising the whole
+//! message first.  A pipe carries no names at all and a transit switch rule
+//! three absent options: the only strings in a generated segment are the
+//! class, gateway and local prefix of a goal's two edge-IP rules.
 
-use crate::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
-use crate::primitives::{
-    ComponentRef, EnvelopeKind, FilterSpec, ModuleEnvelope, PipeSpec, Primitive, PrimitiveOutcome,
-    PrimitiveResult, ResolvedName, ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec,
-    TradeoffChoice, WireMessage,
+use crate::abstraction::{
+    CounterSnapshot, Dependency, FilterCapability, FilterClassifier, ModuleAbstraction,
+    PerfTradeoff, PerformanceMetric, PhysicalPipeInfo, SecurityCapability, SwitchCapability,
+    SwitchKind, SwitchStateSource,
 };
-use mgmt_channel::codec::{self, Reader, Writer};
-use netsim::device::DeviceId;
-use serde::{Deserialize, Serialize};
+use crate::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
+use crate::module::{FilterField, ModuleError};
+use crate::primitives::{
+    Announcement, ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, Notice,
+    Notification, PipeSpec, Primitive, PrimitiveResult, Refusal, RefusalCause, ResolvedName,
+    ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec, TradeoffChoice, WireMessage,
+};
+use mgmt_channel::codec::{
+    Reader, Writer, TAG_ABORT_BATCH, TAG_ANNOUNCE, TAG_COMMIT_BATCH, TAG_COMMIT_BATCH_RESULT,
+    TAG_COUNTER_REPORT, TAG_MODULE, TAG_NOTIFY, TAG_POLL_COUNTERS, TAG_RELAY_BATCH, TAG_SCRIPT,
+    TAG_SCRIPT_RESULT, TAG_STAGE_BATCH, TAG_STAGE_BATCH_RESULT,
+};
+use netsim::device::{DeviceId, PortId};
+use netsim::link::LinkId;
+use netsim::stats::{DropReason, FlowCounters};
 use std::collections::BTreeMap;
 
-/// Which encoding the NM and its agents put on the management channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// The management channel's encoding.  There is one, so nothing reads this
+/// type: it is kept only so that `benchmark/`, which sets
+/// [`ManagedNetwork::codec`](crate::ManagedNetwork::codec) to
+/// `WireCodec::Binary`, still compiles, and goes when the benchmark stops
+/// naming it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireCodec {
-    /// Self-describing vendored JSON for every message — the paper-parity
-    /// default; byte counts feed the Table VI experiments.
+    /// The binary frames of this module, for every message.
     #[default]
-    Json,
-    /// Length-prefixed binary framing for the six batch messages
-    /// (`StageBatch`, `StageBatchResult`, `CommitBatch`,
-    /// `CommitBatchResult`, `AbortBatch`, `RelayBatch`); everything else
-    /// stays JSON.  Decoding auto-detects, so mixed traffic is fine.
     Binary,
 }
 
-/// Is this payload a binary-coded `StageBatch`?  The runtime's receive path
-/// uses this to route the payload to the agent's in-place validator without
+/// Is this payload a `StageBatch` frame?  The runtime's receive path uses
+/// this to route the payload to the agent's in-place validator without
 /// materialising a [`WireMessage`] first.
-pub(crate) fn is_binary_stage_batch(payload: &[u8]) -> bool {
-    payload.first() == Some(&codec::TAG_STAGE_BATCH)
+pub(crate) fn is_stage_batch(payload: &[u8]) -> bool {
+    payload.first() == Some(&TAG_STAGE_BATCH)
 }
 
 /// Is this message one of the batched-transaction messages whose encoded
@@ -95,194 +134,65 @@ pub(crate) fn is_batch_txn_message(msg: &WireMessage) -> bool {
 }
 
 impl WireMessage {
-    /// Encode under the given codec: [`WireCodec::Binary`] hand-rolls the
-    /// six batch messages, everything else (and everything under
-    /// [`WireCodec::Json`]) serialises as before via [`WireMessage::encode`].
-    pub fn encode_with(&self, codec: WireCodec) -> Vec<u8> {
-        if codec == WireCodec::Json {
-            return self.encode();
-        }
-        match self {
-            WireMessage::StageBatch { txn, segments } => {
-                let borrowed: Vec<(u64, &[Primitive])> = segments
-                    .iter()
-                    .map(|s| (s.goal, s.primitives.as_slice()))
-                    .collect();
-                encode_stage_batch(*txn, &borrowed)
-            }
-            WireMessage::StageBatchResult { txn, verdicts } => {
-                let mut w = Writer::with_tag(codec::TAG_STAGE_BATCH_RESULT);
-                w.put_u64(*txn);
-                w.put_u32(verdicts.len() as u32);
-                for v in verdicts {
-                    w.put_u64(v.goal);
-                    w.put_u32(v.errors.len() as u32);
-                    for e in &v.errors {
-                        put_json(&mut w, e);
-                    }
-                }
-                w.finish()
-            }
-            WireMessage::CommitBatch { txn, goals } => {
-                encode_goal_list(codec::TAG_COMMIT_BATCH, *txn, goals)
-            }
-            WireMessage::CommitBatchResult { txn, segments } => {
-                let mut w = Writer::with_tag(codec::TAG_COMMIT_BATCH_RESULT);
-                w.put_u64(*txn);
-                w.put_u32(segments.len() as u32);
-                for s in segments {
-                    w.put_u64(s.goal);
-                    w.put_u32(s.results.len() as u32);
-                    for r in &s.results {
-                        put_commit_result(&mut w, r);
-                    }
-                }
-                w.finish()
-            }
-            WireMessage::AbortBatch { txn, goals } => {
-                encode_goal_list(codec::TAG_ABORT_BATCH, *txn, goals)
-            }
-            WireMessage::RelayBatch { envelopes } => {
-                let mut w = Writer::with_tag(codec::TAG_RELAY_BATCH);
-                w.put_u32(envelopes.len() as u32);
-                for env in envelopes {
-                    put_module_ref(&mut w, &env.from);
-                    put_module_ref(&mut w, &env.to);
-                    w.put_u8(match env.kind {
-                        EnvelopeKind::Convey => 0,
-                        EnvelopeKind::FieldQuery => 1,
-                        EnvelopeKind::FieldResponse => 2,
-                    });
-                    // The body is the sending module's own encoding, opaque
-                    // to the NM (§II-D): it is copied as it is.
-                    w.put_bytes(&env.body);
-                }
-                w.finish()
-            }
-            _ => self.encode(),
-        }
+    /// Encode as the message's frame (see the [module docs](self)).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
+        self.put(&mut w);
+        w.finish()
+    }
+
+    /// Decode one frame.  `None` for an unknown tag, a truncated or corrupt
+    /// frame, or one with bytes left over.
+    pub fn decode(bytes: &[u8]) -> Option<WireMessage> {
+        let mut r = Reader::new(bytes);
+        let msg = WireMessage::read(&mut r)?;
+        r.is_exhausted().then_some(msg)
     }
 }
 
 /// Encode a `StageBatch` directly from borrowed per-goal primitive slices —
 /// the zero-copy path the batch executor uses, skipping the owned
-/// [`ScriptSegment`] clones entirely.  Layout: tag, `txn`, segment count,
-/// then per segment its goal id and a length-prefixed primitive block the
-/// agent can validate in place.
+/// [`ScriptSegment`] clones entirely.  The same frame as
+/// [`WireMessage::encode`] of the owned message.
 pub fn encode_stage_batch(txn: u64, segments: &[(u64, &[Primitive])]) -> Vec<u8> {
-    let mut w = Writer::with_tag(codec::TAG_STAGE_BATCH);
-    w.put_u64(txn);
+    let mut w = Writer::with_tag(TAG_STAGE_BATCH);
+    txn.put(&mut w);
     w.put_u32(segments.len() as u32);
     for (goal, primitives) in segments {
-        w.put_u64(*goal);
-        let at = w.len();
-        w.put_u32(0); // length prefix, patched below
-        w.put_u32(primitives.len() as u32);
-        for p in *primitives {
-            put_primitive(&mut w, p);
-        }
-        w.patch_u32(at, (w.len() - at - 4) as u32);
+        put_segment(&mut w, *goal, primitives);
     }
     w.finish()
 }
 
-/// Decode any payload: binary tags are dispatched to the binary decoders,
-/// everything else is treated as JSON.  Returns `None` for malformed input
-/// of either codec.
-pub fn decode(bytes: &[u8]) -> Option<WireMessage> {
-    if !codec::is_binary(bytes) {
-        return serde_json::from_slice(bytes).ok();
-    }
-    let mut r = Reader::new(bytes);
-    let msg = match r.u8()? {
-        codec::TAG_STAGE_BATCH => {
-            let view = StageBatchView::parse(bytes)?;
-            let mut segments = Vec::with_capacity(view.segments.len());
-            for seg in view.segments() {
-                let mut primitives = Vec::new();
-                for p in seg.primitives() {
-                    primitives.push(p.ok()?);
-                }
-                segments.push(ScriptSegment {
-                    goal: seg.goal,
-                    primitives,
-                });
-            }
-            WireMessage::StageBatch {
-                txn: view.txn,
-                segments,
-            }
-        }
-        codec::TAG_STAGE_BATCH_RESULT => {
-            let txn = r.u64()?;
-            let n = r.u32()?;
-            let mut verdicts = Vec::with_capacity(presize(&r, n));
-            for _ in 0..n {
-                let goal = r.u64()?;
-                let nerr = r.u32()?;
-                let mut errors = Vec::with_capacity(presize(&r, nerr));
-                for _ in 0..nerr {
-                    errors.push(read_json(&mut r)?);
-                }
-                verdicts.push(SegmentVerdict { goal, errors });
-            }
-            WireMessage::StageBatchResult { txn, verdicts }
-        }
-        codec::TAG_COMMIT_BATCH => {
-            let (txn, goals) = read_goal_list(&mut r)?;
-            WireMessage::CommitBatch { txn, goals }
-        }
-        codec::TAG_COMMIT_BATCH_RESULT => {
-            let txn = r.u64()?;
-            let n = r.u32()?;
-            let mut segments = Vec::with_capacity(presize(&r, n));
-            for _ in 0..n {
-                let goal = r.u64()?;
-                let nres = r.u32()?;
-                let mut results = Vec::with_capacity(presize(&r, nres));
-                for _ in 0..nres {
-                    results.push(read_commit_result(&mut r)?);
-                }
-                segments.push(SegmentCommit { goal, results });
-            }
-            WireMessage::CommitBatchResult { txn, segments }
-        }
-        codec::TAG_ABORT_BATCH => {
-            let (txn, goals) = read_goal_list(&mut r)?;
-            WireMessage::AbortBatch { txn, goals }
-        }
-        codec::TAG_RELAY_BATCH => {
-            let n = r.u32()?;
-            let mut envelopes = Vec::with_capacity(presize(&r, n));
-            for _ in 0..n {
-                let from = read_module_ref(&mut r)?;
-                let to = read_module_ref(&mut r)?;
-                let kind = match r.u8()? {
-                    0 => EnvelopeKind::Convey,
-                    1 => EnvelopeKind::FieldQuery,
-                    2 => EnvelopeKind::FieldResponse,
-                    _ => return None,
-                };
-                let body = r.bytes()?.to_vec();
-                envelopes.push(ModuleEnvelope {
-                    from,
-                    to,
-                    kind,
-                    body,
-                });
-            }
-            WireMessage::RelayBatch { envelopes }
-        }
-        _ => return None,
-    };
-    Some(msg)
+/// One `StageBatch` segment: its goal id and a length-prefixed primitive
+/// block the agent can validate in place.
+fn put_segment(w: &mut Writer, goal: u64, primitives: &[Primitive]) {
+    goal.put(w);
+    let at = w.len();
+    w.put_u32(0); // length prefix, patched below
+    put_list(w, primitives);
+    w.patch_u32(at, (w.len() - at - 4) as u32);
 }
 
-/// A borrowed view over a binary `StageBatch` payload: the transaction id
-/// plus one `(goal, primitive-block)` slice per segment, sliced straight
-/// out of the wire bytes.  The agent walks each segment's
-/// [`SegmentView::primitives`] stream and validates primitives as they
-/// decode — no intermediate message tree, no per-segment re-parse.
+impl Field for ScriptSegment {
+    fn put(&self, w: &mut Writer) {
+        put_segment(w, self.goal, &self.primitives);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let goal = r.u64()?;
+        let mut block = Reader::new(r.bytes()?);
+        let primitives = Field::read(&mut block)?;
+        block
+            .is_exhausted()
+            .then_some(ScriptSegment { goal, primitives })
+    }
+}
+
+/// A borrowed view over a `StageBatch` frame: the transaction id plus one
+/// `(goal, primitive-block)` slice per segment, sliced straight out of the
+/// wire bytes.  The agent walks each segment's [`SegmentView::primitives`]
+/// stream and validates primitives as they decode — no intermediate message
+/// tree, no per-segment re-parse.
 #[derive(Debug)]
 pub struct StageBatchView<'a> {
     /// The transaction id shared by every segment.
@@ -291,14 +201,13 @@ pub struct StageBatchView<'a> {
 }
 
 impl<'a> StageBatchView<'a> {
-    /// Parse the framing of a binary `StageBatch` payload.  Segment
-    /// *contents* are not decoded here — only the length-prefixed slices
-    /// are located — so a corrupt primitive surfaces later, from the
-    /// segment's own stream, as a per-segment error rather than a dropped
-    /// message.
+    /// Parse the framing of a `StageBatch` frame.  Segment *contents* are
+    /// not decoded here — only the length-prefixed slices are located — so
+    /// a corrupt primitive surfaces later, from the segment's own stream, as
+    /// a per-segment error rather than a dropped message.
     pub fn parse(payload: &'a [u8]) -> Option<Self> {
         let mut r = Reader::new(payload);
-        if r.u8()? != codec::TAG_STAGE_BATCH {
+        if r.u8()? != TAG_STAGE_BATCH {
             return None;
         }
         let txn = r.u64()?;
@@ -378,7 +287,7 @@ impl Iterator for PrimitiveStream<'_> {
             return None;
         }
         self.remaining -= 1;
-        match read_primitive(&mut self.r) {
+        match Primitive::read(&mut self.r) {
             Some(p) => Some(Ok(p)),
             None => {
                 self.remaining = 0;
@@ -389,7 +298,15 @@ impl Iterator for PrimitiveStream<'_> {
     }
 }
 
-// ---- field-level encoders/decoders ------------------------------------
+// ---- field layouts ----------------------------------------------------
+
+/// A value with one layout wherever it appears in a frame (the table in the
+/// module docs).  `read` returns `None`, never panics, on anything short or
+/// out of range.
+trait Field: Sized {
+    fn put(&self, w: &mut Writer);
+    fn read(r: &mut Reader<'_>) -> Option<Self>;
+}
 
 /// How many elements to pre-size a `Vec` for when the payload claims `n`
 /// follow: never more than the bytes left to read, since every element
@@ -399,312 +316,335 @@ fn presize(r: &Reader<'_>, n: u32) -> usize {
     (n as usize).min(r.remaining())
 }
 
-fn encode_goal_list(tag: u8, txn: u64, goals: &[u64]) -> Vec<u8> {
-    let mut w = Writer::with_tag(tag);
-    w.put_u64(txn);
-    w.put_u32(goals.len() as u32);
-    for g in goals {
-        w.put_u64(*g);
+fn put_list<T: Field>(w: &mut Writer, items: &[T]) {
+    w.put_u32(items.len() as u32);
+    for item in items {
+        item.put(w);
     }
-    w.finish()
 }
 
-fn read_goal_list(r: &mut Reader<'_>) -> Option<(u64, Vec<u64>)> {
-    let txn = r.u64()?;
-    let n = r.u32()?;
-    let mut goals = Vec::with_capacity(presize(r, n));
-    for _ in 0..n {
-        goals.push(r.u64()?);
+impl Field for bool {
+    fn put(&self, w: &mut Writer) {
+        w.put_bool(*self);
     }
-    Some((txn, goals))
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        r.bool()
+    }
 }
 
-fn put_module_ref(w: &mut Writer, m: &ModuleRef) {
-    match &m.kind {
-        ModuleKind::Eth => w.put_u8(0),
-        ModuleKind::Ip => w.put_u8(1),
-        ModuleKind::Gre => w.put_u8(2),
-        ModuleKind::Mpls => w.put_u8(3),
-        ModuleKind::Vlan => w.put_u8(4),
-        ModuleKind::App(name) => {
-            w.put_u8(7);
-            w.put_str(name);
+impl Field for u32 {
+    fn put(&self, w: &mut Writer) {
+        w.put_u32(*self);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        r.u32()
+    }
+}
+
+impl Field for u64 {
+    fn put(&self, w: &mut Writer) {
+        w.put_u64(*self);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        r.u64()
+    }
+}
+
+impl Field for usize {
+    fn put(&self, w: &mut Writer) {
+        w.put_u64(*self as u64);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        r.u64()?.try_into().ok()
+    }
+}
+
+impl Field for String {
+    fn put(&self, w: &mut Writer) {
+        w.put_str(self);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        r.str().map(str::to_string)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        put_list(w, self);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let n = r.u32()?;
+        let mut items = Vec::with_capacity(presize(r, n));
+        for _ in 0..n {
+            items.push(T::read(r)?);
+        }
+        Some(items)
+    }
+}
+
+impl<K: Field + Ord, V: Field> Field for BTreeMap<K, V> {
+    fn put(&self, w: &mut Writer) {
+        w.put_u32(self.len() as u32);
+        for (k, v) in self {
+            k.put(w);
+            v.put(w);
         }
     }
-    w.put_u32(m.module.0);
-    w.put_u64(m.device.as_u64());
-}
-
-fn read_module_ref(r: &mut Reader<'_>) -> Option<ModuleRef> {
-    let kind = match r.u8()? {
-        0 => ModuleKind::Eth,
-        1 => ModuleKind::Ip,
-        2 => ModuleKind::Gre,
-        3 => ModuleKind::Mpls,
-        4 => ModuleKind::Vlan,
-        7 => ModuleKind::App(r.str()?.to_string()),
-        _ => return None,
-    };
-    let module = ModuleId(r.u32()?);
-    let device = DeviceId::from_raw(r.u64()?);
-    Some(ModuleRef::new(kind, module, device))
-}
-
-/// `opt X` of the frame layout: a presence byte, then `X` when it is 1.
-fn put_opt<T>(w: &mut Writer, v: &Option<T>, put: impl FnOnce(&mut Writer, &T)) {
-    w.put_u8(u8::from(v.is_some()));
-    if let Some(v) = v {
-        put(w, v);
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        let pairs: Vec<(K, V)> = Field::read(r)?;
+        Some(pairs.into_iter().collect())
     }
 }
 
-fn read_opt<'a, T>(
-    r: &mut Reader<'a>,
-    read: impl FnOnce(&mut Reader<'a>) -> Option<T>,
-) -> Option<Option<T>> {
-    match r.u8()? {
-        0 => Some(None),
-        1 => Some(Some(read(r)?)),
-        _ => None,
+impl<T: Field> Field for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        match r.bool()? {
+            false => Some(None),
+            true => Some(Some(T::read(r)?)),
+        }
     }
 }
 
-fn put_resolved_name(w: &mut Writer, n: &ResolvedName) {
-    w.put_str(&n.name);
-    w.put_str(&n.value);
-}
-
-fn read_resolved_name(r: &mut Reader<'_>) -> Option<ResolvedName> {
-    let name = r.str()?.to_string();
-    let value = r.str()?.to_string();
-    Some(ResolvedName { name, value })
-}
-
-/// A `FilterSpec`'s caller-supplied field map.
-fn put_resolved(w: &mut Writer, resolved: &BTreeMap<String, String>) {
-    w.put_u32(resolved.len() as u32);
-    for (k, v) in resolved {
-        w.put_str(k);
-        w.put_str(v);
+impl<T: Field> Field for Box<T> {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        T::read(r).map(Box::new)
     }
 }
 
-fn read_resolved(r: &mut Reader<'_>) -> Option<BTreeMap<String, String>> {
-    let n = r.u32()?;
-    let mut map = BTreeMap::new();
-    for _ in 0..n {
-        let k = r.str()?.to_string();
-        let v = r.str()?.to_string();
-        map.insert(k, v);
-    }
-    Some(map)
-}
-
-fn tradeoff_tag(t: TradeoffChoice) -> u8 {
-    match t {
-        TradeoffChoice::InOrderDelivery => 0,
-        TradeoffChoice::LowErrorRate => 1,
-        TradeoffChoice::LowDelay => 2,
-    }
-}
-
-fn read_tradeoff(r: &mut Reader<'_>) -> Option<TradeoffChoice> {
-    match r.u8()? {
-        0 => Some(TradeoffChoice::InOrderDelivery),
-        1 => Some(TradeoffChoice::LowErrorRate),
-        2 => Some(TradeoffChoice::LowDelay),
-        _ => None,
-    }
-}
-
-fn put_primitive(w: &mut Writer, p: &Primitive) {
-    match p {
-        Primitive::ShowPotential => w.put_u8(0),
-        Primitive::ShowActual => w.put_u8(1),
-        Primitive::CreatePipe(spec) => {
-            w.put_u8(2);
-            w.put_u32(spec.pipe.0);
-            put_module_ref(w, &spec.upper);
-            put_module_ref(w, &spec.lower);
-            put_opt(w, &spec.peer_upper, put_module_ref);
-            put_opt(w, &spec.peer_lower, put_module_ref);
-            w.put_u32(spec.tradeoffs.len() as u32);
-            for t in &spec.tradeoffs {
-                w.put_u8(tradeoff_tag(*t));
+impl<T: Field, E: Field> Field for Result<T, E> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Ok(v) => {
+                w.put_u8(0);
+                v.put(w);
             }
-            w.put_bool(spec.initiate);
-        }
-        Primitive::CreateSwitch(spec) => {
-            w.put_u8(3);
-            put_module_ref(w, &spec.module);
-            w.put_u32(spec.in_pipe.0);
-            w.put_u32(spec.out_pipe.0);
-            put_opt(w, &spec.dst_class, put_resolved_name);
-            put_opt(w, &spec.gateway, put_resolved_name);
-            put_opt(w, &spec.local_prefix, |w, s| w.put_str(s));
-        }
-        Primitive::CreateFilter(spec) => {
-            w.put_u8(4);
-            put_module_ref(w, &spec.module);
-            put_module_ref(w, &spec.from);
-            put_module_ref(w, &spec.to);
-            put_resolved(w, &spec.resolved);
-        }
-        Primitive::Delete(c) => {
-            w.put_u8(5);
-            match c {
-                ComponentRef::Pipe(p) => {
-                    w.put_u8(0);
-                    w.put_u32(p.0);
-                }
-                ComponentRef::SwitchRule(m, i, o) => {
-                    w.put_u8(1);
-                    put_module_ref(w, m);
-                    w.put_u32(i.0);
-                    w.put_u32(o.0);
-                }
-                ComponentRef::Filter(m, f, t) => {
-                    w.put_u8(2);
-                    put_module_ref(w, m);
-                    put_module_ref(w, f);
-                    put_module_ref(w, t);
-                }
+            Err(e) => {
+                w.put_u8(1);
+                e.put(w);
             }
         }
     }
-}
-
-fn read_primitive(r: &mut Reader<'_>) -> Option<Primitive> {
-    Some(match r.u8()? {
-        0 => Primitive::ShowPotential,
-        1 => Primitive::ShowActual,
-        2 => {
-            let pipe = PipeId(r.u32()?);
-            let upper = read_module_ref(r)?;
-            let lower = read_module_ref(r)?;
-            let peer_upper = read_opt(r, read_module_ref)?;
-            let peer_lower = read_opt(r, read_module_ref)?;
-            let n = r.u32()?;
-            let mut tradeoffs = Vec::with_capacity(presize(r, n));
-            for _ in 0..n {
-                tradeoffs.push(read_tradeoff(r)?);
-            }
-            let initiate = r.bool()?;
-            Primitive::CreatePipe(PipeSpec {
-                pipe,
-                upper,
-                lower,
-                peer_upper,
-                peer_lower,
-                tradeoffs,
-                initiate,
-            })
-        }
-        3 => {
-            let module = read_module_ref(r)?;
-            let in_pipe = PipeId(r.u32()?);
-            let out_pipe = PipeId(r.u32()?);
-            let dst_class = read_opt(r, read_resolved_name)?;
-            let gateway = read_opt(r, read_resolved_name)?;
-            let local_prefix = read_opt(r, |r| r.str().map(str::to_string))?;
-            Primitive::CreateSwitch(SwitchSpec {
-                module,
-                in_pipe,
-                out_pipe,
-                dst_class,
-                gateway,
-                local_prefix,
-            })
-        }
-        4 => {
-            let module = read_module_ref(r)?;
-            let from = read_module_ref(r)?;
-            let to = read_module_ref(r)?;
-            let resolved = read_resolved(r)?;
-            Primitive::CreateFilter(FilterSpec {
-                module,
-                from,
-                to,
-                resolved,
-            })
-        }
-        5 => Primitive::Delete(match r.u8()? {
-            0 => ComponentRef::Pipe(PipeId(r.u32()?)),
-            1 => {
-                let m = read_module_ref(r)?;
-                let i = PipeId(r.u32()?);
-                let o = PipeId(r.u32()?);
-                ComponentRef::SwitchRule(m, i, o)
-            }
-            2 => {
-                let m = read_module_ref(r)?;
-                let f = read_module_ref(r)?;
-                let t = read_module_ref(r)?;
-                ComponentRef::Filter(m, f, t)
-            }
-            _ => return None,
-        }),
-        _ => return None,
-    })
-}
-
-/// A value rare in batch traffic and deeply structured (an abstraction tree,
-/// a `showActual` answer, a refusal), embedded as its JSON bytes rather than
-/// schema'd into the binary layout.
-fn put_json<T: Serialize>(w: &mut Writer, v: &T) {
-    w.put_bytes(&serde_json::to_vec(v).expect("wire values serialize"));
-}
-
-fn read_json<T: Deserialize>(r: &mut Reader<'_>) -> Option<T> {
-    serde_json::from_slice(r.bytes()?).ok()
-}
-
-fn put_commit_result(w: &mut Writer, r: &PrimitiveOutcome) {
-    match r {
-        Ok(res) => {
-            w.put_u8(0);
-            match res {
-                PrimitiveResult::Done => w.put_u8(0),
-                PrimitiveResult::PipeCreated(p) => {
-                    w.put_u8(1);
-                    w.put_u32(p.0);
-                }
-                PrimitiveResult::Potential(mods) => {
-                    w.put_u8(2);
-                    put_json(w, mods);
-                }
-                PrimitiveResult::Actual(map) => {
-                    w.put_u8(3);
-                    put_json(w, map);
-                }
-            }
-        }
-        Err(refusal) => {
-            w.put_u8(1);
-            put_json(w, refusal);
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        match r.u8()? {
+            0 => Some(Ok(T::read(r)?)),
+            1 => Some(Err(E::read(r)?)),
+            _ => None,
         }
     }
 }
 
-fn read_commit_result(r: &mut Reader<'_>) -> Option<PrimitiveOutcome> {
-    match r.u8()? {
-        0 => Some(Ok(match r.u8()? {
-            0 => PrimitiveResult::Done,
-            1 => PrimitiveResult::PipeCreated(PipeId(r.u32()?)),
-            2 => PrimitiveResult::Potential(read_json(r)?),
-            3 => PrimitiveResult::Actual(read_json(r)?),
-            _ => return None,
-        })),
-        1 => Some(Err(read_json(r)?)),
-        _ => None,
+impl<A: Field, B: Field> Field for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        Some((A::read(r)?, B::read(r)?))
+    }
+}
+
+impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        Some((A::read(r)?, B::read(r)?, C::read(r)?))
+    }
+}
+
+impl Field for DeviceId {
+    fn put(&self, w: &mut Writer) {
+        w.put_u64(self.as_u64());
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        r.u64().map(DeviceId::from_raw)
+    }
+}
+
+/// `u32` newtype ids: the number.
+macro_rules! u32_ids {
+    ($($ty:ident),*) => {$(
+        impl Field for $ty {
+            fn put(&self, w: &mut Writer) {
+                w.put_u32(self.0);
+            }
+            fn read(r: &mut Reader<'_>) -> Option<Self> {
+                r.u32().map($ty)
+            }
+        }
+    )*};
+}
+
+u32_ids!(PipeId, ModuleId, PortId, LinkId);
+
+/// Enums: a byte, then the variant's fields in order.  The byte is the
+/// variant's declaration index, or for a message its frame tag.  A variant
+/// is written the way it is matched (`Done`, `Pipe(p)`,
+/// `UndecodableBody { from, len }`), naming its fields.
+macro_rules! enums {
+    ($($ty:ident {
+        $($byte:tt => $variant:ident $(($($t:ident),*))? $({ $($s:ident),* })?),* $(,)?
+    })*) => {$(
+        impl Field for $ty {
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $($ty::$variant $(($($t),*))? $({ $($s),* })? => {
+                        w.put_u8($byte);
+                        $($($t.put(w);)*)?
+                        $($($s.put(w);)*)?
+                    })*
+                }
+            }
+            fn read(r: &mut Reader<'_>) -> Option<Self> {
+                Some(match r.u8()? {
+                    $($byte => {
+                        $($(let $t = Field::read(r)?;)*)?
+                        $($(let $s = Field::read(r)?;)*)?
+                        $ty::$variant $(($($t),*))? $({ $($s),* })?
+                    })*
+                    _ => return None,
+                })
+            }
+        }
+    )*};
+}
+
+enums! {
+    WireMessage {
+        TAG_STAGE_BATCH => StageBatch { txn, segments },
+        TAG_STAGE_BATCH_RESULT => StageBatchResult { txn, verdicts },
+        TAG_COMMIT_BATCH => CommitBatch { txn, goals },
+        TAG_COMMIT_BATCH_RESULT => CommitBatchResult { txn, segments },
+        TAG_ABORT_BATCH => AbortBatch { txn, goals },
+        TAG_RELAY_BATCH => RelayBatch { envelopes },
+        TAG_ANNOUNCE => Announce(announcement),
+        TAG_SCRIPT => Script { request, primitives },
+        TAG_SCRIPT_RESULT => ScriptResult { request, results },
+        TAG_MODULE => Module(envelope),
+        TAG_NOTIFY => Notify(notification),
+        TAG_POLL_COUNTERS => PollCounters { request, tags },
+        TAG_COUNTER_REPORT => CounterReport { request, snapshots, flows },
+    }
+    ModuleKind { 0 => Eth, 1 => Ip, 2 => Gre, 3 => Mpls, 4 => Vlan, 5 => App(name) }
+    TradeoffChoice { 0 => InOrderDelivery, 1 => LowErrorRate, 2 => LowDelay }
+    EnvelopeKind { 0 => Convey, 1 => FieldQuery, 2 => FieldResponse }
+    Primitive {
+        0 => ShowPotential,
+        1 => ShowActual,
+        2 => CreatePipe(spec),
+        3 => CreateSwitch(spec),
+        4 => CreateFilter(spec),
+        5 => Delete(component),
+    }
+    ComponentRef { 0 => Pipe(p), 1 => SwitchRule(m, i, o), 2 => Filter(m, from, to) }
+    PrimitiveResult { 0 => Potential(modules), 1 => Actual(map), 2 => PipeCreated(p), 3 => Done }
+    RefusalCause {
+        0 => UnknownModule(m),
+        1 => Module(e),
+        2 => MalformedSegment,
+        3 => NeverStaged,
+        4 => UnansweredStage,
+        5 => UnansweredCommit,
+    }
+    ModuleError {
+        0 => CannotFilter,
+        1 => MissingTradeoffs,
+        2 => UndecodableBody { from, len },
+        3 => FilterWithoutAddress,
+        4 => BadFilterField(field),
+    }
+    FilterField { 0 => FromAddress, 1 => ToAddress, 2 => ToPort }
+    Notice { 0 => Established, 1 => Refused(refusal), 2 => PollRoundCap }
+    SwitchKind {
+        0 => DownUp, 1 => UpDown, 2 => DownDown, 3 => UpUp, 4 => UpPhy, 5 => PhyUp, 6 => PhyPhy,
+    }
+    SwitchStateSource { 0 => GeneratedLocally, 1 => ProvidedExternally }
+    PerformanceMetric {
+        0 => Delay, 1 => Jitter, 2 => Bandwidth, 3 => LossRate, 4 => ErrorRate, 5 => Ordering,
+    }
+    FilterClassifier {
+        0 => SourceModule, 1 => DestinationModule, 2 => ModuleType, 3 => Pipe, 4 => Device,
+    }
+    DropReason {
+        0 => NoRoute, 1 => TtlExpired, 2 => Filtered, 3 => Malformed, 4 => TunnelMismatch,
+        5 => NoLabel, 6 => NotForUs, 7 => PortDown, 8 => ForwardingDisabled, 9 => MtuExceeded,
+    }
+}
+
+/// Structs: their fields, in the order listed (declaration order).
+macro_rules! structs {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Field for $ty {
+            fn put(&self, w: &mut Writer) {
+                $(self.$field.put(w);)*
+            }
+            fn read(r: &mut Reader<'_>) -> Option<Self> {
+                Some($ty { $($field: Field::read(r)?),* })
+            }
+        }
+    )*};
+}
+
+structs! {
+    ModuleRef { kind, module, device }
+    ResolvedName { name, value }
+    PipeSpec { pipe, upper, lower, peer_upper, peer_lower, tradeoffs, initiate }
+    SwitchSpec { module, in_pipe, out_pipe, dst_class, gateway, local_prefix }
+    FilterSpec { module, from, to, resolved }
+    Notification { from, body }
+    Refusal { device, component, cause }
+    ModuleActual { pipes, switch_rules, filters }
+    Announcement { device, device_name, neighbors }
+    SegmentVerdict { goal, errors }
+    SegmentCommit { goal, results }
+    CounterSnapshot { module, drop_breakdown }
+    FlowCounters { originated, forwarded, local_delivered, drops }
+    ModuleAbstraction {
+        name, up_connectable, up_dependencies, down_connectable, down_dependencies,
+        physical_pipes, peerable, filter, switch, perf_reporting, perf_tradeoffs,
+        perf_enforcement, security, address_domain, fast_forwarding,
+    }
+    Dependency { id, description }
+    PhysicalPipeInfo { port, link, broadcast }
+    FilterCapability { classifiers }
+    SwitchCapability { kinds, multicast, state_source, transparent_down_down }
+    PerfTradeoff { costs, improves, applies_to }
+    SecurityCapability { integrity, authenticity, confidentiality, external_state }
+}
+
+/// The body is the sending module's own encoding, opaque to the NM
+/// (§II-D): it is copied as it is, one length-prefixed slice.
+impl Field for ModuleEnvelope {
+    fn put(&self, w: &mut Writer) {
+        self.from.put(w);
+        self.to.put(w);
+        self.kind.put(w);
+        w.put_bytes(&self.body);
+    }
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        Some(ModuleEnvelope {
+            from: Field::read(r)?,
+            to: Field::read(r)?,
+            kind: Field::read(r)?,
+            body: r.bytes()?.to_vec(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::module::{FilterField, ModuleError};
-    use crate::primitives::{ModuleActual, Notice, Notification, Refusal, RefusalCause};
 
     fn mref(kind: ModuleKind, m: u32, d: u64) -> ModuleRef {
         ModuleRef::new(kind, ModuleId(m), DeviceId::from_raw(d))
@@ -720,7 +660,11 @@ mod tests {
                     lower: mref(ModuleKind::App("HTTP".into()), 2, 1),
                     peer_upper: Some(mref(ModuleKind::Gre, 1, 3)),
                     peer_lower: None,
-                    tradeoffs: vec![TradeoffChoice::InOrderDelivery, TradeoffChoice::LowDelay],
+                    tradeoffs: vec![
+                        TradeoffChoice::InOrderDelivery,
+                        TradeoffChoice::LowErrorRate,
+                        TradeoffChoice::LowDelay,
+                    ],
                     initiate: true,
                 }),
                 Primitive::CreateSwitch(SwitchSpec {
@@ -756,6 +700,13 @@ mod tests {
                     PipeId(1),
                     PipeId(2),
                 )),
+                Primitive::Delete(ComponentRef::Pipe(PipeId(3))),
+                Primitive::Delete(ComponentRef::Filter(
+                    mref(ModuleKind::Vlan, 8, 1),
+                    mref(ModuleKind::Eth, 5, 1),
+                    mref(ModuleKind::App(String::new()), 0, u64::MAX),
+                )),
+                Primitive::ShowPotential,
                 Primitive::ShowActual,
             ],
         }
@@ -771,19 +722,171 @@ mod tests {
         PrimitiveResult::Actual([(mref(ModuleKind::Ip, 3, 1), actual)].into())
     }
 
-    #[test]
-    fn binary_roundtrip_every_batch_message() {
+    /// An abstraction that sets every field, every list holding every value
+    /// its enum has, beside one that sets nothing.
+    fn rich_potential() -> PrimitiveResult {
+        let dependency = |id: &str| Dependency::new(id, "Performance Trade-offs to be specified");
+        let every_metric = vec![
+            PerformanceMetric::Delay,
+            PerformanceMetric::Jitter,
+            PerformanceMetric::Bandwidth,
+            PerformanceMetric::LossRate,
+            PerformanceMetric::ErrorRate,
+            PerformanceMetric::Ordering,
+        ];
+        let rich = ModuleAbstraction {
+            name: mref(ModuleKind::App("IPsec".into()), 9, 2),
+            up_connectable: vec![ModuleKind::Ip, ModuleKind::App("IKE".into())],
+            up_dependencies: vec![dependency("tradeoffs")],
+            down_connectable: vec![ModuleKind::Eth, ModuleKind::Gre, ModuleKind::Mpls],
+            down_dependencies: vec![dependency(""), dependency("ké")],
+            physical_pipes: vec![
+                PhysicalPipeInfo {
+                    port: PortId(0),
+                    link: Some(LinkId(7)),
+                    broadcast: false,
+                },
+                PhysicalPipeInfo {
+                    port: PortId(u32::MAX),
+                    link: None,
+                    broadcast: true,
+                },
+            ],
+            peerable: vec![ModuleKind::Vlan],
+            filter: FilterCapability {
+                classifiers: vec![
+                    FilterClassifier::SourceModule,
+                    FilterClassifier::DestinationModule,
+                    FilterClassifier::ModuleType,
+                    FilterClassifier::Pipe,
+                    FilterClassifier::Device,
+                ],
+            },
+            switch: SwitchCapability {
+                kinds: vec![
+                    SwitchKind::DownUp,
+                    SwitchKind::UpDown,
+                    SwitchKind::DownDown,
+                    SwitchKind::UpUp,
+                    SwitchKind::UpPhy,
+                    SwitchKind::PhyUp,
+                    SwitchKind::PhyPhy,
+                ],
+                multicast: true,
+                state_source: SwitchStateSource::ProvidedExternally,
+                transparent_down_down: true,
+            },
+            perf_reporting: vec!["packets per pipe".into(), String::new()],
+            perf_tradeoffs: vec![PerfTradeoff {
+                costs: every_metric.clone(),
+                improves: every_metric,
+                applies_to: "Up-pipe".into(),
+            }],
+            perf_enforcement: vec!["queuing".into()],
+            security: SecurityCapability {
+                integrity: true,
+                authenticity: false,
+                confidentiality: true,
+                external_state: Some(dependency("IKE")),
+            },
+            address_domain: Some("IPv4".into()),
+            fast_forwarding: true,
+        };
+        let bare = ModuleAbstraction::empty(mref(ModuleKind::Eth, 1, 2));
+        PrimitiveResult::Potential(vec![rich, bare])
+    }
+
+    /// One refusal per cause, with and without a component, and one per
+    /// `ModuleError`.
+    fn every_refusal() -> Vec<Refusal> {
+        let gre = mref(ModuleKind::Gre, 9, 1);
+        let module_errors = [
+            ModuleError::CannotFilter,
+            ModuleError::MissingTradeoffs,
+            ModuleError::UndecodableBody {
+                from: mref(ModuleKind::App("babble".into()), 1, 2),
+                len: usize::MAX,
+            },
+            ModuleError::FilterWithoutAddress,
+            ModuleError::BadFilterField(FilterField::FromAddress),
+            ModuleError::BadFilterField(FilterField::ToAddress),
+            ModuleError::BadFilterField(FilterField::ToPort),
+        ];
+        let causes = [
+            RefusalCause::UnknownModule(gre.clone()),
+            RefusalCause::MalformedSegment,
+            RefusalCause::NeverStaged,
+            RefusalCause::UnansweredStage,
+            RefusalCause::UnansweredCommit,
+        ];
+        let components = [
+            Some(ComponentRef::SwitchRule(gre.clone(), PipeId(1), PipeId(2))),
+            None,
+            Some(ComponentRef::Pipe(PipeId(3))),
+            Some(ComponentRef::Filter(gre.clone(), gre.clone(), gre)),
+        ];
+        causes
+            .into_iter()
+            .chain(module_errors.map(RefusalCause::Module))
+            .enumerate()
+            .map(|(i, cause)| Refusal {
+                device: DeviceId::from_raw(i as u64),
+                component: components[i % components.len()].clone(),
+                cause,
+            })
+            .collect()
+    }
+
+    /// Every variant, with contents a codec could trip on: every refusal
+    /// cause and module error, every notice, `App` names, empty and
+    /// all-byte-values envelope bodies, a fully populated abstraction and
+    /// every drop reason.
+    fn every_message() -> Vec<WireMessage> {
         let env = ModuleEnvelope {
             from: mref(ModuleKind::Mpls, 3, 1),
-            to: mref(ModuleKind::Mpls, 3, 2),
+            to: mref(ModuleKind::App("babble".into()), 3, 2),
             kind: EnvelopeKind::FieldResponse,
             body: (0x00..=0xFF).collect(),
         };
         let empty = ModuleEnvelope {
+            kind: EnvelopeKind::Convey,
             body: Vec::new(),
             ..env.clone()
         };
-        for msg in [
+        let query = ModuleEnvelope {
+            kind: EnvelopeKind::FieldQuery,
+            body: b"{\"hello\":true}".to_vec(),
+            ..env.clone()
+        };
+        let refusals = every_refusal();
+        let outcomes: Vec<_> = [
+            PrimitiveResult::Done,
+            PrimitiveResult::PipeCreated(PipeId(41)),
+            rich_actual(),
+            rich_potential(),
+        ]
+        .into_iter()
+        .map(Ok)
+        .chain(refusals.iter().cloned().map(|r| Err(Box::new(r))))
+        .collect();
+        let every_drop_reason = [
+            DropReason::NoRoute,
+            DropReason::TtlExpired,
+            DropReason::Filtered,
+            DropReason::Malformed,
+            DropReason::TunnelMismatch,
+            DropReason::NoLabel,
+            DropReason::NotForUs,
+            DropReason::PortDown,
+            DropReason::ForwardingDisabled,
+            DropReason::MtuExceeded,
+        ];
+        let notices = [
+            Notice::Established,
+            Notice::Refused(Box::new(refusals[0].clone())),
+            Notice::PollRoundCap,
+        ];
+        let mut messages = vec![
             WireMessage::StageBatch {
                 txn: 7,
                 segments: vec![
@@ -803,7 +906,7 @@ mod tests {
                     },
                     SegmentVerdict {
                         goal: 2,
-                        errors: every_refusal()[..1].to_vec(),
+                        errors: refusals.clone(),
                     },
                 ],
             },
@@ -815,70 +918,86 @@ mod tests {
                 txn: 7,
                 segments: vec![SegmentCommit {
                     goal: 1,
-                    results: vec![
-                        Ok(PrimitiveResult::PipeCreated(PipeId(41))),
-                        Ok(PrimitiveResult::Done),
-                        Ok(rich_actual()),
-                        Err(Box::new(every_refusal()[1].clone())),
-                    ],
+                    results: outcomes.clone(),
                 }],
             },
             WireMessage::AbortBatch {
-                txn: 7,
-                goals: vec![2],
+                txn: u64::MAX,
+                goals: vec![],
             },
             WireMessage::RelayBatch {
-                envelopes: vec![env.clone(), empty, env],
+                envelopes: vec![env.clone(), empty.clone(), query, env.clone()],
             },
-        ] {
-            let bytes = msg.encode_with(WireCodec::Binary);
-            assert!(
-                mgmt_channel::codec::is_binary(&bytes),
-                "batch messages must use the binary framing"
-            );
-            let back = WireMessage::decode(&bytes).expect("binary payload decodes");
-            assert_eq!(back, msg);
-            // And the JSON encoding of the same message still round-trips.
-            assert_eq!(WireMessage::decode(&msg.encode()).unwrap(), msg);
-        }
-    }
-
-    /// One refusal per cause, with and without a component, and one per
-    /// `ModuleError`.
-    fn every_refusal() -> Vec<Refusal> {
-        let gre = mref(ModuleKind::Gre, 9, 1);
-        let module_errors = [
-            ModuleError::CannotFilter,
-            ModuleError::MissingTradeoffs,
-            ModuleError::UndecodableBody {
-                from: mref(ModuleKind::Ip, 1, 2),
-                len: 3,
-            },
-            ModuleError::FilterWithoutAddress,
-            ModuleError::BadFilterField(FilterField::ToPort),
-        ];
-        let causes = [
-            RefusalCause::UnknownModule(gre.clone()),
-            RefusalCause::MalformedSegment,
-            RefusalCause::NeverStaged,
-            RefusalCause::UnansweredStage,
-            RefusalCause::UnansweredCommit,
-        ];
-        let component = Some(ComponentRef::SwitchRule(gre, PipeId(1), PipeId(2)));
-        causes
-            .into_iter()
-            .chain(module_errors.map(RefusalCause::Module))
-            .enumerate()
-            .map(|(i, cause)| Refusal {
+            WireMessage::Announce(Announcement {
                 device: DeviceId::from_raw(1),
-                component: if i % 2 == 0 { component.clone() } else { None },
-                cause,
+                device_name: "Router ä".into(),
+                neighbors: vec![
+                    (PortId(0), DeviceId::from_raw(2), PortId(1)),
+                    (PortId(3), DeviceId::from_raw(u64::MAX), PortId(0)),
+                ],
+            }),
+            WireMessage::Script {
+                request: 3,
+                primitives: rich_segment(0).primitives,
+            },
+            WireMessage::ScriptResult {
+                request: 3,
+                results: outcomes,
+            },
+            WireMessage::Module(env),
+            WireMessage::Module(empty),
+            WireMessage::PollCounters {
+                request: 3,
+                tags: vec![1, u64::MAX],
+            },
+            WireMessage::CounterReport {
+                request: 3,
+                snapshots: vec![
+                    CounterSnapshot {
+                        module: mref(ModuleKind::Ip, 1, 1),
+                        drop_breakdown: every_drop_reason.into_iter().zip(1..).collect(),
+                    },
+                    CounterSnapshot {
+                        module: mref(ModuleKind::App("x".into()), 2, 1),
+                        drop_breakdown: BTreeMap::new(),
+                    },
+                ],
+                flows: vec![(
+                    7,
+                    FlowCounters {
+                        originated: 1,
+                        forwarded: 2,
+                        local_delivered: 3,
+                        drops: u64::MAX,
+                    },
+                )],
+            },
+        ];
+        messages.extend(notices.into_iter().map(|body| {
+            WireMessage::Notify(Notification {
+                from: mref(ModuleKind::Vlan, 1, 1),
+                body,
             })
-            .collect()
+        }));
+        messages
     }
 
-    /// Every refusal crosses both codecs inside each message that carries
-    /// one.
+    #[test]
+    fn every_message_round_trips_in_its_own_frame() {
+        let mut tags = std::collections::BTreeSet::new();
+        for msg in every_message() {
+            let bytes = msg.encode();
+            tags.insert(bytes[0]);
+            assert_eq!(WireMessage::decode(&bytes).as_ref(), Some(&msg));
+        }
+        assert_eq!(
+            tags,
+            (TAG_STAGE_BATCH..=TAG_COUNTER_REPORT).collect(),
+            "every variant has its own tag"
+        );
+    }
+
+    /// Every refusal crosses inside each message that carries one.
     #[test]
     fn every_refusal_round_trips_in_every_message_that_carries_one() {
         for refusal in every_refusal() {
@@ -906,64 +1025,28 @@ mod tests {
                     body: Notice::Refused(Box::new(refusal.clone())),
                 }),
             ] {
-                for codec in [WireCodec::Json, WireCodec::Binary] {
-                    let bytes = msg.encode_with(codec);
-                    assert_eq!(
-                        WireMessage::decode(&bytes).as_ref(),
-                        Some(&msg),
-                        "{codec:?}"
-                    );
-                }
+                assert_eq!(WireMessage::decode(&msg.encode()).as_ref(), Some(&msg));
             }
         }
     }
 
-    /// A binary commit result whose refusal is cut short anywhere decodes to
-    /// nothing, like any other truncated frame.
+    /// A frame cut short anywhere, or with a byte left over, decodes to
+    /// nothing.
     #[test]
-    fn a_truncated_binary_refusal_is_rejected() {
-        let msg = WireMessage::CommitBatchResult {
-            txn: 1,
-            segments: vec![SegmentCommit {
-                goal: 1,
-                results: vec![Err(Box::new(every_refusal()[0].clone()))],
-            }],
-        };
-        let bytes = msg.encode_with(WireCodec::Binary);
-        for cut in 1..bytes.len() {
-            assert!(WireMessage::decode(&bytes[..cut]).is_none(), "cut at {cut}");
+    fn a_truncated_or_overlong_frame_is_rejected() {
+        for msg in every_message() {
+            let bytes = msg.encode();
+            for cut in 0..bytes.len() {
+                assert!(
+                    WireMessage::decode(&bytes[..cut]).is_none(),
+                    "{:#x} cut at {cut}",
+                    bytes[0]
+                );
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(WireMessage::decode(&long).is_none(), "{:#x} + 1", bytes[0]);
         }
-    }
-
-    #[test]
-    fn non_batch_messages_stay_json_under_binary_codec() {
-        let msg = WireMessage::PollCounters {
-            request: 3,
-            tags: vec![7],
-        };
-        let answer = WireMessage::ScriptResult {
-            request: 3,
-            results: vec![Ok(rich_actual())],
-        };
-        for msg in [msg, answer] {
-            let bytes = msg.encode_with(WireCodec::Binary);
-            assert!(!mgmt_channel::codec::is_binary(&bytes));
-            assert_eq!(WireMessage::decode(&bytes).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json_for_batches() {
-        let msg = WireMessage::StageBatch {
-            txn: 9,
-            segments: (0..32).map(rich_segment).collect(),
-        };
-        let json = msg.encode_with(WireCodec::Json).len();
-        let binary = msg.encode_with(WireCodec::Binary).len();
-        assert!(
-            binary * 2 < json,
-            "binary framing should be less than half the JSON size ({binary} vs {json})"
-        );
     }
 
     #[test]
@@ -971,7 +1054,7 @@ mod tests {
         let seg = rich_segment(5);
         let borrowed: Vec<(u64, &[Primitive])> = vec![(5, &seg.primitives), (6, &[])];
         let bytes = encode_stage_batch(99, &borrowed);
-        assert!(is_binary_stage_batch(&bytes));
+        assert!(is_stage_batch(&bytes));
 
         let view = StageBatchView::parse(&bytes).expect("framing parses");
         assert_eq!(view.txn, 99);
@@ -995,22 +1078,7 @@ mod tests {
         let view = StageBatchView::parse(&bytes).expect("framing still parses");
         let seg = view.segments().next().unwrap();
         assert!(seg.primitives().any(|p| p.is_err()));
-        // The generic decoder rejects the whole message, like bad JSON.
+        // The generic decoder rejects the whole message.
         assert!(WireMessage::decode(&bytes).is_none());
-    }
-
-    #[test]
-    fn truncated_binary_payloads_are_rejected() {
-        let msg = WireMessage::CommitBatch {
-            txn: 1,
-            goals: vec![1, 2, 3],
-        };
-        let bytes = msg.encode_with(WireCodec::Binary);
-        for cut in 1..bytes.len() {
-            assert!(
-                WireMessage::decode(&bytes[..cut]).is_none(),
-                "truncation at {cut} must not decode"
-            );
-        }
     }
 }

@@ -1,45 +1,48 @@
 //! Byte-level reader/writer helpers for the binary wire codec.
 //!
-//! The management channel moves opaque payload bytes; historically every
-//! payload was a vendored-JSON document.  The batched-transaction hot path
-//! (StageBatch / CommitBatch and friends) now supports a compact binary
-//! framing built from the primitives in this module: fixed-width
-//! little-endian integers and `u32`-length-prefixed byte slices.  The codec
-//! is deliberately boring — no compression, no varints — so the agent can
-//! validate length-prefixed segment slices *in place* without first
-//! materialising a message tree.
+//! The management channel moves opaque payload bytes; every management
+//! message is a binary frame built from the primitives in this module:
+//! fixed-width little-endian integers and `u32`-length-prefixed byte slices.
+//! The codec is deliberately boring — no compression, no varints — so the
+//! agent can validate length-prefixed segment slices *in place* without
+//! first materialising a message tree.
 //!
-//! Binary payloads are distinguished from JSON by their first byte: every
-//! binary message starts with a magic tag in `0x81..=0x86`, while a JSON
-//! document always starts with `{` (`0x7B`).  The tags themselves are owned
-//! by `conman-core`'s `wire` module; this module only fixes their values so
-//! the channel layer can recognise (and count) binary frames without
-//! depending on the message schema.
+//! Every frame starts with one of the thirteen tags below, `0x81..=0x8D`.
+//! The frame layouts are owned by `conman-core`'s `wire` module; this module
+//! only fixes the tag values so the channel layer can name a frame without
+//! depending on the message schema.  A payload starting with any other byte
+//! is not a management message.
 //!
 //! The same primitives encode what protocol modules say to each other: each
 //! module writes its own messages (a tag byte of its own, then the fields)
 //! into the opaque body the NM relays unread.
 
-/// Magic first byte of a binary `StageBatch` payload.
+/// Magic first byte of a `StageBatch` payload.
 pub const TAG_STAGE_BATCH: u8 = 0x81;
-/// Magic first byte of a binary `StageBatchResult` payload.
+/// Magic first byte of a `StageBatchResult` payload.
 pub const TAG_STAGE_BATCH_RESULT: u8 = 0x82;
-/// Magic first byte of a binary `CommitBatch` payload.
+/// Magic first byte of a `CommitBatch` payload.
 pub const TAG_COMMIT_BATCH: u8 = 0x83;
-/// Magic first byte of a binary `CommitBatchResult` payload.
+/// Magic first byte of a `CommitBatchResult` payload.
 pub const TAG_COMMIT_BATCH_RESULT: u8 = 0x84;
-/// Magic first byte of a binary `AbortBatch` payload.
+/// Magic first byte of an `AbortBatch` payload.
 pub const TAG_ABORT_BATCH: u8 = 0x85;
-/// Magic first byte of a binary `RelayBatch` payload.
+/// Magic first byte of a `RelayBatch` payload.
 pub const TAG_RELAY_BATCH: u8 = 0x86;
-
-/// Does this payload start with one of the binary magic tags?  JSON payloads
-/// start with `{` (0x7B), so the first byte alone separates the codecs.
-pub fn is_binary(payload: &[u8]) -> bool {
-    payload
-        .first()
-        .is_some_and(|b| (TAG_STAGE_BATCH..=TAG_RELAY_BATCH).contains(b))
-}
+/// Magic first byte of an `Announce` payload.
+pub const TAG_ANNOUNCE: u8 = 0x87;
+/// Magic first byte of a `Script` payload.
+pub const TAG_SCRIPT: u8 = 0x88;
+/// Magic first byte of a `ScriptResult` payload.
+pub const TAG_SCRIPT_RESULT: u8 = 0x89;
+/// Magic first byte of a `Module` (one relayed envelope) payload.
+pub const TAG_MODULE: u8 = 0x8A;
+/// Magic first byte of a `Notify` payload.
+pub const TAG_NOTIFY: u8 = 0x8B;
+/// Magic first byte of a `PollCounters` payload.
+pub const TAG_POLL_COUNTERS: u8 = 0x8C;
+/// Magic first byte of a `CounterReport` payload.
+pub const TAG_COUNTER_REPORT: u8 = 0x8D;
 
 /// An append-only byte writer for the binary codec: fixed-width
 /// little-endian integers and `u32`-length-prefixed slices.
@@ -114,7 +117,7 @@ impl Writer {
 
 /// A checked, `Option`-returning reader over a binary payload (or a slice of
 /// one).  Every accessor returns `None` instead of panicking on truncated
-/// input, so malformed payloads are rejected exactly like malformed JSON.
+/// input, so a malformed payload is rejected, never read past its end.
 #[derive(Debug, Clone, Copy)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -203,7 +206,6 @@ mod tests {
         w.put_str("hello");
         w.put_bytes(&[1, 2, 3]);
         let buf = w.finish();
-        assert!(is_binary(&buf));
 
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8(), Some(TAG_STAGE_BATCH));
@@ -240,22 +242,5 @@ mod tests {
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.u32(), Some(body as u32));
-    }
-
-    #[test]
-    fn json_is_never_mistaken_for_binary() {
-        assert!(!is_binary(b"{\"x\":1}"));
-        assert!(!is_binary(b""));
-        assert!(!is_binary(b"not json"));
-        for tag in [
-            TAG_STAGE_BATCH,
-            TAG_STAGE_BATCH_RESULT,
-            TAG_COMMIT_BATCH,
-            TAG_COMMIT_BATCH_RESULT,
-            TAG_ABORT_BATCH,
-            TAG_RELAY_BATCH,
-        ] {
-            assert!(is_binary(&[tag]));
-        }
     }
 }

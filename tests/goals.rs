@@ -11,7 +11,7 @@ use conman::core::module::{FilterField, ModuleError};
 use conman::core::nm::{ConnectivityGoal, Exclusion, GoalFailure, GoalId, GoalStatus, PlanError};
 use conman::core::primitives::{ComponentRef, Refusal, RefusalCause};
 use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent};
-use conman::core::{ManagementAgent, WireCodec};
+use conman::core::ManagementAgent;
 use conman::modules::{
     managed_chain, managed_dual_chain, managed_fanout_chain, managed_mesh_fanout,
     managed_vlan_chain,
@@ -590,10 +590,9 @@ fn report_message_counters_match_channel_deltas() {
 
 #[test]
 fn batched_and_per_goal_reconcile_are_equivalent_on_fresh_goals() {
-    let run = |batched: bool, codec: WireCodec| {
+    let run = |batched: bool| {
         let mut t = managed_dual_chain(3);
         t.discover();
-        t.mn.codec = codec;
         t.mn.submit(t.vpn_goal());
         t.mn.submit(t.vpn_goal2());
         let report = if batched {
@@ -605,17 +604,15 @@ fn batched_and_per_goal_reconcile_are_equivalent_on_fresh_goals() {
         let sent = report.nm_sent;
         (end_state(&mut t, &report, probes), sent)
     };
-    for codec in [WireCodec::Json, WireCodec::Binary] {
-        let (batched, batched_sent) = run(true, codec);
-        let (per_goal, per_goal_sent) = run(false, codec);
-        assert_eq!(batched, per_goal, "identical end state ({codec:?})");
-        assert_eq!(batched.statuses, vec![GoalStatus::Active; 2]);
-        assert!(batched.probes.iter().all(|&p| p));
-        assert!(
-            batched_sent < per_goal_sent,
-            "batching sends fewer messages ({codec:?}): {batched_sent} vs {per_goal_sent}"
-        );
-    }
+    let (batched, batched_sent) = run(true);
+    let (per_goal, per_goal_sent) = run(false);
+    assert_eq!(batched, per_goal, "identical end state");
+    assert_eq!(batched.statuses, vec![GoalStatus::Active; 2]);
+    assert!(batched.probes.iter().all(|&p| p));
+    assert!(
+        batched_sent < per_goal_sent,
+        "batching sends fewer messages: {batched_sent} vs {per_goal_sent}"
+    );
 }
 
 #[test]
@@ -670,15 +667,13 @@ enum MidRouterFault {
 
 #[test]
 fn batched_and_per_goal_equivalent_under_mid_commit_crash() {
-    // Break the middle router at each point a transaction can fail, under
-    // each codec: in both modes every affected goal rolls back cleanly and
-    // parks Pending, and nothing of it survives anywhere that answers — no
+    // Break the middle router at each point a transaction can fail: in both
+    // modes every affected goal rolls back cleanly and parks Pending, and nothing of it survives anywhere that answers — no
     // staged segment, no pipe or switch rule, no consumed pipe-id block.
-    let run = |batched: bool, codec: WireCodec, fault: MidRouterFault| {
-        let case = format!("batched={batched} {codec:?} {fault:?}");
+    let run = |batched: bool, fault: MidRouterFault| {
+        let case = format!("batched={batched} {fault:?}");
         let mut t = managed_dual_chain(3);
         t.discover();
-        t.mn.codec = codec;
         t.mn.submit(t.vpn_goal());
         t.mn.submit(t.vpn_goal2());
         let b = t.core[1];
@@ -720,30 +715,25 @@ fn batched_and_per_goal_equivalent_under_mid_commit_crash() {
         let probes = vec![t.probe(), t.probe2()];
         (end_state(&mut t, &report, probes), t)
     };
-    for codec in [WireCodec::Json, WireCodec::Binary] {
-        for fault in [
-            MidRouterFault::StageRejected,
-            MidRouterFault::SilentAtStage,
-            MidRouterFault::CrashBeforeCommit,
-        ] {
-            let (batched, _) = run(true, codec, fault);
-            let (per_goal, mut t) = run(false, codec, fault);
-            assert_eq!(
-                batched, per_goal,
-                "identical end state ({codec:?} {fault:?})"
-            );
-            assert_eq!(batched.statuses, vec![GoalStatus::Pending; 2]);
-            assert!(batched.probes.iter().all(|&p| !p));
+    for fault in [
+        MidRouterFault::StageRejected,
+        MidRouterFault::SilentAtStage,
+        MidRouterFault::CrashBeforeCommit,
+    ] {
+        let (batched, _) = run(true, fault);
+        let (per_goal, mut t) = run(false, fault);
+        assert_eq!(batched, per_goal, "identical end state ({fault:?})");
+        assert_eq!(batched.statuses, vec![GoalStatus::Pending; 2]);
+        assert!(batched.probes.iter().all(|&p| !p));
 
-            // The router is back (rebooted, or its modules restored); the
-            // next batched pass converges both goals and leaves nothing
-            // staged anywhere.
-            t.mn.net.set_device_up(t.core[1], true);
-            let report = t.mn.reconcile();
-            assert!(report.converged(), "{report:#?}");
-            assert!(t.probe() && t.probe2());
-            assert!(t.mn.agents.values().all(|a| a.staged_segment_count() == 0));
-        }
+        // The router is back (rebooted, or its modules restored); the next
+        // batched pass converges both goals and leaves nothing staged
+        // anywhere.
+        t.mn.net.set_device_up(t.core[1], true);
+        let report = t.mn.reconcile();
+        assert!(report.converged(), "{report:#?}");
+        assert!(t.probe() && t.probe2());
+        assert!(t.mn.agents.values().all(|a| a.staged_segment_count() == 0));
     }
 }
 
@@ -1000,51 +990,46 @@ fn assert_withdraw_leaves_nothing(
 
 #[test]
 fn withdrawing_every_goal_leaves_no_module_state_behind() {
-    for codec in [WireCodec::Json, WireCodec::Binary] {
-        let mut t = managed_fanout_chain(4, 6);
-        t.discover();
-        t.mn.codec = codec;
-        t.mn.goals.limits = conman_bench::diagnosis::chain_limits(4);
-        let routers = t.core.clone();
-        for technology in [None, Some("GRE-IP")] {
-            let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
-            assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals, technology);
-        }
-
-        let mut t = managed_mesh_fanout(3, 6);
-        t.discover();
-        t.mn.codec = codec;
-        t.mn.goals.limits = conman_bench::control_loop::mesh_limits(3);
-        let routers = t.routers().to_vec();
-        for technology in [None, Some("GRE-IP")] {
-            let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
-            assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals, technology);
-        }
-
-        // The VLAN chain: a fresh switch floods the customer frame untagged
-        // through the default VLAN, a configured one tunnels it in VLAN 22,
-        // and a withdrawn goal leaves the bridge — and so the frame's
-        // encapsulation on the first trunk — as it was found.
-        let mut t = managed_vlan_chain(3);
-        t.discover();
-        t.mn.codec = codec;
-        let untouched = t.send_customer_frame(b"before the goal");
-        assert!(!untouched.1.iter().any(|p| p.contains("VLAN(22)")));
-        let goal = t.vlan_goal();
-        let switches = t.switches.clone();
-        assert_withdraw_leaves_nothing(&mut t.mn, &switches, vec![goal], None);
-        let (delivered, trace) = t.send_customer_frame(b"after the withdraw");
-        assert_eq!(delivered, untouched.0);
-        assert!(
-            !trace.iter().any(|p| p.contains("VLAN(22)")),
-            "a withdrawn VLAN goal still tunnels: {trace:?}"
-        );
-        // And the switches take the goal again.
-        t.mn.submit(t.vlan_goal());
-        assert_eq!(t.mn.reconcile().active(), 1);
-        let (delivered, trace) = t.send_customer_frame(b"tunnelled again");
-        assert!(delivered && trace.iter().any(|p| p.contains("VLAN(22)")));
+    let mut t = managed_fanout_chain(4, 6);
+    t.discover();
+    t.mn.goals.limits = conman_bench::diagnosis::chain_limits(4);
+    let routers = t.core.clone();
+    for technology in [None, Some("GRE-IP")] {
+        let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
+        assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals, technology);
     }
+
+    let mut t = managed_mesh_fanout(3, 6);
+    t.discover();
+    t.mn.goals.limits = conman_bench::control_loop::mesh_limits(3);
+    let routers = t.routers().to_vec();
+    for technology in [None, Some("GRE-IP")] {
+        let goals = (0..6).map(|k| t.fanout_goal(k)).collect();
+        assert_withdraw_leaves_nothing(&mut t.mn, &routers, goals, technology);
+    }
+
+    // The VLAN chain: a fresh switch floods the customer frame untagged
+    // through the default VLAN, a configured one tunnels it in VLAN 22,
+    // and a withdrawn goal leaves the bridge — and so the frame's
+    // encapsulation on the first trunk — as it was found.
+    let mut t = managed_vlan_chain(3);
+    t.discover();
+    let untouched = t.send_customer_frame(b"before the goal");
+    assert!(!untouched.1.iter().any(|p| p.contains("VLAN(22)")));
+    let goal = t.vlan_goal();
+    let switches = t.switches.clone();
+    assert_withdraw_leaves_nothing(&mut t.mn, &switches, vec![goal], None);
+    let (delivered, trace) = t.send_customer_frame(b"after the withdraw");
+    assert_eq!(delivered, untouched.0);
+    assert!(
+        !trace.iter().any(|p| p.contains("VLAN(22)")),
+        "a withdrawn VLAN goal still tunnels: {trace:?}"
+    );
+    // And the switches take the goal again.
+    t.mn.submit(t.vlan_goal());
+    assert_eq!(t.mn.reconcile().active(), 1);
+    let (delivered, trace) = t.send_customer_frame(b"tunnelled again");
+    assert!(delivered && trace.iter().any(|p| p.contains("VLAN(22)")));
 }
 
 /// Regression: the IP module's `delete` fell through for
@@ -1323,7 +1308,6 @@ fn churned_fleet_keeps_every_survivor_up_and_its_message_flow_to_the_envelope() 
 
     let mut t = managed_fanout_chain(6, FLEET + OPS * CHURN);
     t.discover();
-    t.mn.codec = WireCodec::Binary;
     t.mn.goals.limits = conman_bench::diagnosis::chain_limits(6);
     let recorder = Recorder::new();
     t.mn.set_recorder(recorder.clone());

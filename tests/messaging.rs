@@ -10,9 +10,10 @@
 //! counts relayed messages plus module notifications (script results /
 //! responses are excluded, as in the paper).
 
+use conman_core::abstraction::SwitchStateSource;
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
-use conman_core::primitives::{EnvelopeKind, ModuleEnvelope};
-use conman_core::{ModuleAbstraction, ModuleId, ModuleKind, ModuleRef, WireCodec};
+use conman_core::primitives::{EnvelopeKind, ModuleEnvelope, Primitive, PrimitiveResult};
+use conman_core::{ModuleAbstraction, ModuleId, ModuleKind, ModuleRef, WireMessage};
 use conman_modules::{managed_chain, managed_fanout_chain, managed_vlan_chain, ManagedChain};
 use mgmt_channel::MessageCategory::{self, Command, ConveyMessage, Notification, Response};
 use mgmt_channel::OutOfBandChannel;
@@ -112,31 +113,28 @@ fn relay_counts<C: mgmt_channel::ManagementChannel>(
 
 /// A batched pass relays module envelopes as one message per (device,
 /// round) in both directions, so what the NM receives follows the chain,
-/// not the fleet: the same for 1, 16 and 64 goals under either codec, and
-/// as much as it sends.  Table VI's fire-and-forget flow on the same chain
-/// stays unbatched: one message per envelope, up and down.
+/// not the fleet: the same for 1, 16 and 64 goals, and as much as it sends.
+/// Table VI's fire-and-forget flow on the same chain stays unbatched: one
+/// message per envelope, up and down.
 #[test]
 fn a_batched_pass_costs_the_nm_the_same_messages_for_any_number_of_goals() {
-    for codec in [WireCodec::Json, WireCodec::Binary] {
-        let flows: Vec<(u64, u64)> = [1, 16, 64]
-            .into_iter()
-            .map(|goals| {
-                let mut t = managed_fanout_chain(6, goals);
-                t.discover();
-                t.mn.codec = codec;
-                t.mn.goals.limits = conman_bench::diagnosis::chain_limits(6);
-                for k in 0..goals {
-                    t.mn.submit(t.fanout_goal(k));
-                }
-                t.mn.reset_counters();
-                assert_eq!(t.mn.reconcile().active(), goals, "{codec:?}");
-                let c = t.mn.nm_counters();
-                (c.received, c.sent)
-            })
-            .collect();
-        // Six stage and six commit answers, and eleven relay batches each way.
-        assert_eq!(flows, [(23, 23); 3], "{codec:?}: (received, sent)");
-    }
+    let flows: Vec<(u64, u64)> = [1, 16, 64]
+        .into_iter()
+        .map(|goals| {
+            let mut t = managed_fanout_chain(6, goals);
+            t.discover();
+            t.mn.goals.limits = conman_bench::diagnosis::chain_limits(6);
+            for k in 0..goals {
+                t.mn.submit(t.fanout_goal(k));
+            }
+            t.mn.reset_counters();
+            assert_eq!(t.mn.reconcile().active(), goals);
+            let c = t.mn.nm_counters();
+            (c.received, c.sent)
+        })
+        .collect();
+    // Six stage and six commit answers, and eleven relay batches each way.
+    assert_eq!(flows, [(23, 23); 3], "(received, sent)");
 
     let mut t = managed_fanout_chain(6, 1);
     t.discover();
@@ -204,9 +202,8 @@ impl ProtocolModule for Babbler {
     }
 }
 
-/// Bodies no JSON codec would carry as they are: empty, NUL, a lone `{`,
-/// text that is JSON, a prefix that looks like a binary `RelayBatch` frame,
-/// and every byte value.
+/// Hostile bodies: empty, NUL, a lone `{`, text that is JSON, a prefix that
+/// looks like a `RelayBatch` frame, and every byte value.
 fn hostile_bodies() -> Vec<Vec<u8>> {
     vec![
         vec![],
@@ -258,7 +255,7 @@ fn heard(side: &Heard) -> Vec<Vec<u8>> {
 /// The NM relays a module's body without reading it: arbitrary bytes arrive
 /// byte for byte, in order, and both ways — alone in a `Module` message
 /// through `execute_path`, and inside `RelayBatch`es through a batched pass
-/// under either codec — and the NM counts the messages by their kind alone.
+/// — and the NM counts the messages by their kind alone.
 #[test]
 fn the_nm_relays_any_body_byte_for_byte_and_counts_it_by_kind_alone() {
     let says = hostile_bodies();
@@ -280,29 +277,26 @@ fn the_nm_relays_any_body_byte_for_byte_and_counts_it_by_kind_alone() {
     // again, both ways.
     assert_eq!(nm_config_counts(&t.mn), (11 + 2 * n, 8 + 2 * n));
 
-    for codec in [WireCodec::Json, WireCodec::Binary] {
-        let (mut t, [echoed, heard_back]) = babbling_chain();
-        t.mn.codec = codec;
-        t.mn.submit(t.vpn_goal());
-        t.mn.reset_counters();
-        assert_eq!(t.mn.reconcile().active(), 1, "{codec:?}");
-        assert_eq!(heard(&echoed), says, "{codec:?}");
-        assert_eq!(heard(&heard_back), says, "{codec:?}");
-        // What the same pass (an MPLS goal) cost the NM when bodies were
-        // JSON values: the babble rides one relay batch more each way than
-        // the goal's own four, and the LSP's egress notifies.
-        let c = t.mn.nm_counters();
-        assert_eq!(
-            c.received_by_category,
-            BTreeMap::from([(Response, 6), (ConveyMessage, 5), (Notification, 1)]),
-            "{codec:?}: received"
-        );
-        assert_eq!(
-            c.sent_by_category,
-            BTreeMap::from([(Command, 6), (ConveyMessage, 5)]),
-            "{codec:?}: sent"
-        );
-    }
+    let (mut t, [echoed, heard_back]) = babbling_chain();
+    t.mn.submit(t.vpn_goal());
+    t.mn.reset_counters();
+    assert_eq!(t.mn.reconcile().active(), 1);
+    assert_eq!(heard(&echoed), says);
+    assert_eq!(heard(&heard_back), says);
+    // What the same pass (an MPLS goal) costs the NM: the babble rides one
+    // relay batch more each way than the goal's own four, and the LSP's
+    // egress notifies.
+    let c = t.mn.nm_counters();
+    assert_eq!(
+        c.received_by_category,
+        BTreeMap::from([(Response, 6), (ConveyMessage, 5), (Notification, 1)]),
+        "received"
+    );
+    assert_eq!(
+        c.sent_by_category,
+        BTreeMap::from([(Command, 6), (ConveyMessage, 5)]),
+        "sent"
+    );
 }
 
 #[test]
@@ -324,4 +318,101 @@ fn larger_chains_still_carry_traffic_after_configuration() {
         let (rev, _) = t.send_site2_to_site1(b"scaled-back");
         assert!(fwd && rev, "GRE VPN works across {n} routers");
     }
+}
+
+/// Every agent's answer to `showPotential` — discovery's real traffic —
+/// after it crossed the wire, checked to arrive whole.
+fn advertised_over_the_wire(
+    mn: &mut conman_core::runtime::ManagedNetwork<OutOfBandChannel>,
+) -> Vec<ModuleAbstraction> {
+    let ask = WireMessage::Script {
+        request: 1,
+        primitives: vec![Primitive::ShowPotential],
+    };
+    let mut advertised = Vec::new();
+    for (id, agent) in mn.agents.iter_mut() {
+        let device = mn.net.device_mut(*id).expect("managed device");
+        for answer in agent.handle(device, &ask) {
+            let crossed = WireMessage::decode(&answer.encode()).expect("an answer decodes");
+            assert_eq!(crossed, answer);
+            if let WireMessage::ScriptResult { results, .. } = crossed {
+                for result in results {
+                    if let Ok(PrimitiveResult::Potential(modules)) = result {
+                        advertised.extend(modules);
+                    }
+                }
+            }
+        }
+    }
+    advertised
+}
+
+/// The `showPotential` answers of the Figure 4 chain and the Figure 9 VLAN
+/// chain cross the wire whole, and between them they set every field of the
+/// module abstraction that any module advertises, so each of those fields'
+/// layouts is exercised on real data.  No module sets the last five; the
+/// hand-built abstraction in `conman_core::wire`'s tests covers them.
+#[test]
+fn the_figure4_chains_show_potential_answers_cross_the_wire_whole() {
+    let mut advertised = advertised_over_the_wire(&mut managed_chain(3).mn);
+    advertised.extend(advertised_over_the_wire(&mut managed_vlan_chain(3).mn));
+    let any = |set: fn(&ModuleAbstraction) -> bool| advertised.iter().any(set);
+    let fields = [
+        ("up_connectable", any(|a| !a.up_connectable.is_empty())),
+        ("up_dependencies", any(|a| !a.up_dependencies.is_empty())),
+        ("down_connectable", any(|a| !a.down_connectable.is_empty())),
+        (
+            "down_dependencies",
+            any(|a| !a.down_dependencies.is_empty()),
+        ),
+        ("physical_pipes", any(|a| !a.physical_pipes.is_empty())),
+        (
+            "physical_pipes.link",
+            any(|a| a.physical_pipes.iter().any(|p| p.link.is_some())),
+        ),
+        ("peerable", any(|a| !a.peerable.is_empty())),
+        ("filter", any(|a| !a.filter.classifiers.is_empty())),
+        ("switch.kinds", any(|a| !a.switch.kinds.is_empty())),
+        (
+            "switch.transparent_down_down",
+            any(|a| a.switch.transparent_down_down),
+        ),
+        ("perf_reporting", any(|a| !a.perf_reporting.is_empty())),
+        ("perf_tradeoffs", any(|a| !a.perf_tradeoffs.is_empty())),
+        ("perf_enforcement", any(|a| !a.perf_enforcement.is_empty())),
+        ("address_domain", any(|a| a.address_domain.is_some())),
+        ("fast_forwarding", any(|a| a.fast_forwarding)),
+        (
+            "physical_pipes.broadcast",
+            any(|a| a.physical_pipes.iter().any(|p| p.broadcast)),
+        ),
+        ("switch.multicast", any(|a| a.switch.multicast)),
+        (
+            "switch.state_source",
+            any(|a| a.switch.state_source == SwitchStateSource::ProvidedExternally),
+        ),
+        (
+            "security",
+            any(|a| a.security.integrity || a.security.authenticity || a.security.confidentiality),
+        ),
+        (
+            "security.external_state",
+            any(|a| a.security.external_state.is_some()),
+        ),
+    ];
+    let unset: Vec<&str> = fields
+        .iter()
+        .filter(|(_, set)| !set)
+        .map(|(name, _)| *name)
+        .collect();
+    assert_eq!(
+        unset,
+        [
+            "physical_pipes.broadcast",
+            "switch.multicast",
+            "switch.state_source",
+            "security",
+            "security.external_state",
+        ]
+    );
 }

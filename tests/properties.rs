@@ -6,6 +6,7 @@
 //! the binary management codec's behaviour on hostile bytes (it returns,
 //! whatever a frame's counts and lengths claim).
 
+use conman::mgmt_channel::codec::{TAG_COUNTER_REPORT, TAG_STAGE_BATCH};
 use conman::netsim::ether::{EtherType, EthernetFrame};
 use conman::netsim::gre::GreHeader;
 use conman::netsim::ipv4::{internet_checksum, Ipv4Cidr, Ipv4Header, Ipv4Proto};
@@ -374,35 +375,54 @@ fn decode_every_way(bytes: &[u8]) -> Option<conman::core::WireMessage> {
     conman::core::WireMessage::decode(bytes)
 }
 
-/// A 13-byte frame whose element count claims four billion entries used to
-/// pre-size a `Vec` for all of them and abort the process in the allocator
-/// (137 GB for `StageBatchResult`, 103 GB through the agent's in-place
-/// `StageBatch` path, 34 GB for `CommitBatch`).
+/// A frame whose element count claims four billion entries used to pre-size
+/// a `Vec` for all of them and abort the process in the allocator (137 GB
+/// for `StageBatchResult`, 103 GB through the agent's in-place `StageBatch`
+/// path, 34 GB for `CommitBatch`).  Every frame that opens with a count —
+/// after its `u64` transaction or request id, or (`RelayBatch`) straight
+/// after the tag, or (`Announce`) as its name's length — now fails at the
+/// first short read.
 #[test]
 fn a_lying_element_count_is_rejected_not_allocated_for() {
-    for tag in [0x81u8, 0x82, 0x83] {
-        let mut frame = vec![tag];
-        frame.extend([0u8; 8]); // txn
-        frame.extend([0xFFu8; 4]); // element count
-        assert_eq!(decode_every_way(&frame), None, "tag {tag:#x}");
+    use conman::mgmt_channel::codec::*;
+    let after_id = [
+        TAG_STAGE_BATCH,
+        TAG_STAGE_BATCH_RESULT,
+        TAG_COMMIT_BATCH,
+        TAG_COMMIT_BATCH_RESULT,
+        TAG_ABORT_BATCH,
+        TAG_ANNOUNCE,
+        TAG_SCRIPT,
+        TAG_SCRIPT_RESULT,
+        TAG_POLL_COUNTERS,
+        TAG_COUNTER_REPORT,
+    ];
+    let frames = after_id
+        .map(|tag| [&[tag][..], &[0u8; 8], &[0xFF; 4]].concat())
+        .into_iter()
+        .chain([vec![TAG_RELAY_BATCH, 0xFF, 0xFF, 0xFF, 0xFF]]);
+    for frame in frames {
+        assert_eq!(decode_every_way(&frame), None, "tag {:#x}", frame[0]);
     }
 }
 
-/// One valid binary frame per batch message plus the `StageBatch` once more
-/// as JSON and a JSON `ScriptResult`, each checked to decode back to the
-/// message it was encoded from.  The staged segment holds a classified and a
-/// gateway rule, so every field that carries a resolved value crosses both
-/// codecs; both results carry a `showActual` answer with one of each kind of
-/// component (JSON, and JSON inside the binary commit result).
+/// One valid frame per `WireMessage` variant, in tag order, each checked to
+/// decode back to the message it was encoded from.  The staged segment holds
+/// a classified and a gateway rule, so every field that carries a resolved
+/// value is on the wire; the results carry a `showActual` answer with one of
+/// each kind of component, a `showPotential` answer and a refusal.
 fn valid_batch_frames() -> Vec<Vec<u8>> {
+    use conman::core::abstraction::{Dependency, PhysicalPipeInfo, SwitchKind};
     use conman::core::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
+    use conman::core::module::ModuleError;
     use conman::core::primitives::{
-        ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, PipeSpec, Primitive,
-        PrimitiveResult, Refusal, RefusalCause, ResolvedName, ScriptSegment, SegmentCommit,
-        SegmentVerdict, SwitchSpec, TradeoffChoice,
+        Announcement, ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, Notice,
+        Notification, PipeSpec, Primitive, PrimitiveResult, Refusal, RefusalCause, ResolvedName,
+        ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec, TradeoffChoice,
     };
-    use conman::core::{WireCodec, WireMessage};
-    use conman::netsim::device::DeviceId;
+    use conman::core::{CounterSnapshot, ModuleAbstraction, WireMessage};
+    use conman::netsim::device::{DeviceId, PortId};
+    use conman::netsim::stats::{DropReason, FlowCounters};
 
     let mref = |kind, m, d| ModuleRef::new(kind, ModuleId(m), DeviceId::from_raw(d));
     let refusal = |cause| Refusal {
@@ -450,6 +470,24 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
         kind: EnvelopeKind::FieldResponse,
         body: vec![0x00, 0x7B, 0x80, 0xFF],
     };
+    let actual = ModuleActual {
+        pipes: vec![PipeId(41)],
+        switch_rules: vec![(PipeId(41), PipeId(42))],
+        filters: vec![(mref(ModuleKind::Eth, 5, 1), mref(ModuleKind::Eth, 6, 2))],
+    };
+    let actual = PrimitiveResult::Actual([(mref(ModuleKind::Ip, 3, 1), actual)].into());
+    let mut potential = ModuleAbstraction::empty(mref(ModuleKind::Gre, 1, 1));
+    potential.up_connectable = vec![ModuleKind::Ip, ModuleKind::App("IKE".into())];
+    potential.up_dependencies = vec![Dependency::new("tradeoffs", "Trade-offs")];
+    potential.physical_pipes = vec![PhysicalPipeInfo {
+        port: PortId(2),
+        link: None,
+        broadcast: true,
+    }];
+    potential.switch.kinds = vec![SwitchKind::UpDown, SwitchKind::DownUp];
+    potential.address_domain = Some("IPv4".into());
+
+    let stage_frame = conman::core::wire::encode_stage_batch(7, &[(1, &primitives), (2, &[])]);
     let stage = WireMessage::StageBatch {
         txn: 7,
         segments: vec![
@@ -463,27 +501,11 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
             },
         ],
     };
-    let stage_frame = conman::core::wire::encode_stage_batch(7, &[(1, &primitives), (2, &[])]);
-    let stage_json = stage.encode();
-    for frame in [&stage_frame, &stage_json] {
-        assert_eq!(WireMessage::decode(frame).as_ref(), Some(&stage));
-    }
+    assert_eq!(stage.encode(), stage_frame, "one StageBatch frame");
 
-    let actual = ModuleActual {
-        pipes: vec![PipeId(41)],
-        switch_rules: vec![(PipeId(41), PipeId(42))],
-        filters: vec![(mref(ModuleKind::Eth, 5, 1), mref(ModuleKind::Eth, 6, 2))],
-    };
-    let actual = PrimitiveResult::Actual([(mref(ModuleKind::Ip, 3, 1), actual)].into());
-    let answer = WireMessage::ScriptResult {
-        request: 7,
-        results: vec![Ok(actual.clone())],
-    };
-    let answer_json = answer.encode();
-    assert_eq!(WireMessage::decode(&answer_json), Some(answer));
-
-    let mut frames = vec![stage_frame, stage_json, answer_json];
+    let mut frames = Vec::new();
     for msg in [
+        stage,
         WireMessage::StageBatchResult {
             txn: 7,
             verdicts: vec![
@@ -511,7 +533,7 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
                 goal: 1,
                 results: vec![
                     Ok(PrimitiveResult::PipeCreated(PipeId(41))),
-                    Ok(actual),
+                    Ok(actual.clone()),
                     Err(Box::new(refusal(RefusalCause::NeverStaged))),
                 ],
             }],
@@ -521,39 +543,87 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
             goals: vec![2],
         },
         WireMessage::RelayBatch {
-            envelopes: vec![env.clone(), env],
+            envelopes: vec![env.clone(), env.clone()],
+        },
+        WireMessage::Announce(Announcement {
+            device: DeviceId::from_raw(1),
+            device_name: "RouterA".into(),
+            neighbors: vec![(PortId(0), DeviceId::from_raw(2), PortId(1))],
+        }),
+        WireMessage::Script {
+            request: 7,
+            primitives,
+        },
+        WireMessage::ScriptResult {
+            request: 7,
+            results: vec![
+                Ok(PrimitiveResult::Potential(vec![potential])),
+                Ok(actual),
+                Ok(PrimitiveResult::Done),
+            ],
+        },
+        WireMessage::Module(env),
+        WireMessage::Notify(Notification {
+            from: mref(ModuleKind::Ip, 3, 1),
+            body: Notice::Refused(Box::new(refusal(RefusalCause::Module(
+                ModuleError::UndecodableBody {
+                    from: mref(ModuleKind::Ip, 3, 2),
+                    len: 4,
+                },
+            )))),
+        }),
+        WireMessage::PollCounters {
+            request: 7,
+            tags: vec![1, 2],
+        },
+        WireMessage::CounterReport {
+            request: 7,
+            snapshots: vec![CounterSnapshot {
+                module: mref(ModuleKind::Ip, 3, 1),
+                drop_breakdown: [(DropReason::NoRoute, 5), (DropReason::MtuExceeded, 1)].into(),
+            }],
+            flows: vec![(
+                1,
+                FlowCounters {
+                    originated: 1,
+                    forwarded: 2,
+                    local_delivered: 3,
+                    drops: 4,
+                },
+            )],
         },
     ] {
-        let frame = msg.encode_with(WireCodec::Binary);
+        let frame = msg.encode();
         assert_eq!(WireMessage::decode(&frame), Some(msg));
         frames.push(frame);
     }
+    let tags: Vec<u8> = frames.iter().map(|f| f[0]).collect();
+    assert_eq!(tags, Vec::from_iter(TAG_STAGE_BATCH..=TAG_COUNTER_REPORT));
     frames
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
-    /// Arbitrary bytes, half of them sniffing as a binary batch frame.
+    /// Arbitrary bytes, half of them opening with one of the codec's tags.
     #[test]
     fn arbitrary_payloads_decode_without_panicking(
         bytes in proptest::collection::vec(any::<u8>(), 1..96),
-        binary in any::<bool>(),
-        tag in 0x81u8..=0x86,
+        framed in any::<bool>(),
+        tag in TAG_STAGE_BATCH..=TAG_COUNTER_REPORT,
     ) {
         let mut bytes = bytes;
-        if binary {
+        if framed {
             bytes[0] = tag;
         }
         decode_every_way(&bytes);
     }
 
-    /// Valid frames of all six batch messages (the `StageBatch` in both
-    /// codecs) and a `ScriptResult`, damaged the way a hostile channel
+    /// A valid frame of every message, damaged the way a hostile channel
     /// would: one to three bytes overwritten, then maybe cut short.
     #[test]
     fn damaged_batch_frames_decode_without_panicking(
-        which in 0usize..8,
+        which in 0usize..13,
         edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
         cut in proptest::option::of(any::<usize>()),
     ) {

@@ -147,8 +147,8 @@ fn figure4_scripts_render_one_line_per_primitive() {
 /// 10-router fan-out chain, over the IP-IP, GRE-IP and MPLS paths, exactly
 /// the four edge-IP rules (a classified and a gateway rule on each edge
 /// router) carry a resolved value, each the goal's own; a pipe names modules
-/// only, and no core router's encoded segment — binary or JSON — contains a
-/// customer prefix, a gateway address or one of their names.  A VLAN goal's
+/// only, and no core router's encoded segment — as a `Script` or in a
+/// `StageBatch` — contains a customer prefix, a gateway address or one of their names.  A VLAN goal's
 /// script carries no value anywhere.
 #[test]
 fn only_the_four_edge_ip_rules_carry_a_resolved_value() {
@@ -196,12 +196,12 @@ fn only_the_four_edge_ip_rules_carry_a_resolved_value() {
         let customer: Vec<&String> = goal.resolved.iter().flat_map(|(k, v)| [k, v]).collect();
         for (at, ds) in scripts.scripts.iter().enumerate().take(last).skip(1) {
             assert!(valued_rules(scripts, at).is_empty());
-            let json = WireMessage::Script {
+            let script = WireMessage::Script {
                 request: 1,
                 primitives: ds.primitives.clone(),
             }
             .encode();
-            for frame in [encode_stage_batch(1, &[(1, &ds.primitives)]), json] {
+            for frame in [encode_stage_batch(1, &[(1, &ds.primitives)]), script] {
                 let frame = String::from_utf8_lossy(&frame);
                 for s in &customer {
                     assert!(!frame.contains(*s), "core segment {at} carries {s}");
