@@ -128,13 +128,8 @@ impl ManagementAgent {
                 request,
                 primitives,
             } => {
-                let mut results = Vec::with_capacity(primitives.len());
                 let mut reaction = ModuleReaction::none();
-                for p in primitives {
-                    let (res, r) = self.run_primitive(device, p);
-                    results.push(res);
-                    reaction.extend(r);
-                }
+                let results = self.run_primitives(device, primitives, &mut reaction);
                 reaction.extend(self.poll_until_quiescent(device));
                 out.push(WireMessage::ScriptResult {
                     request: *request,
@@ -181,26 +176,14 @@ impl ManagementAgent {
                 let mut segments = Vec::with_capacity(goals.len());
                 let mut reaction = ModuleReaction::none();
                 for goal in goals {
-                    match held.remove(goal) {
-                        Some(primitives) => {
-                            let mut results = Vec::with_capacity(primitives.len());
-                            for p in &primitives {
-                                let (res, r) = self.run_primitive(device, p);
-                                results.push(res);
-                                reaction.extend(r);
-                            }
-                            segments.push(SegmentCommit {
-                                goal: *goal,
-                                results,
-                            });
-                        }
-                        None => segments.push(SegmentCommit {
-                            goal: *goal,
-                            results: vec![Err(Box::new(
-                                self.refusal(None, RefusalCause::NeverStaged),
-                            ))],
-                        }),
-                    }
+                    let results = match held.remove(goal) {
+                        Some(primitives) => self.run_primitives(device, &primitives, &mut reaction),
+                        None => vec![Err(Box::new(self.refusal(None, RefusalCause::NeverStaged)))],
+                    };
+                    segments.push(SegmentCommit {
+                        goal: *goal,
+                        results,
+                    });
                 }
                 reaction.extend(self.poll_until_quiescent(device));
                 out.push(WireMessage::CommitBatchResult {
@@ -362,12 +345,27 @@ impl ManagementAgent {
         Ok(())
     }
 
+    /// Run a script's primitives in order — every one, even after one
+    /// fails — gathering what the modules emit into `reaction`.  A `Script`
+    /// and each segment of a `CommitBatch` run through here.
+    fn run_primitives(
+        &mut self,
+        device: &mut Device,
+        primitives: &[Primitive],
+        reaction: &mut ModuleReaction,
+    ) -> Vec<PrimitiveOutcome> {
+        primitives
+            .iter()
+            .map(|p| self.run_primitive(device, p, reaction))
+            .collect()
+    }
+
     fn run_primitive(
         &mut self,
         device: &mut Device,
         primitive: &Primitive,
-    ) -> (PrimitiveOutcome, ModuleReaction) {
-        let mut reaction = ModuleReaction::none();
+        reaction: &mut ModuleReaction,
+    ) -> PrimitiveOutcome {
         let result = match primitive {
             Primitive::ShowPotential => {
                 let mut abstractions = Vec::new();
@@ -401,19 +399,19 @@ impl ManagementAgent {
                     let create = |module: &mut dyn ProtocolModule, ctx: &mut ModuleCtx| {
                         module.create_pipe(ctx, spec)
                     };
-                    if let Err(e) = self.dispatch(device, m, &mut reaction, create) {
+                    if let Err(e) = self.dispatch(device, m, reaction, create) {
                         result = Err(e);
                     }
                 }
                 result
             }
             Primitive::CreateSwitch(spec) => self
-                .dispatch(device, &spec.module, &mut reaction, |module, ctx| {
+                .dispatch(device, &spec.module, reaction, |module, ctx| {
                     module.create_switch(ctx, spec)
                 })
                 .map(|()| PrimitiveResult::Done),
             Primitive::CreateFilter(spec) => self
-                .dispatch(device, &spec.module, &mut reaction, |module, ctx| {
+                .dispatch(device, &spec.module, reaction, |module, ctx| {
                     module.create_filter(ctx, spec)
                 })
                 .map(|()| PrimitiveResult::Done),
@@ -436,8 +434,7 @@ impl ManagementAgent {
                 }
             }
         };
-        let result = result.map_err(|cause| Box::new(self.refusal(primitive.component(), cause)));
-        (result, reaction)
+        result.map_err(|cause| Box::new(self.refusal(primitive.component(), cause)))
     }
 
     /// Poll every module until a round neither reacts nor changes the

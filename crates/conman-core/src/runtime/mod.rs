@@ -65,7 +65,9 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     next_request: u64,
     /// Script replies received by the NM and not yet taken by the call that
     /// asked for them: (device, per-primitive results).  Empty between
-    /// calls — every requester drains what arrived on its behalf.
+    /// calls — every requester drains what arrived on its behalf.  A
+    /// `Script` serves only [`Self::discover`], [`Self::show_actual`] and
+    /// [`Self::execute_path`]; no transaction sends one.
     script_results: Vec<(DeviceId, Vec<PrimitiveOutcome>)>,
     /// Telemetry reports received by the NM and not yet consumed:
     /// (device, request, report).  Drained by [`Self::poll_counters`].
@@ -216,8 +218,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
 
     /// Send one `Script` per `(device, primitives)` pair, pump the management
     /// plane until quiescent and hand the replies that arrived to the
-    /// caller.  Every script requester goes through here, so
-    /// `script_results` is empty again when the call returns.
+    /// caller.  Every script requester — `discover`, `show_actual` and
+    /// `execute_path`, the paper's fire-and-forget reads and flow — goes
+    /// through here, so `script_results` is empty again when the call
+    /// returns.  A transaction changes a device through `StageBatch` /
+    /// `CommitBatch` / `AbortBatch` only, its rollback included.
     fn run_scripts(
         &mut self,
         scripts: impl IntoIterator<Item = (DeviceId, Vec<Primitive>)>,
@@ -289,13 +294,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             .filter(|(_, request, _)| requests.contains(request))
             .map(|(device, _, report)| (device, report))
             .collect()
-    }
-
-    /// Send an ad-hoc primitive script to one device and pump the
-    /// management plane until quiescent.  Its only caller is the in-batch
-    /// rollback, which sends a failed goal's teardown mirror this way.
-    pub(crate) fn run_script(&mut self, device: DeviceId, primitives: Vec<Primitive>) {
-        self.run_scripts([(device, primitives)]);
     }
 
     /// Execute a specific path fire-and-forget: one `Script` per device, no

@@ -14,7 +14,7 @@
 //! 2. **Commit** — devices commit one at a time in reverse path order (so
 //!    every peer-negotiation initiator finds its peers already configured).
 //!    A goal whose segment fails its commit (or whose device never answers)
-//!    is rolled back: every device that already committed it gets the
+//!    is rolled back: the devices that already committed it get the
 //!    teardown mirror of its script (`delete` per `create`, reverse order),
 //!    and its still-staged segments get an abort.
 //!
@@ -23,14 +23,22 @@
 //! stale-configuration teardown, self-healing) is **lenient**: a device
 //! that does not answer is skipped rather than failing the transaction — it
 //! is either crashed (nothing to delete; a reboot clears state anyway) or
-//! will be cleaned up by a later reconcile.  They stay two because the
-//! lenient runner commits every device in one quiesce and never rolls
-//! back; merging them would make the shared code branch on its caller.
+//! will be cleaned up by a later reconcile.
+//!
+//! The two share the stage phase (one `StageBatch` per device, one quiesce,
+//! one `StageDevice` event per device) and the abort step (`AbortBatch`
+//! plus its `AbortDevice` event).  They do not share a commit phase: the
+//! strict runner commits device by device and quiesces after each, so a
+//! failure is undone before the next device commits; the lenient one
+//! commits every device at once and never rolls back.  A rollback is itself
+//! a nested lenient transaction under a newer txn id, and only the devices
+//! that already committed see it, so the journal shows every delete it
+//! sends.
 
 use super::ManagedNetwork;
 use crate::nm::goal::GoalId;
 use crate::nm::ScriptSet;
-use crate::primitives::{Primitive, Refusal, RefusalCause, WireMessage};
+use crate::primitives::{Primitive, Refusal, RefusalCause, SegmentVerdict, WireMessage};
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use netsim::device::DeviceId;
@@ -67,13 +75,9 @@ pub enum TxnEvent {
 /// simulated network — the injection point for mid-transaction faults.
 pub type TxnHook = Box<dyn FnMut(&TxnEvent, &mut Network) + Send>;
 
-/// What a batched transaction did: per-goal verdicts plus the message-level
-/// shape of the batch (how many devices were contacted — one stage and one
-/// commit round-trip each, regardless of how many goals the pass carries).
+/// What a batched transaction did, goal by goal.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
-    /// The transaction id shared by every device in the batch.
-    pub txn: u64,
     /// Goals whose every segment committed.
     pub committed: Vec<GoalId>,
     /// Goals that failed staging or commit (with the first refusal), each
@@ -83,11 +87,6 @@ pub struct BatchOutcome {
     /// commit order; each ran as its own batch of one instead (their
     /// verdicts still land in `committed`/`failed`).
     pub fallback: Vec<GoalId>,
-    /// Devices that carried at least one segment of the batch proper
-    /// (fallback transactions not included).
-    pub devices_contacted: usize,
-    /// Total primitives committed across all segments.
-    pub primitives: usize,
 }
 
 impl BatchOutcome {
@@ -117,12 +116,6 @@ pub type GoalTeardown = (GoalId, Vec<(DeviceId, Vec<Primitive>)>);
 /// teardown item).
 #[derive(Debug, Clone, Default)]
 pub struct TeardownBatchOutcome {
-    /// The transaction id shared by every device in the batch.
-    pub txn: u64,
-    /// Devices that carried at least one teardown segment.
-    pub devices_contacted: usize,
-    /// Total delete primitives committed across all segments.
-    pub primitives: usize,
     /// Delete primitives committed per goal.
     pub per_goal: BTreeMap<GoalId, usize>,
     /// Devices skipped leniently (listed in `skip`, silent, or crashed
@@ -131,12 +124,75 @@ pub struct TeardownBatchOutcome {
     pub skipped: Vec<DeviceId>,
 }
 
+/// Per-device goal segments of one transaction, each goal's primitives
+/// borrowed straight out of its plan: the stage encoder reads the slices in
+/// place, so nothing is cloned.
+type Segments<'a> = BTreeMap<DeviceId, Vec<(u64, &'a [Primitive])>>;
+
+/// One device's answer to the stage phase.
+struct Staged {
+    /// The goals the device was sent a segment of, in segment order.
+    goals: Vec<u64>,
+    /// Its verdicts, one per segment (`None`: it did not answer).
+    verdicts: Option<Vec<SegmentVerdict>>,
+}
+
 impl<C: ManagementChannel> ManagedNetwork<C> {
     fn fire_hook(&mut self, event: TxnEvent) {
         if let Some(mut hook) = self.txn_hook.take() {
             hook(&event, &mut self.net);
             self.txn_hook = Some(hook);
         }
+    }
+
+    /// The stage phase of both runners: send every device its `StageBatch`
+    /// once, quiesce once, and take each device's verdicts, journaling a
+    /// `StageDevice` that is `ok` when the device answered and refused
+    /// nothing.
+    fn stage(&mut self, txn: u64, segments: Segments<'_>) -> BTreeMap<DeviceId, Staged> {
+        if segments.is_empty() {
+            return BTreeMap::new();
+        }
+        for (device, segs) in &segments {
+            self.send_stage_batch(*device, txn, segs);
+        }
+        self.run_management();
+        let mut staged = BTreeMap::new();
+        for (device, segs) in segments {
+            let verdicts = self.stage_batch_results.remove(&(device, txn));
+            let ok = verdicts
+                .as_ref()
+                .is_some_and(|vs| vs.iter().all(|v| v.errors.is_empty()));
+            self.recorder.event(
+                self.net.now().as_nanos(),
+                TraceKind::StageDevice {
+                    txn,
+                    device: device.as_u64(),
+                    segments: segs.len() as u64,
+                    ok,
+                },
+            );
+            let goals = segs.iter().map(|(g, _)| *g).collect();
+            staged.insert(device, Staged { goals, verdicts });
+        }
+        staged
+    }
+
+    /// The abort step of both runners: release `goals`' segments of `txn`
+    /// held on `device`, and journal it.
+    fn abort(&mut self, txn: u64, device: DeviceId, goals: Vec<u64>) {
+        self.send(
+            self.nm_host(),
+            device,
+            &WireMessage::AbortBatch { txn, goals },
+        );
+        self.recorder.event(
+            self.net.now().as_nanos(),
+            TraceKind::AbortDevice {
+                txn,
+                device: device.as_u64(),
+            },
+        );
     }
 
     /// Execute many goals' teardown scripts (all-`delete`) as **one**
@@ -156,13 +212,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         skip: &[DeviceId],
     ) -> TeardownBatchOutcome {
         let txn = self.goals.next_txn();
-        let mut outcome = TeardownBatchOutcome {
-            txn,
-            ..Default::default()
-        };
-        // Borrow each goal's primitive list straight out of `items` — the
-        // segments are never cloned; the encoder reads the slices in place.
-        let mut segments: BTreeMap<DeviceId, Vec<(u64, &[Primitive])>> = BTreeMap::new();
+        let mut outcome = TeardownBatchOutcome::default();
+        let mut segments = Segments::new();
         for (goal, teardown) in items {
             outcome.per_goal.entry(*goal).or_insert(0);
             for (device, primitives) in teardown {
@@ -175,91 +226,48 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     .push((goal.0, primitives.as_slice()));
             }
         }
-        outcome.devices_contacted = segments.len();
         if segments.is_empty() {
             return outcome;
         }
-        let prev_batch_relays = self.batch_relays;
-        self.batch_relays = true;
+        let prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
 
         // ---- Phase 1: stage every device once. ------------------------
-        let goals_by_device: BTreeMap<DeviceId, Vec<u64>> = segments
-            .iter()
-            .map(|(d, segs)| (*d, segs.iter().map(|(g, _)| *g).collect()))
-            .collect();
-        for (device, segs) in &segments {
-            self.send_stage_batch(*device, txn, segs);
-        }
-        drop(segments);
-        self.run_management();
         // Deletes always validate, so a device either answers (committable)
         // or is silent (lenient skip).
         let mut committable = Vec::new();
-        for (device, goals) in &goals_by_device {
-            let ok = match self.stage_batch_results.remove(&(*device, txn)) {
-                Some(_) => {
-                    committable.push(*device);
-                    true
-                }
-                None => {
-                    outcome.skipped.push(*device);
-                    false
-                }
-            };
-            self.recorder.event(
-                self.net.now().as_nanos(),
-                TraceKind::StageDevice {
-                    txn,
-                    device: device.as_u64(),
-                    segments: goals.len() as u64,
-                    ok,
-                },
-            );
+        for (device, staged) in self.stage(txn, segments) {
+            match staged.verdicts {
+                Some(_) => committable.push((device, staged.goals)),
+                None => outcome.skipped.push(device),
+            }
         }
 
         // ---- Phase 2: commit each answering device once. --------------
-        for device in &committable {
+        for (device, goals) in &committable {
+            let goals = goals.clone();
             self.send(
                 self.nm_host(),
                 *device,
-                &WireMessage::CommitBatch {
-                    txn,
-                    goals: goals_by_device[device].clone(),
-                },
+                &WireMessage::CommitBatch { txn, goals },
             );
         }
         self.run_management();
-        for device in committable {
-            let ok = match self.commit_batch_results.remove(&(device, txn)) {
+        for (device, goals) in committable {
+            let answer = self.commit_batch_results.remove(&(device, txn));
+            let ok = answer.is_some();
+            match answer {
                 Some(segs) => {
                     for sc in segs {
-                        outcome.primitives += sc.results.len();
                         *outcome.per_goal.entry(GoalId(sc.goal)).or_insert(0) += sc.results.len();
                     }
-                    true
                 }
                 None => {
                     // Crashed between the phases: abort so the agent does
                     // not hold the staged deletes forever if it comes back.
-                    self.send(
-                        self.nm_host(),
-                        device,
-                        &WireMessage::AbortBatch {
-                            txn,
-                            goals: goals_by_device[&device].clone(),
-                        },
-                    );
-                    self.recorder.event(
-                        self.net.now().as_nanos(),
-                        TraceKind::AbortDevice {
-                            txn,
-                            device: device.as_u64(),
-                        },
-                    );
+                    self.abort(txn, device, goals);
                     outcome.skipped.push(device);
-                    false
                 }
-            };
+            }
             self.recorder.event(
                 self.net.now().as_nanos(),
                 TraceKind::CommitDevice {
@@ -285,17 +293,25 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// messages follow the relay rounds, not the number of goals.
     ///
     /// Per-goal atomicity is preserved inside the batch: a goal whose
-    /// segment fails staging or commit on any device is rolled back via its
-    /// teardown mirror (and its still-held segments aborted) without
-    /// aborting sibling goals.  Commit order across devices follows the
-    /// reverse of the latest path position any goal assigns a device, so
-    /// every peer-negotiation initiator still finds its peers committed.
+    /// segment fails staging on any device is aborted everywhere before
+    /// anything of it is applied, and the goals that fail at one device's
+    /// commit are rolled back together without aborting sibling goals.
+    /// Commit order across devices follows the reverse of the latest path
+    /// position any goal assigns a device, so every peer-negotiation
+    /// initiator still finds its peers committed.
     /// A goal whose own reverse path order cannot be embedded in that
     /// single global order (e.g. two goals traversing shared devices in
     /// opposite directions) is excluded from the batch and re-enters this
     /// runner as a batch of one afterwards — correctness first, batching
     /// where it is sound (`BatchOutcome::fallback` records them).  A
     /// transaction for one goal is `run_batch(&[(goal, &scripts)])`.
+    ///
+    /// A rollback costs, per commit step at which goals fail, one nested
+    /// [`Self::run_teardown_batch`] over their teardown mirrors — a
+    /// `StageBatch` and a `CommitBatch` (each answered) to every device
+    /// that already committed one of them, and nothing when no such device
+    /// created anything — plus one `AbortBatch` to every device still to
+    /// commit that holds a segment of one of them.
     ///
     /// A failed goal's [`Refusal`] in `BatchOutcome::failed` is the first
     /// one its segments met.  Its cause is one of:
@@ -307,10 +323,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     ///   [`RefusalCause::UnansweredCommit`].
     pub fn run_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> BatchOutcome {
         let txn = self.goals.next_txn();
-        let mut outcome = BatchOutcome {
-            txn,
-            ..Default::default()
-        };
+        let mut outcome = BatchOutcome::default();
         // Partition into goals that can share one commit order and goals
         // that must fall back to a batch of their own.  Removing a
         // conflicting goal changes the aggregate order, so iterate to a
@@ -355,84 +368,56 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // Preserve submission order for the fallback executions.
         fallback.reverse();
 
-        // Coalesce: one segment list per device (goal order preserved) for
-        // the StageBatch messages, plus a lighter per-device goal-id list
-        // for the bookkeeping that follows.  Each goal's primitives are
-        // *borrowed* straight out of its plan — the stage encoder reads the
-        // slices in place, so nothing is cloned at all.
-        let mut segments: BTreeMap<DeviceId, Vec<(u64, &[Primitive])>> = BTreeMap::new();
-        let mut goals_by_device: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
+        // Coalesce: one segment list per device, goal order preserved.
+        let mut segments = Segments::new();
         for (goal, scripts) in &batchable {
             for ds in &scripts.scripts {
                 segments
                     .entry(ds.device)
                     .or_default()
                     .push((goal.0, ds.primitives.as_slice()));
-                goals_by_device.entry(ds.device).or_default().push(goal.0);
             }
         }
         let mut alive: BTreeSet<GoalId> = batchable.iter().map(|(g, _)| *g).collect();
         let mut errors: BTreeMap<GoalId, Refusal> = BTreeMap::new();
-        outcome.devices_contacted = goals_by_device.len();
         self.recorder.inc("txn.batches", 1);
         self.recorder
-            .observe("txn.batch.devices", outcome.devices_contacted as f64);
-        if goals_by_device.is_empty() && fallback.is_empty() {
+            .observe("txn.batch.devices", segments.len() as f64);
+        if segments.is_empty() && fallback.is_empty() {
             outcome.committed = alive.into_iter().collect();
             return outcome;
         }
-        let prev_batch_relays = self.batch_relays;
-        self.batch_relays = true;
+        let prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
 
         // ---- Phase 1: stage every device once. ------------------------
-        if !segments.is_empty() {
-            for (device, segs) in &segments {
-                self.send_stage_batch(*device, txn, segs);
-            }
-            drop(segments);
-            self.run_management();
-        } else {
-            drop(segments);
-        }
+        let mut goals_by_device: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
         let mut silent: BTreeSet<DeviceId> = BTreeSet::new();
-        for (device, goals) in &goals_by_device {
-            let ok = match self.stage_batch_results.remove(&(*device, txn)) {
+        for (device, staged) in self.stage(txn, segments) {
+            match staged.verdicts {
                 Some(verdicts) => {
-                    let mut clean = true;
                     for v in verdicts {
                         let Some(refusal) = v.errors.into_iter().next() else {
                             continue;
                         };
-                        clean = false;
                         let goal = GoalId(v.goal);
                         if alive.remove(&goal) {
                             errors.insert(goal, refusal);
                         }
                     }
-                    clean
                 }
                 None => {
                     // Silence: crashed or unreachable — every segment it
                     // holds is lost.
-                    silent.insert(*device);
-                    let silence = unanswered(*device, RefusalCause::UnansweredStage);
-                    for goal in goals.iter().map(|g| GoalId(*g)) {
+                    silent.insert(device);
+                    let silence = unanswered(device, RefusalCause::UnansweredStage);
+                    for goal in staged.goals.iter().map(|g| GoalId(*g)) {
                         if alive.remove(&goal) {
                             errors.insert(goal, silence.clone());
                         }
                     }
-                    false
                 }
-            };
-            self.recorder.event(
-                self.net.now().as_nanos(),
-                TraceKind::StageDevice {
-                    txn,
-                    device: device.as_u64(),
-                    segments: goals.len() as u64,
-                    ok,
-                },
-            );
+            }
+            goals_by_device.insert(device, staged.goals);
         }
         // Abort dead goals' segments still held on answering devices.
         let mut aborted_any = false;
@@ -446,18 +431,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 .filter(|g| !alive.contains(&GoalId(*g)))
                 .collect();
             if !dead.is_empty() {
-                self.send(
-                    self.nm_host(),
-                    *device,
-                    &WireMessage::AbortBatch { txn, goals: dead },
-                );
-                self.recorder.event(
-                    self.net.now().as_nanos(),
-                    TraceKind::AbortDevice {
-                        txn,
-                        device: device.as_u64(),
-                    },
-                );
+                self.abort(txn, *device, dead);
                 aborted_any = true;
             }
         }
@@ -501,11 +475,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 },
             );
             self.run_management();
-            let mut newly_failed: Vec<GoalId> = Vec::new();
+            let mut newly_failed: BTreeSet<GoalId> = BTreeSet::new();
             let answer = self.commit_batch_results.remove(&(device, txn));
             // A device whose commit went unanswered cannot be rolled back, so
             // a failed goal's teardown mirrors go to the devices before it.
-            let to_undo = match answer {
+            let committed = match answer {
                 Some(_) => &order[..=idx],
                 None => &order[..idx],
             };
@@ -514,14 +488,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     let mut clean = true;
                     for sc in segs {
                         let goal = GoalId(sc.goal);
-                        outcome.primitives += sc.results.len();
                         let Some(refusal) = sc.results.into_iter().find_map(Result::err) else {
                             continue;
                         };
                         clean = false;
                         if alive.remove(&goal) {
                             errors.insert(goal, *refusal);
-                            newly_failed.push(goal);
+                            newly_failed.insert(goal);
                         }
                     }
                     if clean {
@@ -537,7 +510,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     for goal in goals_here.iter().map(|g| GoalId(*g)) {
                         if alive.remove(&goal) {
                             errors.insert(goal, silence.clone());
-                            newly_failed.push(goal);
+                            newly_failed.insert(goal);
                         }
                     }
                     false
@@ -551,8 +524,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     ok: commit_ok,
                 },
             );
-            for goal in newly_failed {
-                self.rollback_goal_in_batch(txn, goal, items, to_undo, &order[idx + 1..]);
+            if !newly_failed.is_empty() {
+                self.roll_back(txn, &newly_failed, &batchable, committed, &order[idx + 1..]);
             }
         }
         self.run_management();
@@ -566,9 +539,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         );
         for (goal, scripts) in fallback {
             outcome.fallback.push(goal);
-            let single = self.run_batch(&[(goal, scripts)]);
-            outcome.primitives += single.primitives;
-            match single.failed.into_iter().next() {
+            match self.run_batch(&[(goal, scripts)]).failed.into_iter().next() {
                 None => {
                     alive.insert(goal);
                 }
@@ -588,47 +559,50 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         outcome
     }
 
-    /// Undo one failed goal inside a batch: teardown-mirror its segments on
-    /// devices that answered their commit (possibly with an error), abort
-    /// its still-staged segments on devices yet to commit.  Sibling goals are
+    /// Undo `goals`, which failed at one commit step of `txn`.  Their
+    /// teardown mirrors run as one nested [`Self::run_teardown_batch`] on
+    /// the `committed` devices only: a newer stage drops every older txn a
+    /// device holds, so staging it on a device still to commit would
+    /// unstage the siblings' segments there.  Those `pending` devices get
+    /// an `AbortBatch` for the failed goals instead.  Sibling goals are
     /// untouched — their segments live in disjoint pipe-id blocks.
-    fn rollback_goal_in_batch(
+    fn roll_back(
         &mut self,
         txn: u64,
-        goal: GoalId,
-        items: &[(GoalId, &ScriptSet)],
-        committed_devices: &[DeviceId],
-        pending_devices: &[DeviceId],
+        goals: &BTreeSet<GoalId>,
+        batch: &[(GoalId, &ScriptSet)],
+        committed: &[DeviceId],
+        pending: &[DeviceId],
     ) {
-        let Some(scripts) = items.iter().find(|(g, _)| *g == goal).map(|(_, s)| *s) else {
-            return;
-        };
-        for ds in &scripts.scripts {
-            if !committed_devices.contains(&ds.device) {
-                continue;
-            }
-            let deletes = ScriptSet::teardown_of(ds);
-            if !deletes.is_empty() {
-                self.run_script(ds.device, deletes);
-            }
+        let failed: Vec<(GoalId, &ScriptSet)> = batch
+            .iter()
+            .filter(|(g, _)| goals.contains(g))
+            .copied()
+            .collect();
+        let mirrors: Vec<GoalTeardown> = failed
+            .iter()
+            .map(|(goal, scripts)| {
+                let deletes = scripts
+                    .scripts
+                    .iter()
+                    .filter(|ds| committed.contains(&ds.device))
+                    .map(|ds| (ds.device, ScriptSet::teardown_of(ds)))
+                    .filter(|(_, deletes)| !deletes.is_empty())
+                    .collect();
+                (*goal, deletes)
+            })
+            .collect();
+        if mirrors.iter().any(|(_, deletes)| !deletes.is_empty()) {
+            self.run_teardown_batch(&mirrors, &[]);
         }
-        for device in pending_devices {
-            if scripts.scripts.iter().any(|ds| ds.device == *device) {
-                self.send(
-                    self.nm_host(),
-                    *device,
-                    &WireMessage::AbortBatch {
-                        txn,
-                        goals: vec![goal.0],
-                    },
-                );
-                self.recorder.event(
-                    self.net.now().as_nanos(),
-                    TraceKind::AbortDevice {
-                        txn,
-                        device: device.as_u64(),
-                    },
-                );
+        for device in pending {
+            let held: Vec<u64> = failed
+                .iter()
+                .filter(|(_, scripts)| scripts.scripts.iter().any(|ds| ds.device == *device))
+                .map(|(g, _)| g.0)
+                .collect();
+            if !held.is_empty() {
+                self.abort(txn, *device, held);
             }
         }
     }

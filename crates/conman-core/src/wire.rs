@@ -75,7 +75,9 @@
 //! The `StageBatch` frame length-prefixes every goal segment, so the
 //! receiving agent can walk borrowed segment slices and validate primitives
 //! *as they decode* ([`StageBatchView`]) instead of materialising the whole
-//! message first.  A pipe carries no names at all and a transit switch rule
+//! message first.  [`WireMessage::decode`] collects its segments from the
+//! same [`SegmentView`] and [`SegmentView::primitives`], so the frame has
+//! one reader.  A pipe carries no names at all and a transit switch rule
 //! three absent options: the only strings in a generated segment are the
 //! class, gateway and local prefix of a goal's two edge-IP rules.
 
@@ -178,13 +180,18 @@ impl Field for ScriptSegment {
     fn put(&self, w: &mut Writer) {
         put_segment(w, self.goal, &self.primitives);
     }
+    // Through the same view the agent stages from, so the two agree.
     fn read(r: &mut Reader<'_>) -> Option<Self> {
-        let goal = r.u64()?;
-        let mut block = Reader::new(r.bytes()?);
-        let primitives = Field::read(&mut block)?;
-        block
-            .is_exhausted()
-            .then_some(ScriptSegment { goal, primitives })
+        let view = SegmentView::read(r)?;
+        let stream = view.stream();
+        let mut primitives = Vec::with_capacity(presize(&stream.r, stream.remaining));
+        for p in stream {
+            primitives.push(p.ok()?);
+        }
+        Some(ScriptSegment {
+            goal: view.goal,
+            primitives,
+        })
     }
 }
 
@@ -197,7 +204,7 @@ impl Field for ScriptSegment {
 pub struct StageBatchView<'a> {
     /// The transaction id shared by every segment.
     pub txn: u64,
-    segments: Vec<(u64, &'a [u8])>,
+    segments: Vec<SegmentView<'a>>,
 }
 
 impl<'a> StageBatchView<'a> {
@@ -214,9 +221,7 @@ impl<'a> StageBatchView<'a> {
         let n = r.u32()?;
         let mut segments = Vec::with_capacity(presize(&r, n));
         for _ in 0..n {
-            let goal = r.u64()?;
-            let block = r.bytes()?;
-            segments.push((goal, block));
+            segments.push(SegmentView::read(&mut r)?);
         }
         if !r.is_exhausted() {
             return None;
@@ -226,9 +231,7 @@ impl<'a> StageBatchView<'a> {
 
     /// Iterate the segments as borrowed views.
     pub fn segments(&self) -> impl Iterator<Item = SegmentView<'a>> + '_ {
-        self.segments
-            .iter()
-            .map(|(goal, bytes)| SegmentView { goal: *goal, bytes })
+        self.segments.iter().copied()
     }
 }
 
@@ -248,9 +251,21 @@ pub struct SegmentView<'a> {
 pub struct MalformedSegment;
 
 impl<'a> SegmentView<'a> {
+    /// Read one segment's framing, leaving its block encoded: the one
+    /// segment reader, behind [`StageBatchView::parse`] and the decoder.
+    fn read(r: &mut Reader<'a>) -> Option<Self> {
+        let goal = r.u64()?;
+        let bytes = r.bytes()?;
+        Some(SegmentView { goal, bytes })
+    }
+
     /// Stream the segment's primitives, decoding each one lazily from the
     /// borrowed block.  After a [`MalformedSegment`] error the stream ends.
     pub fn primitives(&self) -> impl Iterator<Item = Result<Primitive, MalformedSegment>> + 'a {
+        self.stream()
+    }
+
+    fn stream(&self) -> PrimitiveStream<'a> {
         let mut r = Reader::new(self.bytes);
         let remaining = r.u32();
         PrimitiveStream {

@@ -737,8 +737,20 @@ fn batched_and_per_goal_equivalent_under_mid_commit_crash() {
     }
 }
 
-#[test]
-fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
+/// A batch of two goals on the 3-router chain in which only the second
+/// fails, at its commit on the egress router, with `recorder` attached for
+/// the batch.
+struct MidBatchFailure {
+    t: Chain,
+    g1: GoalId,
+    g2: GoalId,
+    /// What g1's plan claims: all that may be left once g2 rolls back.
+    claims: BTreeSet<(DeviceId, ComponentRef)>,
+    egress: DeviceId,
+    outcome: conman::core::runtime::BatchOutcome,
+}
+
+fn fail_one_goal_mid_batch(recorder: Recorder) -> MidBatchFailure {
     use conman::core::ids::{ModuleKind, PipeId};
     use conman::core::nm::{DeviceScript, ScriptSet};
     use conman::core::primitives::{PipeSpec, Primitive};
@@ -773,7 +785,30 @@ fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
         }],
     };
 
+    t.mn.set_recorder(recorder);
     let outcome = t.mn.run_batch(&[(g1, &plan1.scripts), (g2, &bad)]);
+    MidBatchFailure {
+        t,
+        g1,
+        g2,
+        claims: plan1.scripts.components(),
+        egress,
+        outcome,
+    }
+}
+
+#[test]
+fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
+    use conman::core::ids::PipeId;
+
+    let MidBatchFailure {
+        mut t,
+        g1,
+        g2,
+        claims,
+        egress,
+        outcome,
+    } = fail_one_goal_mid_batch(Recorder::disabled());
     assert_eq!(outcome.committed, vec![g1], "the sibling goal commits");
     assert_eq!(outcome.failed.len(), 1);
     assert_eq!(outcome.failed[0].0, g2);
@@ -791,7 +826,76 @@ fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
     // side of the rejected pipe) were rolled back via the teardown mirror.
     assert!(t.probe(), "the sibling goal carries traffic");
     let routers = t.core.clone();
-    assert_lists_only(&mut t.mn, &routers, &plan1.scripts.components());
+    assert_lists_only(&mut t.mn, &routers, &claims);
+}
+
+#[test]
+fn a_mid_batch_rollback_is_a_journaled_teardown_transaction() {
+    use conman::obs::TraceKind;
+
+    let recorder = Recorder::new();
+    let MidBatchFailure {
+        mut t,
+        g1,
+        claims,
+        egress,
+        outcome,
+        ..
+    } = fail_one_goal_mid_batch(recorder.clone());
+    let events = recorder.journal_events();
+
+    // The rollback of g2 is a second transaction, newer than the batch's,
+    // staged and committed on exactly the device where g2's partial creates
+    // landed — no delete leaves the NM without a journal event.
+    let staged = |txn: u64| -> BTreeSet<u64> {
+        events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::StageDevice { txn: t, device, .. } if t == txn => Some(device),
+                _ => None,
+            })
+            .collect()
+    };
+    let committed = |txn: u64, want: bool| -> BTreeSet<u64> {
+        events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::CommitDevice { txn: t, device, ok } if t == txn && ok == want => {
+                    Some(device)
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let txns: BTreeSet<u64> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            TraceKind::StageDevice { txn, .. } => Some(txn),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(txns.len(), 2, "the batch and its rollback: {events:?}");
+    let (batch, rollback) = (
+        txns.first().copied().unwrap(),
+        txns.last().copied().unwrap(),
+    );
+    assert!(rollback > batch);
+    let only_egress = BTreeSet::from([egress.as_u64()]);
+    assert_eq!(staged(rollback), only_egress);
+    assert_eq!(committed(rollback, true), only_egress);
+    assert!(committed(rollback, false).is_empty());
+    assert_eq!(committed(batch, false), only_egress, "g2 failed there");
+    let violations = conman::analyze::check_journal(&events);
+    assert!(
+        violations.is_empty(),
+        "the journal conforms: {violations:?}"
+    );
+
+    // The sibling is untouched by the rollback.
+    assert_eq!(outcome.committed, vec![g1]);
+    assert!(t.probe(), "the sibling goal carries traffic");
+    let routers = t.core.clone();
+    assert_lists_only(&mut t.mn, &routers, &claims);
 }
 
 #[test]

@@ -620,7 +620,11 @@ proptest! {
     }
 
     /// A valid frame of every message, damaged the way a hostile channel
-    /// would: one to three bytes overwritten, then maybe cut short.
+    /// would: one to three bytes overwritten, then maybe cut short.  A
+    /// damaged `StageBatch` is also read both ways the runtime reads one,
+    /// and the two agree: the generic decoder returns a message exactly
+    /// when the agent's in-place walk parses the framing and every segment
+    /// streams only primitives, and then it returns those segments.
     #[test]
     fn damaged_batch_frames_decode_without_panicking(
         which in 0usize..13,
@@ -635,6 +639,30 @@ proptest! {
         if let Some(cut) = cut {
             frame.truncate(cut % (frame.len() + 1));
         }
-        decode_every_way(&frame);
+        let decoded = decode_every_way(&frame);
+        if which == 0 {
+            let streamed = stream_stage_batch(&frame);
+            prop_assert_eq!(decoded.is_some(), streamed.is_some(), "{:?}", decoded);
+            if let Some((txn, segments)) = streamed {
+                prop_assert_eq!(decoded, Some(conman::core::WireMessage::StageBatch { txn, segments }));
+            }
+        }
     }
+}
+
+/// A `StageBatch` as the agent stages it: the framing parsed in place and
+/// every segment's primitives streamed, or `None` when either fails.
+fn stream_stage_batch(bytes: &[u8]) -> Option<(u64, Vec<conman::core::primitives::ScriptSegment>)> {
+    let view = conman::core::wire::StageBatchView::parse(bytes)?;
+    let segments = view
+        .segments()
+        .map(|segment| {
+            let primitives = segment.primitives().collect::<Result<_, _>>().ok()?;
+            Some(conman::core::primitives::ScriptSegment {
+                goal: segment.goal,
+                primitives,
+            })
+        })
+        .collect::<Option<_>>()?;
+    Some((view.txn, segments))
 }
