@@ -322,7 +322,7 @@ fn autonomic_loop() {
     println!("(no budget burn); a converged tick sends ZERO management messages.\n");
     let header = || {
         println!(
-            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14}",
+            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14} {:>13}",
             "scenario",
             "channel",
             "goals",
@@ -335,13 +335,14 @@ fn autonomic_loop() {
             "passes",
             "failed",
             "repair-NM",
-            "repair-NM-recv"
+            "repair-NM-recv",
+            "quiet-lookups"
         );
     };
     header();
     let print_row = |r: &LoopBenchReport| {
         println!(
-            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14}",
+            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14} {:>13}",
             r.scenario.name(),
             r.channel,
             r.goals,
@@ -355,6 +356,7 @@ fn autonomic_loop() {
             r.failed_attempts,
             r.repair_nm_sent,
             r.repair_nm_received,
+            r.quiet_lookup_work,
         );
     };
     for scenario in [LoopScenario::CoreStateLoss, LoopScenario::PerGoalTableFlush] {

@@ -100,6 +100,11 @@ pub struct LoopBenchReport {
     /// The maximum NM messages any quiescent tick sent (must be 0: a
     /// converged loop is silent).
     pub quiescent_nm_sent: u64,
+    /// The entries the simulator's per-packet lookups examined during the
+    /// last quiescent tick, summed over every device (`netsim`'s
+    /// `LookupWork::total`): the deterministic twin of a quiet tick's wall
+    /// time.  Indexed lookups keep it near-linear in the goals probed.
+    pub quiet_lookup_work: u64,
     /// Ticks from fault injection to the first health round that degraded
     /// a goal.
     pub ticks_to_detect: u64,
@@ -281,12 +286,7 @@ fn chain_loop_run<C: ManagementChannel>(
     let setup_ticks = setup.ticks.len() as u64;
 
     // ---- Quiescence: a converged loop is silent. ----------------------
-    let mut quiescent_nm_sent = 0;
-    for _ in 0..3 {
-        let tick = cl.tick(&mut t.mn);
-        assert!(tick.frames > 0, "every quiet tick probes: {tick:?}");
-        quiescent_nm_sent = quiescent_nm_sent.max(tick.nm_sent);
-    }
+    let (quiescent_nm_sent, quiet_lookup_work) = quiet_ticks(&mut cl, &mut t.mn);
 
     // ---- Fault. -------------------------------------------------------
     // The fleet fault hits a transit router (repair routes around it); the
@@ -345,6 +345,7 @@ fn chain_loop_run<C: ManagementChannel>(
         scenario,
         setup_ticks,
         quiescent_nm_sent,
+        quiet_lookup_work,
         ticks_to_detect: m.detect.saturating_sub(fault_tick),
         ticks_to_repair: m.repaired.saturating_sub(fault_tick),
         degraded_goals: m.degraded_goals,
@@ -356,6 +357,24 @@ fn chain_loop_run<C: ManagementChannel>(
         repair_frames,
         converged: run.converged && all_active && traffic_ok,
     }
+}
+
+/// Three quiescent ticks on a converged fleet: the most NM messages any of
+/// them sent, and the lookup work of the last one.
+fn quiet_ticks<C: ManagementChannel>(
+    cl: &mut ControlLoop<C>,
+    mn: &mut ManagedNetwork<C>,
+) -> (u64, u64) {
+    let mut quiescent_nm_sent = 0;
+    let mut lookup_work = 0;
+    for _ in 0..3 {
+        let before = mn.net.lookup_work().total();
+        let tick = cl.tick(mn);
+        assert!(tick.frames > 0, "every quiet tick probes: {tick:?}");
+        quiescent_nm_sent = quiescent_nm_sent.max(tick.nm_sent);
+        lookup_work = mn.net.lookup_work().total() - before;
+    }
+    (quiescent_nm_sent, lookup_work)
 }
 
 /// Run the autonomic loop once on the 2×k multipath mesh: converge `goals`
@@ -410,12 +429,7 @@ fn mesh_loop_run_with(
     assert!(setup.converged, "fleet must converge during setup");
     let setup_ticks = setup.ticks.len() as u64;
 
-    let mut quiescent_nm_sent = 0;
-    for _ in 0..3 {
-        let tick = cl.tick(&mut t.mn);
-        assert!(tick.frames > 0, "every quiet tick probes: {tick:?}");
-        quiescent_nm_sent = quiescent_nm_sent.max(tick.nm_sent);
-    }
+    let (quiescent_nm_sent, quiet_lookup_work) = quiet_ticks(&mut cl, &mut t.mn);
 
     // ---- Fault: kill the first core-to-core link of the applied path. --
     let hop = t
@@ -475,6 +489,7 @@ fn mesh_loop_run_with(
         scenario,
         setup_ticks,
         quiescent_nm_sent,
+        quiet_lookup_work,
         ticks_to_detect: m.detect.saturating_sub(fault_tick),
         ticks_to_repair: m.repaired.saturating_sub(fault_tick),
         degraded_goals: m.degraded_goals,

@@ -12,7 +12,11 @@
 //! it and is never inherited by a later tunnel** — GRE sequence numbers and
 //! interface counters are kept in the tunnel's own table entry, so removing
 //! the tunnel removes them and a tunnel added later under the same id starts
-//! from nothing.
+//! from nothing.  The door also keeps the table's index of tunnel interface
+//! addresses, which [`DeviceConfig::is_local_address`] reads for every
+//! packet: nothing else writes a tunnel's configuration (the
+//! `CorruptGreKey` fault rewrites keys only), so the index cannot fall
+//! behind an `address`.
 
 use crate::ipv4::{Ipv4Cidr, Ipv4Proto};
 use crate::mpls::MplsTables;
@@ -100,8 +104,16 @@ impl TunnelConfig {
 /// half is neither serialised nor handed out with the configuration, so
 /// configuration snapshots compare equal whatever traffic has flowed.
 #[derive(Debug, Clone)]
-pub(crate) struct TunnelEntry {
-    pub(crate) config: TunnelConfig,
+struct TunnelEntry {
+    /// Read-only outside this module, so that the address index cannot
+    /// fall behind a tunnel's `address`.
+    config: TunnelConfig,
+    state: TunnelState,
+}
+
+/// The runtime half of a tunnel's entry, which the engine writes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TunnelState {
     /// Last GRE sequence number stamped on a transmitted packet (`oseq`).
     pub(crate) tx_seq: u32,
     /// Highest GRE sequence number accepted on receive (`iseq`); 0 before
@@ -116,10 +128,13 @@ impl TunnelEntry {
     fn new(config: TunnelConfig) -> Self {
         TunnelEntry {
             config,
-            tx_seq: 0,
-            rx_seq: 0,
-            counters: IfaceCounters::default(),
+            state: TunnelState::default(),
         }
+    }
+
+    /// The configuration to read, the runtime state to write.
+    fn split(&mut self) -> (&TunnelConfig, &mut TunnelState) {
+        (&self.config, &mut self.state)
     }
 }
 
@@ -132,6 +147,65 @@ impl Serialize for TunnelEntry {
 impl Deserialize for TunnelEntry {
     fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
         TunnelConfig::deserialize(v).map(TunnelEntry::new)
+    }
+}
+
+/// The tunnel table: entries keyed by id, and beside them a counted index
+/// of their interface addresses — every `address` some tunnel carries,
+/// sorted, once per tunnel carrying it.  Only the entries are content: the
+/// index is neither serialised nor compared, and a table read back from
+/// JSON rebuilds it.
+#[derive(Debug, Clone, Default)]
+struct TunnelTable {
+    entries: BTreeMap<u32, TunnelEntry>,
+    addresses: Vec<Ipv4Addr>,
+}
+
+impl TunnelTable {
+    /// Insert `entry` under `id`, indexing its address.
+    fn insert(&mut self, id: u32, entry: TunnelEntry) {
+        if let Some(c) = entry.config.address {
+            let at = self.addresses.partition_point(|a| *a <= c.addr);
+            self.addresses.insert(at, c.addr);
+        }
+        self.entries.insert(id, entry);
+    }
+
+    /// Remove the entry under `id` and its address from the index.
+    fn remove(&mut self, id: u32) -> Option<TunnelEntry> {
+        let entry = self.entries.remove(&id)?;
+        if let Some(c) = entry.config.address {
+            let at = self.addresses.binary_search(&c.addr);
+            self.addresses
+                .remove(at.expect("every tunnel address is indexed"));
+        }
+        Some(entry)
+    }
+
+    /// Does some tunnel carry `addr`?  Adds the index entries the binary
+    /// search compared to `probes`.
+    fn carries(&self, addr: Ipv4Addr, probes: &mut u64) -> bool {
+        let at = self.addresses.partition_point(|a| {
+            *probes += 1;
+            *a < addr
+        });
+        self.addresses.get(at) == Some(&addr)
+    }
+}
+
+impl Serialize for TunnelTable {
+    fn serialize(&self) -> serde::Value {
+        self.entries.serialize()
+    }
+}
+
+impl Deserialize for TunnelTable {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let mut table = TunnelTable::default();
+        for (id, entry) in BTreeMap::<u32, TunnelEntry>::deserialize(v)? {
+            table.insert(id, entry);
+        }
+        Ok(table)
     }
 }
 
@@ -245,9 +319,10 @@ pub struct DeviceConfig {
     port_address_set: BTreeSet<Ipv4Addr>,
     /// Routing information base (tables + policy rules).
     pub rib: Rib,
-    /// Configured tunnels keyed by tunnel id.  Private: see the module
-    /// documentation for the invariant its methods keep.
-    tunnels: BTreeMap<u32, TunnelEntry>,
+    /// Configured tunnels keyed by tunnel id, with their address index.
+    /// Private: see the module documentation for the invariants its
+    /// methods keep.
+    tunnels: TunnelTable,
     /// MPLS label-switching state.
     pub mpls: MplsTables,
     /// Layer-2 bridge configuration (switches only).
@@ -290,14 +365,16 @@ impl DeviceConfig {
         ports.chain(tunnels).map(|c| c.addr)
     }
 
-    /// Is `addr` one of this device's local addresses?  No caller outside
-    /// netsim yet: used by ROADMAP item 6c's `netsim.edge_lookup_us` row,
-    /// which a `[benchmark]` PR must add without editing this crate.
+    /// Is `addr` one of this device's local addresses?  The engine asks for
+    /// every packet and every ARP request it handles.
     pub fn is_local_address(&self, addr: Ipv4Addr) -> bool {
-        self.port_address_set.contains(&addr)
-            || self
-                .tunnels()
-                .any(|t| t.address.is_some_and(|c| c.addr == addr))
+        self.is_local_address_counting(addr, &mut 0)
+    }
+
+    /// [`Self::is_local_address`]: two set lookups, adding the tunnel
+    /// addresses the second compared to `probes`.
+    pub(crate) fn is_local_address_counting(&self, addr: Ipv4Addr, probes: &mut u64) -> bool {
+        self.port_address_set.contains(&addr) || self.tunnels.carries(addr, probes)
     }
 
     /// The port (and its prefix) whose subnet contains `addr`, if any.
@@ -345,7 +422,8 @@ impl DeviceConfig {
     /// The new tunnel starts with no sequence state and zero counters even
     /// when an earlier tunnel held the same id.
     pub fn add_tunnel(&mut self, mut tunnel: TunnelConfig) -> u32 {
-        let id = self.tunnels.last_key_value().map_or(1, |(max, _)| max + 1);
+        let last = self.tunnels.entries.last_key_value();
+        let id = last.map_or(1, |(max, _)| max + 1);
         tunnel.id = id;
         self.tunnels.insert(id, TunnelEntry::new(tunnel));
         id
@@ -353,36 +431,43 @@ impl DeviceConfig {
 
     /// Remove a tunnel and, with it, its sequence state and counters.
     pub fn remove_tunnel(&mut self, id: u32) -> Option<TunnelConfig> {
-        self.tunnels.remove(&id).map(|e| e.config)
+        self.tunnels.remove(id).map(|e| e.config)
     }
 
     /// The configuration of one tunnel.
     pub fn tunnel(&self, id: u32) -> Option<&TunnelConfig> {
-        self.tunnels.get(&id).map(|e| &e.config)
+        self.tunnels.entries.get(&id).map(|e| &e.config)
     }
 
     /// Every configured tunnel, in id order.
     pub fn tunnels(&self) -> impl Iterator<Item = &TunnelConfig> {
-        self.tunnels.values().map(|e| &e.config)
+        self.tunnels.entries.values().map(|e| &e.config)
     }
 
-    /// Every configured tunnel, mutably (fault injection rewrites keys in
-    /// place).  The table is keyed by the id `add_tunnel` assigned; changing
-    /// a `TunnelConfig::id` here does not move the tunnel.
-    pub(crate) fn tunnels_mut(&mut self) -> impl Iterator<Item = &mut TunnelConfig> {
-        self.tunnels.values_mut().map(|e| &mut e.config)
+    /// Add `delta` (wrapping) to every tunnel's expected GRE key, leaving
+    /// tunnels without one alone: the `CorruptGreKey` fault, and the only
+    /// write to a tunnel's configuration after `add_tunnel`.
+    pub(crate) fn corrupt_ikeys(&mut self, delta: u32) {
+        for e in self.tunnels.entries.values_mut() {
+            if let Some(ikey) = e.config.ikey.as_mut() {
+                *ikey = ikey.wrapping_add(delta);
+            }
+        }
     }
 
     /// Packets received, transmitted and dropped on one tunnel since it was
     /// added; `None` once the tunnel is gone.
     pub fn tunnel_counters(&self, id: u32) -> Option<IfaceCounters> {
-        self.tunnels.get(&id).map(|e| e.counters)
+        self.tunnels.entries.get(&id).map(|e| e.state.counters)
     }
 
-    /// One tunnel's table entry, runtime state included (the engine's
+    /// One tunnel's configuration and runtime state (the engine's
     /// encapsulation path).
-    pub(crate) fn tunnel_entry_mut(&mut self, id: u32) -> Option<&mut TunnelEntry> {
-        self.tunnels.get_mut(&id)
+    pub(crate) fn tunnel_state_mut(
+        &mut self,
+        id: u32,
+    ) -> Option<(&TunnelConfig, &mut TunnelState)> {
+        self.tunnels.entries.get_mut(&id).map(TunnelEntry::split)
     }
 
     /// Find the tunnel whose outer addresses match a received, decapsulatable
@@ -394,21 +479,25 @@ impl DeviceConfig {
         outer_dst: Ipv4Addr,
         key: Option<u32>,
         mode: TunnelMode,
-    ) -> Option<(u32, &mut TunnelEntry)> {
+    ) -> Option<(u32, &TunnelConfig, &mut TunnelState)> {
         self.tunnels
+            .entries
             .iter_mut()
             .find(|(_, e)| {
                 let t = &e.config;
                 t.mode == mode && t.remote == outer_src && t.local == outer_dst && t.ikey == key
             })
-            .map(|(id, e)| (*id, e))
+            .map(|(id, e)| {
+                let (config, state) = e.split();
+                (*id, config, state)
+            })
     }
 
     /// Forget every tunnel's sequence state, as a reboot does.
     pub(crate) fn reset_tunnel_sequences(&mut self) {
-        for e in self.tunnels.values_mut() {
-            e.tx_seq = 0;
-            e.rx_seq = 0;
+        for e in self.tunnels.entries.values_mut() {
+            e.state.tx_seq = 0;
+            e.state.rx_seq = 0;
         }
     }
 }

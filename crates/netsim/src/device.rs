@@ -10,7 +10,7 @@ use crate::config::DeviceConfig;
 use crate::ipv4::Ipv4Proto;
 use crate::mac::MacAddr;
 use crate::nic::Nic;
-use crate::stats::DeviceStats;
+use crate::stats::{DeviceStats, LookupWork};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -137,6 +137,9 @@ pub struct Device {
     pub(crate) mac_table: HashMap<(u16, MacAddr), u32>,
     /// Statistics.
     pub stats: DeviceStats,
+    /// Work done by the per-packet lookups (summed by
+    /// `Network::lookup_work`).
+    pub(crate) lookup_work: LookupWork,
     /// Packets delivered locally, in arrival order.
     pub(crate) delivered: Vec<Delivered>,
     /// Received management-channel frames awaiting the management agent.
@@ -161,6 +164,7 @@ impl Device {
             arp: ArpCache::new(),
             mac_table: HashMap::new(),
             stats: DeviceStats::default(),
+            lookup_work: LookupWork::default(),
             delivered: Vec::new(),
             mgmt_rx: VecDeque::new(),
         }

@@ -148,7 +148,12 @@ impl Device {
         for pending in released {
             self.transmit_resolved(pending, packet.sender_mac, out);
         }
-        if packet.op == ArpOp::Request && self.config.is_local_address(packet.target_ip) {
+        let probes = &mut self.lookup_work.tunnel_address_probes;
+        if packet.op == ArpOp::Request
+            && self
+                .config
+                .is_local_address_counting(packet.target_ip, probes)
+        {
             let our_mac = self.port_mac(port);
             let reply = packet.reply_to(our_mac);
             let frame =
@@ -186,7 +191,8 @@ impl Device {
             self.stats.record_drop(DropReason::Filtered);
             return;
         }
-        if self.config.is_local_address(header.dst) {
+        let probes = &mut self.lookup_work.tunnel_address_probes;
+        if self.config.is_local_address_counting(header.dst, probes) {
             self.local_input(iif, header, payload, out);
         } else {
             self.ip_forward(iif, header, payload, out);
@@ -265,33 +271,33 @@ impl Device {
                 return;
             }
         };
-        // `entry` borrows `self.config`; until the inner packet is handed
-        // on only `self.stats` is written beside it.
-        let Some((id, entry)) =
+        // `tunnel` and `state` borrow `self.config`; until the inner packet
+        // is handed on only `self.stats` is written beside them.
+        let Some((id, tunnel, state)) =
             self.config
                 .tunnel_for_incoming(outer.src, outer.dst, gre.key, TunnelMode::Gre)
         else {
             self.stats.record_drop(DropReason::TunnelMismatch);
             return;
         };
-        if entry.config.icsum && !gre.checksum_present {
+        if tunnel.icsum && !gre.checksum_present {
             self.stats.record_drop(DropReason::TunnelMismatch);
-            entry.counters.drop_packet();
+            state.counters.drop_packet();
             return;
         }
-        if entry.config.iseq {
+        if tunnel.iseq {
             // No sequence number, or an out-of-order packet on an in-order
             // tunnel: dropped, which is exactly the delay/jitter vs ordering
             // trade-off Table III advertises.
-            let in_order = |seq: &u32| entry.rx_seq == 0 || *seq > entry.rx_seq;
+            let in_order = |seq: &u32| state.rx_seq == 0 || *seq > state.rx_seq;
             let Some(seq) = gre.sequence.filter(in_order) else {
                 self.stats.record_drop(DropReason::TunnelMismatch);
-                entry.counters.drop_packet();
+                state.counters.drop_packet();
                 return;
             };
-            entry.rx_seq = seq;
+            state.rx_seq = seq;
         }
-        entry.counters.rx(inner.len());
+        state.counters.rx(inner.len());
         if gre.protocol != GRE_PROTO_IPV4 {
             self.stats.record_drop(DropReason::Malformed);
             return;
@@ -300,14 +306,14 @@ impl Device {
     }
 
     fn ipip_decap(&mut self, outer: Ipv4Header, payload: &[u8], out: &mut EngineOutput) {
-        let Some((id, entry)) =
+        let Some((id, _, state)) =
             self.config
                 .tunnel_for_incoming(outer.src, outer.dst, None, TunnelMode::IpIp)
         else {
             self.stats.record_drop(DropReason::TunnelMismatch);
             return;
         };
-        entry.counters.rx(payload.len());
+        state.counters.rx(payload.len());
         self.ip_input(IncomingIf::Tunnel(id), payload, out);
     }
 
@@ -327,7 +333,12 @@ impl Device {
             self.stats.record_drop(DropReason::NoRoute);
             return false;
         }
-        let Some(route) = self.config.rib.lookup(header.dst, header.src, iif).copied() else {
+        let work = &mut self.lookup_work;
+        let route = self
+            .config
+            .rib
+            .lookup_counting(header.dst, header.src, iif, work);
+        let Some(route) = route.copied() else {
             self.stats.record_drop(DropReason::NoRoute);
             return false;
         };
@@ -371,19 +382,18 @@ impl Device {
         depth: u8,
         out: &mut EngineOutput,
     ) -> bool {
-        // `entry` borrows `self.config` until the outer header is built; up
-        // to there only `self.stats` is written beside it.
-        let Some(entry) = self.config.tunnel_entry_mut(tunnel_id) else {
+        // `tunnel` and `state` borrow `self.config` until the outer header
+        // is built; up to there only `self.stats` is written beside them.
+        let Some((tunnel, state)) = self.config.tunnel_state_mut(tunnel_id) else {
             self.stats.record_drop(DropReason::NoRoute);
             return false;
         };
-        let tunnel = &entry.config;
         let inner_packet = inner_header.encode_packet(&inner_payload);
         let (outer_payload, proto) = match tunnel.mode {
             TunnelMode::Gre => {
                 let sequence = tunnel.oseq.then(|| {
-                    entry.tx_seq += 1;
-                    entry.tx_seq
+                    state.tx_seq += 1;
+                    state.tx_seq
                 });
                 let gre = GreHeader {
                     protocol: GRE_PROTO_IPV4,
@@ -395,7 +405,7 @@ impl Device {
             }
             TunnelMode::IpIp => (inner_packet, Ipv4Proto::IpIp),
         };
-        entry.counters.tx(outer_payload.len());
+        state.counters.tx(outer_payload.len());
         let mut outer_header = Ipv4Header::new(tunnel.local, tunnel.remote, proto);
         outer_header.ttl = tunnel.ttl;
         // The outer packet is routed like locally-originated traffic.

@@ -197,11 +197,7 @@ fn apply_misconfiguration(net: &mut Network, m: Misconfiguration) {
     };
     match m {
         Misconfiguration::CorruptGreKey { delta, .. } => {
-            for tunnel in device.config.tunnels_mut() {
-                if let Some(ikey) = tunnel.ikey.as_mut() {
-                    *ikey = ikey.wrapping_add(delta);
-                }
-            }
+            device.config.corrupt_ikeys(delta);
         }
         Misconfiguration::ClearMplsState { .. } => {
             device.config.mpls = crate::mpls::MplsTables::new();
@@ -253,6 +249,7 @@ mod tests {
     use crate::config::TunnelConfig;
     use crate::device::{Device, DeviceRole, PortId};
     use crate::link::LinkProperties;
+    use std::net::Ipv4Addr;
 
     #[test]
     fn plans_stay_sorted_and_flaps_expand() {
@@ -340,6 +337,56 @@ mod tests {
             FaultKind::Misconfigure(Misconfiguration::FlushPolicyRouting { device: r }),
         );
         assert!(net.device(r).unwrap().config.rib.rules().is_empty());
+    }
+
+    #[test]
+    fn a_corrupted_gre_key_leaves_the_local_addresses_alone() {
+        let mut net = Network::new();
+        let mut r = Device::new("r", DeviceRole::Router, 1);
+        r.config.assign_address(0, "10.0.0.1/24".parse().unwrap());
+        for (k, address) in [
+            (1, Some("192.168.3.1/30")),
+            (2, None),
+            (3, Some("192.168.3.5/30")),
+        ] {
+            let mut tun = TunnelConfig::gre(
+                format!("gre{k}"),
+                "1.1.1.1".parse().unwrap(),
+                Ipv4Addr::new(2, 2, 2, k),
+            );
+            tun.ikey = (k != 2).then_some(1000 + u32::from(k));
+            tun.address = address.map(|a| a.parse().unwrap());
+            r.config.add_tunnel(tun);
+        }
+        let r = net.add_device(r);
+        let probes: Vec<Ipv4Addr> = [
+            "10.0.0.1",
+            "10.0.0.2",
+            "192.168.3.1",
+            "192.168.3.2",
+            "192.168.3.5",
+        ]
+        .iter()
+        .map(|a| a.parse().unwrap())
+        .collect();
+        let local = |net: &Network| -> Vec<bool> {
+            let config = &net.device(r).unwrap().config;
+            probes.iter().map(|a| config.is_local_address(*a)).collect()
+        };
+        let before = local(&net);
+        assert_eq!(before, [true, false, true, false, true]);
+
+        apply_fault(
+            &mut net,
+            FaultKind::Misconfigure(Misconfiguration::CorruptGreKey {
+                device: r,
+                delta: 7,
+            }),
+        );
+        let config = &net.device(r).unwrap().config;
+        let ikeys: Vec<Option<u32>> = config.tunnels().map(|t| t.ikey).collect();
+        assert_eq!(ikeys, [Some(1008), None, Some(1010)], "the fault did land");
+        assert_eq!(local(&net), before);
     }
 
     #[test]

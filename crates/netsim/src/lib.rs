@@ -26,11 +26,13 @@
 //!   protocol number ([`Ipv4Proto::Icmp`]) and nothing more: no device
 //!   answers echo requests, because nothing in the reproduction pings.
 //! * [`route`] — longest-prefix-match routing tables and policy rules
-//!   (the iproute2 `rule`/`table` model used by the paper's scripts).
+//!   (the iproute2 `rule`/`table` model used by the paper's scripts), both
+//!   kept sorted so that a lookup does not walk them.
 //! * [`config`] — the device configuration written by CONMan modules or by
 //!   the legacy ("today") scripts.  Its tunnel table has one door
 //!   ([`DeviceConfig::add_tunnel`] / [`DeviceConfig::remove_tunnel`]), which
-//!   is where a tunnel's runtime state is born and dies.
+//!   is where a tunnel's runtime state is born and dies and which keeps the
+//!   index of tunnel addresses [`DeviceConfig::is_local_address`] reads.
 //! * [`device`], [`nic`], [`link`], [`network`] — devices, ports,
 //!   point-to-point links and the network event loop.
 //! * [`topology`] — canned topologies, including the paper's Figure 4 testbed.

@@ -5,7 +5,7 @@ use crate::device::{Device, DeviceId, EngineOutput, PortId};
 use crate::ether::EthernetFrame;
 use crate::event::{EventQueue, FrameArrival};
 use crate::link::{Endpoint, Link, LinkId, LinkProperties};
-use crate::stats::{DeviceStats, FlowCounters};
+use crate::stats::{DeviceStats, FlowCounters, LookupWork};
 use crate::trace::{PacketTrace, TraceEntry};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -95,6 +95,17 @@ impl Network {
         let id = device.id;
         self.devices.insert(id, device);
         id
+    }
+
+    /// The per-packet lookup work of every device, summed (see
+    /// [`LookupWork`]).  Counters only grow: take the difference of two
+    /// readings to price what ran between them.
+    pub fn lookup_work(&self) -> LookupWork {
+        let mut sum = LookupWork::default();
+        for device in self.devices.values() {
+            sum.absorb(&device.lookup_work);
+        }
+        sum
     }
 
     /// Access a device.

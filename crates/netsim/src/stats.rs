@@ -106,6 +106,39 @@ impl FlowCounters {
     }
 }
 
+/// What a device's per-packet lookups have done since it was built: the
+/// entries each of [`DeviceConfig::is_local_address`]'s tunnel half,
+/// [`Rib::lookup`]'s rule walk and the route tables' longest-prefix match
+/// examined.  Counts of work, not of time: a seeded run repeats them
+/// exactly, and the sum over one quiet tick is the deterministic twin of
+/// the benchmark's per-tick wall time.
+///
+/// [`DeviceConfig::is_local_address`]: crate::config::DeviceConfig::is_local_address
+/// [`Rib::lookup`]: crate::route::Rib::lookup
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LookupWork {
+    /// Tunnel interface addresses compared with a packet's destination.
+    pub tunnel_address_probes: u64,
+    /// Policy rules whose selector was evaluated.
+    pub rule_candidates: u64,
+    /// Routes compared with a destination.
+    pub routes_examined: u64,
+}
+
+impl LookupWork {
+    /// Accumulate another device's work into this one.
+    pub(crate) fn absorb(&mut self, other: &LookupWork) {
+        self.tunnel_address_probes += other.tunnel_address_probes;
+        self.rule_candidates += other.rule_candidates;
+        self.routes_examined += other.routes_examined;
+    }
+
+    /// All three counts together.
+    pub fn total(&self) -> u64 {
+        self.tunnel_address_probes + self.rule_candidates + self.routes_examined
+    }
+}
+
 /// Aggregated statistics of one device.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DeviceStats {

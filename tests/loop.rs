@@ -818,3 +818,21 @@ fn withdrawing_a_goal_forgets_its_flow_counters_on_every_device() {
     assert!(t.mn.withdraw(ids[1]).removed);
     assert_eq!(devices_tagged(&t.mn, ids[1]), 0);
 }
+
+#[test]
+fn a_quiet_tick_s_lookups_grow_with_the_probes_not_with_the_fleet() {
+    use conman_bench::control_loop::{loop_run, LoopScenario};
+
+    // The `quiet-lookups` column of `experiments loop`: route, rule and
+    // tunnel-address entries examined in one quiet tick.  Four times the
+    // goals send four times the probes; a linear walk per frame made the
+    // work grow by ≈ 16, the indexes keep it within 5.
+    let work = |goals| loop_run(10, goals, LoopScenario::PerGoalTableFlush).quiet_lookup_work;
+    let (w64, w256) = (work(64), work(256));
+    assert!(w64 > 0, "a quiet tick routes its probes");
+    let ratio = w256 as f64 / w64 as f64;
+    assert!(
+        ratio <= 5.0,
+        "quiet-tick lookup work grew {ratio:.2}x from 64 to 256 goals ({w64} -> {w256})"
+    );
+}
