@@ -338,7 +338,7 @@ fn chain_loop_run<C: ManagementChannel>(
     let all_active = t.mn.goals.iter().all(|r| r.status == GoalStatus::Active);
     let traffic_ok = (0..goals).all(|k| t.probe_pair(k));
 
-    LoopBenchReport {
+    let report = LoopBenchReport {
         channel,
         n,
         goals,
@@ -356,7 +356,9 @@ fn chain_loop_run<C: ManagementChannel>(
         repair_nm_received: m.repair_nm_received,
         repair_frames,
         converged: run.converged && all_active && traffic_ok,
-    }
+    };
+    assert_eq!(t.mn.audit(), [], "the devices hold what the goals claim");
+    report
 }
 
 /// Three quiescent ticks on a converged fleet: the most NM messages any of
@@ -482,7 +484,7 @@ fn mesh_loop_run_with(
     });
     let traffic_ok = (0..goals).all(|g| t.probe_pair(g));
 
-    LoopBenchReport {
+    let report = LoopBenchReport {
         channel: "oob",
         n: k,
         goals,
@@ -500,7 +502,9 @@ fn mesh_loop_run_with(
         repair_nm_received: m.repair_nm_received,
         repair_frames,
         converged: run.converged && all_active && rerouted && traffic_ok,
-    }
+    };
+    assert_eq!(t.mn.audit(), [], "the devices hold what the goals claim");
+    report
 }
 
 /// Sanity-check a run the way CI's smoke pass does: converged, silent when

@@ -207,7 +207,7 @@ pub fn closed_loop_run(n: usize, scenario: DiagnosisScenario) -> ClosedLoopRepor
     let healed = replacement_label.is_some();
     assert!(!healed || t.probe(), "a healed goal must carry traffic");
 
-    ClosedLoopReport {
+    let report = ClosedLoopReport {
         n,
         scenario,
         primary_label,
@@ -220,7 +220,9 @@ pub fn closed_loop_run(n: usize, scenario: DiagnosisScenario) -> ClosedLoopRepor
         diagnosis,
         repair_passes,
         replacement_label,
-    }
+    };
+    assert_eq!(t.mn.audit(), [], "the devices hold what the goals claim");
+    report
 }
 
 #[cfg(test)]

@@ -127,7 +127,7 @@ pub fn recorded_mesh_link_cut(k: usize, goals: usize) -> RecordedMeshRun {
     new_path_devices.sort_unstable();
     new_path_devices.dedup();
 
-    RecordedMeshRun {
+    let recorded = RecordedMeshRun {
         converged: run.converged && all_active && traffic_ok,
         journal: t.mn.recorder.journal_json(),
         snapshot: t.mn.recorder.snapshot(),
@@ -135,7 +135,9 @@ pub fn recorded_mesh_link_cut(k: usize, goals: usize) -> RecordedMeshRun {
         new_path_devices,
         repair_passes,
         run,
-    }
+    };
+    assert_eq!(t.mn.audit(), [], "the devices hold what the goals claim");
+    recorded
 }
 
 #[cfg(test)]

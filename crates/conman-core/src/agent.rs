@@ -58,7 +58,7 @@ impl ManagementAgent {
     }
 
     /// Number of goal segments staged and awaiting commit/abort.
-    pub fn staged_segment_count(&self) -> usize {
+    pub(crate) fn staged_segment_count(&self) -> usize {
         self.staged_batches.values().map(|g| g.len()).sum()
     }
 
@@ -103,8 +103,8 @@ impl ManagementAgent {
         self.modules.len()
     }
 
-    /// Read-only access to the blackboard (used by tests and debugging).
-    pub fn blackboard(&self) -> &Blackboard {
+    /// Read-only access to the blackboard (the device audit reads it).
+    pub(crate) fn blackboard(&self) -> &Blackboard {
         &self.blackboard
     }
 

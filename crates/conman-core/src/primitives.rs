@@ -251,6 +251,18 @@ pub struct ModuleActual {
     pub filters: Vec<(ModuleRef, ModuleRef)>,
 }
 
+impl ModuleActual {
+    /// What `module` lists, spelt as the [`ComponentRef`]s `delete` takes.
+    pub fn components(&self, module: &ModuleRef) -> Vec<ComponentRef> {
+        let m = || module.clone();
+        let pipes = self.pipes.iter().map(|p| ComponentRef::Pipe(*p));
+        let rules = (self.switch_rules.iter()).map(|&(i, o)| ComponentRef::SwitchRule(m(), i, o));
+        let filters =
+            (self.filters.iter()).map(|(f, t)| ComponentRef::Filter(m(), f.clone(), t.clone()));
+        pipes.chain(rules).chain(filters).collect()
+    }
+}
+
 /// Result of executing one primitive.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PrimitiveResult {

@@ -250,19 +250,25 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         );
     }
 
-    /// The NM invokes `showActual` at one device and returns what each of its
-    /// modules lists: the components the device really holds, by the names
-    /// `delete` takes (`None`: the device did not answer).  Nothing in the
-    /// runtime calls it; the tests' residue checks do.
-    pub fn show_actual(&mut self, device: DeviceId) -> Option<BTreeMap<ModuleRef, ModuleActual>> {
-        self.run_scripts([(device, vec![Primitive::ShowActual])])
+    /// The NM invokes `showActual` at every listed device, in one round, and
+    /// returns, per device that answered, what each of its modules lists: the
+    /// components the device really holds, by the names `delete` takes.  A
+    /// crashed device is absent.  [`Self::audit`] compares the answers of
+    /// every device with what the goals claim.
+    pub fn show_actual(
+        &mut self,
+        devices: &[DeviceId],
+    ) -> BTreeMap<DeviceId, BTreeMap<ModuleRef, ModuleActual>> {
+        let scripts = devices.iter().map(|d| (*d, vec![Primitive::ShowActual]));
+        self.run_scripts(scripts)
             .into_iter()
-            .filter(|(d, _)| *d == device)
-            .flat_map(|(_, results)| results)
-            .find_map(|r| match r {
-                Ok(PrimitiveResult::Actual(map)) => Some(map),
-                _ => None,
+            .filter_map(|(device, results)| {
+                results.into_iter().find_map(|r| match r {
+                    Ok(PrimitiveResult::Actual(map)) => Some((device, map)),
+                    _ => None,
+                })
             })
+            .collect()
     }
 
     /// The one telemetry pull: send every listed device one `PollCounters`
@@ -754,7 +760,7 @@ mod tests {
             mn.discover();
         }
         assert!(
-            mn.show_actual(d2).is_some(),
+            mn.show_actual(&[d2]).contains_key(&d2),
             "the caller still gets its reply"
         );
 

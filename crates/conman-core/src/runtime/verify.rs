@@ -1,19 +1,21 @@
-//! The plan checks, in the plan's own types: what a batch of dry-run
-//! [`Plan`]s must hold before it touches a device, checked against the
-//! [`GoalStore`] that numbered and classified them.  Nothing here reads the
-//! `Network`; the checks run on what the NM already knows.
-//!
-//! `reconcile()` asserts `check_batch` once per pass under
-//! `debug_assertions`, so every test run doubles as a verification run of
-//! every batch the runtime plans; [`ManagedNetwork::verify_plans`] is the
-//! explicit entry point.
+//! The NM's checks, in its own types.  A batch of dry-run [`Plan`]s is
+//! checked against the [`GoalStore`] that numbered and classified them,
+//! without reading the `Network`: `reconcile()` asserts `check_batch` once
+//! per pass under `debug_assertions`, so every test run verifies every batch
+//! the runtime plans, and [`ManagedNetwork::verify_plans`] is the explicit
+//! entry point.  [`ManagedNetwork::audit`] checks what the devices list in
+//! `showActual` (Table I) against what the applied plans claim.
 
 use super::ManagedNetwork;
 use crate::nm::{script, Exclusion, GoalId, GoalStore, ModulePath, Plan};
+use crate::primitives::ComponentRef;
 use mgmt_channel::ManagementChannel;
+use netsim::device::DeviceId;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// An invariant a planned batch breaks.
-#[derive(Debug)]
+/// An invariant a planned batch or the devices break (the last four variants
+/// are [`ManagedNetwork::audit`]'s).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanViolation {
     /// Two goals' pipe-id blocks overlap: their derived identifiers (route
     /// tables, policy priorities) would collide on shared devices.
@@ -45,6 +47,31 @@ pub enum PlanViolation {
     StaleModuleClaims {
         /// The goal whose plan is stale.
         goal: GoalId,
+    },
+    /// `device` holds `component` and no applied plan claims it: a module
+    /// lists it, or the agent's blackboard keeps facts for the pipe.
+    OrphanDeviceState {
+        /// The device.
+        device: DeviceId,
+        /// The component, by the name `delete` takes.
+        component: ComponentRef,
+    },
+    /// An applied plan claims `component` and `device` does not list it.
+    MissingDeviceState {
+        /// The device.
+        device: DeviceId,
+        /// The component, by the name `delete` takes.
+        component: ComponentRef,
+    },
+    /// The agent still holds a staged segment, never committed or aborted.
+    StagedResidue {
+        /// The device.
+        device: DeviceId,
+    },
+    /// The device did not answer `showActual`: nothing of it was checked.
+    DeviceSilent {
+        /// The device.
+        device: DeviceId,
     },
 }
 
@@ -131,6 +158,42 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     pub fn verify_plans(&self, plans: &[Plan]) -> Vec<PlanViolation> {
         check_plans(&self.goals, plans)
     }
+
+    /// Ask every managed device what it holds (one `showActual` round) and
+    /// compare with the store's applied plans: a component held and not
+    /// claimed, one claimed and not listed, a staged segment left behind and
+    /// a silent device are each a violation, in device order.  The one
+    /// definition of device residue; nothing in the runtime calls it.
+    pub fn audit(&mut self) -> Vec<PlanViolation> {
+        use PlanViolation as V;
+        let mut claimed: BTreeMap<DeviceId, BTreeSet<ComponentRef>> = BTreeMap::new();
+        let applied = self.goals.iter().filter_map(|goal| goal.applied());
+        for (device, component) in applied.flat_map(|a| a.scripts.components()) {
+            claimed.entry(device).or_default().insert(component);
+        }
+        let devices: Vec<DeviceId> = self.agents.keys().copied().collect();
+        let mut answers = self.show_actual(&devices);
+        let mut out = Vec::new();
+        for device in devices {
+            let Some(modules) = answers.remove(&device) else {
+                out.push(V::DeviceSilent { device });
+                continue;
+            };
+            let claims = claimed.remove(&device).unwrap_or_default();
+            let listed: BTreeSet<_> = modules.iter().flat_map(|(m, a)| a.components(m)).collect();
+            let agent = &self.agents[&device];
+            let facts = agent.blackboard().pipes().map(ComponentRef::Pipe);
+            let held: BTreeSet<_> = listed.iter().cloned().chain(facts).collect();
+            let orphan = |component| V::OrphanDeviceState { device, component };
+            out.extend(held.difference(&claims).cloned().map(orphan));
+            let missing = |component| V::MissingDeviceState { device, component };
+            out.extend(claims.difference(&listed).cloned().map(missing));
+            if agent.staged_segment_count() > 0 {
+                out.push(V::StagedResidue { device });
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -141,7 +204,6 @@ mod tests {
     use crate::nm::goal::AppliedPlan;
     use crate::nm::pathfinder::{Entry, PathStep};
     use crate::nm::{ConnectivityGoal, ScriptSet};
-    use netsim::device::DeviceId;
     use std::collections::BTreeSet;
 
     fn ip(device: u64, id: u32) -> ModuleRef {
@@ -282,5 +344,68 @@ mod tests {
             matches!(found[..], [PlanViolation::StaleModuleClaims { goal }] if goal == b),
             "{found:?}"
         );
+    }
+
+    /// Publishes facts for every pipe it is an end of and lists none: what
+    /// it leaves behind shows only on the agent's blackboard.
+    struct Unlisted(ModuleRef);
+
+    impl crate::module::ProtocolModule for Unlisted {
+        fn reference(&self) -> ModuleRef {
+            self.0.clone()
+        }
+        fn descriptor(&self) -> crate::abstraction::ModuleAbstraction {
+            crate::abstraction::ModuleAbstraction::empty(self.0.clone())
+        }
+        fn create_pipe(
+            &mut self,
+            ctx: &mut crate::module::ModuleCtx,
+            spec: &crate::primitives::PipeSpec,
+        ) -> Result<crate::module::ModuleReaction, crate::module::ModuleError> {
+            ctx.blackboard
+                .publish(spec.pipe, |facts| facts.port = Some(0));
+            Ok(crate::module::ModuleReaction::none())
+        }
+    }
+
+    #[test]
+    fn blackboard_facts_for_an_unclaimed_pipe_are_orphan_state() {
+        use crate::agent::ManagementAgent;
+        use crate::ids::PipeId;
+        use crate::nm::script::DeviceScript;
+        use crate::primitives::{PipeSpec, Primitive};
+        use netsim::device::{Device, DeviceRole};
+        use netsim::network::Network;
+
+        let mut net = Network::new();
+        let d = net.add_device(Device::new("R", DeviceRole::Router, 1));
+        let m = ModuleRef::new(ModuleKind::Ip, ModuleId(1), d);
+        let mut agent = ManagementAgent::new(d, "R");
+        agent.register(Box::new(Unlisted(m.clone())));
+        let mut mn = ManagedNetwork::new(net, d, mgmt_channel::OutOfBandChannel::new());
+        mn.add_agent(agent);
+        let pipe = PipeSpec {
+            pipe: PipeId(7),
+            upper: m.clone(),
+            lower: m,
+            peer_upper: None,
+            peer_lower: None,
+            tradeoffs: vec![],
+            initiate: false,
+        };
+        let scripts = ScriptSet {
+            scripts: vec![DeviceScript {
+                device: d,
+                primitives: vec![Primitive::CreatePipe(pipe)],
+            }],
+        };
+        // Run behind the store's back: no goal claims pipe 7.
+        assert!(mn.run_batch(&[(GoalId(1), &scripts)]).failed.is_empty());
+        let component = ComponentRef::Pipe(PipeId(7));
+        let orphan = PlanViolation::OrphanDeviceState {
+            device: d,
+            component,
+        };
+        assert_eq!(mn.audit(), [orphan]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The module keeps every GRE-specific detail — key values, sequence
 //! numbers, checksums, the tunnel endpoints — away from the NM (`showActual`
-//! lists the module's pipes and nothing else).  The NM only ever says
+//! lists the module's pipes and switch rules, by id).  The NM only ever says
 //! "create a pipe with in-order delivery and low error-rate"; the GRE module
 //! negotiates keys and options with its peer GRE module through
 //! `conveyMessage` and eventually writes the tunnel into the device
@@ -112,7 +112,8 @@ struct TunnelSlot {
     wants_sequencing: bool,
     wants_checksums: bool,
     params: Option<GreParams>,
-    pending_switch: bool,
+    /// The switch rule `(in pipe, out pipe)` that armed this slot.
+    switch: Option<(PipeId, PipeId)>,
     configured_tunnel: Option<u32>,
 }
 
@@ -125,14 +126,14 @@ impl TunnelSlot {
             wants_sequencing: false,
             wants_checksums: false,
             params: None,
-            pending_switch: false,
+            switch: None,
             configured_tunnel: None,
         }
     }
 
     /// Armed by a switch rule and not configured yet: work for `poll`.
     fn awaits_tunnel(&self) -> bool {
-        self.pending_switch && self.configured_tunnel.is_none()
+        self.switch.is_some() && self.configured_tunnel.is_none()
     }
 }
 
@@ -203,13 +204,27 @@ impl GreModule {
         key
     }
 
-    /// Arm a slot: its tunnel is configured as soon as it is complete.
-    fn arm(&mut self, key: u64) {
+    /// Arm a slot with a rule: its tunnel is configured once it is complete.
+    fn arm(&mut self, key: u64, switch: (PipeId, PipeId)) {
         let slot = self.slots.get_mut(&key).expect("slot exists");
-        slot.pending_switch = true;
+        slot.switch = Some(switch);
         if slot.awaits_tunnel() {
             self.armed.insert(key);
         }
+    }
+
+    /// Disarm a slot: its tunnel goes down, and with it the attachment
+    /// published on the up pipe; sibling goals' tunnels stay up.
+    fn disarm(&mut self, ctx: &mut ModuleCtx, key: u64) {
+        let slot = self.slots.get_mut(&key).expect("slot exists");
+        slot.switch = None;
+        if let Some(id) = slot.configured_tunnel.take() {
+            ctx.config.remove_tunnel(id);
+            if let Some(up) = slot.up_pipe {
+                ctx.blackboard.publish(up, |facts| facts.attach = None);
+            }
+        }
+        self.armed.remove(&key);
     }
 }
 
@@ -247,10 +262,10 @@ impl ProtocolModule for GreModule {
     }
 
     fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
-        // No rule is listed: `delete (switch)` changes nothing here, a
-        // slot's tunnel goes with either of its pipes.
+        let rules: BTreeSet<_> = self.slots.values().filter_map(|slot| slot.switch).collect();
         ModuleActual {
             pipes: self.slot_of_pipe.keys().copied().collect(),
+            switch_rules: rules.into_iter().collect(),
             ..Default::default()
         }
     }
@@ -265,32 +280,34 @@ impl ProtocolModule for GreModule {
         ctx: &mut ModuleCtx,
         component: &ComponentRef,
     ) -> Result<ModuleReaction, ModuleError> {
-        let ComponentRef::Pipe(pipe) = component else {
-            return Ok(ModuleReaction::none());
-        };
-        let Some(key) = self.slot_of_pipe.remove(pipe) else {
-            return Ok(ModuleReaction::none());
-        };
-        let slot = self.slots.get_mut(&key).expect("indexed slot exists");
-        // Losing either pipe tears that slot's tunnel down, and with it the
-        // attachment published on the up pipe; sibling goals' tunnels through
-        // this module are untouched.
-        if let Some(id) = slot.configured_tunnel.take() {
-            ctx.config.remove_tunnel(id);
-            if let Some(up) = slot.up_pipe {
-                ctx.blackboard.publish(up, |facts| facts.attach = None);
+        match component {
+            // Undo `create (switch)`: disarm the slots its pipes belong to.
+            ComponentRef::SwitchRule(module, in_pipe, out_pipe) if *module == self.me => {
+                for pipe in [in_pipe, out_pipe] {
+                    if let Some(key) = self.slot_of_pipe.get(pipe).copied() {
+                        self.disarm(ctx, key);
+                    }
+                }
             }
-        }
-        if slot.up_pipe == Some(*pipe) {
-            slot.up_pipe = None;
-        } else {
-            slot.down_pipe = None;
-        }
-        slot.params = None;
-        slot.pending_switch = false;
-        self.armed.remove(&key);
-        if slot.up_pipe.is_none() && slot.down_pipe.is_none() {
-            self.slots.remove(&key);
+            // Losing either pipe disarms its slot too, and forgets the
+            // negotiated parameters.
+            ComponentRef::Pipe(pipe) => {
+                let Some(key) = self.slot_of_pipe.remove(pipe) else {
+                    return Ok(ModuleReaction::none());
+                };
+                self.disarm(ctx, key);
+                let slot = self.slots.get_mut(&key).expect("indexed slot exists");
+                if slot.up_pipe == Some(*pipe) {
+                    slot.up_pipe = None;
+                } else {
+                    slot.down_pipe = None;
+                }
+                slot.params = None;
+                if slot.up_pipe.is_none() && slot.down_pipe.is_none() {
+                    self.slots.remove(&key);
+                }
+            }
+            _ => {}
         }
         Ok(ModuleReaction::none())
     }
@@ -350,7 +367,7 @@ impl ProtocolModule for GreModule {
         // this module's pipes arms nothing.
         for pipe in [spec.in_pipe, spec.out_pipe] {
             if let Some(key) = self.slot_of_pipe.get(&pipe).copied() {
-                self.arm(key);
+                self.arm(key, (spec.in_pipe, spec.out_pipe));
             }
         }
         Ok(ModuleReaction::none())
@@ -485,7 +502,7 @@ mod tests {
     fn scan(m: &GreModule) -> BTreeSet<u64> {
         let mut waiting = BTreeSet::new();
         for (key, slot) in &m.slots {
-            if slot.configured_tunnel.is_some() || !slot.pending_switch {
+            if slot.configured_tunnel.is_some() || slot.switch.is_none() {
                 continue;
             }
             waiting.insert(*key);
@@ -565,7 +582,7 @@ mod tests {
         m.create_switch(&mut rig.ctx(), &switch(&me(), 7, 8))
             .unwrap();
         assert!(m.armed.is_empty());
-        assert!(m.slots.values().all(|slot| !slot.pending_switch));
+        assert!(m.slots.values().all(|slot| slot.switch.is_none()));
         m.poll(&mut rig.ctx());
         assert!(rig.config.tunnels().next().is_none());
     }
@@ -630,10 +647,47 @@ mod tests {
         }
     }
 
+    /// `delete (switch)` undoes `create (switch)`: the rule is listed while
+    /// it stands, and deleting it takes its tunnel and the attachment down.
+    #[test]
+    fn deleting_a_gre_rule_retracts_the_attachment_and_a_recreated_rule_makes_a_fresh_tunnel() {
+        let mut rig = Rig::new();
+        let mut m = GreModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
+        m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
+        publish_endpoints(&mut rig, 2);
+        let baseline = rig.config_json();
+        let attach = |rig: &Rig| rig.blackboard.pipe(PipeId(1)).attach;
+        let rules = |m: &GreModule, rig: &mut Rig| m.actual(&rig.ctx()).switch_rules;
+        for round in 0..2 {
+            m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 2))
+                .unwrap();
+            assert_eq!(
+                rules(&m, &mut rig),
+                [(PipeId(1), PipeId(2))],
+                "round {round}"
+            );
+            m.poll(&mut rig.ctx());
+            let tunnel = rig.config.tunnels().next().expect("configured").id;
+            assert_eq!(
+                attach(&rig),
+                Some(RouteTarget::Tunnel { tunnel }),
+                "round {round}"
+            );
+
+            let rule = ComponentRef::SwitchRule(me(), PipeId(1), PipeId(2));
+            m.delete(&mut rig.ctx(), &rule).unwrap();
+            assert!(rules(&m, &mut rig).is_empty(), "round {round}");
+            assert_eq!(attach(&rig), None, "round {round}");
+            assert_eq!(rig.config_json(), baseline, "round {round}");
+            assert!(m.armed.is_empty() && m.slots.values().all(|s| s.switch.is_none()));
+        }
+    }
+
     proptest! {
         #[test]
         fn armed_slots_equal_the_full_scan_and_the_pipe_index_matches_the_slots(
-            ops in proptest::collection::vec((0u8..7, 0u32..3, any::<u8>()), 0..48),
+            ops in proptest::collection::vec((0u8..8, 0u32..3, any::<u8>()), 0..48),
         ) {
             let mut rig = Rig::new();
             let mut m = GreModule::new(me());
@@ -652,6 +706,10 @@ mod tests {
                         let pipe = PipeId(if bits & 1 == 0 { id } else { 10 + id });
                         m.delete(&mut rig.ctx(), &ComponentRef::Pipe(pipe)).unwrap();
                         rig.blackboard.remove_pipe(pipe);
+                    }
+                    6 => {
+                        let rule = ComponentRef::SwitchRule(me(), PipeId(id), PipeId(10 + u32::from(bits % 3)));
+                        m.delete(&mut rig.ctx(), &rule).unwrap();
                     }
                     _ => {
                         let due = scan(&m)

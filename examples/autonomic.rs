@@ -136,4 +136,6 @@ fn main() {
     }
     let all_ok = (0..goals).all(|k| t.probe_pair(k));
     println!("all customer pairs carry traffic again: {all_ok}");
+    assert_eq!(t.mn.audit(), [], "the devices hold what the goals claim");
+    println!("device audit: every device holds exactly what the goals claim");
 }

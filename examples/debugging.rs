@@ -102,5 +102,7 @@ fn main() {
     let after = testbed.probe();
     println!("after repair: delivered = {after}");
     assert!(after);
+    assert_eq!(testbed.mn.audit(), [], "the repair leaves no residue");
+    println!("device audit: every device holds exactly what the goal claims");
     println!("\n(the paper, §III-C: the NM \"can systematically debug the configuration\n problem by determining the status of each module in the path\" — here it\n also repaired it.)");
 }

@@ -14,7 +14,8 @@ fn main() {
     // The link-suspect-aware reroute scenario with the recorder on: eight
     // goals converge on the 2×3 redundant mesh, the journal is cleared, a
     // core link on the applied path is cut, and the loop detects,
-    // localises and reroutes. Everything it did is in the journal.
+    // localises and reroutes. Everything it did is in the journal, and the
+    // run ends by auditing every device against the goals' claims.
     let rec = recorded_mesh_link_cut(3, 8);
     println!(
         "live run: converged={} cut_link={:?} repair_passes={}",

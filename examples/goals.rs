@@ -69,4 +69,6 @@ fn main() {
     assert!(!testbed.probe(), "customer 1's VPN is gone");
     assert!(testbed.probe2(), "customer 2 is untouched");
     println!("customer 2 still carries traffic after the withdraw");
+    assert_eq!(testbed.mn.audit(), [], "the withdraw leaves no residue");
+    println!("device audit: nothing of customer 1 is left on any device");
 }

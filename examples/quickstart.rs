@@ -70,4 +70,9 @@ fn main() {
         report.transactions
     );
     assert_eq!(report.transactions, 0);
+
+    // 8. Ask every device what it holds (`showActual`): exactly what the
+    //    goal claims, nothing staged, nothing left over.
+    assert_eq!(testbed.mn.audit(), [], "no device holds residue");
+    println!("device audit: every device holds exactly what the goal claims");
 }

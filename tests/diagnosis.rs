@@ -7,6 +7,7 @@
 
 use conman::core::ids::ModuleKind;
 use conman::core::nm::{Exclusion, GoalId, GoalStatus, ModulePath};
+use conman::core::runtime::verify::PlanViolation;
 use conman::core::runtime::{ControlLoop, GoalEndpoints, LoopConfig, ReconcileAction};
 use conman::diagnose::{AutonomicClient, Diagnoser, Healer, SuspectTarget};
 use conman::modules::{managed_chain, managed_chain_with, ManagedChain};
@@ -93,6 +94,7 @@ fn link_cut_is_localised_and_correctly_declared_unrepairable() {
         );
     }
     assert_eq!(t.mn.goals.status(id), Some(GoalStatus::Failed));
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// Scenario 2 — MPLS core dies (cross-connects flushed on the middle
@@ -135,6 +137,7 @@ fn mpls_core_failure_heals_onto_gre_fallback() {
     let (fwd, _) = t.send_site1_to_site2(b"after-heal");
     let (rev, _) = t.send_site2_to_site1(b"after-heal-back");
     assert!(fwd && rev, "customer traffic must flow after self-healing");
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// Scenario 3 — GRE key misconfiguration at the egress router.  Counter
@@ -173,6 +176,7 @@ fn gre_key_misconfiguration_is_pinned_to_the_egress_module_and_healed() {
     let (fwd, _) = t.send_site1_to_site2(b"after-heal");
     let (rev, _) = t.send_site2_to_site1(b"after-heal-back");
     assert!(fwd && rev, "traffic flows both ways after the repair");
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// Scenario 4 — device crash.  The crashed router answers neither the data
@@ -211,6 +215,8 @@ fn device_crash_is_attributed_to_the_device() {
         assert_eq!(outcome.action, ReconcileAction::ExecuteFailed);
     }
     assert_eq!(t.mn.goals.status(id), Some(GoalStatus::Failed));
+    let crashed = PlanViolation::DeviceSilent { device: t.core[1] };
+    assert_eq!(t.mn.audit(), [crashed]);
 }
 
 /// Scenario 5 — 100% loss spike on the B–C link (the link stays
@@ -253,6 +259,7 @@ fn loss_spike_blackhole_is_localised_to_the_link() {
     assert_eq!(t.mn.goals.status(id), Some(GoalStatus::Failed));
     apply_fault(&mut t.mn.net, FaultKind::LossSpike { link, loss_ppm: 0 });
     assert!(t.probe(), "delivery resumes once the loss clears");
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// Scenario 5b — *partial* loss spike (50%): some probes survive, so only
@@ -285,6 +292,7 @@ fn partial_loss_spike_is_still_localised_to_the_link() {
         "partial loss must still be pinned to the lossy link: {:#?}",
         report.suspects
     );
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// Scenario 6 — link flap from a deterministic fault plan.  Diagnosis during
@@ -335,6 +343,7 @@ fn link_flap_is_detected_while_down_and_recovers_when_the_plan_restores_it() {
         verify.healthy,
         "the path is healthy again after the flap: {verify:#?}"
     );
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// Scenario 7 — policy routing flushed on a middle router while a GRE path
@@ -373,6 +382,7 @@ fn flushed_routing_heals_onto_the_mpls_path() {
     let (fwd, _) = t.send_site1_to_site2(b"after-heal");
     let (rev, _) = t.send_site2_to_site1(b"after-heal-back");
     assert!(fwd && rev, "traffic flows both ways after the repair");
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// One repair engine: from the same fault, an operator heal and a control
@@ -412,6 +422,7 @@ fn operator_heal_and_control_loop_end_in_the_same_state() {
             t.mn.reconcile_with(|mn, _| Some(probe(mn)));
         }
         let by_operator = end_state(&t, id);
+        assert_eq!(t.mn.audit(), [], "{label} operator");
 
         // The loop: same testbed, same fault, no operator.
         let (mut t, id, _) = configured(3, label);
@@ -432,6 +443,7 @@ fn operator_heal_and_control_loop_end_in_the_same_state() {
 
         assert_eq!(by_operator, by_loop, "{label} primary");
         assert_eq!(by_loop.0, expected, "{label} primary");
+        assert_eq!(t.mn.audit(), [], "{label} loop");
     }
 }
 
@@ -462,4 +474,5 @@ fn diagnosis_works_over_the_in_band_channel() {
         telemetry_sent(&t) > 0,
         "telemetry polls are accounted as Telemetry"
     );
+    assert_eq!(t.mn.audit(), []);
 }

@@ -8,8 +8,12 @@
 //! is idempotent on a converged network.
 
 use conman::core::module::{FilterField, ModuleError};
-use conman::core::nm::{ConnectivityGoal, Exclusion, GoalFailure, GoalId, GoalStatus, PlanError};
-use conman::core::primitives::{ComponentRef, Refusal, RefusalCause};
+use conman::core::nm::{
+    ConnectivityGoal, DeviceScript, Exclusion, GoalFailure, GoalId, GoalStatus, PlanError,
+    ScriptSet,
+};
+use conman::core::primitives::{ComponentRef, Primitive, Refusal, RefusalCause};
+use conman::core::runtime::verify::PlanViolation;
 use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent};
 use conman::core::ManagementAgent;
 use conman::modules::{
@@ -68,67 +72,12 @@ fn install_on(mn: &mut ManagedNetwork<OutOfBandChannel>, id: GoalId, technology:
     assert!(mn.execute_plan(plan).is_ok(), "goal {id} commits");
 }
 
-/// What `device` holds by its own account: every module's `showActual`,
-/// spelt as the [`ComponentRef`]s `delete` takes.
-fn listed(mn: &mut ManagedNetwork<OutOfBandChannel>, device: DeviceId) -> BTreeSet<ComponentRef> {
-    let mut components = BTreeSet::new();
-    for (module, actual) in mn.show_actual(device).expect("a live device answers") {
-        components.extend(actual.pipes.into_iter().map(ComponentRef::Pipe));
-        for (in_pipe, out_pipe) in actual.switch_rules {
-            components.insert(ComponentRef::SwitchRule(module.clone(), in_pipe, out_pipe));
-        }
-        for (from, to) in actual.filters {
-            components.insert(ComponentRef::Filter(module.clone(), from, to));
-        }
-    }
-    components
-}
-
-/// What the store's applied plans claim of the network.
-fn claimed(mn: &ManagedNetwork<OutOfBandChannel>) -> BTreeSet<(DeviceId, ComponentRef)> {
-    mn.goals
-        .iter()
-        .filter_map(|goal| goal.applied())
-        .flat_map(|applied| applied.scripts.components())
-        .collect()
-}
-
-/// The residue check: every component a live device of `devices` lists is in
-/// `claims`, its blackboard holds facts for claimed pipes only, and no agent
-/// holds a staged segment.
-fn assert_lists_only(
-    mn: &mut ManagedNetwork<OutOfBandChannel>,
-    devices: &[DeviceId],
-    claims: &BTreeSet<(DeviceId, ComponentRef)>,
-) {
-    for d in devices {
-        if !mn.net.device(*d).expect("device exists").up {
-            continue;
-        }
-        let orphans: Vec<_> = listed(mn, *d)
-            .into_iter()
-            .filter(|c| !claims.contains(&(*d, c.clone())))
-            .collect();
-        assert!(
-            orphans.is_empty(),
-            "{d} holds what no goal claims: {orphans:?}"
-        );
-        let stale: Vec<_> = mn.agents[d]
-            .blackboard()
-            .pipes()
-            .filter(|p| !claims.contains(&(*d, ComponentRef::Pipe(*p))))
-            .collect();
-        assert!(stale.is_empty(), "{d} holds facts for released {stale:?}");
-        assert_eq!(mn.agents[d].staged_segment_count(), 0, "{d} holds a stage");
-    }
-}
-
-/// [`assert_lists_only`] against the store: no live device holds a component
-/// that no goal's applied plan claims.  With every goal withdrawn or rolled
-/// back that is "no module lists anything".
-fn assert_no_orphans(mn: &mut ManagedNetwork<OutOfBandChannel>, devices: &[DeviceId]) {
-    let claims = claimed(mn);
-    assert_lists_only(mn, devices, &claims);
+/// What the audit finds after `scripts` ran through `run_batch` directly:
+/// the store never adopted them, so every component they create is held and
+/// claimed by no goal.
+fn orphans_of(scripts: &ScriptSet) -> Vec<PlanViolation> {
+    let orphan = |(device, component)| PlanViolation::OrphanDeviceState { device, component };
+    scripts.components().into_iter().map(orphan).collect()
 }
 
 #[test]
@@ -182,6 +131,7 @@ fn two_concurrent_goals_share_core_modules_and_withdraw_is_isolated() {
     assert!(t.probe2(), "goal 2 survives goal 1's withdraw");
     assert!(!t.probe(), "goal 1's VPN is gone after withdraw");
     assert_eq!(t.mn.goals.len(), 1);
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -208,14 +158,18 @@ fn mid_commit_device_crash_rolls_back_cleanly_and_reconcile_retries() {
 
     // No partially-configured modules anywhere that answers: every commit
     // that landed was rolled back, every staged script aborted.
-    assert_no_orphans(&mut t.mn, &[t.core[0], t.core[2]]);
+    assert_eq!(t.mn.audit(), [PlanViolation::DeviceSilent { device: b }]);
 
     // The crashed router reboots; the goal is still desired, so the next
     // reconcile converges it.
     t.mn.net.set_device_up(b, true);
+    // It missed the abort while it was down, so its agent still holds the
+    // stage (until the next, newer stage drops it).
+    assert_eq!(t.mn.audit(), [PlanViolation::StagedResidue { device: b }]);
     let report = t.mn.reconcile();
     assert!(report.converged(), "{report:#?}");
     assert!(t.probe(), "traffic flows after the retry");
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -263,6 +217,7 @@ fn two_goals_share_one_edge_gre_module_and_withdraw_stays_isolated() {
     assert_eq!(ingress.config.tunnels().count(), 1, "one tunnel survives");
     let gre = t.mn.nm.find_module(t.core[0], &ModuleKind::Gre).unwrap();
     assert_eq!(t.mn.goals.module_refcount(&gre), 1);
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -297,6 +252,7 @@ fn withdraw_heavy_pass_stages_each_device_once_for_the_whole_batch() {
         "one StageBatch + one CommitBatch per device for all 8 teardowns"
     );
     assert!(t.mn.goals.is_empty());
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// A synthetic goal between the chain's edge interfaces for a distinct
@@ -336,6 +292,7 @@ fn update_heavy_pass_coalesces_stale_teardowns_into_one_batch() {
         report.transactions, 2,
         "one coalesced teardown batch + one configuration batch"
     );
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// The fifth residue bug (ISSUE 21): GRE sequence counters were kept in
@@ -367,6 +324,7 @@ fn reinstalled_gre_goal_does_not_inherit_a_dead_tunnels_sequence_state() {
         t.probe(),
         "the reinstalled goal's first packet is sequence 1 of a new tunnel"
     );
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// Forcing another technology over an applied goal replaces its
@@ -393,11 +351,10 @@ fn execute_plan_over_an_applied_goal_tears_the_replaced_path_down() {
     assert_eq!(applied(&t), "GRE-IP");
     assert_eq!(t.mn.goals.status(id), Some(GoalStatus::Active));
     assert!(t.probe(), "the forced path carries traffic");
-    let routers = t.core.clone();
-    assert_no_orphans(&mut t.mn, &routers);
+    assert_eq!(t.mn.audit(), []);
 
     assert!(t.mn.withdraw(id).removed);
-    assert_no_orphans(&mut t.mn, &routers);
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// A plan whose goal was withdrawn after its dry run is refused before any
@@ -416,8 +373,7 @@ fn execute_plan_for_a_withdrawn_goal_sends_nothing() {
         Err(GoalFailure::Plan(PlanError::UnknownGoal(id)))
     );
     assert_eq!(t.mn.nm_counters().sent, 0, "no device hears of the plan");
-    let routers = t.core.clone();
-    assert_no_orphans(&mut t.mn, &routers);
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -443,6 +399,7 @@ fn reconcile_is_idempotent_on_a_converged_network() {
         "a converged reconcile sends nothing: {counters:?}"
     );
     assert!(t.probe() && t.probe2());
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -487,6 +444,7 @@ fn reconcile_with_probes_verifies_and_repairs_degraded_goals() {
     assert!(report.transactions > 0, "repair work happened");
     assert!(report.converged(), "{report:#?}");
     assert!(t.probe() && t.probe2());
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -521,6 +479,7 @@ fn per_goal_probe_attribution_separates_concurrent_goals() {
     let (host3, _) = t.second_pair.unwrap();
     assert!(t.mn.net.flow_counters(host3, g2.0).originated > 0);
     assert!(t.mn.net.flow_counters(host3, g1.0).is_empty());
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -563,6 +522,7 @@ fn goal_lifecycle_plan_failure_update_and_retry() {
     assert_eq!(outcome.action, ReconcileAction::Reapplied);
     assert!(report.converged());
     assert!(t.probe());
+    assert_eq!(t.mn.audit(), []);
 }
 
 // ---------------------------------------------------------------------------
@@ -586,6 +546,7 @@ fn report_message_counters_match_channel_deltas() {
     );
     assert_eq!(report.nm_received, counters.received);
     assert!(report.nm_sent > 0);
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -601,8 +562,8 @@ fn batched_and_per_goal_reconcile_are_equivalent_on_fresh_goals() {
             t.mn.reconcile_per_goal()
         };
         let probes = vec![t.probe(), t.probe2()];
-        let sent = report.nm_sent;
-        (end_state(&mut t, &report, probes), sent)
+        assert_eq!(t.mn.audit(), []);
+        (end_state(&mut t, &report, probes), report.nm_sent)
     };
     let (batched, batched_sent) = run(true);
     let (per_goal, per_goal_sent) = run(false);
@@ -634,7 +595,9 @@ fn batched_pass_sends_a_quarter_of_the_per_goal_messages_at_64_goals() {
             t.mn.reconcile_per_goal()
         };
         assert_eq!(report.active(), 64, "every goal converges");
-        (report, recorder.counter("txn.encode_bytes"))
+        let bytes = recorder.counter("txn.encode_bytes");
+        assert_eq!(t.mn.audit(), []);
+        (report, bytes)
     };
     let (batched, batched_bytes) = run(true);
     let (per_goal, per_goal_bytes) = run(false);
@@ -710,8 +673,11 @@ fn batched_and_per_goal_equivalent_under_mid_commit_crash() {
             pipe_base_before,
             "failed pass must not consume pipe-id space ({case})"
         );
-        let routers = t.core.clone();
-        assert_no_orphans(&mut t.mn, &routers);
+        let silent = match fault {
+            MidRouterFault::StageRejected => vec![],
+            _ => vec![PlanViolation::DeviceSilent { device: b }],
+        };
+        assert_eq!(t.mn.audit(), silent, "{case}");
         let probes = vec![t.probe(), t.probe2()];
         (end_state(&mut t, &report, probes), t)
     };
@@ -733,7 +699,7 @@ fn batched_and_per_goal_equivalent_under_mid_commit_crash() {
         let report = t.mn.reconcile();
         assert!(report.converged(), "{report:#?}");
         assert!(t.probe() && t.probe2());
-        assert!(t.mn.agents.values().all(|a| a.staged_segment_count() == 0));
+        assert_eq!(t.mn.audit(), []);
     }
 }
 
@@ -744,16 +710,16 @@ struct MidBatchFailure {
     t: Chain,
     g1: GoalId,
     g2: GoalId,
-    /// What g1's plan claims: all that may be left once g2 rolls back.
-    claims: BTreeSet<(DeviceId, ComponentRef)>,
+    /// What the audit finds once g2 rolls back: g1's components, which the
+    /// store never adopted, and nothing of g2.
+    residue: Vec<PlanViolation>,
     egress: DeviceId,
     outcome: conman::core::runtime::BatchOutcome,
 }
 
 fn fail_one_goal_mid_batch(recorder: Recorder) -> MidBatchFailure {
     use conman::core::ids::{ModuleKind, PipeId};
-    use conman::core::nm::{DeviceScript, ScriptSet};
-    use conman::core::primitives::{PipeSpec, Primitive};
+    use conman::core::primitives::PipeSpec;
 
     let mut t = managed_chain(3);
     t.discover();
@@ -791,7 +757,7 @@ fn fail_one_goal_mid_batch(recorder: Recorder) -> MidBatchFailure {
         t,
         g1,
         g2,
-        claims: plan1.scripts.components(),
+        residue: orphans_of(&plan1.scripts),
         egress,
         outcome,
     }
@@ -805,7 +771,7 @@ fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
         mut t,
         g1,
         g2,
-        claims,
+        residue,
         egress,
         outcome,
     } = fail_one_goal_mid_batch(Recorder::disabled());
@@ -825,8 +791,7 @@ fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
     // g1's configuration is live end to end; g2's partial creates (the ETH
     // side of the rejected pipe) were rolled back via the teardown mirror.
     assert!(t.probe(), "the sibling goal carries traffic");
-    let routers = t.core.clone();
-    assert_lists_only(&mut t.mn, &routers, &claims);
+    assert_eq!(t.mn.audit(), residue);
 }
 
 #[test]
@@ -837,7 +802,7 @@ fn a_mid_batch_rollback_is_a_journaled_teardown_transaction() {
     let MidBatchFailure {
         mut t,
         g1,
-        claims,
+        residue,
         egress,
         outcome,
         ..
@@ -894,15 +859,11 @@ fn a_mid_batch_rollback_is_a_journaled_teardown_transaction() {
     // The sibling is untouched by the rollback.
     assert_eq!(outcome.committed, vec![g1]);
     assert!(t.probe(), "the sibling goal carries traffic");
-    let routers = t.core.clone();
-    assert_lists_only(&mut t.mn, &routers, &claims);
+    assert_eq!(t.mn.audit(), residue);
 }
 
 #[test]
 fn opposite_direction_goals_fall_back_to_per_goal_transactions() {
-    use conman::core::nm::{DeviceScript, ScriptSet};
-    use conman::core::primitives::Primitive;
-
     // Two goals traversing the same devices in opposite directions cannot
     // share one batch commit order (each wants the other's initiator side
     // committed first); the executor must detect this and run the
@@ -931,6 +892,7 @@ fn opposite_direction_goals_fall_back_to_per_goal_transactions() {
         1,
         "exactly one direction fell back to a per-goal transaction: {outcome:?}"
     );
+    assert_eq!(t.mn.audit(), []);
 }
 
 // ---------------------------------------------------------------------------
@@ -968,6 +930,7 @@ fn pipe_space_exhaustion_fails_the_goal_cleanly() {
     );
     // Nothing was sent for the unplannable goal.
     assert_eq!(report.transactions, 0);
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// A goal that names a class it never resolved is refused at planning, by
@@ -1015,6 +978,7 @@ fn a_goal_naming_an_unresolved_class_is_refused_at_planning() {
         "no device hears of the goal"
     );
     assert_eq!(configs(&t), before);
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// What a device's data plane holds that a goal can add to.
@@ -1084,7 +1048,7 @@ fn assert_withdraw_leaves_nothing(
             "{d} kept runtime state for withdrawn tunnel {id}"
         );
     }
-    assert_no_orphans(mn, routers);
+    assert_eq!(mn.audit(), []);
     assert_eq!(
         data_plane(mn, routers),
         before,
@@ -1134,6 +1098,7 @@ fn withdrawing_every_goal_leaves_no_module_state_behind() {
     assert_eq!(t.mn.reconcile().active(), 1);
     let (delivered, trace) = t.send_customer_frame(b"tunnelled again");
     assert!(delivered && trace.iter().any(|p| p.contains("VLAN(22)")));
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// Regression: the IP module's `delete` fell through for
@@ -1143,8 +1108,7 @@ fn withdrawing_every_goal_leaves_no_module_state_behind() {
 #[test]
 fn a_filter_script_round_trips_through_run_batch_and_its_teardown() {
     use conman::core::ids::ModuleKind;
-    use conman::core::nm::{DeviceScript, ScriptSet};
-    use conman::core::primitives::{FilterSpec, Primitive};
+    use conman::core::primitives::FilterSpec;
 
     let mut t = managed_chain(3);
     t.discover();
@@ -1175,17 +1139,14 @@ fn a_filter_script_round_trips_through_run_batch_and_its_teardown() {
     let outcome = t.mn.run_batch(&[(goal, &scripts)]);
     assert_eq!(outcome.committed, vec![goal]);
     assert_ne!(config_json(&t), before, "the filter is installed");
-    let claims = scripts.components();
-    assert_eq!(
-        listed(&mut t.mn, ingress),
-        claims.iter().map(|(_, c)| c.clone()).collect(),
-        "the ingress lists the filter and nothing else"
-    );
+    // The store never adopted the filter: the ingress lists it and nothing
+    // else, and no goal claims it.
+    assert_eq!(t.mn.audit(), orphans_of(&scripts));
 
     let torn = t.mn.run_teardown_batch(&[(goal, scripts.teardown())], &[]);
     assert!(torn.skipped.is_empty());
     assert_eq!(config_json(&t), before, "the teardown removed the filter");
-    assert_lists_only(&mut t.mn, &[ingress], &BTreeSet::new());
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// Regression: an IP filter naming no address committed `Ok` and installed
@@ -1196,8 +1157,7 @@ fn a_filter_script_round_trips_through_run_batch_and_its_teardown() {
 #[test]
 fn an_ip_filter_without_an_address_or_with_a_garbage_field_fails_its_goal() {
     use conman::core::ids::ModuleKind;
-    use conman::core::nm::{DeviceScript, ScriptSet};
-    use conman::core::primitives::{FilterSpec, Primitive};
+    use conman::core::primitives::FilterSpec;
 
     let mut t = managed_chain(3);
     t.discover();
@@ -1249,8 +1209,28 @@ fn an_ip_filter_without_an_address_or_with_a_garbage_field_fails_its_goal() {
         };
         assert_eq!(outcome.failed, [(goal, refusal)]);
         assert_eq!(config_json(&t), before, "{goal}: the device is unchanged");
-        assert_lists_only(&mut t.mn, &[ingress], &BTreeSet::new());
+        assert_eq!(t.mn.audit(), []);
     }
+}
+
+/// A component deleted behind the store's back is claimed and no longer
+/// listed: the audit reports it missing.
+#[test]
+fn a_component_deleted_behind_the_stores_back_is_missing() {
+    let mut t = managed_chain(3);
+    t.discover();
+    let id = t.mn.submit(t.vpn_goal());
+    assert!(t.mn.reconcile().converged());
+    let applied = t.mn.goals.get(id).and_then(|rec| rec.applied());
+    let claims = applied.expect("the goal is applied").scripts.components();
+    let (device, component) = (claims.into_iter())
+        .find(|(_, c)| matches!(c, ComponentRef::SwitchRule(..)))
+        .expect("the plan claims a switch rule");
+    let delete = vec![(device, vec![Primitive::Delete(component.clone())])];
+    let torn = t.mn.run_teardown_batch(&[(id, delete)], &[]);
+    assert!(torn.skipped.is_empty());
+    let missing = PlanViolation::MissingDeviceState { device, component };
+    assert_eq!(t.mn.audit(), [missing]);
 }
 
 /// A testbed three concurrent goals fit on, as the scenario below sees it.
@@ -1265,14 +1245,10 @@ struct ThreeGoals<'a, T> {
 
 /// Install three goals (each on its `technology` path when one is named,
 /// on the path `reconcile()` prefers otherwise), withdraw the middle one and
-/// hold, at every step, that no device lists a component no applied plan
-/// claims: after the withdraw that is the released pipe block, and both
-/// survivors still carry traffic.  Returns the converse after convergence —
-/// what the applied plans claim and no device lists.
-fn withdraw_the_middle_of_three<T>(
-    s: ThreeGoals<'_, T>,
-    technology: Option<&str>,
-) -> BTreeSet<(DeviceId, ComponentRef)> {
+/// hold, at every step, that the devices hold exactly what the applied plans
+/// claim: after the withdraw no device keeps a component of the released
+/// block, and both survivors still carry traffic.
+fn withdraw_the_middle_of_three<T>(s: ThreeGoals<'_, T>, technology: Option<&str>) {
     let case = technology.unwrap_or("preferred");
     let mn = (s.mn)(s.t);
     let ids = s.goals.map(|goal| mn.submit(goal));
@@ -1280,21 +1256,19 @@ fn withdraw_the_middle_of_three<T>(
         None => assert_eq!(mn.reconcile().active(), 3, "every goal converges"),
         Some(technology) => ids.iter().for_each(|id| install_on(mn, *id, technology)),
     }
-    assert_no_orphans(mn, &s.devices);
-    let mut unlisted = claimed(mn);
-    for d in &s.devices {
-        for component in listed(mn, *d) {
-            unlisted.remove(&(*d, component));
-        }
-    }
+    assert_eq!(mn.audit(), [], "{case}");
 
     let released = mn.goals.get(ids[1]).expect("goal exists").applied();
     let released = released.expect("the goal is applied").scripts.components();
     assert!(mn.withdraw(ids[1]).removed);
-    assert_no_orphans(mn, &s.devices);
+    assert_eq!(mn.audit(), [], "{case}");
     for d in &s.devices {
-        let kept: Vec<_> = listed(mn, *d)
-            .into_iter()
+        let modules = mn
+            .show_actual(&[*d])
+            .remove(d)
+            .expect("a live device answers");
+        let kept: Vec<_> = (modules.iter())
+            .flat_map(|(module, actual)| actual.components(module))
             .filter(|c| released.contains(&(*d, c.clone())))
             .collect();
         assert!(kept.is_empty(), "{d} kept {kept:?} of the released block");
@@ -1311,25 +1285,11 @@ fn withdraw_the_middle_of_three<T>(
         .withdraw_many(&[ids[0], ids[2]])
         .iter()
         .all(|w| w.removed));
-    assert_no_orphans(mn, &s.devices);
-    unlisted
+    assert_eq!(mn.audit(), [], "{case}");
 }
 
 #[test]
 fn withdrawing_the_middle_of_three_goals_leaves_no_device_a_component_of_its_block() {
-    use conman::core::ids::ModuleKind;
-
-    // What the listing contract leaves unlisted though claimed (ROADMAP
-    // item 1's `MissingDeviceState` half starts from this list): a GRE
-    // module's `delete (switch)` changes nothing, so it lists no rule.
-    let known_gap = |unlisted: BTreeSet<(DeviceId, ComponentRef)>, case: &str| {
-        for (d, component) in unlisted {
-            assert!(
-                matches!(&component, ComponentRef::SwitchRule(m, _, _) if m.kind == ModuleKind::Gre),
-                "{d} does not list {component:?}, which an applied plan claims ({case})"
-            );
-        }
-    };
     let technologies = |mn: &ManagedNetwork<OutOfBandChannel>, goal: &ConnectivityGoal| {
         let paths = mn.nm.find_paths(goal);
         let labels: BTreeSet<String> = paths.iter().map(|p| p.technology_label()).collect();
@@ -1355,8 +1315,7 @@ fn withdrawing_the_middle_of_three_goals_leaves_no_device_a_component_of_its_blo
                 mn: |t| &mut t.mn,
                 carries: |t, k| t.probe_pair(k),
             };
-            let unlisted = withdraw_the_middle_of_three(scenario, Some(&technology));
-            known_gap(unlisted, &format!("chain {n}, {technology}"));
+            withdraw_the_middle_of_three(scenario, Some(&technology));
         }
     }
 
@@ -1375,8 +1334,7 @@ fn withdrawing_the_middle_of_three_goals_leaves_no_device_a_component_of_its_blo
             mn: |t| &mut t.mn,
             carries: |t, k| t.probe_pair(k),
         };
-        let unlisted = withdraw_the_middle_of_three(scenario, Some(&technology));
-        known_gap(unlisted, &format!("mesh, {technology}"));
+        withdraw_the_middle_of_three(scenario, Some(&technology));
     }
 
     // The VLAN chain has one customer port pair: three goals share it, and
@@ -1393,7 +1351,7 @@ fn withdrawing_the_middle_of_three_goals_leaves_no_device_a_component_of_its_blo
             delivered && trace.iter().any(|p| p.contains("VLAN(22)"))
         },
     };
-    known_gap(withdraw_the_middle_of_three(scenario, None), "VLAN chain");
+    withdraw_the_middle_of_three(scenario, None);
 }
 
 /// NM messages sent and received, module relays the NM received and
@@ -1467,4 +1425,5 @@ fn churned_fleet_keeps_every_survivor_up_and_its_message_flow_to_the_envelope() 
         }
     }
     assert_eq!(recorder.counter("mgmt.round_cap_hit"), 0);
+    assert_eq!(t.mn.audit(), []);
 }

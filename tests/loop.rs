@@ -128,6 +128,7 @@ fn fault_after_tick_t_is_detected_and_repaired_within_two_ticks() {
     );
     let after_repair = run.ticks.last().expect("the converged tick");
     assert_eq!(after_repair.events, 0, "no operator intent, no events");
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// `Telemetry` messages the NM has sent and received so far.
@@ -190,6 +191,7 @@ fn a_diagnosing_tick_polls_each_path_device_twice_for_any_number_of_degraded_goa
         for (goal, d) in &tick.diagnosed {
             assert_eq!(d.blamed, Some(t.core[1]), "n = {n}, goal {goal}: {d:?}");
         }
+        assert_eq!(t.mn.audit(), []);
     }
 }
 
@@ -221,6 +223,8 @@ fn assert_batch_matches_singletons(scenario: &str, build: impl Fn() -> Faulted) 
             "{scenario}: goal {id}: {together:?} vs {alone:?}"
         );
     }
+    assert_eq!(batched.audit(), [], "{scenario}");
+    assert_eq!(single.audit(), [], "{scenario}");
 }
 
 /// Split `ids` into (faulted, healthy), each with its probe endpoints.
@@ -296,6 +300,7 @@ fn a_converged_loop_sends_zero_reconfiguration_messages() {
     }
     // The goals are still healthy — silence is convergence, not neglect.
     assert!((0..3).all(|k| t.probe_pair(k)));
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -355,6 +360,7 @@ fn simultaneous_faults_on_different_goals_heal_independently() {
         "all three goals carry traffic"
     );
     assert!(t.mn.goals.iter().all(|r| r.status == GoalStatus::Active));
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -399,6 +405,7 @@ fn operator_withdraw_mid_repair_cancels_the_repair_cleanly() {
     assert_eq!(t.mn.goals.status(ids[1]), Some(GoalStatus::Active));
     assert!(!t.probe_pair(0), "withdrawn goal's traffic stays down");
     assert!(t.probe_pair(1));
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -438,6 +445,7 @@ fn repeated_repair_failure_parks_the_goal_failed_not_repairing() {
     assert!(run.converged);
     assert_eq!(t.mn.goals.status(ids[0]), Some(GoalStatus::Active));
     assert!(t.probe_pair(0));
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -481,6 +489,7 @@ fn in_band_loop_probes_on_every_quiet_tick_and_detects_a_late_fault_at_once() {
     let repair = run.first_repair().expect("a repair pass converged");
     assert!(repair <= fault_tick + 3, "repaired at tick {repair}");
     assert!((0..3).all(|k| t.probe_pair(k)));
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -572,6 +581,7 @@ fn mesh_core_link_cut_is_rerouted_in_one_batched_pass() {
         (0..2).all(|g| t.probe_pair(g)),
         "traffic verified end to end"
     );
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -638,6 +648,7 @@ fn mesh_blamed_link_is_diagnosed_under_background_traffic() {
         ),
         other => panic!("the prime suspect must be the link, not {other:?}"),
     }
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -679,6 +690,7 @@ fn chain_blamed_link_falls_back_to_reinstall_instead_of_failing() {
     assert!(run.converged, "{run:#?}");
     assert_eq!(t.mn.goals.status(ids[0]), Some(GoalStatus::Active));
     assert!(t.probe_pair(0));
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -720,6 +732,7 @@ fn verified_repair_ages_out_exclusions_so_the_recovered_path_is_routable_again()
         "the goal routed back over the recovered original link: {devices:?}"
     );
     assert!(t.probe_pair(0));
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -758,6 +771,7 @@ fn ring_link_cut_heals_onto_the_other_arc() {
         );
     }
     assert!((0..2).all(|g| t.probe_pair(g)));
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -780,6 +794,7 @@ fn a_long_quiet_run_keeps_the_packet_trace_bounded() {
     }
     assert_eq!(last_len, TRACE_CAPACITY);
     assert!(t.mn.goals.iter().all(|r| r.status == GoalStatus::Active));
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]
@@ -817,6 +832,7 @@ fn withdrawing_a_goal_forgets_its_flow_counters_on_every_device() {
     // The operator's direct call forgets too.
     assert!(t.mn.withdraw(ids[1]).removed);
     assert_eq!(devices_tagged(&t.mn, ids[1]), 0);
+    assert_eq!(t.mn.audit(), []);
 }
 
 #[test]

@@ -17,6 +17,7 @@
 //! between the engines shows up as a journal or report diff.
 
 use conman::core::nm::{script, ConnectivityGoal, Exclusion, GoalStatus, ModulePath};
+use conman::core::runtime::verify::PlanViolation;
 use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent};
 use conman::modules::{
     managed_chain, managed_fanout_chain, managed_mesh_fanout, ManagedChain, ManagedMesh,
@@ -58,26 +59,28 @@ fn mesh_twin(k: usize, goals: usize) -> Mesh {
     t
 }
 
-/// Everything an engine run exposes to the outside world.
+/// Everything an engine run exposes to the outside world, device audit last.
 struct Observed {
     report: String,
     journal: String,
     nm_sent: u64,
     nm_received: u64,
+    audit: Vec<PlanViolation>,
 }
 
-fn observe(report: &ReconcileReport, journal: String) -> Observed {
+fn observe(report: &ReconcileReport, mn: &mut ManagedNetwork<OutOfBandChannel>) -> Observed {
     Observed {
         report: serde_json::to_string(report).expect("report serializes"),
-        journal,
+        journal: mn.recorder.journal_json(),
         nm_sent: report.nm_sent,
         nm_received: report.nm_received,
+        audit: mn.audit(),
     }
 }
 
-/// Assert the parallel and sequential observations are identical, and the
-/// (shared) journal conforms.
-fn assert_twins_equal(par: &Observed, seq: &Observed, what: &str) {
+/// Assert the parallel and sequential observations are identical, the
+/// (shared) journal conforms and both audits find `audit`.
+fn assert_twins_equal(par: &Observed, seq: &Observed, what: &str, audit: &[PlanViolation]) {
     assert_eq!(
         par.report, seq.report,
         "{what}: ReconcileReports must be identical"
@@ -91,6 +94,7 @@ fn assert_twins_equal(par: &Observed, seq: &Observed, what: &str) {
         (seq.nm_sent, seq.nm_received),
         "{what}: NM wire-message counts must match"
     );
+    assert_eq!((&par.audit[..], &seq.audit[..]), (audit, audit), "{what}");
     assert_journal_conforms(&par.journal, what);
 }
 
@@ -116,9 +120,9 @@ fn parallel_equals_sequential_on_a_fresh_chain_fleet() {
     let rb = b.mn.reconcile_sequential();
     assert!(ra.converged(), "parallel pass converges");
     assert!(rb.converged(), "sequential pass converges");
-    let par = observe(&ra, a.mn.recorder.journal_json());
-    let seq = observe(&rb, b.mn.recorder.journal_json());
-    assert_twins_equal(&par, &seq, "fresh chain fleet");
+    let par = observe(&ra, &mut a.mn);
+    let seq = observe(&rb, &mut b.mn);
+    assert_twins_equal(&par, &seq, "fresh chain fleet", &[]);
     assert!(par.journal.len() > 2, "the pass journals real events");
     // A second pass is a no-op on both engines.
     let ra2 = a.mn.reconcile();
@@ -138,9 +142,9 @@ fn parallel_equals_sequential_on_a_multipath_mesh_fleet() {
     let ra = a.mn.reconcile();
     let rb = b.mn.reconcile_sequential();
     assert!(ra.converged(), "parallel pass converges");
-    let par = observe(&ra, a.mn.recorder.journal_json());
-    let seq = observe(&rb, b.mn.recorder.journal_json());
-    assert_twins_equal(&par, &seq, "mesh fleet");
+    let par = observe(&ra, &mut a.mn);
+    let seq = observe(&rb, &mut b.mn);
+    assert_twins_equal(&par, &seq, "mesh fleet", &[]);
 }
 
 /// Crash the middle router between staging and its commit, identically on
@@ -169,9 +173,10 @@ fn parallel_equals_sequential_under_a_mid_batch_device_crash() {
         !ra.converged(),
         "the crash must actually fail the pass: {ra:#?}"
     );
-    let par = observe(&ra, a.mn.recorder.journal_json());
-    let seq = observe(&rb, b.mn.recorder.journal_json());
-    assert_twins_equal(&par, &seq, "mid-batch device crash");
+    let par = observe(&ra, &mut a.mn);
+    let seq = observe(&rb, &mut b.mn);
+    let crashed = [PlanViolation::DeviceSilent { device: a.core[1] }];
+    assert_twins_equal(&par, &seq, "mid-batch device crash", &crashed);
 }
 
 /// The forward goal's mirror image: same interfaces and classes, traversed
@@ -202,8 +207,8 @@ fn parallel_equals_sequential_when_commit_order_falls_back() {
     let mut b = opposite_direction_twin();
     let ra = a.mn.reconcile();
     let rb = b.mn.reconcile_sequential();
-    let par = observe(&ra, a.mn.recorder.journal_json());
-    let seq = observe(&rb, b.mn.recorder.journal_json());
+    let par = observe(&ra, &mut a.mn);
+    let seq = observe(&rb, &mut b.mn);
     // The fallback goal runs as its own strict transaction: its per-device
     // stage events carry exactly one segment, unlike the batch's coalesced
     // stages.  This proves the scenario actually exercised the fallback.
@@ -212,7 +217,7 @@ fn parallel_equals_sequential_when_commit_order_falls_back() {
         "opposite-direction goals must demote one goal to a strict fallback: {}",
         par.journal
     );
-    assert_twins_equal(&par, &seq, "commit-order fallback");
+    assert_twins_equal(&par, &seq, "commit-order fallback", &[]);
 }
 
 /// A converged fleet whose every goal blames the whole middle router: no
@@ -252,9 +257,9 @@ fn parallel_equals_sequential_through_the_suspect_fallback() {
             "the fallback cleared every goal's exclusions"
         );
     }
-    let par = observe(&ra, a.mn.recorder.journal_json());
-    let seq = observe(&rb, b.mn.recorder.journal_json());
-    assert_twins_equal(&par, &seq, "suspect-fallback");
+    let par = observe(&ra, &mut a.mn);
+    let seq = observe(&rb, &mut b.mn);
+    assert_twins_equal(&par, &seq, "suspect-fallback", &[]);
     assert_eq!(
         applied_paths(&a.mn),
         applied_paths(&c.mn),
@@ -302,10 +307,11 @@ proptest! {
         let ra = a.mn.reconcile();
         let rb = b.mn.reconcile_sequential();
         prop_assert!(ra.converged(), "parallel pass converges: {ra:#?}");
-        let par = observe(&ra, a.mn.recorder.journal_json());
-        let seq = observe(&rb, b.mn.recorder.journal_json());
+        let par = observe(&ra, &mut a.mn);
+        let seq = observe(&rb, &mut b.mn);
         prop_assert_eq!(&par.report, &seq.report, "reports diverged");
         prop_assert_eq!(&par.journal, &seq.journal, "journals diverged");
+        prop_assert!(par.audit.is_empty() && seq.audit.is_empty(), "{:?} {:?}", par.audit, seq.audit);
         assert_journal_conforms(&par.journal, "random chain fleet");
         let mut d = chain_twin(n, goals);
         let rd = d.mn.reconcile_per_goal();
@@ -331,10 +337,11 @@ proptest! {
         let ra = a.mn.reconcile();
         let rb = b.mn.reconcile_sequential();
         prop_assert!(ra.converged(), "parallel pass converges: {ra:#?}");
-        let par = observe(&ra, a.mn.recorder.journal_json());
-        let seq = observe(&rb, b.mn.recorder.journal_json());
+        let par = observe(&ra, &mut a.mn);
+        let seq = observe(&rb, &mut b.mn);
         prop_assert_eq!(&par.report, &seq.report, "reports diverged");
         prop_assert_eq!(&par.journal, &seq.journal, "journals diverged");
+        prop_assert!(par.audit.is_empty() && seq.audit.is_empty(), "{:?} {:?}", par.audit, seq.audit);
         assert_journal_conforms(&par.journal, "random mesh fleet");
         let mut d = mesh_twin(k, goals);
         let rd = d.mn.reconcile_per_goal();
