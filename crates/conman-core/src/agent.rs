@@ -14,7 +14,7 @@
 //! the event did not touch.
 
 use crate::abstraction::CounterSnapshot;
-use crate::ids::{ModuleId, ModuleRef};
+use crate::ids::{ModuleId, ModuleRef, PipeId};
 use crate::module::{Blackboard, ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use crate::primitives::{
     Announcement, ComponentRef, ModuleEnvelope, Notice, Notification, Primitive, PrimitiveOutcome,
@@ -22,7 +22,15 @@ use crate::primitives::{
 };
 use crate::wire::MalformedSegment;
 use netsim::device::{Device, DeviceId, PortId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+
+/// A pipe's `(upper, lower)` modules, or `None` once it is deleted.
+type Ends = Option<(ModuleId, ModuleId)>;
+
+/// What the primitives admitted so far do to the device's pipes, over what
+/// the blackboard records.  Only looked up, never walked, so its order does
+/// not matter; a fleet's batch puts thousands of pipes in it.
+type Pipes = HashMap<PipeId, Ends>;
 
 /// How many times the agent re-polls its modules after an event before
 /// declaring the device quiescent.  Deferred work converges in one or two
@@ -39,7 +47,7 @@ pub struct ManagementAgent {
     modules: BTreeMap<ModuleId, Box<dyn ProtocolModule>>,
     /// Per-device blackboard shared by the modules.
     blackboard: Blackboard,
-    /// Per-goal segments staged under a transaction id — validated but not
+    /// Per-goal segments staged under a transaction id — admitted but not
     /// yet applied to the data plane (two-phase configuration) — keyed by
     /// (txn, goal) so each goal can be committed or aborted independently.
     staged_batches: BTreeMap<u64, BTreeMap<u64, Vec<Primitive>>>,
@@ -62,20 +70,67 @@ impl ManagementAgent {
         self.staged_batches.values().map(|g| g.len()).sum()
     }
 
-    /// Validate one primitive against this device's module set without
-    /// touching the data plane — the staging check of the two-phase
-    /// protocol.  Returns the refusal of a primitive that cannot execute.
-    fn validate_primitive(&self, primitive: &Primitive) -> Option<Refusal> {
-        let missing = |m: &ModuleRef| (!self.modules.contains_key(&m.module)).then(|| m.clone());
-        let unknown = match primitive {
-            Primitive::CreatePipe(spec) => missing(&spec.upper).or_else(|| missing(&spec.lower)),
-            Primitive::CreateSwitch(spec) => missing(&spec.module),
-            Primitive::CreateFilter(spec) => missing(&spec.module),
-            // Reads and deletes are always admissible: a delete of something
-            // absent is a no-op by design (idempotent teardown).
-            Primitive::ShowPotential | Primitive::ShowActual | Primitive::Delete(_) => None,
-        }?;
-        Some(self.refusal(primitive.component(), RefusalCause::UnknownModule(unknown)))
+    /// The admission step: the one check a primitive meets before any of it
+    /// runs — at stage for every primitive of a `StageBatch`, and over a
+    /// whole `Script`.  The agent checks what all modules share: the named
+    /// modules exist, a `create (pipe)` names a pipe id not in use, and a
+    /// `create (switch)` names at least one pipe its module is an end of
+    /// (one, since an ETH rule's other pipe is a physical slot no `create`
+    /// makes).  Each named module's [`ProtocolModule::admit`] checks the
+    /// rest.  A pipe's ends are what `pipes` (the batch's admitted
+    /// primitives so far) records, else what the blackboard does.  An
+    /// admitted create or delete of a pipe returns what it does to the
+    /// pipe, for the caller to record.  Reads and deletes are always
+    /// admitted: deleting something absent is a no-op by design (idempotent
+    /// teardown).
+    fn admit(
+        &self,
+        primitive: &Primitive,
+        pipes: &Pipes,
+    ) -> Result<Option<(PipeId, Ends)>, RefusalCause> {
+        let ends = |pipe: PipeId| match pipes.get(&pipe) {
+            Some(ends) => *ends,
+            None => self.blackboard.pipe(pipe).ends,
+        };
+        let named = match primitive {
+            Primitive::CreatePipe(spec) => [Some(&spec.upper), Some(&spec.lower)],
+            Primitive::CreateSwitch(spec) => [Some(&spec.module), None],
+            Primitive::CreateFilter(spec) => [Some(&spec.module), None],
+            Primitive::ShowPotential | Primitive::ShowActual | Primitive::Delete(_) => [None; 2],
+        };
+        let mut modules = [None, None];
+        for (module, m) in modules.iter_mut().zip(named) {
+            if let Some(m) = m {
+                let unknown = || RefusalCause::UnknownModule(m.clone());
+                *module = Some(self.modules.get(&m.module).ok_or_else(unknown)?);
+            }
+        }
+        match primitive {
+            Primitive::CreatePipe(spec) if ends(spec.pipe).is_some() => {
+                return Err(RefusalCause::PipeInUse(spec.pipe));
+            }
+            Primitive::CreateSwitch(spec) => {
+                let of_module = |pipe| {
+                    ends(pipe).is_some_and(|(upper, lower)| {
+                        spec.module.module == upper || spec.module.module == lower
+                    })
+                };
+                if !of_module(spec.in_pipe) && !of_module(spec.out_pipe) {
+                    return Err(RefusalCause::SwitchWithoutPipe);
+                }
+            }
+            _ => {}
+        }
+        for module in modules.into_iter().flatten() {
+            module.admit(primitive).map_err(RefusalCause::Module)?;
+        }
+        Ok(match primitive {
+            Primitive::CreatePipe(spec) => {
+                Some((spec.pipe, Some((spec.upper.module, spec.lower.module))))
+            }
+            Primitive::Delete(ComponentRef::Pipe(pipe)) => Some((*pipe, None)),
+            _ => None,
+        })
     }
 
     /// This device's refusal, concerning `component`.
@@ -128,8 +183,22 @@ impl ManagementAgent {
                 request,
                 primitives,
             } => {
+                let mut pipes = Pipes::new();
+                let refused: Vec<PrimitiveOutcome> = (primitives.iter())
+                    .filter_map(|p| match self.admit(p, &pipes) {
+                        Ok(change) => {
+                            pipes.extend(change);
+                            None
+                        }
+                        Err(cause) => Some(Err(Box::new(self.refusal(p.component(), cause)))),
+                    })
+                    .collect();
                 let mut reaction = ModuleReaction::none();
-                let results = self.run_primitives(device, primitives, &mut reaction);
+                let results = if refused.is_empty() {
+                    self.run_primitives(device, primitives, &mut reaction)
+                } else {
+                    refused
+                };
                 reaction.extend(self.poll_until_quiescent(device));
                 out.push(WireMessage::ScriptResult {
                     request: *request,
@@ -219,14 +288,15 @@ impl ManagementAgent {
     }
 
     /// Handle a binary-coded `StageBatch` payload *in place*: walk the
-    /// length-prefixed segment slices out of the wire bytes, validating each
-    /// primitive as it decodes, without materialising a [`WireMessage`]
-    /// first.  Behaviourally identical to the `StageBatch` arm of
-    /// [`Self::handle`] — both feed the one staging routine.  Returns
-    /// `None` when the payload is not a parseable binary `StageBatch`
-    /// frame (the caller falls back to the generic decoder, which drops
-    /// it).  Staging never touches the data plane, so `_device` is unused;
-    /// the parameter stays because `benchmark/` calls this signature.
+    /// length-prefixed segment slices out of the wire bytes, running the
+    /// admission step on each primitive as it decodes, without
+    /// materialising a [`WireMessage`] first.  Behaviourally identical to
+    /// the `StageBatch` arm of [`Self::handle`] — both feed the one staging
+    /// routine.  Returns `None` when the payload is not a parseable binary
+    /// `StageBatch` frame (the caller falls back to the generic decoder,
+    /// which drops it).  Staging never touches the data plane, so `_device`
+    /// is unused; the parameter stays because `benchmark/` calls this
+    /// signature.
     pub fn handle_stage_batch_in_place(
         &mut self,
         _device: &mut Device,
@@ -237,12 +307,13 @@ impl ManagementAgent {
         Some(vec![self.stage_segments(view.txn, segments)])
     }
 
-    /// Phase one of the two-phase protocol, the only place segments are
-    /// validated: check each goal's segment independently against this
-    /// device's module set and hold the valid ones under `txn`.  Nothing
-    /// touches the data plane until the commit arrives.  A segment whose
-    /// encoding is corrupt fails its own verdict instead of sinking the
-    /// whole batch.
+    /// Phase one of the two-phase protocol, where segments are admitted:
+    /// run the admission step on each goal's segment, over the pipes the
+    /// batch's earlier admitted segments create or delete, and hold the
+    /// admitted ones under `txn`; a refused segment's pipes do not count.  The commit runs them without checking
+    /// them again.  Nothing touches the data plane until the commit
+    /// arrives.  A segment whose encoding is corrupt fails its own verdict
+    /// instead of sinking the whole batch.
     fn stage_segments<P>(
         &mut self,
         txn: u64,
@@ -257,14 +328,23 @@ impl ManagementAgent {
         self.staged_batches.retain(|held, _| *held >= txn);
         let mut verdicts = Vec::with_capacity(segments.size_hint().0);
         let mut held = BTreeMap::new();
+        // The pipes the admitted segments change, and what the segment at
+        // hand changed them from, to take back if it is refused.
+        let (mut pipes, mut undo) = (Pipes::new(), Vec::new());
         for (goal, stream) in segments {
             let mut errors = Vec::new();
             let mut primitives = Vec::with_capacity(stream.size_hint().0);
+            undo.clear();
             for p in stream {
                 match p {
                     Ok(p) => {
-                        if let Some(e) = self.validate_primitive(&p) {
-                            errors.push(e);
+                        match self.admit(&p, &pipes) {
+                            Ok(change) => {
+                                let was =
+                                    change.map(|(pipe, ends)| (pipe, pipes.insert(pipe, ends)));
+                                undo.extend(was);
+                            }
+                            Err(cause) => errors.push(self.refusal(p.component(), cause)),
                         }
                         primitives.push(p);
                     }
@@ -276,6 +356,13 @@ impl ManagementAgent {
             }
             if errors.is_empty() {
                 held.insert(goal, primitives);
+            } else {
+                for (pipe, was) in undo.drain(..).rev() {
+                    match was {
+                        Some(ends) => pipes.insert(pipe, ends),
+                        None => pipes.remove(&pipe),
+                    };
+                }
             }
             verdicts.push(SegmentVerdict { goal, errors });
         }
@@ -327,7 +414,8 @@ impl ManagementAgent {
         }
     }
 
-    /// Hand module `m` its part of a primitive, collecting its reaction.
+    /// Hand module `m` its part of an admitted primitive, collecting its
+    /// reaction.
     fn dispatch(
         &mut self,
         device: &mut Device,
@@ -338,16 +426,15 @@ impl ManagementAgent {
             &mut ModuleCtx,
         ) -> Result<ModuleReaction, ModuleError>,
     ) -> Result<(), RefusalCause> {
-        let unknown = || RefusalCause::UnknownModule(m.clone());
-        let module = self.modules.get_mut(&m.module).ok_or_else(unknown)?;
+        let module = (self.modules.get_mut(&m.module)).expect("admission found the module");
         let mut ctx = Self::ctx(&mut self.blackboard, device);
         reaction.extend(call(module.as_mut(), &mut ctx).map_err(RefusalCause::Module)?);
         Ok(())
     }
 
-    /// Run a script's primitives in order — every one, even after one
-    /// fails — gathering what the modules emit into `reaction`.  A `Script`
-    /// and each segment of a `CommitBatch` run through here.
+    /// Run admitted primitives in order — every one, even after one fails
+    /// — gathering what the modules emit into `reaction`.  A `Script` and
+    /// each segment of a `CommitBatch` run through here.
     fn run_primitives(
         &mut self,
         device: &mut Device,
@@ -391,6 +478,9 @@ impl ManagementAgent {
                 Ok(PrimitiveResult::Actual(map))
             }
             Primitive::CreatePipe(spec) => {
+                let ends = (spec.upper.module, spec.lower.module);
+                self.blackboard
+                    .publish(spec.pipe, |facts| facts.ends = Some(ends));
                 // Both endpoints of the pipe live on this device; dispatch to
                 // the lower module first (it typically publishes values —
                 // e.g. the underlying port — that the upper module reads).
@@ -778,6 +868,104 @@ mod tests {
         assert!(agent.blackboard().pipe(PipeId(10)).port.is_some());
         assert!(agent.blackboard().pipe(PipeId(30)).port.is_none());
         assert_eq!(agent.staged_segment_count(), 0);
+    }
+
+    /// A segment is admitted against the pipes the batch's earlier admitted
+    /// segments create or delete, and a refused segment's creates do not
+    /// count.
+    #[test]
+    fn a_batch_admits_against_what_its_earlier_admitted_segments_do() {
+        use crate::primitives::{ScriptSegment, SwitchSpec};
+        let (mut device, mut agent, upper, lower) = setup();
+        let pipe = |id| {
+            Primitive::CreatePipe(PipeSpec {
+                pipe: PipeId(id),
+                upper: upper.clone(),
+                lower: lower.clone(),
+                peer_upper: None,
+                peer_lower: None,
+                tradeoffs: vec![],
+                initiate: false,
+            })
+        };
+        let switch = |module: &ModuleRef, in_pipe| {
+            Primitive::CreateSwitch(SwitchSpec {
+                module: module.clone(),
+                in_pipe: PipeId(in_pipe),
+                out_pipe: PipeId(9),
+                dst_class: None,
+                gateway: None,
+                local_prefix: None,
+            })
+        };
+        let bogus = ModuleRef::new(ModuleKind::Gre, ModuleId(99), device.id);
+        let delete = Primitive::Delete(ComponentRef::Pipe(PipeId(1)));
+        let segments = [
+            vec![pipe(1)],
+            vec![pipe(1)],
+            vec![switch(&upper, 1)],
+            vec![pipe(2), switch(&bogus, 2)],
+            vec![switch(&upper, 2)],
+            vec![delete, pipe(1)],
+        ];
+        let stage = WireMessage::StageBatch {
+            txn: 3,
+            segments: (segments.into_iter().zip(1..))
+                .map(|(primitives, goal)| ScriptSegment { goal, primitives })
+                .collect(),
+        };
+        let out = agent.handle(&mut device, &stage);
+        let WireMessage::StageBatchResult { verdicts, .. } = &out[0] else {
+            panic!("unexpected {out:?}");
+        };
+        let causes: Vec<Vec<RefusalCause>> = (verdicts.iter())
+            .map(|v| v.errors.iter().map(|e| e.cause.clone()).collect())
+            .collect();
+        assert_eq!(
+            causes,
+            [
+                vec![],
+                vec![RefusalCause::PipeInUse(PipeId(1))],
+                vec![],
+                vec![RefusalCause::UnknownModule(bogus)],
+                vec![RefusalCause::SwitchWithoutPipe],
+                vec![],
+            ]
+        );
+    }
+
+    /// A script the admission step refuses runs none of its primitives,
+    /// not even those admitted before the refused one.
+    #[test]
+    fn a_refused_script_runs_nothing() {
+        let (mut device, mut agent, upper, lower) = setup();
+        let create = Primitive::CreatePipe(PipeSpec {
+            pipe: PipeId(1),
+            upper,
+            lower,
+            peer_upper: None,
+            peer_lower: None,
+            tradeoffs: vec![],
+            initiate: false,
+        });
+        let script = WireMessage::Script {
+            request: 3,
+            primitives: vec![create.clone(), create],
+        };
+        let out = agent.handle(&mut device, &script);
+        let refusal = Refusal {
+            device: device.id,
+            component: Some(ComponentRef::Pipe(PipeId(1))),
+            cause: RefusalCause::PipeInUse(PipeId(1)),
+        };
+        assert_eq!(
+            out,
+            [WireMessage::ScriptResult {
+                request: 3,
+                results: vec![Err(Box::new(refusal))],
+            }]
+        );
+        assert_eq!(agent.blackboard().pipe(PipeId(1)), Default::default());
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! what keeps a change on a busy device as cheap as the change.
 
 use crate::abstraction::ModuleAbstraction;
-use crate::ids::{ModuleRef, PipeId};
+use crate::ids::{ModuleId, ModuleRef, PipeId};
 use crate::primitives::{
-    ComponentRef, FilterSpec, ModuleActual, ModuleEnvelope, Notification, PipeSpec, SwitchSpec,
+    ComponentRef, FilterSpec, ModuleActual, ModuleEnvelope, Notification, PipeSpec, Primitive,
+    SwitchSpec,
 };
 use netsim::config::DeviceConfig;
 use netsim::route::RouteTarget;
@@ -47,6 +48,11 @@ pub enum ModuleError {
     FilterWithoutAddress,
     /// A filter field that is present but does not parse.
     BadFilterField(FilterField),
+    /// A switch rule field the IP module refuses: present, but it does not
+    /// parse.
+    BadSwitchField(SwitchField),
+    /// `create (filter)` for a `(from, to)` pair the module already filters.
+    FilterInUse,
 }
 
 /// A field of a [`FilterSpec::resolved`] map the IP module reads.
@@ -58,6 +64,13 @@ pub enum FilterField {
     ToAddress,
     /// `to-port`, a port number.
     ToPort,
+}
+
+/// A field of a [`SwitchSpec`] the IP module refuses when it does not parse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SwitchField {
+    /// `gateway`, an address.
+    Gateway,
 }
 
 /// What a module wants to happen after handling an event: messages to peer
@@ -118,13 +131,17 @@ pub struct PipeFacts {
     /// of the LSP MPLS installed ([`RouteTarget::Mpls`]).  Read by the IP
     /// module above, which uses it as a route target as it stands.
     pub attach: Option<RouteTarget>,
+    /// The pipe's `(upper, lower)` modules.  Published by the agent when it
+    /// creates the pipe; read by the agent's admission step, for which it
+    /// is what makes a pipe id live on the device.
+    pub ends: Option<(ModuleId, ModuleId)>,
 }
 
 /// The per-device blackboard: [`PipeFacts`] by pipe, for the pipes some
 /// module has published a fact about.
 ///
-/// Lifetime: a fact about the pipe itself (`port`, the addresses, `nexthop`)
-/// dies with the pipe — the agent calls [`Blackboard::remove_pipe`] on
+/// Lifetime: a fact about the pipe itself (`port`, the addresses, `nexthop`,
+/// `ends`) dies with the pipe — the agent calls [`Blackboard::remove_pipe`] on
 /// `delete (pipe)`.  `attach` names something its publisher made, so the
 /// publisher retracts it where it removes that thing.
 ///
@@ -213,8 +230,7 @@ pub trait ProtocolModule: Send {
     /// Lists exactly the components whose [`Self::delete`] would change this
     /// module's state, answered from the keyed tables `delete` removes from:
     /// a component is listed from the moment it is applied until it is
-    /// deleted.  Pending rules (accepted, not yet applied) are not listed —
-    /// refusing or surfacing those is ROADMAP item 3's.
+    /// deleted.  Pending rules (accepted, not yet applied) are not listed.
     fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
         ModuleActual::default()
     }
@@ -227,6 +243,21 @@ pub trait ProtocolModule: Send {
     /// nothing.
     fn fault_domain(&self) -> &'static [DropReason] {
         &[]
+    }
+
+    /// The module's half of the admission step the agent runs on every
+    /// primitive before it executes any (at stage, and over a whole
+    /// `Script`): may this module be handed `primitive`?  Pure; the agent
+    /// has already checked what is common to every module (the named
+    /// modules exist, a pipe id is not in use, a switch names one of its
+    /// module's pipes), so this holds the protocol's own checks only.  A
+    /// primitive it admits must not fail at create: the create paths do not
+    /// check again.  The default admits everything but a filter.
+    fn admit(&self, primitive: &Primitive) -> Result<(), ModuleError> {
+        match primitive {
+            Primitive::CreateFilter(_) => Err(ModuleError::CannotFilter),
+            _ => Ok(()),
+        }
     }
 
     /// Create a pipe this module participates in (as upper or lower end).
@@ -247,13 +278,14 @@ pub trait ProtocolModule: Send {
         Ok(ModuleReaction::none())
     }
 
-    /// Create a filter on this module.
+    /// Create a filter on this module (only reached for a filter
+    /// [`Self::admit`] admitted).
     fn create_filter(
         &mut self,
         _ctx: &mut ModuleCtx,
         _spec: &FilterSpec,
     ) -> Result<ModuleReaction, ModuleError> {
-        Err(ModuleError::CannotFilter)
+        Ok(ModuleReaction::none())
     }
 
     /// Delete a previously created component.
@@ -333,9 +365,10 @@ mod tests {
             resolved: BTreeMap::new(),
         };
         assert_eq!(
-            m.create_filter(&mut ctx, &filter).err(),
-            Some(ModuleError::CannotFilter)
+            m.admit(&Primitive::CreateFilter(filter)),
+            Err(ModuleError::CannotFilter)
         );
+        assert_eq!(m.admit(&Primitive::ShowActual), Ok(()));
     }
 
     #[test]

@@ -225,7 +225,13 @@ pub struct Refusal {
 pub enum RefusalCause {
     /// A primitive names a module the device does not have.
     UnknownModule(ModuleRef),
-    /// The module refused a primitive or a relayed envelope.
+    /// A `create (pipe)` names a pipe id live on the device or created
+    /// earlier in the same batch (stage).
+    PipeInUse(PipeId),
+    /// A `create (switch)` names no pipe its module is an end of, live or
+    /// created earlier in the same batch (stage).
+    SwitchWithoutPipe,
+    /// The module refused a primitive (stage) or a relayed envelope.
     Module(ModuleError),
     /// A staged segment's primitive block does not decode (stage).
     MalformedSegment,
@@ -309,7 +315,7 @@ pub struct ScriptSegment {
 pub struct SegmentVerdict {
     /// The owning goal (`GoalId.0`).
     pub goal: u64,
-    /// Validation failures (empty = the segment is held, ready to commit).
+    /// Admission refusals (empty = the segment is held, ready to commit).
     pub errors: Vec<Refusal>,
 }
 
@@ -328,7 +334,8 @@ pub enum WireMessage {
     /// Device → NM: physical connectivity announcement.
     Announce(Announcement),
     /// NM → device: a batch of primitives to execute ("the NM sends commands
-    /// to each router along the path").
+    /// to each router along the path").  The agent admits the whole list
+    /// before it executes any of it.
     Script {
         /// Request identifier for matching responses.
         request: u64,
@@ -339,7 +346,8 @@ pub enum WireMessage {
     ScriptResult {
         /// Request identifier this responds to.
         request: u64,
-        /// One result (or refusal) per primitive.
+        /// One result per primitive; a script the agent's admission
+        /// refused ran none of them and answers with its refusals only.
         results: Vec<PrimitiveOutcome>,
     },
     /// Module → module, one envelope per message (relayed by the NM in both
@@ -372,9 +380,10 @@ pub enum WireMessage {
     /// NM → device: phase one of a two-phase configuration transaction —
     /// every goal the transaction touches on this device, in one round
     /// trip (a single-goal transaction carries one segment).  The agent
-    /// *validates* each segment independently (are the referenced modules
-    /// present?) and holds the valid ones without touching the data plane;
-    /// per-goal atomicity is preserved inside the batch.
+    /// *admits* each segment independently (the one check: modules present,
+    /// pipe ids free, switches over their module's pipes, and each module's
+    /// own `admit`) and holds the admitted ones without touching the data
+    /// plane; per-goal atomicity is preserved inside the batch.
     StageBatch {
         /// Transaction identifier (shared by every device in the batch).
         txn: u64,

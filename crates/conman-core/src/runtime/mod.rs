@@ -764,9 +764,8 @@ mod tests {
             "the caller still gets its reply"
         );
 
-        // A filter stages cleanly (the module exists) but `Chatty` cannot
-        // filter, so the commit fails on the only device and the batch
-        // rolls the goal back with an ad-hoc teardown script.
+        // `Chatty` cannot filter, so its admission refuses the filter at
+        // stage and nothing of the goal reaches a device.
         let filter = Primitive::CreateFilter(FilterSpec {
             module: m1.clone(),
             from: m1.clone(),
@@ -780,7 +779,7 @@ mod tests {
             }],
         };
         let batch = mn.run_batch(&[(GoalId(1), &scripts)]);
-        let error = batch.error_for(GoalId(1)).expect("the commit must fail");
+        let error = batch.error_for(GoalId(1)).expect("the stage must refuse");
         assert_eq!(
             error.cause,
             crate::primitives::RefusalCause::Module(crate::module::ModuleError::CannotFilter)

@@ -7,10 +7,12 @@
 //! `StageBatch` / `CommitBatch` / `AbortBatch` carrying per-goal segments —
 //! and a transaction for a single goal is simply a batch of one:
 //!
-//! 1. **Stage** — every device validates each goal's segment (are the
-//!    referenced modules present?) and holds it without touching the data
-//!    plane.  A goal rejected or unanswered (a crashed device) anywhere is
-//!    aborted everywhere before anything of it is applied.
+//! 1. **Stage** — every device runs its agent's one admission step on each
+//!    goal's segment (the named modules exist, a new pipe id is free, a
+//!    switch rule stands on a pipe of its module, and each module admits
+//!    its protocol's fields) and holds it without touching the data plane.
+//!    A goal refused or unanswered (a crashed device) anywhere is aborted
+//!    everywhere before anything of it is applied.
 //! 2. **Commit** — devices commit one at a time in reverse path order (so
 //!    every peer-negotiation initiator finds its peers already configured).
 //!    A goal whose segment fails its commit (or whose device never answers)
@@ -316,10 +318,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// A failed goal's [`Refusal`] in `BatchOutcome::failed` is the first
     /// one its segments met.  Its cause is one of:
     /// - at stage: [`RefusalCause::UnknownModule`],
-    ///   [`RefusalCause::MalformedSegment`] or
+    ///   [`RefusalCause::PipeInUse`], [`RefusalCause::SwitchWithoutPipe`],
+    ///   [`RefusalCause::Module`] (every `ModuleError` a module's `admit`
+    ///   raises), [`RefusalCause::MalformedSegment`] or
     ///   [`RefusalCause::UnansweredStage`];
-    /// - only at commit: [`RefusalCause::Module`] (every `ModuleError` a
-    ///   create or delete raises), [`RefusalCause::NeverStaged`] and
+    /// - only at commit: [`RefusalCause::NeverStaged`] and
     ///   [`RefusalCause::UnansweredCommit`].
     pub fn run_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> BatchOutcome {
         let txn = self.goals.next_txn();

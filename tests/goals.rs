@@ -12,17 +12,18 @@ use conman::core::nm::{
     ConnectivityGoal, DeviceScript, Exclusion, GoalFailure, GoalId, GoalStatus, PlanError,
     ScriptSet,
 };
-use conman::core::primitives::{ComponentRef, Primitive, Refusal, RefusalCause};
+use conman::core::primitives::{ComponentRef, Primitive, Refusal, RefusalCause, WireMessage};
 use conman::core::runtime::verify::PlanViolation;
 use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent};
 use conman::core::ManagementAgent;
 use conman::modules::{
-    managed_chain, managed_dual_chain, managed_fanout_chain, managed_mesh_fanout,
-    managed_vlan_chain,
+    managed_chain, managed_chain_with, managed_dual_chain, managed_fanout_chain,
+    managed_mesh_fanout, managed_vlan_chain, ManagedMesh,
 };
 use conman::netsim::device::DeviceId;
+use conman::netsim::network::Network;
 use conman::obs::Recorder;
-use mgmt_channel::OutOfBandChannel;
+use mgmt_channel::{ChannelCounters, ManagementChannel, MgmtMessage, OutOfBandChannel};
 use std::collections::BTreeSet;
 
 type Chain = conman::modules::ManagedChain<OutOfBandChannel>;
@@ -703,94 +704,130 @@ fn batched_and_per_goal_equivalent_under_mid_commit_crash() {
     }
 }
 
-/// A batch of two goals on the 3-router chain in which only the second
-/// fails, at its commit on the egress router, with `recorder` attached for
-/// the batch.
+/// A batch of two goals over the 2×3 mesh, g1 through the upper row and g2
+/// through the lower, in which only g2 fails: a lower-row router crashes
+/// right before its commit, with `recorder` attached for the batch.
 struct MidBatchFailure {
-    t: Chain,
+    t: ManagedMesh<OutOfBandChannel>,
     g1: GoalId,
     g2: GoalId,
     /// What the audit finds once g2 rolls back: g1's components, which the
-    /// store never adopted, and nothing of g2.
+    /// store never adopted, and the crashed router's silence; nothing of g2.
     residue: Vec<PlanViolation>,
-    egress: DeviceId,
+    /// The router that crashed (only g2 crosses it).
+    crashed: DeviceId,
+    /// The devices that committed g2 before the crash, where its rollback
+    /// runs.
+    committed_g2: BTreeSet<u64>,
     outcome: conman::core::runtime::BatchOutcome,
 }
 
+/// The scripts of goal `id` over the path the NM prefers without the
+/// `avoided` links, numbered from pipe id `base`, and the path's devices.
+fn scripts_avoiding(
+    t: &mut ManagedMesh<OutOfBandChannel>,
+    id: GoalId,
+    avoided: &[(DeviceId, DeviceId)],
+    base: u32,
+) -> (ScriptSet, Vec<DeviceId>) {
+    use conman::core::nm::script::generate_with_base;
+
+    let links = avoided
+        .iter()
+        .map(|&(a, b)| Exclusion::link(a, b))
+        .collect();
+    t.mn.goals.mark_degraded(id, links);
+    let path = t.mn.plan_goal(id).expect("a path exists").path;
+    let desired = &t.mn.goals.get(id).expect("goal exists").desired;
+    (
+        generate_with_base(&t.mn.nm, &path, desired, base),
+        path.devices(),
+    )
+}
+
 fn fail_one_goal_mid_batch(recorder: Recorder) -> MidBatchFailure {
-    use conman::core::ids::{ModuleKind, PipeId};
-    use conman::core::primitives::PipeSpec;
-
-    let mut t = managed_chain(3);
+    let mut t = managed_mesh_fanout(3, 2);
     t.discover();
-    let g1 = t.mn.submit(t.vpn_goal());
-    let g2 = t.mn.submit(t.vpn_goal());
-    let plan1 = t.mn.plan_goal(g1).expect("a path exists");
+    t.mn.goals.limits = conman_bench::control_loop::mesh_limits(3);
+    let g1 = t.mn.submit(t.fanout_goal(0));
+    let g2 = t.mn.submit(t.fanout_goal(1));
+    // g1 keeps to the upper row and g2 to the lower: each avoids the other
+    // row's edge links and every cross-link between the rows.
+    let (ingress, egress, upper, lower) = (t.ingress, t.egress, t.upper.clone(), t.lower.clone());
+    let cross: Vec<_> = upper.iter().copied().zip(lower.iter().copied()).collect();
+    let lower_edges = [(ingress, lower[0]), (lower[2], egress)];
+    let upper_edges = [(ingress, upper[0]), (upper[2], egress)];
+    let (plan1, path1) = scripts_avoiding(&mut t, g1, &[&cross[..], &lower_edges].concat(), 0);
+    let (plan2, path2) = scripts_avoiding(&mut t, g2, &[&cross[..], &upper_edges].concat(), 1000);
+    assert_eq!(path1, [&[ingress][..], &upper, &[egress]].concat());
+    assert_eq!(path2, [&[ingress][..], &lower, &[egress]].concat());
 
-    // Craft a segment for g2 that *stages* fine (both modules exist on the
-    // egress edge router) but *fails its commit*: a GRE up pipe without the
-    // mandatory performance trade-offs is rejected at execution time.  g1
-    // and g2 then share a CommitBatch on that device, and only g2 may roll
-    // back.
-    let egress = t.core[2];
-    let gre = t.mn.nm.find_module(egress, &ModuleKind::Gre).unwrap();
-    let ip = t.mn.nm.find_module(egress, &ModuleKind::Ip).unwrap();
-    let bad_spec = PipeSpec {
-        pipe: PipeId(5000), // far away from g1's block
-        upper: ip,
-        lower: gre, // a GRE *up* pipe without trade-offs fails at commit
-        peer_upper: None,
-        peer_lower: None,
-        tradeoffs: vec![],
-        initiate: false,
-    };
-    let bad = ScriptSet {
-        scripts: vec![DeviceScript {
-            device: egress,
-            primitives: vec![Primitive::CreatePipe(bad_spec)],
-        }],
-    };
-
+    // The lower row's middle router crashes right before its commit: g2's
+    // devices later on its path have committed it by then and roll it
+    // back; g1 never crosses the router and commits everywhere.
+    let crashed = lower[1];
+    t.mn.txn_hook = Some(Box::new(move |event, net| {
+        if let TxnEvent::BeforeCommit { device, .. } = event {
+            if *device == crashed {
+                net.set_device_up(crashed, false);
+            }
+        }
+    }));
     t.mn.set_recorder(recorder);
-    let outcome = t.mn.run_batch(&[(g1, &plan1.scripts), (g2, &bad)]);
+    let outcome = t.mn.run_batch(&[(g1, &plan1), (g2, &plan2)]);
+    t.mn.txn_hook = None;
+
+    // Devices commit in reverse path order, so the ones that committed g2
+    // before the crash are those after the crashed router on its path.
+    let after = path2.iter().skip_while(|d| **d != crashed).skip(1);
+    let committed_g2 = after.map(|d| d.as_u64()).collect();
+    let mut residue = orphans_of(&plan1);
+    let before = |v: &PlanViolation| match v {
+        PlanViolation::OrphanDeviceState { device, .. } => *device < crashed,
+        _ => false,
+    };
+    let silent = PlanViolation::DeviceSilent { device: crashed };
+    residue.insert(residue.partition_point(before), silent);
     MidBatchFailure {
         t,
         g1,
         g2,
-        residue: orphans_of(&plan1.scripts),
-        egress,
+        residue,
+        crashed,
+        committed_g2,
         outcome,
     }
 }
 
 #[test]
 fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
-    use conman::core::ids::PipeId;
-
     let MidBatchFailure {
         mut t,
         g1,
         g2,
         residue,
-        egress,
+        crashed,
         outcome,
+        ..
     } = fail_one_goal_mid_batch(Recorder::disabled());
     assert_eq!(outcome.committed, vec![g1], "the sibling goal commits");
-    assert_eq!(outcome.failed.len(), 1);
-    assert_eq!(outcome.failed[0].0, g2);
     assert_eq!(
-        outcome.failed[0].1,
-        Refusal {
-            device: egress,
-            component: Some(ComponentRef::Pipe(PipeId(5000))),
-            cause: RefusalCause::Module(ModuleError::MissingTradeoffs),
-        },
+        outcome.failed,
+        [(
+            g2,
+            Refusal {
+                device: crashed,
+                component: None,
+                cause: RefusalCause::UnansweredCommit,
+            }
+        )],
         "g2 failed at commit"
     );
 
-    // g1's configuration is live end to end; g2's partial creates (the ETH
-    // side of the rejected pipe) were rolled back via the teardown mirror.
-    assert!(t.probe(), "the sibling goal carries traffic");
+    // g1's configuration is live end to end; g2's creates on the devices
+    // that committed it before the crash were rolled back via the teardown
+    // mirror, and its segments still staged elsewhere were aborted.
+    assert!(t.probe_pair(0), "the sibling goal carries traffic");
     assert_eq!(t.mn.audit(), residue);
 }
 
@@ -803,15 +840,16 @@ fn a_mid_batch_rollback_is_a_journaled_teardown_transaction() {
         mut t,
         g1,
         residue,
-        egress,
+        crashed,
+        committed_g2,
         outcome,
         ..
     } = fail_one_goal_mid_batch(recorder.clone());
     let events = recorder.journal_events();
 
     // The rollback of g2 is a second transaction, newer than the batch's,
-    // staged and committed on exactly the device where g2's partial creates
-    // landed — no delete leaves the NM without a journal event.
+    // staged and committed on exactly the devices where g2's creates landed
+    // — no delete leaves the NM without a journal event.
     let staged = |txn: u64| -> BTreeSet<u64> {
         events
             .iter()
@@ -845,11 +883,12 @@ fn a_mid_batch_rollback_is_a_journaled_teardown_transaction() {
         txns.last().copied().unwrap(),
     );
     assert!(rollback > batch);
-    let only_egress = BTreeSet::from([egress.as_u64()]);
-    assert_eq!(staged(rollback), only_egress);
-    assert_eq!(committed(rollback, true), only_egress);
+    assert_eq!(committed_g2.len(), 2, "the last core router and the egress");
+    assert_eq!(staged(rollback), committed_g2);
+    assert_eq!(committed(rollback, true), committed_g2);
     assert!(committed(rollback, false).is_empty());
-    assert_eq!(committed(batch, false), only_egress, "g2 failed there");
+    let crash = BTreeSet::from([crashed.as_u64()]);
+    assert_eq!(committed(batch, false), crash, "g2 failed there");
     let violations = conman::analyze::check_journal(&events);
     assert!(
         violations.is_empty(),
@@ -858,8 +897,92 @@ fn a_mid_batch_rollback_is_a_journaled_teardown_transaction() {
 
     // The sibling is untouched by the rollback.
     assert_eq!(outcome.committed, vec![g1]);
-    assert!(t.probe(), "the sibling goal carries traffic");
+    assert!(t.probe_pair(0), "the sibling goal carries traffic");
     assert_eq!(t.mn.audit(), residue);
+}
+
+/// The out-of-band channel, noting the goals of every `CommitBatch` the NM
+/// sends, by device.
+#[derive(Default)]
+struct CommitTap {
+    inner: OutOfBandChannel,
+    commits: Vec<(DeviceId, Vec<u64>)>,
+}
+
+impl ManagementChannel for CommitTap {
+    fn send(&mut self, net: &mut Network, msg: MgmtMessage) {
+        if let Some(WireMessage::CommitBatch { goals, .. }) = WireMessage::decode(&msg.payload) {
+            self.commits.push((msg.to, goals));
+        }
+        self.inner.send(net, msg);
+    }
+    fn run(&mut self, net: &mut Network) {
+        self.inner.run(net);
+    }
+    fn recv(&mut self, net: &mut Network, device: DeviceId) -> Vec<MgmtMessage> {
+        self.inner.recv(net, device)
+    }
+    fn counters(&self, device: DeviceId) -> ChannelCounters {
+        self.inner.counters(device)
+    }
+    fn reset_counters(&mut self) {
+        self.inner.reset_counters();
+    }
+    fn variant(&self) -> &'static str {
+        self.inner.variant()
+    }
+}
+
+/// A goal refused at stage in the middle of a batch.  g2's segment on the
+/// egress router, a GRE up pipe without the trade-offs its dependency asks
+/// for (Table III row iii), is refused by the router's admission step, so
+/// no device is ever asked to commit g2: nothing of it needs rolling back,
+/// and g1, staged and committed beside it, is all the routers hold.
+#[test]
+fn a_goal_refused_at_stage_mid_batch_is_sent_no_commit() {
+    use conman::core::ids::{ModuleKind, PipeId};
+    use conman::core::primitives::PipeSpec;
+
+    let mut t = managed_chain_with(3, CommitTap::default());
+    t.discover();
+    let g1 = t.mn.submit(t.vpn_goal());
+    let g2 = t.mn.submit(t.vpn_goal());
+    let plan1 = t.mn.plan_goal(g1).expect("a path exists");
+    let egress = t.core[2];
+    let gre = t.mn.nm.find_module(egress, &ModuleKind::Gre).unwrap();
+    let ip = t.mn.nm.find_module(egress, &ModuleKind::Ip).unwrap();
+    let bad_spec = PipeSpec {
+        pipe: PipeId(5000), // far away from g1's block
+        upper: ip,
+        lower: gre,
+        peer_upper: None,
+        peer_lower: None,
+        tradeoffs: vec![],
+        initiate: false,
+    };
+    let bad = ScriptSet {
+        scripts: vec![DeviceScript {
+            device: egress,
+            primitives: vec![Primitive::CreatePipe(bad_spec)],
+        }],
+    };
+
+    let outcome = t.mn.run_batch(&[(g1, &plan1.scripts), (g2, &bad)]);
+    assert_eq!(outcome.committed, [g1], "the sibling goal commits");
+    let refusal = Refusal {
+        device: egress,
+        component: Some(ComponentRef::Pipe(PipeId(5000))),
+        cause: RefusalCause::Module(ModuleError::MissingTradeoffs),
+    };
+    assert_eq!(outcome.failed, [(g2, refusal)], "g2 is refused at stage");
+    let commits = &t.mn.channel.commits;
+    assert_eq!(commits.len(), 3, "one CommitBatch per router: {commits:?}");
+    assert!(
+        commits.iter().all(|(_, goals)| *goals == [g1.0]),
+        "no CommitBatch names g2: {commits:?}"
+    );
+    assert!(t.probe(), "the sibling goal carries traffic");
+    assert_eq!(t.mn.audit(), orphans_of(&plan1.scripts));
 }
 
 #[test]
@@ -1152,12 +1275,14 @@ fn a_filter_script_round_trips_through_run_batch_and_its_teardown() {
 /// Regression: an IP filter naming no address committed `Ok` and installed
 /// nothing, and a field that did not parse was dropped, widening the rule —
 /// a bad `to-address` beside a good `from-address` dropped everything from
-/// the source.  Each now fails its goal at commit with its own
-/// `ModuleError`, and the device is left as it was.
+/// the source.  A gateway rule whose gateway did not parse committed `Ok`
+/// and waited for good, unlisted.  Each now fails its goal at stage with its
+/// own `ModuleError`, and the device is left as it was.
 #[test]
 fn an_ip_filter_without_an_address_or_with_a_garbage_field_fails_its_goal() {
-    use conman::core::ids::ModuleKind;
-    use conman::core::primitives::FilterSpec;
+    use conman::core::ids::{ModuleKind, PipeId};
+    use conman::core::module::SwitchField;
+    use conman::core::primitives::{FilterSpec, PipeSpec, ResolvedName, SwitchSpec};
 
     let mut t = managed_chain(3);
     t.discover();
@@ -1167,44 +1292,78 @@ fn an_ip_filter_without_an_address_or_with_a_garbage_field_fails_its_goal() {
             .expect("a device configuration serialises")
     };
     let before = config_json(&t);
-    let ip = |d| {
-        t.mn.nm
-            .find_module(d, &ModuleKind::Ip)
-            .expect("an IP module")
-    };
-    let (module, from, to) = (ip(ingress), ip(ingress), ip(egress));
-    let cases = [
-        (vec![("to-port", "80")], ModuleError::FilterWithoutAddress),
-        (
-            vec![
-                ("from-address", "10.0.1.0/24"),
-                ("to-address", "10.0.2.0/33"),
-            ],
-            ModuleError::BadFilterField(FilterField::ToAddress),
-        ),
-    ];
-    for (goal, (fields, error)) in cases.into_iter().enumerate() {
-        let goal = GoalId(goal as u64 + 1);
-        let resolved = fields
-            .into_iter()
+    let find = |d, kind| t.mn.nm.find_module(d, &kind).expect("a module");
+    let (module, from, to) = (
+        find(ingress, ModuleKind::Ip),
+        find(ingress, ModuleKind::Ip),
+        find(egress, ModuleKind::Ip),
+    );
+    let eth = find(ingress, ModuleKind::Eth);
+    let filter = |fields: &[(&str, &str)]| {
+        let resolved = (fields.iter())
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
+        vec![Primitive::CreateFilter(FilterSpec {
+            module: module.clone(),
+            from: from.clone(),
+            to: to.clone(),
+            resolved,
+        })]
+    };
+    // The customer-side pipe, then the rule back to it through `gateway`.
+    let towards_customer = |gateway: &str| {
+        let pipe = PipeSpec {
+            pipe: PipeId(7000),
+            upper: module.clone(),
+            lower: eth.clone(),
+            peer_upper: None,
+            peer_lower: None,
+            tradeoffs: vec![],
+            initiate: false,
+        };
+        let rule = SwitchSpec {
+            module: module.clone(),
+            in_pipe: PipeId(7001),
+            out_pipe: PipeId(7000),
+            dst_class: None,
+            gateway: Some(ResolvedName {
+                name: "S1-gateway".into(),
+                value: gateway.into(),
+            }),
+            local_prefix: Some("10.0.1.0/24".into()),
+        };
+        vec![Primitive::CreatePipe(pipe), Primitive::CreateSwitch(rule)]
+    };
+    let cases = [
+        (
+            filter(&[("to-port", "80")]),
+            ModuleError::FilterWithoutAddress,
+        ),
+        (
+            filter(&[
+                ("from-address", "10.0.1.0/24"),
+                ("to-address", "10.0.2.0/33"),
+            ]),
+            ModuleError::BadFilterField(FilterField::ToAddress),
+        ),
+        (
+            towards_customer("S1-gateway"),
+            ModuleError::BadSwitchField(SwitchField::Gateway),
+        ),
+    ];
+    for (goal, (primitives, error)) in cases.into_iter().enumerate() {
+        let goal = GoalId(goal as u64 + 1);
+        let component = primitives.last().and_then(Primitive::component);
         let scripts = ScriptSet {
             scripts: vec![DeviceScript {
                 device: ingress,
-                primitives: vec![Primitive::CreateFilter(FilterSpec {
-                    module: module.clone(),
-                    from: from.clone(),
-                    to: to.clone(),
-                    resolved,
-                })],
+                primitives,
             }],
         };
         let outcome = t.mn.run_batch(&[(goal, &scripts)]);
-        let component = ComponentRef::Filter(module.clone(), from.clone(), to.clone());
         let refusal = Refusal {
             device: ingress,
-            component: Some(component),
+            component,
             cause: RefusalCause::Module(error),
         };
         assert_eq!(outcome.failed, [(goal, refusal)]);
