@@ -20,7 +20,7 @@ use crate::primitives::{
     Announcement, ComponentRef, ModuleEnvelope, Notice, Notification, Primitive, PrimitiveOutcome,
     PrimitiveResult, Refusal, RefusalCause, SegmentCommit, SegmentVerdict, WireMessage,
 };
-use crate::wire::MalformedSegment;
+use crate::wire::{MalformedSegment, SegmentView, StageBatchView};
 use netsim::device::{Device, DeviceId, PortId};
 use std::collections::{BTreeMap, HashMap};
 
@@ -38,6 +38,30 @@ type Pipes = HashMap<PipeId, Ends>;
 /// exit through it is reported to the NM as a `Notify`.
 const MAX_POLL_ROUNDS: usize = 8;
 
+/// The one transaction a device holds: the newest txn id it heard, the boot
+/// its goals were written under, and each goal's segment.
+#[derive(Default)]
+struct Held {
+    txn: u64,
+    boot: u64,
+    goals: HashMap<u64, Segment>,
+}
+
+/// One goal's segment: admitted, applied (with the first refusal its
+/// primitives met, the verdict a repeated commit answers), or released.
+enum Segment {
+    Staged(Vec<Primitive>),
+    Committed(Option<Box<Refusal>>),
+    Aborted,
+}
+
+/// What a `StageBatch`, `CommitBatch` or `AbortBatch` asks of one goal.
+enum Ask<'m> {
+    Stage(SegmentView<'m>),
+    Commit,
+    Abort,
+}
+
 /// The management agent of one device.
 pub struct ManagementAgent {
     /// The device this agent manages.
@@ -47,10 +71,8 @@ pub struct ManagementAgent {
     modules: BTreeMap<ModuleId, Box<dyn ProtocolModule>>,
     /// Per-device blackboard shared by the modules.
     blackboard: Blackboard,
-    /// Per-goal segments staged under a transaction id — admitted but not
-    /// yet applied to the data plane (two-phase configuration) — keyed by
-    /// (txn, goal) so each goal can be committed or aborted independently.
-    staged_batches: BTreeMap<u64, BTreeMap<u64, Vec<Primitive>>>,
+    /// The transaction the device holds (two-phase configuration).
+    held: Held,
 }
 
 impl ManagementAgent {
@@ -61,13 +83,15 @@ impl ManagementAgent {
             device_name: device_name.into(),
             modules: BTreeMap::new(),
             blackboard: Blackboard::new(),
-            staged_batches: BTreeMap::new(),
+            held: Held::default(),
         }
     }
 
-    /// Number of goal segments staged and awaiting commit/abort.
-    pub(crate) fn staged_segment_count(&self) -> usize {
-        self.staged_batches.values().map(|g| g.len()).sum()
+    /// Number of goal segments `device`, as it is now, holds staged.
+    pub(crate) fn staged_segment_count(&self, device: &Device) -> usize {
+        let current = self.held.boot == device.boots;
+        let staged = |s: &&Segment| current && matches!(s, Segment::Staged(_));
+        self.held.goals.values().filter(staged).count()
     }
 
     /// The admission step: the one check a primitive meets before any of it
@@ -183,21 +207,11 @@ impl ManagementAgent {
                 request,
                 primitives,
             } => {
-                let mut pipes = Pipes::new();
-                let refused: Vec<PrimitiveOutcome> = (primitives.iter())
-                    .filter_map(|p| match self.admit(p, &pipes) {
-                        Ok(change) => {
-                            pipes.extend(change);
-                            None
-                        }
-                        Err(cause) => Some(Err(Box::new(self.refusal(p.component(), cause)))),
-                    })
-                    .collect();
                 let mut reaction = ModuleReaction::none();
-                let results = if refused.is_empty() {
-                    self.run_primitives(device, primitives, &mut reaction)
-                } else {
-                    refused
+                let script = primitives.iter().cloned().map(Ok);
+                let results = match self.admit_segment(script, &mut Pipes::new()) {
+                    Ok(admitted) => self.run_primitives(device, &admitted, &mut reaction),
+                    Err(refused) => refused,
                 };
                 reaction.extend(self.poll_until_quiescent(device));
                 out.push(WireMessage::ScriptResult {
@@ -230,30 +244,16 @@ impl ManagementAgent {
                     flows,
                 });
             }
-            WireMessage::StageBatch { txn, segments } => {
-                let segments = segments
-                    .iter()
-                    .map(|seg| (seg.goal, seg.primitives.iter().cloned().map(Ok)));
-                out.push(self.stage_segments(*txn, segments));
+            // An owned batch is read as the wire carries it (one reader).
+            WireMessage::StageBatch { .. } => {
+                out = (self.handle_stage_batch_in_place(device, &msg.encode()))
+                    .expect("an encoded StageBatch parses");
             }
             WireMessage::CommitBatch { txn, goals } => {
-                // Execute the listed segments in order, then run one shared
-                // quiescence pass for the whole device — this is where the
-                // batching win comes from: every goal's deferred work (peer
-                // exchanges, pending switch rules) resolves in one round.
-                let mut held = self.staged_batches.remove(txn).unwrap_or_default();
-                let mut segments = Vec::with_capacity(goals.len());
-                let mut reaction = ModuleReaction::none();
-                for goal in goals {
-                    let results = match held.remove(goal) {
-                        Some(primitives) => self.run_primitives(device, &primitives, &mut reaction),
-                        None => vec![Err(Box::new(self.refusal(None, RefusalCause::NeverStaged)))],
-                    };
-                    segments.push(SegmentCommit {
-                        goal: *goal,
-                        results,
-                    });
-                }
+                let asks = goals.iter().map(|g| (*g, Ask::Commit));
+                let (segments, mut reaction) = self.transition(device, *txn, asks);
+                // One quiescence pass for the whole device: every goal's
+                // deferred work (peer exchanges) resolves in one round.
                 reaction.extend(self.poll_until_quiescent(device));
                 out.push(WireMessage::CommitBatchResult {
                     txn: *txn,
@@ -262,14 +262,7 @@ impl ManagementAgent {
                 Self::push_reaction(&mut out, reaction);
             }
             WireMessage::AbortBatch { txn, goals } => {
-                if let Some(held) = self.staged_batches.get_mut(txn) {
-                    for goal in goals {
-                        held.remove(goal);
-                    }
-                    if held.is_empty() {
-                        self.staged_batches.remove(txn);
-                    }
-                }
+                self.transition(device, *txn, goals.iter().map(|g| (*g, Ask::Abort)));
             }
             WireMessage::RelayBatch { envelopes } => {
                 self.deliver_envelopes(device, envelopes, &mut out);
@@ -290,84 +283,120 @@ impl ManagementAgent {
     /// Handle a binary-coded `StageBatch` payload *in place*: walk the
     /// length-prefixed segment slices out of the wire bytes, running the
     /// admission step on each primitive as it decodes, without
-    /// materialising a [`WireMessage`] first.  Behaviourally identical to
-    /// the `StageBatch` arm of [`Self::handle`] — both feed the one staging
-    /// routine.  Returns `None` when the payload is not a parseable binary
-    /// `StageBatch` frame (the caller falls back to the generic decoder,
-    /// which drops it).  Staging never touches the data plane, so `_device`
-    /// is unused; the parameter stays because `benchmark/` calls this
-    /// signature.
+    /// materialising a [`WireMessage`] first.  The `StageBatch` arm of
+    /// [`Self::handle`] encodes its message and comes here.  Returns `None`
+    /// when the payload is not a parseable binary `StageBatch` frame (the
+    /// caller falls back to the generic decoder, which drops it).
     pub fn handle_stage_batch_in_place(
         &mut self,
-        _device: &mut Device,
+        device: &mut Device,
         payload: &[u8],
     ) -> Option<Vec<WireMessage>> {
-        let view = crate::wire::StageBatchView::parse(payload)?;
-        let segments = view.segments().map(|seg| (seg.goal, seg.primitives()));
-        Some(vec![self.stage_segments(view.txn, segments)])
+        let view = StageBatchView::parse(payload)?;
+        let txn = view.txn;
+        let asks = view.segments().map(|s| (s.goal, Ask::Stage(s)));
+        let verdicts = (self.transition(device, txn, asks).0.into_iter())
+            .map(|SegmentCommit { goal, results }| {
+                let errors = results.into_iter().filter_map(|r| r.err().map(|e| *e));
+                SegmentVerdict {
+                    goal,
+                    errors: errors.collect(),
+                }
+            })
+            .collect();
+        Some(vec![WireMessage::StageBatchResult { txn, verdicts }])
     }
 
-    /// Phase one of the two-phase protocol, where segments are admitted:
-    /// run the admission step on each goal's segment, over the pipes the
-    /// batch's earlier admitted segments create or delete, and hold the
-    /// admitted ones under `txn`; a refused segment's pipes do not count.  The commit runs them without checking
-    /// them again.  Nothing touches the data plane until the commit
-    /// arrives.  A segment whose encoding is corrupt fails its own verdict
-    /// instead of sinking the whole batch.
-    fn stage_segments<P>(
+    /// The held table's one transition function: every `StageBatch`,
+    /// `CommitBatch` and `AbortBatch` moves each goal it lists by one
+    /// `match` on (the goal's segment, what the message asks), and answers
+    /// it with a stage's refusals or a commit's results.  Its rules:
+    /// 1. A newer txn id replaces the table.
+    /// 2. A stale message changes nothing: a stage whose id is not newer
+    ///    than the held one, a commit or abort whose id is older.  A stale
+    ///    stage or commit answers each goal [`RefusalCause::StaleTxn`].
+    /// 3. A device that powered on since the table was written holds no
+    ///    segments; it keeps the txn id it last heard.
+    /// 4. A repeated commit runs nothing and answers its recorded verdict.
+    ///    An abort of anything not staged is a no-op.
+    fn transition<'m>(
         &mut self,
+        device: &mut Device,
         txn: u64,
-        segments: impl Iterator<Item = (u64, P)>,
-    ) -> WireMessage
-    where
-        P: Iterator<Item = Result<Primitive, MalformedSegment>>,
-    {
-        // Transactions are serial per NM and txn ids monotonic, so a newer
-        // stage means any older held entry is dead — its abort may have
-        // been lost while this device was down.
-        self.staged_batches.retain(|held, _| *held >= txn);
-        let mut verdicts = Vec::with_capacity(segments.size_hint().0);
-        let mut held = BTreeMap::new();
-        // The pipes the admitted segments change, and what the segment at
-        // hand changed them from, to take back if it is refused.
-        let (mut pipes, mut undo) = (Pipes::new(), Vec::new());
-        for (goal, stream) in segments {
-            let mut errors = Vec::new();
-            let mut primitives = Vec::with_capacity(stream.size_hint().0);
-            undo.clear();
-            for p in stream {
-                match p {
-                    Ok(p) => {
-                        match self.admit(&p, &pipes) {
-                            Ok(change) => {
-                                let was =
-                                    change.map(|(pipe, ends)| (pipe, pipes.insert(pipe, ends)));
-                                undo.extend(was);
-                            }
-                            Err(cause) => errors.push(self.refusal(p.component(), cause)),
-                        }
-                        primitives.push(p);
-                    }
-                    Err(MalformedSegment) => {
-                        errors.push(self.refusal(None, RefusalCause::MalformedSegment));
-                        break;
-                    }
-                }
-            }
-            if errors.is_empty() {
-                held.insert(goal, primitives);
-            } else {
-                for (pipe, was) in undo.drain(..).rev() {
-                    match was {
-                        Some(ends) => pipes.insert(pipe, ends),
-                        None => pipes.remove(&pipe),
-                    };
-                }
-            }
-            verdicts.push(SegmentVerdict { goal, errors });
+        asks: impl Iterator<Item = (u64, Ask<'m>)>,
+    ) -> (Vec<SegmentCommit>, ModuleReaction) {
+        use Segment::{Aborted, Committed, Staged};
+        let (held, boot) = (&mut self.held, device.boots);
+        let newer = txn > held.txn;
+        if newer || held.boot != boot {
+            let goals = HashMap::with_capacity(asks.size_hint().0);
+            (held.txn, held.boot, held.goals) = (txn.max(held.txn), boot, goals);
         }
-        self.staged_batches.insert(txn, held);
-        WireMessage::StageBatchResult { txn, verdicts }
+        let older = txn < held.txn;
+        let refused = |agent: &Self, cause| vec![Err(Box::new(agent.refusal(None, cause)))];
+        let (mut pipes, mut reaction) = (Pipes::new(), ModuleReaction::none());
+        let mut answers = Vec::with_capacity(asks.size_hint().0);
+        for (goal, ask) in asks {
+            let state = self.held.goals.remove(&goal);
+            let (next, results) = match (state, ask) {
+                (state, Ask::Stage(_)) if !newer => (state, refused(self, RefusalCause::StaleTxn)),
+                (state, Ask::Commit) if older => (state, refused(self, RefusalCause::StaleTxn)),
+                (state, Ask::Stage(segment)) => {
+                    match self.admit_segment(segment.primitives(), &mut pipes) {
+                        Ok(primitives) => (Some(Staged(primitives)), vec![]),
+                        Err(errors) => (state, errors),
+                    }
+                }
+                (Some(Staged(primitives)), Ask::Commit) => {
+                    let results = self.run_primitives(device, &primitives, &mut reaction);
+                    let first = results.iter().find_map(|r| r.as_ref().err()).cloned();
+                    (Some(Committed(first)), results)
+                }
+                (Some(Committed(first)), Ask::Commit) => {
+                    let results = first.iter().cloned().map(Err).collect();
+                    (Some(Committed(first)), results)
+                }
+                (state, Ask::Commit) => (state, refused(self, RefusalCause::NeverStaged)),
+                (Some(Staged(_)), Ask::Abort) if !older => (Some(Aborted), vec![]),
+                (state, Ask::Abort) => (state, vec![]),
+            };
+            self.held.goals.extend(next.map(|next| (goal, next)));
+            answers.push(SegmentCommit { goal, results });
+        }
+        (answers, reaction)
+    }
+
+    /// The admission step over a segment (or a whole `Script`): its
+    /// primitives, or every refusal they meet (a corrupt encoding is one).
+    /// `pipes` keeps the pipe changes of admitted segments only.
+    fn admit_segment(
+        &self,
+        segment: impl Iterator<Item = Result<Primitive, MalformedSegment>>,
+        pipes: &mut Pipes,
+    ) -> Result<Vec<Primitive>, Vec<PrimitiveOutcome>> {
+        let refusal = |component, cause| Err(Box::new(self.refusal(component, cause)));
+        let (mut primitives, mut errors, mut undo) = (Vec::new(), Vec::new(), Vec::new());
+        for p in segment {
+            let Ok(p) = p else {
+                errors.push(refusal(None, RefusalCause::MalformedSegment));
+                break;
+            };
+            match self.admit(&p, pipes) {
+                Ok(change) => undo.extend(change.map(|(id, ends)| (id, pipes.insert(id, ends)))),
+                Err(cause) => errors.push(refusal(p.component(), cause)),
+            }
+            primitives.push(p);
+        }
+        if errors.is_empty() {
+            return Ok(primitives);
+        }
+        for (id, was) in undo.into_iter().rev() {
+            match was {
+                Some(ends) => pipes.insert(id, ends),
+                None => pipes.remove(&id),
+            };
+        }
+        Err(errors)
     }
 
     /// Hand relayed module-to-module envelopes to their destination modules
@@ -697,95 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_validates_without_touching_state_and_commit_applies() {
-        let (mut device, mut agent, upper, lower) = setup();
-        let spec = PipeSpec {
-            pipe: PipeId(5),
-            upper: upper.clone(),
-            lower: lower.clone(),
-            peer_upper: None,
-            peer_lower: None,
-            tradeoffs: vec![],
-            initiate: false,
-        };
-        let stage = stage_one(9, 1, vec![Primitive::CreatePipe(spec)]);
-        let out = agent.handle(&mut device, &stage);
-        assert!(matches!(
-            &out[0],
-            WireMessage::StageBatchResult { txn: 9, verdicts }
-                if verdicts.len() == 1 && verdicts[0].goal == 1 && verdicts[0].errors.is_empty()
-        ));
-        // Nothing applied yet: the blackboard has no fact for the pipe.
-        assert!(agent.blackboard().pipe(PipeId(5)).port.is_none());
-        assert_eq!(agent.staged_segment_count(), 1);
-
-        let commit = WireMessage::CommitBatch {
-            txn: 9,
-            goals: vec![1],
-        };
-        let out = agent.handle(&mut device, &commit);
-        match &out[0] {
-            WireMessage::CommitBatchResult { txn: 9, segments } => {
-                assert_eq!(segments.len(), 1);
-                assert!(matches!(
-                    segments[0].results[0],
-                    Ok(PrimitiveResult::PipeCreated(PipeId(5)))
-                ));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(agent.blackboard().pipe(PipeId(5)).port.is_some());
-        assert_eq!(agent.staged_segment_count(), 0);
-    }
-
-    #[test]
-    fn stage_rejects_unknown_modules_and_abort_discards() {
-        let (mut device, mut agent, upper, _) = setup();
-        let bogus = ModuleRef::new(ModuleKind::Gre, ModuleId(99), device.id);
-        let stage = stage_one(
-            4,
-            1,
-            vec![Primitive::CreatePipe(PipeSpec {
-                pipe: PipeId(1),
-                upper: upper.clone(),
-                lower: bogus,
-                peer_upper: None,
-                peer_lower: None,
-                tradeoffs: vec![],
-                initiate: false,
-            })],
-        );
-        let out = agent.handle(&mut device, &stage);
-        assert!(matches!(
-            &out[0],
-            WireMessage::StageBatchResult { txn: 4, verdicts } if verdicts[0].errors.len() == 1
-        ));
-        assert_eq!(agent.staged_segment_count(), 0);
-
-        // Stage something valid, then abort it: committing afterwards fails.
-        agent.handle(&mut device, &stage_one(5, 1, vec![Primitive::ShowActual]));
-        assert_eq!(agent.staged_segment_count(), 1);
-        let abort = WireMessage::AbortBatch {
-            txn: 5,
-            goals: vec![1],
-        };
-        assert!(agent.handle(&mut device, &abort).is_empty());
-        assert_eq!(agent.staged_segment_count(), 0);
-        let commit = WireMessage::CommitBatch {
-            txn: 5,
-            goals: vec![1],
-        };
-        let out = agent.handle(&mut device, &commit);
-        match &out[0] {
-            WireMessage::CommitBatchResult { segments, .. } => assert!(matches!(
-                &segments[0].results[0],
-                Err(refusal) if refusal.cause == RefusalCause::NeverStaged
-            )),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn stage_batch_validates_per_segment_and_commit_batch_applies_per_goal() {
         use crate::primitives::ScriptSegment;
         let (mut device, mut agent, upper, lower) = setup();
@@ -831,7 +771,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Only the valid segments are held; nothing touched the data plane.
-        assert_eq!(agent.staged_segment_count(), 2);
+        assert_eq!(agent.staged_segment_count(&device), 2);
         assert!(agent.blackboard().pipe(PipeId(10)).port.is_none());
 
         // Abort goal 3 (it failed staging elsewhere), commit the rest.
@@ -842,7 +782,7 @@ mod tests {
                 goals: vec![3],
             },
         );
-        assert_eq!(agent.staged_segment_count(), 1);
+        assert_eq!(agent.staged_segment_count(&device), 1);
         let out = agent.handle(
             &mut device,
             &WireMessage::CommitBatch {
@@ -867,7 +807,134 @@ mod tests {
         }
         assert!(agent.blackboard().pipe(PipeId(10)).port.is_some());
         assert!(agent.blackboard().pipe(PipeId(30)).port.is_none());
-        assert_eq!(agent.staged_segment_count(), 0);
+        assert_eq!(agent.staged_segment_count(&device), 0);
+    }
+
+    /// A message to the held table in the transition test below.  Stage
+    /// `t` stages goal `t` (a create of pipe `t`) under txn `t`; commit
+    /// and abort `t` name goal `t` under txn `t`.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Stage(u64),
+        Commit(u64),
+        Abort(u64),
+        Reboot,
+    }
+
+    /// What the agent answered a [`Step`].
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        /// Nothing (an abort, a reboot).
+        Silent,
+        /// A clean stage verdict.
+        Staged,
+        /// The commit ran: a created pipe.
+        Applied,
+        /// A commit answered with a recorded clean verdict: no results.
+        Recorded,
+        /// The goal's first refusal.
+        Refused(RefusalCause),
+    }
+
+    /// A row of the transition test: the case, the steps that set the state
+    /// up, the message, its answer, what the device holds staged after it,
+    /// and whether it changed the device's configuration, blackboard or
+    /// `showActual` answer.
+    type Row = (&'static str, &'static [Step], Step, Answer, usize, bool);
+
+    /// Every (segment state, message) pair of the held table, one row each.
+    #[test]
+    fn every_transition_of_the_held_table() {
+        use Answer::*;
+        use RefusalCause::{NeverStaged, StaleTxn};
+        use Step::*;
+        #[rustfmt::skip]
+        let rows: [Row; 16] = [
+            ("a fresh stage", &[], Stage(5), Staged, 1, false),
+            ("a newer stage", &[Stage(5)], Stage(6), Staged, 1, false),
+            ("commit of a staged goal", &[Stage(5)], Commit(5), Applied, 0, true),
+            ("a duplicate commit", &[Stage(5), Commit(5)], Commit(5), Recorded, 0, false),
+            ("an abort of a staged goal", &[Stage(5)], Abort(5), Silent, 0, false),
+            ("commit after an abort", &[Stage(5), Abort(5)], Commit(5), Refused(NeverStaged), 0, false),
+            ("commit of nothing staged", &[], Commit(5), Refused(NeverStaged), 0, false),
+            ("a restage of the held txn", &[Stage(5)], Stage(5), Refused(StaleTxn), 1, false),
+            ("a late older stage", &[Stage(5)], Stage(4), Refused(StaleTxn), 1, false),
+            ("an older commit", &[Stage(5)], Commit(4), Refused(StaleTxn), 1, false),
+            ("an abort for an older txn", &[Stage(5)], Abort(4), Silent, 1, false),
+            ("an abort for an unknown txn", &[], Abort(3), Silent, 0, false),
+            ("an abort of a committed goal", &[Stage(5), Commit(5)], Abort(5), Silent, 0, false),
+            ("a newer commit", &[Stage(5)], Commit(6), Refused(NeverStaged), 0, false),
+            ("a newer abort", &[Stage(5)], Abort(6), Silent, 0, false),
+            ("a stage, then a reboot", &[Stage(5)], Reboot, Silent, 0, false),
+        ];
+        let (_, _, upper, lower) = setup();
+        let create = |t: u64| {
+            Primitive::CreatePipe(PipeSpec {
+                pipe: PipeId(t as u32),
+                upper: upper.clone(),
+                lower: lower.clone(),
+                peer_upper: None,
+                peer_lower: None,
+                tradeoffs: vec![],
+                initiate: false,
+            })
+        };
+        let send = |agent: &mut ManagementAgent, device: &mut Device, step| {
+            let msg = match step {
+                Stage(t) => stage_one(t, t, vec![create(t)]),
+                Commit(txn) => WireMessage::CommitBatch {
+                    txn,
+                    goals: vec![txn],
+                },
+                Abort(txn) => WireMessage::AbortBatch {
+                    txn,
+                    goals: vec![txn],
+                },
+                Reboot => {
+                    device.boots += 1;
+                    return vec![];
+                }
+            };
+            agent.handle(device, &msg)
+        };
+        let answer = |out: Vec<WireMessage>| match &out[..] {
+            [] => Silent,
+            [WireMessage::StageBatchResult { verdicts, .. }] => match &verdicts[0].errors[..] {
+                [] => Staged,
+                errors => Refused(errors[0].cause.clone()),
+            },
+            [WireMessage::CommitBatchResult { segments, .. }] => match &segments[0].results[..] {
+                [] => Recorded,
+                [Ok(PrimitiveResult::PipeCreated(_))] => Applied,
+                [Err(refusal), ..] => Refused(refusal.cause.clone()),
+                other => panic!("unexpected {other:?}"),
+            },
+            other => panic!("unexpected {other:?}"),
+        };
+        let snapshot = |agent: &mut ManagementAgent, device: &mut Device| {
+            let config = serde_json::to_value(&device.config).expect("a config serialises");
+            let board = agent.blackboard();
+            let facts: Vec<_> = board.pipes().map(|id| (id, board.pipe(id))).collect();
+            let show = WireMessage::Script {
+                request: 0,
+                primitives: vec![Primitive::ShowActual],
+            };
+            (config, facts, agent.handle(device, &show))
+        };
+        for (case, before, step, expected, staged, changes) in rows {
+            let (mut device, mut agent, _, _) = setup();
+            for &s in before {
+                send(&mut agent, &mut device, s);
+            }
+            let was = snapshot(&mut agent, &mut device);
+            assert_eq!(
+                answer(send(&mut agent, &mut device, step)),
+                expected,
+                "{case}"
+            );
+            assert_eq!(agent.staged_segment_count(&device), staged, "{case}");
+            assert_eq!(snapshot(&mut agent, &mut device) != was, changes, "{case}");
+        }
     }
 
     /// A segment is admitted against the pipes the batch's earlier admitted

@@ -241,6 +241,9 @@ pub enum RefusalCause {
     UnansweredStage,
     /// The device did not answer the commit.
     UnansweredCommit,
+    /// A stage whose txn id is not newer than the device's, or a commit
+    /// whose id is older: a late message, or a rebuilt NM's.
+    StaleTxn,
 }
 
 /// The actual (configured) state of a module, returned by `showActual`: the

@@ -12,7 +12,10 @@
 //!    switch rule stands on a pipe of its module, and each module admits
 //!    its protocol's fields) and holds it without touching the data plane.
 //!    A goal refused or unanswered (a crashed device) anywhere is aborted
-//!    everywhere before anything of it is applied.
+//!    everywhere before anything of it is applied.  A device holds one
+//!    transaction: a stage whose txn id is not newer than the one it holds
+//!    is refused [`RefusalCause::StaleTxn`], and a reboot drops what it
+//!    staged.
 //! 2. **Commit** — devices commit one at a time in reverse path order (so
 //!    every peer-negotiation initiator finds its peers already configured).
 //!    A goal whose segment fails its commit (or whose device never answers)
@@ -23,9 +26,8 @@
 //! Two runners drive that protocol.  [`ManagedNetwork::run_batch`] is the
 //! strict one above.  [`ManagedNetwork::run_teardown_batch`] (withdraw,
 //! stale-configuration teardown, self-healing) is **lenient**: a device
-//! that does not answer is skipped rather than failing the transaction — it
-//! is either crashed (nothing to delete; a reboot clears state anyway) or
-//! will be cleaned up by a later reconcile.
+//! that does not answer is skipped rather than failing the transaction — a
+//! later reconcile cleans it up.
 //!
 //! The two share the stage phase (one `StageBatch` per device, one quiesce,
 //! one `StageDevice` event per device) and the abort step (`AbortBatch`
@@ -121,8 +123,7 @@ pub struct TeardownBatchOutcome {
     /// Delete primitives committed per goal.
     pub per_goal: BTreeMap<GoalId, usize>,
     /// Devices skipped leniently (listed in `skip`, silent, or crashed
-    /// between the phases) — deletes are idempotent and a rebooted device
-    /// comes back with clean state.
+    /// between the phases) — deletes are idempotent.
     pub skipped: Vec<DeviceId>,
 }
 
@@ -205,9 +206,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     ///
     /// Teardown semantics stay lenient: devices in `skip` are not contacted
     /// at all, and a device that does not answer either phase is passed
-    /// over (its staged deletes are aborted so a rebooting agent does not
-    /// hold them forever) — never rolled back, since deletes are idempotent
-    /// and a crashed device loses the state at reboot anyway.
+    /// over and its staged deletes aborted — never rolled back, since
+    /// deletes are idempotent and a crashed device loses what it staged at
+    /// reboot.
     pub fn run_teardown_batch(
         &mut self,
         items: &[GoalTeardown],
@@ -264,8 +265,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     }
                 }
                 None => {
-                    // Crashed between the phases: abort so the agent does
-                    // not hold the staged deletes forever if it comes back.
+                    // Silent between the phases: abort, in case it is only
+                    // unreachable (a crashed one drops the stage at reboot).
                     self.abort(txn, device, goals);
                     outcome.skipped.push(device);
                 }
@@ -320,10 +321,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// - at stage: [`RefusalCause::UnknownModule`],
     ///   [`RefusalCause::PipeInUse`], [`RefusalCause::SwitchWithoutPipe`],
     ///   [`RefusalCause::Module`] (every `ModuleError` a module's `admit`
-    ///   raises), [`RefusalCause::MalformedSegment`] or
-    ///   [`RefusalCause::UnansweredStage`];
-    /// - only at commit: [`RefusalCause::NeverStaged`] and
-    ///   [`RefusalCause::UnansweredCommit`].
+    ///   raises), [`RefusalCause::MalformedSegment`],
+    ///   [`RefusalCause::StaleTxn`] or [`RefusalCause::UnansweredStage`];
+    /// - at commit: [`RefusalCause::StaleTxn`], and only there
+    ///   [`RefusalCause::NeverStaged`] and [`RefusalCause::UnansweredCommit`].
     pub fn run_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> BatchOutcome {
         let txn = self.goals.next_txn();
         let mut outcome = BatchOutcome::default();
@@ -507,8 +508,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 }
                 None => {
                     // The whole device went silent mid-commit: every goal it
-                    // was asked to commit fails (its partial creates are
-                    // unreachable anyway — a reboot clears them).
+                    // was asked to commit fails.
                     let silence = unanswered(device, RefusalCause::UnansweredCommit);
                     for goal in goals_here.iter().map(|g| GoalId(*g)) {
                         if alive.remove(&goal) {
@@ -564,11 +564,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
 
     /// Undo `goals`, which failed at one commit step of `txn`.  Their
     /// teardown mirrors run as one nested [`Self::run_teardown_batch`] on
-    /// the `committed` devices only: a newer stage drops every older txn a
-    /// device holds, so staging it on a device still to commit would
-    /// unstage the siblings' segments there.  Those `pending` devices get
-    /// an `AbortBatch` for the failed goals instead.  Sibling goals are
-    /// untouched — their segments live in disjoint pipe-id blocks.
+    /// the `committed` devices only: a newer txn id replaces the one
+    /// transaction a device holds, so staging it on a device still to
+    /// commit would drop the siblings' segments there.  Those `pending`
+    /// devices get an `AbortBatch` for the failed goals instead.  Siblings
+    /// are untouched: their segments live in disjoint pipe-id blocks.
     fn roll_back(
         &mut self,
         txn: u64,

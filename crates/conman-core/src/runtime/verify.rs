@@ -188,7 +188,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             out.extend(held.difference(&claims).cloned().map(orphan));
             let missing = |component| V::MissingDeviceState { device, component };
             out.extend(claims.difference(&listed).cloned().map(missing));
-            if agent.staged_segment_count() > 0 {
+            if agent.staged_segment_count(self.net.device(device).expect("it answered")) > 0 {
                 out.push(V::StagedResidue { device });
             }
         }
@@ -368,12 +368,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn blackboard_facts_for_an_unclaimed_pipe_are_orphan_state() {
+    /// One router whose agent has one [`Unlisted`] module, managed from
+    /// itself.
+    fn one_router() -> (
+        ManagedNetwork<mgmt_channel::OutOfBandChannel>,
+        DeviceId,
+        ModuleRef,
+    ) {
         use crate::agent::ManagementAgent;
-        use crate::ids::PipeId;
-        use crate::nm::script::DeviceScript;
-        use crate::primitives::{PipeSpec, Primitive};
         use netsim::device::{Device, DeviceRole};
         use netsim::network::Network;
 
@@ -384,6 +386,16 @@ mod tests {
         agent.register(Box::new(Unlisted(m.clone())));
         let mut mn = ManagedNetwork::new(net, d, mgmt_channel::OutOfBandChannel::new());
         mn.add_agent(agent);
+        (mn, d, m)
+    }
+
+    #[test]
+    fn blackboard_facts_for_an_unclaimed_pipe_are_orphan_state() {
+        use crate::ids::PipeId;
+        use crate::nm::script::DeviceScript;
+        use crate::primitives::{PipeSpec, Primitive};
+
+        let (mut mn, d, m) = one_router();
         let pipe = PipeSpec {
             pipe: PipeId(7),
             upper: m.clone(),
@@ -407,5 +419,29 @@ mod tests {
             component,
         };
         assert_eq!(mn.audit(), [orphan]);
+    }
+
+    /// A segment staged on a running agent and never committed or aborted
+    /// is staged residue (the runtime always settles what it stages, so
+    /// this one is staged by hand).
+    #[test]
+    fn a_stage_never_settled_is_staged_residue() {
+        use crate::primitives::{Primitive, ScriptSegment, WireMessage};
+
+        let (mut mn, d, _) = one_router();
+        let segment = ScriptSegment {
+            goal: 1,
+            primitives: vec![Primitive::ShowActual],
+        };
+        let stage = WireMessage::StageBatch {
+            txn: 1,
+            segments: vec![segment],
+        };
+        let device = mn.net.device_mut(d).expect("the router");
+        mn.agents
+            .get_mut(&d)
+            .expect("its agent")
+            .handle(device, &stage);
+        assert_eq!(mn.audit(), [PlanViolation::StagedResidue { device: d }]);
     }
 }

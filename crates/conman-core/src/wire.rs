@@ -573,6 +573,7 @@ enums! {
         5 => UnansweredCommit,
         6 => PipeInUse(p),
         7 => SwitchWithoutPipe,
+        8 => StaleTxn,
     }
     ModuleError {
         0 => CannotFilter,
@@ -842,6 +843,7 @@ mod tests {
             RefusalCause::UnansweredCommit,
             RefusalCause::PipeInUse(PipeId(u32::MAX)),
             RefusalCause::SwitchWithoutPipe,
+            RefusalCause::StaleTxn,
         ];
         let components = [
             Some(ComponentRef::SwitchRule(gre.clone(), PipeId(1), PipeId(2))),

@@ -127,6 +127,8 @@ pub struct Device {
     /// Is the device powered on?  A crashed device neither forwards traffic
     /// nor answers the management channel (fault injection).
     pub up: bool,
+    /// Power-ons after a crash (`Network::set_device_up` counts them).
+    pub boots: u64,
     /// Ports.
     pub ports: Vec<Nic>,
     /// Configuration (written by CONMan modules or legacy scripts).
@@ -159,6 +161,7 @@ impl Device {
             name,
             role,
             up: true,
+            boots: 0,
             ports,
             config: DeviceConfig::new(),
             arp: ArpCache::new(),

@@ -189,11 +189,12 @@ impl Network {
     }
 
     /// Power a device on or off.  Powering off models a crash: pending
-    /// frames addressed to it are dropped on arrival and its management
-    /// agent stops being reachable.  Powering back on flushes runtime caches
-    /// (ARP, MAC learning, tunnel sequence state), as a reboot would.
+    /// frames to it are dropped and its management agent is unreachable.
+    /// Powering it back on counts a boot and flushes runtime caches (ARP,
+    /// MAC learning, tunnel sequence state), as a reboot would.
     pub fn set_device_up(&mut self, id: DeviceId, up: bool) {
         if let Some(device) = self.devices.get_mut(&id) {
+            device.boots += u64::from(up && !device.up);
             device.up = up;
             if up {
                 device.flush_runtime_state();
@@ -484,6 +485,23 @@ mod tests {
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
+    }
+
+    /// A boot is counted when a device that was down powers on, not when
+    /// one already up is powered on again.
+    #[test]
+    fn powering_a_crashed_device_on_counts_a_boot() {
+        let mut net = Network::new();
+        let r = net.add_device(Device::new("r", DeviceRole::Router, 1));
+        let boots = |net: &Network| net.device(r).unwrap().boots;
+        net.set_device_up(r, true);
+        assert_eq!(boots(&net), 0);
+        net.set_device_up(r, false);
+        net.set_device_up(r, false);
+        assert_eq!(boots(&net), 0);
+        net.set_device_up(r, true);
+        net.set_device_up(r, true);
+        assert_eq!(boots(&net), 1);
     }
 
     /// Two hosts on one link exchange a UDP datagram (including ARP).

@@ -9,8 +9,8 @@
 
 use conman::core::module::{FilterField, ModuleError};
 use conman::core::nm::{
-    ConnectivityGoal, DeviceScript, Exclusion, GoalFailure, GoalId, GoalStatus, PlanError,
-    ScriptSet,
+    ConnectivityGoal, DeviceScript, Exclusion, GoalFailure, GoalId, GoalStatus, GoalStore,
+    PlanError, ScriptSet,
 };
 use conman::core::primitives::{ComponentRef, Primitive, Refusal, RefusalCause, WireMessage};
 use conman::core::runtime::verify::PlanViolation;
@@ -164,13 +164,48 @@ fn mid_commit_device_crash_rolls_back_cleanly_and_reconcile_retries() {
     // The crashed router reboots; the goal is still desired, so the next
     // reconcile converges it.
     t.mn.net.set_device_up(b, true);
-    // It missed the abort while it was down, so its agent still holds the
-    // stage (until the next, newer stage drops it).
-    assert_eq!(t.mn.audit(), [PlanViolation::StagedResidue { device: b }]);
+    // It missed the abort while it was down, and holds nothing anyway: its
+    // stage was written under the boot before the crash.
+    assert_eq!(t.mn.audit(), []);
     let report = t.mn.reconcile();
     assert!(report.converged(), "{report:#?}");
     assert!(t.probe(), "traffic flows after the retry");
     assert_eq!(t.mn.audit(), []);
+}
+
+/// An NM rebuilt over running devices restarts its txn ids at 1, below
+/// what the devices hold, and its pipe blocks at the old NM's first: its
+/// first transaction is refused as stale instead of colliding with the old
+/// NM's pipes, and touches nothing.
+#[test]
+fn a_rebuilt_nm_is_refused_as_stale_and_touches_nothing() {
+    let mut t = managed_chain(3);
+    t.discover();
+    // Converge the goal in the first pipe block, then withdraw a second
+    // goal: every device on the path has heard a txn id above 1.
+    let id = t.mn.submit(t.vpn_goal());
+    let second = t.mn.submit(t.vpn_goal());
+    assert!(t.mn.reconcile().converged());
+    assert!(t.mn.withdraw(second).removed);
+    let old =
+        t.mn.goals
+            .get(id)
+            .and_then(|g| g.applied())
+            .expect("applied");
+    let old_components = orphans_of(&old.scripts);
+    let devices: Vec<DeviceId> = t.mn.agents.keys().copied().collect();
+    let before = t.mn.show_actual(&devices);
+
+    t.mn.goals = GoalStore::new();
+    let id = t.mn.submit(t.vpn_goal());
+    let report = t.mn.reconcile();
+    let error = report.outcome(id).and_then(|o| o.error.clone());
+    assert!(
+        matches!(&error, Some(GoalFailure::Refused(r)) if r.cause == RefusalCause::StaleTxn),
+        "{error:?}"
+    );
+    assert_eq!(t.mn.show_actual(&devices), before);
+    assert_eq!(t.mn.audit(), old_components);
 }
 
 #[test]
