@@ -27,10 +27,15 @@ use std::collections::{BTreeMap, HashMap};
 /// A pipe's `(upper, lower)` modules, or `None` once it is deleted.
 type Ends = Option<(ModuleId, ModuleId)>;
 
-/// What the primitives admitted so far do to the device's pipes, over what
-/// the blackboard records.  Only looked up, never walked, so its order does
-/// not matter; a fleet's batch puts thousands of pipes in it.
-type Pipes = HashMap<PipeId, Ends>;
+/// What the primitives admitted so far do to the device, over what it
+/// holds: a created pipe's ends, `None` for a deleted one (only looked up,
+/// never walked: a fleet's batch puts thousands of pipes in it), and the
+/// `create (filter)`s, in a list: the NM generates none.
+#[derive(Default)]
+struct Batch {
+    pipes: HashMap<PipeId, Ends>,
+    filters: Vec<Primitive>,
+}
 
 /// How many times the agent re-polls its modules after an event before
 /// declaring the device quiescent.  Deferred work converges in one or two
@@ -100,19 +105,18 @@ impl ManagementAgent {
     /// modules exist, a `create (pipe)` names a pipe id not in use, and a
     /// `create (switch)` names at least one pipe its module is an end of
     /// (one, since an ETH rule's other pipe is a physical slot no `create`
-    /// makes).  Each named module's [`ProtocolModule::admit`] checks the
-    /// rest.  A pipe's ends are what `pipes` (the batch's admitted
-    /// primitives so far) records, else what the blackboard does.  An
-    /// admitted create or delete of a pipe returns what it does to the
-    /// pipe, for the caller to record.  Reads and deletes are always
-    /// admitted: deleting something absent is a no-op by design (idempotent
-    /// teardown).
+    /// makes), and no earlier primitive of the batch creates the same filter.
+    /// Each named module's [`ProtocolModule::admit`] checks the rest.  A
+    /// pipe's ends are what `batch` records, else what the blackboard does.
+    /// An admitted primitive returns what it does to `batch`, for the caller
+    /// to record.  Reads and deletes are always admitted: deleting something
+    /// absent is a no-op by design (idempotent teardown).
     fn admit(
         &self,
         primitive: &Primitive,
-        pipes: &Pipes,
+        batch: &Batch,
     ) -> Result<Option<(PipeId, Ends)>, RefusalCause> {
-        let ends = |pipe: PipeId| match pipes.get(&pipe) {
+        let ends = |pipe: PipeId| match batch.pipes.get(&pipe) {
             Some(ends) => *ends,
             None => self.blackboard.pipe(pipe).ends,
         };
@@ -142,6 +146,9 @@ impl ManagementAgent {
                 if !of_module(spec.in_pipe) && !of_module(spec.out_pipe) {
                     return Err(RefusalCause::SwitchWithoutPipe);
                 }
+            }
+            Primitive::CreateFilter(_) if batch.filters.contains(primitive) => {
+                return Err(RefusalCause::Module(ModuleError::FilterInUse));
             }
             _ => {}
         }
@@ -209,7 +216,7 @@ impl ManagementAgent {
             } => {
                 let mut reaction = ModuleReaction::none();
                 let script = primitives.iter().cloned().map(Ok);
-                let results = match self.admit_segment(script, &mut Pipes::new()) {
+                let results = match self.admit_segment(script, &mut Batch::default()) {
                     Ok(admitted) => self.run_primitives(device, &admitted, &mut reaction),
                     Err(refused) => refused,
                 };
@@ -334,7 +341,7 @@ impl ManagementAgent {
         }
         let older = txn < held.txn;
         let refused = |agent: &Self, cause| vec![Err(Box::new(agent.refusal(None, cause)))];
-        let (mut pipes, mut reaction) = (Pipes::new(), ModuleReaction::none());
+        let (mut batch, mut reaction) = (Batch::default(), ModuleReaction::none());
         let mut answers = Vec::with_capacity(asks.size_hint().0);
         for (goal, ask) in asks {
             let state = self.held.goals.remove(&goal);
@@ -342,7 +349,7 @@ impl ManagementAgent {
                 (state, Ask::Stage(_)) if !newer => (state, refused(self, RefusalCause::StaleTxn)),
                 (state, Ask::Commit) if older => (state, refused(self, RefusalCause::StaleTxn)),
                 (state, Ask::Stage(segment)) => {
-                    match self.admit_segment(segment.primitives(), &mut pipes) {
+                    match self.admit_segment(segment.primitives(), &mut batch) {
                         Ok(primitives) => (Some(Staged(primitives)), vec![]),
                         Err(errors) => (state, errors),
                     }
@@ -368,32 +375,37 @@ impl ManagementAgent {
 
     /// The admission step over a segment (or a whole `Script`): its
     /// primitives, or every refusal they meet (a corrupt encoding is one).
-    /// `pipes` keeps the pipe changes of admitted segments only.
+    /// `batch` keeps the changes of admitted segments only.
     fn admit_segment(
         &self,
         segment: impl Iterator<Item = Result<Primitive, MalformedSegment>>,
-        pipes: &mut Pipes,
+        batch: &mut Batch,
     ) -> Result<Vec<Primitive>, Vec<PrimitiveOutcome>> {
         let refusal = |component, cause| Err(Box::new(self.refusal(component, cause)));
         let (mut primitives, mut errors, mut undo) = (Vec::new(), Vec::new(), Vec::new());
+        let filters = batch.filters.len();
         for p in segment {
             let Ok(p) = p else {
                 errors.push(refusal(None, RefusalCause::MalformedSegment));
                 break;
             };
-            match self.admit(&p, pipes) {
-                Ok(change) => undo.extend(change.map(|(id, ends)| (id, pipes.insert(id, ends)))),
+            match self.admit(&p, batch) {
+                Ok(pipe) => undo.extend(pipe.map(|(id, ends)| (id, batch.pipes.insert(id, ends)))),
                 Err(cause) => errors.push(refusal(p.component(), cause)),
+            }
+            if let Primitive::CreateFilter(_) = p {
+                batch.filters.push(p.clone());
             }
             primitives.push(p);
         }
         if errors.is_empty() {
             return Ok(primitives);
         }
+        batch.filters.truncate(filters);
         for (id, was) in undo.into_iter().rev() {
             match was {
-                Some(ends) => pipes.insert(id, ends),
-                None => pipes.remove(&id),
+                Some(ends) => batch.pipes.insert(id, ends),
+                None => batch.pipes.remove(&id),
             };
         }
         Err(errors)

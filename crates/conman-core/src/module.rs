@@ -44,26 +44,14 @@ pub enum ModuleError {
         /// The body's length in bytes.
         len: usize,
     },
-    /// A filter naming neither a source nor a destination address.
-    FilterWithoutAddress,
-    /// A filter field that is present but does not parse.
-    BadFilterField(FilterField),
     /// A switch rule field the IP module refuses: present, but it does not
     /// parse.
     BadSwitchField(SwitchField),
     /// `create (filter)` for a `(from, to)` pair the module already filters.
     FilterInUse,
-}
-
-/// A field of a [`FilterSpec::resolved`] map the IP module reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FilterField {
-    /// `from-address`, a prefix.
-    FromAddress,
-    /// `to-address`, a prefix.
-    ToAddress,
-    /// `to-port`, a port number.
-    ToPort,
+    /// A filter end the filtering module cannot resolve: neither itself
+    /// nor a module it has exchanged addresses with on one of its pipes.
+    UnresolvedFilterEnd(ModuleRef),
 }
 
 /// A field of a [`SwitchSpec`] the IP module refuses when it does not parse.
@@ -362,7 +350,6 @@ mod tests {
             module: r.clone(),
             from: r.clone(),
             to: r.clone(),
-            resolved: BTreeMap::new(),
         };
         assert_eq!(
             m.admit(&Primitive::CreateFilter(filter)),

@@ -589,7 +589,6 @@ mod tests {
                     module: ip.clone(),
                     from: gre.clone(),
                     to: peer_gre.clone(),
-                    resolved: BTreeMap::new(),
                 }),
                 "create (filter, <IP,A,m3>, <GRE,A,m5>, <GRE,B,m5>)",
             ),

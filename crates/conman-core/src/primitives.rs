@@ -88,8 +88,10 @@ pub struct SwitchSpec {
 }
 
 /// Specification of a filter: drop traffic from one module to another
-/// (§II-E).  The inspecting module resolves the abstract references into
-/// protocol fields itself, using `listFieldsAndValues` if needed.
+/// (§II-E).  It names modules only.  The IP module resolves itself to the
+/// address it gives its peers and a module it exchanged addresses with on
+/// one of its pipes to the address it learned; it refuses any other end at
+/// stage with [`ModuleError::UnresolvedFilterEnd`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FilterSpec {
     /// The module that should perform the filtering.
@@ -98,8 +100,6 @@ pub struct FilterSpec {
     pub from: ModuleRef,
     /// Drop packets going to this module.
     pub to: ModuleRef,
-    /// Resolved field values the NM already knows (dependency tracking).
-    pub resolved: BTreeMap<String, String>,
 }
 
 /// The one name of a component: what `create` makes, `delete ()` takes and

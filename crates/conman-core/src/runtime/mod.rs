@@ -770,7 +770,6 @@ mod tests {
             module: m1.clone(),
             from: m1.clone(),
             to: m1,
-            resolved: Default::default(),
         });
         let scripts = ScriptSet {
             scripts: vec![DeviceScript {

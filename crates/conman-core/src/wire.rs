@@ -16,7 +16,7 @@
 //! list X       u32 count, then each X; a map is a list of (key, value)
 //! opt X        presence byte 0 | 1, then X when it is 1
 //! (A, B)       A then B; a struct is its fields in declaration order
-//! enum         variant byte (its declaration index), then its fields
+//! enum         variant byte (as listed in `enums!`; a retired one is not reused), fields
 //! ids          pipe, module, port and link u32; device u64
 //! module       kind (0-4 ETH IP GRE MPLS VLAN | 5 App + str), u32 module, u64 device
 //! ```
@@ -48,7 +48,7 @@
 //!                 opt peer_lower, list tradeoff, bool initiate
 //!             | 3 create switch: module, u32 in, u32 out, opt (str name, str value)
 //!                 dst_class, opt (str name, str value) gateway, opt str local_prefix
-//!             | 4 create filter: module, from, to, list (str key, str value)
+//!             | 4 create filter: module, from, to
 //!             | 5 delete: component
 //! component   0 u32 pipe | 1 module, u32 in, u32 out | 2 module, from, to
 //! envelope    module from, to, kind (0 convey | 1 field query | 2 field response), bytes body
@@ -59,7 +59,7 @@
 //! cause       0 unknown module: module | 1 module error | 2 malformed segment
 //!             | 3 never staged | 4 unanswered stage | 5 unanswered commit
 //! module err  0 cannot filter | 1 missing tradeoffs | 2 undecodable body: module, u64 len
-//!             | 3 filter without address | 4 bad filter field: field byte
+//!             | 5 bad switch field: field byte | 6 filter in use | 7 unresolved filter end: module
 //! notice      0 established | 1 refused: refusal | 2 poll round cap
 //! abstraction module name, list kind up_connectable, list dependency, list kind
 //!             down_connectable, list dependency, list (u32 port, opt u32 link, bool
@@ -87,7 +87,7 @@ use crate::abstraction::{
     SwitchKind, SwitchStateSource,
 };
 use crate::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
-use crate::module::{FilterField, ModuleError, SwitchField};
+use crate::module::{ModuleError, SwitchField};
 use crate::primitives::{
     Announcement, ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, Notice,
     Notification, PipeSpec, Primitive, PrimitiveResult, Refusal, RefusalCause, ResolvedName,
@@ -503,9 +503,10 @@ macro_rules! u32_ids {
 
 u32_ids!(PipeId, ModuleId, PortId, LinkId);
 
-/// Enums: a byte, then the variant's fields in order.  The byte is the
-/// variant's declaration index, or for a message its frame tag.  A variant
-/// is written the way it is matched (`Done`, `Pipe(p)`,
+/// Enums: a byte, then the variant's fields in order.  The byte is the one
+/// listed beside the variant: a message's frame tag, or the index the
+/// variant was declared at (a retired variant's byte is never reused).  A
+/// variant is written the way it is matched (`Done`, `Pipe(p)`,
 /// `UndecodableBody { from, len }`), naming its fields.
 macro_rules! enums {
     ($($ty:ident {
@@ -579,12 +580,10 @@ enums! {
         0 => CannotFilter,
         1 => MissingTradeoffs,
         2 => UndecodableBody { from, len },
-        3 => FilterWithoutAddress,
-        4 => BadFilterField(field),
         5 => BadSwitchField(field),
         6 => FilterInUse,
+        7 => UnresolvedFilterEnd(end),
     }
-    FilterField { 0 => FromAddress, 1 => ToAddress, 2 => ToPort }
     SwitchField { 0 => Gateway }
     Notice { 0 => Established, 1 => Refused(refusal), 2 => PollRoundCap }
     SwitchKind {
@@ -622,7 +621,7 @@ structs! {
     ResolvedName { name, value }
     PipeSpec { pipe, upper, lower, peer_upper, peer_lower, tradeoffs, initiate }
     SwitchSpec { module, in_pipe, out_pipe, dst_class, gateway, local_prefix }
-    FilterSpec { module, from, to, resolved }
+    FilterSpec { module, from, to }
     Notification { from, body }
     Refusal { device, component, cause }
     ModuleActual { pipes, switch_rules, filters }
@@ -714,7 +713,6 @@ mod tests {
                     module: mref(ModuleKind::App("IKE".into()), 4, 1),
                     from: mref(ModuleKind::Eth, 5, 1),
                     to: mref(ModuleKind::Eth, 6, 2),
-                    resolved: [("to-port".to_string(), "80".to_string())].into(),
                 }),
                 Primitive::Delete(ComponentRef::SwitchRule(
                     mref(ModuleKind::Mpls, 7, 1),
@@ -828,12 +826,9 @@ mod tests {
                 from: mref(ModuleKind::App("babble".into()), 1, 2),
                 len: usize::MAX,
             },
-            ModuleError::FilterWithoutAddress,
-            ModuleError::BadFilterField(FilterField::FromAddress),
-            ModuleError::BadFilterField(FilterField::ToAddress),
-            ModuleError::BadFilterField(FilterField::ToPort),
             ModuleError::BadSwitchField(SwitchField::Gateway),
             ModuleError::FilterInUse,
+            ModuleError::UnresolvedFilterEnd(mref(ModuleKind::Ip, 4, 3)),
         ];
         let causes = [
             RefusalCause::UnknownModule(gre.clone()),

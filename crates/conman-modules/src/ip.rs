@@ -7,15 +7,20 @@
 //! its peer IP modules through `listFieldsAndValues` relayed by the NM, and
 //! turns the NM's abstract pipe/switch primitives into routes, policy rules
 //! and (for IP-IP paths) tunnel state in the simulated data plane.
+//!
+//! A filter names modules only.  The module resolves each end from what it
+//! already knows: itself to the address it gives its peers, a module it
+//! exchanged addresses with on one of its pipes to the address it learned.
+//! It refuses any other end at stage (a stranger, a peer that has not
+//! answered yet, a module that is not IP), and installs a `/32` to `/32`
+//! drop rule for the rest.
 
 use crate::dialect::{self, Dialect};
 use conman_core::abstraction::{
     Dependency, FilterCapability, FilterClassifier, ModuleAbstraction, SwitchKind,
 };
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
-use conman_core::module::{
-    FilterField, ModuleCtx, ModuleError, ModuleReaction, ProtocolModule, SwitchField,
-};
+use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule, SwitchField};
 use conman_core::primitives::{
     ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, PipeSpec, Primitive,
     SwitchSpec,
@@ -28,7 +33,6 @@ use netsim::route::{PolicyRule, Route, RouteTableId, RouteTarget, RuleSelector};
 use netsim::stats::DropReason;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
-use std::str::FromStr;
 
 /// What IP modules ask each other with `listFieldsAndValues`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,51 +146,16 @@ impl Rule {
     /// was: `benchmark/`'s synthetic fleets name classes such as
     /// `10.300.1.0/24` and count those goals as converged (ROADMAP item 3).
     fn parse(spec: &SwitchSpec) -> Result<Self, ModuleError> {
-        let gateway = spec.gateway.as_ref().map(|g| &g.value);
+        let bad = |_| ModuleError::BadSwitchField(SwitchField::Gateway);
+        let gateway = spec.gateway.as_ref().map(|g| g.value.parse().map_err(bad));
         Ok(Rule {
             in_pipe: spec.in_pipe,
             out_pipe: spec.out_pipe,
             class: (spec.dst_class.as_ref()).map(|c| c.value.parse().ok()),
-            gateway: parse_value(gateway, ModuleError::BadSwitchField(SwitchField::Gateway))?,
+            gateway: gateway.transpose()?,
             local_prefix: spec.local_prefix.as_ref().and_then(|p| p.parse().ok()),
         })
     }
-}
-
-/// A filter's protocol fields: a [`FilterSpec`] with the values the NM
-/// resolved parsed, by [`Filter::parse`] alone.
-#[derive(Debug, Clone, Copy)]
-struct Filter {
-    src: Option<Ipv4Cidr>,
-    dst: Option<Ipv4Cidr>,
-    dst_port: Option<u16>,
-}
-
-impl Filter {
-    /// The one reading of a filter spec, behind both `admit` and
-    /// `create_filter`.  A value that does not parse is refused: dropping
-    /// it would silently widen the rule.  So is a rule with no address,
-    /// which would match every source and destination.
-    fn parse(spec: &FilterSpec) -> Result<Self, ModuleError> {
-        let (get, bad) = (|key| spec.resolved.get(key), ModuleError::BadFilterField);
-        let filter = Filter {
-            src: parse_value(get("from-address"), bad(FilterField::FromAddress))?,
-            dst: parse_value(get("to-address"), bad(FilterField::ToAddress))?,
-            dst_port: parse_value(get("to-port"), bad(FilterField::ToPort))?,
-        };
-        if filter.src.is_none() && filter.dst.is_none() {
-            return Err(ModuleError::FilterWithoutAddress);
-        }
-        Ok(filter)
-    }
-}
-
-/// `value` parsed, when there is one, and `bad` when it does not parse.
-fn parse_value<T: FromStr>(
-    value: Option<&String>,
-    bad: ModuleError,
-) -> Result<Option<T>, ModuleError> {
-    value.map(|v| v.parse().map_err(|_| bad)).transpose()
 }
 
 /// Data-plane artifacts one switch rule installed, remembered so `delete`
@@ -324,6 +293,19 @@ impl IpModule {
             (Some(&only), None) => self.address_on_pipe(ctx, only),
             _ => self.primary,
         }
+    }
+
+    /// What a filter end stands for, the one resolution behind both `admit`
+    /// and `create_filter`: `mine` when the end is this module, the address
+    /// it learned from the end on one of its pipes when the two exchanged
+    /// addresses, `None` for any other module.  `admit` asks only whether
+    /// an end resolves, so any `mine` does there.
+    fn filter_end(&self, end: &ModuleRef, mine: Ipv4Addr) -> Option<Ipv4Addr> {
+        if *end == self.me {
+            return Some(mine);
+        }
+        let pipes = self.by_peer.get(end)?;
+        pipes.iter().find_map(|pipe| self.pipes[pipe].learned)
     }
 
     fn record_learned(
@@ -637,7 +619,12 @@ impl ProtocolModule for IpModule {
                 {
                     return Err(ModuleError::FilterInUse);
                 }
-                Filter::parse(spec).map(drop)
+                let unresolved = [&spec.from, &spec.to]
+                    .into_iter()
+                    .find(|end| self.filter_end(end, self.primary).is_none());
+                unresolved.map_or(Ok(()), |end| {
+                    Err(ModuleError::UnresolvedFilterEnd(end.clone()))
+                })
             }
             _ => Ok(()),
         }
@@ -760,21 +747,28 @@ impl ProtocolModule for IpModule {
         ctx: &mut ModuleCtx,
         spec: &FilterSpec,
     ) -> Result<ModuleReaction, ModuleError> {
-        // The NM speaks in terms of modules; the IP module reads their
-        // protocol fields from the values the NM resolved.
-        let Filter { src, dst, dst_port } = Filter::parse(spec)?;
-        let key = (spec.from.clone(), spec.to.clone());
+        // The NM speaks in terms of modules; the IP module resolves them to
+        // addresses itself.  Stage admitted both ends, but a pipe deleted
+        // earlier in the same batch takes what it learned with it: then
+        // nothing is installed or listed, so `audit()` finds a claimed
+        // filter missing.
+        let mine = self.path_address(ctx);
+        let [Some(src), Some(dst)] = [&spec.from, &spec.to].map(|end| self.filter_end(end, mine))
+        else {
+            return Ok(ModuleReaction::none());
+        };
         // One past the highest id on the device: another IP module's rules
         // share the table, and `delete` removes by id.
         let id = 1 + ctx.config.filters.iter().map(|r| r.id).max().unwrap_or(0);
+        let key = (spec.from.clone(), spec.to.clone());
         self.filters.insert(key, id);
         ctx.config.filters.push(FilterRule {
             id,
             action: FilterAction::Drop,
-            src,
-            dst,
+            src: Some(Ipv4Cidr::new(src, 32)),
+            dst: Some(Ipv4Cidr::new(dst, 32)),
             proto: None,
-            dst_port,
+            dst_port: None,
         });
         Ok(ModuleReaction::none())
     }
@@ -981,12 +975,11 @@ mod tests {
         assert!(m.poll(&mut rig.ctx()).is_empty());
     }
 
-    fn drop_towards(module: ModuleRef, from: &ModuleRef, to: &ModuleRef) -> FilterSpec {
+    fn drop_from(module: &ModuleRef, from: &ModuleRef) -> FilterSpec {
         FilterSpec {
-            module,
+            module: module.clone(),
             from: from.clone(),
-            to: to.clone(),
-            resolved: [("to-address".to_string(), "10.0.2.0/24".to_string())].into(),
+            to: module.clone(),
         }
     }
 
@@ -996,16 +989,20 @@ mod tests {
     #[test]
     fn deleting_a_filter_removes_its_rule_and_its_show_actual_entry() {
         let mut rig = Rig::new();
-        let baseline = rig.config_json();
         let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
-        let (from, to) = (module(ModuleKind::Ip, 1, 2), module(ModuleKind::Ip, 1, 3));
-        let spec = drop_towards(me(), &from, &to);
-        let filter = ComponentRef::Filter(me(), from.clone(), to.clone());
+        m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
+        rig.publish_port(3, 0);
+        m.handle_envelope(&mut rig.ctx(), &address_message(2, false))
+            .unwrap();
+        let baseline = rig.config_json();
+        let from = module(ModuleKind::Ip, 1, 2);
+        let spec = drop_from(&me(), &from);
+        let filter = ComponentRef::Filter(me(), from.clone(), me());
         m.create_filter(&mut rig.ctx(), &spec).unwrap();
         let again = Primitive::CreateFilter(spec.clone());
         assert_eq!(m.admit(&again), Err(ModuleError::FilterInUse));
         assert_eq!(rig.config.filters.len(), 1);
-        assert_eq!(m.actual(&rig.ctx()).filters, [(from.clone(), to.clone())]);
+        assert_eq!(m.actual(&rig.ctx()).filters, [(from.clone(), me())]);
         m.delete(&mut rig.ctx(), &filter).unwrap();
         assert!(m.actual(&rig.ctx()).filters.is_empty());
         assert_eq!(rig.config_json(), baseline);
@@ -1016,12 +1013,67 @@ mod tests {
         let mut other = IpModule::new(vrf.clone(), "customer", "10.0.1.1".parse().unwrap());
         m.create_filter(&mut rig.ctx(), &spec).unwrap();
         other
-            .create_filter(&mut rig.ctx(), &drop_towards(vrf, &from, &to))
+            .create_filter(&mut rig.ctx(), &drop_from(&vrf, &vrf))
             .unwrap();
         let theirs = rig.config.filters[1].clone();
         m.delete(&mut rig.ctx(), &filter).unwrap();
         m.delete(&mut rig.ctx(), &filter).unwrap();
         assert_eq!(rig.config.filters, [theirs]);
+    }
+
+    /// A filter end resolves to this module's own address, or to what it
+    /// learned from a module on one of its pipes; any other end is refused.
+    /// `admit` is `Ok` exactly when `create_filter` installs, and a refused
+    /// end leaves the device as it was.
+    #[test]
+    fn a_filter_end_resolves_to_itself_or_to_what_it_learned() {
+        let mut rig = Rig::new();
+        let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+        // Device 2's IP module answered on pipe 3; device 3's never did on
+        // pipe 4; an MPLS module is the peer of pipe 5.
+        m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
+        m.create_pipe(&mut rig.ctx(), &adjacency(4, 3)).unwrap();
+        let mpls = module(ModuleKind::Mpls, 4, 5);
+        let mut towards_mpls = pipe(5, &me(), &module(ModuleKind::Mpls, 4, 1));
+        towards_mpls.peer_upper = Some(mpls.clone());
+        m.create_pipe(&mut rig.ctx(), &towards_mpls).unwrap();
+        rig.publish_port(3, 0);
+        rig.publish_port(4, 1);
+        m.poll(&mut rig.ctx());
+        m.handle_envelope(&mut rig.ctx(), &address_message(2, false))
+            .unwrap();
+
+        let rule = |src: [u8; 4]| FilterRule {
+            id: 1,
+            action: FilterAction::Drop,
+            src: Some(Ipv4Cidr::new(Ipv4Addr::from(src), 32)),
+            dst: Some(Ipv4Cidr::new(Ipv4Addr::new(10, 9, 0, 1), 32)),
+            proto: None,
+            dst_port: None,
+        };
+        let cases = [
+            (me(), Some(rule([10, 9, 0, 1]))),
+            (module(ModuleKind::Ip, 1, 2), Some(rule([10, 9, 0, 2]))),
+            (module(ModuleKind::Ip, 1, 3), None),
+            (module(ModuleKind::Ip, 1, 9), None),
+            (mpls, None),
+        ];
+        for (end, installs) in cases {
+            let spec = drop_from(&me(), &end);
+            let before = rig.config_json();
+            let admitted = m.admit(&Primitive::CreateFilter(spec.clone()));
+            m.create_filter(&mut rig.ctx(), &spec).unwrap();
+            assert_eq!(rig.config.filters.first(), installs.as_ref(), "{end}");
+            match installs {
+                Some(_) => {
+                    assert_eq!(admitted, Ok(()), "{end}");
+                    m.delete(&mut rig.ctx(), &ComponentRef::Filter(me(), end, me()))
+                        .unwrap();
+                }
+                None => assert_eq!(admitted, Err(ModuleError::UnresolvedFilterEnd(end))),
+            }
+            assert_eq!(rig.config_json(), before);
+        }
     }
 
     /// A gateway rule without a local prefix installs nothing but is applied

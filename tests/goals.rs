@@ -7,12 +7,15 @@
 //! back cleanly leaving no partially-configured modules; and `reconcile()`
 //! is idempotent on a converged network.
 
-use conman::core::module::{FilterField, ModuleError};
+use conman::core::ids::{ModuleId, ModuleKind, ModuleRef};
+use conman::core::module::ModuleError;
 use conman::core::nm::{
     ConnectivityGoal, DeviceScript, Exclusion, GoalFailure, GoalId, GoalStatus, GoalStore,
     PlanError, ScriptSet,
 };
-use conman::core::primitives::{ComponentRef, Primitive, Refusal, RefusalCause, WireMessage};
+use conman::core::primitives::{
+    ComponentRef, FilterSpec, Primitive, Refusal, RefusalCause, WireMessage,
+};
 use conman::core::runtime::verify::PlanViolation;
 use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent};
 use conman::core::ManagementAgent;
@@ -20,11 +23,14 @@ use conman::modules::{
     managed_chain, managed_chain_with, managed_dual_chain, managed_fanout_chain,
     managed_mesh_fanout, managed_vlan_chain, ManagedMesh,
 };
+use conman::netsim::config::{FilterAction, FilterRule};
 use conman::netsim::device::DeviceId;
+use conman::netsim::ipv4::Ipv4Cidr;
 use conman::netsim::network::Network;
 use conman::obs::Recorder;
 use mgmt_channel::{ChannelCounters, ManagementChannel, MgmtMessage, OutOfBandChannel};
 use std::collections::BTreeSet;
+use std::net::Ipv4Addr;
 
 type Chain = conman::modules::ManagedChain<OutOfBandChannel>;
 
@@ -210,8 +216,6 @@ fn a_rebuilt_nm_is_refused_as_stale_and_touches_nothing() {
 
 #[test]
 fn two_goals_share_one_edge_gre_module_and_withdraw_stays_isolated() {
-    use conman::core::ids::ModuleKind;
-
     // Force both goals onto GRE-IP paths so they *must* share the edge GRE
     // modules: the multi-tunnel GRE module carries one tunnel per goal
     // (keyed by pipe, distinct key material per tunnel) instead of failing
@@ -975,7 +979,7 @@ impl ManagementChannel for CommitTap {
 /// and g1, staged and committed beside it, is all the routers hold.
 #[test]
 fn a_goal_refused_at_stage_mid_batch_is_sent_no_commit() {
-    use conman::core::ids::{ModuleKind, PipeId};
+    use conman::core::ids::PipeId;
     use conman::core::primitives::PipeSpec;
 
     let mut t = managed_chain_with(3, CommitTap::default());
@@ -1259,152 +1263,190 @@ fn withdrawing_every_goal_leaves_no_module_state_behind() {
     assert_eq!(t.mn.audit(), []);
 }
 
-/// Regression: the IP module's `delete` fell through for
-/// `ComponentRef::Filter`, so the teardown mirror of a `create (filter)` —
-/// which `ScriptSet::teardown` has always generated — left the rule
-/// dropping traffic and listed in `showActual`.
-#[test]
-fn a_filter_script_round_trips_through_run_batch_and_its_teardown() {
-    use conman::core::ids::ModuleKind;
-    use conman::core::primitives::FilterSpec;
-
+/// Figure 7's goal on its GRE-IP path, router C, and a `create (filter)` on
+/// C's ISP IP module (`<IP,C,m4>`) dropping what comes `from` to it.
+fn figure_7_on_gre() -> (Chain, DeviceId, impl Fn(&ModuleRef) -> Primitive) {
     let mut t = managed_chain(3);
     t.discover();
-    let (ingress, egress) = (t.core[0], t.core[2]);
-    let config_json = |t: &Chain| {
-        serde_json::to_string(&t.mn.net.device(ingress).expect("ingress").config)
-            .expect("a device configuration serialises")
+    let id = t.mn.submit(t.vpn_goal());
+    install_on(&mut t.mn, id, "GRE-IP");
+    let c = t.core[2];
+    let module = ModuleRef::new(ModuleKind::Ip, ModuleId(4), c);
+    let filter = move |from: &ModuleRef| {
+        Primitive::CreateFilter(FilterSpec {
+            module: module.clone(),
+            from: from.clone(),
+            to: module.clone(),
+        })
     };
-    let before = config_json(&t);
-    let ip = |d| {
-        t.mn.nm
-            .find_module(d, &ModuleKind::Ip)
-            .expect("an IP module")
-    };
-    let scripts = ScriptSet {
-        scripts: vec![DeviceScript {
-            device: ingress,
-            primitives: vec![Primitive::CreateFilter(FilterSpec {
-                module: ip(ingress),
-                from: ip(ingress),
-                to: ip(egress),
-                resolved: [("to-address".to_string(), "10.0.2.0/24".to_string())].into(),
-            })],
-        }],
-    };
-    let goal = GoalId(1);
+    (t, c, filter)
+}
 
-    let outcome = t.mn.run_batch(&[(goal, &scripts)]);
-    assert_eq!(outcome.committed, vec![goal]);
-    assert_ne!(config_json(&t), before, "the filter is installed");
-    // The store never adopted the filter: the ingress lists it and nothing
-    // else, and no goal claims it.
+/// Router `device`'s configuration as JSON.
+fn config_json(t: &Chain, device: DeviceId) -> String {
+    let config = &t.mn.net.device(device).expect("a device").config;
+    serde_json::to_string(config).expect("a device configuration serialises")
+}
+
+/// One script of `primitives` on `device`.
+fn script_on(device: DeviceId, primitives: Vec<Primitive>) -> ScriptSet {
+    ScriptSet {
+        scripts: vec![DeviceScript { device, primitives }],
+    }
+}
+
+/// A filter names modules only.  On Figure 7's GRE-IP path, C's ISP IP
+/// module resolves A's (`<IP,A,m4>`, its peer on the GRE endpoint pipe) to
+/// the address it learned and itself to its own, drops the tunnelled
+/// traffic until the filter's teardown, and refuses a module it never
+/// exchanged addresses with (`<IP,A,m3>`, A's customer-facing one).
+/// Regression, for the teardown: the IP module's `delete` fell through for
+/// `ComponentRef::Filter`, leaving the rule dropping traffic and listed.
+#[test]
+fn a_filter_on_the_figure_7_goal_resolves_its_ends_from_modules_alone() {
+    let (mut t, c, filter) = figure_7_on_gre();
+    let a = t.core[0];
+    assert!(t.send_site1_to_site2(b"before the filter").0);
+    let before = config_json(&t, c);
+    let goal = GoalId(7);
+
+    let stranger = ModuleRef::new(ModuleKind::Ip, ModuleId(3), a);
+    let refused = filter(&stranger);
+    let refusal = Refusal {
+        device: c,
+        component: refused.component(),
+        cause: RefusalCause::Module(ModuleError::UnresolvedFilterEnd(stranger)),
+    };
+    let outcome = t.mn.run_batch(&[(goal, &script_on(c, vec![refused]))]);
+    assert_eq!(outcome.failed, [(goal, refusal)]);
+    assert_eq!(
+        config_json(&t, c),
+        before,
+        "a refused filter changes nothing"
+    );
+
+    let scripts = script_on(
+        c,
+        vec![filter(&ModuleRef::new(ModuleKind::Ip, ModuleId(4), a))],
+    );
+    assert_eq!(t.mn.run_batch(&[(goal, &scripts)]).committed, [goal]);
+    let host = |addr: [u8; 4]| Some(Ipv4Cidr::new(Ipv4Addr::from(addr), 32));
+    let rule = FilterRule {
+        id: 1,
+        action: FilterAction::Drop,
+        src: host([204, 9, 168, 1]),
+        dst: host([204, 9, 169, 1]),
+        proto: None,
+        dst_port: None,
+    };
+    assert_eq!(t.mn.net.device(c).expect("C").config.filters, [rule]);
+    assert!(!t.send_site1_to_site2(b"while the filter holds").0);
+    // The store never adopted the filter: C lists it and nothing else, and
+    // no goal claims it.
     assert_eq!(t.mn.audit(), orphans_of(&scripts));
 
     let torn = t.mn.run_teardown_batch(&[(goal, scripts.teardown())], &[]);
     assert!(torn.skipped.is_empty());
-    assert_eq!(config_json(&t), before, "the teardown removed the filter");
+    assert_eq!(
+        config_json(&t, c),
+        before,
+        "the teardown removed the filter"
+    );
+    assert!(t.send_site1_to_site2(b"after the teardown").0);
     assert_eq!(t.mn.audit(), []);
 }
 
-/// Regression: an IP filter naming no address committed `Ok` and installed
-/// nothing, and a field that did not parse was dropped, widening the rule —
-/// a bad `to-address` beside a good `from-address` dropped everything from
-/// the source.  A gateway rule whose gateway did not parse committed `Ok`
-/// and waited for good, unlisted.  Each now fails its goal at stage with its
+/// Regression: the IP module checked a repeated `create (filter)` against
+/// the filters it held, not against the batch's earlier creates.  Created
+/// twice in one segment or by two goals of one batch, both rules were
+/// installed and the module kept only the second's id, so the teardown
+/// left one rule dropping traffic that `audit()` could not see.  The
+/// repeat is now refused `FilterInUse` at stage.
+#[test]
+fn a_filter_created_twice_in_one_segment_is_refused_at_stage() {
+    let (mut t, c, filter) = figure_7_on_gre();
+    let before = config_json(&t, c);
+    let from_a = filter(&ModuleRef::new(ModuleKind::Ip, ModuleId(4), t.core[0]));
+    let in_use = Refusal {
+        device: c,
+        component: from_a.component(),
+        cause: RefusalCause::Module(ModuleError::FilterInUse),
+    };
+    let twice = script_on(c, vec![from_a.clone(), from_a]);
+    let outcome = t.mn.run_batch(&[(GoalId(7), &twice)]);
+    assert_eq!(outcome.failed, [(GoalId(7), in_use)]);
+    assert_eq!(config_json(&t, c), before);
+    assert_eq!(t.mn.audit(), []);
+}
+
+/// The same regression across two goals of one batch: the first commits,
+/// the second is refused, and the first's teardown leaves nothing behind.
+#[test]
+fn a_filter_created_by_two_goals_of_one_batch_is_refused_for_the_second() {
+    let (mut t, c, filter) = figure_7_on_gre();
+    let before = config_json(&t, c);
+    let from_a = filter(&ModuleRef::new(ModuleKind::Ip, ModuleId(4), t.core[0]));
+    let in_use = Refusal {
+        device: c,
+        component: from_a.component(),
+        cause: RefusalCause::Module(ModuleError::FilterInUse),
+    };
+    let once = script_on(c, vec![from_a]);
+    let outcome = t.mn.run_batch(&[(GoalId(8), &once), (GoalId(9), &once)]);
+    assert_eq!(outcome.committed, [GoalId(8)]);
+    assert_eq!(outcome.failed, [(GoalId(9), in_use)]);
+    assert_eq!(t.mn.net.device(c).expect("C").config.filters.len(), 1);
+    t.mn.run_teardown_batch(&[(GoalId(8), once.teardown())], &[]);
+    assert_eq!(config_json(&t, c), before);
+    assert_eq!(t.mn.audit(), []);
+}
+
+/// Regression: a gateway rule whose gateway did not parse committed `Ok`
+/// and waited for good, unlisted.  It now fails its goal at stage with its
 /// own `ModuleError`, and the device is left as it was.
 #[test]
-fn an_ip_filter_without_an_address_or_with_a_garbage_field_fails_its_goal() {
-    use conman::core::ids::{ModuleKind, PipeId};
+fn a_gateway_that_does_not_parse_fails_its_goal() {
+    use conman::core::ids::PipeId;
     use conman::core::module::SwitchField;
-    use conman::core::primitives::{FilterSpec, PipeSpec, ResolvedName, SwitchSpec};
+    use conman::core::primitives::{PipeSpec, ResolvedName, SwitchSpec};
 
     let mut t = managed_chain(3);
     t.discover();
-    let (ingress, egress) = (t.core[0], t.core[2]);
-    let config_json = |t: &Chain| {
-        serde_json::to_string(&t.mn.net.device(ingress).expect("ingress").config)
-            .expect("a device configuration serialises")
-    };
-    let before = config_json(&t);
-    let find = |d, kind| t.mn.nm.find_module(d, &kind).expect("a module");
-    let (module, from, to) = (
-        find(ingress, ModuleKind::Ip),
-        find(ingress, ModuleKind::Ip),
-        find(egress, ModuleKind::Ip),
-    );
-    let eth = find(ingress, ModuleKind::Eth);
-    let filter = |fields: &[(&str, &str)]| {
-        let resolved = (fields.iter())
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        vec![Primitive::CreateFilter(FilterSpec {
-            module: module.clone(),
-            from: from.clone(),
-            to: to.clone(),
-            resolved,
-        })]
-    };
+    let ingress = t.core[0];
+    let before = config_json(&t, ingress);
+    let find = |kind| t.mn.nm.find_module(ingress, &kind).expect("a module");
+    let (module, eth) = (find(ModuleKind::Ip), find(ModuleKind::Eth));
     // The customer-side pipe, then the rule back to it through `gateway`.
-    let towards_customer = |gateway: &str| {
-        let pipe = PipeSpec {
-            pipe: PipeId(7000),
-            upper: module.clone(),
-            lower: eth.clone(),
-            peer_upper: None,
-            peer_lower: None,
-            tradeoffs: vec![],
-            initiate: false,
-        };
-        let rule = SwitchSpec {
-            module: module.clone(),
-            in_pipe: PipeId(7001),
-            out_pipe: PipeId(7000),
-            dst_class: None,
-            gateway: Some(ResolvedName {
-                name: "S1-gateway".into(),
-                value: gateway.into(),
-            }),
-            local_prefix: Some("10.0.1.0/24".into()),
-        };
-        vec![Primitive::CreatePipe(pipe), Primitive::CreateSwitch(rule)]
+    let pipe = PipeSpec {
+        pipe: PipeId(7000),
+        upper: module.clone(),
+        lower: eth,
+        peer_upper: None,
+        peer_lower: None,
+        tradeoffs: vec![],
+        initiate: false,
     };
-    let cases = [
-        (
-            filter(&[("to-port", "80")]),
-            ModuleError::FilterWithoutAddress,
-        ),
-        (
-            filter(&[
-                ("from-address", "10.0.1.0/24"),
-                ("to-address", "10.0.2.0/33"),
-            ]),
-            ModuleError::BadFilterField(FilterField::ToAddress),
-        ),
-        (
-            towards_customer("S1-gateway"),
-            ModuleError::BadSwitchField(SwitchField::Gateway),
-        ),
-    ];
-    for (goal, (primitives, error)) in cases.into_iter().enumerate() {
-        let goal = GoalId(goal as u64 + 1);
-        let component = primitives.last().and_then(Primitive::component);
-        let scripts = ScriptSet {
-            scripts: vec![DeviceScript {
-                device: ingress,
-                primitives,
-            }],
-        };
-        let outcome = t.mn.run_batch(&[(goal, &scripts)]);
-        let refusal = Refusal {
-            device: ingress,
-            component,
-            cause: RefusalCause::Module(error),
-        };
-        assert_eq!(outcome.failed, [(goal, refusal)]);
-        assert_eq!(config_json(&t), before, "{goal}: the device is unchanged");
-        assert_eq!(t.mn.audit(), []);
-    }
+    let rule = Primitive::CreateSwitch(SwitchSpec {
+        module,
+        in_pipe: PipeId(7001),
+        out_pipe: PipeId(7000),
+        dst_class: None,
+        gateway: Some(ResolvedName {
+            name: "S1-gateway".into(),
+            value: "S1-gateway".into(),
+        }),
+        local_prefix: Some("10.0.1.0/24".into()),
+    });
+    let refusal = Refusal {
+        device: ingress,
+        component: rule.component(),
+        cause: RefusalCause::Module(ModuleError::BadSwitchField(SwitchField::Gateway)),
+    };
+    let scripts = script_on(ingress, vec![Primitive::CreatePipe(pipe), rule]);
+    let outcome = t.mn.run_batch(&[(GoalId(1), &scripts)]);
+    assert_eq!(outcome.failed, [(GoalId(1), refusal)]);
+    assert_eq!(config_json(&t, ingress), before, "the device is unchanged");
+    assert_eq!(t.mn.audit(), []);
 }
 
 /// A component deleted behind the store's back is claimed and no longer
