@@ -16,12 +16,13 @@
 //!    transaction: a stage whose txn id is not newer than the one it holds
 //!    is refused [`RefusalCause::StaleTxn`], and a reboot drops what it
 //!    staged.
-//! 2. **Commit** — devices commit one at a time in reverse path order (so
-//!    every peer-negotiation initiator finds its peers already configured).
-//!    A goal whose segment fails its commit (or whose device never answers)
-//!    is rolled back: the devices that already committed it get the
-//!    teardown mirror of its script (`delete` per `create`, reverse order),
-//!    and its still-staged segments get an abort.
+//! 2. **Commit** — every device holding a live goal's segment is sent its
+//!    `CommitBatch` in one wave, and the NM quiesces once, as
+//!    [`ManagedNetwork::execute_path`] sends every device its script.  A
+//!    goal refused at any device's commit, or one of whose devices never
+//!    answers, is rolled back: every device that answered gets the teardown
+//!    mirror of its script (`delete` per `create`, reverse order), and a
+//!    silent device gets an abort.
 //!
 //! Two runners drive that protocol.  [`ManagedNetwork::run_batch`] is the
 //! strict one above.  [`ManagedNetwork::run_teardown_batch`] (withdraw,
@@ -29,48 +30,40 @@
 //! that does not answer is skipped rather than failing the transaction — a
 //! later reconcile cleans it up.
 //!
-//! The two share the stage phase (one `StageBatch` per device, one quiesce,
-//! one `StageDevice` event per device) and the abort step (`AbortBatch`
-//! plus its `AbortDevice` event).  They do not share a commit phase: the
-//! strict runner commits device by device and quiesces after each, so a
-//! failure is undone before the next device commits; the lenient one
-//! commits every device at once and never rolls back.  A rollback is itself
-//! a nested lenient transaction under a newer txn id, and only the devices
-//! that already committed see it, so the journal shows every delete it
-//! sends.
+//! The two share every phase: stage (one `StageBatch` per device, one
+//! quiesce, one `StageDevice` event per device), commit (one `CommitBatch`
+//! per device, one quiesce, one `CommitDevice` event per device and an
+//! abort to each device that stayed silent) and the abort step
+//! (`AbortBatch` plus its `AbortDevice` event).  They differ only in what
+//! a failure costs: the lenient runner skips the device, the strict one
+//! rolls the failed goals back.  A rollback is itself a nested lenient
+//! transaction under a newer txn id, sent to the devices that answered the
+//! commit, so the journal shows every delete it sends.
 
 use super::ManagedNetwork;
 use crate::nm::goal::GoalId;
 use crate::nm::ScriptSet;
-use crate::primitives::{Primitive, Refusal, RefusalCause, SegmentVerdict, WireMessage};
+use crate::primitives::{
+    Primitive, Refusal, RefusalCause, SegmentCommit, SegmentVerdict, WireMessage,
+};
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use netsim::device::DeviceId;
 use netsim::network::Network;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Moments a [`TxnHook`] is invoked at, for deterministic fault injection
-/// between transaction phases (e.g. crash a device after it staged but
-/// before it commits).
+/// The moment a [`TxnHook`] is invoked at, for deterministic fault
+/// injection between transaction phases (e.g. crash a device after it
+/// staged but before it commits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnEvent {
-    /// Every device staged successfully; commits are about to start.
-    Staged {
-        /// The transaction id.
-        txn: u64,
-    },
-    /// The commit for `device` is about to be sent.
+    /// The commit for `device` is about to be sent.  A wave sends every
+    /// device its commit before any is delivered, so a device crashed here
+    /// misses its own commit and every relay of the wave.
     BeforeCommit {
         /// The transaction id.
         txn: u64,
         /// The device about to commit.
-        device: DeviceId,
-    },
-    /// `device` acknowledged its commit successfully.
-    Committed {
-        /// The transaction id.
-        txn: u64,
-        /// The device that committed.
         device: DeviceId,
     },
 }
@@ -87,9 +80,13 @@ pub struct BatchOutcome {
     /// Goals that failed staging or commit (with the first refusal), each
     /// rolled back via its teardown mirror without disturbing siblings.
     pub failed: Vec<(GoalId, Refusal)>,
-    /// Goals whose reverse path order could not share the batch's single
-    /// commit order; each ran as its own batch of one instead (their
-    /// verdicts still land in `committed`/`failed`).
+    /// Goals whose path order could not share one device order with the
+    /// batch (they cross its devices in the other direction); each ran as
+    /// its own batch of one instead (their verdicts still land in
+    /// `committed`/`failed`).  IP and MPLS modules pair the concurrent
+    /// exchanges they hold with one peer by ascending pipe order, so two
+    /// goals whose exchanges run between the same modules in opposite
+    /// directions in one wave would pair each other's exchanges.
     pub fallback: Vec<GoalId>,
 }
 
@@ -198,6 +195,57 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         );
     }
 
+    /// The commit phase of both runners: send every device of `wave` its
+    /// `CommitBatch` for the listed goals, quiesce once, and take each
+    /// device's answer, journaling a `CommitDevice` that is `ok` when the
+    /// device answered and refused nothing.  A device that did not answer
+    /// is absent from the answers and is sent an abort, in case it is only
+    /// unreachable (a crashed one drops what it staged at reboot).
+    fn commit(
+        &mut self,
+        txn: u64,
+        wave: &BTreeMap<DeviceId, Vec<u64>>,
+    ) -> BTreeMap<DeviceId, Vec<SegmentCommit>> {
+        let mut answers = BTreeMap::new();
+        if wave.is_empty() {
+            return answers;
+        }
+        for (&device, goals) in wave {
+            self.fire_hook(TxnEvent::BeforeCommit { txn, device });
+            let goals = goals.clone();
+            self.send(
+                self.nm_host(),
+                device,
+                &WireMessage::CommitBatch { txn, goals },
+            );
+        }
+        self.run_management();
+        for (&device, goals) in wave {
+            let answer = self.commit_batch_results.remove(&(device, txn));
+            let ok = answer
+                .as_ref()
+                .is_some_and(|segs| segs.iter().all(|sc| sc.results.iter().all(Result::is_ok)));
+            self.recorder.event(
+                self.net.now().as_nanos(),
+                TraceKind::CommitDevice {
+                    txn,
+                    device: device.as_u64(),
+                    ok,
+                },
+            );
+            match answer {
+                Some(segs) => {
+                    answers.insert(device, segs);
+                }
+                None => self.abort(txn, device, goals.clone()),
+            }
+        }
+        if answers.len() < wave.len() {
+            self.run_management();
+        }
+        answers
+    }
+
     /// Execute many goals' teardown scripts (all-`delete`) as **one**
     /// batched lenient transaction: every touched device is staged once
     /// (all goals' delete segments in one `StageBatch`) and committed once,
@@ -234,53 +282,23 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
         let prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
 
-        // ---- Phase 1: stage every device once. ------------------------
-        // Deletes always validate, so a device either answers (committable)
-        // or is silent (lenient skip).
-        let mut committable = Vec::new();
+        // Deletes always validate, so a device either answers its stage
+        // (committable) or is silent (lenient skip).
+        let mut wave = BTreeMap::new();
         for (device, staged) in self.stage(txn, segments) {
             match staged.verdicts {
-                Some(_) => committable.push((device, staged.goals)),
+                Some(_) => {
+                    wave.insert(device, staged.goals);
+                }
                 None => outcome.skipped.push(device),
             }
         }
-
-        // ---- Phase 2: commit each answering device once. --------------
-        for (device, goals) in &committable {
-            let goals = goals.clone();
-            self.send(
-                self.nm_host(),
-                *device,
-                &WireMessage::CommitBatch { txn, goals },
-            );
+        let answers = self.commit(txn, &wave);
+        let silent = wave.keys().filter(|d| !answers.contains_key(d));
+        outcome.skipped.extend(silent);
+        for sc in answers.into_values().flatten() {
+            *outcome.per_goal.entry(GoalId(sc.goal)).or_insert(0) += sc.results.len();
         }
-        self.run_management();
-        for (device, goals) in committable {
-            let answer = self.commit_batch_results.remove(&(device, txn));
-            let ok = answer.is_some();
-            match answer {
-                Some(segs) => {
-                    for sc in segs {
-                        *outcome.per_goal.entry(GoalId(sc.goal)).or_insert(0) += sc.results.len();
-                    }
-                }
-                None => {
-                    // Silent between the phases: abort, in case it is only
-                    // unreachable (a crashed one drops the stage at reboot).
-                    self.abort(txn, device, goals);
-                    outcome.skipped.push(device);
-                }
-            }
-            self.recorder.event(
-                self.net.now().as_nanos(),
-                TraceKind::CommitDevice {
-                    txn,
-                    device: device.as_u64(),
-                    ok,
-                },
-            );
-        }
-        self.run_management();
         self.batch_relays = prev_batch_relays;
         outcome
     }
@@ -297,24 +315,28 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     ///
     /// Per-goal atomicity is preserved inside the batch: a goal whose
     /// segment fails staging on any device is aborted everywhere before
-    /// anything of it is applied, and the goals that fail at one device's
-    /// commit are rolled back together without aborting sibling goals.
-    /// Commit order across devices follows the reverse of the latest path
-    /// position any goal assigns a device, so every peer-negotiation
-    /// initiator still finds its peers committed.
-    /// A goal whose own reverse path order cannot be embedded in that
-    /// single global order (e.g. two goals traversing shared devices in
-    /// opposite directions) is excluded from the batch and re-enters this
-    /// runner as a batch of one afterwards — correctness first, batching
-    /// where it is sound (`BatchOutcome::fallback` records them).  A
-    /// transaction for one goal is `run_batch(&[(goal, &scripts)])`.
+    /// anything of it is applied.  The goals still live then commit in one
+    /// wave: every device holding one of their segments is sent its
+    /// `CommitBatch` before the NM quiesces once, and no device waits for
+    /// another.  That is sound because a device's `CommitBatch` is one hop
+    /// from the NM while a module's relay to it takes at least two
+    /// (device → NM → device): every peer has applied its segment before
+    /// the first envelope of a negotiation reaches it, as in
+    /// [`Self::execute_path`].  A goal refused at any device's commit, or
+    /// one of whose devices stays silent, fails, and the failed goals are
+    /// rolled back together without disturbing sibling goals.
+    /// A goal whose path order cannot share one device order with the rest
+    /// of the batch (two goals crossing the same devices in opposite
+    /// directions) is excluded from the batch and re-enters this runner as
+    /// a batch of one afterwards (`BatchOutcome::fallback` records them and
+    /// says why).  A transaction for one goal is
+    /// `run_batch(&[(goal, &scripts)])`.
     ///
-    /// A rollback costs, per commit step at which goals fail, one nested
-    /// [`Self::run_teardown_batch`] over their teardown mirrors — a
-    /// `StageBatch` and a `CommitBatch` (each answered) to every device
-    /// that already committed one of them, and nothing when no such device
-    /// created anything — plus one `AbortBatch` to every device still to
-    /// commit that holds a segment of one of them.
+    /// A rollback costs one nested [`Self::run_teardown_batch`] over the
+    /// failed goals' teardown mirrors — a `StageBatch` and a `CommitBatch`
+    /// (each answered) to every device that answered the commit and created
+    /// something of them, and nothing when no such device did — plus one
+    /// `AbortBatch` to each device that stayed silent at commit.
     ///
     /// A failed goal's [`Refusal`] in `BatchOutcome::failed` is the first
     /// one its segments met.  Its cause is one of:
@@ -328,16 +350,15 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     pub fn run_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> BatchOutcome {
         let txn = self.goals.next_txn();
         let mut outcome = BatchOutcome::default();
-        // Partition into goals that can share one commit order and goals
+        // Partition into goals that can share one device order and goals
         // that must fall back to a batch of their own.  Removing a
         // conflicting goal changes the aggregate order, so iterate to a
         // fixed point (immediate for same-direction goal sets, the common
         // case on every chain topology).
         let mut batchable: Vec<(GoalId, &ScriptSet)> = items.to_vec();
         let mut fallback: Vec<(GoalId, &ScriptSet)> = Vec::new();
-        let mut position: BTreeMap<DeviceId, usize>;
         loop {
-            position = BTreeMap::new();
+            let mut position: BTreeMap<DeviceId, usize> = BTreeMap::new();
             for (_, scripts) in &batchable {
                 for (i, ds) in scripts.scripts.iter().enumerate() {
                     let p = position.entry(ds.device).or_insert(0);
@@ -348,9 +369,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             order.sort_by(|a, b| position[b].cmp(&position[a]).then(a.cmp(b)));
             let commit_index: BTreeMap<DeviceId, usize> =
                 order.iter().enumerate().map(|(i, d)| (*d, i)).collect();
-            // A goal is batchable iff its devices' commit positions strictly
-            // decrease along its path (its own reverse path order is a
-            // subsequence of the global commit order).
+            // A goal is batchable iff its devices' positions in that order
+            // strictly decrease along its path (its own reverse path order
+            // is a subsequence of the shared order).
             let violators: Vec<usize> = batchable
                 .iter()
                 .enumerate()
@@ -384,6 +405,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
         let mut alive: BTreeSet<GoalId> = batchable.iter().map(|(g, _)| *g).collect();
         let mut errors: BTreeMap<GoalId, Refusal> = BTreeMap::new();
+        let mut fail = |alive: &mut BTreeSet<GoalId>, goal: GoalId, refusal: &Refusal| {
+            if alive.remove(&goal) {
+                errors.insert(goal, refusal.clone());
+            }
+        };
         self.recorder.inc("txn.batches", 1);
         self.recorder
             .observe("txn.batch.devices", segments.len() as f64);
@@ -394,147 +420,94 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         let prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
 
         // ---- Phase 1: stage every device once. ------------------------
-        let mut goals_by_device: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
-        let mut silent: BTreeSet<DeviceId> = BTreeSet::new();
+        let mut held: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
         for (device, staged) in self.stage(txn, segments) {
             match staged.verdicts {
                 Some(verdicts) => {
-                    for v in verdicts {
-                        let Some(refusal) = v.errors.into_iter().next() else {
-                            continue;
-                        };
-                        let goal = GoalId(v.goal);
-                        if alive.remove(&goal) {
-                            errors.insert(goal, refusal);
+                    for v in &verdicts {
+                        if let Some(refusal) = v.errors.first() {
+                            fail(&mut alive, GoalId(v.goal), refusal);
                         }
                     }
+                    held.insert(device, staged.goals);
                 }
                 None => {
                     // Silence: crashed or unreachable — every segment it
                     // holds is lost.
-                    silent.insert(device);
                     let silence = unanswered(device, RefusalCause::UnansweredStage);
-                    for goal in staged.goals.iter().map(|g| GoalId(*g)) {
-                        if alive.remove(&goal) {
-                            errors.insert(goal, silence.clone());
-                        }
+                    for goal in &staged.goals {
+                        fail(&mut alive, GoalId(*goal), &silence);
                     }
                 }
             }
-            goals_by_device.insert(device, staged.goals);
         }
-        // Abort dead goals' segments still held on answering devices.
+        // Abort dead goals' segments still held on answering devices; the
+        // live ones make the commit wave.
+        let mut wave: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
         let mut aborted_any = false;
-        for (device, goals) in &goals_by_device {
-            if silent.contains(device) {
-                continue;
-            }
-            let dead: Vec<u64> = goals
-                .iter()
-                .copied()
-                .filter(|g| !alive.contains(&GoalId(*g)))
-                .collect();
+        for (device, goals) in held {
+            let (live, dead): (Vec<u64>, Vec<u64>) =
+                goals.into_iter().partition(|g| alive.contains(&GoalId(*g)));
             if !dead.is_empty() {
-                self.abort(txn, *device, dead);
+                self.abort(txn, device, dead);
                 aborted_any = true;
+            }
+            if !live.is_empty() {
+                wave.insert(device, live);
             }
         }
         if aborted_any {
             self.run_management();
         }
-        if !alive.is_empty() {
-            self.fire_hook(TxnEvent::Staged { txn });
-        }
 
-        // ---- Phase 2: commit each device once, latest-position first. --
-        // Peer negotiations are initiated by the earlier device of a peer
-        // pair, so committing devices in reverse path position guarantees
-        // every initiator's peers are already configured and can answer
-        // within the initiator's own management round.
-        let mut order: Vec<DeviceId> = goals_by_device
-            .keys()
-            .copied()
-            .filter(|d| !silent.contains(d))
-            .collect();
-        order.sort_by(|a, b| position[b].cmp(&position[a]).then(a.cmp(b)));
-        if alive.is_empty() {
-            order.clear();
-        }
-        for (idx, device) in order.iter().copied().enumerate() {
-            let goals_here: Vec<u64> = goals_by_device[&device]
-                .iter()
-                .copied()
-                .filter(|g| alive.contains(&GoalId(*g)))
-                .collect();
-            if goals_here.is_empty() {
-                continue;
-            }
-            self.fire_hook(TxnEvent::BeforeCommit { txn, device });
-            self.send(
-                self.nm_host(),
-                device,
-                &WireMessage::CommitBatch {
-                    txn,
-                    goals: goals_here.clone(),
-                },
-            );
-            self.run_management();
-            let mut newly_failed: BTreeSet<GoalId> = BTreeSet::new();
-            let answer = self.commit_batch_results.remove(&(device, txn));
-            // A device whose commit went unanswered cannot be rolled back, so
-            // a failed goal's teardown mirrors go to the devices before it.
-            let committed = match answer {
-                Some(_) => &order[..=idx],
-                None => &order[..idx],
-            };
-            let commit_ok = match answer {
+        // ---- Phase 2: commit the live goals in one wave. --------------
+        let committing = alive.clone();
+        let answers = self.commit(txn, &wave);
+        for (device, goals) in &wave {
+            match answers.get(device) {
                 Some(segs) => {
-                    let mut clean = true;
                     for sc in segs {
-                        let goal = GoalId(sc.goal);
-                        let Some(refusal) = sc.results.into_iter().find_map(Result::err) else {
-                            continue;
-                        };
-                        clean = false;
-                        if alive.remove(&goal) {
-                            errors.insert(goal, *refusal);
-                            newly_failed.insert(goal);
+                        let refusal = sc.results.iter().find_map(|r| r.as_ref().err());
+                        if let Some(refusal) = refusal {
+                            fail(&mut alive, GoalId(sc.goal), refusal);
                         }
                     }
-                    if clean {
-                        self.fire_hook(TxnEvent::Committed { txn, device });
-                    }
-                    clean
                 }
                 None => {
-                    // The whole device went silent mid-commit: every goal it
-                    // was asked to commit fails.
-                    let silence = unanswered(device, RefusalCause::UnansweredCommit);
-                    for goal in goals_here.iter().map(|g| GoalId(*g)) {
-                        if alive.remove(&goal) {
-                            errors.insert(goal, silence.clone());
-                            newly_failed.insert(goal);
-                        }
+                    // Silent mid-commit: every goal it was asked to commit
+                    // fails.
+                    let silence = unanswered(*device, RefusalCause::UnansweredCommit);
+                    for goal in goals {
+                        fail(&mut alive, GoalId(*goal), &silence);
                     }
-                    false
                 }
-            };
-            self.recorder.event(
-                self.net.now().as_nanos(),
-                TraceKind::CommitDevice {
-                    txn,
-                    device: device.as_u64(),
-                    ok: commit_ok,
-                },
-            );
-            if !newly_failed.is_empty() {
-                self.roll_back(txn, &newly_failed, &batchable, committed, &order[idx + 1..]);
             }
         }
-        self.run_management();
+
+        // ---- Roll back: the failed goals' teardown mirrors, as one nested
+        // lenient transaction (a newer txn id) on every device that
+        // answered the commit.  Siblings are untouched: their segments
+        // live in disjoint pipe-id blocks. --------------------------------
+        let mirrors: Vec<GoalTeardown> = batchable
+            .iter()
+            .filter(|(goal, _)| committing.contains(goal) && !alive.contains(goal))
+            .map(|(goal, scripts)| {
+                let deletes = scripts
+                    .scripts
+                    .iter()
+                    .filter(|ds| answers.contains_key(&ds.device))
+                    .map(|ds| (ds.device, ScriptSet::teardown_of(ds)))
+                    .filter(|(_, deletes)| !deletes.is_empty())
+                    .collect();
+                (*goal, deletes)
+            })
+            .collect();
+        if mirrors.iter().any(|(_, deletes)| !deletes.is_empty()) {
+            self.run_teardown_batch(&mirrors, &[]);
+        }
 
         // ---- Fallback: each conflicting goal re-enters this runner as a
-        // batch of one.  A lone goal always embeds in its own commit order,
+        // batch of one.  A lone goal always embeds in its own device order,
         // so the recursion is one level deep. ---------------------------
         debug_assert!(
             fallback.is_empty() || items.len() > 1,
@@ -560,53 +533,5 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         outcome.failed = errors.into_iter().collect();
         self.batch_relays = prev_batch_relays;
         outcome
-    }
-
-    /// Undo `goals`, which failed at one commit step of `txn`.  Their
-    /// teardown mirrors run as one nested [`Self::run_teardown_batch`] on
-    /// the `committed` devices only: a newer txn id replaces the one
-    /// transaction a device holds, so staging it on a device still to
-    /// commit would drop the siblings' segments there.  Those `pending`
-    /// devices get an `AbortBatch` for the failed goals instead.  Siblings
-    /// are untouched: their segments live in disjoint pipe-id blocks.
-    fn roll_back(
-        &mut self,
-        txn: u64,
-        goals: &BTreeSet<GoalId>,
-        batch: &[(GoalId, &ScriptSet)],
-        committed: &[DeviceId],
-        pending: &[DeviceId],
-    ) {
-        let failed: Vec<(GoalId, &ScriptSet)> = batch
-            .iter()
-            .filter(|(g, _)| goals.contains(g))
-            .copied()
-            .collect();
-        let mirrors: Vec<GoalTeardown> = failed
-            .iter()
-            .map(|(goal, scripts)| {
-                let deletes = scripts
-                    .scripts
-                    .iter()
-                    .filter(|ds| committed.contains(&ds.device))
-                    .map(|ds| (ds.device, ScriptSet::teardown_of(ds)))
-                    .filter(|(_, deletes)| !deletes.is_empty())
-                    .collect();
-                (*goal, deletes)
-            })
-            .collect();
-        if mirrors.iter().any(|(_, deletes)| !deletes.is_empty()) {
-            self.run_teardown_batch(&mirrors, &[]);
-        }
-        for device in pending {
-            let held: Vec<u64> = failed
-                .iter()
-                .filter(|(_, scripts)| scripts.scripts.iter().any(|ds| ds.device == *device))
-                .map(|(g, _)| g.0)
-                .collect();
-            if !held.is_empty() {
-                self.abort(txn, *device, held);
-            }
-        }
     }
 }

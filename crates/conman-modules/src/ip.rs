@@ -184,8 +184,11 @@ pub(crate) struct IpModule {
     /// pipe must not scan every pipe (that made batched reconcile passes
     /// O(goals²) in envelope handling).
     by_peer: BTreeMap<ModuleRef, BTreeSet<PipeId>>,
-    /// The subset of [`Self::by_peer`] still awaiting its peer value; an
-    /// incoming exchange belongs to the lowest unlearned pipe of its peer.
+    /// The pipes of [`Self::by_peer`] that exchange addresses with their
+    /// peer ([`Self::exchanges`]) and still await its value; an incoming
+    /// exchange belongs to the lowest unlearned pipe of its peer.  A pipe
+    /// that never exchanges is never listed: it would stay lowest forever
+    /// and take a later goal's exchange with the same peer.
     unlearned_by_peer: BTreeMap<ModuleRef, BTreeSet<PipeId>>,
     /// Adjacency pipes (upper end above an ETH module), so
     /// [`Self::path_address`] is O(1) instead of a per-call pipe scan.
@@ -235,12 +238,16 @@ impl IpModule {
         }
     }
 
+    /// Does this pipe exchange addresses with its peer: an endpoint or
+    /// adjacency pipe whose peer is an IP module?
+    fn exchanges(rec: &PipeRec) -> bool {
+        Self::peer_of(rec).is_some_and(|peer| peer.kind == ModuleKind::Ip)
+            && (Self::is_endpoint_pipe(rec) || Self::is_adjacency_pipe(rec))
+    }
+
     /// Does this module still owe the pipe's peer the opening query?
     fn awaits_query(rec: &PipeRec) -> bool {
-        rec.spec.initiate
-            && !rec.query_sent
-            && Self::peer_of(rec).is_some_and(|peer| peer.kind == ModuleKind::Ip)
-            && (Self::is_endpoint_pipe(rec) || Self::is_adjacency_pipe(rec))
+        rec.spec.initiate && !rec.query_sent && Self::exchanges(rec)
     }
 
     /// Is this pipe an "endpoint" pipe: this module is the lower end beneath
@@ -715,10 +722,12 @@ impl ProtocolModule for IpModule {
                 .entry(peer.clone())
                 .or_default()
                 .insert(spec.pipe);
-            self.unlearned_by_peer
-                .entry(peer.clone())
-                .or_default()
-                .insert(spec.pipe);
+            if Self::exchanges(&rec) {
+                self.unlearned_by_peer
+                    .entry(peer.clone())
+                    .or_default()
+                    .insert(spec.pipe);
+            }
         }
         if Self::is_adjacency_pipe(&rec) {
             self.adjacency_pipes.insert(spec.pipe);

@@ -45,7 +45,7 @@ fn main() {
 
     // 5. Reconcile: every stored goal is driven to its desired state.  The
     //    scripts execute as a two-phase transaction (stage everywhere,
-    //    commit device by device, roll back on any failure).
+    //    commit everywhere in one wave, roll back on any failure).
     let report = testbed.mn.reconcile();
     println!(
         "reconciled: goal is {} after {} transaction(s)",

@@ -9,6 +9,7 @@
 
 use conman::core::ids::{ModuleId, ModuleKind, ModuleRef};
 use conman::core::module::ModuleError;
+use conman::core::nm::script::generate_with_base;
 use conman::core::nm::{
     ConnectivityGoal, DeviceScript, Exclusion, GoalFailure, GoalId, GoalStatus, GoalStore,
     PlanError, ScriptSet,
@@ -150,10 +151,9 @@ fn mid_commit_device_crash_rolls_back_cleanly_and_reconcile_retries() {
     // Crash the middle router after staging, right before its commit.
     let b = t.core[1];
     t.mn.txn_hook = Some(Box::new(move |event, net| {
-        if let TxnEvent::BeforeCommit { device, .. } = event {
-            if *device == b {
-                net.set_device_up(b, false);
-            }
+        let TxnEvent::BeforeCommit { device, .. } = event;
+        if *device == b {
+            net.set_device_up(b, false);
         }
     }));
     let report = t.mn.reconcile();
@@ -688,10 +688,9 @@ fn batched_and_per_goal_equivalent_under_mid_commit_crash() {
             MidRouterFault::SilentAtStage => t.mn.net.set_device_up(b, false),
             MidRouterFault::CrashBeforeCommit => {
                 t.mn.txn_hook = Some(Box::new(move |event, net| {
-                    if let TxnEvent::BeforeCommit { device, .. } = event {
-                        if *device == b {
-                            net.set_device_up(b, false);
-                        }
+                    let TxnEvent::BeforeCommit { device, .. } = event;
+                    if *device == b {
+                        net.set_device_up(b, false);
                     }
                 }));
             }
@@ -769,8 +768,6 @@ fn scripts_avoiding(
     avoided: &[(DeviceId, DeviceId)],
     base: u32,
 ) -> (ScriptSet, Vec<DeviceId>) {
-    use conman::core::nm::script::generate_with_base;
-
     let links = avoided
         .iter()
         .map(|&(a, b)| Exclusion::link(a, b))
@@ -801,25 +798,24 @@ fn fail_one_goal_mid_batch(recorder: Recorder) -> MidBatchFailure {
     assert_eq!(path1, [&[ingress][..], &upper, &[egress]].concat());
     assert_eq!(path2, [&[ingress][..], &lower, &[egress]].concat());
 
-    // The lower row's middle router crashes right before its commit: g2's
-    // devices later on its path have committed it by then and roll it
+    // The lower row's middle router crashes right before its commit: every
+    // other device on g2's path commits it in the same wave and rolls it
     // back; g1 never crosses the router and commits everywhere.
     let crashed = lower[1];
     t.mn.txn_hook = Some(Box::new(move |event, net| {
-        if let TxnEvent::BeforeCommit { device, .. } = event {
-            if *device == crashed {
-                net.set_device_up(crashed, false);
-            }
+        let TxnEvent::BeforeCommit { device, .. } = event;
+        if *device == crashed {
+            net.set_device_up(crashed, false);
         }
     }));
     t.mn.set_recorder(recorder);
     let outcome = t.mn.run_batch(&[(g1, &plan1), (g2, &plan2)]);
     t.mn.txn_hook = None;
 
-    // Devices commit in reverse path order, so the ones that committed g2
-    // before the crash are those after the crashed router on its path.
-    let after = path2.iter().skip_while(|d| **d != crashed).skip(1);
-    let committed_g2 = after.map(|d| d.as_u64()).collect();
+    // Devices commit in one wave, so every device of g2's path but the
+    // crashed router answered its commit and holds g2's creates.
+    let answered = path2.iter().filter(|d| **d != crashed);
+    let committed_g2 = answered.map(|d| d.as_u64()).collect();
     let mut residue = orphans_of(&plan1);
     let before = |v: &PlanViolation| match v {
         PlanViolation::OrphanDeviceState { device, .. } => *device < crashed,
@@ -863,9 +859,9 @@ fn one_goal_failing_mid_batch_rolls_back_without_disturbing_siblings() {
         "g2 failed at commit"
     );
 
-    // g1's configuration is live end to end; g2's creates on the devices
-    // that committed it before the crash were rolled back via the teardown
-    // mirror, and its segments still staged elsewhere were aborted.
+    // g1's configuration is live end to end; g2's creates on every device
+    // that answered the commit wave were rolled back via the teardown
+    // mirror, and the crashed router was sent an abort.
     assert!(t.probe_pair(0), "the sibling goal carries traffic");
     assert_eq!(t.mn.audit(), residue);
 }
@@ -887,8 +883,9 @@ fn a_mid_batch_rollback_is_a_journaled_teardown_transaction() {
     let events = recorder.journal_events();
 
     // The rollback of g2 is a second transaction, newer than the batch's,
-    // staged and committed on exactly the devices where g2's creates landed
-    // — no delete leaves the NM without a journal event.
+    // staged and committed on exactly the devices that answered the commit
+    // wave, where g2's creates landed — no delete leaves the NM without a
+    // journal event.
     let staged = |txn: u64| -> BTreeSet<u64> {
         events
             .iter()
@@ -922,7 +919,7 @@ fn a_mid_batch_rollback_is_a_journaled_teardown_transaction() {
         txns.last().copied().unwrap(),
     );
     assert!(rollback > batch);
-    assert_eq!(committed_g2.len(), 2, "the last core router and the egress");
+    assert_eq!(committed_g2.len(), 4, "g2's path but the crashed router");
     assert_eq!(staged(rollback), committed_g2);
     assert_eq!(committed(rollback, true), committed_g2);
     assert!(committed(rollback, false).is_empty());
@@ -1024,13 +1021,29 @@ fn a_goal_refused_at_stage_mid_batch_is_sent_no_commit() {
     assert_eq!(t.mn.audit(), orphans_of(&plan1.scripts));
 }
 
+/// The goal's mirror image: the same interfaces and classes, traversed in
+/// the opposite direction.
+fn reversed(goal: &ConnectivityGoal) -> ConnectivityGoal {
+    let mut g = goal.clone();
+    std::mem::swap(&mut g.from, &mut g.to);
+    std::mem::swap(&mut g.src_class, &mut g.dst_class);
+    std::mem::swap(&mut g.src_gateway, &mut g.dst_gateway);
+    g
+}
+
+/// Does the chain carry customer traffic both ways between the sites?
+fn delivers_both_ways(t: &mut Chain) -> bool {
+    t.send_site1_to_site2(b"there").0 && t.send_site2_to_site1(b"back").0
+}
+
 #[test]
 fn opposite_direction_goals_fall_back_to_per_goal_transactions() {
     // Two goals traversing the same devices in opposite directions cannot
-    // share one batch commit order (each wants the other's initiator side
-    // committed first); the executor must detect this and run the
-    // conflicting goal as its own strict transaction instead of silently
-    // breaking its peer negotiations.
+    // share one device order: in one commit wave their module exchanges
+    // would run between the same modules in opposite directions, and IP and
+    // MPLS pair the concurrent exchanges they hold with one peer by
+    // ascending pipe order.  The executor must detect this and run the
+    // conflicting goals as their own strict transactions instead.
     let mut t = managed_chain(3);
     t.discover();
     let g1 = t.mn.submit(t.vpn_goal());
@@ -1055,6 +1068,64 @@ fn opposite_direction_goals_fall_back_to_per_goal_transactions() {
         "exactly one direction fell back to a per-goal transaction: {outcome:?}"
     );
     assert_eq!(t.mn.audit(), []);
+
+    // A real pair: forward and reverse MPLS goals over all three routers,
+    // in disjoint pipe blocks.  Both fall back, and each carries traffic
+    // both ways on its own once the other is torn down.
+    for survivor in 0..2 {
+        let mut t = managed_chain(3);
+        t.discover();
+        let fwd = t.vpn_goal();
+        let desired = [fwd.clone(), reversed(&fwd)];
+        let goals = [
+            t.mn.submit(desired[0].clone()),
+            t.mn.submit(desired[1].clone()),
+        ];
+        let mpls = |t: &Chain, goal: &ConnectivityGoal, base| {
+            let paths = t.mn.nm.find_paths(goal);
+            let path = paths.iter().find(|p| p.technology_label() == "MPLS");
+            generate_with_base(&t.mn.nm, path.expect("an MPLS path"), goal, base)
+        };
+        let plans = [mpls(&t, &desired[0], 0), mpls(&t, &desired[1], 1000)];
+        let outcome =
+            t.mn.run_batch(&[(goals[0], &plans[0]), (goals[1], &plans[1])]);
+        assert_eq!(outcome.committed, goals, "both goals commit");
+        assert_eq!(outcome.fallback, goals, "both fall back: {outcome:?}");
+        let gone = 1 - survivor;
+        t.mn.run_teardown_batch(&[(goals[gone], plans[gone].teardown())], &[]);
+        assert!(
+            delivers_both_ways(&mut t),
+            "goal {} carries traffic alone",
+            goals[survivor]
+        );
+    }
+}
+
+/// Forward and reverse goals over one technology share the core IP module
+/// above MPLS, whose pipe to its peer never exchanges addresses.  Such a
+/// pipe used to stay the IP module's lowest unlearned pipe to that peer
+/// forever and take the reverse goal's exchange, so the reverse goal's
+/// switch rules never installed: it carried nothing once the forward goal
+/// was withdrawn.
+#[test]
+fn a_reverse_goal_over_mpls_keeps_its_own_address_exchange() {
+    for technology in ["IP-IP over MPLS", "GRE-IP over MPLS"] {
+        let mut t = managed_chain(3);
+        t.discover();
+        let fwd = t.vpn_goal();
+        let rev = reversed(&fwd);
+        let fwd = t.mn.submit(fwd);
+        let rev = t.mn.submit(rev);
+        install_on(&mut t.mn, fwd, technology);
+        install_on(&mut t.mn, rev, technology);
+        assert_eq!(t.mn.audit(), [], "{technology}: both installed");
+        assert!(t.mn.withdraw(fwd).removed);
+        assert_eq!(t.mn.audit(), [], "{technology}: forward withdrawn");
+        assert!(
+            delivers_both_ways(&mut t),
+            "{technology}: the reverse goal carries traffic alone"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1602,7 +1673,7 @@ fn churned_fleet_keeps_every_survivor_up_and_its_message_flow_to_the_envelope() 
     /// What every operation costs once a device answers the NM once per
     /// round: the NM receives exactly as many relay messages as it sends,
     /// and nothing may move the flow by one message.
-    const EXPECTED: OpFlow = (35, 35, 22, 22, 0);
+    const EXPECTED: OpFlow = (34, 34, 20, 20, 0);
 
     let mut t = managed_fanout_chain(6, FLEET + OPS * CHURN);
     t.discover();

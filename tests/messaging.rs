@@ -133,8 +133,9 @@ fn a_batched_pass_costs_the_nm_the_same_messages_for_any_number_of_goals() {
             (c.received, c.sent)
         })
         .collect();
-    // Six stage and six commit answers, and eleven relay batches each way.
-    assert_eq!(flows, [(23, 23); 3], "(received, sent)");
+    // Six stage and six commit answers, and ten relay batches each way:
+    // the six devices commit in one wave, so their relay rounds overlap.
+    assert_eq!(flows, [(22, 22); 3], "(received, sent)");
 
     let mut t = managed_fanout_chain(6, 1);
     t.discover();
@@ -284,17 +285,17 @@ fn the_nm_relays_any_body_byte_for_byte_and_counts_it_by_kind_alone() {
     assert_eq!(heard(&echoed), says);
     assert_eq!(heard(&heard_back), says);
     // What the same pass (an MPLS goal) costs the NM: the babble rides one
-    // relay batch more each way than the goal's own four, and the LSP's
-    // egress notifies.
+    // relay batch more each way than the goal's own three (its devices
+    // commit in one wave), and the LSP's egress notifies.
     let c = t.mn.nm_counters();
     assert_eq!(
         c.received_by_category,
-        BTreeMap::from([(Response, 6), (ConveyMessage, 5), (Notification, 1)]),
+        BTreeMap::from([(Response, 6), (ConveyMessage, 4), (Notification, 1)]),
         "received"
     );
     assert_eq!(
         c.sent_by_category,
-        BTreeMap::from([(Command, 6), (ConveyMessage, 5)]),
+        BTreeMap::from([(Command, 6), (ConveyMessage, 4)]),
         "sent"
     );
 }

@@ -153,10 +153,9 @@ fn parallel_equals_sequential_on_a_multipath_mesh_fleet() {
 fn install_mid_batch_crash(t: &mut Chain) {
     let b = t.core[1];
     t.mn.txn_hook = Some(Box::new(move |event, net| {
-        if let TxnEvent::BeforeCommit { device, .. } = event {
-            if *device == b {
-                net.set_device_up(b, false);
-            }
+        let TxnEvent::BeforeCommit { device, .. } = event;
+        if *device == b {
+            net.set_device_up(b, false);
         }
     }));
 }
@@ -180,8 +179,9 @@ fn parallel_equals_sequential_under_a_mid_batch_device_crash() {
 }
 
 /// The forward goal's mirror image: same interfaces and classes, traversed
-/// in the opposite direction — the construction that cannot share the
-/// batch's single commit order and demotes one goal to the strict fallback.
+/// in the opposite direction — the construction whose exchanges would cross
+/// the batch's in one commit wave, so it cannot share the batch's device
+/// order and demotes one goal to the strict fallback.
 fn reversed(goal: &ConnectivityGoal) -> ConnectivityGoal {
     let mut g = goal.clone();
     std::mem::swap(&mut g.from, &mut g.to);
