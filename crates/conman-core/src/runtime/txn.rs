@@ -18,11 +18,16 @@
 //!    staged.
 //! 2. **Commit** — every device holding a live goal's segment is sent its
 //!    `CommitBatch` in one wave, and the NM quiesces once, as
-//!    [`ManagedNetwork::execute_path`] sends every device its script.  A
-//!    goal refused at any device's commit, or one of whose devices never
-//!    answers, is rolled back: every device that answered gets the teardown
-//!    mirror of its script (`delete` per `create`, reverse order), and a
-//!    silent device gets an abort.
+//!    [`ManagedNetwork::execute_path`] sends every device its script.  One
+//!    wave is safe in either direction along a path: a `CommitBatch` is one
+//!    hop from the NM and a module's relay at least two, so every peer has
+//!    applied its segment before an exchange reaches it, and a module pairs
+//!    an opening with a pipe it does not initiate and an answer with one it
+//!    does, so goals crossing the same modules in opposite directions never
+//!    take each other's exchanges.  A goal refused at any device's commit,
+//!    or one of whose devices never answers, is rolled back: every device
+//!    that answered gets the teardown mirror of its script (`delete` per
+//!    `create`, reverse order), and a silent device gets an abort.
 //!
 //! Two runners drive that protocol.  [`ManagedNetwork::run_batch`] is the
 //! strict one above.  [`ManagedNetwork::run_teardown_batch`] (withdraw,
@@ -80,14 +85,6 @@ pub struct BatchOutcome {
     /// Goals that failed staging or commit (with the first refusal), each
     /// rolled back via its teardown mirror without disturbing siblings.
     pub failed: Vec<(GoalId, Refusal)>,
-    /// Goals whose path order could not share one device order with the
-    /// batch (they cross its devices in the other direction); each ran as
-    /// its own batch of one instead (their verdicts still land in
-    /// `committed`/`failed`).  IP and MPLS modules pair the concurrent
-    /// exchanges they hold with one peer by ascending pipe order, so two
-    /// goals whose exchanges run between the same modules in opposite
-    /// directions in one wave would pair each other's exchanges.
-    pub fallback: Vec<GoalId>,
 }
 
 impl BatchOutcome {
@@ -322,14 +319,14 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// from the NM while a module's relay to it takes at least two
     /// (device → NM → device): every peer has applied its segment before
     /// the first envelope of a negotiation reaches it, as in
-    /// [`Self::execute_path`].  A goal refused at any device's commit, or
-    /// one of whose devices stays silent, fails, and the failed goals are
-    /// rolled back together without disturbing sibling goals.
-    /// A goal whose path order cannot share one device order with the rest
-    /// of the batch (two goals crossing the same devices in opposite
-    /// directions) is excluded from the batch and re-enters this runner as
-    /// a batch of one afterwards (`BatchOutcome::fallback` records them and
-    /// says why).  A transaction for one goal is
+    /// [`Self::execute_path`].  Goals crossing the same devices in
+    /// opposite directions share the wave too: two goals' exchanges between
+    /// one pair of modules are told apart by who opened them, since a
+    /// module pairs an opening with a pipe it does not initiate and an
+    /// answer with one it does, each direction in ascending pipe order.  A
+    /// goal refused at any device's commit, or one of whose devices stays
+    /// silent, fails, and the failed goals are rolled back together without
+    /// disturbing sibling goals.  A transaction for one goal is
     /// `run_batch(&[(goal, &scripts)])`.
     ///
     /// A rollback costs one nested [`Self::run_teardown_batch`] over the
@@ -349,53 +346,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     ///   [`RefusalCause::NeverStaged`] and [`RefusalCause::UnansweredCommit`].
     pub fn run_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> BatchOutcome {
         let txn = self.goals.next_txn();
-        let mut outcome = BatchOutcome::default();
-        // Partition into goals that can share one device order and goals
-        // that must fall back to a batch of their own.  Removing a
-        // conflicting goal changes the aggregate order, so iterate to a
-        // fixed point (immediate for same-direction goal sets, the common
-        // case on every chain topology).
-        let mut batchable: Vec<(GoalId, &ScriptSet)> = items.to_vec();
-        let mut fallback: Vec<(GoalId, &ScriptSet)> = Vec::new();
-        loop {
-            let mut position: BTreeMap<DeviceId, usize> = BTreeMap::new();
-            for (_, scripts) in &batchable {
-                for (i, ds) in scripts.scripts.iter().enumerate() {
-                    let p = position.entry(ds.device).or_insert(0);
-                    *p = (*p).max(i);
-                }
-            }
-            let mut order: Vec<DeviceId> = position.keys().copied().collect();
-            order.sort_by(|a, b| position[b].cmp(&position[a]).then(a.cmp(b)));
-            let commit_index: BTreeMap<DeviceId, usize> =
-                order.iter().enumerate().map(|(i, d)| (*d, i)).collect();
-            // A goal is batchable iff its devices' positions in that order
-            // strictly decrease along its path (its own reverse path order
-            // is a subsequence of the shared order).
-            let violators: Vec<usize> = batchable
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, scripts))| {
-                    scripts
-                        .scripts
-                        .windows(2)
-                        .any(|w| commit_index[&w[0].device] < commit_index[&w[1].device])
-                })
-                .map(|(k, _)| k)
-                .collect();
-            if violators.is_empty() {
-                break;
-            }
-            for k in violators.into_iter().rev() {
-                fallback.push(batchable.remove(k));
-            }
-        }
-        // Preserve submission order for the fallback executions.
-        fallback.reverse();
-
         // Coalesce: one segment list per device, goal order preserved.
         let mut segments = Segments::new();
-        for (goal, scripts) in &batchable {
+        for (goal, scripts) in items {
             for ds in &scripts.scripts {
                 segments
                     .entry(ds.device)
@@ -403,7 +356,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     .push((goal.0, ds.primitives.as_slice()));
             }
         }
-        let mut alive: BTreeSet<GoalId> = batchable.iter().map(|(g, _)| *g).collect();
+        let mut alive: BTreeSet<GoalId> = items.iter().map(|(g, _)| *g).collect();
         let mut errors: BTreeMap<GoalId, Refusal> = BTreeMap::new();
         let mut fail = |alive: &mut BTreeSet<GoalId>, goal: GoalId, refusal: &Refusal| {
             if alive.remove(&goal) {
@@ -413,10 +366,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.recorder.inc("txn.batches", 1);
         self.recorder
             .observe("txn.batch.devices", segments.len() as f64);
-        if segments.is_empty() && fallback.is_empty() {
-            outcome.committed = alive.into_iter().collect();
-            return outcome;
-        }
         let prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
 
         // ---- Phase 1: stage every device once. ------------------------
@@ -488,7 +437,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // lenient transaction (a newer txn id) on every device that
         // answered the commit.  Siblings are untouched: their segments
         // live in disjoint pipe-id blocks. --------------------------------
-        let mirrors: Vec<GoalTeardown> = batchable
+        let mirrors: Vec<GoalTeardown> = items
             .iter()
             .filter(|(goal, _)| committing.contains(goal) && !alive.contains(goal))
             .map(|(goal, scripts)| {
@@ -506,32 +455,14 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             self.run_teardown_batch(&mirrors, &[]);
         }
 
-        // ---- Fallback: each conflicting goal re-enters this runner as a
-        // batch of one.  A lone goal always embeds in its own device order,
-        // so the recursion is one level deep. ---------------------------
-        debug_assert!(
-            fallback.is_empty() || items.len() > 1,
-            "a batch of one cannot conflict with itself"
-        );
-        for (goal, scripts) in fallback {
-            outcome.fallback.push(goal);
-            match self.run_batch(&[(goal, scripts)]).failed.into_iter().next() {
-                None => {
-                    alive.insert(goal);
-                }
-                Some((_, refusal)) => {
-                    errors.insert(goal, refusal);
-                }
-            }
-        }
-
-        outcome.committed = items
-            .iter()
-            .map(|(g, _)| *g)
-            .filter(|g| alive.contains(g))
-            .collect();
-        outcome.failed = errors.into_iter().collect();
         self.batch_relays = prev_batch_relays;
-        outcome
+        BatchOutcome {
+            committed: items
+                .iter()
+                .map(|(g, _)| *g)
+                .filter(|g| alive.contains(g))
+                .collect(),
+            failed: errors.into_iter().collect(),
+        }
     }
 }

@@ -16,6 +16,7 @@
 //! drop rule for the rest.
 
 use crate::dialect::{self, Dialect};
+use crate::unindex;
 use conman_core::abstraction::{
     Dependency, FilterCapability, FilterClassifier, ModuleAbstraction, SwitchKind,
 };
@@ -185,11 +186,11 @@ pub(crate) struct IpModule {
     /// O(goals²) in envelope handling).
     by_peer: BTreeMap<ModuleRef, BTreeSet<PipeId>>,
     /// The pipes of [`Self::by_peer`] that exchange addresses with their
-    /// peer ([`Self::exchanges`]) and still await its value; an incoming
-    /// exchange belongs to the lowest unlearned pipe of its peer.  A pipe
-    /// that never exchanges is never listed: it would stay lowest forever
-    /// and take a later goal's exchange with the same peer.
-    unlearned_by_peer: BTreeMap<ModuleRef, BTreeSet<PipeId>>,
+    /// peer ([`Self::exchanges`]) and still await its value, keyed by the
+    /// peer and whether this side initiates the exchange.  A pipe that
+    /// never exchanges is never listed: it would stay lowest forever and
+    /// take a later goal's exchange with the same peer.
+    unlearned_by_peer: BTreeMap<(ModuleRef, bool), BTreeSet<PipeId>>,
     /// Adjacency pipes (upper end above an ETH module), so
     /// [`Self::path_address`] is O(1) instead of a per-call pipe scan.
     adjacency_pipes: BTreeSet<PipeId>,
@@ -322,7 +323,7 @@ impl IpModule {
         their: Ipv4Addr,
         ours: Ipv4Addr,
     ) {
-        let peer = match self.pipes.get_mut(&pipe) {
+        let key = match self.pipes.get_mut(&pipe) {
             Some(rec) => {
                 rec.learned = Some(their);
                 let endpoint = Self::is_endpoint_pipe(rec);
@@ -334,17 +335,12 @@ impl IpModule {
                         facts.nexthop = Some(their);
                     }
                 });
-                Self::peer_of(rec).cloned()
+                Self::peer_of(rec).map(|peer| (peer.clone(), rec.spec.initiate))
             }
             None => None,
         };
-        if let Some(peer) = peer {
-            if let Some(unlearned) = self.unlearned_by_peer.get_mut(&peer) {
-                unlearned.remove(&pipe);
-                if unlearned.is_empty() {
-                    self.unlearned_by_peer.remove(&peer);
-                }
-            }
+        if let Some(key) = key {
+            unindex(&mut self.unlearned_by_peer, key, pipe);
         }
     }
 
@@ -353,14 +349,9 @@ impl IpModule {
         self.adjacency_pipes.remove(&pipe);
         self.pending_queries.remove(&pipe);
         if let Some(peer) = Self::peer_of(rec) {
-            for index in [&mut self.by_peer, &mut self.unlearned_by_peer] {
-                if let Some(set) = index.get_mut(peer) {
-                    set.remove(&pipe);
-                    if set.is_empty() {
-                        index.remove(peer);
-                    }
-                }
-            }
+            let key = (peer.clone(), rec.spec.initiate);
+            unindex(&mut self.by_peer, peer.clone(), pipe);
+            unindex(&mut self.unlearned_by_peer, key, pipe);
         }
     }
 
@@ -724,7 +715,7 @@ impl ProtocolModule for IpModule {
                 .insert(spec.pipe);
             if Self::exchanges(&rec) {
                 self.unlearned_by_peer
-                    .entry(peer.clone())
+                    .entry((peer.clone(), spec.initiate))
                     .or_default()
                     .insert(spec.pipe);
             }
@@ -792,15 +783,16 @@ impl ProtocolModule for IpModule {
             IpMsg::Address(their) => (their, false),
         };
         // Find the pipe whose peer sent this message.  Concurrent goals can
-        // each run a pipe to the *same* peer module; the exchange in flight
-        // belongs to the lowest pipe still awaiting its peer value (batched
-        // passes run many exchanges per peer pair concurrently, but both
-        // sides issue and answer them in ascending pipe — i.e. goal-block —
-        // order, so lowest-unlearned matching pairs them correctly).  The
-        // peer index makes this O(log pipes) instead of a full pipe scan.
+        // each run a pipe to the *same* peer module, in either direction.
+        // Exactly one side of a pipe pair initiates, so an opening query
+        // belongs to the lowest unlearned pipe this side does not initiate
+        // and an answer to the lowest one it does: each direction is issued
+        // and answered in ascending pipe — i.e. goal-block — order on both
+        // sides, and the two directions never take each other's exchange.
+        // The peer index makes this O(log pipes) instead of a full scan.
         let pipe = self
             .unlearned_by_peer
-            .get(&env.from)
+            .get(&(env.from.clone(), !query))
             .and_then(|pipes| pipes.first().copied())
             .or_else(|| {
                 self.by_peer
@@ -982,6 +974,38 @@ mod tests {
             .unwrap();
         rig.publish_port(4, 0);
         assert!(m.poll(&mut rig.ctx()).is_empty());
+    }
+
+    /// Two goals' exchanges with one peer over one link, in opposite
+    /// directions: this side initiates pipe 3 and answers on pipe 4.  The
+    /// peer's query lands on pipe 4, its answer on pipe 3, and pipe 3's own
+    /// query still goes out.  Matching by pipe order alone gave pipe 3 the
+    /// peer's query and left pipe 4 waiting for good.
+    #[test]
+    fn an_exchange_lands_on_a_pipe_by_who_opened_it() {
+        let mut rig = Rig::new();
+        let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+        let mut answering = adjacency(4, 2);
+        answering.initiate = false;
+        for spec in [adjacency(3, 2), answering] {
+            m.create_pipe(&mut rig.ctx(), &spec).unwrap();
+            rig.publish_port(spec.pipe.0, 0);
+        }
+        let learned = |m: &IpModule| [3, 4].map(|id| m.pipes[&PipeId(id)].learned);
+        let peer = Some(Ipv4Addr::new(10, 9, 0, 2));
+
+        let answer = m
+            .handle_envelope(&mut rig.ctx(), &address_message(2, true))
+            .unwrap();
+        assert_eq!(answer.envelopes.len(), 1, "the query is answered");
+        assert_eq!(learned(&m), [None, peer], "the query lands on pipe 4");
+        let query = m.poll(&mut rig.ctx());
+        assert_eq!(query.envelopes.len(), 1, "pipe 3 still opens its own");
+        assert_eq!(query.envelopes[0].kind, EnvelopeKind::FieldQuery);
+        m.handle_envelope(&mut rig.ctx(), &address_message(2, false))
+            .unwrap();
+        assert_eq!(learned(&m), [peer, peer], "the answer lands on pipe 3");
+        assert!(m.unlearned_by_peer.is_empty());
     }
 
     fn drop_from(module: &ModuleRef, from: &ModuleRef) -> FilterSpec {

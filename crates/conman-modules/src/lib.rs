@@ -39,9 +39,23 @@ mod rig;
 pub mod testbed;
 mod vlan;
 
+use conman_core::ids::PipeId;
+use std::collections::{BTreeMap, BTreeSet};
+
 pub use ip::derived_table_range;
 pub use testbed::{
     managed_chain, managed_chain_with, managed_dual_chain, managed_fanout_chain,
     managed_fanout_chain_with, managed_figure2, managed_mesh_fanout, managed_ring_fanout,
     managed_vlan_chain, ManagedChain, ManagedFigure2, ManagedMesh, ManagedVlanChain,
 };
+
+/// Take `pipe` out of a module's peer index at `key`, dropping the entry
+/// once it is empty.
+fn unindex<K: Ord>(index: &mut BTreeMap<K, BTreeSet<PipeId>>, key: K, pipe: PipeId) {
+    if let Some(set) = index.get_mut(&key) {
+        set.remove(&pipe);
+        if set.is_empty() {
+            index.remove(&key);
+        }
+    }
+}

@@ -7,6 +7,7 @@
 //! script created by hand (`mpls nhlfe add`, `mpls ilm add`, `mpls xc add`).
 
 use crate::dialect::{self, Dialect};
+use crate::unindex;
 use conman_core::abstraction::{ModuleAbstraction, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
@@ -107,8 +108,9 @@ pub(crate) struct MplsModule {
     /// label exchange is O(log pipes) even when hundreds of concurrent
     /// goals run separate LSPs over the same physical adjacency.
     by_peer: BTreeMap<ModuleRef, BTreeSet<PipeId>>,
-    /// The subset of [`Self::by_peer`] still missing its peer label.
-    unfilled_by_peer: BTreeMap<ModuleRef, BTreeSet<PipeId>>,
+    /// The subset of [`Self::by_peer`] still missing its peer label, keyed
+    /// by the peer and whether this side initiates the exchange.
+    unfilled_by_peer: BTreeMap<(ModuleRef, bool), BTreeSet<PipeId>>,
     /// Adjacencies whose label exchange this module still has to start:
     /// `initiate`, a known peer and `sent` unset (one whose port is not
     /// published yet waits here).  `poll` visits these and nothing else.
@@ -149,16 +151,12 @@ impl MplsModule {
     /// indexes.
     fn forget_adjacency(&mut self, pipe: PipeId) {
         self.pending_exchanges.remove(&pipe);
-        let Some(peer) = self.adjacencies.remove(&pipe).and_then(|adj| adj.peer) else {
+        let Some(adj) = self.adjacencies.remove(&pipe) else {
             return;
         };
-        for index in [&mut self.by_peer, &mut self.unfilled_by_peer] {
-            if let Some(set) = index.get_mut(&peer) {
-                set.remove(&pipe);
-                if set.is_empty() {
-                    index.remove(&peer);
-                }
-            }
+        if let Some(peer) = adj.peer {
+            unindex(&mut self.by_peer, peer.clone(), pipe);
+            unindex(&mut self.unfilled_by_peer, (peer, adj.initiate), pipe);
         }
     }
 
@@ -369,7 +367,7 @@ impl ProtocolModule for MplsModule {
                     .or_default()
                     .insert(spec.pipe);
                 self.unfilled_by_peer
-                    .entry(peer)
+                    .entry((peer, spec.initiate))
                     .or_default()
                     .insert(spec.pipe);
             }
@@ -412,16 +410,17 @@ impl ProtocolModule for MplsModule {
             reply,
         } = MplsMsg::read(env)?;
         // Find the adjacency whose peer sent this.  Concurrent goals run
-        // separate LSPs over the same physical adjacency, so several of our
-        // adjacency pipes can share a peer module: the exchange in flight
-        // belongs to the lowest pipe still missing its peer label (batched
-        // passes run many exchanges per peer concurrently, but both sides
-        // issue and answer them in ascending pipe — i.e. goal-block —
-        // order, so lowest-unfilled matching pairs the per-goal labels
-        // correctly).  The peer index makes this O(log pipes).
+        // separate LSPs over the same physical adjacency, in either
+        // direction, so several of our adjacency pipes can share a peer
+        // module.  Exactly one side of a pipe pair initiates, so an opening
+        // belongs to the lowest unfilled pipe this side does not initiate
+        // and a reply to the lowest one it does: each direction is issued
+        // and answered in ascending pipe — i.e. goal-block — order on both
+        // sides, and the two directions never take each other's labels.
+        // The peer index makes this O(log pipes).
         let pipe = self
             .unfilled_by_peer
-            .get(&env.from)
+            .get(&(env.from.clone(), reply))
             .and_then(|pipes| pipes.first().copied())
             .or_else(|| {
                 self.by_peer
@@ -444,20 +443,15 @@ impl ProtocolModule for MplsModule {
             .and_then(|p| ctx.config.address_on_port(p))
             .map(|c| c.addr)
             .unwrap_or(Ipv4Addr::UNSPECIFIED);
-        let peer = {
+        let key = {
             let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
             adj.in_label = Some(our_label);
             adj.out_label = Some(label);
             adj.peer_addr = Some(address);
-            adj.peer.clone()
+            adj.peer.clone().map(|peer| (peer, adj.initiate))
         };
-        if let Some(peer) = peer {
-            if let Some(unfilled) = self.unfilled_by_peer.get_mut(&peer) {
-                unfilled.remove(&pipe);
-                if unfilled.is_empty() {
-                    self.unfilled_by_peer.remove(&peer);
-                }
-            }
+        if let Some(key) = key {
+            unindex(&mut self.unfilled_by_peer, key, pipe);
         }
         if !reply {
             let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
@@ -626,6 +620,38 @@ mod tests {
         }
     }
 
+    /// Two goals' label exchanges with one peer over one link, in opposite
+    /// directions: this side initiates pipe 3 and answers on pipe 4.  The
+    /// peer's opening lands on pipe 4, its reply on pipe 3, and pipe 3's own
+    /// opening still goes out.  Matching by pipe order alone gave pipe 3 the
+    /// peer's opening, marked it sent and never opened pipe 3's exchange.
+    #[test]
+    fn an_exchange_lands_on_a_pipe_by_who_opened_it() {
+        let mut rig = Rig::new();
+        let mut m = MplsModule::new(me());
+        for (id, initiate) in [(3, true), (4, false)] {
+            m.create_pipe(&mut rig.ctx(), &adjacency(id, Some(2), initiate))
+                .unwrap();
+            rig.publish_port(id, 0);
+        }
+        let out_labels = |m: &MplsModule| [3, 4].map(|id| m.adjacencies[&PipeId(id)].out_label);
+
+        let answer = m
+            .handle_envelope(&mut rig.ctx(), &label_message(2, 777, false))
+            .unwrap();
+        assert_eq!(answer.envelopes.len(), 1, "the opening is answered");
+        assert_eq!(out_labels(&m), [None, Some(777)], "it lands on pipe 4");
+        let opening = m.poll(&mut rig.ctx());
+        assert_eq!(opening.envelopes.len(), 1, "pipe 3 still opens its own");
+        assert!(!MplsMsg::read(&opening.envelopes[0]).unwrap().reply);
+        let none = m
+            .handle_envelope(&mut rig.ctx(), &label_message(2, 888, true))
+            .unwrap();
+        assert!(none.is_empty(), "a reply is not answered");
+        assert_eq!(out_labels(&m), [Some(888), Some(777)], "it lands on pipe 3");
+        assert!(m.unfilled_by_peer.is_empty());
+    }
+
     /// The rule goes and so does the `attach` it published on the access
     /// pipe, which used to go on naming the removed push NHLFE.
     #[test]
@@ -769,7 +795,7 @@ mod tests {
             assert_eq!(m.adjacencies[&PipeId(3)].out_label, None);
             assert!(m
                 .unfilled_by_peer
-                .contains_key(&module(ModuleKind::Mpls, 1, 2)));
+                .contains_key(&(module(ModuleKind::Mpls, 1, 2), false)));
         }
     }
 }

@@ -77,7 +77,6 @@ struct TrunkState {
     peer: Option<ModuleRef>,
     initiate: bool,
     sent: bool,
-    agreed: bool,
 }
 
 /// What one applied switch rule wrote into the bridge: the record `delete`
@@ -324,28 +323,22 @@ impl ProtocolModule for VlanModule {
         let VlanMsg { id, name, reply } = VlanMsg::read(env)?;
         self.vlan_id = Some(id);
         self.vlan_name = name;
-        let pipe = self
-            .trunks
-            .iter()
-            .find(|(_, t)| t.peer.as_ref() == Some(&env.from))
-            .map(|(p, _)| *p);
-        if let Some(pipe) = pipe {
-            let t = self.trunks.get_mut(&pipe).expect("trunk exists");
-            t.agreed = true;
-            if !reply {
-                t.sent = true;
-                self.pending_trunks.remove(&pipe);
-                let answer = VlanMsg {
-                    id,
-                    name: self.vlan_name.clone(),
-                    reply: true,
-                };
-                return Ok(ModuleReaction::envelope(
-                    answer.envelope(&self.me, env.from.clone()),
-                ));
-            }
+        // A proposal belongs to a trunk of its peer that this side does not
+        // initiate, which answers it; a reply to one it does, which has
+        // nothing left to send.  So a proposal never marks this side's own
+        // pending proposal as sent.
+        let answers = |t: &TrunkState| !t.initiate && t.peer.as_ref() == Some(&env.from);
+        if reply || !self.trunks.values().any(answers) {
+            return Ok(ModuleReaction::none());
         }
-        Ok(ModuleReaction::none())
+        let answer = VlanMsg {
+            id,
+            name: self.vlan_name.clone(),
+            reply: true,
+        };
+        Ok(ModuleReaction::envelope(
+            answer.envelope(&self.me, env.from.clone()),
+        ))
     }
 
     fn poll(&mut self, ctx: &mut ModuleCtx) -> ModuleReaction {
@@ -485,6 +478,35 @@ mod tests {
             assert!(m.trunks.is_empty() && m.pending_trunks.is_empty());
             assert_eq!(m.pipes.len(), 1);
         }
+    }
+
+    /// Two goals' VLAN exchanges with one peer, in opposite directions: this
+    /// side initiates trunk 2 and answers on trunk 3.  The peer's proposal is
+    /// answered and leaves trunk 2's own proposal pending, which `poll` then
+    /// sends; the peer's reply is not answered.  Taking the peer's first
+    /// trunk gave trunk 2 the proposal and marked its own as sent.
+    #[test]
+    fn an_exchange_lands_on_a_trunk_by_who_opened_it() {
+        let mut rig = Rig::new();
+        let mut m = VlanModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &trunk(2, 2, true)).unwrap();
+        m.create_pipe(&mut rig.ctx(), &trunk(3, 2, false)).unwrap();
+
+        let answer = m
+            .handle_envelope(&mut rig.ctx(), &vlan_message(2, false))
+            .unwrap();
+        assert_eq!(answer.envelopes.len(), 1, "the proposal is answered");
+        assert!(VlanMsg::read(&answer.envelopes[0]).unwrap().reply);
+        let pending = BTreeSet::from([PipeId(2)]);
+        assert_eq!(m.pending_trunks, pending, "trunk 2's proposal is not sent");
+        let proposal = m.poll(&mut rig.ctx());
+        assert_eq!(proposal.envelopes.len(), 1, "trunk 2 still proposes");
+        assert!(!VlanMsg::read(&proposal.envelopes[0]).unwrap().reply);
+        let none = m
+            .handle_envelope(&mut rig.ctx(), &vlan_message(2, true))
+            .unwrap();
+        assert!(none.is_empty(), "a reply is not answered");
+        assert!(m.pending_trunks.is_empty() && m.poll(&mut rig.ctx()).is_empty());
     }
 
     /// A switch as the testbeds build it: every port an access port of the
@@ -654,7 +676,6 @@ mod tests {
                 "{refused:?}"
             );
             assert_eq!(m.vlan_id, None);
-            assert!(!m.trunks[&PipeId(2)].agreed);
         }
     }
 }

@@ -1036,14 +1036,14 @@ fn delivers_both_ways(t: &mut Chain) -> bool {
     t.send_site1_to_site2(b"there").0 && t.send_site2_to_site1(b"back").0
 }
 
+/// Goals crossing the same devices in opposite directions share one commit
+/// wave.  Their exchanges run between the same modules in both directions
+/// at once, and each module tells them apart by who opened them: an
+/// opening pairs with a pipe this side does not initiate, an answer with
+/// one it does.  Every technology the three-router chain offers carries
+/// both goals together, and either goal alone once the other is torn down.
 #[test]
-fn opposite_direction_goals_fall_back_to_per_goal_transactions() {
-    // Two goals traversing the same devices in opposite directions cannot
-    // share one device order: in one commit wave their module exchanges
-    // would run between the same modules in opposite directions, and IP and
-    // MPLS pair the concurrent exchanges they hold with one peer by
-    // ascending pipe order.  The executor must detect this and run the
-    // conflicting goals as their own strict transactions instead.
+fn opposite_direction_goals_share_one_wave() {
     let mut t = managed_chain(3);
     t.discover();
     let g1 = t.mn.submit(t.vpn_goal());
@@ -1060,44 +1060,52 @@ fn opposite_direction_goals_fall_back_to_per_goal_transactions() {
         scripts: vec![seg(c), seg(a)],
     };
     let outcome = t.mn.run_batch(&[(g1, &fwd), (g2, &rev)]);
-    assert_eq!(outcome.committed, vec![g1, g2], "both goals commit");
+    assert_eq!(outcome.committed, [g1, g2], "both goals commit");
     assert!(outcome.failed.is_empty());
-    assert_eq!(
-        outcome.fallback.len(),
-        1,
-        "exactly one direction fell back to a per-goal transaction: {outcome:?}"
-    );
     assert_eq!(t.mn.audit(), []);
 
-    // A real pair: forward and reverse MPLS goals over all three routers,
-    // in disjoint pipe blocks.  Both fall back, and each carries traffic
-    // both ways on its own once the other is torn down.
-    for survivor in 0..2 {
-        let mut t = managed_chain(3);
-        t.discover();
-        let fwd = t.vpn_goal();
-        let desired = [fwd.clone(), reversed(&fwd)];
-        let goals = [
-            t.mn.submit(desired[0].clone()),
-            t.mn.submit(desired[1].clone()),
-        ];
-        let mpls = |t: &Chain, goal: &ConnectivityGoal, base| {
-            let paths = t.mn.nm.find_paths(goal);
-            let path = paths.iter().find(|p| p.technology_label() == "MPLS");
-            generate_with_base(&t.mn.nm, path.expect("an MPLS path"), goal, base)
-        };
-        let plans = [mpls(&t, &desired[0], 0), mpls(&t, &desired[1], 1000)];
-        let outcome =
-            t.mn.run_batch(&[(goals[0], &plans[0]), (goals[1], &plans[1])]);
-        assert_eq!(outcome.committed, goals, "both goals commit");
-        assert_eq!(outcome.fallback, goals, "both fall back: {outcome:?}");
-        let gone = 1 - survivor;
-        t.mn.run_teardown_batch(&[(goals[gone], plans[gone].teardown())], &[]);
-        assert!(
-            delivers_both_ways(&mut t),
-            "goal {} carries traffic alone",
-            goals[survivor]
-        );
+    // Real pairs: a forward and a reverse goal over one technology, in
+    // disjoint pipe blocks, in one batch.
+    let technologies = [
+        "GRE-IP",
+        "GRE-IP over MPLS",
+        "IP-IP",
+        "IP-IP over MPLS",
+        "MPLS",
+    ];
+    for technology in technologies {
+        for survivor in 0..2 {
+            let mut t = managed_chain(3);
+            t.discover();
+            let fwd = t.vpn_goal();
+            let desired = [fwd.clone(), reversed(&fwd)];
+            let goals = desired.clone().map(|goal| t.mn.submit(goal));
+            let plans = [(&desired[0], 0), (&desired[1], 1000)].map(|(goal, base)| {
+                let paths = t.mn.nm.find_paths(goal);
+                let path = paths.iter().find(|p| p.technology_label() == technology);
+                let path = path.unwrap_or_else(|| panic!("a {technology} path"));
+                generate_with_base(&t.mn.nm, path, goal, base)
+            });
+            let outcome =
+                t.mn.run_batch(&[(goals[0], &plans[0]), (goals[1], &plans[1])]);
+            assert_eq!(outcome.committed, goals, "{technology}: both goals commit");
+            assert!(outcome.failed.is_empty(), "{technology}: {outcome:?}");
+            assert!(
+                delivers_both_ways(&mut t),
+                "{technology}: both goals together"
+            );
+            let gone = 1 - survivor;
+            t.mn.run_teardown_batch(&[(goals[gone], plans[gone].teardown())], &[]);
+            assert!(
+                delivers_both_ways(&mut t),
+                "{technology}: goal {survivor} alone"
+            );
+            assert_eq!(
+                t.mn.audit(),
+                orphans_of(&plans[survivor]),
+                "{technology}: goal {survivor} alone"
+            );
+        }
     }
 }
 

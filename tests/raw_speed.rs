@@ -4,8 +4,8 @@
 //! (`reconcile_sequential`, which spawns no thread) must be *observably
 //! identical*: same `ReconcileReport`s, byte-identical trace journals, same
 //! NM wire-message counts — on fresh chain and mesh fleets, under a
-//! mid-batch device crash, when commit-order conflicts demote a goal to the
-//! strict fallback transaction, and when every goal's exclusions force the
+//! mid-batch device crash, with goals crossing the same devices in opposite
+//! directions in one batch, and when every goal's exclusions force the
 //! suspect-fallback.  The one binary codec keeps the message counts and
 //! outcomes the JSON codec it replaced had, at less than half its bytes.
 //! Random fleets are covered by proptests that also feed the
@@ -179,9 +179,9 @@ fn parallel_equals_sequential_under_a_mid_batch_device_crash() {
 }
 
 /// The forward goal's mirror image: same interfaces and classes, traversed
-/// in the opposite direction — the construction whose exchanges would cross
-/// the batch's in one commit wave, so it cannot share the batch's device
-/// order and demotes one goal to the strict fallback.
+/// in the opposite direction — the construction whose exchanges run between
+/// the same modules as the forward goal's, the other way, in one commit
+/// wave.
 fn reversed(goal: &ConnectivityGoal) -> ConnectivityGoal {
     let mut g = goal.clone();
     std::mem::swap(&mut g.from, &mut g.to);
@@ -202,22 +202,23 @@ fn opposite_direction_twin() -> Chain {
 }
 
 #[test]
-fn parallel_equals_sequential_when_commit_order_falls_back() {
+fn parallel_equals_sequential_with_opposite_direction_goals() {
     let mut a = opposite_direction_twin();
     let mut b = opposite_direction_twin();
     let ra = a.mn.reconcile();
     let rb = b.mn.reconcile_sequential();
+    assert!(ra.converged(), "both directions converge: {ra:#?}");
     let par = observe(&ra, &mut a.mn);
     let seq = observe(&rb, &mut b.mn);
-    // The fallback goal runs as its own strict transaction: its per-device
-    // stage events carry exactly one segment, unlike the batch's coalesced
-    // stages.  This proves the scenario actually exercised the fallback.
+    // Both goals share one batch: each of the three routers stages both
+    // segments at once, and no goal runs as a transaction of its own.
     assert!(
-        par.journal.contains("\"segments\":1"),
-        "opposite-direction goals must demote one goal to a strict fallback: {}",
+        !par.journal.contains("\"segments\":1"),
+        "opposite-direction goals share every stage: {}",
         par.journal
     );
-    assert_twins_equal(&par, &seq, "commit-order fallback", &[]);
+    assert_eq!(par.journal.matches("\"segments\":2").count(), 3);
+    assert_twins_equal(&par, &seq, "opposite-direction goals", &[]);
 }
 
 /// A converged fleet whose every goal blames the whole middle router: no
