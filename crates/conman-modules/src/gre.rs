@@ -400,7 +400,7 @@ impl ProtocolModule for GreModule {
             .find(|s| s.params.is_none() && s.peer.as_ref().is_none_or(|peer| *peer == env.from))
         else {
             // No slot is waiting on a proposal (e.g. a stale retransmit
-            // after teardown): acknowledge without state.
+            // after teardown): nothing changes and nothing is sent back.
             return Ok(ModuleReaction::none());
         };
         slot.params = Some(GreParams {

@@ -16,7 +16,7 @@
 //! drop rule for the rest.
 
 use crate::dialect::{self, Dialect};
-use crate::unindex;
+use crate::exchange::Exchanges;
 use conman_core::abstraction::{
     Dependency, FilterCapability, FilterClassifier, ModuleAbstraction, SwitchKind,
 };
@@ -92,8 +92,6 @@ struct PipeRec {
     role: Role,
     /// Peer address learnt for this pipe (next hop or remote tunnel endpoint).
     learned: Option<Ipv4Addr>,
-    /// Has the peer exchange for this pipe been initiated?
-    query_sent: bool,
 }
 
 /// How a pipe reaches the next device: a raw Ethernet adjacency or an MPLS
@@ -180,25 +178,14 @@ pub(crate) struct IpModule {
     /// cannot be determined.
     pub primary: Ipv4Addr,
     pipes: BTreeMap<PipeId, PipeRec>,
-    /// Pipes indexed by their peer module — with hundreds of concurrent
-    /// goals sharing one adjacency, matching an incoming envelope to its
-    /// pipe must not scan every pipe (that made batched reconcile passes
-    /// O(goals²) in envelope handling).
-    by_peer: BTreeMap<ModuleRef, BTreeSet<PipeId>>,
-    /// The pipes of [`Self::by_peer`] that exchange addresses with their
-    /// peer ([`Self::exchanges`]) and still await its value, keyed by the
-    /// peer and whether this side initiates the exchange.  A pipe that
-    /// never exchanges is never listed: it would stay lowest forever and
+    /// The address exchange of every pipe that has one
+    /// ([`Self::exchange_peer`]): whom it is with, who opens it and how far
+    /// it got.  A pipe that never exchanges is never listed, so it cannot
     /// take a later goal's exchange with the same peer.
-    unlearned_by_peer: BTreeMap<(ModuleRef, bool), BTreeSet<PipeId>>,
+    exchanges: Exchanges,
     /// Adjacency pipes (upper end above an ETH module), so
     /// [`Self::path_address`] is O(1) instead of a per-call pipe scan.
     adjacency_pipes: BTreeSet<PipeId>,
-    /// Pipes whose peer exchange this module still has to start: `initiate`
-    /// pipes with an IP peer, endpoint or adjacency, and `query_sent` unset
-    /// (an adjacency whose port is not published yet waits here).  `poll`
-    /// visits these and nothing else.
-    pending_queries: BTreeSet<PipeId>,
     pending_switches: Vec<Rule>,
     /// Applied switch rules keyed `(in, out)`: what `showActual` lists and
     /// `delete` removes.
@@ -220,10 +207,8 @@ impl IpModule {
             domain: domain.into(),
             primary,
             pipes: BTreeMap::new(),
-            by_peer: BTreeMap::new(),
-            unlearned_by_peer: BTreeMap::new(),
+            exchanges: Exchanges::default(),
             adjacency_pipes: BTreeSet::new(),
-            pending_queries: BTreeSet::new(),
             pending_switches: Vec::new(),
             installed: BTreeMap::new(),
             main_route_users: HashMap::new(),
@@ -239,16 +224,11 @@ impl IpModule {
         }
     }
 
-    /// Does this pipe exchange addresses with its peer: an endpoint or
-    /// adjacency pipe whose peer is an IP module?
-    fn exchanges(rec: &PipeRec) -> bool {
-        Self::peer_of(rec).is_some_and(|peer| peer.kind == ModuleKind::Ip)
-            && (Self::is_endpoint_pipe(rec) || Self::is_adjacency_pipe(rec))
-    }
-
-    /// Does this module still owe the pipe's peer the opening query?
-    fn awaits_query(rec: &PipeRec) -> bool {
-        rec.spec.initiate && !rec.query_sent && Self::exchanges(rec)
+    /// The peer this pipe exchanges addresses with: the peer of an
+    /// endpoint or adjacency pipe, when it is an IP module.
+    fn exchange_peer(rec: &PipeRec) -> Option<&ModuleRef> {
+        let peer = Self::peer_of(rec).filter(|peer| peer.kind == ModuleKind::Ip)?;
+        (Self::is_endpoint_pipe(rec) || Self::is_adjacency_pipe(rec)).then_some(peer)
     }
 
     /// Is this pipe an "endpoint" pipe: this module is the lower end beneath
@@ -312,8 +292,9 @@ impl IpModule {
         if *end == self.me {
             return Some(mine);
         }
-        let pipes = self.by_peer.get(end)?;
-        pipes.iter().find_map(|pipe| self.pipes[pipe].learned)
+        (self.pipes.values())
+            .filter(|rec| Self::peer_of(rec) == Some(end))
+            .find_map(|rec| rec.learned)
     }
 
     fn record_learned(
@@ -323,36 +304,17 @@ impl IpModule {
         their: Ipv4Addr,
         ours: Ipv4Addr,
     ) {
-        let key = match self.pipes.get_mut(&pipe) {
-            Some(rec) => {
-                rec.learned = Some(their);
-                let endpoint = Self::is_endpoint_pipe(rec);
-                ctx.blackboard.publish(pipe, |facts| {
-                    if endpoint {
-                        facts.remote_addr = Some(their);
-                        facts.local_addr = Some(ours);
-                    } else {
-                        facts.nexthop = Some(their);
-                    }
-                });
-                Self::peer_of(rec).map(|peer| (peer.clone(), rec.spec.initiate))
+        let rec = self.pipes.get_mut(&pipe).expect("an exchanging pipe");
+        rec.learned = Some(their);
+        let endpoint = Self::is_endpoint_pipe(rec);
+        ctx.blackboard.publish(pipe, |facts| {
+            if endpoint {
+                facts.remote_addr = Some(their);
+                facts.local_addr = Some(ours);
+            } else {
+                facts.nexthop = Some(their);
             }
-            None => None,
-        };
-        if let Some(key) = key {
-            unindex(&mut self.unlearned_by_peer, key, pipe);
-        }
-    }
-
-    /// Drop a pipe from the peer / adjacency / pending indexes.
-    fn unindex_pipe(&mut self, pipe: PipeId, rec: &PipeRec) {
-        self.adjacency_pipes.remove(&pipe);
-        self.pending_queries.remove(&pipe);
-        if let Some(peer) = Self::peer_of(rec) {
-            let key = (peer.clone(), rec.spec.initiate);
-            unindex(&mut self.by_peer, peer.clone(), pipe);
-            unindex(&mut self.unlearned_by_peer, key, pipe);
-        }
+        });
     }
 
     /// Register `dest` as a main-table route of the switch rule `(in, out)`.
@@ -676,9 +638,9 @@ impl ProtocolModule for IpModule {
                     .retain(|s| !(s.in_pipe == *in_pipe && s.out_pipe == *out_pipe));
             }
             ComponentRef::Pipe(pipe) => {
-                if let Some(rec) = self.pipes.remove(pipe) {
-                    self.unindex_pipe(*pipe, &rec);
-                }
+                self.pipes.remove(pipe);
+                self.adjacency_pipes.remove(pipe);
+                self.exchanges.remove(*pipe);
                 self.pending_switches
                     .retain(|s| s.in_pipe != *pipe && s.out_pipe != *pipe);
             }
@@ -706,25 +668,12 @@ impl ProtocolModule for IpModule {
             spec: spec.clone(),
             role,
             learned: None,
-            query_sent: false,
         };
-        if let Some(peer) = Self::peer_of(&rec) {
-            self.by_peer
-                .entry(peer.clone())
-                .or_default()
-                .insert(spec.pipe);
-            if Self::exchanges(&rec) {
-                self.unlearned_by_peer
-                    .entry((peer.clone(), spec.initiate))
-                    .or_default()
-                    .insert(spec.pipe);
-            }
+        if let Some(peer) = Self::exchange_peer(&rec) {
+            self.exchanges.add(spec.pipe, peer.clone(), spec.initiate);
         }
         if Self::is_adjacency_pipe(&rec) {
             self.adjacency_pipes.insert(spec.pipe);
-        }
-        if Self::awaits_query(&rec) {
-            self.pending_queries.insert(spec.pipe);
         }
         self.pipes.insert(spec.pipe, rec);
         Ok(ModuleReaction::none())
@@ -782,24 +731,10 @@ impl ProtocolModule for IpModule {
             IpMsg::Query(their) => (their, true),
             IpMsg::Address(their) => (their, false),
         };
-        // Find the pipe whose peer sent this message.  Concurrent goals can
-        // each run a pipe to the *same* peer module, in either direction.
-        // Exactly one side of a pipe pair initiates, so an opening query
-        // belongs to the lowest unlearned pipe this side does not initiate
-        // and an answer to the lowest one it does: each direction is issued
-        // and answered in ascending pipe — i.e. goal-block — order on both
-        // sides, and the two directions never take each other's exchange.
-        // The peer index makes this O(log pipes) instead of a full scan.
-        let pipe = self
-            .unlearned_by_peer
-            .get(&(env.from.clone(), !query))
-            .and_then(|pipes| pipes.first().copied())
-            .or_else(|| {
-                self.by_peer
-                    .get(&env.from)
-                    .and_then(|pipes| pipes.first().copied())
-            });
-        let Some(pipe) = pipe else {
+        // Concurrent goals can each run a pipe to the *same* peer module,
+        // in either direction: the exchange table decides which of them the
+        // message belongs to, if any.
+        let Some(pipe) = self.exchanges.pair(&env.from, query) else {
             return Ok(ModuleReaction::none());
         };
         let ours = {
@@ -826,7 +761,7 @@ impl ProtocolModule for IpModule {
         // 1. Initiate pending peer exchanges, in ascending pipe order, once
         //    the underlying port (and therefore our address) is known.
         let mut sent = Vec::new();
-        for &id in &self.pending_queries {
+        for (id, peer) in self.exchanges.owed() {
             let rec = &self.pipes[&id];
             let ours = if Self::is_adjacency_pipe(rec) {
                 if ctx.blackboard.pipe(id).port.is_none() {
@@ -836,15 +771,13 @@ impl ProtocolModule for IpModule {
             } else {
                 self.path_address(ctx)
             };
-            let peer = Self::peer_of(rec).expect("a pending pipe has a peer");
             reaction
                 .envelopes
                 .push(IpMsg::Query(ours).envelope(&self.me, peer.clone()));
             sent.push(id);
         }
         for id in sent {
-            self.pending_queries.remove(&id);
-            self.pipes.get_mut(&id).expect("pipe exists").query_sent = true;
+            self.exchanges.opened(id);
         }
 
         // 2. Retry pending switch rules.
@@ -890,12 +823,18 @@ mod tests {
         msg.envelope(&module(ModuleKind::Ip, 1, from), me())
     }
 
-    /// The full scan `poll` used to run: every pipe still owed its opening
-    /// query, whether or not it can fire yet.
-    fn scan(m: &IpModule) -> BTreeSet<PipeId> {
-        let mut owed = BTreeSet::new();
+    /// The pipes the exchange table says still owe their opening query.
+    fn owed(m: &IpModule) -> Vec<PipeId> {
+        m.exchanges.owed().map(|(pipe, _)| pipe).collect()
+    }
+
+    /// The full scan of the module's pipes: every one that initiates an
+    /// exchange with an IP peer, endpoint or adjacency, and has not sent its
+    /// query yet, whether or not it can fire.
+    fn scan(m: &IpModule, opened: &[PipeId]) -> Vec<PipeId> {
+        let mut owed = Vec::new();
         for (id, rec) in &m.pipes {
-            if rec.query_sent || !rec.spec.initiate {
+            if opened.contains(id) || !rec.spec.initiate {
                 continue;
             }
             let peer = match rec.role {
@@ -909,7 +848,7 @@ mod tests {
                 && matches!(rec.spec.upper.kind, ModuleKind::Gre | ModuleKind::Ip);
             let adjacency = rec.role == Role::Upper && rec.spec.lower.kind == ModuleKind::Eth;
             if endpoint || adjacency {
-                owed.insert(*id);
+                owed.push(*id);
             }
         }
         owed
@@ -924,10 +863,10 @@ mod tests {
         let query = m.poll(&mut rig.ctx());
         assert_eq!(query.envelopes.len(), 1);
         assert_eq!(query.envelopes[0].kind, EnvelopeKind::FieldQuery);
-        assert!(m.pending_queries.is_empty());
+        assert!(owed(&m).is_empty());
         m.handle_envelope(&mut rig.ctx(), &address_message(2, false))
             .unwrap();
-        assert!(m.unlearned_by_peer.is_empty());
+        assert!(m.exchanges.waiting().is_empty());
 
         let (config, changes) = (rig.config_json(), rig.blackboard.changes());
         assert!(m.poll(&mut rig.ctx()).is_empty());
@@ -945,10 +884,10 @@ mod tests {
         let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
         m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
         assert!(m.poll(&mut rig.ctx()).is_empty(), "no port published yet");
-        assert_eq!(m.pending_queries, BTreeSet::from([PipeId(3)]));
+        assert_eq!(owed(&m), [PipeId(3)]);
         rig.publish_port(3, 0);
         assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1);
-        assert!(m.pending_queries.is_empty());
+        assert!(owed(&m).is_empty());
         assert!(m.poll(&mut rig.ctx()).is_empty(), "the query goes out once");
     }
 
@@ -963,10 +902,8 @@ mod tests {
             m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(3)))
                 .unwrap();
             assert!(m.pipes.is_empty());
-            assert!(m.by_peer.is_empty());
-            assert!(m.unlearned_by_peer.is_empty());
+            assert!(m.exchanges.is_empty());
             assert!(m.adjacency_pipes.is_empty());
-            assert!(m.pending_queries.is_empty());
         }
         // Deleted while still waiting for its port: nothing fires later.
         m.create_pipe(&mut rig.ctx(), &adjacency(4, 2)).unwrap();
@@ -1005,7 +942,38 @@ mod tests {
         m.handle_envelope(&mut rig.ctx(), &address_message(2, false))
             .unwrap();
         assert_eq!(learned(&m), [peer, peer], "the answer lands on pipe 3");
-        assert!(m.unlearned_by_peer.is_empty());
+        assert!(m.exchanges.waiting().is_empty());
+    }
+
+    /// Pipes 3 and 4 answer one peer and each learn an address from its
+    /// query; then the second query is delivered again.  No pipe waits for
+    /// it, so it is not answered and pipe 3 keeps what it learned.  It used
+    /// to fall back on the peer's lowest pipe, rewrite pipe 3's address and
+    /// answer again.
+    #[test]
+    fn a_repeated_query_changes_nothing() {
+        let mut rig = Rig::new();
+        let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+        for id in [3, 4] {
+            let mut answering = adjacency(id, 2);
+            answering.initiate = false;
+            m.create_pipe(&mut rig.ctx(), &answering).unwrap();
+            rig.publish_port(id, 0);
+        }
+        let addrs = [Ipv4Addr::new(10, 9, 0, 2), Ipv4Addr::new(10, 9, 1, 2)];
+        let answers: Vec<usize> = [addrs[0], addrs[1], addrs[1]]
+            .map(|addr| {
+                let env = IpMsg::Query(addr).envelope(&module(ModuleKind::Ip, 1, 2), me());
+                m.handle_envelope(&mut rig.ctx(), &env)
+                    .unwrap()
+                    .envelopes
+                    .len()
+            })
+            .into();
+        let learned = [3, 4].map(|id| m.pipes[&PipeId(id)].learned);
+        assert_eq!(learned[0], Some(addrs[0]), "pipe 3 keeps what it learned");
+        assert_eq!(learned[1], Some(addrs[1]));
+        assert_eq!(answers, [1, 1, 0], "the repeated query is not answered");
     }
 
     fn drop_from(module: &ModuleRef, from: &ModuleRef) -> FilterSpec {
@@ -1142,16 +1110,20 @@ mod tests {
         rig.config.ip_forwarding = true; // a rule leaves forwarding on
         let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
         // The endpoint pipe under the customer's IP module, towards the far
-        // edge router (device 3), and the adjacency it is reached through.
+        // edge router (device 3), and the adjacency it is reached through;
+        // this side initiates both exchanges and each peer answers.
         let mut endpoint = pipe(1, &module(ModuleKind::Ip, 5, 1), &me());
         endpoint.peer_lower = Some(module(ModuleKind::Ip, 1, 3));
+        endpoint.initiate = true;
         m.create_pipe(&mut rig.ctx(), &endpoint).unwrap();
         m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
         rig.publish_port(3, 0);
+        assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 2);
         for peer in [3, 2] {
             m.handle_envelope(&mut rig.ctx(), &address_message(peer, false))
                 .unwrap();
         }
+        assert!(m.exchanges.waiting().is_empty());
         let baseline = rig.config_json();
         let attach = |rig: &Rig| rig.blackboard.pipe(PipeId(1)).attach;
         for round in 0..2 {
@@ -1175,11 +1147,12 @@ mod tests {
 
     proptest! {
         #[test]
-        fn pending_queries_equal_the_full_scan(
+        fn poll_opens_what_a_full_scan_owes(
             ops in proptest::collection::vec((0u8..6, 0u32..5, any::<u8>()), 0..48),
         ) {
             let mut rig = Rig::new();
             let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+            let mut opened = Vec::new();
             for (op, id, bits) in ops {
                 let peer = 2 + u64::from(bits & 1);
                 match op {
@@ -1226,23 +1199,27 @@ mod tests {
                             .unwrap();
                         // The agent drops the pipe's facts with it.
                         rig.blackboard.remove_pipe(PipeId(id));
+                        opened.retain(|pipe| *pipe != PipeId(id));
                     }
                     _ => {
-                        let due: Vec<ModuleRef> = scan(&m)
+                        let due: Vec<PipeId> = scan(&m, &opened)
                             .into_iter()
                             .filter(|id| {
                                 !m.adjacency_pipes.contains(id)
                                     || rig.blackboard.pipe(*id).port.is_some()
                             })
-                            .map(|id| IpModule::peer_of(&m.pipes[&id]).unwrap().clone())
+                            .collect();
+                        let peers: Vec<ModuleRef> = (due.iter())
+                            .map(|id| IpModule::peer_of(&m.pipes[id]).unwrap().clone())
                             .collect();
                         let fired = m.poll(&mut rig.ctx());
                         let to: Vec<ModuleRef> =
                             fired.envelopes.into_iter().map(|env| env.to).collect();
-                        prop_assert_eq!(to, due, "poll fires what the scan would, in pipe order");
+                        prop_assert_eq!(to, peers, "poll fires what the scan would, in pipe order");
+                        opened.extend(due);
                     }
                 }
-                prop_assert_eq!(&m.pending_queries, &scan(&m));
+                prop_assert_eq!(owed(&m), scan(&m, &opened));
             }
         }
 
@@ -1260,16 +1237,26 @@ mod tests {
             at in any::<usize>(),
             byte in any::<u8>(),
         ) {
+            // Pipe 3 waits for the peer's answer, pipe 4 for its query.
             let mut rig = Rig::new();
             let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
-            m.create_pipe(&mut rig.ctx(), &adjacency(3, 2)).unwrap();
-            rig.publish_port(3, 0);
+            let mut answering = adjacency(4, 2);
+            answering.initiate = false;
+            for spec in [adjacency(3, 2), answering] {
+                m.create_pipe(&mut rig.ctx(), &spec).unwrap();
+                rig.publish_port(spec.pipe.0, 0);
+            }
             m.poll(&mut rig.ctx());
             let addr = Ipv4Addr::new(10, 9, 0, 2);
             let valid = [IpMsg::Query(addr), IpMsg::Address(addr)][usize::from(tag)];
             let mut env = valid.envelope(&module(ModuleKind::Ip, 1, 2), me());
             env.body = mangle(&env.body, how, at, byte);
             rig.deliver::<IpMsg>(&mut m, &env);
+            let mut waiting = BTreeSet::from([PipeId(3), PipeId(4)]);
+            if let Some(msg) = IpMsg::decode(&env.body) {
+                waiting.remove(&PipeId(if matches!(msg, IpMsg::Query(_)) { 4 } else { 3 }));
+            }
+            prop_assert_eq!(m.exchanges.waiting(), waiting, "a message pairs with its pipe, a refusal with none");
         }
     }
 
@@ -1288,6 +1275,10 @@ mod tests {
             "{refused:?}"
         );
         assert_eq!(rig.blackboard.pipe(PipeId(3)).nexthop, None);
-        assert_eq!(m.unlearned_by_peer.len(), 1, "still waiting for its peer");
+        assert_eq!(
+            m.exchanges.waiting(),
+            BTreeSet::from([PipeId(3)]),
+            "still waiting for its peer"
+        );
     }
 }

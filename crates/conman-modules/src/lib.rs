@@ -16,7 +16,11 @@
 //! agents of Figures 2, 4 and 9.  What the IP, GRE, MPLS and VLAN modules
 //! negotiate with their peers is each module's own closed message type,
 //! encoded to the bytes the NM relays unread (`dialect`); a body that does
-//! not decode is refused, never read with defaults.
+//! not decode is refused, never read with defaults.  Which pipe an IP, MPLS
+//! or VLAN message belongs to is decided in one place, `exchange`: an
+//! opening pairs with a waiting pipe this side does not initiate, an answer
+//! with one it does, and any other message pairs with nothing and changes
+//! nothing.
 //!
 //! All of that is private: what the crate offers is [`testbed`], the
 //! complete managed networks the examples, tests, experiments and the
@@ -31,6 +35,7 @@
 mod builder;
 mod dialect;
 mod eth;
+mod exchange;
 mod gre;
 mod ip;
 mod mpls;
@@ -39,23 +44,9 @@ mod rig;
 pub mod testbed;
 mod vlan;
 
-use conman_core::ids::PipeId;
-use std::collections::{BTreeMap, BTreeSet};
-
 pub use ip::derived_table_range;
 pub use testbed::{
     managed_chain, managed_chain_with, managed_dual_chain, managed_fanout_chain,
     managed_fanout_chain_with, managed_figure2, managed_mesh_fanout, managed_ring_fanout,
     managed_vlan_chain, ManagedChain, ManagedFigure2, ManagedMesh, ManagedVlanChain,
 };
-
-/// Take `pipe` out of a module's peer index at `key`, dropping the entry
-/// once it is empty.
-fn unindex<K: Ord>(index: &mut BTreeMap<K, BTreeSet<PipeId>>, key: K, pipe: PipeId) {
-    if let Some(set) = index.get_mut(&key) {
-        set.remove(&pipe);
-        if set.is_empty() {
-            index.remove(&key);
-        }
-    }
-}

@@ -7,7 +7,7 @@
 //! script created by hand (`mpls nhlfe add`, `mpls ilm add`, `mpls xc add`).
 
 use crate::dialect::{self, Dialect};
-use crate::unindex;
+use crate::exchange::Exchanges;
 use conman_core::abstraction::{ModuleAbstraction, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
@@ -19,7 +19,7 @@ use mgmt_channel::codec::{Reader, Writer};
 use netsim::mpls::{IlmEntry, Label, LabelOp, Nhlfe, NhlfeKey};
 use netsim::route::RouteTarget;
 use netsim::stats::DropReason;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// What MPLS modules convey to each other: one half of a label exchange.
@@ -73,12 +73,6 @@ struct Adjacency {
     out_label: Option<u32>,
     /// The peer's address on the shared link (the NHLFE next hop).
     peer_addr: Option<Ipv4Addr>,
-    /// Whether we already sent our half of the exchange.
-    sent: bool,
-    /// Whether we initiate the exchange (we are the earlier device on the
-    /// path).
-    initiate: bool,
-    peer: Option<ModuleRef>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,17 +98,9 @@ pub(crate) struct MplsModule {
     me: ModuleRef,
     pipes: BTreeMap<PipeId, PipeKind>,
     adjacencies: BTreeMap<PipeId, Adjacency>,
-    /// Adjacency pipes indexed by peer module, so matching an incoming
-    /// label exchange is O(log pipes) even when hundreds of concurrent
-    /// goals run separate LSPs over the same physical adjacency.
-    by_peer: BTreeMap<ModuleRef, BTreeSet<PipeId>>,
-    /// The subset of [`Self::by_peer`] still missing its peer label, keyed
-    /// by the peer and whether this side initiates the exchange.
-    unfilled_by_peer: BTreeMap<(ModuleRef, bool), BTreeSet<PipeId>>,
-    /// Adjacencies whose label exchange this module still has to start:
-    /// `initiate`, a known peer and `sent` unset (one whose port is not
-    /// published yet waits here).  `poll` visits these and nothing else.
-    pending_exchanges: BTreeSet<PipeId>,
+    /// The label exchange of every adjacency with a peer: whom it is with,
+    /// who opens it and how far it got.
+    exchanges: Exchanges,
     pending_switches: Vec<SwitchSpec>,
     /// Applied switch rules keyed `(in, out)`: what `showActual` lists and
     /// `delete` removes.
@@ -132,9 +118,7 @@ impl MplsModule {
             me,
             pipes: BTreeMap::new(),
             adjacencies: BTreeMap::new(),
-            by_peer: BTreeMap::new(),
-            unfilled_by_peer: BTreeMap::new(),
-            pending_exchanges: BTreeSet::new(),
+            exchanges: Exchanges::default(),
             pending_switches: Vec::new(),
             installed: BTreeMap::new(),
             next_label,
@@ -145,19 +129,6 @@ impl MplsModule {
     fn alloc_label(&mut self) -> u32 {
         self.next_label += 1;
         self.next_label
-    }
-
-    /// Drop a pipe's adjacency state and its entries in the peer and pending
-    /// indexes.
-    fn forget_adjacency(&mut self, pipe: PipeId) {
-        self.pending_exchanges.remove(&pipe);
-        let Some(adj) = self.adjacencies.remove(&pipe) else {
-            return;
-        };
-        if let Some(peer) = adj.peer {
-            unindex(&mut self.by_peer, peer.clone(), pipe);
-            unindex(&mut self.unfilled_by_peer, (peer, adj.initiate), pipe);
-        }
     }
 
     /// Apply a pending switch rule once the necessary label bindings exist.
@@ -186,7 +157,7 @@ impl MplsModule {
                 else {
                     return None;
                 };
-                let initiate = adj.initiate;
+                let initiate = self.exchanges.initiates(adjacency);
                 let port = ctx.blackboard.pipe(adjacency).port?;
                 let installed = self
                     .installed
@@ -340,7 +311,8 @@ impl ProtocolModule for MplsModule {
             }
             ComponentRef::Pipe(pipe) => {
                 self.pipes.remove(pipe);
-                self.forget_adjacency(*pipe);
+                self.adjacencies.remove(pipe);
+                self.exchanges.remove(*pipe);
                 self.pending_switches
                     .retain(|s| s.in_pipe != *pipe && s.out_pipe != *pipe);
                 self.notified = false;
@@ -361,27 +333,10 @@ impl ProtocolModule for MplsModule {
         } else {
             // Pipe over an ETH module towards the adjacent MPLS module.
             self.pipes.insert(spec.pipe, PipeKind::Adjacency);
+            self.adjacencies.insert(spec.pipe, Adjacency::default());
             if let Some(peer) = spec.peer_upper.clone() {
-                self.by_peer
-                    .entry(peer.clone())
-                    .or_default()
-                    .insert(spec.pipe);
-                self.unfilled_by_peer
-                    .entry((peer, spec.initiate))
-                    .or_default()
-                    .insert(spec.pipe);
+                self.exchanges.add(spec.pipe, peer, spec.initiate);
             }
-            if spec.initiate && spec.peer_upper.is_some() {
-                self.pending_exchanges.insert(spec.pipe);
-            }
-            self.adjacencies.insert(
-                spec.pipe,
-                Adjacency {
-                    initiate: spec.initiate,
-                    peer: spec.peer_upper.clone(),
-                    ..Default::default()
-                },
-            );
         }
         Ok(ModuleReaction::none())
     }
@@ -409,32 +364,13 @@ impl ProtocolModule for MplsModule {
             address,
             reply,
         } = MplsMsg::read(env)?;
-        // Find the adjacency whose peer sent this.  Concurrent goals run
-        // separate LSPs over the same physical adjacency, in either
-        // direction, so several of our adjacency pipes can share a peer
-        // module.  Exactly one side of a pipe pair initiates, so an opening
-        // belongs to the lowest unfilled pipe this side does not initiate
-        // and a reply to the lowest one it does: each direction is issued
-        // and answered in ascending pipe — i.e. goal-block — order on both
-        // sides, and the two directions never take each other's labels.
-        // The peer index makes this O(log pipes).
-        let pipe = self
-            .unfilled_by_peer
-            .get(&(env.from.clone(), reply))
-            .and_then(|pipes| pipes.first().copied())
-            .or_else(|| {
-                self.by_peer
-                    .get(&env.from)
-                    .and_then(|pipes| pipes.first().copied())
-            });
-        let Some(pipe) = pipe else {
+        // Concurrent goals run separate LSPs over the same physical
+        // adjacency, in either direction: the exchange table decides which
+        // of the adjacencies to this peer the half belongs to, if any.
+        let Some(pipe) = self.exchanges.pair(&env.from, !reply) else {
             return Ok(ModuleReaction::none());
         };
-        let our_label = {
-            let adj = self.adjacencies.get(&pipe).expect("adjacency exists");
-            adj.in_label
-        };
-        let our_label = match our_label {
+        let our_label = match self.adjacencies[&pipe].in_label {
             Some(l) => l,
             None => self.alloc_label(),
         };
@@ -443,20 +379,11 @@ impl ProtocolModule for MplsModule {
             .and_then(|p| ctx.config.address_on_port(p))
             .map(|c| c.addr)
             .unwrap_or(Ipv4Addr::UNSPECIFIED);
-        let key = {
-            let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
-            adj.in_label = Some(our_label);
-            adj.out_label = Some(label);
-            adj.peer_addr = Some(address);
-            adj.peer.clone().map(|peer| (peer, adj.initiate))
-        };
-        if let Some(key) = key {
-            unindex(&mut self.unfilled_by_peer, key, pipe);
-        }
+        let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
+        adj.in_label = Some(our_label);
+        adj.out_label = Some(label);
+        adj.peer_addr = Some(address);
         if !reply {
-            let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
-            adj.sent = true;
-            self.pending_exchanges.remove(&pipe);
             let answer = MplsMsg {
                 label: our_label,
                 address: our_addr,
@@ -473,12 +400,12 @@ impl ProtocolModule for MplsModule {
         let mut reaction = ModuleReaction::none();
         // Initiate pending label exchanges, in ascending pipe order, once
         // the underlying port is known.
-        let ready: Vec<(PipeId, u32)> = self
-            .pending_exchanges
-            .iter()
-            .filter_map(|&pipe| Some((pipe, ctx.blackboard.pipe(pipe).port?)))
+        let ready: Vec<(PipeId, u32, ModuleRef)> = self
+            .exchanges
+            .owed()
+            .filter_map(|(pipe, peer)| Some((pipe, ctx.blackboard.pipe(pipe).port?, peer.clone())))
             .collect();
-        for (pipe, port) in ready {
+        for (pipe, port, peer) in ready {
             let our_addr = ctx
                 .config
                 .address_on_port(port)
@@ -488,11 +415,11 @@ impl ProtocolModule for MplsModule {
                 Some(l) => l,
                 None => self.alloc_label(),
             };
-            let adj = self.adjacencies.get_mut(&pipe).expect("adjacency exists");
-            adj.in_label = Some(label);
-            adj.sent = true;
-            let peer = adj.peer.clone().expect("a pending adjacency has a peer");
-            self.pending_exchanges.remove(&pipe);
+            self.adjacencies
+                .get_mut(&pipe)
+                .expect("adjacency exists")
+                .in_label = Some(label);
+            self.exchanges.opened(pipe);
             let opening = MplsMsg {
                 label,
                 address: our_addr,
@@ -517,6 +444,7 @@ mod tests {
     use super::*;
     use crate::rig::{mangle, module, pipe, switch, Rig};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn me() -> ModuleRef {
         module(ModuleKind::Mpls, 1, 1)
@@ -540,20 +468,19 @@ mod tests {
         msg.envelope(&module(ModuleKind::Mpls, 1, from), me())
     }
 
-    /// The full scan `poll` used to run: every adjacency still owed the
-    /// opening half of its label exchange, whether or not it can fire yet.
-    fn scan(m: &MplsModule) -> BTreeSet<PipeId> {
-        let mut owed = BTreeSet::new();
-        for (pipe, adj) in &m.adjacencies {
-            if adj.sent || !adj.initiate {
-                continue;
-            }
-            if adj.peer.is_none() {
-                continue;
-            }
-            owed.insert(*pipe);
-        }
-        owed
+    /// The adjacencies the exchange table says still owe their opening.
+    fn owed(m: &MplsModule) -> Vec<PipeId> {
+        m.exchanges.owed().map(|(pipe, _)| pipe).collect()
+    }
+
+    /// The full scan of what the module was told: every adjacency created
+    /// with a peer and `initiate`, that has not sent its opening yet.
+    fn scan(created: &BTreeMap<PipeId, PipeSpec>, opened: &[PipeId]) -> Vec<PipeId> {
+        (created.values())
+            .filter(|spec| spec.lower != me() && spec.peer_upper.is_some() && spec.initiate)
+            .map(|spec| spec.pipe)
+            .filter(|pipe| !opened.contains(pipe))
+            .collect()
     }
 
     #[test]
@@ -564,10 +491,10 @@ mod tests {
             .unwrap();
         rig.publish_port(3, 0);
         assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1);
-        assert!(m.pending_exchanges.is_empty());
+        assert!(owed(&m).is_empty());
         m.handle_envelope(&mut rig.ctx(), &label_message(2, 777, true))
             .unwrap();
-        assert!(m.unfilled_by_peer.is_empty());
+        assert!(m.exchanges.waiting().is_empty());
 
         let (config, changes) = (rig.config_json(), rig.blackboard.changes());
         assert!(m.poll(&mut rig.ctx()).is_empty());
@@ -586,19 +513,21 @@ mod tests {
         m.create_pipe(&mut rig.ctx(), &adjacency(3, Some(2), true))
             .unwrap();
         assert!(m.poll(&mut rig.ctx()).is_empty(), "no port published yet");
-        assert_eq!(m.pending_exchanges, BTreeSet::from([PipeId(3)]));
+        assert_eq!(owed(&m), [PipeId(3)]);
         rig.publish_port(3, 0);
         assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1);
         assert!(m.poll(&mut rig.ctx()).is_empty(), "the exchange opens once");
 
-        // The peer's opening message arrives first: answering it is our half.
-        m.create_pipe(&mut rig.ctx(), &adjacency(4, Some(5), true))
+        // Device 5 initiates pipe 4: answering its opening is our half.
+        m.create_pipe(&mut rig.ctx(), &adjacency(4, Some(5), false))
             .unwrap();
+        assert!(owed(&m).is_empty(), "an answering adjacency owes nothing");
         let answer = m
             .handle_envelope(&mut rig.ctx(), &label_message(5, 888, false))
             .unwrap();
         assert_eq!(answer.envelopes.len(), 1);
-        assert!(m.pending_exchanges.is_empty());
+        assert!(MplsMsg::read(&answer.envelopes[0]).unwrap().reply);
+        assert_eq!(m.adjacencies[&PipeId(4)].out_label, Some(888));
         rig.publish_port(4, 1);
         assert!(m.poll(&mut rig.ctx()).is_empty());
     }
@@ -615,8 +544,7 @@ mod tests {
             m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(3)))
                 .unwrap();
             assert!(m.pipes.is_empty() && m.adjacencies.is_empty());
-            assert!(m.by_peer.is_empty() && m.unfilled_by_peer.is_empty());
-            assert!(m.pending_exchanges.is_empty());
+            assert!(m.exchanges.is_empty());
         }
     }
 
@@ -649,7 +577,36 @@ mod tests {
             .unwrap();
         assert!(none.is_empty(), "a reply is not answered");
         assert_eq!(out_labels(&m), [Some(888), Some(777)], "it lands on pipe 3");
-        assert!(m.unfilled_by_peer.is_empty());
+        assert!(m.exchanges.waiting().is_empty());
+    }
+
+    /// Adjacencies 3 and 4 to one peer learn labels 100 and 200, then the
+    /// opening for 200 is delivered again.  No adjacency waits for it, so it
+    /// changes nothing.  It used to fall back on the peer's lowest pipe:
+    /// pipe 3 took label 200 for its own 100 and the opening was answered
+    /// twice.
+    #[test]
+    fn a_duplicated_opening_changes_nothing() {
+        let mut rig = Rig::new();
+        let mut m = MplsModule::new(me());
+        for id in [3, 4] {
+            m.create_pipe(&mut rig.ctx(), &adjacency(id, Some(2), false))
+                .unwrap();
+            rig.publish_port(id, 0);
+        }
+        let answers: Vec<usize> = [100, 200, 200]
+            .map(|label| {
+                let env = label_message(2, label, false);
+                m.handle_envelope(&mut rig.ctx(), &env)
+                    .unwrap()
+                    .envelopes
+                    .len()
+            })
+            .into();
+        let out_labels = [3, 4].map(|id| m.adjacencies[&PipeId(id)].out_label);
+        assert_eq!(out_labels[0], Some(100), "pipe 3 keeps its label");
+        assert_eq!(out_labels[1], Some(200));
+        assert_eq!(answers, [1, 1, 0], "the opening for 200 is answered once");
     }
 
     /// The rule goes and so does the `attach` it published on the access
@@ -697,11 +654,12 @@ mod tests {
 
     proptest! {
         #[test]
-        fn pending_exchanges_equal_the_full_scan(
+        fn poll_opens_what_a_full_scan_owes(
             ops in proptest::collection::vec((0u8..6, 0u32..5, any::<u8>()), 0..48),
         ) {
             let mut rig = Rig::new();
             let mut m = MplsModule::new(me());
+            let (mut created, mut opened) = (BTreeMap::new(), Vec::new());
             for (op, id, bits) in ops {
                 let peer = 2 + u64::from(bits & 1);
                 match op {
@@ -714,6 +672,7 @@ mod tests {
                             adjacency(id, (bits >> 3 & 3 != 0).then_some(peer), bits >> 5 & 1 == 1)
                         };
                         m.create_pipe(&mut rig.ctx(), &spec).unwrap();
+                        created.insert(spec.pipe, spec);
                     }
                     2 => rig.publish_port(id, id),
                     3 => {
@@ -723,20 +682,24 @@ mod tests {
                     4 => {
                         m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(id))).unwrap();
                         rig.blackboard.remove_pipe(PipeId(id));
+                        created.remove(&PipeId(id));
+                        opened.retain(|pipe| *pipe != PipeId(id));
                     }
                     _ => {
-                        let due: Vec<ModuleRef> = scan(&m)
+                        let due: Vec<PipeId> = scan(&created, &opened)
                             .into_iter()
                             .filter(|id| rig.blackboard.pipe(*id).port.is_some())
-                            .map(|id| m.adjacencies[&id].peer.clone().unwrap())
                             .collect();
                         let fired = m.poll(&mut rig.ctx());
                         let to: Vec<ModuleRef> =
                             fired.envelopes.into_iter().map(|env| env.to).collect();
-                        prop_assert_eq!(to, due, "poll fires what the scan would, in pipe order");
+                        let peers: Vec<ModuleRef> =
+                            due.iter().map(|id| created[id].peer_upper.clone().unwrap()).collect();
+                        prop_assert_eq!(to, peers, "poll fires what the scan would, in pipe order");
+                        opened.extend(due);
                     }
                 }
-                prop_assert_eq!(&m.pending_exchanges, &scan(&m));
+                prop_assert_eq!(owed(&m), scan(&created, &opened));
             }
         }
 
@@ -761,15 +724,23 @@ mod tests {
             at in any::<usize>(),
             byte in any::<u8>(),
         ) {
+            // Pipe 3 waits for the peer's reply, pipe 4 for its opening.
             let mut rig = Rig::new();
             let mut m = MplsModule::new(me());
-            m.create_pipe(&mut rig.ctx(), &adjacency(3, Some(2), true))
-                .unwrap();
-            rig.publish_port(3, 0);
+            for (id, initiate) in [(3, true), (4, false)] {
+                m.create_pipe(&mut rig.ctx(), &adjacency(id, Some(2), initiate))
+                    .unwrap();
+                rig.publish_port(id, 0);
+            }
             m.poll(&mut rig.ctx());
             let mut env = label_message(2, 777, reply);
             env.body = mangle(&env.body, how, at, byte);
             rig.deliver::<MplsMsg>(&mut m, &env);
+            let mut waiting = BTreeSet::from([PipeId(3), PipeId(4)]);
+            if let Some(msg) = MplsMsg::decode(&env.body) {
+                waiting.remove(&PipeId(if msg.reply { 3 } else { 4 }));
+            }
+            prop_assert_eq!(m.exchanges.waiting(), waiting, "a message pairs with its pipe, a refusal with none");
         }
     }
 
@@ -793,9 +764,7 @@ mod tests {
                 "{refused:?}"
             );
             assert_eq!(m.adjacencies[&PipeId(3)].out_label, None);
-            assert!(m
-                .unfilled_by_peer
-                .contains_key(&(module(ModuleKind::Mpls, 1, 2), false)));
+            assert_eq!(m.exchanges.waiting(), BTreeSet::from([PipeId(3)]));
         }
     }
 }

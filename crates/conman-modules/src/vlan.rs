@@ -7,6 +7,7 @@
 //! switch — the CONMan equivalent of the CatOS script in Figure 9(a).
 
 use crate::dialect::{self, Dialect};
+use crate::exchange::Exchanges;
 use conman_core::abstraction::{ModuleAbstraction, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
@@ -18,7 +19,7 @@ use mgmt_channel::codec::{Reader, Writer};
 use netsim::config::{BridgeConfig, SwitchPortMode};
 use netsim::stats::DropReason;
 use netsim::vlan::VlanId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// What VLAN modules convey to each other: the VLAN a provider tunnel runs
 /// on, passed switch to switch.  Tag 0, then the fields in order.
@@ -72,13 +73,6 @@ enum PipeKind {
     Trunk,
 }
 
-#[derive(Debug, Clone, Default)]
-struct TrunkState {
-    peer: Option<ModuleRef>,
-    initiate: bool,
-    sent: bool,
-}
-
 /// What one applied switch rule wrote into the bridge: the record `delete`
 /// undoes.
 #[derive(Debug, Clone)]
@@ -101,10 +95,9 @@ struct PortClaim {
 pub(crate) struct VlanModule {
     me: ModuleRef,
     pipes: BTreeMap<PipeId, PipeKind>,
-    trunks: BTreeMap<PipeId, TrunkState>,
-    /// Trunks whose VLAN exchange this module still has to start
-    /// (`initiate` and `sent` unset).  `poll` visits these and nothing else.
-    pending_trunks: BTreeSet<PipeId>,
+    /// The VLAN exchange of every trunk: whom it is with, who opens it and
+    /// how far it got.
+    exchanges: Exchanges,
     vlan_id: Option<u16>,
     vlan_name: String,
     pending_switches: Vec<SwitchSpec>,
@@ -124,8 +117,7 @@ impl VlanModule {
         VlanModule {
             me,
             pipes: BTreeMap::new(),
-            trunks: BTreeMap::new(),
-            pending_trunks: BTreeSet::new(),
+            exchanges: Exchanges::default(),
             vlan_id: None,
             vlan_name: "C1".to_string(),
             pending_switches: Vec::new(),
@@ -178,8 +170,7 @@ impl VlanModule {
         let mut notifications = Vec::new();
         // The far-edge switch (an edge module that did not initiate the
         // trunk exchange) confirms the layer-2 tunnel to the NM.
-        let egress =
-            self.is_edge() && self.trunks.values().all(|t| !t.initiate) && !self.trunks.is_empty();
+        let egress = self.is_edge() && self.exchanges.answers_only();
         if egress && !self.notified {
             self.notified = true;
             notifications.push(Notification {
@@ -256,19 +247,9 @@ impl ProtocolModule for VlanModule {
         if spec.upper != self.me {
             return Ok(ModuleReaction::none());
         }
-        if spec.peer_upper.is_some() {
+        if let Some(peer) = spec.peer_upper.clone() {
             self.pipes.insert(spec.pipe, PipeKind::Trunk);
-            if spec.initiate {
-                self.pending_trunks.insert(spec.pipe);
-            }
-            self.trunks.insert(
-                spec.pipe,
-                TrunkState {
-                    peer: spec.peer_upper.clone(),
-                    initiate: spec.initiate,
-                    ..Default::default()
-                },
-            );
+            self.exchanges.add(spec.pipe, peer, spec.initiate);
         } else {
             self.pipes.insert(spec.pipe, PipeKind::Customer);
         }
@@ -301,8 +282,7 @@ impl ProtocolModule for VlanModule {
             }
             ComponentRef::Pipe(pipe) => {
                 self.pipes.remove(pipe);
-                self.trunks.remove(pipe);
-                self.pending_trunks.remove(pipe);
+                self.exchanges.remove(*pipe);
                 self.pending_switches
                     .retain(|s| s.in_pipe != *pipe && s.out_pipe != *pipe);
                 if self.pipes.is_empty() {
@@ -321,14 +301,15 @@ impl ProtocolModule for VlanModule {
         env: &ModuleEnvelope,
     ) -> Result<ModuleReaction, ModuleError> {
         let VlanMsg { id, name, reply } = VlanMsg::read(env)?;
+        // Only a message a trunk waits for is agreed: a proposal pairs with
+        // a trunk this side answers, a reply with one it proposed on, which
+        // has nothing left to send.
+        if self.exchanges.pair(&env.from, !reply).is_none() {
+            return Ok(ModuleReaction::none());
+        }
         self.vlan_id = Some(id);
         self.vlan_name = name;
-        // A proposal belongs to a trunk of its peer that this side does not
-        // initiate, which answers it; a reply to one it does, which has
-        // nothing left to send.  So a proposal never marks this side's own
-        // pending proposal as sent.
-        let answers = |t: &TrunkState| !t.initiate && t.peer.as_ref() == Some(&env.from);
-        if reply || !self.trunks.values().any(answers) {
+        if reply {
             return Ok(ModuleReaction::none());
         }
         let answer = VlanMsg {
@@ -345,22 +326,24 @@ impl ProtocolModule for VlanModule {
         let mut reaction = ModuleReaction::none();
         // An edge module that initiates a trunk exchange picks the VLAN id
         // (no trunk has sent while the id is unknown, so an initiating trunk
-        // is a pending one).
-        if self.vlan_id.is_none() && !self.pending_trunks.is_empty() && self.is_edge() {
+        // still owes its proposal).
+        if self.vlan_id.is_none() && self.exchanges.owed().next().is_some() && self.is_edge() {
             self.vlan_id = Some(DEFAULT_VLAN);
         }
         if let Some(vid) = self.vlan_id {
-            // Every pending trunk fires, in ascending pipe order.
-            for pipe in std::mem::take(&mut self.pending_trunks) {
-                let t = self.trunks.get_mut(&pipe).expect("trunk exists");
-                t.sent = true;
+            // Every trunk that owes its proposal sends it, in ascending pipe
+            // order.
+            let owed: Vec<(PipeId, ModuleRef)> = (self.exchanges.owed())
+                .map(|(pipe, peer)| (pipe, peer.clone()))
+                .collect();
+            for (pipe, peer) in owed {
                 let proposal = VlanMsg {
                     id: vid,
                     name: self.vlan_name.clone(),
                     reply: false,
                 };
-                let peer = t.peer.clone().expect("a trunk has a peer");
                 reaction.envelopes.push(proposal.envelope(&self.me, peer));
+                self.exchanges.opened(pipe);
             }
         }
         let pending = std::mem::take(&mut self.pending_switches);
@@ -379,6 +362,7 @@ mod tests {
     use super::*;
     use crate::rig::{mangle, module, pipe, switch, Rig};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn me() -> ModuleRef {
         module(ModuleKind::Vlan, 1, 1)
@@ -405,20 +389,19 @@ mod tests {
         msg.envelope(&module(ModuleKind::Vlan, 1, from), me())
     }
 
-    /// The full scan `poll` used to run once the VLAN id is known: every
-    /// trunk still owed the opening half of its exchange.
-    fn scan(m: &VlanModule) -> BTreeSet<PipeId> {
-        let mut owed = BTreeSet::new();
-        for (pipe, t) in &m.trunks {
-            if t.sent || !t.initiate {
-                continue;
-            }
-            if t.peer.is_none() {
-                continue;
-            }
-            owed.insert(*pipe);
-        }
-        owed
+    /// The trunks the exchange table says still owe their proposal.
+    fn owed(m: &VlanModule) -> Vec<PipeId> {
+        m.exchanges.owed().map(|(pipe, _)| pipe).collect()
+    }
+
+    /// The full scan of what the module was told: every trunk created with
+    /// `initiate` that has not sent its proposal yet.
+    fn scan(created: &BTreeMap<PipeId, PipeSpec>, opened: &[PipeId]) -> Vec<PipeId> {
+        (created.values())
+            .filter(|spec| spec.peer_upper.is_some() && spec.initiate)
+            .map(|spec| spec.pipe)
+            .filter(|pipe| !opened.contains(pipe))
+            .collect()
     }
 
     #[test]
@@ -428,9 +411,10 @@ mod tests {
         m.create_pipe(&mut rig.ctx(), &customer(1)).unwrap();
         m.create_pipe(&mut rig.ctx(), &trunk(2, 2, true)).unwrap();
         assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1);
-        assert!(m.pending_trunks.is_empty());
+        assert!(owed(&m).is_empty());
         m.handle_envelope(&mut rig.ctx(), &vlan_message(2, true))
             .unwrap();
+        assert!(m.exchanges.waiting().is_empty());
 
         let (config, changes) = (rig.config_json(), rig.blackboard.changes());
         assert!(m.poll(&mut rig.ctx()).is_empty());
@@ -449,7 +433,7 @@ mod tests {
         m.create_pipe(&mut rig.ctx(), &trunk(1, 2, false)).unwrap();
         m.create_pipe(&mut rig.ctx(), &trunk(2, 3, true)).unwrap();
         assert!(m.poll(&mut rig.ctx()).is_empty(), "no VLAN id agreed yet");
-        assert_eq!(m.pending_trunks, BTreeSet::from([PipeId(2)]));
+        assert_eq!(owed(&m), [PipeId(2)]);
         let answer = m
             .handle_envelope(&mut rig.ctx(), &vlan_message(2, false))
             .unwrap();
@@ -461,7 +445,7 @@ mod tests {
         let onward = m.poll(&mut rig.ctx());
         assert_eq!(onward.envelopes.len(), 1);
         assert_eq!(onward.envelopes[0].to, module(ModuleKind::Vlan, 1, 3));
-        assert!(m.pending_trunks.is_empty());
+        assert!(owed(&m).is_empty());
         assert!(m.poll(&mut rig.ctx()).is_empty(), "the exchange opens once");
     }
 
@@ -475,7 +459,7 @@ mod tests {
             assert_eq!(m.poll(&mut rig.ctx()).envelopes.len(), 1, "round {round}");
             m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(2)))
                 .unwrap();
-            assert!(m.trunks.is_empty() && m.pending_trunks.is_empty());
+            assert!(m.exchanges.is_empty());
             assert_eq!(m.pipes.len(), 1);
         }
     }
@@ -497,8 +481,7 @@ mod tests {
             .unwrap();
         assert_eq!(answer.envelopes.len(), 1, "the proposal is answered");
         assert!(VlanMsg::read(&answer.envelopes[0]).unwrap().reply);
-        let pending = BTreeSet::from([PipeId(2)]);
-        assert_eq!(m.pending_trunks, pending, "trunk 2's proposal is not sent");
+        assert_eq!(owed(&m), [PipeId(2)], "trunk 2's proposal is not sent");
         let proposal = m.poll(&mut rig.ctx());
         assert_eq!(proposal.envelopes.len(), 1, "trunk 2 still proposes");
         assert!(!VlanMsg::read(&proposal.envelopes[0]).unwrap().reply);
@@ -506,7 +489,23 @@ mod tests {
             .handle_envelope(&mut rig.ctx(), &vlan_message(2, true))
             .unwrap();
         assert!(none.is_empty(), "a reply is not answered");
-        assert!(m.pending_trunks.is_empty() && m.poll(&mut rig.ctx()).is_empty());
+        assert!(owed(&m).is_empty() && m.poll(&mut rig.ctx()).is_empty());
+        assert!(m.exchanges.waiting().is_empty());
+    }
+
+    /// A proposal from a switch no trunk leads to is not agreed: it used to
+    /// set the module's VLAN id before any trunk was looked at.
+    #[test]
+    fn a_strangers_proposal_changes_nothing() {
+        let mut rig = Rig::new();
+        let mut m = VlanModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &trunk(2, 2, false)).unwrap();
+        let reaction = m
+            .handle_envelope(&mut rig.ctx(), &vlan_message(7, false))
+            .unwrap();
+        assert_eq!(m.vlan_id, None, "the stranger's VLAN id is not adopted");
+        assert!(reaction.is_empty(), "the stranger is not answered");
+        assert_eq!(m.exchanges.waiting(), BTreeSet::from([PipeId(2)]));
     }
 
     /// A switch as the testbeds build it: every port an access port of the
@@ -576,11 +575,12 @@ mod tests {
 
     proptest! {
         #[test]
-        fn pending_trunks_equal_the_full_scan(
+        fn poll_opens_what_a_full_scan_owes(
             ops in proptest::collection::vec((0u8..5, 0u32..5, any::<u8>()), 0..48),
         ) {
             let mut rig = Rig::new();
             let mut m = VlanModule::new(me());
+            let (mut created, mut opened) = (BTreeMap::new(), Vec::new());
             for (op, id, bits) in ops {
                 let peer = 2 + u64::from(bits & 1);
                 match op {
@@ -593,6 +593,7 @@ mod tests {
                             trunk(id, peer, bits >> 3 & 1 == 1)
                         };
                         m.create_pipe(&mut rig.ctx(), &spec).unwrap();
+                        created.insert(spec.pipe, spec);
                     }
                     2 => {
                         m.handle_envelope(&mut rig.ctx(), &vlan_message(peer, bits & 2 == 0))
@@ -600,22 +601,23 @@ mod tests {
                     }
                     3 => {
                         m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(id))).unwrap();
+                        created.remove(&PipeId(id));
+                        opened.retain(|pipe| *pipe != PipeId(id));
                     }
                     _ => {
-                        let id_known = m.vlan_id.is_some()
-                            || (m.is_edge() && m.trunks.values().any(|t| t.initiate));
-                        let due: Vec<ModuleRef> = scan(&m)
-                            .into_iter()
-                            .filter(|_| id_known)
-                            .map(|id| m.trunks[&id].peer.clone().unwrap())
-                            .collect();
+                        let owing = scan(&created, &opened);
+                        let id_known = m.vlan_id.is_some() || (m.is_edge() && !owing.is_empty());
+                        let due: Vec<PipeId> = owing.into_iter().filter(|_| id_known).collect();
                         let fired = m.poll(&mut rig.ctx());
                         let to: Vec<ModuleRef> =
                             fired.envelopes.into_iter().map(|env| env.to).collect();
-                        prop_assert_eq!(to, due, "poll fires what the scan would, in pipe order");
+                        let peers: Vec<ModuleRef> =
+                            due.iter().map(|id| created[id].peer_upper.clone().unwrap()).collect();
+                        prop_assert_eq!(to, peers, "poll fires what the scan would, in pipe order");
+                        opened.extend(due);
                     }
                 }
-                prop_assert_eq!(&m.pending_trunks, &scan(&m));
+                prop_assert_eq!(owed(&m), scan(&created, &opened));
             }
         }
 
