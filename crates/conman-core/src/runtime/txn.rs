@@ -24,12 +24,12 @@
 //!    applied its segment before an exchange reaches it, and a module pairs
 //!    an opening with a waiting pipe it does not initiate, an answer with
 //!    one it does and any other message with nothing (one table in
-//!    `conman-modules`, shared by IP, MPLS and VLAN), so goals crossing the
-//!    same modules in opposite directions never take each other's
-//!    exchanges.  A goal refused at any device's commit, or one of whose
-//!    devices never answers, is rolled back: every device that answered
-//!    gets the teardown mirror of its script (`delete` per `create`,
-//!    reverse order), and a silent device gets an abort.
+//!    `conman-modules`, shared by IP, GRE, MPLS and VLAN), so goals
+//!    crossing the same modules in opposite directions never take each
+//!    other's exchanges.  A goal refused at any device's commit, or one of
+//!    whose devices never answers, is rolled back: every device that
+//!    answered gets the teardown mirror of its script (`delete` per
+//!    `create`, reverse order), and a silent device gets an abort.
 //!
 //! Two runners drive that protocol.  [`ManagedNetwork::run_batch`] is the
 //! strict one above.  [`ManagedNetwork::run_teardown_batch`] (withdraw,
@@ -327,7 +327,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// module pairs an opening with a waiting pipe it does not initiate, an
     /// answer with one it does, each direction in ascending pipe order, and
     /// any other message with nothing.  That rule lives in one place, the
-    /// exchange table `conman-modules` gives IP, MPLS and VLAN.  A goal
+    /// exchange table `conman-modules` gives IP, GRE, MPLS and VLAN.  A goal
     /// refused at any device's commit, or one of whose devices stays
     /// silent, fails, and the failed goals are rolled back together without
     /// disturbing sibling goals.  A transaction for one goal is

@@ -1,11 +1,11 @@
 //! Which of a module's pipes a peer's exchange message belongs to.
 //!
-//! IP, MPLS and VLAN each agree something with the module at the far end
-//! of a pipe (an address, a label pair, a VLAN id) by one exchange: the
-//! side that initiates owes its peer the opening message, the other side
-//! answers it.  Exactly one side of a pipe pair initiates, and several
-//! goals' pipes can share one peer, in either direction, so an incoming
-//! message is paired with a pipe by who opened it:
+//! IP, GRE, MPLS and VLAN each agree something with the module at the far
+//! end of a pipe (an address, a key set, a label pair, a VLAN id) by one
+//! exchange: the side that initiates owes its peer the opening message,
+//! the other side answers it.  Exactly one side of a pipe pair initiates,
+//! and several goals' pipes can share one peer, in either direction, so an
+//! incoming message is paired with a pipe by who opened it:
 //!
 //! * an opening pairs with the lowest waiting pipe of that peer which this
 //!   side does not initiate;

@@ -9,15 +9,22 @@
 //! configuration (the equivalent of the `ip tunnel add ... ikey 1001 okey
 //! 2001 icsum ocsum iseq oseq` line of Figure 7(a)).
 //!
-//! One module instance carries **multiple tunnels**, keyed by pipe: each
-//! concurrent goal's path contributes its own up/down pipe pair, gets its
-//! own negotiated key material (derived per pipe, so tunnels between the
-//! same endpoints stay demultiplexable) and its own tunnel in the device
-//! configuration.  Two goals can therefore share an edge GRE module the
-//! same way they share IP and MPLS modules, instead of the second goal
-//! failing its transaction.
+//! One module instance carries **multiple tunnels**, keyed by switch rule:
+//! each concurrent goal's path contributes its own up/down pipe pair and
+//! the rule that names the two, gets its own negotiated key material
+//! (derived per up pipe, so tunnels between the same endpoints stay
+//! demultiplexable) and its own tunnel in the device configuration.  Two
+//! goals can therefore share an edge GRE module the same way they share IP
+//! and MPLS modules, instead of the second goal failing its transaction.
+//!
+//! A proposal and its acceptance are paired with an up pipe the way IP,
+//! MPLS and VLAN pair their exchanges, through [`Exchanges`]: the proposal
+//! opens the exchange and goes out when the initiating side creates its up
+//! pipe; a message no waiting up pipe takes changes nothing.  The agreed
+//! parameters belong to the up pipe and outlive its down pipe.
 
 use crate::dialect::{self, Dialect};
+use crate::exchange::Exchanges;
 use conman_core::abstraction::{
     Dependency, ModuleAbstraction, PerfTradeoff, PerformanceMetric, SwitchKind,
 };
@@ -33,6 +40,15 @@ use netsim::route::RouteTarget;
 use netsim::stats::DropReason;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Negotiated GRE parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GreParams {
+    ikey: u32,
+    okey: u32,
+    sequencing: bool,
+    checksums: bool,
+}
+
 /// What GRE modules convey to each other (`conveyMessage`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GreMsg {
@@ -40,12 +56,7 @@ enum GreMsg {
     /// the tunnel parameters the *receiver* is to configure.  Its `ikey` is
     /// the key the proposer sends with and its `okey` the one the proposer
     /// accepts.
-    Propose {
-        ikey: u32,
-        okey: u32,
-        sequencing: bool,
-        checksums: bool,
-    },
+    Propose(GreParams),
     /// Tag 1: the proposal is agreed.
     Accept,
 }
@@ -54,17 +65,12 @@ impl Dialect for GreMsg {
     fn encode(&self) -> Vec<u8> {
         let mut w = Writer::default();
         match *self {
-            GreMsg::Propose {
-                ikey,
-                okey,
-                sequencing,
-                checksums,
-            } => {
+            GreMsg::Propose(params) => {
                 w.put_u8(0);
-                w.put_u32(ikey);
-                w.put_u32(okey);
-                w.put_bool(sequencing);
-                w.put_bool(checksums);
+                w.put_u32(params.ikey);
+                w.put_u32(params.okey);
+                w.put_bool(params.sequencing);
+                w.put_bool(params.checksums);
             }
             GreMsg::Accept => w.put_u8(1),
         }
@@ -74,12 +80,12 @@ impl Dialect for GreMsg {
     fn decode(body: &[u8]) -> Option<Self> {
         let mut r = Reader::new(body);
         let msg = match r.u8()? {
-            0 => GreMsg::Propose {
+            0 => GreMsg::Propose(GreParams {
                 ikey: r.u32()?,
                 okey: r.u32()?,
                 sequencing: r.bool()?,
                 checksums: r.bool()?,
-            },
+            }),
             1 => GreMsg::Accept,
             _ => return None,
         };
@@ -91,69 +97,44 @@ impl Dialect for GreMsg {
     }
 }
 
-/// Negotiated GRE parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GreParams {
-    ikey: u32,
-    okey: u32,
-    sequencing: bool,
-    checksums: bool,
-}
-
-/// One tunnel's worth of state: the up/down pipe pair a goal's path
-/// contributed, the negotiated parameters, and the configured tunnel id.
-#[derive(Debug, Clone)]
-struct TunnelSlot {
-    /// The pipe to the payload protocol above (e.g. the customer IP module).
-    up_pipe: Option<PipeId>,
+/// Which side of the module a pipe is on.
+#[derive(Clone, Copy)]
+enum Side {
+    /// The pipe to the payload protocol above (e.g. the customer IP
+    /// module), with the parameters its tunnel runs with once agreed.
+    Up(Option<GreParams>),
     /// The pipe to the delivery protocol below (the ISP IP module).
-    down_pipe: Option<PipeId>,
-    peer: Option<ModuleRef>,
-    /// Trade-offs requested by the NM when the up pipe was created.
-    wants_sequencing: bool,
-    wants_checksums: bool,
-    params: Option<GreParams>,
-    /// The switch rule `(in pipe, out pipe)` that armed this slot.
-    switch: Option<(PipeId, PipeId)>,
-    configured_tunnel: Option<u32>,
+    Down,
 }
 
-impl TunnelSlot {
-    fn new() -> Self {
-        TunnelSlot {
-            up_pipe: None,
-            down_pipe: None,
-            peer: None,
-            wants_sequencing: false,
-            wants_checksums: false,
-            params: None,
-            switch: None,
-            configured_tunnel: None,
-        }
-    }
+/// One of this module's pipes: its side and the rule that stands on it.
+struct Pipe {
+    side: Side,
+    rule: Option<(PipeId, PipeId)>,
+}
 
-    /// Armed by a switch rule and not configured yet: work for `poll`.
-    fn awaits_tunnel(&self) -> bool {
-        self.switch.is_some() && self.configured_tunnel.is_none()
-    }
+/// A held switch rule: the tunnel between its up and its down pipe.
+struct Tunnel {
+    up: PipeId,
+    down: PipeId,
+    /// The tunnel's id in the device configuration, once `poll` wrote it.
+    configured: Option<u32>,
 }
 
 /// The GRE protocol module.
 pub(crate) struct GreModule {
     me: ModuleRef,
-    /// Tunnel slots keyed by creation number, so they iterate in creation
-    /// order.  A goal's segment creates its up and down pipes together
-    /// (segments commit whole, never interleaved with a sibling goal's), so
-    /// "the slot still missing this side" is unambiguous while a slot is
-    /// being assembled.
-    slots: BTreeMap<u64, TunnelSlot>,
-    next_slot: u64,
-    /// The slot each up or down pipe belongs to.
-    slot_of_pipe: BTreeMap<PipeId, u64>,
-    /// Slots a switch rule armed that have no tunnel yet (still waiting for
-    /// a side, the negotiated parameters or the endpoint addresses).  `poll`
-    /// visits these and nothing else.
-    armed: BTreeSet<u64>,
+    /// The key exchange of every up pipe that has a peer: who proposes and
+    /// whether the other side's message arrived.
+    exchanges: Exchanges,
+    pipes: BTreeMap<PipeId, Pipe>,
+    /// The held rules, keyed `(in pipe, out pipe)`: what `showActual`
+    /// lists and `delete` removes.
+    tunnels: BTreeMap<(PipeId, PipeId), Tunnel>,
+    /// The held rules with no tunnel yet (still waiting for the agreed
+    /// parameters or the endpoint addresses).  `poll` visits these and
+    /// nothing else.
+    armed: BTreeSet<(PipeId, PipeId)>,
 }
 
 impl GreModule {
@@ -161,9 +142,9 @@ impl GreModule {
     pub(crate) fn new(me: ModuleRef) -> Self {
         GreModule {
             me,
-            slots: BTreeMap::new(),
-            next_slot: 0,
-            slot_of_pipe: BTreeMap::new(),
+            exchanges: Exchanges::default(),
+            pipes: BTreeMap::new(),
+            tunnels: BTreeMap::new(),
             armed: BTreeSet::new(),
         }
     }
@@ -180,43 +161,24 @@ impl GreModule {
         (a, b)
     }
 
-    /// The slot a new `pipe` joins on the side `side` selects: the oldest
-    /// slot still missing that side (its other pipe arrived first),
-    /// otherwise a new tunnel slot.
-    fn slot_for(&mut self, pipe: PipeId, side: fn(&TunnelSlot) -> Option<PipeId>) -> u64 {
-        let key = (self.slots.iter())
-            .find(|(_, slot)| side(slot).is_none())
-            .map(|(key, _)| *key)
-            .unwrap_or_else(|| {
-                self.next_slot += 1;
-                self.slots.insert(self.next_slot, TunnelSlot::new());
-                self.next_slot
-            });
-        self.slot_of_pipe.insert(pipe, key);
-        key
-    }
-
-    /// Arm a slot with a rule: its tunnel is configured once it is complete.
-    fn arm(&mut self, key: u64, switch: (PipeId, PipeId)) {
-        let slot = self.slots.get_mut(&key).expect("slot exists");
-        slot.switch = Some(switch);
-        if slot.awaits_tunnel() {
-            self.armed.insert(key);
-        }
-    }
-
-    /// Disarm a slot: its tunnel goes down, and with it the attachment
-    /// published on the up pipe; sibling goals' tunnels stay up.
-    fn disarm(&mut self, ctx: &mut ModuleCtx, key: u64) {
-        let slot = self.slots.get_mut(&key).expect("slot exists");
-        slot.switch = None;
-        if let Some(id) = slot.configured_tunnel.take() {
-            ctx.config.remove_tunnel(id);
-            if let Some(up) = slot.up_pipe {
-                ctx.blackboard.publish(up, |facts| facts.attach = None);
+    /// Drop the held `rule`: its pipes stand under no rule, and its tunnel
+    /// goes down with the attachment published on the up pipe; sibling
+    /// goals' tunnels stay up.
+    fn drop_rule(&mut self, ctx: &mut ModuleCtx, rule: (PipeId, PipeId)) {
+        let Some(tunnel) = self.tunnels.remove(&rule) else {
+            return;
+        };
+        self.armed.remove(&rule);
+        for pipe in [tunnel.up, tunnel.down] {
+            if let Some(pipe) = self.pipes.get_mut(&pipe) {
+                pipe.rule = None;
             }
         }
-        self.armed.remove(&key);
+        if let Some(id) = tunnel.configured {
+            ctx.config.remove_tunnel(id);
+            ctx.blackboard
+                .publish(tunnel.up, |facts| facts.attach = None);
+        }
     }
 }
 
@@ -254,10 +216,9 @@ impl ProtocolModule for GreModule {
     }
 
     fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
-        let rules: BTreeSet<_> = self.slots.values().filter_map(|slot| slot.switch).collect();
         ModuleActual {
-            pipes: self.slot_of_pipe.keys().copied().collect(),
-            switch_rules: rules.into_iter().collect(),
+            pipes: self.pipes.keys().copied().collect(),
+            switch_rules: self.tunnels.keys().copied().collect(),
             ..Default::default()
         }
     }
@@ -285,30 +246,15 @@ impl ProtocolModule for GreModule {
         component: &ComponentRef,
     ) -> Result<ModuleReaction, ModuleError> {
         match component {
-            // Undo `create (switch)`: disarm the slots its pipes belong to.
             ComponentRef::SwitchRule(module, in_pipe, out_pipe) if *module == self.me => {
-                for pipe in [in_pipe, out_pipe] {
-                    if let Some(key) = self.slot_of_pipe.get(pipe).copied() {
-                        self.disarm(ctx, key);
-                    }
-                }
+                self.drop_rule(ctx, (*in_pipe, *out_pipe));
             }
-            // Losing either pipe disarms its slot too, and forgets the
-            // negotiated parameters.
+            // Losing either pipe drops the rule that stands on it.  The up
+            // pipe's agreed parameters go with the up pipe only.
             ComponentRef::Pipe(pipe) => {
-                let Some(key) = self.slot_of_pipe.remove(pipe) else {
-                    return Ok(ModuleReaction::none());
-                };
-                self.disarm(ctx, key);
-                let slot = self.slots.get_mut(&key).expect("indexed slot exists");
-                if slot.up_pipe == Some(*pipe) {
-                    slot.up_pipe = None;
-                } else {
-                    slot.down_pipe = None;
-                }
-                slot.params = None;
-                if slot.up_pipe.is_none() && slot.down_pipe.is_none() {
-                    self.slots.remove(&key);
+                self.exchanges.remove(*pipe);
+                if let Some(rule) = self.pipes.remove(pipe).and_then(|pipe| pipe.rule) {
+                    self.drop_rule(ctx, rule);
                 }
             }
             _ => {}
@@ -321,42 +267,43 @@ impl ProtocolModule for GreModule {
         _ctx: &mut ModuleCtx,
         spec: &PipeSpec,
     ) -> Result<ModuleReaction, ModuleError> {
-        if spec.lower == self.me {
-            // Our up pipe: the module above us is the payload protocol.
-            let key = self.slot_for(spec.pipe, |slot| slot.up_pipe);
-            let slot = self.slots.get_mut(&key).expect("slot exists");
-            slot.up_pipe = Some(spec.pipe);
-            slot.peer = spec.peer_lower.clone();
-            slot.wants_sequencing = spec.tradeoffs.contains(&TradeoffChoice::InOrderDelivery);
-            slot.wants_checksums = spec.tradeoffs.contains(&TradeoffChoice::LowErrorRate);
-            if spec.initiate {
-                if let Some(peer) = slot.peer.clone() {
+        let mut reaction = ModuleReaction::none();
+        let side = if spec.lower == self.me {
+            // Our up pipe: the module above us is the payload protocol.  The
+            // side that initiates picks the parameters and proposes them at
+            // once; the other side takes them from the proposal.
+            let mut params = None;
+            if let Some(peer) = spec.peer_lower.clone() {
+                self.exchanges.add(spec.pipe, peer.clone(), spec.initiate);
+                if spec.initiate {
                     let (ikey, okey) = self.propose_keys(&peer, spec.pipe);
-                    let slot = self.slots.get_mut(&key).expect("slot exists");
-                    let (sequencing, checksums) = (slot.wants_sequencing, slot.wants_checksums);
-                    slot.params = Some(GreParams {
+                    let ours = GreParams {
                         ikey,
                         okey,
-                        sequencing,
-                        checksums,
-                    });
+                        sequencing: spec.tradeoffs.contains(&TradeoffChoice::InOrderDelivery),
+                        checksums: spec.tradeoffs.contains(&TradeoffChoice::LowErrorRate),
+                    };
+                    params = Some(ours);
                     // The peer's view: it accepts what we send and sends
                     // what we accept.
-                    let proposal = GreMsg::Propose {
+                    let proposal = GreMsg::Propose(GreParams {
                         ikey: okey,
                         okey: ikey,
-                        sequencing,
-                        checksums,
-                    };
-                    return Ok(ModuleReaction::envelope(proposal.envelope(&self.me, peer)));
+                        ..ours
+                    });
+                    reaction = ModuleReaction::envelope(proposal.envelope(&self.me, peer));
+                    self.exchanges.opened(spec.pipe);
                 }
             }
+            Side::Up(params)
         } else if spec.upper == self.me {
             // Our down pipe: the delivery protocol below us.
-            let key = self.slot_for(spec.pipe, |slot| slot.down_pipe);
-            self.slots.get_mut(&key).expect("slot exists").down_pipe = Some(spec.pipe);
-        }
-        Ok(ModuleReaction::none())
+            Side::Down
+        } else {
+            return Ok(reaction);
+        };
+        self.pipes.insert(spec.pipe, Pipe { side, rule: None });
+        Ok(reaction)
     }
 
     fn create_switch(
@@ -364,13 +311,31 @@ impl ProtocolModule for GreModule {
         _ctx: &mut ModuleCtx,
         spec: &SwitchSpec,
     ) -> Result<ModuleReaction, ModuleError> {
-        // Arm the slot the switch's pipes belong to; a rule naming none of
-        // this module's pipes arms nothing.
-        for pipe in [spec.in_pipe, spec.out_pipe] {
-            if let Some(key) = self.slot_of_pipe.get(&pipe).copied() {
-                self.arm(key, (spec.in_pipe, spec.out_pipe));
-            }
+        // A rule is a tunnel: it is held when it names one up and one down
+        // pipe of this module that stand under no rule yet, and then waits
+        // in `armed` for `poll`.
+        let rule = (spec.in_pipe, spec.out_pipe);
+        let side = |pipe| {
+            self.pipes
+                .get(&pipe)
+                .filter(|p| p.rule.is_none())
+                .map(|p| p.side)
+        };
+        let (up, down) = match (side(rule.0), side(rule.1)) {
+            (Some(Side::Up(_)), Some(Side::Down)) => rule,
+            (Some(Side::Down), Some(Side::Up(_))) => (rule.1, rule.0),
+            _ => return Ok(ModuleReaction::none()),
+        };
+        for pipe in [up, down] {
+            self.pipes.get_mut(&pipe).expect("a held pipe").rule = Some(rule);
         }
+        let tunnel = Tunnel {
+            up,
+            down,
+            configured: None,
+        };
+        self.tunnels.insert(rule, tunnel);
+        self.armed.insert(rule);
         Ok(ModuleReaction::none())
     }
 
@@ -379,58 +344,37 @@ impl ProtocolModule for GreModule {
         _ctx: &mut ModuleCtx,
         env: &ModuleEnvelope,
     ) -> Result<ModuleReaction, ModuleError> {
-        let GreMsg::Propose {
-            ikey,
-            okey,
-            sequencing,
-            checksums,
-        } = GreMsg::read(env)?
-        else {
-            // An acceptance: nothing further to do, the proposal already
-            // holds our parameters.
+        let msg = GreMsg::read(env)?;
+        // Only a message an up pipe waits for is agreed: a proposal pairs
+        // with an up pipe this side answers, an acceptance with one it
+        // proposed on, which already holds its parameters.
+        let opening = matches!(msg, GreMsg::Propose(_));
+        let Some(pipe) = self.exchanges.pair(&env.from, opening) else {
             return Ok(ModuleReaction::none());
         };
-        // Match the proposal to the oldest slot still negotiating with this
-        // peer.  Both ends commit their goals in the same order (batch
-        // segment order is global to the pass), so oldest-first pairs the
-        // k-th proposal with the k-th slot.
-        let Some(slot) = self
-            .slots
-            .values_mut()
-            .find(|s| s.params.is_none() && s.peer.as_ref().is_none_or(|peer| *peer == env.from))
-        else {
-            // No slot is waiting on a proposal (e.g. a stale retransmit
-            // after teardown): nothing changes and nothing is sent back.
+        let GreMsg::Propose(params) = msg else {
             return Ok(ModuleReaction::none());
         };
-        slot.params = Some(GreParams {
-            ikey,
-            okey,
-            sequencing,
-            checksums,
-        });
-        slot.wants_sequencing = sequencing;
-        slot.wants_checksums = checksums;
-        slot.peer.get_or_insert_with(|| env.from.clone());
+        self.pipes.get_mut(&pipe).expect("an exchanging pipe").side = Side::Up(Some(params));
         Ok(ModuleReaction::envelope(
             GreMsg::Accept.envelope(&self.me, env.from.clone()),
         ))
     }
 
     fn poll(&mut self, ctx: &mut ModuleCtx) -> ModuleReaction {
-        // Armed slots, oldest first; one that is still incomplete stays armed.
+        // Armed rules, ascending; one that is still incomplete stays armed.
         let mut configured = Vec::new();
-        for &key in &self.armed {
-            let slot = self.slots.get_mut(&key).expect("armed slot exists");
-            let (Some(up), Some(down), Some(params)) = (slot.up_pipe, slot.down_pipe, slot.params)
-            else {
+        for rule in &self.armed {
+            let tunnel = self.tunnels.get_mut(rule).expect("an armed rule is held");
+            let Side::Up(Some(params)) = self.pipes[&tunnel.up].side else {
                 continue;
             };
-            let endpoints = ctx.blackboard.pipe(down);
+            let endpoints = ctx.blackboard.pipe(tunnel.down);
             let (Some(local), Some(remote)) = (endpoints.local_addr, endpoints.remote_addr) else {
                 continue;
             };
-            let mut t = TunnelConfig::gre(format!("gre-{}-{}", up, down), local, remote);
+            let name = format!("gre-{}-{}", tunnel.up, tunnel.down);
+            let mut t = TunnelConfig::gre(name, local, remote);
             t.ikey = Some(params.ikey);
             t.okey = Some(params.okey);
             t.iseq = params.sequencing;
@@ -438,14 +382,14 @@ impl ProtocolModule for GreModule {
             t.icsum = params.checksums;
             t.ocsum = params.checksums;
             let id = ctx.config.add_tunnel(t);
-            ctx.blackboard.publish(up, |facts| {
+            ctx.blackboard.publish(tunnel.up, |facts| {
                 facts.attach = Some(RouteTarget::Tunnel { tunnel: id })
             });
-            slot.configured_tunnel = Some(id);
-            configured.push(key);
+            tunnel.configured = Some(id);
+            configured.push(*rule);
         }
-        for key in configured {
-            self.armed.remove(&key);
+        for rule in configured {
+            self.armed.remove(&rule);
         }
         ModuleReaction::none()
     }
@@ -489,38 +433,34 @@ mod tests {
     }
 
     fn proposal() -> ModuleEnvelope {
-        GreMsg::Propose {
+        GreMsg::Propose(GreParams {
             ikey: 2,
             okey: 1,
             sequencing: true,
             checksums: false,
-        }
+        })
         .envelope(&peer(), me())
     }
 
-    /// The full scan `poll` used to run: every slot a switch rule armed
-    /// that has no tunnel yet, whether or not it is complete.
-    fn scan(m: &GreModule) -> BTreeSet<u64> {
-        let mut waiting = BTreeSet::new();
-        for (key, slot) in &m.slots {
-            if slot.configured_tunnel.is_some() || slot.switch.is_none() {
-                continue;
-            }
-            waiting.insert(*key);
-        }
-        waiting
+    /// A configured tunnel's keys and options.
+    fn tunnel_params(t: &TunnelConfig) -> (Option<u32>, Option<u32>, bool, bool) {
+        (t.ikey, t.okey, t.iseq, t.icsum)
     }
 
-    /// The pipe index rebuilt from the slots themselves.
-    fn pipes_by_slot(m: &GreModule) -> BTreeMap<PipeId, u64> {
-        m.slots
-            .iter()
-            .flat_map(|(key, slot)| {
-                [slot.up_pipe, slot.down_pipe]
-                    .into_iter()
-                    .flatten()
-                    .map(|pipe| (pipe, *key))
-            })
+    /// The parameters the up pipe `id` holds.
+    fn params(m: &GreModule, id: u32) -> Option<GreParams> {
+        match m.pipes[&PipeId(id)].side {
+            Side::Up(params) => params,
+            Side::Down => None,
+        }
+    }
+
+    /// The full scan `poll` would otherwise run: every held rule that has
+    /// no tunnel yet, whether or not it is complete.
+    fn scan(m: &GreModule) -> BTreeSet<(PipeId, PipeId)> {
+        (m.tunnels.iter())
+            .filter(|(_, tunnel)| tunnel.configured.is_none())
+            .map(|(rule, _)| *rule)
             .collect()
     }
 
@@ -549,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn an_armed_slot_waits_for_the_endpoint_addresses() {
+    fn an_armed_rule_waits_for_the_endpoint_addresses() {
         let mut rig = Rig::new();
         let mut m = GreModule::new(me());
         m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
@@ -571,21 +511,25 @@ mod tests {
         );
     }
 
-    /// A rule arms the slot its pipes belong to and no other, so a rule
-    /// naming none of this module's pipes arms nothing.
+    /// A rule is held only when it names one up and one down pipe of this
+    /// module, so a rule naming pipes it does not have arms nothing.
     #[test]
-    fn a_rule_naming_unknown_pipes_arms_no_slot() {
+    fn a_rule_naming_unknown_pipes_arms_nothing() {
         let mut rig = Rig::new();
         let mut m = GreModule::new(me());
         m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
+        m.create_pipe(&mut rig.ctx(), &up(3, true)).unwrap();
         m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
         publish_endpoints(&mut rig, 2);
-        m.create_switch(&mut rig.ctx(), &switch(&me(), 7, 8))
-            .unwrap();
-        assert!(m.armed.is_empty());
-        assert!(m.slots.values().all(|slot| slot.switch.is_none()));
+        for (in_pipe, out_pipe) in [(7, 8), (1, 8), (7, 2), (1, 3), (2, 2)] {
+            m.create_switch(&mut rig.ctx(), &switch(&me(), in_pipe, out_pipe))
+                .unwrap();
+        }
+        assert!(m.armed.is_empty() && m.tunnels.is_empty());
+        assert!(m.pipes.values().all(|pipe| pipe.rule.is_none()));
         m.poll(&mut rig.ctx());
         assert!(rig.config.tunnels().next().is_none());
+        assert!(m.actual(&rig.ctx()).switch_rules.is_empty());
     }
 
     #[test]
@@ -608,10 +552,12 @@ mod tests {
                 rig.config.tunnels().next().is_none(),
                 "losing a side drops the tunnel"
             );
-            assert_eq!(m.slot_of_pipe.keys().collect::<Vec<_>>(), [&PipeId(2)]);
+            assert_eq!(m.pipes.keys().collect::<Vec<_>>(), [&PipeId(2)]);
+            assert!(m.tunnels.is_empty() && m.pipes[&PipeId(2)].rule.is_none());
             m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(2)))
                 .unwrap();
-            assert!(m.slots.is_empty() && m.slot_of_pipe.is_empty() && m.armed.is_empty());
+            assert!(m.pipes.is_empty() && m.tunnels.is_empty() && m.armed.is_empty());
+            assert!(m.exchanges.is_empty());
         }
     }
 
@@ -624,6 +570,8 @@ mod tests {
         let mut m = GreModule::new(me());
         m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
         let attach = |rig: &Rig| rig.blackboard.pipe(PipeId(1)).attach;
+        // The surviving up pipe keeps the parameters it proposed, so every
+        // round's new down pipe makes a tunnel without a new exchange.
         for round in 0..2 {
             m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
             m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 2))
@@ -643,9 +591,67 @@ mod tests {
             assert_eq!(attach(&rig), None, "round {round}");
             assert_eq!(rig.blackboard.pipes().count(), 0, "no fact, no entry");
             assert_eq!(rig.config_json(), baseline);
-            // The surviving up pipe negotiates afresh.
-            m.handle_envelope(&mut rig.ctx(), &proposal()).unwrap();
         }
+    }
+
+    /// The proposer picks its parameters once, when its up pipe is made,
+    /// and nobody proposes again: losing only the down pipe used to forget
+    /// them, and no tunnel was made on the next down pipe.
+    #[test]
+    fn a_proposer_that_loses_only_its_down_pipe_makes_a_tunnel_again() {
+        let mut rig = Rig::new();
+        let mut m = GreModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
+        let keys = m.propose_keys(&peer(), PipeId(1));
+        for round in 0..2 {
+            m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
+            m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 2))
+                .unwrap();
+            publish_endpoints(&mut rig, 2);
+            m.poll(&mut rig.ctx());
+            let tunnels: Vec<_> = rig.config.tunnels().map(tunnel_params).collect();
+            assert_eq!(
+                tunnels,
+                [(Some(keys.0), Some(keys.1), true, false)],
+                "round {round}"
+            );
+            m.delete(&mut rig.ctx(), &ComponentRef::Pipe(PipeId(2)))
+                .unwrap();
+            rig.blackboard.remove_pipe(PipeId(2));
+        }
+    }
+
+    /// A proposal no waiting up pipe takes changes nothing: a pipe with no
+    /// peer used to adopt the first proposer, answer it and keep its keys,
+    /// so the real peer's proposal was dropped.
+    #[test]
+    fn a_strangers_proposal_is_not_adopted() {
+        let mut rig = Rig::new();
+        let mut m = GreModule::new(me());
+        m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
+        let stranger = GreMsg::Propose(GreParams {
+            ikey: 77,
+            okey: 66,
+            sequencing: false,
+            checksums: true,
+        })
+        .envelope(&module(ModuleKind::Gre, 1, 7), me());
+        let answer = m.handle_envelope(&mut rig.ctx(), &stranger).unwrap();
+        assert!(answer.envelopes.is_empty(), "the stranger is not answered");
+
+        m.create_pipe(&mut rig.ctx(), &up(1, false)).unwrap();
+        let answer = m.handle_envelope(&mut rig.ctx(), &proposal()).unwrap();
+        assert_eq!(answer.envelopes.len(), 1, "the peer is answered");
+        m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 2))
+            .unwrap();
+        publish_endpoints(&mut rig, 2);
+        m.poll(&mut rig.ctx());
+        let tunnels: Vec<_> = rig.config.tunnels().map(tunnel_params).collect();
+        assert_eq!(
+            tunnels,
+            [(Some(2), Some(1), true, false)],
+            "the tunnel takes the peer's keys"
+        );
     }
 
     /// `delete (switch)` undoes `create (switch)`: the rule is listed while
@@ -681,20 +687,23 @@ mod tests {
             assert!(rules(&m, &mut rig).is_empty(), "round {round}");
             assert_eq!(attach(&rig), None, "round {round}");
             assert_eq!(rig.config_json(), baseline, "round {round}");
-            assert!(m.armed.is_empty() && m.slots.values().all(|s| s.switch.is_none()));
+            assert!(m.armed.is_empty() && m.tunnels.is_empty());
+            assert!(m.pipes.values().all(|pipe| pipe.rule.is_none()));
         }
     }
 
     proptest! {
         #[test]
-        fn armed_slots_equal_the_full_scan_and_the_pipe_index_matches_the_slots(
-            ops in proptest::collection::vec((0u8..8, 0u32..3, any::<u8>()), 0..48),
+        fn armed_rules_equal_the_full_scan_and_each_pipe_names_a_held_rule(
+            ops in proptest::collection::vec((0u8..9, 0u32..3, any::<u8>()), 0..48),
         ) {
             let mut rig = Rig::new();
             let mut m = GreModule::new(me());
             // Up pipes are 0..3, down pipes 10..13.
             for (op, id, bits) in ops {
-                let held = |m: &GreModule, pipe| m.slot_of_pipe.contains_key(&PipeId(pipe));
+                let held = |m: &GreModule, pipe| m.pipes.contains_key(&PipeId(pipe));
+                let rule = (id, 10 + u32::from(bits % 3));
+                let rule = if bits & 4 == 0 { rule } else { (rule.1, rule.0) };
                 match op {
                     // The agent admits no create of a pipe id the device holds.
                     0 if held(&m, id) => {}
@@ -702,30 +711,30 @@ mod tests {
                     0 => drop(m.create_pipe(&mut rig.ctx(), &up(id, bits & 1 == 1)).unwrap()),
                     1 => drop(m.create_pipe(&mut rig.ctx(), &down(10 + id)).unwrap()),
                     2 => {
-                        let rule = switch(&me(), id, 10 + u32::from(bits % 3));
-                        m.create_switch(&mut rig.ctx(), &rule).unwrap();
+                        m.create_switch(&mut rig.ctx(), &switch(&me(), rule.0, rule.1)).unwrap();
                     }
                     3 => drop(m.handle_envelope(&mut rig.ctx(), &proposal()).unwrap()),
-                    4 => publish_endpoints(&mut rig, 10 + id),
-                    5 => {
+                    4 => {
+                        let accept = GreMsg::Accept.envelope(&peer(), me());
+                        drop(m.handle_envelope(&mut rig.ctx(), &accept).unwrap());
+                    }
+                    5 => publish_endpoints(&mut rig, 10 + id),
+                    6 => {
                         let pipe = PipeId(if bits & 1 == 0 { id } else { 10 + id });
                         m.delete(&mut rig.ctx(), &ComponentRef::Pipe(pipe)).unwrap();
                         rig.blackboard.remove_pipe(pipe);
                     }
-                    6 => {
-                        let rule = ComponentRef::SwitchRule(me(), PipeId(id), PipeId(10 + u32::from(bits % 3)));
+                    7 => {
+                        let rule = ComponentRef::SwitchRule(me(), PipeId(rule.0), PipeId(rule.1));
                         m.delete(&mut rig.ctx(), &rule).unwrap();
                     }
                     _ => {
                         let due = scan(&m)
                             .into_iter()
-                            .filter(|key| {
-                                let slot = &m.slots[key];
-                                slot.up_pipe.is_some()
-                                    && slot.params.is_some()
-                                    && slot.down_pipe.is_some_and(|down| {
-                                        rig.blackboard.pipe(down).remote_addr.is_some()
-                                    })
+                            .filter(|rule| {
+                                let tunnel = &m.tunnels[rule];
+                                matches!(m.pipes[&tunnel.up].side, Side::Up(Some(_)))
+                                    && rig.blackboard.pipe(tunnel.down).remote_addr.is_some()
                             })
                             .count();
                         let before = rig.config.tunnels().count();
@@ -734,7 +743,30 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(&m.armed, &scan(&m));
-                prop_assert_eq!(&m.slot_of_pipe, &pipes_by_slot(&m));
+                // A held rule names its own up and down pipe, and each pipe's
+                // rule is one that is held and names it.
+                for (rule, tunnel) in &m.tunnels {
+                    prop_assert!(*rule == (tunnel.up, tunnel.down) || *rule == (tunnel.down, tunnel.up));
+                    prop_assert!(matches!(m.pipes[&tunnel.up].side, Side::Up(_)));
+                    prop_assert!(matches!(m.pipes[&tunnel.down].side, Side::Down));
+                }
+                for (pipe, rec) in &m.pipes {
+                    if let Some(rule) = rec.rule {
+                        let tunnel = &m.tunnels[&rule];
+                        prop_assert!(tunnel.up == *pipe || tunnel.down == *pipe);
+                    }
+                }
+                let standing = m.pipes.values().filter(|rec| rec.rule.is_some()).count();
+                prop_assert_eq!(standing, 2 * m.tunnels.len());
+                // An up pipe knows its parameters once it proposed them or a
+                // proposal paired with it.
+                let waiting = m.exchanges.waiting();
+                for (pipe, rec) in &m.pipes {
+                    if let Side::Up(params) = rec.side {
+                        let agreed = m.exchanges.initiates(*pipe) || !waiting.contains(pipe);
+                        prop_assert_eq!(params.is_some(), agreed);
+                    }
+                }
             }
         }
 
@@ -745,12 +777,12 @@ mod tests {
             options in (any::<bool>(), any::<bool>()),
         ) {
             let msg = if propose {
-                GreMsg::Propose {
+                GreMsg::Propose(GreParams {
                     ikey: keys.0,
                     okey: keys.1,
                     sequencing: options.0,
                     checksums: options.1,
-                }
+                })
             } else {
                 GreMsg::Accept
             };
@@ -764,9 +796,12 @@ mod tests {
             at in any::<usize>(),
             byte in any::<u8>(),
         ) {
+            // Pipe 1 waits for the peer's proposal, pipe 3 for its
+            // acceptance.
             let mut rig = Rig::new();
             let mut m = GreModule::new(me());
             m.create_pipe(&mut rig.ctx(), &up(1, false)).unwrap();
+            m.create_pipe(&mut rig.ctx(), &up(3, true)).unwrap();
             m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
             let mut env = if propose {
                 proposal()
@@ -775,11 +810,21 @@ mod tests {
             };
             env.body = mangle(&env.body, how, at, byte);
             rig.deliver::<GreMsg>(&mut m, &env);
+            let mut waiting = BTreeSet::from([PipeId(1), PipeId(3)]);
+            match GreMsg::decode(&env.body) {
+                Some(GreMsg::Propose(agreed)) => {
+                    waiting.remove(&PipeId(1));
+                    prop_assert_eq!(params(&m, 1), Some(agreed));
+                }
+                Some(GreMsg::Accept) => drop(waiting.remove(&PipeId(3))),
+                None => prop_assert_eq!(params(&m, 1), None),
+            }
+            prop_assert_eq!(m.exchanges.waiting(), waiting, "a message pairs with its pipe, a refusal with none");
         }
     }
 
     /// A proposal cut off after its tag used to agree on key 0 for both
-    /// directions; it is refused and the slot keeps waiting for its keys.
+    /// directions; it is refused and the up pipe keeps waiting for its keys.
     #[test]
     fn a_proposal_without_its_keys_is_refused() {
         let mut rig = Rig::new();
@@ -792,10 +837,10 @@ mod tests {
             matches!(refused, Err(ModuleError::UndecodableBody { .. })),
             "{refused:?}"
         );
-        assert!(m.slots.values().all(|slot| slot.params.is_none()));
+        assert_eq!(params(&m, 1), None);
+        assert_eq!(m.exchanges.waiting(), BTreeSet::from([PipeId(1)]));
         let agreed = m.handle_envelope(&mut rig.ctx(), &proposal()).unwrap();
         assert_eq!(agreed.envelopes[0].body, GreMsg::Accept.encode());
-        let params = m.slots.values().find_map(|slot| slot.params);
-        assert_eq!(params.map(|p| (p.ikey, p.okey)), Some((2, 1)));
+        assert_eq!(params(&m, 1).map(|p| (p.ikey, p.okey)), Some((2, 1)));
     }
 }

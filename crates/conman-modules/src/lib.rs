@@ -16,11 +16,10 @@
 //! agents of Figures 2, 4 and 9.  What the IP, GRE, MPLS and VLAN modules
 //! negotiate with their peers is each module's own closed message type,
 //! encoded to the bytes the NM relays unread (`dialect`); a body that does
-//! not decode is refused, never read with defaults.  Which pipe an IP, MPLS
-//! or VLAN message belongs to is decided in one place, `exchange`: an
-//! opening pairs with a waiting pipe this side does not initiate, an answer
-//! with one it does, and any other message pairs with nothing and changes
-//! nothing.
+//! not decode is refused, never read with defaults.  Which pipe such a
+//! message belongs to is decided in one place, `exchange`: an opening pairs
+//! with a waiting pipe this side does not initiate, an answer with one it
+//! does, and any other message pairs with nothing and changes nothing.
 //!
 //! All of that is private: what the crate offers is [`testbed`], the
 //! complete managed networks the examples, tests, experiments and the
