@@ -8,8 +8,8 @@
 
 use conman_bench::{
     closed_loop_run, configure_and_count, configure_vlan_and_count, discovered_chain,
-    discovered_vlan_chain, loop_run, loop_run_inband, mesh_loop_run, path_labelled,
-    DiagnosisScenario, LoopBenchReport, LoopScenario,
+    discovered_vlan_chain, fleet_twin, loop_run, loop_run_inband, mesh_loop_run, path_labelled,
+    DiagnosisScenario, LoopBenchReport, LoopScenario, NmCost, FLEET_TWIN_CHAIN_N, FLEET_TWIN_GOALS,
 };
 use conman_core::ids::ModuleKind;
 use legacy_config::{
@@ -20,7 +20,7 @@ use legacy_config::{
 type Artefact = (&'static [&'static str], fn());
 
 /// Every artefact, in the order `all` prints them.
-const ARTEFACTS: [Artefact; 10] = [
+const ARTEFACTS: [Artefact; 11] = [
     (&["table1"], table1),
     (&["table2", "table3"], table2_and_3),
     (&["table4", "figure4", "figure5"], table4_figure4_figure5),
@@ -31,6 +31,7 @@ const ARTEFACTS: [Artefact; 10] = [
         figures7_8_9_table5,
     ),
     (&["table6"], table6),
+    (&["fleet"], fleet),
     (&["diagnosis"], diagnosis),
     (&["loop"], autonomic_loop),
     (&["obs"], obs),
@@ -202,10 +203,16 @@ fn figure2_3() {
     let c = t.mn.nm_counters();
     println!("\nFigure 3 message sequence as seen by the NM (configuration phase):");
     for (k, v) in &c.sent_by_category {
-        println!("  sent     {:?}: {}", k, v);
+        println!(
+            "  sent     {:?}: {} ({} B)",
+            k, v, c.bytes_sent_by_category[k]
+        );
     }
     for (k, v) in &c.received_by_category {
-        println!("  received {:?}: {}", k, v);
+        println!(
+            "  received {:?}: {} ({} B)",
+            k, v, c.bytes_received_by_category[k]
+        );
     }
     let (fwd, _) = t.send_site1_to_site2(b"fig2 check");
     println!("customer traffic delivered over the established tunnel: {fwd}");
@@ -322,7 +329,7 @@ fn autonomic_loop() {
     println!("(no budget burn); a converged tick sends ZERO management messages.\n");
     let header = || {
         println!(
-            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14} {:>13}",
+            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14} {:>12} {:>16} {:>13}",
             "scenario",
             "channel",
             "goals",
@@ -336,13 +343,15 @@ fn autonomic_loop() {
             "failed",
             "repair-NM",
             "repair-NM-recv",
+            "repair-NM-B",
+            "repair-NM-recv-B",
             "quiet-lookups"
         );
     };
     header();
     let print_row = |r: &LoopBenchReport| {
         println!(
-            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14} {:>13}",
+            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14} {:>12} {:>16} {:>13}",
             r.scenario.name(),
             r.channel,
             r.goals,
@@ -354,15 +363,19 @@ fn autonomic_loop() {
             r.blamed_correct,
             r.repair_passes,
             r.failed_attempts,
-            r.repair_nm_sent,
-            r.repair_nm_received,
+            r.repair.nm.sent,
+            r.repair.nm.received,
+            r.repair.nm.bytes_sent,
+            r.repair.nm.bytes_received,
             r.quiet_lookup_work,
         );
     };
+    let mut rows = Vec::new();
     for scenario in [LoopScenario::CoreStateLoss, LoopScenario::PerGoalTableFlush] {
         for goals in [8usize, 64, 256] {
             let r = loop_run(10, goals, scenario);
             print_row(&r);
+            rows.push(r.clone());
             // The smoke gates CI enforces: converged, silent when
             // quiescent, the right device blamed, repair within budget.
             conman_bench::assert_loop_healthy(&r, 3);
@@ -386,6 +399,7 @@ fn autonomic_loop() {
         for goals in [8usize, 64, 256] {
             let r = mesh_loop_run(3, goals, scenario);
             print_row(&r);
+            rows.push(r.clone());
             conman_bench::assert_one_pass_reroute(&r);
             assert_eq!(
                 r.degraded_goals, r.goals,
@@ -399,6 +413,35 @@ fn autonomic_loop() {
     let r = loop_run_inband(10, 8, LoopScenario::CoreStateLoss);
     print_row(&r);
     conman_bench::assert_loop_healthy(&r, 3);
+    rows.push(r);
+
+    // The probes are data-plane traffic, not management: their frames are
+    // listed apart from the NM's messages and bytes above.
+    println!("\nProbe frames and their bytes, one quiet tick and detection to repair (the");
+    println!("in-band row's repair-frames also count every flooded copy of its management");
+    println!("messages, whose bytes the data-plane port counters leave out):");
+    println!(
+        "{:>22} {:>8} {:>6} {:>12} {:>13} {:>13} {:>14}",
+        "scenario",
+        "channel",
+        "goals",
+        "quiet-frames",
+        "quiet-frame-B",
+        "repair-frames",
+        "repair-frame-B"
+    );
+    for r in &rows {
+        println!(
+            "{:>22} {:>8} {:>6} {:>12} {:>13} {:>13} {:>14}",
+            r.scenario.name(),
+            r.channel,
+            r.goals,
+            r.quiet.frames,
+            r.quiet.frame_bytes,
+            r.repair.frames,
+            r.repair.frame_bytes,
+        );
+    }
 
     // Recorded re-runs of one chain and one mesh scenario: the full-run
     // trace journals (setup convergence included) are linted against the
@@ -461,29 +504,80 @@ fn obs() {
 fn table6() {
     heading("Table VI — NM messages sent / received over the management channel vs n routers along the path");
     println!(
-        "{:>4} {:>14} {:>14} {:>14} {:>18} {:>18}",
+        "{:>4} {:>14} {:>14} {:>14} {:>18} {:>18} {:>16} {:>16} {:>16}",
         "n",
         "GRE sent/recv",
         "paper 3n+2/2n+2",
         "MPLS sent/recv",
         "VLAN sent/recv",
-        "paper 3n-2/2n-1"
+        "paper 3n-2/2n-1",
+        "GRE B sent/recv",
+        "MPLS B sent/recv",
+        "VLAN B sent/recv"
     );
     // Beyond n ≈ 8 the number of protocol-sane paths grows exponentially
     // (every core segment can independently ride on MPLS), which is exactly
     // the "we should use more aggressive pruning rules" observation of
     // §III-C.1; the message-count expressions themselves stay linear.
+    let msgs = |c: NmCost| format!("{}/{}", c.sent, c.received);
+    let bytes = |c: NmCost| format!("{}/{}", c.bytes_sent, c.bytes_received);
     for n in [2usize, 3, 4, 6, 8] {
-        let (gs, gr) = configure_and_count(n, "GRE-IP");
-        let (ms, mr) = configure_and_count(n, "MPLS");
-        let (vs, vr) = configure_vlan_and_count(n);
+        let gre = configure_and_count(n, "GRE-IP");
+        let mpls = configure_and_count(n, "MPLS");
+        let vlan = configure_vlan_and_count(n);
         println!(
-            "{n:>4} {:>14} {:>14} {:>14} {:>18} {:>18}",
-            format!("{gs}/{gr}"),
+            "{n:>4} {:>14} {:>14} {:>14} {:>18} {:>18} {:>16} {:>16} {:>16}",
+            msgs(gre),
             format!("{}/{}", 3 * n + 2, 2 * n + 2),
-            format!("{ms}/{mr}"),
-            format!("{vs}/{vr}"),
+            msgs(mpls),
+            msgs(vlan),
             format!("{}/{}", 3 * n - 2, 2 * n - 1),
+            bytes(gre),
+            bytes(mpls),
+            bytes(vlan),
         );
     }
+}
+
+fn fleet() {
+    heading("NM messages and bytes per goal by category — a twin of the benchmark's fleet_cold (beyond the paper)");
+    println!(
+        "{FLEET_TWIN_GOALS} synthetic VPN goals on the {FLEET_TWIN_CHAIN_N}-router chain, submitted in class order"
+    );
+    println!("and configured by one reconcile() pass; bytes are management payload bytes.\n");
+    let (c, wire) = fleet_twin();
+    let per_goal = |v: u64| v as f64 / FLEET_TWIN_GOALS as f64;
+    let row = |direction: &str, category: &str, msgs: u64, bytes: u64| {
+        println!(
+            "{direction:>9} {category:>14} {msgs:>6} {:>10.4} {bytes:>8} {:>11.2}",
+            per_goal(msgs),
+            per_goal(bytes)
+        );
+    };
+    println!(
+        "{:>9} {:>14} {:>6} {:>10} {:>8} {:>11}",
+        "direction", "category", "msgs", "msgs/goal", "bytes", "bytes/goal"
+    );
+    for (k, &v) in &c.sent_by_category {
+        row("sent", &format!("{k:?}"), v, c.bytes_sent_by_category[k]);
+    }
+    for (k, &v) in &c.received_by_category {
+        row(
+            "received",
+            &format!("{k:?}"),
+            v,
+            c.bytes_received_by_category[k],
+        );
+    }
+    row(
+        "both",
+        "all",
+        c.sent + c.received,
+        c.bytes_sent + c.bytes_received,
+    );
+    // The benchmark's `mgmt_*_per_goal` adds these to the NM's own cost.
+    println!(
+        "probe frames: {} frames, {} B (data plane, not NM)",
+        wire.frames, wire.frame_bytes
+    );
 }

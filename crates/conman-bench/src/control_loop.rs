@@ -31,6 +31,7 @@
 //! `loop.repair.*_ms` in `benchmark/`.
 
 use crate::diagnosis::chain_limits;
+use crate::WireCost;
 use conman_core::nm::{script, GoalId, GoalStatus, PathFinderLimits};
 use conman_core::runtime::{
     ControlLoop, GoalEndpoints, LoopConfig, LoopReport, ManagedNetwork, ReconcileAction,
@@ -105,6 +106,9 @@ pub struct LoopBenchReport {
     /// `LookupWork::total`): the deterministic twin of a quiet tick's wall
     /// time.  Indexed lookups keep it near-linear in the goals probed.
     pub quiet_lookup_work: u64,
+    /// What the last quiescent tick cost on every wire: no NM message, and
+    /// the health probes' frames.
+    pub quiet: WireCost,
     /// Ticks from fault injection to the first health round that degraded
     /// a goal.
     pub ticks_to_detect: u64,
@@ -124,16 +128,12 @@ pub struct LoopBenchReport {
     /// link-suspect-aware reroute shows `0`; the pre-link-exclusion planner
     /// burned one per goal per pass re-planning over the cut link.
     pub failed_attempts: u64,
-    /// NM messages sent across the detection-to-repair ticks.
-    pub repair_nm_sent: u64,
-    /// NM messages received across the detection-to-repair ticks.
-    pub repair_nm_received: u64,
-    /// Link-level frames delivered across the detection-to-repair ticks —
-    /// the wire cost.  Out-of-band runs only carry data-plane (probe)
-    /// frames here; the in-band rows additionally pay for every flooded
-    /// copy of every management message, which is exactly the budget the
-    /// in-band row exists to track.
-    pub repair_frames: u64,
+    /// What the detection-to-repair ticks cost on every wire: the NM's
+    /// messages and bytes each way, and the frames delivered.  Out-of-band
+    /// runs only carry data-plane (probe) frames; the in-band rows
+    /// additionally pay for every flooded copy of every management message,
+    /// which is exactly the budget the in-band row exists to track.
+    pub repair: WireCost,
     /// Did the run end converged, with every goal's traffic verified
     /// end to end?
     pub converged: bool,
@@ -171,8 +171,6 @@ struct RunMetrics {
     degraded_goals: usize,
     repair_passes: u64,
     failed_attempts: u64,
-    repair_nm_sent: u64,
-    repair_nm_received: u64,
 }
 
 fn run_metrics(run: &LoopReport) -> RunMetrics {
@@ -215,8 +213,6 @@ fn run_metrics(run: &LoopReport) -> RunMetrics {
         degraded_goals,
         repair_passes,
         failed_attempts,
-        repair_nm_sent: run.ticks.iter().map(|tk| tk.nm_sent).sum(),
-        repair_nm_received: run.ticks.iter().map(|tk| tk.nm_received).sum(),
     }
 }
 
@@ -247,7 +243,7 @@ pub fn recorded_loop_run(
 }
 
 /// [`loop_run`] over the **in-band** flooding channel — the message-budget
-/// row: quiescent ticks must still be silent, and `repair_nm_sent` records
+/// row: quiescent ticks must still be silent, and `repair.nm` records
 /// what the flooded telemetry and repair transactions cost during the
 /// faulty ticks.
 pub fn loop_run_inband(n: usize, goals: usize, scenario: LoopScenario) -> LoopBenchReport {
@@ -286,7 +282,7 @@ fn chain_loop_run<C: ManagementChannel>(
     let setup_ticks = setup.ticks.len() as u64;
 
     // ---- Quiescence: a converged loop is silent. ----------------------
-    let (quiescent_nm_sent, quiet_lookup_work) = quiet_ticks(&mut cl, &mut t.mn);
+    let quiet = quiet_ticks(&mut cl, &mut t.mn);
 
     // ---- Fault. -------------------------------------------------------
     // The fleet fault hits a transit router (repair routes around it); the
@@ -326,10 +322,9 @@ fn chain_loop_run<C: ManagementChannel>(
     let fault_tick = cl.ticks();
 
     // ---- Detect + repair, autonomically. ------------------------------
+    let before = WireCost::of(&t.mn);
     let run = cl.run_until_converged(&mut t.mn, 12);
-    // The wire cost now comes from the tick reports themselves (each tick
-    // carries its frame budget) instead of a hand-diffed network counter.
-    let repair_frames = run.frames();
+    let repair = WireCost::of(&t.mn).since(before);
     let m = run_metrics(&run);
     let detect_report = run.ticks.iter().find(|tk| tk.tick == m.detect);
     let blamed_correct = detect_report.is_some_and(|tk| {
@@ -344,39 +339,47 @@ fn chain_loop_run<C: ManagementChannel>(
         goals,
         scenario,
         setup_ticks,
-        quiescent_nm_sent,
-        quiet_lookup_work,
+        quiescent_nm_sent: quiet.nm_sent,
+        quiet_lookup_work: quiet.lookup_work,
+        quiet: quiet.cost,
         ticks_to_detect: m.detect.saturating_sub(fault_tick),
         ticks_to_repair: m.repaired.saturating_sub(fault_tick),
         degraded_goals: m.degraded_goals,
         blamed_correct,
         repair_passes: m.repair_passes,
         failed_attempts: m.failed_attempts,
-        repair_nm_sent: m.repair_nm_sent,
-        repair_nm_received: m.repair_nm_received,
-        repair_frames,
+        repair,
         converged: run.converged && all_active && traffic_ok,
     };
     assert_eq!(t.mn.audit(), [], "the devices hold what the goals claim");
     report
 }
 
-/// Three quiescent ticks on a converged fleet: the most NM messages any of
-/// them sent, and the lookup work of the last one.
-fn quiet_ticks<C: ManagementChannel>(
-    cl: &mut ControlLoop<C>,
-    mn: &mut ManagedNetwork<C>,
-) -> (u64, u64) {
-    let mut quiescent_nm_sent = 0;
-    let mut lookup_work = 0;
+/// What three quiescent ticks on a converged fleet showed.
+struct Quiet {
+    /// The most NM messages any of them sent.
+    nm_sent: u64,
+    /// The lookup work of the last one.
+    lookup_work: u64,
+    /// What the last one cost on every wire.
+    cost: WireCost,
+}
+
+fn quiet_ticks<C: ManagementChannel>(cl: &mut ControlLoop<C>, mn: &mut ManagedNetwork<C>) -> Quiet {
+    let mut quiet = Quiet {
+        nm_sent: 0,
+        lookup_work: 0,
+        cost: WireCost::default(),
+    };
     for _ in 0..3 {
-        let before = mn.net.lookup_work().total();
+        let (work, cost) = (mn.net.lookup_work().total(), WireCost::of(mn));
         let tick = cl.tick(mn);
         assert!(tick.frames > 0, "every quiet tick probes: {tick:?}");
-        quiescent_nm_sent = quiescent_nm_sent.max(tick.nm_sent);
-        lookup_work = mn.net.lookup_work().total() - before;
+        quiet.nm_sent = quiet.nm_sent.max(tick.nm_sent);
+        quiet.lookup_work = mn.net.lookup_work().total() - work;
+        quiet.cost = WireCost::of(mn).since(cost);
     }
-    (quiescent_nm_sent, lookup_work)
+    quiet
 }
 
 /// Run the autonomic loop once on the 2×k multipath mesh: converge `goals`
@@ -431,7 +434,7 @@ fn mesh_loop_run_with(
     assert!(setup.converged, "fleet must converge during setup");
     let setup_ticks = setup.ticks.len() as u64;
 
-    let (quiescent_nm_sent, quiet_lookup_work) = quiet_ticks(&mut cl, &mut t.mn);
+    let quiet = quiet_ticks(&mut cl, &mut t.mn);
 
     // ---- Fault: kill the first core-to-core link of the applied path. --
     let hop = t
@@ -451,8 +454,9 @@ fn mesh_loop_run_with(
     }
     let fault_tick = cl.ticks();
 
+    let before = WireCost::of(&t.mn);
     let run = cl.run_until_converged(&mut t.mn, 12);
-    let repair_frames = run.frames();
+    let repair = WireCost::of(&t.mn).since(before);
     let m = run_metrics(&run);
     let detect_report = run.ticks.iter().find(|tk| tk.tick == m.detect);
     // The mesh bar is higher than the chain's: the *link* must be blamed,
@@ -490,17 +494,16 @@ fn mesh_loop_run_with(
         goals,
         scenario,
         setup_ticks,
-        quiescent_nm_sent,
-        quiet_lookup_work,
+        quiescent_nm_sent: quiet.nm_sent,
+        quiet_lookup_work: quiet.lookup_work,
+        quiet: quiet.cost,
         ticks_to_detect: m.detect.saturating_sub(fault_tick),
         ticks_to_repair: m.repaired.saturating_sub(fault_tick),
         degraded_goals: m.degraded_goals,
         blamed_correct,
         repair_passes: m.repair_passes,
         failed_attempts: m.failed_attempts,
-        repair_nm_sent: m.repair_nm_sent,
-        repair_nm_received: m.repair_nm_received,
-        repair_frames,
+        repair,
         converged: run.converged && all_active && rerouted && traffic_ok,
     };
     assert_eq!(t.mn.audit(), [], "the devices hold what the goals claim");
@@ -588,15 +591,15 @@ mod tests {
         let inband = loop_run_inband(4, 3, LoopScenario::CoreStateLoss);
         assert_loop_healthy(&inband, 3);
         assert!(
-            inband.repair_nm_sent > 0,
+            inband.repair.nm.sent > 0,
             "the faulty ticks carry the repair message budget: {inband:?}"
         );
         assert!(
-            inband.repair_frames > oob.repair_frames,
+            inband.repair.frames > oob.repair.frames,
             "flooding the same NM messages over real links must cost extra \
              frames: in-band {} vs oob {}",
-            inband.repair_frames,
-            oob.repair_frames
+            inband.repair.frames,
+            oob.repair.frames
         );
     }
 }

@@ -201,24 +201,6 @@ impl LoopReport {
             .find(|t| t.repair.as_ref().is_some_and(|r| r.converged()))
             .map(|t| t.tick)
     }
-
-    /// Link-level frames delivered across the whole run (sum of the ticks'
-    /// frame budgets).
-    pub fn frames(&self) -> u64 {
-        self.ticks.iter().map(|t| t.frames).sum()
-    }
-
-    /// Frames delivered from the first detection tick to the end of the
-    /// run — the wire cost of detect + repair (equals [`Self::frames`]
-    /// when the fault was already present at the run's first tick).
-    pub fn repair_frames(&self) -> u64 {
-        let from = self.first_detection().unwrap_or(u64::MAX);
-        self.ticks
-            .iter()
-            .filter(|t| t.tick >= from)
-            .map(|t| t.frames)
-            .sum()
-    }
 }
 
 /// The autonomic control loop.  Owns the tick clock, the pending operator

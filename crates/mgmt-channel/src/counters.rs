@@ -20,6 +20,10 @@ pub struct ChannelCounters {
     pub sent_by_category: BTreeMap<MessageCategory, u64>,
     /// Received messages broken down by category.
     pub received_by_category: BTreeMap<MessageCategory, u64>,
+    /// Payload bytes sent, broken down by category.
+    pub bytes_sent_by_category: BTreeMap<MessageCategory, u64>,
+    /// Payload bytes received, broken down by category.
+    pub bytes_received_by_category: BTreeMap<MessageCategory, u64>,
 }
 
 /// Counters for every device on a channel.
@@ -40,6 +44,7 @@ impl CounterBoard {
         c.sent += 1;
         c.bytes_sent += bytes as u64;
         *c.sent_by_category.entry(category).or_insert(0) += 1;
+        *c.bytes_sent_by_category.entry(category).or_insert(0) += bytes as u64;
     }
 
     /// Record a delivery.
@@ -53,6 +58,7 @@ impl CounterBoard {
         c.received += 1;
         c.bytes_received += bytes as u64;
         *c.received_by_category.entry(category).or_insert(0) += 1;
+        *c.bytes_received_by_category.entry(category).or_insert(0) += bytes as u64;
     }
 
     /// Counters for a device (zeroes if it never used the channel).
@@ -86,10 +92,13 @@ mod tests {
         assert_eq!(c.bytes_sent, 200);
         assert_eq!(c.sent_by_category[&MessageCategory::Command], 1);
         assert_eq!(c.sent_by_category[&MessageCategory::Telemetry], 2);
+        assert_eq!(c.bytes_sent_by_category[&MessageCategory::Command], 100);
+        assert_eq!(c.bytes_sent_by_category[&MessageCategory::Telemetry], 100);
         assert!(!c
             .sent_by_category
             .contains_key(&MessageCategory::ConveyMessage));
         assert_eq!(c.received_by_category[&MessageCategory::Response], 1);
+        assert_eq!(c.bytes_received_by_category[&MessageCategory::Response], 80);
         assert_eq!(
             board.get(dev).received_by_category[&MessageCategory::Telemetry],
             1

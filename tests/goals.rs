@@ -270,7 +270,7 @@ fn withdraw_heavy_pass_stages_each_device_once_for_the_whole_batch() {
     let mut t = managed_chain(3);
     t.discover();
     let ids: Vec<_> = (0..8)
-        .map(|k| t.mn.submit(conman_bench_goal(&t, k)))
+        .map(|k| t.mn.submit(conman_bench::synthetic_goal(&t, k)))
         .collect();
     let report = t.mn.reconcile();
     assert!(report.converged());
@@ -295,28 +295,12 @@ fn withdraw_heavy_pass_stages_each_device_once_for_the_whole_batch() {
     assert_eq!(t.mn.audit(), []);
 }
 
-/// A synthetic goal between the chain's edge interfaces for a distinct
-/// site-class pair.
-fn conman_bench_goal(t: &Chain, k: usize) -> conman::core::nm::ConnectivityGoal {
-    let mut goal = t.vpn_goal();
-    let k = k + 1;
-    goal.src_class = format!("C{k}-S1");
-    goal.dst_class = format!("C{k}-S2");
-    goal.resolved.remove("C1-S1");
-    goal.resolved.remove("C1-S2");
-    goal.resolved
-        .insert(format!("C{k}-S1"), format!("10.{k}.1.0/24"));
-    goal.resolved
-        .insert(format!("C{k}-S2"), format!("10.{k}.2.0/24"));
-    goal
-}
-
 #[test]
 fn update_heavy_pass_coalesces_stale_teardowns_into_one_batch() {
     let mut t = managed_chain(3);
     t.discover();
     let ids: Vec<_> = (0..4)
-        .map(|k| t.mn.submit(conman_bench_goal(&t, k)))
+        .map(|k| t.mn.submit(conman_bench::synthetic_goal(&t, k)))
         .collect();
     assert!(t.mn.reconcile().converged());
 
@@ -324,7 +308,9 @@ fn update_heavy_pass_coalesces_stale_teardowns_into_one_batch() {
     // down as ONE batched lenient transaction and applies the replacements
     // as ONE batched configuration transaction.
     for (k, id) in ids.iter().enumerate() {
-        assert!(t.mn.update_goal(*id, conman_bench_goal(&t, k + 20)));
+        assert!(t
+            .mn
+            .update_goal(*id, conman_bench::synthetic_goal(&t, k + 20)));
     }
     let report = t.mn.reconcile();
     assert!(report.converged(), "{report:#?}");
@@ -627,7 +613,7 @@ fn batched_pass_sends_a_quarter_of_the_per_goal_messages_at_64_goals() {
         let recorder = Recorder::new();
         t.mn.set_recorder(recorder.clone());
         for k in 0..64 {
-            t.mn.submit(conman_bench_goal(&t, k));
+            t.mn.submit(conman_bench::synthetic_goal(&t, k));
         }
         let report = if batched {
             t.mn.reconcile()
