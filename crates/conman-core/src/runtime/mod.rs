@@ -918,9 +918,11 @@ mod tests {
         let mut truncated = wire::encode_stage_batch(7, &[(1, &script)]);
         truncated.truncate(truncated.len() - 1);
         assert!(wire::is_stage_batch(&truncated));
-        let mut lying_count = wire::encode_stage_batch(7, &[]);
-        let count_at = lying_count.len() - 4;
-        lying_count[count_at..].fill(0xFF);
+        // A txn id of 2^48 takes seven varint bytes and a count of 2^32 - 1
+        // five, so the frame is 13 bytes.
+        let mut lying_count = wire::encode_stage_batch(1 << 48, &[]);
+        assert_eq!(lying_count.pop(), Some(0), "the segment count");
+        lying_count.extend([0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
         assert_eq!(lying_count.len(), 13);
         for payload in [truncated, lying_count, b"not a conman message".to_vec()] {
             let m = MgmtMessage::new(d1, d2, MessageCategory::Command, payload);
@@ -931,7 +933,7 @@ mod tests {
 
         // Upward relay batches: one cut short inside its envelope's body, so
         // the body's length prefix claims a byte the frame does not have,
-        // and one whose envelope count claims 2^32 - 1 in a 5-byte frame.
+        // and one whose envelope count claims 2^32 - 1 in a 6-byte frame.
         // Each is one dropped message (the device's whole round of
         // envelopes), and the NM relays nothing.
         let envelope = ModuleEnvelope {
@@ -945,7 +947,14 @@ mod tests {
         };
         let mut cut_body = batch.encode();
         cut_body.truncate(cut_body.len() - 1);
-        let lying_count = vec![mgmt_channel::codec::TAG_RELAY_BATCH, 0xFF, 0xFF, 0xFF, 0xFF];
+        let lying_count = vec![
+            mgmt_channel::codec::TAG_RELAY_BATCH,
+            0xFF,
+            0xFF,
+            0xFF,
+            0xFF,
+            0x0F,
+        ];
         for payload in [cut_body, lying_count] {
             assert_eq!(payload[0], 0x86);
             let m = MgmtMessage::new(d2, d1, MessageCategory::ConveyMessage, payload);

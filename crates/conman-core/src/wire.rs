@@ -7,18 +7,22 @@
 //! codec never interprets a module-to-module envelope's body: it is bytes
 //! the sending module encoded and only the receiving module decodes.
 //!
-//! A field has one layout wherever it appears:
+//! A field has one layout wherever it appears (`mgmt_channel::codec`'s
+//! module docs define the varint and its strict reader):
 //!
 //! ```text
-//! u32, u64     little-endian (a length in a ModuleError travels as u64)
+//! u32, u64     unsigned LEB128 varint, minimal, at most 5 / 10 bytes
+//!              (a length in a ModuleError travels as u64)
 //! bool         one byte, 0 or 1
-//! str, bytes   u32 length, then the UTF-8 / raw bytes
-//! list X       u32 count, then each X; a map is a list of (key, value)
+//! str, bytes   varint length, then the UTF-8 / raw bytes
+//! list X       varint count, then each X; a map is a list of (key, value),
+//!              keys strictly ascending
 //! opt X        presence byte 0 | 1, then X when it is 1
 //! (A, B)       A then B; a struct is its fields in declaration order
 //! enum         variant byte (as listed in `enums!`; a retired one is not reused), fields
-//! ids          pipe, module, port and link u32; device u64
-//! module       kind (0-4 ETH IP GRE MPLS VLAN | 5 App + str), u32 module, u64 device
+//! ids          pipe, module, port and link u32 varint; device 8 raw bytes,
+//!              little-endian (a name hash, not a count)
+//! module       kind (0-4 ETH IP GRE MPLS VLAN | 5 App + str), u32 module, device
 //! ```
 //!
 //! The thirteen frames, after the tag:
@@ -30,7 +34,7 @@
 //! 0x84 CommitBatchResult u64 txn, list (u64 goal, list outcome)
 //! 0x85 AbortBatch        u64 txn, list u64 goal
 //! 0x86 RelayBatch        list envelope
-//! 0x87 Announce          u64 device, str name, list (u32 port, u64 device, u32 port)
+//! 0x87 Announce          device, str name, list (u32 port, device, u32 port)
 //! 0x88 Script            u64 request, list primitive
 //! 0x89 ScriptResult      u64 request, list outcome
 //! 0x8A Module            envelope
@@ -55,7 +59,7 @@
 //! outcome     0 result | 1 refusal
 //! result      0 list abstraction | 1 list (module, actual) | 2 u32 pipe created | 3 done
 //! actual      list u32 pipe, list (u32, u32) switch rule, list (module, module) filter
-//! refusal     u64 device, opt component, cause
+//! refusal     device, opt component, cause
 //! cause       0 unknown module: module | 1 module error | 2 malformed segment
 //!             | 3 never staged | 4 unanswered stage | 5 unanswered commit
 //! module err  0 cannot filter | 1 missing tradeoffs | 2 undecodable body: module, u64 len
@@ -75,7 +79,9 @@
 //! The `StageBatch` frame length-prefixes every goal segment, so the
 //! receiving agent can walk borrowed segment slices and validate primitives
 //! *as they decode* ([`StageBatchView`]) instead of materialising the whole
-//! message first.  [`WireMessage::decode`] collects its segments from the
+//! message first.  The encoder frames each segment in place: it reserves
+//! one byte for the length, writes the block after it and shifts the block
+//! once when the length needs more than that byte.  [`WireMessage::decode`] collects its segments from the
 //! same [`SegmentView`] and [`SegmentView::primitives`], so the frame has
 //! one reader.  A pipe carries no names at all and a transit switch rule
 //! three absent options: the only strings in a generated segment are the
@@ -167,13 +173,12 @@ pub fn encode_stage_batch(txn: u64, segments: &[(u64, &[Primitive])]) -> Vec<u8>
 }
 
 /// One `StageBatch` segment: its goal id and a length-prefixed primitive
-/// block the agent can validate in place.
+/// block the agent can validate in place, framed where it is written.
 fn put_segment(w: &mut Writer, goal: u64, primitives: &[Primitive]) {
     goal.put(w);
-    let at = w.len();
-    w.put_u32(0); // length prefix, patched below
+    let start = w.begin_bytes();
     put_list(w, primitives);
-    w.patch_u32(at, (w.len() - at - 4) as u32);
+    w.end_bytes(start);
 }
 
 impl Field for ScriptSegment {
@@ -405,9 +410,12 @@ impl<K: Field + Ord, V: Field> Field for BTreeMap<K, V> {
             v.put(w);
         }
     }
+    // Keys strictly ascending, as `put` writes them: a map has one byte
+    // form, so a duplicate or out-of-order key is as corrupt as a short read.
     fn read(r: &mut Reader<'_>) -> Option<Self> {
         let pairs: Vec<(K, V)> = Field::read(r)?;
-        Some(pairs.into_iter().collect())
+        let ascending = pairs.windows(2).all(|w| w[0].0 < w[1].0);
+        ascending.then(|| pairs.into_iter().collect())
     }
 }
 
@@ -478,12 +486,15 @@ impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
     }
 }
 
+/// A device id is a hash of the device's name, not a count: its eight raw
+/// bytes are shorter than its varint would be.
 impl Field for DeviceId {
     fn put(&self, w: &mut Writer) {
-        w.put_u64(self.as_u64());
+        w.put_raw(&self.as_u64().to_le_bytes());
     }
     fn read(r: &mut Reader<'_>) -> Option<Self> {
-        r.u64().map(DeviceId::from_raw)
+        r.raw()
+            .map(|bytes| DeviceId::from_raw(u64::from_le_bytes(bytes)))
     }
 }
 
@@ -1067,6 +1078,60 @@ mod tests {
             let mut long = bytes.clone();
             long.push(0);
             assert!(WireMessage::decode(&long).is_none(), "{:#x} + 1", bytes[0]);
+        }
+    }
+
+    /// The reader accepts one byte form per frame: change any one byte of
+    /// any frame to any value, and when the result still decodes, encoding
+    /// what it decoded to gives back exactly the changed bytes.
+    #[test]
+    fn a_frame_that_decodes_after_any_one_byte_changes_re_encodes_to_those_bytes() {
+        for msg in every_message() {
+            let bytes = msg.encode();
+            let mut mutated = bytes.clone();
+            for at in 0..bytes.len() {
+                for value in 0..=u8::MAX {
+                    mutated[at] = value;
+                    if let Some(decoded) = WireMessage::decode(&mutated) {
+                        assert_eq!(
+                            decoded.encode(),
+                            mutated,
+                            "{:#x} with byte {at} set to {value:#x}",
+                            bytes[0]
+                        );
+                    }
+                }
+                mutated[at] = bytes[at];
+            }
+        }
+    }
+
+    /// A segment's block is framed in place whether its length prefix takes
+    /// one, two or three bytes, and the view slices it back out.
+    #[test]
+    fn segment_length_prefixes_of_every_width_round_trip_through_the_view() {
+        // (primitives, bytes of the block's count, bytes of its prefix)
+        for (n, count_len, prefix_len) in [(10, 1, 1), (200, 2, 2), (20_000, 3, 3)] {
+            let block = vec![Primitive::ShowPotential; n];
+            let bytes = encode_stage_batch(9, &[(5, &block)]);
+            // Tag, txn, segment count and goal take one byte each, and each
+            // primitive one more.
+            assert_eq!(bytes.len(), 4 + prefix_len + count_len + n, "{n}");
+            let view = StageBatchView::parse(&bytes).expect("framing parses");
+            let segments: Vec<_> = view.segments().collect();
+            assert_eq!(segments.len(), 1);
+            assert_eq!(segments[0].goal, 5);
+            let decoded: Result<Vec<_>, _> = segments[0].primitives().collect();
+            assert_eq!(decoded.unwrap(), block);
+            let owned = WireMessage::StageBatch {
+                txn: 9,
+                segments: vec![ScriptSegment {
+                    goal: 5,
+                    primitives: block,
+                }],
+            };
+            assert_eq!(owned.encode(), bytes);
+            assert_eq!(WireMessage::decode(&bytes), Some(owned));
         }
     }
 

@@ -48,14 +48,15 @@ pub(crate) trait Dialect: Sized {
     }
 }
 
-/// An IPv4 address as four bytes.
+/// An IPv4 address as its four raw bytes, in network order: an address is
+/// not a count, and as a varint most would take five.
 pub(crate) fn put_addr(w: &mut Writer, addr: Ipv4Addr) {
-    w.put_u32(u32::from(addr));
+    w.put_raw(&addr.octets());
 }
 
 /// Read what [`put_addr`] wrote.
 pub(crate) fn addr(r: &mut Reader<'_>) -> Option<Ipv4Addr> {
-    r.u32().map(Ipv4Addr::from)
+    r.raw::<4>().map(Ipv4Addr::from)
 }
 
 /// `msg`, if the body held nothing after it: trailing bytes are as corrupt

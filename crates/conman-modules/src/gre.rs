@@ -52,10 +52,10 @@ struct GreParams {
 /// What GRE modules convey to each other (`conveyMessage`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GreMsg {
-    /// Tag 0, then `ikey` and `okey` (`u32` each) and the two option bytes:
-    /// the tunnel parameters the *receiver* is to configure.  Its `ikey` is
-    /// the key the proposer sends with and its `okey` the one the proposer
-    /// accepts.
+    /// Tag 0, then `ikey` and `okey` (a `u32` varint each) and the two
+    /// option bytes: the tunnel parameters the *receiver* is to configure.
+    /// Its `ikey` is the key the proposer sends with and its `okey` the one
+    /// the proposer accepts.
     Propose(GreParams),
     /// Tag 1: the proposal is agreed.
     Accept,

@@ -23,7 +23,8 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// What MPLS modules convey to each other: one half of a label exchange.
-/// Tag 0, then the fields in order.
+/// Tag 0, then the fields in order: the label as a `u32` varint, the
+/// address as four raw bytes, the reply byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MplsMsg {
     /// The label the sender allocated for traffic it receives from the
@@ -753,10 +754,10 @@ mod tests {
         let mut m = MplsModule::new(me());
         m.create_pipe(&mut rig.ctx(), &adjacency(3, Some(2), false))
             .unwrap();
+        // Tag, then the first of the label's two varint bytes.
         let mut cut = label_message(2, 777, false);
-        cut.body.truncate(3);
-        let mut wide = label_message(2, 777, false);
-        wide.body[1..5].copy_from_slice(&(Label::MAX + 1).to_le_bytes());
+        cut.body.truncate(2);
+        let wide = label_message(2, Label::MAX + 1, false);
         for env in [cut, wide] {
             let refused = m.handle_envelope(&mut rig.ctx(), &env);
             assert!(

@@ -379,28 +379,32 @@ fn decode_every_way(bytes: &[u8]) -> Option<conman::core::WireMessage> {
 /// a `Vec` for all of them and abort the process in the allocator (137 GB
 /// for `StageBatchResult`, 103 GB through the agent's in-place `StageBatch`
 /// path, 34 GB for `CommitBatch`).  Every frame that opens with a count —
-/// after its `u64` transaction or request id, or (`RelayBatch`) straight
-/// after the tag, or (`Announce`) as its name's length — now fails at the
-/// first short read.
+/// after its transaction or request id (here 0, one varint byte), or
+/// (`RelayBatch`) straight after the tag, or (`Announce`) as its name's
+/// length after the device id's eight raw bytes — now fails at the first
+/// short read.  The count is 2^32 - 1, the widest `u32` varint.
 #[test]
 fn a_lying_element_count_is_rejected_not_allocated_for() {
     use conman::mgmt_channel::codec::*;
+    const LYING_COUNT: [u8; 5] = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
     let after_id = [
         TAG_STAGE_BATCH,
         TAG_STAGE_BATCH_RESULT,
         TAG_COMMIT_BATCH,
         TAG_COMMIT_BATCH_RESULT,
         TAG_ABORT_BATCH,
-        TAG_ANNOUNCE,
         TAG_SCRIPT,
         TAG_SCRIPT_RESULT,
         TAG_POLL_COUNTERS,
         TAG_COUNTER_REPORT,
     ];
     let frames = after_id
-        .map(|tag| [&[tag][..], &[0u8; 8], &[0xFF; 4]].concat())
+        .map(|tag| [&[tag, 0][..], &LYING_COUNT].concat())
         .into_iter()
-        .chain([vec![TAG_RELAY_BATCH, 0xFF, 0xFF, 0xFF, 0xFF]]);
+        .chain([
+            [&[TAG_ANNOUNCE][..], &[0u8; 8], &LYING_COUNT].concat(),
+            [&[TAG_RELAY_BATCH][..], &LYING_COUNT].concat(),
+        ]);
     for frame in frames {
         assert_eq!(decode_every_way(&frame), None, "tag {:#x}", frame[0]);
     }
