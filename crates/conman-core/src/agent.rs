@@ -667,6 +667,7 @@ mod tests {
                     lower: lower.clone(),
                     peer_upper: None,
                     peer_lower: None,
+                    peer_pipe: None,
                     tradeoffs: vec![],
                     initiate: false,
                 }),
@@ -711,6 +712,7 @@ mod tests {
                 lower: bogus.clone(),
                 peer_upper: None,
                 peer_lower: None,
+                peer_pipe: None,
                 tradeoffs: vec![],
                 initiate: false,
             })],
@@ -747,6 +749,7 @@ mod tests {
             lower,
             peer_upper: None,
             peer_lower: None,
+            peer_pipe: None,
             tradeoffs: vec![],
             initiate: false,
         };
@@ -887,6 +890,7 @@ mod tests {
                 lower: lower.clone(),
                 peer_upper: None,
                 peer_lower: None,
+                peer_pipe: None,
                 tradeoffs: vec![],
                 initiate: false,
             })
@@ -963,6 +967,7 @@ mod tests {
                 lower: lower.clone(),
                 peer_upper: None,
                 peer_lower: None,
+                peer_pipe: None,
                 tradeoffs: vec![],
                 initiate: false,
             })
@@ -1024,6 +1029,7 @@ mod tests {
             lower,
             peer_upper: None,
             peer_lower: None,
+            peer_pipe: None,
             tradeoffs: vec![],
             initiate: false,
         });
@@ -1090,6 +1096,7 @@ mod tests {
             ModuleReaction::envelope(ModuleEnvelope {
                 from: self.0.clone(),
                 to: self.0.clone(),
+                pipe: PipeId(0),
                 kind: crate::primitives::EnvelopeKind::Convey,
                 body: vec![0xFF],
             })
@@ -1143,6 +1150,7 @@ mod tests {
         let env = ModuleEnvelope {
             from: sender.clone(),
             to: refuser.clone(),
+            pipe: PipeId(0),
             kind: crate::primitives::EnvelopeKind::Convey,
             body: vec![0x7B, 0x00],
         };

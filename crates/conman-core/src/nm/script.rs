@@ -341,18 +341,17 @@ pub fn generate_with_base(
 
         // Peers: pair the lower module first (its header defines the pipe's
         // far end), then take the module adjacent to that peer handling the
-        // upper module's header.
-        let peer_lower_idx = counterpart(li);
-        let (peer_upper, peer_lower) = match peer_lower_idx {
-            Some(pl) => {
-                let pu = near_on_same_device(pl, steps[ui].header);
-                (
-                    pu.map(|i| steps[i].module.clone()),
-                    Some(steps[pl].module.clone()),
-                )
-            }
+        // upper module's header.  The far end's pipe is the slot joining
+        // the two peers, numbered here like every other.
+        let (pu, pl) = match counterpart(li) {
+            Some(pl) => (near_on_same_device(pl, steps[ui].header), Some(pl)),
             None => (None, None),
         };
+        let peer_upper = pu.map(|i| steps[i].module.clone());
+        let peer_lower = pl.map(|i| steps[i].module.clone());
+        let peer_pipe = (slots.iter())
+            .find(|s| s.upper.is_some() && s.upper == pu && s.lower == pl)
+            .map(|s| s.id);
         let initiate = match (&peer_upper, &peer_lower) {
             (_, Some(p)) | (Some(p), _) => {
                 device_pos.get(&device).copied().unwrap_or(0)
@@ -374,6 +373,7 @@ pub fn generate_with_base(
             lower,
             peer_upper,
             peer_lower,
+            peer_pipe,
             tradeoffs,
             initiate,
         };
@@ -552,6 +552,7 @@ mod tests {
                 lower: gre.clone(),
                 peer_upper: peers.then(|| peer_ip.clone()),
                 peer_lower: peers.then(|| peer_gre.clone()),
+                peer_pipe: peers.then_some(PipeId(2)),
                 tradeoffs,
                 initiate: true,
             })

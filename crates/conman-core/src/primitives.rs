@@ -56,6 +56,11 @@ pub struct PipeSpec {
     pub peer_upper: Option<ModuleRef>,
     /// Peer of the lower module at the far end of the path (if any).
     pub peer_lower: Option<ModuleRef>,
+    /// The far end's pipe: the one joining `peer_upper` and `peer_lower` on
+    /// their device, which the NM numbers in the same script.  An exchanging
+    /// module names it in every message it sends its peer, so the peer
+    /// pairs the message by name.
+    pub peer_pipe: Option<PipeId>,
     /// Trade-off choices satisfying the modules' declared dependencies.
     pub tradeoffs: Vec<TradeoffChoice>,
     /// Whether the modules on this device should initiate the peer
@@ -169,13 +174,16 @@ pub enum EnvelopeKind {
 
 /// A module-to-module message.  The management channel only connects devices
 /// to the NM, so these are always relayed by the NM (§II-D.1 d), which reads
-/// the two addresses and the kind and never the body.
+/// the destination and the kind and never the body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModuleEnvelope {
     /// Originating module.
     pub from: ModuleRef,
     /// Destination module.
     pub to: ModuleRef,
+    /// The destination module's pipe the message is for: the sender takes
+    /// it from its own pipe's [`PipeSpec::peer_pipe`].
+    pub pipe: PipeId,
     /// What kind of exchange this is, for the NM's accounting (Table VI).
     /// The sending module derives it from the message it encoded.
     pub kind: EnvelopeKind,

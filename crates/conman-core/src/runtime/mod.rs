@@ -539,7 +539,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
 mod tests {
     use super::*;
     use crate::abstraction::ModuleAbstraction;
-    use crate::ids::{ModuleId, ModuleKind};
+    use crate::ids::{ModuleId, ModuleKind, PipeId};
     use crate::module::{ModuleCtx, ModuleReaction, ProtocolModule};
     use crate::primitives::PipeSpec;
     use mgmt_channel::OutOfBandChannel;
@@ -590,6 +590,7 @@ mod tests {
                     return Ok(ModuleReaction::envelope(ModuleEnvelope {
                         from: self.me.clone(),
                         to: peer,
+                        pipe: PipeId(0),
                         kind: EnvelopeKind::Convey,
                         body: vec![HELLO],
                     }));
@@ -608,6 +609,7 @@ mod tests {
                 return Ok(ModuleReaction::envelope(ModuleEnvelope {
                     from: self.me.clone(),
                     to: env.from.clone(),
+                    pipe: PipeId(0),
                     kind: EnvelopeKind::Convey,
                     body: vec![ACK],
                 }));
@@ -649,6 +651,7 @@ mod tests {
             lower: low1,
             peer_upper: Some(m2.clone()),
             peer_lower: Some(m2.clone()),
+            peer_pipe: None,
             tradeoffs: vec![],
             initiate: true,
         };
@@ -691,6 +694,7 @@ mod tests {
                 lower: lower.clone(),
                 peer_upper: Some(peer.clone()),
                 peer_lower: None,
+                peer_pipe: None,
                 tradeoffs: vec![],
                 initiate: true,
             })
@@ -854,6 +858,7 @@ mod tests {
             Ok(ModuleReaction::envelope(ModuleEnvelope {
                 from: self.me.clone(),
                 to: env.from.clone(),
+                pipe: PipeId(0),
                 kind: EnvelopeKind::Convey,
                 body: env.body.clone(),
             }))
@@ -888,6 +893,7 @@ mod tests {
         mn.relay(ModuleEnvelope {
             from: m1,
             to: m2,
+            pipe: PipeId(0),
             kind: EnvelopeKind::Convey,
             body: vec![0x7B, 0x00, 0xFF],
         });
@@ -939,6 +945,7 @@ mod tests {
         let envelope = ModuleEnvelope {
             from: ModuleRef::new(ModuleKind::Gre, ModuleId(1), d2),
             to: ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1),
+            pipe: PipeId(0),
             kind: EnvelopeKind::Convey,
             body: vec![HELLO],
         };

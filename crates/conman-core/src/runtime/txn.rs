@@ -21,12 +21,12 @@
 //!    [`ManagedNetwork::execute_path`] sends every device its script.  One
 //!    wave is safe in either direction along a path: a `CommitBatch` is one
 //!    hop from the NM and a module's relay at least two, so every peer has
-//!    applied its segment before an exchange reaches it, and a module pairs
-//!    an opening with a waiting pipe it does not initiate, an answer with
-//!    one it does and any other message with nothing (one table in
-//!    `conman-modules`, shared by IP, GRE, MPLS and VLAN), so goals
-//!    crossing the same modules in opposite directions never take each
-//!    other's exchanges.  A goal refused at any device's commit, or one of
+//!    applied its segment before an exchange reaches it, and every module
+//!    message names the pipe it is for (the NM numbers both ends of each
+//!    pipe pair in one script), which pairs it only when it waits for it
+//!    (one table in `conman-modules`, shared by IP, GRE, MPLS and VLAN), so
+//!    goals crossing the same modules in opposite directions never take
+//!    each other's exchanges, in whatever order the messages arrive.  A goal refused at any device's commit, or one of
 //!    whose devices never answers, is rolled back: every device that
 //!    answered gets the teardown mirror of its script (`delete` per
 //!    `create`, reverse order), and a silent device gets an abort.
@@ -159,6 +159,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         let mut staged = BTreeMap::new();
         for (device, segs) in segments {
             let verdicts = self.stage_batch_results.remove(&(device, txn));
+            self.count_stale(verdicts.iter().flatten().flat_map(|v| &v.errors));
             let ok = verdicts
                 .as_ref()
                 .is_some_and(|vs| vs.iter().all(|v| v.errors.is_empty()));
@@ -175,6 +176,17 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             staged.insert(device, Staged { goals, verdicts });
         }
         staged
+    }
+
+    /// Count under `txn.stale_refused` the refusals among a device's answer
+    /// that call its transaction stale: a late message's, or a rebuilt NM's
+    /// until its txn ids overtake the ones the devices hold.
+    fn count_stale<'r>(&self, refusals: impl Iterator<Item = &'r Refusal>) {
+        let stale = refusals.filter(|r| r.cause == RefusalCause::StaleTxn);
+        match stale.count() {
+            0 => {}
+            n => self.recorder.inc("txn.stale_refused", n as u64),
+        }
     }
 
     /// The abort step of both runners: release `goals`' segments of `txn`
@@ -221,6 +233,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.run_management();
         for (&device, goals) in wave {
             let answer = self.commit_batch_results.remove(&(device, txn));
+            let results = answer.iter().flatten().flat_map(|sc| &sc.results);
+            self.count_stale(results.filter_map(|r| r.as_ref().err().map(|e| &**e)));
             let ok = answer
                 .as_ref()
                 .is_some_and(|segs| segs.iter().all(|sc| sc.results.iter().all(Result::is_ok)));
@@ -323,11 +337,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// the first envelope of a negotiation reaches it, as in
     /// [`Self::execute_path`].  Goals crossing the same devices in
     /// opposite directions share the wave too: two goals' exchanges between
-    /// one pair of modules are told apart by who opened them, since a
-    /// module pairs an opening with a waiting pipe it does not initiate, an
-    /// answer with one it does, each direction in ascending pipe order, and
-    /// any other message with nothing.  That rule lives in one place, the
-    /// exchange table `conman-modules` gives IP, GRE, MPLS and VLAN.  A goal
+    /// one pair of modules are told apart by name, since every message
+    /// names the receiving module's pipe (`PipeSpec::peer_pipe` of the
+    /// sender's) and pairs only with that pipe, while it waits for a message
+    /// of that role; any other message pairs with nothing.  That rule lives
+    /// in one place, the exchange table `conman-modules` gives IP, GRE, MPLS
+    /// and VLAN.  A goal
     /// refused at any device's commit, or one of whose devices stays
     /// silent, fails, and the failed goals are rolled back together without
     /// disturbing sibling goals.  A transaction for one goal is

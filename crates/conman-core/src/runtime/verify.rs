@@ -402,6 +402,7 @@ mod tests {
             lower: m,
             peer_upper: None,
             peer_lower: None,
+            peer_pipe: None,
             tradeoffs: vec![],
             initiate: false,
         };

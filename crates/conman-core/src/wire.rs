@@ -33,11 +33,11 @@
 //! 0x83 CommitBatch       u64 txn, list u64 goal
 //! 0x84 CommitBatchResult u64 txn, list (u64 goal, list outcome)
 //! 0x85 AbortBatch        u64 txn, list u64 goal
-//! 0x86 RelayBatch        list envelope
+//! 0x86 RelayBatch        list device, list envelope
 //! 0x87 Announce          device, str name, list (u32 port, device, u32 port)
 //! 0x88 Script            u64 request, list primitive
 //! 0x89 ScriptResult      u64 request, list outcome
-//! 0x8A Module            envelope
+//! 0x8A Module            list device, envelope
 //! 0x8B Notify            module, notice
 //! 0x8C PollCounters      u64 request, list u64 tag
 //! 0x8D CounterReport     u64 request, list (module, list (drop reason, u64)),
@@ -49,13 +49,16 @@
 //! ```text
 //! primitive   0 showPotential | 1 showActual
 //!             | 2 create pipe: u32 pipe, module upper, lower, opt peer_upper,
-//!                 opt peer_lower, list tradeoff, bool initiate
+//!                 opt peer_lower, opt u32 peer_pipe, list tradeoff, bool initiate
 //!             | 3 create switch: module, u32 in, u32 out, opt (str name, str value)
 //!                 dst_class, opt (str name, str value) gateway, opt str local_prefix
 //!             | 4 create filter: module, from, to
 //!             | 5 delete: component
 //! component   0 u32 pipe | 1 module, u32 in, u32 out | 2 module, from, to
-//! envelope    module from, to, kind (0 convey | 1 field query | 2 field response), bytes body
+//! envelope    end from, end to, u32 pipe (the receiver's), kind (0 convey | 1 field
+//!             query | 2 field response), bytes body
+//! end         module kind, u32 module, u32 index of its device in the frame's device
+//!             list; the list holds each device an end names once, in first-use order
 //! outcome     0 result | 1 refusal
 //! result      0 list abstraction | 1 list (module, actual) | 2 u32 pipe created | 3 done
 //! actual      list u32 pipe, list (u32, u32) switch rule, list (module, module) filter
@@ -177,7 +180,7 @@ pub fn encode_stage_batch(txn: u64, segments: &[(u64, &[Primitive])]) -> Vec<u8>
 fn put_segment(w: &mut Writer, goal: u64, primitives: &[Primitive]) {
     goal.put(w);
     let start = w.begin_bytes();
-    put_list(w, primitives);
+    Primitive::put_list(primitives, w);
     w.end_bytes(start);
 }
 
@@ -326,6 +329,23 @@ impl Iterator for PrimitiveStream<'_> {
 trait Field: Sized {
     fn put(&self, w: &mut Writer);
     fn read(r: &mut Reader<'_>) -> Option<Self>;
+
+    /// A list of this type: its count, then each item.  A type whose items
+    /// share what the list writes once overrides the pair.
+    fn put_list(items: &[Self], w: &mut Writer) {
+        w.put_u32(items.len() as u32);
+        for item in items {
+            item.put(w);
+        }
+    }
+    fn read_list(r: &mut Reader<'_>) -> Option<Vec<Self>> {
+        let n = r.u32()?;
+        let mut items = Vec::with_capacity(presize(r, n));
+        for _ in 0..n {
+            items.push(Self::read(r)?);
+        }
+        Some(items)
+    }
 }
 
 /// How many elements to pre-size a `Vec` for when the payload claims `n`
@@ -334,13 +354,6 @@ trait Field: Sized {
 /// instead of asking the allocator for gigabytes.
 fn presize(r: &Reader<'_>, n: u32) -> usize {
     (n as usize).min(r.remaining())
-}
-
-fn put_list<T: Field>(w: &mut Writer, items: &[T]) {
-    w.put_u32(items.len() as u32);
-    for item in items {
-        item.put(w);
-    }
 }
 
 impl Field for bool {
@@ -390,15 +403,10 @@ impl Field for String {
 
 impl<T: Field> Field for Vec<T> {
     fn put(&self, w: &mut Writer) {
-        put_list(w, self);
+        T::put_list(self, w);
     }
     fn read(r: &mut Reader<'_>) -> Option<Self> {
-        let n = r.u32()?;
-        let mut items = Vec::with_capacity(presize(r, n));
-        for _ in 0..n {
-            items.push(T::read(r)?);
-        }
-        Some(items)
+        T::read_list(r)
     }
 }
 
@@ -630,7 +638,7 @@ macro_rules! structs {
 structs! {
     ModuleRef { kind, module, device }
     ResolvedName { name, value }
-    PipeSpec { pipe, upper, lower, peer_upper, peer_lower, tradeoffs, initiate }
+    PipeSpec { pipe, upper, lower, peer_upper, peer_lower, peer_pipe, tradeoffs, initiate }
     SwitchSpec { module, in_pipe, out_pipe, dst_class, gateway, local_prefix }
     FilterSpec { module, from, to }
     Notification { from, body }
@@ -654,23 +662,88 @@ structs! {
     SecurityCapability { integrity, authenticity, confidentiality, external_state }
 }
 
-/// The body is the sending module's own encoding, opaque to the NM
-/// (§II-D): it is copied as it is, one length-prefixed slice.
+/// An envelope names two modules, and a frame's envelopes share few
+/// devices: a frame lists its devices once, in first-use order, and each
+/// envelope end gives its device as an index into that list.  The reader
+/// refuses a device listed twice, a device no end uses, an index out of
+/// range and an index that skips a device not used yet, so a frame has one
+/// byte form.  The body is the sending module's own encoding, opaque to the
+/// NM (§II-D): it is copied as it is, one length-prefixed slice.  A `Module`
+/// frame is a list of one without its count.
 impl Field for ModuleEnvelope {
     fn put(&self, w: &mut Writer) {
-        self.from.put(w);
-        self.to.put(w);
-        self.kind.put(w);
-        w.put_bytes(&self.body);
+        put_envelopes(w, std::slice::from_ref(self), false);
     }
     fn read(r: &mut Reader<'_>) -> Option<Self> {
-        Some(ModuleEnvelope {
-            from: Field::read(r)?,
-            to: Field::read(r)?,
+        read_envelopes(r, false)?.pop()
+    }
+    fn put_list(items: &[Self], w: &mut Writer) {
+        put_envelopes(w, items, true);
+    }
+    fn read_list(r: &mut Reader<'_>) -> Option<Vec<Self>> {
+        read_envelopes(r, true)
+    }
+}
+
+/// The device list, then the envelopes (counted when `list`).
+fn put_envelopes(w: &mut Writer, envelopes: &[ModuleEnvelope], list: bool) {
+    let mut devices: Vec<DeviceId> = Vec::new();
+    for end in envelopes.iter().flat_map(|env| [&env.from, &env.to]) {
+        if !devices.contains(&end.device) {
+            devices.push(end.device);
+        }
+    }
+    devices.put(w);
+    if list {
+        w.put_u32(envelopes.len() as u32);
+    }
+    for env in envelopes {
+        for end in [&env.from, &env.to] {
+            end.kind.put(w);
+            end.module.put(w);
+            let index = devices.iter().position(|d| *d == end.device);
+            w.put_u32(index.expect("every end's device is listed") as u32);
+        }
+        env.pipe.put(w);
+        env.kind.put(w);
+        w.put_bytes(&env.body);
+    }
+}
+
+/// Read what [`put_envelopes`] wrote, refusing any other form of it.
+fn read_envelopes(r: &mut Reader<'_>, list: bool) -> Option<Vec<ModuleEnvelope>> {
+    let devices: Vec<DeviceId> = Field::read(r)?;
+    let mut sorted = devices.clone();
+    sorted.sort_unstable();
+    if sorted.windows(2).any(|pair| pair[0] == pair[1]) {
+        return None;
+    }
+    let n = if list { r.u32()? } else { 1 };
+    let mut used = 0;
+    let mut end = |r: &mut Reader<'_>| -> Option<ModuleRef> {
+        let (kind, module) = (Field::read(r)?, Field::read(r)?);
+        let index = r.u32()? as usize;
+        if index > used || index >= devices.len() {
+            return None;
+        }
+        used = used.max(index + 1);
+        Some(ModuleRef {
+            kind,
+            module,
+            device: devices[index],
+        })
+    };
+    let mut envelopes = Vec::with_capacity(presize(r, n));
+    for _ in 0..n {
+        envelopes.push(ModuleEnvelope {
+            from: end(r)?,
+            to: end(r)?,
+            pipe: Field::read(r)?,
             kind: Field::read(r)?,
             body: r.bytes()?.to_vec(),
-        })
+        });
     }
+    (used == devices.len()).then_some(envelopes)
 }
 
 #[cfg(test)]
@@ -691,6 +764,7 @@ mod tests {
                     lower: mref(ModuleKind::App("HTTP".into()), 2, 1),
                     peer_upper: Some(mref(ModuleKind::Gre, 1, 3)),
                     peer_lower: None,
+                    peer_pipe: Some(PipeId(u32::MAX)),
                     tradeoffs: vec![
                         TradeoffChoice::InOrderDelivery,
                         TradeoffChoice::LowErrorRate,
@@ -877,9 +951,25 @@ mod tests {
         let env = ModuleEnvelope {
             from: mref(ModuleKind::Mpls, 3, 1),
             to: mref(ModuleKind::App("babble".into()), 3, 2),
+            pipe: PipeId(u32::MAX),
             kind: EnvelopeKind::FieldResponse,
             body: (0x00..=0xFF).collect(),
         };
+        // Three devices, each at both ends, and one envelope within a device.
+        let hop = |from: u64, to: u64, pipe: u32| ModuleEnvelope {
+            from: mref(ModuleKind::Ip, 1, from),
+            to: mref(ModuleKind::Gre, 2, to),
+            pipe: PipeId(pipe),
+            kind: EnvelopeKind::Convey,
+            body: vec![pipe as u8],
+        };
+        let hops = vec![
+            hop(3, 1, 0),
+            hop(1, u64::MAX, 200),
+            hop(u64::MAX, 3, 1),
+            hop(1, 1, 7),
+            hop(3, u64::MAX, 300),
+        ];
         let empty = ModuleEnvelope {
             kind: EnvelopeKind::Convey,
             body: Vec::new(),
@@ -960,6 +1050,8 @@ mod tests {
             WireMessage::RelayBatch {
                 envelopes: vec![env.clone(), empty.clone(), query, env.clone()],
             },
+            WireMessage::RelayBatch { envelopes: hops },
+            WireMessage::RelayBatch { envelopes: vec![] },
             WireMessage::Announce(Announcement {
                 device: DeviceId::from_raw(1),
                 device_name: "Router ä".into(),
@@ -1103,6 +1195,51 @@ mod tests {
                 }
                 mutated[at] = bytes[at];
             }
+        }
+    }
+
+    /// A `Module` frame from its parts: the device list, then one IP to IP
+    /// convey envelope whose ends name their devices by the indexes `ends`.
+    fn module_frame(devices: &[u64], ends: [u32; 2]) -> Vec<u8> {
+        let mut w = Writer::with_tag(TAG_MODULE);
+        w.put_u32(devices.len() as u32);
+        for device in devices {
+            w.put_raw(&device.to_le_bytes());
+        }
+        for index in ends {
+            w.put_u8(1);
+            w.put_u32(1);
+            w.put_u32(index);
+        }
+        w.put_u32(7);
+        w.put_u8(0);
+        w.put_bytes(&[]);
+        w.finish()
+    }
+
+    /// A frame lists each device an envelope end names once, in the order
+    /// the ends first name them, and the reader refuses any other list.
+    #[test]
+    fn a_frame_lists_each_device_once_in_first_use_order() {
+        for (devices, ends) in [(&[1, 2][..], [0, 1]), (&[2, 1], [0, 1]), (&[1], [0, 0])] {
+            let bytes = module_frame(devices, ends);
+            let msg = WireMessage::decode(&bytes).expect("the one form decodes");
+            assert_eq!(msg.encode(), bytes);
+        }
+        let refused: [(&str, &[u64], [u32; 2]); 5] = [
+            ("a device listed twice", &[1, 1], [0, 1]),
+            ("a device no end names", &[1, 2], [0, 0]),
+            ("an index past the list", &[1], [0, 1]),
+            (
+                "a device named before the one listed first",
+                &[1, 2],
+                [1, 0],
+            ),
+            ("no list at all", &[], [0, 0]),
+        ];
+        for (name, devices, ends) in refused {
+            let bytes = module_frame(devices, ends);
+            assert_eq!(WireMessage::decode(&bytes), None, "{name}");
         }
     }
 

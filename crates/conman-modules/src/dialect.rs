@@ -9,7 +9,7 @@
 //! refused with [`ModuleError::UndecodableBody`]; nothing is read with a
 //! default.
 
-use conman_core::ids::ModuleRef;
+use conman_core::ids::{ModuleRef, PipeId};
 use conman_core::module::ModuleError;
 use conman_core::primitives::{EnvelopeKind, ModuleEnvelope};
 use mgmt_channel::codec::{Reader, Writer};
@@ -27,12 +27,14 @@ pub(crate) trait Dialect: Sized {
     /// How the NM accounts for the message (Table VI).
     fn kind(&self) -> EnvelopeKind;
 
-    /// The one place a module builds an envelope: the kind comes from the
-    /// message, the body is its encoding.
-    fn envelope(&self, from: &ModuleRef, to: ModuleRef) -> ModuleEnvelope {
+    /// The one place a module builds an envelope: to `pipe` of `to`, the
+    /// far end its own pipe's spec names; the kind comes from the message,
+    /// the body is its encoding.
+    fn envelope(&self, from: &ModuleRef, to: ModuleRef, pipe: PipeId) -> ModuleEnvelope {
         ModuleEnvelope {
             from: from.clone(),
             to,
+            pipe,
             kind: self.kind(),
             body: self.encode(),
         }

@@ -3,96 +3,92 @@
 //! IP, GRE, MPLS and VLAN each agree something with the module at the far
 //! end of a pipe (an address, a key set, a label pair, a VLAN id) by one
 //! exchange: the side that initiates owes its peer the opening message,
-//! the other side answers it.  Exactly one side of a pipe pair initiates,
-//! and several goals' pipes can share one peer, in either direction, so an
-//! incoming message is paired with a pipe by who opened it:
+//! the other side answers it.  Several goals' pipes can share one peer, in
+//! either direction, so every message names the pipe it is for
+//! ([`ModuleEnvelope::pipe`]): the NM numbers both ends of a pipe pair in
+//! one script, and each end's spec names the other
+//! ([`PipeSpec::peer_pipe`]).  A message pairs with the pipe it names when
+//! that pipe still waits, exchanges with the sender, and is opened by this
+//! side exactly when the message is an answer.  Anything else (a
+//! duplicate, a stranger, a message of the wrong role or for a pipe that
+//! does not wait) pairs with nothing and changes nothing.  Pairing is a
+//! lookup, so it does not depend on the order messages arrive in.
 //!
-//! * an opening pairs with the lowest waiting pipe of that peer which this
-//!   side does not initiate;
-//! * an answer pairs with the lowest waiting pipe of that peer which this
-//!   side does initiate;
-//! * anything else (a duplicate, a stranger, a message no pipe waits for)
-//!   pairs with nothing and changes nothing.
-//!
-//! Each direction is opened and answered in ascending pipe, i.e.
-//! goal-block, order on both sides, so the k-th opening meets the k-th
-//! waiting pipe and the two directions never take each other's messages.
 //! [`Exchanges`] holds that rule and the state it reads; each module keeps
 //! only what the exchange carries.
+//!
+//! [`ModuleEnvelope::pipe`]: conman_core::primitives::ModuleEnvelope::pipe
+//! [`PipeSpec::peer_pipe`]: conman_core::primitives::PipeSpec::peer_pipe
 
 use conman_core::ids::{ModuleRef, PipeId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One exchanging pipe: whom it exchanges with and who opens.
+/// One exchanging pipe: its far end, who opens, and whether it still waits.
 struct Entry {
-    /// The peer, by its index in [`Exchanges::peers`].
-    peer: usize,
+    peer: ModuleRef,
+    /// The far end's pipe, which every message to `peer` names.
+    peer_pipe: PipeId,
     /// Whether this side sends the opening message.
     initiates: bool,
+    /// Whether no message of the peer has paired with the pipe yet.
+    waiting: bool,
 }
 
-/// A module's exchanging pipes.  How far a pipe's exchange got is where it
-/// is listed: in `waiting` until a message of its peer pairs with it, in
-/// `owed` until its opening message goes out.  Both are indexes, so
-/// neither `handle_envelope` nor `poll` scans the pipes: hundreds of
-/// concurrent goals can share one peer.
+/// A module's exchanging pipes, by id.  The pipes that still owe their
+/// opening message are also an index, so `poll` does not scan the pipes:
+/// hundreds of concurrent goals can share one peer.
 #[derive(Default)]
 pub(crate) struct Exchanges {
-    /// Every peer a pipe was ever listed with, kept for good.  A module has
-    /// a few peers and can have thousands of pipes, so an entry names its
-    /// peer by index and a peer is found by a scan.
-    peers: Vec<ModuleRef>,
     entries: BTreeMap<PipeId, Entry>,
-    /// The waiting pipes, keyed by their peer and whether this side
-    /// initiates.
-    waiting: BTreeMap<(usize, bool), BTreeSet<PipeId>>,
-    /// The pipes that still owe the opening message, each with its peer.
-    owed: BTreeMap<PipeId, usize>,
+    owed: BTreeSet<PipeId>,
 }
 
 impl Exchanges {
-    /// List `pipe`, which exchanges with `peer`: waiting, and owing the
-    /// opening message when this side `initiates`.
-    pub(crate) fn add(&mut self, pipe: PipeId, peer: ModuleRef, initiates: bool) {
-        let peer = self.peer(&peer).unwrap_or_else(|| {
-            self.peers.push(peer);
-            self.peers.len() - 1
-        });
-        self.waiting
-            .entry((peer, initiates))
-            .or_default()
-            .insert(pipe);
+    /// List `pipe`, which exchanges with `peer`'s `peer_pipe`: waiting, and
+    /// owing the opening message when this side `initiates`.
+    pub(crate) fn add(
+        &mut self,
+        pipe: PipeId,
+        peer: ModuleRef,
+        peer_pipe: PipeId,
+        initiates: bool,
+    ) {
         if initiates {
-            self.owed.insert(pipe, peer);
+            self.owed.insert(pipe);
         }
-        self.entries.insert(pipe, Entry { peer, initiates });
+        let entry = Entry {
+            peer,
+            peer_pipe,
+            initiates,
+            waiting: true,
+        };
+        self.entries.insert(pipe, entry);
     }
 
     /// Forget `pipe`, wherever its exchange stands.
     pub(crate) fn remove(&mut self, pipe: PipeId) {
-        let Some(entry) = self.entries.remove(&pipe) else {
-            return;
-        };
+        self.entries.remove(&pipe);
         self.owed.remove(&pipe);
-        self.unwait((entry.peer, entry.initiates), pipe);
     }
 
-    /// The pipe a message from `peer` belongs to, no longer waiting from
-    /// here on: the lowest waiting pipe of `peer` that this side does not
-    /// initiate when the message is an `opening`, the lowest one it does
-    /// initiate when it is an answer.  `None` when no such pipe waits, and
-    /// then nothing changes.
-    pub(crate) fn pair(&mut self, peer: &ModuleRef, opening: bool) -> Option<PipeId> {
-        let key = (self.peer(peer)?, !opening);
-        let pipe = *self.waiting.get(&key)?.first()?;
-        self.unwait(key, pipe);
-        Some(pipe)
+    /// Pair a message from `from` for `pipe`, an `opening` or an answer:
+    /// `pipe` stops waiting, and the far end's pipe, which an answer names,
+    /// is returned.  `None` when `pipe` does not wait for such a message
+    /// from `from`, and then nothing changes.
+    pub(crate) fn pair(&mut self, from: &ModuleRef, pipe: PipeId, opening: bool) -> Option<PipeId> {
+        let entry = (self.entries.get_mut(&pipe))
+            .filter(|e| e.waiting && e.initiates != opening && e.peer == *from)?;
+        entry.waiting = false;
+        Some(entry.peer_pipe)
     }
 
     /// The pipes that still owe the opening message, ascending, each with
-    /// the peer it goes to.
-    pub(crate) fn owed(&self) -> impl Iterator<Item = (PipeId, &ModuleRef)> + '_ {
-        (self.owed.iter()).map(|(pipe, peer)| (*pipe, &self.peers[*peer]))
+    /// its peer and the peer's pipe the message names.
+    pub(crate) fn owed(&self) -> impl Iterator<Item = (PipeId, &ModuleRef, PipeId)> + '_ {
+        (self.owed.iter()).map(|pipe| {
+            let entry = &self.entries[pipe];
+            (*pipe, &entry.peer, entry.peer_pipe)
+        })
     }
 
     /// `pipe`'s opening message went out.
@@ -111,39 +107,28 @@ impl Exchanges {
     pub(crate) fn answers_only(&self) -> bool {
         !self.entries.is_empty() && self.entries.values().all(|entry| !entry.initiates)
     }
-
-    /// `peer`'s index in [`Self::peers`], if a pipe was ever listed with it.
-    fn peer(&self, peer: &ModuleRef) -> Option<usize> {
-        self.peers.iter().position(|known| known == peer)
-    }
-
-    fn unwait(&mut self, key: (usize, bool), pipe: PipeId) {
-        if let Some(pipes) = self.waiting.get_mut(&key) {
-            pipes.remove(&pipe);
-            if pipes.is_empty() {
-                self.waiting.remove(&key);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 impl Exchanges {
-    /// Whether no pipe is listed, in the entries or in an index.
+    /// Whether no pipe is listed, in the entries or in the owed index.
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.waiting.is_empty() && self.owed.is_empty()
+        self.entries.is_empty() && self.owed.is_empty()
     }
 
     /// The waiting pipes, ascending.
     pub(crate) fn waiting(&self) -> BTreeSet<PipeId> {
-        self.waiting.values().flatten().copied().collect()
+        (self.entries.iter())
+            .filter(|(_, entry)| entry.waiting)
+            .map(|(pipe, _)| *pipe)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rig::module;
+    use crate::rig::{far, module};
     use conman_core::ids::ModuleKind;
     use proptest::prelude::*;
 
@@ -151,68 +136,82 @@ mod tests {
         module(ModuleKind::Mpls, 1, device)
     }
 
-    /// Each case lists pipes as `(id, peer device, initiates)`, opens
-    /// every initiating one, then delivers messages as `(peer device,
-    /// opening)` and expects what each pairs with.
+    /// Each case lists pipes as `(id, peer device, initiates)`, each
+    /// exchanging with the peer's pipe `id + 100`, opens every initiating
+    /// one, then delivers messages as `(peer device, named pipe, opening)`
+    /// and expects the pipe each pairs with.
     #[test]
     fn a_message_pairs_with_a_waiting_pipe_or_nothing() {
         type Case = (
             &'static str,
             &'static [(u32, u64, bool)],
-            &'static [((u64, bool), Option<u32>)],
+            &'static [((u64, u32, bool), Option<u32>)],
         );
-        let cases: [Case; 5] = [
+        let cases: [Case; 7] = [
             (
-                "an opening takes the lowest pipe this side answers",
+                "an opening pairs with the pipe it names, in any order",
                 &[(3, 2, false), (4, 2, false)],
-                &[((2, true), Some(3)), ((2, true), Some(4))],
+                &[((2, 4, true), Some(4)), ((2, 3, true), Some(3))],
             ),
             (
-                "an answer takes the lowest pipe this side opened",
+                "an answer pairs with the pipe it names, in any order",
                 &[(3, 2, true), (4, 2, true)],
-                &[((2, false), Some(3)), ((2, false), Some(4))],
+                &[((2, 4, false), Some(4)), ((2, 3, false), Some(3))],
             ),
             (
                 "both directions to one peer keep apart",
                 &[(3, 2, true), (4, 2, false), (5, 2, true), (6, 2, false)],
                 &[
-                    ((2, true), Some(4)),
-                    ((2, false), Some(3)),
-                    ((2, false), Some(5)),
-                    ((2, true), Some(6)),
+                    ((2, 6, true), Some(6)),
+                    ((2, 5, false), Some(5)),
+                    ((2, 3, false), Some(3)),
+                    ((2, 4, true), Some(4)),
+                ],
+            ),
+            (
+                "a duplicate pairs with nothing while another pipe waits",
+                &[(3, 2, false), (4, 2, false)],
+                &[
+                    ((2, 3, true), Some(3)),
+                    ((2, 3, true), None),
+                    ((2, 4, true), Some(4)),
                 ],
             ),
             (
                 "a stranger pairs with nothing",
                 &[(3, 2, false), (4, 2, true)],
-                &[((7, true), None), ((7, false), None)],
+                &[((7, 3, true), None), ((7, 4, false), None)],
             ),
             (
-                "a peer with nothing waiting pairs with nothing",
+                "a message of the wrong role pairs with nothing",
                 &[(3, 2, false), (4, 2, true)],
                 &[
-                    ((2, true), Some(3)),
-                    ((2, true), None),
-                    ((2, false), Some(4)),
-                    ((2, false), None),
+                    ((2, 3, false), None),
+                    ((2, 4, true), None),
+                    ((2, 3, true), Some(3)),
                 ],
+            ),
+            (
+                "a message for a pipe not listed pairs with nothing",
+                &[(3, 2, false)],
+                &[((2, 9, true), None), ((2, 103, true), None)],
             ),
         ];
         for (name, pipes, messages) in cases {
             let mut table = Exchanges::default();
             for &(pipe, device, initiates) in pipes {
-                table.add(PipeId(pipe), peer(device), initiates);
+                table.add(PipeId(pipe), peer(device), far(pipe), initiates);
             }
-            let owed: Vec<PipeId> = table.owed().map(|(pipe, _)| pipe).collect();
+            let owed: Vec<PipeId> = table.owed().map(|(pipe, ..)| pipe).collect();
             for pipe in owed {
                 table.opened(pipe);
             }
-            for &((device, opening), expected) in messages {
+            for &((device, pipe, opening), expected) in messages {
                 let mut after = table.waiting();
-                let paired = table.pair(&peer(device), opening);
-                assert_eq!(paired, expected.map(PipeId), "{name}");
-                if let Some(pipe) = paired {
-                    after.remove(&pipe);
+                let paired = table.pair(&peer(device), PipeId(pipe), opening);
+                assert_eq!(paired, expected.map(far), "{name}");
+                if paired.is_some() {
+                    after.remove(&PipeId(pipe));
                 }
                 assert_eq!(
                     table.waiting(),
@@ -233,7 +232,7 @@ mod tests {
 
     proptest! {
         /// After every step the table agrees with a full scan of the rows:
-        /// the pipe each message pairs with, the waiting and owed indexes,
+        /// what each message pairs with, the waiting pipes, the owed index
         /// and who initiates.
         #[test]
         fn the_indexes_equal_a_full_scan(
@@ -247,7 +246,7 @@ mod tests {
                     // A module adds a pipe id once, as the agent admits it.
                     0 => {
                         rows.entry(pipe).or_insert_with(|| {
-                            table.add(pipe, peer(device), flag);
+                            table.add(pipe, peer(device), far(id), flag);
                             Row { device, initiates: flag, waiting: true, owed: flag }
                         });
                     }
@@ -257,13 +256,13 @@ mod tests {
                     }
                     // `flag` tells an opening from an answer.
                     2 => {
-                        let lowest = (rows.iter_mut())
-                            .find(|(_, r)| r.waiting && r.device == device && r.initiates != flag)
-                            .map(|(pipe, r)| {
+                        let paired = (rows.get_mut(&pipe))
+                            .filter(|r| r.waiting && r.device == device && r.initiates != flag)
+                            .map(|r| {
                                 r.waiting = false;
-                                *pipe
+                                far(id)
                             });
-                        prop_assert_eq!(table.pair(&peer(device), flag), lowest);
+                        prop_assert_eq!(table.pair(&peer(device), pipe, flag), paired);
                     }
                     _ => {
                         table.opened(pipe);
@@ -274,10 +273,15 @@ mod tests {
                 }
                 let waiting: BTreeSet<PipeId> =
                     (rows.iter()).filter(|(_, r)| r.waiting).map(|(pipe, _)| *pipe).collect();
-                let owed: Vec<(PipeId, ModuleRef)> =
-                    (rows.iter()).filter(|(_, r)| r.owed).map(|(pipe, r)| (*pipe, peer(r.device))).collect();
+                let owed: Vec<(PipeId, ModuleRef, PipeId)> = (rows.iter())
+                    .filter(|(_, r)| r.owed)
+                    .map(|(pipe, r)| (*pipe, peer(r.device), far(pipe.0)))
+                    .collect();
                 prop_assert_eq!(table.waiting(), waiting);
-                prop_assert_eq!(table.owed().map(|(pipe, p)| (pipe, p.clone())).collect::<Vec<_>>(), owed);
+                prop_assert_eq!(
+                    table.owed().map(|(pipe, p, far)| (pipe, p.clone(), far)).collect::<Vec<_>>(),
+                    owed
+                );
                 for (pipe, r) in &rows {
                     prop_assert_eq!(table.initiates(*pipe), r.initiates);
                 }

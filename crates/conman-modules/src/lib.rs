@@ -17,9 +17,10 @@
 //! negotiate with their peers is each module's own closed message type,
 //! encoded to the bytes the NM relays unread (`dialect`); a body that does
 //! not decode is refused, never read with defaults.  Which pipe such a
-//! message belongs to is decided in one place, `exchange`: an opening pairs
-//! with a waiting pipe this side does not initiate, an answer with one it
-//! does, and any other message pairs with nothing and changes nothing.
+//! message belongs to is decided in one place, `exchange`: a message names
+//! the pipe it is for and pairs with it when that pipe waits for such a
+//! message from its sender; any other message pairs with nothing and
+//! changes nothing.
 //!
 //! All of that is private: what the crate offers is [`testbed`], the
 //! complete managed networks the examples, tests, experiments and the
@@ -32,6 +33,8 @@
 #![warn(unreachable_pub)]
 
 mod builder;
+#[cfg(test)]
+mod delivery;
 mod dialect;
 mod eth;
 mod exchange;

@@ -95,9 +95,16 @@ pub(crate) fn pipe(id: u32, upper: &ModuleRef, lower: &ModuleRef) -> PipeSpec {
         lower: lower.clone(),
         peer_upper: None,
         peer_lower: None,
+        peer_pipe: None,
         tradeoffs: vec![],
         initiate: false,
     }
+}
+
+/// The far end of pipe `id` in module tests: the peer's pipe `id + 100`,
+/// which a spec with a peer names and every message to this side names.
+pub(crate) fn far(id: u32) -> PipeId {
+    PipeId(id + 100)
 }
 
 /// An unclassified switch rule of `module` between two pipes.

@@ -621,10 +621,9 @@ fn a_device_holds_one_transaction() {
     assert_clean("A device holds one transaction", &hits);
 }
 
-/// A module pairs an incoming exchange with one of its pipes by who opened
-/// it (an opening with a pipe it does not initiate, an answer with one it
-/// does), so goals crossing the same devices in opposite directions commit
-/// in one wave. run_batch's device-order partition and the batch-of-one
+/// A module pairs an incoming exchange with the pipe the message names,
+/// so goals crossing the same devices in opposite directions commit in one
+/// wave. run_batch's device-order partition and the batch-of-one
 /// fallback it fed may not come back.
 #[test]
 fn opposite_directions_share_a_wave() {
@@ -641,11 +640,17 @@ fn opposite_directions_share_a_wave() {
 }
 
 /// IP, GRE, MPLS and VLAN pair a peer's message with a pipe through one
-/// table (conman-modules/src/exchange.rs): an opening with a waiting pipe
-/// this side does not initiate, an answer with one it does, anything else
-/// with nothing. The per-module peer indexes, owed sets and the fallback to
-/// a peer's lowest pipe may not come back, nor GRE's creation-order tunnel
-/// slots: a GRE tunnel is the switch rule that names its two pipes.
+/// table (conman-modules/src/exchange.rs), by name: a message pairs with
+/// the pipe it names when that pipe waits for a message of its role from
+/// its sender, and anything else with nothing. The per-module peer
+/// indexes, owed sets and the fallback to a peer's lowest pipe may not come
+/// back, nor the table's own order-based index (waiting pipes keyed by peer
+/// and role, taken lowest first), nor GRE's creation-order tunnel slots: a
+/// GRE tunnel is the switch rule that names its two pipes. The behavioural
+/// test is conman-modules' `delivery.rs`,
+/// `every_delivery_order_pairs_each_pipe_with_its_own_goal`: every delivery
+/// order of two goals each way over one peer pair, with one envelope
+/// duplicated and one dropped, for each of the four modules.
 #[test]
 fn an_exchange_pairs_with_a_waiting_pipe_or_nothing() {
     let modules = tree(&["crates/conman-modules/src"]);
@@ -678,6 +683,14 @@ fn an_exchange_pairs_with_a_waiting_pipe_or_nothing() {
     ];
     hits.extend(banned(&others, &slots));
     hits.extend(banned(&exchange, &slots));
+    let order = [
+        "fn unwait",
+        "waiting: BTreeMap<(usize, bool)",
+        "peers: Vec<ModuleRef>",
+        "fn peer(&self, peer: &ModuleRef)",
+    ];
+    hits.extend(banned(&others, &order));
+    hits.extend(banned(&exchange, &order));
     assert_clean("An exchange pairs with a waiting pipe or nothing", &hits);
 }
 

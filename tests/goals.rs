@@ -203,6 +203,8 @@ fn a_rebuilt_nm_is_refused_as_stale_and_touches_nothing() {
     let before = t.mn.show_actual(&devices);
 
     t.mn.goals = GoalStore::new();
+    let recorder = Recorder::new();
+    t.mn.set_recorder(recorder.clone());
     let id = t.mn.submit(t.vpn_goal());
     let report = t.mn.reconcile();
     let error = report.outcome(id).and_then(|o| o.error.clone());
@@ -210,6 +212,9 @@ fn a_rebuilt_nm_is_refused_as_stale_and_touches_nothing() {
         matches!(&error, Some(GoalFailure::Refused(r)) if r.cause == RefusalCause::StaleTxn),
         "{error:?}"
     );
+    // Each device on the goal's path refused the stage, and each refusal
+    // is counted.
+    assert_eq!(recorder.counter("txn.stale_refused"), 3);
     assert_eq!(t.mn.show_actual(&devices), before);
     assert_eq!(t.mn.audit(), old_components);
 }
@@ -979,6 +984,7 @@ fn a_goal_refused_at_stage_mid_batch_is_sent_no_commit() {
         lower: gre,
         peer_upper: None,
         peer_lower: None,
+        peer_pipe: None,
         tradeoffs: vec![],
         initiate: false,
     };
@@ -1024,9 +1030,8 @@ fn delivers_both_ways(t: &mut Chain) -> bool {
 
 /// Goals crossing the same devices in opposite directions share one commit
 /// wave.  Their exchanges run between the same modules in both directions
-/// at once, and each module tells them apart by who opened them: an
-/// opening pairs with a pipe this side does not initiate, an answer with
-/// one it does.  Every technology the three-router chain offers carries
+/// at once, and each module tells them apart by the pipe each message
+/// names.  Every technology the three-router chain offers carries
 /// both goals together, and either goal alone once the other is torn down.
 #[test]
 fn opposite_direction_goals_share_one_wave() {
@@ -1488,6 +1493,7 @@ fn a_gateway_that_does_not_parse_fails_its_goal() {
         lower: eth,
         peer_upper: None,
         peer_lower: None,
+        peer_pipe: None,
         tradeoffs: vec![],
         initiate: false,
     };

@@ -441,6 +441,7 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
             lower: mref(ModuleKind::App("HTTP".into()), 2, 1),
             peer_upper: Some(mref(ModuleKind::Gre, 1, 3)),
             peer_lower: None,
+            peer_pipe: Some(PipeId(300)),
             tradeoffs: vec![TradeoffChoice::InOrderDelivery, TradeoffChoice::LowDelay],
             initiate: true,
         }),
@@ -471,6 +472,7 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
     let env = ModuleEnvelope {
         from: mref(ModuleKind::Mpls, 3, 1),
         to: mref(ModuleKind::Mpls, 3, 2),
+        pipe: PipeId(300),
         kind: EnvelopeKind::FieldResponse,
         body: vec![0x00, 0x7B, 0x80, 0xFF],
     };

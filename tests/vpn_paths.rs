@@ -269,3 +269,86 @@ fn ten_router_ipip_goal_stages_in_under_3000_bytes() {
         .sum();
     assert!(staged <= 3_000, "{staged} B staged for one goal");
 }
+
+/// The NM names both ends of every exchange: a pipe spec that names a far
+/// pipe `q` on its peers' device finds there the spec of `q`, which names
+/// it back, with the near pipe's modules as its peers.  Every spec with a
+/// peer names a far pipe.  Checked on every path the NM finds for the
+/// Figure 4 chain (GRE-IP, MPLS, IP-IP and the six over MPLS), the 2×3
+/// mesh and the three-switch VLAN chain.
+#[test]
+fn every_named_far_pipe_names_its_pipe_back() {
+    use conman::core::ids::PipeId;
+    use conman::core::nm::{ConnectivityGoal, NetworkManager};
+    use conman::core::primitives::{PipeSpec, Primitive};
+    use conman::netsim::device::DeviceId;
+    use conman_modules::{managed_mesh_fanout, managed_vlan_chain};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn check(nm: &NetworkManager, goal: &ConnectivityGoal, labels: &mut BTreeSet<String>) {
+        for path in nm.find_paths(goal) {
+            let label = path.technology_label();
+            let scripts = nm.generate_scripts(&path, goal);
+            let specs: BTreeMap<(DeviceId, PipeId), &PipeSpec> = (scripts.scripts.iter())
+                .flat_map(|ds| ds.primitives.iter().map(move |p| (ds.device, p)))
+                .filter_map(|(device, p)| match p {
+                    Primitive::CreatePipe(spec) => Some(((device, spec.pipe), spec)),
+                    _ => None,
+                })
+                .collect();
+            let mut named = 0;
+            for (&(device, pipe), spec) in &specs {
+                let peer = spec.peer_lower.as_ref().or(spec.peer_upper.as_ref());
+                let Some(peer) = peer else {
+                    assert_eq!(spec.peer_pipe, None, "{label}: {pipe} has no peer");
+                    continue;
+                };
+                let far = spec
+                    .peer_pipe
+                    .unwrap_or_else(|| panic!("{label}: {pipe} names none"));
+                let back = specs.get(&(peer.device, far));
+                let back = back.unwrap_or_else(|| panic!("{label}: {pipe} names {far}, not made"));
+                assert_eq!(
+                    back.peer_pipe,
+                    Some(pipe),
+                    "{label}: {far} names {pipe} back"
+                );
+                let near = (Some(&spec.upper), Some(&spec.lower));
+                let theirs = (back.peer_upper.as_ref(), back.peer_lower.as_ref());
+                assert_eq!(
+                    theirs, near,
+                    "{label}: {far} on {} peers {pipe}",
+                    peer.device
+                );
+                assert_ne!(
+                    peer.device, device,
+                    "{label}: {pipe}'s peer is on its own device"
+                );
+                named += 1;
+            }
+            assert!(named >= 2, "{label}: {named} named pipes");
+            labels.insert(label);
+        }
+    }
+
+    let mut labels = BTreeSet::new();
+    let mut chain = managed_chain(3);
+    chain.discover();
+    check(&chain.mn.nm, &chain.vpn_goal(), &mut labels);
+    for label in [
+        "GRE-IP",
+        "MPLS",
+        "IP-IP",
+        "GRE-IP over MPLS",
+        "IP-IP over MPLS",
+    ] {
+        assert!(labels.contains(label), "{label} in {labels:?}");
+    }
+    let mut mesh = managed_mesh_fanout(3, 1);
+    mesh.discover();
+    check(&mesh.mn.nm, &mesh.vpn_goal(), &mut labels);
+    let mut vlan = managed_vlan_chain(3);
+    vlan.discover();
+    check(&vlan.mn.nm, &vlan.vlan_goal(), &mut labels);
+    assert!(labels.iter().any(|l| l.contains("VLAN")), "{labels:?}");
+}
