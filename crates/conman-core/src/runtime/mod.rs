@@ -292,14 +292,24 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
         self.run_management();
         // Drain the report buffer: matched reports become this poll's
-        // result, anything older is stale (its poller already returned) and
-        // would otherwise accumulate for the lifetime of the network.
+        // result, anything else is stale (its poller already returned, or
+        // no poll asked for it) and would otherwise accumulate for the
+        // lifetime of the network.  Stale ones are counted under
+        // `mgmt.stale_reports`, so none is dropped unseen.
         let requests = first_request..=self.next_request;
-        self.counter_reports
-            .drain(..)
-            .filter(|(_, request, _)| requests.contains(request))
-            .map(|(device, _, report)| (device, report))
-            .collect()
+        let mut reports = BTreeMap::new();
+        let mut stale = 0;
+        for (device, request, report) in self.counter_reports.drain(..) {
+            if requests.contains(&request) {
+                reports.insert(device, report);
+            } else {
+                stale += 1;
+            }
+        }
+        if stale > 0 {
+            self.recorder.inc("mgmt.stale_reports", stale);
+        }
+        reports
     }
 
     /// Execute a specific path fire-and-forget: one `Script` per device, no
@@ -837,6 +847,37 @@ mod tests {
         assert!(mn.counter_reports.is_empty());
     }
 
+    /// A `CounterReport` that answers no request of the current poll is
+    /// dropped from the result and counted under `mgmt.stale_reports`.
+    #[test]
+    fn a_report_for_no_current_poll_is_dropped_and_counted() {
+        let mut net = Network::new();
+        let nm_host = net.add_device(Device::new("NM", DeviceRole::Router, 1));
+        let d = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
+        let mut mn = ManagedNetwork::new(net, nm_host, OutOfBandChannel::new());
+        mn.add_agent(ManagementAgent::new(nm_host, "NM"));
+        mn.add_agent(ManagementAgent::new(d, "RouterA"));
+        let recorder = Recorder::new();
+        mn.set_recorder(recorder.clone());
+
+        let reports = mn.poll_counters(&[d], &[7]);
+        assert_eq!(reports.keys().copied().collect::<Vec<_>>(), [d]);
+        assert_eq!(recorder.counter("mgmt.stale_reports"), 0);
+
+        // Request 0 is no poll's: the NM numbers its requests from 1.
+        let planted = WireMessage::CounterReport {
+            request: 0,
+            snapshots: vec![],
+            flows: vec![],
+        };
+        let m = MgmtMessage::new(d, nm_host, MessageCategory::Telemetry, planted.encode());
+        mn.channel.send(&mut mn.net, m);
+        let reports = mn.poll_counters(&[d], &[7]);
+        assert_eq!(reports.keys().copied().collect::<Vec<_>>(), [d]);
+        assert_eq!(recorder.counter("mgmt.stale_reports"), 1);
+        assert!(mn.counter_reports.is_empty());
+    }
+
     /// A module that answers every envelope with another one, so a pair of
     /// them never lets the management plane go quiet.
     struct PingPong {
@@ -918,18 +959,19 @@ mod tests {
 
         // A binary StageBatch cut short inside its segment fails the
         // agent's in-place framing check, and so does one whose segment
-        // count claims four billion segments in a 13-byte frame; plain text
+        // count claims four billion segments in a 14-byte frame; plain text
         // opens with no frame's tag.
         let script: [Primitive; 1] = [Primitive::ShowPotential];
         let mut truncated = wire::encode_stage_batch(7, &[(1, &script)]);
         truncated.truncate(truncated.len() - 1);
         assert!(wire::is_stage_batch(&truncated));
-        // A txn id of 2^48 takes seven varint bytes and a count of 2^32 - 1
-        // five, so the frame is 13 bytes.
+        // The tag and the empty device list take a byte each, a txn id of
+        // 2^48 seven varint bytes and a count of 2^32 - 1 five, so the
+        // frame is 14 bytes.
         let mut lying_count = wire::encode_stage_batch(1 << 48, &[]);
         assert_eq!(lying_count.pop(), Some(0), "the segment count");
         lying_count.extend([0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
-        assert_eq!(lying_count.len(), 13);
+        assert_eq!(lying_count.len(), 14);
         for payload in [truncated, lying_count, b"not a conman message".to_vec()] {
             let m = MgmtMessage::new(d1, d2, MessageCategory::Command, payload);
             mn.channel.send(&mut mn.net, m);

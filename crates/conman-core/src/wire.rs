@@ -20,24 +20,29 @@
 //! opt X        presence byte 0 | 1, then X when it is 1
 //! (A, B)       A then B; a struct is its fields in declaration order
 //! enum         variant byte (as listed in `enums!`; a retired one is not reused), fields
-//! ids          pipe, module, port and link u32 varint; device 8 raw bytes,
-//!              little-endian (a name hash, not a count)
+//! ids          pipe, module, port and link u32 varint; device u32 varint, the
+//!              device's index in the frame's device list
+//! devices      varint count, then each device id as 8 raw bytes, little-endian
+//!              (a name hash, not a count): every device the frame names, once,
+//!              in the order the frame first names it
 //! module       kind (0-4 ETH IP GRE MPLS VLAN | 5 App + str), u32 module, device
 //! ```
 //!
-//! The thirteen frames, after the tag:
+//! Every frame is its tag, its device list, then its fields; the thirteen
+//! frames' fields:
 //!
 //! ```text
-//! 0x81 StageBatch        u64 txn, list (u64 goal, bytes block); block = list primitive
+//! 0x81 StageBatch        u64 txn, list (u64 goal, bytes block, u32 window);
+//!                        block = list primitive
 //! 0x82 StageBatchResult  u64 txn, list (u64 goal, list refusal)
 //! 0x83 CommitBatch       u64 txn, list u64 goal
 //! 0x84 CommitBatchResult u64 txn, list (u64 goal, list outcome)
 //! 0x85 AbortBatch        u64 txn, list u64 goal
-//! 0x86 RelayBatch        list device, list envelope
+//! 0x86 RelayBatch        list envelope
 //! 0x87 Announce          device, str name, list (u32 port, device, u32 port)
 //! 0x88 Script            u64 request, list primitive
 //! 0x89 ScriptResult      u64 request, list outcome
-//! 0x8A Module            list device, envelope
+//! 0x8A Module            envelope
 //! 0x8B Notify            module, notice
 //! 0x8C PollCounters      u64 request, list u64 tag
 //! 0x8D CounterReport     u64 request, list (module, list (drop reason, u64)),
@@ -55,10 +60,8 @@
 //!             | 4 create filter: module, from, to
 //!             | 5 delete: component
 //! component   0 u32 pipe | 1 module, u32 in, u32 out | 2 module, from, to
-//! envelope    end from, end to, u32 pipe (the receiver's), kind (0 convey | 1 field
-//!             query | 2 field response), bytes body
-//! end         module kind, u32 module, u32 index of its device in the frame's device
-//!             list; the list holds each device an end names once, in first-use order
+//! envelope    module from, module to, u32 pipe (the receiver's), kind (0 convey
+//!             | 1 field query | 2 field response), bytes body
 //! outcome     0 result | 1 refusal
 //! result      0 list abstraction | 1 list (module, actual) | 2 u32 pipe created | 3 done
 //! actual      list u32 pipe, list (u32, u32) switch rule, list (module, module) filter
@@ -79,16 +82,30 @@
 //! dependency  str id, str description
 //! ```
 //!
+//! A frame names a device by its index in the list, so a device's eight
+//! bytes travel once however many module refs name it: a segment sent to a
+//! device names that device in nearly every primitive.  The reader keeps
+//! one byte form per frame: it refuses a device listed twice, a listed
+//! device that nothing names, an index past the list, and an index that
+//! skips a device not named yet (the list is in first-use order).
+//!
 //! The `StageBatch` frame length-prefixes every goal segment, so the
 //! receiving agent can walk borrowed segment slices and validate primitives
 //! *as they decode* ([`StageBatchView`]) instead of materialising the whole
-//! message first.  The encoder frames each segment in place: it reserves
-//! one byte for the length, writes the block after it and shifts the block
-//! once when the length needs more than that byte.  [`WireMessage::decode`] collects its segments from the
-//! same [`SegmentView`] and [`SegmentView::primitives`], so the frame has
-//! one reader.  A pipe carries no names at all and a transit switch rule
-//! three absent options: the only strings in a generated segment are the
-//! class, gateway and local prefix of a goal's two edge-IP rules.
+//! message first.  So that a segment still decodes, and fails, on its own,
+//! each segment states after its block its *window*: how many devices it
+//! names first.  The windows follow each other through the list, and
+//! [`StageBatchView::parse`] refuses a frame whose windows do not add up
+//! to the list.  A segment may name any device of the windows before its
+//! own, and must name its own window's devices in order, every one of them.
+//! The encoder frames each segment in place: it reserves one byte for the
+//! length, writes the block after it and shifts the block once when the
+//! length needs more than that byte.  [`WireMessage::decode`] collects its
+//! segments from the same [`SegmentView`] and [`SegmentView::primitives`],
+//! so the frame has one reader.  A pipe carries no names at all and a
+//! transit switch rule three absent options: the only strings in a
+//! generated segment are the class, gateway and local prefix of a goal's
+//! two edge-IP rules.
 
 use crate::abstraction::{
     CounterSnapshot, Dependency, FilterCapability, FilterClassifier, ModuleAbstraction,
@@ -147,17 +164,17 @@ pub(crate) fn is_batch_txn_message(msg: &WireMessage) -> bool {
 impl WireMessage {
     /// Encode as the message's frame (see the [module docs](self)).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        self.put(&mut w);
+        let mut w = FrameWriter::default();
+        self.put_frame(&mut w);
         w.finish()
     }
 
     /// Decode one frame.  `None` for an unknown tag, a truncated or corrupt
     /// frame, or one with bytes left over.
     pub fn decode(bytes: &[u8]) -> Option<WireMessage> {
-        let mut r = Reader::new(bytes);
-        let msg = WireMessage::read(&mut r)?;
-        r.is_exhausted().then_some(msg)
+        let (tag, mut r) = FrameReader::open(bytes)?;
+        let msg = WireMessage::read_frame(tag, &mut r)?;
+        r.is_done().then_some(msg)
     }
 }
 
@@ -166,7 +183,8 @@ impl WireMessage {
 /// [`ScriptSegment`] clones entirely.  The same frame as
 /// [`WireMessage::encode`] of the owned message.
 pub fn encode_stage_batch(txn: u64, segments: &[(u64, &[Primitive])]) -> Vec<u8> {
-    let mut w = Writer::with_tag(TAG_STAGE_BATCH);
+    let mut w = FrameWriter::default();
+    w.put_u8(TAG_STAGE_BATCH);
     txn.put(&mut w);
     w.put_u32(segments.len() as u32);
     for (goal, primitives) in segments {
@@ -175,24 +193,29 @@ pub fn encode_stage_batch(txn: u64, segments: &[(u64, &[Primitive])]) -> Vec<u8>
     w.finish()
 }
 
-/// One `StageBatch` segment: its goal id and a length-prefixed primitive
-/// block the agent can validate in place, framed where it is written.
-fn put_segment(w: &mut Writer, goal: u64, primitives: &[Primitive]) {
+/// One `StageBatch` segment: its goal id, a length-prefixed primitive block
+/// the agent can validate in place, framed where it is written, and its
+/// window, the number of devices the block names first.
+fn put_segment(w: &mut FrameWriter, goal: u64, primitives: &[Primitive]) {
     goal.put(w);
+    let named = w.devices.len();
     let start = w.begin_bytes();
     Primitive::put_list(primitives, w);
     w.end_bytes(start);
+    let window = w.devices.len() - named;
+    w.put_u32(window as u32);
 }
 
 impl Field for ScriptSegment {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         put_segment(w, self.goal, &self.primitives);
     }
     // Through the same view the agent stages from, so the two agree.
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         let view = SegmentView::read(r)?;
         let stream = view.stream();
-        let mut primitives = Vec::with_capacity(presize(&stream.r, stream.remaining));
+        let capacity = (stream.r.as_ref()).map_or(0, |r| presize(r, stream.remaining));
+        let mut primitives = Vec::with_capacity(capacity);
         for p in stream {
             primitives.push(p.ok()?);
         }
@@ -216,13 +239,15 @@ pub struct StageBatchView<'a> {
 }
 
 impl<'a> StageBatchView<'a> {
-    /// Parse the framing of a `StageBatch` frame.  Segment *contents* are
-    /// not decoded here — only the length-prefixed slices are located — so
-    /// a corrupt primitive surfaces later, from the segment's own stream, as
-    /// a per-segment error rather than a dropped message.
+    /// Parse the framing of a `StageBatch` frame: its device list and each
+    /// segment's goal, block and window, the windows adding up to the list.
+    /// Segment *contents* are not decoded here — only the length-prefixed
+    /// slices are located — so a corrupt primitive surfaces later, from the
+    /// segment's own stream, as a per-segment error rather than a dropped
+    /// message.
     pub fn parse(payload: &'a [u8]) -> Option<Self> {
-        let mut r = Reader::new(payload);
-        if r.u8()? != TAG_STAGE_BATCH {
+        let (tag, mut r) = FrameReader::open(payload)?;
+        if tag != TAG_STAGE_BATCH {
             return None;
         }
         let txn = r.u64()?;
@@ -231,10 +256,7 @@ impl<'a> StageBatchView<'a> {
         for _ in 0..n {
             segments.push(SegmentView::read(&mut r)?);
         }
-        if !r.is_exhausted() {
-            return None;
-        }
-        Some(StageBatchView { txn, segments })
+        r.is_done().then_some(StageBatchView { txn, segments })
     }
 
     /// Iterate the segments as borrowed views.
@@ -243,13 +265,19 @@ impl<'a> StageBatchView<'a> {
     }
 }
 
-/// One goal's segment inside a [`StageBatchView`]: the goal id and the
-/// still-encoded primitive block.
+/// One goal's segment inside a [`StageBatchView`]: the goal id, the
+/// still-encoded primitive block and the devices it may name.
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentView<'a> {
     /// The owning goal (`GoalId.0`).
     pub goal: u64,
-    bytes: &'a [u8],
+    block: &'a [u8],
+    /// The frame's device list.
+    devices: &'a [u8],
+    /// The segment's window: the list's devices `first..end` are the ones
+    /// it names first.
+    first: usize,
+    end: usize,
 }
 
 /// Error yielded by [`SegmentView::primitives`] when a segment's primitive
@@ -259,12 +287,25 @@ pub struct SegmentView<'a> {
 pub struct MalformedSegment;
 
 impl<'a> SegmentView<'a> {
-    /// Read one segment's framing, leaving its block encoded: the one
-    /// segment reader, behind [`StageBatchView::parse`] and the decoder.
-    fn read(r: &mut Reader<'a>) -> Option<Self> {
+    /// Read one segment's framing, leaving its block encoded, and open its
+    /// window where the last one closed: the one segment reader, behind
+    /// [`StageBatchView::parse`] and the decoder.
+    fn read(r: &mut FrameReader<'a>) -> Option<Self> {
         let goal = r.u64()?;
-        let bytes = r.bytes()?;
-        Some(SegmentView { goal, bytes })
+        let block = r.bytes()?;
+        let first = r.named;
+        let end = first.checked_add(r.u32()? as usize)?;
+        if end > r.open {
+            return None;
+        }
+        r.named = end;
+        Some(SegmentView {
+            goal,
+            block,
+            devices: r.devices,
+            first,
+            end,
+        })
     }
 
     /// Stream the segment's primitives, decoding each one lazily from the
@@ -274,10 +315,15 @@ impl<'a> SegmentView<'a> {
     }
 
     fn stream(&self) -> PrimitiveStream<'a> {
-        let mut r = Reader::new(self.bytes);
+        let mut r = FrameReader {
+            r: Reader::new(self.block),
+            devices: self.devices,
+            named: self.first,
+            open: self.end,
+        };
         let remaining = r.u32();
         PrimitiveStream {
-            r,
+            r: Some(r),
             remaining: remaining.unwrap_or(0),
             // A block too short to carry its own count is malformed from
             // the first pull.
@@ -287,7 +333,8 @@ impl<'a> SegmentView<'a> {
 }
 
 struct PrimitiveStream<'a> {
-    r: Reader<'a>,
+    /// `None` once the stream has ended.
+    r: Option<FrameReader<'a>>,
     remaining: u32,
     poisoned: bool,
 }
@@ -296,28 +343,152 @@ impl Iterator for PrimitiveStream<'_> {
     type Item = Result<Primitive, MalformedSegment>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.poisoned {
-            self.poisoned = false;
-            return Some(Err(MalformedSegment));
-        }
-        if self.remaining == 0 {
+        let r = self.r.as_mut()?;
+        if self.poisoned || self.remaining == 0 {
             // Strictness: trailing bytes after the declared count are as
-            // corrupt as missing ones.
-            if !self.r.is_exhausted() {
-                self.r = Reader::new(&[]);
-                return Some(Err(MalformedSegment));
-            }
-            return None;
+            // corrupt as missing ones, and a window device left unnamed as
+            // a device named out of order.
+            let done = !self.poisoned && r.is_done();
+            self.r = None;
+            return (!done).then_some(Err(MalformedSegment));
         }
         self.remaining -= 1;
-        match Primitive::read(&mut self.r) {
-            Some(p) => Some(Ok(p)),
+        let primitive = Primitive::read(r);
+        if primitive.is_none() {
+            self.r = None;
+        }
+        Some(primitive.ok_or(MalformedSegment))
+    }
+}
+
+// ---- frames -------------------------------------------------------------
+
+/// A frame being written: its bytes from the tag on, and the devices they
+/// name, in the order they first named them.  [`finish`](Self::finish)
+/// puts the list between the tag and the rest.
+#[derive(Default)]
+struct FrameWriter {
+    w: Writer,
+    devices: Vec<DeviceId>,
+}
+
+impl FrameWriter {
+    /// Write `device` as its index in the frame's list, listing it when it
+    /// is new.  A frame names a few devices, so a scan finds it.
+    fn put_device(&mut self, device: DeviceId) {
+        let index = match self.devices.iter().position(|d| *d == device) {
+            Some(index) => index,
             None => {
-                self.remaining = 0;
-                self.r = Reader::new(&[]);
-                Some(Err(MalformedSegment))
+                self.devices.push(device);
+                self.devices.len() - 1
+            }
+        };
+        self.w.put_u32(index as u32);
+    }
+
+    /// The frame: the tag (the first byte written), the device list, then
+    /// everything written after the tag.
+    fn finish(self) -> Vec<u8> {
+        let mut list = Writer::default();
+        put_device_list(&mut list, &self.devices);
+        let mut bytes = self.w.finish();
+        bytes.splice(1..1, list.finish());
+        bytes
+    }
+}
+
+/// A device list: the one place a device id's raw bytes are written.
+fn put_device_list(w: &mut Writer, devices: &[DeviceId]) {
+    w.put_u32(devices.len() as u32);
+    for device in devices {
+        w.put_raw(&device.as_u64().to_le_bytes());
+    }
+}
+
+impl std::ops::Deref for FrameWriter {
+    type Target = Writer;
+    fn deref(&self) -> &Writer {
+        &self.w
+    }
+}
+
+impl std::ops::DerefMut for FrameWriter {
+    fn deref_mut(&mut self) -> &mut Writer {
+        &mut self.w
+    }
+}
+
+/// A device id is eight raw bytes in a frame's list.
+const DEVICE_LEN: usize = 8;
+
+/// A frame being read: the bytes after its device list, the list (borrowed
+/// from the payload), and how far into it the fields read so far have
+/// named.
+struct FrameReader<'a> {
+    r: Reader<'a>,
+    devices: &'a [u8],
+    /// How many of the list's devices have been named: a device not named
+    /// yet must come at this index.
+    named: usize,
+    /// Where the devices this reader may name end: the end of the list,
+    /// or of a `StageBatch` segment's window.
+    open: usize,
+}
+
+impl<'a> FrameReader<'a> {
+    /// Read a frame's tag and device list, refusing a device listed twice.
+    fn open(payload: &'a [u8]) -> Option<(u8, Self)> {
+        let mut r = Reader::new(payload);
+        let tag = r.u8()?;
+        let n = r.u32()? as usize;
+        let devices = r.raw_slice(n.checked_mul(DEVICE_LEN)?)?;
+        if n > 1 {
+            let mut sorted: Vec<&[u8]> = devices.chunks_exact(DEVICE_LEN).collect();
+            sorted.sort_unstable();
+            if sorted.windows(2).any(|pair| pair[0] == pair[1]) {
+                return None;
             }
         }
+        let r = FrameReader {
+            r,
+            devices,
+            named: 0,
+            open: n,
+        };
+        Some((tag, r))
+    }
+
+    /// Read a device's index and look it up: one named already, or the
+    /// next one of the window.
+    fn device(&mut self) -> Option<DeviceId> {
+        let index = self.r.u32()? as usize;
+        if index == self.named && index < self.open {
+            self.named += 1;
+        } else if index >= self.named {
+            return None;
+        }
+        let at = index * DEVICE_LEN;
+        let bytes = self.devices[at..at + DEVICE_LEN].try_into().ok()?;
+        Some(DeviceId::from_raw(u64::from_le_bytes(bytes)))
+    }
+
+    /// Whether every byte is read and every device this reader may name
+    /// was named.
+    fn is_done(&self) -> bool {
+        self.r.is_exhausted() && self.named == self.open
+    }
+}
+
+impl<'a> std::ops::Deref for FrameReader<'a> {
+    type Target = Reader<'a>;
+    fn deref(&self) -> &Reader<'a> {
+        &self.r
+    }
+}
+
+impl std::ops::DerefMut for FrameReader<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.r
     }
 }
 
@@ -327,18 +498,18 @@ impl Iterator for PrimitiveStream<'_> {
 /// module docs).  `read` returns `None`, never panics, on anything short or
 /// out of range.
 trait Field: Sized {
-    fn put(&self, w: &mut Writer);
-    fn read(r: &mut Reader<'_>) -> Option<Self>;
+    fn put(&self, w: &mut FrameWriter);
+    fn read(r: &mut FrameReader<'_>) -> Option<Self>;
 
     /// A list of this type: its count, then each item.  A type whose items
     /// share what the list writes once overrides the pair.
-    fn put_list(items: &[Self], w: &mut Writer) {
+    fn put_list(items: &[Self], w: &mut FrameWriter) {
         w.put_u32(items.len() as u32);
         for item in items {
             item.put(w);
         }
     }
-    fn read_list(r: &mut Reader<'_>) -> Option<Vec<Self>> {
+    fn read_list(r: &mut FrameReader<'_>) -> Option<Vec<Self>> {
         let n = r.u32()?;
         let mut items = Vec::with_capacity(presize(r, n));
         for _ in 0..n {
@@ -357,61 +528,61 @@ fn presize(r: &Reader<'_>, n: u32) -> usize {
 }
 
 impl Field for bool {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         w.put_bool(*self);
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         r.bool()
     }
 }
 
 impl Field for u32 {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         w.put_u32(*self);
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         r.u32()
     }
 }
 
 impl Field for u64 {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         w.put_u64(*self);
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         r.u64()
     }
 }
 
 impl Field for usize {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         w.put_u64(*self as u64);
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         r.u64()?.try_into().ok()
     }
 }
 
 impl Field for String {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         w.put_str(self);
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         r.str().map(str::to_string)
     }
 }
 
 impl<T: Field> Field for Vec<T> {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         T::put_list(self, w);
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         T::read_list(r)
     }
 }
 
 impl<K: Field + Ord, V: Field> Field for BTreeMap<K, V> {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         w.put_u32(self.len() as u32);
         for (k, v) in self {
             k.put(w);
@@ -420,7 +591,7 @@ impl<K: Field + Ord, V: Field> Field for BTreeMap<K, V> {
     }
     // Keys strictly ascending, as `put` writes them: a map has one byte
     // form, so a duplicate or out-of-order key is as corrupt as a short read.
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         let pairs: Vec<(K, V)> = Field::read(r)?;
         let ascending = pairs.windows(2).all(|w| w[0].0 < w[1].0);
         ascending.then(|| pairs.into_iter().collect())
@@ -428,13 +599,13 @@ impl<K: Field + Ord, V: Field> Field for BTreeMap<K, V> {
 }
 
 impl<T: Field> Field for Option<T> {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         w.put_bool(self.is_some());
         if let Some(v) = self {
             v.put(w);
         }
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         match r.bool()? {
             false => Some(None),
             true => Some(Some(T::read(r)?)),
@@ -443,16 +614,16 @@ impl<T: Field> Field for Option<T> {
 }
 
 impl<T: Field> Field for Box<T> {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         (**self).put(w);
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         T::read(r).map(Box::new)
     }
 }
 
 impl<T: Field, E: Field> Field for Result<T, E> {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         match self {
             Ok(v) => {
                 w.put_u8(0);
@@ -464,7 +635,7 @@ impl<T: Field, E: Field> Field for Result<T, E> {
             }
         }
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         match r.u8()? {
             0 => Some(Ok(T::read(r)?)),
             1 => Some(Err(E::read(r)?)),
@@ -474,35 +645,50 @@ impl<T: Field, E: Field> Field for Result<T, E> {
 }
 
 impl<A: Field, B: Field> Field for (A, B) {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         self.0.put(w);
         self.1.put(w);
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         Some((A::read(r)?, B::read(r)?))
     }
 }
 
 impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut FrameWriter) {
         self.0.put(w);
         self.1.put(w);
         self.2.put(w);
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         Some((A::read(r)?, B::read(r)?, C::read(r)?))
     }
 }
 
-/// A device id is a hash of the device's name, not a count: its eight raw
-/// bytes are shorter than its varint would be.
+/// A device: its index in the frame's device list.
 impl Field for DeviceId {
-    fn put(&self, w: &mut Writer) {
-        w.put_raw(&self.as_u64().to_le_bytes());
+    fn put(&self, w: &mut FrameWriter) {
+        w.put_device(*self);
     }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
-        r.raw()
-            .map(|bytes| DeviceId::from_raw(u64::from_le_bytes(bytes)))
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
+        r.device()
+    }
+}
+
+/// A byte; a list of bytes (a module's envelope body) is one
+/// length-prefixed slice, copied as it is.
+impl Field for u8 {
+    fn put(&self, w: &mut FrameWriter) {
+        w.put_u8(*self);
+    }
+    fn read(r: &mut FrameReader<'_>) -> Option<Self> {
+        r.u8()
+    }
+    fn put_list(items: &[Self], w: &mut FrameWriter) {
+        w.put_bytes(items);
+    }
+    fn read_list(r: &mut FrameReader<'_>) -> Option<Vec<Self>> {
+        r.bytes().map(<[u8]>::to_vec)
     }
 }
 
@@ -510,10 +696,10 @@ impl Field for DeviceId {
 macro_rules! u32_ids {
     ($($ty:ident),*) => {$(
         impl Field for $ty {
-            fn put(&self, w: &mut Writer) {
+            fn put(&self, w: &mut FrameWriter) {
                 w.put_u32(self.0);
             }
-            fn read(r: &mut Reader<'_>) -> Option<Self> {
+            fn read(r: &mut FrameReader<'_>) -> Option<Self> {
                 r.u32().map($ty)
             }
         }
@@ -526,37 +712,59 @@ u32_ids!(PipeId, ModuleId, PortId, LinkId);
 /// listed beside the variant: a message's frame tag, or the index the
 /// variant was declared at (a retired variant's byte is never reused).  A
 /// variant is written the way it is matched (`Done`, `Pipe(p)`,
-/// `UndecodableBody { from, len }`), naming its fields.
+/// `UndecodableBody { from, len }`), naming its fields.  `@frames` gives
+/// [`WireMessage`] the same layout without the `Field` impl: its tag opens
+/// a frame, and the frame's device list comes between the tag and the
+/// fields.
 macro_rules! enums {
-    ($($ty:ident {
-        $($byte:tt => $variant:ident $(($($t:ident),*))? $({ $($s:ident),* })?),* $(,)?
-    })*) => {$(
-        impl Field for $ty {
-            fn put(&self, w: &mut Writer) {
-                match self {
-                    $($ty::$variant $(($($t),*))? $({ $($s),* })? => {
-                        w.put_u8($byte);
-                        $($($t.put(w);)*)?
-                        $($($s.put(w);)*)?
-                    })*
-                }
+    (@frames $ty:ident { $($variants:tt)* }) => {
+        impl $ty {
+            fn put_frame(&self, w: &mut FrameWriter) {
+                enums!(@put self, w, $ty, $($variants)*)
             }
-            fn read(r: &mut Reader<'_>) -> Option<Self> {
-                Some(match r.u8()? {
-                    $($byte => {
-                        $($(let $t = Field::read(r)?;)*)?
-                        $($(let $s = Field::read(r)?;)*)?
-                        $ty::$variant $(($($t),*))? $({ $($s),* })?
-                    })*
-                    _ => return None,
-                })
+            fn read_frame(tag: u8, r: &mut FrameReader<'_>) -> Option<Self> {
+                enums!(@read tag, r, $ty, $($variants)*)
+            }
+        }
+    };
+    (@put $v:expr, $w:ident, $ty:ident,
+        $($byte:tt => $variant:ident $(($($t:ident),*))? $({ $($s:ident),* })?),* $(,)?
+    ) => {
+        match $v {
+            $($ty::$variant $(($($t),*))? $({ $($s),* })? => {
+                $w.put_u8($byte);
+                $($($t.put($w);)*)?
+                $($($s.put($w);)*)?
+            })*
+        }
+    };
+    (@read $b:ident, $r:ident, $ty:ident,
+        $($byte:tt => $variant:ident $(($($t:ident),*))? $({ $($s:ident),* })?),* $(,)?
+    ) => {
+        Some(match $b {
+            $($byte => {
+                $($(let $t = Field::read($r)?;)*)?
+                $($(let $s = Field::read($r)?;)*)?
+                $ty::$variant $(($($t),*))? $({ $($s),* })?
+            })*
+            _ => return None,
+        })
+    };
+    ($($ty:ident { $($variants:tt)* })*) => {$(
+        impl Field for $ty {
+            fn put(&self, w: &mut FrameWriter) {
+                enums!(@put self, w, $ty, $($variants)*)
+            }
+            fn read(r: &mut FrameReader<'_>) -> Option<Self> {
+                let byte = r.u8()?;
+                enums!(@read byte, r, $ty, $($variants)*)
             }
         }
     )*};
 }
 
 enums! {
-    WireMessage {
+    @frames WireMessage {
         TAG_STAGE_BATCH => StageBatch { txn, segments },
         TAG_STAGE_BATCH_RESULT => StageBatchResult { txn, verdicts },
         TAG_COMMIT_BATCH => CommitBatch { txn, goals },
@@ -571,6 +779,9 @@ enums! {
         TAG_POLL_COUNTERS => PollCounters { request, tags },
         TAG_COUNTER_REPORT => CounterReport { request, snapshots, flows },
     }
+}
+
+enums! {
     ModuleKind { 0 => Eth, 1 => Ip, 2 => Gre, 3 => Mpls, 4 => Vlan, 5 => App(name) }
     TradeoffChoice { 0 => InOrderDelivery, 1 => LowErrorRate, 2 => LowDelay }
     EnvelopeKind { 0 => Convey, 1 => FieldQuery, 2 => FieldResponse }
@@ -625,10 +836,10 @@ enums! {
 macro_rules! structs {
     ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
         impl Field for $ty {
-            fn put(&self, w: &mut Writer) {
+            fn put(&self, w: &mut FrameWriter) {
                 $(self.$field.put(w);)*
             }
-            fn read(r: &mut Reader<'_>) -> Option<Self> {
+            fn read(r: &mut FrameReader<'_>) -> Option<Self> {
                 Some($ty { $($field: Field::read(r)?),* })
             }
         }
@@ -637,6 +848,7 @@ macro_rules! structs {
 
 structs! {
     ModuleRef { kind, module, device }
+    ModuleEnvelope { from, to, pipe, kind, body }
     ResolvedName { name, value }
     PipeSpec { pipe, upper, lower, peer_upper, peer_lower, peer_pipe, tradeoffs, initiate }
     SwitchSpec { module, in_pipe, out_pipe, dst_class, gateway, local_prefix }
@@ -660,90 +872,6 @@ structs! {
     SwitchCapability { kinds, multicast, state_source, transparent_down_down }
     PerfTradeoff { costs, improves, applies_to }
     SecurityCapability { integrity, authenticity, confidentiality, external_state }
-}
-
-/// An envelope names two modules, and a frame's envelopes share few
-/// devices: a frame lists its devices once, in first-use order, and each
-/// envelope end gives its device as an index into that list.  The reader
-/// refuses a device listed twice, a device no end uses, an index out of
-/// range and an index that skips a device not used yet, so a frame has one
-/// byte form.  The body is the sending module's own encoding, opaque to the
-/// NM (§II-D): it is copied as it is, one length-prefixed slice.  A `Module`
-/// frame is a list of one without its count.
-impl Field for ModuleEnvelope {
-    fn put(&self, w: &mut Writer) {
-        put_envelopes(w, std::slice::from_ref(self), false);
-    }
-    fn read(r: &mut Reader<'_>) -> Option<Self> {
-        read_envelopes(r, false)?.pop()
-    }
-    fn put_list(items: &[Self], w: &mut Writer) {
-        put_envelopes(w, items, true);
-    }
-    fn read_list(r: &mut Reader<'_>) -> Option<Vec<Self>> {
-        read_envelopes(r, true)
-    }
-}
-
-/// The device list, then the envelopes (counted when `list`).
-fn put_envelopes(w: &mut Writer, envelopes: &[ModuleEnvelope], list: bool) {
-    let mut devices: Vec<DeviceId> = Vec::new();
-    for end in envelopes.iter().flat_map(|env| [&env.from, &env.to]) {
-        if !devices.contains(&end.device) {
-            devices.push(end.device);
-        }
-    }
-    devices.put(w);
-    if list {
-        w.put_u32(envelopes.len() as u32);
-    }
-    for env in envelopes {
-        for end in [&env.from, &env.to] {
-            end.kind.put(w);
-            end.module.put(w);
-            let index = devices.iter().position(|d| *d == end.device);
-            w.put_u32(index.expect("every end's device is listed") as u32);
-        }
-        env.pipe.put(w);
-        env.kind.put(w);
-        w.put_bytes(&env.body);
-    }
-}
-
-/// Read what [`put_envelopes`] wrote, refusing any other form of it.
-fn read_envelopes(r: &mut Reader<'_>, list: bool) -> Option<Vec<ModuleEnvelope>> {
-    let devices: Vec<DeviceId> = Field::read(r)?;
-    let mut sorted = devices.clone();
-    sorted.sort_unstable();
-    if sorted.windows(2).any(|pair| pair[0] == pair[1]) {
-        return None;
-    }
-    let n = if list { r.u32()? } else { 1 };
-    let mut used = 0;
-    let mut end = |r: &mut Reader<'_>| -> Option<ModuleRef> {
-        let (kind, module) = (Field::read(r)?, Field::read(r)?);
-        let index = r.u32()? as usize;
-        if index > used || index >= devices.len() {
-            return None;
-        }
-        used = used.max(index + 1);
-        Some(ModuleRef {
-            kind,
-            module,
-            device: devices[index],
-        })
-    };
-    let mut envelopes = Vec::with_capacity(presize(r, n));
-    for _ in 0..n {
-        envelopes.push(ModuleEnvelope {
-            from: end(r)?,
-            to: end(r)?,
-            pipe: Field::read(r)?,
-            kind: Field::read(r)?,
-            body: r.bytes()?.to_vec(),
-        });
-    }
-    (used == devices.len()).then_some(envelopes)
 }
 
 #[cfg(test)]
@@ -1009,6 +1137,8 @@ mod tests {
             Notice::PollRoundCap,
         ];
         let mut messages = vec![
+            // The third segment names two devices of the first's window
+            // and introduces two more; the second introduces none.
             WireMessage::StageBatch {
                 txn: 7,
                 segments: vec![
@@ -1016,6 +1146,21 @@ mod tests {
                     ScriptSegment {
                         goal: 2,
                         primitives: vec![],
+                    },
+                    ScriptSegment {
+                        goal: 3,
+                        primitives: vec![
+                            Primitive::CreateFilter(FilterSpec {
+                                module: mref(ModuleKind::Ip, 1, 3),
+                                from: mref(ModuleKind::Eth, 2, 5),
+                                to: mref(ModuleKind::Eth, 3, 1),
+                            }),
+                            Primitive::Delete(ComponentRef::SwitchRule(
+                                mref(ModuleKind::Ip, 1, 4),
+                                PipeId(1),
+                                PipeId(2),
+                            )),
+                        ],
                     },
                 ],
             },
@@ -1198,14 +1343,19 @@ mod tests {
         }
     }
 
-    /// A `Module` frame from its parts: the device list, then one IP to IP
-    /// convey envelope whose ends name their devices by the indexes `ends`.
-    fn module_frame(devices: &[u64], ends: [u32; 2]) -> Vec<u8> {
-        let mut w = Writer::with_tag(TAG_MODULE);
+    /// A hand-built frame's device list.
+    fn put_devices(w: &mut Writer, devices: &[u64]) {
         w.put_u32(devices.len() as u32);
         for device in devices {
             w.put_raw(&device.to_le_bytes());
         }
+    }
+
+    /// A `Module` frame from its parts: the device list, then one IP to IP
+    /// convey envelope whose ends name their devices by the indexes `ends`.
+    fn module_frame(devices: &[u64], ends: [u32; 2]) -> Vec<u8> {
+        let mut w = Writer::with_tag(TAG_MODULE);
+        put_devices(&mut w, devices);
         for index in ends {
             w.put_u8(1);
             w.put_u32(1);
@@ -1217,18 +1367,82 @@ mod tests {
         w.finish()
     }
 
-    /// A frame lists each device an envelope end names once, in the order
-    /// the ends first name them, and the reader refuses any other list.
+    /// A primitive block that names a device by each of `indexes`, in
+    /// order: one `delete` of an IP module's switch rule per index.
+    fn block(indexes: &[u32]) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.put_u32(indexes.len() as u32);
+        for index in indexes {
+            w.put_u8(5); // delete
+            w.put_u8(1); // a switch rule
+            w.put_u8(1); // of IP module 1
+            w.put_u32(1);
+            w.put_u32(*index);
+            w.put_u32(1); // in pipe
+            w.put_u32(2); // out pipe
+        }
+        w.finish()
+    }
+
+    /// A `Script` frame whose primitives name devices by `indexes`.
+    fn script_frame(devices: &[u64], indexes: &[u32]) -> Vec<u8> {
+        let mut w = Writer::with_tag(TAG_SCRIPT);
+        put_devices(&mut w, devices);
+        w.put_u64(3);
+        w.put_raw(&block(indexes));
+        w.finish()
+    }
+
+    /// A hand-built `StageBatch` segment: the device indexes its
+    /// primitives name, and its window.
+    type Segment<'a> = (&'a [u32], u32);
+
+    /// A `StageBatch` frame of goals 1, 2, …
+    fn stage_frame(devices: &[u64], segments: &[Segment]) -> Vec<u8> {
+        let mut w = Writer::with_tag(TAG_STAGE_BATCH);
+        put_devices(&mut w, devices);
+        w.put_u64(7);
+        w.put_u32(segments.len() as u32);
+        for (goal, (indexes, window)) in (1..).zip(segments) {
+            w.put_u64(goal);
+            w.put_bytes(&block(indexes));
+            w.put_u32(*window);
+        }
+        w.finish()
+    }
+
+    /// Whether the agent's in-place walk refuses the frame: its framing
+    /// does not parse or one of its segments streams an error.
+    fn view_refuses(bytes: &[u8]) -> bool {
+        StageBatchView::parse(bytes).is_none_or(|view| {
+            view.segments()
+                .any(|segment| segment.primitives().any(|p| p.is_err()))
+        })
+    }
+
+    /// A frame lists each device it names once, in the order it first
+    /// names them, and the reader refuses any other list: in an envelope's
+    /// ends, in a script's primitives and in a one-segment `StageBatch`
+    /// whose window is the whole list.
     #[test]
     fn a_frame_lists_each_device_once_in_first_use_order() {
+        let frames = |devices: &[u64], ends: [u32; 2]| {
+            let window = devices.len() as u32;
+            [
+                module_frame(devices, ends),
+                script_frame(devices, &ends),
+                stage_frame(devices, &[(&ends, window)]),
+            ]
+        };
         for (devices, ends) in [(&[1, 2][..], [0, 1]), (&[2, 1], [0, 1]), (&[1], [0, 0])] {
-            let bytes = module_frame(devices, ends);
-            let msg = WireMessage::decode(&bytes).expect("the one form decodes");
-            assert_eq!(msg.encode(), bytes);
+            for bytes in frames(devices, ends) {
+                let msg = WireMessage::decode(&bytes).expect("the one form decodes");
+                assert_eq!(msg.encode(), bytes, "{:#x}", bytes[0]);
+            }
         }
         let refused: [(&str, &[u64], [u32; 2]); 5] = [
             ("a device listed twice", &[1, 1], [0, 1]),
-            ("a device no end names", &[1, 2], [0, 0]),
+            ("a device nothing names", &[1, 2], [0, 0]),
             ("an index past the list", &[1], [0, 1]),
             (
                 "a device named before the one listed first",
@@ -1238,8 +1452,149 @@ mod tests {
             ("no list at all", &[], [0, 0]),
         ];
         for (name, devices, ends) in refused {
-            let bytes = module_frame(devices, ends);
+            for bytes in frames(devices, ends) {
+                assert_eq!(WireMessage::decode(&bytes), None, "{name}: {:#x}", bytes[0]);
+            }
+            let stage = stage_frame(devices, &[(&ends, devices.len() as u32)]);
+            assert!(view_refuses(&stage), "{name}: the view");
+        }
+    }
+
+    /// A `StageBatch` segment may name the devices of the windows before
+    /// its own and must name its own window's, in order.  A segment that
+    /// breaks this fails alone, in the agent's walk, while the frame's
+    /// other segments stage; windows that do not add up to the list fail
+    /// the framing.
+    #[test]
+    fn each_stage_batch_segment_names_its_own_window_first() {
+        let segments: &[Segment] = &[(&[0, 1, 0], 2), (&[1, 2], 1), (&[2, 0], 0)];
+        let bytes = stage_frame(&[1, 2, 3], segments);
+        let msg = WireMessage::decode(&bytes).expect("the one form decodes");
+        assert_eq!(msg.encode(), bytes);
+        assert!(!view_refuses(&bytes));
+
+        let alone: [(&str, &[Segment]); 2] = [
+            (
+                "a segment names a device before its window opens",
+                &[(&[0, 1], 1), (&[1], 1)],
+            ),
+            (
+                "a segment introduces a device it never names",
+                &[(&[0], 2), (&[1], 0)],
+            ),
+        ];
+        for (name, segments) in alone {
+            let bytes = stage_frame(&[1, 2], segments);
             assert_eq!(WireMessage::decode(&bytes), None, "{name}");
+            let view = StageBatchView::parse(&bytes).expect("the framing parses");
+            let failed: Vec<bool> = view
+                .segments()
+                .map(|segment| segment.primitives().any(|p| p.is_err()))
+                .collect();
+            assert_eq!(failed, [true, false], "{name}: only the first fails");
+        }
+
+        let framing: [(&str, &[Segment]); 2] = [
+            ("windows short of the list", &[(&[0], 1), (&[0], 0)]),
+            ("windows past the list", &[(&[0, 1], 2), (&[0], 1)]),
+        ];
+        for (name, segments) in framing {
+            let bytes = stage_frame(&[1, 2], segments);
+            assert!(StageBatchView::parse(&bytes).is_none(), "{name}");
+            assert_eq!(WireMessage::decode(&bytes), None, "{name}");
+        }
+    }
+
+    /// `seed`'s `k`-th device id: a bijective mix of `seed + k`, so the
+    /// ids of one seed differ and their bytes look like nothing else in a
+    /// frame.
+    fn scattered(seed: u64, k: u64) -> u64 {
+        let mut z = seed.wrapping_add(k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    proptest::proptest! {
+        /// Whatever devices a frame's module refs, refusals and
+        /// neighbours name, the frame holds each device id's eight bytes
+        /// once if it names the device and never otherwise: the device
+        /// list is the only place a device id is written raw.
+        #[test]
+        fn no_frame_holds_a_device_id_twice(
+            picks in proptest::collection::vec((0u64..4, 0u64..4, 0u64..4), 0..10),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let device = |k: u64| scattered(seed, k);
+            let filter = |&(m, from, to): &(u64, u64, u64)| {
+                Primitive::CreateFilter(FilterSpec {
+                    module: mref(ModuleKind::Ip, 1, device(m)),
+                    from: mref(ModuleKind::Eth, 2, device(from)),
+                    to: mref(ModuleKind::Eth, 3, device(to)),
+                })
+            };
+            let primitives: Vec<Primitive> = picks.iter().map(filter).collect();
+            let segments = (1..)
+                .zip(primitives.chunks(3))
+                .map(|(goal, chunk)| ScriptSegment { goal, primitives: chunk.to_vec() })
+                .collect();
+            let envelopes = (picks.iter())
+                .map(|&(from, to, pipe)| ModuleEnvelope {
+                    from: mref(ModuleKind::Gre, 1, device(from)),
+                    to: mref(ModuleKind::Gre, 1, device(to)),
+                    pipe: PipeId(pipe as u32),
+                    kind: EnvelopeKind::Convey,
+                    body: vec![1, 2, 3],
+                })
+                .collect();
+            let errors = (picks.iter())
+                .map(|&(at, m, _)| Refusal {
+                    device: DeviceId::from_raw(device(at)),
+                    component: None,
+                    cause: RefusalCause::UnknownModule(mref(ModuleKind::Mpls, 4, device(m))),
+                })
+                .collect();
+            let neighbors = (picks.iter())
+                .map(|&(port, to, _)| {
+                    (PortId(port as u32), DeviceId::from_raw(device(to)), PortId(0))
+                })
+                .collect();
+            // The devices each message names: all three of a filter's, an
+            // envelope's and a refusal's first two, the announcing device
+            // and each neighbour's.
+            let all: Vec<u64> = picks.iter().flat_map(|&(a, b, c)| [a, b, c]).collect();
+            let firsts: Vec<u64> = picks.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+            let announced: Vec<u64> = [0].into_iter().chain(picks.iter().map(|p| p.1)).collect();
+            let messages = [
+                (WireMessage::StageBatch { txn: 1, segments }, &all),
+                (WireMessage::Script { request: 1, primitives }, &all),
+                (WireMessage::RelayBatch { envelopes }, &firsts),
+                (
+                    WireMessage::StageBatchResult {
+                        txn: 1,
+                        verdicts: vec![SegmentVerdict { goal: 1, errors }],
+                    },
+                    &firsts,
+                ),
+                (
+                    WireMessage::Announce(Announcement {
+                        device: DeviceId::from_raw(device(0)),
+                        device_name: "R".into(),
+                        neighbors,
+                    }),
+                    &announced,
+                ),
+            ];
+            for (msg, names) in messages {
+                let bytes = msg.encode();
+                proptest::prop_assert_eq!(WireMessage::decode(&bytes).as_ref(), Some(&msg));
+                for k in 0..4 {
+                    let id = device(k).to_le_bytes();
+                    let held = bytes.windows(DEVICE_LEN).filter(|w| *w == id).count();
+                    let named = usize::from(names.contains(&k));
+                    proptest::prop_assert_eq!(held, named, "{:#x}, device {}", bytes[0], k);
+                }
+            }
         }
     }
 
@@ -1251,9 +1606,9 @@ mod tests {
         for (n, count_len, prefix_len) in [(10, 1, 1), (200, 2, 2), (20_000, 3, 3)] {
             let block = vec![Primitive::ShowPotential; n];
             let bytes = encode_stage_batch(9, &[(5, &block)]);
-            // Tag, txn, segment count and goal take one byte each, and each
-            // primitive one more.
-            assert_eq!(bytes.len(), 4 + prefix_len + count_len + n, "{n}");
+            // Tag, device list, txn, segment count, goal and window take one
+            // byte each, and each primitive one more.
+            assert_eq!(bytes.len(), 6 + prefix_len + count_len + n, "{n}");
             let view = StageBatchView::parse(&bytes).expect("framing parses");
             let segments: Vec<_> = view.segments().collect();
             assert_eq!(segments.len(), 1);
@@ -1294,9 +1649,10 @@ mod tests {
         let seg = rich_segment(5);
         let borrowed: Vec<(u64, &[Primitive])> = vec![(5, &seg.primitives)];
         let mut bytes = encode_stage_batch(3, &borrowed);
-        // Corrupt the trailing primitive tag (`ShowActual`): the framing
-        // still parses, the primitive stream reports the corruption.
-        let last = bytes.len() - 1;
+        // Corrupt the trailing primitive tag (`ShowActual`), the byte
+        // before the segment's window: the framing still parses, the
+        // primitive stream reports the corruption.
+        let last = bytes.len() - 2;
         bytes[last] = 0xFF;
         let view = StageBatchView::parse(&bytes).expect("framing still parses");
         let seg = view.segments().next().unwrap();

@@ -15,17 +15,21 @@
 //! lookup, so it does not depend on the order messages arrive in.
 //!
 //! [`Exchanges`] holds that rule and the state it reads; each module keeps
-//! only what the exchange carries.
+//! only what the exchange carries.  A module exchanges with modules of its
+//! own kind (IP with IP, GRE with GRE), so the table knows the kind once
+//! and holds each peer as its module id and device.
 //!
 //! [`ModuleEnvelope::pipe`]: conman_core::primitives::ModuleEnvelope::pipe
 //! [`PipeSpec::peer_pipe`]: conman_core::primitives::PipeSpec::peer_pipe
 
-use conman_core::ids::{ModuleRef, PipeId};
+use conman_core::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
+use netsim::device::DeviceId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One exchanging pipe: its far end, who opens, and whether it still waits.
 struct Entry {
-    peer: ModuleRef,
+    /// The far end's module and device; its kind is the table's.
+    peer: (ModuleId, DeviceId),
     /// The far end's pipe, which every message to `peer` names.
     peer_pipe: PipeId,
     /// Whether this side sends the opening message.
@@ -37,19 +41,31 @@ struct Entry {
 /// A module's exchanging pipes, by id.  The pipes that still owe their
 /// opening message are also an index, so `poll` does not scan the pipes:
 /// hundreds of concurrent goals can share one peer.
-#[derive(Default)]
 pub(crate) struct Exchanges {
+    /// The kind of module on both ends of every exchange.
+    kind: ModuleKind,
     entries: BTreeMap<PipeId, Entry>,
     owed: BTreeSet<PipeId>,
 }
 
 impl Exchanges {
+    /// An empty table for a module of `kind`.
+    pub(crate) fn new(kind: ModuleKind) -> Self {
+        Exchanges {
+            kind,
+            entries: BTreeMap::new(),
+            owed: BTreeSet::new(),
+        }
+    }
+
     /// List `pipe`, which exchanges with `peer`'s `peer_pipe`: waiting, and
-    /// owing the opening message when this side `initiates`.
+    /// owing the opening message when this side `initiates`.  The NM names
+    /// a peer of the module's own kind; only its module id and device are
+    /// kept.
     pub(crate) fn add(
         &mut self,
         pipe: PipeId,
-        peer: ModuleRef,
+        peer: &ModuleRef,
         peer_pipe: PipeId,
         initiates: bool,
     ) {
@@ -57,7 +73,7 @@ impl Exchanges {
             self.owed.insert(pipe);
         }
         let entry = Entry {
-            peer,
+            peer: (peer.module, peer.device),
             peer_pipe,
             initiates,
             waiting: true,
@@ -74,20 +90,27 @@ impl Exchanges {
     /// Pair a message from `from` for `pipe`, an `opening` or an answer:
     /// `pipe` stops waiting, and the far end's pipe, which an answer names,
     /// is returned.  `None` when `pipe` does not wait for such a message
-    /// from `from`, and then nothing changes.
+    /// from `from`, a module of another kind among them, and then nothing
+    /// changes.
     pub(crate) fn pair(&mut self, from: &ModuleRef, pipe: PipeId, opening: bool) -> Option<PipeId> {
-        let entry = (self.entries.get_mut(&pipe))
-            .filter(|e| e.waiting && e.initiates != opening && e.peer == *from)?;
+        if from.kind != self.kind {
+            return None;
+        }
+        let entry = (self.entries.get_mut(&pipe)).filter(|e| {
+            e.waiting && e.initiates != opening && e.peer == (from.module, from.device)
+        })?;
         entry.waiting = false;
         Some(entry.peer_pipe)
     }
 
     /// The pipes that still owe the opening message, ascending, each with
     /// its peer and the peer's pipe the message names.
-    pub(crate) fn owed(&self) -> impl Iterator<Item = (PipeId, &ModuleRef, PipeId)> + '_ {
+    pub(crate) fn owed(&self) -> impl Iterator<Item = (PipeId, ModuleRef, PipeId)> + '_ {
         (self.owed.iter()).map(|pipe| {
             let entry = &self.entries[pipe];
-            (*pipe, &entry.peer, entry.peer_pipe)
+            let (module, device) = entry.peer;
+            let peer = ModuleRef::new(self.kind.clone(), module, device);
+            (*pipe, peer, entry.peer_pipe)
         })
     }
 
@@ -198,9 +221,9 @@ mod tests {
             ),
         ];
         for (name, pipes, messages) in cases {
-            let mut table = Exchanges::default();
+            let mut table = Exchanges::new(ModuleKind::Mpls);
             for &(pipe, device, initiates) in pipes {
-                table.add(PipeId(pipe), peer(device), far(pipe), initiates);
+                table.add(PipeId(pipe), &peer(device), far(pipe), initiates);
             }
             let owed: Vec<PipeId> = table.owed().map(|(pipe, ..)| pipe).collect();
             for pipe in owed {
@@ -222,6 +245,19 @@ mod tests {
         }
     }
 
+    /// A message from a module of another kind, on the peer's device and
+    /// with the peer's module id, pairs with nothing: the table holds its
+    /// peers' module ids and devices, and its own kind for all of them.
+    #[test]
+    fn a_sender_of_another_kind_pairs_with_nothing() {
+        let mut table = Exchanges::new(ModuleKind::Mpls);
+        table.add(PipeId(3), &peer(2), far(3), false);
+        let stranger = module(ModuleKind::Ip, 1, 2);
+        assert_eq!(table.pair(&stranger, PipeId(3), true), None);
+        assert_eq!(table.waiting(), BTreeSet::from([PipeId(3)]));
+        assert_eq!(table.pair(&peer(2), PipeId(3), true), Some(far(3)));
+    }
+
     /// One listed pipe as the table must see it, kept the slow way.
     struct Row {
         device: u64,
@@ -238,7 +274,7 @@ mod tests {
         fn the_indexes_equal_a_full_scan(
             ops in proptest::collection::vec((0u8..4, 0u32..6, any::<u8>()), 0..64),
         ) {
-            let mut table = Exchanges::default();
+            let mut table = Exchanges::new(ModuleKind::Mpls);
             let mut rows: BTreeMap<PipeId, Row> = BTreeMap::new();
             for (op, id, bits) in ops {
                 let (pipe, device, flag) = (PipeId(id), 2 + u64::from(bits & 1), bits & 2 != 0);
@@ -246,7 +282,7 @@ mod tests {
                     // A module adds a pipe id once, as the agent admits it.
                     0 => {
                         rows.entry(pipe).or_insert_with(|| {
-                            table.add(pipe, peer(device), far(id), flag);
+                            table.add(pipe, &peer(device), far(id), flag);
                             Row { device, initiates: flag, waiting: true, owed: flag }
                         });
                     }
@@ -278,10 +314,7 @@ mod tests {
                     .map(|(pipe, r)| (*pipe, peer(r.device), far(pipe.0)))
                     .collect();
                 prop_assert_eq!(table.waiting(), waiting);
-                prop_assert_eq!(
-                    table.owed().map(|(pipe, p, far)| (pipe, p.clone(), far)).collect::<Vec<_>>(),
-                    owed
-                );
+                prop_assert_eq!(table.owed().collect::<Vec<_>>(), owed);
                 for (pipe, r) in &rows {
                     prop_assert_eq!(table.initiates(*pipe), r.initiates);
                 }

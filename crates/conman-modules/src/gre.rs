@@ -144,7 +144,7 @@ impl GreModule {
     pub(crate) fn new(me: ModuleRef) -> Self {
         GreModule {
             me,
-            exchanges: Exchanges::default(),
+            exchanges: Exchanges::new(ModuleKind::Gre),
             pipes: BTreeMap::new(),
             tunnels: BTreeMap::new(),
             armed: BTreeSet::new(),
@@ -277,7 +277,7 @@ impl ProtocolModule for GreModule {
             let mut params = None;
             if let (Some(peer), Some(peer_pipe)) = (spec.peer_lower.clone(), spec.peer_pipe) {
                 self.exchanges
-                    .add(spec.pipe, peer.clone(), peer_pipe, spec.initiate);
+                    .add(spec.pipe, &peer, peer_pipe, spec.initiate);
                 if spec.initiate {
                     let (ikey, okey) = self.propose_keys(&peer, spec.pipe);
                     let ours = GreParams {

@@ -207,7 +207,7 @@ impl IpModule {
             domain: domain.into(),
             primary,
             pipes: BTreeMap::new(),
-            exchanges: Exchanges::default(),
+            exchanges: Exchanges::new(ModuleKind::Ip),
             adjacency_pipes: BTreeSet::new(),
             pending_switches: Vec::new(),
             installed: BTreeMap::new(),
@@ -671,7 +671,7 @@ impl ProtocolModule for IpModule {
         };
         if let (Some(peer), Some(peer_pipe)) = (Self::exchange_peer(&rec), spec.peer_pipe) {
             self.exchanges
-                .add(spec.pipe, peer.clone(), peer_pipe, spec.initiate);
+                .add(spec.pipe, peer, peer_pipe, spec.initiate);
         }
         if Self::is_adjacency_pipe(&rec) {
             self.adjacency_pipes.insert(spec.pipe);
@@ -777,7 +777,7 @@ impl ProtocolModule for IpModule {
             };
             reaction
                 .envelopes
-                .push(IpMsg::Query(ours).envelope(&self.me, peer.clone(), peer_pipe));
+                .push(IpMsg::Query(ours).envelope(&self.me, peer, peer_pipe));
             sent.push(id);
         }
         for id in sent {

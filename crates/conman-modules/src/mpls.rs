@@ -119,7 +119,7 @@ impl MplsModule {
             me,
             pipes: BTreeMap::new(),
             adjacencies: BTreeMap::new(),
-            exchanges: Exchanges::default(),
+            exchanges: Exchanges::new(ModuleKind::Mpls),
             pending_switches: Vec::new(),
             installed: BTreeMap::new(),
             next_label,
@@ -335,7 +335,7 @@ impl ProtocolModule for MplsModule {
             // Pipe over an ETH module towards the adjacent MPLS module.
             self.pipes.insert(spec.pipe, PipeKind::Adjacency);
             self.adjacencies.insert(spec.pipe, Adjacency::default());
-            if let (Some(peer), Some(peer_pipe)) = (spec.peer_upper.clone(), spec.peer_pipe) {
+            if let (Some(peer), Some(peer_pipe)) = (&spec.peer_upper, spec.peer_pipe) {
                 self.exchanges
                     .add(spec.pipe, peer, peer_pipe, spec.initiate);
             }
@@ -407,7 +407,7 @@ impl ProtocolModule for MplsModule {
         // known.
         let ready: Vec<(PipeId, u32, ModuleRef, PipeId)> = (self.exchanges.owed())
             .filter_map(|(pipe, peer, far)| {
-                Some((pipe, ctx.blackboard.pipe(pipe).port?, peer.clone(), far))
+                Some((pipe, ctx.blackboard.pipe(pipe).port?, peer, far))
             })
             .collect();
         for (pipe, port, peer, peer_pipe) in ready {

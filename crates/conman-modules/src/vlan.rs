@@ -118,7 +118,7 @@ impl VlanModule {
         VlanModule {
             me,
             pipes: BTreeMap::new(),
-            exchanges: Exchanges::default(),
+            exchanges: Exchanges::new(ModuleKind::Vlan),
             vlan_id: None,
             vlan_name: "C1".to_string(),
             pending_switches: Vec::new(),
@@ -248,7 +248,7 @@ impl ProtocolModule for VlanModule {
         if spec.upper != self.me {
             return Ok(ModuleReaction::none());
         }
-        if let Some(peer) = spec.peer_upper.clone() {
+        if let Some(peer) = &spec.peer_upper {
             self.pipes.insert(spec.pipe, PipeKind::Trunk);
             if let Some(peer_pipe) = spec.peer_pipe {
                 self.exchanges
@@ -338,9 +338,7 @@ impl ProtocolModule for VlanModule {
         }
         if let Some(vid) = self.vlan_id {
             // Every trunk that owes its proposal sends it.
-            let owed: Vec<(PipeId, ModuleRef, PipeId)> = (self.exchanges.owed())
-                .map(|(pipe, peer, far)| (pipe, peer.clone(), far))
-                .collect();
+            let owed: Vec<(PipeId, ModuleRef, PipeId)> = self.exchanges.owed().collect();
             for (pipe, peer, peer_pipe) in owed {
                 let proposal = VlanMsg {
                     id: vid,

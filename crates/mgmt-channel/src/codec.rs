@@ -23,7 +23,10 @@
 //! - **Two kinds of value are raw bytes, not counts**: a device id (a
 //!   64-bit hash of the device name, eight little-endian bytes) and an IPv4
 //!   address in a module body (four bytes).  A varint would make them
-//!   longer, so they go through [`Writer::put_raw`] and [`Reader::raw`].
+//!   longer, so they go through [`Writer::put_raw`] and [`Reader::raw`] /
+//!   [`Reader::raw_slice`].  A device id is raw only in its frame's device
+//!   list, written once right after the tag; everywhere else in the frame
+//!   a device is a varint index into that list.
 //! - Tags, bools and enum variant bytes are one byte each.
 //!
 //! Every frame starts with one of the thirteen tags below, `0x81..=0x8D`.
@@ -286,12 +289,18 @@ impl<'a> Reader<'a> {
         bytes.try_into().ok()
     }
 
+    /// Read `len` raw bytes, borrowed from the payload: a run of
+    /// fixed-width fields whose number the frame gave before them.
+    pub fn raw_slice(&mut self, len: usize) -> Option<&'a [u8]> {
+        let v = self.buf.get(self.pos..self.pos.checked_add(len)?)?;
+        self.pos += len;
+        Some(v)
+    }
+
     /// Read a length-prefixed byte slice, borrowed from the payload.
     pub fn bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.u32()? as usize;
-        let v = self.buf.get(self.pos..self.pos + len)?;
-        self.pos += len;
-        Some(v)
+        self.raw_slice(len)
     }
 
     /// Read a length-prefixed UTF-8 string.

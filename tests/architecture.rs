@@ -694,6 +694,51 @@ fn an_exchange_pairs_with_a_waiting_pipe_or_nothing() {
     assert_clean("An exchange pairs with a waiting pipe or nothing", &hits);
 }
 
+/// A frame writes each device id's eight raw bytes once, in its device
+/// list right after the tag; everywhere else it names the device by its
+/// index in that list. In library code under crates/*/src, up to each
+/// file's first #[cfg(test)], only wire.rs's `fn put_device_list` turns a
+/// number into raw bytes for a frame: no other line calls `to_le_bytes` or
+/// `to_ne_bytes`, or writes with `.put_raw(` anything but a module body's
+/// IPv4 address (`octets()`). (Netsim's packet headers are big-endian and
+/// data plane.) The behavioural test is conman-core's
+/// `wire::tests::no_frame_holds_a_device_id_twice`.
+#[test]
+fn a_frame_writes_each_device_once() {
+    let files: Vec<File> = bodies(rs_under("crates"))
+        .into_iter()
+        .filter(|f| f.path.contains("/src/"))
+        .collect();
+    let writer = ("crates/conman-core/src/wire.rs", "fn put_device_list(");
+    let raw = |line: &str| {
+        line.contains("to_le_bytes")
+            || line.contains("to_ne_bytes")
+            || (line.contains(".put_raw(") && !line.contains("octets()"))
+    };
+    let (mut hits, mut in_writer) = (Vec::new(), Vec::new());
+    for file in &files {
+        let mut inside = false;
+        for (number, line) in file.lines() {
+            if file.path == writer.0 && line.starts_with(writer.1) {
+                inside = true;
+            } else if line.starts_with('}') {
+                inside = false;
+            }
+            if raw(line) {
+                let hit = file.hit(number, line);
+                if inside { &mut in_writer } else { &mut hits }.push(hit);
+            }
+        }
+    }
+    assert!(
+        !in_writer.is_empty(),
+        "{}: no line starts with `{}` and writes raw bytes",
+        writer.0,
+        writer.1
+    );
+    assert_clean("A frame writes each device once", &hits);
+}
+
 #[test]
 #[should_panic(expected = "no such path")]
 fn a_rule_over_a_missing_path_fails() {

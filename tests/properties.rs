@@ -379,9 +379,10 @@ fn decode_every_way(bytes: &[u8]) -> Option<conman::core::WireMessage> {
 /// a `Vec` for all of them and abort the process in the allocator (137 GB
 /// for `StageBatchResult`, 103 GB through the agent's in-place `StageBatch`
 /// path, 34 GB for `CommitBatch`).  Every frame that opens with a count —
-/// after its transaction or request id (here 0, one varint byte), or
-/// (`RelayBatch`) straight after the tag, or (`Announce`) as its name's
-/// length after the device id's eight raw bytes — now fails at the first
+/// after an empty device list (one byte, 0) and its transaction or request
+/// id (here 0, one varint byte), or (`RelayBatch`) as its device list's
+/// count straight after the tag, or (`Announce`) as its name's length after
+/// a one-device list and that device's index — now fails at the first
 /// short read.  The count is 2^32 - 1, the widest `u32` varint.
 #[test]
 fn a_lying_element_count_is_rejected_not_allocated_for() {
@@ -399,10 +400,10 @@ fn a_lying_element_count_is_rejected_not_allocated_for() {
         TAG_COUNTER_REPORT,
     ];
     let frames = after_id
-        .map(|tag| [&[tag, 0][..], &LYING_COUNT].concat())
+        .map(|tag| [&[tag, 0, 0][..], &LYING_COUNT].concat())
         .into_iter()
         .chain([
-            [&[TAG_ANNOUNCE][..], &[0u8; 8], &LYING_COUNT].concat(),
+            [&[TAG_ANNOUNCE, 1][..], &[0u8; 8], &[0], &LYING_COUNT].concat(),
             [&[TAG_RELAY_BATCH][..], &LYING_COUNT].concat(),
         ]);
     for frame in frames {
@@ -420,7 +421,7 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
     use conman::core::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
     use conman::core::module::ModuleError;
     use conman::core::primitives::{
-        Announcement, ComponentRef, EnvelopeKind, ModuleActual, ModuleEnvelope, Notice,
+        Announcement, ComponentRef, EnvelopeKind, FilterSpec, ModuleActual, ModuleEnvelope, Notice,
         Notification, PipeSpec, Primitive, PrimitiveResult, Refusal, RefusalCause, ResolvedName,
         ScriptSegment, SegmentCommit, SegmentVerdict, SwitchSpec, TradeoffChoice,
     };
@@ -493,7 +494,22 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
     potential.switch.kinds = vec![SwitchKind::UpDown, SwitchKind::DownUp];
     potential.address_domain = Some("IPv4".into());
 
-    let stage_frame = conman::core::wire::encode_stage_batch(7, &[(1, &primitives), (2, &[])]);
+    // The second segment names a device of the first's window and
+    // introduces two; the third introduces none.
+    let shared = vec![
+        Primitive::CreateFilter(FilterSpec {
+            module: mref(ModuleKind::Ip, 3, 3),
+            from: mref(ModuleKind::Eth, 5, 4),
+            to: mref(ModuleKind::Eth, 6, 5),
+        }),
+        Primitive::Delete(ComponentRef::SwitchRule(
+            mref(ModuleKind::Ip, 3, 1),
+            PipeId(41),
+            PipeId(42),
+        )),
+    ];
+    let stage_frame =
+        conman::core::wire::encode_stage_batch(7, &[(1, &primitives), (2, &shared), (3, &[])]);
     let stage = WireMessage::StageBatch {
         txn: 7,
         segments: vec![
@@ -503,6 +519,10 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
             },
             ScriptSegment {
                 goal: 2,
+                primitives: shared,
+            },
+            ScriptSegment {
+                goal: 3,
                 primitives: vec![],
             },
         ],
