@@ -16,6 +16,11 @@ use legacy_config::{
     classify_conman_script, gre_script_today, mpls_script_today, vlan_script_today, GreVpnParams,
 };
 
+// Counts live heap bytes, so `experiments fleet` can print what the
+// converged twin holds.
+#[global_allocator]
+static ALLOC: conman_bench::held::Counting = conman_bench::held::Counting;
+
 /// The names an artefact answers to on the command line, and its generator.
 type Artefact = (&'static [&'static str], fn());
 
@@ -545,7 +550,7 @@ fn fleet() {
         "{FLEET_TWIN_GOALS} synthetic VPN goals on the {FLEET_TWIN_CHAIN_N}-router chain, submitted in class order"
     );
     println!("and configured by one reconcile() pass; bytes are management payload bytes.\n");
-    let (c, wire) = fleet_twin();
+    let (c, wire, held) = fleet_twin();
     let per_goal = |v: u64| v as f64 / FLEET_TWIN_GOALS as f64;
     let row = |direction: &str, category: &str, msgs: u64, bytes: u64| {
         println!(
@@ -579,5 +584,13 @@ fn fleet() {
     println!(
         "probe frames: {} frames, {} B (data plane, not NM)",
         wire.frames, wire.frame_bytes
+    );
+    let per_goal = |v: usize| v as f64 / FLEET_TWIN_GOALS as f64;
+    println!(
+        "\nheld after the pass, heap B/goal: goal store {:.2}, agents {:.2}, network {:.2}, all {:.2}",
+        per_goal(held.goals),
+        per_goal(held.agents),
+        per_goal(held.net),
+        per_goal(held.total())
     );
 }

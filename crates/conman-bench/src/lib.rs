@@ -7,10 +7,12 @@
 //! clock is measured by the stand-alone `benchmark/` package and read from
 //! it by metric name.
 
-#![forbid(unsafe_code)]
+// Only `held`'s counting allocator may use `unsafe`, and says so itself.
+#![deny(unsafe_code)]
 
 pub mod control_loop;
 pub mod diagnosis;
+pub mod held;
 pub mod obs;
 
 pub use control_loop::{
@@ -24,6 +26,7 @@ use conman_core::nm::{ConnectivityGoal, ModulePath};
 use conman_core::runtime::ManagedNetwork;
 use conman_modules::{managed_chain, managed_vlan_chain, ManagedChain, ManagedVlanChain};
 use diagnosis::chain_limits;
+use held::Held;
 use mgmt_channel::{ChannelCounters, ManagementChannel, MessageCategory, OutOfBandChannel};
 use std::collections::BTreeMap;
 
@@ -208,8 +211,10 @@ pub fn synthetic_goal(t: &ManagedChain<OutOfBandChannel>, class: usize) -> Conne
 /// [`FLEET_TWIN_GOALS`] synthetic VPN goals, submitted in class order on a
 /// discovered [`FLEET_TWIN_CHAIN_N`]-router chain and configured by one
 /// `reconcile()` pass.  Returns the NM's counters for the pass (by message
-/// category) and what the pass cost on every wire.
-pub fn fleet_twin() -> (ChannelCounters, WireCost) {
+/// category), what the pass cost on every wire, and the heap bytes the
+/// converged network holds by holder (zero unless the caller installed
+/// [`held::Counting`]).
+pub fn fleet_twin() -> (ChannelCounters, WireCost, Held) {
     let mut t = discovered_chain(FLEET_TWIN_CHAIN_N);
     t.mn.goals.limits = chain_limits(FLEET_TWIN_CHAIN_N);
     for class in 0..FLEET_TWIN_GOALS {
@@ -225,5 +230,6 @@ pub fn fleet_twin() -> (ChannelCounters, WireCost) {
         "every twin goal is configured"
     );
     assert_eq!(report.transactions, 1, "in one transaction");
-    (t.mn.nm_counters(), WireCost::of(&t.mn).since(before))
+    let (counters, wire) = (t.mn.nm_counters(), WireCost::of(&t.mn).since(before));
+    (counters, wire, Held::take_from(&mut t.mn))
 }
