@@ -52,10 +52,11 @@ struct Held {
     goals: HashMap<u64, Segment>,
 }
 
-/// One goal's segment: admitted, applied (with the first refusal its
-/// primitives met, the verdict a repeated commit answers), or released.
+/// One goal's segment: admitted (its primitives at their exact length, held
+/// until the commit), applied (with the first refusal its primitives met,
+/// the verdict a repeated commit answers), or released.
 enum Segment {
-    Staged(Vec<Primitive>),
+    Staged(Box<[Primitive]>),
     Committed(Option<Box<Refusal>>),
     Aborted,
 }
@@ -350,7 +351,7 @@ impl ManagementAgent {
                 (state, Ask::Commit) if older => (state, refused(self, RefusalCause::StaleTxn)),
                 (state, Ask::Stage(segment)) => {
                     match self.admit_segment(segment.primitives(), &mut batch) {
-                        Ok(primitives) => (Some(Staged(primitives)), vec![]),
+                        Ok(primitives) => (Some(Staged(primitives.into_boxed_slice())), vec![]),
                         Err(errors) => (state, errors),
                     }
                 }

@@ -324,11 +324,21 @@ pub fn generate_with_base(
                 .is_none_or(|a| !a.switch.transparent_down_down)
     };
 
-    let mut scripts: Vec<DeviceScript> = devices
-        .iter()
-        .map(|d| DeviceScript {
+    // A plan is held for as long as its goal is applied, so each device's
+    // primitives are built at their exact length: one per pipe whose upper
+    // module is on the device (3a), and one per switch step between the
+    // goal's ends, two for an edge rule (3b).
+    let mut lengths = vec![0; devices.len()];
+    for slot in slots.iter().filter(|s| !s.physical) {
+        lengths[device_pos[&steps[slot.upper.unwrap()].module.device]] += 1;
+    }
+    for step in steps.iter().take(n - 1).skip(1) {
+        lengths[device_pos[&step.module.device]] += if is_edge_rule(step) { 2 } else { 1 };
+    }
+    let mut scripts: Vec<DeviceScript> = (devices.iter().zip(&lengths))
+        .map(|(d, &length)| DeviceScript {
             device: *d,
-            primitives: Vec::new(),
+            primitives: Vec::with_capacity(length),
         })
         .collect();
 
@@ -447,6 +457,10 @@ pub fn generate_with_base(
             scripts[idx].primitives.push(Primitive::CreateSwitch(spec));
         }
     }
+    debug_assert!(
+        (scripts.iter().zip(&lengths)).all(|(s, &length)| s.primitives.len() == length),
+        "a script's length is counted before it is built"
+    );
 
     ScriptSet { scripts }
 }

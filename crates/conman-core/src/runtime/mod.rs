@@ -77,7 +77,8 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     /// Staging verdicts (one per goal segment) received by the NM, indexed
     /// by (device, txn) so the runner's drain is a map lookup rather than a
     /// linear scan (batch replies arrive in bulk; scanning per response is
-    /// quadratic).
+    /// quadratic).  Empty after each phase: what its drain leaves is
+    /// dropped and counted under `txn.stale_results`.
     pub(crate) stage_batch_results: BTreeMap<(DeviceId, u64), Vec<SegmentVerdict>>,
     /// Commit results (one per goal segment), indexed by (device, txn).
     pub(crate) commit_batch_results: BTreeMap<(DeviceId, u64), Vec<SegmentCommit>>,
@@ -515,11 +516,24 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 };
                 self.counter_reports.push((from, request, report));
             }
+            // A repeated result replaces the first, which is counted.
             WireMessage::StageBatchResult { txn, verdicts } => {
-                self.stage_batch_results.insert((from, txn), verdicts);
+                if self
+                    .stage_batch_results
+                    .insert((from, txn), verdicts)
+                    .is_some()
+                {
+                    self.recorder.inc("txn.stale_results", 1);
+                }
             }
             WireMessage::CommitBatchResult { txn, segments } => {
-                self.commit_batch_results.insert((from, txn), segments);
+                if self
+                    .commit_batch_results
+                    .insert((from, txn), segments)
+                    .is_some()
+                {
+                    self.recorder.inc("txn.stale_results", 1);
+                }
             }
             WireMessage::Script { .. }
             | WireMessage::PollCounters { .. }
@@ -551,7 +565,8 @@ mod tests {
     use crate::abstraction::ModuleAbstraction;
     use crate::ids::{ModuleId, ModuleKind, PipeId};
     use crate::module::{ModuleCtx, ModuleReaction, ProtocolModule};
-    use crate::primitives::PipeSpec;
+    use crate::nm::GoalId;
+    use crate::primitives::{ComponentRef, PipeSpec};
     use mgmt_channel::OutOfBandChannel;
     use netsim::device::{Device, DeviceRole, PortId};
     use netsim::link::LinkProperties;
@@ -876,6 +891,43 @@ mod tests {
         assert_eq!(reports.keys().copied().collect::<Vec<_>>(), [d]);
         assert_eq!(recorder.counter("mgmt.stale_reports"), 1);
         assert!(mn.counter_reports.is_empty());
+    }
+
+    /// A `StageBatchResult` for a transaction no runner ran is dropped
+    /// after the next stage phase's drain and counted under
+    /// `txn.stale_results`; a transaction that meets none records nothing.
+    #[test]
+    fn a_result_for_no_running_transaction_is_dropped_and_counted() {
+        let mut net = Network::new();
+        let nm_host = net.add_device(Device::new("NM", DeviceRole::Router, 1));
+        let d = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
+        let mut mn = ManagedNetwork::new(net, nm_host, OutOfBandChannel::new());
+        mn.add_agent(ManagementAgent::new(nm_host, "NM"));
+        mn.add_agent(ManagementAgent::new(d, "RouterA"));
+        let recorder = Recorder::new();
+        mn.set_recorder(recorder.clone());
+        let teardown = |goal| {
+            let delete = Primitive::Delete(ComponentRef::Pipe(PipeId(1)));
+            (GoalId(goal), vec![(d, vec![delete])])
+        };
+
+        mn.run_teardown_batch(&[teardown(1)], &[]);
+        let counters = recorder.snapshot().metrics.counters;
+        assert!(
+            !counters.contains_key("txn.stale_results"),
+            "no zero is recorded"
+        );
+
+        let planted = WireMessage::StageBatchResult {
+            txn: 999,
+            verdicts: vec![],
+        };
+        let m = MgmtMessage::new(d, nm_host, MessageCategory::Response, planted.encode());
+        mn.channel.send(&mut mn.net, m);
+        let outcome = mn.run_teardown_batch(&[teardown(2)], &[]);
+        assert_eq!(outcome.per_goal[&GoalId(2)], 1, "the batch still runs");
+        assert_eq!(recorder.counter("txn.stale_results"), 1);
+        assert!(mn.stage_batch_results.is_empty() && mn.commit_batch_results.is_empty());
     }
 
     /// A module that answers every envelope with another one, so a pair of

@@ -175,7 +175,21 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             let goals = segs.iter().map(|(g, _)| *g).collect();
             staged.insert(device, Staged { goals, verdicts });
         }
+        self.drop_stale_results();
         staged
+    }
+
+    /// Drop every transaction result the phase that just drained left:
+    /// a late one, or one from a device outside its batch.  Counted under
+    /// `txn.stale_results`, only when there is one, so none is dropped
+    /// unseen and none stays in the NM.
+    fn drop_stale_results(&mut self) {
+        let stale = self.stage_batch_results.len() + self.commit_batch_results.len();
+        if stale > 0 {
+            self.stage_batch_results.clear();
+            self.commit_batch_results.clear();
+            self.recorder.inc("txn.stale_results", stale as u64);
+        }
     }
 
     /// Count under `txn.stale_refused` the refusals among a device's answer
@@ -253,6 +267,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 None => self.abort(txn, device, goals.clone()),
             }
         }
+        self.drop_stale_results();
         if answers.len() < wave.len() {
             self.run_management();
         }

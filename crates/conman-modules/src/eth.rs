@@ -5,6 +5,11 @@
 //! to an upper module is created, to tell the other modules on the device
 //! (via the blackboard) which port underlies that pipe — the equivalent of
 //! `dev eth2` showing up in the Linux commands of Figure 7(a).
+//!
+//! It holds only what `showActual` and `delete` read: the ids of its pipes
+//! (not the modules at their other ends), its switch rules by creation
+//! number, and one ordered set of `(pipe, rule)` pairs that finds the
+//! rules naming a pipe by a range read.
 
 use conman_core::abstraction::{ModuleAbstraction, PhysicalPipeInfo, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
@@ -12,7 +17,7 @@ use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule
 use conman_core::primitives::{ComponentRef, ModuleActual, PipeSpec, SwitchSpec};
 use netsim::device::PortId;
 use netsim::stats::DropReason;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The ETH protocol module.
 pub(crate) struct EthModule {
@@ -24,15 +29,16 @@ pub(crate) struct EthModule {
     up_kinds: Vec<ModuleKind>,
     /// Can this module switch frames between its physical pipes?
     phy_switching: bool,
-    /// Pipes this module is an end of, with the module at the other end.
-    pipes: BTreeMap<PipeId, ModuleRef>,
+    /// Pipes this module is an end of.
+    pipes: BTreeSet<PipeId>,
     /// Switch rules `(in, out)` keyed by creation number, so `showActual`
     /// lists them in creation order.
     switch_rules: BTreeMap<u64, (PipeId, PipeId)>,
     next_rule: u64,
-    /// For each pipe, the creation numbers of the rules naming it on either
-    /// side: deleting a pipe or a rule touches those rules only.
-    rules_of_pipe: BTreeMap<PipeId, Vec<u64>>,
+    /// `(pipe, rule)` for each pipe a rule names on either side, by the
+    /// rule's creation number: deleting a pipe or a rule touches those
+    /// rules only.
+    rules_of_pipe: BTreeSet<(PipeId, u64)>,
 }
 
 impl EthModule {
@@ -43,10 +49,10 @@ impl EthModule {
             ports: vec![port],
             up_kinds,
             phy_switching: false,
-            pipes: BTreeMap::new(),
+            pipes: BTreeSet::new(),
             switch_rules: BTreeMap::new(),
             next_rule: 0,
-            rules_of_pipe: BTreeMap::new(),
+            rules_of_pipe: BTreeSet::new(),
         }
     }
 
@@ -58,10 +64,10 @@ impl EthModule {
             ports,
             up_kinds: Vec::new(),
             phy_switching: true,
-            pipes: BTreeMap::new(),
+            pipes: BTreeSet::new(),
             switch_rules: BTreeMap::new(),
             next_rule: 0,
-            rules_of_pipe: BTreeMap::new(),
+            rules_of_pipe: BTreeSet::new(),
         }
     }
 
@@ -70,20 +76,19 @@ impl EthModule {
         self.ports[0]
     }
 
+    /// The creation numbers of the rules naming `pipe`, ascending.
+    fn rules_naming(&self, pipe: PipeId) -> impl Iterator<Item = u64> + '_ {
+        (self.rules_of_pipe.range((pipe, 0)..=(pipe, u64::MAX))).map(|&(_, rule)| rule)
+    }
+
     /// Forget the listed rules and their entries in the per-pipe index.
     fn forget_rules(&mut self, rules: &[u64]) {
         for rule in rules {
             let Some((in_pipe, out_pipe)) = self.switch_rules.remove(rule) else {
                 continue;
             };
-            for pipe in [in_pipe, out_pipe] {
-                if let Some(named) = self.rules_of_pipe.get_mut(&pipe) {
-                    named.retain(|r| r != rule);
-                    if named.is_empty() {
-                        self.rules_of_pipe.remove(&pipe);
-                    }
-                }
-            }
+            self.rules_of_pipe.remove(&(in_pipe, *rule));
+            self.rules_of_pipe.remove(&(out_pipe, *rule));
         }
     }
 }
@@ -117,7 +122,7 @@ impl ProtocolModule for EthModule {
 
     fn actual(&self, _ctx: &ModuleCtx) -> ModuleActual {
         ModuleActual {
-            pipes: self.pipes.keys().copied().collect(),
+            pipes: self.pipes.iter().copied().collect(),
             switch_rules: self.switch_rules.values().copied().collect(),
             filters: Vec::new(),
         }
@@ -142,10 +147,8 @@ impl ProtocolModule for EthModule {
         if spec.lower == self.me {
             ctx.blackboard
                 .publish(spec.pipe, |facts| facts.port = Some(self.port().0));
-            self.pipes.insert(spec.pipe, spec.upper.clone());
-        } else {
-            self.pipes.insert(spec.pipe, spec.lower.clone());
         }
+        self.pipes.insert(spec.pipe);
         Ok(ModuleReaction::none())
     }
 
@@ -160,10 +163,7 @@ impl ProtocolModule for EthModule {
         self.switch_rules
             .insert(self.next_rule, (spec.in_pipe, spec.out_pipe));
         for pipe in [spec.in_pipe, spec.out_pipe] {
-            let named = self.rules_of_pipe.entry(pipe).or_default();
-            if named.last() != Some(&self.next_rule) {
-                named.push(self.next_rule);
-            }
+            self.rules_of_pipe.insert((pipe, self.next_rule));
         }
         self.next_rule += 1;
         Ok(ModuleReaction::none())
@@ -179,17 +179,12 @@ impl ProtocolModule for EthModule {
         match component {
             ComponentRef::Pipe(pipe) => {
                 self.pipes.remove(pipe);
-                let named = self.rules_of_pipe.remove(pipe).unwrap_or_default();
+                let named: Vec<u64> = self.rules_naming(*pipe).collect();
                 self.forget_rules(&named);
             }
             ComponentRef::SwitchRule(module, in_pipe, out_pipe) if *module == self.me => {
                 let rule = (*in_pipe, *out_pipe);
-                let named: Vec<u64> = self
-                    .rules_of_pipe
-                    .get(in_pipe)
-                    .into_iter()
-                    .flatten()
-                    .copied()
+                let named: Vec<u64> = (self.rules_naming(*in_pipe))
                     .filter(|r| self.switch_rules[r] == rule)
                     .collect();
                 self.forget_rules(&named);
@@ -301,7 +296,7 @@ mod tests {
                 pipes.sort_unstable();
                 pipes.dedup();
                 prop_assert_eq!(&actual.pipes, &pipes);
-                let indexed: usize = m.rules_of_pipe.values().map(Vec::len).sum();
+                let indexed = m.rules_of_pipe.len();
                 let sides: usize = m
                     .switch_rules
                     .values()

@@ -119,6 +119,14 @@ impl Exchanges {
         self.owed.remove(&pipe);
     }
 
+    /// Whether `pipe` exchanges with `peer` (`false` for a pipe that does
+    /// not exchange).
+    pub(crate) fn is_with(&self, pipe: PipeId, peer: &ModuleRef) -> bool {
+        peer.kind == self.kind
+            && (self.entries.get(&pipe))
+                .is_some_and(|entry| entry.peer == (peer.module, peer.device))
+    }
+
     /// Whether this side initiates `pipe`'s exchange (`false` for a pipe
     /// that does not exchange).
     pub(crate) fn initiates(&self, pipe: PipeId) -> bool {

@@ -14,6 +14,11 @@
 //! It refuses any other end at stage (a stranger, a peer that has not
 //! answered yet, a module that is not IP), and installs a `/32` to `/32`
 //! drop rule for the rest.
+//!
+//! A pipe's record holds its shape (a tunnel endpoint, IP-IP or not; an
+//! adjacency; or any other pipe) and the address the module learned on it,
+//! not the spec that created it: the peer of an exchanging pipe, the only
+//! kind that learns an address, is held once, in [`Exchanges`].
 
 use crate::dialect::{self, Dialect};
 use crate::exchange::Exchanges;
@@ -79,19 +84,52 @@ impl Dialect for IpMsg {
     }
 }
 
-/// Which end of a pipe this module is.
+/// What a pipe is to this module, read once from its spec when it is
+/// created.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    Upper,
-    Lower,
+enum Shape {
+    /// A tunnel endpoint: this module is the lower end beneath a tunnelling
+    /// module, GRE or, for an IP-IP path (`ipip`), another IP module.
+    Endpoint { ipip: bool },
+    /// An adjacency: this module is the upper end above an ETH module, with
+    /// a peer on the neighbouring device.
+    Adjacency,
+    /// Any other pipe.
+    Other,
 }
 
-#[derive(Debug, Clone)]
+impl Shape {
+    /// The shape of `spec` for the module at its upper end when `upper`,
+    /// at its lower end otherwise.
+    fn of(spec: &PipeSpec, upper: bool) -> Shape {
+        match (upper, &spec.upper.kind, &spec.lower.kind) {
+            (false, ModuleKind::Gre, _) => Shape::Endpoint { ipip: false },
+            (false, ModuleKind::Ip, _) => Shape::Endpoint { ipip: true },
+            (true, _, ModuleKind::Eth) => Shape::Adjacency,
+            _ => Shape::Other,
+        }
+    }
+}
+
+/// A pipe as this module holds it: its shape and the address it learned.
+/// Its peer is in [`IpModule::exchanges`], the one place that holds one:
+/// only an exchanging pipe learns an address.
+#[derive(Debug, Clone, Copy)]
 struct PipeRec {
-    spec: PipeSpec,
-    role: Role,
-    /// Peer address learnt for this pipe (next hop or remote tunnel endpoint).
+    shape: Shape,
+    /// The peer's address on this pipe (next hop or remote tunnel
+    /// endpoint), once the exchange paired.
     learned: Option<Ipv4Addr>,
+}
+
+impl PipeRec {
+    fn is_endpoint(&self) -> bool {
+        matches!(self.shape, Shape::Endpoint { .. })
+    }
+
+    fn is_adjacency(&self) -> bool {
+        self.shape == Shape::Adjacency
+    }
 }
 
 /// How a pipe reaches the next device: a raw Ethernet adjacency or an MPLS
@@ -216,41 +254,14 @@ impl IpModule {
         }
     }
 
-    /// The peer of a pipe from this module's perspective.
-    fn peer_of(rec: &PipeRec) -> Option<&ModuleRef> {
-        match rec.role {
-            Role::Upper => rec.spec.peer_upper.as_ref(),
-            Role::Lower => rec.spec.peer_lower.as_ref(),
-        }
-    }
-
-    /// The peer this pipe exchanges addresses with: the peer of an
-    /// endpoint or adjacency pipe, when it is an IP module.
-    fn exchange_peer(rec: &PipeRec) -> Option<&ModuleRef> {
-        let peer = Self::peer_of(rec).filter(|peer| peer.kind == ModuleKind::Ip)?;
-        (Self::is_endpoint_pipe(rec) || Self::is_adjacency_pipe(rec)).then_some(peer)
-    }
-
-    /// Is this pipe an "endpoint" pipe: this module is the lower end beneath
-    /// a tunnelling module (GRE, or another IP module for IP-IP)?
-    fn is_endpoint_pipe(rec: &PipeRec) -> bool {
-        rec.role == Role::Lower && matches!(rec.spec.upper.kind, ModuleKind::Gre | ModuleKind::Ip)
-    }
-
-    /// Is this pipe an "adjacency" pipe: this module is the upper end above
-    /// an ETH module, with a peer on the neighbouring device?
-    fn is_adjacency_pipe(rec: &PipeRec) -> bool {
-        rec.role == Role::Upper && rec.spec.lower.kind == ModuleKind::Eth
-    }
-
     /// How this module can reach the far side through one of its pipes:
     /// either a plain Ethernet adjacency (port + learnt next hop) or an
     /// MPLS LSP access point published by the MPLS module below.  Paths like
     /// `IP-IP over MPLS` hang tunnel endpoints and transit hops over LSPs
     /// instead of raw links, and healing routinely picks them.
-    fn attachment_of(ctx: &ModuleCtx, rec: &PipeRec) -> Option<Attachment> {
-        let facts = ctx.blackboard.pipe(rec.spec.pipe);
-        if Self::is_adjacency_pipe(rec) {
+    fn attachment_of(ctx: &ModuleCtx, pipe: PipeId, rec: &PipeRec) -> Option<Attachment> {
+        let facts = ctx.blackboard.pipe(pipe);
+        if rec.is_adjacency() {
             return Some(Attachment::Adjacency {
                 port: facts.port?,
                 nexthop: facts.nexthop?,
@@ -292,9 +303,9 @@ impl IpModule {
         if *end == self.me {
             return Some(mine);
         }
-        (self.pipes.values())
-            .filter(|rec| Self::peer_of(rec) == Some(end))
-            .find_map(|rec| rec.learned)
+        (self.pipes.iter())
+            .filter(|(pipe, _)| self.exchanges.is_with(**pipe, end))
+            .find_map(|(_, rec)| rec.learned)
     }
 
     fn record_learned(
@@ -306,7 +317,7 @@ impl IpModule {
     ) {
         let rec = self.pipes.get_mut(&pipe).expect("an exchanging pipe");
         rec.learned = Some(their);
-        let endpoint = Self::is_endpoint_pipe(rec);
+        let endpoint = rec.is_endpoint();
         ctx.blackboard.publish(pipe, |facts| {
             if endpoint {
                 facts.remote_addr = Some(their);
@@ -394,25 +405,22 @@ impl IpModule {
         ) else {
             return false;
         };
-        let endpoint = [in_rec, out_rec]
-            .into_iter()
-            .find(|r| Self::is_endpoint_pipe(r));
+        let (inward, outward) = ((spec.in_pipe, in_rec), (spec.out_pipe, out_rec));
+        let endpoint = match (in_rec.shape, out_rec.shape) {
+            (Shape::Endpoint { ipip }, _) => Some((inward.0, ipip, outward)),
+            (_, Shape::Endpoint { ipip }) => Some((outward.0, ipip, inward)),
+            _ => None,
+        };
         match endpoint {
             // Tunnel-endpoint switch (Figure 7(b) command 8): route the
             // remote tunnel endpoint through the other pipe's attachment —
             // an Ethernet adjacency or, on `... over MPLS` paths, an LSP.
-            Some(ep) => {
-                let other = if ep.spec.pipe == in_rec.spec.pipe {
-                    out_rec
-                } else {
-                    in_rec
-                };
-                let (ep_pipe, ipip) = (ep.spec.pipe, ep.spec.upper.kind == ModuleKind::Ip);
+            Some((ep_pipe, ipip, (other_pipe, other))) => {
                 let ep_facts = ctx.blackboard.pipe(ep_pipe);
                 let Some(remote) = ep_facts.remote_addr else {
                     return false;
                 };
-                let Some(attachment) = Self::attachment_of(ctx, other) else {
+                let Some(attachment) = Self::attachment_of(ctx, other_pipe, other) else {
                     return false;
                 };
                 ctx.config.ip_forwarding = true;
@@ -448,8 +456,8 @@ impl IpModule {
             // segment).
             None => {
                 let (Some(att_in), Some(att_out)) = (
-                    Self::attachment_of(ctx, in_rec),
-                    Self::attachment_of(ctx, out_rec),
+                    Self::attachment_of(ctx, inward.0, in_rec),
+                    Self::attachment_of(ctx, outward.0, out_rec),
                 ) else {
                     return false;
                 };
@@ -659,23 +667,28 @@ impl ProtocolModule for IpModule {
         _ctx: &mut ModuleCtx,
         spec: &PipeSpec,
     ) -> Result<ModuleReaction, ModuleError> {
-        let role = if spec.upper == self.me {
-            Role::Upper
+        let upper = spec.upper == self.me;
+        let shape = Shape::of(spec, upper);
+        // An endpoint or an adjacency exchanges addresses with its peer,
+        // when that is an IP module.
+        let peer = if upper {
+            &spec.peer_upper
         } else {
-            Role::Lower
+            &spec.peer_lower
         };
-        let rec = PipeRec {
-            spec: spec.clone(),
-            role,
-            learned: None,
-        };
-        if let (Some(peer), Some(peer_pipe)) = (Self::exchange_peer(&rec), spec.peer_pipe) {
+        let peer =
+            (peer.as_ref()).filter(|peer| peer.kind == ModuleKind::Ip && shape != Shape::Other);
+        if let (Some(peer), Some(peer_pipe)) = (peer, spec.peer_pipe) {
             self.exchanges
                 .add(spec.pipe, peer, peer_pipe, spec.initiate);
         }
-        if Self::is_adjacency_pipe(&rec) {
+        if shape == Shape::Adjacency {
             self.adjacency_pipes.insert(spec.pipe);
         }
+        let rec = PipeRec {
+            shape,
+            learned: None,
+        };
         self.pipes.insert(spec.pipe, rec);
         Ok(ModuleReaction::none())
     }
@@ -739,13 +752,10 @@ impl ProtocolModule for IpModule {
         let Some(peer_pipe) = self.exchanges.pair(&env.from, pipe, query) else {
             return Ok(ModuleReaction::none());
         };
-        let ours = {
-            let rec = &self.pipes[&pipe];
-            if Self::is_adjacency_pipe(rec) {
-                self.address_on_pipe(ctx, pipe)
-            } else {
-                self.path_address(ctx)
-            }
+        let ours = if self.pipes[&pipe].is_adjacency() {
+            self.address_on_pipe(ctx, pipe)
+        } else {
+            self.path_address(ctx)
         };
         self.record_learned(ctx, pipe, their, ours);
         if query {
@@ -766,8 +776,7 @@ impl ProtocolModule for IpModule {
         //    therefore our address) is known.
         let mut sent = Vec::new();
         for (id, peer, peer_pipe) in self.exchanges.owed() {
-            let rec = &self.pipes[&id];
-            let ours = if Self::is_adjacency_pipe(rec) {
+            let ours = if self.pipes[&id].is_adjacency() {
                 if ctx.blackboard.pipe(id).port.is_none() {
                     continue; // ETH module has not published the port yet
                 }
@@ -839,25 +848,30 @@ mod tests {
         m.exchanges.owed().map(|(pipe, ..)| pipe).collect()
     }
 
-    /// The full scan of the module's pipes: every one that initiates an
-    /// exchange with an IP peer, endpoint or adjacency, and has not sent its
-    /// query yet, whether or not it can fire.
-    fn scan(m: &IpModule, opened: &[PipeId]) -> Vec<PipeId> {
+    /// The peer a spec names for this module's end of the pipe.
+    fn peer_of(spec: &PipeSpec) -> Option<&ModuleRef> {
+        if spec.upper == me() {
+            spec.peer_upper.as_ref()
+        } else {
+            spec.peer_lower.as_ref()
+        }
+    }
+
+    /// The full scan of what the module was told: every pipe that initiates
+    /// an exchange with an IP peer, endpoint or adjacency, and has not sent
+    /// its query yet, whether or not it can fire.
+    fn scan(created: &BTreeMap<PipeId, PipeSpec>, opened: &[PipeId]) -> Vec<PipeId> {
         let mut owed = Vec::new();
-        for (id, rec) in &m.pipes {
-            if opened.contains(id) || !rec.spec.initiate {
+        for (id, spec) in created {
+            if opened.contains(id) || !spec.initiate {
                 continue;
             }
-            let peer = match rec.role {
-                Role::Upper => &rec.spec.peer_upper,
-                Role::Lower => &rec.spec.peer_lower,
-            };
-            if peer.as_ref().is_none_or(|p| p.kind != ModuleKind::Ip) {
+            if peer_of(spec).is_none_or(|p| p.kind != ModuleKind::Ip) {
                 continue;
             }
-            let endpoint = rec.role == Role::Lower
-                && matches!(rec.spec.upper.kind, ModuleKind::Gre | ModuleKind::Ip);
-            let adjacency = rec.role == Role::Upper && rec.spec.lower.kind == ModuleKind::Eth;
+            let upper = spec.upper == me();
+            let endpoint = !upper && matches!(spec.upper.kind, ModuleKind::Gre | ModuleKind::Ip);
+            let adjacency = upper && spec.lower.kind == ModuleKind::Eth;
             if endpoint || adjacency {
                 owed.push(*id);
             }
@@ -1203,7 +1217,7 @@ mod tests {
         ) {
             let mut rig = Rig::new();
             let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
-            let mut opened = Vec::new();
+            let (mut created, mut opened) = (BTreeMap::new(), Vec::new());
             for (op, id, bits) in ops {
                 let peer = 2 + u64::from(bits & 1);
                 match op {
@@ -1241,6 +1255,7 @@ mod tests {
                             _ => {}
                         }
                         m.create_pipe(&mut rig.ctx(), &spec).unwrap();
+                        created.insert(spec.pipe, spec);
                     }
                     2 => rig.publish_port(id, id),
                     3 => {
@@ -1252,10 +1267,11 @@ mod tests {
                             .unwrap();
                         // The agent drops the pipe's facts with it.
                         rig.blackboard.remove_pipe(PipeId(id));
+                        created.remove(&PipeId(id));
                         opened.retain(|pipe| *pipe != PipeId(id));
                     }
                     _ => {
-                        let due: Vec<PipeId> = scan(&m, &opened)
+                        let due: Vec<PipeId> = scan(&created, &opened)
                             .into_iter()
                             .filter(|id| {
                                 !m.adjacency_pipes.contains(id)
@@ -1263,7 +1279,7 @@ mod tests {
                             })
                             .collect();
                         let peers: Vec<(ModuleRef, PipeId)> = (due.iter())
-                            .map(|id| (IpModule::peer_of(&m.pipes[id]).unwrap().clone(), far(id.0)))
+                            .map(|id| (peer_of(&created[id]).unwrap().clone(), far(id.0)))
                             .collect();
                         let fired = m.poll(&mut rig.ctx());
                         let to: Vec<(ModuleRef, PipeId)> =
@@ -1272,7 +1288,7 @@ mod tests {
                         opened.extend(due);
                     }
                 }
-                prop_assert_eq!(owed(&m), scan(&m, &opened));
+                prop_assert_eq!(owed(&m), scan(&created, &opened));
             }
         }
 

@@ -739,6 +739,34 @@ fn a_frame_writes_each_device_once() {
     assert_clean("A frame writes each device once", &hits);
 }
 
+/// A module keeps what it reads from a spec, not the spec: IP's pipe
+/// record holds the pipe's shape and the address it learned, and the peer
+/// of an exchanging pipe is held once, in `exchange.rs`. So before its
+/// tests no line under conman-modules' src declares `name: Type` where the
+/// type holds a `PipeSpec` other than behind a leading `&` (a field, or a
+/// by-value parameter, which no module takes). What a converged fleet
+/// holds is `experiments fleet`'s `held after the pass` line, bounded by
+/// `tests/held_state.rs` (48 110 B per goal while IP's record cloned its
+/// spec, 30 901 B since).
+#[test]
+fn a_module_keeps_what_it_reads() {
+    let holds_a_spec = |line: &str| {
+        let line = line.trim_start();
+        let line = (line.strip_prefix("pub(crate) "))
+            .or_else(|| line.strip_prefix("pub "))
+            .unwrap_or(line);
+        line.split_once(':').is_some_and(|(name, ty)| {
+            !name.is_empty()
+                && name.chars().all(is_word)
+                && !ty.trim_start().starts_with('&')
+                && starts_word(ty, "PipeSpec")
+                && ends_word(ty, "PipeSpec")
+        })
+    };
+    let hits = grep(&bodies(rs_under("crates/conman-modules/src")), holds_a_spec);
+    assert_clean("A module keeps what it reads", &hits);
+}
+
 #[test]
 #[should_panic(expected = "no such path")]
 fn a_rule_over_a_missing_path_fails() {
