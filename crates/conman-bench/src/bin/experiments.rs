@@ -585,12 +585,11 @@ fn fleet() {
         "probe frames: {} frames, {} B (data plane, not NM)",
         wire.frames, wire.frame_bytes
     );
-    let per_goal = |v: usize| v as f64 / FLEET_TWIN_GOALS as f64;
     println!(
         "\nheld after the pass, heap B/goal: goal store {:.2}, agents {:.2}, network {:.2}, all {:.2}",
-        per_goal(held.goals),
-        per_goal(held.agents),
-        per_goal(held.net),
-        per_goal(held.total())
+        per_goal(held.goals as u64),
+        per_goal(held.agents as u64),
+        per_goal(held.net as u64),
+        per_goal(held.total() as u64)
     );
 }

@@ -22,7 +22,8 @@ use mgmt_channel::ManagementChannel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Bytes allocated through [`Counting`] and not yet freed.
+/// Bytes allocated through [`Counting`] and not yet freed.  A statistic
+/// that publishes no other data, so every access is `Relaxed`.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 
 /// The system allocator, counting live bytes (see the module doc).

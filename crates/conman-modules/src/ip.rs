@@ -405,17 +405,16 @@ impl IpModule {
         ) else {
             return false;
         };
-        let (inward, outward) = ((spec.in_pipe, in_rec), (spec.out_pipe, out_rec));
         let endpoint = match (in_rec.shape, out_rec.shape) {
-            (Shape::Endpoint { ipip }, _) => Some((inward.0, ipip, outward)),
-            (_, Shape::Endpoint { ipip }) => Some((outward.0, ipip, inward)),
+            (Shape::Endpoint { ipip }, _) => Some((spec.in_pipe, ipip, spec.out_pipe, out_rec)),
+            (_, Shape::Endpoint { ipip }) => Some((spec.out_pipe, ipip, spec.in_pipe, in_rec)),
             _ => None,
         };
         match endpoint {
             // Tunnel-endpoint switch (Figure 7(b) command 8): route the
             // remote tunnel endpoint through the other pipe's attachment —
             // an Ethernet adjacency or, on `... over MPLS` paths, an LSP.
-            Some((ep_pipe, ipip, (other_pipe, other))) => {
+            Some((ep_pipe, ipip, other_pipe, other)) => {
                 let ep_facts = ctx.blackboard.pipe(ep_pipe);
                 let Some(remote) = ep_facts.remote_addr else {
                     return false;
@@ -456,8 +455,8 @@ impl IpModule {
             // segment).
             None => {
                 let (Some(att_in), Some(att_out)) = (
-                    Self::attachment_of(ctx, inward.0, in_rec),
-                    Self::attachment_of(ctx, outward.0, out_rec),
+                    Self::attachment_of(ctx, spec.in_pipe, in_rec),
+                    Self::attachment_of(ctx, spec.out_pipe, out_rec),
                 ) else {
                     return false;
                 };
