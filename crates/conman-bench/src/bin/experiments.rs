@@ -424,7 +424,8 @@ fn autonomic_loop() {
     // listed apart from the NM's messages and bytes above.
     println!("\nProbe frames and their bytes, one quiet tick and detection to repair (the");
     println!("in-band row's repair-frames also count every flooded copy of its management");
-    println!("messages, whose bytes the data-plane port counters leave out):");
+    println!("messages; the data-plane port counters leave those copies' bytes out, the");
+    println!("channel counts them as inband.bytes_flooded, and the row ends with them):");
     println!(
         "{:>22} {:>8} {:>6} {:>12} {:>13} {:>13} {:>14}",
         "scenario",
@@ -436,8 +437,12 @@ fn autonomic_loop() {
         "repair-frame-B"
     );
     for r in &rows {
+        let flooded = match r.repair.flooded_bytes {
+            0 => String::new(),
+            bytes => format!("  flooded-B {bytes}"),
+        };
         println!(
-            "{:>22} {:>8} {:>6} {:>12} {:>13} {:>13} {:>14}",
+            "{:>22} {:>8} {:>6} {:>12} {:>13} {:>13} {:>14}{flooded}",
             r.scenario.name(),
             r.channel,
             r.goals,

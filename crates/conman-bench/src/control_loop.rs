@@ -132,7 +132,10 @@ pub struct LoopBenchReport {
     /// messages and bytes each way, and the frames delivered.  Out-of-band
     /// runs only carry data-plane (probe) frames; the in-band rows
     /// additionally pay for every flooded copy of every management message,
-    /// which is exactly the budget the in-band row exists to track.
+    /// which is exactly the budget the in-band row exists to track: those
+    /// copies count in `frames`, and their bytes, which the port counters
+    /// leave out of `frame_bytes`, in `flooded_bytes` (the channel's
+    /// `inband.bytes_flooded`).
     pub repair: WireCost,
     /// Did the run end converged, with every goal's traffic verified
     /// end to end?
@@ -245,10 +248,15 @@ pub fn recorded_loop_run(
 /// [`loop_run`] over the **in-band** flooding channel — the message-budget
 /// row: quiescent ticks must still be silent, and `repair.nm` records
 /// what the flooded telemetry and repair transactions cost during the
-/// faulty ticks.
+/// faulty ticks (`repair.flooded_bytes` their flooded copies' bytes, read
+/// from the recorder the run attaches).
 pub fn loop_run_inband(n: usize, goals: usize, scenario: LoopScenario) -> LoopBenchReport {
     let mut t = managed_fanout_chain_with(n, goals, InBandChannel::new());
-    chain_loop_run(&mut t, n, goals, scenario, "in-band")
+    t.mn.set_recorder(Recorder::new());
+    let report = chain_loop_run(&mut t, n, goals, scenario, "in-band");
+    // Every flood died out inside the run that sent it (inband.rs's floor).
+    assert_eq!(t.mn.recorder.counter("inband.stragglers_dropped"), 0);
+    report
 }
 
 fn chain_loop_run<C: ManagementChannel>(

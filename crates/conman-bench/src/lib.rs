@@ -141,8 +141,12 @@ pub struct WireCost {
     pub nm: NmCost,
     /// Link-level frames delivered.
     pub frames: u64,
-    /// Bytes received on device ports (the frames' bytes).
+    /// Bytes received on device ports (the data-plane frames' bytes).
     pub frame_bytes: u64,
+    /// Bytes of the management frames the in-band channel flooded, which
+    /// the port counters leave out: its `inband.bytes_flooded` metric, so
+    /// 0 out of band and wherever no recorder is attached.
+    pub flooded_bytes: u64,
 }
 
 impl WireCost {
@@ -163,6 +167,7 @@ impl WireCost {
                 .flat_map(|d| d.stats.ports.values())
                 .map(|p| p.rx_bytes)
                 .sum(),
+            flooded_bytes: mn.recorder.counter("inband.bytes_flooded"),
         }
     }
 
@@ -178,6 +183,7 @@ impl WireCost {
             },
             frames: self.frames - earlier.frames,
             frame_bytes: self.frame_bytes - earlier.frame_bytes,
+            flooded_bytes: self.flooded_bytes - earlier.flooded_bytes,
         }
     }
 }

@@ -2,11 +2,10 @@
 
 use crate::message::MessageCategory;
 use netsim::device::DeviceId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Counters for one device's use of the management channel.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelCounters {
     /// Messages this device originated.
     pub sent: u64,

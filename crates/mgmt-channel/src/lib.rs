@@ -10,10 +10,13 @@
 //! * [`InBandChannel`] — the straw-man 4D-style discovery/dissemination
 //!   channel: management messages are encapsulated in raw Ethernet frames
 //!   (EtherType 0x88B5) and flooded hop-by-hop over the same physical links
-//!   the data plane uses, with no pre-configuration at all.
+//!   the data plane uses, with no pre-configuration at all.  Its flood
+//!   frame is a [`codec`] frame too, and it counts every flooded copy and
+//!   byte and every frame it drops.
 //!
 //! Both variants count messages sent and received per device, which is how
-//! Table VI (NM messaging overhead) is regenerated.
+//! Table VI (NM messaging overhead) is regenerated.  Every byte either
+//! puts on a wire is written with [`codec`]; the crate has no other format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,9 +59,6 @@ pub trait ManagementChannel {
     /// Reset all counters (used between experiment runs).
     fn reset_counters(&mut self);
 
-    /// Human-readable name of the channel variant (for experiment output).
-    fn variant(&self) -> &'static str;
-
     /// Attach a flight recorder whose message tap accounts every message
     /// the channel moves (by direction and wire category).  Channels that
     /// do not implement the tap silently ignore the recorder.
@@ -84,16 +84,16 @@ mod tests {
         net.connect((b, PortId(0)), (c, PortId(1)), LinkProperties::lan())
             .unwrap();
 
-        let channels: Vec<Box<dyn ManagementChannel>> = vec![
-            Box::new(OutOfBandChannel::new()),
-            Box::new(InBandChannel::new()),
+        let channels: [(&str, Box<dyn ManagementChannel>); 2] = [
+            ("out-of-band", Box::new(OutOfBandChannel::new())),
+            ("in-band", Box::new(InBandChannel::new())),
         ];
-        for mut ch in channels {
+        for (name, mut ch) in channels {
             let msg = MgmtMessage::new(a, c, MessageCategory::Command, b"showPotential".to_vec());
             ch.send(&mut net, msg);
             ch.run(&mut net);
             let got = ch.recv(&mut net, c);
-            assert_eq!(got.len(), 1, "{} should deliver", ch.variant());
+            assert_eq!(got.len(), 1, "{name} should deliver");
             assert_eq!(got[0].payload, b"showPotential");
             assert_eq!(ch.counters(a).sent, 1);
             assert_eq!(ch.counters(c).received, 1);

@@ -1,12 +1,11 @@
 //! Management messages.
 
 use netsim::device::DeviceId;
-use serde::{Deserialize, Serialize};
 
 /// Coarse category of a management message, used only for accounting
 /// (Table VI breaks the NM's overhead down by what kind of exchange caused
 /// the messages).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MessageCategory {
     /// A device announcing itself / its physical connectivity to the NM.
     Announcement,
@@ -44,10 +43,27 @@ impl MessageCategory {
             MessageCategory::Telemetry => "Telemetry",
         }
     }
+
+    /// The category an in-band frame's category byte names: the byte is
+    /// the category's place in the declaration (`category as u8`), and a
+    /// byte past the last names none.
+    pub(crate) fn from_byte(byte: u8) -> Option<Self> {
+        use MessageCategory::*;
+        let all = [
+            Announcement,
+            Command,
+            Response,
+            ConveyMessage,
+            FieldQuery,
+            Notification,
+            Telemetry,
+        ];
+        all.get(usize::from(byte)).copied()
+    }
 }
 
 /// One management message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MgmtMessage {
     /// Sending device (the NM is itself hosted on a device).
     pub from: DeviceId,
@@ -57,19 +73,16 @@ pub struct MgmtMessage {
     pub category: MessageCategory,
     /// Opaque payload (serialized CONMan message).
     pub payload: Vec<u8>,
-    /// Per-sender sequence number, assigned by the channel on send.
-    pub seq: u64,
 }
 
 impl MgmtMessage {
-    /// Build a message (the sequence number is filled in by the channel).
+    /// Build a message.
     pub fn new(from: DeviceId, to: DeviceId, category: MessageCategory, payload: Vec<u8>) -> Self {
         MgmtMessage {
             from,
             to,
             category,
             payload,
-            seq: 0,
         }
     }
 
@@ -83,17 +96,15 @@ impl MgmtMessage {
 mod tests {
     use super::*;
 
+    /// Every category's byte names it back, and the byte after the last
+    /// names none.
     #[test]
-    fn serde_roundtrip() {
-        let m = MgmtMessage::new(
-            DeviceId::from_raw(1),
-            DeviceId::from_raw(2),
-            MessageCategory::ConveyMessage,
-            vec![1, 2, 3],
-        );
-        let s = serde_json::to_string(&m).unwrap();
-        let back: MgmtMessage = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.payload_len(), 3);
+    fn a_category_byte_names_its_category() {
+        for byte in 0..=u8::MAX {
+            match MessageCategory::from_byte(byte) {
+                Some(category) => assert_eq!(category as u8, byte),
+                None => assert!(byte > MessageCategory::Telemetry as u8, "{byte}"),
+            }
+        }
     }
 }

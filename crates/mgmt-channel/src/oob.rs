@@ -21,10 +21,6 @@ use std::collections::VecDeque;
 pub struct OutOfBandChannel {
     mailboxes: BTreeMap<DeviceId, VecDeque<MgmtMessage>>,
     counters: CounterBoard,
-    next_seq: u64,
-    /// Simulated one-way latency accounting: number of messages delivered,
-    /// exposed for the channel benchmarks.
-    pub deliveries: u64,
     /// Flight-recorder message tap (disabled by default).
     recorder: Recorder,
 }
@@ -34,17 +30,10 @@ impl OutOfBandChannel {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of messages currently queued for all devices.
-    pub fn pending(&self) -> usize {
-        self.mailboxes.values().map(|q| q.len()).sum()
-    }
 }
 
 impl ManagementChannel for OutOfBandChannel {
-    fn send(&mut self, _net: &mut Network, mut msg: MgmtMessage) {
-        self.next_seq += 1;
-        msg.seq = self.next_seq;
+    fn send(&mut self, _net: &mut Network, msg: MgmtMessage) {
         self.counters
             .record_sent(msg.from, msg.category, msg.payload_len());
         self.recorder.on_message(
@@ -66,7 +55,6 @@ impl ManagementChannel for OutOfBandChannel {
             .map(|q| q.drain(..).collect())
             .unwrap_or_default();
         for m in &msgs {
-            self.deliveries += 1;
             self.counters
                 .record_received(device, m.category, m.payload_len());
             self.recorder.on_message(
@@ -84,10 +72,6 @@ impl ManagementChannel for OutOfBandChannel {
 
     fn reset_counters(&mut self) {
         self.counters.reset();
-    }
-
-    fn variant(&self) -> &'static str {
-        "out-of-band"
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
@@ -112,13 +96,13 @@ mod tests {
                 MgmtMessage::new(a, b, MessageCategory::Command, vec![i]),
             );
         }
-        assert_eq!(ch.pending(), 3);
         assert!(ch.recv(&mut net, a).is_empty());
         let got = ch.recv(&mut net, b);
         assert_eq!(got.len(), 3);
-        // Sequence numbers are assigned in send order.
-        assert!(got.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert_eq!(ch.pending(), 0);
+        // Delivered in send order.
+        let order: Vec<u8> = got.iter().map(|m| m.payload[0]).collect();
+        assert_eq!(order, [0, 1, 2]);
+        assert!(ch.recv(&mut net, b).is_empty(), "a mailbox drains once");
         assert_eq!(ch.counters(a).sent, 3);
         assert_eq!(ch.counters(b).received, 3);
     }

@@ -287,43 +287,55 @@ fn modules_speak_their_own_dialects() {
 }
 
 /// Every management message is a binary frame of conman-core's wire
-/// module: no JSON arm, no sniffing for `{`, no JSON embedded inside a
-/// frame. Up to each file's first #[cfg(test)], no file of conman-core and
-/// not the channel's codec names serde_json, the embedding helpers, the
-/// sniff or the JSON codec; and conman-core lists serde_json only as a
-/// dev-dependency. (The in-band flood frame in mgmt-channel's inband.rs is
-/// a format of its own.)
+/// module, carried by the channel in binary frames of its own: no JSON arm,
+/// no sniffing for `{`, no JSON embedded inside a frame, no JSON flood
+/// frame. Up to each file's first #[cfg(test)], no file of conman-core or
+/// of mgmt-channel names serde_json, the embedding helpers, the sniff or
+/// the JSON codec, and no file of mgmt-channel names serde at all;
+/// conman-core lists serde_json only as a dev-dependency, and mgmt-channel
+/// lists neither serde nor serde_json outside its dev-dependencies.
 #[test]
 fn the_channel_speaks_one_codec() {
-    let mut files = rs_under("crates/conman-core/src");
-    files.push(File::read("crates/mgmt-channel/src/codec.rs"));
-    let hits = banned(
-        &bodies(files),
-        &[
-            "serde_json",
-            "put_json",
-            "read_json",
-            "is_binary",
-            "WireCodec::Json",
-        ],
-    );
+    let json = [
+        "serde_json",
+        "put_json",
+        "read_json",
+        "is_binary",
+        "WireCodec::Json",
+    ];
+    let mut hits = banned(&bodies(rs_under("crates/conman-core/src")), &json);
+    hits.extend(banned(
+        &bodies(rs_under("crates/mgmt-channel/src")),
+        &[&json[..], &["serde"]].concat(),
+    ));
     assert_clean("The channel speaks one codec", &hits);
 
-    let manifest = File::read("crates/conman-core/Cargo.toml");
-    let mut section = "";
-    let mut sections = Vec::new();
-    for (_, line) in manifest.lines() {
-        if line.starts_with('[') {
-            section = line;
+    // The manifest sections that list a dependency whose name starts with
+    // `prefix`.
+    let sections = |path: &str, prefix: &str| {
+        let manifest = File::read(path);
+        let mut section = String::new();
+        let mut sections = Vec::new();
+        for (_, line) in manifest.lines() {
+            if line.starts_with('[') {
+                section = line.to_owned();
+            }
+            if line.starts_with(prefix) {
+                sections.push(section.clone());
+            }
         }
-        if line.starts_with("serde_json") {
-            sections.push(section);
-        }
-    }
+        sections
+    };
+    let core = sections("crates/conman-core/Cargo.toml", "serde_json");
     assert_eq!(
-        sections,
+        core,
         ["[dev-dependencies]"],
-        "The channel speaks one codec: serde_json listed under {sections:?}"
+        "The channel speaks one codec: conman-core lists serde_json under {core:?}"
+    );
+    let channel = sections("crates/mgmt-channel/Cargo.toml", "serde");
+    assert!(
+        channel.iter().all(|s| s == "[dev-dependencies]"),
+        "The channel speaks one codec: mgmt-channel lists serde under {channel:?}"
     );
 }
 
@@ -696,8 +708,10 @@ fn an_exchange_pairs_with_a_waiting_pipe_or_nothing() {
 
 /// A frame writes each device id's eight raw bytes once, in its device
 /// list right after the tag; everywhere else it names the device by its
-/// index in that list. In library code under crates/*/src, up to each
-/// file's first #[cfg(test)], only wire.rs's `fn put_device_list` turns a
+/// index in that list. The in-band channel's flood header names its two
+/// devices, origin and destination, once each. In library code under
+/// crates/*/src, up to each file's first #[cfg(test)], only wire.rs's
+/// `fn put_device_list` and inband.rs's `fn flood_frame` turn a
 /// number into raw bytes for a frame: no other line calls `to_le_bytes` or
 /// `to_ne_bytes`, or writes with `.put_raw(` anything but a module body's
 /// IPv4 address (`octets()`). (Netsim's packet headers are big-endian and
@@ -709,33 +723,41 @@ fn a_frame_writes_each_device_once() {
         .into_iter()
         .filter(|f| f.path.contains("/src/"))
         .collect();
-    let writer = ("crates/conman-core/src/wire.rs", "fn put_device_list(");
+    let writers = [
+        ("crates/conman-core/src/wire.rs", "fn put_device_list("),
+        ("crates/mgmt-channel/src/inband.rs", "fn flood_frame("),
+    ];
     let raw = |line: &str| {
         line.contains("to_le_bytes")
             || line.contains("to_ne_bytes")
             || (line.contains(".put_raw(") && !line.contains("octets()"))
     };
-    let (mut hits, mut in_writer) = (Vec::new(), Vec::new());
+    let (mut hits, mut written) = (Vec::new(), [0; 2]);
     for file in &files {
-        let mut inside = false;
+        let mut inside = None;
         for (number, line) in file.lines() {
-            if file.path == writer.0 && line.starts_with(writer.1) {
-                inside = true;
+            if let Some(w) = writers
+                .iter()
+                .position(|&(path, anchor)| file.path == path && line.starts_with(anchor))
+            {
+                inside = Some(w);
             } else if line.starts_with('}') {
-                inside = false;
+                inside = None;
             }
             if raw(line) {
-                let hit = file.hit(number, line);
-                if inside { &mut in_writer } else { &mut hits }.push(hit);
+                match inside {
+                    Some(w) => written[w] += 1,
+                    None => hits.push(file.hit(number, line)),
+                }
             }
         }
     }
-    assert!(
-        !in_writer.is_empty(),
-        "{}: no line starts with `{}` and writes raw bytes",
-        writer.0,
-        writer.1
-    );
+    for ((path, anchor), written) in writers.iter().zip(written) {
+        assert!(
+            written > 0,
+            "{path}: no line starts with `{anchor}` and writes raw bytes"
+        );
+    }
     assert_clean("A frame writes each device once", &hits);
 }
 

@@ -955,9 +955,6 @@ impl ManagementChannel for CommitTap {
     fn reset_counters(&mut self) {
         self.inner.reset_counters();
     }
-    fn variant(&self) -> &'static str {
-        self.inner.variant()
-    }
 }
 
 /// A goal refused at stage in the middle of a batch.  g2's segment on the
