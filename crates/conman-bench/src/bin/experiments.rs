@@ -16,8 +16,9 @@ use legacy_config::{
     classify_conman_script, gre_script_today, mpls_script_today, vlan_script_today, GreVpnParams,
 };
 
-// Counts live heap bytes, so `experiments fleet` can print what the
-// converged twin holds.
+// Counts live heap bytes and heap calls, so `experiments fleet` can print
+// what the converged twin holds and `experiments loop` what a quiet tick
+// allocates.
 #[global_allocator]
 static ALLOC: conman_bench::held::Counting = conman_bench::held::Counting;
 
@@ -334,7 +335,7 @@ fn autonomic_loop() {
     println!("(no budget burn); a converged tick sends ZERO management messages.\n");
     let header = || {
         println!(
-            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14} {:>12} {:>16} {:>13}",
+            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14} {:>12} {:>16} {:>13} {:>12}",
             "scenario",
             "channel",
             "goals",
@@ -350,13 +351,14 @@ fn autonomic_loop() {
             "repair-NM-recv",
             "repair-NM-B",
             "repair-NM-recv-B",
-            "quiet-lookups"
+            "quiet-lookups",
+            "quiet-allocs"
         );
     };
     header();
     let print_row = |r: &LoopBenchReport| {
         println!(
-            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14} {:>12} {:>16} {:>13}",
+            "{:>22} {:>8} {:>6} {:>7} {:>8} {:>8} {:>9} {:>9} {:>8} {:>7} {:>7} {:>10} {:>14} {:>12} {:>16} {:>13} {:>12}",
             r.scenario.name(),
             r.channel,
             r.goals,
@@ -373,6 +375,7 @@ fn autonomic_loop() {
             r.repair.nm.bytes_sent,
             r.repair.nm.bytes_received,
             r.quiet_lookup_work,
+            r.quiet_allocs,
         );
     };
     let mut rows = Vec::new();

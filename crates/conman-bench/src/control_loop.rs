@@ -31,6 +31,7 @@
 //! `loop.repair.*_ms` in `benchmark/`.
 
 use crate::diagnosis::chain_limits;
+use crate::held;
 use crate::WireCost;
 use conman_core::nm::{script, GoalId, GoalStatus, PathFinderLimits};
 use conman_core::runtime::{
@@ -106,6 +107,10 @@ pub struct LoopBenchReport {
     /// `LookupWork::total`): the deterministic twin of a quiet tick's wall
     /// time.  Indexed lookups keep it near-linear in the goals probed.
     pub quiet_lookup_work: u64,
+    /// The heap calls the last quiescent tick made, the loop and the
+    /// simulator together (zero unless the binary installed
+    /// [`crate::held::Counting`]).
+    pub quiet_allocs: usize,
     /// What the last quiescent tick cost on every wire: no NM message, and
     /// the health probes' frames.
     pub quiet: WireCost,
@@ -349,6 +354,7 @@ fn chain_loop_run<C: ManagementChannel>(
         setup_ticks,
         quiescent_nm_sent: quiet.nm_sent,
         quiet_lookup_work: quiet.lookup_work,
+        quiet_allocs: quiet.allocs,
         quiet: quiet.cost,
         ticks_to_detect: m.detect.saturating_sub(fault_tick),
         ticks_to_repair: m.repaired.saturating_sub(fault_tick),
@@ -369,6 +375,8 @@ struct Quiet {
     nm_sent: u64,
     /// The lookup work of the last one.
     lookup_work: u64,
+    /// The heap calls of the last one.
+    allocs: usize,
     /// What the last one cost on every wire.
     cost: WireCost,
 }
@@ -377,11 +385,14 @@ fn quiet_ticks<C: ManagementChannel>(cl: &mut ControlLoop<C>, mn: &mut ManagedNe
     let mut quiet = Quiet {
         nm_sent: 0,
         lookup_work: 0,
+        allocs: 0,
         cost: WireCost::default(),
     };
     for _ in 0..3 {
         let (work, cost) = (mn.net.lookup_work().total(), WireCost::of(mn));
+        let heap = held::allocs();
         let tick = cl.tick(mn);
+        quiet.allocs = held::allocs().since(heap).calls;
         assert!(tick.frames > 0, "every quiet tick probes: {tick:?}");
         quiet.nm_sent = quiet.nm_sent.max(tick.nm_sent);
         quiet.lookup_work = mn.net.lookup_work().total() - work;
@@ -504,6 +515,7 @@ fn mesh_loop_run_with(
         setup_ticks,
         quiescent_nm_sent: quiet.nm_sent,
         quiet_lookup_work: quiet.lookup_work,
+        quiet_allocs: quiet.allocs,
         quiet: quiet.cost,
         ticks_to_detect: m.detect.saturating_sub(fault_tick),
         ticks_to_repair: m.repaired.saturating_sub(fault_tick),

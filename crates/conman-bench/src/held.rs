@@ -2,8 +2,9 @@
 //!
 //! [`Counting`] is a global allocator over the system one that tracks live
 //! bytes only (the sizes asked for, not what the system allocator rounds
-//! them up to), so a count repeats from run to run.  A binary or a test
-//! installs it with
+//! them up to), so a count repeats from run to run.  Beside them it counts
+//! heap calls (every `alloc`, `alloc_zeroed` and `realloc`) and the bytes
+//! they ask for ([`Allocs`]).  A binary or a test installs it with
 //!
 //! ```text
 //! #[global_allocator]
@@ -12,8 +13,10 @@
 //!
 //! and [`Held::take_from`] then reads what each public holder of a
 //! `ManagedNetwork` keeps: it takes the holder out (`std::mem::take`) and
-//! counts what dropping it frees.  Without the allocator every count reads
-//! zero.
+//! counts what dropping it frees, and [`allocs`] read before and after a
+//! step prices the step's heap calls.  The counters are global: they count
+//! every thread, so a test that reads them runs alone in its binary.
+//! Without the allocator every count reads zero.
 
 #![allow(unsafe_code)]
 
@@ -25,6 +28,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Bytes allocated through [`Counting`] and not yet freed.  A statistic
 /// that publishes no other data, so every access is `Relaxed`.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Heap calls made through [`Counting`].
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes those calls asked for (a `realloc` asks for its new size).
+static ASKED: AtomicUsize = AtomicUsize::new(0);
+
+/// Count one heap call asking for `size` bytes.
+fn asked(size: usize) {
+    CALLS.fetch_add(1, Ordering::Relaxed);
+    ASKED.fetch_add(size, Ordering::Relaxed);
+}
 
 /// The system allocator, counting live bytes (see the module doc).
 pub struct Counting;
@@ -33,6 +46,7 @@ pub struct Counting;
 // `GlobalAlloc` contract; the counter is only arithmetic beside it.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        asked(layout.size());
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             LIVE.fetch_add(layout.size(), Ordering::Relaxed);
@@ -41,6 +55,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        asked(layout.size());
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
             LIVE.fetch_add(layout.size(), Ordering::Relaxed);
@@ -54,6 +69,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        asked(new_size);
         let moved = System.realloc(ptr, layout, new_size);
         if !moved.is_null() {
             LIVE.fetch_add(new_size, Ordering::Relaxed);
@@ -66,6 +82,35 @@ unsafe impl GlobalAlloc for Counting {
 /// Live bytes allocated through [`Counting`]; zero when it is not installed.
 pub fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// The heap calls made through [`Counting`] so far, and the bytes they
+/// asked for.  Counters only grow: take the difference of two readings
+/// ([`Allocs::since`]) to price what ran between them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Allocs {
+    /// `alloc`, `alloc_zeroed` and `realloc` calls.
+    pub calls: usize,
+    /// The bytes those calls asked for.
+    pub bytes: usize,
+}
+
+impl Allocs {
+    /// What was allocated between `earlier` and this reading.
+    pub fn since(self, earlier: Allocs) -> Allocs {
+        Allocs {
+            calls: self.calls - earlier.calls,
+            bytes: self.bytes - earlier.bytes,
+        }
+    }
+}
+
+/// The heap calls so far; zero when [`Counting`] is not installed.
+pub fn allocs() -> Allocs {
+    Allocs {
+        calls: CALLS.load(Ordering::Relaxed),
+        bytes: ASKED.load(Ordering::Relaxed),
+    }
 }
 
 /// The bytes dropping `value` frees.
