@@ -49,6 +49,7 @@ use netsim::clock::{SimDuration, SimTime, StepClock};
 use netsim::device::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write as _;
 
 /// Tuning knobs of a [`ControlLoop`].
 #[derive(Debug, Clone, Copy)]
@@ -216,6 +217,8 @@ pub struct ControlLoop<C: ManagementChannel> {
     client: Option<Box<dyn LoopClient<C>>>,
     endpoints: BTreeMap<GoalId, GoalEndpoints>,
     probe_seq: u64,
+    /// The probe payload being sent, rewritten in place for each probe.
+    probe_payload: Vec<u8>,
     epoch: u64,
 }
 
@@ -230,6 +233,7 @@ impl<C: ManagementChannel> ControlLoop<C> {
             client: None,
             endpoints: BTreeMap::new(),
             probe_seq: 0,
+            probe_payload: Vec::new(),
             epoch: 0,
         }
     }
@@ -381,11 +385,13 @@ impl<C: ManagementChannel> ControlLoop<C> {
         let before = mn.net.flow_counters(ep.dst, id.0).local_delivered;
         for _ in 0..sent {
             self.probe_seq += 1;
-            let payload = format!("loop-{}-{}", id.0, self.probe_seq).into_bytes();
+            let payload = &mut self.probe_payload;
+            payload.clear();
+            write!(payload, "loop-{}-{}", id.0, self.probe_seq).expect("a Vec takes every byte");
             mn.net.begin_flow_window(id.0);
             // The verdict comes from the counters, not the probe's own
             // payload match.
-            ep.probe(&mut mn.net, &payload);
+            ep.probe(&mut mn.net, payload);
             mn.net.end_flow_window();
         }
         let after = mn.net.flow_counters(ep.dst, id.0).local_delivered;

@@ -18,16 +18,15 @@
 //! counted.
 //!
 //! **A flood is forgotten once it has died out.**  `run` returns only when
-//! two 10 ms steps have passed with no arrival since the last frame was
-//! sent or forwarded.  The floor below rests on one condition: every frame
-//! crosses its link (latency plus serialization) within those 20 ms, which
-//! holds on a `lan` link (50 µs, 1 Gbit/s) for a frame under 2.4 MB and on
-//! a `wan` link (5 ms, 100 Mbit/s) for one under 187 KB.  Then every flood
-//! sent before `run` returned has been delivered, suppressed or expired
-//! everywhere, so `run` ends by recording the last flood id as a floor and
-//! forgetting which floods each device has seen.  A frame at or below the
-//! floor that arrives anyway (one too big for those 20 ms, or a replay) is
-//! a straggler: dropped and counted, never delivered twice.
+//! no management frame is in flight on any link
+//! ([`Network::management_frames_in_flight`]) and two 10 ms steps have
+//! passed with no arrival since the last frame was sent or forwarded.  Then
+//! every flood sent before `run` returned has been delivered, suppressed or
+//! expired everywhere, however long its frames take to cross their links,
+//! so `run` ends by recording the last flood id as a floor and forgetting
+//! which floods each device has seen.  A frame at or below the floor that
+//! arrives anyway (a replay, or a copy injected by a neighbour that is not
+//! this channel) is a straggler: dropped and counted, never delivered twice.
 
 use crate::codec::{Reader, Writer};
 use crate::counters::{ChannelCounters, CounterBoard};
@@ -216,11 +215,15 @@ impl ManagementChannel for InBandChannel {
 
     fn run(&mut self, net: &mut Network) {
         // Alternate between letting frames propagate over links and
-        // processing what arrived, until a step passes with no arrival.
+        // processing what arrived, until a step passes with no arrival and
+        // no management frame is still on a link.
         loop {
             net.run_for(SimDuration::from_millis(10));
             let progressed = self.pump(net);
-            if !progressed && net.run_for(SimDuration::from_millis(10)) == 0 {
+            if !progressed
+                && net.run_for(SimDuration::from_millis(10)) == 0
+                && net.management_frames_in_flight() == 0
+            {
                 break;
             }
         }
@@ -393,9 +396,9 @@ mod tests {
         assert!(t.net.trace().iter().all(|e| e.packet().layers == mgmt));
     }
 
-    /// The module doc's condition at its edge: a frame just under 187 KB
-    /// crosses the testbed's `wan` core links within the 20 ms `run` waits,
-    /// so the `recv` after its `send` delivers it.
+    /// A frame just under 187 KB crosses the testbed's `wan` core links
+    /// within the two idle 10 ms steps, so the `recv` after its `send`
+    /// delivers it.
     #[test]
     fn a_frame_under_the_wan_bound_is_delivered_by_the_next_recv() {
         let mut t = topology::figure4();
@@ -407,6 +410,29 @@ mod tests {
             MgmtMessage::new(from, to, MessageCategory::Command, payload),
         );
         assert_eq!(ch.recv(&mut t.net, to).len(), 1);
+        assert_eq!(ch.stragglers_dropped, 0);
+    }
+
+    /// A 200 000 B frame needs 21 ms on a `wan` link, longer than the two
+    /// idle steps: `run` keeps stepping while it is in flight, so the `recv`
+    /// after its `send` still delivers it and nothing turns up later as a
+    /// straggler.
+    #[test]
+    fn a_frame_longer_on_its_link_than_the_idle_steps_is_delivered_by_the_next_recv() {
+        let mut t = topology::figure4();
+        let mut ch = InBandChannel::new();
+        let (from, to) = (t.core[0], t.core[2]);
+        let payload = vec![7; 200_000];
+        ch.send(
+            &mut t.net,
+            MgmtMessage::new(from, to, MessageCategory::Command, payload.clone()),
+        );
+        let got = ch.recv(&mut t.net, to);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].payload, payload);
+        assert_eq!(t.net.management_frames_in_flight(), 0);
+        // Nothing of the flood is left to arrive after the floor was set.
+        assert!(ch.recv(&mut t.net, to).is_empty());
         assert_eq!(ch.stragglers_dropped, 0);
     }
 

@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// Globally unique, topology-independent device identifier.
 ///
@@ -108,11 +109,92 @@ pub struct MgmtFrame {
     pub payload: Vec<u8>,
 }
 
-/// Frames a device wants to transmit as the result of processing input.
-#[derive(Debug, Clone, Default)]
+/// The frames a device transmits while it handles one input, written back
+/// to back into one buffer.  The [`Network`](crate::network::Network) owns
+/// one and hands it to every device it runs, clearing it in between, so once
+/// it has grown to a step's size no frame asks the heap for its bytes.
+///
+/// A frame is written once, from the inside out: [`Self::open`] copies the
+/// innermost bytes (a payload read in place from the received frame) behind
+/// some headroom, and each layer the route needs (UDP, IPv4, GRE, an MPLS
+/// label, at last Ethernet) is [prepended](Self::prepend) into that
+/// headroom.  One packet is open at a time, at the end of the buffer, until
+/// it is [sent](Self::push_frame) or [discarded](Self::discard).
+#[derive(Debug, Default)]
 pub(crate) struct EngineOutput {
-    /// `(egress port, raw Ethernet frame)` pairs.
-    pub transmissions: Vec<(PortId, Vec<u8>)>,
+    /// The frames' bytes, each behind the headroom it did not use.
+    bytes: Vec<u8>,
+    /// `(egress port, where its raw Ethernet frame lies in bytes)`.
+    frames: Vec<(PortId, Range<usize>)>,
+}
+
+/// The packet open in an [`EngineOutput`]: `bytes[start..head]` is headroom,
+/// `bytes[head..]` the packet, outermost header first.
+#[derive(Debug)]
+pub(crate) struct Packet {
+    start: usize,
+    head: usize,
+}
+
+impl EngineOutput {
+    /// Room in front of a payload for the headers the engine prepends:
+    /// Ethernet, an MPLS label and two rounds of IPv4 plus the longest GRE
+    /// header.  Deeper nesting makes more room (see [`Self::prepend`]).
+    const HEADROOM: usize = 96;
+
+    /// Forget every frame, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.frames.clear();
+    }
+
+    /// The frames, in the order they were sent.
+    pub(crate) fn frames(&self) -> impl Iterator<Item = (PortId, &[u8])> {
+        (self.frames.iter()).map(|(port, range)| (*port, &self.bytes[range.clone()]))
+    }
+
+    /// Open a packet whose innermost bytes are `payload`.
+    pub(crate) fn open(&mut self, payload: &[u8]) -> Packet {
+        let start = self.bytes.len();
+        self.bytes.resize(start + Self::HEADROOM, 0);
+        self.bytes.extend_from_slice(payload);
+        Packet {
+            start,
+            head: start + Self::HEADROOM,
+        }
+    }
+
+    /// Put `header` in front of the open packet.
+    pub(crate) fn prepend(&mut self, packet: &mut Packet, header: &[u8]) {
+        if packet.head - packet.start < header.len() {
+            let more = Self::HEADROOM.max(header.len());
+            let room = std::iter::repeat_n(0, more);
+            self.bytes.splice(packet.start..packet.start, room);
+            packet.head += more;
+        }
+        packet.head -= header.len();
+        self.bytes[packet.head..packet.head + header.len()].copy_from_slice(header);
+    }
+
+    /// The open packet's bytes.
+    pub(crate) fn packet(&self, packet: &Packet) -> &[u8] {
+        &self.bytes[packet.head..]
+    }
+
+    /// The open packet's bytes, to fill in a checksum.
+    pub(crate) fn packet_mut(&mut self, packet: &Packet) -> &mut [u8] {
+        &mut self.bytes[packet.head..]
+    }
+
+    /// Drop the open packet: it is not sent.
+    pub(crate) fn discard(&mut self, packet: Packet) {
+        self.bytes.truncate(packet.start);
+    }
+
+    /// Send the open packet, an Ethernet frame by now, out of `port`.
+    pub(crate) fn push_frame(&mut self, port: PortId, packet: Packet) {
+        self.frames.push((port, packet.head..self.bytes.len()));
+    }
 }
 
 /// A simulated device.

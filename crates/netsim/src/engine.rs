@@ -9,12 +9,22 @@
 //!   numbers, checksums),
 //! * MPLS label push/swap/pop via ILM/NHLFE/XC tables,
 //! * 802.1Q VLAN bridging with access, trunk and dot1q-tunnel (Q-in-Q) ports.
+//!
+//! **Who owns the bytes.**  A received frame is read in place: every decoder
+//! returns its payload as a slice of the frame, so `handle_frame` →
+//! `ip_input` → `ip_forward` → `ip_output` pass slices down and copy
+//! nothing.  An outgoing frame is written once, into the [`EngineOutput`]
+//! the network lends the device: the innermost bytes first, then each header
+//! the route needs prepended in front of them, Ethernet last, once the next
+//! hop's MAC is known.  Only what outlives the frame is copied out: a
+//! management payload for the agent's queue, a locally delivered payload and
+//! a packet parked until ARP resolves.
 
 use crate::arp::{ArpCache, ArpOp, ArpPacket, PendingPacket};
 use crate::config::{SwitchPortMode, TunnelMode};
-use crate::device::{Delivered, Device, DeviceRole, EngineOutput, MgmtFrame, PortId};
-use crate::ether::{EtherType, EthernetFrame};
-use crate::gre::{GreHeader, GRE_PROTO_IPV4};
+use crate::device::{Delivered, Device, DeviceRole, EngineOutput, MgmtFrame, Packet, PortId};
+use crate::ether::{ethertype_of, EtherType, EthernetFrame};
+use crate::gre::{self, GreHeader, GRE_PROTO_IPV4};
 use crate::ipv4::{Ipv4Header, Ipv4Proto};
 use crate::mac::MacAddr;
 use crate::mpls::{self, LabelOp, LabelStackEntry};
@@ -28,19 +38,26 @@ use std::net::Ipv4Addr;
 /// declaring a configuration loop.
 const MAX_ENCAP_DEPTH: u8 = 8;
 
+/// The Ethernet header of a frame from `src` to `dst`.
+fn ethernet_header(dst: MacAddr, src: MacAddr, ethertype: EtherType) -> [u8; 14] {
+    EthernetFrame::new(dst, src, ethertype, ()).header()
+}
+
+/// Prepend the header of an IPv4 packet carrying the open packet.
+fn prepend_ipv4(header: &Ipv4Header, packet: &mut Packet, out: &mut EngineOutput) {
+    let payload_len = out.packet(packet).len();
+    out.prepend(packet, &header.header_bytes(payload_len));
+}
+
 impl Device {
-    /// Process a frame received on `port` and return the frames to transmit
-    /// in response.
-    pub(crate) fn handle_frame(&mut self, port: PortId, bytes: &[u8]) -> EngineOutput {
-        let mut out = EngineOutput::default();
-        let frame = match EthernetFrame::decode(bytes) {
-            Ok(f) => f,
-            Err(_) => {
-                self.stats.port(port.0).rx(bytes.len());
-                self.stats.record_drop(DropReason::Malformed);
-                self.stats.port(port.0).drop_packet();
-                return out;
-            }
+    /// Process a frame received on `port`, writing the frames to transmit
+    /// in response into `out`.
+    pub(crate) fn handle_frame(&mut self, port: PortId, bytes: &[u8], out: &mut EngineOutput) {
+        let Ok(frame) = EthernetFrame::decode(bytes) else {
+            self.stats.port(port.0).rx(bytes.len());
+            self.stats.record_drop(DropReason::Malformed);
+            self.stats.port(port.0).drop_packet();
+            return;
         };
 
         // Management-channel frames bypass the data plane entirely on every
@@ -52,56 +69,49 @@ impl Device {
             self.mgmt_rx.push_back(MgmtFrame {
                 port: Some(port),
                 src_mac: frame.src,
-                payload: frame.payload,
+                payload: frame.payload.to_vec(),
             });
-            return out;
+            return;
         }
         self.stats.port(port.0).rx(bytes.len());
 
         match self.role {
-            DeviceRole::Switch => self.bridge_input(port, &frame, &mut out),
-            DeviceRole::Router | DeviceRole::Host => self.l3_input(port, &frame, &mut out),
+            DeviceRole::Switch => self.bridge_input(port, &frame, out),
+            DeviceRole::Router | DeviceRole::Host => self.l3_input(port, &frame, out),
         }
-        out
     }
 
-    /// Originate an IPv4 packet from this device (application traffic,
-    /// self-tests).  The source address is chosen from the egress interface
-    /// unless `src` is given.
-    pub(crate) fn originate_ip(
-        &mut self,
-        src: Option<Ipv4Addr>,
-        dst: Ipv4Addr,
-        proto: Ipv4Proto,
-        payload: Vec<u8>,
-    ) -> EngineOutput {
-        let mut out = EngineOutput::default();
-        self.stats.originated += 1;
-        let src = src.unwrap_or_else(|| self.default_source_for(dst));
-        let header = Ipv4Header::new(src, dst, proto);
-        self.ip_output(IncomingIf::Local, header, payload, 0, &mut out);
-        out
-    }
-
-    /// Originate a UDP datagram.
+    /// Originate a UDP datagram (application traffic, self-tests).  The
+    /// source address is chosen from the egress interface.
     pub(crate) fn originate_udp(
         &mut self,
         dst: Ipv4Addr,
         src_port: u16,
         dst_port: u16,
         payload: &[u8],
-    ) -> EngineOutput {
-        let datagram = UdpHeader::new(src_port, dst_port).encode_datagram(payload);
-        self.originate_ip(None, dst, Ipv4Proto::Udp, datagram)
+        out: &mut EngineOutput,
+    ) {
+        self.stats.originated += 1;
+        let src = self.default_source_for(dst);
+        let mut packet = out.open(payload);
+        let udp = UdpHeader::new(src_port, dst_port).header_bytes(payload.len());
+        out.prepend(&mut packet, &udp);
+        let header = Ipv4Header::new(src, dst, Ipv4Proto::Udp);
+        self.ip_output(IncomingIf::Local, header, packet, 0, out);
     }
 
     /// Transmit a raw frame out of a specific port (used by the in-band
     /// management channel, which floods frames without consulting the data
     /// plane).
-    pub(crate) fn originate_frame(&mut self, port: PortId, frame: &EthernetFrame) -> EngineOutput {
-        let mut out = EngineOutput::default();
-        self.transmit(port, frame.encode(), &mut out);
-        out
+    pub(crate) fn originate_frame(
+        &mut self,
+        port: PortId,
+        frame: &EthernetFrame,
+        out: &mut EngineOutput,
+    ) {
+        let mut packet = out.open(&frame.payload);
+        out.prepend(&mut packet, &frame.header());
+        self.transmit(port, packet, out);
     }
 
     fn default_source_for(&self, dst: Ipv4Addr) -> Ipv4Addr {
@@ -118,16 +128,16 @@ impl Device {
     // Layer 3 (hosts and routers)
     // ------------------------------------------------------------------
 
-    fn l3_input(&mut self, port: PortId, frame: &EthernetFrame, out: &mut EngineOutput) {
+    fn l3_input(&mut self, port: PortId, frame: &EthernetFrame<&[u8]>, out: &mut EngineOutput) {
         let our_mac = self.port_mac(port);
         if frame.dst != our_mac && !frame.dst.is_broadcast() {
             self.stats.record_drop(DropReason::NotForUs);
             return;
         }
         match frame.ethertype {
-            EtherType::Arp => self.arp_input(port, &frame.payload, out),
-            EtherType::Ipv4 => self.ip_input(IncomingIf::Port(port.0), &frame.payload, out),
-            EtherType::Mpls => self.mpls_input(port, &frame.payload, out),
+            EtherType::Arp => self.arp_input(port, frame.payload, out),
+            EtherType::Ipv4 => self.ip_input(IncomingIf::Port(port.0), frame.payload, out),
+            EtherType::Mpls => self.mpls_input(port, frame.payload, out),
             EtherType::Vlan => {
                 // Routers in this simulator do not terminate VLAN trunks.
                 self.stats.record_drop(DropReason::Malformed);
@@ -155,35 +165,33 @@ impl Device {
                 .is_local_address_counting(packet.target_ip, probes)
         {
             let our_mac = self.port_mac(port);
-            let reply = packet.reply_to(our_mac);
-            let frame =
-                EthernetFrame::new(packet.sender_mac, our_mac, EtherType::Arp, reply.encode());
-            self.transmit(port, frame.encode(), out);
+            let mut reply = out.open(&packet.reply_to(our_mac).encode());
+            out.prepend(
+                &mut reply,
+                &ethernet_header(packet.sender_mac, our_mac, EtherType::Arp),
+            );
+            self.transmit(port, reply, out);
         }
     }
 
     fn transmit_resolved(&mut self, pending: PendingPacket, mac: MacAddr, out: &mut EngineOutput) {
         let port = PortId(pending.port);
-        let our_mac = self.port_mac(port);
-        let frame = EthernetFrame::new(
-            mac,
-            our_mac,
-            EtherType::from_u16(pending.ethertype),
-            pending.bytes,
+        let ethertype = EtherType::from_u16(pending.ethertype);
+        let mut packet = out.open(&pending.bytes);
+        out.prepend(
+            &mut packet,
+            &ethernet_header(mac, self.port_mac(port), ethertype),
         );
-        self.transmit(port, frame.encode(), out);
+        self.transmit(port, packet, out);
     }
 
     fn ip_input(&mut self, iif: IncomingIf, packet: &[u8], out: &mut EngineOutput) {
-        let (header, payload) = match Ipv4Header::decode_packet(packet) {
-            Ok(v) => v,
-            Err(_) => {
-                self.stats.record_drop(DropReason::Malformed);
-                return;
-            }
+        let Ok((header, payload)) = Ipv4Header::decode_packet(packet) else {
+            self.stats.record_drop(DropReason::Malformed);
+            return;
         };
         // Filters are evaluated on every IP packet the device handles.
-        let dst_port = transport_dst_port(&header, &payload);
+        let dst_port = transport_dst_port(&header, payload);
         if !self
             .config
             .filters_allow(header.src, header.dst, header.protocol, dst_port)
@@ -193,7 +201,7 @@ impl Device {
         }
         let probes = &mut self.lookup_work.tunnel_address_probes;
         if self.config.is_local_address_counting(header.dst, probes) {
-            self.local_input(iif, header, payload, out);
+            self.local_input(header, payload, out);
         } else {
             self.ip_forward(iif, header, payload, out);
         }
@@ -203,7 +211,7 @@ impl Device {
         &mut self,
         iif: IncomingIf,
         mut header: Ipv4Header,
-        payload: Vec<u8>,
+        payload: &[u8],
         out: &mut EngineOutput,
     ) {
         if !self.config.ip_forwarding {
@@ -219,57 +227,36 @@ impl Device {
         // entered a tunnel that emitted it): a transit packet that dies on
         // route lookup is a drop, not a forward — per-goal flow accounting
         // relies on the two being mutually exclusive.
-        if self.ip_output(iif, header, payload, 0, out) {
+        let packet = out.open(payload);
+        if self.ip_output(iif, header, packet, 0, out) {
             self.stats.forwarded += 1;
         }
     }
 
-    fn local_input(
-        &mut self,
-        iif: IncomingIf,
-        header: Ipv4Header,
-        payload: Vec<u8>,
-        out: &mut EngineOutput,
-    ) {
-        match header.protocol {
-            Ipv4Proto::Gre => self.gre_decap(header, &payload, out),
-            Ipv4Proto::IpIp => self.ipip_decap(header, &payload, out),
-            Ipv4Proto::Udp => {
-                match UdpHeader::decode_datagram(&payload) {
-                    Ok((udp, data)) => {
-                        self.stats.local_delivered += 1;
-                        self.delivered.push(Delivered {
-                            src: header.src,
-                            dst: header.dst,
-                            proto: Ipv4Proto::Udp,
-                            dst_port: Some(udp.dst_port),
-                            payload: data,
-                        });
-                    }
-                    Err(_) => self.stats.record_drop(DropReason::Malformed),
-                }
-                let _ = iif;
-            }
-            other => {
-                self.stats.local_delivered += 1;
-                self.delivered.push(Delivered {
-                    src: header.src,
-                    dst: header.dst,
-                    proto: other,
-                    dst_port: None,
-                    payload,
-                });
-            }
-        }
+    fn local_input(&mut self, header: Ipv4Header, payload: &[u8], out: &mut EngineOutput) {
+        let (dst_port, data) = match header.protocol {
+            Ipv4Proto::Gre => return self.gre_decap(header, payload, out),
+            Ipv4Proto::IpIp => return self.ipip_decap(header, payload, out),
+            Ipv4Proto::Udp => match UdpHeader::decode_datagram(payload) {
+                Ok((udp, data)) => (Some(udp.dst_port), data),
+                Err(_) => return self.stats.record_drop(DropReason::Malformed),
+            },
+            _ => (None, payload),
+        };
+        self.stats.local_delivered += 1;
+        self.delivered.push(Delivered {
+            src: header.src,
+            dst: header.dst,
+            proto: header.protocol,
+            dst_port,
+            payload: data.to_vec(),
+        });
     }
 
     fn gre_decap(&mut self, outer: Ipv4Header, payload: &[u8], out: &mut EngineOutput) {
-        let (gre, inner) = match GreHeader::decode_packet(payload) {
-            Ok(v) => v,
-            Err(_) => {
-                self.stats.record_drop(DropReason::Malformed);
-                return;
-            }
+        let Ok((gre, inner)) = GreHeader::decode_packet(payload) else {
+            self.stats.record_drop(DropReason::Malformed);
+            return;
         };
         // `tunnel` and `state` borrow `self.config`; until the inner packet
         // is handed on only `self.stats` is written beside them.
@@ -302,7 +289,7 @@ impl Device {
             self.stats.record_drop(DropReason::Malformed);
             return;
         }
-        self.ip_input(IncomingIf::Tunnel(id), &inner, out);
+        self.ip_input(IncomingIf::Tunnel(id), inner, out);
     }
 
     fn ipip_decap(&mut self, outer: Ipv4Header, payload: &[u8], out: &mut EngineOutput) {
@@ -317,21 +304,20 @@ impl Device {
         self.ip_input(IncomingIf::Tunnel(id), payload, out);
     }
 
-    /// Route and transmit an IPv4 packet (already TTL-adjusted).
-    /// Route and emit one packet.  Returns whether it left the device (or
-    /// was parked awaiting ARP resolution) — `false` always comes with a
-    /// recorded drop.
+    /// Route the open packet (already TTL-adjusted) under `header` and emit
+    /// it.  Returns whether it left the device (or was parked awaiting ARP
+    /// resolution) — `false` always comes with a recorded drop, and the
+    /// packet discarded.
     fn ip_output(
         &mut self,
         iif: IncomingIf,
         header: Ipv4Header,
-        payload: Vec<u8>,
+        mut packet: Packet,
         depth: u8,
         out: &mut EngineOutput,
     ) -> bool {
         if depth > MAX_ENCAP_DEPTH {
-            self.stats.record_drop(DropReason::NoRoute);
-            return false;
+            return self.drop_packet(packet, DropReason::NoRoute, out);
         }
         let work = &mut self.lookup_work;
         let route = self
@@ -339,35 +325,29 @@ impl Device {
             .rib
             .lookup_counting(header.dst, header.src, iif, work);
         let Some(route) = route.copied() else {
-            self.stats.record_drop(DropReason::NoRoute);
-            return false;
+            return self.drop_packet(packet, DropReason::NoRoute, out);
         };
         match route.target {
             RouteTarget::Port { port, via } => {
                 let nexthop = via.unwrap_or(header.dst);
-                let packet = header.encode_packet(&payload);
+                prepend_ipv4(&header, &mut packet, out);
                 self.transmit_via_arp(PortId(port), nexthop, EtherType::Ipv4, packet, out)
             }
-            RouteTarget::Tunnel { tunnel } => {
-                self.tunnel_encap(tunnel, header, payload, depth, out)
-            }
+            RouteTarget::Tunnel { tunnel } => self.tunnel_encap(tunnel, header, packet, depth, out),
             RouteTarget::Mpls { nhlfe } => {
                 let Some(entry) = self.config.mpls.nhlfe_by_key(nhlfe).cloned() else {
-                    self.stats.record_drop(DropReason::NoLabel);
-                    return false;
+                    return self.drop_packet(packet, DropReason::NoLabel, out);
                 };
                 let LabelOp::Push(label) = entry.op else {
-                    self.stats.record_drop(DropReason::NoLabel);
-                    return false;
+                    return self.drop_packet(packet, DropReason::NoLabel, out);
                 };
-                let packet = header.encode_packet(&payload);
-                let mpls_payload =
-                    mpls::encode_stack(&[LabelStackEntry::new(label, true)], &packet);
+                prepend_ipv4(&header, &mut packet, out);
+                out.prepend(&mut packet, &LabelStackEntry::new(label, true).encode());
                 self.transmit_via_arp(
                     PortId(entry.out_port),
                     entry.nexthop,
                     EtherType::Mpls,
-                    mpls_payload,
+                    packet,
                     out,
                 )
             }
@@ -378,18 +358,17 @@ impl Device {
         &mut self,
         tunnel_id: u32,
         inner_header: Ipv4Header,
-        inner_payload: Vec<u8>,
+        mut packet: Packet,
         depth: u8,
         out: &mut EngineOutput,
     ) -> bool {
         // `tunnel` and `state` borrow `self.config` until the outer header
-        // is built; up to there only `self.stats` is written beside them.
+        // is built; up to there nothing else of `self` is written.
         let Some((tunnel, state)) = self.config.tunnel_state_mut(tunnel_id) else {
-            self.stats.record_drop(DropReason::NoRoute);
-            return false;
+            return self.drop_packet(packet, DropReason::NoRoute, out);
         };
-        let inner_packet = inner_header.encode_packet(&inner_payload);
-        let (outer_payload, proto) = match tunnel.mode {
+        prepend_ipv4(&inner_header, &mut packet, out);
+        let proto = match tunnel.mode {
             TunnelMode::Gre => {
                 let sequence = tunnel.oseq.then(|| {
                     state.tx_seq += 1;
@@ -401,32 +380,25 @@ impl Device {
                     sequence,
                     checksum_present: tunnel.ocsum,
                 };
-                (gre.encode_packet(&inner_packet), Ipv4Proto::Gre)
+                out.prepend(&mut packet, &gre.header_bytes()[..gre.len()]);
+                gre::fill_checksum(out.packet_mut(&packet));
+                Ipv4Proto::Gre
             }
-            TunnelMode::IpIp => (inner_packet, Ipv4Proto::IpIp),
+            TunnelMode::IpIp => Ipv4Proto::IpIp,
         };
-        state.counters.tx(outer_payload.len());
+        state.counters.tx(out.packet(&packet).len());
         let mut outer_header = Ipv4Header::new(tunnel.local, tunnel.remote, proto);
         outer_header.ttl = tunnel.ttl;
         // The outer packet is routed like locally-originated traffic.
-        self.ip_output(
-            IncomingIf::Local,
-            outer_header,
-            outer_payload,
-            depth + 1,
-            out,
-        )
+        self.ip_output(IncomingIf::Local, outer_header, packet, depth + 1, out)
     }
 
     fn mpls_input(&mut self, port: PortId, payload: &[u8], out: &mut EngineOutput) {
-        let (stack, inner) = match mpls::decode_stack(payload) {
-            Ok(v) => v,
-            Err(_) => {
-                self.stats.record_drop(DropReason::Malformed);
-                return;
-            }
+        let Ok((stack, inner)) = mpls::decode_stack(payload) else {
+            self.stats.record_drop(DropReason::Malformed);
+            return;
         };
-        let top = stack[0];
+        let top = stack.top();
         if top.ttl <= 1 {
             self.stats.record_drop(DropReason::TtlExpired);
             return;
@@ -435,23 +407,7 @@ impl Device {
             self.stats.record_drop(DropReason::NoLabel);
             return;
         };
-        let mut new_stack: Vec<LabelStackEntry> = stack[1..].to_vec();
-        match entry.op {
-            LabelOp::Pop => {}
-            LabelOp::Swap(label) => {
-                let mut swapped = top;
-                swapped.label = label;
-                swapped.ttl = top.ttl - 1;
-                new_stack.insert(0, swapped);
-            }
-            LabelOp::Push(label) => {
-                let mut kept = top;
-                kept.ttl = top.ttl - 1;
-                new_stack.insert(0, kept);
-                new_stack.insert(0, LabelStackEntry::new(label, false));
-            }
-        }
-        if new_stack.is_empty() {
+        let sent = if entry.op == LabelOp::Pop && top.bottom {
             // Bottom of stack popped: the payload is an IPv4 packet.
             if entry.nexthop == Ipv4Addr::UNSPECIFIED {
                 // Deliver to the local IP stack which re-routes it (the
@@ -460,42 +416,55 @@ impl Device {
                 // its own forwarded/dropped accounting, so return without
                 // counting here — the tallies must stay mutually exclusive
                 // for per-goal flow attribution.
-                self.ip_input(IncomingIf::Port(port.0), &inner, out);
+                self.ip_input(IncomingIf::Port(port.0), inner, out);
                 return;
-            } else if !self.transmit_via_arp(
+            }
+            let packet = out.open(inner);
+            let nexthop = entry.nexthop;
+            self.transmit_via_arp(
                 PortId(entry.out_port),
-                entry.nexthop,
+                nexthop,
                 EtherType::Ipv4,
-                inner,
+                packet,
                 out,
-            ) {
-                return;
-            }
+            )
         } else {
-            // Fix bottom-of-stack flags after editing.
-            let last = new_stack.len() - 1;
-            for (i, e) in new_stack.iter_mut().enumerate() {
-                e.bottom = i == last;
+            // The entries below the top stay as they are, bottom-of-stack
+            // bits included; only the top is popped, rewritten or pushed on.
+            let mut packet = out.open(&payload[mpls::LABEL_ENTRY_LEN..]);
+            let kept = LabelStackEntry {
+                ttl: top.ttl - 1,
+                ..top
+            };
+            match entry.op {
+                LabelOp::Pop => {}
+                LabelOp::Swap(label) => {
+                    out.prepend(&mut packet, &LabelStackEntry { label, ..kept }.encode());
+                }
+                LabelOp::Push(label) => {
+                    out.prepend(&mut packet, &kept.encode());
+                    out.prepend(&mut packet, &LabelStackEntry::new(label, false).encode());
+                }
             }
-            let payload = mpls::encode_stack(&new_stack, &inner);
-            if !self.transmit_via_arp(
+            let nexthop = entry.nexthop;
+            self.transmit_via_arp(
                 PortId(entry.out_port),
-                entry.nexthop,
+                nexthop,
                 EtherType::Mpls,
-                payload,
+                packet,
                 out,
-            ) {
-                return;
-            }
+            )
+        };
+        if sent {
+            self.stats.forwarded += 1;
         }
-        self.stats.forwarded += 1;
     }
 
     // ------------------------------------------------------------------
     // Layer 2 bridging (switches)
     // ------------------------------------------------------------------
 
-    fn bridge_input(&mut self, port: PortId, frame: &EthernetFrame, out: &mut EngineOutput) {
+    fn bridge_input(&mut self, port: PortId, frame: &EthernetFrame<&[u8]>, out: &mut EngineOutput) {
         let Some(bridge) = self.config.bridge.clone() else {
             self.stats.record_drop(DropReason::ForwardingDisabled);
             return;
@@ -506,16 +475,14 @@ impl Device {
         };
         // Classify the frame into a VLAN and recover the "customer" frame
         // that will be re-emitted on egress.
-        let (vlan_id, customer): (u16, EthernetFrame) = match mode {
-            SwitchPortMode::Access(v) | SwitchPortMode::Dot1qTunnel(v) => {
-                (v.value(), frame.clone())
-            }
+        let (vlan_id, customer) = match mode {
+            SwitchPortMode::Access(v) | SwitchPortMode::Dot1qTunnel(v) => (v.value(), *frame),
             SwitchPortMode::Trunk(allowed) => {
                 if frame.ethertype != EtherType::Vlan {
                     self.stats.record_drop(DropReason::Malformed);
                     return;
                 }
-                let Ok((tag, inner_payload)) = vlan::pop_tag(&frame.payload) else {
+                let Ok((tag, inner_payload)) = vlan::pop_tag(frame.payload) else {
                     self.stats.record_drop(DropReason::Malformed);
                     return;
                 };
@@ -566,16 +533,19 @@ impl Device {
                     .collect()
             };
         for p in egress {
-            let mode = &bridge.ports[&p];
-            let frame_out = match mode {
-                SwitchPortMode::Access(_) | SwitchPortMode::Dot1qTunnel(_) => customer.clone(),
+            let mut packet = out.open(customer.payload);
+            let ethertype = match &bridge.ports[&p] {
+                SwitchPortMode::Access(_) | SwitchPortMode::Dot1qTunnel(_) => customer.ethertype,
                 SwitchPortMode::Trunk(_) => {
                     let vid = vlan::VlanId::new(vlan_id).expect("vlan id validated on ingress");
-                    let tagged = vlan::push_tag(vid, customer.ethertype, &customer.payload);
-                    EthernetFrame::new(customer.dst, customer.src, EtherType::Vlan, tagged)
+                    let tag = vlan::VlanTag::new(vid, customer.ethertype);
+                    out.prepend(&mut packet, &tag.encode());
+                    EtherType::Vlan
                 }
             };
-            self.transmit(PortId(p), frame_out.encode(), out);
+            let header = ethernet_header(customer.dst, customer.src, ethertype);
+            out.prepend(&mut packet, &header);
+            self.transmit(PortId(p), packet, out);
         }
     }
 
@@ -583,26 +553,24 @@ impl Device {
     // Transmission helpers
     // ------------------------------------------------------------------
 
+    /// Send the open packet to `nexthop` out of `port`: behind an Ethernet
+    /// header when its MAC is known, else parked (a copy) until ARP
+    /// resolves it.  `false` comes with a recorded drop.
     fn transmit_via_arp(
         &mut self,
         port: PortId,
         nexthop: Ipv4Addr,
         ethertype: EtherType,
-        payload: Vec<u8>,
+        mut packet: Packet,
         out: &mut EngineOutput,
     ) -> bool {
-        let Some(nic) = self.port(port) else {
-            self.stats.record_drop(DropReason::PortDown);
-            return false;
+        let Some(nic) = self.port(port).filter(|nic| nic.is_usable()) else {
+            return self.drop_packet(packet, DropReason::PortDown, out);
         };
-        if !nic.is_usable() {
-            self.stats.record_drop(DropReason::PortDown);
-            return false;
-        }
         let our_mac = nic.mac;
         if let Some(mac) = self.arp.lookup(nexthop) {
-            let frame = EthernetFrame::new(mac, our_mac, ethertype, payload);
-            self.transmit(port, frame.encode(), out);
+            out.prepend(&mut packet, &ethernet_header(mac, our_mac, ethertype));
+            self.transmit(port, packet, out);
             return true;
         }
         // Park the packet and emit an ARP request if this is the first one
@@ -611,10 +579,11 @@ impl Device {
             nexthop,
             PendingPacket {
                 port: port.0,
-                bytes: payload,
+                bytes: out.packet(&packet).to_vec(),
                 ethertype: ethertype.as_u16(),
             },
         );
+        out.discard(packet);
         if first {
             let sender_ip = self
                 .config
@@ -622,34 +591,37 @@ impl Device {
                 .map(|c| c.addr)
                 .unwrap_or(Ipv4Addr::UNSPECIFIED);
             let request = ArpPacket::request(our_mac, sender_ip, nexthop);
-            let frame = EthernetFrame::new(
-                MacAddr::BROADCAST,
-                our_mac,
-                EtherType::Arp,
-                request.encode(),
-            );
-            self.transmit(port, frame.encode(), out);
+            let mut frame = out.open(&request.encode());
+            let header = ethernet_header(MacAddr::BROADCAST, our_mac, EtherType::Arp);
+            out.prepend(&mut frame, &header);
+            self.transmit(port, frame, out);
         }
         true
     }
 
-    fn transmit(&mut self, port: PortId, bytes: Vec<u8>, out: &mut EngineOutput) {
+    /// Send the open packet, a whole Ethernet frame, out of `port`.
+    fn transmit(&mut self, port: PortId, frame: Packet, out: &mut EngineOutput) {
         match self.port(port) {
             Some(nic) if nic.is_usable() => {
                 // Management frames are invisible to data-plane counters
-                // (see handle_frame): check the EtherType in the raw bytes.
-                let is_mgmt = bytes.len() >= 14
-                    && EtherType::from_u16(u16::from_be_bytes([bytes[12], bytes[13]]))
-                        == EtherType::Management;
-                if !is_mgmt {
+                // (see handle_frame).
+                let bytes = out.packet(&frame);
+                if ethertype_of(bytes) != Some(EtherType::Management) {
                     self.stats.port(port.0).tx(bytes.len());
                 }
-                out.transmissions.push((port, bytes));
+                out.push_frame(port, frame);
             }
             _ => {
-                self.stats.record_drop(DropReason::PortDown);
+                self.drop_packet(frame, DropReason::PortDown, out);
             }
         }
+    }
+
+    /// Discard the open packet and record why; always `false`.
+    fn drop_packet(&mut self, packet: Packet, reason: DropReason, out: &mut EngineOutput) -> bool {
+        out.discard(packet);
+        self.stats.record_drop(reason);
+        false
     }
 
     /// Reset the runtime state a reboot loses (ARP cache, MAC table, tunnel
@@ -700,6 +672,13 @@ mod tests {
         d
     }
 
+    /// The frames `d` transmits in response to `frame` arriving on `port`.
+    fn handle(d: &mut Device, port: PortId, frame: &[u8]) -> Vec<(PortId, Vec<u8>)> {
+        let mut out = EngineOutput::default();
+        d.handle_frame(port, frame, &mut out);
+        out.frames().map(|(p, bytes)| (p, bytes.to_vec())).collect()
+    }
+
     fn udp_packet(src: &str, dst: &str, dst_port: u16) -> Vec<u8> {
         let udp = UdpHeader::new(40000, dst_port).encode_datagram(b"payload");
         Ipv4Header::new(ip(src), ip(dst), Ipv4Proto::Udp).encode_packet(&udp)
@@ -714,8 +693,8 @@ mod tests {
             EtherType::Ipv4,
             udp_packet("10.0.1.5", "10.0.1.1", 592),
         );
-        let out = d.handle_frame(PortId(0), &frame.encode());
-        assert!(out.transmissions.is_empty());
+        let out = handle(&mut d, PortId(0), &frame.encode());
+        assert!(out.is_empty());
         let delivered = d.take_delivered();
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].dst_port, Some(592));
@@ -734,7 +713,7 @@ mod tests {
             EtherType::Ipv4,
             udp_packet("10.0.1.5", "8.8.8.8", 53),
         );
-        d.handle_frame(PortId(0), &frame.encode());
+        handle(&mut d, PortId(0), &frame.encode());
         assert_eq!(d.stats.drops[&DropReason::NoRoute], 1);
         assert_eq!(d.stats.forwarded, 0, "a routeless packet never 'forwards'");
         // A routable one forwards (parked behind ARP counts: it will leave
@@ -745,7 +724,7 @@ mod tests {
             EtherType::Ipv4,
             udp_packet("10.0.1.5", "204.9.168.77", 53),
         );
-        d.handle_frame(PortId(0), &frame.encode());
+        handle(&mut d, PortId(0), &frame.encode());
         assert_eq!(d.stats.forwarded, 1);
         assert_eq!(d.stats.total_drops(), 1, "no new drop for the forward");
     }
@@ -760,7 +739,7 @@ mod tests {
             EtherType::Ipv4,
             udp_packet("10.0.1.5", "8.8.8.8", 53),
         );
-        d.handle_frame(PortId(0), &frame.encode());
+        handle(&mut d, PortId(0), &frame.encode());
         assert_eq!(d.stats.drops[&DropReason::ForwardingDisabled], 1);
     }
 
@@ -780,10 +759,10 @@ mod tests {
             EtherType::Ipv4,
             udp_packet("10.0.1.5", "8.8.8.8", 53),
         );
-        let out = d.handle_frame(PortId(0), &frame.encode());
+        let out = handle(&mut d, PortId(0), &frame.encode());
         // The next hop is unresolved: an ARP request goes out instead.
-        assert_eq!(out.transmissions.len(), 1);
-        let arp_frame = EthernetFrame::decode(&out.transmissions[0].1).unwrap();
+        assert_eq!(out.len(), 1);
+        let arp_frame = EthernetFrame::decode(&out[0].1).unwrap();
         assert_eq!(arp_frame.ethertype, EtherType::Arp);
         assert!(arp_frame.dst.is_broadcast());
 
@@ -802,12 +781,12 @@ mod tests {
             EtherType::Arp,
             reply.encode(),
         );
-        let out = d.handle_frame(PortId(1), &reply_frame.encode());
-        assert_eq!(out.transmissions.len(), 1);
-        let fwd = EthernetFrame::decode(&out.transmissions[0].1).unwrap();
+        let out = handle(&mut d, PortId(1), &reply_frame.encode());
+        assert_eq!(out.len(), 1);
+        let fwd = EthernetFrame::decode(&out[0].1).unwrap();
         assert_eq!(fwd.ethertype, EtherType::Ipv4);
         assert_eq!(fwd.dst, peer_mac);
-        let (h, _) = Ipv4Header::decode_packet(&fwd.payload).unwrap();
+        let (h, _) = Ipv4Header::decode_packet(fwd.payload).unwrap();
         assert_eq!(h.ttl, 63, "TTL must be decremented on forwarding");
     }
 
@@ -849,10 +828,10 @@ mod tests {
             EtherType::Ipv4,
             udp_packet("10.0.1.5", "10.0.2.5", 592),
         );
-        let out = a.handle_frame(PortId(0), &frame.encode());
-        assert_eq!(out.transmissions.len(), 1);
-        let encap = EthernetFrame::decode(&out.transmissions[0].1).unwrap();
-        let summary = crate::trace::PacketSummary::parse(&out.transmissions[0].1);
+        let out = handle(&mut a, PortId(0), &frame.encode());
+        assert_eq!(out.len(), 1);
+        let encap = EthernetFrame::decode(&out[0].1).unwrap();
+        let summary = crate::trace::PacketSummary::parse(&out[0].1);
         assert_eq!(
             summary.protocol_path(),
             "ETH/IP(204.9.168.1->204.9.169.1 GRE)/GRE(key=2001)/IP(10.0.1.5->10.0.2.5 UDP)/payload[15]"
@@ -889,12 +868,86 @@ mod tests {
             EtherType::Ipv4,
             encap.payload,
         );
-        let out = c.handle_frame(PortId(1), &arriving.encode());
-        assert_eq!(out.transmissions.len(), 1);
-        let final_frame = EthernetFrame::decode(&out.transmissions[0].1).unwrap();
-        let (h, _) = Ipv4Header::decode_packet(&final_frame.payload).unwrap();
+        let out = handle(&mut c, PortId(1), &arriving.encode());
+        assert_eq!(out.len(), 1);
+        let final_frame = EthernetFrame::decode(&out[0].1).unwrap();
+        let (h, _) = Ipv4Header::decode_packet(final_frame.payload).unwrap();
         assert_eq!(h.dst, ip("10.0.2.5"));
         assert_eq!(c.config.tunnel_counters(1).unwrap().rx_packets, 1);
+    }
+
+    /// Three GRE tunnels nested inside one another need more header room
+    /// than a packet opens with: the frame still comes out whole, every
+    /// checksum verifying.
+    #[test]
+    fn nested_tunnels_are_written_whole() {
+        let mut a = router();
+        let mut tunnel_to = |remote: &str, key: u32| {
+            let mut tun = TunnelConfig::gre("gre", ip("204.9.168.1"), ip(remote));
+            tun.okey = Some(key);
+            tun.ocsum = true;
+            a.config.add_tunnel(tun)
+        };
+        let (t1, t2, t3) = (
+            tunnel_to("1.0.0.1", 11),
+            tunnel_to("2.0.0.1", 22),
+            tunnel_to("3.0.0.1", 33),
+        );
+        for (dest, tunnel) in [("10.0.2.0/24", t1), ("1.0.0.1/32", t2), ("2.0.0.1/32", t3)] {
+            a.config.rib.add_main(Route {
+                dest: cidr(dest),
+                target: crate::route::RouteTarget::Tunnel { tunnel },
+            });
+        }
+        a.config.rib.add_main(Route {
+            dest: cidr("3.0.0.1/32"),
+            target: crate::route::RouteTarget::Port {
+                port: 1,
+                via: Some(ip("204.9.168.2")),
+            },
+        });
+        a.arp.insert(ip("204.9.168.2"), MacAddr::for_port(7, 7));
+        let frame = EthernetFrame::new(
+            a.port_mac(PortId(0)),
+            MacAddr::for_port(9, 9),
+            EtherType::Ipv4,
+            udp_packet("10.0.1.5", "10.0.2.5", 592),
+        );
+        let out = handle(&mut a, PortId(0), &frame.encode());
+        assert_eq!(out.len(), 1);
+        let summary = crate::trace::PacketSummary::parse(&out[0].1);
+        assert_eq!(
+            summary.protocol_path(),
+            "ETH/IP(204.9.168.1->3.0.0.1 GRE)/GRE(key=33)\
+             /IP(204.9.168.1->2.0.0.1 GRE)/GRE(key=22)\
+             /IP(204.9.168.1->1.0.0.1 GRE)/GRE(key=11)\
+             /IP(10.0.1.5->10.0.2.5 UDP)/payload[15]"
+        );
+        assert_eq!(a.stats.forwarded, 1);
+    }
+
+    /// A tunnel whose outer packet routes back into itself is a
+    /// configuration loop: the packet is dropped once it nests too deep.
+    #[test]
+    fn a_tunnel_routed_into_itself_is_dropped() {
+        let mut a = router();
+        let tun = TunnelConfig::gre("gre", ip("204.9.168.1"), ip("1.0.0.1"));
+        let tunnel = a.config.add_tunnel(tun);
+        for dest in ["10.0.2.0/24", "1.0.0.1/32"] {
+            a.config.rib.add_main(Route {
+                dest: cidr(dest),
+                target: crate::route::RouteTarget::Tunnel { tunnel },
+            });
+        }
+        let frame = EthernetFrame::new(
+            a.port_mac(PortId(0)),
+            MacAddr::for_port(9, 9),
+            EtherType::Ipv4,
+            udp_packet("10.0.1.5", "10.0.2.5", 592),
+        );
+        assert!(handle(&mut a, PortId(0), &frame.encode()).is_empty());
+        assert_eq!(a.stats.drops[&DropReason::NoRoute], 1);
+        assert_eq!(a.stats.forwarded, 0);
     }
 
     #[test]
@@ -916,7 +969,7 @@ mod tests {
             EtherType::Ipv4,
             outer,
         );
-        c.handle_frame(PortId(0), &frame.encode());
+        handle(&mut c, PortId(0), &frame.encode());
         assert_eq!(c.stats.drops[&DropReason::TunnelMismatch], 1);
         assert!(c.take_delivered().is_empty());
     }
@@ -945,7 +998,7 @@ mod tests {
                 EtherType::Ipv4,
                 outer,
             );
-            c.handle_frame(PortId(0), &frame.encode());
+            handle(c, PortId(0), &frame.encode());
             c.take_delivered().len()
         };
 
@@ -995,7 +1048,7 @@ mod tests {
             EtherType::Ipv4,
             udp_packet("10.0.1.5", "10.0.1.1", 592),
         );
-        d.handle_frame(PortId(0), &frame.encode());
+        handle(&mut d, PortId(0), &frame.encode());
         assert!(d.take_delivered().is_empty());
         assert_eq!(d.stats.drops[&DropReason::Filtered], 1);
     }
@@ -1024,9 +1077,9 @@ mod tests {
             EtherType::Ipv4,
             udp_packet("10.0.1.5", "10.0.2.5", 592),
         );
-        let out = a.handle_frame(PortId(0), &frame.encode());
-        assert_eq!(out.transmissions.len(), 1);
-        let s = crate::trace::PacketSummary::parse(&out.transmissions[0].1);
+        let out = handle(&mut a, PortId(0), &frame.encode());
+        assert_eq!(out.len(), 1);
+        let s = crate::trace::PacketSummary::parse(&out[0].1);
         assert_eq!(
             s.protocol_path(),
             "ETH/MPLS(2001)/IP(10.0.1.5->10.0.2.5 UDP)/payload[15]"
@@ -1055,16 +1108,16 @@ mod tests {
             bkey,
         );
         b.arp.insert(ip("204.9.170.2"), MacAddr::for_port(8, 8));
-        let mpls_frame = EthernetFrame::decode(&out.transmissions[0].1).unwrap();
+        let mpls_frame = EthernetFrame::decode(&out[0].1).unwrap();
         let arriving = EthernetFrame::new(
             b.port_mac(PortId(0)),
             mpls_frame.src,
             EtherType::Mpls,
             mpls_frame.payload,
         );
-        let out_b = b.handle_frame(PortId(0), &arriving.encode());
-        assert_eq!(out_b.transmissions.len(), 1);
-        let s = crate::trace::PacketSummary::parse(&out_b.transmissions[0].1);
+        let out_b = handle(&mut b, PortId(0), &arriving.encode());
+        assert_eq!(out_b.len(), 1);
+        let s = crate::trace::PacketSummary::parse(&out_b[0].1);
         assert!(matches!(s.layers[1], crate::trace::Layer::Mpls(3001)));
 
         // Egress: pop and deliver to the local IP stack for routing.
@@ -1093,16 +1146,16 @@ mod tests {
             target: crate::route::RouteTarget::Port { port: 1, via: None },
         });
         c.arp.insert(ip("10.0.2.5"), MacAddr::for_port(5, 5));
-        let b_frame = EthernetFrame::decode(&out_b.transmissions[0].1).unwrap();
+        let b_frame = EthernetFrame::decode(&out_b[0].1).unwrap();
         let arriving = EthernetFrame::new(
             c.port_mac(PortId(0)),
             b_frame.src,
             EtherType::Mpls,
             b_frame.payload,
         );
-        let out_c = c.handle_frame(PortId(0), &arriving.encode());
-        assert_eq!(out_c.transmissions.len(), 1);
-        let s = crate::trace::PacketSummary::parse(&out_c.transmissions[0].1);
+        let out_c = handle(&mut c, PortId(0), &arriving.encode());
+        assert_eq!(out_c.len(), 1);
+        let s = crate::trace::PacketSummary::parse(&out_c[0].1);
         assert_eq!(
             s.protocol_path(),
             "ETH/IP(10.0.1.5->10.0.2.5 UDP)/payload[15]"
@@ -1131,12 +1184,12 @@ mod tests {
             EtherType::Ipv4,
             vec![0u8; 64],
         );
-        let out = sw.handle_frame(PortId(0), &customer.encode());
-        assert_eq!(out.transmissions.len(), 1);
-        assert_eq!(out.transmissions[0].0, PortId(1));
-        let tagged = EthernetFrame::decode(&out.transmissions[0].1).unwrap();
+        let out = handle(&mut sw, PortId(0), &customer.encode());
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, PortId(1));
+        let tagged = EthernetFrame::decode(&out[0].1).unwrap();
         assert_eq!(tagged.ethertype, EtherType::Vlan);
-        let (tag, inner) = vlan::pop_tag(&tagged.payload).unwrap();
+        let (tag, inner) = vlan::pop_tag(tagged.payload).unwrap();
         assert_eq!(tag.vid.value(), 22);
         assert_eq!(inner.len(), 64);
 
@@ -1157,10 +1210,10 @@ mod tests {
                 &reply_inner.payload,
             ),
         );
-        let out = sw.handle_frame(PortId(1), &reply_tagged.encode());
-        assert_eq!(out.transmissions.len(), 1);
-        assert_eq!(out.transmissions[0].0, PortId(0));
-        let untagged = EthernetFrame::decode(&out.transmissions[0].1).unwrap();
+        let out = handle(&mut sw, PortId(1), &reply_tagged.encode());
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, PortId(0));
+        let untagged = EthernetFrame::decode(&out[0].1).unwrap();
         assert_eq!(untagged.ethertype, EtherType::Ipv4);
     }
 
@@ -1176,8 +1229,8 @@ mod tests {
             EtherType::Management,
             vec![1, 2, 3],
         );
-        let out = sw.handle_frame(PortId(0), &frame.encode());
-        assert!(out.transmissions.is_empty());
+        let out = handle(&mut sw, PortId(0), &frame.encode());
+        assert!(out.is_empty());
         let frames = sw.take_mgmt_frames();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].payload, vec![1, 2, 3]);

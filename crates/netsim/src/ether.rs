@@ -65,9 +65,13 @@ impl fmt::Display for EtherType {
     }
 }
 
-/// A decoded Ethernet II frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EthernetFrame {
+/// An Ethernet II frame.  A frame that is built owns its payload
+/// (`EthernetFrame`, payload `Vec<u8>`); a decoded one borrows it from the
+/// bytes it was read from (`EthernetFrame<&[u8]>`), so reading a frame
+/// copies nothing.  A caller that keeps the payload past the bytes calls
+/// `.to_vec()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EthernetFrame<P = Vec<u8>> {
     /// Destination MAC address.
     pub dst: MacAddr,
     /// Source MAC address.
@@ -75,12 +79,12 @@ pub struct EthernetFrame {
     /// EtherType of the payload.
     pub ethertype: EtherType,
     /// Payload bytes (everything after the 14-byte header).
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
-impl EthernetFrame {
+impl<P> EthernetFrame<P> {
     /// Build a frame.
-    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: Vec<u8>) -> Self {
+    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: P) -> Self {
         EthernetFrame {
             dst,
             src,
@@ -89,18 +93,34 @@ impl EthernetFrame {
         }
     }
 
+    /// The 14-byte header.
+    pub(crate) fn header(&self) -> [u8; ETHERNET_HEADER_LEN] {
+        let mut hdr = [0u8; ETHERNET_HEADER_LEN];
+        hdr[0..6].copy_from_slice(&self.dst.octets());
+        hdr[6..12].copy_from_slice(&self.src.octets());
+        hdr[12..14].copy_from_slice(&self.ethertype.as_u16().to_be_bytes());
+        hdr
+    }
+}
+
+impl<P: AsRef<[u8]>> EthernetFrame<P> {
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ETHERNET_HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.dst.octets());
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.ethertype.as_u16().to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = Vec::with_capacity(self.wire_len());
+        out.extend_from_slice(&self.header());
+        out.extend_from_slice(self.payload.as_ref());
         out
     }
 
-    /// Parse from wire bytes.
-    pub fn decode(bytes: &[u8]) -> CodecResult<Self> {
+    /// Total encoded length in bytes.
+    pub(crate) fn wire_len(&self) -> usize {
+        ETHERNET_HEADER_LEN + self.payload.as_ref().len()
+    }
+}
+
+impl<'a> EthernetFrame<&'a [u8]> {
+    /// Parse from wire bytes; the payload borrows from `bytes`.
+    pub fn decode(bytes: &'a [u8]) -> CodecResult<Self> {
         if bytes.len() < ETHERNET_HEADER_LEN {
             return Err(CodecError::Truncated {
                 what: "ethernet",
@@ -112,19 +132,22 @@ impl EthernetFrame {
         dst.copy_from_slice(&bytes[0..6]);
         let mut src = [0u8; 6];
         src.copy_from_slice(&bytes[6..12]);
-        let ethertype = EtherType::from_u16(u16::from_be_bytes([bytes[12], bytes[13]]));
         Ok(EthernetFrame {
             dst: MacAddr(dst),
             src: MacAddr(src),
-            ethertype,
-            payload: bytes[ETHERNET_HEADER_LEN..].to_vec(),
+            ethertype: ethertype_of(bytes).expect("length checked"),
+            payload: &bytes[ETHERNET_HEADER_LEN..],
         })
     }
+}
 
-    /// Total encoded length in bytes.
-    pub(crate) fn wire_len(&self) -> usize {
-        ETHERNET_HEADER_LEN + self.payload.len()
-    }
+/// The EtherType of raw frame bytes, without decoding the rest; `None` for
+/// bytes shorter than the header.
+pub(crate) fn ethertype_of(frame: &[u8]) -> Option<EtherType> {
+    let field = frame.get(12..ETHERNET_HEADER_LEN)?;
+    Some(EtherType::from_u16(u16::from_be_bytes([
+        field[0], field[1],
+    ])))
 }
 
 #[cfg(test)]
@@ -142,7 +165,10 @@ mod tests {
         let bytes = f.encode();
         assert_eq!(bytes.len(), 18);
         let g = EthernetFrame::decode(&bytes).unwrap();
-        assert_eq!(f, g);
+        assert_eq!(
+            g,
+            EthernetFrame::new(f.dst, f.src, f.ethertype, &f.payload[..])
+        );
     }
 
     #[test]
@@ -179,7 +205,8 @@ mod tests {
             EtherType::Management,
             vec![],
         );
-        let g = EthernetFrame::decode(&f.encode()).unwrap();
+        let bytes = f.encode();
+        let g = EthernetFrame::decode(&bytes).unwrap();
         assert!(g.payload.is_empty());
     }
 }

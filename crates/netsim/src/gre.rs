@@ -9,6 +9,9 @@ use serde::{Deserialize, Serialize};
 /// Protocol type carried in GRE for IPv4 payloads.
 pub(crate) const GRE_PROTO_IPV4: u16 = 0x0800;
 
+/// The longest GRE header: flags and protocol, checksum, key, sequence.
+pub(crate) const GRE_MAX_HEADER_LEN: usize = 16;
+
 /// A decoded GRE header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GreHeader {
@@ -47,6 +50,16 @@ impl GreHeader {
 
     /// Encode the header followed by `payload`.
     pub fn encode_packet(&self, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len() + payload.len());
+        out.extend_from_slice(&self.header_bytes()[..self.len()]);
+        out.extend_from_slice(payload);
+        fill_checksum(&mut out);
+        out
+    }
+
+    /// The encoded header in its first [`Self::len`] bytes, the checksum
+    /// field (when present) zero until [`fill_checksum`] sets it.
+    pub(crate) fn header_bytes(&self) -> [u8; GRE_MAX_HEADER_LEN] {
         let mut flags: u16 = 0;
         if self.checksum_present {
             flags |= 0x8000;
@@ -57,30 +70,21 @@ impl GreHeader {
         if self.sequence.is_some() {
             flags |= 0x1000;
         }
-        let mut out = Vec::with_capacity(self.len() + payload.len());
-        out.extend_from_slice(&flags.to_be_bytes());
-        out.extend_from_slice(&self.protocol.to_be_bytes());
-        let csum_offset = out.len();
-        if self.checksum_present {
-            out.extend_from_slice(&[0, 0, 0, 0]); // checksum + reserved1
+        let mut hdr = [0u8; GRE_MAX_HEADER_LEN];
+        hdr[0..2].copy_from_slice(&flags.to_be_bytes());
+        hdr[2..4].copy_from_slice(&self.protocol.to_be_bytes());
+        // checksum + reserved1, when present, stay zero here
+        let mut at = if self.checksum_present { 8 } else { 4 };
+        for field in [self.key, self.sequence].into_iter().flatten() {
+            hdr[at..at + 4].copy_from_slice(&field.to_be_bytes());
+            at += 4;
         }
-        if let Some(k) = self.key {
-            out.extend_from_slice(&k.to_be_bytes());
-        }
-        if let Some(s) = self.sequence {
-            out.extend_from_slice(&s.to_be_bytes());
-        }
-        out.extend_from_slice(payload);
-        if self.checksum_present {
-            let csum = internet_checksum(&out);
-            out[csum_offset..csum_offset + 2].copy_from_slice(&csum.to_be_bytes());
-        }
-        out
+        hdr
     }
 
     /// Decode a GRE packet into header and payload, verifying the checksum
-    /// when present.
-    pub fn decode_packet(bytes: &[u8]) -> CodecResult<(GreHeader, Vec<u8>)> {
+    /// when present.  The payload borrows from `bytes`.
+    pub fn decode_packet(bytes: &[u8]) -> CodecResult<(GreHeader, &[u8])> {
         if bytes.len() < 4 {
             return Err(CodecError::Truncated {
                 what: "gre",
@@ -149,8 +153,17 @@ impl GreHeader {
                 sequence,
                 checksum_present,
             },
-            bytes[offset..].to_vec(),
+            &bytes[offset..],
         ))
+    }
+}
+
+/// Set the checksum of an encoded GRE packet (header and payload) whose
+/// header says one is present; a packet without one is left as it is.
+pub(crate) fn fill_checksum(packet: &mut [u8]) {
+    if packet[0] & 0x80 != 0 {
+        let csum = internet_checksum(packet);
+        packet[4..6].copy_from_slice(&csum.to_be_bytes());
     }
 }
 

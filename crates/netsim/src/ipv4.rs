@@ -112,7 +112,16 @@ impl Ipv4Header {
 
     /// Encode the header followed by `payload` into a full IPv4 packet.
     pub fn encode_packet(&self, payload: &[u8]) -> Vec<u8> {
-        let total_len = (IPV4_HEADER_LEN + payload.len()) as u16;
+        let mut out = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
+        out.extend_from_slice(&self.header_bytes(payload.len()));
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// The 20-byte header of a packet carrying `payload_len` bytes, its
+    /// checksum filled in.
+    pub(crate) fn header_bytes(&self, payload_len: usize) -> [u8; IPV4_HEADER_LEN] {
+        let total_len = (IPV4_HEADER_LEN + payload_len) as u16;
         let mut hdr = [0u8; IPV4_HEADER_LEN];
         hdr[0] = 0x45; // version 4, IHL 5
         hdr[1] = self.tos;
@@ -127,15 +136,12 @@ impl Ipv4Header {
         hdr[16..20].copy_from_slice(&self.dst.octets());
         let csum = internet_checksum(&hdr);
         hdr[10..12].copy_from_slice(&csum.to_be_bytes());
-        let mut out = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
-        out.extend_from_slice(&hdr);
-        out.extend_from_slice(payload);
-        out
+        hdr
     }
 
     /// Decode a packet into header and payload, verifying version and
-    /// header checksum.
-    pub fn decode_packet(bytes: &[u8]) -> CodecResult<(Ipv4Header, Vec<u8>)> {
+    /// header checksum.  The payload borrows from `bytes`.
+    pub fn decode_packet(bytes: &[u8]) -> CodecResult<(Ipv4Header, &[u8])> {
         if bytes.len() < IPV4_HEADER_LEN {
             return Err(CodecError::Truncated {
                 what: "ipv4",
@@ -177,7 +183,7 @@ impl Ipv4Header {
             src: Ipv4Addr::new(bytes[12], bytes[13], bytes[14], bytes[15]),
             dst: Ipv4Addr::new(bytes[16], bytes[17], bytes[18], bytes[19]),
         };
-        Ok((header, bytes[ihl..total_len].to_vec()))
+        Ok((header, &bytes[ihl..total_len]))
     }
 }
 

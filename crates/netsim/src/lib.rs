@@ -22,7 +22,9 @@
 //! * [`clock`] — simulated time ([`SimTime`], [`SimDuration`]) and the
 //!   control loop's [`clock::StepClock`].
 //! * [`mac`], [`ether`], [`vlan`], [`ipv4`], [`gre`], [`mpls`], [`udp`] —
-//!   wire-format codecs (the property tests round-trip them).  ICMP is a
+//!   wire-format codecs (the property tests round-trip them).  Every
+//!   decoder borrows: it returns the payload as a slice of the bytes it
+//!   read, so the engine forwards a frame without copying it.  ICMP is a
 //!   protocol number ([`Ipv4Proto::Icmp`]) and nothing more: no device
 //!   answers echo requests, because nothing in the reproduction pings.
 //! * [`route`] — longest-prefix-match routing tables and policy rules

@@ -7,6 +7,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
+/// Length of one encoded label stack entry.
+pub(crate) const LABEL_ENTRY_LEN: usize = 4;
+
 /// A 20-bit MPLS label value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Label(u32);
@@ -71,20 +74,24 @@ impl LabelStackEntry {
 
     /// Decode from 4 bytes.
     pub fn decode(bytes: &[u8]) -> CodecResult<Self> {
-        if bytes.len() < 4 {
-            return Err(CodecError::Truncated {
+        match bytes.first_chunk::<4>() {
+            Some(word) => Ok(Self::from_word(*word)),
+            None => Err(CodecError::Truncated {
                 what: "mpls",
                 needed: 4,
                 got: bytes.len(),
-            });
+            }),
         }
-        let word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        Ok(LabelStackEntry {
+    }
+
+    fn from_word(bytes: [u8; 4]) -> Self {
+        let word = u32::from_be_bytes(bytes);
+        LabelStackEntry {
             label: Label(word >> 12),
             tc: ((word >> 9) & 0x7) as u8,
             bottom: (word >> 8) & 1 == 1,
             ttl: (word & 0xff) as u8,
-        })
+        }
     }
 }
 
@@ -98,17 +105,32 @@ pub fn encode_stack(stack: &[LabelStackEntry], payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode a full label stack (until the bottom-of-stack bit) and return the
-/// remaining payload.
-pub fn decode_stack(bytes: &[u8]) -> CodecResult<(Vec<LabelStackEntry>, Vec<u8>)> {
-    let mut stack = Vec::new();
+/// A decoded label stack: the encoded entries, outermost first, read in
+/// place.  The last entry is the only one with the bottom-of-stack bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LabelStack<'a>(&'a [u8]);
+
+impl<'a> LabelStack<'a> {
+    /// The entries, outermost first.
+    pub fn iter(&self) -> impl Iterator<Item = LabelStackEntry> + 'a {
+        (self.0.chunks_exact(LABEL_ENTRY_LEN))
+            .map(|c| LabelStackEntry::from_word([c[0], c[1], c[2], c[3]]))
+    }
+
+    /// The outermost entry (a decoded stack is never empty).
+    pub fn top(&self) -> LabelStackEntry {
+        self.iter().next().expect("a decoded stack has an entry")
+    }
+}
+
+/// Decode a full label stack (until the bottom-of-stack bit) and return it
+/// with the remaining payload, both borrowed from `bytes`.
+pub fn decode_stack(bytes: &[u8]) -> CodecResult<(LabelStack<'_>, &[u8])> {
     let mut offset = 0;
     loop {
         let entry = LabelStackEntry::decode(&bytes[offset..])?;
         offset += 4;
-        let bottom = entry.bottom;
-        stack.push(entry);
-        if bottom {
+        if entry.bottom {
             break;
         }
         if offset >= bytes.len() {
@@ -119,7 +141,7 @@ pub fn decode_stack(bytes: &[u8]) -> CodecResult<(Vec<LabelStackEntry>, Vec<u8>)
             });
         }
     }
-    Ok((stack, bytes[offset..].to_vec()))
+    Ok((LabelStack(&bytes[..offset]), &bytes[offset..]))
 }
 
 /// Key identifying an NHLFE (next-hop label forwarding entry), mirroring the
@@ -258,7 +280,8 @@ mod tests {
         ];
         let bytes = encode_stack(&stack, &[7u8; 10]);
         let (dec, payload) = decode_stack(&bytes).unwrap();
-        assert_eq!(dec, stack);
+        assert_eq!(dec.iter().collect::<Vec<_>>(), stack);
+        assert_eq!(dec.top(), stack[0]);
         assert_eq!(payload, vec![7u8; 10]);
     }
 

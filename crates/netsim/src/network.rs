@@ -2,7 +2,7 @@
 
 use crate::clock::{SimDuration, SimTime};
 use crate::device::{Device, DeviceId, EngineOutput, PortId};
-use crate::ether::EthernetFrame;
+use crate::ether::{ethertype_of, EtherType, EthernetFrame};
 use crate::event::{EventQueue, FrameArrival};
 use crate::link::{Endpoint, Link, LinkId, LinkProperties};
 use crate::stats::{DeviceStats, FlowCounters, LookupWork};
@@ -45,10 +45,17 @@ pub struct Network {
     frames_lost: u64,
     /// Monotonic counter feeding the deterministic per-link loss sampler.
     loss_sequence: u64,
-    /// Open flow-attribution window: the tag plus, for each device the
-    /// window's traffic has reached so far, its tallies just before the
-    /// first frame was handed to it (see [`Network::begin_flow_window`]).
-    flow_window: Option<(u64, BTreeMap<DeviceId, FlowCounters>)>,
+    /// The open flow-attribution window's tag (see
+    /// [`Network::begin_flow_window`]).
+    flow_window: Option<u64>,
+    /// For each device the open window's traffic has reached so far, its
+    /// tallies just before the first frame was handed to it, sorted by
+    /// device.  Emptied, not freed, when the window closes.
+    flow_samples: Vec<(DeviceId, FlowCounters)>,
+    /// The frames the device being run transmits, reused from step to step.
+    output: EngineOutput,
+    /// Management (0x88B5) frames placed on a link that have not arrived.
+    management_in_flight: u64,
 }
 
 /// The device-level tallies a flow window diffs, as one sample.
@@ -88,6 +95,13 @@ impl Network {
     /// Total frames dropped by link loss (`loss_ppm`) so far.
     pub fn frames_lost(&self) -> u64 {
         self.frames_lost
+    }
+
+    /// Management (EtherType 0x88B5) frames on a link right now: counted up
+    /// when a frame is placed on its link and down when it arrives.  The
+    /// in-band channel keeps stepping time while any is in flight.
+    pub fn management_frames_in_flight(&self) -> u64 {
+        self.management_in_flight
     }
 
     /// Add a device, returning its id.
@@ -253,14 +267,14 @@ impl Network {
     /// window closes any window still open.
     pub fn begin_flow_window(&mut self, tag: u64) {
         self.end_flow_window();
-        self.flow_window = Some((tag, BTreeMap::new()));
+        self.flow_window = Some(tag);
     }
 
     /// Close the open flow window (if any), crediting the per-device deltas
     /// to the window's tag.  Returns the tag that was closed.
     pub fn end_flow_window(&mut self) -> Option<u64> {
-        let (tag, touched) = self.flow_window.take()?;
-        for (id, before) in touched {
+        let tag = self.flow_window.take()?;
+        for (id, before) in self.flow_samples.drain(..) {
             let Some(device) = self.devices.get_mut(&id) else {
                 continue;
             };
@@ -285,8 +299,11 @@ impl Network {
             .devices
             .get_mut(&id)
             .ok_or(NetworkError::UnknownDevice(id))?;
-        if let Some((_, touched)) = &mut self.flow_window {
-            touched.entry(id).or_insert_with(|| tallies(&device.stats));
+        if self.flow_window.is_some() {
+            let samples = &mut self.flow_samples;
+            if let Err(at) = samples.binary_search_by_key(&id, |(d, _)| *d) {
+                samples.insert(at, (id, tallies(&device.stats)));
+            }
         }
         Ok(device)
     }
@@ -323,11 +340,9 @@ impl Network {
         dst_port: u16,
         payload: &[u8],
     ) -> Result<(), NetworkError> {
-        let out = self
-            .touch(device)?
-            .originate_udp(dst, src_port, dst_port, payload);
-        self.dispatch(device, out);
-        Ok(())
+        self.run_device(device, |d, out| {
+            d.originate_udp(dst, src_port, dst_port, payload, out)
+        })
     }
 
     /// Have `device` transmit a raw frame out of `port`.  Used by the in-band
@@ -338,19 +353,39 @@ impl Network {
         port: PortId,
         frame: &EthernetFrame,
     ) -> Result<(), NetworkError> {
-        let out = self.touch(device)?.originate_frame(port, frame);
-        self.dispatch(device, out);
-        Ok(())
+        self.run_device(device, |d, out| d.originate_frame(port, frame, out))
+    }
+
+    /// Hand `device` to `step` (after [`Self::touch`]) with the network's
+    /// cleared output buffer, then dispatch the frames it wrote there.
+    fn run_device(
+        &mut self,
+        device: DeviceId,
+        step: impl FnOnce(&mut Device, &mut EngineOutput),
+    ) -> Result<(), NetworkError> {
+        let mut output = std::mem::take(&mut self.output);
+        output.clear();
+        let ran = self.touch(device).map(|d| step(d, &mut output));
+        if ran.is_ok() {
+            self.dispatch(device, &output);
+        }
+        self.output = output;
+        ran
     }
 
     /// Dispatch the transmissions a device produced: place each frame on the
     /// link attached to its egress port and schedule arrival at the far end.
-    pub(crate) fn dispatch(&mut self, from: DeviceId, output: EngineOutput) {
+    ///
+    /// The frames lie in `output`, the network's own buffer; each one that
+    /// goes on a link is copied once, into the `Arc<[u8]>` the trace ring and
+    /// the arrival event share.  That copy is a forwarded frame's one heap
+    /// allocation.
+    fn dispatch(&mut self, from: DeviceId, output: &EngineOutput) {
         let now = self.queue.now();
         let Some(device) = self.devices.get(&from).filter(|d| d.up) else {
             return; // crashed devices transmit nothing
         };
-        for (port, bytes) in output.transmissions {
+        for (port, bytes) in output.frames() {
             let Some(link_id) = device.port(port).and_then(|nic| nic.link) else {
                 continue;
             };
@@ -369,9 +404,10 @@ impl Network {
             let Some(to) = link.peer_of(Endpoint { device: from, port }) else {
                 continue;
             };
-            // One buffer per transmission, shared by the trace and the
-            // arrival event.
-            let frame: Arc<[u8]> = bytes.into();
+            if ethertype_of(bytes) == Some(EtherType::Management) {
+                self.management_in_flight += 1;
+            }
+            let frame: Arc<[u8]> = Arc::from(bytes);
             self.trace.record(TraceEntry {
                 time: now,
                 from_device: from,
@@ -434,14 +470,15 @@ impl Network {
             frame,
         } = arrival;
         self.frames_delivered += 1;
-        let Ok(dev) = self.touch(device) else {
-            return;
-        };
-        if !dev.up {
-            return; // crashed devices drop everything on the floor
+        if ethertype_of(&frame) == Some(EtherType::Management) {
+            self.management_in_flight -= 1;
         }
-        let out = dev.handle_frame(port, &frame);
-        self.dispatch(device, out);
+        // Crashed devices drop everything on the floor.
+        let _ = self.run_device(device, |d, out| {
+            if d.up {
+                d.handle_frame(port, &frame, out);
+            }
+        });
     }
 
     // ------------------------------------------------------------------

@@ -71,7 +71,7 @@ impl PacketSummary {
         match EthernetFrame::decode(bytes) {
             Ok(frame) => {
                 layers.push(Layer::Ethernet);
-                Self::parse_ether_payload(frame.ethertype, &frame.payload, &mut layers);
+                Self::parse_ether_payload(frame.ethertype, frame.payload, &mut layers);
             }
             Err(_) => layers.push(Layer::Payload(len)),
         }
@@ -83,16 +83,16 @@ impl PacketSummary {
             EtherType::Vlan => match vlan::pop_tag(payload) {
                 Ok((tag, inner)) => {
                     layers.push(Layer::Vlan(tag.vid.value()));
-                    Self::parse_ether_payload(tag.inner_ethertype, &inner, layers);
+                    Self::parse_ether_payload(tag.inner_ethertype, inner, layers);
                 }
                 Err(_) => layers.push(Layer::Payload(payload.len())),
             },
             EtherType::Mpls => match mpls::decode_stack(payload) {
                 Ok((stack, inner)) => {
-                    for entry in &stack {
+                    for entry in stack.iter() {
                         layers.push(Layer::Mpls(entry.label.value()));
                     }
-                    Self::parse_ipv4(&inner, layers);
+                    Self::parse_ipv4(inner, layers);
                 }
                 Err(_) => layers.push(Layer::Payload(payload.len())),
             },
@@ -112,14 +112,14 @@ impl PacketSummary {
                     proto: h.protocol.to_string(),
                 });
                 match h.protocol {
-                    Ipv4Proto::Gre => match GreHeader::decode_packet(&inner) {
+                    Ipv4Proto::Gre => match GreHeader::decode_packet(inner) {
                         Ok((g, gre_inner)) => {
                             layers.push(Layer::Gre { key: g.key });
-                            Self::parse_ipv4(&gre_inner, layers);
+                            Self::parse_ipv4(gre_inner, layers);
                         }
                         Err(_) => layers.push(Layer::Payload(inner.len())),
                     },
-                    Ipv4Proto::IpIp => Self::parse_ipv4(&inner, layers),
+                    Ipv4Proto::IpIp => Self::parse_ipv4(inner, layers),
                     _ => layers.push(Layer::Payload(inner.len())),
                 }
             }

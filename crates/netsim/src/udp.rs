@@ -27,18 +27,25 @@ impl UdpHeader {
     /// Encode header + payload into a datagram (checksum left zero, which is
     /// legal for IPv4 UDP).
     pub fn encode_datagram(&self, payload: &[u8]) -> Vec<u8> {
-        let len = (UDP_HEADER_LEN + payload.len()) as u16;
         let mut out = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&len.to_be_bytes());
-        out.extend_from_slice(&0u16.to_be_bytes());
+        out.extend_from_slice(&self.header_bytes(payload.len()));
         out.extend_from_slice(payload);
         out
     }
 
-    /// Decode a datagram into header and payload.
-    pub fn decode_datagram(bytes: &[u8]) -> CodecResult<(UdpHeader, Vec<u8>)> {
+    /// The 8-byte header of a datagram carrying `payload_len` bytes.
+    pub(crate) fn header_bytes(&self, payload_len: usize) -> [u8; UDP_HEADER_LEN] {
+        let len = (UDP_HEADER_LEN + payload_len) as u16;
+        let mut hdr = [0u8; UDP_HEADER_LEN];
+        hdr[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        hdr[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        hdr[4..6].copy_from_slice(&len.to_be_bytes());
+        hdr
+    }
+
+    /// Decode a datagram into header and payload; the payload borrows from
+    /// `bytes`.
+    pub fn decode_datagram(bytes: &[u8]) -> CodecResult<(UdpHeader, &[u8])> {
         if bytes.len() < UDP_HEADER_LEN {
             return Err(CodecError::Truncated {
                 what: "udp",
@@ -58,7 +65,7 @@ impl UdpHeader {
                 src_port: u16::from_be_bytes([bytes[0], bytes[1]]),
                 dst_port: u16::from_be_bytes([bytes[2], bytes[3]]),
             },
-            bytes[UDP_HEADER_LEN..len].to_vec(),
+            &bytes[UDP_HEADER_LEN..len],
         ))
     }
 }

@@ -101,6 +101,7 @@ impl VlanTag {
 ///
 /// `inner_ethertype` is the EtherType the untagged frame carried, and
 /// `payload` its payload.
+#[cfg(test)]
 pub(crate) fn push_tag(vid: VlanId, inner_ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
     let tag = VlanTag::new(vid, inner_ethertype);
     let mut out = Vec::with_capacity(VLAN_TAG_LEN + payload.len());
@@ -110,10 +111,11 @@ pub(crate) fn push_tag(vid: VlanId, inner_ethertype: EtherType, payload: &[u8]) 
 }
 
 /// Pop a VLAN tag from the payload of a frame whose EtherType was
-/// [`EtherType::Vlan`]: returns the tag and the inner payload.
-pub(crate) fn pop_tag(payload: &[u8]) -> CodecResult<(VlanTag, Vec<u8>)> {
+/// [`EtherType::Vlan`]: returns the tag and the inner payload, which
+/// borrows from `payload`.
+pub(crate) fn pop_tag(payload: &[u8]) -> CodecResult<(VlanTag, &[u8])> {
     let tag = VlanTag::decode(payload)?;
-    Ok((tag, payload[VLAN_TAG_LEN..].to_vec()))
+    Ok((tag, &payload[VLAN_TAG_LEN..]))
 }
 
 #[cfg(test)]
@@ -159,7 +161,7 @@ mod tests {
         let (outer, rest) = pop_tag(&provider).unwrap();
         assert_eq!(outer.vid.value(), 22);
         assert_eq!(outer.inner_ethertype, EtherType::Vlan);
-        let (inner, payload) = pop_tag(&rest).unwrap();
+        let (inner, payload) = pop_tag(rest).unwrap();
         assert_eq!(inner.vid.value(), 7);
         assert_eq!(payload, vec![1, 2, 3]);
     }
