@@ -112,7 +112,7 @@ fn table4_figure4_figure5() {
     println!("Managed devices (ISP): {}", t.mn.nm.device_count());
     for (dev, name) in &t.mn.nm.device_names {
         let modules = &t.mn.nm.abstractions[dev];
-        let kinds: Vec<String> = modules.iter().map(|m| m.name.kind.name()).collect();
+        let kinds: Vec<String> = modules.iter().map(|m| m.name.kind.to_string()).collect();
         println!("  {name:10} modules: {}", kinds.join(", "));
     }
     println!("\nTable IV — connectivity and switching of device A's modules:");
@@ -123,12 +123,12 @@ fn table4_figure4_figure5() {
             m.name.to_string(),
             m.up_connectable
                 .iter()
-                .map(|k| k.name())
+                .map(|k| k.to_string())
                 .collect::<Vec<_>>()
                 .join(","),
             m.down_connectable
                 .iter()
-                .map(|k| k.name())
+                .map(|k| k.to_string())
                 .collect::<Vec<_>>()
                 .join(","),
             if m.physical_pipes.is_empty() {

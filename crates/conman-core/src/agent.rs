@@ -130,7 +130,7 @@ impl ManagementAgent {
         let mut modules = [None, None];
         for (module, m) in modules.iter_mut().zip(named) {
             if let Some(m) = m {
-                let unknown = || RefusalCause::UnknownModule(m.clone());
+                let unknown = || RefusalCause::UnknownModule(*m);
                 *module = Some(self.modules.get(&m.module).ok_or_else(unknown)?);
             }
         }
@@ -428,7 +428,7 @@ impl ManagementAgent {
                 match module.handle_envelope(&mut ctx, env) {
                     Ok(r) => reaction.extend(r),
                     Err(e) => out.push(WireMessage::Notify(Notification {
-                        from: env.to.clone(),
+                        from: env.to,
                         body: Notice::Refused(Box::new(
                             self.refusal(None, RefusalCause::Module(e)),
                         )),
@@ -616,10 +616,10 @@ mod tests {
 
     impl ProtocolModule for Recorder {
         fn reference(&self) -> ModuleRef {
-            self.me.clone()
+            self.me
         }
         fn descriptor(&self) -> ModuleAbstraction {
-            ModuleAbstraction::empty(self.me.clone())
+            ModuleAbstraction::empty(self.me)
         }
         fn create_pipe(
             &mut self,
@@ -645,11 +645,11 @@ mod tests {
         let upper = ModuleRef::new(ModuleKind::Ip, ModuleId(1), device.id);
         let lower = ModuleRef::new(ModuleKind::Eth, ModuleId(2), device.id);
         agent.register(Box::new(Recorder {
-            me: upper.clone(),
+            me: upper,
             pipes: vec![],
         }));
         agent.register(Box::new(Recorder {
-            me: lower.clone(),
+            me: lower,
             pipes: vec![],
         }));
         (device, agent, upper, lower)
@@ -664,8 +664,8 @@ mod tests {
                 Primitive::ShowPotential,
                 Primitive::CreatePipe(PipeSpec {
                     pipe: PipeId(1),
-                    upper: upper.clone(),
-                    lower: lower.clone(),
+                    upper,
+                    lower,
                     peer_upper: None,
                     peer_lower: None,
                     peer_pipe: None,
@@ -710,7 +710,7 @@ mod tests {
             primitives: vec![Primitive::CreatePipe(PipeSpec {
                 pipe: PipeId(1),
                 upper,
-                lower: bogus.clone(),
+                lower: bogus,
                 peer_upper: None,
                 peer_lower: None,
                 peer_pipe: None,
@@ -746,7 +746,7 @@ mod tests {
         let (mut device, mut agent, upper, lower) = setup();
         let pipe_spec = |pipe: u32, lower: ModuleRef| PipeSpec {
             pipe: PipeId(pipe),
-            upper: upper.clone(),
+            upper,
             lower,
             peer_upper: None,
             peer_lower: None,
@@ -760,7 +760,7 @@ mod tests {
             segments: vec![
                 ScriptSegment {
                     goal: 1,
-                    primitives: vec![Primitive::CreatePipe(pipe_spec(10, lower.clone()))],
+                    primitives: vec![Primitive::CreatePipe(pipe_spec(10, lower))],
                 },
                 ScriptSegment {
                     goal: 2,
@@ -768,7 +768,7 @@ mod tests {
                 },
                 ScriptSegment {
                     goal: 3,
-                    primitives: vec![Primitive::CreatePipe(pipe_spec(30, lower.clone()))],
+                    primitives: vec![Primitive::CreatePipe(pipe_spec(30, lower))],
                 },
             ],
         };
@@ -887,8 +887,8 @@ mod tests {
         let create = |t: u64| {
             Primitive::CreatePipe(PipeSpec {
                 pipe: PipeId(t as u32),
-                upper: upper.clone(),
-                lower: lower.clone(),
+                upper,
+                lower,
                 peer_upper: None,
                 peer_lower: None,
                 peer_pipe: None,
@@ -964,8 +964,8 @@ mod tests {
         let pipe = |id| {
             Primitive::CreatePipe(PipeSpec {
                 pipe: PipeId(id),
-                upper: upper.clone(),
-                lower: lower.clone(),
+                upper,
+                lower,
                 peer_upper: None,
                 peer_lower: None,
                 peer_pipe: None,
@@ -975,7 +975,7 @@ mod tests {
         };
         let switch = |module: &ModuleRef, in_pipe| {
             Primitive::CreateSwitch(SwitchSpec {
-                module: module.clone(),
+                module: *module,
                 in_pipe: PipeId(in_pipe),
                 out_pipe: PipeId(9),
                 dst_class: None,
@@ -1088,15 +1088,15 @@ mod tests {
 
     impl ProtocolModule for Restless {
         fn reference(&self) -> ModuleRef {
-            self.0.clone()
+            self.0
         }
         fn descriptor(&self) -> ModuleAbstraction {
-            ModuleAbstraction::empty(self.0.clone())
+            ModuleAbstraction::empty(self.0)
         }
         fn poll(&mut self, _ctx: &mut ModuleCtx) -> ModuleReaction {
             ModuleReaction::envelope(ModuleEnvelope {
-                from: self.0.clone(),
-                to: self.0.clone(),
+                from: self.0,
+                to: self.0,
                 pipe: PipeId(0),
                 kind: crate::primitives::EnvelopeKind::Convey,
                 body: vec![0xFF],
@@ -1125,10 +1125,10 @@ mod tests {
 
     impl ProtocolModule for Refuser {
         fn reference(&self) -> ModuleRef {
-            self.0.clone()
+            self.0
         }
         fn descriptor(&self) -> ModuleAbstraction {
-            ModuleAbstraction::empty(self.0.clone())
+            ModuleAbstraction::empty(self.0)
         }
         fn handle_envelope(
             &mut self,
@@ -1136,7 +1136,7 @@ mod tests {
             env: &ModuleEnvelope,
         ) -> Result<ModuleReaction, ModuleError> {
             Err(ModuleError::UndecodableBody {
-                from: env.from.clone(),
+                from: env.from,
                 len: env.body.len(),
             })
         }
@@ -1146,11 +1146,11 @@ mod tests {
     fn a_refused_envelope_reaches_the_nm_as_a_typed_error_notice() {
         let (mut device, mut agent, _, _) = setup();
         let refuser = ModuleRef::new(ModuleKind::Gre, ModuleId(9), device.id);
-        agent.register(Box::new(Refuser(refuser.clone())));
+        agent.register(Box::new(Refuser(refuser)));
         let sender = ModuleRef::new(ModuleKind::Gre, ModuleId(9), DeviceId::from_raw(77));
         let env = ModuleEnvelope {
-            from: sender.clone(),
-            to: refuser.clone(),
+            from: sender,
+            to: refuser,
             pipe: PipeId(0),
             kind: crate::primitives::EnvelopeKind::Convey,
             body: vec![0x7B, 0x00],

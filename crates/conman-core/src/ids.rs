@@ -3,12 +3,11 @@
 //! independent device-id (re-used from `netsim`).
 
 use netsim::device::DeviceId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The protocol a module implements ("module name" in the paper: "IPv4",
 /// "GRE", "RFC791", a URI for applications, ...).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ModuleKind {
     /// An Ethernet module bound to one physical port.
     Eth,
@@ -21,35 +20,28 @@ pub enum ModuleKind {
     Mpls,
     /// An 802.1Q VLAN module on a layer-2 switch.
     Vlan,
-    /// Any other module, named by a URI-like string.  The NM treats every
-    /// name alike, so a module it has never heard of plans like one it has.
-    App(String),
+    /// Any other module: an opaque code for a protocol the NM has no name
+    /// for.  The NM never reads the code and treats every kind alike, so a
+    /// module it has never heard of plans like one it has.
+    App(u8),
 }
 
-impl ModuleKind {
-    /// The module name string used in showPotential output and scripts.
-    pub fn name(&self) -> String {
+/// The module name used in showPotential output and scripts.
+impl fmt::Display for ModuleKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ModuleKind::Eth => "ETH".to_string(),
-            ModuleKind::Ip => "IP".to_string(),
-            ModuleKind::Gre => "GRE".to_string(),
-            ModuleKind::Mpls => "MPLS".to_string(),
-            ModuleKind::Vlan => "VLAN".to_string(),
-            ModuleKind::App(n) => n.clone(),
+            ModuleKind::Eth => f.write_str("ETH"),
+            ModuleKind::Ip => f.write_str("IP"),
+            ModuleKind::Gre => f.write_str("GRE"),
+            ModuleKind::Mpls => f.write_str("MPLS"),
+            ModuleKind::Vlan => f.write_str("VLAN"),
+            ModuleKind::App(code) => write!(f, "APP{code}"),
         }
     }
 }
 
-impl fmt::Display for ModuleKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
-
 /// Module identifier, unique within its device.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ModuleId(pub u32);
 
 impl fmt::Display for ModuleId {
@@ -60,7 +52,7 @@ impl fmt::Display for ModuleId {
 
 /// The `<module name, module-id, device-id>` tuple that uniquely names a
 /// module across the network.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModuleRef {
     /// Protocol ("module name").
     pub kind: ModuleKind,
@@ -95,9 +87,7 @@ impl fmt::Display for ModuleRef {
 
 /// Pipe identifier.  Pipes are created (and named) by the NM, so identifiers
 /// are allocated by the NM and unique within one configuration task.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PipeId(pub u32);
 
 impl fmt::Display for PipeId {
@@ -116,7 +106,27 @@ mod tests {
         assert!(r.to_string().starts_with("<GRE,dev:"));
         assert_eq!(r.display_with("A", "b"), "<GRE,A,b>");
         assert_eq!(PipeId(1).to_string(), "P1");
-        assert_eq!(ModuleKind::App("HTTP-client".into()).name(), "HTTP-client");
+        assert_eq!(ModuleKind::Vlan.to_string(), "VLAN");
+        assert_eq!(ModuleKind::App(7).to_string(), "APP7");
+    }
+
+    #[test]
+    fn refs_are_small_copy_values_in_todays_order() {
+        fn copy<T: Copy>() {}
+        copy::<ModuleKind>();
+        copy::<ModuleRef>();
+        assert!(std::mem::size_of::<ModuleKind>() <= 2);
+        assert!(std::mem::size_of::<ModuleRef>() <= 16);
+        let kinds = [
+            ModuleKind::Eth,
+            ModuleKind::Ip,
+            ModuleKind::Gre,
+            ModuleKind::Mpls,
+            ModuleKind::Vlan,
+            ModuleKind::App(0),
+            ModuleKind::App(u8::MAX),
+        ];
+        assert!(kinds.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -23,13 +23,12 @@ use crate::primitives::{
 use netsim::config::DeviceConfig;
 use netsim::route::RouteTarget;
 use netsim::stats::DropReason;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Why a module refused a primitive or a relayed envelope: the module's own
 /// cause, which the agent wraps in a [`Refusal`](crate::primitives::Refusal).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModuleError {
     /// `create (filter)` on a module that cannot filter.
     CannotFilter,
@@ -55,7 +54,7 @@ pub enum ModuleError {
 }
 
 /// A field of a [`SwitchSpec`] the IP module refuses when it does not parse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchField {
     /// `gateway`, an address.
     Gateway,
@@ -326,17 +325,17 @@ mod tests {
     struct Dummy(ModuleRef);
     impl ProtocolModule for Dummy {
         fn reference(&self) -> ModuleRef {
-            self.0.clone()
+            self.0
         }
         fn descriptor(&self) -> ModuleAbstraction {
-            ModuleAbstraction::empty(self.0.clone())
+            ModuleAbstraction::empty(self.0)
         }
     }
 
     #[test]
     fn defaults_are_sane() {
         let r = ModuleRef::new(ModuleKind::Ip, ModuleId(1), DeviceId::from_raw(1));
-        let mut m = Dummy(r.clone());
+        let mut m = Dummy(r);
         let mut config = DeviceConfig::new();
         let mut blackboard = Blackboard::new();
         let mut ctx = ModuleCtx {
@@ -347,9 +346,9 @@ mod tests {
         assert_eq!(m.actual(&ctx), ModuleActual::default());
         assert!(m.fault_domain().is_empty());
         let filter = FilterSpec {
-            module: r.clone(),
-            from: r.clone(),
-            to: r.clone(),
+            module: r,
+            from: r,
+            to: r,
         };
         assert_eq!(
             m.admit(&Primitive::CreateFilter(filter)),

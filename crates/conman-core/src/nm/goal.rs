@@ -24,14 +24,11 @@ use super::{ConnectivityGoal, ModulePath};
 use crate::ids::ModuleRef;
 use crate::primitives::Refusal;
 use netsim::device::DeviceId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Stable identity of a stored goal.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GoalId(pub u64);
 
 impl fmt::Display for GoalId {
@@ -49,7 +46,7 @@ impl fmt::Display for GoalId {
 /// exclusion lets the traversal prune both: an excluded module is never
 /// entered, and an excluded link's physical pipes are never crossed — so on
 /// multipath topologies a blamed core link is rerouted around in one pass.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Exclusion {
     /// Avoid a specific module.
     Module(ModuleRef),
@@ -78,7 +75,7 @@ pub use conman_obs::GoalStatus;
 /// The configuration a goal currently has on the network: the executed
 /// path, the scripts that realised it (the teardown mirror is derived from
 /// them) and the pipe-id block they were numbered in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppliedPlan {
     /// The module-level path that was executed.
     pub path: ModulePath,
@@ -150,7 +147,7 @@ pub struct Plan {
 }
 
 /// Why planning failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// The goal id is not in the store.
     UnknownGoal(GoalId),
@@ -175,7 +172,7 @@ pub enum PlanError {
 
 /// Why a goal is not `Active`.  Whether it gave up is its status, and after
 /// how many attempts its [`GoalRecord::repair_attempts`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GoalFailure {
     /// A device refused the goal's transaction, or did not answer it.
     Refused(Box<Refusal>),
@@ -305,10 +302,7 @@ impl GoalStore {
         }
         if let Some(now) = &added {
             for step in &now.path.steps {
-                self.module_index
-                    .entry(step.module.clone())
-                    .or_default()
-                    .insert(id);
+                self.module_index.entry(step.module).or_default().insert(id);
             }
         }
         previous
@@ -501,7 +495,7 @@ impl GoalStore {
         let mut reused = Vec::new();
         let mut seen = BTreeSet::new();
         for step in &path.steps {
-            if !seen.insert(step.module.clone()) {
+            if !seen.insert(step.module) {
                 continue;
             }
             let shared = self
@@ -509,9 +503,9 @@ impl GoalStore {
                 .get(&step.module)
                 .is_some_and(|goals| goals.iter().any(|g| *g != id));
             if shared {
-                reused.push(step.module.clone());
+                reused.push(step.module);
             } else {
-                created.push(step.module.clone());
+                created.push(step.module);
             }
         }
         (created, reused)

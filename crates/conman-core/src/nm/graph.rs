@@ -29,7 +29,7 @@ pub(crate) fn module_on_port(
 ) -> Option<ModuleRef> {
     let mut modules = abstractions.get(&device)?.iter();
     let m = modules.find(|m| m.physical_pipes.iter().any(|p| p.port == port))?;
-    Some(m.name.clone())
+    Some(m.name)
 }
 
 impl PotentialGraph {
@@ -41,7 +41,7 @@ impl PotentialGraph {
         let mut graph = PotentialGraph::default();
         for modules in abstractions.values() {
             for m in modules {
-                graph.modules.insert(m.name.clone(), m.clone());
+                graph.modules.insert(m.name, m.clone());
             }
         }
 
@@ -57,14 +57,14 @@ impl PotentialGraph {
                     {
                         graph
                             .up_neighbors
-                            .entry(lower.name.clone())
+                            .entry(lower.name)
                             .or_default()
-                            .push(upper.name.clone());
+                            .push(upper.name);
                         graph
                             .down_neighbors
-                            .entry(upper.name.clone())
+                            .entry(upper.name)
                             .or_default()
-                            .push(lower.name.clone());
+                            .push(lower.name);
                     }
                 }
             }

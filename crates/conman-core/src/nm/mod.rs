@@ -15,7 +15,6 @@ use crate::abstraction::ModuleAbstraction;
 use crate::ids::{ModuleKind, ModuleRef};
 use crate::primitives::{Announcement, TradeoffChoice};
 use netsim::device::{DeviceId, PortId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 pub use goal::{
@@ -28,7 +27,7 @@ pub use script::{render_primitive, DeviceScript, ScriptSet};
 /// A high-level connectivity goal: "configure connectivity between the
 /// customer-facing interfaces X and Y for traffic between site classes S1
 /// and S2" (§III-C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnectivityGoal {
     /// Ingress customer-facing module (e.g. `<ETH,A,a>`).
     pub from: ModuleRef,
@@ -151,7 +150,7 @@ impl NetworkManager {
         self.abstractions
             .get(&device)?
             .iter()
-            .map(|a| a.name.clone())
+            .map(|a| a.name)
             .find(|r| r.kind == *kind)
     }
 
@@ -208,7 +207,7 @@ impl NetworkManager {
         for e in excluded {
             match e {
                 goal::Exclusion::Module(m) => {
-                    modules.insert(m.clone());
+                    modules.insert(*m);
                 }
                 goal::Exclusion::Link(a, b) => links.push((*a, *b)),
             }

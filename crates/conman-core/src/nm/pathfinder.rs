@@ -17,11 +17,10 @@ use super::ConnectivityGoal;
 use crate::abstraction::{ModuleAbstraction, SwitchKind};
 use crate::ids::{ModuleKind, ModuleRef};
 use netsim::device::DeviceId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// How a module was entered during the traversal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Entry {
     /// Entered from a physical pipe.
     Phys,
@@ -34,7 +33,7 @@ pub enum Entry {
 }
 
 /// One step of a module-level path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathStep {
     /// The module traversed.
     pub module: ModuleRef,
@@ -50,7 +49,7 @@ pub struct PathStep {
 }
 
 /// A complete module-level path satisfying a goal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModulePath {
     /// The steps in travel order.
     pub steps: Vec<PathStep>,
@@ -217,8 +216,8 @@ impl<'a> PathFinder<'a> {
         };
         // The stack is innermost-first, so the outer header is pushed last
         // and sits on top.  The payload is header 0.
-        state.push_header(payload.kind.clone(), Some(goal.traffic_domain.clone()));
-        state.push_header(goal.from.kind.clone(), None);
+        state.push_header(payload.kind, Some(goal.traffic_domain.clone()));
+        state.push_header(goal.from.kind, None);
         let expected_final = state.scratch.stack.clone();
         self.explore(goal, &mut state, &goal.from, Entry::Phys, &expected_final);
         state.results
@@ -243,7 +242,7 @@ impl<'a> PathFinder<'a> {
         let Some(abs) = self.graph.abstraction(module) else {
             return;
         };
-        state.scratch.visited.insert(module.clone());
+        state.scratch.visited.insert(*module);
 
         match entered {
             Entry::Phys | Entry::Below => {
@@ -305,7 +304,7 @@ impl<'a> PathFinder<'a> {
                 // Option 1: encapsulate and continue downwards.
                 if abs.can_switch(SwitchKind::UpDown) {
                     let depth = state.scratch.stack.len();
-                    let id = state.push_header(module.kind.clone(), abs.address_domain.clone());
+                    let id = state.push_header(module.kind, abs.address_domain.clone());
                     state.push_step(module, SwitchKind::UpDown, entered, id, depth);
                     for next in self.graph.downs(module) {
                         self.explore(goal, state, next, Entry::Above, expected_final);
@@ -316,7 +315,7 @@ impl<'a> PathFinder<'a> {
                 // Option 2: encapsulate onto a physical pipe.
                 if abs.can_switch(SwitchKind::UpPhy) {
                     let depth = state.scratch.stack.len();
-                    let id = state.push_header(module.kind.clone(), None);
+                    let id = state.push_header(module.kind, None);
                     state.push_step(module, SwitchKind::UpPhy, entered, id, depth);
                     if *module == goal.to {
                         // Reached the egress interface: the path is valid only
@@ -403,7 +402,7 @@ impl SearchState<'_> {
         depth: usize,
     ) {
         self.scratch.steps.push(PathStep {
-            module: module.clone(),
+            module: *module,
             switch,
             entered,
             header,

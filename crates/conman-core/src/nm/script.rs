@@ -18,12 +18,11 @@ use crate::primitives::{
     ComponentRef, PipeSpec, Primitive, ResolvedName, SwitchSpec, TradeoffChoice,
 };
 use netsim::device::DeviceId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The CONMan primitives for one device — what it executes.  The paper-style
 /// text is a view of them ([`DeviceScript::render`]), not a second copy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceScript {
     /// The device the script configures.
     pub device: DeviceId,
@@ -43,7 +42,7 @@ impl DeviceScript {
 
 /// The scripts for every device along a path: what a plan carries.  The text
 /// of Figures 7(b)/8(b)/9(b) is rendered on demand ([`ScriptSet::render`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScriptSet {
     /// Per-device scripts, in path order.
     pub scripts: Vec<DeviceScript>,
@@ -345,8 +344,8 @@ pub fn generate_with_base(
     // 3a. CreatePipe primitives (slot order).
     for slot in slots.iter().filter(|s| !s.physical) {
         let (ui, li) = (slot.upper.unwrap(), slot.lower.unwrap());
-        let upper = steps[ui].module.clone();
-        let lower = steps[li].module.clone();
+        let upper = steps[ui].module;
+        let lower = steps[li].module;
         let device = upper.device;
 
         // Peers: pair the lower module first (its header defines the pipe's
@@ -357,8 +356,8 @@ pub fn generate_with_base(
             Some(pl) => (near_on_same_device(pl, steps[ui].header), Some(pl)),
             None => (None, None),
         };
-        let peer_upper = pu.map(|i| steps[i].module.clone());
-        let peer_lower = pl.map(|i| steps[i].module.clone());
+        let peer_upper = pu.map(|i| steps[i].module);
+        let peer_lower = pl.map(|i| steps[i].module);
         let peer_pipe = (slots.iter())
             .find(|s| s.upper.is_some() && s.upper == pu && s.lower == pl)
             .map(|s| s.id);
@@ -426,7 +425,7 @@ pub fn generate_with_base(
                 value: goal.resolved.get(name).cloned().unwrap_or_default(),
             };
             let fwd = SwitchSpec {
-                module: step.module.clone(),
+                module: step.module,
                 in_pipe: customer_pipe.id,
                 out_pipe: core_pipe.id,
                 dst_class: Some(resolved(dst_class)),
@@ -436,7 +435,7 @@ pub fn generate_with_base(
             // The reverse rule needs the local site's prefix so the module can
             // install the return route towards the customer gateway.
             let rev = SwitchSpec {
-                module: step.module.clone(),
+                module: step.module,
                 in_pipe: core_pipe.id,
                 out_pipe: customer_pipe.id,
                 dst_class: None,
@@ -447,7 +446,7 @@ pub fn generate_with_base(
             scripts[idx].primitives.push(Primitive::CreateSwitch(rev));
         } else {
             let spec = SwitchSpec {
-                module: step.module.clone(),
+                module: step.module,
                 in_pipe: in_slot.id,
                 out_pipe: out_slot.id,
                 dst_class: None,
@@ -551,7 +550,7 @@ mod tests {
         };
         let switch = |dst_class: Option<&str>, gateway: Option<&str>| {
             Primitive::CreateSwitch(SwitchSpec {
-                module: ip.clone(),
+                module: ip,
                 in_pipe: PipeId(0),
                 out_pipe: PipeId(1),
                 dst_class: dst_class.map(named),
@@ -562,10 +561,10 @@ mod tests {
         let pipe = |peers: bool, tradeoffs: Vec<TradeoffChoice>| {
             Primitive::CreatePipe(PipeSpec {
                 pipe: PipeId(1),
-                upper: ip.clone(),
-                lower: gre.clone(),
-                peer_upper: peers.then(|| peer_ip.clone()),
-                peer_lower: peers.then(|| peer_gre.clone()),
+                upper: ip,
+                lower: gre,
+                peer_upper: peers.then_some(peer_ip),
+                peer_lower: peers.then_some(peer_gre),
                 peer_pipe: peers.then_some(PipeId(2)),
                 tradeoffs,
                 initiate: true,
@@ -601,9 +600,9 @@ mod tests {
             (switch(None, None), "create (switch, <IP,A,m3>, P0, P1)"),
             (
                 Primitive::CreateFilter(FilterSpec {
-                    module: ip.clone(),
-                    from: gre.clone(),
-                    to: peer_gre.clone(),
+                    module: ip,
+                    from: gre,
+                    to: peer_gre,
                 }),
                 "create (filter, <IP,A,m3>, <GRE,A,m5>, <GRE,B,m5>)",
             ),
@@ -612,15 +611,11 @@ mod tests {
                 "delete (pipe, P7)",
             ),
             (
-                Primitive::Delete(ComponentRef::SwitchRule(ip.clone(), PipeId(0), PipeId(1))),
+                Primitive::Delete(ComponentRef::SwitchRule(ip, PipeId(0), PipeId(1))),
                 "delete (switch, <IP,A,m3>, P0, P1)",
             ),
             (
-                Primitive::Delete(ComponentRef::Filter(
-                    ip.clone(),
-                    gre.clone(),
-                    peer_gre.clone(),
-                )),
+                Primitive::Delete(ComponentRef::Filter(ip, gre, peer_gre)),
                 "delete (filter, <IP,A,m3>, <GRE,A,m5>, <GRE,B,m5>)",
             ),
         ];

@@ -12,12 +12,11 @@ use crate::abstraction::{CounterSnapshot, ModuleAbstraction};
 use crate::ids::{ModuleRef, PipeId};
 use crate::module::ModuleError;
 use netsim::device::{DeviceId, PortId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A performance trade-off choice the NM passes when creating a pipe
 /// (satisfying a dependency like Table III row iii).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TradeoffChoice {
     /// Prefer in-order delivery at the cost of delay/jitter
     /// (GRE: enables sequence numbers).
@@ -33,7 +32,7 @@ pub enum TradeoffChoice {
 /// together with the value the NM resolved it to (a prefix, an address).  A
 /// spec field that names something is of this type, so the name cannot travel
 /// without the value its module reads.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedName {
     /// The name as the goal and the Figure 7(b) scripts spell it.
     pub name: String,
@@ -44,7 +43,7 @@ pub struct ResolvedName {
 /// Specification of a pipe to create between two modules in the same device.
 /// It names modules and carries nothing protocol-specific: a pipe's low-level
 /// fields are worked out by the modules themselves (§II-D).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipeSpec {
     /// NM-assigned pipe identifier (the `P1` in the paper's scripts).
     pub pipe: PipeId,
@@ -73,7 +72,7 @@ pub struct PipeSpec {
 /// `out_pipe`, optionally restricted to a named traffic class.  Only the two
 /// edge rules of a goal (Figure 7(b) commands 3 and 4) name anything, and each
 /// name carries its own value; a transit rule is three ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchSpec {
     /// The module whose switch is configured.
     pub module: ModuleRef,
@@ -97,7 +96,7 @@ pub struct SwitchSpec {
 /// address it gives its peers and a module it exchanged addresses with on
 /// one of its pipes to the address it learned; it refuses any other end at
 /// stage with [`ModuleError::UnresolvedFilterEnd`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterSpec {
     /// The module that should perform the filtering.
     pub module: ModuleRef,
@@ -109,7 +108,7 @@ pub struct FilterSpec {
 
 /// The one name of a component: what `create` makes, `delete ()` takes and
 /// `showActual` lists.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ComponentRef {
     /// A pipe by id.
     Pipe(PipeId),
@@ -120,7 +119,7 @@ pub enum ComponentRef {
 }
 
 /// A single CONMan primitive invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Primitive {
     /// `showPotential ()`.
     ShowPotential,
@@ -145,15 +144,13 @@ impl Primitive {
             Primitive::ShowPotential | Primitive::ShowActual => None,
             Primitive::CreatePipe(spec) => Some(ComponentRef::Pipe(spec.pipe)),
             Primitive::CreateSwitch(spec) => Some(ComponentRef::SwitchRule(
-                spec.module.clone(),
+                spec.module,
                 spec.in_pipe,
                 spec.out_pipe,
             )),
-            Primitive::CreateFilter(spec) => Some(ComponentRef::Filter(
-                spec.module.clone(),
-                spec.from.clone(),
-                spec.to.clone(),
-            )),
+            Primitive::CreateFilter(spec) => {
+                Some(ComponentRef::Filter(spec.module, spec.from, spec.to))
+            }
             Primitive::Delete(component) => Some(component.clone()),
         }
     }
@@ -218,7 +215,7 @@ pub enum Notice {
 
 /// The one failure type from module to operator: the module gives its
 /// [`ModuleError`], the agent the device and component, the NM a silence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Refusal {
     /// The device that refused, or did not answer.
     pub device: DeviceId,
@@ -229,7 +226,7 @@ pub struct Refusal {
 }
 
 /// What a [`Refusal`] is about.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RefusalCause {
     /// A primitive names a module the device does not have.
     UnknownModule(ModuleRef),
@@ -271,11 +268,10 @@ pub struct ModuleActual {
 impl ModuleActual {
     /// What `module` lists, spelt as the [`ComponentRef`]s `delete` takes.
     pub fn components(&self, module: &ModuleRef) -> Vec<ComponentRef> {
-        let m = || module.clone();
+        let m = *module;
         let pipes = self.pipes.iter().map(|p| ComponentRef::Pipe(*p));
-        let rules = (self.switch_rules.iter()).map(|&(i, o)| ComponentRef::SwitchRule(m(), i, o));
-        let filters =
-            (self.filters.iter()).map(|(f, t)| ComponentRef::Filter(m(), f.clone(), t.clone()));
+        let rules = (self.switch_rules.iter()).map(|&(i, o)| ComponentRef::SwitchRule(m, i, o));
+        let filters = (self.filters.iter()).map(|&(f, t)| ComponentRef::Filter(m, f, t));
         pipes.chain(rules).chain(filters).collect()
     }
 }

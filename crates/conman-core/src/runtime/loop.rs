@@ -47,7 +47,6 @@ use conman_obs::{Blame, TraceKind};
 use mgmt_channel::ManagementChannel;
 use netsim::clock::{SimDuration, SimTime, StepClock};
 use netsim::device::DeviceId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 
@@ -74,7 +73,7 @@ impl Default for LoopConfig {
 }
 
 /// What the loop's diagnosis client reports for one degraded goal.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LoopDiagnosis {
     /// Modules and links the goal's re-plan must avoid.  Link exclusions
     /// reach the path finder's traversal, so the batched repair pass
@@ -134,7 +133,7 @@ pub trait LoopClient<C: ManagementChannel> {
 }
 
 /// What one tick did.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TickReport {
     /// The tick's ordinal (1-based).
     pub tick: u64,
@@ -177,7 +176,7 @@ impl TickReport {
 }
 
 /// A multi-tick run's worth of reports.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LoopReport {
     /// Per-tick reports, in order.
     pub ticks: Vec<TickReport>,

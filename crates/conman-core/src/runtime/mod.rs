@@ -598,10 +598,10 @@ mod tests {
 
     impl ProtocolModule for Chatty {
         fn reference(&self) -> ModuleRef {
-            self.me.clone()
+            self.me
         }
         fn descriptor(&self) -> ModuleAbstraction {
-            ModuleAbstraction::empty(self.me.clone())
+            ModuleAbstraction::empty(self.me)
         }
         fn create_pipe(
             &mut self,
@@ -611,9 +611,9 @@ mod tests {
             // Only the upper end of the pipe negotiates, so the exchange
             // costs exactly two relayed messages.
             if spec.initiate && spec.upper == self.me {
-                if let Some(peer) = spec.peer_upper.clone().or(spec.peer_lower.clone()) {
+                if let Some(peer) = spec.peer_upper.or(spec.peer_lower) {
                     return Ok(ModuleReaction::envelope(ModuleEnvelope {
-                        from: self.me.clone(),
+                        from: self.me,
                         to: peer,
                         pipe: PipeId(0),
                         kind: EnvelopeKind::Convey,
@@ -632,8 +632,8 @@ mod tests {
             self.negotiated.store(true, Ordering::Relaxed);
             if env.body == [HELLO] {
                 return Ok(ModuleReaction::envelope(ModuleEnvelope {
-                    from: self.me.clone(),
-                    to: env.from.clone(),
+                    from: self.me,
+                    to: env.from,
                     pipe: PipeId(0),
                     kind: EnvelopeKind::Convey,
                     body: vec![ACK],
@@ -654,11 +654,11 @@ mod tests {
         let m1 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1);
         let low1 = ModuleRef::new(ModuleKind::Eth, ModuleId(2), d1);
         let m2 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d2);
-        let (c1, c2) = (Chatty::new(m1.clone()), Chatty::new(m2.clone()));
+        let (c1, c2) = (Chatty::new(m1), Chatty::new(m2));
         let negotiated = [c1.negotiated.clone(), c2.negotiated.clone()];
         let mut a1 = ManagementAgent::new(d1, "RouterA");
         a1.register(Box::new(c1));
-        a1.register(Box::new(Chatty::new(low1.clone())));
+        a1.register(Box::new(Chatty::new(low1)));
         let mut a2 = ManagementAgent::new(d2, "RouterB");
         a2.register(Box::new(c2));
 
@@ -672,10 +672,10 @@ mod tests {
         // Send a script to d1 creating a pipe whose peer is the module on d2.
         let spec = PipeSpec {
             pipe: crate::ids::PipeId(1),
-            upper: m1.clone(),
+            upper: m1,
             lower: low1,
-            peer_upper: Some(m2.clone()),
-            peer_lower: Some(m2.clone()),
+            peer_upper: Some(m2),
+            peer_lower: Some(m2),
             peer_pipe: None,
             tradeoffs: vec![],
             initiate: true,
@@ -715,20 +715,20 @@ mod tests {
         let pipe = |n, upper: &ModuleRef, lower: &ModuleRef, peer: &ModuleRef| {
             Primitive::CreatePipe(PipeSpec {
                 pipe: crate::ids::PipeId(n),
-                upper: upper.clone(),
-                lower: lower.clone(),
-                peer_upper: Some(peer.clone()),
+                upper: *upper,
+                lower: *lower,
+                peer_upper: Some(*peer),
                 peer_lower: None,
                 peer_pipe: None,
                 tradeoffs: vec![],
                 initiate: true,
             })
         };
-        let chatty = [&a, &b, &c, &d].map(|m| Chatty::new(m.clone()));
+        let chatty = [&a, &b, &c, &d].map(|m| Chatty::new(*m));
         let negotiated = chatty.each_ref().map(|m| m.negotiated.clone());
         let mut a1 = ManagementAgent::new(d1, "RouterA");
         let mut a2 = ManagementAgent::new(d2, "RouterB");
-        a1.register(Box::new(Chatty::new(low.clone())));
+        a1.register(Box::new(Chatty::new(low)));
         for m in chatty {
             let agent = if m.me.device == d1 { &mut a1 } else { &mut a2 };
             agent.register(Box::new(m));
@@ -776,7 +776,7 @@ mod tests {
         let m1 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1);
         let m2 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d2);
         let mut a1 = ManagementAgent::new(d1, "RouterA");
-        a1.register(Box::new(Chatty::new(m1.clone())));
+        a1.register(Box::new(Chatty::new(m1)));
         let mut a2 = ManagementAgent::new(d2, "RouterB");
         a2.register(Box::new(Chatty::new(m2)));
         let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
@@ -796,8 +796,8 @@ mod tests {
         // `Chatty` cannot filter, so its admission refuses the filter at
         // stage and nothing of the goal reaches a device.
         let filter = Primitive::CreateFilter(FilterSpec {
-            module: m1.clone(),
-            from: m1.clone(),
+            module: m1,
+            from: m1,
             to: m1,
         });
         let scripts = ScriptSet {
@@ -938,10 +938,10 @@ mod tests {
 
     impl ProtocolModule for PingPong {
         fn reference(&self) -> ModuleRef {
-            self.me.clone()
+            self.me
         }
         fn descriptor(&self) -> ModuleAbstraction {
-            ModuleAbstraction::empty(self.me.clone())
+            ModuleAbstraction::empty(self.me)
         }
         fn handle_envelope(
             &mut self,
@@ -949,8 +949,8 @@ mod tests {
             env: &ModuleEnvelope,
         ) -> Result<ModuleReaction, crate::module::ModuleError> {
             Ok(ModuleReaction::envelope(ModuleEnvelope {
-                from: self.me.clone(),
-                to: env.from.clone(),
+                from: self.me,
+                to: env.from,
                 pipe: PipeId(0),
                 kind: EnvelopeKind::Convey,
                 body: env.body.clone(),
@@ -968,9 +968,9 @@ mod tests {
         let m1 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1);
         let m2 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d2);
         let mut a1 = ManagementAgent::new(d1, "RouterA");
-        a1.register(Box::new(PingPong { me: m1.clone() }));
+        a1.register(Box::new(PingPong { me: m1 }));
         let mut a2 = ManagementAgent::new(d2, "RouterB");
-        a2.register(Box::new(PingPong { me: m2.clone() }));
+        a2.register(Box::new(PingPong { me: m2 }));
 
         let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
         mn.add_agent(a1);

@@ -50,7 +50,6 @@ use crate::nm::{
 use crate::primitives::{Primitive, Refusal};
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What `reconcile()` did for one goal; defined beside the journal that
@@ -58,7 +57,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub use conman_obs::ReconcileAction;
 
 /// Per-goal reconcile result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReconcileOutcome {
     /// The goal.
     pub goal: GoalId,
@@ -71,7 +70,7 @@ pub struct ReconcileOutcome {
 }
 
 /// The result of one reconcile pass.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReconcileReport {
     /// One outcome per stored goal, in id order.
     pub outcomes: Vec<ReconcileOutcome>,
@@ -150,8 +149,8 @@ fn choose_goal_path_memo(
         return Err(PlanError::UnknownGoal(id));
     };
     let key = (
-        rec.desired.from.clone(),
-        rec.desired.to.clone(),
+        rec.desired.from,
+        rec.desired.to,
         rec.desired.l2_only,
         rec.desired.traffic_domain.clone(),
         rec.excluded.clone(),
@@ -404,9 +403,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     if users
                         .get(&step.module)
                         .is_some_and(|g| g.contains(&id) && g.iter().all(|u| removing.contains(u)))
-                        && released_seen.insert(step.module.clone())
+                        && released_seen.insert(step.module)
                     {
-                        outcome.released.push(step.module.clone());
+                        outcome.released.push(step.module);
                     }
                 }
             }

@@ -352,10 +352,10 @@ mod tests {
 
     impl crate::module::ProtocolModule for Unlisted {
         fn reference(&self) -> ModuleRef {
-            self.0.clone()
+            self.0
         }
         fn descriptor(&self) -> crate::abstraction::ModuleAbstraction {
-            crate::abstraction::ModuleAbstraction::empty(self.0.clone())
+            crate::abstraction::ModuleAbstraction::empty(self.0)
         }
         fn create_pipe(
             &mut self,
@@ -383,7 +383,7 @@ mod tests {
         let d = net.add_device(Device::new("R", DeviceRole::Router, 1));
         let m = ModuleRef::new(ModuleKind::Ip, ModuleId(1), d);
         let mut agent = ManagementAgent::new(d, "R");
-        agent.register(Box::new(Unlisted(m.clone())));
+        agent.register(Box::new(Unlisted(m)));
         let mut mn = ManagedNetwork::new(net, d, mgmt_channel::OutOfBandChannel::new());
         mn.add_agent(agent);
         (mn, d, m)
@@ -398,7 +398,7 @@ mod tests {
         let (mut mn, d, m) = one_router();
         let pipe = PipeSpec {
             pipe: PipeId(7),
-            upper: m.clone(),
+            upper: m,
             lower: m,
             peer_upper: None,
             peer_lower: None,

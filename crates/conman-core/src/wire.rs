@@ -25,7 +25,7 @@
 //! devices      varint count, then each device id as 8 raw bytes, little-endian
 //!              (a name hash, not a count): every device the frame names, once,
 //!              in the order the frame first names it
-//! module       kind (0-4 ETH IP GRE MPLS VLAN | 5 App + str), u32 module, device
+//! module       kind (0-4 ETH IP GRE MPLS VLAN | 5 App + code byte), u32 module, device
 //! ```
 //!
 //! Every frame is its tag, its device list, then its fields; the thirteen
@@ -782,7 +782,7 @@ enums! {
 }
 
 enums! {
-    ModuleKind { 0 => Eth, 1 => Ip, 2 => Gre, 3 => Mpls, 4 => Vlan, 5 => App(name) }
+    ModuleKind { 0 => Eth, 1 => Ip, 2 => Gre, 3 => Mpls, 4 => Vlan, 5 => App(code) }
     TradeoffChoice { 0 => InOrderDelivery, 1 => LowErrorRate, 2 => LowDelay }
     EnvelopeKind { 0 => Convey, 1 => FieldQuery, 2 => FieldResponse }
     Primitive {
@@ -889,7 +889,7 @@ mod tests {
                 Primitive::CreatePipe(PipeSpec {
                     pipe: PipeId(41),
                     upper: mref(ModuleKind::Gre, 1, 1),
-                    lower: mref(ModuleKind::App("HTTP".into()), 2, 1),
+                    lower: mref(ModuleKind::App(1), 2, 1),
                     peer_upper: Some(mref(ModuleKind::Gre, 1, 3)),
                     peer_lower: None,
                     peer_pipe: Some(PipeId(u32::MAX)),
@@ -923,7 +923,7 @@ mod tests {
                     local_prefix: Some("10.0.1.0/24".into()),
                 }),
                 Primitive::CreateFilter(FilterSpec {
-                    module: mref(ModuleKind::App("IKE".into()), 4, 1),
+                    module: mref(ModuleKind::App(2), 4, 1),
                     from: mref(ModuleKind::Eth, 5, 1),
                     to: mref(ModuleKind::Eth, 6, 2),
                 }),
@@ -936,7 +936,7 @@ mod tests {
                 Primitive::Delete(ComponentRef::Filter(
                     mref(ModuleKind::Vlan, 8, 1),
                     mref(ModuleKind::Eth, 5, 1),
-                    mref(ModuleKind::App(String::new()), 0, u64::MAX),
+                    mref(ModuleKind::App(0), 0, u64::MAX),
                 )),
                 Primitive::ShowPotential,
                 Primitive::ShowActual,
@@ -967,8 +967,8 @@ mod tests {
             PerformanceMetric::Ordering,
         ];
         let rich = ModuleAbstraction {
-            name: mref(ModuleKind::App("IPsec".into()), 9, 2),
-            up_connectable: vec![ModuleKind::Ip, ModuleKind::App("IKE".into())],
+            name: mref(ModuleKind::App(3), 9, 2),
+            up_connectable: vec![ModuleKind::Ip, ModuleKind::App(2)],
             up_dependencies: vec![dependency("tradeoffs")],
             down_connectable: vec![ModuleKind::Eth, ModuleKind::Gre, ModuleKind::Mpls],
             down_dependencies: vec![dependency(""), dependency("ké")],
@@ -1036,7 +1036,7 @@ mod tests {
             ModuleError::CannotFilter,
             ModuleError::MissingTradeoffs,
             ModuleError::UndecodableBody {
-                from: mref(ModuleKind::App("babble".into()), 1, 2),
+                from: mref(ModuleKind::App(4), 1, 2),
                 len: usize::MAX,
             },
             ModuleError::BadSwitchField(SwitchField::Gateway),
@@ -1044,7 +1044,7 @@ mod tests {
             ModuleError::UnresolvedFilterEnd(mref(ModuleKind::Ip, 4, 3)),
         ];
         let causes = [
-            RefusalCause::UnknownModule(gre.clone()),
+            RefusalCause::UnknownModule(gre),
             RefusalCause::MalformedSegment,
             RefusalCause::NeverStaged,
             RefusalCause::UnansweredStage,
@@ -1054,10 +1054,10 @@ mod tests {
             RefusalCause::StaleTxn,
         ];
         let components = [
-            Some(ComponentRef::SwitchRule(gre.clone(), PipeId(1), PipeId(2))),
+            Some(ComponentRef::SwitchRule(gre, PipeId(1), PipeId(2))),
             None,
             Some(ComponentRef::Pipe(PipeId(3))),
-            Some(ComponentRef::Filter(gre.clone(), gre.clone(), gre)),
+            Some(ComponentRef::Filter(gre, gre, gre)),
         ];
         causes
             .into_iter()
@@ -1072,13 +1072,13 @@ mod tests {
     }
 
     /// Every variant, with contents a codec could trip on: every refusal
-    /// cause and module error, every notice, `App` names, empty and
+    /// cause and module error, every notice, `App` codes 0 to 255, empty and
     /// all-byte-values envelope bodies, a fully populated abstraction and
     /// every drop reason.
     fn every_message() -> Vec<WireMessage> {
         let env = ModuleEnvelope {
             from: mref(ModuleKind::Mpls, 3, 1),
-            to: mref(ModuleKind::App("babble".into()), 3, 2),
+            to: mref(ModuleKind::App(4), 3, 2),
             pipe: PipeId(u32::MAX),
             kind: EnvelopeKind::FieldResponse,
             body: (0x00..=0xFF).collect(),
@@ -1227,7 +1227,7 @@ mod tests {
                         drop_breakdown: every_drop_reason.into_iter().zip(1..).collect(),
                     },
                     CounterSnapshot {
-                        module: mref(ModuleKind::App("x".into()), 2, 1),
+                        module: mref(ModuleKind::App(u8::MAX), 2, 1),
                         drop_breakdown: BTreeMap::new(),
                     },
                 ],

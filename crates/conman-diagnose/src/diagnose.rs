@@ -281,7 +281,7 @@ impl Diagnoser {
                 if rx >= need && tx < need {
                     suspects.push(match biggest_dropper(path, *device, modules) {
                         Some((module, evidence)) => Suspect {
-                            target: SuspectTarget::Module(module.clone()),
+                            target: SuspectTarget::Module(*module),
                             confidence_pct: 85,
                             evidence,
                         },
@@ -357,7 +357,7 @@ fn module_deltas(
         for snap in &report.snapshots {
             let earlier = baseline.snapshots.iter().find(|s| s.module == snap.module);
             if let Some(earlier) = earlier {
-                out.insert(snap.module.clone(), snap.delta_since(earlier));
+                out.insert(snap.module, snap.delta_since(earlier));
             }
         }
     }

@@ -34,11 +34,11 @@ impl Healer {
         for suspect in &report.suspects {
             match &suspect.target {
                 SuspectTarget::Module(m) => {
-                    excluded.insert(Exclusion::Module(m.clone()));
+                    excluded.insert(Exclusion::Module(*m));
                 }
                 SuspectTarget::Device(d) => {
                     if let Some(mods) = mn.nm.abstractions.get(d) {
-                        excluded.extend(mods.iter().map(|a| Exclusion::Module(a.name.clone())));
+                        excluded.extend(mods.iter().map(|a| Exclusion::Module(a.name)));
                     }
                 }
                 SuspectTarget::Link { a, b } => {

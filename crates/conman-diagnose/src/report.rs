@@ -4,10 +4,9 @@ use conman_core::ids::ModuleRef;
 use conman_obs::Blame;
 use netsim::device::DeviceId;
 use netsim::stats::DropReason;
-use serde::{Deserialize, Serialize};
 
 /// What the diagnoser believes is at fault.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SuspectTarget {
     /// A specific module (e.g. a GRE module rejecting every packet).
     Module(ModuleRef),
@@ -44,7 +43,7 @@ impl SuspectTarget {
 }
 
 /// One ranked fault hypothesis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Suspect {
     /// What is suspected.
     pub target: SuspectTarget,
@@ -58,7 +57,7 @@ pub struct Suspect {
 }
 
 /// The outcome of one diagnosis pass over a configured path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultReport {
     /// End-to-end probes sent during the pass.
     pub probes_sent: u32,
@@ -130,7 +129,7 @@ mod tests {
             healthy: false,
             suspects: vec![
                 Suspect {
-                    target: SuspectTarget::Module(m.clone()),
+                    target: SuspectTarget::Module(m),
                     confidence_pct: 85,
                     evidence: vec![(DropReason::TunnelMismatch, 4)],
                 },

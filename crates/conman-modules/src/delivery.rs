@@ -49,8 +49,8 @@ fn device(side: usize) -> u64 {
 
 /// What the NM would tell `side`'s module about goal `goal`'s pipe.
 fn spec(kind: &ModuleKind, side: usize, goal: usize) -> PipeSpec {
-    let me = module(kind.clone(), 1, device(side));
-    let peer = Some(module(kind.clone(), 1, device(1 - side)));
+    let me = module(*kind, 1, device(side));
+    let peer = Some(module(*kind, 1, device(1 - side)));
     let mut spec = if *kind == ModuleKind::Gre {
         let mut spec = pipe(0, &module(ModuleKind::Ip, 2, device(side)), &me);
         spec.peer_lower = peer;
@@ -85,7 +85,7 @@ impl Side {
     /// `side`'s module with every goal's pipe made and its port published,
     /// then polled once, and what it sent meanwhile.
     fn new(kind: &ModuleKind, side: usize) -> (Side, Vec<Sent>) {
-        let me = module(kind.clone(), 1, device(side));
+        let me = module(*kind, 1, device(side));
         let negotiator: Box<dyn Exchanging> = match kind {
             ModuleKind::Ip => Box::new(IpModule::new(me, "isp", Ipv4Addr::new(10, 9, 0, 1))),
             ModuleKind::Gre => Box::new(GreModule::new(me)),
@@ -364,7 +364,7 @@ fn every_delivery_order_pairs_each_pipe_with_its_own_goal() {
         ModuleKind::Mpls,
         ModuleKind::Vlan,
     ] {
-        match enumerate(kind.clone()) {
+        match enumerate(kind) {
             Ok(states) => assert!(states > 1_000, "{kind}: only {states} states"),
             Err(schedule) => panic!("{kind}: {schedule}"),
         }

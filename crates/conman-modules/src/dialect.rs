@@ -32,7 +32,7 @@ pub(crate) trait Dialect: Sized {
     /// the body is its encoding.
     fn envelope(&self, from: &ModuleRef, to: ModuleRef, pipe: PipeId) -> ModuleEnvelope {
         ModuleEnvelope {
-            from: from.clone(),
+            from: *from,
             to,
             pipe,
             kind: self.kind(),
@@ -43,8 +43,8 @@ pub(crate) trait Dialect: Sized {
     /// The message `env` carries, or the refusal of a body that does not
     /// decode.
     fn read(env: &ModuleEnvelope) -> Result<Self, ModuleError> {
-        Self::decode(&env.body).ok_or_else(|| ModuleError::UndecodableBody {
-            from: env.from.clone(),
+        Self::decode(&env.body).ok_or(ModuleError::UndecodableBody {
+            from: env.from,
             len: env.body.len(),
         })
     }

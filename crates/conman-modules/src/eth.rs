@@ -95,11 +95,11 @@ impl EthModule {
 
 impl ProtocolModule for EthModule {
     fn reference(&self) -> ModuleRef {
-        self.me.clone()
+        self.me
     }
 
     fn descriptor(&self) -> ModuleAbstraction {
-        let mut a = ModuleAbstraction::empty(self.me.clone());
+        let mut a = ModuleAbstraction::empty(self.me);
         a.up_connectable = self.up_kinds.clone();
         a.peerable = vec![ModuleKind::Eth];
         a.switch.kinds = vec![SwitchKind::PhyUp, SwitchKind::UpPhy];
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn publishes_port_on_pipe_creation() {
         let me = module(ModuleKind::Eth, 1, 1);
-        let mut m = EthModule::new(me.clone(), PortId(2), vec![ModuleKind::Ip]);
+        let mut m = EthModule::new(me, PortId(2), vec![ModuleKind::Ip]);
         let mut rig = Rig::new();
         let spec = pipe(3, &module(ModuleKind::Ip, 2, 1), &me);
         m.create_pipe(&mut rig.ctx(), &spec).unwrap();
@@ -214,11 +214,7 @@ mod tests {
     #[test]
     fn descriptor_shapes() {
         let me = module(ModuleKind::Eth, 1, 1);
-        let router_eth = EthModule::new(
-            me.clone(),
-            PortId(0),
-            vec![ModuleKind::Ip, ModuleKind::Mpls],
-        );
+        let router_eth = EthModule::new(me, PortId(0), vec![ModuleKind::Ip, ModuleKind::Mpls]);
         let d = router_eth.descriptor();
         assert!(d.can_switch(SwitchKind::PhyUp));
         assert!(!d.can_switch(SwitchKind::PhyPhy));
@@ -233,7 +229,7 @@ mod tests {
     #[test]
     fn deleting_a_pipe_forgets_the_rules_naming_it_on_either_side() {
         let me = module(ModuleKind::Eth, 1, 1);
-        let mut m = EthModule::new(me.clone(), PortId(0), vec![ModuleKind::Ip]);
+        let mut m = EthModule::new(me, PortId(0), vec![ModuleKind::Ip]);
         let mut rig = Rig::new();
         for (in_pipe, out_pipe) in [(1, 2), (2, 1), (1, 12), (3, 4)] {
             m.create_switch(&mut rig.ctx(), &switch(&me, in_pipe, out_pipe))
@@ -264,7 +260,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..5, 0u32..4, 0u32..4), 0..48),
         ) {
             let me = module(ModuleKind::Eth, 1, 1);
-            let mut m = EthModule::new(me.clone(), PortId(0), vec![ModuleKind::Ip]);
+            let mut m = EthModule::new(me, PortId(0), vec![ModuleKind::Ip]);
             let mut rig = Rig::new();
             let mut pipes: Vec<PipeId> = Vec::new();
             let mut rules: Vec<(PipeId, PipeId)> = Vec::new();
@@ -286,7 +282,7 @@ mod tests {
                         rules.retain(|(i, o)| *i != a && *o != a);
                     }
                     _ => {
-                        m.delete(&mut rig.ctx(), &ComponentRef::SwitchRule(me.clone(), a, b))
+                        m.delete(&mut rig.ctx(), &ComponentRef::SwitchRule(me, a, b))
                             .unwrap();
                         rules.retain(|r| *r != (a, b));
                     }

@@ -16,20 +16,19 @@
 //!
 //! [`Exchanges`] holds that rule and the state it reads; each module keeps
 //! only what the exchange carries.  A module exchanges with modules of its
-//! own kind (IP with IP, GRE with GRE), so the table knows the kind once
-//! and holds each peer as its module id and device.
+//! own kind (IP with IP, GRE with GRE), and the table compares a sender's
+//! whole reference, kind included, with the peer it holds.
 //!
 //! [`ModuleEnvelope::pipe`]: conman_core::primitives::ModuleEnvelope::pipe
 //! [`PipeSpec::peer_pipe`]: conman_core::primitives::PipeSpec::peer_pipe
 
-use conman_core::ids::{ModuleId, ModuleKind, ModuleRef, PipeId};
-use netsim::device::DeviceId;
+use conman_core::ids::{ModuleRef, PipeId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One exchanging pipe: its far end, who opens, and whether it still waits.
 struct Entry {
-    /// The far end's module and device; its kind is the table's.
-    peer: (ModuleId, DeviceId),
+    /// The far end's module.
+    peer: ModuleRef,
     /// The far end's pipe, which every message to `peer` names.
     peer_pipe: PipeId,
     /// Whether this side sends the opening message.
@@ -41,27 +40,15 @@ struct Entry {
 /// A module's exchanging pipes, by id.  The pipes that still owe their
 /// opening message are also an index, so `poll` does not scan the pipes:
 /// hundreds of concurrent goals can share one peer.
+#[derive(Default)]
 pub(crate) struct Exchanges {
-    /// The kind of module on both ends of every exchange.
-    kind: ModuleKind,
     entries: BTreeMap<PipeId, Entry>,
     owed: BTreeSet<PipeId>,
 }
 
 impl Exchanges {
-    /// An empty table for a module of `kind`.
-    pub(crate) fn new(kind: ModuleKind) -> Self {
-        Exchanges {
-            kind,
-            entries: BTreeMap::new(),
-            owed: BTreeSet::new(),
-        }
-    }
-
     /// List `pipe`, which exchanges with `peer`'s `peer_pipe`: waiting, and
-    /// owing the opening message when this side `initiates`.  The NM names
-    /// a peer of the module's own kind; only its module id and device are
-    /// kept.
+    /// owing the opening message when this side `initiates`.
     pub(crate) fn add(
         &mut self,
         pipe: PipeId,
@@ -73,7 +60,7 @@ impl Exchanges {
             self.owed.insert(pipe);
         }
         let entry = Entry {
-            peer: (peer.module, peer.device),
+            peer: *peer,
             peer_pipe,
             initiates,
             waiting: true,
@@ -93,12 +80,8 @@ impl Exchanges {
     /// from `from`, a module of another kind among them, and then nothing
     /// changes.
     pub(crate) fn pair(&mut self, from: &ModuleRef, pipe: PipeId, opening: bool) -> Option<PipeId> {
-        if from.kind != self.kind {
-            return None;
-        }
-        let entry = (self.entries.get_mut(&pipe)).filter(|e| {
-            e.waiting && e.initiates != opening && e.peer == (from.module, from.device)
-        })?;
+        let entry = (self.entries.get_mut(&pipe))
+            .filter(|e| e.waiting && e.initiates != opening && e.peer == *from)?;
         entry.waiting = false;
         Some(entry.peer_pipe)
     }
@@ -108,9 +91,7 @@ impl Exchanges {
     pub(crate) fn owed(&self) -> impl Iterator<Item = (PipeId, ModuleRef, PipeId)> + '_ {
         (self.owed.iter()).map(|pipe| {
             let entry = &self.entries[pipe];
-            let (module, device) = entry.peer;
-            let peer = ModuleRef::new(self.kind.clone(), module, device);
-            (*pipe, peer, entry.peer_pipe)
+            (*pipe, entry.peer, entry.peer_pipe)
         })
     }
 
@@ -122,9 +103,7 @@ impl Exchanges {
     /// Whether `pipe` exchanges with `peer` (`false` for a pipe that does
     /// not exchange).
     pub(crate) fn is_with(&self, pipe: PipeId, peer: &ModuleRef) -> bool {
-        peer.kind == self.kind
-            && (self.entries.get(&pipe))
-                .is_some_and(|entry| entry.peer == (peer.module, peer.device))
+        (self.entries.get(&pipe)).is_some_and(|entry| entry.peer == *peer)
     }
 
     /// Whether this side initiates `pipe`'s exchange (`false` for a pipe
@@ -229,7 +208,7 @@ mod tests {
             ),
         ];
         for (name, pipes, messages) in cases {
-            let mut table = Exchanges::new(ModuleKind::Mpls);
+            let mut table = Exchanges::default();
             for &(pipe, device, initiates) in pipes {
                 table.add(PipeId(pipe), &peer(device), far(pipe), initiates);
             }
@@ -254,11 +233,11 @@ mod tests {
     }
 
     /// A message from a module of another kind, on the peer's device and
-    /// with the peer's module id, pairs with nothing: the table holds its
-    /// peers' module ids and devices, and its own kind for all of them.
+    /// with the peer's module id, pairs with nothing: the table compares
+    /// whole references.
     #[test]
     fn a_sender_of_another_kind_pairs_with_nothing() {
-        let mut table = Exchanges::new(ModuleKind::Mpls);
+        let mut table = Exchanges::default();
         table.add(PipeId(3), &peer(2), far(3), false);
         let stranger = module(ModuleKind::Ip, 1, 2);
         assert_eq!(table.pair(&stranger, PipeId(3), true), None);
@@ -282,7 +261,7 @@ mod tests {
         fn the_indexes_equal_a_full_scan(
             ops in proptest::collection::vec((0u8..4, 0u32..6, any::<u8>()), 0..64),
         ) {
-            let mut table = Exchanges::new(ModuleKind::Mpls);
+            let mut table = Exchanges::default();
             let mut rows: BTreeMap<PipeId, Row> = BTreeMap::new();
             for (op, id, bits) in ops {
                 let (pipe, device, flag) = (PipeId(id), 2 + u64::from(bits & 1), bits & 2 != 0);

@@ -144,7 +144,7 @@ impl GreModule {
     pub(crate) fn new(me: ModuleRef) -> Self {
         GreModule {
             me,
-            exchanges: Exchanges::new(ModuleKind::Gre),
+            exchanges: Exchanges::default(),
             pipes: BTreeMap::new(),
             tunnels: BTreeMap::new(),
             armed: BTreeSet::new(),
@@ -186,12 +186,12 @@ impl GreModule {
 
 impl ProtocolModule for GreModule {
     fn reference(&self) -> ModuleRef {
-        self.me.clone()
+        self.me
     }
 
     fn descriptor(&self) -> ModuleAbstraction {
         // Table III.
-        let mut a = ModuleAbstraction::empty(self.me.clone());
+        let mut a = ModuleAbstraction::empty(self.me);
         a.up_connectable = vec![ModuleKind::Ip];
         a.up_dependencies = vec![Dependency::new(
             "tradeoffs",
@@ -275,7 +275,7 @@ impl ProtocolModule for GreModule {
             // side that initiates picks the parameters and proposes them at
             // once; the other side takes them from the proposal.
             let mut params = None;
-            if let (Some(peer), Some(peer_pipe)) = (spec.peer_lower.clone(), spec.peer_pipe) {
+            if let (Some(peer), Some(peer_pipe)) = (spec.peer_lower, spec.peer_pipe) {
                 self.exchanges
                     .add(spec.pipe, &peer, peer_pipe, spec.initiate);
                 if spec.initiate {
@@ -361,11 +361,9 @@ impl ProtocolModule for GreModule {
         };
         let up = self.pipes.get_mut(&env.pipe).expect("an exchanging pipe");
         up.side = Side::Up(Some(params));
-        Ok(ModuleReaction::envelope(GreMsg::Accept.envelope(
-            &self.me,
-            env.from.clone(),
-            peer_pipe,
-        )))
+        Ok(ModuleReaction::envelope(
+            GreMsg::Accept.envelope(&self.me, env.from, peer_pipe),
+        ))
     }
 
     fn poll(&mut self, ctx: &mut ModuleCtx) -> ModuleReaction {

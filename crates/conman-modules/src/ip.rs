@@ -245,7 +245,7 @@ impl IpModule {
             domain: domain.into(),
             primary,
             pipes: BTreeMap::new(),
-            exchanges: Exchanges::new(ModuleKind::Ip),
+            exchanges: Exchanges::default(),
             adjacency_pipes: BTreeSet::new(),
             pending_switches: Vec::new(),
             installed: BTreeMap::new(),
@@ -532,11 +532,11 @@ pub fn derived_table_range(pipe_base: u32, slots: u32) -> (RouteTableId, RouteTa
 
 impl ProtocolModule for IpModule {
     fn reference(&self) -> ModuleRef {
-        self.me.clone()
+        self.me
     }
 
     fn descriptor(&self) -> ModuleAbstraction {
-        let mut a = ModuleAbstraction::empty(self.me.clone());
+        let mut a = ModuleAbstraction::empty(self.me);
         a.up_connectable = vec![ModuleKind::Ip, ModuleKind::Gre];
         a.down_connectable = vec![
             ModuleKind::Ip,
@@ -580,18 +580,13 @@ impl ProtocolModule for IpModule {
         match primitive {
             Primitive::CreateSwitch(spec) => Rule::parse(spec).map(drop),
             Primitive::CreateFilter(spec) => {
-                if self
-                    .filters
-                    .contains_key(&(spec.from.clone(), spec.to.clone()))
-                {
+                if self.filters.contains_key(&(spec.from, spec.to)) {
                     return Err(ModuleError::FilterInUse);
                 }
                 let unresolved = [&spec.from, &spec.to]
                     .into_iter()
                     .find(|end| self.filter_end(end, self.primary).is_none());
-                unresolved.map_or(Ok(()), |end| {
-                    Err(ModuleError::UnresolvedFilterEnd(end.clone()))
-                })
+                unresolved.map_or(Ok(()), |end| Err(ModuleError::UnresolvedFilterEnd(*end)))
             }
             _ => Ok(()),
         }
@@ -652,7 +647,7 @@ impl ProtocolModule for IpModule {
                     .retain(|s| s.in_pipe != *pipe && s.out_pipe != *pipe);
             }
             ComponentRef::Filter(module, from, to) if *module == self.me => {
-                if let Some(id) = self.filters.remove(&(from.clone(), to.clone())) {
+                if let Some(id) = self.filters.remove(&(*from, *to)) {
                     ctx.config.filters.retain(|rule| rule.id != id);
                 }
             }
@@ -722,7 +717,7 @@ impl ProtocolModule for IpModule {
         // One past the highest id on the device: another IP module's rules
         // share the table, and `delete` removes by id.
         let id = 1 + ctx.config.filters.iter().map(|r| r.id).max().unwrap_or(0);
-        let key = (spec.from.clone(), spec.to.clone());
+        let key = (spec.from, spec.to);
         self.filters.insert(key, id);
         ctx.config.filters.push(FilterRule {
             id,
@@ -759,11 +754,9 @@ impl ProtocolModule for IpModule {
         self.record_learned(ctx, pipe, their, ours);
         if query {
             // Answer with our address for this pipe.
-            return Ok(ModuleReaction::envelope(IpMsg::Address(ours).envelope(
-                &self.me,
-                env.from.clone(),
-                peer_pipe,
-            )));
+            return Ok(ModuleReaction::envelope(
+                IpMsg::Address(ours).envelope(&self.me, env.from, peer_pipe),
+            ));
         }
         Ok(ModuleReaction::none())
     }
@@ -1041,9 +1034,9 @@ mod tests {
 
     fn drop_from(module: &ModuleRef, from: &ModuleRef) -> FilterSpec {
         FilterSpec {
-            module: module.clone(),
-            from: from.clone(),
-            to: module.clone(),
+            module: *module,
+            from: *from,
+            to: *module,
         }
     }
 
@@ -1061,12 +1054,12 @@ mod tests {
         let baseline = rig.config_json();
         let from = module(ModuleKind::Ip, 1, 2);
         let spec = drop_from(&me(), &from);
-        let filter = ComponentRef::Filter(me(), from.clone(), me());
+        let filter = ComponentRef::Filter(me(), from, me());
         m.create_filter(&mut rig.ctx(), &spec).unwrap();
         let again = Primitive::CreateFilter(spec.clone());
         assert_eq!(m.admit(&again), Err(ModuleError::FilterInUse));
         assert_eq!(rig.config.filters.len(), 1);
-        assert_eq!(m.actual(&rig.ctx()).filters, [(from.clone(), me())]);
+        assert_eq!(m.actual(&rig.ctx()).filters, [(from, me())]);
         m.delete(&mut rig.ctx(), &filter).unwrap();
         assert!(m.actual(&rig.ctx()).filters.is_empty());
         assert_eq!(rig.config_json(), baseline);
@@ -1074,7 +1067,7 @@ mod tests {
         // The device's other IP module shares the filter table: a delete
         // takes this module's rule and leaves theirs.
         let vrf = module(ModuleKind::Ip, 5, 1);
-        let mut other = IpModule::new(vrf.clone(), "customer", "10.0.1.1".parse().unwrap());
+        let mut other = IpModule::new(vrf, "customer", "10.0.1.1".parse().unwrap());
         m.create_filter(&mut rig.ctx(), &spec).unwrap();
         other
             .create_filter(&mut rig.ctx(), &drop_from(&vrf, &vrf))
@@ -1099,7 +1092,7 @@ mod tests {
         m.create_pipe(&mut rig.ctx(), &adjacency(4, 3)).unwrap();
         let mpls = module(ModuleKind::Mpls, 4, 5);
         let mut towards_mpls = pipe(5, &me(), &module(ModuleKind::Mpls, 4, 1));
-        towards_mpls.peer_upper = Some(mpls.clone());
+        towards_mpls.peer_upper = Some(mpls);
         m.create_pipe(&mut rig.ctx(), &towards_mpls).unwrap();
         rig.publish_port(3, 0);
         rig.publish_port(4, 1);
@@ -1278,7 +1271,7 @@ mod tests {
                             })
                             .collect();
                         let peers: Vec<(ModuleRef, PipeId)> = (due.iter())
-                            .map(|id| (peer_of(&created[id]).unwrap().clone(), far(id.0)))
+                            .map(|id| (*peer_of(&created[id]).unwrap(), far(id.0)))
                             .collect();
                         let fired = m.poll(&mut rig.ctx());
                         let to: Vec<(ModuleRef, PipeId)> =

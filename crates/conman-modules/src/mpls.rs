@@ -119,7 +119,7 @@ impl MplsModule {
             me,
             pipes: BTreeMap::new(),
             adjacencies: BTreeMap::new(),
-            exchanges: Exchanges::new(ModuleKind::Mpls),
+            exchanges: Exchanges::default(),
             pending_switches: Vec::new(),
             installed: BTreeMap::new(),
             next_label,
@@ -201,7 +201,7 @@ impl MplsModule {
                 if !initiate && !self.notified {
                     self.notified = true;
                     notifications.push(Notification {
-                        from: self.me.clone(),
+                        from: self.me,
                         body: Notice::Established,
                     });
                 }
@@ -254,11 +254,11 @@ impl MplsModule {
 
 impl ProtocolModule for MplsModule {
     fn reference(&self) -> ModuleRef {
-        self.me.clone()
+        self.me
     }
 
     fn descriptor(&self) -> ModuleAbstraction {
-        let mut a = ModuleAbstraction::empty(self.me.clone());
+        let mut a = ModuleAbstraction::empty(self.me);
         a.up_connectable = vec![ModuleKind::Ip];
         a.down_connectable = vec![ModuleKind::Eth];
         a.peerable = vec![ModuleKind::Mpls];
@@ -392,11 +392,9 @@ impl ProtocolModule for MplsModule {
                 address: our_addr,
                 reply: true,
             };
-            return Ok(ModuleReaction::envelope(answer.envelope(
-                &self.me,
-                env.from.clone(),
-                peer_pipe,
-            )));
+            return Ok(ModuleReaction::envelope(
+                answer.envelope(&self.me, env.from, peer_pipe),
+            ));
         }
         Ok(ModuleReaction::none())
     }
@@ -750,7 +748,7 @@ mod tests {
                         let to: Vec<(ModuleRef, PipeId)> =
                             fired.envelopes.into_iter().map(|env| (env.to, env.pipe)).collect();
                         let peers: Vec<(ModuleRef, PipeId)> = (due.iter())
-                            .map(|id| (created[id].peer_upper.clone().unwrap(), far(id.0)))
+                            .map(|id| (created[id].peer_upper.unwrap(), far(id.0)))
                             .collect();
                         prop_assert_eq!(to, peers, "poll fires what the scan would, each to its far pipe");
                         opened.extend(due);

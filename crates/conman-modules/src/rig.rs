@@ -91,8 +91,8 @@ pub(crate) fn module(kind: ModuleKind, id: u32, device: u64) -> ModuleRef {
 pub(crate) fn pipe(id: u32, upper: &ModuleRef, lower: &ModuleRef) -> PipeSpec {
     PipeSpec {
         pipe: PipeId(id),
-        upper: upper.clone(),
-        lower: lower.clone(),
+        upper: *upper,
+        lower: *lower,
         peer_upper: None,
         peer_lower: None,
         peer_pipe: None,
@@ -110,7 +110,7 @@ pub(crate) fn far(id: u32) -> PipeId {
 /// An unclassified switch rule of `module` between two pipes.
 pub(crate) fn switch(module: &ModuleRef, in_pipe: u32, out_pipe: u32) -> SwitchSpec {
     SwitchSpec {
-        module: module.clone(),
+        module: *module,
         in_pipe: PipeId(in_pipe),
         out_pipe: PipeId(out_pipe),
         dst_class: None,

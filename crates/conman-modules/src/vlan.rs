@@ -118,7 +118,7 @@ impl VlanModule {
         VlanModule {
             me,
             pipes: BTreeMap::new(),
-            exchanges: Exchanges::new(ModuleKind::Vlan),
+            exchanges: Exchanges::default(),
             vlan_id: None,
             vlan_name: "C1".to_string(),
             pending_switches: Vec::new(),
@@ -175,7 +175,7 @@ impl VlanModule {
         if egress && !self.notified {
             self.notified = true;
             notifications.push(Notification {
-                from: self.me.clone(),
+                from: self.me,
                 body: Notice::Established,
             });
         }
@@ -211,11 +211,11 @@ impl VlanModule {
 
 impl ProtocolModule for VlanModule {
     fn reference(&self) -> ModuleRef {
-        self.me.clone()
+        self.me
     }
 
     fn descriptor(&self) -> ModuleAbstraction {
-        let mut a = ModuleAbstraction::empty(self.me.clone());
+        let mut a = ModuleAbstraction::empty(self.me);
         a.down_connectable = vec![ModuleKind::Eth];
         a.peerable = vec![ModuleKind::Vlan];
         a.switch.kinds = vec![SwitchKind::DownDown, SwitchKind::DownUp, SwitchKind::UpDown];
@@ -321,11 +321,9 @@ impl ProtocolModule for VlanModule {
             name: self.vlan_name.clone(),
             reply: true,
         };
-        Ok(ModuleReaction::envelope(answer.envelope(
-            &self.me,
-            env.from.clone(),
-            peer_pipe,
-        )))
+        Ok(ModuleReaction::envelope(
+            answer.envelope(&self.me, env.from, peer_pipe),
+        ))
     }
 
     fn poll(&mut self, ctx: &mut ModuleCtx) -> ModuleReaction {
@@ -676,7 +674,7 @@ mod tests {
                         let to: Vec<(ModuleRef, PipeId)> =
                             fired.envelopes.into_iter().map(|env| (env.to, env.pipe)).collect();
                         let peers: Vec<(ModuleRef, PipeId)> = (due.iter())
-                            .map(|id| (created[id].peer_upper.clone().unwrap(), far(id.0)))
+                            .map(|id| (created[id].peer_upper.unwrap(), far(id.0)))
                             .collect();
                         prop_assert_eq!(to, peers, "poll fires what the scan would, each to its far pipe");
                         opened.extend(due);

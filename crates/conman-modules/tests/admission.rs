@@ -100,10 +100,10 @@ struct Spy {
 
 impl ProtocolModule for Spy {
     fn reference(&self) -> ModuleRef {
-        self.me.clone()
+        self.me
     }
     fn descriptor(&self) -> ModuleAbstraction {
-        ModuleAbstraction::empty(self.me.clone())
+        ModuleAbstraction::empty(self.me)
     }
     fn actual(&self, ctx: &ModuleCtx) -> ModuleActual {
         let facts = ctx.blackboard.pipes().map(|p| (p, ctx.blackboard.pipe(p)));
@@ -138,7 +138,7 @@ impl Rig {
         let mut spies = BTreeMap::new();
         for (device, agent) in &mut mn.agents {
             let seen = Seen::default();
-            let me = ModuleRef::new(ModuleKind::App("spy".into()), ModuleId(999), *device);
+            let me = ModuleRef::new(ModuleKind::App(9), ModuleId(999), *device);
             agent.register(Box::new(Spy {
                 me,
                 seen: seen.clone(),

@@ -291,9 +291,12 @@ fn modules_speak_their_own_dialects() {
 /// no sniffing for `{`, no JSON embedded inside a frame, no JSON flood
 /// frame. Up to each file's first #[cfg(test)], no file of conman-core or
 /// of mgmt-channel names serde_json, the embedding helpers, the sniff or
-/// the JSON codec, and no file of mgmt-channel names serde at all;
-/// conman-core lists serde_json only as a dev-dependency, and mgmt-channel
-/// lists neither serde nor serde_json outside its dev-dependencies.
+/// the JSON codec, and no file of conman-core, mgmt-channel or
+/// conman-diagnose names serde at all: nothing reads a derived
+/// serialisation of a core type. conman-core lists serde_json as a
+/// dev-dependency and no other serde crate, conman-diagnose lists none,
+/// and mgmt-channel lists neither serde nor serde_json outside its
+/// dev-dependencies.
 #[test]
 fn the_channel_speaks_one_codec() {
     let json = [
@@ -303,38 +306,51 @@ fn the_channel_speaks_one_codec() {
         "is_binary",
         "WireCodec::Json",
     ];
-    let mut hits = banned(&bodies(rs_under("crates/conman-core/src")), &json);
+    let json_or_serde = [&json[..], &["serde"]].concat();
+    let mut hits = banned(&bodies(rs_under("crates/conman-core/src")), &json_or_serde);
     hits.extend(banned(
         &bodies(rs_under("crates/mgmt-channel/src")),
-        &[&json[..], &["serde"]].concat(),
+        &json_or_serde,
+    ));
+    hits.extend(banned(
+        &bodies(rs_under("crates/conman-diagnose/src")),
+        &["serde"],
     ));
     assert_clean("The channel speaks one codec", &hits);
 
-    // The manifest sections that list a dependency whose name starts with
-    // `prefix`.
-    let sections = |path: &str, prefix: &str| {
+    // Each `(section, name)` of a manifest's dependencies whose name
+    // starts with `serde`.
+    let serde_deps = |path: &str| {
         let manifest = File::read(path);
-        let mut section = String::new();
-        let mut sections = Vec::new();
+        let mut section = "";
+        let mut deps = Vec::new();
         for (_, line) in manifest.lines() {
             if line.starts_with('[') {
-                section = line.to_owned();
+                section = line;
             }
-            if line.starts_with(prefix) {
-                sections.push(section.clone());
+            if line.starts_with("serde") {
+                let name = line.split(['=', ' ', '.']).next().unwrap_or(line);
+                deps.push((section.to_owned(), name.to_owned()));
             }
         }
-        sections
+        deps
     };
-    let core = sections("crates/conman-core/Cargo.toml", "serde_json");
+    let core = serde_deps("crates/conman-core/Cargo.toml");
     assert_eq!(
         core,
-        ["[dev-dependencies]"],
-        "The channel speaks one codec: conman-core lists serde_json under {core:?}"
+        [("[dev-dependencies]".to_owned(), "serde_json".to_owned())],
+        "The channel speaks one codec: conman-core lists serde crates under {core:?}"
     );
-    let channel = sections("crates/mgmt-channel/Cargo.toml", "serde");
+    let diagnose = serde_deps("crates/conman-diagnose/Cargo.toml");
     assert!(
-        channel.iter().all(|s| s == "[dev-dependencies]"),
+        diagnose.is_empty(),
+        "The channel speaks one codec: conman-diagnose lists {diagnose:?}"
+    );
+    let channel = serde_deps("crates/mgmt-channel/Cargo.toml");
+    assert!(
+        channel
+            .iter()
+            .all(|(section, _)| section == "[dev-dependencies]"),
         "The channel speaks one codec: mgmt-channel lists serde under {channel:?}"
     );
 }

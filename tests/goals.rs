@@ -525,7 +525,7 @@ fn goal_lifecycle_plan_failure_update_and_retry() {
     // blamed module whose state was lost rather than whose hardware died.
     let excluded: std::collections::BTreeSet<_> = t.mn.nm.abstractions[&t.core[1]]
         .iter()
-        .map(|a| Exclusion::Module(a.name.clone()))
+        .map(|a| Exclusion::Module(a.name))
         .collect();
     t.mn.goals.mark_degraded(id, excluded);
     let report = t.mn.reconcile();
@@ -1341,9 +1341,9 @@ fn figure_7_on_gre() -> (Chain, DeviceId, impl Fn(&ModuleRef) -> Primitive) {
     let module = ModuleRef::new(ModuleKind::Ip, ModuleId(4), c);
     let filter = move |from: &ModuleRef| {
         Primitive::CreateFilter(FilterSpec {
-            module: module.clone(),
-            from: from.clone(),
-            to: module.clone(),
+            module,
+            from: *from,
+            to: module,
         })
     };
     (t, c, filter)
@@ -1486,7 +1486,7 @@ fn a_gateway_that_does_not_parse_fails_its_goal() {
     // The customer-side pipe, then the rule back to it through `gateway`.
     let pipe = PipeSpec {
         pipe: PipeId(7000),
-        upper: module.clone(),
+        upper: module,
         lower: eth,
         peer_upper: None,
         peer_lower: None,

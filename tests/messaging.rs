@@ -132,10 +132,10 @@ struct Babbler {
 
 impl ProtocolModule for Babbler {
     fn reference(&self) -> ModuleRef {
-        self.me.clone()
+        self.me
     }
     fn descriptor(&self) -> ModuleAbstraction {
-        ModuleAbstraction::empty(self.me.clone())
+        ModuleAbstraction::empty(self.me)
     }
     fn handle_envelope(
         &mut self,
@@ -147,8 +147,8 @@ impl ProtocolModule for Babbler {
             return Ok(ModuleReaction::none());
         }
         Ok(ModuleReaction::envelope(ModuleEnvelope {
-            from: self.me.clone(),
-            to: env.from.clone(),
+            from: self.me,
+            to: env.from,
             pipe: env.pipe,
             kind: env.kind,
             body: env.body.clone(),
@@ -165,8 +165,8 @@ impl ProtocolModule for Babbler {
                 .into_iter()
                 .zip(kinds.into_iter().cycle())
                 .map(|(body, kind)| ModuleEnvelope {
-                    from: self.me.clone(),
-                    to: self.peer.clone(),
+                    from: self.me,
+                    to: self.peer,
                     pipe: PipeId(0),
                     kind,
                     body,
@@ -201,8 +201,7 @@ fn babbling_chain() -> (ManagedChain<OutOfBandChannel>, [Heard; 2]) {
     let mut t = managed_chain(3);
     t.discover();
     let (first, last) = (t.core[0], t.core[2]);
-    let kind = ModuleKind::App("babble".into());
-    let babbler = |device| ModuleRef::new(kind.clone(), ModuleId(900), device);
+    let babbler = |device| ModuleRef::new(ModuleKind::App(4), ModuleId(900), device);
     let heard: [Heard; 2] = Default::default();
     for (device, peer, says, echo, heard) in [
         (first, last, hostile_bodies(), false, &heard[0]),

@@ -135,7 +135,7 @@ proptest! {
             // No module appears twice.
             let mut seen = std::collections::BTreeSet::new();
             for s in &p.steps {
-                prop_assert!(seen.insert(s.module.clone()), "module revisited in {:?}", p.technology_label());
+                prop_assert!(seen.insert(s.module), "module revisited in {:?}", p.technology_label());
             }
             // Pushes and pops balance out: as many encapsulations as
             // decapsulations plus the customer's own headers handled at the
@@ -247,17 +247,17 @@ fn learnt_testbeds() -> &'static [Learnt] {
     })
 }
 
-/// A bijection from the five protocol kinds to `App` names, drawn from the
+/// A bijection from the five protocol kinds to `App` codes, drawn from the
 /// Lehmer code `perm` (< 5!), so the renamed kinds sort in a shuffled order.
-struct Renaming([String; 5]);
+struct Renaming([u8; 5]);
 
 impl Renaming {
-    fn new(mut perm: usize, salt: u16) -> Self {
-        let mut pool: Vec<usize> = (0..5).collect();
+    fn new(mut perm: usize, salt: u8) -> Self {
+        let mut pool: Vec<u8> = (0..5).collect();
         Renaming(std::array::from_fn(|i| {
             let pick = pool.remove(perm % (5 - i));
             perm /= 5 - i;
-            format!("k{pick}-{salt}")
+            salt.wrapping_add(pick)
         }))
     }
 
@@ -269,9 +269,9 @@ impl Renaming {
             ModuleKind::Gre => 2,
             ModuleKind::Mpls => 3,
             ModuleKind::Vlan => 4,
-            ModuleKind::App(_) => return kind.clone(),
+            ModuleKind::App(_) => return *kind,
         };
-        ModuleKind::App(self.0[i].clone())
+        ModuleKind::App(self.0[i])
     }
 
     fn kinds(&self, kinds: &[conman::core::ModuleKind]) -> Vec<conman::core::ModuleKind> {
@@ -336,7 +336,7 @@ proptest! {
     /// it finds the renamed paths in the same order, chooses the renamed
     /// path and generates the renamed scripts, primitive by primitive.
     #[test]
-    fn planning_is_blind_to_module_names(perm in 0usize..120, salt in any::<u16>()) {
+    fn planning_is_blind_to_module_names(perm in 0usize..120, salt in any::<u8>()) {
         let renaming = Renaming::new(perm, salt);
         for t in learnt_testbeds() {
             let paths = t.nm.find_paths_with(&t.goal, t.limits);
@@ -440,7 +440,7 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
         Primitive::CreatePipe(PipeSpec {
             pipe: PipeId(41),
             upper: mref(ModuleKind::Gre, 1, 1),
-            lower: mref(ModuleKind::App("HTTP".into()), 2, 1),
+            lower: mref(ModuleKind::App(1), 2, 1),
             peer_upper: Some(mref(ModuleKind::Gre, 1, 3)),
             peer_lower: None,
             peer_pipe: Some(PipeId(300)),
@@ -485,7 +485,7 @@ fn valid_batch_frames() -> Vec<Vec<u8>> {
     };
     let actual = PrimitiveResult::Actual([(mref(ModuleKind::Ip, 3, 1), actual)].into());
     let mut potential = ModuleAbstraction::empty(mref(ModuleKind::Gre, 1, 1));
-    potential.up_connectable = vec![ModuleKind::Ip, ModuleKind::App("IKE".into())];
+    potential.up_connectable = vec![ModuleKind::Ip, ModuleKind::App(2)];
     potential.up_dependencies = vec![Dependency::new("tradeoffs", "Trade-offs")];
     potential.physical_pipes = vec![PhysicalPipeInfo {
         port: PortId(2),
