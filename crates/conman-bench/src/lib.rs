@@ -23,11 +23,11 @@ pub use diagnosis::{closed_loop_run, ClosedLoopReport, DiagnosisScenario};
 pub use obs::{assert_journal_conforms, recorded_mesh_link_cut, RecordedMeshRun};
 
 use conman_core::nm::{ConnectivityGoal, ModulePath};
-use conman_core::runtime::ManagedNetwork;
+use conman_core::runtime::{ChannelCounters, ManagedNetwork};
 use conman_modules::{managed_chain, managed_vlan_chain, ManagedChain, ManagedVlanChain};
 use diagnosis::chain_limits;
 use held::Held;
-use mgmt_channel::{ChannelCounters, ManagementChannel, MessageCategory, OutOfBandChannel};
+use mgmt_channel::{ManagementChannel, MessageCategory, OutOfBandChannel};
 use std::collections::BTreeMap;
 
 /// A discovered Figure-4-style chain, ready for path finding.

@@ -277,7 +277,7 @@ impl<C: ManagementChannel> ControlLoop<C> {
     /// pending operator intent, then run the health → diagnose → repair
     /// pipeline.
     pub fn tick(&mut self, mn: &mut ManagedNetwork<C>) -> TickReport {
-        let before = mn.nm_counters();
+        let before = (mn.counters.sent, mn.counters.received);
         let frames_before = mn.net.frames_delivered();
         let deadline = self.clock.advance();
         mn.net.run_until(deadline);
@@ -332,9 +332,8 @@ impl<C: ManagementChannel> ControlLoop<C> {
         self.diagnose_phase(mn, &mut report);
         self.repair_phase(mn, &mut report);
 
-        let after = mn.nm_counters();
-        report.nm_sent = after.sent.saturating_sub(before.sent);
-        report.nm_received = after.received.saturating_sub(before.received);
+        report.nm_sent = mn.counters.sent.saturating_sub(before.0);
+        report.nm_received = mn.counters.received.saturating_sub(before.1);
         report.frames = mn.net.frames_delivered().saturating_sub(frames_before);
         mn.recorder.event(
             mn.net.now().as_nanos(),

@@ -22,8 +22,8 @@ use crate::primitives::{
     SegmentCommit, SegmentVerdict, WireMessage,
 };
 use crate::wire::{self, WireCodec};
-use conman_obs::Recorder;
-use mgmt_channel::{ChannelCounters, ManagementChannel, MessageCategory, MgmtMessage};
+use conman_obs::{MessageDirection, Recorder};
+use mgmt_channel::{ManagementChannel, MessageCategory, MgmtMessage};
 use netsim::device::DeviceId;
 use netsim::network::Network;
 use netsim::stats::FlowCounters;
@@ -51,6 +51,30 @@ pub struct DeviceTelemetry {
 /// converge in a handful of rounds.
 const MAX_ROUNDS: usize = 64;
 
+/// The NM's message accounting (Table VI): the messages the NM host sent
+/// and the messages drained at it, with their payload bytes, in total and
+/// by category.  [`ManagedNetwork`] writes it at its one send door and its
+/// one receive door; the channel counts nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChannelCounters {
+    /// Messages the NM sent.
+    pub sent: u64,
+    /// Messages the NM received.
+    pub received: u64,
+    /// Payload bytes sent.
+    pub bytes_sent: u64,
+    /// Payload bytes received.
+    pub bytes_received: u64,
+    /// Sent messages broken down by category.
+    pub sent_by_category: BTreeMap<MessageCategory, u64>,
+    /// Received messages broken down by category.
+    pub received_by_category: BTreeMap<MessageCategory, u64>,
+    /// Payload bytes sent, broken down by category.
+    pub bytes_sent_by_category: BTreeMap<MessageCategory, u64>,
+    /// Payload bytes received, broken down by category.
+    pub bytes_received_by_category: BTreeMap<MessageCategory, u64>,
+}
+
 /// A network under CONMan management.
 pub struct ManagedNetwork<C: ManagementChannel> {
     /// The simulated network (data plane).
@@ -62,6 +86,8 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     /// The network manager state.
     pub nm: NetworkManager,
     nm_host: DeviceId,
+    /// What the NM host sent and received (see [`Self::nm_counters`]).
+    counters: ChannelCounters,
     next_request: u64,
     /// Script replies received by the NM and not yet taken by the call that
     /// asked for them: (device, per-primitive results).  Empty between
@@ -115,6 +141,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             channel,
             nm: NetworkManager::new(nm_host),
             nm_host,
+            counters: ChannelCounters::default(),
             next_request: 0,
             script_results: Vec::new(),
             counter_reports: Vec::new(),
@@ -134,8 +161,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.nm_host
     }
 
-    /// Attach a flight recorder: the runtime, the transaction executors and
-    /// the channel's message tap all write into it from here on.
+    /// Attach a flight recorder: the runtime (its message tap included),
+    /// the transaction executors and the channel's own metrics all write
+    /// into it from here on.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.channel.attach_recorder(recorder.clone());
         self.recorder = recorder;
@@ -146,15 +174,18 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.agents.insert(agent.device, agent);
     }
 
-    /// Message counters of the NM host (Table VI).
+    /// The NM's message counters (Table VI): what the NM host sent and
+    /// received since the last [`Self::reset_counters`], whatever the
+    /// channel.
     pub fn nm_counters(&self) -> ChannelCounters {
-        self.channel.counters(self.nm_host)
+        self.counters.clone()
     }
 
-    /// Reset channel counters (e.g. after discovery, before configuration, so
-    /// Table VI counts only the configuration phase like the paper does).
+    /// Zero the NM's message counters (e.g. after discovery, before
+    /// configuration, so Table VI counts only the configuration phase like
+    /// the paper does).
     pub fn reset_counters(&mut self) {
-        self.channel.reset_counters();
+        self.counters = ChannelCounters::default();
     }
 
     fn category_for(msg: &WireMessage) -> MessageCategory {
@@ -188,8 +219,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         if wire::is_batch_txn_message(msg) {
             self.recorder.inc("txn.encode_bytes", payload.len() as u64);
         }
-        let m = MgmtMessage::new(from, to, Self::category_for(msg), payload);
-        self.channel.send(&mut self.net, m);
+        self.post(from, to, Self::category_for(msg), payload);
     }
 
     /// Send a `StageBatch` straight from borrowed per-goal primitive
@@ -202,8 +232,47 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     ) {
         let payload = wire::encode_stage_batch(txn, segments);
         self.recorder.inc("txn.encode_bytes", payload.len() as u64);
-        let m = MgmtMessage::new(self.nm_host, to, MessageCategory::Command, payload);
+        self.post(self.nm_host, to, MessageCategory::Command, payload);
+    }
+
+    /// The one send door, behind [`Self::send`] and
+    /// [`Self::send_stage_batch`]: tap an encoded message, count it when
+    /// the NM host sends it, and hand it to the channel.
+    fn post(&mut self, from: DeviceId, to: DeviceId, category: MessageCategory, payload: Vec<u8>) {
+        let bytes = payload.len() as u64;
+        self.recorder
+            .on_message(MessageDirection::Sent, category.name(), payload.len());
+        if from == self.nm_host {
+            let c = &mut self.counters;
+            c.sent += 1;
+            c.bytes_sent += bytes;
+            *c.sent_by_category.entry(category).or_default() += 1;
+            *c.bytes_sent_by_category.entry(category).or_default() += bytes;
+        }
+        let m = MgmtMessage::new(from, to, category, payload);
         self.channel.send(&mut self.net, m);
+    }
+
+    /// The one receive door: drain what the channel holds for `at`, tap
+    /// each message, and count it when `at` is the NM host.
+    fn drain(&mut self, at: DeviceId) -> Vec<MgmtMessage> {
+        let messages = self.channel.recv(&mut self.net, at);
+        for m in &messages {
+            let bytes = m.payload.len() as u64;
+            self.recorder.on_message(
+                MessageDirection::Received,
+                m.category.name(),
+                m.payload.len(),
+            );
+            if at == self.nm_host {
+                let c = &mut self.counters;
+                c.received += 1;
+                c.bytes_received += bytes;
+                *c.received_by_category.entry(m.category).or_default() += 1;
+                *c.bytes_received_by_category.entry(m.category).or_default() += bytes;
+            }
+        }
+        messages
     }
 
     /// Every managed device announces its physical connectivity to the NM.
@@ -352,7 +421,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 v
             };
             for id in ids {
-                let messages = self.channel.recv(&mut self.net, id);
+                let messages = self.drain(id);
                 let mut upward = Vec::new();
                 for m in messages {
                     progressed += 1;

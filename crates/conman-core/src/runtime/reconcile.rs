@@ -481,7 +481,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     where
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {
-        let before = self.nm_counters();
+        let before = (self.counters.sent, self.counters.received);
         let mut report = ReconcileReport::default();
         let mut outcomes = BTreeMap::new();
         let work = self.triage(&mut probe, &mut outcomes);
@@ -592,9 +592,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 );
             }
         }
-        let after = self.nm_counters();
-        report.nm_sent = after.sent.saturating_sub(before.sent);
-        report.nm_received = after.received.saturating_sub(before.received);
+        report.nm_sent = self.counters.sent.saturating_sub(before.0);
+        report.nm_received = self.counters.received.saturating_sub(before.1);
         report
     }
 
@@ -689,7 +688,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// (statuses, applied paths, module refcounts, data-plane connectivity)
     /// is identical; only the message shape differs.
     pub fn reconcile_per_goal(&mut self) -> ReconcileReport {
-        let before = self.nm_counters();
+        let before = (self.counters.sent, self.counters.received);
         let mut report = ReconcileReport::default();
         let mut probe = |_: &mut Self, _: GoalId| None;
         let mut outcomes = BTreeMap::new();
@@ -715,9 +714,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             outcomes.insert(id, outcome);
         }
         report.outcomes = outcomes.into_values().collect();
-        let after = self.nm_counters();
-        report.nm_sent = after.sent.saturating_sub(before.sent);
-        report.nm_received = after.received.saturating_sub(before.received);
+        report.nm_sent = self.counters.sent.saturating_sub(before.0);
+        report.nm_received = self.counters.received.saturating_sub(before.1);
         report
     }
 

@@ -29,10 +29,9 @@
 //! this channel) is a straggler: dropped and counted, never delivered twice.
 
 use crate::codec::{Reader, Writer};
-use crate::counters::{ChannelCounters, CounterBoard};
 use crate::message::{MessageCategory, MgmtMessage};
 use crate::ManagementChannel;
-use conman_obs::{MessageDirection, Recorder};
+use conman_obs::Recorder;
 use netsim::clock::SimDuration;
 use netsim::device::{DeviceId, PortId};
 use netsim::ether::{EtherType, EthernetFrame};
@@ -74,7 +73,6 @@ pub struct InBandChannel {
     /// (device, flood id) for each flood a device processed since `run`
     /// last returned.
     seen: HashSet<(DeviceId, u64)>,
-    counters: CounterBoard,
     next_flood_id: u64,
     /// The last flood id when `run` last returned.
     floor: u64,
@@ -91,7 +89,7 @@ pub struct InBandChannel {
     pub decode_dropped: u64,
     /// Frames of a flood that had died out before `run` last returned.
     pub stragglers_dropped: u64,
-    /// Flight-recorder message tap (disabled by default).
+    /// Flight recorder for the `inband.*` metrics (disabled by default).
     recorder: Recorder,
 }
 
@@ -131,15 +129,8 @@ impl InBandChannel {
         }
     }
 
-    /// Queue `msg` for its destination and count it received.
+    /// Queue `msg` for its destination.
     fn deliver(&mut self, msg: MgmtMessage) {
-        self.counters
-            .record_received(msg.to, msg.category, msg.payload_len());
-        self.recorder.on_message(
-            MessageDirection::Received,
-            msg.category.name(),
-            msg.payload_len(),
-        );
         self.mailboxes.entry(msg.to).or_default().push_back(msg);
     }
 
@@ -195,13 +186,6 @@ impl InBandChannel {
 
 impl ManagementChannel for InBandChannel {
     fn send(&mut self, net: &mut Network, msg: MgmtMessage) {
-        self.counters
-            .record_sent(msg.from, msg.category, msg.payload_len());
-        self.recorder.on_message(
-            MessageDirection::Sent,
-            msg.category.name(),
-            msg.payload_len(),
-        );
         // Local delivery without touching the wire when a device messages
         // itself (the NM talking to modules on its own host).
         if msg.to == msg.from {
@@ -238,14 +222,6 @@ impl ManagementChannel for InBandChannel {
             .get_mut(&device)
             .map(|q| q.drain(..).collect())
             .unwrap_or_default()
-    }
-
-    fn counters(&self, device: DeviceId) -> ChannelCounters {
-        self.counters.get(device)
-    }
-
-    fn reset_counters(&mut self) {
-        self.counters.reset();
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
@@ -293,9 +269,12 @@ mod tests {
         // The flood terminates: total frames is finite and bounded by
         // (devices * ports).
         assert!(ch.frames_flooded <= 24);
-        // Duplicate suppression: the destination got the message exactly once.
-        assert_eq!(ch.counters(ids[3]).received, 1);
+        // Duplicate suppression: the destination got the message exactly
+        // once, and no other device got it at all.
         assert!(ch.duplicates_suppressed > 0, "the ring closes on itself");
+        for &id in &ids {
+            assert!(ch.recv(&mut net, id).is_empty(), "{id:?}");
+        }
         // Each copy is the Ethernet header, the 19-byte flood header (TTL,
         // two devices, a one-byte flood id, the category) and the payload.
         assert_eq!(ch.bytes_flooded, ch.frames_flooded * (14 + 19 + 5));
@@ -345,7 +324,6 @@ mod tests {
         inject(&mut net, ids[1], flood_frame(&msg, 1));
         assert!(ch.recv(&mut net, ids[2]).is_empty());
         assert_eq!(ch.stragglers_dropped, 1);
-        assert_eq!(ch.counters(ids[2]).received, 1);
     }
 
     /// The duplicate state holds one run's floods: after any number of
@@ -360,10 +338,12 @@ mod tests {
                 &mut net,
                 MgmtMessage::new(ids[0], to, MessageCategory::Command, vec![k as u8]),
             );
-            assert_eq!(ch.recv(&mut net, to).len(), 1, "round {k}");
+            let got = ch.recv(&mut net, to);
+            assert_eq!(got.len(), 1, "round {k}");
+            assert_eq!((got[0].from, got[0].payload[0]), (ids[0], k as u8));
             assert!(ch.seen.is_empty(), "round {k}: {:?}", ch.seen);
         }
-        assert_eq!(ch.counters(ids[0]).sent, 24);
+        assert!(ch.recv(&mut net, ids[0]).is_empty(), "nothing comes back");
         assert_eq!(ch.stragglers_dropped + ch.decode_dropped, 0);
     }
 

@@ -14,21 +14,21 @@
 //!   frame is a [`codec`] frame too, and it counts every flooded copy and
 //!   byte and every frame it drops.
 //!
-//! Both variants count messages sent and received per device, which is how
-//! Table VI (NM messaging overhead) is regenerated.  Every byte either
-//! puts on a wire is written with [`codec`]; the crate has no other format.
+//! Neither variant counts management messages: the NM counts its own at
+//! its one send door and its one receive door
+//! (`conman_core::runtime::ChannelCounters`, Table VI).  Every byte either
+//! channel puts on a wire is written with [`codec`]; the crate has no other
+//! format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
 pub mod codec;
-pub mod counters;
 pub mod inband;
 pub mod message;
 pub mod oob;
 
-pub use counters::ChannelCounters;
 pub use inband::InBandChannel;
 pub use message::{MessageCategory, MgmtMessage};
 pub use oob::OutOfBandChannel;
@@ -39,9 +39,10 @@ use netsim::network::Network;
 /// A transport for management messages between devices (their management
 /// agents) and the NM.
 ///
-/// The channel is deliberately dumb: it moves opaque payload bytes and counts
-/// them.  What the bytes mean (CONMan primitives, module-to-module
-/// conveyMessage relays, ...) is the business of `conman-core`.
+/// The channel is deliberately dumb: it moves opaque payload bytes.  What
+/// the bytes mean (CONMan primitives, module-to-module conveyMessage
+/// relays, ...) and how many of them the NM sent and received are the
+/// business of `conman-core`.
 pub trait ManagementChannel {
     /// Queue a message for delivery.
     fn send(&mut self, net: &mut Network, msg: MgmtMessage);
@@ -53,15 +54,8 @@ pub trait ManagementChannel {
     /// Drain messages addressed to `device`.
     fn recv(&mut self, net: &mut Network, device: DeviceId) -> Vec<MgmtMessage>;
 
-    /// Counters for one device.
-    fn counters(&self, device: DeviceId) -> ChannelCounters;
-
-    /// Reset all counters (used between experiment runs).
-    fn reset_counters(&mut self);
-
-    /// Attach a flight recorder whose message tap accounts every message
-    /// the channel moves (by direction and wire category).  Channels that
-    /// do not implement the tap silently ignore the recorder.
+    /// Attach a flight recorder for the channel's own metrics (the in-band
+    /// channel's `inband.*` flood counts).  A channel with none ignores it.
     fn attach_recorder(&mut self, _recorder: conman_obs::Recorder) {}
 }
 
@@ -71,9 +65,10 @@ mod tests {
     use netsim::device::{Device, DeviceRole, PortId};
     use netsim::link::LinkProperties;
 
-    /// Both channel variants deliver a message end to end and count it.
+    /// Both channel variants deliver a message end to end, to its
+    /// destination alone and once.
     #[test]
-    fn both_variants_deliver_and_count() {
+    fn both_variants_deliver_to_the_destination_alone() {
         // Line of three devices so in-band flooding has to cross a hop.
         let mut net = Network::new();
         let a = net.add_device(Device::new("a", DeviceRole::Router, 2));
@@ -94,12 +89,19 @@ mod tests {
             ch.run(&mut net);
             let got = ch.recv(&mut net, c);
             assert_eq!(got.len(), 1, "{name} should deliver");
-            assert_eq!(got[0].payload, b"showPotential");
-            assert_eq!(ch.counters(a).sent, 1);
-            assert_eq!(ch.counters(c).received, 1);
-            assert_eq!(ch.counters(b).received, 0, "transit devices do not consume");
-            ch.reset_counters();
-            assert_eq!(ch.counters(a).sent, 0);
+            assert_eq!(
+                got[0],
+                MgmtMessage::new(a, c, MessageCategory::Command, b"showPotential".to_vec())
+            );
+            assert!(
+                ch.recv(&mut net, b).is_empty(),
+                "{name}: transit devices do not consume"
+            );
+            assert!(
+                ch.recv(&mut net, a).is_empty(),
+                "{name}: nothing comes back"
+            );
+            assert!(ch.recv(&mut net, c).is_empty(), "{name}: delivered once");
         }
     }
 }

@@ -30,7 +30,7 @@ pub enum MessageCategory {
 }
 
 impl MessageCategory {
-    /// Stable name, used as the metrics key of the channel's recorder tap
+    /// Stable name, used as the metrics key of the NM's recorder tap
     /// (`msg.sent.<name>` / `msg.received.<name>`).
     pub fn name(self) -> &'static str {
         match self {
@@ -84,11 +84,6 @@ impl MgmtMessage {
             category,
             payload,
         }
-    }
-
-    /// Encoded size of the payload in bytes (for overhead reporting).
-    pub(crate) fn payload_len(&self) -> usize {
-        self.payload.len()
     }
 }
 

@@ -7,10 +7,8 @@
 //! management channel had to be pre-configured"; the in-band variant removes
 //! that assumption.
 
-use crate::counters::{ChannelCounters, CounterBoard};
 use crate::message::MgmtMessage;
 use crate::ManagementChannel;
-use conman_obs::{MessageDirection, Recorder};
 use netsim::device::DeviceId;
 use netsim::network::Network;
 use std::collections::BTreeMap;
@@ -20,9 +18,6 @@ use std::collections::VecDeque;
 #[derive(Debug, Default)]
 pub struct OutOfBandChannel {
     mailboxes: BTreeMap<DeviceId, VecDeque<MgmtMessage>>,
-    counters: CounterBoard,
-    /// Flight-recorder message tap (disabled by default).
-    recorder: Recorder,
 }
 
 impl OutOfBandChannel {
@@ -34,13 +29,6 @@ impl OutOfBandChannel {
 
 impl ManagementChannel for OutOfBandChannel {
     fn send(&mut self, _net: &mut Network, msg: MgmtMessage) {
-        self.counters
-            .record_sent(msg.from, msg.category, msg.payload_len());
-        self.recorder.on_message(
-            MessageDirection::Sent,
-            msg.category.name(),
-            msg.payload_len(),
-        );
         self.mailboxes.entry(msg.to).or_default().push_back(msg);
     }
 
@@ -49,33 +37,10 @@ impl ManagementChannel for OutOfBandChannel {
     }
 
     fn recv(&mut self, _net: &mut Network, device: DeviceId) -> Vec<MgmtMessage> {
-        let msgs: Vec<MgmtMessage> = self
-            .mailboxes
+        self.mailboxes
             .get_mut(&device)
             .map(|q| q.drain(..).collect())
-            .unwrap_or_default();
-        for m in &msgs {
-            self.counters
-                .record_received(device, m.category, m.payload_len());
-            self.recorder.on_message(
-                MessageDirection::Received,
-                m.category.name(),
-                m.payload_len(),
-            );
-        }
-        msgs
-    }
-
-    fn counters(&self, device: DeviceId) -> ChannelCounters {
-        self.counters.get(device)
-    }
-
-    fn reset_counters(&mut self) {
-        self.counters.reset();
-    }
-
-    fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+            .unwrap_or_default()
     }
 }
 
@@ -103,7 +68,7 @@ mod tests {
         let order: Vec<u8> = got.iter().map(|m| m.payload[0]).collect();
         assert_eq!(order, [0, 1, 2]);
         assert!(ch.recv(&mut net, b).is_empty(), "a mailbox drains once");
-        assert_eq!(ch.counters(a).sent, 3);
-        assert_eq!(ch.counters(b).received, 3);
+        // All three went from `a` to `b`.
+        assert!(got.iter().all(|m| (m.from, m.to) == (a, b)));
     }
 }

@@ -867,6 +867,69 @@ fn a_module_keeps_what_it_reads() {
     assert_clean("A module keeps what it reads", &hits);
 }
 
+/// A message is counted at the NM's door.  The channel only moves bytes:
+/// before its tests no file of `mgmt-channel` keeps a per-device counter
+/// board or taps the recorder per message.  The NM counts and taps its own
+/// messages, every sent one in `ManagedNetwork`'s one send door and every
+/// received one in its one receive door, both in `runtime/mod.rs`: before
+/// their tests no other file of conman-core records a message, and
+/// `runtime/mod.rs` records each direction inside one `fn`.
+#[test]
+fn a_message_is_counted_at_the_nms_door() {
+    let words = [
+        "CounterBoard",
+        "record_sent",
+        "record_received",
+        "on_message(",
+    ];
+    let mut hits = banned(&bodies(rs_under("crates/mgmt-channel/src")), &words);
+
+    const DOORS: &str = "crates/conman-core/src/runtime/mod.rs";
+    let records = [
+        [
+            "MessageDirection::Sent",
+            "sent +=",
+            "sent_by_category.entry(",
+        ],
+        [
+            "MessageDirection::Received",
+            "received +=",
+            "received_by_category.entry(",
+        ],
+    ];
+    let direction = |line: &str| {
+        (records.iter()).position(|spellings| spellings.iter().any(|word| line.contains(word)))
+    };
+    let mut doors: [Vec<&str>; 2] = Default::default();
+    let files = bodies(rs_under("crates/conman-core/src"));
+    for file in &files {
+        let mut inside = None;
+        for (number, line) in file.lines() {
+            let head = line.trim_start();
+            if ["fn ", "pub fn ", "pub(crate) fn "]
+                .iter()
+                .any(|f| head.starts_with(f))
+            {
+                inside = fn_name(line);
+            }
+            let Some(dir) = direction(line) else { continue };
+            match inside {
+                Some(name) if file.path == DOORS => doors[dir].push(name),
+                _ => hits.push(file.hit(number, line)),
+            }
+        }
+    }
+    for (door, spellings) in doors.iter_mut().zip(&records) {
+        door.dedup();
+        assert_eq!(
+            door.len(),
+            1,
+            "{DOORS}: {spellings:?} is recorded in one fn, not in {door:?}"
+        );
+    }
+    assert_clean("A message is counted at the NM's door", &hits);
+}
+
 #[test]
 #[should_panic(expected = "no such path")]
 fn a_rule_over_a_missing_path_fails() {

@@ -29,7 +29,7 @@ use conman::netsim::device::DeviceId;
 use conman::netsim::ipv4::Ipv4Cidr;
 use conman::netsim::network::Network;
 use conman::obs::Recorder;
-use mgmt_channel::{ChannelCounters, ManagementChannel, MgmtMessage, OutOfBandChannel};
+use mgmt_channel::{ManagementChannel, MgmtMessage, OutOfBandChannel};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
@@ -948,12 +948,6 @@ impl ManagementChannel for CommitTap {
     }
     fn recv(&mut self, net: &mut Network, device: DeviceId) -> Vec<MgmtMessage> {
         self.inner.recv(net, device)
-    }
-    fn counters(&self, device: DeviceId) -> ChannelCounters {
-        self.inner.counters(device)
-    }
-    fn reset_counters(&mut self) {
-        self.inner.reset_counters();
     }
 }
 

@@ -14,10 +14,14 @@ use conman_bench::{configure_and_count, configure_vlan_and_count, table6_counts,
 use conman_core::abstraction::SwitchStateSource;
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
 use conman_core::primitives::{EnvelopeKind, ModuleEnvelope, Primitive, PrimitiveResult};
+use conman_core::runtime::ChannelCounters;
 use conman_core::{ModuleAbstraction, ModuleId, ModuleKind, ModuleRef, PipeId, WireMessage};
-use conman_modules::{managed_chain, managed_fanout_chain, managed_vlan_chain, ManagedChain};
+use conman_modules::{
+    managed_chain, managed_chain_with, managed_fanout_chain, managed_vlan_chain, ManagedChain,
+};
+use conman_obs::Recorder;
 use mgmt_channel::MessageCategory::{self, Command, ConveyMessage, Notification, Response};
-use mgmt_channel::OutOfBandChannel;
+use mgmt_channel::{InBandChannel, ManagementChannel, OutOfBandChannel};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -69,10 +73,58 @@ fn table6_bytes_at_three_routers_are_pinned() {
     assert_eq!(bytes(configure_vlan_and_count(3)), (369, 146), "VLAN");
 }
 
+/// The NM counts its own messages, so what it counts does not depend on
+/// the channel: discovering the three-router chain and reconciling one goal
+/// on it costs the NM the same over the out-of-band mailboxes as over the
+/// in-band flood, in every field, per-category maps included.
+#[test]
+fn the_nms_accounting_does_not_depend_on_the_channel() {
+    fn cost<C: ManagementChannel>(channel: C) -> ChannelCounters {
+        let mut t = managed_chain_with(3, channel);
+        t.discover();
+        t.mn.submit(t.vpn_goal());
+        assert_eq!(t.mn.reconcile().active(), 1);
+        t.mn.nm_counters()
+    }
+    let out_of_band = cost(OutOfBandChannel::new());
+    assert!(out_of_band.sent > 0 && out_of_band.received > 0);
+    assert_eq!(cost(InBandChannel::new()), out_of_band);
+}
+
+/// Every management message has the NM at one end: on a fault-free run
+/// the recorder's message tap, which sees every message any device sends
+/// or takes in, counts exactly what the NM sent plus what it received, in
+/// each direction, in bytes and by category.
+#[test]
+fn every_management_message_has_the_nm_at_one_end() {
+    let mut t = managed_chain(3);
+    let recorder = Recorder::new();
+    t.mn.set_recorder(recorder.clone());
+    t.discover();
+    t.mn.submit(t.vpn_goal());
+    assert_eq!(t.mn.reconcile().active(), 1);
+
+    let c = t.mn.nm_counters();
+    let bytes = c.bytes_sent + c.bytes_received;
+    assert!(bytes > 0);
+    assert_eq!(recorder.counter("msg.sent.bytes"), bytes);
+    assert_eq!(recorder.counter("msg.received.bytes"), bytes);
+    let by = |map: &BTreeMap<MessageCategory, u64>, k| map.get(k).copied().unwrap_or(0);
+    for k in c
+        .sent_by_category
+        .keys()
+        .chain(c.received_by_category.keys())
+    {
+        let both = by(&c.sent_by_category, k) + by(&c.received_by_category, k);
+        for dir in ["sent", "received"] {
+            let metric = format!("msg.{dir}.{}", k.name());
+            assert_eq!(recorder.counter(&metric), both, "{metric}");
+        }
+    }
+}
+
 /// NM messages in each relay category, received and sent.
-fn relay_counts<C: mgmt_channel::ManagementChannel>(
-    mn: &conman_core::runtime::ManagedNetwork<C>,
-) -> (u64, u64) {
+fn relay_counts<C: ManagementChannel>(mn: &conman_core::runtime::ManagedNetwork<C>) -> (u64, u64) {
     let c = mn.nm_counters();
     let relays = |by: &std::collections::BTreeMap<MessageCategory, u64>| {
         [MessageCategory::ConveyMessage, MessageCategory::FieldQuery]
