@@ -173,15 +173,16 @@ fn goal_table_range<C: ManagementChannel>(
 
 /// Detect/repair metrics shared by the chain and mesh runs, derived from
 /// the post-fault tick reports.
-struct RunMetrics {
+pub(crate) struct RunMetrics {
     detect: u64,
     repaired: u64,
     degraded_goals: usize,
-    repair_passes: u64,
+    /// Repair passes that changed some goal.
+    pub(crate) repair_passes: u64,
     failed_attempts: u64,
 }
 
-fn run_metrics(run: &LoopReport) -> RunMetrics {
+pub(crate) fn run_metrics(run: &LoopReport) -> RunMetrics {
     let detect = run.first_detection().unwrap_or(0);
     let repaired = run.first_repair().unwrap_or(0);
     let degraded_goals = run
@@ -425,17 +426,14 @@ pub fn recorded_mesh_loop_run(
     (report, journal)
 }
 
-fn mesh_loop_run_with(
+/// Discover the 2×k mesh, submit its `goals` fan-out goals through a new
+/// autonomic loop and run the loop until the fleet converges.  Returns the
+/// loop, the goal ids in submission order and the ticks the setup took.
+pub(crate) fn converge_fanout_fleet(
     t: &mut ManagedMesh<OutOfBandChannel>,
     k: usize,
     goals: usize,
-    scenario: LoopScenario,
-) -> LoopBenchReport {
-    assert!(
-        scenario.on_mesh(),
-        "{} runs on the chain (use loop_run)",
-        scenario.name()
-    );
+) -> (ControlLoop<OutOfBandChannel>, Vec<GoalId>, u64) {
     t.discover();
     t.mn.goals.limits = mesh_limits(k);
 
@@ -451,8 +449,21 @@ fn mesh_loop_run_with(
 
     let setup = cl.run_until_converged(&mut t.mn, 16);
     assert!(setup.converged, "fleet must converge during setup");
-    let setup_ticks = setup.ticks.len() as u64;
+    (cl, ids, setup.ticks.len() as u64)
+}
 
+fn mesh_loop_run_with(
+    t: &mut ManagedMesh<OutOfBandChannel>,
+    k: usize,
+    goals: usize,
+    scenario: LoopScenario,
+) -> LoopBenchReport {
+    assert!(
+        scenario.on_mesh(),
+        "{} runs on the chain (use loop_run)",
+        scenario.name()
+    );
+    let (mut cl, ids, setup_ticks) = converge_fanout_fleet(t, k, goals);
     let quiet = quiet_ticks(&mut cl, &mut t.mn);
 
     // ---- Fault: kill the first core-to-core link of the applied path. --

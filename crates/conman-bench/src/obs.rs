@@ -7,10 +7,9 @@
 //! the trace journal, so tests and the `flightrecorder` example can prove
 //! the whole story is reconstructible from the dump alone.
 
-use crate::control_loop::mesh_limits;
+use crate::control_loop::{converge_fanout_fleet, run_metrics};
 use conman_core::nm::GoalStatus;
-use conman_core::runtime::{ControlLoop, GoalEndpoints, LoopConfig, LoopReport, ReconcileAction};
-use conman_diagnose::AutonomicClient;
+use conman_core::runtime::LoopReport;
 use conman_modules::{managed_mesh_fanout, ManagedMesh};
 use conman_obs::{ObsSnapshot, Recorder};
 use mgmt_channel::OutOfBandChannel;
@@ -70,21 +69,8 @@ pub struct RecordedMeshRun {
 /// with the same arguments produce **byte-identical** journals.
 pub fn recorded_mesh_link_cut(k: usize, goals: usize) -> RecordedMeshRun {
     let mut t: ManagedMesh<OutOfBandChannel> = managed_mesh_fanout(k, goals);
-    t.discover();
-    t.mn.goals.limits = mesh_limits(k);
     t.mn.set_recorder(Recorder::new());
-
-    let mut cl = ControlLoop::new(&t.mn, LoopConfig::default())
-        .with_client(Box::new(AutonomicClient::new(2)));
-    let mut ids = Vec::with_capacity(goals);
-    for g in 0..goals {
-        let (src, dst, dst_ip) = t.fanout_probe(g);
-        let id = t.mn.submit(t.fanout_goal(g));
-        cl.track(id, GoalEndpoints { src, dst, dst_ip });
-        ids.push(id);
-    }
-    let setup = cl.run_until_converged(&mut t.mn, 16);
-    assert!(setup.converged, "fleet must converge during setup");
+    let (mut cl, ids, _) = converge_fanout_fleet(&mut t, k, goals);
 
     // The journal restarts at the fault: the post-mortem story is the
     // fault story, not the (much longer) setup transcript.
@@ -97,17 +83,7 @@ pub fn recorded_mesh_link_cut(k: usize, goals: usize) -> RecordedMeshRun {
     netsim::fault::apply_fault(&mut t.mn.net, netsim::fault::FaultKind::LinkCut(link));
 
     let run = cl.run_until_converged(&mut t.mn, 12);
-    let repair_passes = run
-        .ticks
-        .iter()
-        .filter(|tk| {
-            tk.repair.as_ref().is_some_and(|r| {
-                r.outcomes
-                    .iter()
-                    .any(|o| o.action != ReconcileAction::Unchanged)
-            })
-        })
-        .count() as u64;
+    let repair_passes = run_metrics(&run).repair_passes;
     let all_active = t.mn.goals.iter().all(|r| r.status == GoalStatus::Active);
     let traffic_ok = (0..goals).all(|g| t.probe_pair(g));
     let cut_link = {

@@ -929,7 +929,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         };
         let snapshot = |agent: &mut ManagementAgent, device: &mut Device| {
-            let config = serde_json::to_value(&device.config).expect("a config serialises");
+            let config = device.config.clone();
             let board = agent.blackboard();
             let facts: Vec<_> = board.pipes().map(|id| (id, board.pipe(id))).collect();
             let show = WireMessage::Script {

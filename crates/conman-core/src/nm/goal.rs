@@ -294,13 +294,11 @@ impl GoalStore {
         applied: Option<AppliedPlan>,
     ) -> Option<AppliedPlan> {
         let rec = self.goals.get_mut(&id)?;
-        let previous = rec.applied.take();
-        rec.applied = applied;
-        let added = rec.applied.clone();
+        let previous = std::mem::replace(&mut rec.applied, applied);
         if let Some(prev) = &previous {
             Self::unindex(&mut self.module_index, id, prev);
         }
-        if let Some(now) = &added {
+        if let Some(now) = &rec.applied {
             for step in &now.path.steps {
                 self.module_index.entry(step.module).or_default().insert(id);
             }

@@ -476,7 +476,7 @@ impl<C: ManagementChannel> ControlLoop<C> {
                 goals: needing as u64,
             },
         );
-        let endpoints = self.endpoints.clone();
+        let endpoints = &self.endpoints;
         let mut seq = self.probe_seq;
         let outcome = mn.reconcile_with(|mn, id| {
             let ep = endpoints.get(&id)?;

@@ -1159,20 +1159,18 @@ mod tests {
         mn.reset_counters();
 
         // What the JSON codec put on the channel for these two messages.
-        let commit = serde_json::json!({"CommitBatch": {"goals": [1], "txn": 7}});
-        let notify = serde_json::json!({"Notify": {
-            "body": "Established",
-            "from": {"device": d2.as_u64(), "kind": "Ip", "module": 1},
-        }});
+        let commit = br#"{"CommitBatch":{"goals":[1],"txn":7}}"#;
+        let notify = br#"{"Notify":{"body":"Established","from":{"device":15898900202816264786,"kind":"Ip","module":1}}}"#;
+        assert_eq!(d2.as_u64(), 15898900202816264786, "RouterB's id");
         let sends = [
-            (d1, d2, MessageCategory::Command, commit),
-            (d2, d1, MessageCategory::Notification, notify),
+            (d1, d2, MessageCategory::Command, &commit[..]),
+            (d2, d1, MessageCategory::Notification, &notify[..]),
         ];
-        for (dropped, (from, to, category, json)) in (1..).zip(sends) {
-            let payload = serde_json::to_vec(&json).unwrap();
-            assert_eq!(payload[0], b'{');
-            mn.channel
-                .send(&mut mn.net, MgmtMessage::new(from, to, category, payload));
+        for (dropped, (from, to, category, payload)) in (1..).zip(sends) {
+            mn.channel.send(
+                &mut mn.net,
+                MgmtMessage::new(from, to, category, payload.to_vec()),
+            );
             assert_eq!(mn.run_management(), 1, "delivered, and nothing answered");
             assert_eq!(recorder.counter("mgmt.decode_dropped"), dropped);
         }

@@ -496,11 +496,10 @@ mod tests {
         assert_eq!(rig.config.tunnels().count(), 1);
         assert!(m.armed.is_empty());
 
-        let (config, changes) = (rig.config_json(), rig.blackboard.changes());
+        let (config, changes) = (rig.config.clone(), rig.blackboard.changes());
         assert!(m.poll(&mut rig.ctx()).is_empty());
         assert_eq!(
-            rig.config_json(),
-            config,
+            rig.config, config,
             "an idle poll leaves the data plane alone"
         );
         assert_eq!(rig.blackboard.changes(), changes);
@@ -584,7 +583,7 @@ mod tests {
     #[test]
     fn losing_the_down_pipe_retracts_the_attachment_and_a_new_tunnel_publishes_a_fresh_one() {
         let mut rig = Rig::new();
-        let baseline = rig.config_json();
+        let baseline = rig.config.clone();
         let mut m = GreModule::new(me());
         m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
         let attach = |rig: &Rig| rig.blackboard.pipe(PipeId(1)).attach;
@@ -608,7 +607,7 @@ mod tests {
             rig.blackboard.remove_pipe(PipeId(2));
             assert_eq!(attach(&rig), None, "round {round}");
             assert_eq!(rig.blackboard.pipes().count(), 0, "no fact, no entry");
-            assert_eq!(rig.config_json(), baseline);
+            assert_eq!(rig.config, baseline);
         }
     }
 
@@ -741,7 +740,7 @@ mod tests {
         m.create_pipe(&mut rig.ctx(), &up(1, true)).unwrap();
         m.create_pipe(&mut rig.ctx(), &down(2)).unwrap();
         publish_endpoints(&mut rig, 2);
-        let baseline = rig.config_json();
+        let baseline = rig.config.clone();
         let attach = |rig: &Rig| rig.blackboard.pipe(PipeId(1)).attach;
         let rules = |m: &GreModule, rig: &mut Rig| m.actual(&rig.ctx()).switch_rules;
         for round in 0..2 {
@@ -764,7 +763,7 @@ mod tests {
             m.delete(&mut rig.ctx(), &rule).unwrap();
             assert!(rules(&m, &mut rig).is_empty(), "round {round}");
             assert_eq!(attach(&rig), None, "round {round}");
-            assert_eq!(rig.config_json(), baseline, "round {round}");
+            assert_eq!(rig.config, baseline, "round {round}");
             assert!(m.armed.is_empty() && m.tunnels.is_empty());
             assert!(m.pipes.values().all(|pipe| pipe.rule.is_none()));
         }

@@ -885,11 +885,10 @@ mod tests {
             .unwrap();
         assert!(m.exchanges.waiting().is_empty());
 
-        let (config, changes) = (rig.config_json(), rig.blackboard.changes());
+        let (config, changes) = (rig.config.clone(), rig.blackboard.changes());
         assert!(m.poll(&mut rig.ctx()).is_empty());
         assert_eq!(
-            rig.config_json(),
-            config,
+            rig.config, config,
             "an idle poll leaves the data plane alone"
         );
         assert_eq!(rig.blackboard.changes(), changes);
@@ -1051,7 +1050,7 @@ mod tests {
         rig.publish_port(3, 0);
         m.handle_envelope(&mut rig.ctx(), &address_message(2, 3, false))
             .unwrap();
-        let baseline = rig.config_json();
+        let baseline = rig.config.clone();
         let from = module(ModuleKind::Ip, 1, 2);
         let spec = drop_from(&me(), &from);
         let filter = ComponentRef::Filter(me(), from, me());
@@ -1062,7 +1061,7 @@ mod tests {
         assert_eq!(m.actual(&rig.ctx()).filters, [(from, me())]);
         m.delete(&mut rig.ctx(), &filter).unwrap();
         assert!(m.actual(&rig.ctx()).filters.is_empty());
-        assert_eq!(rig.config_json(), baseline);
+        assert_eq!(rig.config, baseline);
 
         // The device's other IP module shares the filter table: a delete
         // takes this module's rule and leaves theirs.
@@ -1117,7 +1116,7 @@ mod tests {
         ];
         for (end, installs) in cases {
             let spec = drop_from(&me(), &end);
-            let before = rig.config_json();
+            let before = rig.config.clone();
             let admitted = m.admit(&Primitive::CreateFilter(spec.clone()));
             m.create_filter(&mut rig.ctx(), &spec).unwrap();
             assert_eq!(rig.config.filters.first(), installs.as_ref(), "{end}");
@@ -1129,7 +1128,7 @@ mod tests {
                 }
                 None => assert_eq!(admitted, Err(ModuleError::UnresolvedFilterEnd(end))),
             }
-            assert_eq!(rig.config_json(), before);
+            assert_eq!(rig.config, before);
         }
     }
 
@@ -1181,7 +1180,7 @@ mod tests {
                 .unwrap();
         }
         assert!(m.exchanges.waiting().is_empty());
-        let baseline = rig.config_json();
+        let baseline = rig.config.clone();
         let attach = |rig: &Rig| rig.blackboard.pipe(PipeId(1)).attach;
         for round in 0..2 {
             m.create_switch(&mut rig.ctx(), &switch(&me(), 1, 3))
@@ -1198,7 +1197,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(attach(&rig), None, "round {round}");
-            assert_eq!(rig.config_json(), baseline);
+            assert_eq!(rig.config, baseline);
         }
     }
 

@@ -510,11 +510,10 @@ mod tests {
             .unwrap();
         assert!(m.exchanges.waiting().is_empty());
 
-        let (config, changes) = (rig.config_json(), rig.blackboard.changes());
+        let (config, changes) = (rig.config.clone(), rig.blackboard.changes());
         assert!(m.poll(&mut rig.ctx()).is_empty());
         assert_eq!(
-            rig.config_json(),
-            config,
+            rig.config, config,
             "an idle poll leaves the data plane alone"
         );
         assert_eq!(rig.blackboard.changes(), changes);

@@ -36,16 +36,11 @@ impl Rig {
             .publish(PipeId(pipe), |facts| facts.port = Some(port));
     }
 
-    /// The data-plane configuration, rendered for before/after comparison.
-    pub(crate) fn config_json(&self) -> String {
-        serde_json::to_string(&self.config).expect("a device configuration serialises")
-    }
-
     /// Everything a refused envelope must leave as it was: the data plane,
     /// the blackboard's change count and what `m` lists.
-    fn snapshot(&mut self, m: &dyn ProtocolModule) -> (String, u64, ModuleActual) {
+    fn snapshot(&mut self, m: &dyn ProtocolModule) -> (DeviceConfig, u64, ModuleActual) {
         let actual = m.actual(&self.ctx());
-        (self.config_json(), self.blackboard.changes(), actual)
+        (self.config.clone(), self.blackboard.changes(), actual)
     }
 
     /// Hand `env` to `m`, whose dialect is `D`.  A body `D` does not decode

@@ -428,11 +428,10 @@ mod tests {
             .unwrap();
         assert!(m.exchanges.waiting().is_empty());
 
-        let (config, changes) = (rig.config_json(), rig.blackboard.changes());
+        let (config, changes) = (rig.config.clone(), rig.blackboard.changes());
         assert!(m.poll(&mut rig.ctx()).is_empty());
         assert_eq!(
-            rig.config_json(),
-            config,
+            rig.config, config,
             "an idle poll leaves the data plane alone"
         );
         assert_eq!(rig.blackboard.changes(), changes);
@@ -587,7 +586,7 @@ mod tests {
     #[test]
     fn deleting_a_switch_rule_restores_the_bridge_and_drops_its_show_actual_entry() {
         let mut rig = fresh_switch();
-        let before = rig.config_json();
+        let before = rig.config.clone();
         let mut m = VlanModule::new(me());
         // Two goals share the customer port and the trunk port.
         for (customer_pipe, trunk_pipe) in [(1, 2), (3, 4)] {
@@ -605,7 +604,7 @@ mod tests {
         let (first, second) = ((PipeId(1), PipeId(2)), (PipeId(3), PipeId(4)));
         assert_eq!(m.actual(&rig.ctx()).switch_rules, [first, second]);
         assert!(m.installed.values().all(|r| r.vid == 22));
-        let tunnel = rig.config_json();
+        let tunnel = rig.config.clone();
         assert_ne!(tunnel, before, "the rules configured the bridge");
 
         // The first goal leaves: the ports it shares stay as the second
@@ -613,18 +612,18 @@ mod tests {
         let rule = |i, o| ComponentRef::SwitchRule(me(), PipeId(i), PipeId(o));
         m.delete(&mut rig.ctx(), &rule(1, 2)).unwrap();
         assert_eq!(m.actual(&rig.ctx()).switch_rules, [second]);
-        assert_eq!(rig.config_json(), tunnel);
+        assert_eq!(rig.config, tunnel);
 
         // A rule of another module, or one never applied, undoes nothing.
         let other = ComponentRef::SwitchRule(module(ModuleKind::Eth, 2, 1), PipeId(3), PipeId(4));
         m.delete(&mut rig.ctx(), &other).unwrap();
         m.delete(&mut rig.ctx(), &rule(1, 2)).unwrap();
-        assert_eq!(rig.config_json(), tunnel);
+        assert_eq!(rig.config, tunnel);
 
         // The last rule takes the port modes and the VLAN declaration along.
         m.delete(&mut rig.ctx(), &rule(3, 4)).unwrap();
         assert!(m.actual(&rig.ctx()).switch_rules.is_empty());
-        assert_eq!(rig.config_json(), before, "the bridge is as it was found");
+        assert_eq!(rig.config, before, "the bridge is as it was found");
         assert!(m.claimed_ports.is_empty() && m.declared.is_empty());
 
         for pipe in 1..=4 {

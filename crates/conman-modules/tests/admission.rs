@@ -28,6 +28,7 @@ use conman_core::primitives::{
 use conman_core::runtime::ManagedNetwork;
 use conman_modules::{managed_chain, managed_vlan_chain};
 use mgmt_channel::OutOfBandChannel;
+use netsim::config::DeviceConfig;
 use netsim::device::{Device, DeviceId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -116,7 +117,7 @@ impl ProtocolModule for Spy {
 /// and its teardown mirror must restore.
 #[derive(Debug, PartialEq)]
 struct Snapshot {
-    config: serde_json::Value,
+    config: DeviceConfig,
     blackboard: Vec<(PipeId, PipeFacts)>,
     actual: BTreeMap<ModuleRef, ModuleActual>,
 }
@@ -202,7 +203,7 @@ impl Rig {
         };
         let config = &self.mn.net.device(at).expect("a device").config;
         Snapshot {
-            config: serde_json::to_value(config).expect("a configuration serialises"),
+            config: config.clone(),
             blackboard: self.spies[&at].lock().unwrap().clone(),
             actual,
         }
@@ -210,14 +211,14 @@ impl Rig {
 }
 
 /// A snapshot without what the allocators have handed out so far, which a
-/// teardown does not take back: the MPLS key counter.
+/// teardown does not take back: the MPLS key counter.  The tables are
+/// rebuilt from their entries, so only the counter is left behind.
 fn without_watermarks(mut snapshot: Snapshot) -> Snapshot {
-    use serde_json::Value;
-    if let Value::Object(config) = &mut snapshot.config {
-        if let Some(Value::Object(mpls)) = config.get_mut("mpls") {
-            mpls.remove("next_key");
-        }
-    }
+    let old = std::mem::take(&mut snapshot.config.mpls);
+    let mpls = &mut snapshot.config.mpls;
+    mpls.nhlfe = old.nhlfe;
+    mpls.xc = old.xc;
+    mpls.labelspace = old.labelspace;
     snapshot
 }
 

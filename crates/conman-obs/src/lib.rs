@@ -12,13 +12,15 @@
 //! * **Metrics registry** ([`metrics`]) — counters and log2
 //!   histograms (NM messages by wire category via the channel tap, repair
 //!   latency in ticks, path lengths, exclusion-set sizes,
-//!   frame budgets), exported as a serialisable [`ObsSnapshot`].
+//!   frame budgets), copied out as an [`ObsSnapshot`].
 //!
-//! The crate sits *below* the management layers and the simulator (it
-//! depends only on the serde shims, so the offline checker `conman-analyze`
-//! builds without `netsim`), and the channels, the runtime and the
-//! diagnoser can all hold the same recorder.  [`Recorder::disabled`] is the
-//! default and reduces every instrumentation call to one branch.
+//! The journal dump is the workspace's one JSON: [`journal`] writes it and
+//! [`postmortem`] reads it back.  The crate sits *below* the management
+//! layers and the simulator (it depends only on the vendored JSON shims,
+//! so the offline checker `conman-analyze` builds without `netsim`), and
+//! the channels, the runtime and the diagnoser can all hold the same
+//! recorder.  [`Recorder::disabled`] is the default and reduces every
+//! instrumentation call to one branch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

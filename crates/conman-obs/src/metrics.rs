@@ -1,12 +1,11 @@
 //! The metrics registry: named counters and histograms.
 //!
 //! Names are flat dotted strings (`msg.sent.Command`,
-//! `repair.pass.goals`...), kept in `BTreeMap`s so snapshots serialize in a
+//! `repair.pass.goals`...), kept in `BTreeMap`s so snapshots list them in a
 //! stable order.  The runtime reads no wall clock, so what it records here
 //! repeats across seeded runs like the journal does; wall time is measured
 //! from outside, by `benchmark/`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Power-of-two-bucketed histogram of non-negative samples.
@@ -15,7 +14,7 @@ use std::collections::BTreeMap;
 /// `< 1`); values at or beyond `2^30` land in the last bucket.  Fixed
 /// storage, O(1) observe, enough resolution for latency and size
 /// distributions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
     /// Samples observed.
     pub count: u64,
@@ -57,7 +56,7 @@ impl Histogram {
 }
 
 /// Named counters and histograms.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
@@ -132,15 +131,5 @@ mod tests {
         assert_eq!(h.buckets[2], 1);
         assert_eq!(h.buckets[11], 1);
         assert_eq!(h.count, 5);
-    }
-
-    #[test]
-    fn registry_roundtrips_through_json() {
-        let mut m = MetricsRegistry::default();
-        m.inc("a", 1);
-        m.observe("c", 7.0);
-        let s = serde_json::to_string(&m).unwrap();
-        let back: MetricsRegistry = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, m);
     }
 }

@@ -8,7 +8,6 @@
 //! scenario must be explainable from its dump.
 
 use crate::journal::{GoalStatus, ReconcileAction, TraceEvent, TraceKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -41,7 +40,7 @@ impl fmt::Display for DumpError {
 impl std::error::Error for DumpError {}
 
 /// One reconstructed repair pass.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RepairPass {
     /// The pass's repair epoch.
     pub epoch: u64,
@@ -65,7 +64,7 @@ impl RepairPass {
 }
 
 /// Facts reconstructed from a journal dump.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Postmortem {
     /// Ticks the journal covers.
     pub ticks: u64,

@@ -10,7 +10,6 @@
 
 use crate::journal::{Journal, TraceEvent, TraceKind};
 use crate::metrics::MetricsRegistry;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -141,7 +140,7 @@ impl Recorder {
 
     // ---- Export -------------------------------------------------------
 
-    /// A serialisable snapshot of the metrics (empty when disabled).
+    /// A snapshot of the metrics (empty when disabled).
     pub fn snapshot(&self) -> ObsSnapshot {
         let Some(inner) = &self.0 else {
             return ObsSnapshot::default();
@@ -163,9 +162,9 @@ impl Recorder {
     }
 }
 
-/// Serialisable export of a recorder's metrics — what
-/// `experiments` emits instead of hand-building JSON.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// A copy of a recorder's metrics and the size of its journal at one
+/// moment, for a caller to read or compare after the run.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsSnapshot {
     /// The full metrics registry.
     pub metrics: MetricsRegistry,

@@ -7,11 +7,10 @@
 //! (T) and the CONMan scripts (C).  Here every script line is built from
 //! tagged tokens so the counting is mechanical and auditable.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// How a token of a configuration script is classified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TokenKind {
     /// A command that exists independent of any specific protocol
     /// (`create pipe`, `ip route`, `echo ... > file`).
@@ -30,7 +29,7 @@ pub enum TokenKind {
 }
 
 /// One token of a script line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     /// The literal text.
     pub text: String,
@@ -49,7 +48,7 @@ impl Token {
 }
 
 /// A script line made of classified tokens.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScriptLine {
     /// The tokens, in order.
     pub tokens: Vec<Token>,
@@ -67,7 +66,7 @@ impl ScriptLine {
 }
 
 /// A complete classified script (one device's configuration).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClassifiedScript {
     /// Scenario label ("GRE today", "MPLS CONMan", ...).
     pub label: String,
@@ -76,7 +75,7 @@ pub struct ClassifiedScript {
 }
 
 /// The four counts of Table V.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TableVCounts {
     /// Distinct generic commands.
     pub generic_commands: usize,

@@ -8,7 +8,6 @@
 
 use crate::mac::MacAddr;
 use crate::{CodecError, CodecResult};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -16,7 +15,7 @@ use std::net::Ipv4Addr;
 pub(crate) const ARP_LEN: usize = 28;
 
 /// ARP operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ArpOp {
     /// Who-has request.
     Request,
@@ -25,7 +24,7 @@ pub(crate) enum ArpOp {
 }
 
 /// An ARP packet for IPv4 over Ethernet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ArpPacket {
     /// Operation (request or reply).
     pub(crate) op: ArpOp,

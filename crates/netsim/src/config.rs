@@ -23,13 +23,12 @@ use crate::mpls::MplsTables;
 use crate::route::Rib;
 use crate::stats::IfaceCounters;
 use crate::vlan::VlanId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// Configuration of one GRE (or IP-IP) tunnel endpoint, mirroring the
 /// arguments of `ip tunnel add` in Figure 7(a).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TunnelConfig {
     /// Device-local tunnel identifier, assigned by
     /// [`DeviceConfig::add_tunnel`] (0 until then).
@@ -61,7 +60,7 @@ pub struct TunnelConfig {
 }
 
 /// Tunnel encapsulation mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TunnelMode {
     /// GRE over IPv4 (`mode gre`).
     Gre,
@@ -101,8 +100,8 @@ impl TunnelConfig {
 
 /// One row of the tunnel table: a tunnel's configuration together with the
 /// runtime state that exists only because the tunnel does.  The runtime
-/// half is neither serialised nor handed out with the configuration, so
-/// configuration snapshots compare equal whatever traffic has flowed.
+/// half is neither compared nor handed out with the configuration, so
+/// configurations compare equal whatever traffic has flowed.
 #[derive(Debug, Clone)]
 struct TunnelEntry {
     /// Read-only outside this module, so that the address index cannot
@@ -138,23 +137,16 @@ impl TunnelEntry {
     }
 }
 
-impl Serialize for TunnelEntry {
-    fn serialize(&self) -> serde::Value {
-        self.config.serialize()
-    }
-}
-
-impl Deserialize for TunnelEntry {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        TunnelConfig::deserialize(v).map(TunnelEntry::new)
+impl PartialEq for TunnelEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
     }
 }
 
 /// The tunnel table: entries keyed by id, and beside them a counted index
 /// of their interface addresses — every `address` some tunnel carries,
 /// sorted, once per tunnel carrying it.  Only the entries are content: the
-/// index is neither serialised nor compared, and a table read back from
-/// JSON rebuilds it.
+/// index is not compared.
 #[derive(Debug, Clone, Default)]
 struct TunnelTable {
     entries: BTreeMap<u32, TunnelEntry>,
@@ -193,24 +185,14 @@ impl TunnelTable {
     }
 }
 
-impl Serialize for TunnelTable {
-    fn serialize(&self) -> serde::Value {
-        self.entries.serialize()
-    }
-}
-
-impl Deserialize for TunnelTable {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let mut table = TunnelTable::default();
-        for (id, entry) in BTreeMap::<u32, TunnelEntry>::deserialize(v)? {
-            table.insert(id, entry);
-        }
-        Ok(table)
+impl PartialEq for TunnelTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
     }
 }
 
 /// How a switch port participates in VLANs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SwitchPortMode {
     /// Untagged access port in a single VLAN.
     Access(VlanId),
@@ -222,7 +204,7 @@ pub enum SwitchPortMode {
 }
 
 /// Per-VLAN metadata (`set vlan 22 name C1 mtu 1504`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VlanConfig {
     /// VLAN name.
     pub name: String,
@@ -231,7 +213,7 @@ pub struct VlanConfig {
 }
 
 /// Layer-2 bridging configuration of a switch device.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BridgeConfig {
     /// Port modes keyed by port index.
     pub ports: BTreeMap<u32, SwitchPortMode>,
@@ -258,7 +240,7 @@ impl BridgeConfig {
 }
 
 /// Action of a filter rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterAction {
     /// Silently drop matching packets.
     Drop,
@@ -269,7 +251,7 @@ pub enum FilterAction {
 /// A low-level filter rule.  The CONMan filter abstraction ("drop packets
 /// from module X to module Y") is resolved by modules into these concrete
 /// field matches via `listFieldsAndValues` (§II-E).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterRule {
     /// Rule identifier (used for delete).
     pub id: u32,
@@ -305,8 +287,10 @@ impl FilterRule {
     }
 }
 
-/// Complete configuration of a simulated device.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Complete configuration of a simulated device.  Two configurations are
+/// equal when their content is: no index and no tunnel's runtime state
+/// takes part.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceConfig {
     /// Is IPv4 forwarding enabled (`echo 1 > /proc/sys/net/ipv4/ip_forward`)?
     pub ip_forwarding: bool,
@@ -505,9 +489,79 @@ impl DeviceConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::{PolicyRule, Route, RouteTableId, RouteTarget, RuleSelector};
 
     fn cidr(s: &str) -> Ipv4Cidr {
         s.parse().unwrap()
+    }
+
+    /// A configuration is its content: what it was told, in whatever order,
+    /// and not what traffic has done to its tunnels since.
+    #[test]
+    fn configurations_are_equal_when_their_content_is() {
+        let tunnel = |name: &str, addr: &str| {
+            let mut t = TunnelConfig::gre(
+                name,
+                "204.9.168.1".parse().unwrap(),
+                "204.9.169.1".parse().unwrap(),
+            );
+            t.ikey = Some(1001);
+            t.address = Some(cidr(addr));
+            t
+        };
+        let rule = |priority, to: &str, table| PolicyRule {
+            priority,
+            selector: RuleSelector::ToPrefix(cidr(to)),
+            table: RouteTableId(table),
+        };
+        let route = |dest: &str, port| Route {
+            dest: cidr(dest),
+            target: RouteTarget::Port { port, via: None },
+        };
+        let table = RouteTableId(200);
+
+        let mut a = DeviceConfig::new();
+        a.assign_address(0, cidr("10.0.1.1/24"));
+        a.assign_address(1, cidr("10.0.2.1/24"));
+        a.add_tunnel(tunnel("greA", "192.168.3.2/24"));
+        a.add_tunnel(tunnel("greB", "192.168.3.1/24"));
+        a.rib.add_rule(rule(10, "10.9.0.0/16", 200));
+        a.rib.add_rule(rule(20, "10.8.0.0/16", 201));
+        a.rib.table_mut(table).add(route("10.9.1.0/24", 0));
+        a.rib.table_mut(table).add(route("10.9.0.0/16", 1));
+
+        // The same content in another order, and a tunnel that came and
+        // went: every index was built along another way.
+        let mut b = DeviceConfig::new();
+        b.rib.table_mut(table).add(route("10.9.0.0/16", 1));
+        b.rib.add_rule(rule(20, "10.8.0.0/16", 201));
+        b.add_tunnel(tunnel("greA", "192.168.3.2/24"));
+        let gone = b.add_tunnel(tunnel("gone", "192.168.3.9/24"));
+        b.remove_tunnel(gone);
+        b.assign_address(1, cidr("10.0.2.1/24"));
+        b.rib.table_mut(table).add(route("10.9.1.0/24", 0));
+        b.add_tunnel(tunnel("greB", "192.168.3.1/24"));
+        b.rib.add_rule(rule(10, "10.9.0.0/16", 200));
+        b.assign_address(0, cidr("10.0.1.1/24"));
+        assert_eq!(a, b, "indexes are not content");
+
+        let mut used = a.clone();
+        let (_, state) = used.tunnel_state_mut(1).expect("tunnel 1");
+        state.tx_seq = 7;
+        state.rx_seq = 3;
+        state.counters.tx(100);
+        state.counters.rx(100);
+        assert_eq!(used, a, "runtime state is not content");
+
+        let mut key = a.clone();
+        key.corrupt_ikeys(1);
+        assert_ne!(key, a, "a tunnel key is content");
+        let mut moved = a.clone();
+        moved.rib.table_mut(table).add(route("10.9.1.0/24", 1));
+        assert_ne!(moved, a, "a route is content");
+        let mut watermark = a.clone();
+        watermark.mpls.alloc_key();
+        assert_ne!(watermark, a, "the MPLS key watermark is content");
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::ipv4::Ipv4Proto;
 use crate::mac::MacAddr;
 use crate::nic::Nic;
 use crate::stats::{DeviceStats, LookupWork};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -22,7 +21,7 @@ use std::ops::Range;
 /// The paper suggests deriving it from a public key; here it is derived by
 /// hashing the device name, which keeps it stable, unique and meaningless
 /// with respect to topology — the properties the architecture needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(u64);
 
 impl DeviceId {
@@ -61,7 +60,7 @@ impl fmt::Display for DeviceId {
 }
 
 /// Port index within a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortId(pub u32);
 
 impl fmt::Display for PortId {
@@ -71,7 +70,7 @@ impl fmt::Display for PortId {
 }
 
 /// Coarse role of a device, which decides how frames are processed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceRole {
     /// An end host: terminates traffic, does not forward unless configured.
     Host,

@@ -2,14 +2,13 @@
 
 use crate::mac::MacAddr;
 use crate::{CodecError, CodecResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Length of an Ethernet II header (no 802.1Q tag).
 pub(crate) const ETHERNET_HEADER_LEN: usize = 14;
 
 /// EtherType values understood by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EtherType {
     /// IPv4 (0x0800).
     Ipv4,

@@ -14,11 +14,10 @@ use crate::device::DeviceId;
 use crate::link::LinkId;
 use crate::network::Network;
 use crate::route::RouteTableId;
-use serde::{Deserialize, Serialize};
 
 /// A configuration-level fault: state on a device is corrupted or lost, the
 /// classic "confused/buggy/malicious station" failures of §III-C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Misconfiguration {
     /// Shift every GRE tunnel's receive key on the device (`ikey += delta`),
     /// the key-mismatch misconfiguration the paper repeatedly cites.
@@ -70,7 +69,7 @@ impl Misconfiguration {
 }
 
 /// One injectable fault (or repair) action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Administratively cut a link (the wire is yanked).
     LinkCut(LinkId),
@@ -95,7 +94,7 @@ pub enum FaultKind {
 }
 
 /// A fault scheduled at a point in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FaultEvent {
     /// When the fault fires.
     pub at: SimTime,
@@ -104,7 +103,7 @@ pub(crate) struct FaultEvent {
 }
 
 /// A deterministic, time-ordered fault timeline.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

@@ -4,7 +4,6 @@
 
 use crate::ipv4::internet_checksum;
 use crate::{CodecError, CodecResult};
-use serde::{Deserialize, Serialize};
 
 /// Protocol type carried in GRE for IPv4 payloads.
 pub(crate) const GRE_PROTO_IPV4: u16 = 0x0800;
@@ -13,7 +12,7 @@ pub(crate) const GRE_PROTO_IPV4: u16 = 0x0800;
 pub(crate) const GRE_MAX_HEADER_LEN: usize = 16;
 
 /// A decoded GRE header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GreHeader {
     /// Payload protocol (EtherType-style value, 0x0800 for IPv4).
     pub protocol: u16,

@@ -1,7 +1,6 @@
 //! IPv4 header codec, CIDR prefixes and the Internet checksum.
 
 use crate::{CodecError, CodecResult};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
@@ -10,7 +9,7 @@ use std::str::FromStr;
 pub(crate) const IPV4_HEADER_LEN: usize = 20;
 
 /// IP protocol numbers used by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ipv4Proto {
     /// ICMP (1).
     Icmp,
@@ -78,7 +77,7 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 
 /// A decoded IPv4 header (options are not supported, matching the simulator's
 /// smoltcp-inspired scope).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Differentiated services / TOS byte.
     pub tos: u8,
@@ -188,7 +187,7 @@ impl Ipv4Header {
 }
 
 /// An IPv4 CIDR prefix such as `10.0.1.0/24`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv4Cidr {
     /// Network address (host bits may be set; they are masked on match).
     pub addr: Ipv4Addr,

@@ -6,14 +6,13 @@
 
 use crate::clock::SimDuration;
 use crate::device::{DeviceId, PortId};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a link within a [`crate::network::Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
 /// Performance characteristics of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkProperties {
     /// One-way propagation latency.
     pub latency: SimDuration,
@@ -55,7 +54,7 @@ impl LinkProperties {
 }
 
 /// One attachment point of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Endpoint {
     /// Attached device.
     pub device: DeviceId,
@@ -64,7 +63,7 @@ pub struct Endpoint {
 }
 
 /// A physical link: a point-to-point cable between two endpoints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Link {
     /// Link identifier.
     pub id: LinkId,

@@ -3,7 +3,6 @@
 //! the paper's Figure 8(a) script.
 
 use crate::{CodecError, CodecResult};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -11,7 +10,7 @@ use std::net::Ipv4Addr;
 pub(crate) const LABEL_ENTRY_LEN: usize = 4;
 
 /// A 20-bit MPLS label value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Label(u32);
 
 impl Label {
@@ -40,7 +39,7 @@ impl std::fmt::Display for Label {
 }
 
 /// One entry of an MPLS label stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabelStackEntry {
     /// The label value.
     pub label: Label,
@@ -146,11 +145,11 @@ pub fn decode_stack(bytes: &[u8]) -> CodecResult<(LabelStack<'_>, &[u8])> {
 
 /// Key identifying an NHLFE (next-hop label forwarding entry), mirroring the
 /// opaque keys printed by the `mpls nhlfe add` command in Figure 8(a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NhlfeKey(pub u32);
 
 /// The label operation an NHLFE applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LabelOp {
     /// Push a new label (LSP ingress).
     Push(Label),
@@ -161,7 +160,7 @@ pub enum LabelOp {
 }
 
 /// A next-hop label forwarding entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nhlfe {
     /// Key referenced by ILM cross-connects and IP routes.
     pub key: NhlfeKey,
@@ -176,7 +175,7 @@ pub struct Nhlfe {
 }
 
 /// An incoming-label-map entry: `(labelspace, label)` to be cross-connected.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IlmEntry {
     /// Label space (per-interface label spaces are collapsed to one value,
     /// as in the paper's scripts which only use labelspace 0).
@@ -186,7 +185,7 @@ pub struct IlmEntry {
 }
 
 /// The MPLS forwarding state of one device.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MplsTables {
     /// NHLFE entries keyed by their opaque key.
     pub nhlfe: HashMap<u32, Nhlfe>,

@@ -2,10 +2,9 @@
 
 use crate::link::LinkId;
 use crate::mac::MacAddr;
-use serde::{Deserialize, Serialize};
 
 /// A network interface on a device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Nic {
     /// Port index within the device (0-based).
     pub index: u32,

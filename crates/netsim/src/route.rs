@@ -14,19 +14,17 @@
 //!   and the sorted priorities of every other rule, so a lookup evaluates
 //!   only the rules at priorities that can match.
 //!
-//! Both orders are functions of the content alone, so what is serialised
-//! and compared is content only: the rule indexes are neither, and a table
-//! or rule set read back from JSON is rebuilt through the same `add` calls.
+//! Both orders are functions of the content alone, so what is compared is
+//! content only: the rule indexes are not.
 
 use crate::ipv4::Ipv4Cidr;
 use crate::mpls::NhlfeKey;
 use crate::stats::LookupWork;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Identifier of a routing table.  Table 254 is "main", as on Linux.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RouteTableId(pub u32);
 
 impl RouteTableId {
@@ -35,7 +33,7 @@ impl RouteTableId {
 }
 
 /// Where a route sends matching packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteTarget {
     /// Send out a physical port, optionally via a gateway.
     Port {
@@ -57,7 +55,7 @@ pub enum RouteTarget {
 }
 
 /// A single route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Route {
     /// Destination prefix.
     pub dest: Ipv4Cidr,
@@ -85,7 +83,7 @@ fn key_of(addr: Ipv4Addr, len: u8) -> (u8, u32) {
 /// network, and holds at most one route per prefix (its network and length),
 /// so the routes containing an address have distinct lengths and the first
 /// of them is the longest match.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteTable {
     routes: Vec<Route>,
 }
@@ -169,24 +167,8 @@ impl RouteTable {
     }
 }
 
-impl Deserialize for RouteTable {
-    /// Rebuilt through [`RouteTable::add`], so the order holds whatever
-    /// order the JSON lists the routes in.
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        #[derive(Deserialize)]
-        struct Listed {
-            routes: Vec<Route>,
-        }
-        let mut table = RouteTable::new();
-        for route in Listed::deserialize(v)?.routes {
-            table.add(route);
-        }
-        Ok(table)
-    }
-}
-
 /// What a policy rule matches on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuleSelector {
     /// `ip rule add to <prefix>`.
     ToPrefix(Ipv4Cidr),
@@ -201,7 +183,7 @@ pub enum RuleSelector {
 }
 
 /// A policy-routing rule selecting which table to consult.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyRule {
     /// Lower priorities are evaluated first.
     pub priority: u32,
@@ -212,7 +194,7 @@ pub struct PolicyRule {
 }
 
 /// The interface a packet arrived on, for rule matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncomingIf {
     /// Originated locally.
     Local,
@@ -248,7 +230,7 @@ type PrefixEntry = (u8, u32, u32);
 /// * `to_prefix` holds one [`PrefixEntry`] per `ToPrefix` rule, sorted;
 /// * `others` holds the priority of every other rule, sorted, repeats kept.
 ///
-/// Only `rules` is content: it alone is serialised and compared.
+/// Only `rules` is content: it alone is compared.
 #[derive(Debug, Clone, Default)]
 struct PolicyRules {
     rules: Vec<PolicyRule>,
@@ -342,22 +324,6 @@ impl PolicyRules {
     }
 }
 
-impl Serialize for PolicyRules {
-    fn serialize(&self) -> serde::Value {
-        self.rules.serialize()
-    }
-}
-
-impl Deserialize for PolicyRules {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let mut rules = PolicyRules::default();
-        for rule in Vec::<PolicyRule>::deserialize(v)? {
-            rules.add(rule);
-        }
-        Ok(rules)
-    }
-}
-
 impl PartialEq for PolicyRules {
     fn eq(&self, other: &Self) -> bool {
         self.rules == other.rules
@@ -369,7 +335,7 @@ impl Eq for PolicyRules {}
 /// The complete routing information base of a device: named tables plus
 /// policy rules, with the main table consulted last (as Linux does with its
 /// implicit priority-32766 rule).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Rib {
     tables: BTreeMap<RouteTableId, RouteTable>,
     rules: PolicyRules,

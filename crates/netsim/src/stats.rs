@@ -4,11 +4,10 @@
 //! packets on each up and down pipe" as its performance reporting (Table III,
 //! row x); these counters are the substrate for that reporting.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Counters for one port or one logical interface (tunnel).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IfaceCounters {
     /// Frames/packets received.
     pub rx_packets: u64,
@@ -43,7 +42,7 @@ impl IfaceCounters {
 
 /// Why a packet was dropped; used by debugging tests and the CONMan
 /// self-test reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DropReason {
     /// No route to the destination.
     NoRoute,
@@ -79,7 +78,7 @@ pub enum DropReason {
 /// contains exactly the tagged flow's traffic, so counter-delta localisation
 /// is not confounded when several goals are active.  `Network::forget_flow`
 /// drops a tag's entries once its owner is gone.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowCounters {
     /// Packets this device originated during the flow's windows.
     pub originated: u64,
@@ -140,7 +139,7 @@ impl LookupWork {
 }
 
 /// Aggregated statistics of one device.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DeviceStats {
     /// Counters per physical port index.
     pub ports: BTreeMap<u32, IfaceCounters>,

@@ -17,13 +17,13 @@ use crate::ipv4::{Ipv4Header, Ipv4Proto};
 use crate::link::LinkId;
 use crate::mpls;
 use crate::vlan;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// One protocol layer observed in a frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Layer {
     /// Ethernet header.
     Ethernet,
@@ -31,14 +31,14 @@ pub enum Layer {
     Vlan(u16),
     /// MPLS label.
     Mpls(u32),
-    /// IPv4 header (src, dst as dotted strings to stay serde-friendly).
+    /// IPv4 header.
     Ipv4 {
         /// Source address.
-        src: String,
+        src: Ipv4Addr,
         /// Destination address.
-        dst: String,
+        dst: Ipv4Addr,
         /// Payload protocol.
-        proto: String,
+        proto: Ipv4Proto,
     },
     /// GRE header (key if present).
     Gre {
@@ -54,7 +54,7 @@ pub enum Layer {
 }
 
 /// A compact, human-readable description of a frame's encapsulation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketSummary {
     /// Layers from outermost to innermost.
     pub layers: Vec<Layer>,
@@ -107,9 +107,9 @@ impl PacketSummary {
         match Ipv4Header::decode_packet(payload) {
             Ok((h, inner)) => {
                 layers.push(Layer::Ipv4 {
-                    src: h.src.to_string(),
-                    dst: h.dst.to_string(),
-                    proto: h.protocol.to_string(),
+                    src: h.src,
+                    dst: h.dst,
+                    proto: h.protocol,
                 });
                 match h.protocol {
                     Ipv4Proto::Gre => match GreHeader::decode_packet(inner) {

@@ -4,13 +4,12 @@
 //! use UDP as their transport.
 
 use crate::{CodecError, CodecResult};
-use serde::{Deserialize, Serialize};
 
 /// UDP header length.
 pub(crate) const UDP_HEADER_LEN: usize = 8;
 
 /// A decoded UDP datagram header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,

@@ -4,13 +4,12 @@
 
 use crate::ether::EtherType;
 use crate::{CodecError, CodecResult};
-use serde::{Deserialize, Serialize};
 
 /// Length of an 802.1Q tag: TCI (2 bytes) + inner EtherType (2 bytes).
 pub(crate) const VLAN_TAG_LEN: usize = 4;
 
 /// A VLAN identifier (12 bits, 1..=4094 usable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VlanId(u16);
 
 impl VlanId {
@@ -36,7 +35,7 @@ impl std::fmt::Display for VlanId {
 }
 
 /// A decoded 802.1Q tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct VlanTag {
     /// Priority code point (0..=7).
     pub(crate) pcp: u8,

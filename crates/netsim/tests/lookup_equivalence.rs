@@ -298,15 +298,5 @@ proptest! {
             }
         }
         same_content(&cfg.rib, &linear);
-
-        // The indexes are not content: a configuration read back from its
-        // JSON rebuilds them and answers the same.
-        let json = serde_json::to_string(&cfg).expect("a configuration serialises");
-        let back: DeviceConfig = serde_json::from_str(&json).expect("and reads back");
-        prop_assert_eq!(&back.rib, &cfg.rib);
-        prop_assert_eq!(serde_json::to_string(&back).expect("serialises"), json);
-        for &probe in &probes {
-            agree(&back, &linear, &ports, probe);
-        }
     }
 }

@@ -275,8 +275,7 @@ fn modules_share_typed_facts() {
 /// A module-to-module envelope's body is bytes the sending module encoded;
 /// the receiver decodes it or refuses it, and never digs a field out of a
 /// JSON value with a default. conman-modules therefore needs no serde at
-/// all (serde_json is a dev-dependency, for the test rig); CI's "Crate
-/// dependency edges" step holds that half with `cargo tree`.
+/// all, which `the_journal_is_the_only_json` holds.
 #[test]
 fn modules_speak_their_own_dialects() {
     let hits = banned(
@@ -290,69 +289,61 @@ fn modules_speak_their_own_dialects() {
 /// module, carried by the channel in binary frames of its own: no JSON arm,
 /// no sniffing for `{`, no JSON embedded inside a frame, no JSON flood
 /// frame. Up to each file's first #[cfg(test)], no file of conman-core or
-/// of mgmt-channel names serde_json, the embedding helpers, the sniff or
-/// the JSON codec, and no file of conman-core, mgmt-channel or
-/// conman-diagnose names serde at all: nothing reads a derived
-/// serialisation of a core type. conman-core lists serde_json as a
-/// dev-dependency and no other serde crate, conman-diagnose lists none,
-/// and mgmt-channel lists neither serde nor serde_json outside its
-/// dev-dependencies.
+/// of mgmt-channel names the embedding helpers, the sniff or the JSON
+/// codec (`the_journal_is_the_only_json` keeps serde out of both).
 #[test]
 fn the_channel_speaks_one_codec() {
-    let json = [
-        "serde_json",
-        "put_json",
-        "read_json",
-        "is_binary",
-        "WireCodec::Json",
-    ];
-    let json_or_serde = [&json[..], &["serde"]].concat();
-    let mut hits = banned(&bodies(rs_under("crates/conman-core/src")), &json_or_serde);
-    hits.extend(banned(
-        &bodies(rs_under("crates/mgmt-channel/src")),
-        &json_or_serde,
-    ));
-    hits.extend(banned(
-        &bodies(rs_under("crates/conman-diagnose/src")),
-        &["serde"],
-    ));
+    let json = ["put_json", "read_json", "is_binary", "WireCodec::Json"];
+    let mut hits = banned(&bodies(rs_under("crates/conman-core/src")), &json);
+    hits.extend(banned(&bodies(rs_under("crates/mgmt-channel/src")), &json));
     assert_clean("The channel speaks one codec", &hits);
+}
 
-    // Each `(section, name)` of a manifest's dependencies whose name
-    // starts with `serde`.
-    let serde_deps = |path: &str| {
-        let manifest = File::read(path);
+/// The one thing that must be JSON is the flight recorder's journal dump,
+/// which conman-obs writes (`journal.rs`) and reads back (`postmortem.rs`).
+/// Nothing else reads a derived serialisation: up to its first
+/// #[cfg(test)], no other file under a crate's `src` names serde, and no
+/// manifest but conman-obs's lists a serde crate in a dependency section,
+/// dev-dependencies included (the workspace's own table only names the
+/// vendored paths).
+#[test]
+fn the_journal_is_the_only_json() {
+    const JOURNAL: [&str; 2] = [
+        "crates/conman-obs/src/journal.rs",
+        "crates/conman-obs/src/postmortem.rs",
+    ];
+    let (manifests, sources): (Vec<File>, Vec<File>) = tree(&["crates"])
+        .into_iter()
+        .filter(|f| f.path.ends_with("/Cargo.toml") || f.path.contains("/src/"))
+        .partition(|f| f.path.ends_with("/Cargo.toml"));
+    for path in JOURNAL {
+        assert!(
+            sources.iter().any(|f| f.path == path),
+            "{path}: no such file"
+        );
+    }
+    let sources = sources
+        .into_iter()
+        .filter(|f| f.path.ends_with(".rs") && !JOURNAL.contains(&f.path.as_str()));
+    let mut hits = banned(&bodies(sources.collect()), &["serde"]);
+
+    let manifests = manifests
+        .into_iter()
+        .chain([File::read("Cargo.toml")])
+        .filter(|m| m.path != "crates/conman-obs/Cargo.toml");
+    for manifest in manifests {
         let mut section = "";
-        let mut deps = Vec::new();
-        for (_, line) in manifest.lines() {
+        for (number, line) in manifest.lines() {
             if line.starts_with('[') {
                 section = line;
             }
-            if line.starts_with("serde") {
-                let name = line.split(['=', ' ', '.']).next().unwrap_or(line);
-                deps.push((section.to_owned(), name.to_owned()));
+            let dependencies = section.ends_with("dependencies]");
+            if line.starts_with("serde") && dependencies && section != "[workspace.dependencies]" {
+                hits.push(manifest.hit(number, line));
             }
         }
-        deps
-    };
-    let core = serde_deps("crates/conman-core/Cargo.toml");
-    assert_eq!(
-        core,
-        [("[dev-dependencies]".to_owned(), "serde_json".to_owned())],
-        "The channel speaks one codec: conman-core lists serde crates under {core:?}"
-    );
-    let diagnose = serde_deps("crates/conman-diagnose/Cargo.toml");
-    assert!(
-        diagnose.is_empty(),
-        "The channel speaks one codec: conman-diagnose lists {diagnose:?}"
-    );
-    let channel = serde_deps("crates/mgmt-channel/Cargo.toml");
-    assert!(
-        channel
-            .iter()
-            .all(|(section, _)| section == "[dev-dependencies]"),
-        "The channel speaks one codec: mgmt-channel lists serde under {channel:?}"
-    );
+    }
+    assert_clean("The journal is the only JSON", &hits);
 }
 
 /// runtime::verify checks a Plan as a Plan: no string-keyed neutral model,

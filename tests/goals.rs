@@ -24,7 +24,7 @@ use conman::modules::{
     managed_chain, managed_chain_with, managed_dual_chain, managed_fanout_chain,
     managed_mesh_fanout, managed_vlan_chain, ManagedMesh,
 };
-use conman::netsim::config::{FilterAction, FilterRule};
+use conman::netsim::config::{DeviceConfig, FilterAction, FilterRule};
 use conman::netsim::device::DeviceId;
 use conman::netsim::ipv4::Ipv4Cidr;
 use conman::netsim::network::Network;
@@ -1167,13 +1167,10 @@ fn a_goal_naming_an_unresolved_class_is_refused_at_planning() {
     let mut goal = t.vpn_goal();
     goal.resolved.remove("C1-S2");
     let id = t.mn.submit(goal);
-    let configs = |t: &Chain| -> Vec<String> {
+    let configs = |t: &Chain| -> Vec<DeviceConfig> {
         t.core
             .iter()
-            .map(|d| {
-                serde_json::to_string(&t.mn.net.device(*d).expect("router").config)
-                    .expect("a device configuration serialises")
-            })
+            .map(|d| t.mn.net.device(*d).expect("router").config.clone())
             .collect()
     };
     let before = configs(&t);
@@ -1343,10 +1340,9 @@ fn figure_7_on_gre() -> (Chain, DeviceId, impl Fn(&ModuleRef) -> Primitive) {
     (t, c, filter)
 }
 
-/// Router `device`'s configuration as JSON.
-fn config_json(t: &Chain, device: DeviceId) -> String {
-    let config = &t.mn.net.device(device).expect("a device").config;
-    serde_json::to_string(config).expect("a device configuration serialises")
+/// Router `device`'s configuration.
+fn config_of(t: &Chain, device: DeviceId) -> DeviceConfig {
+    t.mn.net.device(device).expect("a device").config.clone()
 }
 
 /// One script of `primitives` on `device`.
@@ -1368,7 +1364,7 @@ fn a_filter_on_the_figure_7_goal_resolves_its_ends_from_modules_alone() {
     let (mut t, c, filter) = figure_7_on_gre();
     let a = t.core[0];
     assert!(t.send_site1_to_site2(b"before the filter").0);
-    let before = config_json(&t, c);
+    let before = config_of(&t, c);
     let goal = GoalId(7);
 
     let stranger = ModuleRef::new(ModuleKind::Ip, ModuleId(3), a);
@@ -1380,11 +1376,7 @@ fn a_filter_on_the_figure_7_goal_resolves_its_ends_from_modules_alone() {
     };
     let outcome = t.mn.run_batch(&[(goal, &script_on(c, vec![refused]))]);
     assert_eq!(outcome.failed, [(goal, refusal)]);
-    assert_eq!(
-        config_json(&t, c),
-        before,
-        "a refused filter changes nothing"
-    );
+    assert_eq!(config_of(&t, c), before, "a refused filter changes nothing");
 
     let scripts = script_on(
         c,
@@ -1408,11 +1400,7 @@ fn a_filter_on_the_figure_7_goal_resolves_its_ends_from_modules_alone() {
 
     let torn = t.mn.run_teardown_batch(&[(goal, scripts.teardown())], &[]);
     assert!(torn.skipped.is_empty());
-    assert_eq!(
-        config_json(&t, c),
-        before,
-        "the teardown removed the filter"
-    );
+    assert_eq!(config_of(&t, c), before, "the teardown removed the filter");
     assert!(t.send_site1_to_site2(b"after the teardown").0);
     assert_eq!(t.mn.audit(), []);
 }
@@ -1426,7 +1414,7 @@ fn a_filter_on_the_figure_7_goal_resolves_its_ends_from_modules_alone() {
 #[test]
 fn a_filter_created_twice_in_one_segment_is_refused_at_stage() {
     let (mut t, c, filter) = figure_7_on_gre();
-    let before = config_json(&t, c);
+    let before = config_of(&t, c);
     let from_a = filter(&ModuleRef::new(ModuleKind::Ip, ModuleId(4), t.core[0]));
     let in_use = Refusal {
         device: c,
@@ -1436,7 +1424,7 @@ fn a_filter_created_twice_in_one_segment_is_refused_at_stage() {
     let twice = script_on(c, vec![from_a.clone(), from_a]);
     let outcome = t.mn.run_batch(&[(GoalId(7), &twice)]);
     assert_eq!(outcome.failed, [(GoalId(7), in_use)]);
-    assert_eq!(config_json(&t, c), before);
+    assert_eq!(config_of(&t, c), before);
     assert_eq!(t.mn.audit(), []);
 }
 
@@ -1445,7 +1433,7 @@ fn a_filter_created_twice_in_one_segment_is_refused_at_stage() {
 #[test]
 fn a_filter_created_by_two_goals_of_one_batch_is_refused_for_the_second() {
     let (mut t, c, filter) = figure_7_on_gre();
-    let before = config_json(&t, c);
+    let before = config_of(&t, c);
     let from_a = filter(&ModuleRef::new(ModuleKind::Ip, ModuleId(4), t.core[0]));
     let in_use = Refusal {
         device: c,
@@ -1458,7 +1446,7 @@ fn a_filter_created_by_two_goals_of_one_batch_is_refused_for_the_second() {
     assert_eq!(outcome.failed, [(GoalId(9), in_use)]);
     assert_eq!(t.mn.net.device(c).expect("C").config.filters.len(), 1);
     t.mn.run_teardown_batch(&[(GoalId(8), once.teardown())], &[]);
-    assert_eq!(config_json(&t, c), before);
+    assert_eq!(config_of(&t, c), before);
     assert_eq!(t.mn.audit(), []);
 }
 
@@ -1474,7 +1462,7 @@ fn a_gateway_that_does_not_parse_fails_its_goal() {
     let mut t = managed_chain(3);
     t.discover();
     let ingress = t.core[0];
-    let before = config_json(&t, ingress);
+    let before = config_of(&t, ingress);
     let find = |kind| t.mn.nm.find_module(ingress, &kind).expect("a module");
     let (module, eth) = (find(ModuleKind::Ip), find(ModuleKind::Eth));
     // The customer-side pipe, then the rule back to it through `gateway`.
@@ -1507,7 +1495,7 @@ fn a_gateway_that_does_not_parse_fails_its_goal() {
     let scripts = script_on(ingress, vec![Primitive::CreatePipe(pipe), rule]);
     let outcome = t.mn.run_batch(&[(GoalId(1), &scripts)]);
     assert_eq!(outcome.failed, [(GoalId(1), refusal)]);
-    assert_eq!(config_json(&t, ingress), before, "the device is unchanged");
+    assert_eq!(config_of(&t, ingress), before, "the device is unchanged");
     assert_eq!(t.mn.audit(), []);
 }
 
