@@ -9,7 +9,8 @@
 use conman_bench::{
     closed_loop_run, configure_and_count, configure_vlan_and_count, discovered_chain,
     discovered_vlan_chain, fleet_twin, loop_run, loop_run_inband, mesh_loop_run, path_labelled,
-    DiagnosisScenario, LoopBenchReport, LoopScenario, NmCost, FLEET_TWIN_CHAIN_N, FLEET_TWIN_GOALS,
+    DiagnosisScenario, FleetTwin, LoopBenchReport, LoopScenario, NmCost, FLEET_TWIN_CHAIN_N,
+    FLEET_TWIN_GOALS,
 };
 use conman_core::ids::ModuleKind;
 use legacy_config::{
@@ -558,7 +559,12 @@ fn fleet() {
         "{FLEET_TWIN_GOALS} synthetic VPN goals on the {FLEET_TWIN_CHAIN_N}-router chain, submitted in class order"
     );
     println!("and configured by one reconcile() pass; bytes are management payload bytes.\n");
-    let (c, wire, held) = fleet_twin();
+    let FleetTwin {
+        counters: c,
+        wire,
+        pass_peak,
+        held,
+    } = fleet_twin();
     let per_goal = |v: u64| v as f64 / FLEET_TWIN_GOALS as f64;
     let row = |direction: &str, category: &str, msgs: u64, bytes: u64| {
         println!(
@@ -594,7 +600,11 @@ fn fleet() {
         wire.frames, wire.frame_bytes
     );
     println!(
-        "\nheld after the pass, heap B/goal: goal store {:.2}, agents {:.2}, network {:.2}, all {:.2}",
+        "\npeak during the pass, heap B/goal: {:.2}",
+        per_goal(pass_peak as u64)
+    );
+    println!(
+        "held after the pass, heap B/goal: goal store {:.2}, agents {:.2}, network {:.2}, all {:.2}",
         per_goal(held.goals as u64),
         per_goal(held.agents as u64),
         per_goal(held.net as u64),

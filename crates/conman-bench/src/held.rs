@@ -2,9 +2,10 @@
 //!
 //! [`Counting`] is a global allocator over the system one that tracks live
 //! bytes only (the sizes asked for, not what the system allocator rounds
-//! them up to), so a count repeats from run to run.  Beside them it counts
-//! heap calls (every `alloc`, `alloc_zeroed` and `realloc`) and the bytes
-//! they ask for ([`Allocs`]).  A binary or a test installs it with
+//! them up to), so a count repeats from run to run.  Beside them it tracks
+//! the most live bytes seen since [`reset_peak`] ([`peak_bytes`]), and
+//! counts heap calls (every `alloc`, `alloc_zeroed` and `realloc`) and the
+//! bytes they ask for ([`Allocs`]).  A binary or a test installs it with
 //!
 //! ```text
 //! #[global_allocator]
@@ -28,6 +29,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Bytes allocated through [`Counting`] and not yet freed.  A statistic
 /// that publishes no other data, so every access is `Relaxed`.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most bytes [`LIVE`] has read since [`reset_peak`].
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// Heap calls made through [`Counting`].
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 /// Bytes those calls asked for (a `realloc` asks for its new size).
@@ -37,6 +40,12 @@ static ASKED: AtomicUsize = AtomicUsize::new(0);
 fn asked(size: usize) {
     CALLS.fetch_add(1, Ordering::Relaxed);
     ASKED.fetch_add(size, Ordering::Relaxed);
+}
+
+/// `size` more bytes are live.
+fn grew(size: usize) {
+    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK.fetch_max(live, Ordering::Relaxed);
 }
 
 /// The system allocator, counting live bytes (see the module doc).
@@ -49,7 +58,7 @@ unsafe impl GlobalAlloc for Counting {
         asked(layout.size());
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            grew(layout.size());
         }
         ptr
     }
@@ -58,7 +67,7 @@ unsafe impl GlobalAlloc for Counting {
         asked(layout.size());
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+            grew(layout.size());
         }
         ptr
     }
@@ -72,7 +81,7 @@ unsafe impl GlobalAlloc for Counting {
         asked(new_size);
         let moved = System.realloc(ptr, layout, new_size);
         if !moved.is_null() {
-            LIVE.fetch_add(new_size, Ordering::Relaxed);
+            grew(new_size);
             LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         }
         moved
@@ -82,6 +91,18 @@ unsafe impl GlobalAlloc for Counting {
 /// Live bytes allocated through [`Counting`]; zero when it is not installed.
 pub fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Start a new peak at the bytes live now.
+pub fn reset_peak() {
+    PEAK.store(live_bytes(), Ordering::Relaxed);
+}
+
+/// The most bytes live at once since [`reset_peak`] (a `realloc` counts
+/// its old and new blocks together, as the system holds both while it
+/// copies); zero when [`Counting`] is not installed.
+pub fn peak_bytes() -> usize {
+    PEAK.load(Ordering::Relaxed)
 }
 
 /// The heap calls made through [`Counting`] so far, and the bytes they

@@ -213,14 +213,29 @@ pub fn synthetic_goal(t: &ManagedChain<OutOfBandChannel>, class: usize) -> Conne
     goal
 }
 
+/// What the [`fleet_twin`] measured.
+#[derive(Debug, Clone)]
+pub struct FleetTwin {
+    /// The NM's counters for the pass, by message category.
+    pub counters: ChannelCounters,
+    /// What the pass cost on every wire.
+    pub wire: WireCost,
+    /// The most heap bytes live at once during the pass, over what was
+    /// live when it started.
+    pub pass_peak: usize,
+    /// The heap bytes the converged network holds, by holder.
+    pub held: Held,
+}
+
 /// The deterministic twin of the benchmark's `fleet_cold` workload:
 /// [`FLEET_TWIN_GOALS`] synthetic VPN goals, submitted in class order on a
 /// discovered [`FLEET_TWIN_CHAIN_N`]-router chain and configured by one
-/// `reconcile()` pass.  Returns the NM's counters for the pass (by message
-/// category), what the pass cost on every wire, and the heap bytes the
-/// converged network holds by holder (zero unless the caller installed
-/// [`held::Counting`]).
-pub fn fleet_twin() -> (ChannelCounters, WireCost, Held) {
+/// reconcile pass.  The pass searches paths on the calling thread
+/// (`reconcile_sequential`, byte-equivalent to `reconcile()`), so no
+/// planner thread's heap sets the peak and every machine reads the same
+/// numbers.  The heap counts are zero unless the caller installed
+/// [`held::Counting`].
+pub fn fleet_twin() -> FleetTwin {
     let mut t = discovered_chain(FLEET_TWIN_CHAIN_N);
     t.mn.goals.limits = chain_limits(FLEET_TWIN_CHAIN_N);
     for class in 0..FLEET_TWIN_GOALS {
@@ -229,13 +244,20 @@ pub fn fleet_twin() -> (ChannelCounters, WireCost, Held) {
     }
     t.mn.reset_counters();
     let before = WireCost::of(&t.mn);
-    let report = t.mn.reconcile();
+    let baseline = held::live_bytes();
+    held::reset_peak();
+    let report = t.mn.reconcile_sequential();
+    let pass_peak = held::peak_bytes().saturating_sub(baseline);
     assert_eq!(
         report.active(),
         FLEET_TWIN_GOALS,
         "every twin goal is configured"
     );
     assert_eq!(report.transactions, 1, "in one transaction");
-    let (counters, wire) = (t.mn.nm_counters(), WireCost::of(&t.mn).since(before));
-    (counters, wire, Held::take_from(&mut t.mn))
+    FleetTwin {
+        counters: t.mn.nm_counters(),
+        wire: WireCost::of(&t.mn).since(before),
+        pass_peak,
+        held: Held::take_from(&mut t.mn),
+    }
 }

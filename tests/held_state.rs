@@ -19,7 +19,7 @@ static ALLOC: Counting = Counting;
 /// scripts the growth slack of `push`.
 #[test]
 fn a_converged_fleet_holds_under_29700_bytes_per_goal() {
-    let (_, _, held) = fleet_twin();
+    let held = fleet_twin().held;
     let per_goal = held.total() / FLEET_TWIN_GOALS;
     assert!(per_goal > 0, "the counting allocator is installed");
     assert!(
