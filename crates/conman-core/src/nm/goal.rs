@@ -19,7 +19,7 @@
 //! goal's applied plan traverses it.
 
 use super::pathfinder::PathFinderLimits;
-use super::script::ScriptSet;
+use super::script::{ScriptSet, StagedScripts};
 use super::{ConnectivityGoal, ModulePath};
 use crate::ids::ModuleRef;
 use crate::primitives::Refusal;
@@ -73,18 +73,36 @@ impl Exclusion {
 pub use conman_obs::GoalStatus;
 
 /// The configuration a goal currently has on the network: the executed
-/// path, the scripts that realised it (the teardown mirror is derived from
-/// them) and the pipe-id block they were numbered in.
+/// path, the scripts that realised it as the NM staged them, and the
+/// pipe-id block they were numbered in.
+///
+/// A plan's typed scripts die when it becomes its applied form: after its
+/// batch's stage phase and before the commit wave (`reconcile()` and
+/// `execute_plan` alike).  From then on the commit's rollback, the
+/// goal's teardown, `audit()`'s claims and a restore after a failed
+/// replace all read the bytes it staged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppliedPlan {
     /// The module-level path that was executed.
     pub path: ModulePath,
-    /// The per-device scripts that were committed.
-    pub scripts: ScriptSet,
+    /// The per-device segments that were staged and committed.
+    pub scripts: StagedScripts,
     /// First pipe id of the block allocated to this execution (every goal
     /// gets a disjoint block so concurrent goals never collide on pipe ids,
     /// blackboard facts or derived table ids).
     pub pipe_base: u32,
+}
+
+impl From<Plan> for AppliedPlan {
+    /// The plan as it is remembered once staged: its typed scripts are
+    /// encoded as [`StagedScripts`] and dropped.
+    fn from(plan: Plan) -> Self {
+        AppliedPlan {
+            scripts: StagedScripts::from(&plan.scripts),
+            path: plan.path,
+            pipe_base: plan.pipe_base,
+        }
+    }
 }
 
 /// One stored goal.
@@ -96,7 +114,8 @@ pub struct GoalRecord {
     pub desired: ConnectivityGoal,
     /// Lifecycle status.
     pub status: GoalStatus,
-    /// What is currently configured for this goal (None when nothing is).
+    /// What is currently configured for this goal (None when nothing is),
+    /// remembered by the bytes the NM staged.
     /// Private so every mutation goes through [`GoalStore::set_applied`] /
     /// [`GoalStore::take_applied`] and the incremental module-usage index
     /// cannot silently go stale; read via [`GoalRecord::applied`].
@@ -127,7 +146,9 @@ impl GoalRecord {
 /// A pure dry-run planning artifact: what executing the goal *would* do.
 ///
 /// Produced by `ManagedNetwork::plan_goal` without sending a single
-/// management message; executing it is a separate, explicit step.
+/// management message; executing it is a separate, explicit step.  It
+/// keeps its typed scripts until its batch has staged them, then becomes
+/// an [`AppliedPlan`].
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The goal this plan realises.
@@ -622,7 +643,7 @@ mod tests {
             a,
             Some(AppliedPlan {
                 path: shared.clone(),
-                scripts: ScriptSet::default(),
+                scripts: StagedScripts::from(&ScriptSet::default()),
                 pipe_base: 0,
             }),
         );
@@ -634,7 +655,7 @@ mod tests {
             b,
             Some(AppliedPlan {
                 path: private,
-                scripts: ScriptSet::default(),
+                scripts: StagedScripts::from(&ScriptSet::default()),
                 pipe_base: 10,
             }),
         );
@@ -653,7 +674,7 @@ mod tests {
         let path_b = path_over(&[(2, 1), (3, 1)]);
         let plan = |path: &ModulePath, base: u32| AppliedPlan {
             path: path.clone(),
-            scripts: ScriptSet::default(),
+            scripts: StagedScripts::from(&ScriptSet::default()),
             pipe_base: base,
         };
         store.set_applied(a, Some(plan(&path_a, 0)));

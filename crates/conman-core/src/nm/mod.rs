@@ -22,7 +22,7 @@ pub use goal::{
 };
 pub use graph::PotentialGraph;
 pub use pathfinder::{Entry, ModulePath, PathFinder, PathFinderLimits, PathStep, SearchScratch};
-pub use script::{render_primitive, DeviceScript, ScriptSet};
+pub use script::{render_primitive, DeviceScript, ScriptSet, StagedScripts};
 
 /// A high-level connectivity goal: "configure connectivity between the
 /// customer-facing interfaces X and Y for traffic between site classes S1

@@ -17,6 +17,7 @@ use crate::ids::{ModuleRef, PipeId};
 use crate::primitives::{
     ComponentRef, PipeSpec, Primitive, ResolvedName, SwitchSpec, TradeoffChoice,
 };
+use crate::wire::{self, SegmentView, StageBatchView};
 use netsim::device::DeviceId;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -125,28 +126,13 @@ impl ScriptSet {
     /// The teardown mirror of this script set: every `create` undone with a
     /// `delete`, per device in *reverse* path order and within each device in
     /// reverse primitive order (switch rules before the pipes they
-    /// reference).  This is the single source of teardown scripts — the
-    /// transactional withdraw path, self-healing and mid-commit rollback all
-    /// derive their deletes here.
+    /// reference).  A plan not yet staged tears down through here; an
+    /// applied one through [`StagedScripts::teardown`], the same mirror read
+    /// from the bytes it staged.
     pub fn teardown(&self) -> Vec<(netsim::device::DeviceId, Vec<Primitive>)> {
-        self.scripts
-            .iter()
-            .rev()
-            .map(|ds| (ds.device, Self::teardown_of(ds)))
+        (self.scripts.iter().rev())
+            .map(|ds| (ds.device, deletes(&ds.primitives)))
             .collect()
-    }
-
-    /// The delete primitives undoing one device's script.
-    pub(crate) fn teardown_of(ds: &DeviceScript) -> Vec<Primitive> {
-        Self::created(ds).rev().map(Primitive::Delete).collect()
-    }
-
-    /// The components one device's script creates, in script order.
-    pub(crate) fn created(ds: &DeviceScript) -> impl DoubleEndedIterator<Item = ComponentRef> + '_ {
-        ds.primitives
-            .iter()
-            .filter(|p| !matches!(p, Primitive::Delete(_)))
-            .filter_map(Primitive::component)
     }
 
     /// Every component this set creates, with the device it is created on:
@@ -156,9 +142,106 @@ impl ScriptSet {
     pub fn components(&self) -> BTreeSet<(DeviceId, ComponentRef)> {
         self.scripts
             .iter()
-            .flat_map(|ds| Self::created(ds).map(|c| (ds.device, c)))
+            .flat_map(|ds| created(&ds.primitives).map(|c| (ds.device, c)))
             .collect()
     }
+}
+
+/// The components a device's primitives create, in script order.
+fn created(primitives: &[Primitive]) -> impl DoubleEndedIterator<Item = ComponentRef> + '_ {
+    primitives
+        .iter()
+        .filter(|p| !matches!(p, Primitive::Delete(_)))
+        .filter_map(Primitive::component)
+}
+
+/// The delete primitives undoing a device's primitives, in reverse order.
+fn deletes(primitives: &[Primitive]) -> Vec<Primitive> {
+    created(primitives).rev().map(Primitive::Delete).collect()
+}
+
+/// A goal's scripts as the NM staged them: all an applied plan keeps of
+/// them.  The NM sends a goal's scripts as segments of `StageBatch` frames;
+/// once they are staged it needs only what it sent, so the typed
+/// [`ScriptSet`] is encoded once more, as one self-contained `StageBatch`
+/// frame (txn 0) with one segment (goal 0) per device and its own device
+/// list, and dropped.  Every read goes through the one stage reader,
+/// [`StageBatchView`] and [`SegmentView`]: the teardown mirror, the
+/// components a goal claims, and the decoded segments a restore re-sends,
+/// which encode to the same bytes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StagedScripts {
+    /// The device each segment is for, in path order.
+    devices: Box<[DeviceId]>,
+    /// The frame: its device list, then one segment per device.
+    frame: Box<[u8]>,
+}
+
+impl From<&ScriptSet> for StagedScripts {
+    fn from(scripts: &ScriptSet) -> Self {
+        let segments: Vec<(u64, &[Primitive])> = (scripts.scripts.iter())
+            .map(|ds| (0, ds.primitives.as_slice()))
+            .collect();
+        StagedScripts {
+            devices: scripts.scripts.iter().map(|ds| ds.device).collect(),
+            frame: wire::encode_stage_batch(0, &segments).into_boxed_slice(),
+        }
+    }
+}
+
+impl StagedScripts {
+    /// Each device's segment, in path order.
+    pub fn segments(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (DeviceId, SegmentView<'_>)> + ExactSizeIterator {
+        let view = StageBatchView::parse(&self.frame).expect("the NM's own frame parses");
+        self.devices.iter().copied().zip(view)
+    }
+
+    /// The teardown mirror of the staged scripts, as
+    /// [`ScriptSet::teardown`] derives it from the typed ones.
+    pub fn teardown(&self) -> Vec<(DeviceId, Vec<Primitive>)> {
+        (self.segments().rev())
+            .map(|(device, segment)| {
+                let mut deletes: Vec<Primitive> =
+                    created_in(segment).map(Primitive::Delete).collect();
+                deletes.reverse();
+                (device, deletes)
+            })
+            .collect()
+    }
+
+    /// Every component the staged scripts create, as
+    /// [`ScriptSet::components`] lists them.
+    pub fn components(&self) -> BTreeSet<(DeviceId, ComponentRef)> {
+        (self.segments())
+            .flat_map(|(device, segment)| created_in(segment).map(move |c| (device, c)))
+            .collect()
+    }
+
+    /// The typed scripts the segments decode to: what a restore re-sends.
+    pub(crate) fn decode(&self) -> ScriptSet {
+        let scripts = self.segments().map(|(device, segment)| DeviceScript {
+            device,
+            primitives: decoded(segment).collect(),
+        });
+        ScriptSet {
+            scripts: scripts.collect(),
+        }
+    }
+}
+
+/// A kept segment's primitives, decoded one at a time.  The NM encoded
+/// them itself, so they decode.
+fn decoded(segment: SegmentView<'_>) -> impl Iterator<Item = Primitive> + '_ {
+    (segment.primitives()).map(|p| p.expect("the NM's own segment decodes"))
+}
+
+/// The components a kept segment creates, in script order.
+fn created_in(segment: SegmentView<'_>) -> impl Iterator<Item = ComponentRef> + '_ {
+    decoded(segment)
+        .filter(|p| !matches!(p, Primitive::Delete(_)))
+        .filter_map(|p| p.component())
 }
 
 /// Number of pipe-id slots [`generate_with_base`] assigns for `path`: one per step
@@ -630,7 +713,7 @@ mod tests {
         };
         let teardown = DeviceScript {
             device: script.device,
-            primitives: ScriptSet::teardown_of(&script),
+            primitives: deletes(&script.primitives),
         };
         assert_eq!(teardown.render(&nm).len(), teardown.primitives.len());
         assert!(teardown

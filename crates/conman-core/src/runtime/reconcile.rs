@@ -39,7 +39,7 @@
 //! search memo; `tests/goals.rs` and `tests/raw_speed.rs` compare the
 //! batched pass against it.
 
-use super::txn::GoalTeardown;
+use super::txn::{BatchOutcome, GoalTeardown};
 use super::ManagedNetwork;
 use crate::ids::ModuleRef;
 use crate::nm::goal::{AppliedPlan, Exclusion, GoalFailure, GoalId, GoalStatus, Plan, PlanError};
@@ -340,27 +340,41 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             self.run_teardown_batch(&[(id, prev.scripts.teardown())], &[]);
             *transactions += 1;
         }
-        let batch = self.run_batch(&[(id, &plan.scripts)]);
+        let (batch, mut applied) = self.run_plans(vec![plan]);
         *transactions += 1;
         if let Some(refusal) = batch.error_for(id) {
             return Err(self.fail_goal_with_restore(id, refusal, previous, transactions));
         }
-        self.goals.take_pipe_block(script::slot_count(&plan.path));
-        self.adopt(plan);
+        let (_, applied) = applied.pop().expect("one plan, one applied form");
+        self.goals
+            .take_pipe_block(script::slot_count(&applied.path));
+        self.adopt(id, applied);
         Ok(())
+    }
+
+    /// Run `plans` as one batched transaction, remembering each goal by the
+    /// bytes it staged: every plan becomes its [`AppliedPlan`] between the
+    /// stage phase and the commit wave, so its typed scripts die before
+    /// the wave, and a rollback reads the staged bytes.  Returns the
+    /// outcome and each plan's applied form, in plan order.
+    fn run_plans(&mut self, plans: Vec<Plan>) -> (BatchOutcome, Vec<(GoalId, AppliedPlan)>) {
+        let items: Vec<_> = plans.iter().map(|p| (p.goal, &p.scripts)).collect();
+        let staged = self.stage_batch(&items);
+        let applied: Vec<_> = (plans.into_iter())
+            .map(|plan| (plan.goal, AppliedPlan::from(plan)))
+            .collect();
+        let batch = self.commit_batch(staged, |goal| {
+            let kept = applied.iter().find(|(g, _)| *g == goal);
+            kept.map_or_else(Vec::new, |(_, applied)| applied.scripts.teardown())
+        });
+        (batch, applied)
     }
 
     /// Record a committed plan as its goal's applied configuration: the goal
     /// is `Active` and its `last_error` cleared.  The configuration it
     /// replaces must already be torn down — one still applied here would be
     /// left on the devices with no goal claiming it.
-    fn adopt(&mut self, plan: Plan) {
-        let id = plan.goal;
-        let applied = AppliedPlan {
-            path: plan.path,
-            scripts: plan.scripts,
-            pipe_base: plan.pipe_base,
-        };
+    fn adopt(&mut self, id: GoalId, applied: AppliedPlan) {
         let replaced = self.goals.set_applied(id, Some(applied));
         debug_assert!(replaced.is_none(), "goal {id} adopted over an applied plan");
         if let Some(rec) = self.goals.get_mut(id) {
@@ -549,32 +563,29 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
 
         if !items.is_empty() {
-            let batch_items: Vec<(GoalId, &crate::nm::ScriptSet)> = items
-                .iter()
-                .map(|(_, plan)| (plan.goal, &plan.scripts))
-                .collect();
-            let batch = self.run_batch(&batch_items);
+            let (previous, plans): (Vec<_>, Vec<_>) = items.into_iter().unzip();
+            let (batch, applied) = self.run_plans(plans);
             report.transactions += 1;
             // Release the blocks of goals that did not commit (the per-goal
             // baseline only consumes a block on commit); blocks below a
             // committed goal's block stay reserved — the allocator is
             // monotonic, holes cannot be returned individually.
-            let watermark = items
+            let watermark = applied
                 .iter()
-                .filter(|(_, plan)| batch.committed.contains(&plan.goal))
-                .map(|(_, plan)| plan.pipe_base + script::slot_count(&plan.path))
+                .filter(|(id, _)| batch.committed.contains(id))
+                .map(|(_, a)| a.pipe_base + script::slot_count(&a.path))
                 .max()
                 .unwrap_or(pipe_floor);
             self.goals.release_pipes_to(watermark);
-            for (previous, plan) in items {
-                let id = plan.goal;
+            for (previous, (id, applied)) in previous.into_iter().zip(applied) {
                 // Every goal of the batch either committed or failed with a
                 // refusal.
                 let outcome = if let Some(refusal) = batch.error_for(id) {
                     self.fail_goal_with_restore(id, refusal, previous, &mut report.transactions)
                 } else {
-                    self.adopt(plan);
-                    self.verify_applied_goal(id, previous.is_some(), &mut probe)
+                    let had_applied = previous.is_some();
+                    self.adopt(id, applied);
+                    self.verify_applied_goal(id, had_applied, &mut probe)
                 };
                 outcomes.insert(id, outcome);
             }
@@ -803,9 +814,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     }
 
     /// Shared execution-failure bookkeeping: best-effort restore of the
-    /// previous configuration (its scripts re-execute verbatim — the
-    /// teardown freed their blackboard state) and park the goal `Pending`
-    /// with the refusal recorded.  Used by both executors.
+    /// previous configuration (its staged segments, decoded, are staged
+    /// again verbatim and encode to the same bytes — the teardown freed
+    /// their blackboard state) and park the goal `Pending` with the refusal
+    /// recorded.  Used by both executors.
     fn fail_goal_with_restore(
         &mut self,
         id: GoalId,
@@ -814,7 +826,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         transactions: &mut usize,
     ) -> ReconcileOutcome {
         if let Some(prev) = previous {
-            let restore = self.run_batch(&[(id, &prev.scripts)]);
+            let restore = self.run_batch(&[(id, &prev.scripts.decode())]);
             *transactions += 1;
             if restore.committed.contains(&id) {
                 self.goals.set_applied(id, Some(prev));

@@ -106,7 +106,7 @@ fn unanswered(device: DeviceId, cause: RefusalCause) -> Refusal {
 }
 
 /// One goal's teardown work: its delete primitives grouped per device
-/// (the shape `ScriptSet::teardown` returns).
+/// (the shape `ScriptSet::teardown` and `StagedScripts::teardown` return).
 pub type GoalTeardown = (GoalId, Vec<(DeviceId, Vec<Primitive>)>);
 
 /// What a batched lenient teardown did: every goal's delete scripts in the
@@ -127,6 +127,31 @@ pub struct TeardownBatchOutcome {
 /// borrowed straight out of its plan: the stage encoder reads the slices in
 /// place, so nothing is cloned.
 type Segments<'a> = BTreeMap<DeviceId, Vec<(u64, &'a [Primitive])>>;
+
+/// A strict batch between its two phases: staged everywhere, its dead
+/// goals aborted, its live goals not yet committed.
+pub(crate) struct StagedBatch {
+    txn: u64,
+    /// The batch's goals, in the order they were given.
+    goals: Vec<GoalId>,
+    /// The goals no device has refused or left unanswered yet.
+    alive: BTreeSet<GoalId>,
+    /// Each failed goal's first refusal.
+    errors: BTreeMap<GoalId, Refusal>,
+    /// The live goals each device is to commit.
+    wave: BTreeMap<DeviceId, Vec<u64>>,
+    /// `batch_relays` before the batch, restored when it ends.
+    prev_batch_relays: bool,
+}
+
+impl StagedBatch {
+    /// `goal` failed with `refusal`, unless it failed already.
+    fn fail(&mut self, goal: GoalId, refusal: &Refusal) {
+        if self.alive.remove(&goal) {
+            self.errors.insert(goal, refusal.clone());
+        }
+    }
+}
 
 /// One device's answer to the stage phase.
 struct Staged {
@@ -363,6 +388,14 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// disturbing sibling goals.  A transaction for one goal is
     /// `run_batch(&[(goal, &scripts)])`.
     ///
+    /// `run_batch` is its two halves in one call: a stage step that reads
+    /// the typed scripts, and a commit step that reads them again only for
+    /// a rollback, so here `items` live through the commit.  The
+    /// reconcile engine and `execute_plan` call the halves themselves and
+    /// turn each plan into its [`AppliedPlan`](crate::nm::AppliedPlan)
+    /// between them: their typed scripts die before the commit wave, and a
+    /// rollback reads the bytes each goal staged.
+    ///
     /// A rollback costs one nested [`Self::run_teardown_batch`] over the
     /// failed goals' teardown mirrors — a `StageBatch` and a `CommitBatch`
     /// (each answered) to every device that answered the commit and created
@@ -379,6 +412,18 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// - at commit: [`RefusalCause::StaleTxn`], and only there
     ///   [`RefusalCause::NeverStaged`] and [`RefusalCause::UnansweredCommit`].
     pub fn run_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> BatchOutcome {
+        let staged = self.stage_batch(items);
+        self.commit_batch(staged, |goal| {
+            let scripts = items.iter().find(|(g, _)| *g == goal);
+            scripts.map_or_else(Vec::new, |(_, scripts)| scripts.teardown())
+        })
+    }
+
+    /// [`Self::run_batch`]'s first half: stage every device once and abort
+    /// the goals refused or unanswered anywhere.  The typed scripts are
+    /// read here and nowhere after, so a caller may drop them before
+    /// [`Self::commit_batch`].
+    pub(crate) fn stage_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> StagedBatch {
         let txn = self.goals.next_txn();
         // Coalesce: one segment list per device, goal order preserved.
         let mut segments = Segments::new();
@@ -390,26 +435,27 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     .push((goal.0, ds.primitives.as_slice()));
             }
         }
-        let mut alive: BTreeSet<GoalId> = items.iter().map(|(g, _)| *g).collect();
-        let mut errors: BTreeMap<GoalId, Refusal> = BTreeMap::new();
-        let mut fail = |alive: &mut BTreeSet<GoalId>, goal: GoalId, refusal: &Refusal| {
-            if alive.remove(&goal) {
-                errors.insert(goal, refusal.clone());
-            }
+        let goals: Vec<GoalId> = items.iter().map(|(g, _)| *g).collect();
+        let mut batch = StagedBatch {
+            txn,
+            alive: goals.iter().copied().collect(),
+            goals,
+            errors: BTreeMap::new(),
+            wave: BTreeMap::new(),
+            prev_batch_relays: false,
         };
         self.recorder.inc("txn.batches", 1);
         self.recorder
             .observe("txn.batch.devices", segments.len() as f64);
-        let prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
+        batch.prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
 
-        // ---- Phase 1: stage every device once. ------------------------
         let mut held: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
         for (device, staged) in self.stage(txn, segments) {
             match staged.verdicts {
                 Some(verdicts) => {
                     for v in &verdicts {
                         if let Some(refusal) = v.errors.first() {
-                            fail(&mut alive, GoalId(v.goal), refusal);
+                            batch.fail(GoalId(v.goal), refusal);
                         }
                     }
                     held.insert(device, staged.goals);
@@ -419,40 +465,49 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     // holds is lost.
                     let silence = unanswered(device, RefusalCause::UnansweredStage);
                     for goal in &staged.goals {
-                        fail(&mut alive, GoalId(*goal), &silence);
+                        batch.fail(GoalId(*goal), &silence);
                     }
                 }
             }
         }
         // Abort dead goals' segments still held on answering devices; the
         // live ones make the commit wave.
-        let mut wave: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
         let mut aborted_any = false;
         for (device, goals) in held {
             let (live, dead): (Vec<u64>, Vec<u64>) =
-                goals.into_iter().partition(|g| alive.contains(&GoalId(*g)));
+                (goals.into_iter()).partition(|g| batch.alive.contains(&GoalId(*g)));
             if !dead.is_empty() {
                 self.abort(txn, device, dead);
                 aborted_any = true;
             }
             if !live.is_empty() {
-                wave.insert(device, live);
+                batch.wave.insert(device, live);
             }
         }
         if aborted_any {
             self.run_management();
         }
+        batch
+    }
 
-        // ---- Phase 2: commit the live goals in one wave. --------------
-        let committing = alive.clone();
-        let answers = self.commit(txn, &wave);
+    /// [`Self::run_batch`]'s second half: commit the staged batch's live
+    /// goals in one wave, then roll back the goals refused or unanswered at
+    /// commit with the teardown mirrors `teardown` gives for them.
+    pub(crate) fn commit_batch(
+        &mut self,
+        mut batch: StagedBatch,
+        teardown: impl Fn(GoalId) -> Vec<(DeviceId, Vec<Primitive>)>,
+    ) -> BatchOutcome {
+        let committing = batch.alive.clone();
+        let wave = std::mem::take(&mut batch.wave);
+        let answers = self.commit(batch.txn, &wave);
         for (device, goals) in &wave {
             match answers.get(device) {
                 Some(segs) => {
                     for sc in segs {
                         let refusal = sc.results.iter().find_map(|r| r.as_ref().err());
                         if let Some(refusal) = refusal {
-                            fail(&mut alive, GoalId(sc.goal), refusal);
+                            batch.fail(GoalId(sc.goal), refusal);
                         }
                     }
                 }
@@ -461,7 +516,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     // fails.
                     let silence = unanswered(*device, RefusalCause::UnansweredCommit);
                     for goal in goals {
-                        fail(&mut alive, GoalId(*goal), &silence);
+                        batch.fail(GoalId(*goal), &silence);
                     }
                 }
             }
@@ -471,32 +526,25 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // lenient transaction (a newer txn id) on every device that
         // answered the commit.  Siblings are untouched: their segments
         // live in disjoint pipe-id blocks. --------------------------------
-        let mirrors: Vec<GoalTeardown> = items
-            .iter()
-            .filter(|(goal, _)| committing.contains(goal) && !alive.contains(goal))
-            .map(|(goal, scripts)| {
-                let deletes = scripts
-                    .scripts
-                    .iter()
-                    .filter(|ds| answers.contains_key(&ds.device))
-                    .map(|ds| (ds.device, ScriptSet::teardown_of(ds)))
-                    .filter(|(_, deletes)| !deletes.is_empty())
+        let mirrors: Vec<GoalTeardown> = (batch.goals.iter())
+            .filter(|goal| committing.contains(goal) && !batch.alive.contains(goal))
+            .map(|&goal| {
+                let deletes = (teardown(goal).into_iter())
+                    .filter(|(device, deletes)| answers.contains_key(device) && !deletes.is_empty())
                     .collect();
-                (*goal, deletes)
+                (goal, deletes)
             })
             .collect();
         if mirrors.iter().any(|(_, deletes)| !deletes.is_empty()) {
             self.run_teardown_batch(&mirrors, &[]);
         }
 
-        self.batch_relays = prev_batch_relays;
+        self.batch_relays = batch.prev_batch_relays;
         BatchOutcome {
-            committed: items
-                .iter()
-                .map(|(g, _)| *g)
-                .filter(|g| alive.contains(g))
+            committed: (batch.goals.iter().copied())
+                .filter(|g| batch.alive.contains(g))
                 .collect(),
-            failed: errors.into_iter().collect(),
+            failed: batch.errors.into_iter().collect(),
         }
     }
 }

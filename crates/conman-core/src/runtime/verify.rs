@@ -203,7 +203,7 @@ mod tests {
     use crate::ids::{ModuleId, ModuleKind, ModuleRef};
     use crate::nm::goal::AppliedPlan;
     use crate::nm::pathfinder::{Entry, PathStep};
-    use crate::nm::{ConnectivityGoal, ScriptSet};
+    use crate::nm::{ConnectivityGoal, ScriptSet, StagedScripts};
     use std::collections::BTreeSet;
 
     fn ip(device: u64, id: u32) -> ModuleRef {
@@ -335,7 +335,7 @@ mod tests {
             a,
             Some(AppliedPlan {
                 path: lone,
-                scripts: ScriptSet::default(),
+                scripts: StagedScripts::from(&ScriptSet::default()),
                 pipe_base: 2,
             }),
         );

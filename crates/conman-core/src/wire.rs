@@ -265,6 +265,16 @@ impl<'a> StageBatchView<'a> {
     }
 }
 
+impl<'a> IntoIterator for StageBatchView<'a> {
+    type Item = SegmentView<'a>;
+    type IntoIter = std::vec::IntoIter<SegmentView<'a>>;
+
+    /// The segments, in frame order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.segments.into_iter()
+    }
+}
+
 /// One goal's segment inside a [`StageBatchView`]: the goal id, the
 /// still-encoded primitive block and the devices it may name.
 #[derive(Debug, Clone, Copy)]

@@ -73,9 +73,9 @@ impl File {
 
     /// `path:line: text` for each line of the block that starts at the
     /// first line starting with `anchor` and ends before the next line
-    /// starting with `}`, when the line names `String`. Panics when no line
-    /// starts with `anchor`.
-    fn string_fields(&self, anchor: &str) -> Vec<String> {
+    /// starting with `}`, when `bad` holds for the line. Panics when no
+    /// line starts with `anchor`.
+    fn block_hits(&self, anchor: &str, bad: impl Fn(&str) -> bool) -> Vec<String> {
         let start = self
             .lines()
             .position(|(_, line)| line.starts_with(anchor))
@@ -83,9 +83,15 @@ impl File {
         self.lines()
             .skip(start)
             .take_while(|(_, line)| !line.starts_with('}'))
-            .filter(|(_, line)| line.contains("String"))
+            .filter(|(_, line)| bad(line))
             .map(|(number, line)| self.hit(number, line))
             .collect()
+    }
+
+    /// The lines of the block at `anchor` (see [`File::block_hits`]) that
+    /// name `String`.
+    fn string_fields(&self, anchor: &str) -> Vec<String> {
+        self.block_hits(anchor, |line| line.contains("String"))
     }
 }
 
@@ -919,6 +925,26 @@ fn a_message_is_counted_at_the_nms_door() {
         );
     }
     assert_clean("A message is counted at the NM's door", &hits);
+}
+
+/// A goal remembers what it sent. Once its batch has staged a plan, the
+/// NM keeps the bytes it staged and drops the typed scripts before the
+/// commit wave: neither `AppliedPlan` nor the `StagedScripts` it holds
+/// names a `Primitive`, a `DeviceScript` or a `ScriptSet`.
+#[test]
+fn a_goal_remembers_what_it_sent() {
+    let typed = |line: &str| {
+        ["Primitive", "DeviceScript", "ScriptSet"]
+            .iter()
+            .any(|word| line.contains(word))
+    };
+    let mut hits =
+        File::read("crates/conman-core/src/nm/goal.rs").block_hits("pub struct AppliedPlan", typed);
+    hits.extend(
+        File::read("crates/conman-core/src/nm/script.rs")
+            .block_hits("pub struct StagedScripts", typed),
+    );
+    assert_clean("A goal remembers what it sent", &hits);
 }
 
 #[test]

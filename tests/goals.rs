@@ -84,8 +84,13 @@ fn install_on(mn: &mut ManagedNetwork<OutOfBandChannel>, id: GoalId, technology:
 /// the store never adopted them, so every component they create is held and
 /// claimed by no goal.
 fn orphans_of(scripts: &ScriptSet) -> Vec<PlanViolation> {
+    orphans(scripts.components())
+}
+
+/// The audit's verdict on `components` when no goal claims them.
+fn orphans(components: BTreeSet<(DeviceId, ComponentRef)>) -> Vec<PlanViolation> {
     let orphan = |(device, component)| PlanViolation::OrphanDeviceState { device, component };
-    scripts.components().into_iter().map(orphan).collect()
+    components.into_iter().map(orphan).collect()
 }
 
 #[test]
@@ -198,7 +203,7 @@ fn a_rebuilt_nm_is_refused_as_stale_and_touches_nothing() {
             .get(id)
             .and_then(|g| g.applied())
             .expect("applied");
-    let old_components = orphans_of(&old.scripts);
+    let old_components = orphans(old.scripts.components());
     let devices: Vec<DeviceId> = t.mn.agents.keys().copied().collect();
     let before = t.mn.show_actual(&devices);
 
