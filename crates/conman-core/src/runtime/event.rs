@@ -35,8 +35,9 @@ impl GoalEndpoints {
     /// One end-to-end probe: `src` sends a UDP datagram carrying `payload`
     /// to `dst_ip`, the network runs to quiescence, and the verdict is
     /// whether `dst` received that payload.  Drains `dst`'s delivered
-    /// buffer, so repeated probing never grows it; callers that attribute
-    /// the traffic to a goal open the flow window around the call.
+    /// buffer in place, so repeated probing never grows it and reuses its
+    /// allocation; callers that attribute the traffic to a goal open the
+    /// flow window around the call.
     pub fn probe(&self, net: &mut Network, payload: &[u8]) -> bool {
         if net
             .send_udp(self.src, self.dst_ip, 40000, 7000, payload)
@@ -46,7 +47,7 @@ impl GoalEndpoints {
         }
         net.run_to_quiescence(PROBE_EVENT_BUDGET);
         net.device_mut(self.dst)
-            .is_ok_and(|d| d.take_delivered().iter().any(|p| p.payload == payload))
+            .is_ok_and(|d| d.drain_delivered().any(|p| p.payload == payload))
     }
 }
 

@@ -276,6 +276,14 @@ impl Device {
         std::mem::take(&mut self.delivered)
     }
 
+    /// Packets delivered locally since the last call, drained in place: the
+    /// buffer keeps its capacity, so a reader that drains it after every
+    /// probe does not make the next delivery grow a new one.  Dropping the
+    /// iterator drains what it did not yield.
+    pub fn drain_delivered(&mut self) -> std::vec::Drain<'_, Delivered> {
+        self.delivered.drain(..)
+    }
+
     /// Drain pending management frames.  Used by the in-band channel.
     pub fn take_mgmt_frames(&mut self) -> Vec<MgmtFrame> {
         self.mgmt_rx.drain(..).collect()
@@ -320,5 +328,24 @@ mod tests {
         });
         assert_eq!(d.take_delivered().len(), 1);
         assert!(d.take_delivered().is_empty());
+    }
+
+    #[test]
+    fn drain_delivered_empties_the_buffer_and_keeps_its_capacity() {
+        let mut d = Device::new("HostX", DeviceRole::Host, 1);
+        for port in 0..3 {
+            d.delivered.push(Delivered {
+                src: Ipv4Addr::LOCALHOST,
+                dst: Ipv4Addr::LOCALHOST,
+                proto: Ipv4Proto::Udp,
+                dst_port: Some(port),
+                payload: vec![],
+            });
+        }
+        let capacity = d.delivered.capacity();
+        // A reader that stops at the first match still drains the rest.
+        assert!(d.drain_delivered().any(|p| p.dst_port == Some(0)));
+        assert!(d.delivered.is_empty());
+        assert_eq!(d.delivered.capacity(), capacity);
     }
 }

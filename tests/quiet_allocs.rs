@@ -16,8 +16,9 @@ use conman_bench::held::{allocs, Counting};
 static ALLOC: Counting = Counting;
 
 /// One quiet tick over a converged 64-goal fan-out chain makes at most
-/// 1.28 heap calls per frame delivered (≈ 1.16: one per frame, and per probe
-/// the delivered payload and the destination's delivery list).  It made
+/// 1.19 heap calls per frame delivered (≈ 1.08: one per frame, and per
+/// probe its delivered payload).  It made ≈ 1.16 while each probe took the
+/// destination's delivery list, so the next delivery grew a new one, and
 /// ≈ 6.7 while every hop copied the frame into a decoded Ethernet frame and
 /// IPv4 packet, encoded both again and collected the transmissions in a
 /// fresh `Vec`.
@@ -44,7 +45,7 @@ fn a_quiet_tick_allocates_about_once_per_delivered_frame() {
     assert!(tick.frames > 0 && calls > 0, "the allocator is installed");
     let per_frame = calls as f64 / tick.frames as f64;
     assert!(
-        per_frame <= 1.28,
+        per_frame <= 1.19,
         "{calls} heap calls for {} frames ({per_frame:.2} a frame)",
         tick.frames
     );
