@@ -126,9 +126,9 @@ impl ScriptSet {
     /// The teardown mirror of this script set: every `create` undone with a
     /// `delete`, per device in *reverse* path order and within each device in
     /// reverse primitive order (switch rules before the pipes they
-    /// reference).  A plan not yet staged tears down through here; an
-    /// applied one through [`StagedScripts::teardown`], the same mirror read
-    /// from the bytes it staged.
+    /// reference).  `run_batch` rolls its typed scripts back through here;
+    /// an applied plan's mirror is [`StagedScripts::teardown`], the same
+    /// one read from the bytes its goal staged.
     pub fn teardown(&self) -> Vec<(netsim::device::DeviceId, Vec<Primitive>)> {
         (self.scripts.iter().rev())
             .map(|ds| (ds.device, deletes(&ds.primitives)))
@@ -147,12 +147,17 @@ impl ScriptSet {
     }
 }
 
+/// The component `primitive` creates: `None` for a read or a delete.
+fn created_by(primitive: &Primitive) -> Option<ComponentRef> {
+    match primitive {
+        Primitive::Delete(_) => None,
+        create => create.component(),
+    }
+}
+
 /// The components a device's primitives create, in script order.
 fn created(primitives: &[Primitive]) -> impl DoubleEndedIterator<Item = ComponentRef> + '_ {
-    primitives
-        .iter()
-        .filter(|p| !matches!(p, Primitive::Delete(_)))
-        .filter_map(Primitive::component)
+    primitives.iter().filter_map(created_by)
 }
 
 /// The delete primitives undoing a device's primitives, in reverse order.
@@ -239,9 +244,7 @@ fn decoded(segment: SegmentView<'_>) -> impl Iterator<Item = Primitive> + '_ {
 
 /// The components a kept segment creates, in script order.
 fn created_in(segment: SegmentView<'_>) -> impl Iterator<Item = ComponentRef> + '_ {
-    decoded(segment)
-        .filter(|p| !matches!(p, Primitive::Delete(_)))
-        .filter_map(|p| p.component())
+    decoded(segment).filter_map(|p| created_by(&p))
 }
 
 /// Number of pipe-id slots [`generate_with_base`] assigns for `path`: one per step

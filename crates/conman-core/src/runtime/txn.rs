@@ -435,6 +435,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     .push((goal.0, ds.primitives.as_slice()));
             }
         }
+        self.recorder.inc("txn.batches", 1);
+        self.recorder
+            .observe("txn.batch.devices", segments.len() as f64);
         let goals: Vec<GoalId> = items.iter().map(|(g, _)| *g).collect();
         let mut batch = StagedBatch {
             txn,
@@ -442,13 +445,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             goals,
             errors: BTreeMap::new(),
             wave: BTreeMap::new(),
-            prev_batch_relays: false,
+            prev_batch_relays: std::mem::replace(&mut self.batch_relays, true),
         };
-        self.recorder.inc("txn.batches", 1);
-        self.recorder
-            .observe("txn.batch.devices", segments.len() as f64);
-        batch.prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
 
+        // ---- Phase 1: stage every device once. ------------------------
         let mut held: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
         for (device, staged) in self.stage(txn, segments) {
             match staged.verdicts {
@@ -474,8 +474,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // live ones make the commit wave.
         let mut aborted_any = false;
         for (device, goals) in held {
-            let (live, dead): (Vec<u64>, Vec<u64>) =
-                (goals.into_iter()).partition(|g| batch.alive.contains(&GoalId(*g)));
+            let (live, dead): (Vec<u64>, Vec<u64>) = goals
+                .into_iter()
+                .partition(|g| batch.alive.contains(&GoalId(*g)));
             if !dead.is_empty() {
                 self.abort(txn, device, dead);
                 aborted_any = true;
@@ -498,6 +499,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         mut batch: StagedBatch,
         teardown: impl Fn(GoalId) -> Vec<(DeviceId, Vec<Primitive>)>,
     ) -> BatchOutcome {
+        // ---- Phase 2: commit the live goals in one wave. --------------
         let committing = batch.alive.clone();
         let wave = std::mem::take(&mut batch.wave);
         let answers = self.commit(batch.txn, &wave);
