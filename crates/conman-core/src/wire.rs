@@ -183,7 +183,14 @@ impl WireMessage {
 /// [`ScriptSegment`] clones entirely.  The same frame as
 /// [`WireMessage::encode`] of the owned message.
 pub fn encode_stage_batch(txn: u64, segments: &[(u64, &[Primitive])]) -> Vec<u8> {
-    let mut w = FrameWriter::default();
+    // Room for what generated segments take (a primitive averages about
+    // 33 B), so the writer seldom regrows; `finish` copies the frame out
+    // at its exact length, so the room never outlives the encode.
+    let primitives: usize = segments.iter().map(|(_, p)| p.len()).sum();
+    let mut w = FrameWriter {
+        w: Writer::with_capacity(32 * primitives + 16 * segments.len() + 16),
+        devices: Vec::new(),
+    };
     w.put_u8(TAG_STAGE_BATCH);
     txn.put(&mut w);
     w.put_u32(segments.len() as u32);
@@ -396,13 +403,16 @@ impl FrameWriter {
         self.w.put_u32(index as u32);
     }
 
-    /// The frame: the tag (the first byte written), the device list, then
-    /// everything written after the tag.
+    /// The frame, at its exact length: the tag (the first byte written),
+    /// the device list, then everything written after the tag.
     fn finish(self) -> Vec<u8> {
         let mut list = Writer::default();
         put_device_list(&mut list, &self.devices);
-        let mut bytes = self.w.finish();
-        bytes.splice(1..1, list.finish());
+        let (list, body) = (list.finish(), self.w.finish());
+        let mut bytes = Vec::with_capacity(list.len() + body.len());
+        bytes.push(body[0]);
+        bytes.extend_from_slice(&list);
+        bytes.extend_from_slice(&body[1..]);
         bytes
     }
 }

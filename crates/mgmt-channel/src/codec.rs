@@ -95,12 +95,22 @@ impl Writer {
         Writer { buf: vec![tag] }
     }
 
+    /// An empty payload with room for `capacity` bytes, for a writer that
+    /// can tell how long its payload will be.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Append one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Append a boolean as one byte, `0` or `1`.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
@@ -209,6 +219,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Option<u8> {
         let v = *self.buf.get(self.pos)?;
         self.pos += 1;
@@ -216,6 +227,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a boolean byte; anything but `0` or `1` is malformed.
+    #[inline]
     pub fn bool(&mut self) -> Option<bool> {
         match self.u8()? {
             0 => Some(false),
