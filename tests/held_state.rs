@@ -12,7 +12,7 @@ use conman_bench::{fleet_twin, FLEET_TWIN_GOALS};
 static ALLOC: Counting = Counting;
 
 /// The 64-goal twin of `fleet_cold` peaks under 21 600 heap bytes per goal
-/// during its pass, over what was live when the pass started (19 660 B), and
+/// during its pass, over what was live when the pass started (19 659 B), and
 /// holds under 21 900 once it has converged (19 914 B: goal store 4 300,
 /// agents 10 191, network 5 423).  While an applied plan kept its typed
 /// scripts (≈ 8.2 KB a goal, 54 primitives) the goal store held 11 353 B,
