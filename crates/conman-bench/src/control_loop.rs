@@ -568,7 +568,7 @@ pub fn assert_loop_healthy(report: &LoopBenchReport, max_repair_ticks: u64) {
 /// be a **one-pass reroute** — exactly one batched pass touched the fleet
 /// and zero attempts failed, so the repair budget was never burned and no
 /// goal ever parked `Failed`.  (The pre-link-exclusion planner failed this:
-/// it re-planned over the cut link, burned `max_repair_attempts` and parked
+/// it re-planned over the cut link, burned `GoalStore::MAX_REPAIR_ATTEMPTS` and parked
 /// the goals.)
 pub fn assert_one_pass_reroute(report: &LoopBenchReport) {
     assert_loop_healthy(report, 3);

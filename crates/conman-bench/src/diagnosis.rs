@@ -250,7 +250,7 @@ mod tests {
         assert!(r.diagnosis.blamed_link.is_some(), "{r:#?}");
         assert_eq!(
             r.repair_passes,
-            u64::from(conman_core::nm::GoalStore::DEFAULT_MAX_REPAIR_ATTEMPTS),
+            u64::from(conman_core::nm::GoalStore::MAX_REPAIR_ATTEMPTS),
             "reinstall-through burns the whole repair budget"
         );
     }

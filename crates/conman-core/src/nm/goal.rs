@@ -76,11 +76,13 @@ pub use conman_obs::GoalStatus;
 /// path, the scripts that realised it as the NM staged them, and the
 /// pipe-id block they were numbered in.
 ///
-/// A plan's typed scripts die when it becomes its applied form: after its
-/// batch's stage phase and before the commit wave (`reconcile()` and
-/// `execute_plan` alike).  From then on the commit's rollback, the
-/// goal's teardown, `audit()`'s claims and a restore after a failed
-/// replace all read the bytes it staged.
+/// A plan's typed scripts die inside its batch's strict runner, after the
+/// stage phase and before the commit wave (`reconcile()`, the per-goal
+/// oracle and `execute_plan` alike): the runner keeps each goal's scripts
+/// as the bytes it staged, and the replace step adopts those as the
+/// goal's applied form.  From then on the commit's rollback, the goal's
+/// teardown, `audit()`'s claims and a restore after a failed replace all
+/// read the staged bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppliedPlan {
     /// The module-level path that was executed.
@@ -91,18 +93,6 @@ pub struct AppliedPlan {
     /// gets a disjoint block so concurrent goals never collide on pipe ids,
     /// blackboard facts or derived table ids).
     pub pipe_base: u32,
-}
-
-impl From<Plan> for AppliedPlan {
-    /// The plan as it is remembered once staged: its typed scripts are
-    /// encoded as [`StagedScripts`] and dropped.
-    fn from(plan: Plan) -> Self {
-        AppliedPlan {
-            scripts: StagedScripts::from(&plan.scripts),
-            path: plan.path,
-            pipe_base: plan.pipe_base,
-        }
-    }
 }
 
 /// One stored goal.
@@ -130,7 +120,7 @@ pub struct GoalRecord {
     /// the verification probe found no traffic) since the goal last
     /// converged.  Reset to zero when the goal becomes `Active`, on
     /// `update` and on `retry`.  When it reaches
-    /// [`GoalStore::max_repair_attempts`] the reconciler parks the goal
+    /// [`GoalStore::MAX_REPAIR_ATTEMPTS`] the reconciler parks the goal
     /// `Failed` instead of cycling `Pending`/`Degraded` → `Repairing`
     /// forever (its pipe block is released with the pass as usual).
     pub repair_attempts: u32,
@@ -147,8 +137,9 @@ impl GoalRecord {
 ///
 /// Produced by `ManagedNetwork::plan_goal` without sending a single
 /// management message; executing it is a separate, explicit step.  It
-/// keeps its typed scripts until its batch has staged them, then becomes
-/// an [`AppliedPlan`].
+/// keeps its typed scripts until its batch has staged them; the replace
+/// step then records its path and pipe block, beside the staged bytes,
+/// as an [`AppliedPlan`].
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The goal this plan realises.
@@ -212,7 +203,7 @@ pub enum GoalFailure {
 
 /// The NM's desired-state store: every declared goal, its status, and the
 /// shared-module bookkeeping.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GoalStore {
     goals: BTreeMap<GoalId, GoalRecord>,
     next_goal: u64,
@@ -226,32 +217,15 @@ pub struct GoalStore {
     /// Path-search limits used when planning (long chains need a larger
     /// step budget and a smaller path budget than the defaults).
     pub limits: PathFinderLimits,
-    /// How many consecutive failed repair attempts park a goal `Failed`
-    /// (see [`GoalRecord::repair_attempts`]).  `0` disables the budget —
-    /// the pre-loop behaviour, where an unrepairable goal cycles between
-    /// `Pending`/`Degraded` and `Repairing` on every pass forever.
-    pub max_repair_attempts: u32,
-}
-
-impl Default for GoalStore {
-    fn default() -> Self {
-        GoalStore {
-            goals: BTreeMap::new(),
-            next_goal: 0,
-            next_txn: 0,
-            next_pipe: 0,
-            module_index: BTreeMap::new(),
-            limits: PathFinderLimits::default(),
-            max_repair_attempts: Self::DEFAULT_MAX_REPAIR_ATTEMPTS,
-        }
-    }
 }
 
 impl GoalStore {
-    /// Default repair-attempt budget: enough for transient races (a fault
-    /// landing mid-pass converges on the next tick) without letting a goal
-    /// whose every candidate path is dead thrash the network indefinitely.
-    pub const DEFAULT_MAX_REPAIR_ATTEMPTS: u32 = 3;
+    /// How many consecutive failed repair attempts park a goal `Failed`
+    /// (see [`GoalRecord::repair_attempts`]): enough for transient races (a
+    /// fault landing mid-pass converges on the next tick) without letting a
+    /// goal whose every candidate path is dead thrash the network
+    /// indefinitely.
+    pub const MAX_REPAIR_ATTEMPTS: u32 = 3;
 
     /// An empty store.
     pub fn new() -> Self {
@@ -419,10 +393,9 @@ impl GoalStore {
         failure: GoalFailure,
         retry: GoalStatus,
     ) -> GoalStatus {
-        let budget = self.max_repair_attempts;
         let rec = self.goals.get_mut(&id).expect("a charged goal is stored");
         rec.repair_attempts += 1;
-        let exhausted = budget > 0 && rec.repair_attempts >= budget;
+        let exhausted = rec.repair_attempts >= Self::MAX_REPAIR_ATTEMPTS;
         rec.status = if exhausted { GoalStatus::Failed } else { retry };
         rec.last_error = Some(failure);
         rec.status

@@ -126,9 +126,10 @@ impl ScriptSet {
     /// The teardown mirror of this script set: every `create` undone with a
     /// `delete`, per device in *reverse* path order and within each device in
     /// reverse primitive order (switch rules before the pipes they
-    /// reference).  `run_batch` rolls its typed scripts back through here;
-    /// an applied plan's mirror is [`StagedScripts::teardown`], the same
-    /// one read from the bytes its goal staged.
+    /// reference).  Nothing at run time calls it: every rollback and
+    /// teardown reads [`StagedScripts::teardown`], the same mirror read from
+    /// the bytes a goal staged.  It stays as the reference that mirror is
+    /// tested against (`tests/applied.rs`).
     pub fn teardown(&self) -> Vec<(netsim::device::DeviceId, Vec<Primitive>)> {
         (self.scripts.iter().rev())
             .map(|ds| (ds.device, deletes(&ds.primitives)))

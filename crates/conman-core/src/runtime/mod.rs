@@ -876,7 +876,9 @@ mod tests {
             }],
         };
         let batch = mn.run_batch(&[(GoalId(1), &scripts)]);
-        let error = batch.error_for(GoalId(1)).expect("the stage must refuse");
+        let [(GoalId(1), error)] = &batch.failed[..] else {
+            panic!("the stage must refuse: {batch:?}");
+        };
         assert_eq!(
             error.cause,
             crate::primitives::RefusalCause::Module(crate::module::ModuleError::CannotFilter)

@@ -18,12 +18,14 @@
 //!
 //! Every way of putting a plan on the network shares one skeleton: one
 //! status triage, one path choice (the suspect-fallback is defined once, in
-//! `choose_goal_path`) and one replace step — tear the goal's applied
-//! configuration down, run the new scripts, then adopt them or restore the
-//! previous ones and charge the repair budget.  The batched pass coalesces
-//! the teardowns and the runs of all its goals;
+//! `choose_goal_path`) and one replace step (`replace`, over plans readied
+//! by `prepare`) — tear the goals' applied configurations down in one
+//! lenient batch, run the new scripts in one strict batch, then adopt each
+//! goal's or restore its previous one and charge the repair budget.  The
+//! batched pass hands the step all its plans;
 //! [`ManagedNetwork::execute_plan`] and [`ManagedNetwork::reconcile_per_goal`]
-//! run them one goal at a time.
+//! hand it one at a time.  Both passes end alike: the report, and a
+//! `GoalOutcome` journaled per goal the pass changed.
 //!
 //! Path search inside the batched pass runs on a small `std::thread::scope`
 //! worker pool: search is a pure read of the goal store and one hoisted
@@ -39,7 +41,7 @@
 //! search memo; `tests/goals.rs` and `tests/raw_speed.rs` compare the
 //! batched pass against it.
 
-use super::txn::{BatchOutcome, GoalTeardown};
+use super::txn::GoalTeardown;
 use super::ManagedNetwork;
 use crate::ids::ModuleRef;
 use crate::nm::goal::{AppliedPlan, Exclusion, GoalFailure, GoalId, GoalStatus, Plan, PlanError};
@@ -125,6 +127,10 @@ pub struct WithdrawOutcome {
 /// suspect-fallback chose it — the merge then clears the goal's exclusions
 /// (`ManagedNetwork::plan_choice`).
 type PathChoice = Result<(ModulePath, bool), PlanError>;
+
+/// A plan readied for the replace step (see
+/// `ManagedNetwork::prepare`), beside the applied plan it replaces.
+type Ready = (Plan, Option<AppliedPlan>);
 
 /// Everything the path search reads from a goal record: the endpoint
 /// modules, the layer-2 flag, the traffic domain (domain pruning) and the
@@ -285,11 +291,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     }
 
     /// Put a plan on the network in place of whatever its goal has applied —
-    /// how an operator forces a technology.  This is the single-goal replace
-    /// step [`Self::reconcile_per_goal`] runs too: the goal's applied
-    /// configuration is torn down, the plan executes as a two-phase
-    /// transaction (a batch of one), and on commit the goal becomes `Active`
-    /// with the plan recorded as applied (module references included).
+    /// how an operator forces a technology.  It runs the reconcile passes'
+    /// replace step on a batch of one: the goal's applied configuration is
+    /// torn down, the plan executes as a two-phase transaction, and on
+    /// commit the goal becomes `Active` with the plan recorded as applied
+    /// (module references included), unprobed.
     ///
     /// A failed forced execute leaves what a failed reconcile pass leaves:
     /// everything the transaction touched is rolled back, the previous
@@ -316,58 +322,107 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 }
             }
         }
-        self.replace_goal(plan, &mut 0)
-            .map_err(|failed| failed.error.expect("a failed execution names its failure"))
+        let ready = self.prepare(plan);
+        let mut outcomes = self.replace(vec![ready], &mut 0, |_, adopted| adopted);
+        let outcome = outcomes.pop().expect("one plan, one outcome");
+        outcome.error.map_or(Ok(()), Err)
     }
 
-    /// The single-goal replace step behind [`Self::execute_plan`] and the
-    /// per-goal executor: tear the goal's applied configuration down, run
-    /// `plan` as a batch of one, then adopt it — or restore the previous
-    /// configuration and charge a repair attempt, returning the
-    /// `ExecuteFailed` outcome.  Counts the transactions it runs into
-    /// `transactions`.
-    fn replace_goal(
-        &mut self,
-        plan: Plan,
-        transactions: &mut usize,
-    ) -> Result<(), ReconcileOutcome> {
-        let id = plan.goal;
-        if let Some(rec) = self.goals.get_mut(id) {
+    /// Ready `plan` for [`Self::replace`]: take its goal's pipe block, so
+    /// the next plan is numbered in a disjoint one, mark the goal
+    /// `Repairing` and take the applied plan it replaces out of the store.
+    fn prepare(&mut self, plan: Plan) -> Ready {
+        self.goals.take_pipe_block(script::slot_count(&plan.path));
+        if let Some(rec) = self.goals.get_mut(plan.goal) {
             rec.status = GoalStatus::Repairing;
         }
-        let previous = self.goals.take_applied(id);
-        if let Some(prev) = &previous {
-            self.run_teardown_batch(&[(id, prev.scripts.teardown())], &[]);
-            *transactions += 1;
-        }
-        let (batch, mut applied) = self.run_plans(vec![plan]);
-        *transactions += 1;
-        if let Some(refusal) = batch.error_for(id) {
-            return Err(self.fail_goal_with_restore(id, refusal, previous, transactions));
-        }
-        let (_, applied) = applied.pop().expect("one plan, one applied form");
-        self.goals
-            .take_pipe_block(script::slot_count(&applied.path));
-        self.adopt(id, applied);
-        Ok(())
+        let previous = self.goals.take_applied(plan.goal);
+        (plan, previous)
     }
 
-    /// Run `plans` as one batched transaction, remembering each goal by the
-    /// bytes it staged: every plan becomes its [`AppliedPlan`] between the
-    /// stage phase and the commit wave, so its typed scripts die before
-    /// the wave, and a rollback reads the staged bytes.  Returns the
-    /// outcome and each plan's applied form, in plan order.
-    fn run_plans(&mut self, plans: Vec<Plan>) -> (BatchOutcome, Vec<(GoalId, AppliedPlan)>) {
-        let items: Vec<_> = plans.iter().map(|p| (p.goal, &p.scripts)).collect();
-        let staged = self.stage_batch(&items);
-        let applied: Vec<_> = (plans.into_iter())
-            .map(|plan| (plan.goal, AppliedPlan::from(plan)))
+    /// The one replace step, behind the batched pass, the per-goal oracle
+    /// and [`Self::execute_plan`]: put plans readied by [`Self::prepare`],
+    /// in block order, in place of what their goals had applied.  The
+    /// replaced configurations are torn down in one lenient batch, the plans
+    /// run as one strict batch, and the pipe blocks above the highest goal
+    /// that did not fail are released (the allocator is monotonic: a hole
+    /// below it stays reserved).  Then, per goal in plan order, a failed
+    /// goal is restored and charged a repair attempt, and a committed one is
+    /// adopted and its `Applied` / `Reapplied` outcome handed to `settle`.
+    /// Counts its transactions into `transactions`; returns the outcomes in
+    /// plan order.
+    fn replace<F>(
+        &mut self,
+        ready: Vec<Ready>,
+        transactions: &mut usize,
+        mut settle: F,
+    ) -> Vec<ReconcileOutcome>
+    where
+        F: FnMut(&mut Self, ReconcileOutcome) -> ReconcileOutcome,
+    {
+        let Some(floor) = ready.first().map(|(plan, _)| plan.pipe_base) else {
+            return Vec::new();
+        };
+        // Pre-flight (debug builds): the pipe blocks are within budget and
+        // disjoint, and no plan crosses its goal's exclusions.
+        #[cfg(debug_assertions)]
+        {
+            let plans = ready.iter().map(|(plan, _)| plan);
+            let violations = super::verify::check_batch(&self.goals, plans);
+            debug_assert!(
+                violations.is_empty(),
+                "pre-flight: planned batch fails verification: {violations:?}"
+            );
+        }
+        let stale: Vec<GoalTeardown> = (ready.iter())
+            .filter_map(|(plan, previous)| Some((plan.goal, previous.as_ref()?.scripts.teardown())))
             .collect();
-        let batch = self.commit_batch(staged, |goal| {
-            let kept = applied.iter().find(|(g, _)| *g == goal);
-            kept.map_or_else(Vec::new, |(_, applied)| applied.scripts.teardown())
-        });
-        (batch, applied)
+        if !stale.is_empty() {
+            self.run_teardown_batch(&stale, &[]);
+            *transactions += 1;
+        }
+        drop(stale);
+        let (items, rest): (Vec<_>, Vec<_>) = (ready.into_iter())
+            .map(|(plan, previous)| {
+                let rest = (plan.goal, plan.path, plan.pipe_base, previous);
+                ((plan.goal, plan.scripts), rest)
+            })
+            .unzip();
+        let (batch, kept) = self.run_staged(items);
+        *transactions += 1;
+        let mut failed: BTreeMap<GoalId, Refusal> = batch.failed.into_iter().collect();
+        let watermark = (rest.iter())
+            .filter(|(id, ..)| !failed.contains_key(id))
+            .map(|(_, path, pipe_base, _)| pipe_base + script::slot_count(path))
+            .max()
+            .unwrap_or(floor);
+        self.goals.release_pipes_to(watermark);
+        (rest.into_iter().zip(kept))
+            .map(|((id, path, pipe_base, previous), scripts)| {
+                // Every goal of the batch either committed or failed with a
+                // refusal.
+                if let Some(refusal) = failed.remove(&id) {
+                    return self.fail_goal_with_restore(id, refusal, previous, transactions);
+                }
+                let action = match previous {
+                    Some(_) => ReconcileAction::Reapplied,
+                    None => ReconcileAction::Applied,
+                };
+                let applied = AppliedPlan {
+                    path,
+                    scripts,
+                    pipe_base,
+                };
+                self.adopt(id, applied);
+                let adopted = ReconcileOutcome {
+                    goal: id,
+                    action,
+                    status: GoalStatus::Active,
+                    error: None,
+                };
+                settle(self, adopted)
+            })
+            .collect()
     }
 
     /// Record a committed plan as its goal's applied configuration: the goal
@@ -496,19 +551,15 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {
         let before = (self.counters.sent, self.counters.received);
-        let mut report = ReconcileReport::default();
         let mut outcomes = BTreeMap::new();
         let work = self.triage(&mut probe, &mut outcomes);
 
         // Plan first — planning is a pure dry run, and a goal whose
         // planning fails must leave its stale-but-possibly-working
-        // configuration standing.  Each successful plan consumes its pipe
-        // block immediately so every plan in the batch is numbered in a
-        // disjoint block; blocks of goals that end up not committing are
-        // released again below, so failed passes do not leak id space.
-        let pipe_floor = self.goals.peek_pipe_base();
-        let mut items: Vec<(Option<AppliedPlan>, Plan)> = Vec::new();
-        let mut stale: Vec<GoalTeardown> = Vec::new();
+        // configuration standing.  Each successful plan is readied at once,
+        // which takes its pipe block, so every plan in the batch is
+        // numbered in a disjoint block.
+        let mut ready: Vec<Ready> = Vec::new();
         let choices = self.plan_paths(&work, workers);
         for (&id, choice) in work.iter().zip(choices) {
             let plan = match self.plan_choice(id, choice) {
@@ -518,7 +569,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     continue;
                 }
             };
-            self.goals.take_pipe_block(script::slot_count(&plan.path));
             let excluded = self.goals.get(id).map_or(0, |r| r.excluded.len());
             self.recorder.event(
                 self.net.now().as_nanos(),
@@ -531,67 +581,28 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             self.recorder
                 .observe("plan.path_len", plan.path.steps.len() as f64);
             self.recorder.observe("plan.exclusions", excluded as f64);
-            if let Some(rec) = self.goals.get_mut(id) {
-                rec.status = GoalStatus::Repairing;
-            }
-            // A replacement exists: collect the stale configuration's
-            // teardown; all of the pass's teardowns run below as one
-            // batched lenient transaction.
-            let previous = self.goals.take_applied(id);
-            if let Some(prev) = &previous {
-                stale.push((id, prev.scripts.teardown()));
-            }
-            items.push((previous, plan));
+            ready.push(self.prepare(plan));
         }
-        // Pre-flight (debug builds): the pass's pipe blocks are within
-        // budget and disjoint, and no plan crosses its goal's exclusions.
-        #[cfg(debug_assertions)]
-        {
-            let plans = items.iter().map(|(_, plan)| plan);
-            let violations = super::verify::check_batch(&self.goals, plans);
-            debug_assert!(
-                violations.is_empty(),
-                "pre-flight: planned batch fails verification: {violations:?}"
-            );
+        let mut transactions = 0;
+        let settle = |mn: &mut Self, adopted| mn.verify_applied_goal(adopted, &mut probe);
+        for outcome in self.replace(ready, &mut transactions, settle) {
+            outcomes.insert(outcome.goal, outcome);
         }
-        // Tear every replaced goal's stale configuration down as ONE
-        // batched transaction (each device staged once and committed once
-        // for the whole teardown phase), not one per goal.
-        if !stale.is_empty() {
-            self.run_teardown_batch(&stale, &[]);
-            report.transactions += 1;
-        }
+        self.pass_report(before, transactions, outcomes)
+    }
 
-        if !items.is_empty() {
-            let (previous, plans): (Vec<_>, Vec<_>) = items.into_iter().unzip();
-            let (batch, applied) = self.run_plans(plans);
-            report.transactions += 1;
-            // Release the blocks of goals that did not commit (the per-goal
-            // baseline only consumes a block on commit); blocks below a
-            // committed goal's block stay reserved — the allocator is
-            // monotonic, holes cannot be returned individually.
-            let watermark = applied
-                .iter()
-                .filter(|(id, _)| batch.committed.contains(id))
-                .map(|(_, a)| a.pipe_base + script::slot_count(&a.path))
-                .max()
-                .unwrap_or(pipe_floor);
-            self.goals.release_pipes_to(watermark);
-            for (previous, (id, applied)) in previous.into_iter().zip(applied) {
-                // Every goal of the batch either committed or failed with a
-                // refusal.
-                let outcome = if let Some(refusal) = batch.error_for(id) {
-                    self.fail_goal_with_restore(id, refusal, previous, &mut report.transactions)
-                } else {
-                    let had_applied = previous.is_some();
-                    self.adopt(id, applied);
-                    self.verify_applied_goal(id, had_applied, &mut probe)
-                };
-                outcomes.insert(id, outcome);
-            }
-        }
-        report.outcomes = outcomes.into_values().collect();
-        for o in &report.outcomes {
+    /// The end every pass shares: its outcomes in id order, one
+    /// `GoalOutcome` journaled for each goal the pass did not leave
+    /// `Unchanged`, and the NM's messages since `before`, its counters when
+    /// the pass began.
+    fn pass_report(
+        &self,
+        before: (u64, u64),
+        transactions: usize,
+        outcomes: BTreeMap<GoalId, ReconcileOutcome>,
+    ) -> ReconcileReport {
+        let outcomes: Vec<ReconcileOutcome> = outcomes.into_values().collect();
+        for o in &outcomes {
             if o.action != ReconcileAction::Unchanged {
                 self.recorder.event(
                     self.net.now().as_nanos(),
@@ -603,9 +614,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 );
             }
         }
-        report.nm_sent = self.counters.sent.saturating_sub(before.0);
-        report.nm_received = self.counters.received.saturating_sub(before.1);
-        report
+        ReconcileReport {
+            outcomes,
+            transactions,
+            nm_sent: self.counters.sent.saturating_sub(before.0),
+            nm_received: self.counters.received.saturating_sub(before.1),
+        }
     }
 
     /// The status triage both executors open a pass with, over every stored
@@ -692,19 +706,18 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// Reconcile one goal at a time, without verification probes: after the
     /// shared triage, each goal that needs work is planned over a freshly
     /// built potential graph without the search memo, then put on the
-    /// network by the single-goal replace step [`Self::execute_plan`] runs —
-    /// a batch of one per goal, with its own teardown and restore.  Kept as
+    /// network by the replace step the batched pass runs, on a batch of one
+    /// per goal, with its own teardown and restore.  Kept as
     /// the memo-free reference implementation `tests/goals.rs` and
     /// `tests/raw_speed.rs` compare the batched pass against — end state
     /// (statuses, applied paths, module refcounts, data-plane connectivity)
     /// is identical; only the message shape differs.
     pub fn reconcile_per_goal(&mut self) -> ReconcileReport {
         let before = (self.counters.sent, self.counters.received);
-        let mut report = ReconcileReport::default();
+        let mut transactions = 0;
         let mut probe = |_: &mut Self, _: GoalId| None;
         let mut outcomes = BTreeMap::new();
         for id in self.triage(&mut probe, &mut outcomes) {
-            let had_applied = self.goals.get(id).is_some_and(|r| r.applied().is_some());
             let graph = self.nm.build_graph();
             let choice = choose_goal_path(
                 &self.nm,
@@ -717,17 +730,17 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 // Planning failed: the stale-but-possibly-working
                 // configuration is left standing.
                 Err(e) => self.fail_planning(id, e),
-                Ok(plan) => match self.replace_goal(plan, &mut report.transactions) {
-                    Ok(()) => self.verify_applied_goal(id, had_applied, &mut probe),
-                    Err(failed) => failed,
-                },
+                Ok(plan) => {
+                    let ready = self.prepare(plan);
+                    let settle =
+                        |mn: &mut Self, adopted| mn.verify_applied_goal(adopted, &mut probe);
+                    let mut replaced = self.replace(vec![ready], &mut transactions, settle);
+                    replaced.pop().expect("one plan, one outcome")
+                }
             };
             outcomes.insert(id, outcome);
         }
-        report.outcomes = outcomes.into_values().collect();
-        report.nm_sent = self.counters.sent.saturating_sub(before.0);
-        report.nm_received = self.counters.received.saturating_sub(before.1);
-        report
+        self.pass_report(before, transactions, outcomes)
     }
 
     /// Probe one goal inside its flow-attribution window.
@@ -755,18 +768,18 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
     }
 
-    /// Shared post-commit bookkeeping: probe the freshly applied goal and
-    /// settle its status/outcome.  Used by both the batched pass and the
-    /// per-goal baseline so the two executors cannot drift apart.
+    /// How the batched pass and the per-goal oracle settle an adopted goal:
+    /// probe it and keep its `adopted` outcome, or charge a repair attempt
+    /// when the probe finds no traffic.
     fn verify_applied_goal<P>(
         &mut self,
-        id: GoalId,
-        had_applied: bool,
+        adopted: ReconcileOutcome,
         probe: &mut P,
     ) -> ReconcileOutcome
     where
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {
+        let id = adopted.goal;
         let verdict = self.probe_goal(id, probe);
         self.recorder.event(
             self.net.now().as_nanos(),
@@ -799,29 +812,20 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 // forever — a later fault on the *new* path may have no
                 // route around it except back over the recovered original.
                 rec.excluded.clear();
-                ReconcileOutcome {
-                    goal: id,
-                    action: if had_applied {
-                        ReconcileAction::Reapplied
-                    } else {
-                        ReconcileAction::Applied
-                    },
-                    status: GoalStatus::Active,
-                    error: None,
-                }
+                adopted
             }
         }
     }
 
-    /// Shared execution-failure bookkeeping: best-effort restore of the
+    /// The replace step's failure bookkeeping: best-effort restore of the
     /// previous configuration (its staged segments, decoded, are staged
     /// again verbatim and encode to the same bytes — the teardown freed
     /// their blackboard state) and park the goal `Pending` with the refusal
-    /// recorded.  Used by both executors.
+    /// recorded.
     fn fail_goal_with_restore(
         &mut self,
         id: GoalId,
-        refusal: &Refusal,
+        refusal: Refusal,
         previous: Option<AppliedPlan>,
         transactions: &mut usize,
     ) -> ReconcileOutcome {
@@ -836,7 +840,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // the goal parks `Failed` instead of re-entering the work list on
         // every pass (the pipe block it would have used is released with
         // the pass).
-        let error = GoalFailure::Refused(Box::new(refusal.clone()));
+        let error = GoalFailure::Refused(Box::new(refusal));
         let status = self
             .goals
             .charge_repair_attempt(id, error.clone(), GoalStatus::Pending);

@@ -31,8 +31,11 @@
 //!    answered gets the teardown mirror of its script (`delete` per
 //!    `create`, reverse order), and a silent device gets an abort.
 //!
-//! Two runners drive that protocol.  [`ManagedNetwork::run_batch`] is the
-//! strict one above.  [`ManagedNetwork::run_teardown_batch`] (withdraw,
+//! Two runners drive that protocol.  The strict one above is `run_staged`,
+//! which keeps each goal's scripts as the bytes it staged and rolls back
+//! from them; the reconcile engine's replace step calls it, and
+//! [`ManagedNetwork::run_batch`] is it over borrowed scripts.
+//! [`ManagedNetwork::run_teardown_batch`] (withdraw,
 //! stale-configuration teardown, self-healing) is **lenient**: a device
 //! that does not answer is skipped rather than failing the transaction — a
 //! later reconcile cleans it up.
@@ -49,7 +52,7 @@
 
 use super::ManagedNetwork;
 use crate::nm::goal::GoalId;
-use crate::nm::ScriptSet;
+use crate::nm::{ScriptSet, StagedScripts};
 use crate::primitives::{
     Primitive, Refusal, RefusalCause, SegmentCommit, SegmentVerdict, WireMessage,
 };
@@ -57,7 +60,8 @@ use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use netsim::device::DeviceId;
 use netsim::network::Network;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
 
 /// The moment a [`TxnHook`] is invoked at, for deterministic fault
 /// injection between transaction phases (e.g. crash a device after it
@@ -89,13 +93,6 @@ pub struct BatchOutcome {
     pub failed: Vec<(GoalId, Refusal)>,
 }
 
-impl BatchOutcome {
-    /// The refusal a failed goal failed with.
-    pub(crate) fn error_for(&self, goal: GoalId) -> Option<&Refusal> {
-        self.failed.iter().find(|(g, _)| *g == goal).map(|(_, e)| e)
-    }
-}
-
 /// The NM's refusal on behalf of a device that did not answer.
 fn unanswered(device: DeviceId, cause: RefusalCause) -> Refusal {
     Refusal {
@@ -103,6 +100,13 @@ fn unanswered(device: DeviceId, cause: RefusalCause) -> Refusal {
         component: None,
         cause,
     }
+}
+
+/// `goal` failed with `refusal`, unless it failed already.
+fn fail(errors: &mut BTreeMap<GoalId, Refusal>, goal: u64, refusal: &Refusal) {
+    errors
+        .entry(GoalId(goal))
+        .or_insert_with(|| refusal.clone());
 }
 
 /// One goal's teardown work: its delete primitives grouped per device
@@ -127,31 +131,6 @@ pub struct TeardownBatchOutcome {
 /// borrowed straight out of its plan: the stage encoder reads the slices in
 /// place, so nothing is cloned.
 type Segments<'a> = BTreeMap<DeviceId, Vec<(u64, &'a [Primitive])>>;
-
-/// A strict batch between its two phases: staged everywhere, its dead
-/// goals aborted, its live goals not yet committed.
-pub(crate) struct StagedBatch {
-    txn: u64,
-    /// The batch's goals, in the order they were given.
-    goals: Vec<GoalId>,
-    /// The goals no device has refused or left unanswered yet.
-    alive: BTreeSet<GoalId>,
-    /// Each failed goal's first refusal.
-    errors: BTreeMap<GoalId, Refusal>,
-    /// The live goals each device is to commit.
-    wave: BTreeMap<DeviceId, Vec<u64>>,
-    /// `batch_relays` before the batch, restored when it ends.
-    prev_batch_relays: bool,
-}
-
-impl StagedBatch {
-    /// `goal` failed with `refusal`, unless it failed already.
-    fn fail(&mut self, goal: GoalId, refusal: &Refusal) {
-        if self.alive.remove(&goal) {
-            self.errors.insert(goal, refusal.clone());
-        }
-    }
-}
 
 /// One device's answer to the stage phase.
 struct Staged {
@@ -388,14 +367,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// disturbing sibling goals.  A transaction for one goal is
     /// `run_batch(&[(goal, &scripts)])`.
     ///
-    /// `run_batch` is its two halves in one call: a stage step that reads
-    /// the typed scripts, and a commit step that reads them again only for
-    /// a rollback, so here `items` live through the commit.  The
-    /// reconcile engine and `execute_plan` call the halves themselves and
-    /// turn each plan into its [`AppliedPlan`](crate::nm::AppliedPlan)
-    /// between them: their typed scripts die before the commit wave, and a
-    /// rollback reads the bytes each goal staged.
-    ///
     /// A rollback costs one nested [`Self::run_teardown_batch`] over the
     /// failed goals' teardown mirrors — a `StageBatch` and a `CommitBatch`
     /// (each answered) to every device that answered the commit and created
@@ -412,23 +383,26 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// - at commit: [`RefusalCause::StaleTxn`], and only there
     ///   [`RefusalCause::NeverStaged`] and [`RefusalCause::UnansweredCommit`].
     pub fn run_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> BatchOutcome {
-        let staged = self.stage_batch(items);
-        self.commit_batch(staged, |goal| {
-            let scripts = items.iter().find(|(g, _)| *g == goal);
-            scripts.map_or_else(Vec::new, |(_, scripts)| scripts.teardown())
-        })
+        self.run_staged(items.to_vec()).0
     }
 
-    /// [`Self::run_batch`]'s first half: stage every device once and abort
-    /// the goals refused or unanswered anywhere.  The typed scripts are
-    /// read here and nowhere after, so a caller may drop them before
-    /// [`Self::commit_batch`].
-    pub(crate) fn stage_batch(&mut self, items: &[(GoalId, &ScriptSet)]) -> StagedBatch {
+    /// The strict runner behind [`Self::run_batch`] and the reconcile
+    /// engine's replace step.  It stages every device once and aborts the
+    /// goals refused or unanswered anywhere; then, the typed scripts read
+    /// for the last time, it consumes `items` into each goal's
+    /// [`StagedScripts`], so owned scripts die before the commit wave.  It
+    /// commits the live goals in one wave and rolls the goals that failed
+    /// there back from their kept frames.  Returns the outcome and the kept
+    /// frames, in item order.
+    pub(crate) fn run_staged<S: Borrow<ScriptSet>>(
+        &mut self,
+        items: Vec<(GoalId, S)>,
+    ) -> (BatchOutcome, Vec<StagedScripts>) {
         let txn = self.goals.next_txn();
         // Coalesce: one segment list per device, goal order preserved.
         let mut segments = Segments::new();
-        for (goal, scripts) in items {
-            for ds in &scripts.scripts {
+        for (goal, scripts) in &items {
+            for ds in &scripts.borrow().scripts {
                 segments
                     .entry(ds.device)
                     .or_default()
@@ -438,15 +412,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.recorder.inc("txn.batches", 1);
         self.recorder
             .observe("txn.batch.devices", segments.len() as f64);
-        let goals: Vec<GoalId> = items.iter().map(|(g, _)| *g).collect();
-        let mut batch = StagedBatch {
-            txn,
-            alive: goals.iter().copied().collect(),
-            goals,
-            errors: BTreeMap::new(),
-            wave: BTreeMap::new(),
-            prev_batch_relays: std::mem::replace(&mut self.batch_relays, true),
-        };
+        let prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
+        // Each failed goal's first refusal; a goal absent from it is live.
+        let mut errors: BTreeMap<GoalId, Refusal> = BTreeMap::new();
 
         // ---- Phase 1: stage every device once. ------------------------
         let mut held: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
@@ -455,7 +423,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 Some(verdicts) => {
                     for v in &verdicts {
                         if let Some(refusal) = v.errors.first() {
-                            batch.fail(GoalId(v.goal), refusal);
+                            fail(&mut errors, v.goal, refusal);
                         }
                     }
                     held.insert(device, staged.goals);
@@ -465,51 +433,44 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     // holds is lost.
                     let silence = unanswered(device, RefusalCause::UnansweredStage);
                     for goal in &staged.goals {
-                        batch.fail(GoalId(*goal), &silence);
+                        fail(&mut errors, *goal, &silence);
                     }
                 }
             }
         }
         // Abort dead goals' segments still held on answering devices; the
         // live ones make the commit wave.
+        let mut wave = BTreeMap::new();
         let mut aborted_any = false;
         for (device, goals) in held {
             let (live, dead): (Vec<u64>, Vec<u64>) = goals
                 .into_iter()
-                .partition(|g| batch.alive.contains(&GoalId(*g)));
+                .partition(|g| !errors.contains_key(&GoalId(*g)));
             if !dead.is_empty() {
                 self.abort(txn, device, dead);
                 aborted_any = true;
             }
             if !live.is_empty() {
-                batch.wave.insert(device, live);
+                wave.insert(device, live);
             }
         }
         if aborted_any {
             self.run_management();
         }
-        batch
-    }
+        let (goals, kept): (Vec<GoalId>, Vec<StagedScripts>) = (items.into_iter())
+            .map(|(goal, scripts)| (goal, StagedScripts::from(scripts.borrow())))
+            .unzip();
+        let live: Vec<bool> = goals.iter().map(|g| !errors.contains_key(g)).collect();
 
-    /// [`Self::run_batch`]'s second half: commit the staged batch's live
-    /// goals in one wave, then roll back the goals refused or unanswered at
-    /// commit with the teardown mirrors `teardown` gives for them.
-    pub(crate) fn commit_batch(
-        &mut self,
-        mut batch: StagedBatch,
-        teardown: impl Fn(GoalId) -> Vec<(DeviceId, Vec<Primitive>)>,
-    ) -> BatchOutcome {
         // ---- Phase 2: commit the live goals in one wave. --------------
-        let committing = batch.alive.clone();
-        let wave = std::mem::take(&mut batch.wave);
-        let answers = self.commit(batch.txn, &wave);
+        let answers = self.commit(txn, &wave);
         for (device, goals) in &wave {
             match answers.get(device) {
                 Some(segs) => {
                     for sc in segs {
                         let refusal = sc.results.iter().find_map(|r| r.as_ref().err());
                         if let Some(refusal) = refusal {
-                            batch.fail(GoalId(sc.goal), refusal);
+                            fail(&mut errors, sc.goal, refusal);
                         }
                     }
                 }
@@ -518,20 +479,20 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                     // fails.
                     let silence = unanswered(*device, RefusalCause::UnansweredCommit);
                     for goal in goals {
-                        batch.fail(GoalId(*goal), &silence);
+                        fail(&mut errors, *goal, &silence);
                     }
                 }
             }
         }
 
-        // ---- Roll back: the failed goals' teardown mirrors, as one nested
-        // lenient transaction (a newer txn id) on every device that
-        // answered the commit.  Siblings are untouched: their segments
-        // live in disjoint pipe-id blocks. --------------------------------
-        let mirrors: Vec<GoalTeardown> = (batch.goals.iter())
-            .filter(|goal| committing.contains(goal) && !batch.alive.contains(goal))
-            .map(|&goal| {
-                let deletes = (teardown(goal).into_iter())
+        // ---- Roll back: the teardown mirrors of the goals that failed at
+        // commit, as one nested lenient transaction (a newer txn id) on
+        // every device that answered the commit.  Siblings are untouched:
+        // their segments live in disjoint pipe-id blocks. ----------------
+        let mirrors: Vec<GoalTeardown> = (goals.iter().zip(&kept).zip(live))
+            .filter(|((goal, _), live)| *live && errors.contains_key(goal))
+            .map(|((&goal, kept), _)| {
+                let deletes = (kept.teardown().into_iter())
                     .filter(|(device, deletes)| answers.contains_key(device) && !deletes.is_empty())
                     .collect();
                 (goal, deletes)
@@ -541,12 +502,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             self.run_teardown_batch(&mirrors, &[]);
         }
 
-        self.batch_relays = batch.prev_batch_relays;
-        BatchOutcome {
-            committed: (batch.goals.iter().copied())
-                .filter(|g| batch.alive.contains(g))
-                .collect(),
-            failed: batch.errors.into_iter().collect(),
-        }
+        self.batch_relays = prev_batch_relays;
+        let committed = (goals.into_iter())
+            .filter(|g| !errors.contains_key(g))
+            .collect();
+        let failed = errors.into_iter().collect();
+        (BatchOutcome { committed, failed }, kept)
     }
 }

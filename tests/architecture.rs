@@ -67,6 +67,22 @@ impl File {
         self.text.lines().enumerate().map(|(i, line)| (i + 1, line))
     }
 
+    /// Each line with the name of the fn it lies in (the last line at or
+    /// above it that starts, indented or not, with `fn `, `pub fn ` or
+    /// `pub(crate) fn `) and its 1-based number.
+    fn fn_lines(&self) -> impl Iterator<Item = (Option<&str>, usize, &str)> {
+        self.lines().scan(None, |inside, (number, line)| {
+            let head = line.trim_start();
+            if ["fn ", "pub fn ", "pub(crate) fn "]
+                .iter()
+                .any(|f| head.starts_with(f))
+            {
+                *inside = fn_name(line);
+            }
+            Some((*inside, number, line))
+        })
+    }
+
     fn hit(&self, number: usize, line: &str) -> String {
         format!("{}:{number}: {line}", self.path)
     }
@@ -508,6 +524,44 @@ fn one_reconcile_engine() {
     );
 }
 
+/// A plan becomes an applied goal in one place. The strict runner is one
+/// function, not a stage half and a commit half joined by a staged batch,
+/// and the batched pass, the per-goal oracle and execute_plan share one
+/// replace step: reconcile.rs calls the strict runner on one line, and
+/// only the prepare helper that readies the step's plans takes a goal's
+/// applied plan out of the store (withdraw_many takes it to tear the goal
+/// down for good).
+#[test]
+fn one_replace_step() {
+    let rule = "One replace step";
+    let halves = [
+        "fn stage_batch",
+        "fn commit_batch",
+        "fn run_plans",
+        "fn replace_goal",
+    ];
+    let mut hits = grep(&tree(&["crates/conman-core/src"]), |line| {
+        line.contains("StagedBatch") || halves.iter().any(|word| ends_word(line, word))
+    });
+    let reconcile = File::read("crates/conman-core/src/runtime/reconcile.rs").body();
+    let runs = grep(std::slice::from_ref(&reconcile), |line| {
+        line.contains("run_staged(")
+    });
+    assert!(
+        runs.len() == 1,
+        "{rule}: reconcile.rs calls the strict runner on {} lines, not one:\n{}",
+        runs.len(),
+        runs.join("\n")
+    );
+    for (inside, number, line) in reconcile.fn_lines() {
+        let taker = matches!(inside, Some("prepare" | "withdraw_many"));
+        if line.contains("take_applied(") && !taker {
+            hits.push(reconcile.hit(number, line));
+        }
+    }
+    assert_clean(rule, &hits);
+}
+
 /// A transaction changes a device only through StageBatch / CommitBatch /
 /// AbortBatch: a goal that fails mid-batch is rolled back by a nested
 /// lenient teardown transaction, never by a fire-and-forget Script, so
@@ -900,15 +954,7 @@ fn a_message_is_counted_at_the_nms_door() {
     let mut doors: [Vec<&str>; 2] = Default::default();
     let files = bodies(rs_under("crates/conman-core/src"));
     for file in &files {
-        let mut inside = None;
-        for (number, line) in file.lines() {
-            let head = line.trim_start();
-            if ["fn ", "pub fn ", "pub(crate) fn "]
-                .iter()
-                .any(|f| head.starts_with(f))
-            {
-                inside = fn_name(line);
-            }
+        for (inside, number, line) in file.fn_lines() {
             let Some(dir) = direction(line) else { continue };
             match inside {
                 Some(name) if file.path == DOORS => doors[dir].push(name),

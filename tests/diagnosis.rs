@@ -6,7 +6,7 @@
 //! verifying the repair end to end where the topology permits one.
 
 use conman::core::ids::ModuleKind;
-use conman::core::nm::{Exclusion, GoalId, GoalStatus, ModulePath};
+use conman::core::nm::{Exclusion, GoalId, GoalStatus, GoalStore, ModulePath};
 use conman::core::runtime::verify::PlanViolation;
 use conman::core::runtime::{ControlLoop, GoalEndpoints, LoopConfig, ReconcileAction};
 use conman::diagnose::{AutonomicClient, Diagnoser, Healer, SuspectTarget};
@@ -82,11 +82,11 @@ fn link_cut_is_localised_and_correctly_declared_unrepairable() {
     // the repair-attempt budget parks the goal.
     t.mn.goals
         .mark_degraded(id, Healer::exclusions(&t.mn, &report));
-    for attempt in 1..=t.mn.goals.max_repair_attempts {
+    for attempt in 1..=GoalStore::MAX_REPAIR_ATTEMPTS {
         let pass = t.mn.reconcile_with(|mn, _| Some(probe(mn)));
         let outcome = pass.outcome(id).expect("the goal was reconciled");
         assert_eq!(outcome.action, ReconcileAction::ProbeFailed);
-        let parked = attempt == t.mn.goals.max_repair_attempts;
+        let parked = attempt == GoalStore::MAX_REPAIR_ATTEMPTS;
         assert_eq!(
             outcome.status == GoalStatus::Failed,
             parked,
@@ -209,7 +209,7 @@ fn device_crash_is_attributed_to_the_device() {
     // through it cannot even stage, and the budget parks the goal.
     t.mn.goals
         .mark_degraded(id, Healer::exclusions(&t.mn, &report));
-    for _ in 0..t.mn.goals.max_repair_attempts {
+    for _ in 0..GoalStore::MAX_REPAIR_ATTEMPTS {
         let pass = t.mn.reconcile_with(|mn, _| Some(probe(mn)));
         let outcome = pass.outcome(id).expect("the goal was reconciled");
         assert_eq!(outcome.action, ReconcileAction::ExecuteFailed);
@@ -251,7 +251,7 @@ fn loss_spike_blackhole_is_localised_to_the_link() {
     // further reconfiguration, which the NM can verify.
     t.mn.goals
         .mark_degraded(id, Healer::exclusions(&t.mn, &report));
-    for _ in 0..t.mn.goals.max_repair_attempts {
+    for _ in 0..GoalStore::MAX_REPAIR_ATTEMPTS {
         let pass = t.mn.reconcile_with(|mn, _| Some(probe(mn)));
         let outcome = pass.outcome(id).expect("the goal was reconciled");
         assert_eq!(outcome.action, ReconcileAction::ProbeFailed);

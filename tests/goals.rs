@@ -585,6 +585,39 @@ fn report_message_counters_match_channel_deltas() {
     assert_eq!(t.mn.audit(), []);
 }
 
+/// The per-goal oracle ends its pass as the batched one does: with an
+/// enabled recorder it journals one `GoalOutcome` per goal it applied, and
+/// the journal conforms.
+#[test]
+fn a_per_goal_pass_journals_each_applied_goal() {
+    use conman::obs::TraceKind;
+
+    let mut t = managed_dual_chain(3);
+    t.discover();
+    let recorder = Recorder::new();
+    t.mn.set_recorder(recorder.clone());
+    let goals = [t.mn.submit(t.vpn_goal()), t.mn.submit(t.vpn_goal2())];
+    assert!(t.mn.reconcile_per_goal().converged());
+    let events = recorder.journal_events();
+    let journaled: Vec<_> = (events.iter())
+        .filter_map(|e| match e.kind {
+            TraceKind::GoalOutcome {
+                goal,
+                action,
+                status,
+            } => Some((GoalId(goal), action, status)),
+            _ => None,
+        })
+        .collect();
+    let applied = goals.map(|goal| (goal, ReconcileAction::Applied, GoalStatus::Active));
+    assert_eq!(journaled, applied, "one GoalOutcome per applied goal");
+    let violations = conman::analyze::check_journal(&events);
+    assert!(
+        violations.is_empty(),
+        "the journal conforms: {violations:?}"
+    );
+}
+
 #[test]
 fn batched_and_per_goal_reconcile_are_equivalent_on_fresh_goals() {
     let run = |batched: bool| {

@@ -13,7 +13,7 @@
 //! which has no alternative — falls back to reinstall-through instead of
 //! parking the goal `Failed`.
 
-use conman::core::nm::{GoalFailure, GoalId, GoalStatus, PathFinderLimits};
+use conman::core::nm::{GoalFailure, GoalId, GoalStatus, GoalStore, PathFinderLimits};
 use conman::core::runtime::{
     ControlLoop, GoalEndpoints, LoopClient, LoopConfig, ManagedNetwork, ReconcileAction,
 };
@@ -412,8 +412,7 @@ fn operator_withdraw_mid_repair_cancels_the_repair_cleanly() {
 fn repeated_repair_failure_parks_the_goal_failed_not_repairing() {
     let (mut t, mut cl, ids) = looped_chain(4, 1);
     assert!(cl.run_until_converged(&mut t.mn, 10).converged);
-    let budget = t.mn.goals.max_repair_attempts;
-    assert!(budget > 0, "the repair budget is armed by default");
+    let budget = GoalStore::MAX_REPAIR_ATTEMPTS;
 
     let link = t.core_link(1).expect("core link");
     apply_fault(&mut t.mn.net, FaultKind::LinkCut(link));
