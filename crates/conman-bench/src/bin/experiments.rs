@@ -563,6 +563,7 @@ fn fleet() {
         counters: c,
         wire,
         pass_peak,
+        pass_allocs,
         held,
     } = fleet_twin();
     let per_goal = |v: u64| v as f64 / FLEET_TWIN_GOALS as f64;
@@ -602,6 +603,10 @@ fn fleet() {
     println!(
         "\npeak during the pass, heap B/goal: {:.2}",
         per_goal(pass_peak as u64)
+    );
+    println!(
+        "heap calls during the pass, per goal: {:.2}",
+        per_goal(pass_allocs.calls as u64)
     );
     println!(
         "held after the pass, heap B/goal: goal store {:.2}, agents {:.2}, network {:.2}, all {:.2}",

@@ -223,6 +223,8 @@ pub struct FleetTwin {
     /// The most heap bytes live at once during the pass, over what was
     /// live when it started.
     pub pass_peak: usize,
+    /// The heap calls the pass made.
+    pub pass_allocs: held::Allocs,
     /// The heap bytes the converged network holds, by holder.
     pub held: Held,
 }
@@ -246,7 +248,9 @@ pub fn fleet_twin() -> FleetTwin {
     let before = WireCost::of(&t.mn);
     let baseline = held::live_bytes();
     held::reset_peak();
+    let allocs = held::allocs();
     let report = t.mn.reconcile_sequential();
+    let pass_allocs = held::allocs().since(allocs);
     let pass_peak = held::peak_bytes().saturating_sub(baseline);
     assert_eq!(
         report.active(),
@@ -258,6 +262,7 @@ pub fn fleet_twin() -> FleetTwin {
         counters: t.mn.nm_counters(),
         wire: WireCost::of(&t.mn).since(before),
         pass_peak,
+        pass_allocs,
         held: Held::take_from(&mut t.mn),
     }
 }
