@@ -243,9 +243,10 @@ fn decoded(segment: SegmentView<'_>) -> impl Iterator<Item = Primitive> + '_ {
     (segment.primitives()).map(|p| p.expect("the NM's own segment decodes"))
 }
 
-/// The components a kept segment creates, in script order.
+/// The components a kept segment creates, in script order, read without
+/// decoding the primitives.
 fn created_in(segment: SegmentView<'_>) -> impl Iterator<Item = ComponentRef> + '_ {
-    decoded(segment).filter_map(|p| created_by(&p))
+    (segment.created()).filter_map(|c| c.expect("the NM's own segment decodes"))
 }
 
 /// Number of pipe-id slots [`generate_with_base`] assigns for `path`: one per step

@@ -102,10 +102,11 @@
 //! length, writes the block after it and shifts the block once when the
 //! length needs more than that byte.  [`WireMessage::decode`] collects its
 //! segments from the same [`SegmentView`] and [`SegmentView::primitives`],
-//! so the frame has one reader.  A pipe carries no names at all and a
-//! transit switch rule three absent options: the only strings in a
-//! generated segment are the class, gateway and local prefix of a goal's
-//! two edge-IP rules.
+//! so the frame has one reader; [`SegmentView::created`] walks the same
+//! stream reading only what each primitive creates.  A pipe carries no
+//! names at all and a transit switch rule three absent options: the only
+//! strings in a generated segment are the class, gateway and local prefix
+//! of a goal's two edge-IP rules.
 
 use crate::abstraction::{
     CounterSnapshot, Dependency, FilterCapability, FilterClassifier, ModuleAbstraction,
@@ -220,7 +221,7 @@ impl Field for ScriptSegment {
     // Through the same view the agent stages from, so the two agree.
     fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         let view = SegmentView::read(r)?;
-        let stream = view.stream();
+        let stream = view.stream(Primitive::read);
         let capacity = (stream.r.as_ref()).map_or(0, |r| presize(r, stream.remaining));
         let mut primitives = Vec::with_capacity(capacity);
         for p in stream {
@@ -328,10 +329,22 @@ impl<'a> SegmentView<'a> {
     /// Stream the segment's primitives, decoding each one lazily from the
     /// borrowed block.  After a [`MalformedSegment`] error the stream ends.
     pub fn primitives(&self) -> impl Iterator<Item = Result<Primitive, MalformedSegment>> + 'a {
-        self.stream()
+        self.stream(Primitive::read)
     }
 
-    fn stream(&self) -> PrimitiveStream<'a> {
+    /// Stream, for each primitive of the segment, the component it creates
+    /// (`None` for a read or a delete), as [`Primitive::component`] names
+    /// it: all a teardown or a goal's claims read of a kept segment.  A
+    /// create's spec is read up to its component and stepped over after
+    /// it, so no name or list is copied; the stream is as strict as
+    /// [`Self::primitives`].
+    pub fn created(
+        &self,
+    ) -> impl Iterator<Item = Result<Option<ComponentRef>, MalformedSegment>> + 'a {
+        self.stream(created)
+    }
+
+    fn stream<T>(&self, read: fn(&mut FrameReader<'a>) -> Option<T>) -> PrimitiveStream<'a, T> {
         let mut r = FrameReader {
             r: Reader::new(self.block),
             devices: self.devices,
@@ -345,19 +358,51 @@ impl<'a> SegmentView<'a> {
             // A block too short to carry its own count is malformed from
             // the first pull.
             poisoned: remaining.is_none(),
+            read,
         }
     }
 }
 
-struct PrimitiveStream<'a> {
+/// The component a primitive creates, read without building the primitive
+/// (see [`SegmentView::created`]): a spec's leading fields name the
+/// component, read from a copy of the reader before the spec is skipped.
+fn created(r: &mut FrameReader<'_>) -> Option<Option<ComponentRef>> {
+    let byte = r.u8()?;
+    let mut head = r.clone();
+    Some(match byte {
+        0 | 1 => None,
+        2 => {
+            PipeSpec::skip(r)?;
+            Some(ComponentRef::Pipe(Field::read(&mut head)?))
+        }
+        3 => {
+            SwitchSpec::skip(r)?;
+            let (module, in_pipe, out_pipe) = Field::read(&mut head)?;
+            Some(ComponentRef::SwitchRule(module, in_pipe, out_pipe))
+        }
+        4 => {
+            let FilterSpec { module, from, to } = Field::read(r)?;
+            Some(ComponentRef::Filter(module, from, to))
+        }
+        5 => {
+            ComponentRef::skip(r)?;
+            None
+        }
+        _ => return None,
+    })
+}
+
+/// A segment's block, read one primitive at a time with `read`.
+struct PrimitiveStream<'a, T> {
     /// `None` once the stream has ended.
     r: Option<FrameReader<'a>>,
     remaining: u32,
     poisoned: bool,
+    read: fn(&mut FrameReader<'a>) -> Option<T>,
 }
 
-impl Iterator for PrimitiveStream<'_> {
-    type Item = Result<Primitive, MalformedSegment>;
+impl<T> Iterator for PrimitiveStream<'_, T> {
+    type Item = Result<T, MalformedSegment>;
 
     fn next(&mut self) -> Option<Self::Item> {
         let r = self.r.as_mut()?;
@@ -370,7 +415,7 @@ impl Iterator for PrimitiveStream<'_> {
             return (!done).then_some(Err(MalformedSegment));
         }
         self.remaining -= 1;
-        let primitive = Primitive::read(r);
+        let primitive = (self.read)(r);
         if primitive.is_none() {
             self.r = None;
         }
@@ -444,6 +489,7 @@ const DEVICE_LEN: usize = 8;
 /// A frame being read: the bytes after its device list, the list (borrowed
 /// from the payload), and how far into it the fields read so far have
 /// named.
+#[derive(Clone)]
 struct FrameReader<'a> {
     r: Reader<'a>,
     devices: &'a [u8],
@@ -537,6 +583,25 @@ trait Field: Sized {
         }
         Some(items)
     }
+
+    /// Read past one value, as strictly as `read`, without keeping it.
+    /// Only what `read` would allocate for, a string or a list, steps over
+    /// its bytes instead; anything else is read and dropped.
+    fn skip(r: &mut FrameReader<'_>) -> Option<()> {
+        Self::read(r).map(drop)
+    }
+    fn skip_list(r: &mut FrameReader<'_>) -> Option<()> {
+        for _ in 0..r.u32()? {
+            Self::skip(r)?;
+        }
+        Some(())
+    }
+}
+
+/// `T::skip` for the type of the field `field` picks: how a `structs!`
+/// list, which names its fields but not their types, skips one.
+fn skip_field<S, T: Field>(_field: fn(&S) -> &T, r: &mut FrameReader<'_>) -> Option<()> {
+    T::skip(r)
 }
 
 /// How many elements to pre-size a `Vec` for when the payload claims `n`
@@ -590,6 +655,9 @@ impl Field for String {
     fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         r.str().map(str::to_string)
     }
+    fn skip(r: &mut FrameReader<'_>) -> Option<()> {
+        r.str().map(drop)
+    }
 }
 
 impl<T: Field> Field for Vec<T> {
@@ -598,6 +666,9 @@ impl<T: Field> Field for Vec<T> {
     }
     fn read(r: &mut FrameReader<'_>) -> Option<Self> {
         T::read_list(r)
+    }
+    fn skip(r: &mut FrameReader<'_>) -> Option<()> {
+        T::skip_list(r)
     }
 }
 
@@ -629,6 +700,12 @@ impl<T: Field> Field for Option<T> {
         match r.bool()? {
             false => Some(None),
             true => Some(Some(T::read(r)?)),
+        }
+    }
+    fn skip(r: &mut FrameReader<'_>) -> Option<()> {
+        match r.bool()? {
+            false => Some(()),
+            true => T::skip(r),
         }
     }
 }
@@ -709,6 +786,9 @@ impl Field for u8 {
     }
     fn read_list(r: &mut FrameReader<'_>) -> Option<Vec<Self>> {
         r.bytes().map(<[u8]>::to_vec)
+    }
+    fn skip_list(r: &mut FrameReader<'_>) -> Option<()> {
+        r.bytes().map(drop)
     }
 }
 
@@ -861,6 +941,10 @@ macro_rules! structs {
             }
             fn read(r: &mut FrameReader<'_>) -> Option<Self> {
                 Some($ty { $($field: Field::read(r)?),* })
+            }
+            fn skip(r: &mut FrameReader<'_>) -> Option<()> {
+                $(skip_field(|s: &$ty| &s.$field, r)?;)*
+                Some(())
             }
         }
     )*};
@@ -1662,6 +1746,37 @@ mod tests {
         let decoded: Result<Vec<_>, _> = segs[0].primitives().collect();
         assert_eq!(decoded.unwrap(), seg.primitives);
         assert_eq!(segs[1].primitives().count(), 0);
+    }
+
+    /// `created` reads what `primitives` decodes, a create's component for
+    /// each create and `None` for anything else, and fails where it fails:
+    /// on the rich segment and after any one byte of it changes.
+    #[test]
+    fn created_reads_each_creates_component_where_primitives_decode_it() {
+        let seg = rich_segment(5);
+        let bytes = encode_stage_batch(3, &[(5, &seg.primitives)]);
+        let mut mutated = bytes.clone();
+        let mut compared = 0;
+        for at in 0..bytes.len() {
+            for value in 0..=u8::MAX {
+                mutated[at] = value;
+                let Some(view) = StageBatchView::parse(&mutated) else {
+                    continue;
+                };
+                for segment in view.segments() {
+                    let full: Vec<_> = (segment.primitives())
+                        .map(|p| {
+                            p.map(|p| p.component().filter(|_| !matches!(p, Primitive::Delete(_))))
+                        })
+                        .collect();
+                    let lean: Vec<_> = segment.created().collect();
+                    assert_eq!(lean, full, "byte {at} set to {value:#x}");
+                    compared += 1;
+                }
+            }
+            mutated[at] = bytes[at];
+        }
+        assert!(compared > bytes.len(), "most mutations still frame");
     }
 
     #[test]

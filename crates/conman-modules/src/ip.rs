@@ -167,7 +167,9 @@ struct Rule {
     in_pipe: PipeId,
     out_pipe: PipeId,
     /// Only traffic to this prefix takes the rule; `Some(None)` when the
-    /// class does not parse, and then the rule never applies.
+    /// class does not parse, and then the rule never applies: `create`
+    /// neither installs it nor keeps it pending, so it is never listed and
+    /// no `poll` retries it.
     class: Option<Option<Ipv4Cidr>>,
     /// The customer gateway a rule towards the customer routes through.
     gateway: Option<Ipv4Addr>,
@@ -181,7 +183,8 @@ impl Rule {
     /// `create_switch`.  A gateway that does not parse is refused.  A class
     /// or a local prefix that does not parse is still taken, as it always
     /// was: `benchmark/`'s synthetic fleets name classes such as
-    /// `10.300.1.0/24` and count those goals as converged (ROADMAP item 3).
+    /// `10.300.1.0/24` and count those goals as converged (ROADMAP item 3),
+    /// though such a class rule installs nothing ([`Self::never_applies`]).
     fn parse(spec: &SwitchSpec) -> Result<Self, ModuleError> {
         let bad = |_| ModuleError::BadSwitchField(SwitchField::Gateway);
         let gateway = spec.gateway.as_ref().map(|g| g.value.parse().map_err(bad));
@@ -193,6 +196,12 @@ impl Rule {
             local_prefix: spec.local_prefix.as_ref().and_then(|p| p.parse().ok()),
         })
     }
+
+    /// A class that does not parse: no blackboard fact ever makes the rule
+    /// apply.
+    fn never_applies(&self) -> bool {
+        matches!(self.class, Some(None))
+    }
 }
 
 /// Data-plane artifacts one switch rule installed, remembered so `delete`
@@ -200,8 +209,9 @@ impl Rule {
 /// self-healing rely on this).
 #[derive(Debug, Clone, Default)]
 struct InstalledSwitch {
+    /// Each policy rule with the derived table it alone points at: `delete`
+    /// drops both.
     rules: Vec<(u32, RouteTableId)>,
-    tables: Vec<RouteTableId>,
     main_routes: Vec<Ipv4Cidr>,
     /// IP-IP tunnels, each with the endpoint pipe it is published on.
     tunnels: Vec<(PipeId, u32)>,
@@ -224,6 +234,8 @@ pub(crate) struct IpModule {
     /// Adjacency pipes (upper end above an ETH module), so
     /// [`Self::path_address`] is O(1) instead of a per-call pipe scan.
     adjacency_pipes: BTreeSet<PipeId>,
+    /// Switch rules still waiting for the facts they install from; `poll`
+    /// retries them.  A rule that can never apply is not among them.
     pending_switches: Vec<Rule>,
     /// Applied switch rules keyed `(in, out)`: what `showActual` lists and
     /// `delete` removes.
@@ -348,9 +360,6 @@ impl IpModule {
             };
             let table = table_for(spec.out_pipe, ROLE_CLASS);
             ctx.config.ip_forwarding = true;
-            ctx.config
-                .rib
-                .name_table(table, format!("conman-{}", spec.out_pipe));
             ctx.config.rib.table_mut(table).add(Route {
                 dest: Ipv4Cidr::DEFAULT,
                 target,
@@ -366,7 +375,6 @@ impl IpModule {
                 .entry((spec.in_pipe, spec.out_pipe))
                 .or_default();
             installed.rules.push((priority, table));
-            installed.tables.push(table);
             return true;
         }
 
@@ -475,9 +483,6 @@ impl IpModule {
                         ROLE_TRANSIT_REV
                     };
                     let table = table_for(spec.in_pipe, role);
-                    ctx.config
-                        .rib
-                        .name_table(table, format!("conman-transit-{}", table.0));
                     ctx.config.rib.table_mut(table).add(Route {
                         dest: Ipv4Cidr::DEFAULT,
                         target: to.target(),
@@ -489,7 +494,6 @@ impl IpModule {
                         table,
                     });
                     installed.rules.push((priority, table));
-                    installed.tables.push(table);
                 }
                 true
             }
@@ -611,8 +615,6 @@ impl ProtocolModule for IpModule {
                 if let Some(installed) = self.installed.remove(&(*in_pipe, *out_pipe)) {
                     for (priority, table) in &installed.rules {
                         ctx.config.rib.remove_rule(*priority, *table);
-                    }
-                    for table in &installed.tables {
                         ctx.config.rib.drop_table(*table);
                     }
                     for dest in &installed.main_routes {
@@ -693,6 +695,12 @@ impl ProtocolModule for IpModule {
         spec: &SwitchSpec,
     ) -> Result<ModuleReaction, ModuleError> {
         let rule = Rule::parse(spec)?;
+        // Filed, a rule that never applies would be retried on every poll
+        // and scanned by every delete for good.  It installed nothing, so
+        // nothing lists it either, and `audit()` finds it missing.
+        if rule.never_applies() {
+            return Ok(ModuleReaction::none());
+        }
         if !self.try_apply_switch(ctx, &rule) {
             self.pending_switches.push(rule);
         }
@@ -1155,6 +1163,36 @@ mod tests {
         .unwrap();
         assert!(m.actual(&rig.ctx()).switch_rules.is_empty());
         assert!(m.installed.is_empty() && m.pending_switches.is_empty());
+    }
+
+    /// A class that does not parse never applies, so the rule is neither
+    /// installed nor kept pending: once the attachment it waits for is
+    /// published, the parseable class installs at the next poll and the
+    /// other still installs nothing and is not listed.  Kept pending, it
+    /// was retried on every poll for good.
+    #[test]
+    fn a_rule_that_cannot_apply_is_not_kept_pending() {
+        for (class, installs) in [("10.2.1.0/24", true), ("10.300.1.0/24", false)] {
+            let mut rig = Rig::new();
+            let mut m = IpModule::new(me(), "isp", "10.9.0.1".parse().unwrap());
+            let mut rule = switch(&me(), 1, 2);
+            rule.dst_class = Some(ResolvedName {
+                name: "C-S2".into(),
+                value: class.into(),
+            });
+            let before = rig.config.clone();
+            m.create_switch(&mut rig.ctx(), &rule).unwrap();
+            assert!(m.installed.is_empty(), "{class}");
+            assert_eq!(m.pending_switches.is_empty(), !installs, "{class}");
+            let attach = Some(RouteTarget::Port { port: 0, via: None });
+            rig.blackboard
+                .publish(PipeId(2), |facts| facts.attach = attach);
+            m.poll(&mut rig.ctx());
+            assert!(m.pending_switches.is_empty(), "{class}");
+            let listed = m.actual(&rig.ctx()).switch_rules;
+            assert_eq!(listed.is_empty(), !installs, "{class}");
+            assert_eq!(rig.config != before, installs, "{class}");
+        }
     }
 
     /// `attach` names the IP-IP tunnel, so it goes where the tunnel goes: it

@@ -186,8 +186,6 @@ pub fn apply_gre_today(device: &mut Device, p: &GreVpnParams) {
 
     let t12 = RouteTableId(202);
     let t21 = RouteTableId(203);
-    device.config.rib.name_table(t12, "tun-1-2");
-    device.config.rib.name_table(t21, "tun-2-1");
     device.config.rib.table_mut(t12).add(Route {
         dest: Ipv4Cidr::DEFAULT,
         target: RouteTarget::Tunnel { tunnel: tunnel_id },

@@ -332,15 +332,14 @@ impl PartialEq for PolicyRules {
 
 impl Eq for PolicyRules {}
 
-/// The complete routing information base of a device: named tables plus
+/// The complete routing information base of a device: tables by id plus
 /// policy rules, with the main table consulted last (as Linux does with its
-/// implicit priority-32766 rule).
+/// implicit priority-32766 rule).  A table is known by its id alone:
+/// nothing looks a table up by name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Rib {
     tables: BTreeMap<RouteTableId, RouteTable>,
     rules: PolicyRules,
-    /// Human-readable table names (`echo 202 tun-1-2 >> rt_tables`).
-    pub table_names: BTreeMap<RouteTableId, String>,
 }
 
 impl Rib {
@@ -366,12 +365,6 @@ impl Rib {
         self.table_mut(RouteTableId::MAIN).add(route);
     }
 
-    /// Register a named table.
-    pub fn name_table(&mut self, id: RouteTableId, name: impl Into<String>) {
-        self.table_names.insert(id, name.into());
-        self.tables.entry(id).or_default();
-    }
-
     /// Add a policy rule, after every rule of lower or equal priority: rules
     /// stay in priority order, equal priorities in insertion order.  A core
     /// router holds thousands of rules, so the rule goes in place rather
@@ -387,11 +380,10 @@ impl Rib {
         self.rules.remove(priority, table)
     }
 
-    /// Drop a whole table (and its name).  The main table is never dropped.
+    /// Drop a whole table.  The main table is never dropped.
     pub fn drop_table(&mut self, id: RouteTableId) {
         if id != RouteTableId::MAIN {
             self.tables.remove(&id);
-            self.table_names.remove(&id);
         }
     }
 
@@ -504,8 +496,6 @@ mod tests {
         let mut rib = Rib::new();
         let t12 = RouteTableId(202);
         let t21 = RouteTableId(203);
-        rib.name_table(t12, "tun-1-2");
-        rib.name_table(t21, "tun-2-1");
         rib.table_mut(t12).add(Route {
             dest: Ipv4Cidr::DEFAULT,
             target: RouteTarget::Tunnel { tunnel: 1 },

@@ -1557,6 +1557,33 @@ fn a_component_deleted_behind_the_stores_back_is_missing() {
     assert_eq!(t.mn.audit(), [missing]);
 }
 
+/// A goal whose site classes do not parse (`10.299.1.0/24`, as the
+/// benchmark's synthetic fleets name them past class 255) still reconciles
+/// Active, but its class rule at each edge installs nothing: the IP module
+/// neither lists it nor keeps it pending, so the audit finds exactly those
+/// two rules claimed and missing (ROADMAP item 6f's rows).
+#[test]
+fn a_class_that_does_not_parse_is_missing_at_each_edge() {
+    let mut t = managed_chain(3);
+    t.discover();
+    let id = t.mn.submit(conman_bench::synthetic_goal(&t, 298));
+    assert_eq!(t.mn.reconcile().active(), 1);
+    assert_eq!(t.mn.goals.status(id), Some(GoalStatus::Active));
+    let rec = t.mn.goals.get(id).expect("goal exists");
+    let applied = rec.applied().expect("the goal is applied");
+    let typed = generate_with_base(&t.mn.nm, &applied.path, &rec.desired, applied.pipe_base);
+    let class_rules: Vec<(DeviceId, ComponentRef)> = (typed.scripts.iter())
+        .flat_map(|ds| ds.primitives.iter().map(move |p| (ds.device, p)))
+        .filter(|(_, p)| matches!(p, Primitive::CreateSwitch(s) if s.dst_class.is_some()))
+        .map(|(device, p)| (device, p.component().expect("a create names its component")))
+        .collect();
+    let devices: Vec<DeviceId> = class_rules.iter().map(|(device, _)| *device).collect();
+    assert_eq!(devices, [t.core[0], t.core[2]], "one class rule per edge");
+    let missing = |(device, component)| PlanViolation::MissingDeviceState { device, component };
+    let missing: Vec<PlanViolation> = class_rules.into_iter().map(missing).collect();
+    assert_eq!(t.mn.audit(), missing);
+}
+
 /// A testbed three concurrent goals fit on, as the scenario below sees it.
 struct ThreeGoals<'a, T> {
     t: &'a mut T,
