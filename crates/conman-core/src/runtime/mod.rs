@@ -9,6 +9,7 @@
 #[path = "loop.rs"]
 pub mod control_loop;
 pub mod event;
+mod pool;
 pub mod reconcile;
 pub mod txn;
 pub mod verify;
@@ -24,7 +25,7 @@ use crate::primitives::{
 use crate::wire::{self, WireCodec};
 use conman_obs::{MessageDirection, Recorder};
 use mgmt_channel::{ManagementChannel, MessageCategory, MgmtMessage};
-use netsim::device::DeviceId;
+use netsim::device::{Device, DeviceId};
 use netsim::network::Network;
 use netsim::stats::FlowCounters;
 use std::collections::BTreeMap;
@@ -75,6 +76,100 @@ pub struct ChannelCounters {
     pub bytes_received_by_category: BTreeMap<MessageCategory, u64>,
 }
 
+/// The category a message is counted under (Table VI).
+fn category_of(msg: &WireMessage) -> MessageCategory {
+    match msg {
+        WireMessage::Announce(_) => MessageCategory::Announcement,
+        WireMessage::Script { .. }
+        | WireMessage::StageBatch { .. }
+        | WireMessage::CommitBatch { .. }
+        | WireMessage::AbortBatch { .. } => MessageCategory::Command,
+        WireMessage::ScriptResult { .. }
+        | WireMessage::StageBatchResult { .. }
+        | WireMessage::CommitBatchResult { .. } => MessageCategory::Response,
+        WireMessage::Module(env) => match env.kind {
+            EnvelopeKind::Convey => MessageCategory::ConveyMessage,
+            EnvelopeKind::FieldQuery | EnvelopeKind::FieldResponse => MessageCategory::FieldQuery,
+        },
+        // A relay batch is one management message carrying many
+        // envelopes; it is counted once, under the convey category.
+        WireMessage::RelayBatch { .. } => MessageCategory::ConveyMessage,
+        WireMessage::Notify(_) => MessageCategory::Notification,
+        WireMessage::PollCounters { .. } | WireMessage::CounterReport { .. } => {
+            MessageCategory::Telemetry
+        }
+    }
+}
+
+/// An agent's answers to one payload at a live device: a `StageBatch` is
+/// validated in place (the zero-copy fast path, with no message tree
+/// built); anything else is decoded and handled.  `None`: the payload does
+/// not decode.
+fn agent_answers(
+    agent: &mut ManagementAgent,
+    device: &mut Device,
+    payload: &[u8],
+) -> Option<Vec<WireMessage>> {
+    if wire::is_stage_batch(payload) {
+        if let Some(outputs) = agent.handle_stage_batch_in_place(device, payload) {
+            return Some(outputs);
+        }
+        // Unparseable framing: the generic decoder drops it like any other
+        // malformed payload.
+    }
+    WireMessage::decode(payload).map(|msg| agent.handle(device, &msg))
+}
+
+/// What one agent's turn in a fanned-out round leaves for the calling
+/// thread to post and count.
+#[derive(Default)]
+struct Turn {
+    /// Its answers to the NM, encoded, in the order the agent gave them,
+    /// its round's module envelopes last as one `RelayBatch`: category,
+    /// payload, and whether the payload is a batch transaction message
+    /// (counted under `txn.encode_bytes`).
+    answers: Vec<(MessageCategory, Vec<u8>, bool)>,
+    /// Messages that did not decode (`mgmt.decode_dropped`).
+    dropped: u64,
+}
+
+/// One agent's turn in a transaction round, on a worker: what the
+/// sequential round's `route_message` and `answer` do for a device that
+/// is not the NM host, with relays batched, up to the send.
+fn agent_turn(
+    agent: &mut ManagementAgent,
+    device: &mut Device,
+    messages: Vec<MgmtMessage>,
+) -> Turn {
+    let mut turn = Turn::default();
+    // A crashed device consumes nothing.
+    if !device.up {
+        return turn;
+    }
+    let mut upward = Vec::new();
+    let encode = |msg: &WireMessage| {
+        let batch = wire::is_batch_txn_message(msg);
+        (category_of(msg), msg.encode(), batch)
+    };
+    for m in messages {
+        let Some(outputs) = agent_answers(agent, device, &m.payload) else {
+            turn.dropped += 1;
+            continue;
+        };
+        for out in outputs {
+            match out {
+                WireMessage::Module(env) => upward.push(env),
+                out => turn.answers.push(encode(&out)),
+            }
+        }
+    }
+    if !upward.is_empty() {
+        let batch = WireMessage::RelayBatch { envelopes: upward };
+        turn.answers.push(encode(&batch));
+    }
+    turn
+}
+
 /// A network under CONMan management.
 pub struct ManagedNetwork<C: ManagementChannel> {
     /// The simulated network (data plane).
@@ -119,6 +214,14 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     pub(crate) batch_relays: bool,
     /// Relays buffered for the current management round (relay batching).
     pending_relays: BTreeMap<DeviceId, Vec<ModuleEnvelope>>,
+    /// The width of the reconcile pass on the stack, if any: the workers
+    /// its path search and its transaction rounds use.  A transaction
+    /// runner outside a pass takes [`pool::default_width`].
+    pass_width: Option<usize>,
+    /// The workers a management round runs its agents on.  More than 1
+    /// only while a transaction runner is on the stack (see
+    /// [`Self::run_management`]).
+    round_width: usize,
     /// Deterministic fault-injection hook invoked between transaction
     /// phases (see [`TxnEvent`]); used by tests and the fault experiments to
     /// crash devices mid-commit.
@@ -150,6 +253,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             commit_batch_results: BTreeMap::new(),
             batch_relays: false,
             pending_relays: BTreeMap::new(),
+            pass_width: None,
+            round_width: 1,
             txn_hook: None,
             recorder: Recorder::disabled(),
             codec: WireCodec::default(),
@@ -188,38 +293,12 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.counters = ChannelCounters::default();
     }
 
-    fn category_for(msg: &WireMessage) -> MessageCategory {
-        match msg {
-            WireMessage::Announce(_) => MessageCategory::Announcement,
-            WireMessage::Script { .. }
-            | WireMessage::StageBatch { .. }
-            | WireMessage::CommitBatch { .. }
-            | WireMessage::AbortBatch { .. } => MessageCategory::Command,
-            WireMessage::ScriptResult { .. }
-            | WireMessage::StageBatchResult { .. }
-            | WireMessage::CommitBatchResult { .. } => MessageCategory::Response,
-            WireMessage::Module(env) => match env.kind {
-                EnvelopeKind::Convey => MessageCategory::ConveyMessage,
-                EnvelopeKind::FieldQuery | EnvelopeKind::FieldResponse => {
-                    MessageCategory::FieldQuery
-                }
-            },
-            // A relay batch is one management message carrying many
-            // envelopes; it is counted once, under the convey category.
-            WireMessage::RelayBatch { .. } => MessageCategory::ConveyMessage,
-            WireMessage::Notify(_) => MessageCategory::Notification,
-            WireMessage::PollCounters { .. } | WireMessage::CounterReport { .. } => {
-                MessageCategory::Telemetry
-            }
-        }
-    }
-
     fn send(&mut self, from: DeviceId, to: DeviceId, msg: &WireMessage) {
         let payload = msg.encode();
         if wire::is_batch_txn_message(msg) {
             self.recorder.inc("txn.encode_bytes", payload.len() as u64);
         }
-        self.post(from, to, Self::category_for(msg), payload);
+        self.post(from, to, category_of(msg), payload);
     }
 
     /// Send a `StageBatch` straight from borrowed per-goal primitive
@@ -408,30 +487,33 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// `RelayBatch`, sent right after that drain.  A lost or undecodable
     /// upward batch therefore loses that device's whole round of
     /// envelopes, not one of them.
+    ///
+    /// Each device takes its turn in id order, the NM host last when it is
+    /// not itself a managed device.  While a transaction runner is on the
+    /// stack at a width above 1, over a channel whose `recv` is passive
+    /// ([`ManagementChannel::recv_is_passive`]), the agents of a round run
+    /// side by side: every inbox is drained on the calling thread, each
+    /// agent's turn runs on a worker, and the answers are posted on the
+    /// calling thread.  The output is the same byte for byte: drains stay
+    /// sequential; an agent answers only the NM, so no agent's turn reads
+    /// what another's sent; and the answers are posted through the one
+    /// send door in device order, the NM host's own turn keeping its place
+    /// between them.  Every other round (discovery, reads, telemetry,
+    /// `execute_path`) runs on the calling thread.
     pub fn run_management(&mut self) -> usize {
+        let fan_out = self.batch_relays && self.round_width > 1 && self.channel.recv_is_passive();
         let mut total = 0;
         for _ in 0..MAX_ROUNDS {
             self.channel.run(&mut self.net);
-            let mut progressed = 0;
-            let ids: Vec<DeviceId> = {
-                let mut v: Vec<DeviceId> = self.agents.keys().copied().collect();
-                if !v.contains(&self.nm_host) {
-                    v.push(self.nm_host);
+            let progressed = if fan_out {
+                self.fanned_round()
+            } else {
+                let mut ids: Vec<DeviceId> = self.agents.keys().copied().collect();
+                if !ids.contains(&self.nm_host) {
+                    ids.push(self.nm_host);
                 }
-                v
+                ids.into_iter().map(|id| self.turn(id)).sum()
             };
-            for id in ids {
-                let messages = self.drain(id);
-                let mut upward = Vec::new();
-                for m in messages {
-                    progressed += 1;
-                    self.route_message(id, m, &mut upward);
-                }
-                if !upward.is_empty() {
-                    let batch = WireMessage::RelayBatch { envelopes: upward };
-                    self.send(id, self.nm_host, &batch);
-                }
-            }
             total += progressed;
             // Flush the round's buffered relays as one message per
             // destination device (relay batching); the flush itself queues
@@ -446,6 +528,86 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // ping-ponging): give up, but never silently.
         self.recorder.inc("mgmt.round_cap_hit", 1);
         total
+    }
+
+    /// One device's turn on the calling thread: drain its inbox, route each
+    /// message, and send its round's module envelopes up as one batch.
+    /// Returns the number of messages drained.
+    fn turn(&mut self, id: DeviceId) -> usize {
+        let messages = self.drain(id);
+        let drained = messages.len();
+        let mut upward = Vec::new();
+        for m in messages {
+            self.route_message(id, m, &mut upward);
+        }
+        if !upward.is_empty() {
+            let batch = WireMessage::RelayBatch { envelopes: upward };
+            self.send(id, self.nm_host, &batch);
+        }
+        drained
+    }
+
+    /// One round with its agents side by side, in device order: the
+    /// managed devices before the NM host, the host's own [`Self::turn`],
+    /// then the devices after it.  Returns the number of messages drained.
+    fn fanned_round(&mut self) -> usize {
+        let host = self.nm_host;
+        let ids: Vec<DeviceId> = self.agents.keys().copied().collect();
+        let (before, after) = match ids.binary_search(&host) {
+            Ok(at) => (&ids[..at], &ids[at + 1..]),
+            Err(_) => (&ids[..], &[][..]),
+        };
+        self.agents_side_by_side(before) + self.turn(host) + self.agents_side_by_side(after)
+    }
+
+    /// The turns of `ids` (managed devices, none of them the NM host, in id
+    /// order) with their agents on [`Self::round_width`] workers: every
+    /// inbox is drained here first, in order; each worker runs whole agent
+    /// turns ([`agent_turn`]) on a disjoint `&mut` agent and device; then
+    /// the answers are posted here, device by device.  Returns the number
+    /// of messages drained.
+    fn agents_side_by_side(&mut self, ids: &[DeviceId]) -> usize {
+        let inboxes: Vec<(DeviceId, Vec<MgmtMessage>)> = (ids.iter())
+            .map(|&id| (id, self.drain(id)))
+            .filter(|(_, messages)| !messages.is_empty())
+            .collect();
+        let drained = inboxes.iter().map(|(_, messages)| messages.len()).sum();
+        let turns = {
+            // Pair each busy inbox with its agent and device; both maps are
+            // in id order.  A device the network does not have consumes
+            // nothing.
+            let mut agents = self.agents.iter_mut();
+            let mut devices = self.net.devices_mut().peekable();
+            let mut work = Vec::with_capacity(inboxes.len());
+            for (id, messages) in inboxes {
+                let agent = (agents.by_ref()).find_map(|(a, agent)| (*a == id).then_some(agent));
+                while devices.next_if(|d| d.id < id).is_some() {}
+                let device = devices.next_if(|d| d.id == id);
+                if let (Some(agent), Some(device)) = (agent, device) {
+                    work.push((id, agent, device, messages, Turn::default()));
+                }
+            }
+            pool::fan_out(self.round_width, &mut work, |chunk| {
+                for (_, agent, device, messages, turn) in chunk {
+                    *turn = agent_turn(agent, device, std::mem::take(messages));
+                }
+            });
+            (work.into_iter())
+                .map(|(id, .., turn)| (id, turn))
+                .collect::<Vec<_>>()
+        };
+        for (id, turn) in turns {
+            if turn.dropped > 0 {
+                self.recorder.inc("mgmt.decode_dropped", turn.dropped);
+            }
+            for (category, payload, batch) in turn.answers {
+                if batch {
+                    self.recorder.inc("txn.encode_bytes", payload.len() as u64);
+                }
+                self.post(id, self.nm_host, category, payload);
+            }
+        }
+        drained
     }
 
     /// Send every buffered relay as one `RelayBatch` per destination.
@@ -471,19 +633,19 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         if !self.net.device(at).map(|d| d.up).unwrap_or(false) {
             return;
         }
-        // Zero-copy fast path: a StageBatch is always agent-bound, so hand
-        // the raw payload to the agent for in-place validation instead of
-        // materialising a message tree first.
-        if wire::is_stage_batch(&msg.payload) {
-            if let (Some(agent), Ok(device)) = (self.agents.get_mut(&at), self.net.device_mut(at)) {
-                if let Some(outputs) = agent.handle_stage_batch_in_place(device, &msg.payload) {
-                    self.answer(at, outputs, upward);
-                    return;
-                }
+        // Only the NM host reads a message before its agent does; a
+        // StageBatch is always agent-bound.
+        let agent_bound = at != self.nm_host || wire::is_stage_batch(&msg.payload);
+        if let (true, Some(agent), Ok(device)) = (
+            agent_bound,
+            self.agents.get_mut(&at),
+            self.net.device_mut(at),
+        ) {
+            match agent_answers(agent, device, &msg.payload) {
+                Some(outputs) => self.answer(at, outputs, upward),
+                None => self.recorder.inc("mgmt.decode_dropped", 1),
             }
-            // No agent or unparseable framing: fall through to the generic
-            // decoder, which drops (and counts) it like any other malformed
-            // payload.
+            return;
         }
         let Some(wire) = WireMessage::decode(&msg.payload) else {
             self.recorder.inc("mgmt.decode_dropped", 1);

@@ -27,22 +27,25 @@
 //! hand it one at a time.  Both passes end alike: the report, and a
 //! `GoalOutcome` journaled per goal the pass changed.
 //!
-//! Path search inside the batched pass runs on a small `std::thread::scope`
-//! worker pool: search is a pure read of the goal store and one hoisted
-//! potential graph, and each worker memoises its searches.  The chosen
-//! paths are merged back on the calling thread in goal-id order, and the
-//! merge performs every side effect — pipe-block allocation, journal
-//! events, store mutation — so journals, transcripts and reports do not
-//! depend on the number of workers.  [`ManagedNetwork::reconcile_sequential`]
-//! is the one-worker run of the same engine, the byte-equivalence oracle
-//! `tests/raw_speed.rs` compares the pool against.
+//! A pass runs at one width, its number of workers.  Path search inside
+//! the batched pass fans out over them (the runtime's one pool, `pool.rs`):
+//! search is a pure read of the goal store and one hoisted potential graph,
+//! and each worker memoises its searches.  The chosen paths are merged back
+//! on the calling thread in goal-id order, and the merge performs every
+//! side effect — pipe-block allocation, journal events, store mutation — so
+//! journals, transcripts and reports do not depend on the number of
+//! workers.  Each transaction round of the pass runs its devices' agents on
+//! the same workers (see [`ManagedNetwork::run_management`]).
+//! [`ManagedNetwork::reconcile_sequential`] is the same engine at width 1,
+//! the byte-equivalence oracle `tests/raw_speed.rs` compares the pool
+//! against.
 //! [`ManagedNetwork::reconcile_per_goal`] is the memo-free oracle: a batch
 //! of one per goal, each planned over a freshly built graph without the
 //! search memo; `tests/goals.rs` and `tests/raw_speed.rs` compare the
 //! batched pass against it.
 
 use super::txn::GoalTeardown;
-use super::ManagedNetwork;
+use super::{pool, ManagedNetwork};
 use crate::ids::ModuleRef;
 use crate::nm::goal::{AppliedPlan, Exclusion, GoalFailure, GoalId, GoalStatus, Plan, PlanError};
 use crate::nm::{
@@ -523,33 +526,38 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// tear down stale configurations, execute all plans as one batched
     /// two-phase transaction (per-goal atomicity inside the batch — a goal
     /// whose segment fails anywhere is rolled back via its teardown mirror
-    /// without disturbing siblings), then verify each committed goal.  Path
-    /// search runs on up to `min(available_parallelism, 8)` workers.
+    /// without disturbing siblings), then verify each committed goal.  The
+    /// pass runs at one width, `min(available_parallelism, 8)`: its path
+    /// search and the agents of each of its transaction rounds run on up to
+    /// that many workers.
     pub fn reconcile_with<P>(&mut self, probe: P) -> ReconcileReport
     where
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.reconcile_engine(probe, cores.min(8))
+        self.reconcile_engine(probe, pool::default_width())
     }
 
-    /// [`Self::reconcile`] with path search on one worker, the calling
-    /// thread: the same engine, hoisted graph and search memo, with no
-    /// thread spawned.  Kept as the equivalence oracle for the worker pool:
-    /// reports, journals and NM message counts must match byte for byte.
+    /// [`Self::reconcile`] at width 1: the same engine, hoisted graph and
+    /// search memo, with path search and every transaction round on the
+    /// calling thread and no thread started.  Kept as the equivalence oracle
+    /// for the worker pool: reports, journals and NM message counts must
+    /// match byte for byte.
     pub fn reconcile_sequential(&mut self) -> ReconcileReport {
         self.reconcile_engine(|_, _| None, 1)
     }
 
-    /// The batched reconcile engine behind both entry points.  Path search
-    /// fans out over at most `workers` threads (never more than there are
-    /// goals needing work) and feeds a sequential merge that performs every
-    /// side effect in goal-id order, so all observable outputs are
-    /// independent of `workers`.
+    /// The batched reconcile engine behind both entry points, at one width
+    /// for the whole pass.  Path search fans out over at most `workers`
+    /// workers (never more than there are goals needing work) and feeds a
+    /// sequential merge that performs every side effect in goal-id order;
+    /// each transaction round runs its devices' agents on as many (see
+    /// [`Self::run_management`]).  All observable outputs are independent
+    /// of `workers`.
     fn reconcile_engine<P>(&mut self, mut probe: P, workers: usize) -> ReconcileReport
     where
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {
+        let outer = self.pass_width.replace(workers);
         let before = (self.counters.sent, self.counters.received);
         let mut outcomes = BTreeMap::new();
         let work = self.triage(&mut probe, &mut outcomes);
@@ -560,8 +568,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // which takes its pipe block, so every plan in the batch is
         // numbered in a disjoint block.
         let mut ready: Vec<Ready> = Vec::new();
-        let choices = self.plan_paths(&work, workers);
-        for (&id, choice) in work.iter().zip(choices) {
+        for (id, choice) in self.plan_paths(&work, workers) {
             let plan = match self.plan_choice(id, choice) {
                 Ok(plan) => plan,
                 Err(e) => {
@@ -588,6 +595,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         for outcome in self.replace(ready, &mut transactions, settle) {
             outcomes.insert(outcome.goal, outcome);
         }
+        self.pass_width = outer;
         self.pass_report(before, transactions, outcomes)
     }
 
@@ -667,40 +675,29 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         work
     }
 
-    /// Choose a path for every goal in `work`, positionally (see
-    /// [`choose_goal_path`]).  `work` is cut into at most `workers` chunks;
-    /// each chunk after the first is searched on a scoped thread of its own
-    /// while the calling thread searches the first, so one worker spawns
-    /// nothing.  Path search is a pure read of the goal store, the NM and one
-    /// hoisted potential graph, so workers share them immutably; each worker
-    /// reuses one [`SearchScratch`] across its goals and memoises searches by
-    /// [`SearchKey`], so same-shaped goals cost one traversal.  Results come
-    /// back in `work` order — nothing about thread scheduling can leak into
-    /// the outputs.
-    fn plan_paths(&self, work: &[GoalId], workers: usize) -> Vec<PathChoice> {
+    /// Choose a path for every goal in `work`, in `work` order (see
+    /// [`choose_goal_path`]), fanned out over at most `workers` workers by
+    /// [`pool::fan_out`], which runs the first chunk on the calling thread
+    /// and so starts nothing at one worker.  Path search is a pure read of
+    /// the goal store, the NM and one hoisted potential graph, so workers
+    /// share them immutably; each worker reuses one [`SearchScratch`] across
+    /// its goals and memoises searches by [`SearchKey`], so same-shaped goals
+    /// cost one traversal.  Results come back in `work` order — nothing
+    /// about thread scheduling can leak into the outputs.
+    fn plan_paths(&self, work: &[GoalId], workers: usize) -> Vec<(GoalId, PathChoice)> {
         let graph = self.nm.build_graph();
-        let chunk = work.len().div_ceil(workers.max(1)).max(1);
-        let mut results: Vec<PathChoice> = Vec::with_capacity(work.len());
-        results.resize_with(work.len(), || Err(PlanError::NoPath));
         let (nm, goals, graph) = (&self.nm, &self.goals, &graph);
-        let search = move |ids: &[GoalId], slots: &mut [PathChoice]| {
+        let mut choices: Vec<(GoalId, PathChoice)> = (work.iter())
+            .map(|&id| (id, Err(PlanError::NoPath)))
+            .collect();
+        pool::fan_out(workers, &mut choices, |chunk| {
             let mut scratch = SearchScratch::default();
             let mut memo = BTreeMap::new();
-            for (slot, &id) in slots.iter_mut().zip(ids) {
-                *slot = choose_goal_path_memo(nm, goals, graph, id, &mut scratch, &mut memo);
-            }
-        };
-        std::thread::scope(|s| {
-            let mut chunks = work.chunks(chunk).zip(results.chunks_mut(chunk));
-            let first = chunks.next();
-            for (ids, slots) in chunks {
-                s.spawn(move || search(ids, slots));
-            }
-            if let Some((ids, slots)) = first {
-                search(ids, slots);
+            for (id, choice) in chunk {
+                *choice = choose_goal_path_memo(nm, goals, graph, *id, &mut scratch, &mut memo);
             }
         });
-        results
+        choices
     }
 
     /// Reconcile one goal at a time, without verification probes: after the
@@ -711,8 +708,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// the memo-free reference implementation `tests/goals.rs` and
     /// `tests/raw_speed.rs` compare the batched pass against — end state
     /// (statuses, applied paths, module refcounts, data-plane connectivity)
-    /// is identical; only the message shape differs.
+    /// is identical; only the message shape differs.  It runs at width 1,
+    /// so it starts no thread.
     pub fn reconcile_per_goal(&mut self) -> ReconcileReport {
+        let outer = self.pass_width.replace(1);
         let before = (self.counters.sent, self.counters.received);
         let mut transactions = 0;
         let mut probe = |_: &mut Self, _: GoalId| None;
@@ -740,6 +739,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             };
             outcomes.insert(id, outcome);
         }
+        self.pass_width = outer;
         self.pass_report(before, transactions, outcomes)
     }
 

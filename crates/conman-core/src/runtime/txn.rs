@@ -49,8 +49,15 @@
 //! rolls the failed goals back.  A rollback is itself a nested lenient
 //! transaction under a newer txn id, sent to the devices that answered the
 //! commit, so the journal shows every delete it sends.
+//!
+//! While a runner is on the stack, relays are batched and every management
+//! round runs its devices' agents side by side, at the width of the pass
+//! (see [`ManagedNetwork::run_management`]).  That changes no byte of
+//! output: the drains stay sequential, an agent answers only the NM, so no
+//! agent's turn reads what another's sent, and the answers are posted in
+//! device order, the NM host's own turn keeping its place among them.
 
-use super::ManagedNetwork;
+use super::{pool, ManagedNetwork};
 use crate::nm::goal::GoalId;
 use crate::nm::{ScriptSet, StagedScripts};
 use crate::primitives::{
@@ -148,21 +155,52 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
     }
 
-    /// The stage phase of both runners: send every device its `StageBatch`
-    /// once, quiesce once, and take each device's verdicts, journaling a
-    /// `StageDevice` that is `ok` when the device answered and refused
-    /// nothing.
-    fn stage(&mut self, txn: u64, segments: Segments<'_>) -> BTreeMap<DeviceId, Staged> {
-        if segments.is_empty() {
-            return BTreeMap::new();
-        }
+    /// Open a transaction runner's span: relays are batched, and each
+    /// management round runs its agents at the width of the pass on the
+    /// stack, or at [`pool::default_width`] for a runner called outside
+    /// one.  Returns what [`Self::close_runner`] restores.
+    fn open_runner(&mut self) -> (bool, usize) {
+        let width = self.pass_width.unwrap_or_else(pool::default_width);
+        (
+            std::mem::replace(&mut self.batch_relays, true),
+            std::mem::replace(&mut self.round_width, width),
+        )
+    }
+
+    /// Close the span [`Self::open_runner`] opened.
+    fn close_runner(&mut self, outer: (bool, usize)) {
+        (self.batch_relays, self.round_width) = outer;
+    }
+
+    /// The stage phase of both runners, first half: send every device its
+    /// `StageBatch` once.  Returns each device's goals, unanswered, for
+    /// [`Self::stage_verdicts`]; the borrowed segments are done with.
+    fn send_stage(&mut self, txn: u64, segments: Segments<'_>) -> BTreeMap<DeviceId, Staged> {
         for (device, segs) in &segments {
             self.send_stage_batch(*device, txn, segs);
         }
+        (segments.into_iter())
+            .map(|(device, segs)| {
+                let (goals, verdicts) = (segs.iter().map(|(g, _)| *g).collect(), None);
+                (device, Staged { goals, verdicts })
+            })
+            .collect()
+    }
+
+    /// The stage phase's second half: quiesce once, and take each device's
+    /// verdicts, journaling a `StageDevice` that is `ok` when the device
+    /// answered and refused nothing.
+    fn stage_verdicts(
+        &mut self,
+        txn: u64,
+        mut staged: BTreeMap<DeviceId, Staged>,
+    ) -> BTreeMap<DeviceId, Staged> {
+        if staged.is_empty() {
+            return staged;
+        }
         self.run_management();
-        let mut staged = BTreeMap::new();
-        for (device, segs) in segments {
-            let verdicts = self.stage_batch_results.remove(&(device, txn));
+        for (&device, Staged { goals, verdicts }) in &mut staged {
+            *verdicts = self.stage_batch_results.remove(&(device, txn));
             self.count_stale(verdicts.iter().flatten().flat_map(|v| &v.errors));
             let ok = verdicts
                 .as_ref()
@@ -172,12 +210,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 TraceKind::StageDevice {
                     txn,
                     device: device.as_u64(),
-                    segments: segs.len() as u64,
+                    segments: goals.len() as u64,
                     ok,
                 },
             );
-            let goals = segs.iter().map(|(g, _)| *g).collect();
-            staged.insert(device, Staged { goals, verdicts });
         }
         self.drop_stale_results();
         staged
@@ -312,12 +348,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         if segments.is_empty() {
             return outcome;
         }
-        let prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
+        let outer = self.open_runner();
 
         // Deletes always validate, so a device either answers its stage
         // (committable) or is silent (lenient skip).
         let mut wave = BTreeMap::new();
-        for (device, staged) in self.stage(txn, segments) {
+        let sent = self.send_stage(txn, segments);
+        for (device, staged) in self.stage_verdicts(txn, sent) {
             match staged.verdicts {
                 Some(_) => {
                     wave.insert(device, staged.goals);
@@ -331,7 +368,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         for sc in answers.into_values().flatten() {
             *outcome.per_goal.entry(GoalId(sc.goal)).or_insert(0) += sc.results.len();
         }
-        self.batch_relays = prev_batch_relays;
+        self.close_runner(outer);
         outcome
     }
 
@@ -387,13 +424,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     }
 
     /// The strict runner behind [`Self::run_batch`] and the reconcile
-    /// engine's replace step.  It stages every device once and aborts the
-    /// goals refused or unanswered anywhere; then, the typed scripts read
-    /// for the last time, it consumes `items` into each goal's
-    /// [`StagedScripts`], so owned scripts die before the commit wave.  It
-    /// commits the live goals in one wave and rolls the goals that failed
-    /// there back from their kept frames.  Returns the outcome and the kept
-    /// frames, in item order.
+    /// engine's replace step.  It sends every device its `StageBatch`;
+    /// then, the typed scripts read for the last time, it consumes `items`
+    /// into each goal's [`StagedScripts`], so owned scripts die before the
+    /// stage round runs a single agent.  It aborts the goals refused or
+    /// unanswered anywhere at stage, commits the live goals in one wave and
+    /// rolls the goals that failed there back from their kept frames.
+    /// Returns the outcome and the kept frames, in item order.
     pub(crate) fn run_staged<S: Borrow<ScriptSet>>(
         &mut self,
         items: Vec<(GoalId, S)>,
@@ -412,13 +449,20 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.recorder.inc("txn.batches", 1);
         self.recorder
             .observe("txn.batch.devices", segments.len() as f64);
-        let prev_batch_relays = std::mem::replace(&mut self.batch_relays, true);
+        let outer = self.open_runner();
         // Each failed goal's first refusal; a goal absent from it is live.
         let mut errors: BTreeMap<GoalId, Refusal> = BTreeMap::new();
 
         // ---- Phase 1: stage every device once. ------------------------
+        // The typed scripts are read for the last time once the frames are
+        // sent: each goal keeps its own frame, and owned scripts are freed
+        // before any agent stages (and allocates).
+        let sent = self.send_stage(txn, segments);
+        let (goals, kept): (Vec<GoalId>, Vec<StagedScripts>) = (items.into_iter())
+            .map(|(goal, scripts)| (goal, StagedScripts::from(scripts.borrow())))
+            .unzip();
         let mut held: BTreeMap<DeviceId, Vec<u64>> = BTreeMap::new();
-        for (device, staged) in self.stage(txn, segments) {
+        for (device, staged) in self.stage_verdicts(txn, sent) {
             match staged.verdicts {
                 Some(verdicts) => {
                     for v in &verdicts {
@@ -457,9 +501,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         if aborted_any {
             self.run_management();
         }
-        let (goals, kept): (Vec<GoalId>, Vec<StagedScripts>) = (items.into_iter())
-            .map(|(goal, scripts)| (goal, StagedScripts::from(scripts.borrow())))
-            .unzip();
         let live: Vec<bool> = goals.iter().map(|g| !errors.contains_key(g)).collect();
 
         // ---- Phase 2: commit the live goals in one wave. --------------
@@ -502,7 +543,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             self.run_teardown_batch(&mirrors, &[]);
         }
 
-        self.batch_relays = prev_batch_relays;
+        self.close_runner(outer);
         let committed = (goals.into_iter())
             .filter(|g| !errors.contains_key(g))
             .collect();

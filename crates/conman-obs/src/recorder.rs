@@ -37,8 +37,10 @@ struct Inner {
     metrics: MetricsRegistry,
 }
 
-/// Shared flight-recorder handle (see module docs).  Not `Send`: the
-/// simulator and the NM runtime are single-threaded by design.
+/// Shared flight-recorder handle (see module docs).  Not `Send`: it stays
+/// on the NM's calling thread, and the runtime's workers (path search, the
+/// agents of a transaction round) hand back what they did for it to
+/// record.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder(Option<Rc<RefCell<Inner>>>);
 

@@ -54,6 +54,16 @@ pub trait ManagementChannel {
     /// Drain messages addressed to `device`.
     fn recv(&mut self, net: &mut Network, device: DeviceId) -> Vec<MgmtMessage>;
 
+    /// Whether [`Self::recv`] only hands over what is queued and leaves the
+    /// network untouched, so one device's drain cannot depend on what
+    /// another device sent just before it.  The out-of-band channel's does;
+    /// the in-band channel's steps the simulated network (it floods, and
+    /// advances simulated time).  The NM fans a transaction round's agents
+    /// out only over a channel whose `recv` is passive.
+    fn recv_is_passive(&self) -> bool {
+        false
+    }
+
     /// Attach a flight recorder for the channel's own metrics (the in-band
     /// channel's `inband.*` flood counts).  A channel with none ignores it.
     fn attach_recorder(&mut self, _recorder: conman_obs::Recorder) {}

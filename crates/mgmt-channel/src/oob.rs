@@ -42,6 +42,10 @@ impl ManagementChannel for OutOfBandChannel {
             .map(|q| q.drain(..).collect())
             .unwrap_or_default()
     }
+
+    fn recv_is_passive(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

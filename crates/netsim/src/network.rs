@@ -145,6 +145,12 @@ impl Network {
         self.devices.values()
     }
 
+    /// All devices, mutably, in id order: disjoint borrows, so each can go
+    /// to a worker of its own.
+    pub fn devices_mut(&mut self) -> impl Iterator<Item = &mut Device> {
+        self.devices.values_mut()
+    }
+
     /// All links.
     pub fn links(&self) -> &[Link] {
         &self.links

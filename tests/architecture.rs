@@ -973,9 +973,9 @@ fn a_message_is_counted_at_the_nms_door() {
     assert_clean("A message is counted at the NM's door", &hits);
 }
 
-/// A goal remembers what it sent. Once its batch has staged a plan, the
-/// NM keeps the bytes it staged and drops the typed scripts before the
-/// commit wave: neither `AppliedPlan` nor the `StagedScripts` it holds
+/// A goal remembers what it sent. Once its batch has sent a plan's stage
+/// frames, the NM keeps the bytes it staged and drops the typed scripts
+/// before the stage round runs an agent: neither `AppliedPlan` nor the `StagedScripts` it holds
 /// names a `Primitive`, a `DeviceScript` or a `ScriptSet`.
 #[test]
 fn a_goal_remembers_what_it_sent() {
@@ -991,6 +991,35 @@ fn a_goal_remembers_what_it_sent() {
             .block_hits("pub struct StagedScripts", typed),
     );
     assert_clean("A goal remembers what it sent", &hits);
+}
+
+/// Threads start in one place: the runtime's pool, whose `fan_out` hands
+/// each worker a contiguous chunk of its items, each with its own result
+/// slot, so no output depends on how many workers ran. Path search and the
+/// agents of a transaction round both fan out through it, at the one width
+/// of their pass. Under `crates/*/src`, `thread::scope` and
+/// `thread::spawn` appear only inside that function.
+#[test]
+fn threads_start_in_one_place() {
+    const POOL: &str = "crates/conman-core/src/runtime/pool.rs";
+    let starts = |line: &str| line.contains("thread::scope") || line.contains("thread::spawn");
+    let (mut hits, mut pooled) = (Vec::new(), 0);
+    for file in rs_under("crates")
+        .iter()
+        .filter(|f| f.path.contains("/src/"))
+    {
+        for (inside, number, line) in file.fn_lines() {
+            if !starts(line) {
+                continue;
+            }
+            match inside {
+                Some("fan_out") if file.path == POOL => pooled += 1,
+                _ => hits.push(file.hit(number, line)),
+            }
+        }
+    }
+    assert!(pooled > 0, "{POOL}: fan_out starts no thread");
+    assert_clean("Threads start in one place", &hits);
 }
 
 #[test]

@@ -14,19 +14,32 @@
 //! memo-free oracle that rebuilds the potential graph for every goal.
 //!
 //! Every scenario runs twin testbeds built identically, so any divergence
-//! between the engines shows up as a journal or report diff.
+//! between the engines shows up as a journal or report diff.  The pool runs
+//! each transaction round's agents side by side too, so three scenarios
+//! hold those rounds to the sequential ones: a goal refused at commit,
+//! whose nested rollback's teardown rounds fan out; a chain whose NM host
+//! is itself a managed router, so each round splits around the host's own
+//! turn; and the in-band channel.
 
-use conman::core::nm::{script, ConnectivityGoal, Exclusion, GoalStatus, ModulePath};
+use conman::core::nm::{
+    script, ConnectivityGoal, Exclusion, GoalFailure, GoalId, GoalStatus, ModulePath,
+};
+use conman::core::primitives::RefusalCause;
 use conman::core::runtime::verify::PlanViolation;
-use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent};
+use conman::core::runtime::{
+    ChannelCounters, ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent,
+};
 use conman::modules::{
-    managed_chain, managed_fanout_chain, managed_mesh_fanout, ManagedChain, ManagedMesh,
+    managed_chain, managed_fanout_chain, managed_fanout_chain_with, managed_mesh_fanout,
+    ManagedChain, ManagedMesh,
 };
 use conman_bench::assert_journal_conforms;
 use conman_bench::control_loop::mesh_limits;
 use conman_bench::diagnosis::chain_limits;
-use conman_obs::Recorder;
-use mgmt_channel::OutOfBandChannel;
+use conman_obs::{Recorder, TraceKind};
+use mgmt_channel::{InBandChannel, ManagementChannel, OutOfBandChannel};
+use netsim::device::DeviceId;
+use netsim::network::Network;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -35,7 +48,16 @@ type Mesh = ManagedMesh<OutOfBandChannel>;
 
 /// A fan-out chain twin: `goals` submitted, limits set, recorder attached.
 fn chain_twin(n: usize, goals: usize) -> Chain {
-    let mut t = managed_fanout_chain(n, goals);
+    ready_chain(managed_fanout_chain(n, goals), n, goals)
+}
+
+/// Ready a fan-out chain over any channel: discovered, limits set, `goals`
+/// submitted, recorder attached.
+fn ready_chain<C: ManagementChannel>(
+    mut t: ManagedChain<C>,
+    n: usize,
+    goals: usize,
+) -> ManagedChain<C> {
     t.discover();
     t.mn.goals.limits = chain_limits(n);
     for k in 0..goals {
@@ -65,15 +87,17 @@ struct Observed {
     journal: String,
     nm_sent: u64,
     nm_received: u64,
+    counters: ChannelCounters,
     audit: Vec<PlanViolation>,
 }
 
-fn observe(report: &ReconcileReport, mn: &mut ManagedNetwork<OutOfBandChannel>) -> Observed {
+fn observe<C: ManagementChannel>(report: &ReconcileReport, mn: &mut ManagedNetwork<C>) -> Observed {
     Observed {
         report: format!("{report:?}"),
         journal: mn.recorder.journal_json(),
         nm_sent: report.nm_sent,
         nm_received: report.nm_received,
+        counters: mn.nm_counters(),
         audit: mn.audit(),
     }
 }
@@ -93,6 +117,10 @@ fn assert_twins_equal(par: &Observed, seq: &Observed, what: &str, audit: &[PlanV
         (par.nm_sent, par.nm_received),
         (seq.nm_sent, seq.nm_received),
         "{what}: NM wire-message counts must match"
+    );
+    assert_eq!(
+        par.counters, seq.counters,
+        "{what}: NM counters must match, category by category"
     );
     assert_eq!((&par.audit[..], &seq.audit[..]), (audit, audit), "{what}");
     assert_journal_conforms(&par.journal, what);
@@ -265,6 +293,117 @@ fn parallel_equals_sequential_through_the_suspect_fallback() {
         applied_paths(&a.mn),
         applied_paths(&c.mn),
         "the per-goal oracle applies the same path per goal"
+    );
+}
+
+/// Two goals over the 2×3 mesh, the first kept to the upper row and the
+/// second to the lower (each avoids the other row's edge links and every
+/// cross-link), and the lower row's middle router rebooted right before
+/// its commit: it holds nothing staged any more, so it refuses the second
+/// goal at commit, and every other router of that goal's path rolls it
+/// back in a nested teardown transaction, whose rounds fan out too.
+fn refused_at_commit_twin() -> Mesh {
+    let mut t = mesh_twin(3, 2);
+    let (ingress, egress) = (t.ingress, t.egress);
+    let cross: Vec<Exclusion> = (t.upper.iter().zip(&t.lower))
+        .map(|(&u, &l)| Exclusion::link(u, l))
+        .collect();
+    let avoiding = |row: &[DeviceId]| -> BTreeSet<Exclusion> {
+        let edges = [
+            Exclusion::link(ingress, row[0]),
+            Exclusion::link(row[2], egress),
+        ];
+        cross.iter().cloned().chain(edges).collect()
+    };
+    let (upper, lower) = (avoiding(&t.lower), avoiding(&t.upper));
+    assert!(t.mn.goals.mark_degraded(GoalId(1), upper));
+    assert!(t.mn.goals.mark_degraded(GoalId(2), lower));
+    let rebooted = t.lower[1];
+    let mut armed = true;
+    t.mn.txn_hook = Some(Box::new(move |event, net| {
+        let TxnEvent::BeforeCommit { device, .. } = event;
+        if armed && *device == rebooted {
+            armed = false;
+            net.set_device_up(rebooted, false);
+            net.set_device_up(rebooted, true);
+        }
+    }));
+    t
+}
+
+#[test]
+fn parallel_equals_sequential_when_a_goal_is_refused_at_commit() {
+    let mut a = refused_at_commit_twin();
+    let mut b = refused_at_commit_twin();
+    let ra = a.mn.reconcile();
+    let rb = b.mn.reconcile_sequential();
+    let applied = ra.outcome(GoalId(1)).expect("goal 1");
+    assert_eq!(applied.action, ReconcileAction::Applied, "{ra:#?}");
+    let refused = ra.outcome(GoalId(2)).expect("goal 2");
+    let Some(GoalFailure::Refused(refusal)) = &refused.error else {
+        panic!("goal 2 must be refused: {ra:#?}");
+    };
+    assert_eq!(
+        (refusal.device, &refusal.cause),
+        (a.lower[1], &RefusalCause::NeverStaged),
+        "refused at commit by the rebooted router"
+    );
+    // The batch and its rollback: two transactions, each staged.
+    let txns: BTreeSet<u64> = (a.mn.recorder.journal_events().iter())
+        .filter_map(|e| match e.kind {
+            TraceKind::StageDevice { txn, .. } => Some(txn),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(txns.len(), 2, "the batch and its rollback");
+    let par = observe(&ra, &mut a.mn);
+    let seq = observe(&rb, &mut b.mn);
+    assert_twins_equal(&par, &seq, "a goal refused at commit", &[]);
+}
+
+/// A fan-out chain twin whose NM runs on a core router it also manages,
+/// picked so that managed routers sort on both sides of it: every round
+/// splits around the host's own turn.
+fn hosted_chain_twin(n: usize, goals: usize) -> Chain {
+    let mut t = managed_fanout_chain(n, goals);
+    let mut routers = t.core.clone();
+    routers.sort();
+    let host = routers[routers.len() / 2];
+    let net = std::mem::replace(&mut t.mn.net, Network::new());
+    let agents = std::mem::take(&mut t.mn.agents);
+    t.mn = ManagedNetwork::new(net, host, OutOfBandChannel::new());
+    t.mn.agents = agents;
+    let managed: Vec<DeviceId> = t.mn.agents.keys().copied().collect();
+    assert!(managed.first() < Some(&host) && managed.last() > Some(&host));
+    ready_chain(t, n, goals)
+}
+
+#[test]
+fn parallel_equals_sequential_when_the_nm_host_is_a_managed_router() {
+    let mut a = hosted_chain_twin(4, 3);
+    let mut b = hosted_chain_twin(4, 3);
+    let ra = a.mn.reconcile();
+    let rb = b.mn.reconcile_sequential();
+    assert!(ra.converged(), "the hosted chain converges: {ra:#?}");
+    let par = observe(&ra, &mut a.mn);
+    let seq = observe(&rb, &mut b.mn);
+    assert_twins_equal(&par, &seq, "NM host managed", &[]);
+}
+
+#[test]
+fn parallel_equals_sequential_over_the_in_band_channel() {
+    let twin = || ready_chain(managed_fanout_chain_with(3, 2, InBandChannel::new()), 3, 2);
+    let (mut a, mut b) = (twin(), twin());
+    let ra = a.mn.reconcile();
+    let rb = b.mn.reconcile_sequential();
+    assert!(ra.converged(), "the in-band chain converges: {ra:#?}");
+    let par = observe(&ra, &mut a.mn);
+    let seq = observe(&rb, &mut b.mn);
+    assert_twins_equal(&par, &seq, "in-band channel", &[]);
+    assert_eq!(
+        (a.mn.channel.bytes_flooded, a.mn.channel.frames_flooded),
+        (b.mn.channel.bytes_flooded, b.mn.channel.frames_flooded),
+        "the floods match too"
     );
 }
 
