@@ -24,6 +24,7 @@ use crate::primitives::{
 };
 use crate::wire::{self, WireCodec};
 use conman_obs::{MessageDirection, Recorder};
+use mgmt_channel::codec::{TAG_ABORT_BATCH, TAG_STAGE_BATCH};
 use mgmt_channel::{ManagementChannel, MessageCategory, MgmtMessage};
 use netsim::device::{Device, DeviceId};
 use netsim::network::Network;
@@ -120,54 +121,70 @@ fn agent_answers(
     WireMessage::decode(payload).map(|msg| agent.handle(device, &msg))
 }
 
-/// What one agent's turn in a fanned-out round leaves for the calling
+/// What one agent's turn in a management round leaves for the calling
 /// thread to post and count.
 #[derive(Default)]
 struct Turn {
-    /// Its answers to the NM, encoded, in the order the agent gave them,
-    /// its round's module envelopes last as one `RelayBatch`: category,
-    /// payload, and whether the payload is a batch transaction message
-    /// (counted under `txn.encode_bytes`).
-    answers: Vec<(MessageCategory, Vec<u8>, bool)>,
+    /// Its answers to the NM, encoded, in the order the agent gave them.
+    answers: Vec<(MessageCategory, Vec<u8>)>,
+    /// The round's module envelopes, held back while relays are batched
+    /// (`None` while each envelope is an answer of its own, in place).
+    upward: Option<Vec<ModuleEnvelope>>,
     /// Messages that did not decode (`mgmt.decode_dropped`).
     dropped: u64,
 }
 
-/// One agent's turn in a transaction round, on a worker: what the
-/// sequential round's `route_message` and `answer` do for a device that
-/// is not the NM host, with relays batched, up to the send.
+impl Turn {
+    /// An empty turn; `batched` holds its module envelopes back for one
+    /// `RelayBatch`.
+    fn new(batched: bool) -> Turn {
+        Turn {
+            upward: batched.then(Vec::new),
+            ..Turn::default()
+        }
+    }
+
+    /// Take the agent's answers to one message.
+    fn take(&mut self, outputs: Vec<WireMessage>) {
+        for out in outputs {
+            match (out, &mut self.upward) {
+                (WireMessage::Module(env), Some(upward)) => upward.push(env),
+                (out, _) => self.answers.push((category_of(&out), out.encode())),
+            }
+        }
+    }
+
+    /// End the turn: the round's module envelopes go up last, as one
+    /// `RelayBatch`.
+    fn end(mut self) -> Turn {
+        if let Some(envelopes) = self.upward.take().filter(|up| !up.is_empty()) {
+            let batch = WireMessage::RelayBatch { envelopes };
+            self.answers.push((category_of(&batch), batch.encode()));
+        }
+        self
+    }
+}
+
+/// The turn of a managed device that is not the NM host, on whichever
+/// thread runs it: its agent answers each message drained at it, in order.
+/// A crashed device consumes nothing.
 fn agent_turn(
     agent: &mut ManagementAgent,
     device: &mut Device,
     messages: Vec<MgmtMessage>,
+    batched: bool,
 ) -> Turn {
-    let mut turn = Turn::default();
-    // A crashed device consumes nothing.
+    let mut turn = Turn::new(batched);
     if !device.up {
         return turn;
     }
-    let mut upward = Vec::new();
-    let encode = |msg: &WireMessage| {
-        let batch = wire::is_batch_txn_message(msg);
-        (category_of(msg), msg.encode(), batch)
-    };
     for m in messages {
-        let Some(outputs) = agent_answers(agent, device, &m.payload) else {
-            turn.dropped += 1;
-            continue;
-        };
-        for out in outputs {
-            match out {
-                WireMessage::Module(env) => upward.push(env),
-                out => turn.answers.push(encode(&out)),
-            }
+        match agent_answers(agent, device, &m.payload) {
+            Some(outputs) => turn.take(outputs),
+            None => turn.dropped += 1,
         }
     }
-    if !upward.is_empty() {
-        let batch = WireMessage::RelayBatch { envelopes: upward };
-        turn.answers.push(encode(&batch));
-    }
-    turn
+    turn.end()
 }
 
 /// A network under CONMan management.
@@ -203,25 +220,23 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     pub(crate) stage_batch_results: BTreeMap<(DeviceId, u64), Vec<SegmentVerdict>>,
     /// Commit results (one per goal segment), indexed by (device, txn).
     pub(crate) commit_batch_results: BTreeMap<(DeviceId, u64), Vec<SegmentCommit>>,
-    /// Set while a transaction runner is on the stack: module-to-module
-    /// envelopes travel as one [`WireMessage::RelayBatch`] per (device,
-    /// management round) in both directions — a device sends the NM
-    /// everything its modules emitted in a round as one message, and the
-    /// NM relays them onward as one message per destination — instead of
-    /// one message per envelope.  Off outside transactions, so the
-    /// fire-and-forget [`Self::execute_path`] keeps the per-message
-    /// Table VI counts.
-    pub(crate) batch_relays: bool,
     /// Relays buffered for the current management round (relay batching).
     pending_relays: BTreeMap<DeviceId, Vec<ModuleEnvelope>>,
     /// The width of the reconcile pass on the stack, if any: the workers
     /// its path search and its transaction rounds use.  A transaction
     /// runner outside a pass takes [`pool::default_width`].
     pass_width: Option<usize>,
-    /// The workers a management round runs its agents on.  More than 1
-    /// only while a transaction runner is on the stack (see
-    /// [`Self::run_management`]).
-    round_width: usize,
+    /// `Some(width)` while a transaction runner is on the stack.  Then
+    /// module-to-module envelopes travel as one [`WireMessage::RelayBatch`]
+    /// per (device, management round) in both directions — a device sends
+    /// the NM everything its modules emitted in a round as one message, and
+    /// the NM relays them onward as one message per destination — instead
+    /// of one message per envelope, and each round runs its agents on
+    /// `width` workers (see [`Self::run_management`]).  `None` outside
+    /// transactions, so the fire-and-forget [`Self::execute_path`] keeps
+    /// the per-message Table VI counts, and rounds run on the calling
+    /// thread.
+    pub(crate) runner_width: Option<usize>,
     /// Deterministic fault-injection hook invoked between transaction
     /// phases (see [`TxnEvent`]); used by tests and the fault experiments to
     /// crash devices mid-commit.
@@ -251,10 +266,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             goals: GoalStore::new(),
             stage_batch_results: BTreeMap::new(),
             commit_batch_results: BTreeMap::new(),
-            batch_relays: false,
             pending_relays: BTreeMap::new(),
             pass_width: None,
-            round_width: 1,
+            runner_width: None,
             txn_hook: None,
             recorder: Recorder::disabled(),
             codec: WireCodec::default(),
@@ -294,11 +308,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     }
 
     fn send(&mut self, from: DeviceId, to: DeviceId, msg: &WireMessage) {
-        let payload = msg.encode();
-        if wire::is_batch_txn_message(msg) {
-            self.recorder.inc("txn.encode_bytes", payload.len() as u64);
-        }
-        self.post(from, to, category_of(msg), payload);
+        self.post(from, to, category_of(msg), msg.encode());
     }
 
     /// Send a `StageBatch` straight from borrowed per-goal primitive
@@ -310,17 +320,21 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         segments: &[(u64, &[Primitive])],
     ) {
         let payload = wire::encode_stage_batch(txn, segments);
-        self.recorder.inc("txn.encode_bytes", payload.len() as u64);
         self.post(self.nm_host, to, MessageCategory::Command, payload);
     }
 
-    /// The one send door, behind [`Self::send`] and
-    /// [`Self::send_stage_batch`]: tap an encoded message, count it when
-    /// the NM host sends it, and hand it to the channel.
+    /// The one send door, behind [`Self::send`], [`Self::send_stage_batch`]
+    /// and every agent's turn: tap an encoded message, count it when the NM
+    /// host sends it, and hand it to the channel.  The five batch
+    /// transaction messages (tags `0x81..=0x85`) are counted under
+    /// `txn.encode_bytes` too, whoever sends them.
     fn post(&mut self, from: DeviceId, to: DeviceId, category: MessageCategory, payload: Vec<u8>) {
         let bytes = payload.len() as u64;
         self.recorder
             .on_message(MessageDirection::Sent, category.name(), payload.len());
+        if let Some(TAG_STAGE_BATCH..=TAG_ABORT_BATCH) = payload.first() {
+            self.recorder.inc("txn.encode_bytes", bytes);
+        }
         if from == self.nm_host {
             let c = &mut self.counters;
             c.sent += 1;
@@ -484,36 +498,35 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     ///
     /// With relay batching on, a device answers the NM once per round: the
     /// module envelopes it emits while its inbox drains go up as one
-    /// `RelayBatch`, sent right after that drain.  A lost or undecodable
-    /// upward batch therefore loses that device's whole round of
-    /// envelopes, not one of them.
+    /// `RelayBatch`, after its other answers.  A lost or undecodable upward
+    /// batch therefore loses that device's whole round of envelopes, not
+    /// one of them.
     ///
-    /// Each device takes its turn in id order, the NM host last when it is
-    /// not itself a managed device.  While a transaction runner is on the
-    /// stack at a width above 1, over a channel whose `recv` is passive
-    /// ([`ManagementChannel::recv_is_passive`]), the agents of a round run
-    /// side by side: every inbox is drained on the calling thread, each
-    /// agent's turn runs on a worker, and the answers are posted on the
-    /// calling thread.  The output is the same byte for byte: drains stay
-    /// sequential; an agent answers only the NM, so no agent's turn reads
-    /// what another's sent; and the answers are posted through the one
-    /// send door in device order, the NM host's own turn keeping its place
-    /// between them.  Every other round (discovery, reads, telemetry,
-    /// `execute_path`) runs on the calling thread.
+    /// A round runs in device order: the managed devices before the NM
+    /// host (all of them when the host is not managed), the host's own
+    /// turn, then the devices after it.  Every other device takes its turn
+    /// through one function, `agent_turn`, in every round: its inbox is
+    /// drained, its agent answers, and the answers are posted through the
+    /// one send door.  Over a channel whose `recv` is passive
+    /// ([`ManagementChannel::recv_is_passive`]) each side of the host
+    /// drains at once and its agents run on `pool::fan_out`'s workers,
+    /// at the width of the transaction runner on the stack (1 outside one,
+    /// so no thread starts); over any other channel each device drains and
+    /// posts before the next one drains.  The output is the same byte for
+    /// byte at any width: drains stay sequential; an agent answers only the
+    /// NM, so no agent's turn reads what another's sent; and the answers
+    /// are posted in device order.
     pub fn run_management(&mut self) -> usize {
-        let fan_out = self.batch_relays && self.round_width > 1 && self.channel.recv_is_passive();
         let mut total = 0;
         for _ in 0..MAX_ROUNDS {
             self.channel.run(&mut self.net);
-            let progressed = if fan_out {
-                self.fanned_round()
-            } else {
-                let mut ids: Vec<DeviceId> = self.agents.keys().copied().collect();
-                if !ids.contains(&self.nm_host) {
-                    ids.push(self.nm_host);
-                }
-                ids.into_iter().map(|id| self.turn(id)).sum()
+            let host = self.nm_host;
+            let ids: Vec<DeviceId> = self.agents.keys().copied().collect();
+            let (before, after) = match ids.binary_search(&host) {
+                Ok(at) => (&ids[..at], &ids[at + 1..]),
+                Err(_) => (&ids[..], &[][..]),
             };
+            let progressed = self.side(before) + self.host_turn() + self.side(after);
             total += progressed;
             // Flush the round's buffered relays as one message per
             // destination device (relay batching); the flush itself queues
@@ -530,84 +543,84 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         total
     }
 
-    /// One device's turn on the calling thread: drain its inbox, route each
-    /// message, and send its round's module envelopes up as one batch.
-    /// Returns the number of messages drained.
-    fn turn(&mut self, id: DeviceId) -> usize {
-        let messages = self.drain(id);
-        let drained = messages.len();
-        let mut upward = Vec::new();
-        for m in messages {
-            self.route_message(id, m, &mut upward);
-        }
-        if !upward.is_empty() {
-            let batch = WireMessage::RelayBatch { envelopes: upward };
-            self.send(id, self.nm_host, &batch);
-        }
-        drained
-    }
-
-    /// One round with its agents side by side, in device order: the
-    /// managed devices before the NM host, the host's own [`Self::turn`],
-    /// then the devices after it.  Returns the number of messages drained.
-    fn fanned_round(&mut self) -> usize {
-        let host = self.nm_host;
-        let ids: Vec<DeviceId> = self.agents.keys().copied().collect();
-        let (before, after) = match ids.binary_search(&host) {
-            Ok(at) => (&ids[..at], &ids[at + 1..]),
-            Err(_) => (&ids[..], &[][..]),
+    /// The turns of one side of the NM host: all of `ids` at once over a
+    /// passive channel, else one device at a time.  Returns the number of
+    /// messages drained.
+    fn side(&mut self, ids: &[DeviceId]) -> usize {
+        let group = if self.channel.recv_is_passive() {
+            ids.len()
+        } else {
+            1
         };
-        self.agents_side_by_side(before) + self.turn(host) + self.agents_side_by_side(after)
+        ids.chunks(group.max(1))
+            .map(|group| self.agent_turns(group))
+            .sum()
     }
 
     /// The turns of `ids` (managed devices, none of them the NM host, in id
-    /// order) with their agents on [`Self::round_width`] workers: every
-    /// inbox is drained here first, in order; each worker runs whole agent
-    /// turns ([`agent_turn`]) on a disjoint `&mut` agent and device; then
-    /// the answers are posted here, device by device.  Returns the number
-    /// of messages drained.
-    fn agents_side_by_side(&mut self, ids: &[DeviceId]) -> usize {
-        let inboxes: Vec<(DeviceId, Vec<MgmtMessage>)> = (ids.iter())
-            .map(|&id| (id, self.drain(id)))
-            .filter(|(_, messages)| !messages.is_empty())
+    /// order): every inbox is drained here first, in order; each agent's
+    /// turn ([`agent_turn`]) runs on a worker of [`pool::fan_out`] with a
+    /// disjoint `&mut` agent and device; then the answers are posted here,
+    /// device by device.  Returns the number of messages drained.
+    fn agent_turns(&mut self, ids: &[DeviceId]) -> usize {
+        let mut turns: Vec<(DeviceId, Vec<MgmtMessage>, Turn)> = (ids.iter())
+            .map(|&id| (id, self.drain(id), Turn::default()))
+            .filter(|(_, messages, _)| !messages.is_empty())
             .collect();
-        let drained = inboxes.iter().map(|(_, messages)| messages.len()).sum();
-        let turns = {
+        let drained = turns.iter().map(|(_, messages, _)| messages.len()).sum();
+        let width = self.runner_width;
+        {
             // Pair each busy inbox with its agent and device; both maps are
             // in id order.  A device the network does not have consumes
             // nothing.
             let mut agents = self.agents.iter_mut();
             let mut devices = self.net.devices_mut().peekable();
-            let mut work = Vec::with_capacity(inboxes.len());
-            for (id, messages) in inboxes {
+            let mut work = Vec::with_capacity(turns.len());
+            for slot in &mut turns {
+                let id = slot.0;
                 let agent = (agents.by_ref()).find_map(|(a, agent)| (*a == id).then_some(agent));
                 while devices.next_if(|d| d.id < id).is_some() {}
-                let device = devices.next_if(|d| d.id == id);
-                if let (Some(agent), Some(device)) = (agent, device) {
-                    work.push((id, agent, device, messages, Turn::default()));
+                if let (Some(agent), Some(device)) = (agent, devices.next_if(|d| d.id == id)) {
+                    work.push((agent, device, slot));
                 }
             }
-            pool::fan_out(self.round_width, &mut work, |chunk| {
-                for (_, agent, device, messages, turn) in chunk {
-                    *turn = agent_turn(agent, device, std::mem::take(messages));
+            pool::fan_out(width.unwrap_or(1), &mut work, |chunk| {
+                for (agent, device, (_, messages, turn)) in chunk {
+                    *turn = agent_turn(agent, device, std::mem::take(messages), width.is_some());
                 }
             });
-            (work.into_iter())
-                .map(|(id, .., turn)| (id, turn))
-                .collect::<Vec<_>>()
-        };
-        for (id, turn) in turns {
-            if turn.dropped > 0 {
-                self.recorder.inc("mgmt.decode_dropped", turn.dropped);
-            }
-            for (category, payload, batch) in turn.answers {
-                if batch {
-                    self.recorder.inc("txn.encode_bytes", payload.len() as u64);
-                }
-                self.post(id, self.nm_host, category, payload);
-            }
+        }
+        for (id, _, turn) in turns {
+            self.post_turn(id, turn);
         }
         drained
+    }
+
+    /// The NM host's turn: drain its inbox and route each message
+    /// ([`Self::route_message`]); what the host's own agent answers is
+    /// posted after the drain, like any device's.  Returns the number of
+    /// messages drained.
+    fn host_turn(&mut self) -> usize {
+        let host = self.nm_host;
+        let messages = self.drain(host);
+        let drained = messages.len();
+        let mut turn = Turn::new(self.runner_width.is_some());
+        for m in messages {
+            turn.take(self.route_message(m));
+        }
+        self.post_turn(host, turn.end());
+        drained
+    }
+
+    /// Post a turn's answers to the NM in the order the agent gave them,
+    /// and count the messages it could not decode.
+    fn post_turn(&mut self, from: DeviceId, turn: Turn) {
+        if turn.dropped > 0 {
+            self.recorder.inc("mgmt.decode_dropped", turn.dropped);
+        }
+        for (category, payload) in turn.answers {
+            self.post(from, self.nm_host, category, payload);
+        }
     }
 
     /// Send every buffered relay as one `RelayBatch` per destination.
@@ -623,47 +636,41 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         true
     }
 
-    /// Route a received management message either to the NM (if this device
-    /// hosts it and the message is NM-bound) or to the device's agent.  The
-    /// agent's module envelopes are collected into `upward` while relays
-    /// are batched; everything else it answers is sent at once.
-    fn route_message(&mut self, at: DeviceId, msg: MgmtMessage, upward: &mut Vec<ModuleEnvelope>) {
-        // A crashed device consumes nothing: whatever the channel delivered
+    /// Route a message drained at the NM host: the NM reads what is
+    /// NM-bound, and the host's own agent, when the host is itself a
+    /// managed device, answers the rest.  Returns the agent's answers.
+    fn route_message(&mut self, msg: MgmtMessage) -> Vec<WireMessage> {
+        let at = self.nm_host;
+        // A crashed host consumes nothing: whatever the channel delivered
         // is lost, exactly as with a powered-off box.
         if !self.net.device(at).map(|d| d.up).unwrap_or(false) {
-            return;
+            return Vec::new();
         }
-        // Only the NM host reads a message before its agent does; a
-        // StageBatch is always agent-bound.
-        let agent_bound = at != self.nm_host || wire::is_stage_batch(&msg.payload);
-        if let (true, Some(agent), Ok(device)) = (
-            agent_bound,
-            self.agents.get_mut(&at),
-            self.net.device_mut(at),
-        ) {
-            match agent_answers(agent, device, &msg.payload) {
-                Some(outputs) => self.answer(at, outputs, upward),
-                None => self.recorder.inc("mgmt.decode_dropped", 1),
+        // A StageBatch is always agent-bound.
+        if wire::is_stage_batch(&msg.payload) {
+            if let (Some(agent), Ok(device)) = (self.agents.get_mut(&at), self.net.device_mut(at)) {
+                return agent_answers(agent, device, &msg.payload).unwrap_or_else(|| {
+                    self.recorder.inc("mgmt.decode_dropped", 1);
+                    Vec::new()
+                });
             }
-            return;
         }
         let Some(wire) = WireMessage::decode(&msg.payload) else {
             self.recorder.inc("mgmt.decode_dropped", 1);
-            return;
+            return Vec::new();
         };
-        // A relay batch reaching the NM host is split envelope by envelope
-        // by the same rule as a lone `Module`: the NM relays what is bound
-        // for other devices, and the host's own agent (when the host is
-        // itself managed) gets the rest.
+        // A relay batch is split envelope by envelope by the same rule as a
+        // lone `Module`: the NM relays what is bound for other devices, and
+        // the host's own agent gets the rest.
         let wire = match wire {
-            WireMessage::RelayBatch { envelopes } if at == self.nm_host => {
+            WireMessage::RelayBatch { envelopes } => {
                 let (local, relayed): (Vec<_>, Vec<_>) =
                     envelopes.into_iter().partition(|env| env.to.device == at);
                 if !relayed.is_empty() {
                     self.nm_handle(msg.from, WireMessage::RelayBatch { envelopes: relayed });
                 }
                 if local.is_empty() {
-                    return;
+                    return Vec::new();
                 }
                 WireMessage::RelayBatch { envelopes: local }
             }
@@ -684,34 +691,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             | WireMessage::AbortBatch { .. }
             | WireMessage::RelayBatch { .. } => false,
         };
-        if nm_bound && at == self.nm_host {
+        if nm_bound {
             self.nm_handle(msg.from, wire);
-            return;
+            return Vec::new();
         }
-        // Agent-bound.
-        let Some(agent) = self.agents.get_mut(&at) else {
-            return;
-        };
-        let Ok(device) = self.net.device_mut(at) else {
-            return;
-        };
-        let outputs = agent.handle(device, &wire);
-        self.answer(at, outputs, upward);
-    }
-
-    /// Send an agent's answers to the NM, holding its module envelopes back
-    /// in `upward` while relays are batched.
-    fn answer(
-        &mut self,
-        at: DeviceId,
-        outputs: Vec<WireMessage>,
-        upward: &mut Vec<ModuleEnvelope>,
-    ) {
-        for out in outputs {
-            match out {
-                WireMessage::Module(env) if self.batch_relays => upward.push(env),
-                out => self.send(at, self.nm_host, &out),
-            }
+        match (self.agents.get_mut(&at), self.net.device_mut(at)) {
+            (Some(agent), Ok(device)) => agent.handle(device, &wire),
+            _ => Vec::new(),
         }
     }
 
@@ -781,7 +767,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// management round as part of one `RelayBatch` per destination.
     fn relay(&mut self, env: ModuleEnvelope) {
         let to_device = env.to.device;
-        if self.batch_relays {
+        if self.runner_width.is_some() {
             self.pending_relays.entry(to_device).or_default().push(env);
             return;
         }
@@ -1294,7 +1280,7 @@ mod tests {
             let m = MgmtMessage::new(d2, d1, MessageCategory::ConveyMessage, payload);
             mn.channel.send(&mut mn.net, m);
         }
-        mn.batch_relays = true;
+        mn.runner_width = Some(1);
         assert_eq!(mn.run_management(), 2, "both reached the NM");
         assert_eq!(recorder.counter("mgmt.decode_dropped"), 5);
         let sent = mn.nm_counters().sent_by_category;

@@ -5,9 +5,13 @@
 //! transaction round (see [`ManagedNetwork::reconcile`]).  Both fan out
 //! through [`fan_out`], which hands each worker a contiguous chunk of its
 //! items and returns the results in input order, so no output depends on
-//! how many workers ran.
+//! how many workers ran.  Every management round runs its agents through
+//! [`fan_out`] (see [`ManagedNetwork::run_management`]): at the width of
+//! the transaction runner on the stack, and at width 1, on the calling
+//! thread, outside one.
 //!
 //! [`ManagedNetwork::reconcile`]: super::ManagedNetwork::reconcile
+//! [`ManagedNetwork::run_management`]: super::ManagedNetwork::run_management
 
 use crate::agent::ManagementAgent;
 use netsim::device::Device;

@@ -158,18 +158,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// Open a transaction runner's span: relays are batched, and each
     /// management round runs its agents at the width of the pass on the
     /// stack, or at [`pool::default_width`] for a runner called outside
-    /// one.  Returns what [`Self::close_runner`] restores.
-    fn open_runner(&mut self) -> (bool, usize) {
+    /// one.  Returns the outer span's `runner_width`, which the runner
+    /// restores when it returns.
+    fn open_runner(&mut self) -> Option<usize> {
         let width = self.pass_width.unwrap_or_else(pool::default_width);
-        (
-            std::mem::replace(&mut self.batch_relays, true),
-            std::mem::replace(&mut self.round_width, width),
-        )
-    }
-
-    /// Close the span [`Self::open_runner`] opened.
-    fn close_runner(&mut self, outer: (bool, usize)) {
-        (self.batch_relays, self.round_width) = outer;
+        self.runner_width.replace(width)
     }
 
     /// The stage phase of both runners, first half: send every device its
@@ -368,7 +361,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         for sc in answers.into_values().flatten() {
             *outcome.per_goal.entry(GoalId(sc.goal)).or_insert(0) += sc.results.len();
         }
-        self.close_runner(outer);
+        self.runner_width = outer;
         outcome
     }
 
@@ -543,7 +536,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             self.run_teardown_batch(&mirrors, &[]);
         }
 
-        self.close_runner(outer);
+        self.runner_width = outer;
         let committed = (goals.into_iter())
             .filter(|g| !errors.contains_key(g))
             .collect();

@@ -149,19 +149,6 @@ pub(crate) fn is_stage_batch(payload: &[u8]) -> bool {
     payload.first() == Some(&TAG_STAGE_BATCH)
 }
 
-/// Is this message one of the batched-transaction messages whose encoded
-/// size the `txn.encode_bytes` counter accounts?
-pub(crate) fn is_batch_txn_message(msg: &WireMessage) -> bool {
-    matches!(
-        msg,
-        WireMessage::StageBatch { .. }
-            | WireMessage::StageBatchResult { .. }
-            | WireMessage::CommitBatch { .. }
-            | WireMessage::CommitBatchResult { .. }
-            | WireMessage::AbortBatch { .. }
-    )
-}
-
 impl WireMessage {
     /// Encode as the message's frame (see the [module docs](self)).
     pub fn encode(&self) -> Vec<u8> {

@@ -373,7 +373,16 @@ pub struct ManagedMesh<C: ManagementChannel> {
 /// Build a managed 2×k mesh with `pairs` fan-out customer host pairs over
 /// the out-of-band management channel.
 pub fn managed_mesh_fanout(k: usize, pairs: usize) -> ManagedMesh<OutOfBandChannel> {
-    managed_from_mesh(topology::isp_mesh_fanout(k, pairs), OutOfBandChannel::new())
+    managed_mesh_fanout_with(k, pairs, OutOfBandChannel::new())
+}
+
+/// [`managed_mesh_fanout`] over an arbitrary management channel.
+pub fn managed_mesh_fanout_with<C: ManagementChannel>(
+    k: usize,
+    pairs: usize,
+    channel: C,
+) -> ManagedMesh<C> {
+    managed_from_mesh(topology::isp_mesh_fanout(k, pairs), channel)
 }
 
 /// Build a managed core ring (edges attached on opposite arcs) with `pairs`

@@ -58,8 +58,10 @@ pub trait ManagementChannel {
     /// network untouched, so one device's drain cannot depend on what
     /// another device sent just before it.  The out-of-band channel's does;
     /// the in-band channel's steps the simulated network (it floods, and
-    /// advances simulated time).  The NM fans a transaction round's agents
-    /// out only over a channel whose `recv` is passive.
+    /// advances simulated time).  It decides how the NM drains a
+    /// management round: over a passive channel every device on one side
+    /// of the NM host drains at once, before any of them answers; over
+    /// any other, each device drains and answers before the next drains.
     fn recv_is_passive(&self) -> bool {
         false
     }

@@ -562,6 +562,41 @@ fn one_replace_step() {
     assert_clean(rule, &hits);
 }
 
+/// One agent turn: every managed device but the NM host takes its turn in
+/// every management round through one function, whatever the width or
+/// the channel. Before its tests, runtime/mod.rs calls an agent only in
+/// agent_answers (the turn's one reader of a payload) and route_message
+/// (the host's own turn), and the sequential copy of the turn stays gone:
+/// no fanned_round, no answer, no batch_relays or round_width flag beside
+/// the runner's width.
+#[test]
+fn one_agent_turn() {
+    let rule = "One agent turn";
+    let gone = [
+        "fn fanned_round",
+        "fn answer",
+        "batch_relays",
+        "round_width",
+    ];
+    let mut hits = grep(&tree(&["crates/conman-core/src"]), |line| {
+        gone.iter().any(|word| ends_word(line, word))
+    });
+    let runtime = File::read("crates/conman-core/src/runtime/mod.rs").body();
+    let mut readers = 0;
+    for (inside, number, line) in runtime.fn_lines() {
+        if !(line.contains("handle_stage_batch_in_place(") || line.contains(".handle(")) {
+            continue;
+        }
+        match inside {
+            Some("agent_answers") => readers += 1,
+            Some("route_message") => {}
+            _ => hits.push(runtime.hit(number, line)),
+        }
+    }
+    assert!(readers > 0, "{rule}: agent_answers calls no agent");
+    assert_clean(rule, &hits);
+}
+
 /// A transaction changes a device only through StageBatch / CommitBatch /
 /// AbortBatch: a goal that fails mid-batch is rolled back by a nested
 /// lenient teardown transaction, never by a fire-and-forget Script, so

@@ -6,20 +6,24 @@
 //! NM wire-message counts — on fresh chain and mesh fleets, under a
 //! mid-batch device crash, with goals crossing the same devices in opposite
 //! directions in one batch, and when every goal's exclusions force the
-//! suspect-fallback.  The one binary codec keeps the message counts and
-//! outcomes the JSON codec it replaced had, at less than half its bytes.
-//! Random fleets are covered by proptests that also feed the
-//! planned batch through the plan checks (`verify_plans`) and compare each
-//! goal's applied path and status against `reconcile_per_goal`, the
-//! memo-free oracle that rebuilds the potential graph for every goal.
+//! suspect-fallback.  Random fleets are covered by proptests that also
+//! feed the planned batch through the plan checks (`verify_plans`) and
+//! compare each goal's applied path and status against
+//! `reconcile_per_goal`, the memo-free oracle that rebuilds the potential
+//! graph for every goal.
 //!
 //! Every scenario runs twin testbeds built identically, so any divergence
-//! between the engines shows up as a journal or report diff.  The pool runs
-//! each transaction round's agents side by side too, so three scenarios
-//! hold those rounds to the sequential ones: a goal refused at commit,
-//! whose nested rollback's teardown rounds fan out; a chain whose NM host
-//! is itself a managed router, so each round splits around the host's own
-//! turn; and the in-band channel.
+//! between the engines shows up as a journal or report diff.  Each twin's
+//! channel is [`Logged`], which keeps every message it is handed, in send
+//! order, and the twins compare those logs too.  The pool runs each
+//! transaction round's agents side by side, so three scenarios hold those
+//! rounds to the one-worker ones: a goal refused at commit, whose nested
+//! rollback's teardown rounds fan out; a chain whose NM host is itself a
+//! managed router, so each round splits around the host's own turn; and
+//! the in-band channel.  Since both twins run every round through the same
+//! turn, a small chain's log is also pinned over each channel by its
+//! digest, and its pass by its message counts, outcomes and batch bytes,
+//! so a change that reorders or resizes what every run sends fails too.
 
 use conman::core::nm::{
     script, ConnectivityGoal, Exclusion, GoalFailure, GoalId, GoalStatus, ModulePath,
@@ -30,25 +34,87 @@ use conman::core::runtime::{
     ChannelCounters, ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent,
 };
 use conman::modules::{
-    managed_chain, managed_fanout_chain, managed_fanout_chain_with, managed_mesh_fanout,
-    ManagedChain, ManagedMesh,
+    managed_chain_with, managed_fanout_chain_with, managed_mesh_fanout_with, ManagedChain,
+    ManagedMesh,
 };
 use conman_bench::assert_journal_conforms;
 use conman_bench::control_loop::mesh_limits;
 use conman_bench::diagnosis::chain_limits;
 use conman_obs::{Recorder, TraceKind};
-use mgmt_channel::{InBandChannel, ManagementChannel, OutOfBandChannel};
+use mgmt_channel::{
+    InBandChannel, ManagementChannel, MessageCategory, MgmtMessage, OutOfBandChannel,
+};
 use netsim::device::DeviceId;
 use netsim::network::Network;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-type Chain = ManagedChain<OutOfBandChannel>;
-type Mesh = ManagedMesh<OutOfBandChannel>;
+type Chain = ManagedChain<Logged<OutOfBandChannel>>;
+type Mesh = ManagedMesh<Logged<OutOfBandChannel>>;
+
+/// One message as a channel was handed it: from, to, category, payload.
+type Sent = (DeviceId, DeviceId, MessageCategory, Vec<u8>);
+
+/// A channel that keeps every message it is handed, in send order, and
+/// otherwise is `C`.
+struct Logged<C> {
+    inner: C,
+    log: Vec<Sent>,
+}
+
+impl<C> Logged<C> {
+    fn new(inner: C) -> Self {
+        Logged {
+            inner,
+            log: Vec::new(),
+        }
+    }
+}
+
+impl<C: ManagementChannel> ManagementChannel for Logged<C> {
+    fn send(&mut self, net: &mut Network, msg: MgmtMessage) {
+        let sent = (msg.from, msg.to, msg.category, msg.payload.clone());
+        self.log.push(sent);
+        self.inner.send(net, msg);
+    }
+
+    fn run(&mut self, net: &mut Network) {
+        self.inner.run(net);
+    }
+
+    fn recv(&mut self, net: &mut Network, device: DeviceId) -> Vec<MgmtMessage> {
+        self.inner.recv(net, device)
+    }
+
+    fn recv_is_passive(&self) -> bool {
+        self.inner.recv_is_passive()
+    }
+
+    fn attach_recorder(&mut self, recorder: Recorder) {
+        self.inner.attach_recorder(recorder);
+    }
+}
+
+/// The 64-bit FNV-1a digest of a log: per message, the two device ids
+/// (8 bytes each, little-endian), the category byte, the payload's length
+/// (8 bytes) and the payload.
+fn digest(log: &[Sent]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for (from, to, category, payload) in log {
+        let head = [from.as_u64(), to.as_u64()].map(u64::to_le_bytes);
+        let len = (payload.len() as u64).to_le_bytes();
+        let fields = [&head[0][..], &head[1], &[*category as u8], &len, payload];
+        for byte in fields.into_iter().flatten() {
+            hash = (hash ^ u64::from(*byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
 
 /// A fan-out chain twin: `goals` submitted, limits set, recorder attached.
 fn chain_twin(n: usize, goals: usize) -> Chain {
-    ready_chain(managed_fanout_chain(n, goals), n, goals)
+    let oob = Logged::new(OutOfBandChannel::new());
+    ready_chain(managed_fanout_chain_with(n, goals, oob), n, goals)
 }
 
 /// Ready a fan-out chain over any channel: discovered, limits set, `goals`
@@ -70,7 +136,7 @@ fn ready_chain<C: ManagementChannel>(
 
 /// A multipath-mesh twin, same shape.
 fn mesh_twin(k: usize, goals: usize) -> Mesh {
-    let mut t = managed_mesh_fanout(k, goals);
+    let mut t = managed_mesh_fanout_with(k, goals, Logged::new(OutOfBandChannel::new()));
     t.discover();
     t.mn.goals.limits = mesh_limits(k);
     for g in 0..goals {
@@ -88,17 +154,39 @@ struct Observed {
     nm_sent: u64,
     nm_received: u64,
     counters: ChannelCounters,
+    /// Every message the channel was handed up to the audit, in send order.
+    log: Vec<Sent>,
     audit: Vec<PlanViolation>,
 }
 
-fn observe<C: ManagementChannel>(report: &ReconcileReport, mn: &mut ManagedNetwork<C>) -> Observed {
+fn observe<C: ManagementChannel>(
+    report: &ReconcileReport,
+    mn: &mut ManagedNetwork<Logged<C>>,
+) -> Observed {
     Observed {
         report: format!("{report:?}"),
         journal: mn.recorder.journal_json(),
         nm_sent: report.nm_sent,
         nm_received: report.nm_received,
         counters: mn.nm_counters(),
+        log: mn.channel.log.clone(),
         audit: mn.audit(),
+    }
+}
+
+/// Assert two logs list the same messages in the same order, naming the
+/// first message where they part.
+fn assert_logs_equal(par: &[Sent], seq: &[Sent], what: &str) {
+    let head = |sent: Option<&Sent>| sent.map(|(from, to, c, p)| (*from, *to, *c, p.len()));
+    let parted = (0..par.len().max(seq.len())).find(|&i| par.get(i) != seq.get(i));
+    if let Some(i) = parted {
+        panic!(
+            "{what}: the channels' logs part at message {i} of {} / {}: {:?} vs {:?}",
+            par.len(),
+            seq.len(),
+            head(par.get(i)),
+            head(seq.get(i)),
+        );
     }
 }
 
@@ -122,13 +210,16 @@ fn assert_twins_equal(par: &Observed, seq: &Observed, what: &str, audit: &[PlanV
         par.counters, seq.counters,
         "{what}: NM counters must match, category by category"
     );
+    assert_logs_equal(&par.log, &seq.log, what);
     assert_eq!((&par.audit[..], &seq.audit[..]), (audit, audit), "{what}");
     assert_journal_conforms(&par.journal, what);
 }
 
 /// Each goal's status and applied path, in id order: what the per-goal
 /// oracle must reproduce, though its message shape differs from a batch's.
-fn applied_paths(mn: &ManagedNetwork<OutOfBandChannel>) -> Vec<(GoalStatus, Option<ModulePath>)> {
+fn applied_paths<C: ManagementChannel>(
+    mn: &ManagedNetwork<C>,
+) -> Vec<(GoalStatus, Option<ModulePath>)> {
     mn.goals
         .iter()
         .map(|rec| {
@@ -219,7 +310,7 @@ fn reversed(goal: &ConnectivityGoal) -> ConnectivityGoal {
 }
 
 fn opposite_direction_twin() -> Chain {
-    let mut t = managed_chain(3);
+    let mut t = managed_chain_with(3, Logged::new(OutOfBandChannel::new()));
     t.discover();
     let fwd = t.vpn_goal();
     let rev = reversed(&fwd);
@@ -365,13 +456,14 @@ fn parallel_equals_sequential_when_a_goal_is_refused_at_commit() {
 /// picked so that managed routers sort on both sides of it: every round
 /// splits around the host's own turn.
 fn hosted_chain_twin(n: usize, goals: usize) -> Chain {
-    let mut t = managed_fanout_chain(n, goals);
+    let oob = || Logged::new(OutOfBandChannel::new());
+    let mut t = managed_fanout_chain_with(n, goals, oob());
     let mut routers = t.core.clone();
     routers.sort();
     let host = routers[routers.len() / 2];
     let net = std::mem::replace(&mut t.mn.net, Network::new());
     let agents = std::mem::take(&mut t.mn.agents);
-    t.mn = ManagedNetwork::new(net, host, OutOfBandChannel::new());
+    t.mn = ManagedNetwork::new(net, host, oob());
     t.mn.agents = agents;
     let managed: Vec<DeviceId> = t.mn.agents.keys().copied().collect();
     assert!(managed.first() < Some(&host) && managed.last() > Some(&host));
@@ -392,44 +484,72 @@ fn parallel_equals_sequential_when_the_nm_host_is_a_managed_router() {
 
 #[test]
 fn parallel_equals_sequential_over_the_in_band_channel() {
-    let twin = || ready_chain(managed_fanout_chain_with(3, 2, InBandChannel::new()), 3, 2);
-    let (mut a, mut b) = (twin(), twin());
+    let (mut a, mut b) = (in_band_chain(3, 2), in_band_chain(3, 2));
     let ra = a.mn.reconcile();
     let rb = b.mn.reconcile_sequential();
     assert!(ra.converged(), "the in-band chain converges: {ra:#?}");
     let par = observe(&ra, &mut a.mn);
     let seq = observe(&rb, &mut b.mn);
     assert_twins_equal(&par, &seq, "in-band channel", &[]);
+    let floods = |c: &InBandChannel| (c.bytes_flooded, c.frames_flooded);
     assert_eq!(
-        (a.mn.channel.bytes_flooded, a.mn.channel.frames_flooded),
-        (b.mn.channel.bytes_flooded, b.mn.channel.frames_flooded),
+        floods(&a.mn.channel.inner),
+        floods(&b.mn.channel.inner),
         "the floods match too"
     );
 }
 
-/// What this fleet's pass cost under the JSON codec the binary one
-/// replaced: 14 messages sent, 15 received, every goal applied, and 19 344
-/// bytes of batch messages.
+/// A fan-out chain over the in-band channel, readied like [`chain_twin`].
+fn in_band_chain(n: usize, goals: usize) -> ManagedChain<Logged<InBandChannel>> {
+    let inband = Logged::new(InBandChannel::new());
+    ready_chain(managed_fanout_chain_with(n, goals, inband), n, goals)
+}
+
+/// How many messages a 3-router fan-out chain with two goals sends while
+/// it is built, discovered and reconciled, and the [`digest`] of their
+/// log.  Both are the same over either channel: a channel moves the bytes
+/// and does not shape them.
+const CHAIN_MESSAGES: usize = 30;
+const CHAIN_DIGEST: u64 = 0x324d_3c15_b0b5_62d0;
+
+/// The bytes of batch transaction messages a 4-router fan-out chain's
+/// pass with three goals sends.
+const BATCH_BYTES: u64 = 1_702;
+
+/// Every message a small fan-out chain sends, in send order, pinned over
+/// each channel: the twins run every round through the same turn, so a
+/// change that reorders, adds or resizes a message in both of them fails
+/// here.
 #[test]
-fn binary_codec_matches_json_counts_and_end_state() {
-    const JSON_BATCH_BYTES: u64 = 19_344;
-    let mut bin = chain_twin(4, 3);
-    let rb = bin.mn.reconcile();
-    assert!(rb.converged());
-    // The codec changes payload bytes, never message counts or outcomes.
-    assert_eq!((rb.transactions, rb.nm_sent, rb.nm_received), (1, 14, 15));
+fn a_small_chain_pass_sends_pinned_messages_in_a_pinned_order_over_each_channel() {
+    let mut oob = chain_twin(3, 2);
+    assert!(oob.mn.reconcile().converged());
+    let mut inband = in_band_chain(3, 2);
+    assert!(inband.mn.reconcile().converged());
+    let logs = [&oob.mn.channel.log, &inband.mn.channel.log];
+    assert_eq!(
+        logs.map(|log| (log.len(), digest(log))),
+        [(CHAIN_MESSAGES, CHAIN_DIGEST); 2]
+    );
+}
+
+/// A fan-out chain's batched pass, pinned: one transaction, 14 messages
+/// sent and 15 received by the NM, every goal applied, and the bytes of
+/// its batch transaction messages (`txn.encode_bytes`, counted at the one
+/// send door whoever sends them).
+#[test]
+fn a_chain_pass_pins_its_message_counts_outcomes_and_batch_bytes() {
+    let mut t = chain_twin(4, 3);
+    let report = t.mn.reconcile();
+    assert!(report.converged());
+    let counts = (report.transactions, report.nm_sent, report.nm_received);
+    assert_eq!(counts, (1, 14, 15));
     assert!(
-        rb.outcomes
-            .iter()
+        (report.outcomes.iter())
             .all(|o| o.action == ReconcileAction::Applied && o.status == GoalStatus::Active),
-        "{rb:#?}"
+        "{report:#?}"
     );
-    // ...but the binary batches really are smaller on the wire.
-    let bb = bin.mn.recorder.counter("txn.encode_bytes");
-    assert!(
-        bb * 2 < JSON_BATCH_BYTES,
-        "binary batch encoding must be less than half the JSON size: {bb} vs {JSON_BATCH_BYTES}"
-    );
+    assert_eq!(t.mn.recorder.counter("txn.encode_bytes"), BATCH_BYTES);
 }
 
 proptest! {
@@ -451,6 +571,7 @@ proptest! {
         let seq = observe(&rb, &mut b.mn);
         prop_assert_eq!(&par.report, &seq.report, "reports diverged");
         prop_assert_eq!(&par.journal, &seq.journal, "journals diverged");
+        prop_assert!(par.log == seq.log, "the channels' logs diverged");
         prop_assert!(par.audit.is_empty() && seq.audit.is_empty(), "{:?} {:?}", par.audit, seq.audit);
         assert_journal_conforms(&par.journal, "random chain fleet");
         let mut d = chain_twin(n, goals);
@@ -481,6 +602,7 @@ proptest! {
         let seq = observe(&rb, &mut b.mn);
         prop_assert_eq!(&par.report, &seq.report, "reports diverged");
         prop_assert_eq!(&par.journal, &seq.journal, "journals diverged");
+        prop_assert!(par.log == seq.log, "the channels' logs diverged");
         prop_assert!(par.audit.is_empty() && seq.audit.is_empty(), "{:?} {:?}", par.audit, seq.audit);
         assert_journal_conforms(&par.journal, "random mesh fleet");
         let mut d = mesh_twin(k, goals);
