@@ -8,9 +8,9 @@
 
 use conman_bench::{
     closed_loop_run, configure_and_count, configure_vlan_and_count, discovered_chain,
-    discovered_vlan_chain, fleet_twin, loop_run, loop_run_inband, mesh_loop_run, path_labelled,
-    DiagnosisScenario, FleetTwin, LoopBenchReport, LoopScenario, NmCost, FLEET_TWIN_CHAIN_N,
-    FLEET_TWIN_GOALS,
+    discovered_vlan_chain, fleet_twin, inband_fleet, loop_run, loop_run_inband, mesh_loop_run,
+    path_labelled, DiagnosisScenario, FleetTwin, InBandFleet, LoopBenchReport, LoopScenario,
+    NmCost, FLEET_TWIN_CHAIN_N, FLEET_TWIN_GOALS,
 };
 use conman_core::ids::ModuleKind;
 use legacy_config::{
@@ -614,5 +614,21 @@ fn fleet() {
         per_goal(held.agents as u64),
         per_goal(held.net as u64),
         per_goal(held.total() as u64)
+    );
+    // The same fleet over the in-band channel, on the fan-out chain: what
+    // its management rounds cost in simulated time and on the links.
+    let InBandFleet {
+        discover_ms,
+        pass_ms,
+        nm_sent,
+        nm_received,
+        frames_flooded,
+        bytes_flooded,
+    } = inband_fleet();
+    println!(
+        "\nin-band, {FLEET_TWIN_GOALS} fan-out goals on the {FLEET_TWIN_CHAIN_N}-router fan-out chain: \
+         discover() {discover_ms} ms, one reconcile() pass {pass_ms} ms (simulated); \
+         NM sent/received in the pass {nm_sent}/{nm_received}; \
+         flooded in all (discover, pass, audit) {frames_flooded} frames, {bytes_flooded} B"
     );
 }

@@ -24,10 +24,13 @@ pub use obs::{assert_journal_conforms, recorded_mesh_link_cut, RecordedMeshRun};
 
 use conman_core::nm::{ConnectivityGoal, ModulePath};
 use conman_core::runtime::{ChannelCounters, ManagedNetwork};
-use conman_modules::{managed_chain, managed_vlan_chain, ManagedChain, ManagedVlanChain};
+use conman_modules::{
+    managed_chain, managed_fanout_chain_with, managed_vlan_chain, ManagedChain, ManagedVlanChain,
+};
+use conman_obs::Recorder;
 use diagnosis::chain_limits;
 use held::Held;
-use mgmt_channel::{ManagementChannel, MessageCategory, OutOfBandChannel};
+use mgmt_channel::{InBandChannel, ManagementChannel, MessageCategory, OutOfBandChannel};
 use std::collections::BTreeMap;
 
 /// A discovered Figure-4-style chain, ready for path finding.
@@ -264,5 +267,57 @@ pub fn fleet_twin() -> FleetTwin {
         pass_peak,
         pass_allocs,
         held: Held::take_from(&mut t.mn),
+    }
+}
+
+/// What the [`inband_fleet`] measured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InBandFleet {
+    /// Simulated milliseconds `discover()` took.
+    pub discover_ms: u64,
+    /// Simulated milliseconds the one `reconcile()` pass took.
+    pub pass_ms: u64,
+    /// Messages the NM sent during the pass.
+    pub nm_sent: u64,
+    /// Messages the NM received during the pass.
+    pub nm_received: u64,
+    /// Frames the channel flooded over the whole run: discovery, the pass
+    /// and the closing `audit()`.
+    pub frames_flooded: u64,
+    /// Their bytes, Ethernet headers included.
+    pub bytes_flooded: u64,
+}
+
+/// The fleet over the **in-band** channel: [`FLEET_TWIN_GOALS`] fan-out
+/// goals on a [`FLEET_TWIN_CHAIN_N`]-router fan-out chain, discovered,
+/// submitted and configured by one `reconcile()` pass, then audited.
+/// Simulated time is what a management round costs there, since every
+/// round's flood steps the simulated network.
+pub fn inband_fleet() -> InBandFleet {
+    let (n, goals) = (FLEET_TWIN_CHAIN_N, FLEET_TWIN_GOALS);
+    let mut t = managed_fanout_chain_with(n, goals, InBandChannel::new());
+    t.mn.set_recorder(Recorder::new());
+    let ms = |t: &ManagedChain<InBandChannel>| t.mn.net.now().as_nanos() / 1_000_000;
+    let start = ms(&t);
+    t.discover();
+    let discovered = ms(&t);
+    t.mn.goals.limits = chain_limits(n);
+    for k in 0..goals {
+        let goal = t.fanout_goal(k);
+        t.mn.submit(goal);
+    }
+    let before = ms(&t);
+    let report = t.mn.reconcile();
+    let pass_ms = ms(&t) - before;
+    assert_eq!(report.active(), goals, "every in-band goal is configured");
+    assert_eq!(t.mn.recorder.counter("mgmt.round_cap_hit"), 0);
+    assert_eq!(t.mn.audit(), [], "the devices hold what the goals claim");
+    InBandFleet {
+        discover_ms: discovered - start,
+        pass_ms,
+        nm_sent: report.nm_sent,
+        nm_received: report.nm_received,
+        frames_flooded: t.mn.channel.frames_flooded,
+        bytes_flooded: t.mn.channel.bytes_flooded,
     }
 }
