@@ -29,6 +29,7 @@ use mgmt_channel::{ManagementChannel, MessageCategory, MgmtMessage};
 use netsim::device::{Device, DeviceId};
 use netsim::network::Network;
 use netsim::stats::FlowCounters;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 pub use control_loop::{
@@ -496,26 +497,25 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// Deliver queued management messages until the plane is quiescent.
     /// Returns the number of messages processed.
     ///
-    /// With relay batching on, a device answers the NM once per round: the
-    /// module envelopes it emits while its inbox drains go up as one
-    /// `RelayBatch`, after its other answers.  A lost or undecodable upward
-    /// batch therefore loses that device's whole round of envelopes, not
-    /// one of them.
+    /// A round starts with the channel's one [`ManagementChannel::run`],
+    /// which moves everything sent so far into its mailbox; every `recv`
+    /// after it only hands a mailbox over.  The round then runs in device
+    /// order: the managed devices before the NM host (all of them when the
+    /// host is not managed), the host's own turn, then the devices after
+    /// it.  Each side of the host drains at once and its agents take their
+    /// turns through one function, `agent_turn`, on `pool::fan_out`'s
+    /// workers, at the width of the transaction runner on the stack (1
+    /// outside one, so no thread starts); then the answers are posted
+    /// through the one send door in device order.  The output is the same
+    /// byte for byte at any width: drains stay sequential; an agent answers
+    /// only the NM, so no agent's turn reads what another's sent; and the
+    /// answers are posted in device order.
     ///
-    /// A round runs in device order: the managed devices before the NM
-    /// host (all of them when the host is not managed), the host's own
-    /// turn, then the devices after it.  Every other device takes its turn
-    /// through one function, `agent_turn`, in every round: its inbox is
-    /// drained, its agent answers, and the answers are posted through the
-    /// one send door.  Over a channel whose `recv` is passive
-    /// ([`ManagementChannel::recv_is_passive`]) each side of the host
-    /// drains at once and its agents run on `pool::fan_out`'s workers,
-    /// at the width of the transaction runner on the stack (1 outside one,
-    /// so no thread starts); over any other channel each device drains and
-    /// posts before the next one drains.  The output is the same byte for
-    /// byte at any width: drains stay sequential; an agent answers only the
-    /// NM, so no agent's turn reads what another's sent; and the answers
-    /// are posted in device order.
+    /// While a runner is on the stack (`runner_width` is `Some`), a device
+    /// answers the NM once per round: the module envelopes it emits while
+    /// its inbox drains go up as one `RelayBatch`, after its other answers.
+    /// A lost or undecodable upward batch therefore loses that device's
+    /// whole round of envelopes, not one of them.
     pub fn run_management(&mut self) -> usize {
         let mut total = 0;
         for _ in 0..MAX_ROUNDS {
@@ -526,7 +526,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 Ok(at) => (&ids[..at], &ids[at + 1..]),
                 Err(_) => (&ids[..], &[][..]),
             };
-            let progressed = self.side(before) + self.host_turn() + self.side(after);
+            let progressed = self.agent_turns(before) + self.host_turn() + self.agent_turns(after);
             total += progressed;
             // Flush the round's buffered relays as one message per
             // destination device (relay batching); the flush itself queues
@@ -541,20 +541,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         // ping-ponging): give up, but never silently.
         self.recorder.inc("mgmt.round_cap_hit", 1);
         total
-    }
-
-    /// The turns of one side of the NM host: all of `ids` at once over a
-    /// passive channel, else one device at a time.  Returns the number of
-    /// messages drained.
-    fn side(&mut self, ids: &[DeviceId]) -> usize {
-        let group = if self.channel.recv_is_passive() {
-            ids.len()
-        } else {
-            1
-        };
-        ids.chunks(group.max(1))
-            .map(|group| self.agent_turns(group))
-            .sum()
     }
 
     /// The turns of `ids` (managed devices, none of them the NM host, in id
@@ -733,24 +719,23 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 };
                 self.counter_reports.push((from, request, report));
             }
-            // A repeated result replaces the first, which is counted.
+            // The first result stands and a repeat is counted: a repeated
+            // `StageBatch` is refused `StaleTxn` (a restage of the held
+            // txn), and a repeated `CommitBatch` answers its recorded
+            // verdict again.
             WireMessage::StageBatchResult { txn, verdicts } => {
-                if self
-                    .stage_batch_results
-                    .insert((from, txn), verdicts)
-                    .is_some()
-                {
+                let slot = self.stage_batch_results.entry((from, txn));
+                if matches!(slot, Entry::Occupied(_)) {
                     self.recorder.inc("txn.stale_results", 1);
                 }
+                slot.or_insert(verdicts);
             }
             WireMessage::CommitBatchResult { txn, segments } => {
-                if self
-                    .commit_batch_results
-                    .insert((from, txn), segments)
-                    .is_some()
-                {
+                let slot = self.commit_batch_results.entry((from, txn));
+                if matches!(slot, Entry::Occupied(_)) {
                     self.recorder.inc("txn.stale_results", 1);
                 }
+                slot.or_insert(segments);
             }
             WireMessage::Script { .. }
             | WireMessage::PollCounters { .. }

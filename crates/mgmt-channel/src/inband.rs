@@ -17,16 +17,19 @@
 //! short, a non-minimal flood id or an unknown category is dropped and
 //! counted.
 //!
-//! **A flood is forgotten once it has died out.**  `run` returns only when
-//! no management frame is in flight on any link
+//! **`run` moves every flood; `recv` only drains.**  `run` returns only
+//! when no management frame is in flight on any link
 //! ([`Network::management_frames_in_flight`]) and two 10 ms steps have
 //! passed with no arrival since the last frame was sent or forwarded.  Then
 //! every flood sent before `run` returned has been delivered, suppressed or
-//! expired everywhere, however long its frames take to cross their links,
-//! so `run` ends by recording the last flood id as a floor and forgetting
-//! which floods each device has seen.  A frame at or below the floor that
-//! arrives anyway (a replay, or a copy injected by a neighbour that is not
-//! this channel) is a straggler: dropped and counted, never delivered twice.
+//! expired everywhere, however long its frames take to cross their links:
+//! a message sent before a `run` is in its destination's mailbox when the
+//! `run` returns, and `recv` hands the mailbox over without stepping the
+//! network.  So `run` ends by recording the last flood id as a floor and
+//! forgetting which floods each device has seen.  A frame at or below the
+//! floor that arrives anyway (a replay, or a copy injected by a neighbour
+//! that is not this channel) is a straggler: dropped and counted, never
+//! delivered twice.
 
 use crate::codec::{Reader, Writer};
 use crate::message::{MessageCategory, MgmtMessage};
@@ -216,8 +219,7 @@ impl ManagementChannel for InBandChannel {
         self.seen.clear();
     }
 
-    fn recv(&mut self, net: &mut Network, device: DeviceId) -> Vec<MgmtMessage> {
-        self.run(net);
+    fn recv(&mut self, _net: &mut Network, device: DeviceId) -> Vec<MgmtMessage> {
         self.mailboxes
             .get_mut(&device)
             .map(|q| q.drain(..).collect())
@@ -264,6 +266,7 @@ mod tests {
             &mut net,
             MgmtMessage::new(ids[0], ids[3], MessageCategory::Command, b"hello".to_vec()),
         );
+        ch.run(&mut net);
         let got = ch.recv(&mut net, ids[3]);
         assert_eq!(got.len(), 1);
         // The flood terminates: total frames is finite and bounded by
@@ -305,11 +308,13 @@ mod tests {
         for junk in [vec![], good[..18].to_vec(), unknown_category, padded_id] {
             inject(&mut net, ids[1], junk);
         }
+        ch.run(&mut net);
         assert!(ch.recv(&mut net, ids[2]).is_empty());
         assert_eq!(ch.decode_dropped, 4);
         assert_eq!(ch.frames_flooded, 0, "nothing undecodable is passed on");
         // The same frame with no defect is delivered.
         inject(&mut net, ids[1], good);
+        ch.run(&mut net);
         assert_eq!(ch.recv(&mut net, ids[2]), [msg]);
     }
 
@@ -319,9 +324,11 @@ mod tests {
         let mut ch = InBandChannel::new();
         let msg = MgmtMessage::new(ids[0], ids[2], MessageCategory::Command, b"x".to_vec());
         ch.send(&mut net, msg.clone());
+        ch.run(&mut net);
         assert_eq!(ch.recv(&mut net, ids[2]).len(), 1);
         // A copy of flood 1 turns up after it died out.
         inject(&mut net, ids[1], flood_frame(&msg, 1));
+        ch.run(&mut net);
         assert!(ch.recv(&mut net, ids[2]).is_empty());
         assert_eq!(ch.stragglers_dropped, 1);
     }
@@ -338,6 +345,7 @@ mod tests {
                 &mut net,
                 MgmtMessage::new(ids[0], to, MessageCategory::Command, vec![k as u8]),
             );
+            ch.run(&mut net);
             let got = ch.recv(&mut net, to);
             assert_eq!(got.len(), 1, "round {k}");
             assert_eq!((got[0].from, got[0].payload[0]), (ids[0], k as u8));
@@ -366,6 +374,7 @@ mod tests {
                 ),
             );
         }
+        ch.run(&mut t.net);
         for target in [t.core[0], t.core[2], t.customer1, t.customer2] {
             let got = ch.recv(&mut t.net, target);
             assert_eq!(got.len(), 1, "device should receive exactly one command");
@@ -377,10 +386,10 @@ mod tests {
     }
 
     /// A frame just under 187 KB crosses the testbed's `wan` core links
-    /// within the two idle 10 ms steps, so the `recv` after its `send`
+    /// within the two idle 10 ms steps, so the `run` after its `send`
     /// delivers it.
     #[test]
-    fn a_frame_under_the_wan_bound_is_delivered_by_the_next_recv() {
+    fn a_frame_under_the_wan_bound_is_delivered_by_the_next_run() {
         let mut t = topology::figure4();
         let mut ch = InBandChannel::new();
         let (from, to) = (t.core[0], t.core[2]);
@@ -389,16 +398,17 @@ mod tests {
             &mut t.net,
             MgmtMessage::new(from, to, MessageCategory::Command, payload),
         );
+        ch.run(&mut t.net);
         assert_eq!(ch.recv(&mut t.net, to).len(), 1);
         assert_eq!(ch.stragglers_dropped, 0);
     }
 
     /// A 200 000 B frame needs 21 ms on a `wan` link, longer than the two
-    /// idle steps: `run` keeps stepping while it is in flight, so the `recv`
+    /// idle steps: `run` keeps stepping while it is in flight, so the `run`
     /// after its `send` still delivers it and nothing turns up later as a
     /// straggler.
     #[test]
-    fn a_frame_longer_on_its_link_than_the_idle_steps_is_delivered_by_the_next_recv() {
+    fn a_frame_longer_on_its_link_than_the_idle_steps_is_delivered_by_the_next_run() {
         let mut t = topology::figure4();
         let mut ch = InBandChannel::new();
         let (from, to) = (t.core[0], t.core[2]);
@@ -407,11 +417,13 @@ mod tests {
             &mut t.net,
             MgmtMessage::new(from, to, MessageCategory::Command, payload.clone()),
         );
+        ch.run(&mut t.net);
         let got = ch.recv(&mut t.net, to);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].payload, payload);
         assert_eq!(t.net.management_frames_in_flight(), 0);
         // Nothing of the flood is left to arrive after the floor was set.
+        ch.run(&mut t.net);
         assert!(ch.recv(&mut t.net, to).is_empty());
         assert_eq!(ch.stragglers_dropped, 0);
     }

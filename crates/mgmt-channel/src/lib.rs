@@ -43,28 +43,25 @@ use netsim::network::Network;
 /// the bytes mean (CONMan primitives, module-to-module conveyMessage
 /// relays, ...) and how many of them the NM sent and received are the
 /// business of `conman-core`.
+///
+/// The contract: [`Self::run`] moves traffic, [`Self::recv`] hands over
+/// what it holds.  A message sent before a `run` is in its destination's
+/// mailbox when that `run` returns, unless a fault lost it (the
+/// out-of-band channel fills the mailbox at `send` already).  `recv` only
+/// drains a mailbox, so draining one device never changes what another
+/// device's drain returns.
 pub trait ManagementChannel {
     /// Queue a message for delivery.
     fn send(&mut self, net: &mut Network, msg: MgmtMessage);
 
-    /// Let queued traffic propagate (a no-op for the out-of-band channel;
-    /// drives flooding and the simulator event loop for the in-band one).
+    /// Move every queued message into its destination's mailbox (a no-op
+    /// for the out-of-band channel; floods and steps the simulated network
+    /// for the in-band one).
     fn run(&mut self, net: &mut Network);
 
-    /// Drain messages addressed to `device`.
+    /// Drain `device`'s mailbox and do nothing else: no traffic moves and
+    /// `net` is not touched.
     fn recv(&mut self, net: &mut Network, device: DeviceId) -> Vec<MgmtMessage>;
-
-    /// Whether [`Self::recv`] only hands over what is queued and leaves the
-    /// network untouched, so one device's drain cannot depend on what
-    /// another device sent just before it.  The out-of-band channel's does;
-    /// the in-band channel's steps the simulated network (it floods, and
-    /// advances simulated time).  It decides how the NM drains a
-    /// management round: over a passive channel every device on one side
-    /// of the NM host drains at once, before any of them answers; over
-    /// any other, each device drains and answers before the next drains.
-    fn recv_is_passive(&self) -> bool {
-        false
-    }
 
     /// Attach a flight recorder for the channel's own metrics (the in-band
     /// channel's `inband.*` flood counts).  A channel with none ignores it.

@@ -42,10 +42,6 @@ impl ManagementChannel for OutOfBandChannel {
             .map(|q| q.drain(..).collect())
             .unwrap_or_default()
     }
-
-    fn recv_is_passive(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

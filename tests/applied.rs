@@ -14,11 +14,13 @@ use conman::core::primitives::{PipeSpec, Primitive, RefusalCause, WireMessage};
 use conman::core::runtime::ManagedNetwork;
 use conman::modules::{managed_chain, managed_chain_with, managed_vlan_chain};
 use conman::netsim::device::DeviceId;
-use conman::netsim::network::Network;
 use conman_bench::diagnosis::chain_limits;
 use conman_bench::{discovered_chain, synthetic_goal, FLEET_TWIN_CHAIN_N, FLEET_TWIN_GOALS};
-use mgmt_channel::{ManagementChannel, MgmtMessage, OutOfBandChannel};
+use mgmt_channel::{ManagementChannel, OutOfBandChannel};
 use std::collections::{BTreeMap, BTreeSet};
+
+mod support;
+use support::{Logged, Sent};
 
 /// Goal `id`'s applied plan reads as the typed scripts it was generated
 /// as: its path, numbered from its own pipe block.
@@ -79,41 +81,18 @@ fn an_applied_plan_reads_as_the_typed_plan_it_staged() {
     assert_reads_as_typed(&t.mn, id, "VLAN");
 }
 
-/// Every `StageBatch` frame the NM sends, with its destination and txn id.
-#[derive(Default)]
-struct StageTap {
-    inner: OutOfBandChannel,
-    stages: Vec<(u64, DeviceId, Vec<u8>)>,
-}
-
-impl ManagementChannel for StageTap {
-    fn send(&mut self, net: &mut Network, msg: MgmtMessage) {
-        if let Some(WireMessage::StageBatch { txn, .. }) = WireMessage::decode(&msg.payload) {
-            self.stages.push((txn, msg.to, msg.payload.clone()));
+/// Every `StageBatch` frame in `log`, by txn id and destination, each
+/// re-encoded with txn id 0 so two transactions' frames compare byte for
+/// byte.
+fn stages(log: &[Sent]) -> BTreeMap<u64, BTreeMap<DeviceId, Vec<u8>>> {
+    let mut stages: BTreeMap<u64, BTreeMap<_, _>> = BTreeMap::new();
+    for (_, to, _, payload) in log {
+        if let Some(WireMessage::StageBatch { txn, segments }) = WireMessage::decode(payload) {
+            let frame = WireMessage::StageBatch { txn: 0, segments };
+            stages.entry(txn).or_default().insert(*to, frame.encode());
         }
-        self.inner.send(net, msg);
     }
-    fn run(&mut self, net: &mut Network) {
-        self.inner.run(net);
-    }
-    fn recv(&mut self, net: &mut Network, device: DeviceId) -> Vec<MgmtMessage> {
-        self.inner.recv(net, device)
-    }
-}
-
-/// The frames of transaction `txn`, by destination, each re-encoded with
-/// txn id 0 so two transactions' frames compare byte for byte.
-fn frames(tap: &StageTap, txn: u64) -> BTreeMap<DeviceId, Vec<u8>> {
-    let of_txn = tap.stages.iter().filter(|(t, _, _)| *t == txn);
-    of_txn
-        .map(|(_, device, payload)| match WireMessage::decode(payload) {
-            Some(WireMessage::StageBatch { segments, .. }) => {
-                let frame = WireMessage::StageBatch { txn: 0, segments };
-                (*device, frame.encode())
-            }
-            other => panic!("a StageBatch was tapped, not {other:?}"),
-        })
-        .collect()
+    stages
 }
 
 /// A replace refused at stage restores the goal's previous configuration
@@ -123,11 +102,14 @@ fn frames(tap: &StageTap, txn: u64) -> BTreeMap<DeviceId, Vec<u8>> {
 /// the devices hold exactly what the store claims.
 #[test]
 fn a_failed_replace_restages_the_bytes_the_goal_staged() {
-    let mut t = managed_chain_with(3, StageTap::default());
+    let mut t = managed_chain_with(3, Logged::new(OutOfBandChannel::new()));
     t.discover();
     let id = t.mn.submit(t.vpn_goal());
     assert!(t.mn.reconcile().converged());
-    let first = t.mn.channel.stages.first().expect("the pass staged").0;
+    let first = *stages(&t.mn.channel.log)
+        .keys()
+        .next()
+        .expect("the pass staged");
     let before = t.mn.goals.get(id).and_then(|r| r.applied()).cloned();
     let before = before.expect("the goal is applied");
 
@@ -162,9 +144,10 @@ fn a_failed_replace_restages_the_bytes_the_goal_staged() {
         "{error:?}"
     );
 
-    let restore = t.mn.channel.stages.last().expect("the restore staged").0;
-    assert!(restore > first);
-    let (sent, resent) = (frames(&t.mn.channel, first), frames(&t.mn.channel, restore));
+    let stages = stages(&t.mn.channel.log);
+    let (restore, resent) = stages.last_key_value().expect("the restore staged");
+    assert!(*restore > first);
+    let sent = &stages[&first];
     assert_eq!(sent.len(), before.scripts.segments().len());
     assert_eq!(resent, sent, "the restore stages the bytes the goal staged");
     let after = t.mn.goals.get(id).and_then(|r| r.applied());

@@ -597,6 +597,25 @@ fn one_agent_turn() {
     assert_clean(rule, &hits);
 }
 
+/// One round shape: a channel's run moves traffic and its recv only hands
+/// over what it holds, so every channel's round drains each side of the NM
+/// host at once. No channel says whether its recv is passive, the
+/// one-device-at-a-time drain (fn side) stays gone, and run_management's
+/// round is one agent_turns call on each side of the host's turn.
+#[test]
+fn one_round_shape() {
+    let rule = "One round shape";
+    let mut hits = grep(&tree(EVERYWHERE), |line| line.contains("recv_is_passive"));
+    let runtime = [File::read("crates/conman-core/src/runtime/mod.rs").body()];
+    hits.extend(grep(&runtime, |line| ends_word(line, "fn side")));
+    assert_clean(rule, &hits);
+    let round = "self.agent_turns(before) + self.host_turn() + self.agent_turns(after)";
+    assert!(
+        runtime[0].text.contains(round),
+        "{rule}: run_management's round is not `{round}`"
+    );
+}
+
 /// A transaction changes a device only through StageBatch / CommitBatch /
 /// AbortBatch: a goal that fails mid-batch is rolled back by a nested
 /// lenient teardown transaction, never by a fire-and-forget Script, so

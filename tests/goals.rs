@@ -22,16 +22,19 @@ use conman::core::runtime::{ManagedNetwork, ReconcileAction, ReconcileReport, Tx
 use conman::core::ManagementAgent;
 use conman::modules::{
     managed_chain, managed_chain_with, managed_dual_chain, managed_fanout_chain,
-    managed_mesh_fanout, managed_vlan_chain, ManagedMesh,
+    managed_fanout_chain_with, managed_mesh_fanout, managed_vlan_chain, ManagedMesh,
 };
 use conman::netsim::config::{DeviceConfig, FilterAction, FilterRule};
 use conman::netsim::device::DeviceId;
 use conman::netsim::ipv4::Ipv4Cidr;
-use conman::netsim::network::Network;
 use conman::obs::Recorder;
-use mgmt_channel::{ManagementChannel, MgmtMessage, OutOfBandChannel};
+use mgmt_channel::codec::TAG_STAGE_BATCH;
+use mgmt_channel::OutOfBandChannel;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
+
+mod support;
+use support::Logged;
 
 type Chain = conman::modules::ManagedChain<OutOfBandChannel>;
 
@@ -966,29 +969,6 @@ fn a_mid_batch_rollback_is_a_journaled_teardown_transaction() {
     assert_eq!(t.mn.audit(), residue);
 }
 
-/// The out-of-band channel, noting the goals of every `CommitBatch` the NM
-/// sends, by device.
-#[derive(Default)]
-struct CommitTap {
-    inner: OutOfBandChannel,
-    commits: Vec<(DeviceId, Vec<u64>)>,
-}
-
-impl ManagementChannel for CommitTap {
-    fn send(&mut self, net: &mut Network, msg: MgmtMessage) {
-        if let Some(WireMessage::CommitBatch { goals, .. }) = WireMessage::decode(&msg.payload) {
-            self.commits.push((msg.to, goals));
-        }
-        self.inner.send(net, msg);
-    }
-    fn run(&mut self, net: &mut Network) {
-        self.inner.run(net);
-    }
-    fn recv(&mut self, net: &mut Network, device: DeviceId) -> Vec<MgmtMessage> {
-        self.inner.recv(net, device)
-    }
-}
-
 /// A goal refused at stage in the middle of a batch.  g2's segment on the
 /// egress router, a GRE up pipe without the trade-offs its dependency asks
 /// for (Table III row iii), is refused by the router's admission step, so
@@ -999,7 +979,7 @@ fn a_goal_refused_at_stage_mid_batch_is_sent_no_commit() {
     use conman::core::ids::PipeId;
     use conman::core::primitives::PipeSpec;
 
-    let mut t = managed_chain_with(3, CommitTap::default());
+    let mut t = managed_chain_with(3, Logged::new(OutOfBandChannel::new()));
     t.discover();
     let g1 = t.mn.submit(t.vpn_goal());
     let g2 = t.mn.submit(t.vpn_goal());
@@ -1032,7 +1012,12 @@ fn a_goal_refused_at_stage_mid_batch_is_sent_no_commit() {
         cause: RefusalCause::Module(ModuleError::MissingTradeoffs),
     };
     assert_eq!(outcome.failed, [(g2, refusal)], "g2 is refused at stage");
-    let commits = &t.mn.channel.commits;
+    let commits: Vec<(DeviceId, Vec<u64>)> = (t.mn.channel.log.iter())
+        .filter_map(|(_, to, _, payload)| match WireMessage::decode(payload)? {
+            WireMessage::CommitBatch { goals, .. } => Some((*to, goals)),
+            _ => None,
+        })
+        .collect();
     assert_eq!(commits.len(), 3, "one CommitBatch per router: {commits:?}");
     assert!(
         commits.iter().all(|(_, goals)| *goals == [g1.0]),
@@ -1040,6 +1025,32 @@ fn a_goal_refused_at_stage_mid_batch_is_sent_no_commit() {
     );
     assert!(t.probe(), "the sibling goal carries traffic");
     assert_eq!(t.mn.audit(), orphans_of(&plan1.scripts));
+}
+
+/// A `StageBatch` the channel delivers twice is inert.  The device stages
+/// the first copy and refuses the second `StaleTxn` (a restage of the held
+/// txn); the NM keeps the first verdict and counts the repeat, so every
+/// goal of the pass still commits.
+#[test]
+fn a_duplicated_stage_batch_is_inert() {
+    let mut t = managed_fanout_chain_with(4, 3, Logged::new(OutOfBandChannel::new()));
+    t.discover();
+    t.mn.goals.limits = conman_bench::diagnosis::chain_limits(4);
+    for k in 0..3 {
+        let goal = t.fanout_goal(k);
+        t.mn.submit(goal);
+    }
+    let recorder = Recorder::new();
+    t.mn.set_recorder(recorder.clone());
+    t.mn.channel.duplicate = Some(TAG_STAGE_BATCH);
+    let report = t.mn.reconcile();
+    assert_eq!(t.mn.channel.duplicate, None, "a StageBatch was duplicated");
+    assert!(
+        (t.mn.goals.iter()).all(|rec| rec.status == GoalStatus::Active),
+        "{report:#?}"
+    );
+    assert_eq!(t.mn.audit(), []);
+    assert_eq!(recorder.counter("txn.stale_results"), 1);
 }
 
 /// The goal's mirror image: the same interfaces and classes, traversed in

@@ -14,8 +14,8 @@
 //!
 //! Every scenario runs twin testbeds built identically, so any divergence
 //! between the engines shows up as a journal or report diff.  Each twin's
-//! channel is [`Logged`], which keeps every message it is handed, in send
-//! order, and the twins compare those logs too.  The pool runs each
+//! channel is `support`'s `Logged`, which keeps every message it is handed,
+//! in send order, and the twins compare those logs too.  The pool runs each
 //! transaction round's agents side by side, so three scenarios hold those
 //! rounds to the one-worker ones: a goal refused at commit, whose nested
 //! rollback's teardown rounds fan out; a chain whose NM host is itself a
@@ -41,59 +41,17 @@ use conman_bench::assert_journal_conforms;
 use conman_bench::control_loop::mesh_limits;
 use conman_bench::diagnosis::chain_limits;
 use conman_obs::{Recorder, TraceKind};
-use mgmt_channel::{
-    InBandChannel, ManagementChannel, MessageCategory, MgmtMessage, OutOfBandChannel,
-};
+use mgmt_channel::{InBandChannel, ManagementChannel, OutOfBandChannel};
 use netsim::device::DeviceId;
 use netsim::network::Network;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+mod support;
+use support::{Logged, Sent};
+
 type Chain = ManagedChain<Logged<OutOfBandChannel>>;
 type Mesh = ManagedMesh<Logged<OutOfBandChannel>>;
-
-/// One message as a channel was handed it: from, to, category, payload.
-type Sent = (DeviceId, DeviceId, MessageCategory, Vec<u8>);
-
-/// A channel that keeps every message it is handed, in send order, and
-/// otherwise is `C`.
-struct Logged<C> {
-    inner: C,
-    log: Vec<Sent>,
-}
-
-impl<C> Logged<C> {
-    fn new(inner: C) -> Self {
-        Logged {
-            inner,
-            log: Vec::new(),
-        }
-    }
-}
-
-impl<C: ManagementChannel> ManagementChannel for Logged<C> {
-    fn send(&mut self, net: &mut Network, msg: MgmtMessage) {
-        let sent = (msg.from, msg.to, msg.category, msg.payload.clone());
-        self.log.push(sent);
-        self.inner.send(net, msg);
-    }
-
-    fn run(&mut self, net: &mut Network) {
-        self.inner.run(net);
-    }
-
-    fn recv(&mut self, net: &mut Network, device: DeviceId) -> Vec<MgmtMessage> {
-        self.inner.recv(net, device)
-    }
-
-    fn recv_is_passive(&self) -> bool {
-        self.inner.recv_is_passive()
-    }
-
-    fn attach_recorder(&mut self, recorder: Recorder) {
-        self.inner.attach_recorder(recorder);
-    }
-}
 
 /// The 64-bit FNV-1a digest of a log: per message, the two device ids
 /// (8 bytes each, little-endian), the category byte, the payload's length
@@ -482,6 +440,11 @@ fn parallel_equals_sequential_when_the_nm_host_is_a_managed_router() {
     assert_twins_equal(&par, &seq, "NM host managed", &[]);
 }
 
+/// In-band rounds drain each side of the NM host at once and fan out like
+/// out-of-band ones: the pool's pass matches the width-1 pass, and both
+/// audits are empty.  Neither twin hits the round cap: a round's one `run`
+/// moves every flood, so an NM ↔ device hop takes one round, as it does
+/// out of band.
 #[test]
 fn parallel_equals_sequential_over_the_in_band_channel() {
     let (mut a, mut b) = (in_band_chain(3, 2), in_band_chain(3, 2));
@@ -491,6 +454,9 @@ fn parallel_equals_sequential_over_the_in_band_channel() {
     let par = observe(&ra, &mut a.mn);
     let seq = observe(&rb, &mut b.mn);
     assert_twins_equal(&par, &seq, "in-band channel", &[]);
+    for t in [&a, &b] {
+        assert_eq!(t.mn.recorder.counter("mgmt.round_cap_hit"), 0);
+    }
     let floods = |c: &InBandChannel| (c.bytes_flooded, c.frames_flooded);
     assert_eq!(
         floods(&a.mn.channel.inner),
