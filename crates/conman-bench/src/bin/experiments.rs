@@ -615,6 +615,13 @@ fn fleet() {
         per_goal(held.net as u64),
         per_goal(held.total() as u64)
     );
+    println!("held by part, heap B/goal:");
+    let parts = [("agents", &held.agent_parts), ("network", &held.net_parts)];
+    for (holder, parts) in parts {
+        for (part, bytes) in parts {
+            println!("{holder:>9} {part:<22} {:>9.2}", per_goal(*bytes as u64));
+        }
+    }
     // The same fleet over the in-band channel, on the fan-out chain: what
     // its management rounds cost in simulated time and on the links.
     let InBandFleet {

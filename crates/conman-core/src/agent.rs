@@ -190,6 +190,25 @@ impl ManagementAgent {
         self.modules.len()
     }
 
+    /// Drop what the agent holds part by part — the held transaction, the
+    /// blackboard, then each module by [`ProtocolModule::drop_parts`] —
+    /// calling `dropped` with each part's name just after it is freed, so a
+    /// heap census can split the agent.  What is left (its name, the module
+    /// map's root) is the part named `agent`.  Not for managing a device:
+    /// it leaves the agent with no module.
+    #[doc(hidden)]
+    pub fn drop_parts(&mut self, dropped: &mut dyn FnMut(std::fmt::Arguments)) {
+        drop(std::mem::take(&mut self.held));
+        dropped(format_args!("held-transaction table"));
+        drop(std::mem::take(&mut self.blackboard));
+        dropped(format_args!("blackboard"));
+        while let Some((_, module)) = self.modules.pop_first() {
+            // What the pop freed of the module map counts with the agent.
+            dropped(format_args!("agent"));
+            module.drop_parts(dropped);
+        }
+    }
+
     /// Read-only access to the blackboard (the device audit reads it).
     pub(crate) fn blackboard(&self) -> &Blackboard {
         &self.blackboard

@@ -24,6 +24,7 @@ use netsim::config::DeviceConfig;
 use netsim::route::RouteTarget;
 use netsim::stats::DropReason;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Why a module refused a primitive or a relayed envelope: the module's own
@@ -313,6 +314,17 @@ pub trait ProtocolModule: Send {
     /// is all the agent looks at.
     fn poll(&mut self, _ctx: &mut ModuleCtx) -> ModuleReaction {
         ModuleReaction::none()
+    }
+
+    /// Drop the module part by part, calling `dropped` with each part's
+    /// name just after it is freed, so a heap census can split what the
+    /// module held.  Not for managing a device: the default drops the
+    /// whole module as one part named after its kind.
+    #[doc(hidden)]
+    fn drop_parts(self: Box<Self>, dropped: &mut dyn FnMut(fmt::Arguments)) {
+        let kind = self.reference().kind;
+        drop(self);
+        dropped(format_args!("{kind}"));
     }
 }
 

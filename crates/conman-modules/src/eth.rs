@@ -11,6 +11,7 @@
 //! number, and one ordered set of `(pipe, rule)` pairs that finds the
 //! rules naming a pipe by a range read.
 
+use crate::drop_part;
 use conman_core::abstraction::{ModuleAbstraction, PhysicalPipeInfo, SwitchKind};
 use conman_core::ids::{ModuleKind, ModuleRef, PipeId};
 use conman_core::module::{ModuleCtx, ModuleError, ModuleReaction, ProtocolModule};
@@ -18,6 +19,7 @@ use conman_core::primitives::{ComponentRef, ModuleActual, PipeSpec, SwitchSpec};
 use netsim::device::PortId;
 use netsim::stats::DropReason;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// The ETH protocol module.
 pub(crate) struct EthModule {
@@ -192,6 +194,14 @@ impl ProtocolModule for EthModule {
             _ => {}
         }
         Ok(ModuleReaction::none())
+    }
+
+    fn drop_parts(mut self: Box<Self>, dropped: &mut dyn FnMut(fmt::Arguments)) {
+        drop_part(dropped, "ETH pipes", &mut self.pipes);
+        drop_part(dropped, "ETH switch_rules", &mut self.switch_rules);
+        drop_part(dropped, "ETH rules_of_pipe", &mut self.rules_of_pipe);
+        drop(self);
+        dropped(format_args!("ETH"));
     }
 }
 

@@ -53,3 +53,10 @@ pub use testbed::{
     managed_ring_fanout, managed_vlan_chain, ManagedChain, ManagedFigure2, ManagedMesh,
     ManagedVlanChain,
 };
+
+/// Drop what `part` holds, then tell a heap census its name (see
+/// `ProtocolModule::drop_parts`).
+fn drop_part<T: Default>(dropped: &mut dyn FnMut(std::fmt::Arguments), name: &str, part: &mut T) {
+    drop(std::mem::take(part));
+    dropped(format_args!("{name}"));
+}
