@@ -378,8 +378,7 @@ impl ProtocolModule for GreModule {
             let (Some(local), Some(remote)) = (endpoints.local_addr, endpoints.remote_addr) else {
                 continue;
             };
-            let name = format!("gre-{}-{}", tunnel.up, tunnel.down);
-            let mut t = TunnelConfig::gre(name, local, remote);
+            let mut t = TunnelConfig::gre(local, remote);
             t.ikey = Some(params.ikey);
             t.okey = Some(params.okey);
             t.iseq = params.sequencing;

@@ -175,7 +175,7 @@ pub fn gre_script_today(p: &GreVpnParams) -> ClassifiedScript {
 /// (CONMan-configured router A equals this one).
 pub fn apply_gre_today(device: &mut Device, p: &GreVpnParams) {
     device.config.ip_forwarding = true;
-    let mut t = TunnelConfig::gre("greA", p.local, p.remote);
+    let mut t = TunnelConfig::gre(p.local, p.remote);
     t.ikey = Some(p.ikey);
     t.okey = Some(p.okey);
     t.icsum = true;

@@ -794,7 +794,7 @@ mod tests {
     fn gre_encap_and_decap_roundtrip_with_keys() {
         // Encapsulating router.
         let mut a = router();
-        let mut tun = TunnelConfig::gre("greA", ip("204.9.168.1"), ip("204.9.169.1"));
+        let mut tun = TunnelConfig::gre(ip("204.9.168.1"), ip("204.9.169.1"));
         tun.okey = Some(2001);
         tun.ikey = Some(1001);
         tun.oseq = true;
@@ -844,7 +844,7 @@ mod tests {
         c.config.ip_forwarding = true;
         c.config.add_port_address(1, cidr("204.9.169.1/24"));
         c.config.add_port_address(0, cidr("10.0.2.1/24"));
-        let mut tun = TunnelConfig::gre("greC", ip("204.9.169.1"), ip("204.9.168.1"));
+        let mut tun = TunnelConfig::gre(ip("204.9.169.1"), ip("204.9.168.1"));
         tun.ikey = Some(2001);
         tun.okey = Some(1001);
         tun.iseq = true;
@@ -883,7 +883,7 @@ mod tests {
     fn nested_tunnels_are_written_whole() {
         let mut a = router();
         let mut tunnel_to = |remote: &str, key: u32| {
-            let mut tun = TunnelConfig::gre("gre", ip("204.9.168.1"), ip(remote));
+            let mut tun = TunnelConfig::gre(ip("204.9.168.1"), ip(remote));
             tun.okey = Some(key);
             tun.ocsum = true;
             a.config.add_tunnel(tun)
@@ -931,7 +931,7 @@ mod tests {
     #[test]
     fn a_tunnel_routed_into_itself_is_dropped() {
         let mut a = router();
-        let tun = TunnelConfig::gre("gre", ip("204.9.168.1"), ip("1.0.0.1"));
+        let tun = TunnelConfig::gre(ip("204.9.168.1"), ip("1.0.0.1"));
         let tunnel = a.config.add_tunnel(tun);
         for dest in ["10.0.2.0/24", "1.0.0.1/32"] {
             a.config.rib.add_main(Route {
@@ -955,7 +955,7 @@ mod tests {
         let mut c = Device::new("C", DeviceRole::Router, 1);
         c.ports[0].link = Some(LinkId(0));
         c.config.add_port_address(0, cidr("204.9.169.1/24"));
-        let mut tun = TunnelConfig::gre("greC", ip("204.9.169.1"), ip("204.9.168.1"));
+        let mut tun = TunnelConfig::gre(ip("204.9.169.1"), ip("204.9.168.1"));
         tun.ikey = Some(7777); // expects a different key
         c.config.add_tunnel(tun);
 
@@ -983,7 +983,7 @@ mod tests {
         c.ports[0].link = Some(LinkId(0));
         c.config.add_port_address(0, cidr("204.9.169.1/24"));
         let sequenced = || {
-            let mut tun = TunnelConfig::gre("greC", ip("204.9.169.1"), ip("204.9.168.1"));
+            let mut tun = TunnelConfig::gre(ip("204.9.169.1"), ip("204.9.168.1"));
             tun.iseq = true;
             tun
         };

@@ -305,11 +305,7 @@ mod tests {
     fn misconfigurations_mutate_device_state() {
         let mut net = Network::new();
         let mut r = Device::new("r", DeviceRole::Router, 1);
-        let mut tun = TunnelConfig::gre(
-            "gre1",
-            "1.1.1.1".parse().unwrap(),
-            "2.2.2.2".parse().unwrap(),
-        );
+        let mut tun = TunnelConfig::gre("1.1.1.1".parse().unwrap(), "2.2.2.2".parse().unwrap());
         tun.ikey = Some(1001);
         r.config.add_tunnel(tun);
         r.config.rib.add_rule(crate::route::PolicyRule {
@@ -348,11 +344,7 @@ mod tests {
             (2, None),
             (3, Some("192.168.3.5/30")),
         ] {
-            let mut tun = TunnelConfig::gre(
-                format!("gre{k}"),
-                "1.1.1.1".parse().unwrap(),
-                Ipv4Addr::new(2, 2, 2, k),
-            );
+            let mut tun = TunnelConfig::gre("1.1.1.1".parse().unwrap(), Ipv4Addr::new(2, 2, 2, k));
             tun.ikey = (k != 2).then_some(1000 + u32::from(k));
             tun.address = address.map(|a| a.parse().unwrap());
             r.config.add_tunnel(tun);

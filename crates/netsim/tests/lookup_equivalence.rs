@@ -212,7 +212,7 @@ fn apply(
             linear.drop_table(table(y));
         }
         7 => {
-            let mut t = TunnelConfig::gre("t", addr(x), addr(y));
+            let mut t = TunnelConfig::gre(addr(x), addr(y));
             if z % 3 != 0 {
                 t.address = Some(Ipv4Cidr::new(addr(y ^ z), 30));
             }
