@@ -38,7 +38,7 @@ pub use control_loop::{
 pub use event::{GoalEndpoints, NmEvent};
 pub use reconcile::{ReconcileAction, ReconcileOutcome, ReconcileReport, WithdrawOutcome};
 pub use txn::GoalTeardown;
-pub use txn::{BatchOutcome, TeardownBatchOutcome, TxnEvent, TxnHook};
+pub use txn::{BatchOutcome, TeardownBatchOutcome};
 
 /// What one device answered to [`ManagedNetwork::poll_counters`]: both
 /// halves of one snapshot, from one round trip.
@@ -238,10 +238,6 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     /// the per-message Table VI counts, and rounds run on the calling
     /// thread.
     pub(crate) runner_width: Option<usize>,
-    /// Deterministic fault-injection hook invoked between transaction
-    /// phases (see [`TxnEvent`]); used by tests and the fault experiments to
-    /// crash devices mid-commit.
-    pub txn_hook: Option<TxnHook>,
     /// Flight recorder every management layer writes into (disabled by
     /// default — attach an enabled one with [`Self::set_recorder`]).
     pub recorder: Recorder,
@@ -270,7 +266,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             pending_relays: BTreeMap::new(),
             pass_width: None,
             runner_width: None,
-            txn_hook: None,
             recorder: Recorder::disabled(),
             codec: WireCodec::default(),
         }

@@ -27,9 +27,9 @@
 //!    (one table in `conman-modules`, shared by IP, GRE, MPLS and VLAN), so
 //!    goals crossing the same modules in opposite directions never take
 //!    each other's exchanges, in whatever order the messages arrive.  A goal refused at any device's commit, or one of
-//!    whose devices never answers, is rolled back: every device that
-//!    answered gets the teardown mirror of its script (`delete` per
-//!    `create`, reverse order), and a silent device gets an abort.
+//!    whose devices never answers, is rolled back: every device of the wave,
+//!    answered or not, gets the teardown mirror of its script (`delete` per
+//!    `create`, reverse order), and a silent device gets an abort first.
 //!
 //! Two runners drive that protocol.  The strict one above is `run_staged`,
 //! which keeps each goal's scripts as the bytes it staged and rolls back
@@ -47,8 +47,9 @@
 //! (`AbortBatch` plus its `AbortDevice` event).  They differ only in what
 //! a failure costs: the lenient runner skips the device, the strict one
 //! rolls the failed goals back.  A rollback is itself a nested lenient
-//! transaction under a newer txn id, sent to the devices that answered the
-//! commit, so the journal shows every delete it sends.
+//! transaction under a newer txn id, sent to every device of the commit
+//! wave (a lost answer is not a lost commit), so the journal shows every
+//! delete it sends.
 //!
 //! While a runner is on the stack, relays are batched and every management
 //! round runs its devices' agents side by side, at the width of the pass
@@ -66,29 +67,8 @@ use crate::primitives::{
 use conman_obs::TraceKind;
 use mgmt_channel::ManagementChannel;
 use netsim::device::DeviceId;
-use netsim::network::Network;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-
-/// The moment a [`TxnHook`] is invoked at, for deterministic fault
-/// injection between transaction phases (e.g. crash a device after it
-/// staged but before it commits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnEvent {
-    /// The commit for `device` is about to be sent.  A wave sends every
-    /// device its commit before any is delivered, so a device crashed here
-    /// misses its own commit and every relay of the wave.
-    BeforeCommit {
-        /// The transaction id.
-        txn: u64,
-        /// The device about to commit.
-        device: DeviceId,
-    },
-}
-
-/// A hook invoked between transaction phases with mutable access to the
-/// simulated network — the injection point for mid-transaction faults.
-pub type TxnHook = Box<dyn FnMut(&TxnEvent, &mut Network) + Send>;
 
 /// What a batched transaction did, goal by goal.
 #[derive(Debug, Clone, Default)]
@@ -148,13 +128,6 @@ struct Staged {
 }
 
 impl<C: ManagementChannel> ManagedNetwork<C> {
-    fn fire_hook(&mut self, event: TxnEvent) {
-        if let Some(mut hook) = self.txn_hook.take() {
-            hook(&event, &mut self.net);
-            self.txn_hook = Some(hook);
-        }
-    }
-
     /// Open a transaction runner's span: relays are batched, and each
     /// management round runs its agents at the width of the pass on the
     /// stack, or at [`pool::default_width`] for a runner called outside
@@ -269,7 +242,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             return answers;
         }
         for (&device, goals) in wave {
-            self.fire_hook(TxnEvent::BeforeCommit { txn, device });
             let goals = goals.clone();
             self.send(
                 self.nm_host(),
@@ -397,11 +369,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// disturbing sibling goals.  A transaction for one goal is
     /// `run_batch(&[(goal, &scripts)])`.
     ///
-    /// A rollback costs one nested [`Self::run_teardown_batch`] over the
-    /// failed goals' teardown mirrors — a `StageBatch` and a `CommitBatch`
-    /// (each answered) to every device that answered the commit and created
-    /// something of them, and nothing when no such device did — plus one
-    /// `AbortBatch` to each device that stayed silent at commit.
+    /// A rollback costs one `AbortBatch` to each device silent at commit,
+    /// plus one nested [`Self::run_teardown_batch`] over the failed goals'
+    /// teardown mirrors: a `StageBatch` to every device of the wave that
+    /// creates something of them, silent or not, a `CommitBatch` to each
+    /// that answers it, and nothing when no device creates anything.
     ///
     /// A failed goal's [`Refusal`] in `BatchOutcome::failed` is the first
     /// one its segments met.  Its cause is one of:
@@ -521,13 +493,14 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
 
         // ---- Roll back: the teardown mirrors of the goals that failed at
         // commit, as one nested lenient transaction (a newer txn id) on
-        // every device that answered the commit.  Siblings are untouched:
+        // every device of the wave: one whose answer was lost may have
+        // committed, and a crashed one is skipped.  Siblings are untouched:
         // their segments live in disjoint pipe-id blocks. ----------------
         let mirrors: Vec<GoalTeardown> = (goals.iter().zip(&kept).zip(live))
             .filter(|((goal, _), live)| *live && errors.contains_key(goal))
             .map(|((&goal, kept), _)| {
                 let deletes = (kept.teardown().into_iter())
-                    .filter(|(device, deletes)| answers.contains_key(device) && !deletes.is_empty())
+                    .filter(|(_, deletes)| !deletes.is_empty())
                     .collect();
                 (goal, deletes)
             })

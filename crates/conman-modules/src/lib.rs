@@ -48,10 +48,10 @@ mod vlan;
 
 pub use ip::derived_table_range;
 pub use testbed::{
-    managed_chain, managed_chain_with, managed_dual_chain, managed_fanout_chain,
-    managed_fanout_chain_with, managed_figure2, managed_mesh_fanout, managed_mesh_fanout_with,
-    managed_ring_fanout, managed_vlan_chain, ManagedChain, ManagedFigure2, ManagedMesh,
-    ManagedVlanChain,
+    managed_chain, managed_chain_with, managed_dual_chain, managed_dual_chain_with,
+    managed_fanout_chain, managed_fanout_chain_with, managed_figure2, managed_mesh_fanout,
+    managed_mesh_fanout_with, managed_ring_fanout, managed_vlan_chain, ManagedChain,
+    ManagedFigure2, ManagedMesh, ManagedVlanChain,
 };
 
 /// Drop what `part` holds, then tell a heap census its name (see

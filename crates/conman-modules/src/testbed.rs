@@ -55,7 +55,12 @@ pub fn managed_chain(n: usize) -> ManagedChain<OutOfBandChannel> {
 /// testbed: two VPN goals between the same customer-facing interfaces for
 /// different site classes, sharing the ISP core modules.
 pub fn managed_dual_chain(n: usize) -> ManagedChain<OutOfBandChannel> {
-    managed_from_topology(topology::isp_chain_dual(n), n, OutOfBandChannel::new())
+    managed_dual_chain_with(n, OutOfBandChannel::new())
+}
+
+/// [`managed_dual_chain`] over an arbitrary management channel.
+pub fn managed_dual_chain_with<C: ManagementChannel>(n: usize, channel: C) -> ManagedChain<C> {
+    managed_from_topology(topology::isp_chain_dual(n), n, channel)
 }
 
 /// Build a managed ISP chain with `pairs` fan-out customer host pairs (see

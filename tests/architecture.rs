@@ -639,9 +639,7 @@ fn transactions_speak_stage_commit_abort() {
 
 /// Both runners commit through one step: every device is sent its
 /// CommitBatch before the NM quiesces once, as execute_path sends every
-/// device its script. So txn.rs builds a CommitBatch in one place, and the
-/// hook moments between two devices' commits, which a wave does not have,
-/// may not come back.
+/// device its script. So txn.rs builds a CommitBatch in one place.
 #[test]
 fn a_batch_commits_in_one_wave() {
     let rule = "A batch commits in one wave";
@@ -653,11 +651,20 @@ fn a_batch_commits_in_one_wave() {
         commits.len(),
         commits.join("\n")
     );
+}
+
+/// The NM reaches a device only through the management channel, so a
+/// failure mid-transaction is a message lost, repeated or unanswered: a
+/// test injects it in the channel it hands the NM (`tests/support`'s
+/// `Logged`), and the program keeps no second door for faults between its
+/// phases.
+#[test]
+fn faults_enter_through_the_channel() {
     let hits = banned(
-        &tree(EVERYWHERE),
-        &["TxnEvent::Staged", "TxnEvent::Committed"],
+        &tree(CODE),
+        &["txn_hook", "TxnHook", "TxnEvent", "fire_hook"],
     );
-    assert_clean(rule, &hits);
+    assert_clean("Faults enter through the channel", &hits);
 }
 
 /// The engine asks is_local_address, Rib::lookup and RouteTable::lookup

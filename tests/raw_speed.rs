@@ -30,9 +30,7 @@ use conman::core::nm::{
 };
 use conman::core::primitives::RefusalCause;
 use conman::core::runtime::verify::PlanViolation;
-use conman::core::runtime::{
-    ChannelCounters, ManagedNetwork, ReconcileAction, ReconcileReport, TxnEvent,
-};
+use conman::core::runtime::{ChannelCounters, ManagedNetwork, ReconcileAction, ReconcileReport};
 use conman::modules::{
     managed_chain_with, managed_fanout_chain_with, managed_mesh_fanout_with, ManagedChain,
     ManagedMesh,
@@ -41,6 +39,7 @@ use conman_bench::assert_journal_conforms;
 use conman_bench::control_loop::mesh_limits;
 use conman_bench::diagnosis::chain_limits;
 use conman_obs::{Recorder, TraceKind};
+use mgmt_channel::codec::TAG_COMMIT_BATCH;
 use mgmt_channel::{InBandChannel, ManagementChannel, OutOfBandChannel};
 use netsim::device::DeviceId;
 use netsim::network::Network;
@@ -48,7 +47,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 mod support;
-use support::{Logged, Sent};
+use support::{Fault, Logged, Sent};
 
 type Chain = ManagedChain<Logged<OutOfBandChannel>>;
 type Mesh = ManagedMesh<Logged<OutOfBandChannel>>;
@@ -229,12 +228,7 @@ fn parallel_equals_sequential_on_a_multipath_mesh_fleet() {
 /// behave the same under both planning engines.
 fn install_mid_batch_crash(t: &mut Chain) {
     let b = t.core[1];
-    t.mn.txn_hook = Some(Box::new(move |event, net| {
-        let TxnEvent::BeforeCommit { device, .. } = event;
-        if *device == b {
-            net.set_device_up(b, false);
-        }
-    }));
+    (t.mn.channel.faults).push((TAG_COMMIT_BATCH, Some(b), Fault::Crash));
 }
 
 #[test]
@@ -368,15 +362,7 @@ fn refused_at_commit_twin() -> Mesh {
     assert!(t.mn.goals.mark_degraded(GoalId(1), upper));
     assert!(t.mn.goals.mark_degraded(GoalId(2), lower));
     let rebooted = t.lower[1];
-    let mut armed = true;
-    t.mn.txn_hook = Some(Box::new(move |event, net| {
-        let TxnEvent::BeforeCommit { device, .. } = event;
-        if armed && *device == rebooted {
-            armed = false;
-            net.set_device_up(rebooted, false);
-            net.set_device_up(rebooted, true);
-        }
-    }));
+    (t.mn.channel.faults).push((TAG_COMMIT_BATCH, Some(rebooted), Fault::Reboot));
     t
 }
 

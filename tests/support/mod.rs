@@ -1,8 +1,9 @@
 //! The one test channel: [`Logged`] keeps every message it is handed, in
 //! send order, and otherwise is the channel it wraps.  A test reads what
-//! the NM sent by filtering the log.  Its one other mode sends the first
-//! message with a given wire tag twice; unset, it is the identity
-//! (`tests/raw_speed.rs` pins a log by digest through it).
+//! the NM sent by filtering the log.  It is also the one place a fault
+//! enters a test: each of its [`Fault`]s fires once, on the first message
+//! that matches it.  With no fault it is the identity (`tests/raw_speed.rs`
+//! pins a log by digest through it).
 
 use mgmt_channel::{ManagementChannel, MessageCategory, MgmtMessage};
 use netsim::device::DeviceId;
@@ -11,12 +12,29 @@ use netsim::network::Network;
 /// One message as a channel was handed it: from, to, category, payload.
 pub type Sent = (DeviceId, DeviceId, MessageCategory, Vec<u8>);
 
+/// What befalls the first message a fault matches.  Not every test binary
+/// that declares `mod support;` uses every variant.
+#[allow(dead_code)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// The message is lost.
+    Drop,
+    /// The message is delivered twice.  The copy is not logged.
+    Duplicate,
+    /// Its destination powers off just before it is forwarded.
+    Crash,
+    /// Its destination powers off and on just before it is forwarded, and
+    /// so forgets what it staged.
+    Reboot,
+}
+
 pub struct Logged<C> {
     pub inner: C,
     pub log: Vec<Sent>,
-    /// The wire tag (`mgmt_channel::codec::TAG_*`) whose first message is
-    /// sent twice, cleared once it has been.  The copy is not logged.
-    pub duplicate: Option<u8>,
+    /// One-shot faults: the first message whose wire tag
+    /// (`mgmt_channel::codec::TAG_*`) and, when one is named, destination
+    /// match takes the fault, which is then removed.
+    pub faults: Vec<(u8, Option<DeviceId>, Fault)>,
 }
 
 impl<C> Logged<C> {
@@ -24,7 +42,7 @@ impl<C> Logged<C> {
         Logged {
             inner,
             log: Vec::new(),
-            duplicate: None,
+            faults: Vec::new(),
         }
     }
 }
@@ -33,9 +51,18 @@ impl<C: ManagementChannel> ManagementChannel for Logged<C> {
     fn send(&mut self, net: &mut Network, msg: MgmtMessage) {
         self.log
             .push((msg.from, msg.to, msg.category, msg.payload.clone()));
-        if self.duplicate.is_some() && self.duplicate == msg.payload.first().copied() {
-            self.duplicate = None;
-            self.inner.send(net, msg.clone());
+        let tag = msg.payload.first().copied();
+        let hit = (self.faults.iter())
+            .position(|&(t, to, _)| Some(t) == tag && to.is_none_or(|to| to == msg.to));
+        match hit.map(|at| self.faults.remove(at).2) {
+            None => {}
+            Some(Fault::Drop) => return,
+            Some(Fault::Duplicate) => self.inner.send(net, msg.clone()),
+            Some(Fault::Crash) => net.set_device_up(msg.to, false),
+            Some(Fault::Reboot) => {
+                net.set_device_up(msg.to, false);
+                net.set_device_up(msg.to, true);
+            }
         }
         self.inner.send(net, msg);
     }
