@@ -166,9 +166,9 @@ impl Turn {
     }
 }
 
-/// The turn of a managed device that is not the NM host, on whichever
-/// thread runs it: its agent answers each message drained at it, in order.
-/// A crashed device consumes nothing.
+/// A managed device's turn, on whichever thread runs it: its agent answers
+/// each message drained at it, in order.  The one path from a message to
+/// an agent.  A crashed device consumes nothing.
 fn agent_turn(
     agent: &mut ManagementAgent,
     device: &mut Device,
@@ -284,8 +284,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.recorder = recorder;
     }
 
-    /// Register a management agent (a managed device).
+    /// Register a management agent (a managed device).  The NM host is
+    /// never one: the NM reaches every agent over the channel.
     pub fn add_agent(&mut self, agent: ManagementAgent) {
+        assert!(
+            agent.device != self.nm_host,
+            "the NM host is not a managed device"
+        );
         self.agents.insert(agent.device, agent);
     }
 
@@ -494,14 +499,14 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     ///
     /// A round starts with the channel's one [`ManagementChannel::run`],
     /// which moves everything sent so far into its mailbox; every `recv`
-    /// after it only hands a mailbox over.  The round then runs in device
-    /// order: the managed devices before the NM host (all of them when the
-    /// host is not managed), the host's own turn, then the devices after
-    /// it.  Each side of the host drains at once and its agents take their
-    /// turns through one function, `agent_turn`, on `pool::fan_out`'s
-    /// workers, at the width of the transaction runner on the stack (1
-    /// outside one, so no thread starts); then the answers are posted
-    /// through the one send door in device order.  The output is the same
+    /// after it only hands a mailbox over.  Then every managed device takes
+    /// its turn, and the NM host (never a managed device) takes its own.
+    /// The devices drain at once, in device order, and their agents take
+    /// their turns through one function, `agent_turn`, on
+    /// `pool::fan_out`'s workers, at the width of the transaction runner on
+    /// the stack (1 outside one, so no thread starts); then the answers are
+    /// posted through the one send door in device order.  The host's turn
+    /// only reads: it hands each message to the NM.  The output is the same
     /// byte for byte at any width: drains stay sequential; an agent answers
     /// only the NM, so no agent's turn reads what another's sent; and the
     /// answers are posted in device order.
@@ -515,13 +520,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         let mut total = 0;
         for _ in 0..MAX_ROUNDS {
             self.channel.run(&mut self.net);
-            let host = self.nm_host;
             let ids: Vec<DeviceId> = self.agents.keys().copied().collect();
-            let (before, after) = match ids.binary_search(&host) {
-                Ok(at) => (&ids[..at], &ids[at + 1..]),
-                Err(_) => (&ids[..], &[][..]),
-            };
-            let progressed = self.agent_turns(before) + self.host_turn() + self.agent_turns(after);
+            let progressed = self.agent_turns(&ids) + self.host_turn();
             total += progressed;
             // Flush the round's buffered relays as one message per
             // destination device (relay batching); the flush itself queues
@@ -538,11 +538,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         total
     }
 
-    /// The turns of `ids` (managed devices, none of them the NM host, in id
-    /// order): every inbox is drained here first, in order; each agent's
-    /// turn ([`agent_turn`]) runs on a worker of [`pool::fan_out`] with a
-    /// disjoint `&mut` agent and device; then the answers are posted here,
-    /// device by device.  Returns the number of messages drained.
+    /// The turns of `ids` (managed devices, in id order): every inbox is
+    /// drained here first, in order; each agent's turn ([`agent_turn`])
+    /// runs on a worker of [`pool::fan_out`] with a disjoint `&mut` agent
+    /// and device; then the answers are posted here, device by device.  Returns the number of messages drained.
     fn agent_turns(&mut self, ids: &[DeviceId]) -> usize {
         let mut turns: Vec<(DeviceId, Vec<MgmtMessage>, Turn)> = (ids.iter())
             .map(|&id| (id, self.drain(id), Turn::default()))
@@ -577,19 +576,22 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         drained
     }
 
-    /// The NM host's turn: drain its inbox and route each message
-    /// ([`Self::route_message`]); what the host's own agent answers is
-    /// posted after the drain, like any device's.  Returns the number of
-    /// messages drained.
+    /// The NM host's turn: drain its inbox and hand each message that
+    /// decodes to the NM ([`Self::nm_handle`]).  A crashed host consumes
+    /// nothing: whatever the channel delivered is lost, exactly as with a
+    /// powered-off box.  Returns the number of messages drained.
     fn host_turn(&mut self) -> usize {
-        let host = self.nm_host;
-        let messages = self.drain(host);
+        let messages = self.drain(self.nm_host);
         let drained = messages.len();
-        let mut turn = Turn::new(self.runner_width.is_some());
-        for m in messages {
-            turn.take(self.route_message(m));
+        if !self.net.device(self.nm_host).is_ok_and(|d| d.up) {
+            return drained;
         }
-        self.post_turn(host, turn.end());
+        for m in messages {
+            match WireMessage::decode(&m.payload) {
+                Some(wire) => self.nm_handle(m.from, wire),
+                None => self.recorder.inc("mgmt.decode_dropped", 1),
+            }
+        }
         drained
     }
 
@@ -615,71 +617,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             self.send(self.nm_host, device, &WireMessage::RelayBatch { envelopes });
         }
         true
-    }
-
-    /// Route a message drained at the NM host: the NM reads what is
-    /// NM-bound, and the host's own agent, when the host is itself a
-    /// managed device, answers the rest.  Returns the agent's answers.
-    fn route_message(&mut self, msg: MgmtMessage) -> Vec<WireMessage> {
-        let at = self.nm_host;
-        // A crashed host consumes nothing: whatever the channel delivered
-        // is lost, exactly as with a powered-off box.
-        if !self.net.device(at).map(|d| d.up).unwrap_or(false) {
-            return Vec::new();
-        }
-        // A StageBatch is always agent-bound.
-        if wire::is_stage_batch(&msg.payload) {
-            if let (Some(agent), Ok(device)) = (self.agents.get_mut(&at), self.net.device_mut(at)) {
-                return agent_answers(agent, device, &msg.payload).unwrap_or_else(|| {
-                    self.recorder.inc("mgmt.decode_dropped", 1);
-                    Vec::new()
-                });
-            }
-        }
-        let Some(wire) = WireMessage::decode(&msg.payload) else {
-            self.recorder.inc("mgmt.decode_dropped", 1);
-            return Vec::new();
-        };
-        // A relay batch is split envelope by envelope by the same rule as a
-        // lone `Module`: the NM relays what is bound for other devices, and
-        // the host's own agent gets the rest.
-        let wire = match wire {
-            WireMessage::RelayBatch { envelopes } => {
-                let (local, relayed): (Vec<_>, Vec<_>) =
-                    envelopes.into_iter().partition(|env| env.to.device == at);
-                if !relayed.is_empty() {
-                    self.nm_handle(msg.from, WireMessage::RelayBatch { envelopes: relayed });
-                }
-                if local.is_empty() {
-                    return Vec::new();
-                }
-                WireMessage::RelayBatch { envelopes: local }
-            }
-            wire => wire,
-        };
-        let nm_bound = match &wire {
-            WireMessage::Announce(_)
-            | WireMessage::ScriptResult { .. }
-            | WireMessage::Notify(_)
-            | WireMessage::CounterReport { .. }
-            | WireMessage::StageBatchResult { .. }
-            | WireMessage::CommitBatchResult { .. } => true,
-            WireMessage::Module(env) => env.to.device != at,
-            WireMessage::Script { .. }
-            | WireMessage::PollCounters { .. }
-            | WireMessage::StageBatch { .. }
-            | WireMessage::CommitBatch { .. }
-            | WireMessage::AbortBatch { .. }
-            | WireMessage::RelayBatch { .. } => false,
-        };
-        if nm_bound {
-            self.nm_handle(msg.from, wire);
-            return Vec::new();
-        }
-        match (self.agents.get_mut(&at), self.net.device_mut(at)) {
-            (Some(agent), Ok(device)) => agent.handle(device, &wire),
-            _ => Vec::new(),
-        }
     }
 
     /// NM-side handling of NM-bound messages.
@@ -732,11 +669,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 }
                 slot.or_insert(segments);
             }
+            // An agent-bound message has no business at the NM; it is
+            // counted so that none arrives silently.
             WireMessage::Script { .. }
             | WireMessage::PollCounters { .. }
             | WireMessage::StageBatch { .. }
             | WireMessage::CommitBatch { .. }
-            | WireMessage::AbortBatch { .. } => {}
+            | WireMessage::AbortBatch { .. } => self.recorder.inc("mgmt.misdirected", 1),
         }
     }
 
@@ -847,6 +786,7 @@ mod tests {
         let d2 = net.add_device(Device::new("RouterB", DeviceRole::Router, 1));
         net.connect((d1, PortId(0)), (d2, PortId(0)), LinkProperties::lan())
             .unwrap();
+        let nm = net.add_device(Device::new("NM", DeviceRole::Host, 1));
 
         let m1 = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d1);
         let low1 = ModuleRef::new(ModuleKind::Eth, ModuleId(2), d1);
@@ -859,7 +799,7 @@ mod tests {
         let mut a2 = ManagementAgent::new(d2, "RouterB");
         a2.register(Box::new(c2));
 
-        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
+        let mut mn = ManagedNetwork::new(net, nm, OutOfBandChannel::new());
         mn.add_agent(a1);
         mn.add_agent(a2);
         mn.announce_all();
@@ -895,25 +835,25 @@ mod tests {
         assert_eq!(c.received_by_category[&MessageCategory::ConveyMessage], 2);
     }
 
-    /// The NM host is itself a managed device, so one batch its agent sends
-    /// up mixes envelopes for its own modules with envelopes for another
-    /// device.  Each goes where its own address says: a batch routed by its
-    /// first envelope would hand `a`'s hello for `c` to `a`, `c`'s namesake.
+    /// One batch a device sends up mixes envelopes for namesake modules on
+    /// two other devices.  Each goes where its own address says: a batch
+    /// routed by its first envelope would hand `b`'s hello for `e` to `c`,
+    /// `e`'s namesake, which refuses it loudly.
     #[test]
-    fn batched_relays_route_each_envelope_when_the_nm_host_is_managed() {
+    fn batched_relays_route_each_envelope_to_its_own_device() {
         use crate::nm::script::DeviceScript;
         use crate::nm::GoalId;
 
         let mut net = Network::new();
-        let d1 = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
-        let d2 = net.add_device(Device::new("RouterB", DeviceRole::Router, 1));
+        let [d1, d2, d3, nm] = ["RouterA", "RouterB", "RouterC", "NM"]
+            .map(|name| net.add_device(Device::new(name, DeviceRole::Router, 1)));
         let on = |id, device| ModuleRef::new(ModuleKind::Gre, ModuleId(id), device);
-        let [a, b, low, c, d] = [on(1, d1), on(2, d1), on(9, d1), on(1, d2), on(2, d2)];
-        let pipe = |n, upper: &ModuleRef, lower: &ModuleRef, peer: &ModuleRef| {
+        let [a, b, low, c, e] = [on(1, d1), on(2, d1), on(9, d1), on(1, d2), on(1, d3)];
+        let pipe = |n, upper: &ModuleRef, peer: &ModuleRef| {
             Primitive::CreatePipe(PipeSpec {
                 pipe: crate::ids::PipeId(n),
                 upper: *upper,
-                lower: *lower,
+                lower: low,
                 peer_upper: Some(*peer),
                 peer_lower: None,
                 peer_pipe: None,
@@ -921,38 +861,32 @@ mod tests {
                 initiate: true,
             })
         };
-        let chatty = [&a, &b, &c, &d].map(|m| Chatty::new(*m));
+        let chatty = [&a, &b, &c, &e].map(|m| Chatty::new(*m));
         let negotiated = chatty.each_ref().map(|m| m.negotiated.clone());
-        let mut a1 = ManagementAgent::new(d1, "RouterA");
-        let mut a2 = ManagementAgent::new(d2, "RouterB");
-        a1.register(Box::new(Chatty::new(low)));
+        let mut agents = [(d1, "RouterA"), (d2, "RouterB"), (d3, "RouterC")]
+            .map(|(d, name)| ManagementAgent::new(d, name));
+        agents[0].register(Box::new(Chatty::new(low)));
         for m in chatty {
-            let agent = if m.me.device == d1 { &mut a1 } else { &mut a2 };
-            agent.register(Box::new(m));
+            let at = agents.iter().position(|agent| agent.device == m.me.device);
+            agents[at.expect("an agent on the module's device")].register(Box::new(m));
         }
-        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
-        mn.add_agent(a1);
-        mn.add_agent(a2);
+        let mut mn = ManagedNetwork::new(net, nm, OutOfBandChannel::new());
+        for agent in agents {
+            mn.add_agent(agent);
+        }
         mn.announce_all();
 
-        // `d2` commits first: `d` greets `b` on the NM host.  Then `d1`'s
-        // one round emits `b`'s hello for `a` (its own) before `a`'s hello
-        // for `c` (on `d2`).
+        // `d1`'s one round emits `a`'s hello for `c` (on `d2`) and `b`'s
+        // for `e` (on `d3`), both for a module numbered 1.
         let scripts = ScriptSet {
-            scripts: vec![
-                DeviceScript {
-                    device: d1,
-                    primitives: vec![pipe(1, &b, &low, &a), pipe(2, &a, &low, &c)],
-                },
-                DeviceScript {
-                    device: d2,
-                    primitives: vec![pipe(3, &d, &c, &b)],
-                },
-            ],
+            scripts: vec![DeviceScript {
+                device: d1,
+                primitives: vec![pipe(1, &a, &c), pipe(2, &b, &e)],
+            }],
         };
         let batch = mn.run_batch(&[(GoalId(1), &scripts)]);
         assert_eq!(batch.committed, [GoalId(1)], "{:?}", batch.failed);
-        for (side, flag) in ["a", "b", "c", "d"].iter().zip(&negotiated) {
+        for (side, flag) in ["a", "b", "c", "e"].iter().zip(&negotiated) {
             assert!(flag.load(Ordering::Relaxed), "{side} never heard its peer");
         }
     }
@@ -976,7 +910,8 @@ mod tests {
         a1.register(Box::new(Chatty::new(m1)));
         let mut a2 = ManagementAgent::new(d2, "RouterB");
         a2.register(Box::new(Chatty::new(m2)));
-        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
+        let nm = net.add_device(Device::new("NM", DeviceRole::Host, 1));
+        let mut mn = ManagedNetwork::new(net, nm, OutOfBandChannel::new());
         mn.add_agent(a1);
         mn.add_agent(a2);
         mn.announce_all();
@@ -1023,7 +958,6 @@ mod tests {
         let mut net = Network::new();
         let nm_host = net.add_device(Device::new("NM", DeviceRole::Router, 1));
         let mut mn = ManagedNetwork::new(net, nm_host, OutOfBandChannel::new());
-        mn.add_agent(ManagementAgent::new(nm_host, "NM"));
         let polled: Vec<DeviceId> = ["RouterA", "RouterB", "RouterC"]
             .into_iter()
             .map(|name| {
@@ -1069,7 +1003,6 @@ mod tests {
         let nm_host = net.add_device(Device::new("NM", DeviceRole::Router, 1));
         let d = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
         let mut mn = ManagedNetwork::new(net, nm_host, OutOfBandChannel::new());
-        mn.add_agent(ManagementAgent::new(nm_host, "NM"));
         mn.add_agent(ManagementAgent::new(d, "RouterA"));
         let recorder = Recorder::new();
         mn.set_recorder(recorder.clone());
@@ -1101,7 +1034,6 @@ mod tests {
         let nm_host = net.add_device(Device::new("NM", DeviceRole::Router, 1));
         let d = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
         let mut mn = ManagedNetwork::new(net, nm_host, OutOfBandChannel::new());
-        mn.add_agent(ManagementAgent::new(nm_host, "NM"));
         mn.add_agent(ManagementAgent::new(d, "RouterA"));
         let recorder = Recorder::new();
         mn.set_recorder(recorder.clone());
@@ -1170,8 +1102,9 @@ mod tests {
         a1.register(Box::new(PingPong { me: m1 }));
         let mut a2 = ManagementAgent::new(d2, "RouterB");
         a2.register(Box::new(PingPong { me: m2 }));
+        let nm = net.add_device(Device::new("NM", DeviceRole::Host, 1));
 
-        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
+        let mut mn = ManagedNetwork::new(net, nm, OutOfBandChannel::new());
         mn.add_agent(a1);
         mn.add_agent(a2);
         let recorder = Recorder::new();
@@ -1198,7 +1131,8 @@ mod tests {
         let mut net = Network::new();
         let d1 = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
         let d2 = net.add_device(Device::new("RouterB", DeviceRole::Router, 1));
-        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
+        let nm = net.add_device(Device::new("NM", DeviceRole::Host, 1));
+        let mut mn = ManagedNetwork::new(net, nm, OutOfBandChannel::new());
         mn.add_agent(ManagementAgent::new(d1, "RouterA"));
         mn.add_agent(ManagementAgent::new(d2, "RouterB"));
         let recorder = Recorder::new();
@@ -1224,7 +1158,7 @@ mod tests {
         lying_count.extend([0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
         assert_eq!(lying_count.len(), 14);
         for payload in [truncated, lying_count, b"not a conman message".to_vec()] {
-            let m = MgmtMessage::new(d1, d2, MessageCategory::Command, payload);
+            let m = MgmtMessage::new(nm, d2, MessageCategory::Command, payload);
             mn.channel.send(&mut mn.net, m);
         }
         assert_eq!(mn.run_management(), 3, "all were delivered to the agent");
@@ -1257,7 +1191,7 @@ mod tests {
         ];
         for payload in [cut_body, lying_count] {
             assert_eq!(payload[0], 0x86);
-            let m = MgmtMessage::new(d2, d1, MessageCategory::ConveyMessage, payload);
+            let m = MgmtMessage::new(d2, nm, MessageCategory::ConveyMessage, payload);
             mn.channel.send(&mut mn.net, m);
         }
         mn.runner_width = Some(1);
@@ -1280,7 +1214,8 @@ mod tests {
         let mut net = Network::new();
         let d1 = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
         let d2 = net.add_device(Device::new("RouterB", DeviceRole::Router, 1));
-        let mut mn = ManagedNetwork::new(net, d1, OutOfBandChannel::new());
+        let nm = net.add_device(Device::new("NM", DeviceRole::Host, 1));
+        let mut mn = ManagedNetwork::new(net, nm, OutOfBandChannel::new());
         mn.add_agent(ManagementAgent::new(d1, "RouterA"));
         mn.add_agent(ManagementAgent::new(d2, "RouterB"));
         let recorder = Recorder::new();
@@ -1293,8 +1228,8 @@ mod tests {
         let notify = br#"{"Notify":{"body":"Established","from":{"device":15898900202816264786,"kind":"Ip","module":1}}}"#;
         assert_eq!(d2.as_u64(), 15898900202816264786, "RouterB's id");
         let sends = [
-            (d1, d2, MessageCategory::Command, &commit[..]),
-            (d2, d1, MessageCategory::Notification, &notify[..]),
+            (nm, d2, MessageCategory::Command, &commit[..]),
+            (d2, nm, MessageCategory::Notification, &notify[..]),
         ];
         for (dropped, (from, to, category, payload)) in (1..).zip(sends) {
             mn.channel.send(
@@ -1312,5 +1247,39 @@ mod tests {
         );
         assert!(mn.commit_batch_results.is_empty());
         assert_eq!(recorder.counter("mgmt.notifications"), 0);
+    }
+
+    /// An agent-bound message that reaches the NM is neither handled nor
+    /// dropped unseen: a `CommitBatch` planted at the station is counted
+    /// under `mgmt.misdirected`, and nothing answers it.
+    #[test]
+    fn an_agent_bound_message_at_the_nm_is_counted_as_misdirected() {
+        let mut net = Network::new();
+        let d = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
+        let nm = net.add_device(Device::new("NM", DeviceRole::Host, 1));
+        let mut mn = ManagedNetwork::new(net, nm, OutOfBandChannel::new());
+        mn.add_agent(ManagementAgent::new(d, "RouterA"));
+        let recorder = Recorder::new();
+        mn.set_recorder(recorder.clone());
+
+        let commit = WireMessage::CommitBatch {
+            txn: 1,
+            goals: vec![1],
+        };
+        let m = MgmtMessage::new(d, nm, MessageCategory::Command, commit.encode());
+        mn.channel.send(&mut mn.net, m);
+        assert_eq!(mn.run_management(), 1, "delivered, and nothing answered");
+        assert_eq!(recorder.counter("mgmt.misdirected"), 1);
+        assert_eq!(recorder.counter("mgmt.decode_dropped"), 0);
+        assert_eq!(mn.nm_counters().sent, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "the NM host is not a managed device")]
+    fn the_nm_host_cannot_be_a_managed_device() {
+        let mut net = Network::new();
+        let nm = net.add_device(Device::new("NM", DeviceRole::Router, 1));
+        let mut mn = ManagedNetwork::new(net, nm, OutOfBandChannel::new());
+        mn.add_agent(ManagementAgent::new(nm, "NM"));
     }
 }

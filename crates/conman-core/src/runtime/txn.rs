@@ -11,8 +11,9 @@
 //!    goal's segment (the named modules exist, a new pipe id is free, a
 //!    switch rule stands on a pipe of its module, and each module admits
 //!    its protocol's fields) and holds it without touching the data plane.
-//!    A goal refused or unanswered (a crashed device) anywhere is aborted
-//!    everywhere before anything of it is applied.  A device holds one
+//!    A goal refused or unanswered (a crashed device, a lost answer)
+//!    anywhere is aborted everywhere before anything of it is applied, on a
+//!    device that stayed silent too.  A device holds one
 //!    transaction: a stage whose txn id is not newer than the one it holds
 //!    is refused [`RefusalCause::StaleTxn`], and a reboot drops what it
 //!    staged.
@@ -37,8 +38,8 @@
 //! [`ManagedNetwork::run_batch`] is it over borrowed scripts.
 //! [`ManagedNetwork::run_teardown_batch`] (withdraw,
 //! stale-configuration teardown, self-healing) is **lenient**: a device
-//! that does not answer is skipped rather than failing the transaction — a
-//! later reconcile cleans it up.
+//! that does not answer is sent an abort and skipped rather than failing
+//! the transaction.
 //!
 //! The two share every phase: stage (one `StageBatch` per device, one
 //! quiesce, one `StageDevice` event per device), commit (one `CommitBatch`
@@ -56,7 +57,7 @@
 //! (see [`ManagedNetwork::run_management`]).  That changes no byte of
 //! output: the drains stay sequential, an agent answers only the NM, so no
 //! agent's turn reads what another's sent, and the answers are posted in
-//! device order, the NM host's own turn keeping its place among them.
+//! device order.
 
 use super::{pool, ManagedNetwork};
 use crate::nm::goal::GoalId;
@@ -324,8 +325,16 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 Some(_) => {
                     wave.insert(device, staged.goals);
                 }
-                None => outcome.skipped.push(device),
+                None => {
+                    self.abort(txn, device, staged.goals);
+                    outcome.skipped.push(device);
+                }
             }
+        }
+        // The commit wave's quiesce carries the aborts; without one, they
+        // need their own.
+        if wave.is_empty() && !outcome.skipped.is_empty() {
+            self.run_management();
         }
         let answers = self.commit(txn, &wave);
         let silent = wave.keys().filter(|d| !answers.contains_key(d));
@@ -435,20 +444,21 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                             fail(&mut errors, v.goal, refusal);
                         }
                     }
-                    held.insert(device, staged.goals);
                 }
                 None => {
-                    // Silence: crashed or unreachable — every segment it
-                    // holds is lost.
+                    // Silence: crashed, unreachable or its answer lost —
+                    // every goal it was sent fails, and is aborted below in
+                    // case the device staged it after all.
                     let silence = unanswered(device, RefusalCause::UnansweredStage);
                     for goal in &staged.goals {
                         fail(&mut errors, *goal, &silence);
                     }
                 }
             }
+            held.insert(device, staged.goals);
         }
-        // Abort dead goals' segments still held on answering devices; the
-        // live ones make the commit wave.
+        // Abort dead goals' segments on every device sent them; the live
+        // ones make the commit wave.
         let mut wave = BTreeMap::new();
         let mut aborted_any = false;
         for (device, goals) in held {

@@ -368,8 +368,8 @@ mod tests {
         }
     }
 
-    /// One router whose agent has one [`Unlisted`] module, managed from
-    /// itself.
+    /// One router whose agent has one [`Unlisted`] module, managed from an
+    /// unmanaged station.
     fn one_router() -> (
         ManagedNetwork<mgmt_channel::OutOfBandChannel>,
         DeviceId,
@@ -384,7 +384,8 @@ mod tests {
         let m = ModuleRef::new(ModuleKind::Ip, ModuleId(1), d);
         let mut agent = ManagementAgent::new(d, "R");
         agent.register(Box::new(Unlisted(m)));
-        let mut mn = ManagedNetwork::new(net, d, mgmt_channel::OutOfBandChannel::new());
+        let nm = net.add_device(Device::new("NM", DeviceRole::Host, 1));
+        let mut mn = ManagedNetwork::new(net, nm, mgmt_channel::OutOfBandChannel::new());
         mn.add_agent(agent);
         (mn, d, m)
     }

@@ -358,8 +358,8 @@ mod tests {
     #[test]
     fn no_preconfiguration_needed_on_the_vpn_testbed() {
         // The Figure 4 testbed has no routes for the management traffic at
-        // all; the in-band channel still reaches every device from the NM
-        // host (Router B, the core router, hosts the NM in our experiments).
+        // all; the in-band channel still reaches every device from any one
+        // of them (here Router B, the core router, sends as the NM would).
         let mut t = topology::figure4();
         let mut ch = InBandChannel::new();
         let nm_host = t.core[1];

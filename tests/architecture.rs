@@ -562,13 +562,12 @@ fn one_replace_step() {
     assert_clean(rule, &hits);
 }
 
-/// One agent turn: every managed device but the NM host takes its turn in
-/// every management round through one function, whatever the width or
-/// the channel. Before its tests, runtime/mod.rs calls an agent only in
-/// agent_answers (the turn's one reader of a payload) and route_message
-/// (the host's own turn), and the sequential copy of the turn stays gone:
-/// no fanned_round, no answer, no batch_relays or round_width flag beside
-/// the runner's width.
+/// One agent turn: every managed device takes its turn in every
+/// management round through one function, whatever the width or the
+/// channel. Before its tests, runtime/mod.rs calls an agent only in
+/// agent_answers (the turn's one reader of a payload), and the sequential
+/// copy of the turn stays gone: no fanned_round, no answer, no
+/// batch_relays or round_width flag beside the runner's width.
 #[test]
 fn one_agent_turn() {
     let rule = "One agent turn";
@@ -589,7 +588,6 @@ fn one_agent_turn() {
         }
         match inside {
             Some("agent_answers") => readers += 1,
-            Some("route_message") => {}
             _ => hits.push(runtime.hit(number, line)),
         }
     }
@@ -598,10 +596,10 @@ fn one_agent_turn() {
 }
 
 /// One round shape: a channel's run moves traffic and its recv only hands
-/// over what it holds, so every channel's round drains each side of the NM
-/// host at once. No channel says whether its recv is passive, the
+/// over what it holds, so every channel's round drains every managed
+/// device at once. No channel says whether its recv is passive, the
 /// one-device-at-a-time drain (fn side) stays gone, and run_management's
-/// round is one agent_turns call on each side of the host's turn.
+/// round is one agent_turns call over every agent, then the host's turn.
 #[test]
 fn one_round_shape() {
     let rule = "One round shape";
@@ -609,11 +607,42 @@ fn one_round_shape() {
     let runtime = [File::read("crates/conman-core/src/runtime/mod.rs").body()];
     hits.extend(grep(&runtime, |line| ends_word(line, "fn side")));
     assert_clean(rule, &hits);
-    let round = "self.agent_turns(before) + self.host_turn() + self.agent_turns(after)";
+    let round = "self.agent_turns(&ids) + self.host_turn()";
     assert!(
         runtime[0].text.contains(round),
         "{rule}: run_management's round is not `{round}`"
     );
+}
+
+/// The NM is not an agent: the NM host is never a managed device, and the
+/// NM reaches an agent only over the channel. So in runtime/mod.rs the
+/// host's turn, the NM's handling of what it drains and its relay name
+/// neither the agents nor a device to hand them.
+#[test]
+fn the_nm_is_not_an_agent() {
+    let rule = "The NM is not an agent";
+    let runtime = File::read("crates/conman-core/src/runtime/mod.rs").body();
+    let nm_side = ["host_turn", "nm_handle", "relay"];
+    let (mut hits, mut seen) = (Vec::new(), Vec::new());
+    for (inside, number, line) in runtime.fn_lines() {
+        let Some(name) = inside.filter(|name| nm_side.contains(name)) else {
+            continue;
+        };
+        if !seen.contains(&name) {
+            seen.push(name);
+        }
+        if line.contains("self.agents") || line.contains("device_mut") {
+            hits.push(runtime.hit(number, line));
+        }
+    }
+    for name in nm_side {
+        assert!(
+            seen.contains(&name),
+            "{rule}: no fn {name} in {}",
+            runtime.path
+        );
+    }
+    assert_clean(rule, &hits);
 }
 
 /// A transaction changes a device only through StageBatch / CommitBatch /

@@ -1101,6 +1101,38 @@ fn a_lost_commit_answer_is_rolled_back_everywhere() {
     assert_eq!(t.mn.audit(), []);
 }
 
+/// A device whose stage answer is lost may hold what it staged.  The NM
+/// fails the goals it sent that device and aborts them there too, so the
+/// faulted pass itself leaves no staged residue.
+#[test]
+fn a_lost_stage_answer_is_aborted_at_once() {
+    let mut t = fanout_chain_of_three(&Recorder::disabled());
+    (t.mn.channel.faults).push((TAG_STAGE_BATCH_RESULT, None, Fault::Drop));
+    let report = t.mn.reconcile();
+    assert_eq!(t.mn.channel.faults, [], "a StageBatchResult was lost");
+    assert!(!report.converged(), "the lost answer fails the pass");
+    assert_eq!(t.mn.audit(), []);
+}
+
+/// A withdraw whose stage answer is lost is lenient: the silent device is
+/// skipped, and its staged deletes are aborted at once.  What the device
+/// still holds of the withdrawn goals is not checked here: no goal claims
+/// it once the store forgets them.
+#[test]
+fn a_lost_stage_answer_to_a_withdraw_is_aborted_at_once() {
+    let mut t = fanout_chain_of_three(&Recorder::disabled());
+    let report = t.mn.reconcile();
+    assert!(all_active(&t), "{report:#?}");
+    let ids: Vec<GoalId> = t.mn.goals.iter().map(|rec| rec.id).collect();
+    (t.mn.channel.faults).push((TAG_STAGE_BATCH_RESULT, None, Fault::Drop));
+    t.mn.withdraw_many(&ids);
+    assert_eq!(t.mn.channel.faults, [], "a StageBatchResult was lost");
+    let residue = (t.mn.audit().into_iter())
+        .filter(|v| matches!(v, PlanViolation::StagedResidue { .. }))
+        .collect::<Vec<_>>();
+    assert_eq!(residue, []);
+}
+
 /// The goal's mirror image: the same interfaces and classes, traversed in
 /// the opposite direction.
 fn reversed(goal: &ConnectivityGoal) -> ConnectivityGoal {

@@ -18,9 +18,10 @@
 //! in send order, and the twins compare those logs too.  The pool runs each
 //! transaction round's agents side by side, so three scenarios hold those
 //! rounds to the one-worker ones: a goal refused at commit, whose nested
-//! rollback's teardown rounds fan out; a chain whose NM host is itself a
-//! managed router, so each round splits around the host's own turn; and
-//! the in-band channel.  Since both twins run every round through the same
+//! rollback's teardown rounds fan out; a chain whose NM station's id sorts
+//! between its managed routers' ids (the NM host is never managed, so each
+//! round still runs every agent before the host's turn); and the in-band
+//! channel.  Since both twins run every round through the same
 //! turn, a small chain's log is also pinned over each channel by its
 //! digest, and its pass by its message counts, outcomes and batch bytes,
 //! so a change that reorders or resizes what every run sends fails too.
@@ -41,8 +42,7 @@ use conman_bench::diagnosis::chain_limits;
 use conman_obs::{Recorder, TraceKind};
 use mgmt_channel::codec::TAG_COMMIT_BATCH;
 use mgmt_channel::{InBandChannel, ManagementChannel, OutOfBandChannel};
-use netsim::device::DeviceId;
-use netsim::network::Network;
+use netsim::device::{Device, DeviceId, DeviceRole};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -396,16 +396,19 @@ fn parallel_equals_sequential_when_a_goal_is_refused_at_commit() {
     assert_twins_equal(&par, &seq, "a goal refused at commit", &[]);
 }
 
-/// A fan-out chain twin whose NM runs on a core router it also manages,
-/// picked so that managed routers sort on both sides of it: every round
-/// splits around the host's own turn.
+/// A fan-out chain twin whose NM runs on an unmanaged station with an id
+/// just above the middle core router's, so managed routers sort on both
+/// sides of it.  The round order does not follow ids: every agent takes
+/// its turn, then the host.
 fn hosted_chain_twin(n: usize, goals: usize) -> Chain {
     let oob = || Logged::new(OutOfBandChannel::new());
     let mut t = managed_fanout_chain_with(n, goals, oob());
     let mut routers = t.core.clone();
     routers.sort();
-    let host = routers[routers.len() / 2];
-    let net = std::mem::replace(&mut t.mn.net, Network::new());
+    let mut station = Device::new("MidStation", DeviceRole::Host, 1);
+    station.id = DeviceId::from_raw(routers[routers.len() / 2].as_u64() + 1);
+    let mut net = std::mem::take(&mut t.mn.net);
+    let host = net.add_device(station);
     let agents = std::mem::take(&mut t.mn.agents);
     t.mn = ManagedNetwork::new(net, host, oob());
     t.mn.agents = agents;
@@ -423,10 +426,10 @@ fn parallel_equals_sequential_when_the_nm_host_is_a_managed_router() {
     assert!(ra.converged(), "the hosted chain converges: {ra:#?}");
     let par = observe(&ra, &mut a.mn);
     let seq = observe(&rb, &mut b.mn);
-    assert_twins_equal(&par, &seq, "NM host managed", &[]);
+    assert_twins_equal(&par, &seq, "NM station among the routers", &[]);
 }
 
-/// In-band rounds drain each side of the NM host at once and fan out like
+/// In-band rounds drain every managed device at once and fan out like
 /// out-of-band ones: the pool's pass matches the width-1 pass, and both
 /// audits are empty.  Neither twin hits the round cap: a round's one `run`
 /// moves every flood, so an NM ↔ device hop takes one round, as it does
