@@ -88,8 +88,6 @@ impl ConnectivityGoal {
 /// module abstractions gathered through `showPotential`.
 #[derive(Debug, Default)]
 pub struct NetworkManager {
-    /// The device hosting the NM.
-    pub host: Option<DeviceId>,
     /// Device names by id (from announcements).
     pub device_names: BTreeMap<DeviceId, String>,
     /// Physical adjacency: device -> (port, neighbour device, neighbour port).
@@ -99,12 +97,9 @@ pub struct NetworkManager {
 }
 
 impl NetworkManager {
-    /// Create an NM hosted on `host`.
-    pub fn new(host: DeviceId) -> Self {
-        NetworkManager {
-            host: Some(host),
-            ..Default::default()
-        }
+    /// Create an NM that knows nothing yet.
+    pub fn new() -> Self {
+        NetworkManager::default()
     }
 
     /// Record a device announcement.
@@ -257,7 +252,7 @@ mod tests {
 
     #[test]
     fn aliases_strip_common_prefixes() {
-        let mut nm = NetworkManager::new(DeviceId::from_raw(1));
+        let mut nm = NetworkManager::new();
         nm.device_names
             .insert(DeviceId::from_raw(1), "RouterA".into());
         nm.device_names

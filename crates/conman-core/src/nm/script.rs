@@ -566,7 +566,7 @@ mod tests {
     /// single device).
     #[test]
     fn empty_and_tiny_paths_do_not_panic() {
-        let nm = NetworkManager::new(DeviceId::from_raw(1));
+        let nm = NetworkManager::new();
         let goal =
             ConnectivityGoal::vpn(module(ModuleKind::Eth, 1, 1), module(ModuleKind::Eth, 2, 2));
         let empty = ModulePath { steps: vec![] };
@@ -625,7 +625,7 @@ mod tests {
     /// Figure 7(b).
     #[test]
     fn every_primitive_variant_renders() {
-        let mut nm = NetworkManager::new(DeviceId::from_raw(9));
+        let mut nm = NetworkManager::new();
         for (raw, name) in [(1, "RouterA"), (2, "RouterB")] {
             nm.device_names.insert(DeviceId::from_raw(raw), name.into());
         }

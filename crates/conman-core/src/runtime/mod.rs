@@ -20,11 +20,14 @@ use crate::ids::ModuleRef;
 use crate::nm::{ConnectivityGoal, GoalStore, ModulePath, NetworkManager, ScriptSet};
 use crate::primitives::{
     EnvelopeKind, ModuleActual, ModuleEnvelope, Primitive, PrimitiveOutcome, PrimitiveResult,
-    SegmentCommit, SegmentVerdict, WireMessage,
+    WireMessage,
 };
 use crate::wire::{self, WireCodec};
 use conman_obs::{MessageDirection, Recorder};
-use mgmt_channel::codec::{TAG_ABORT_BATCH, TAG_STAGE_BATCH};
+use mgmt_channel::codec::{
+    TAG_ABORT_BATCH, TAG_COMMIT_BATCH_RESULT, TAG_COUNTER_REPORT, TAG_SCRIPT_RESULT,
+    TAG_STAGE_BATCH, TAG_STAGE_BATCH_RESULT,
+};
 use mgmt_channel::{ManagementChannel, MessageCategory, MgmtMessage};
 use netsim::device::{Device, DeviceId};
 use netsim::network::Network;
@@ -100,6 +103,15 @@ fn category_of(msg: &WireMessage) -> MessageCategory {
         WireMessage::PollCounters { .. } | WireMessage::CounterReport { .. } => {
             MessageCategory::Telemetry
         }
+    }
+}
+
+/// The counter an answer no call takes, or a repeated one, is counted
+/// under: a transaction verdict's, or a script or telemetry reply's.
+fn stale_counter(tag: u8) -> &'static str {
+    match tag {
+        TAG_STAGE_BATCH_RESULT | TAG_COMMIT_BATCH_RESULT => "txn.stale_results",
+        _ => "mgmt.stale_reports",
     }
 }
 
@@ -202,41 +214,29 @@ pub struct ManagedNetwork<C: ManagementChannel> {
     /// What the NM host sent and received (see [`Self::nm_counters`]).
     counters: ChannelCounters,
     next_request: u64,
-    /// Script replies received by the NM and not yet taken by the call that
-    /// asked for them: (device, per-primitive results).  Empty between
-    /// calls — every requester drains what arrived on its behalf.  A
-    /// `Script` serves only [`Self::discover`], [`Self::show_actual`] and
-    /// [`Self::execute_path`]; no transaction sends one.
-    script_results: Vec<(DeviceId, Vec<PrimitiveOutcome>)>,
-    /// Telemetry reports received by the NM and not yet consumed:
-    /// (device, request, report).  Drained by [`Self::poll_counters`].
-    counter_reports: Vec<(DeviceId, u64, DeviceTelemetry)>,
+    /// The answers the NM heard and no call has taken yet, keyed by their
+    /// sender, their wire tag (a `ScriptResult`, `CounterReport`,
+    /// `StageBatchResult` or `CommitBatchResult`) and the request or txn
+    /// they answer.  The first answer stands and a repeat is counted when
+    /// it arrives; the call that asked takes its own answers once the plane
+    /// is quiet, and drops and counts what it leaves when it closes
+    /// ([`Self::close_answers`]), so the table is empty between calls.
+    pub(crate) answers: BTreeMap<(DeviceId, u8, u64), WireMessage>,
     /// The NM's declarative goal store (see [`reconcile`]).
     pub goals: GoalStore,
-    /// Staging verdicts (one per goal segment) received by the NM, indexed
-    /// by (device, txn) so the runner's drain is a map lookup rather than a
-    /// linear scan (batch replies arrive in bulk; scanning per response is
-    /// quadratic).  Empty after each phase: what its drain leaves is
-    /// dropped and counted under `txn.stale_results`.
-    pub(crate) stage_batch_results: BTreeMap<(DeviceId, u64), Vec<SegmentVerdict>>,
-    /// Commit results (one per goal segment), indexed by (device, txn).
-    pub(crate) commit_batch_results: BTreeMap<(DeviceId, u64), Vec<SegmentCommit>>,
     /// Relays buffered for the current management round (relay batching).
     pending_relays: BTreeMap<DeviceId, Vec<ModuleEnvelope>>,
-    /// The width of the reconcile pass on the stack, if any: the workers
-    /// its path search and its transaction rounds use.  A transaction
-    /// runner outside a pass takes [`pool::default_width`].
-    pass_width: Option<usize>,
-    /// `Some(width)` while a transaction runner is on the stack.  Then
+    /// `Some(width)` while a reconcile pass or a transaction runner is on
+    /// the stack: a pass sets its own width for the whole pass, and a
+    /// runner called outside one takes [`pool::default_width`].  Then
     /// module-to-module envelopes travel as one [`WireMessage::RelayBatch`]
     /// per (device, management round) in both directions — a device sends
     /// the NM everything its modules emitted in a round as one message, and
     /// the NM relays them onward as one message per destination — instead
     /// of one message per envelope, and each round runs its agents on
     /// `width` workers (see [`Self::run_management`]).  `None` outside
-    /// transactions, so the fire-and-forget [`Self::execute_path`] keeps
-    /// the per-message Table VI counts, and rounds run on the calling
-    /// thread.
+    /// both, so the fire-and-forget [`Self::execute_path`] keeps the
+    /// per-message Table VI counts, and rounds run on the calling thread.
     pub(crate) runner_width: Option<usize>,
     /// Flight recorder every management layer writes into (disabled by
     /// default — attach an enabled one with [`Self::set_recorder`]).
@@ -254,17 +254,13 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             net,
             agents: BTreeMap::new(),
             channel,
-            nm: NetworkManager::new(nm_host),
+            nm: NetworkManager::new(),
             nm_host,
             counters: ChannelCounters::default(),
             next_request: 0,
-            script_results: Vec::new(),
-            counter_reports: Vec::new(),
+            answers: BTreeMap::new(),
             goals: GoalStore::new(),
-            stage_batch_results: BTreeMap::new(),
-            commit_batch_results: BTreeMap::new(),
             pending_relays: BTreeMap::new(),
-            pass_width: None,
             runner_width: None,
             recorder: Recorder::disabled(),
             codec: WireCodec::default(),
@@ -380,38 +376,80 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         self.run_management();
     }
 
-    /// Send one `Script` per `(device, primitives)` pair, pump the management
-    /// plane until quiescent and hand the replies that arrived to the
-    /// caller.  Every script requester — `discover`, `show_actual` and
-    /// `execute_path`, the paper's fire-and-forget reads and flow — goes
-    /// through here, so `script_results` is empty again when the call
-    /// returns.  A transaction changes a device through `StageBatch` /
-    /// `CommitBatch` / `AbortBatch` only, its rollback included.
+    /// The one way the NM asks devices and hears them: send each device
+    /// the message `request` builds around a fresh request id, pump the
+    /// management plane until quiescent, take the answer each device sent
+    /// under `tag` to its own request, and close ([`Self::close_answers`]).
+    /// Every script requester — `discover`, `show_actual` and
+    /// `execute_path`, the paper's fire-and-forget reads and flow — and the
+    /// telemetry pull go through here, so an answer to another request (a
+    /// late one, or one from a device that was not asked) never stands in
+    /// for a silent device's.  A transaction changes a device through
+    /// `StageBatch` / `CommitBatch` / `AbortBatch` only, its rollback
+    /// included.
+    fn ask<Q>(
+        &mut self,
+        questions: impl IntoIterator<Item = (DeviceId, Q)>,
+        request: impl Fn(u64, Q) -> WireMessage,
+        tag: u8,
+    ) -> Vec<(DeviceId, WireMessage)> {
+        let asked: Vec<(DeviceId, u64)> = (questions.into_iter())
+            .map(|(device, question)| {
+                self.next_request += 1;
+                let msg = request(self.next_request, question);
+                self.send(self.nm_host, device, &msg);
+                (device, self.next_request)
+            })
+            .collect();
+        self.run_management();
+        let answers = (asked.into_iter())
+            .filter_map(|(device, id)| Some((device, self.answers.remove(&(device, tag, id))?)))
+            .collect();
+        self.close_answers();
+        answers
+    }
+
+    /// Drop every answer the closing call did not take, counting each: a
+    /// stage or commit verdict under `txn.stale_results`, a script or
+    /// telemetry reply under `mgmt.stale_reports`.  Only a count that is
+    /// not zero is recorded.
+    pub(crate) fn close_answers(&mut self) {
+        for (_, tag, _) in std::mem::take(&mut self.answers).into_keys() {
+            self.recorder.inc(stale_counter(tag), 1);
+        }
+    }
+
+    /// One `Script` per `(device, primitives)` pair, through [`Self::ask`]:
+    /// each answering device's per-primitive results.
     fn run_scripts(
         &mut self,
         scripts: impl IntoIterator<Item = (DeviceId, Vec<Primitive>)>,
-    ) -> Vec<(DeviceId, Vec<PrimitiveOutcome>)> {
-        let mark = self.script_results.len();
-        for (device, primitives) in scripts {
-            self.next_request += 1;
-            let msg = WireMessage::Script {
-                request: self.next_request,
-                primitives,
-            };
-            self.send(self.nm_host, device, &msg);
-        }
-        self.run_management();
-        self.script_results.split_off(mark)
+    ) -> impl Iterator<Item = (DeviceId, Vec<PrimitiveOutcome>)> {
+        let script = |request, primitives| WireMessage::Script {
+            request,
+            primitives,
+        };
+        (self.ask(scripts, script, TAG_SCRIPT_RESULT).into_iter()).filter_map(|(device, answer)| {
+            match answer {
+                WireMessage::ScriptResult { results, .. } => Some((device, results)),
+                _ => None,
+            }
+        })
     }
 
     /// The NM invokes `showPotential` at every managed device and records the
-    /// returned module abstractions.
+    /// module abstractions each answer returns.
     pub fn discover(&mut self) {
-        let ids: Vec<DeviceId> = self.agents.keys().copied().collect();
-        self.run_scripts(
-            ids.into_iter()
-                .map(|id| (id, vec![Primitive::ShowPotential])),
-        );
+        let scripts: Vec<_> = (self.agents.keys())
+            .map(|id| (*id, vec![Primitive::ShowPotential]))
+            .collect();
+        for (device, results) in self.run_scripts(scripts) {
+            for r in results {
+                if let Ok(PrimitiveResult::Potential(modules)) = r {
+                    self.nm.record_potential(device, modules);
+                }
+            }
+        }
     }
 
     /// The NM invokes `showActual` at every listed device, in one round, and
@@ -425,7 +463,6 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     ) -> BTreeMap<DeviceId, BTreeMap<ModuleRef, ModuleActual>> {
         let scripts = devices.iter().map(|d| (*d, vec![Primitive::ShowActual]));
         self.run_scripts(scripts)
-            .into_iter()
             .filter_map(|(device, results)| {
                 results.into_iter().find_map(|r| match r {
                     Ok(PrimitiveResult::Actual(map)) => Some((device, map)),
@@ -436,44 +473,28 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     }
 
     /// The one telemetry pull: send every listed device one `PollCounters`
-    /// over the management channel and return, per device that answered,
-    /// its module snapshots and its per-flow counters for `tags`.  Crashed
-    /// devices simply do not answer — their absence from the result is
-    /// itself diagnostic evidence.
+    /// over the management channel (through `ask`) and return, per device
+    /// that answered its own request, its module snapshots and its per-flow
+    /// counters for `tags`.  Crashed devices simply do not answer — their
+    /// absence from the result is itself diagnostic evidence.
     pub fn poll_counters(
         &mut self,
         devices: &[DeviceId],
         tags: &[u64],
     ) -> BTreeMap<DeviceId, DeviceTelemetry> {
-        let first_request = self.next_request + 1;
-        for id in devices {
-            self.next_request += 1;
-            let msg = WireMessage::PollCounters {
-                request: self.next_request,
-                tags: tags.to_vec(),
-            };
-            self.send(self.nm_host, *id, &msg);
-        }
-        self.run_management();
-        // Drain the report buffer: matched reports become this poll's
-        // result, anything else is stale (its poller already returned, or
-        // no poll asked for it) and would otherwise accumulate for the
-        // lifetime of the network.  Stale ones are counted under
-        // `mgmt.stale_reports`, so none is dropped unseen.
-        let requests = first_request..=self.next_request;
-        let mut reports = BTreeMap::new();
-        let mut stale = 0;
-        for (device, request, report) in self.counter_reports.drain(..) {
-            if requests.contains(&request) {
-                reports.insert(device, report);
-            } else {
-                stale += 1;
-            }
-        }
-        if stale > 0 {
-            self.recorder.inc("mgmt.stale_reports", stale);
-        }
-        reports
+        let polls = devices.iter().map(|d| (*d, tags.to_vec()));
+        let poll = |request, tags| WireMessage::PollCounters { request, tags };
+        (self.ask(polls, poll, TAG_COUNTER_REPORT).into_iter())
+            .filter_map(|(device, answer)| match answer {
+                WireMessage::CounterReport {
+                    snapshots, flows, ..
+                } => {
+                    let flows = flows.into_iter().collect();
+                    Some((device, DeviceTelemetry { snapshots, flows }))
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     /// Execute a specific path fire-and-forget: one `Script` per device, no
@@ -485,12 +506,9 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// preference.
     pub fn execute_path(&mut self, path: &ModulePath, goal: &ConnectivityGoal) -> ScriptSet {
         let scripts = self.nm.generate_scripts(path, goal);
-        self.run_scripts(
-            scripts
-                .scripts
-                .iter()
-                .map(|ds| (ds.device, ds.primitives.clone())),
-        );
+        let sends = (scripts.scripts.iter()).map(|ds| (ds.device, ds.primitives.clone()));
+        // The answers are taken, and nothing reads them.
+        let _ = self.run_scripts(sends);
         scripts
     }
 
@@ -503,17 +521,20 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// its turn, and the NM host (never a managed device) takes its own.
     /// The devices drain at once, in device order, and their agents take
     /// their turns through one function, `agent_turn`, on
-    /// `pool::fan_out`'s workers, at the width of the transaction runner on
-    /// the stack (1 outside one, so no thread starts); then the answers are
-    /// posted through the one send door in device order.  The host's turn
-    /// only reads: it hands each message to the NM.  The output is the same
-    /// byte for byte at any width: drains stay sequential; an agent answers
-    /// only the NM, so no agent's turn reads what another's sent; and the
-    /// answers are posted in device order.
+    /// `pool::fan_out`'s workers, at the width of the pass or transaction
+    /// runner on the stack (1 outside both, so no thread starts); then the
+    /// answers are posted through the one send door in device order.  The
+    /// host's turn only reads: it hands each message to the NM, which files
+    /// every answer in one table (`answers`) for the call that asked to
+    /// take.  The output is the same byte for byte at any width: drains
+    /// stay sequential; an agent answers only the NM, so no agent's turn
+    /// reads what another's sent; and the answers are posted in device
+    /// order.
     ///
-    /// While a runner is on the stack (`runner_width` is `Some`), a device
-    /// answers the NM once per round: the module envelopes it emits while
-    /// its inbox drains go up as one `RelayBatch`, after its other answers.
+    /// While a pass or a runner is on the stack (`runner_width` is `Some`),
+    /// a device answers the NM once per round: the module envelopes it
+    /// emits while its inbox drains go up as one `RelayBatch`, after its
+    /// other answers.
     /// A lost or undecodable upward batch therefore loses that device's
     /// whole round of envelopes, not one of them.
     pub fn run_management(&mut self) -> usize {
@@ -588,7 +609,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
         for m in messages {
             match WireMessage::decode(&m.payload) {
-                Some(wire) => self.nm_handle(m.from, wire),
+                Some(wire) => self.nm_handle(m.from, m.payload[0], wire),
                 None => self.recorder.inc("mgmt.decode_dropped", 1),
             }
         }
@@ -619,18 +640,11 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         true
     }
 
-    /// NM-side handling of NM-bound messages.
-    fn nm_handle(&mut self, from: DeviceId, wire: WireMessage) {
+    /// NM-side handling of NM-bound messages; `tag` is the frame's wire
+    /// tag.
+    fn nm_handle(&mut self, from: DeviceId, tag: u8, wire: WireMessage) {
         match wire {
             WireMessage::Announce(a) => self.nm.record_announcement(&a),
-            WireMessage::ScriptResult { results, .. } => {
-                for r in &results {
-                    if let Ok(PrimitiveResult::Potential(mods)) = r {
-                        self.nm.record_potential(from, mods.clone());
-                    }
-                }
-                self.script_results.push((from, results));
-            }
             WireMessage::Module(env) => self.relay(env),
             WireMessage::RelayBatch { envelopes } => {
                 for env in envelopes {
@@ -640,34 +654,21 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             // A notification's content has no consumer in the NM; it is
             // counted so that none arrives silently.
             WireMessage::Notify(_) => self.recorder.inc("mgmt.notifications", 1),
-            WireMessage::CounterReport {
-                request,
-                snapshots,
-                flows,
-            } => {
-                let report = DeviceTelemetry {
-                    snapshots,
-                    flows: flows.into_iter().collect(),
-                };
-                self.counter_reports.push((from, request, report));
-            }
-            // The first result stands and a repeat is counted: a repeated
+            // An answer waits in the one table for the call that asked.
+            // The first stands and a repeat is counted: a repeated
             // `StageBatch` is refused `StaleTxn` (a restage of the held
-            // txn), and a repeated `CommitBatch` answers its recorded
-            // verdict again.
-            WireMessage::StageBatchResult { txn, verdicts } => {
-                let slot = self.stage_batch_results.entry((from, txn));
-                if matches!(slot, Entry::Occupied(_)) {
-                    self.recorder.inc("txn.stale_results", 1);
+            // txn), a repeated `CommitBatch` answers its recorded verdict
+            // again, and a repeated request is answered again.
+            WireMessage::ScriptResult { request: id, .. }
+            | WireMessage::CounterReport { request: id, .. }
+            | WireMessage::StageBatchResult { txn: id, .. }
+            | WireMessage::CommitBatchResult { txn: id, .. } => {
+                match self.answers.entry((from, tag, id)) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(wire);
+                    }
+                    Entry::Occupied(_) => self.recorder.inc(stale_counter(tag), 1),
                 }
-                slot.or_insert(verdicts);
-            }
-            WireMessage::CommitBatchResult { txn, segments } => {
-                let slot = self.commit_batch_results.entry((from, txn));
-                if matches!(slot, Entry::Occupied(_)) {
-                    self.recorder.inc("txn.stale_results", 1);
-                }
-                slot.or_insert(segments);
             }
             // An agent-bound message has no business at the NM; it is
             // counted so that none arrives silently.
@@ -891,10 +892,11 @@ mod tests {
         }
     }
 
-    /// Regression: every script reply used to pile up in `script_results`
-    /// for the lifetime of the network.  Each requester — discovery,
+    /// Regression: every script reply used to pile up in a buffer of its
+    /// own for the lifetime of the network.  Each requester — discovery,
     /// `show_actual`, the in-batch rollback — now takes what arrived on its
-    /// behalf, so the buffer is as long after the calls as before them.
+    /// behalf, so the answer table is as long after the calls as before
+    /// them.
     #[test]
     fn script_replies_do_not_outlive_the_call_that_asked_for_them() {
         use crate::nm::script::DeviceScript;
@@ -915,7 +917,7 @@ mod tests {
         mn.add_agent(a1);
         mn.add_agent(a2);
         mn.announce_all();
-        let before = mn.script_results.len();
+        let before = mn.answers.len();
 
         for _ in 0..3 {
             mn.discover();
@@ -947,7 +949,7 @@ mod tests {
             crate::primitives::RefusalCause::Module(crate::module::ModuleError::CannotFilter)
         );
 
-        assert_eq!(mn.script_results.len(), before);
+        assert_eq!(mn.answers.len(), before);
     }
 
     /// The one telemetry pull: one request per polled device, one report
@@ -992,7 +994,7 @@ mod tests {
             assert_eq!(report.snapshots.len(), 1, "one snapshot per module");
             assert_eq!(report.flows[&7].forwarded, 3);
         }
-        assert!(mn.counter_reports.is_empty());
+        assert!(mn.answers.is_empty());
     }
 
     /// A `CounterReport` that answers no request of the current poll is
@@ -1022,7 +1024,49 @@ mod tests {
         let reports = mn.poll_counters(&[d], &[7]);
         assert_eq!(reports.keys().copied().collect::<Vec<_>>(), [d]);
         assert_eq!(recorder.counter("mgmt.stale_reports"), 1);
-        assert!(mn.counter_reports.is_empty());
+        assert!(mn.answers.is_empty());
+    }
+
+    /// A `ScriptResult` that answers no request of the current call never
+    /// stands in for a silent device's answer.  One planted from a
+    /// powered-off router before `audit()` used to answer for it: the
+    /// script requester took whatever arrived during its call.  Now the
+    /// router is absent from `show_actual`, the audit reports it silent,
+    /// and the planted reply is dropped and counted under
+    /// `mgmt.stale_reports`.
+    #[test]
+    fn a_script_reply_for_no_current_request_does_not_answer_for_a_dead_device() {
+        let mut net = Network::new();
+        let d = net.add_device(Device::new("RouterA", DeviceRole::Router, 1));
+        let nm_host = net.add_device(Device::new("NM", DeviceRole::Host, 1));
+        let mut mn = ManagedNetwork::new(net, nm_host, OutOfBandChannel::new());
+        let mut agent = ManagementAgent::new(d, "RouterA");
+        let me = ModuleRef::new(ModuleKind::Gre, ModuleId(1), d);
+        agent.register(Box::new(Chatty::new(me)));
+        mn.add_agent(agent);
+        let recorder = Recorder::new();
+        mn.set_recorder(recorder.clone());
+        mn.net.device_mut(d).unwrap().up = false;
+
+        // Request 0 is no call's: the NM numbers its requests from 1.
+        let listing = BTreeMap::from([(me, ModuleActual::default())]);
+        let planted = WireMessage::ScriptResult {
+            request: 0,
+            results: vec![Ok(PrimitiveResult::Actual(listing))],
+        };
+        let plant = |mn: &mut ManagedNetwork<OutOfBandChannel>| {
+            let m = MgmtMessage::new(d, nm_host, MessageCategory::Response, planted.encode());
+            mn.channel.send(&mut mn.net, m);
+        };
+        plant(&mut mn);
+        let silent = verify::PlanViolation::DeviceSilent { device: d };
+        assert_eq!(mn.audit(), [silent]);
+        assert_eq!(recorder.counter("mgmt.stale_reports"), 1);
+
+        plant(&mut mn);
+        assert_eq!(mn.show_actual(&[d]), BTreeMap::new());
+        assert_eq!(recorder.counter("mgmt.stale_reports"), 2);
+        assert!(mn.answers.is_empty());
     }
 
     /// A `StageBatchResult` for a transaction no runner ran is dropped
@@ -1058,7 +1102,7 @@ mod tests {
         let outcome = mn.run_teardown_batch(&[teardown(2)], &[]);
         assert_eq!(outcome.per_goal[&GoalId(2)], 1, "the batch still runs");
         assert_eq!(recorder.counter("txn.stale_results"), 1);
-        assert!(mn.stage_batch_results.is_empty() && mn.commit_batch_results.is_empty());
+        assert!(mn.answers.is_empty());
     }
 
     /// A module that answers every envelope with another one, so a pair of
@@ -1245,7 +1289,7 @@ mod tests {
             !received.contains_key(&MessageCategory::Response),
             "{received:?}"
         );
-        assert!(mn.commit_batch_results.is_empty());
+        assert!(mn.answers.is_empty());
         assert_eq!(recorder.counter("mgmt.notifications"), 0);
     }
 

@@ -557,7 +557,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     where
         P: FnMut(&mut Self, GoalId) -> Option<bool>,
     {
-        let outer = self.pass_width.replace(workers);
+        let outer = self.runner_width.replace(workers);
         let before = (self.counters.sent, self.counters.received);
         let mut outcomes = BTreeMap::new();
         let work = self.triage(&mut probe, &mut outcomes);
@@ -595,7 +595,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         for outcome in self.replace(ready, &mut transactions, settle) {
             outcomes.insert(outcome.goal, outcome);
         }
-        self.pass_width = outer;
+        self.runner_width = outer;
         self.pass_report(before, transactions, outcomes)
     }
 
@@ -711,7 +711,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
     /// is identical; only the message shape differs.  It runs at width 1,
     /// so it starts no thread.
     pub fn reconcile_per_goal(&mut self) -> ReconcileReport {
-        let outer = self.pass_width.replace(1);
+        let outer = self.runner_width.replace(1);
         let before = (self.counters.sent, self.counters.received);
         let mut transactions = 0;
         let mut probe = |_: &mut Self, _: GoalId| None;
@@ -739,7 +739,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
             };
             outcomes.insert(id, outcome);
         }
-        self.pass_width = outer;
+        self.runner_width = outer;
         self.pass_report(before, transactions, outcomes)
     }
 

@@ -52,6 +52,13 @@
 //! wave (a lost answer is not a lost commit), so the journal shows every
 //! delete it sends.
 //!
+//! Both phases hear their devices through the NM's one answer table, where
+//! the first verdict a device sends for a txn stands and a repeat is
+//! counted under `txn.stale_results`.  Each phase takes its devices'
+//! verdicts for its own txn once the plane is quiet, and drops and counts
+//! what it leaves when it closes: a late verdict, or one from a device
+//! outside its batch, under `txn.stale_results`.
+//!
 //! While a runner is on the stack, relays are batched and every management
 //! round runs its devices' agents side by side, at the width of the pass
 //! (see [`ManagedNetwork::run_management`]).  That changes no byte of
@@ -66,6 +73,7 @@ use crate::primitives::{
     Primitive, Refusal, RefusalCause, SegmentCommit, SegmentVerdict, WireMessage,
 };
 use conman_obs::TraceKind;
+use mgmt_channel::codec::{TAG_COMMIT_BATCH_RESULT, TAG_STAGE_BATCH_RESULT};
 use mgmt_channel::ManagementChannel;
 use netsim::device::DeviceId;
 use std::borrow::Borrow;
@@ -130,13 +138,13 @@ struct Staged {
 
 impl<C: ManagementChannel> ManagedNetwork<C> {
     /// Open a transaction runner's span: relays are batched, and each
-    /// management round runs its agents at the width of the pass on the
-    /// stack, or at [`pool::default_width`] for a runner called outside
-    /// one.  Returns the outer span's `runner_width`, which the runner
-    /// restores when it returns.
+    /// management round runs its agents at the width of the pass or runner
+    /// on the stack, or at [`pool::default_width`] outside both.  Returns
+    /// the outer `runner_width`, which the runner restores when it returns.
     fn open_runner(&mut self) -> Option<usize> {
-        let width = self.pass_width.unwrap_or_else(pool::default_width);
-        self.runner_width.replace(width)
+        let outer = self.runner_width;
+        self.runner_width.get_or_insert_with(pool::default_width);
+        outer
     }
 
     /// The stage phase of both runners, first half: send every device its
@@ -167,7 +175,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
         self.run_management();
         for (&device, Staged { goals, verdicts }) in &mut staged {
-            *verdicts = self.stage_batch_results.remove(&(device, txn));
+            *verdicts = match self.answers.remove(&(device, TAG_STAGE_BATCH_RESULT, txn)) {
+                Some(WireMessage::StageBatchResult { verdicts, .. }) => Some(verdicts),
+                _ => None,
+            };
             self.count_stale(verdicts.iter().flatten().flat_map(|v| &v.errors));
             let ok = verdicts
                 .as_ref()
@@ -182,21 +193,8 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 },
             );
         }
-        self.drop_stale_results();
+        self.close_answers();
         staged
-    }
-
-    /// Drop every transaction result the phase that just drained left:
-    /// a late one, or one from a device outside its batch.  Counted under
-    /// `txn.stale_results`, only when there is one, so none is dropped
-    /// unseen and none stays in the NM.
-    fn drop_stale_results(&mut self) {
-        let stale = self.stage_batch_results.len() + self.commit_batch_results.len();
-        if stale > 0 {
-            self.stage_batch_results.clear();
-            self.commit_batch_results.clear();
-            self.recorder.inc("txn.stale_results", stale as u64);
-        }
     }
 
     /// Count under `txn.stale_refused` the refusals among a device's answer
@@ -252,7 +250,10 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
         }
         self.run_management();
         for (&device, goals) in wave {
-            let answer = self.commit_batch_results.remove(&(device, txn));
+            let answer = match self.answers.remove(&(device, TAG_COMMIT_BATCH_RESULT, txn)) {
+                Some(WireMessage::CommitBatchResult { segments, .. }) => Some(segments),
+                _ => None,
+            };
             let results = answer.iter().flatten().flat_map(|sc| &sc.results);
             self.count_stale(results.filter_map(|r| r.as_ref().err().map(|e| &**e)));
             let ok = answer
@@ -273,7 +274,7 @@ impl<C: ManagementChannel> ManagedNetwork<C> {
                 None => self.abort(txn, device, goals.clone()),
             }
         }
-        self.drop_stale_results();
+        self.close_answers();
         if answers.len() < wave.len() {
             self.run_management();
         }

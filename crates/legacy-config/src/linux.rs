@@ -55,22 +55,6 @@ impl GreVpnParams {
             core_port: 2,
         }
     }
-
-    /// The mirror configuration at the far edge router (router C).
-    pub fn mirrored(&self, local: Ipv4Addr, nexthop: Ipv4Addr, gateway: Ipv4Addr) -> Self {
-        GreVpnParams {
-            local,
-            remote: self.local,
-            nexthop,
-            remote_site: self.local_site,
-            local_site: self.remote_site,
-            local_gateway: gateway,
-            ikey: self.okey,
-            okey: self.ikey,
-            customer_port: self.customer_port,
-            core_port: self.core_port,
-        }
-    }
 }
 
 /// Generate the Figure 7(a) script for one edge router.

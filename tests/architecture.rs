@@ -645,6 +645,51 @@ fn the_nm_is_not_an_agent() {
     assert_clean(rule, &hits);
 }
 
+/// An answer has one table: the NM files every answer it hears (a script
+/// reply, a telemetry report, a stage or a commit verdict) in one table
+/// keyed by its sender, its wire tag and the request or txn it answers,
+/// under one rule: the first stands, a repeat is counted, and what the
+/// asking call does not take is dropped and counted when it closes. The
+/// four buffers and the drop step that held three rules stay gone from
+/// conman-core, and runtime/mod.rs's nm_handle names each answer variant
+/// once, in its one arm.
+#[test]
+fn an_answer_has_one_table() {
+    let rule = "An answer has one table";
+    let gone = [
+        "script_results",
+        "counter_reports",
+        "stage_batch_results",
+        "commit_batch_results",
+        "drop_stale_results",
+    ];
+    let mut hits = banned(&tree(&["crates/conman-core/src"]), &gone);
+    let runtime = File::read("crates/conman-core/src/runtime/mod.rs").body();
+    let answers = [
+        "WireMessage::ScriptResult",
+        "WireMessage::CounterReport",
+        "WireMessage::StageBatchResult",
+        "WireMessage::CommitBatchResult",
+    ];
+    let mut named = [0; 4];
+    for (inside, _, line) in runtime.fn_lines() {
+        if inside == Some("nm_handle") {
+            for (count, answer) in named.iter_mut().zip(answers) {
+                *count += line.matches(answer).count();
+            }
+        }
+    }
+    for (count, answer) in named.iter().zip(answers) {
+        if *count != 1 {
+            hits.push(format!(
+                "{}: nm_handle names {answer} {count} times",
+                runtime.path
+            ));
+        }
+    }
+    assert_clean(rule, &hits);
+}
+
 /// A transaction changes a device only through StageBatch / CommitBatch /
 /// AbortBatch: a goal that fails mid-batch is rolled back by a nested
 /// lenient teardown transaction, never by a fire-and-forget Script, so

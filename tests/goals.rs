@@ -30,7 +30,8 @@ use conman::netsim::device::DeviceId;
 use conman::netsim::ipv4::Ipv4Cidr;
 use conman::obs::Recorder;
 use mgmt_channel::codec::{
-    TAG_COMMIT_BATCH, TAG_COMMIT_BATCH_RESULT, TAG_STAGE_BATCH, TAG_STAGE_BATCH_RESULT,
+    TAG_COMMIT_BATCH, TAG_COMMIT_BATCH_RESULT, TAG_COUNTER_REPORT, TAG_SCRIPT_RESULT,
+    TAG_STAGE_BATCH, TAG_STAGE_BATCH_RESULT,
 };
 use mgmt_channel::{ManagementChannel, OutOfBandChannel};
 use std::collections::BTreeSet;
@@ -1047,6 +1048,35 @@ fn a_duplicated_stage_batch_is_inert() {
     assert!(all_active(&t), "{report:#?}");
     assert_eq!(t.mn.audit(), []);
     assert_eq!(recorder.counter("txn.stale_results"), 1);
+}
+
+/// A `ScriptResult` and a `CounterReport` the channel delivers twice.  The
+/// NM files the first answer to each request and counts the repeat under
+/// `mgmt.stale_reports` as it arrives, so each call gets what its devices
+/// answered once.
+#[test]
+fn a_repeated_script_or_telemetry_answer_is_counted_and_the_first_stands() {
+    let recorder = Recorder::new();
+    let mut t = fanout_chain_of_three(&recorder);
+    let report = t.mn.reconcile();
+    assert!(all_active(&t), "{report:#?}");
+    let devices: Vec<DeviceId> = t.mn.agents.keys().copied().collect();
+    let listed = t.mn.show_actual(&devices);
+    let polled = t.mn.poll_counters(&devices, &[1]);
+    assert_eq!(listed.len(), devices.len());
+    assert_eq!(polled.len(), devices.len());
+
+    (t.mn.channel.faults).push((TAG_SCRIPT_RESULT, None, Fault::Duplicate));
+    assert_eq!(t.mn.show_actual(&devices), listed);
+    assert_eq!(t.mn.channel.faults, [], "a ScriptResult was duplicated");
+    assert_eq!(recorder.counter("mgmt.stale_reports"), 1);
+
+    (t.mn.channel.faults).push((TAG_COUNTER_REPORT, None, Fault::Duplicate));
+    assert_eq!(t.mn.poll_counters(&devices, &[1]), polled);
+    assert_eq!(t.mn.channel.faults, [], "a CounterReport was duplicated");
+    assert_eq!(recorder.counter("mgmt.stale_reports"), 2);
+    assert_eq!(t.mn.audit(), []);
+    assert_eq!(recorder.counter("mgmt.stale_reports"), 2);
 }
 
 /// Every transaction message the channel loses or delivers twice, once.

@@ -322,7 +322,6 @@ impl Renaming {
             a.peerable = self.kinds(&a.peerable);
         }
         conman::core::NetworkManager {
-            host: nm.host,
             device_names: nm.device_names.clone(),
             adjacency: nm.adjacency.clone(),
             abstractions,
